@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench verify ckpt chaos meta rescale serve diskfault
+.PHONY: all build vet test race fuzz verify bench
 
 all: build vet test
 
@@ -18,119 +18,45 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# One-stop correctness gate (~1 min): build, vet, the short test suite
-# (exhibit sweeps skip under -short), a targeted race-detector pass over
-# the schedule-perturbation surface (the perturbation layer, DHT flushes,
-# claim/abort traversal, and the perturbation-seed assembly sweep), and a
-# short fuzz smoke over both record parsers. `make test` / `make race`
+# A 3-second smoke of every Fuzz* function in the tree, found by grep so
+# a new one is picked up without touching this file (go test -fuzz takes
+# one package and one target per invocation).
+fuzz:
+	@grep -rl --include='*_test.go' '^func Fuzz' cmd internal | while read f; do \
+		for fn in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/p' $$f); do \
+			echo "fuzz $$fn ./$$(dirname $$f)/"; \
+			$(GO) test -fuzz "^$$fn\$$" -fuzztime 3s -run '^$$' ./$$(dirname $$f)/ || exit 1; \
+		done; \
+	done
+
+# One-stop correctness gate: build, vet, the fuzz smoke, the short test
+# suite — which includes every group of the scenario matrix at tiny scale
+# (DESIGN.md "Scenario matrix"; TestMatrixAllGreen is not -short-gated, so
+# no separate `go test -run Matrix ./internal/expt/` step is needed; the
+# paper-exhibit sweeps and the service exhibit do skip under -short) — a
+# targeted race-detector pass over the schedule-perturbation surface (the
+# perturbation layer, DHT flushes, claim/abort traversal, the
+# perturbation-seed assembly sweep, the scheduler's fake-runner suite),
+# and the two real-pipeline batteries that are too slow for -short
+# (multi-k determinism, cross-job isolation). `make test` / `make race`
 # remain the exhaustive versions.
-verify: build vet ckpt chaos meta rescale serve diskfault
+verify: build vet fuzz
 	$(GO) test -short ./...
-	$(GO) test -short -race ./internal/xrt/ ./internal/dht/
+	$(GO) test -short -race ./internal/xrt/ ./internal/dht/ ./internal/sched/
 	$(GO) test -short -race -run 'Perturbed|Contention' ./internal/contig/
 	$(GO) test -short -race -run 'Perturb' ./internal/verify/
 	$(GO) test -short -race -run 'Conservation|Metamorphic' ./internal/metrics/
-	$(GO) test -fuzz FuzzParse -fuzztime 3s -run '^$$' ./internal/fastq/
-	$(GO) test -fuzz FuzzParse -fuzztime 3s -run '^$$' ./internal/fasta/
-
-# Checkpoint/restart correctness: the checkpoint store's round-trip and
-# corruption tests, a fuzz smoke over the manifest/segment parsers, the
-# fault-injection runtime tests, and the crash-resume sweep (injected
-# rank crash -> resume -> bit-identical assembly on human+wheat).
-ckpt:
-	$(GO) test -short ./internal/ckpt/
-	$(GO) test -fuzz FuzzManifest -fuzztime 3s -run '^$$' ./internal/ckpt/
-	$(GO) test -short -run 'Fault' ./internal/xrt/
-	$(GO) test -short -run 'Checkpoint|CrashThenResume|CrashResume' ./internal/pipeline/ ./internal/expt/
-
-# Storage-fault correctness: the disk-fault plan's determinism/kind
-# tests, the scrub battery (quarantine, prefix truncation, stale-temp
-# sweep, unrecoverable-manifest taxonomy), the pipeline healing tests
-# (each damage kind -> faulted run bit-identical -> scrubbed resume
-# bit-identical, single-k and multi-k, plus the byte-flip detection-
-# completeness property), and a fuzz smoke over the manifest parser
-# seeded with quarantine artifacts. The full DiskFaultSweep exhibit
-# (every stage x every damage kind on human+wheat plus the disk-armed
-# scheduler leg) runs in CI's diskfault job via `benchsuite -diskfault`.
-diskfault:
-	$(GO) test -short -run 'DiskFault' ./internal/xrt/
-	$(GO) test -short -run 'Scrub|StaleTemp|Quarantine|Unrecoverable' ./internal/ckpt/
-	$(GO) test -short -run 'DiskFault|Heal|FlipDetection' ./internal/pipeline/
-	$(GO) test -short -run 'DiskFrac|TrimBilled|DiskFault' ./internal/sched/
-	$(GO) test -fuzz FuzzManifest -fuzztime 3s -run '^$$' ./internal/ckpt/
-
-# Unreliable-transport correctness: the chaos-layer runtime tests
-# (deterministic drop/dup injection, retry/backoff, dedup window, retry
-# exhaustion), the freeze/thaw cache-invalidation regressions, a fuzz
-# smoke over the dedup window's exactly-once property, and the chaos
-# sweep (message faults at 4 chaos seeds on human+wheat, assert the
-# assembly is bit-identical to the fault-free run with nonzero retries).
-chaos:
-	$(GO) test -short -run 'Chaos|Dedup|Thaw' ./internal/xrt/ ./internal/dht/
-	$(GO) test -fuzz FuzzDedupWindow -fuzztime 3s -run '^$$' ./internal/dht/
-	$(GO) test -short -run 'ChaosSweep' ./internal/expt/
-
-# Iterative-k metagenome correctness: the graph-cleaning property tests
-# (tip clipping preserves the true walk, bubble popping keeps exactly
-# one branch, both idempotent, rank-invariant), the pseudo-read
-# equivalence tests, the multi-k pipeline battery (stage registry,
-# contig feedback, bit-identity across ranks/perturb/chaos, crash-resume
-# inside each cleaning stage), the abundance-aware oracle tests, and a
-# fuzz smoke over the round/cleaning checkpoint codecs. The MetaSweep
-# exhibit (multi-k vs single-k recovery gate) runs in CI's metagenome
-# job via `benchsuite -meta` on a reduced dataset.
-meta:
-	$(GO) test -short -run 'ClipTips|PopBubbles|Cleaning|MergeRounds' ./internal/contig/
-	$(GO) test -short -run 'Pseudo' ./internal/kanalysis/
 	$(GO) test -run 'MultiK' ./internal/pipeline/
-	$(GO) test -short -run 'Meta|LowestQuartile' ./internal/verify/
-	$(GO) test -fuzz FuzzCleaningDecode -fuzztime 3s -run '^$$' ./internal/ckpt/
-
-# Elastic-rescale correctness: the re-shard metamorphic battery (resume
-# checkpoints at 1/2/4/8 ranks, mixed-partition directories, multi-k
-# rounds, oracle refusal, pair-deal round trips), the per-entry
-# source-partition manifest tests, and a fuzz smoke over the re-sharding
-# stage decoders seeded with real checkpoint payloads. The RescaleSweep
-# exhibit (crash at every stage x resume at R/2, R, 2R on human+wheat
-# under rotating perturb seeds and a chaos cell) runs in CI's rescale
-# job under -race.
-rescale:
-	$(GO) test -short -run 'Reshard|Rescale' ./internal/pipeline/
-	$(GO) test -short -run 'AdoptTopology|Topology|Reshard' ./internal/ckpt/
-	$(GO) test -fuzz FuzzReshardDecode -fuzztime 3s -run '^$$' ./internal/ckpt/
-
-# Assembly-as-a-service correctness: the short scheduler battery (golden
-# two-run report determinism, admission control, quota/fairness/
-# starvation property tests, checkpoint truncation) with the
-# fake-runner suite additionally under -race, the daemon and load-
-# generator flag-validation tables, and the real-pipeline cross-job
-# isolation tests (a crash job and a chaos job never perturb their
-# neighbours; preemption resumes from a truncated checkpoint). The full
-# heavy-traffic exhibit (>= 1000 jobs via `benchsuite -serve`) runs in
-# CI's service job.
-serve:
-	$(GO) test -short ./internal/sched/ ./cmd/hipmerd/ ./cmd/hipmer/
-	$(GO) test -short -race ./internal/sched/
 	$(GO) test -run 'CrossJobIsolation|PreemptionResumes' ./internal/sched/
 
-# Exhibit benchmarks (paper tables/figures) plus the DHT microbenchmarks
+# Exhibit benchmarks (paper tables/figures), the DHT microbenchmarks
 # comparing striped-mutex, frozen lock-free, and frozen+cached Get paths,
-# and the minimizer-scan/super-k-mer-encode hot loops. Also writes the
-# per-stage metrics reports (human+wheat end-to-end runs) to metrics.json
-# and the k-mer-analysis communication benchmark to BENCH_kanalysis.json —
-# CI uploads both as the run's observability artifacts. The benchsuite run
-# exits nonzero if the super-k-mer exhibit misses its >=5x message /
-# >=3x byte reduction gate or regresses >10% in stage-1 message count
-# against the committed bench/BENCH_kanalysis.json baseline, and if the
-# rescaled-resume benchmark (BENCH_rescale.json) regresses >10% in
-# virtual resume time or redistributed bytes against the committed
-# bench/BENCH_rescale.json baseline.
+# the minimizer-scan/super-k-mer-encode hot loops, and then the committed
+# harness: benchmark/run.sh measures wall, virtual and memory, end to end
+# and per layer, on four workloads (BENCHMARK.json; compare two runs with
+# `bash benchmark/run.sh -compare A.json B.json`).
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1x .
 	$(GO) test -run xxx -bench BenchmarkDHTGet ./internal/dht/
 	$(GO) test -run xxx -bench 'BenchmarkMinimizerScan|BenchmarkSuperKmerEncode' ./internal/kmer/
-	$(GO) run ./cmd/benchsuite -metrics-out metrics.json \
-		-bench-out BENCH_kanalysis.json -bench-baseline bench/BENCH_kanalysis.json \
-		-bench-rescale-out BENCH_rescale.json -bench-rescale-baseline bench/BENCH_rescale.json
-	$(GO) run ./cmd/benchsuite -serve -serve-jobs 1000 -serve-tenants 12 \
-		-bench-sched-out BENCH_sched.json -bench-sched-baseline bench/BENCH_sched.json
+	bash benchmark/run.sh -out bench.json

@@ -1,22 +1,23 @@
 // Command benchsuite regenerates the paper's tables and figures on
-// scaled-down synthetic datasets and prints them in the paper's layout.
+// scaled-down synthetic datasets and prints them in the paper's layout,
+// and runs the scenario matrix that proves the assembly survives every
+// injected failure unchanged.
 //
 // Usage:
 //
 //	benchsuite -all             # every experiment (a few minutes)
 //	benchsuite -fig6 -table1    # selected experiments
 //	benchsuite -all -cores 48,96,192,384,768
-//	benchsuite -chaos -chaos-metrics-out chaos-metrics.json
-//	benchsuite -meta -meta-metrics-out meta-metrics.json
-//	benchsuite -rescale     # elastic-rescale sweep (heavy)
-//	benchsuite -diskfault -diskfault-report diskfault-report.txt
-//	benchsuite -bench-rescale-out BENCH_rescale.json -bench-rescale-baseline bench/BENCH_rescale.json
-//	benchsuite -serve -serve-jobs 1000 -serve-tenants 12 \
-//	           -serve-report sched-report.json \
-//	           -bench-sched-out BENCH_sched.json -bench-sched-baseline bench/BENCH_sched.json
+//	benchsuite -matrix all -matrix-out matrix.json   # every scenario group (heavy)
+//	benchsuite -matrix chaos,crash                   # selected groups
+//	benchsuite -meta            # iterative-k vs single-k recovery on the metagenome
+//	benchsuite -serve -serve-jobs 1000 -serve-tenants 12 -serve-report sched-report.json
+//
+// Wall time, memory and per-layer costs are measured by benchmark/run.sh.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,16 +28,11 @@ import (
 	"hipmer/internal/metrics"
 )
 
-func humanBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2fGiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.2fKiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
+// fatal reports err and exits 1 when err is non-nil.
+func fatal(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
+		os.Exit(1)
 	}
 }
 
@@ -48,27 +44,15 @@ func main() {
 	table3 := flag.Bool("table3", false, "Table 3: metagenome k-mer analysis + contigs")
 	fig8 := flag.Bool("fig8", false, "Figure 8: end-to-end strong scaling (human+wheat)")
 	compare := flag.Bool("compare", false, "§5.6: competing assemblers")
-	ablations := flag.Bool("ablations", false, "design-choice ablations: Bloom memory, aggregating stores, oracle sizing")
-	verifyF := flag.Bool("verify", false, "metamorphic verification: rank-count invariance, schedule perturbation, assembly oracle")
-	faultResume := flag.Bool("fault-resume", false, "crash-resume sweep: injected rank crashes, checkpoint resume, bit-identical assembly")
-	rescale := flag.Bool("rescale", false, "elastic-rescale sweep: crash at every stage, resume at R/2, R, 2R, bit-identical assembly (heavy; not part of -all)")
-	diskFault := flag.Bool("diskfault", false, "storage-fault sweep: injected checkpoint damage at every stage × every damage kind, scrubbed + healed resume, bit-identical assembly (heavy; not part of -all)")
-	diskFaultReport := flag.String("diskfault-report", "", "write the storage-fault sweep's text report to this path (implies -diskfault)")
-	chaos := flag.Bool("chaos", false, "chaos sweep: message drop/dup injection, retry/dedup layer, bit-identical assembly")
-	chaosMetricsOut := flag.String("chaos-metrics-out", "", "write the chaos runs' metrics reports (JSON array) to this path (implies -chaos)")
-	meta := flag.Bool("meta", false, "iterative-k metagenome sweep: multi-k vs single-k recovery, abundance-aware oracle, multi-round determinism")
-	metaMetricsOut := flag.String("meta-metrics-out", "", "write the metagenome sweep's metrics reports (JSON array) to this path (implies -meta)")
+	ablations := flag.Bool("ablations", false, "design-choice ablations: Bloom memory, aggregating stores, super-k-mer transport, oracle sizing")
+	matrix := flag.String("matrix", "", "scenario matrix: comma-separated groups ("+strings.Join(expt.Groups(), ",")+") or all — baseline vs injected run vs resume, assembly identical and every injection fired (-all runs verify,chaos,crash,meta)")
+	matrixOut := flag.String("matrix-out", "", "-matrix: write the rows and every cell's metrics report (JSON) to this path")
+	meta := flag.Bool("meta", false, "iterative-k metagenome exhibit: multi-k vs single-k recovery under the abundance-aware oracle")
 	metricsOut := flag.String("metrics-out", "", "write per-stage metrics reports (human+wheat, JSON array) to this path")
-	benchOut := flag.String("bench-out", "", "run the k-mer-analysis communication benchmark and write BENCH_kanalysis.json to this path")
-	benchBaseline := flag.String("bench-baseline", "", "committed BENCH_kanalysis.json to compare against; exit 1 if stage-1 messages regress >10% (requires -bench-out)")
-	benchRescaleOut := flag.String("bench-rescale-out", "", "run the rescaled-resume cost benchmark and write BENCH_rescale.json to this path")
-	benchRescaleBaseline := flag.String("bench-rescale-baseline", "", "committed BENCH_rescale.json to compare against; exit 1 if resume cost regresses >10% (requires -bench-rescale-out)")
-	serve := flag.Bool("serve", false, "assembly-as-a-service load exhibit: bursty multi-tenant traffic with injected faults on the shared cluster, every job bit-identical to its solo run (heavy; not part of -all)")
+	serve := flag.Bool("serve", false, "assembly-as-a-service load exhibit: bursty multi-tenant traffic with injected faults on the shared cluster, every job bit-identical to its solo run, then the storage-fault leg (heavy; not part of -all)")
 	serveJobs := flag.Int("serve-jobs", 1000, "-serve: number of jobs")
 	serveTenants := flag.Int("serve-tenants", 12, "-serve: number of tenants")
 	serveReport := flag.String("serve-report", "", "-serve: write the hipmer-sched/v1 service report (JSON) to this path")
-	benchSchedOut := flag.String("bench-sched-out", "", "write the service-scheduler bench artifact BENCH_sched.json to this path (implies -serve)")
-	benchSchedBaseline := flag.String("bench-sched-baseline", "", "committed BENCH_sched.json to compare against; exit 1 if queue-wait p95 or utilization regresses >10% (requires -bench-sched-out)")
 	coresFlag := flag.String("cores", "", "comma-separated simulated-core sweep override")
 	humanLen := flag.Int("human-len", 0, "human-like genome length override")
 	wheatLen := flag.Int("wheat-len", 0, "wheat-like genome length override")
@@ -110,10 +94,24 @@ func main() {
 		sc.Seed = *seed
 	}
 
-	if !(*all || *fig6 || *table1 || *fig7 || *table3 || *fig8 || *compare || *ablations || *verifyF ||
-		*faultResume || *rescale || *diskFault || *diskFaultReport != "" ||
-		*chaos || *chaosMetricsOut != "" || *meta || *metaMetricsOut != "" ||
-		*metricsOut != "" || *benchOut != "" || *benchRescaleOut != "" || *serve || *benchSchedOut != "") {
+	// -all runs the groups the old -all covered; the heavy rescale, disk
+	// and cross groups wait for an explicit -matrix.
+	var groups []string
+	switch {
+	case *matrix == "all":
+		groups = expt.Groups()
+	case *matrix != "":
+		groups = strings.Split(*matrix, ",")
+	case *all:
+		groups = []string{"verify", "chaos", "crash", "meta"}
+	}
+	cells, err := expt.Cells(groups...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
+		os.Exit(2)
+	}
+	if !(*all || *fig6 || *table1 || *fig7 || *table3 || *fig8 || *compare || *ablations ||
+		len(cells) > 0 || *meta || *metricsOut != "" || *serve) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -132,19 +130,11 @@ func main() {
 		fmt.Println(t2)
 	}
 	var humanRows, wheatRows []expt.SweepRow
-	needSweep := *all || *fig7 || *fig8
-	if needSweep {
-		var err error
+	if *all || *fig7 || *fig8 {
 		humanRows, err = expt.RunSweep(sc, "human")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(1)
-		}
+		fatal(err)
 		wheatRows, err = expt.RunSweep(sc, "wheat")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(1)
-		}
+		fatal(err)
 	}
 	if *all || *fig7 {
 		fmt.Println(expt.Fig7Format(humanRows))
@@ -162,105 +152,36 @@ func main() {
 		_, text := expt.Compare(sc)
 		fmt.Println(text)
 	}
-	if *all || *verifyF {
-		rows, text := expt.VerifySweep(sc)
+	if len(cells) > 0 {
+		rows, reports, text := expt.Matrix(sc, cells)
 		fmt.Println(text)
+		if *matrixOut != "" {
+			b, err := json.MarshalIndent(struct {
+				Rows    []expt.Row        `json:"rows"`
+				Reports []*metrics.Report `json:"reports"`
+			}{rows, reports}, "", "  ")
+			fatal(err)
+			fatal(os.WriteFile(*matrixOut, append(b, '\n'), 0o644))
+			fmt.Printf("wrote %d matrix rows and %d metrics reports to %s\n", len(rows), len(reports), *matrixOut)
+		}
 		for _, r := range rows {
-			if !(r.RanksInvariant && r.BitIdentical && r.OracleOK) {
-				fmt.Fprintf(os.Stderr, "benchsuite: verification failed on %s\n", r.Dataset)
-				os.Exit(1)
+			if !r.OK() {
+				fatal(fmt.Errorf("scenario matrix failed on %s/%s/%s", r.Group, r.Dataset, r.Mode))
 			}
 		}
 	}
-	if *all || *faultResume {
-		rows, text := expt.CrashResumeSweep(sc)
+	if *all || *meta {
+		row, text, err := expt.MetaSweep(sc)
+		fatal(err)
 		fmt.Println(text)
-		for _, r := range rows {
-			if !r.Gate() {
-				fmt.Fprintf(os.Stderr, "benchsuite: crash-resume sweep failed on %s\n", r.Dataset)
-				os.Exit(1)
-			}
-		}
-	}
-	if *rescale {
-		rows, text := expt.RescaleSweep(sc)
-		fmt.Println(text)
-		for _, r := range rows {
-			if !r.Gate() {
-				fmt.Fprintf(os.Stderr, "benchsuite: elastic-rescale sweep failed on %s/%s\n", r.Dataset, r.Mode)
-				os.Exit(1)
-			}
-		}
-	}
-	if *diskFault || *diskFaultReport != "" {
-		rows, svc, text := expt.DiskFaultSweep(sc)
-		fmt.Println(text)
-		if *diskFaultReport != "" {
-			if err := os.WriteFile(*diskFaultReport, []byte(text), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote storage-fault sweep report to %s\n", *diskFaultReport)
-		}
-		for _, r := range rows {
-			if !r.Gate() {
-				fmt.Fprintf(os.Stderr, "benchsuite: storage-fault sweep failed on %s\n", r.Dataset)
-				os.Exit(1)
-			}
-		}
-		if !svc.Gate() {
-			fmt.Fprintf(os.Stderr, "benchsuite: storage-fault service leg failed: %+v\n", svc)
-			os.Exit(1)
-		}
-	}
-	if *all || *chaos || *chaosMetricsOut != "" {
-		rows, reports, text := expt.ChaosSweep(sc)
-		fmt.Println(text)
-		for _, r := range rows {
-			fmt.Printf("  %s retry overhead: virtual %+.1f%%, payload traffic %+.1f%%, %s redelivered\n",
-				r.Dataset, r.VirtualOverheadPct(), r.CommOverheadPct(),
-				humanBytes(r.RedeliveredBytes))
-		}
-		fmt.Println()
-		if *chaosMetricsOut != "" {
-			if err := metrics.WriteFileAll(*chaosMetricsOut, reports); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %d chaos metrics reports to %s\n", len(reports), *chaosMetricsOut)
-		}
-		for _, r := range rows {
-			if !r.Gate() {
-				fmt.Fprintf(os.Stderr, "benchsuite: chaos sweep failed on %s\n", r.Dataset)
-				os.Exit(1)
-			}
-		}
-	}
-	if *all || *meta || *metaMetricsOut != "" {
-		row, reports, text := expt.MetaSweep(sc)
-		fmt.Println(text)
-		if *metaMetricsOut != "" {
-			if err := metrics.WriteFileAll(*metaMetricsOut, reports); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %d metagenome metrics reports to %s\n", len(reports), *metaMetricsOut)
-		}
 		if !row.Gate() {
-			fmt.Fprintf(os.Stderr, "benchsuite: metagenome sweep gate failed\n")
-			os.Exit(1)
+			fatal(fmt.Errorf("metagenome exhibit gate failed: multi-k must beat single-k on the rarest quartile with zero cross-joins"))
 		}
 	}
 	if *metricsOut != "" {
 		reports, err := expt.MetricsReports(sc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(1)
-		}
-		if err := metrics.WriteFileAll(*metricsOut, reports); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(1)
-		}
+		fatal(err)
+		fatal(metrics.WriteFileAll(*metricsOut, reports))
 		fmt.Printf("wrote %d metrics reports to %s\n", len(reports), *metricsOut)
 	}
 	if *all || *ablations {
@@ -273,116 +194,34 @@ func main() {
 		_, text = expt.AblationOracleMemory(sc)
 		fmt.Println(text)
 	}
-	if *benchOut != "" {
-		art, text := expt.BenchKanalysis(sc)
-		fmt.Println(text)
-		if err := art.WriteFile(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote k-mer analysis bench artifact to %s\n", *benchOut)
-		if err := art.Gate(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(1)
-		}
-		if *benchBaseline != "" {
-			base, err := expt.ReadBenchArtifact(*benchBaseline)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-				os.Exit(1)
-			}
-			if err := expt.CompareBenchArtifacts(base, art, 10); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("bench comparison vs %s: within 10%% of baseline\n", *benchBaseline)
-		}
-	}
-	if *benchRescaleOut != "" {
-		art, text := expt.BenchRescale(sc)
-		fmt.Println(text)
-		if err := art.WriteFile(*benchRescaleOut); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote rescale bench artifact to %s\n", *benchRescaleOut)
-		if err := art.Gate(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(1)
-		}
-		if *benchRescaleBaseline != "" {
-			base, err := expt.ReadRescaleArtifact(*benchRescaleBaseline)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-				os.Exit(1)
-			}
-			if err := expt.CompareRescaleArtifacts(base, art, 10); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("rescale bench comparison vs %s: within 10%% of baseline\n", *benchRescaleBaseline)
-		}
-	}
-	if *serve || *benchSchedOut != "" {
-		if err := validateServeOptions(*serveJobs, *serveTenants, *benchSchedOut, *benchSchedBaseline); err != nil {
+	if *serve {
+		if err := validateServeOptions(*serveJobs, *serveTenants); err != nil {
 			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
 			os.Exit(2)
 		}
-		res, text, err := expt.ServeSweep(sc.Seed, *serveJobs, *serveTenants)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(1)
-		}
+		res, text, err := expt.ServeSweep(sc.Seed, expt.ServeLoad(*serveJobs, *serveTenants))
+		fatal(err)
 		fmt.Println(text)
 		if *serveReport != "" {
-			if err := res.Report.WriteFile(*serveReport); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-				os.Exit(1)
-			}
+			fatal(res.Report.WriteFile(*serveReport))
 			fmt.Printf("wrote service report to %s\n", *serveReport)
 		}
-		if err := res.Gate(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: service exhibit gate failed: %v\n", err)
-			os.Exit(1)
-		}
-		if *benchSchedOut != "" {
-			art := expt.NewSchedArtifact(res, *serveJobs, *serveTenants)
-			if err := art.WriteFile(*benchSchedOut); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote service-scheduler bench artifact to %s\n", *benchSchedOut)
-			if err := art.Gate(); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-				os.Exit(1)
-			}
-			if *benchSchedBaseline != "" {
-				base, err := expt.ReadSchedArtifact(*benchSchedBaseline)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-					os.Exit(1)
-				}
-				if err := expt.CompareSchedArtifacts(base, art, 10); err != nil {
-					fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Printf("sched bench comparison vs %s: within 10%% of baseline\n", *benchSchedBaseline)
-			}
-		}
+		fatal(res.Gate())
+		disk, text, err := expt.ServeSweep(sc.Seed, expt.DiskServeLoad())
+		fatal(err)
+		fmt.Println(text)
+		fatal(disk.Gate())
 	}
 }
 
-// validateServeOptions rejects unusable -serve parameter combinations
-// before the (multi-minute) exhibit starts; main exits 2 on error.
-func validateServeOptions(jobs, tenants int, benchOut, benchBaseline string) error {
+// validateServeOptions rejects unusable -serve parameters before the
+// (multi-minute) exhibit starts; main exits 2 on error.
+func validateServeOptions(jobs, tenants int) error {
 	if jobs < 1 {
 		return fmt.Errorf("-serve-jobs must be >= 1, got %d", jobs)
 	}
 	if tenants < 1 {
 		return fmt.Errorf("-serve-tenants must be >= 1, got %d", tenants)
-	}
-	if benchBaseline != "" && benchOut == "" {
-		return fmt.Errorf("-bench-sched-baseline requires -bench-sched-out")
 	}
 	return nil
 }

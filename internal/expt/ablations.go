@@ -26,13 +26,8 @@ type AblationBloomRow struct {
 func AblationBloom(sc Scale) ([]AblationBloomRow, string) {
 	p := sc.Cores[len(sc.Cores)/2]
 	var rows []AblationBloomRow
-	for _, ds := range []string{"human", "wheat"} {
-		var libs []pipeline.Library
-		if ds == "human" {
-			_, libs = pipeline.SimulatedHuman(sc.Seed+2, sc.HumanLen, sc.HumanCov)
-		} else {
-			_, libs = pipeline.SimulatedWheat(sc.Seed+3, sc.WheatLen, sc.WheatCov)
-		}
+	for _, ds := range genomes {
+		_, libs, _ := sc.dataset(ds)
 		parts := splitPairs(mergeLibs(libs), p)
 		run := func(disable bool) *kanalysis.Result {
 			team := xrt.NewTeam(sc.teamCfg(p))
@@ -80,7 +75,7 @@ type AblationAggRow struct {
 // construction (§4.1, §4.6).
 func AblationAggStores(sc Scale) ([]AblationAggRow, string) {
 	p := sc.Cores[len(sc.Cores)/2]
-	_, libs := pipeline.SimulatedHuman(sc.Seed+2, sc.HumanLen, sc.HumanCov)
+	_, libs, _ := sc.dataset("human")
 	parts := splitPairs(mergeLibs(libs), p)
 	var rows []AblationAggRow
 	for _, buf := range []int{1, 8, 64, 512, 4096} {

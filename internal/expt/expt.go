@@ -48,7 +48,7 @@ type Scale struct {
 	Fig6WheatLen int
 
 	// BenchHumanLen sizes the human dataset for the k-mer-analysis
-	// communication benchmark (BenchKanalysis). Larger than the
+	// communication ablation (AblationSuperKmers). Larger than the
 	// end-to-end genome so per-destination traffic at the top of the
 	// core sweep is dominated by data, not by per-pass tail flushes.
 	BenchHumanLen int
@@ -91,6 +91,23 @@ func (sc Scale) teamCfg(p int) xrt.Config {
 		cost.IOAggBytesPerSec = cost.IORankBytesPerSec * float64(sc.IOSatCores)
 	}
 	return xrt.Config{Ranks: p, RanksPerNode: sc.RanksPerNode, Seed: sc.Seed, Cost: cost}
+}
+
+// dataset generates the named dataset ("human", "wheat" or "meta") and,
+// for the single genomes, its reference. Callers that pass one of those
+// three literals drop the error.
+func (sc Scale) dataset(name string) (ref []byte, libs []pipeline.Library, err error) {
+	switch name {
+	case "human":
+		ref, libs = pipeline.SimulatedHuman(sc.Seed+2, sc.HumanLen, sc.HumanCov)
+	case "wheat":
+		ref, libs = pipeline.SimulatedWheat(sc.Seed+3, sc.WheatLen, sc.WheatCov)
+	case "meta":
+		libs = pipeline.SimulatedMetagenome(sc.Seed+4, sc.MetaLen, sc.MetaSpecies, sc.MetaPairs)
+	default:
+		err = fmt.Errorf("expt: unknown dataset %q", name)
+	}
+	return ref, libs, err
 }
 
 // splitPairs distributes interleaved pair records round-robin by pair.
@@ -236,6 +253,10 @@ type OracleRow struct {
 	OffPctNo, OffPctO1, OffPctO4 float64
 	ReductionO1, ReductionO4     float64
 	O1MemBytes, O4MemBytes       int64
+	// Oracle-vector slot collisions: k-mers of individual 1 the vector
+	// leaves on a wrong rank. Unlike the timings and lookup mixes above
+	// they depend on the input alone.
+	O1Collisions, O4Collisions int64
 }
 
 // Tables12 regenerates Table 1 (traversal times and speedups) and
@@ -264,6 +285,7 @@ func Tables12(sc Scale) ([]OracleRow, string, string) {
 		o1 := buildOracle(res1, sc.K, p, 2*uu)
 		o4 := buildOracle(res1, sc.K, p, 8*uu)
 		row.O1MemBytes, row.O4MemBytes = o1.MemoryBytes(), o4.MemoryBytes()
+		row.O1Collisions, row.O4Collisions = o1.Collisions(), o4.Collisions()
 
 		type outcome struct {
 			sec    float64
@@ -347,14 +369,9 @@ type SweepRow struct {
 // RunSweep executes the end-to-end pipeline over the core sweep for one
 // dataset.
 func RunSweep(sc Scale, dataset string) ([]SweepRow, error) {
-	var libs []pipeline.Library
-	switch dataset {
-	case "human":
-		_, libs = pipeline.SimulatedHuman(sc.Seed+2, sc.HumanLen, sc.HumanCov)
-	case "wheat":
-		_, libs = pipeline.SimulatedWheat(sc.Seed+3, sc.WheatLen, sc.WheatCov)
-	default:
-		return nil, fmt.Errorf("expt: unknown dataset %q", dataset)
+	_, libs, err := sc.dataset(dataset)
+	if err != nil {
+		return nil, err
 	}
 	var rows []SweepRow
 	for _, p := range sc.Cores {
@@ -437,7 +454,7 @@ type Table3Row struct {
 // Table3 regenerates Table 3 on the synthetic wetlands metagenome,
 // running only through contig generation as the paper does.
 func Table3(sc Scale) ([]Table3Row, string) {
-	libs := pipeline.SimulatedMetagenome(sc.Seed+4, sc.MetaLen, sc.MetaSpecies, sc.MetaPairs)
+	_, libs, _ := sc.dataset("meta")
 	concurrencies := []int{sc.Cores[len(sc.Cores)-2], sc.Cores[len(sc.Cores)-1]}
 	var rows []Table3Row
 	for _, p := range concurrencies {

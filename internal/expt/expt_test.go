@@ -62,21 +62,22 @@ func TestTables12Shape(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {
-		// abort-pattern-dependent quantities (traversal times, lookup
-		// mixes) hold their envelopes only under undistorted scheduling;
-		// the race detector reshapes the claim races, so these shape
-		// assertions are gated (the structural ones below are not)
+		// Traversal virtual time (the Table 1 speedups) depends on which
+		// goroutine wins each claim race, so it is printed, not asserted
+		// (ROADMAP aim 3). What the two speedup checks stood for is held
+		// by input-determined facts instead: the 4x vector misplaces fewer
+		// k-mers than the 1x one (so oracle-4 cannot be the worse layout),
+		// and, below, oracle-1 already cuts the off-node share. The lookup
+		// shares are stable but not schedule-free; the race detector
+		// reshapes them, so they are gated off under -race.
+		if r.O1Collisions == 0 || r.O4Collisions >= r.O1Collisions {
+			t.Fatalf("oracle-4 vector collides no less than oracle-1: %d vs %d",
+				r.O4Collisions, r.O1Collisions)
+		}
 		if !raceDetectorEnabled {
-			// (virtual traversal time varies with abort patterns at tiny
-			// scale; the communication counters below are the stable signal)
-			if r.SpeedupO1 < 0.7 {
-				t.Fatalf("oracle-1 badly slowed traversal at %d cores: %.2fx", r.Cores, r.SpeedupO1)
-			}
-			// traversal timing is scheduling-sensitive at tiny scale; the
-			// stable oracle-4 vs oracle-1 signal is the off-node lookup share
-			if r.SpeedupO4 < r.SpeedupO1*0.6 {
-				t.Fatalf("oracle-4 (%.2fx) far behind oracle-1 (%.2fx)",
-					r.SpeedupO4, r.SpeedupO1)
+			if r.OffPctO1 >= r.OffPctNo {
+				t.Fatalf("oracle-1 did not reduce off-node lookups: %.1f%% vs %.1f%%",
+					r.OffPctO1, r.OffPctNo)
 			}
 			if r.OffPctO4 > r.OffPctO1*1.05 {
 				t.Fatalf("oracle-4 off-node %.1f%% above oracle-1 %.1f%%",

@@ -1,0 +1,594 @@
+package expt
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+
+	"hipmer/internal/metrics"
+	"hipmer/internal/pipeline"
+	"hipmer/internal/verify"
+	"hipmer/internal/xrt"
+)
+
+// The scenario matrix. Every robustness claim of this repository has the
+// same shape — a fault-free baseline, a run with something injected,
+// optionally a resume from its checkpoint, and the assertion that the
+// assembly did not change and the injection really happened. A Cell names
+// one such scenario as data; Matrix runs any list of them and judges each
+// one by expectations derived from the cell's own fields, so a new
+// combination is one more Cell, not a new sweep.
+
+// Mode is the pipeline-configuration axis of a cell.
+type Mode struct {
+	// KmerLens is the iterative-k ladder; empty means one round at Scale.K.
+	KmerLens    []int
+	MinCount    int
+	ContigsOnly bool
+}
+
+func (m Mode) String() string {
+	s := "k"
+	for i, k := range m.KmerLens {
+		sep := ","
+		if i == 0 {
+			sep = "="
+		}
+		s += sep + strconv.Itoa(k)
+	}
+	s += fmt.Sprintf(",min=%d", m.MinCount)
+	if m.ContigsOnly {
+		s += ",contigs"
+	}
+	return s
+}
+
+func (m Mode) config(sc Scale) pipeline.Config {
+	cfg := pipeline.Config{KmerLens: m.KmerLens, MinCount: m.MinCount, ContigsOnly: m.ContigsOnly}
+	if len(m.KmerLens) == 0 {
+		cfg.K = sc.K
+	}
+	return cfg
+}
+
+// stages lists the mode's checkpointable stages in execution order: the
+// legal crash and damage targets (io has no save codec and always reruns).
+func (m Mode) stages() []string {
+	var out []string
+	for _, name := range pipeline.StageNames(m.config(Scale{})) {
+		if name != "io" {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// Resume is a cell's optional second leg: a fresh team of Ranks ranks
+// (any count — a different one is an elastic rescale) resumes the first
+// leg's checkpoint under its own schedule perturbation and transport
+// faults.
+type Resume struct {
+	Ranks   int
+	Perturb int64
+	Chaos   xrt.MessageFaultPlan
+}
+
+// Cell is one scenario: a dataset, a pipeline mode, a rank count, the
+// injections armed on the first leg, and an optional resume leg.
+type Cell struct {
+	// Group labels the table the cell is reported under.
+	Group   string
+	Dataset string // "human", "wheat" or "meta"
+	Mode    Mode
+	Ranks   int
+	// Versus is the rank count of the fault-free baseline the cell is
+	// compared with; 0 means the cell's own final rank count. Only
+	// contigs-only modes are rank-invariant, so only they may differ.
+	Versus int
+	// Oracle additionally judges the cell's assembly against the
+	// dataset's reference genome (see oracleGate).
+	Oracle bool
+
+	Perturb int64                // schedule-perturbation seed
+	Chaos   xrt.MessageFaultPlan // lossy transport
+	Crash   xrt.FaultPlan        // rank crash inside a stage
+	Disk    xrt.DiskFaultPlan    // damage to one stage's checkpoint segment
+	Resume  *Resume
+}
+
+// firstLeg renders everything that determines the first leg's run and
+// hence its checkpoint directory; cells that agree on it share that run.
+func (c Cell) firstLeg() string {
+	s := fmt.Sprintf("%s %s ranks=%d", c.Dataset, c.Mode, c.Ranks) + scheduleString(c.Perturb, c.Chaos)
+	if c.Crash.Enabled() {
+		s += fmt.Sprintf(" crash=%d@%s", c.Crash.Seed, c.Crash.Stage)
+	}
+	if c.Disk.Enabled() {
+		s += fmt.Sprintf(" disk=%d@%s", c.Disk.Seed, c.Disk.Stage)
+	}
+	return s
+}
+
+// String is the cell's identity: the line the enumeration test compares
+// and the key of its result in the artifact.
+func (c Cell) String() string {
+	s := c.Group + " " + c.firstLeg()
+	if c.Versus != 0 {
+		s += fmt.Sprintf(" vs=%d", c.Versus)
+	}
+	if c.Oracle {
+		s += " oracle"
+	}
+	if r := c.Resume; r != nil {
+		s += fmt.Sprintf(" resume=%d", r.Ranks) + scheduleString(r.Perturb, r.Chaos)
+	}
+	return s
+}
+
+func scheduleString(perturb int64, chaos xrt.MessageFaultPlan) string {
+	var s string
+	if perturb != 0 {
+		s += fmt.Sprintf(" perturb=%d", perturb)
+	}
+	if chaos.Enabled() {
+		s += fmt.Sprintf(" chaos=%d@%g", chaos.Seed, chaos.DropRate)
+	}
+	return s
+}
+
+// baselineRanks is the rank count of the fault-free run the cell's
+// final assembly must equal.
+func (c Cell) baselineRanks() int {
+	switch {
+	case c.Versus != 0:
+		return c.Versus
+	case c.Resume != nil:
+		return c.Resume.Ranks
+	}
+	return c.Ranks
+}
+
+// baselineKey names that run: dataset, mode and rank count.
+func (c Cell) baselineKey() string {
+	return fmt.Sprintf("%s %s ranks=%d", c.Dataset, c.Mode, c.baselineRanks())
+}
+
+// intactPrefix counts the checkpointable stages strictly before the
+// earliest crashed or damaged one: what a resume can still rehydrate.
+func (c Cell) intactPrefix() int {
+	stages := c.Mode.stages()
+	for i, s := range stages {
+		if (c.Crash.Enabled() && s == c.Crash.Stage) || (c.Disk.Enabled() && s == c.Disk.Stage) {
+			return i
+		}
+	}
+	return len(stages)
+}
+
+// CellResult is one cell's verdict and the counters it was judged by.
+type CellResult struct {
+	Cell string `json:"cell"`
+	// Fail lists every expectation the cell missed; empty means green.
+	Fail []string `json:"fail,omitempty"`
+	// Crashed: the armed rank crash actually fired. A countdown can
+	// outlive a short stage, so this is required per row, not per cell.
+	Crashed bool `json:"crashed,omitempty"`
+	// Note carries the oracle's summary for Oracle cells.
+	Note string `json:"note,omitempty"`
+
+	// Comm sums the communication and injection counters (drops,
+	// retries, dups, disk faults, scrubbed bytes) of the cell's legs.
+	Comm          xrt.CommStats `json:"comm"`
+	CkptLoadBytes int64         `json:"ckpt_load_bytes,omitempty"`
+
+	// Virtual time and payload traffic (Comm.Bytes) next to the
+	// baseline's, filled for single-leg cells at the baseline's rank
+	// count. Reported, never asserted: both shift with the schedule
+	// (DESIGN.md §9).
+	VirtualSec       float64 `json:"virtual_sec,omitempty"`
+	BaseVirtualSec   float64 `json:"base_virtual_sec,omitempty"`
+	BasePayloadBytes int64   `json:"base_payload_bytes,omitempty"`
+}
+
+// Row aggregates the cells of one (group, dataset, mode).
+type Row struct {
+	Group   string       `json:"group"`
+	Dataset string       `json:"dataset"`
+	Mode    string       `json:"mode"`
+	Cells   []CellResult `json:"cells"`
+	// Crashes of CrashArmed cells fired; an armed row needs at least one.
+	Crashes    int `json:"crashes"`
+	CrashArmed int `json:"crash_armed"`
+}
+
+// Fail lists why the row is red: every failed cell, and a crash-armed
+// row in which no crash fired (every resume would then have rehydrated
+// a complete checkpoint and proven nothing about recovery).
+func (r Row) Fail() []string {
+	var out []string
+	for _, c := range r.Cells {
+		for _, f := range c.Fail {
+			out = append(out, c.Cell+": "+f)
+		}
+	}
+	if r.CrashArmed > 0 && r.Crashes == 0 {
+		out = append(out, fmt.Sprintf("%s %s %s: no crash fired in %d armed cells", r.Group, r.Dataset, r.Mode, r.CrashArmed))
+	}
+	return out
+}
+
+// OK reports whether the row is green.
+func (r Row) OK() bool { return len(r.Fail()) == 0 }
+
+// leg is what the matrix keeps of one pipeline execution. The team's
+// aggregate counters survive a crashed run, whose Result does not.
+type leg struct {
+	err        error
+	seqs       [][]byte
+	virtualSec float64
+	report     *metrics.Report
+	oracle     *verify.Report
+	comm       xrt.CommStats
+	dir        string // checkpoint directory, "" when checkpointing was off
+}
+
+// observation is what running a cell produced; final == first for a
+// single-leg cell and is nil when the first leg failed for real.
+type observation struct {
+	first, final *leg
+}
+
+type dataset struct {
+	ref  []byte
+	libs []pipeline.Library
+	err  error // unknown name: every leg on it fails, so its rows go red
+}
+
+// matrix holds what cells share: generated datasets and the fault-free
+// baseline per (dataset, mode, ranks).
+type matrix struct {
+	sc   Scale
+	data map[string]dataset
+	base map[string]*leg
+}
+
+func newMatrix(sc Scale) *matrix {
+	return &matrix{sc: sc, data: map[string]dataset{}, base: map[string]*leg{}}
+}
+
+func (m *matrix) dataset(name string) dataset {
+	d, ok := m.data[name]
+	if !ok {
+		d.ref, d.libs, d.err = m.sc.dataset(name)
+		m.data[name] = d
+	}
+	return d
+}
+
+func (m *matrix) runLeg(c Cell, ranks int, perturb int64, chaos xrt.MessageFaultPlan, pcfg pipeline.Config) *leg {
+	tcfg := m.sc.teamCfg(ranks)
+	tcfg.Perturb = xrt.PerturbPlan{Seed: perturb}
+	tcfg.Chaos = chaos
+	team := xrt.NewTeam(tcfg)
+	d := m.dataset(c.Dataset)
+	l := &leg{dir: pcfg.CkptDir, err: d.err}
+	if l.err != nil {
+		return l
+	}
+	var res *pipeline.Result
+	if res, l.err = pipeline.Run(team, d.libs, pcfg); l.err == nil {
+		l.seqs, l.report, l.oracle = res.FinalSeqs, res.Metrics, res.Verify
+		l.virtualSec = res.Timing("total").Virtual.Seconds()
+	}
+	l.comm = team.AggStats()
+	return l
+}
+
+func (m *matrix) baseline(c Cell) *leg {
+	b, ok := m.base[c.baselineKey()]
+	if !ok {
+		b = m.runLeg(c, c.baselineRanks(), 0, xrt.MessageFaultPlan{}, c.Mode.config(m.sc))
+		m.base[c.baselineKey()] = b
+	}
+	return b
+}
+
+// crashed reports whether the leg ended in the cell's injected crash.
+func (c Cell) crashed(l *leg) bool {
+	var sf *pipeline.StageFailedError
+	return c.Crash.Enabled() && errors.As(l.err, &sf)
+}
+
+// observe runs the cell's legs. first memoizes the checkpointed first
+// legs of the current run by Cell.firstLeg.
+func (m *matrix) observe(c Cell, first map[string]*leg) observation {
+	pcfg := c.Mode.config(m.sc)
+	if c.Oracle {
+		pcfg.Verify = &verify.Options{Ref: m.dataset(c.Dataset).ref}
+	}
+	fcfg := pcfg
+	fcfg.Fault, fcfg.DiskFault = c.Crash, c.Disk
+	if c.Resume == nil {
+		l := m.runLeg(c, c.Ranks, c.Perturb, c.Chaos, fcfg)
+		return observation{first: l, final: l}
+	}
+	f, ok := first[c.firstLeg()]
+	if !ok {
+		var err error
+		if fcfg.CkptDir, err = os.MkdirTemp("", "hipmer-matrix-*"); err != nil {
+			return observation{first: &leg{err: err}}
+		}
+		f = m.runLeg(c, c.Ranks, c.Perturb, c.Chaos, fcfg)
+		first[c.firstLeg()] = f
+	}
+	if f.err != nil && !c.crashed(f) {
+		return observation{first: f}
+	}
+	// A resume completes the run and writes entries at its own rank
+	// count, so each one works on a private copy of the directory.
+	pcfg.Resume = true
+	var err error
+	if pcfg.CkptDir, err = os.MkdirTemp("", "hipmer-matrix-resume-*"); err != nil {
+		return observation{first: f, final: &leg{err: err}}
+	}
+	defer os.RemoveAll(pcfg.CkptDir)
+	if err := copyDir(f.dir, pcfg.CkptDir); err != nil {
+		return observation{first: f, final: &leg{err: err}}
+	}
+	return observation{first: f, final: m.runLeg(c, c.Resume.Ranks, c.Resume.Perturb, c.Resume.Chaos, pcfg)}
+}
+
+// copyDir clones a (flat) checkpoint directory.
+func copyDir(src, dst string) error {
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// judge derives the cell's expectations from its fields and checks the
+// observation against them. Only input-determined facts are asserted:
+// the assembly equals the baseline's, and each armed injection's own
+// counter shows it fired.
+func judge(c Cell, base *leg, obs observation) CellResult {
+	r := CellResult{Cell: c.String()}
+	failf := func(format string, args ...any) { r.Fail = append(r.Fail, fmt.Sprintf(format, args...)) }
+
+	first, final := obs.first, obs.final
+	r.Crashed = c.crashed(first)
+	r.Comm = first.comm
+	if final != nil && final != first {
+		r.Comm.Add(final.comm)
+	}
+	switch {
+	case base.err != nil:
+		failf("baseline: %v", base.err)
+	case first.err != nil && !r.Crashed && c.Crash.Enabled():
+		failf("no crash: %v", first.err)
+	case first.err != nil && !r.Crashed:
+		failf("first leg: %v", first.err)
+	case final == first && r.Crashed:
+		failf("crashed with no resume leg")
+	case final.err != nil:
+		failf("resume: %v", final.err)
+	}
+	if len(r.Fail) > 0 {
+		return r
+	}
+
+	// Identity: the same bytes in the same order when every leg ran at
+	// the baseline's rank count, the same canonical sequence set when a
+	// leg ran at another (the output order follows the partition).
+	exact := c.Ranks == c.baselineRanks() && (c.Resume == nil || c.Resume.Ranks == c.Ranks)
+	baseSet, finalSet := verify.CanonicalSet(base.seqs), verify.CanonicalSet(final.seqs)
+	switch {
+	case !verify.EqualSets(baseSet, finalSet):
+		failf("assembly differs from the fault-free run at %d ranks: %s", c.baselineRanks(), verify.DiffSets(baseSet, finalSet))
+	case exact && !equalSeqs(base.seqs, final.seqs):
+		failf("assembly differs from the fault-free run at %d ranks: same sequences, another order", c.baselineRanks())
+	}
+	if final != first && first.err == nil && exact && !equalSeqs(base.seqs, first.seqs) {
+		failf("first leg's assembly differs from the fault-free run")
+	}
+	if final == first && exact {
+		r.VirtualSec, r.BaseVirtualSec, r.BasePayloadBytes = final.virtualSec, base.virtualSec, base.comm.Bytes()
+	}
+
+	// Each armed injection must have left its own trace.
+	lossy := func(name string, plan xrt.MessageFaultPlan, l *leg) {
+		if plan.Enabled() && plan.DropRate > 0 && (l.comm.Drops == 0 || l.comm.Retries == 0 || l.comm.Dups == 0) {
+			failf("%s armed with drop rate %g but drops/retries/dups = %d/%d/%d",
+				name, plan.DropRate, l.comm.Drops, l.comm.Retries, l.comm.Dups)
+		}
+	}
+	lossy("chaos", c.Chaos, first)
+	if c.Disk.Enabled() {
+		if first.comm.DiskFaults == 0 {
+			failf("disk fault at %s was never counted", c.Disk.Stage)
+		}
+		// A refused write leaves no manifest entry: nothing to scrub.
+		if c.Disk.Kind() != xrt.DiskFaultWriteRefused && (final == first || final.comm.ScrubRepairedBytes == 0) {
+			failf("%s damage at %s was not scrubbed on resume", c.Disk.Kind(), c.Disk.Stage)
+		}
+	}
+	if c.Resume != nil {
+		lossy("resume chaos", c.Resume.Chaos, final)
+		r.CkptLoadBytes = ckptLoadBytes(final.report)
+		if intact := c.intactPrefix(); intact > 0 && r.CkptLoadBytes == 0 {
+			failf("resume loaded no checkpoint bytes though %d stages were intact", intact)
+		}
+	}
+	if c.Oracle {
+		r.Note = final.oracle.String()
+		if !oracleGate(final.oracle) {
+			failf("oracle: %s", r.Note)
+		}
+	}
+	return r
+}
+
+// ckptLoadBytes sums the ckpt_bytes counters over every checkpoint-load
+// span: the volume a resume rehydrated (and, rescaled, redistributed).
+func ckptLoadBytes(rep *metrics.Report) int64 {
+	var total int64
+	for _, st := range rep.Stages {
+		if strings.HasPrefix(st.Name, "checkpoint-load:") {
+			total += st.Counters["ckpt_bytes"]
+		}
+	}
+	return total
+}
+
+// oracleGate judges a run by the invariants the assembler must always
+// satisfy: every contig k-mer present in the reads, near-perfect base
+// identity under placement, and at most 1% of placed pieces misassembled.
+// Gap-size violations and the exact misassembly count stay visible in the
+// summary but do not gate: on repeat-rich genomes at scale the assembler
+// — like the real one — occasionally misjoins across a repeat, and a gate
+// that is red on every honest run protects nothing. Report.OK() remains
+// the strict zero-defect check used on clean datasets.
+func oracleGate(rep *verify.Report) bool {
+	if rep == nil {
+		return false
+	}
+	return rep.MissingKmers == 0 &&
+		rep.IdentityFrac >= 0.99 &&
+		rep.Misassemblies*100 <= rep.Placed
+}
+
+func equalSeqs(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if string(a[i]) != string(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// run executes the cells in order and folds them into one row per
+// (group, dataset, mode), in order of first appearance.
+func (m *matrix) run(cells []Cell) ([]Row, []*metrics.Report, string) {
+	// A first leg's checkpoint is kept until its last resume has run.
+	uses := map[string]int{}
+	for _, c := range cells {
+		if c.Resume != nil {
+			uses[c.firstLeg()]++
+		}
+	}
+	first := map[string]*leg{}
+
+	var rows []Row
+	var reports []*metrics.Report
+	index := map[string]int{}
+	for _, c := range cells {
+		obs := m.observe(c, first)
+		res := judge(c, m.baseline(c), obs)
+		if c.Resume != nil {
+			if uses[c.firstLeg()]--; uses[c.firstLeg()] == 0 {
+				os.RemoveAll(obs.first.dir)
+				delete(first, c.firstLeg())
+			}
+		}
+		if obs.final != nil && obs.final.report != nil {
+			obs.final.report.Dataset = res.Cell
+			reports = append(reports, obs.final.report)
+		}
+
+		key := c.Group + " " + c.Dataset + " " + c.Mode.String()
+		i, ok := index[key]
+		if !ok {
+			i = len(rows)
+			index[key] = i
+			rows = append(rows, Row{Group: c.Group, Dataset: c.Dataset, Mode: c.Mode.String()})
+		}
+		rows[i].Cells = append(rows[i].Cells, res)
+		if c.Crash.Enabled() {
+			rows[i].CrashArmed++
+		}
+		if res.Crashed {
+			rows[i].Crashes++
+		}
+	}
+	return rows, reports, matrixTable(rows)
+}
+
+// Matrix runs the cells and returns one row per (group, dataset, mode),
+// the metrics report of every cell's final leg (Dataset set to the
+// cell's identity), and the rendered table.
+func Matrix(sc Scale, cells []Cell) ([]Row, []*metrics.Report, string) {
+	return newMatrix(sc).run(cells)
+}
+
+func matrixTable(rows []Row) string {
+	var tab [][]string
+	var notes string
+	for _, r := range rows {
+		var ok int
+		var sum xrt.CommStats
+		var loaded int64
+		var dVirt, dBytes float64
+		var compared int
+		for _, c := range r.Cells {
+			if len(c.Fail) == 0 {
+				ok++
+			}
+			sum.Add(c.Comm)
+			loaded += c.CkptLoadBytes
+			if c.BaseVirtualSec > 0 && c.BasePayloadBytes > 0 {
+				compared++
+				dVirt += 100 * (c.VirtualSec - c.BaseVirtualSec) / c.BaseVirtualSec
+				dBytes += 100 * float64(c.Comm.Bytes()-c.BasePayloadBytes) / float64(c.BasePayloadBytes)
+			}
+			if c.Note != "" {
+				notes += fmt.Sprintf("  %s: %s\n", c.Cell, c.Note)
+			}
+		}
+		overhead := func(sumPct float64) string {
+			if compared == 0 {
+				return "-"
+			}
+			return fmt.Sprintf("%+.1f%%", sumPct/float64(compared))
+		}
+		verdict := "ok"
+		if !r.OK() {
+			verdict = "FAILED"
+		}
+		tab = append(tab, []string{
+			r.Group, r.Dataset, r.Mode,
+			fmt.Sprintf("%d/%d", ok, len(r.Cells)),
+			fmt.Sprintf("%d/%d", r.Crashes, r.CrashArmed),
+			fmt.Sprintf("%d/%d/%d", sum.Drops, sum.Retries, sum.Dups),
+			fmt.Sprintf("%d/%d", sum.DiskFaults, sum.ScrubRepairedBytes),
+			fmt.Sprintf("%d", loaded),
+			overhead(dVirt), overhead(dBytes),
+			verdict,
+		})
+		for _, f := range r.Fail() {
+			notes += "  FAILED " + f + "\n"
+		}
+	}
+	return "Scenario matrix (fault-free baseline -> injected run -> resume; assembly identical, every armed injection fired)\n" +
+		fmtTable([]string{"group", "dataset", "mode", "cells ok", "crashed", "drops/retx/dups",
+			"disk faults/scrubbed B", "ckpt loaded B", "dT(virt)", "dPayload", "verdict"}, tab) +
+		"(dT/dPayload: mean over the row's single-leg cells versus their baseline; reported, not asserted)\n" +
+		notes
+}

@@ -1,144 +1,63 @@
 package expt
 
 import (
-	"errors"
 	"fmt"
-	"os"
 
-	"hipmer/internal/metrics"
 	"hipmer/internal/pipeline"
 	"hipmer/internal/verify"
 	"hipmer/internal/xrt"
 )
 
-// MetaSweepRow is the iterative-k metagenome exhibit's verdict. One
-// dataset, two assemblies (the k=21→33→55 iterative loop and the
-// largest-k single-shot baseline), judged by the abundance-aware oracle,
-// then the multi-round determinism battery: rank-count invariance,
-// schedule perturbation, message chaos, and a crash+resume in each of
-// the cleaning-round stage kinds.
+// MetaSweepRow is the iterative-k metagenome exhibit's verdict: one
+// dataset, two assemblies (the metaMode ladder and the largest-k
+// single-shot baseline — what a non-iterative assembler would pick for
+// contiguity, at the price of losing low-coverage species), judged by
+// the abundance-aware oracle. The ladder's determinism battery is the
+// "meta" group of the scenario matrix.
 type MetaSweepRow struct {
 	KmerLens []int
 	SingleK  int
 
 	// Lowest-abundance-quartile mean genome fraction — the recovery
-	// number iterative-k exists to raise (the headline gate requires
-	// QuartileMulti strictly above QuartileSingle).
+	// number iterative-k exists to raise.
 	QuartileMulti  float64
 	QuartileSingle float64
 	// All-species mean fractions, for the table.
 	MeanMulti  float64
 	MeanSingle float64
-	// Cross-species joins by the abundance-aware oracle; the gate
-	// requires zero from the iterative-k assembly.
+	// Cross-species joins by the abundance-aware oracle.
 	CrossJoinsMulti  int
 	CrossJoinsSingle int
-
-	RankSweep      []int
-	RanksInvariant bool
-	PerturbSeeds   int
-	ChaosSeeds     int
-	BitIdentical   bool
-
-	CrashStages     []string
-	Crashes         int
-	Resumed         int
-	ResumeIdentical bool
-	LoadedBytes     bool
-
-	// Err is the first error encountered, for the report.
-	Err string
 }
 
-// Gate reports whether the row satisfies the exhibit's acceptance bar.
+// Gate is the exhibit's acceptance bar: multi-k strictly beats single-k
+// on the rare species and joins no two species.
 func (r MetaSweepRow) Gate() bool {
-	return r.QuartileMulti > r.QuartileSingle &&
-		r.CrossJoinsMulti == 0 &&
-		r.RanksInvariant && r.BitIdentical &&
-		r.ResumeIdentical && r.LoadedBytes &&
-		r.Crashes > 0 &&
-		r.Resumed == len(r.CrashStages)*len(metaCrashSeeds)
+	return r.QuartileMulti > r.QuartileSingle && r.CrossJoinsMulti == 0
 }
 
-// metaKmerLens is the iterative-k ladder; the single-shot baseline uses
-// its largest k (what a non-iterative assembler would pick for contig
-// contiguity, at the price of losing low-coverage species).
-var metaKmerLens = []int{21, 33, 55}
-
-var (
-	metaRankSweep    = []int{1, 4, 8}
-	metaPerturbSeeds = []int64{1, 2, 3, 4}
-	metaChaosSeeds   = []int64{1, 2, 3, 4}
-	// metaCrashSeeds have fault countdowns of 1–3 charge events (and
-	// distinct victim ranks), so the injected crash lands inside even the
-	// short cleaning stages rather than outliving them.
-	metaCrashSeeds = []int64{50, 346}
-)
-
-// metaCrashStages covers each new round-stage kind once, at the middle
-// k of the ladder so both a preceding and a following round must be
-// replayed or resumed around the crash.
-func metaCrashStages() []string {
-	k := metaKmerLens[len(metaKmerLens)/2]
-	return []string{
-		fmt.Sprintf("tip-clip-k%d", k),
-		fmt.Sprintf("bubble-pop-k%d", k),
-		fmt.Sprintf("pseudo-merge-k%d", k),
-	}
-}
-
-// MetaSweep runs the iterative-k metagenome exhibit and returns its row,
-// the metrics reports of the two headline assemblies (for the CI
-// artifact), and the rendered table.
-func MetaSweep(sc Scale) (MetaSweepRow, []*metrics.Report, string) {
+// MetaSweep runs the iterative-k metagenome exhibit and returns its row
+// and the rendered table.
+func MetaSweep(sc Scale) (MetaSweepRow, string, error) {
 	species, libs := pipeline.SimulatedMetagenomeRefs(sc.Seed+4, sc.MetaLen, sc.MetaSpecies, sc.MetaPairs)
-	p := metaRankSweep[len(metaRankSweep)-1]
+	lens := metaMode.KmerLens
+	row := MetaSweepRow{KmerLens: lens, SingleK: lens[len(lens)-1]}
 
-	row := MetaSweepRow{
-		KmerLens:        metaKmerLens,
-		SingleK:         metaKmerLens[len(metaKmerLens)-1],
-		RankSweep:       metaRankSweep,
-		RanksInvariant:  true,
-		PerturbSeeds:    len(metaPerturbSeeds),
-		ChaosSeeds:      len(metaChaosSeeds),
-		BitIdentical:    true,
-		CrashStages:     metaCrashStages(),
-		ResumeIdentical: true,
-		LoadedBytes:     true,
-	}
-	fail := func(err error) (MetaSweepRow, []*metrics.Report, string) {
-		row.Err = err.Error()
-		row.RanksInvariant, row.BitIdentical = false, false
-		row.ResumeIdentical, row.LoadedBytes = false, false
-		return row, nil, "MetaSweep aborted: " + row.Err + "\n"
-	}
-	multiCfg := func() pipeline.Config {
-		return pipeline.Config{
-			KmerLens: append([]int(nil), metaKmerLens...),
-			MinCount: 2, ContigsOnly: true,
-		}
-	}
-
-	// --- recovery: iterative-k vs the single-k baseline ----------------
-	multi, err := pipeline.Run(xrt.NewTeam(sc.teamCfg(p)), libs, multiCfg())
+	multi, err := pipeline.Run(xrt.NewTeam(sc.teamCfg(metaRanks)), libs, metaMode.config(sc))
 	if err != nil {
-		return fail(err)
+		return row, "", fmt.Errorf("expt: metagenome multi-k run: %w", err)
 	}
-	single, err := pipeline.Run(xrt.NewTeam(sc.teamCfg(p)), libs, pipeline.Config{
-		K: row.SingleK, MinCount: 2, ContigsOnly: true,
+	single, err := pipeline.Run(xrt.NewTeam(sc.teamCfg(metaRanks)), libs, pipeline.Config{
+		K: row.SingleK, MinCount: metaMode.MinCount, ContigsOnly: true,
 	})
 	if err != nil {
-		return fail(err)
+		return row, "", fmt.Errorf("expt: metagenome single-k run: %w", err)
 	}
-	multi.Metrics.Dataset = "metagenome-multik"
-	single.Metrics.Dataset = "metagenome-singlek"
-	reports := []*metrics.Report{multi.Metrics, single.Metrics}
 
 	// Judge both at the smallest k: the finest resolution either assembly
 	// can claim credit at, and the same oracle for both.
-	oracleK := metaKmerLens[0]
-	mrep := verify.CheckMeta(multi.FinalSeqs, species, verify.Options{K: oracleK})
-	srep := verify.CheckMeta(single.FinalSeqs, species, verify.Options{K: oracleK})
+	mrep := verify.CheckMeta(multi.FinalSeqs, species, verify.Options{K: lens[0]})
+	srep := verify.CheckMeta(single.FinalSeqs, species, verify.Options{K: lens[0]})
 	quart := verify.LowestQuartile(species)
 	all := make([]int, len(species))
 	for i := range all {
@@ -148,95 +67,12 @@ func MetaSweep(sc Scale) (MetaSweepRow, []*metrics.Report, string) {
 	row.MeanMulti, row.MeanSingle = mrep.MeanFraction(all), srep.MeanFraction(all)
 	row.CrossJoinsMulti, row.CrossJoinsSingle = mrep.CrossJoins, srep.CrossJoins
 
-	// --- rank-count invariance of the canonical contig set -------------
-	baseSet := verify.CanonicalSet(multi.FinalSeqs)
-	for _, ranks := range metaRankSweep[:len(metaRankSweep)-1] {
-		res, err := pipeline.Run(xrt.NewTeam(sc.teamCfg(ranks)), libs, multiCfg())
-		if err != nil {
-			return fail(err)
-		}
-		if !verify.EqualSets(baseSet, verify.CanonicalSet(res.FinalSeqs)) {
-			row.RanksInvariant = false
-		}
-	}
-
-	// --- bit-identical assembly under perturbation and chaos ------------
-	for _, seed := range metaPerturbSeeds {
-		cfg := sc.teamCfg(p)
-		cfg.Perturb = xrt.PerturbPlan{Seed: seed}
-		res, err := pipeline.Run(xrt.NewTeam(cfg), libs, multiCfg())
-		if err != nil {
-			return fail(err)
-		}
-		if !equalSeqs(multi.FinalSeqs, res.FinalSeqs) {
-			row.BitIdentical = false
-		}
-	}
-	for _, seed := range metaChaosSeeds {
-		cfg := sc.teamCfg(p)
-		cfg.Chaos = xrt.MessageFaultPlan{Seed: seed}
-		res, err := pipeline.Run(xrt.NewTeam(cfg), libs, multiCfg())
-		if err != nil {
-			return fail(err)
-		}
-		if !equalSeqs(multi.FinalSeqs, res.FinalSeqs) {
-			row.BitIdentical = false
-		}
-	}
-
-	// --- crash + resume in each cleaning-round stage kind ---------------
-	for _, stage := range row.CrashStages {
-		for _, seed := range metaCrashSeeds {
-			dir, err := os.MkdirTemp("", "hipmer-metasweep-*")
-			if err != nil {
-				return fail(err)
-			}
-			cfg := multiCfg()
-			cfg.CkptDir = dir
-			cfg.Fault = xrt.FaultPlan{Seed: seed, Stage: stage}
-			_, err = pipeline.Run(xrt.NewTeam(sc.teamCfg(p)), libs, cfg)
-			var sf *pipeline.StageFailedError
-			switch {
-			case errors.As(err, &sf):
-				row.Crashes++
-			case err != nil:
-				row.ResumeIdentical = false
-				if row.Err == "" {
-					row.Err = err.Error()
-				}
-				os.RemoveAll(dir)
-				continue
-			}
-
-			rcfg := multiCfg()
-			rcfg.CkptDir = dir
-			rcfg.Resume = true
-			res, err := pipeline.Run(xrt.NewTeam(sc.teamCfg(p)), libs, rcfg)
-			if err != nil {
-				row.ResumeIdentical = false
-				if row.Err == "" {
-					row.Err = err.Error()
-				}
-				os.RemoveAll(dir)
-				continue
-			}
-			row.Resumed++
-			if !verify.EqualSets(baseSet, verify.CanonicalSet(res.FinalSeqs)) {
-				row.ResumeIdentical = false
-			}
-			if !hasCkptLoadBytes(res) {
-				row.LoadedBytes = false
-			}
-			os.RemoveAll(dir)
-		}
-	}
-
-	text := "Iterative-k metagenome sweep (k=" + fmt.Sprint(metaKmerLens) +
+	text := "Iterative-k metagenome sweep (k=" + fmt.Sprint(lens) +
 		" vs single-k baseline, abundance-aware oracle)\n" +
 		fmtTable(
 			[]string{"assembly", "quartile frac", "mean frac", "cross-joins", "tolerated"},
 			[][]string{
-				{fmt.Sprintf("multi-k %v", row.KmerLens),
+				{fmt.Sprintf("multi-k %v", lens),
 					fmt.Sprintf("%.4f", row.QuartileMulti),
 					fmt.Sprintf("%.4f", row.MeanMulti),
 					fmt.Sprintf("%d", row.CrossJoinsMulti),
@@ -246,23 +82,6 @@ func MetaSweep(sc Scale) (MetaSweepRow, []*metrics.Report, string) {
 					fmt.Sprintf("%.4f", row.MeanSingle),
 					fmt.Sprintf("%d", row.CrossJoinsSingle),
 					fmt.Sprintf("%d", srep.ToleratedJoins)},
-			}) +
-		"Multi-round determinism battery\n" +
-		fmtTable(
-			[]string{"check", "sweep", "verdict"},
-			[][]string{
-				{"low-quartile recovery gain", fmt.Sprintf("%.4f > %.4f", row.QuartileMulti, row.QuartileSingle),
-					pass(row.QuartileMulti > row.QuartileSingle)},
-				{"contig set vs ranks", fmt.Sprintf("%v", row.RankSweep), pass(row.RanksInvariant)},
-				{"bit-identity vs perturb+chaos", fmt.Sprintf("%d+%d seeds", row.PerturbSeeds, row.ChaosSeeds),
-					pass(row.BitIdentical)},
-				{"crash+resume per cleaning stage",
-					fmt.Sprintf("%d/%d crashed, %d resumed", row.Crashes,
-						len(row.CrashStages)*len(metaCrashSeeds), row.Resumed),
-					pass(row.ResumeIdentical && row.LoadedBytes && row.Crashes > 0)},
 			})
-	if row.Err != "" {
-		text += "  first error: " + row.Err + "\n"
-	}
-	return row, reports, text
+	return row, text, nil
 }

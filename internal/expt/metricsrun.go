@@ -15,14 +15,8 @@ import (
 func MetricsReports(sc Scale) ([]*metrics.Report, error) {
 	p := sc.Cores[len(sc.Cores)-1]
 	var reports []*metrics.Report
-	for _, dataset := range []string{"human", "wheat"} {
-		var libs []pipeline.Library
-		switch dataset {
-		case "human":
-			_, libs = pipeline.SimulatedHuman(sc.Seed+2, sc.HumanLen, sc.HumanCov)
-		case "wheat":
-			_, libs = pipeline.SimulatedWheat(sc.Seed+3, sc.WheatLen, sc.WheatCov)
-		}
+	for _, dataset := range genomes {
+		_, libs, _ := sc.dataset(dataset)
 		team := xrt.NewTeam(sc.teamCfg(p))
 		res, err := pipeline.Run(team, libs, pipeline.Config{K: sc.K, MinCount: 3})
 		if err != nil {

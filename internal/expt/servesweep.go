@@ -2,7 +2,6 @@ package expt
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -13,9 +12,12 @@ import (
 	"hipmer/internal/xrt"
 )
 
-// ServeResult is the heavy-traffic service exhibit's outcome: the
-// hipmer-sched/v1 report plus the correctness gates the CI job asserts.
+// ServeResult is the service exhibit's outcome: the hipmer-sched/v1
+// report plus the correctness facts its gate asserts.
 type ServeResult struct {
+	// Load is the traffic the exhibit was asked to serve; Gate derives
+	// from it which scheduler mechanisms must have been exercised.
+	Load   sched.LoadConfig
 	Report *sched.Report
 	// BitIdentical: every completed job's assembly matched a solo run of
 	// the same spec at its final rank count (memoized per template ×
@@ -27,31 +29,31 @@ type ServeResult struct {
 	// SoloRuns is how many distinct (template, ranks) baselines the
 	// bit-identity check actually ran.
 	SoloRuns int
-	// FaultedCompleted counts fault- or chaos-armed jobs that completed
-	// after requeue + resume.
+	// FaultedCompleted counts crash-, chaos- or disk-armed jobs that
+	// completed after requeue + resume.
 	FaultedCompleted int
 }
 
 // Gate is the exhibit's pass condition.
 func (r *ServeResult) Gate() error {
-	rep := r.Report
+	rep, lc := r.Report, r.Load
 	if rep.Completed+rep.Failed+rep.Rejected != rep.Jobs {
 		return fmt.Errorf("serve gate: %d jobs not terminal", rep.Jobs-rep.Completed-rep.Failed-rep.Rejected)
 	}
 	if rep.Failed != 0 {
 		return fmt.Errorf("serve gate: %d terminal failures (faults must recover via requeue+resume)", rep.Failed)
 	}
-	if rep.Rejected == 0 {
+	if lc.Oversize > 0 && rep.Rejected == 0 {
 		return fmt.Errorf("serve gate: no admission rejections exercised")
 	}
-	if rep.Requeues == 0 || r.FaultedCompleted == 0 {
+	if lc.FaultFrac+lc.ChaosFrac+lc.DiskFrac > 0 && (rep.Requeues == 0 || r.FaultedCompleted == 0) {
 		return fmt.Errorf("serve gate: no fault recovery exercised (requeues %d, faulted completed %d)",
 			rep.Requeues, r.FaultedCompleted)
 	}
-	if rep.Preemptions == 0 {
+	if lc.MaxPriority > 0 && rep.Preemptions == 0 {
 		return fmt.Errorf("serve gate: no preemptions exercised")
 	}
-	if rep.Rescales == 0 {
+	if lc.MaxPriority > 0 && rep.Rescales == 0 {
 		return fmt.Errorf("serve gate: no elastic rescales exercised")
 	}
 	if !r.BitIdentical {
@@ -66,15 +68,45 @@ func (r *ServeResult) Gate() error {
 	return nil
 }
 
-// ServeSweep runs the assembly-as-a-service heavy-traffic exhibit:
-// njobs real assembly jobs from ntenants bursty tenants multiplexed
-// onto one shared 32-rank simulated cluster, with injected per-job rank
-// crashes and chaos retry exhaustions, structural admission rejections,
-// priority preemption, and elastic rescale all in play. Every completed
-// job's assembly is checked bit-identical to a solo run of the same
-// spec, and the whole schedule is run twice to check report
-// determinism.
-func ServeSweep(seed int64, njobs, ntenants int) (*ServeResult, string, error) {
+// ServeLoad is the heavy-traffic exhibit's load: bursty arrivals with
+// injected rank crashes and chaos retry exhaustions, priority classes
+// (so preemption and elastic rescale come into play) and structurally
+// unsatisfiable submissions.
+func ServeLoad(jobs, tenants int) sched.LoadConfig {
+	return sched.LoadConfig{
+		Tenants:     tenants,
+		Jobs:        jobs,
+		MeanGapNs:   int64(3 * time.Millisecond),
+		Burst:       8,
+		FaultFrac:   0.04,
+		ChaosFrac:   0.06,
+		MaxPriority: 2,
+		Oversize:    jobs/200 + 1,
+	}
+}
+
+// DiskServeLoad is the storage-fault leg: a small workload in which the
+// generator arms 40% of the jobs with checkpoint damage, each paired
+// with a later crash, so every such job must requeue and heal in
+// service.
+func DiskServeLoad() sched.LoadConfig {
+	return sched.LoadConfig{
+		Tenants:   4,
+		Jobs:      24,
+		MeanGapNs: int64(3 * time.Millisecond),
+		Burst:     4,
+		DiskFrac:  0.4,
+	}
+}
+
+// ServeSweep runs an assembly-as-a-service exhibit: lc.Jobs real
+// assembly jobs from lc.Tenants tenants multiplexed onto one shared
+// 32-rank simulated cluster under the injections lc arms. Every
+// completed job's assembly is checked bit-identical to a solo run of the
+// same spec, and the whole schedule is run twice to check report
+// determinism. seed overrides lc.Seed and also draws the job templates
+// and the scheduler's tie-breaks.
+func ServeSweep(seed int64, lc sched.LoadConfig) (*ServeResult, string, error) {
 	const ranks, ranksPerNode = 32, 8
 	tmp, err := os.MkdirTemp("", "hipmer-serve-*")
 	if err != nil {
@@ -85,17 +117,7 @@ func ServeSweep(seed int64, njobs, ntenants int) (*ServeResult, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	lc := sched.LoadConfig{
-		Seed:        seed,
-		Tenants:     ntenants,
-		Jobs:        njobs,
-		MeanGapNs:   int64(3 * time.Millisecond),
-		Burst:       8,
-		FaultFrac:   0.04,
-		ChaosFrac:   0.06,
-		MaxPriority: 2,
-		Oversize:    njobs/200 + 1,
-	}
+	lc.Seed = seed
 	specs, err := sched.GenJobs(lc, tpls)
 	if err != nil {
 		return nil, "", err
@@ -104,8 +126,8 @@ func ServeSweep(seed int64, njobs, ntenants int) (*ServeResult, string, error) {
 		Ranks:        ranks,
 		RanksPerNode: ranksPerNode,
 		Seed:         seed,
-		QueueCap:     njobs + 1,
-		Tenants:      sched.DefaultTenantConfigs(ntenants, ranks, 8),
+		QueueCap:     lc.Jobs + 1,
+		Tenants:      sched.DefaultTenantConfigs(lc.Tenants, ranks, 8),
 	}
 
 	run := func() (*sched.Outcome, error) {
@@ -120,7 +142,7 @@ func ServeSweep(seed int64, njobs, ntenants int) (*ServeResult, string, error) {
 		return nil, "", err
 	}
 
-	res := &ServeResult{Report: out.Report, BitIdentical: true}
+	res := &ServeResult{Load: lc, Report: out.Report, BitIdentical: true}
 
 	// Bit-identity versus solo runs, memoized per (template, ranks).
 	byName := make(map[string]sched.Template, len(tpls))
@@ -132,7 +154,7 @@ func ServeSweep(seed int64, njobs, ntenants int) (*ServeResult, string, error) {
 		if jr.State != sched.StateCompleted {
 			continue
 		}
-		if specs[i].FaultSeed != 0 || specs[i].ChaosSeed != 0 {
+		if specs[i].FaultSeed != 0 || specs[i].ChaosSeed != 0 || specs[i].DiskFaultSeed != 0 {
 			res.FaultedCompleted++
 		}
 		final := jr.RanksUsed[len(jr.RanksUsed)-1]
@@ -170,119 +192,7 @@ func ServeSweep(seed int64, njobs, ntenants int) (*ServeResult, string, error) {
 	res.ReportIdentical = bytes.Equal(b1, b2)
 
 	text := fmt.Sprintf("Assembly-as-a-service load exhibit — %d jobs, %d tenants, %d ranks, seed %d\n\n%s\n  solo baselines: %d, faulted jobs completed: %d, bit-identical: %v, report deterministic: %v\n",
-		njobs, ntenants, ranks, seed, out.Report.FormatTable(),
+		lc.Jobs, lc.Tenants, ranks, seed, out.Report.FormatTable(),
 		res.SoloRuns, res.FaultedCompleted, res.BitIdentical, res.ReportIdentical)
 	return res, text, nil
-}
-
-// ---------------------------------------------------------------------
-// BENCH_sched.json trajectory artifact
-
-// BenchSchedSchema versions the BENCH_sched.json artifact.
-const BenchSchedSchema = "hipmer-bench-sched/v1"
-
-// SchedArtifact is the service-trajectory record committed as
-// bench/BENCH_sched.json so CI catches queue-latency or utilization
-// regressions in the scheduler.
-type SchedArtifact struct {
-	Schema  string `json:"schema"`
-	Seed    int64  `json:"seed"`
-	Jobs    int    `json:"jobs"`
-	Tenants int    `json:"tenants"`
-	Ranks   int    `json:"ranks"`
-
-	Completed   int `json:"completed"`
-	Rejected    int `json:"rejected"`
-	Requeues    int `json:"requeues"`
-	Preemptions int `json:"preemptions"`
-	Rescales    int `json:"rescales"`
-
-	WaitP50Sec      float64 `json:"wait_p50_sec"`
-	WaitP95Sec      float64 `json:"wait_p95_sec"`
-	WaitMaxSec      float64 `json:"wait_max_sec"`
-	MakespanSec     float64 `json:"makespan_sec"`
-	UtilizationPct  float64 `json:"utilization_pct"`
-	FairnessGini    float64 `json:"fairness_gini"`
-	TurnaroundP95   float64 `json:"turnaround_p95_sec"`
-	FaultedComplete int     `json:"faulted_complete"`
-}
-
-// NewSchedArtifact derives the artifact from an exhibit result.
-func NewSchedArtifact(res *ServeResult, njobs, ntenants int) *SchedArtifact {
-	r := res.Report
-	return &SchedArtifact{
-		Schema:          BenchSchedSchema,
-		Seed:            r.Seed,
-		Jobs:            njobs,
-		Tenants:         ntenants,
-		Ranks:           r.Ranks,
-		Completed:       r.Completed,
-		Rejected:        r.Rejected,
-		Requeues:        r.Requeues,
-		Preemptions:     r.Preemptions,
-		Rescales:        r.Rescales,
-		WaitP50Sec:      r.QueueWait.P50,
-		WaitP95Sec:      r.QueueWait.P95,
-		WaitMaxSec:      r.QueueWait.Max,
-		MakespanSec:     r.MakespanSeconds,
-		UtilizationPct:  100 * r.Utilization,
-		FairnessGini:    r.FairnessWaitGini,
-		TurnaroundP95:   r.Turnaround.P95,
-		FaultedComplete: res.FaultedCompleted,
-	}
-}
-
-// Gate sanity-checks the artifact before it can become a baseline.
-func (a *SchedArtifact) Gate() error {
-	if a.Completed == 0 || a.WaitP95Sec <= 0 || a.UtilizationPct <= 0 || a.MakespanSec <= 0 {
-		return fmt.Errorf("sched bench gate: degenerate artifact (completed %d, wait p95 %.4f, util %.1f%%)",
-			a.Completed, a.WaitP95Sec, a.UtilizationPct)
-	}
-	return nil
-}
-
-// WriteFile writes the artifact as indented JSON.
-func (a *SchedArtifact) WriteFile(path string) error {
-	b, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadSchedArtifact loads a committed artifact.
-func ReadSchedArtifact(path string) (*SchedArtifact, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var a SchedArtifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, fmt.Errorf("expt: parsing %s: %w", path, err)
-	}
-	if a.Schema != BenchSchedSchema {
-		return nil, fmt.Errorf("expt: %s schema %q, want %q", path, a.Schema, BenchSchedSchema)
-	}
-	return &a, nil
-}
-
-// CompareSchedArtifacts fails when the current run regressed queue-wait
-// p95 or utilization by more than tolPct percent against the committed
-// baseline (at matching workload shape). Virtual-time quantities only —
-// wall time never gates.
-func CompareSchedArtifacts(baseline, current *SchedArtifact, tolPct float64) error {
-	if baseline.Jobs != current.Jobs || baseline.Tenants != current.Tenants ||
-		baseline.Ranks != current.Ranks || baseline.Seed != current.Seed {
-		// Shape changed: trajectory reset, nothing comparable.
-		return nil
-	}
-	if current.WaitP95Sec > baseline.WaitP95Sec*(1+tolPct/100) {
-		return fmt.Errorf("sched regression: queue-wait p95 %.4fs > baseline %.4fs +%.0f%%",
-			current.WaitP95Sec, baseline.WaitP95Sec, tolPct)
-	}
-	if current.UtilizationPct < baseline.UtilizationPct*(1-tolPct/100) {
-		return fmt.Errorf("sched regression: utilization %.1f%% < baseline %.1f%% -%.0f%%",
-			current.UtilizationPct, baseline.UtilizationPct, tolPct)
-	}
-	return nil
 }

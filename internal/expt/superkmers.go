@@ -1,43 +1,34 @@
 package expt
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"hipmer/internal/fastq"
 	"hipmer/internal/kanalysis"
-	"hipmer/internal/pipeline"
 	"hipmer/internal/xrt"
 )
 
-// BenchSchema versions the BENCH_kanalysis.json artifact.
-const BenchSchema = "hipmer-bench-kanalysis/v1"
-
 // BenchRow is one (dataset, cores) point of the k-mer-analysis
-// communication benchmark: the minimizer super-k-mer transport next to
-// the per-k-mer ablation baseline on identical inputs.
+// communication ablation: the minimizer super-k-mer transport next to
+// the per-k-mer baseline on identical inputs.
 type BenchRow struct {
-	Dataset string `json:"dataset"`
-	Cores   int    `json:"cores"`
+	Dataset string
+	Cores   int
 
 	// Super-k-mer (default) path.
-	VirtualSec     float64 `json:"virtual_sec"`
-	Msgs           int64   `json:"msgs"`
-	Bytes          int64   `json:"bytes"`
-	OffNodeMsgs    int64   `json:"off_node_msgs"`
-	OffNodeBytes   int64   `json:"off_node_bytes"`
-	SuperKmers     int64   `json:"superkmers"`
-	SuperKmerBases int64   `json:"superkmer_bases"`
-	CommBytesSaved int64   `json:"comm_bytes_saved"`
-	PeakEntries    int64   `json:"peak_entries"`
-	Kept           int64   `json:"kept"`
+	VirtualSec     float64
+	Msgs           int64
+	Bytes          int64
+	SuperKmers     int64
+	SuperKmerBases int64
+	CommBytesSaved int64
+	Kept           int64
 
 	// Per-k-mer ablation baseline on the same input.
-	BaseVirtualSec float64 `json:"base_virtual_sec"`
-	BaseMsgs       int64   `json:"base_msgs"`
-	BaseBytes      int64   `json:"base_bytes"`
-	BaseKept       int64   `json:"base_kept"`
+	BaseVirtualSec float64
+	BaseMsgs       int64
+	BaseBytes      int64
+	BaseKept       int64
 }
 
 // MsgRatio is the stage-1 message-count reduction factor.
@@ -56,91 +47,13 @@ func (r BenchRow) ByteRatio() float64 {
 	return float64(r.BaseBytes) / float64(r.Bytes)
 }
 
-// BenchArtifact is the perf-trajectory record committed as
-// bench/BENCH_kanalysis.json and regenerated by every bench run so CI
-// can catch communication regressions.
-type BenchArtifact struct {
-	Schema       string     `json:"schema"`
-	Seed         int64      `json:"seed"`
-	K            int        `json:"k"`
-	MinimizerLen int        `json:"minimizer_len"`
-	Rows         []BenchRow `json:"rows"`
-}
-
-// Gate enforces the headline exhibit: at the top of the core sweep the
-// human dataset must show >= 5x fewer stage-1 messages and >= 3x fewer
-// stage-1 remote bytes than the per-k-mer baseline, and both paths must
-// keep identical k-mer tables.
-func (a *BenchArtifact) Gate() error {
-	var exhibit *BenchRow
-	for i := range a.Rows {
-		r := &a.Rows[i]
-		if r.Kept != r.BaseKept {
-			return fmt.Errorf("bench gate: %s@%d kept %d (super-k-mer) != %d (per-k-mer)",
-				r.Dataset, r.Cores, r.Kept, r.BaseKept)
-		}
-		if r.Dataset == "human" && (exhibit == nil || r.Cores > exhibit.Cores) {
-			exhibit = r
-		}
+// VirtualRatio is the super-k-mer path's stage-1 virtual time over the
+// per-k-mer baseline's: above 1, the optimisation loses on time.
+func (r BenchRow) VirtualRatio() float64 {
+	if r.BaseVirtualSec == 0 {
+		return 0
 	}
-	if exhibit == nil {
-		return fmt.Errorf("bench gate: no human rows in artifact")
-	}
-	if mr := exhibit.MsgRatio(); mr < 5 {
-		return fmt.Errorf("bench gate: human@%d message reduction %.2fx < 5x", exhibit.Cores, mr)
-	}
-	if br := exhibit.ByteRatio(); br < 3 {
-		return fmt.Errorf("bench gate: human@%d byte reduction %.2fx < 3x", exhibit.Cores, br)
-	}
-	return nil
-}
-
-// WriteFile writes the artifact as indented JSON.
-func (a *BenchArtifact) WriteFile(path string) error {
-	b, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadBenchArtifact loads a committed artifact.
-func ReadBenchArtifact(path string) (*BenchArtifact, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var a BenchArtifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, fmt.Errorf("expt: parsing %s: %w", path, err)
-	}
-	if a.Schema != BenchSchema {
-		return nil, fmt.Errorf("expt: %s schema %q, want %q", path, a.Schema, BenchSchema)
-	}
-	return &a, nil
-}
-
-// CompareBenchArtifacts fails when any (dataset, cores) row present in
-// both artifacts regressed its super-k-mer stage-1 message count by more
-// than tolPct percent versus the committed baseline.
-func CompareBenchArtifacts(baseline, current *BenchArtifact, tolPct float64) error {
-	cur := make(map[string]BenchRow, len(current.Rows))
-	for _, r := range current.Rows {
-		cur[fmt.Sprintf("%s@%d", r.Dataset, r.Cores)] = r
-	}
-	for _, b := range baseline.Rows {
-		key := fmt.Sprintf("%s@%d", b.Dataset, b.Cores)
-		c, ok := cur[key]
-		if !ok {
-			continue
-		}
-		limit := float64(b.Msgs) * (1 + tolPct/100)
-		if float64(c.Msgs) > limit {
-			return fmt.Errorf("bench regression: %s stage-1 messages %d > baseline %d +%.0f%%",
-				key, c.Msgs, b.Msgs, tolPct)
-		}
-	}
-	return nil
+	return r.VirtualSec / r.BaseVirtualSec
 }
 
 // benchPoint runs k-mer analysis twice on one partitioned input — the
@@ -151,12 +64,11 @@ func benchPoint(sc Scale, dataset string, recs []fastq.Record, p int) BenchRow {
 	row := BenchRow{Dataset: dataset, Cores: p}
 	for _, disable := range []bool{false, true} {
 		team := xrt.NewTeam(sc.teamCfg(p))
-		before := team.AggStats()
 		res := kanalysis.Run(team, parts, kanalysis.Options{
 			K: sc.K, MinCount: 2, HeavyHitters: true,
 			DisableSuperKmers: disable,
 		})
-		d := team.AggStats().Sub(before)
+		d := team.AggStats()
 		virt := (res.SketchPhase.Virtual + res.BloomPhase.Virtual + res.CountPhase.Virtual).Seconds()
 		if disable {
 			row.BaseVirtualSec = virt
@@ -167,35 +79,37 @@ func benchPoint(sc Scale, dataset string, recs []fastq.Record, p int) BenchRow {
 			row.VirtualSec = virt
 			row.Msgs = d.Msgs()
 			row.Bytes = d.Bytes()
-			row.OffNodeMsgs = d.OffNodeMsgs
-			row.OffNodeBytes = d.OffNodeBytes
 			row.SuperKmers = res.SuperKmers
 			row.SuperKmerBases = res.SuperKmerBases
 			row.CommBytesSaved = res.CommBytesSaved
-			row.PeakEntries = res.PeakEntries
 			row.Kept = res.Kept
 		}
 	}
 	return row
 }
 
-func benchReads(sc Scale, dataset string) []fastq.Record {
-	switch dataset {
-	case "human":
-		glen := sc.BenchHumanLen
-		if glen == 0 {
-			glen = 8 * sc.HumanLen
-		}
-		_, libs := pipeline.SimulatedHuman(sc.Seed+2, glen, sc.HumanCov)
-		return mergeLibs(libs)
-	case "wheat":
-		_, libs := pipeline.SimulatedWheat(sc.Seed+3, sc.WheatLen, sc.WheatCov)
-		return mergeLibs(libs)
+// AblationSuperKmers sweeps the standard core counts over the
+// bench-sized human dataset (Scale.BenchHumanLen: large enough that
+// per-destination traffic at the top of the sweep is data, not tail
+// flushes) and the end-to-end wheat dataset, measuring minimizer
+// super-k-mer binning (MSP, after Li et al.) against the per-k-mer
+// aggregated-store baseline in messages, bytes and virtual time. The
+// shape to expect on human at the top of the sweep is >=5x fewer
+// messages and >=3x fewer bytes; virtual time is shown because it is
+// the metric the path currently loses on (ROADMAP item 3).
+func AblationSuperKmers(sc Scale) ([]BenchRow, string) {
+	sized := sc
+	if sc.BenchHumanLen > 0 {
+		sized.HumanLen = sc.BenchHumanLen
 	}
-	panic("expt: unknown bench dataset " + dataset)
-}
-
-func benchTable(rows []BenchRow, title string) string {
+	var rows []BenchRow
+	for _, dataset := range genomes {
+		_, libs, _ := sized.dataset(dataset)
+		recs := mergeLibs(libs)
+		for _, p := range sc.Cores {
+			rows = append(rows, benchPoint(sc, dataset, recs, p))
+		}
+	}
 	var tab [][]string
 	for _, r := range rows {
 		tab = append(tab, []string{
@@ -207,51 +121,14 @@ func benchTable(rows []BenchRow, title string) string {
 			fmt.Sprintf("%d", r.BaseBytes),
 			fmt.Sprintf("%d", r.Bytes),
 			fmt.Sprintf("%.2fx", r.ByteRatio()),
+			fmt.Sprintf("%.4f", r.BaseVirtualSec),
+			fmt.Sprintf("%.4f", r.VirtualSec),
+			fmt.Sprintf("%.2fx", r.VirtualRatio()),
 			fmt.Sprintf("%d", r.SuperKmers),
 		})
 	}
-	return title + fmtTable([]string{"dataset", "cores", "msgs(per-kmer)", "msgs(superk)",
-		"msg-drop", "bytes(per-kmer)", "bytes(superk)", "byte-drop", "superkmers"}, tab)
-}
-
-// BenchKanalysis sweeps the standard core counts over the bench-sized
-// human dataset and the end-to-end wheat dataset, measuring the stage-1
-// communication drop of minimizer super-k-mer binning (MSP, after Li et
-// al.) against the per-k-mer aggregated-store baseline.
-func BenchKanalysis(sc Scale) (*BenchArtifact, string) {
-	art := &BenchArtifact{
-		Schema:       BenchSchema,
-		Seed:         sc.Seed,
-		K:            sc.K,
-		MinimizerLen: kanalysis.EffectiveMinimizerLen(sc.K, 0, false),
-	}
-	for _, dataset := range []string{"human", "wheat"} {
-		recs := benchReads(sc, dataset)
-		for _, p := range sc.Cores {
-			art.Rows = append(art.Rows, benchPoint(sc, dataset, recs, p))
-		}
-	}
-	title := "BENCH — k-mer analysis stage-1 communication, super-k-mers vs per-k-mer stores\n" +
-		"(gate: human at max cores needs >=5x fewer messages, >=3x fewer bytes)\n"
-	return art, benchTable(art.Rows, title)
-}
-
-// AblationSuperKmers is the -ablations view of the same experiment: one
-// mid-sweep concurrency on the end-to-end datasets, cheap enough to run
-// alongside the other ablations.
-func AblationSuperKmers(sc Scale) ([]BenchRow, string) {
-	p := sc.Cores[len(sc.Cores)/2]
-	var rows []BenchRow
-	for _, dataset := range []string{"human", "wheat"} {
-		var libs []pipeline.Library
-		if dataset == "human" {
-			_, libs = pipeline.SimulatedHuman(sc.Seed+2, sc.HumanLen, sc.HumanCov)
-		} else {
-			_, libs = pipeline.SimulatedWheat(sc.Seed+3, sc.WheatLen, sc.WheatCov)
-		}
-		rows = append(rows, benchPoint(sc, dataset, mergeLibs(libs), p))
-	}
-	out := benchTable(rows,
-		"Ablation — minimizer super-k-mer binning (stage-1 transport)\n")
-	return rows, out
+	return rows, "Ablation — minimizer super-k-mer binning (stage-1 transport) vs per-k-mer stores\n" +
+		fmtTable([]string{"dataset", "cores", "msgs(per-kmer)", "msgs(superk)", "msg-drop",
+			"bytes(per-kmer)", "bytes(superk)", "byte-drop",
+			"virt(per-kmer)", "virt(superk)", "virt-ratio", "superkmers"}, tab)
 }

@@ -106,7 +106,7 @@ func TestMultiKRankInvariance(t *testing.T) {
 // schedule-perturbation seeds and 4 message-chaos seeds.
 func TestMultiKPerturbChaosInvariance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-k determinism battery; run without -short (make meta)")
+		t.Skip("multi-k determinism battery; run without -short (make verify)")
 	}
 	_, libs := metaLibs(33)
 	base, err := Run(ckTeam(), libs, multiKCfg())
@@ -155,7 +155,7 @@ func equalSeqSlices(a, b [][]byte) bool {
 // ladder per stage and checks the resume either way.
 func TestMultiKCrashResume(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-k determinism battery; run without -short (make meta)")
+		t.Skip("multi-k determinism battery; run without -short (make verify)")
 	}
 	_, libs := metaLibs(34)
 	base, err := Run(ckTeam(), libs, multiKCfg())

@@ -86,8 +86,8 @@ func TestGenJobsDiskFaultPairing(t *testing.T) {
 
 // TestGenJobsDiskFracZero: with the knob off no job is disk-armed and
 // the non-disk draw stream is untouched — the specs match a pre-knob
-// generator call field for field (the committed BENCH_sched baseline
-// depends on this).
+// generator call field for field (workloads drawn before the knob
+// existed stay reproducible).
 func TestGenJobsDiskFracZero(t *testing.T) {
 	lc := LoadConfig{Seed: 5, Tenants: 4, Jobs: 64, FaultFrac: 0.2, ChaosFrac: 0.2}
 	specs, err := GenJobs(lc, fakeTemplates())
