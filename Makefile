@@ -51,12 +51,15 @@ verify: build vet fuzz
 
 # Exhibit benchmarks (paper tables/figures), the DHT microbenchmarks
 # comparing striped-mutex, frozen lock-free, and frozen+cached Get paths,
-# the minimizer-scan/super-k-mer-encode hot loops, and then the committed
-# harness: benchmark/run.sh measures wall, virtual and memory, end to end
+# the stage-1 hot loops one layer at a time (flat-shard probe and insert,
+# rolling canonical scan, minimizer scan, super-k-mer encode and canonical
+# decode, the Misra–Gries fold), and then the committed harness: benchmark/run.sh measures wall, virtual and memory, end to end
 # and per layer, on four workloads (BENCHMARK.json; compare two runs with
 # `bash benchmark/run.sh -compare A.json B.json`).
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1x .
 	$(GO) test -run xxx -bench BenchmarkDHTGet ./internal/dht/
-	$(GO) test -run xxx -bench 'BenchmarkMinimizerScan|BenchmarkSuperKmerEncode' ./internal/kmer/
+	$(GO) test -run xxx -bench 'BenchmarkShardUpsert|BenchmarkShardGet' ./internal/flat/
+	$(GO) test -run xxx -bench 'BenchmarkForEachCanonical|BenchmarkMinimizerScan|BenchmarkSuperKmerEncode|BenchmarkDecodeCanonical' ./internal/kmer/
+	$(GO) test -run xxx -bench BenchmarkMergeSummaries ./internal/mg/
 	bash benchmark/run.sh -out bench.json

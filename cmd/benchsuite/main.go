@@ -26,15 +26,8 @@ import (
 
 	"hipmer/internal/expt"
 	"hipmer/internal/metrics"
+	"hipmer/internal/prof"
 )
-
-// fatal reports err and exits 1 when err is non-nil.
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-		os.Exit(1)
-	}
-}
 
 func main() {
 	all := flag.Bool("all", false, "run every experiment")
@@ -60,7 +53,23 @@ func main() {
 	metaSpecies := flag.Int("meta-species", 0, "metagenome species-count override")
 	metaPairs := flag.Int("meta-pairs", 0, "metagenome read-pair-count override")
 	seed := flag.Int64("seed", 0, "seed override")
+	profiles := prof.Flags()
 	flag.Parse()
+
+	// Every exit below goes through profiles.Exit: os.Exit skips deferred
+	// calls, and a profile that is not stopped is not written.
+	exit := profiles.Exit
+	// fatal reports err and exits 1 when err is non-nil.
+	fatal := func(err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
+			exit(1)
+		}
+	}
+	if err := profiles.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
+		os.Exit(2)
+	}
 
 	sc := expt.SmallScale()
 	if *coresFlag != "" {
@@ -69,7 +78,7 @@ func main() {
 			c, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "benchsuite: bad core count %q\n", s)
-				os.Exit(2)
+				exit(2)
 			}
 			cores = append(cores, c)
 		}
@@ -108,12 +117,12 @@ func main() {
 	cells, err := expt.Cells(groups...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-		os.Exit(2)
+		exit(2)
 	}
 	if !(*all || *fig6 || *table1 || *fig7 || *table3 || *fig8 || *compare || *ablations ||
 		len(cells) > 0 || *meta || *metricsOut != "" || *serve) {
 		flag.Usage()
-		os.Exit(2)
+		exit(2)
 	}
 
 	fmt.Printf("HipMer-Go experiment suite — cores %v, seed %d\n", sc.Cores, sc.Seed)
@@ -197,7 +206,7 @@ func main() {
 	if *serve {
 		if err := validateServeOptions(*serveJobs, *serveTenants); err != nil {
 			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 		res, text, err := expt.ServeSweep(sc.Seed, expt.ServeLoad(*serveJobs, *serveTenants))
 		fatal(err)
@@ -212,6 +221,7 @@ func main() {
 		fmt.Println(text)
 		fatal(disk.Gate())
 	}
+	exit(0)
 }
 
 // validateServeOptions rejects unusable -serve parameters before the

@@ -62,6 +62,7 @@ import (
 	"hipmer/internal/ckpt"
 	"hipmer/internal/fasta"
 	"hipmer/internal/pipeline"
+	"hipmer/internal/prof"
 )
 
 type libFlags []hipmer.Library
@@ -109,8 +110,17 @@ func main() {
 	retryBudget := flag.Int("retry-budget", 16, "max retransmissions per message before the run fails (exit 4)")
 	diskFaultSeed := flag.Int64("disk-fault-seed", 0, "storage fault-injection seed (requires -disk-fail-stage and -ckpt-dir)")
 	diskFailStage := flag.String("disk-fail-stage", "", "checkpointable stage whose segment write the storage fault damages")
+	profiles := prof.Flags()
 	scrub := flag.Bool("scrub", false, "offline checkpoint repair: validate -ckpt-dir, quarantine damaged segments, truncate to the intact prefix, and exit")
 	flag.Parse()
+
+	// Every exit below goes through profiles.Exit: os.Exit skips deferred
+	// calls, and a profile that is not stopped is not written.
+	exit := profiles.Exit
+	if err := profiles.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "hipmer: %v\n", err)
+		os.Exit(2)
+	}
 
 	// A resume defaults to the checkpoint's recorded topology: the flag
 	// defaults (48/24) must not silently rescale a checkpoint written at
@@ -140,7 +150,7 @@ func main() {
 			v, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "hipmer: bad -kmer-lens entry %q\n", s)
-				os.Exit(2)
+				exit(2)
 			}
 			lens = append(lens, v)
 		}
@@ -172,7 +182,7 @@ func main() {
 	if err := validateOptions(opts, len(libs), *scrub); err != nil {
 		fmt.Fprintf(os.Stderr, "hipmer: %v\n", err)
 		flag.Usage()
-		os.Exit(2)
+		exit(2)
 	}
 
 	if *scrub {
@@ -180,15 +190,15 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hipmer: scrubbing %s: %v\n", *ckptDir, err)
 			if errors.Is(err, ckpt.ErrUnrecoverableCkpt) {
-				os.Exit(exitUnrecoverableCkpt)
+				exit(exitUnrecoverableCkpt)
 			}
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Print(rep.FormatTable())
 		if rep.Healed() {
 			fmt.Printf("healed: rerun with -resume to recompute the dropped stages\n")
 		}
-		os.Exit(0)
+		exit(0)
 	}
 
 	var ref []byte
@@ -196,7 +206,7 @@ func main() {
 		refs, err := fasta.ReadFile(*refPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hipmer: reading reference: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		for _, r := range refs {
 			ref = append(ref, r.Seq...)
@@ -218,7 +228,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "hipmer: stages before %q are checkpointed in %s; rerun with -resume (any -chaos-seed)\n",
 					sf.Stage, *ckptDir)
 			}
-			os.Exit(code)
+			exit(code)
 		case exitInjectedCrash:
 			// Injected crash: distinct exit code so harnesses can tell a
 			// planned failure (resumable via -resume) from a real error.
@@ -226,32 +236,32 @@ func main() {
 				fmt.Fprintf(os.Stderr, "hipmer: stages before %q are checkpointed in %s; rerun with -resume\n",
 					sf.Stage, *ckptDir)
 			}
-			os.Exit(code)
+			exit(code)
 		case exitFingerprintMismatch:
 			fmt.Fprintf(os.Stderr, "hipmer: the checkpoint in %s was written by a different config or input; rerun with the original flags and reads, or start a fresh -ckpt-dir\n",
 				*ckptDir)
-			os.Exit(code)
+			exit(code)
 		case exitTopologyMismatch:
 			fmt.Fprintf(os.Stderr, "hipmer: the checkpoint in %s cannot be re-sharded onto this run's topology; resume at the recorded rank count\n",
 				*ckptDir)
-			os.Exit(code)
+			exit(code)
 		case exitUnrecoverableCkpt:
 			fmt.Fprintf(os.Stderr, "hipmer: the checkpoint in %s is beyond self-healing (manifest missing or unparsable); inspect with -scrub or start a fresh -ckpt-dir\n",
 				*ckptDir)
-			os.Exit(code)
+			exit(code)
 		default:
-			os.Exit(code)
+			exit(code)
 		}
 	}
 
 	f, err := os.Create(*out)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hipmer: %v\n", err)
-		os.Exit(1)
+		exit(1)
 	}
 	if err := res.WriteFasta(f); err != nil {
 		fmt.Fprintf(os.Stderr, "hipmer: writing %s: %v\n", *out, err)
-		os.Exit(1)
+		exit(1)
 	}
 	f.Close()
 
@@ -263,7 +273,7 @@ func main() {
 		res.Metrics.Dataset = strings.Join(names, "+")
 		if err := res.Metrics.WriteFile(*metricsOut); err != nil {
 			fmt.Fprintf(os.Stderr, "hipmer: writing metrics: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("metrics: wrote %s (%d stage spans)\n", *metricsOut, len(res.Metrics.Stages))
 	}
@@ -292,7 +302,8 @@ func main() {
 			fmt.Printf("  %s\n", is)
 		}
 		if !res.Verify.OK {
-			os.Exit(1)
+			exit(1)
 		}
 	}
+	exit(0)
 }

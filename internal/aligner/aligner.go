@@ -185,8 +185,8 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 		CacheSlots:    opt.CacheSeeds,
 	}, nil)
 	cap := opt.MaxSeedHits
-	idx.seeds.SetApply(func(_, _ int, _ uint64, k kmer.Kmer, in hitList, shard map[kmer.Kmer]hitList) {
-		cur := shard[k]
+	idx.seeds.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in hitList, e dht.Entry[kmer.Kmer, hitList]) {
+		cur, _ := e.Upsert()
 		if cur.saturated {
 			return
 		}
@@ -195,15 +195,13 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 			cur.hits = cur.hits[:cap]
 			cur.saturated = true
 		}
-		shard[k] = cur
 	})
 	team.BeginSpan("index-build")
 	team.Run(func(r *xrt.Rank) {
 		for _, c := range contigsByRank[r.ID] {
 			id := c.ID
 			n := 0
-			kmer.ForEach(c.Seq, opt.SeedLen, func(pos int, km kmer.Kmer) {
-				canon, flipped := km.Canonical(opt.SeedLen)
+			kmer.ForEachCanonical(c.Seq, opt.SeedLen, func(pos int, canon kmer.Kmer, flipped bool) {
 				idx.seeds.Put(r, canon, hitList{hits: []SeedHit{{
 					ContigID: id, Pos: int32(pos), Flipped: flipped,
 				}}})

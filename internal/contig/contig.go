@@ -136,8 +136,8 @@ func Run(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Optio
 	opt = opt.withDefaults()
 	res := &Result{}
 
-	// UU k-mers are a subset of the k-mer table, so its entry count is a
-	// safe pre-sizing upper bound for the graph's stripe maps.
+	// UU k-mers are a subset of the k-mer table — most of it — so its
+	// entry count is the graph's size hint.
 	gOpt := dht.Options[kmer.Kmer]{
 		Hash:          graphHash,
 		ItemBytes:     16 + 8,
@@ -191,10 +191,9 @@ func Run(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Optio
 	// sequences, so numbering is deterministic regardless of which rank's
 	// walk produced a contig or in what order walks completed.
 	// The apply hook updates only the Contig field so node data survives.
-	graph.SetApply(func(_, _ int, _ uint64, k kmer.Kmer, in Node, shard map[kmer.Kmer]Node) {
-		if n, ok := shard[k]; ok {
+	graph.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in Node, e dht.Entry[kmer.Kmer, Node]) {
+		if n := e.Get(); n != nil {
 			n.Contig = in.Contig
-			shard[k] = n
 		}
 	})
 	team.BeginSpan("assign-ids")
@@ -228,8 +227,7 @@ func Run(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Optio
 		// mark each member k-mer with its contig id (aggregated stores)
 		for _, c := range mine {
 			id := c.ID
-			kmer.ForEach(c.Seq, opt.K, func(pos int, km kmer.Kmer) {
-				canon, _ := km.Canonical(opt.K)
+			kmer.ForEachCanonical(c.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
 				graph.Put(r, canon, Node{Contig: id})
 			})
 		}
@@ -446,6 +444,17 @@ func (t *traverser) walkFrom(r *xrt.Rank, seed kmer.Kmer) (*Contig, bool) {
 		return nil, false
 	}
 	t.claims.Add(1)
+	// A walk is where ranks race, and on the machine being simulated they
+	// all walk at once. Here a rank is a goroutine on a core or two, and
+	// one that never blocks keeps its core for a whole scheduler quantum
+	// (10 ms: longer than its entire seed loop once the table operations
+	// under it got fast), so whichever ranks run first would walk nearly
+	// every contig, and traversal virtual time — the busiest rank's —
+	// would measure the host's scheduling instead of the algorithm, rising
+	// as the program got faster. Yielding once per claimed seed lets the
+	// other ranks' walks in. It changes no charge, and the assembly does
+	// not depend on it.
+	runtime.Gosched()
 	k := t.k
 	start := pos{canon: seed, flipped: false}
 	claimed := []pos{start}

@@ -153,3 +153,59 @@ func TestOwnerHashPlacement(t *testing.T) {
 		}
 	})
 }
+
+// TestStressBlobFlushesAndMutateOnOneOwner funnels every rank's traffic
+// into one owner's shard at once — blob flushes decoded on the senders'
+// goroutines, remote Mutates, and the owner's own PutOwned stores — over a
+// key space that keeps growing, so the stripes' slot arrays grow (and
+// re-place every entry) while other ranks probe them. Two stripes
+// maximize the contention. The -race target for the flat shards; the sum
+// invariant checks no update was lost to a stale slot pointer.
+func TestStressBlobFlushesAndMutateOnOneOwner(t *testing.T) {
+	const (
+		ranks = 6
+		steps = 4000
+	)
+	team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 2})
+	opt := intOpts()
+	opt.Stripes = 2
+	opt.BlobBytes = 256
+	opt.OwnerHash = func(uint64) uint64 { return 0 } // every key lives on rank 0
+	tab := New[uint64, int64](team, opt, sumMerge)
+	tab.SetBlobApply(func(src, owner int, payload []byte, put func(k uint64, v int64)) {
+		if owner != 0 {
+			t.Errorf("blob from %d delivered to %d", src, owner)
+		}
+		blobDecode(payload, put)
+	})
+	team.Run(func(r *xrt.Rank) {
+		rng := r.Rng()
+		for i := 0; i < steps; i++ {
+			k := rng.Uint64() % uint64(8+i) // the key space widens as the run goes
+			switch {
+			case i%3 == 0:
+				tab.Mutate(r, k, func(v int64, _ bool) (int64, bool) { return v + 1, true })
+			case r.ID == 0:
+				tab.PutOwned(r, opt.Hash(k), k, 1)
+			default:
+				tab.PutBlob(r, 0, blobAppend(nil, k, 1), 1)
+			}
+		}
+		tab.Flush(r)
+		r.Barrier()
+	})
+	var sum int64
+	tab.RangeAll(func(k uint64, v int64) bool {
+		if tab.Owner(k) != 0 {
+			t.Errorf("key %d not owned by rank 0", k)
+		}
+		sum += v
+		return true
+	})
+	if want := int64(ranks * steps); sum != want {
+		t.Fatalf("lost or duplicated updates: sum %d, want %d", sum, want)
+	}
+	if n := tab.Len(); n < 1000 {
+		t.Fatalf("only %d keys stored: the shard never grew under load", n)
+	}
+}

@@ -17,19 +17,27 @@
 //     the calling rank skip the buffer entirely and apply in place — the
 //     local-vs-remote store distinction of the paper.
 //
+// Storage is flat: each lock stripe of a shard is one open-addressed slot
+// array (internal/flat) addressed by the hash the caller already computed,
+// so no path hashes a key twice and a lookup is one probe sequence over
+// adjacent cache lines. Options.Hash feeds three disjoint consumers:
+// placement takes h itself (mod p or the oracle vector), the stripe index
+// the low bits of flat.Mix(h), the slot index the high bits of
+// flat.Mix(h) × a per-capacity salt.
+//
 // Concurrency is phase-aware. During construction each shard is split into
 // power-of-two lock stripes so ranks flushing into one owner do not
 // funnel through a single mutex. The pipeline's lookup-heavy stages
 // (contig traversal terminations, merAligner seeding, splint/span
 // assessment, gap-closing verification) run against tables that are no
-// longer mutated; Freeze publishes every stripe map as immutable and Get
+// longer mutated; Freeze publishes every stripe's slot array as immutable and Get
 // is then served lock-free, optionally through a per-rank direct-mapped
 // software cache in front of remote lookups (the merAligner single-node
 // optimization of the companion paper). Writes to a frozen table panic;
 // Thaw restores writability and discards the caches, whose coherence is
 // only guaranteed while the table is frozen.
 //
-// Physically everything is an in-process sharded map; the xrt cost layer
+// Physically everything is an in-process sharded table; the xrt cost layer
 // supplies the distributed-memory semantics of interest.
 package dht
 
@@ -37,6 +45,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hipmer/internal/flat"
 	"hipmer/internal/xrt"
 )
 
@@ -70,10 +79,20 @@ type Options[K comparable] struct {
 	// different ranks contend only when they land on the same stripe of
 	// the same owner. Defaults to 8.
 	Stripes int
-	// ExpectedItems pre-sizes the stripe maps from a global expected entry
-	// count (e.g. the HyperLogLog cardinality estimate of k-mer analysis),
-	// eliminating incremental rehashing during construction. 0 means no
-	// pre-sizing.
+	// ExpectedItems is a hint of the global entry count. It allocates
+	// nothing: a stripe's slot array appears at its first insert, sized an
+	// eighth of the stripe's share of ExpectedItems (two thirds full), and
+	// moves to the full share only if it fills that; past it, it grows a
+	// quarter at a time (shares are uneven — minimizer placement skews
+	// them by tens of percent — and a doubling would leave the fuller
+	// stripes a third full). An overestimate therefore costs a stripe at
+	// most one step, never
+	// storage for entries the table was only told about — but the hint is
+	// for counts the caller has (a checkpoint's entry count, the k-mers a
+	// graph is projected from), not for estimates of another quantity (the
+	// HyperLogLog cardinality of k-mer analysis counts the single-
+	// occurrence k-mers the Bloom screen keeps out). 0 means no hint:
+	// stripes start at 8 slots and double.
 	ExpectedItems int64
 	// CacheSlots enables a per-rank direct-mapped software cache (rounded
 	// up to a power of two slots) consulted by Get for remote keys while
@@ -89,19 +108,35 @@ type Options[K comparable] struct {
 }
 
 // ApplyFunc is an owner-side store handler: it runs under the owning
-// stripe's lock with direct access to the stripe map holding (or due to
-// hold) the key, letting callers attach owner-side state to the
-// application of aggregated stores. Handlers must only touch the passed
-// key's entry: other keys of the shard may live in other stripe maps.
-// Only the (owner, stripe) lock is held, so handler state shared across
-// a whole owner would race under concurrent flushes from different
-// ranks; key any auxiliary state by owner*Stripes()+stripe instead (a
-// key always maps to the same stripe, so per-stripe state partitions the
-// keys exactly — e.g. the Bloom filters of k-mer analysis). h is the
-// key's Options.Hash value, computed once on the store path and handed
-// through so handlers needing hash bits (Bloom probes, sketches) never
-// rehash the key.
-type ApplyFunc[K comparable, V any] func(owner, stripe int, h uint64, k K, incoming V, shard map[K]V)
+// stripe's lock with a handle on the key's entry in the stripe's slot
+// array, letting callers attach owner-side state to the application of
+// aggregated stores. The handle reaches that one key only — other keys of
+// the shard may live in other stripes. Only the (owner, stripe) lock is
+// held, so handler state shared across a whole owner would race under
+// concurrent flushes from different ranks; key any auxiliary state by
+// owner*Stripes()+stripe instead (a key always maps to the same stripe, so
+// per-stripe state partitions the keys exactly — e.g. the Bloom filters of
+// k-mer analysis). h is the key's Options.Hash value, computed once on the
+// store path and handed through so handlers needing hash bits (Bloom
+// probes, sketches) never rehash the key.
+type ApplyFunc[K comparable, V any] func(owner, stripe int, h uint64, k K, incoming V, e Entry[K, V])
+
+// Entry is an ApplyFunc's handle on its key's slot. Get and Upsert return
+// pointers into the slot array, so a read-modify-write is one probe and no
+// value copy; a pointer is valid until the next Upsert through any handle
+// on the same stripe, and never outlives the handler call.
+type Entry[K comparable, V any] struct {
+	m   *flat.Map[K, V]
+	mix uint64
+	k   K
+}
+
+// Get returns the stored value, or nil when the key is absent.
+func (e Entry[K, V]) Get() *V { return e.m.Get(e.mix, e.k) }
+
+// Upsert returns the stored value, inserting a zero one first when the
+// key is absent; inserted reports which.
+func (e Entry[K, V]) Upsert() (v *V, inserted bool) { return e.m.Upsert(e.mix, e.k) }
 
 // BlobApplyFunc decodes one delivered byte payload at its owner: src and
 // owner identify the sending and owning ranks, payload is the
@@ -138,12 +173,13 @@ func (t *Table[K, V]) SetApply(fn ApplyFunc[K, V]) { t.apply = fn }
 // not be called while an SPMD phase is mutating the table.
 func (t *Table[K, V]) SetBlobApply(fn BlobApplyFunc[K, V]) { t.blobApply = fn }
 
-// stripe is one lock-striped fragment of a shard. The padding keeps
-// neighbouring stripe locks off one cache line.
+// stripe is one lock-striped fragment of a shard: a mutex and the slot
+// array it guards, padded to a cache line so neighbouring stripe locks do
+// not share one.
 type stripe[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[K]V
-	_  [40]byte
+	m  flat.Map[K, V]
+	_  [8]byte
 }
 
 type shard[K comparable, V any] struct {
@@ -160,17 +196,6 @@ type localState[K comparable, V any] struct {
 	bufs      [][]kv[K, V] // per destination rank
 	blobBufs  [][]byte     // per destination rank: concatenated PutBlob records
 	blobItems []int        // logical item count buffered per destination
-}
-
-// remix decorrelates the stripe/cache index from the placement function:
-// placement consumes h (mod p or the oracle vector), so stripe selection
-// must not reuse the same bits or every key of a shard would collapse
-// onto one stripe.
-func remix(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
 }
 
 func ceilPow2(n int) int {
@@ -213,15 +238,16 @@ func New[K comparable, V any](team *xrt.Team, opt Options[K],
 	p := team.Config().Ranks
 	t := &Table[K, V]{team: team, opt: opt, merge: merge,
 		stripeMask: uint64(opt.Stripes - 1)}
-	perStripe := 0
+	aim := 0
 	if opt.ExpectedItems > 0 {
-		perStripe = int(opt.ExpectedItems/int64(p*opt.Stripes)) + 1
+		perStripe := int(opt.ExpectedItems/int64(p*opt.Stripes)) + 1
+		aim = perStripe + perStripe/2
 	}
 	t.shards = make([]shard[K, V], p)
 	for i := range t.shards {
 		t.shards[i].stripes = make([]stripe[K, V], opt.Stripes)
 		for s := range t.shards[i].stripes {
-			t.shards[i].stripes[s].m = make(map[K]V, perStripe)
+			t.shards[i].stripes[s].m.Aim(aim)
 		}
 	}
 	t.locals = make([]localState[K, V], p)
@@ -258,15 +284,13 @@ func (t *Table[K, V]) placeKey(k K, h uint64) int {
 	return t.ownerOf(h)
 }
 
-// stripeIdx returns the stripe index of key hash h (identical for every
-// shard: placement picks the shard, the remixed hash picks the stripe).
-func (t *Table[K, V]) stripeIdx(h uint64) int {
-	return int(remix(h) & t.stripeMask)
-}
-
-// stripeFor returns the owning stripe of (dst, h).
-func (t *Table[K, V]) stripeFor(dst int, h uint64) *stripe[K, V] {
-	return &t.shards[dst].stripes[t.stripeIdx(h)]
+// stripeOf returns the stripe of shard dst holding keys whose mixed hash
+// (flat.Mix of the Options.Hash value) is mix, and its index — identical
+// for every shard: placement picks the shard, the mixed hash's low bits
+// the stripe.
+func (t *Table[K, V]) stripeOf(dst int, mix uint64) (*stripe[K, V], int) {
+	si := int(mix & t.stripeMask)
+	return &t.shards[dst].stripes[si], si
 }
 
 // Stripes returns the number of lock stripes per shard (after rounding),
@@ -291,8 +315,9 @@ func (t *Table[K, V]) assertMutable(op string) {
 func (t *Table[K, V]) Frozen() bool { return t.frozen.Load() }
 
 // Freeze is collective: every rank of a Run phase must call it. It drains
-// the calling rank's store buffers, barriers, and publishes every stripe
-// map as immutable; subsequent Gets are served lock-free and, when
+// the calling rank's store buffers, barriers, and publishes every stripe's
+// slot array as immutable — the arrays construction filled, from then on
+// read without the lock; subsequent Gets are served lock-free and, when
 // Options.CacheSlots is set, through a per-rank software cache for remote
 // keys. Any Put/Mutate/Delete/local rewrite on the frozen table panics.
 //
@@ -411,14 +436,7 @@ func (t *Table[K, V]) PutHashed(r *xrt.Rank, h uint64, k K, v V) {
 	t.assertMutable("Put")
 	dst := t.placeKey(k, h)
 	if dst == r.ID {
-		// rank-local fast path: no buffering, no message — the paper's
-		// local store, charged as such
-		r.ChargeStoreBatch(dst, 1, t.opt.ItemBytes)
-		si := t.stripeIdx(h)
-		st := &t.shards[dst].stripes[si]
-		st.mu.Lock()
-		t.applyOne(dst, si, h, k, v, st.m)
-		st.mu.Unlock()
+		t.PutOwned(r, h, k, v)
 		return
 	}
 	ls := &t.locals[r.ID]
@@ -426,6 +444,19 @@ func (t *Table[K, V]) PutHashed(r *xrt.Rank, h uint64, k K, v V) {
 	if len(ls.bufs[dst]) >= t.opt.AggBufSize {
 		t.flushTo(r, dst)
 	}
+}
+
+// PutOwned is PutHashed for a key the caller knows it owns — a rank
+// replaying payloads that placement already routed to it — so the owner is
+// not derived again (for a minimizer-placed table that derivation is a
+// k-step scan per key). It is the rank-local fast path of Put: no
+// buffering, no message — the paper's local store, charged as such. The
+// claim cannot be checked without redoing the work it saves: a key stored
+// on a rank that does not own it is stranded where lookups never search.
+func (t *Table[K, V]) PutOwned(r *xrt.Rank, h uint64, k K, v V) {
+	t.assertMutable("Put")
+	r.ChargeStoreBatch(r.ID, 1, t.opt.ItemBytes)
+	t.applyOne(r.ID, h, k, v)
 }
 
 // PutBlob enqueues one pre-framed record — decodable by the table's
@@ -456,13 +487,20 @@ func (t *Table[K, V]) PutBlob(r *xrt.Rank, dst int, record []byte, items int) {
 	}
 }
 
-func (t *Table[K, V]) applyOne(dst, stripe int, h uint64, k K, v V, m map[K]V) {
+// applyOne applies one store of (k, v), whose Options.Hash value is h, at
+// its owner dst: under the stripe lock, through the apply hook when one is
+// installed and the merge function otherwise.
+func (t *Table[K, V]) applyOne(dst int, h uint64, k K, v V) {
+	mix := flat.Mix(h)
+	st, si := t.stripeOf(dst, mix)
+	st.mu.Lock()
 	if t.apply != nil {
-		t.apply(dst, stripe, h, k, v, m)
-		return
+		t.apply(dst, si, h, k, v, Entry[K, V]{&st.m, mix, k})
+	} else {
+		old, inserted := st.m.Upsert(mix, k)
+		*old = t.merge(*old, v, !inserted)
 	}
-	old, exists := m[k]
-	m[k] = t.merge(old, v, exists)
+	st.mu.Unlock()
 }
 
 func (t *Table[K, V]) flushTo(r *xrt.Rank, dst int) {
@@ -477,11 +515,7 @@ func (t *Table[K, V]) flushTo(r *xrt.Rank, dst int) {
 	r.PerturbPoint(xrt.PerturbFlush)
 	r.ChargeStoreBatch(dst, len(buf), len(buf)*t.opt.ItemBytes)
 	for _, e := range buf {
-		si := t.stripeIdx(e.h)
-		st := &t.shards[dst].stripes[si]
-		st.mu.Lock()
-		t.applyOne(dst, si, e.h, e.k, e.v, st.m)
-		st.mu.Unlock()
+		t.applyOne(dst, e.h, e.k, e.v)
 	}
 	ls.bufs[dst] = buf[:0]
 }
@@ -501,12 +535,7 @@ func (t *Table[K, V]) flushBlobTo(r *xrt.Rank, dst int) {
 	r.PerturbPoint(xrt.PerturbFlush)
 	r.ChargeStoreBatch(dst, items, len(buf))
 	t.blobApply(r.ID, dst, buf, func(k K, v V) {
-		h := t.opt.Hash(k)
-		si := t.stripeIdx(h)
-		st := &t.shards[dst].stripes[si]
-		st.mu.Lock()
-		t.applyOne(dst, si, h, k, v, st.m)
-		st.mu.Unlock()
+		t.applyOne(dst, t.opt.Hash(k), k, v)
 	})
 	ls.blobBufs[dst] = buf[:0]
 	ls.blobItems[dst] = 0
@@ -524,6 +553,20 @@ func (t *Table[K, V]) Flush(r *xrt.Rank) {
 	}
 }
 
+// load copies the value under k out of its stripe, locking unless the
+// table is frozen.
+func (t *Table[K, V]) load(dst int, mix uint64, k K, frozen bool) (v V, ok bool) {
+	st, _ := t.stripeOf(dst, mix)
+	if !frozen {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+	}
+	if p := st.m.Get(mix, k); p != nil {
+		return *p, true
+	}
+	return v, false
+}
+
 // Get performs an irregular lookup: one message to the owner (unless
 // local), classified and charged by the xrt layer. On a frozen table the
 // read is lock-free; remote reads additionally consult the rank's
@@ -532,30 +575,24 @@ func (t *Table[K, V]) Flush(r *xrt.Rank) {
 // the rank).
 func (t *Table[K, V]) Get(r *xrt.Rank, k K) (V, bool) {
 	h := t.opt.Hash(k)
+	mix := flat.Mix(h)
 	dst := t.placeKey(k, h)
-	if t.frozen.Load() {
-		c := t.caches[r.ID]
-		if c != nil && dst != r.ID {
-			if v, ok, hit := c.get(h, k); hit {
+	frozen := t.frozen.Load()
+	if frozen && dst != r.ID {
+		if c := t.caches[r.ID]; c != nil {
+			if v, ok, hit := c.get(mix, k); hit {
 				r.ChargeCacheHit()
 				return v, ok
 			}
 			r.ChargeLookup(dst, t.opt.ItemBytes)
-			v, ok := t.stripeFor(dst, h).m[k]
+			v, ok := t.load(dst, mix, k, true)
 			r.CountCacheMiss()
-			c.put(h, k, v, ok)
+			c.put(mix, k, v, ok)
 			return v, ok
 		}
-		r.ChargeLookup(dst, t.opt.ItemBytes)
-		v, ok := t.stripeFor(dst, h).m[k]
-		return v, ok
 	}
 	r.ChargeLookup(dst, t.opt.ItemBytes)
-	st := t.stripeFor(dst, h)
-	st.mu.Lock()
-	v, ok := st.m[k]
-	st.mu.Unlock()
-	return v, ok
+	return t.load(dst, mix, k, frozen)
 }
 
 // Mutate runs fn atomically on the value stored under k at its owner,
@@ -568,12 +605,25 @@ func (t *Table[K, V]) Mutate(r *xrt.Rank, k K, fn func(v V, exists bool) (V, boo
 	h := t.opt.Hash(k)
 	dst := t.placeKey(k, h)
 	r.ChargeLookup(dst, t.opt.ItemBytes)
-	st := t.stripeFor(dst, h)
+	t.mutate(dst, h, k, fn)
+}
+
+// mutate is the uncharged body of Mutate and MutateRetry.
+func (t *Table[K, V]) mutate(dst int, h uint64, k K, fn func(v V, exists bool) (V, bool)) {
+	mix := flat.Mix(h)
+	st, _ := t.stripeOf(dst, mix)
 	st.mu.Lock()
 	defer st.mu.Unlock() // fn may panic (injected crash); never strand the stripe
-	old, exists := st.m[k]
-	if nv, store := fn(old, exists); store {
-		st.m[k] = nv
+	if p := st.m.Get(mix, k); p != nil {
+		if nv, store := fn(*p, true); store {
+			*p = nv
+		}
+		return
+	}
+	var zero V
+	if nv, store := fn(zero, false); store {
+		p, _ := st.m.Upsert(mix, k)
+		*p = nv
 	}
 }
 
@@ -593,101 +643,94 @@ func (t *Table[K, V]) MutateRetry(r *xrt.Rank, k K, fn func(v V, exists bool) (V
 	// explicitly or it would spin forever on a dead victim's claim.
 	r.CheckFault()
 	h := t.opt.Hash(k)
-	st := t.stripeFor(t.placeKey(k, h), h)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	old, exists := st.m[k]
-	if nv, store := fn(old, exists); store {
-		st.m[k] = nv
-	}
+	t.mutate(t.placeKey(k, h), h, k, fn)
 }
 
 // Delete removes k at its owner (charged as a lookup-class operation).
 func (t *Table[K, V]) Delete(r *xrt.Rank, k K) {
 	t.assertMutable("Delete")
 	h := t.opt.Hash(k)
+	mix := flat.Mix(h)
 	dst := t.placeKey(k, h)
 	r.ChargeLookup(dst, t.opt.ItemBytes)
-	st := t.stripeFor(dst, h)
+	st, _ := t.stripeOf(dst, mix)
 	st.mu.Lock()
-	delete(st.m, k)
+	st.m.Delete(mix, k)
 	st.mu.Unlock()
 }
 
-// LocalRange iterates the calling rank's shard. fn returning false stops
-// the iteration. Values seen are snapshots; mutating the table during
-// iteration is not allowed. Iteration itself is free of communication
-// (the paper's "each processor iterates over its local buckets").
-func (t *Table[K, V]) LocalRange(r *xrt.Rank, fn func(k K, v V) bool) {
+// visitLocal runs visit over each stripe of the calling rank's shard in
+// turn — under the stripe lock unless the table is frozen — and charges
+// the per-entry local cost of the entries it reports having visited. It
+// stops after the stripe in which visit reports stop.
+//
+// The charge lands after each stripe's critical section: a charge can
+// panic (injected crash), and panicking while holding a stripe lock would
+// strand every surviving rank behind it.
+func (t *Table[K, V]) visitLocal(r *xrt.Rank, visit func(m *flat.Map[K, V]) (visited int, stop bool)) {
 	frozen := t.frozen.Load()
 	opNs := t.team.Cost().LocalOpNs
 	for i := range t.shards[r.ID].stripes {
 		st := &t.shards[r.ID].stripes[i]
-		// The per-item charges land after each stripe's critical section:
-		// a charge can panic (injected crash), and panicking while holding
-		// a stripe lock would strand every surviving rank behind it.
-		visited, stopped := 0, false
-		func() {
+		visited, stop := func() (int, bool) {
 			if !frozen {
 				st.mu.Lock()
 				defer st.mu.Unlock()
 			}
-			for k, v := range st.m {
-				visited++
-				if !fn(k, v) {
-					stopped = true
-					return
-				}
-			}
+			return visit(&st.m)
 		}()
 		r.Charge(float64(visited) * opNs)
-		if stopped {
+		if stop {
 			return
 		}
 	}
 }
 
+// LocalRange iterates the calling rank's shard. fn returning false stops
+// the iteration. Values seen are snapshots; mutating the table during
+// iteration is not allowed. Iteration itself is free of communication
+// (the paper's "each processor iterates over its local buckets"). The
+// order is that of the slot arrays — a function of the keys stored, not of
+// the order they arrived in — and callers must not depend on it.
+func (t *Table[K, V]) LocalRange(r *xrt.Rank, fn func(k K, v V) bool) {
+	t.visitLocal(r, func(m *flat.Map[K, V]) (visited int, stop bool) {
+		m.Range(func(_ uint64, k K, v *V) bool {
+			visited++
+			stop = !fn(k, *v)
+			return !stop
+		})
+		return visited, stop
+	})
+}
+
 // LocalUpdate rewrites every value of the calling rank's shard in place.
 func (t *Table[K, V]) LocalUpdate(r *xrt.Rank, fn func(k K, v V) V) {
 	t.assertMutable("LocalUpdate")
-	opNs := t.team.Cost().LocalOpNs
-	for i := range t.shards[r.ID].stripes {
-		st := &t.shards[r.ID].stripes[i]
-		visited := 0
-		func() {
-			st.mu.Lock()
-			defer st.mu.Unlock() // see LocalRange: never charge under the lock
-			for k, v := range st.m {
-				visited++
-				st.m[k] = fn(k, v)
-			}
-		}()
-		r.Charge(float64(visited) * opNs)
-	}
+	t.visitLocal(r, func(m *flat.Map[K, V]) (int, bool) {
+		m.Range(func(_ uint64, k K, v *V) bool {
+			*v = fn(k, *v)
+			return true
+		})
+		return m.Len(), false
+	})
 }
 
 // LocalFilter rewrites or deletes every entry of the calling rank's shard:
-// fn returns the new value and whether to keep the entry.
+// fn returns the new value and whether to keep the entry. Deletion
+// compacts the slot arrays in place (no tombstones are left behind).
 func (t *Table[K, V]) LocalFilter(r *xrt.Rank, fn func(k K, v V) (V, bool)) {
 	t.assertMutable("LocalFilter")
-	opNs := t.team.Cost().LocalOpNs
-	for i := range t.shards[r.ID].stripes {
-		st := &t.shards[r.ID].stripes[i]
-		visited := 0
-		func() {
-			st.mu.Lock()
-			defer st.mu.Unlock() // see LocalRange: never charge under the lock
-			for k, v := range st.m {
-				visited++
-				if nv, keep := fn(k, v); keep {
-					st.m[k] = nv
-				} else {
-					delete(st.m, k)
-				}
+	t.visitLocal(r, func(m *flat.Map[K, V]) (int, bool) {
+		visited := m.Len()
+		m.Filter(func(k K, v *V) bool {
+			nv, keep := fn(k, *v)
+			if keep {
+				*v = nv
 			}
-		}()
-		r.Charge(float64(visited) * opNs)
-	}
+			return keep
+		})
+		return visited, false
+	})
 }
 
 // LocalLen returns the number of entries owned by the calling rank.
@@ -701,11 +744,11 @@ func (t *Table[K, V]) shardLen(id int) int {
 	for i := range t.shards[id].stripes {
 		st := &t.shards[id].stripes[i]
 		if frozen {
-			n += len(st.m)
+			n += st.m.Len()
 			continue
 		}
 		st.mu.Lock()
-		n += len(st.m)
+		n += st.m.Len()
 		st.mu.Unlock()
 	}
 	return n
@@ -730,19 +773,12 @@ func (t *Table[K, V]) Len() int64 {
 // serial pipeline steps); no communication is charged.
 func (t *Table[K, V]) Lookup(k K) (V, bool) {
 	h := t.opt.Hash(k)
-	st := t.stripeFor(t.placeKey(k, h), h)
-	if t.frozen.Load() {
-		v, ok := st.m[k]
-		return v, ok
-	}
-	st.mu.Lock()
-	v, ok := st.m[k]
-	st.mu.Unlock()
-	return v, ok
+	return t.load(t.placeKey(k, h), flat.Mix(h), k, t.frozen.Load())
 }
 
-// RangeAll iterates every shard from a single goroutine. For use outside
-// Run phases (validation, output); no communication is charged.
+// RangeAll iterates every shard from a single goroutine, in slot-array
+// order (see LocalRange). For use outside Run phases (validation, output);
+// no communication is charged.
 func (t *Table[K, V]) RangeAll(fn func(k K, v V) bool) {
 	frozen := t.frozen.Load()
 	for i := range t.shards {
@@ -751,16 +787,16 @@ func (t *Table[K, V]) RangeAll(fn func(k K, v V) bool) {
 			if !frozen {
 				st.mu.Lock()
 			}
-			for k, v := range st.m {
-				if !fn(k, v) {
-					if !frozen {
-						st.mu.Unlock()
-					}
-					return
-				}
-			}
+			stop := false
+			st.m.Range(func(_ uint64, k K, v *V) bool {
+				stop = !fn(k, *v)
+				return !stop
+			})
 			if !frozen {
 				st.mu.Unlock()
+			}
+			if stop {
+				return
 			}
 		}
 	}
@@ -795,16 +831,17 @@ func newReadCache[K comparable, V any](slots int) *readCache[K, V] {
 	}
 }
 
-func (c *readCache[K, V]) get(h uint64, k K) (v V, ok bool, hit bool) {
-	s := &c.slots[remix(h)&c.mask]
+// get and put take the key's mixed hash, as the stripes do.
+func (c *readCache[K, V]) get(mix uint64, k K) (v V, ok bool, hit bool) {
+	s := &c.slots[mix&c.mask]
 	if s.state != slotEmpty && s.key == k {
 		return s.val, s.state == slotPresent, true
 	}
 	return v, false, false
 }
 
-func (c *readCache[K, V]) put(h uint64, k K, v V, ok bool) {
-	s := &c.slots[remix(h)&c.mask]
+func (c *readCache[K, V]) put(mix uint64, k K, v V, ok bool) {
+	s := &c.slots[mix&c.mask]
 	s.key, s.val = k, v
 	if ok {
 		s.state = slotPresent

@@ -248,12 +248,25 @@ func TestStressConcurrentOps(t *testing.T) {
 	}
 }
 
-func TestExpectedItemsPreSizing(t *testing.T) {
-	// pre-sizing must not change behaviour, only allocation
+// TestExpectedItemsIsOnlyAHint: a size hint changes no behaviour and
+// allocates nothing by itself — not at New, and not later for entries that
+// never arrive (here the hint is 100× the truth).
+func TestExpectedItemsIsOnlyAHint(t *testing.T) {
 	team := xrt.NewTeam(xrt.Config{Ranks: 4})
 	opt := intOpts()
 	opt.ExpectedItems = 100000
 	tab := New[uint64, int64](team, opt, sumMerge)
+	slots := func() (n int) {
+		for i := range tab.shards {
+			for s := range tab.shards[i].stripes {
+				n += tab.shards[i].stripes[s].m.Cap()
+			}
+		}
+		return n
+	}
+	if n := slots(); n != 0 {
+		t.Fatalf("New allocated %d slots for a hint", n)
+	}
 	team.Run(func(r *xrt.Rank) {
 		for i := 0; i < 1000; i++ {
 			tab.Put(r, uint64(i), 1)
@@ -264,6 +277,9 @@ func TestExpectedItemsPreSizing(t *testing.T) {
 			t.Errorf("global len %d, want 1000", n)
 		}
 	})
+	if n := slots(); n > 4*1000 {
+		t.Fatalf("%d slots hold 1000 entries: the hint over-allocated", n)
+	}
 }
 
 // ---------------------------------------------------------------------

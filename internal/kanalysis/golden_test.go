@@ -1,0 +1,205 @@
+package kanalysis_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"testing"
+
+	"hipmer/internal/ckpt"
+	"hipmer/internal/fastq"
+	"hipmer/internal/genome"
+	"hipmer/internal/kanalysis"
+	"hipmer/internal/xrt"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json from this tree's results")
+
+// golden is what one analysis of a fixed input must reproduce exactly: the
+// input-determined Result fields, a digest of the frozen table as the
+// checkpoint codec serializes it (every (k-mer, KmerData) pair, sorted),
+// and a digest of every charge the three phases made, rank by rank.
+type golden struct {
+	TotalKmers     int64
+	Distinct       uint64
+	HeavyHitters   int
+	Kept           int64
+	SuperKmers     int64
+	SuperKmerBases int64
+	CommBytesSaved int64
+	PseudoKmers    int64
+	// PeakEntries depends on the order Bloom filters see their keys, so
+	// it is pinned only where one rank makes that order a function of the
+	// input (-1 elsewhere).
+	PeakEntries int64
+	Table       string // sha256 of ckpt.EncodeKmerStage with PeakEntries zeroed
+	Charges     string // sha256 over the sketch/bloom-screen/count span records
+}
+
+type goldenCase struct {
+	name  string
+	ranks int
+	perNd int
+	reads []fastq.Record
+	opt   kanalysis.Options
+}
+
+func goldenReads(kind string, seed int64, n int, cov float64) []fastq.Record {
+	rng := xrt.NewPrng(seed)
+	var g []byte
+	switch kind {
+	case "wheat":
+		g = genome.WheatLike(rng, n)
+	case "human":
+		g = genome.HumanLike(rng, n)
+	default:
+		g = genome.Random(rng, n)
+	}
+	recs, _ := genome.SimulatePairs(rng, g, genome.SimOptions{
+		Coverage: cov,
+		Lib:      genome.Library{Name: kind, ReadLen: 100, InsertMean: 280, InsertSD: 15},
+		Err:      genome.DefaultErrorModel(),
+	})
+	// an N and a lower-case stretch, which every scanner must treat alike
+	recs[0].Seq[40] = 'N'
+	for i := 10; i < 30; i++ {
+		recs[1].Seq[i] |= 0x20
+	}
+	return recs
+}
+
+// goldenPseudo cuts weighted pseudo-reads out of the reads themselves, the
+// shape the iterative-k outer loop feeds back (error-free contigs with a
+// depth-derived weight).
+func goldenPseudo(recs []fastq.Record, ranks int) [][]kanalysis.PseudoRead {
+	out := make([][]kanalysis.PseudoRead, ranks)
+	for i := 0; i < len(recs); i += 37 {
+		out[(i/37)%ranks] = append(out[(i/37)%ranks], kanalysis.PseudoRead{
+			Seq: recs[i].Seq, Weight: uint32(i % 5), // weight 0 counts as 1
+		})
+	}
+	return out
+}
+
+func goldenCases() []goldenCase {
+	human := goldenReads("human", 11, 30000, 10)
+	wheat := goldenReads("wheat", 12, 30000, 10)
+	var cases []goldenCase
+	for _, disable := range []bool{false, true} {
+		tag := "superk"
+		if disable {
+			tag = "peritem"
+		}
+		cases = append(cases,
+			goldenCase{"human-k31-" + tag, 6, 3, human, kanalysis.Options{
+				K: 31, HeavyHitters: true, DisableSuperKmers: disable}},
+			goldenCase{"wheat-k21-hh-" + tag, 7, 3, wheat, kanalysis.Options{
+				K: 21, HeavyHitters: true, Theta: 2000, HHMinCount: 100, DisableSuperKmers: disable}},
+			goldenCase{"human-k31-1rank-" + tag, 1, 1, human[:len(human)/4], kanalysis.Options{
+				K: 31, HeavyHitters: true, DisableSuperKmers: disable}},
+		)
+		// the iterative-k ladder: every round after the first carries
+		// pseudo-reads, and k = 33 and 55 take the two-word k-mer paths
+		for _, k := range []int{21, 33, 55} {
+			c := goldenCase{"multik-k" + strconv.Itoa(k) + "-" + tag, 5, 2, human, kanalysis.Options{
+				K: k, HeavyHitters: true, DisableSuperKmers: disable}}
+			if k > 21 {
+				c.opt.PseudoByRank = goldenPseudo(human, c.ranks)
+			}
+			cases = append(cases, c)
+		}
+	}
+	return cases
+}
+
+func runGolden(c goldenCase) golden {
+	team := xrt.NewTeam(xrt.Config{Ranks: c.ranks, RanksPerNode: c.perNd, Seed: 1})
+	res := kanalysis.Run(team, kanalysis.SplitReads(c.reads, c.ranks), c.opt)
+	g := golden{
+		TotalKmers: res.TotalKmers, Distinct: res.DistinctEstimate, HeavyHitters: res.HeavyHitters,
+		Kept: res.Kept, SuperKmers: res.SuperKmers, SuperKmerBases: res.SuperKmerBases,
+		CommBytesSaved: res.CommBytesSaved, PseudoKmers: res.PseudoKmers, PeakEntries: -1,
+	}
+	if c.ranks == 1 {
+		g.PeakEntries = res.PeakEntries
+	}
+	res.PeakEntries = 0
+	mlen := kanalysis.EffectiveMinimizerLen(c.opt.K, c.opt.MinimizerLen, c.opt.DisableSuperKmers)
+	sum := sha256.Sum256(ckpt.EncodeKmerStage(res, c.opt.K, mlen))
+	g.Table = hex.EncodeToString(sum[:])
+
+	// Every charge of the three phases: per span and rank the full
+	// CommStats delta, plus the span's virtual duration and each rank's
+	// busy time. The count span's times are left out on several ranks:
+	// its LocalFilter is charged per visited entry, and how many Bloom
+	// false positives sit in the table then is schedule-dependent (the
+	// PeakEntries caveat above).
+	h := sha256.New()
+	put := func(v any) { binary.Write(h, binary.LittleEndian, v) }
+	for _, sp := range team.Spans() {
+		timed := c.ranks == 1 || sp.Name != "count"
+		h.Write([]byte(sp.Path))
+		if timed {
+			put(math.Float64bits(sp.VirtualNs))
+		}
+		for _, rd := range sp.Ranks {
+			if timed {
+				put(math.Float64bits(rd.WorkNs))
+			}
+			put(rd.Comm)
+		}
+	}
+	g.Charges = hex.EncodeToString(h.Sum(nil))
+	return g
+}
+
+// TestGoldenTablesAndCharges pins the stage's observable behaviour to
+// goldens generated before the flat-shard / rolling-scanner rewrite: the
+// frozen table byte for byte, the transport counters, and — the
+// one-for-one charge rule — every rank's charges in every phase. A change
+// to a cost constant, a charge site, or the order of a rank's charges
+// (floating-point sums are order-sensitive) fails the Charges digest.
+func TestGoldenTablesAndCharges(t *testing.T) {
+	path := filepath.Join("testdata", "golden.json")
+	got := make(map[string]golden)
+	for _, c := range goldenCases() {
+		got[c.name] = runGolden(c)
+	}
+	if *updateGolden {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading goldens (regenerate with -update-golden): %v", err)
+	}
+	want := make(map[string]golden)
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden file has %d cases, test has %d", len(want), len(got))
+	}
+	for name, g := range got {
+		if w, ok := want[name]; !ok {
+			t.Errorf("%s: no golden", name)
+		} else if g != w {
+			t.Errorf("%s:\n got  %+v\n want %+v", name, g, w)
+		}
+	}
+}

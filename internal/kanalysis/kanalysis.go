@@ -22,6 +22,16 @@
 // will ever need, so the count pass replays the retained payloads locally
 // instead of re-shipping the stream. Options.DisableSuperKmers restores
 // the per-k-mer aggregated-store transport as an ablation baseline.
+//
+// Each per-k-mer fact is computed once. Every scan rolls the forward and
+// reverse-complement words of a window side by side (kmer.ForEachCanonical,
+// kmer.DecodeSuperKmersCanonical), so canonical form is a compare, not a
+// reverse complement per window; the canonical hash is taken once where a
+// k-mer is first needed and handed to whatever wants it next — the
+// HyperLogLog and Misra–Gries sketches, the heavy-hitter probe, the store
+// path, the Bloom filter, the table's slot index; and the count pass
+// stores at the rank the payload was delivered to instead of re-deriving
+// the owner from the k-mer's minimizer.
 package kanalysis
 
 import (
@@ -30,6 +40,7 @@ import (
 	"hipmer/internal/bloom"
 	"hipmer/internal/dht"
 	"hipmer/internal/fastq"
+	"hipmer/internal/flat"
 	"hipmer/internal/hll"
 	"hipmer/internal/kmer"
 	"hipmer/internal/mg"
@@ -40,6 +51,11 @@ import (
 // k-mer + count/extension payload), the unit the super-k-mer transport's
 // savings are measured against.
 const kmerItemBytes = 16 + 10
+
+// hashSeed seeds the canonical table hash: placement (when not by
+// minimizer), stripe and slot selection, the Bloom probes and both
+// sketches all derive from km.Hash(hashSeed).
+const hashSeed = 0xc0ffee
 
 // Options configures k-mer analysis.
 type Options struct {
@@ -173,8 +189,9 @@ func (d KmerData) IsUU() bool {
 // NewTable constructs the stage's k-mer count table: the canonical hash
 // seed, wire size, and placement every consumer of the table assumes.
 // Exported so checkpoint rehydration builds a table that places, charges,
-// and caches identically to a freshly analyzed one. expectedItems
-// pre-sizes the stripe maps (0 = no pre-sizing); cacheSlots follows
+// and caches identically to a freshly analyzed one. expectedItems is
+// dht.Options.ExpectedItems, a sizing hint that allocates nothing (0 = no
+// hint); cacheSlots follows
 // Options.CacheSlots conventions (0 = default 4096, negative = off).
 // minimizerLen > 0 selects minimizer placement — the owner of a k-mer is
 // the owner of its length-minimizerLen canonical minimizer, so point
@@ -188,7 +205,7 @@ func NewTable(team *xrt.Team, expectedItems int64, aggBufSize, cacheSlots, k, mi
 		cacheSlots = 0
 	}
 	opt := dht.Options[kmer.Kmer]{
-		Hash:          func(km kmer.Kmer) uint64 { return km.Hash(0xc0ffee) },
+		Hash:          func(km kmer.Kmer) uint64 { return km.Hash(hashSeed) },
 		ItemBytes:     kmerItemBytes,
 		AggBufSize:    aggBufSize,
 		ExpectedItems: expectedItems,
@@ -245,154 +262,157 @@ type occurrence struct {
 	right uint8
 }
 
-const noExt = uint8(kmer.ExtAbsent)
+const noExt = kmer.ExtAbsent
 
-// occurrenceAt builds the occurrence of the k-mer window at pos of seq,
-// already canonicalized as (canon, flipped): flanking bases contribute
-// extension evidence when present, ACGT, and above the quality threshold,
-// and flipping swaps and complements the two ends.
-func occurrenceAt(seq, qual []byte, pos, k, qualThresh int, canon kmer.Kmer, flipped bool) occurrence {
-	left, right := noExt, noExt
-	if pos > 0 && int(qual[pos-1])-33 >= qualThresh {
-		if c, ok := kmer.BaseCode(seq[pos-1]); ok {
-			left = uint8(c)
-		}
+// extAt is the extension evidence position p of a read contributes: its
+// base code when p is inside the read, ACGT, and at or above the quality
+// threshold. Pseudo-reads carry no quality string (qual == nil): every
+// base qualifies.
+func extAt(seq, qual []byte, p, qualThresh int) uint8 {
+	if p < 0 || p >= len(seq) || qual != nil && int(qual[p])-33 < qualThresh {
+		return noExt
 	}
-	if e := pos + k; e < len(seq) && int(qual[e])-33 >= qualThresh {
-		if c, ok := kmer.BaseCode(seq[e]); ok {
-			right = uint8(c)
-		}
+	if c, ok := kmer.BaseCode(seq[p]); ok {
+		return uint8(c)
 	}
-	if flipped {
-		// the canonical orientation sees complemented, swapped ends
-		left, right = comp(right), comp(left)
-	}
-	return occurrence{km: canon, left: left, right: right}
+	return noExt
 }
 
-// forEachOccurrence canonicalizes every k-mer of rec and reports oriented
-// extensions plus the canonical table hash, computed once per window.
-// Reads shorter than k or windows containing N are skipped.
-func forEachOccurrence(rec fastq.Record, k, qualThresh int, fn func(o occurrence, h uint64)) {
-	seq, qual := rec.Seq, rec.Qual
-	kmer.ForEach(seq, k, func(pos int, km kmer.Kmer) {
-		canon, flipped := km.Canonical(k)
-		fn(occurrenceAt(seq, qual, pos, k, qualThresh, canon, flipped), canon.Hash(0xc0ffee))
+// occurrenceAt builds the occurrence of the k-mer window at pos of seq,
+// already canonicalized as (canon, flipped): the flanking bases are its
+// extension evidence, and flipping swaps and complements the two ends.
+func occurrenceAt(seq, qual []byte, pos, k, qualThresh int, canon kmer.Kmer, flipped bool) occurrence {
+	left, right := extAt(seq, qual, pos-1, qualThresh), extAt(seq, qual, pos+k, qualThresh)
+	if flipped {
+		left, right = kmer.ComplementExt(right), kmer.ComplementExt(left)
+	}
+	return occurrence{canon, left, right}
+}
+
+// forEachOccurrence reports every k-mer window of seq in canonical form
+// with its oriented extension evidence and the canonical table hash, each
+// computed once per window. Sequences shorter than k and windows
+// containing N are skipped.
+func forEachOccurrence(seq, qual []byte, k, qualThresh int, fn func(o occurrence, h uint64)) {
+	kmer.ForEachCanonical(seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
+		fn(occurrenceAt(seq, qual, pos, k, qualThresh, canon, flipped), canon.Hash(hashSeed))
 	})
 }
 
-func comp(c uint8) uint8 {
-	if c == noExt {
-		return noExt
-	}
-	return 3 - c
-}
-
-func (o occurrence) delta() KmerData { return o.deltaWeighted(1) }
-
-// deltaWeighted is the count/extension contribution of one occurrence
-// observed w times (pseudo-read ingestion).
-func (o occurrence) deltaWeighted(w uint32) KmerData {
-	var d KmerData
-	d.Count = w
+// add accumulates w sightings of occurrence o.
+func (d *KmerData) add(o occurrence, w uint32) {
+	d.Count += w
 	if o.left != noExt {
 		d.LeftCnt[o.left] += w
 	}
 	if o.right != noExt {
 		d.RightCnt[o.right] += w
 	}
+}
+
+// delta is the count/extension contribution of one occurrence observed w
+// times (w > 1: pseudo-read ingestion), as a store value.
+func (o occurrence) delta(w uint32) (d KmerData) {
+	d.add(o, w)
 	return d
 }
 
-// pseudoOccurrenceAt builds the occurrence of a pseudo-read window:
-// pseudo-reads carry no quality string — every flanking base qualifies
-// as extension evidence.
-func pseudoOccurrenceAt(seq []byte, pos, k int, canon kmer.Kmer, flipped bool) occurrence {
-	left, right := noExt, noExt
-	if pos > 0 {
-		if c, ok := kmer.BaseCode(seq[pos-1]); ok {
-			left = uint8(c)
-		}
-	}
-	if e := pos + k; e < len(seq) {
-		if c, ok := kmer.BaseCode(seq[e]); ok {
-			right = uint8(c)
-		}
-	}
-	if flipped {
-		left, right = comp(right), comp(left)
-	}
-	return occurrence{km: canon, left: left, right: right}
-}
-
-// forEachPseudo canonicalizes every window of every pseudo-read and
-// reports it with its weight; returns the window count.
-func forEachPseudo(prs []PseudoRead, k int, fn func(o occurrence, w uint32)) int {
+// forEachPseudo reports every window of every pseudo-read as
+// forEachOccurrence does, with the read's weight; returns the window
+// count.
+func forEachPseudo(prs []PseudoRead, k int, fn func(o occurrence, h uint64, w uint32)) int {
 	n := 0
 	for _, pr := range prs {
 		w := pr.Weight
 		if w == 0 {
 			w = 1
 		}
-		seq := pr.Seq
-		kmer.ForEach(seq, k, func(pos int, km kmer.Kmer) {
-			canon, flipped := km.Canonical(k)
-			fn(pseudoOccurrenceAt(seq, pos, k, canon, flipped), w)
+		forEachOccurrence(pr.Seq, nil, k, 0, func(o occurrence, h uint64) {
+			fn(o, h, w)
 			n++
 		})
 	}
 	return n
 }
 
+// heavySet is the heavy-hitter set of one analysis: the k-mers in a fixed
+// order, and a small hash-keyed index from k-mer to position. Scanners
+// probe it with the canonical hash they already hold, and ranks
+// accumulate heavy occurrences in a dense array parallel to keys.
+type heavySet struct {
+	keys  []kmer.Kmer
+	index flat.Map[kmer.Kmer, int32]
+}
+
+func newHeavySet(keys []kmer.Kmer) *heavySet {
+	s := &heavySet{keys: keys}
+	s.index.Grow((len(keys)*4 + 2) / 3)
+	for i, km := range keys {
+		at, _ := s.index.Upsert(km.Hash(hashSeed), km)
+		*at = int32(i)
+	}
+	return s
+}
+
+// find returns km's position in keys, or -1; h is km.Hash(hashSeed).
+func (s *heavySet) find(h uint64, km kmer.Kmer) int {
+	if at := s.index.Get(h, km); at != nil {
+		return int(*at)
+	}
+	return -1
+}
+
+// superKmerScratch is one rank's reusable buffers for forEachSuperKmer.
+type superKmerScratch struct {
+	record []byte
+	heavy  []int // start positions of the current read's heavy windows
+}
+
 // forEachSuperKmer segments one read into encoded super-k-mer records:
 // every maximal minimizer run becomes one record (split around heavy-
-// hitter windows, which are reported to onHH instead of shipped — their
+// hitter windows, which are folded into acc instead of shipped — their
 // occurrences take the local-accumulation path, and splitting keeps them
 // out of the retained payloads the count pass replays). emit receives the
 // run's minimizer, its encoded record, and its window count; the record
-// aliases *scratch and must be consumed (copied or buffered) before the
-// next emission. Returns the total number of k-mer windows visited —
-// identical to the forEachOccurrence count. When hh is empty the per-
-// window canonicalization is skipped entirely and each run is encoded
-// straight from the read.
-func forEachSuperKmer(rec fastq.Record, k, m, qualThresh int, hh map[kmer.Kmer]bool,
-	onHH func(o occurrence),
-	emit func(minimizer uint64, record []byte, nwin int),
-	scratch *[]byte) int {
+// aliases the scratch buffer and must be consumed (copied or buffered)
+// before the next emission. Returns the total number of k-mer windows
+// visited — identical to the forEachOccurrence count. When there are no
+// heavy hitters the per-window canonicalization is skipped entirely and
+// each run is encoded straight from the read.
+func forEachSuperKmer(rec fastq.Record, k, m, qualThresh int, hh *heavySet, acc []KmerData,
+	emit func(minimizer uint64, record []byte, nwin int), sc *superKmerScratch) int {
 	seq, qual := rec.Seq, rec.Qual
+	heavy := sc.heavy[:0]
+	if len(hh.keys) > 0 {
+		kmer.ForEachCanonical(seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
+			if i := hh.find(canon.Hash(hashSeed), canon); i >= 0 {
+				acc[i].add(occurrenceAt(seq, qual, pos, k, qualThresh, canon, flipped), 1)
+				heavy = append(heavy, pos)
+			}
+		})
+		sc.heavy = heavy
+	}
 	windows := 0
 	kmer.ScanSuperKmers(seq, k, m, func(start, nwin int, minv uint64) {
 		windows += nwin
-		emitSeg := func(ws, we int) {
-			if we <= ws {
+		// ship windows [from, to) of the read as one record
+		ship := func(from, to int) {
+			if to <= from {
 				return
 			}
-			if out, ok := kmer.AppendSuperKmer((*scratch)[:0], seq, qual, start+ws, (we-ws)+k-1, qualThresh); ok {
-				*scratch = out
-				emit(minv, out, we-ws)
+			if out, ok := kmer.AppendSuperKmer(sc.record[:0], seq, qual, from, (to-from)+k-1, qualThresh); ok {
+				sc.record = out
+				emit(minv, out, to-from)
 			}
 		}
-		if len(hh) == 0 {
-			emitSeg(0, nwin)
-			return
+		// heavy positions ascend and every one lies in exactly one run,
+		// so each run consumes its own from the front
+		from := start
+		for ; len(heavy) > 0 && heavy[0] < start+nwin; heavy = heavy[1:] {
+			ship(from, heavy[0])
+			from = heavy[0] + 1
 		}
-		fw, _ := kmer.Pack(seq[start:], k)
-		seg := 0
-		for i := 0; i < nwin; i++ {
-			if i > 0 {
-				c, _ := kmer.BaseCode(seq[start+i+k-1])
-				fw = fw.NextRight(k, c)
-			}
-			canon, flipped := fw.Canonical(k)
-			if hh[canon] {
-				if onHH != nil {
-					onHH(occurrenceAt(seq, qual, start+i, k, qualThresh, canon, flipped))
-				}
-				emitSeg(seg, i)
-				seg = i + 1
-			}
-		}
-		emitSeg(seg, nwin)
+		ship(from, start+nwin)
 	})
 	return windows
 }
@@ -403,19 +423,21 @@ func forEachSuperKmer(rec fastq.Record, k, m, qualThresh int, hh map[kmer.Kmer]b
 // membership, and therefore whether the count pass's merge applies, stays
 // deterministic. Returns the window count.
 func putPseudoBloom(table *dht.Table[kmer.Kmer, KmerData], r *xrt.Rank, prs []PseudoRead, k int) int {
-	return forEachPseudo(prs, k, func(o occurrence, _ uint32) {
-		table.Put(r, o.km, KmerData{})
-		table.Put(r, o.km, KmerData{})
+	return forEachPseudo(prs, k, func(o occurrence, h uint64, _ uint32) {
+		table.PutHashed(r, h, o.km, KmerData{})
+		table.PutHashed(r, h, o.km, KmerData{})
 	})
 }
 
-// retainedBlob accumulates the super-k-mer payloads delivered to one
-// owner during the Bloom pass, for local replay in the count pass.
-// Senders append concurrently (a blob flush runs on the sender's
-// goroutine), hence the mutex.
+// retainedBlob keeps the super-k-mer payloads delivered to one owner
+// during the Bloom pass, for local replay in the count pass: one exact-
+// size copy per delivered message (the flush buffer is reused), so
+// retaining allocates the payload bytes and nothing more. Senders deliver
+// concurrently (a blob flush runs on the sender's goroutine), hence the
+// mutex.
 type retainedBlob struct {
-	mu  sync.Mutex
-	buf []byte
+	mu       sync.Mutex
+	payloads [][]byte
 }
 
 // mix64 derives the second Bloom probe from the canonical table hash, so
@@ -448,26 +470,25 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		}
 		return opt.PseudoByRank[id]
 	}
-	for _, prs := range opt.PseudoByRank {
-		res.PseudoReads += int64(len(prs))
-		res.PseudoKmers += int64(forEachPseudo(prs, opt.K, func(occurrence, uint32) {}))
-	}
 
 	// --- pass 1: cardinality + heavy-hitter sketches (free I/O-wise) ----
+	// Both sketches eat the canonical hash; no extension evidence is
+	// needed yet, so none is computed.
 	sketches := make([]*hll.Sketch, p)
 	summaries := make([]*mg.Summary[kmer.Kmer], p)
-	hhSets := make([]map[kmer.Kmer]*KmerData, p)
+	pseudoKmers := make([]int64, p)
 	var totalKmers int64
 	team.BeginSpan("sketch")
 	res.SketchPhase = team.Run(func(r *xrt.Rank) {
 		sk := hll.New(14)
-		sm := mg.New[kmer.Kmer](opt.Theta)
+		sm := mg.NewSeeded[kmer.Kmer](opt.Theta, hashSeed)
 		n := 0
 		for _, rec := range readsByRank[r.ID] {
-			forEachOccurrence(rec, opt.K, opt.QualThreshold, func(o occurrence, h uint64) {
+			kmer.ForEachCanonical(rec.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
+				h := canon.Hash(hashSeed)
 				sk.Add(h)
 				if opt.HeavyHitters {
-					sm.Offer(o.km)
+					sm.OfferHashed(h, canon)
 				}
 				n++
 			})
@@ -475,9 +496,14 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		// pseudo-reads feed the cardinality sketch but not Misra–Gries:
 		// their weighted counts would distort the heavy-hitter estimate,
 		// and they always bypass the heavy-hitter path anyway.
-		n += forEachPseudo(pseudoOf(r.ID), opt.K, func(o occurrence, _ uint32) {
-			sk.Add(o.km.Hash(0xc0ffee))
-		})
+		reads := n
+		for _, pr := range pseudoOf(r.ID) {
+			kmer.ForEachCanonical(pr.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
+				sk.Add(canon.Hash(hashSeed))
+				n++
+			})
+		}
+		pseudoKmers[r.ID] = int64(n - reads)
 		r.ChargeItems(n)
 		sketches[r.ID] = sk
 		summaries[r.ID] = sm
@@ -488,6 +514,10 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	})
 	team.EndSpan()
 	res.TotalKmers = totalKmers
+	for id, prs := range opt.PseudoByRank {
+		res.PseudoReads += int64(len(prs))
+		res.PseudoKmers += pseudoKmers[id]
+	}
 
 	// Merge sketches (deterministic rank order) — every rank derives the
 	// same global cardinality and heavy-hitter set.
@@ -497,9 +527,9 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	}
 	res.DistinctEstimate = global.Estimate()
 
-	hhSet := make(map[kmer.Kmer]bool)
+	var heavyKeys []kmer.Kmer
 	if opt.HeavyHitters {
-		merged := mg.New[kmer.Kmer](opt.Theta)
+		merged := mg.NewSeeded[kmer.Kmer](opt.Theta, hashSeed)
 		for _, sm := range summaries {
 			merged.Merge(sm)
 		}
@@ -511,20 +541,29 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 			}
 		}
 		for _, hit := range merged.HeavyHitters(thresh) {
-			hhSet[hit.Item] = true
+			heavyKeys = append(heavyKeys, hit.Item)
 		}
 	}
-	res.HeavyHitters = len(hhSet)
-	// The hhSet probe costs a map lookup per occurrence; skip it wholesale
-	// when heavy hitters are off or none were identified.
-	probeHH := len(hhSet) > 0
+	hh := newHeavySet(heavyKeys)
+	res.HeavyHitters = len(hh.keys)
 
-	// The HyperLogLog estimate pre-sizes the stripe maps: construction
-	// then never rehashes incrementally. The estimate counts every
-	// distinct k-mer including single-occurrence errors the Bloom screen
-	// rejects, so it is a safe upper bound on the final entry count.
-	table := NewTable(team, int64(res.DistinctEstimate), opt.AggBufSize, opt.CacheSlots, opt.K, minLen)
+	// No size hint: the only estimate at hand, the HyperLogLog cardinality,
+	// counts the single-occurrence k-mers the Bloom screen exists to keep
+	// out (3.5× the peak entry count on human-like reads). Stripes start
+	// small and double.
+	table := NewTable(team, 0, opt.AggBufSize, opt.CacheSlots, opt.K, minLen)
 	res.Table = table
+
+	// Each heavy hitter's owner, resolved once: the reduction at the end of
+	// the count pass hands every rank the list it folds.
+	heavyByOwner := make([][]int32, p)
+	for i, km := range hh.keys {
+		o := table.Owner(km)
+		heavyByOwner[o] = append(heavyByOwner[o], int32(i))
+	}
+	// heavyAcc[rank][i] accumulates the occurrences of hh.keys[i] that rank
+	// scanned; filled in whichever pass sees the reads' extension evidence.
+	heavyAcc := make([][]KmerData, p)
 
 	// --- per-(owner, stripe) Bloom filters -----------------------------
 	// The apply hook runs under a stripe lock, not an owner-wide lock, so
@@ -540,14 +579,15 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	// pass 2: Bloom screening — the second sighting of a k-mer promotes it
 	// into the table; single-occurrence (erroneous) k-mers never enter.
 	// Both Bloom probes derive from the canonical table hash the store
-	// path already computed (hash-once).
-	table.SetApply(func(owner, stripe int, h uint64, k kmer.Kmer, _ KmerData, shard map[kmer.Kmer]KmerData) {
-		if _, ok := shard[k]; ok {
-			return
-		}
-		b := blooms[owner*stripes+stripe]
-		if opt.DisableBloom || b.Add(h, mix64(h)) {
-			shard[k] = KmerData{}
+	// path already computed (hash-once). The filter is asked first and the
+	// shard touched only on "seen before": most first sightings are the
+	// last, so most stores never reach the slot array. The filter ends up
+	// in the same state as if admitted keys skipped it — a key is admitted
+	// when all its bits are set, and bits are never cleared, so adding it
+	// again sets nothing — and so the admitted set is the same too.
+	table.SetApply(func(owner, stripe int, h uint64, _ kmer.Kmer, _ KmerData, e dht.Entry[kmer.Kmer, KmerData]) {
+		if opt.DisableBloom || blooms[owner*stripes+stripe].Add(h, mix64(h)) {
+			e.Upsert()
 		}
 	})
 
@@ -560,60 +600,50 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 
 	team.BeginSpan("bloom-screen")
 	if superk {
-		// Owner-side decode: canonicalize each window and drive it through
-		// the stripe-locked apply hook; the raw payload is retained (copied
-		// — the flush buffer is reused) for the count pass's local replay.
+		// Owner-side decode: drive each window's canonical k-mer through
+		// the stripe-locked apply hook; the raw payload is retained for the
+		// count pass's local replay.
 		table.SetBlobApply(func(src, owner int, payload []byte, put func(k kmer.Kmer, v KmerData)) {
+			kept := append([]byte(nil), payload...)
 			rb := &retained[owner]
 			rb.mu.Lock()
-			rb.buf = append(rb.buf, payload...)
+			rb.payloads = append(rb.payloads, kept)
 			rb.mu.Unlock()
-			if _, err := kmer.DecodeSuperKmers(payload, opt.K, func(km kmer.Kmer, _, _ uint8) {
-				canon, _ := km.Canonical(opt.K)
+			if _, err := kmer.DecodeSuperKmersCanonical(payload, opt.K, func(canon kmer.Kmer, _, _ uint8) {
 				put(canon, KmerData{})
 			}); err != nil {
 				panic("kanalysis: corrupt super-k-mer payload: " + err.Error())
 			}
 		})
 		res.BloomPhase = team.Run(func(r *xrt.Rank) {
-			local := make(map[kmer.Kmer]*KmerData, len(hhSet))
-			onHH := func(o occurrence) {
-				d, ok := local[o.km]
-				if !ok {
-					d = &KmerData{}
-					local[o.km] = d
-				}
-				delta := o.delta()
-				d.merge(delta)
-			}
-			var scratch []byte
+			acc := make([]KmerData, len(hh.keys))
+			var sc superKmerScratch
 			n := 0
 			for _, rec := range readsByRank[r.ID] {
-				n += forEachSuperKmer(rec, opt.K, minLen, opt.QualThreshold, hhSet, onHH,
+				n += forEachSuperKmer(rec, opt.K, minLen, opt.QualThreshold, hh, acc,
 					func(minv uint64, record []byte, nwin int) {
 						dst := int(kmer.MinimizerHash(minv) % uint64(p))
 						skRecords[r.ID]++
 						skBases[r.ID] += int64(nwin + opt.K - 1)
 						skSaved[r.ID] += int64(nwin*kmerItemBytes - len(record))
 						table.PutBlob(r, dst, record, nwin)
-					}, &scratch)
+					}, &sc)
 			}
 			n += putPseudoBloom(table, r, pseudoOf(r.ID), opt.K)
 			r.ChargeItems(n)
 			table.Flush(r)
-			hhSets[r.ID] = local
+			heavyAcc[r.ID] = acc
 			r.Barrier()
 		})
 	} else {
 		res.BloomPhase = team.Run(func(r *xrt.Rank) {
 			n := 0
 			for _, rec := range readsByRank[r.ID] {
-				forEachOccurrence(rec, opt.K, opt.QualThreshold, func(o occurrence, h uint64) {
+				kmer.ForEachCanonical(rec.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
 					n++
-					if probeHH && hhSet[o.km] {
-						return
+					if h := canon.Hash(hashSeed); hh.find(h, canon) < 0 {
+						table.PutHashed(r, h, canon, KmerData{})
 					}
-					table.PutHashed(r, h, o.km, KmerData{})
 				})
 			}
 			n += putPseudoBloom(table, r, pseudoOf(r.ID), opt.K)
@@ -628,10 +658,9 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	// accumulated rank-locally; everything else goes to its owner — on the
 	// super-k-mer path it already did, so the owner replays its retained
 	// payloads without any further communication.
-	table.SetApply(func(_, _ int, _ uint64, k kmer.Kmer, in KmerData, shard map[kmer.Kmer]KmerData) {
-		if d, ok := shard[k]; ok {
+	table.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in KmerData, e dht.Entry[kmer.Kmer, KmerData]) {
+		if d := e.Get(); d != nil {
 			d.merge(in)
-			shard[k] = d
 		}
 	})
 	// The count pass, heavy-hitter reduction, and finalization share one
@@ -642,50 +671,44 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		if superk {
 			// Replay the payloads this rank received in the Bloom pass:
 			// minimizer placement guarantees they are exactly the non-heavy
-			// occurrences it owns, so counting is communication-free. Puts
-			// take the rank-local fast path (charged as local stores); the
-			// decode itself is charged per window like a scan.
-			rb := &retained[r.ID]
-			wins, err := kmer.DecodeSuperKmers(rb.buf, opt.K, func(km kmer.Kmer, left, right uint8) {
-				canon, flipped := km.Canonical(opt.K)
-				if flipped {
-					left, right = comp(right), comp(left)
+			// occurrences it owns, so counting is communication-free and
+			// the owner is known — each window is stored at this rank with
+			// the one hash computed here, never placed again (charged as
+			// the local store it is); the decode itself is charged per
+			// window like a scan.
+			wins := 0
+			for _, payload := range retained[r.ID].payloads {
+				n, err := kmer.DecodeSuperKmersCanonical(payload, opt.K, func(canon kmer.Kmer, left, right uint8) {
+					table.PutOwned(r, canon.Hash(hashSeed), canon, occurrence{canon, left, right}.delta(1))
+				})
+				if err != nil {
+					panic("kanalysis: corrupt retained super-k-mer payload: " + err.Error())
 				}
-				o := occurrence{km: canon, left: left, right: right}
-				table.Put(r, canon, o.delta())
-			})
-			if err != nil {
-				panic("kanalysis: corrupt retained super-k-mer payload: " + err.Error())
+				wins += n
 			}
-			rb.buf = nil
-			wins += forEachPseudo(pseudoOf(r.ID), opt.K, func(o occurrence, w uint32) {
-				table.Put(r, o.km, o.deltaWeighted(w))
+			retained[r.ID].payloads = nil
+			wins += forEachPseudo(pseudoOf(r.ID), opt.K, func(o occurrence, h uint64, w uint32) {
+				table.PutHashed(r, h, o.km, o.delta(w))
 			})
 			r.ChargeItems(wins)
 		} else {
-			local := make(map[kmer.Kmer]*KmerData, len(hhSet))
+			acc := make([]KmerData, len(hh.keys))
 			n := 0
 			for _, rec := range readsByRank[r.ID] {
-				forEachOccurrence(rec, opt.K, opt.QualThreshold, func(o occurrence, h uint64) {
+				forEachOccurrence(rec.Seq, rec.Qual, opt.K, opt.QualThreshold, func(o occurrence, h uint64) {
 					n++
-					if probeHH && hhSet[o.km] {
-						d, ok := local[o.km]
-						if !ok {
-							d = &KmerData{}
-							local[o.km] = d
-						}
-						delta := o.delta()
-						d.merge(delta)
+					if i := hh.find(h, o.km); i >= 0 {
+						acc[i].add(o, 1)
 						return
 					}
-					table.PutHashed(r, h, o.km, o.delta())
+					table.PutHashed(r, h, o.km, o.delta(1))
 				})
 			}
-			n += forEachPseudo(pseudoOf(r.ID), opt.K, func(o occurrence, w uint32) {
-				table.Put(r, o.km, o.deltaWeighted(w))
+			n += forEachPseudo(pseudoOf(r.ID), opt.K, func(o occurrence, h uint64, w uint32) {
+				table.PutHashed(r, h, o.km, o.delta(w))
 			})
 			r.ChargeItems(n)
-			hhSets[r.ID] = local
+			heavyAcc[r.ID] = acc
 		}
 		table.Flush(r)
 		r.Barrier()
@@ -694,19 +717,14 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		// folds the partial counts for the k-mers it owns. The data volume
 		// is O(#HH × p) — tiny next to the stream — charged as a tree
 		// reduction plus the per-item fold.
-		if len(hhSet) > 0 {
-			chargeHHReduction(r, len(hhSet))
-			for km := range hhSet {
-				if table.Owner(km) != r.ID {
-					continue
-				}
+		if len(hh.keys) > 0 {
+			chargeHHReduction(r, len(hh.keys))
+			for _, i := range heavyByOwner[r.ID] {
 				var agg KmerData
-				for _, part := range hhSets {
-					if d, ok := part[km]; ok {
-						agg.merge(*d)
-					}
+				for _, part := range heavyAcc {
+					agg.merge(part[i])
 				}
-				table.Mutate(r, km, func(v KmerData, _ bool) (KmerData, bool) {
+				table.Mutate(r, hh.keys[i], func(v KmerData, _ bool) (KmerData, bool) {
 					v.merge(agg)
 					return v, true
 				})

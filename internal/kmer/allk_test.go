@@ -122,3 +122,161 @@ func TestCanonicalStrandInvarianceAllK(t *testing.T) {
 		}
 	}
 }
+
+// readsForScan yields reads that exercise every branch of the rolling
+// scanner at window length k: an N inside, at either end, and doubled;
+// lower-case stretches; a read shorter than k; one of exactly k bases.
+func readsForScan(rng *rand.Rand, k int) [][]byte {
+	var out [][]byte
+	for _, n := range []int{k - 1, k, k + 1, 2*k + 7, 150} {
+		if n < 1 {
+			continue
+		}
+		s := randSeq(rng, n)
+		out = append(out, s)
+		withN := append([]byte(nil), s...)
+		withN[rng.Intn(n)] = 'N'
+		withN[n-1] = 'N'
+		out = append(out, withN)
+		lower := append([]byte(nil), s...)
+		for i := rng.Intn(n); i < n && i < n/2+3; i++ {
+			lower[i] |= 0x20
+		}
+		lower[0] = 'n'
+		out = append(out, lower)
+	}
+	return out
+}
+
+// TestForEachCanonicalAllK: at every k the rolling scanner's forward
+// strand equals Pack of the window, and ForEachCanonical delivers exactly
+// ForEach followed by Canonical — same windows, same order, same flag.
+func TestForEachCanonicalAllK(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for k := 1; k <= MaxK; k++ {
+		for _, seq := range readsForScan(rng, k) {
+			type win struct {
+				pos     int
+				canon   Kmer
+				flipped bool
+			}
+			var want []win
+			for pos := 0; pos+k <= len(seq); pos++ {
+				if km, ok := Pack(seq[pos:], k); ok {
+					c, f := km.Canonical(k)
+					want = append(want, win{pos, c, f})
+				}
+			}
+			i := 0
+			ForEach(seq, k, func(pos int, km Kmer) {
+				c, f := km.Canonical(k)
+				if i >= len(want) || want[i] != (win{pos, c, f}) {
+					t.Fatalf("k=%d %q: ForEach window %d at %d is not Pack's", k, seq, i, pos)
+				}
+				i++
+			})
+			if i != len(want) {
+				t.Fatalf("k=%d %q: ForEach visited %d windows, want %d", k, seq, i, len(want))
+			}
+			i = 0
+			ForEachCanonical(seq, k, func(pos int, canon Kmer, flipped bool) {
+				if i >= len(want) || want[i] != (win{pos, canon, flipped}) {
+					t.Fatalf("k=%d %q: ForEachCanonical window %d at %d = (%s,%v), want (%s,%v)",
+						k, seq, i, pos, canon.String(k), flipped, want[i].canon.String(k), want[i].flipped)
+				}
+				i++
+			})
+			if i != len(want) {
+				t.Fatalf("k=%d %q: ForEachCanonical visited %d windows, want %d", k, seq, i, len(want))
+			}
+		}
+	}
+}
+
+// TestDecodeCanonicalAllK: at every k the canonical decode equals
+// DecodeSuperKmers followed by Canonical with the evidence swapped and
+// complemented on a flip, over payloads of several records encoded from
+// reads with Ns and lower case.
+func TestDecodeCanonicalAllK(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for k := 1; k <= MaxK; k++ {
+		m := ClampMinimizerLen(k, 0)
+		var payload []byte
+		for _, seq := range readsForScan(rng, k) {
+			qual := randQual(rng, len(seq))
+			ScanSuperKmers(seq, k, m, func(start, nwin int, _ uint64) {
+				var ok bool
+				if payload, ok = AppendSuperKmer(payload, seq, qual, start, nwin+k-1, 19); !ok {
+					t.Fatalf("k=%d: run at %d of %q did not encode", k, start, seq)
+				}
+			})
+		}
+		type win struct {
+			canon       Kmer
+			left, right uint8
+		}
+		var want []win
+		n, err := DecodeSuperKmers(payload, k, func(km Kmer, left, right uint8) {
+			c, flipped := km.Canonical(k)
+			if flipped {
+				left, right = ComplementExt(right), ComplementExt(left)
+			}
+			want = append(want, win{c, left, right})
+		})
+		if err != nil || n != len(want) {
+			t.Fatalf("k=%d: DecodeSuperKmers: %d windows, err %v", k, n, err)
+		}
+		i := 0
+		n, err = DecodeSuperKmersCanonical(payload, k, func(canon Kmer, left, right uint8) {
+			if i >= len(want) || want[i] != (win{canon, left, right}) {
+				t.Fatalf("k=%d: canonical decode window %d = (%s,%d,%d), want (%s,%d,%d)", k, i,
+					canon.String(k), left, right, want[i].canon.String(k), want[i].left, want[i].right)
+			}
+			i++
+		})
+		if err != nil || n != len(want) || i != len(want) {
+			t.Fatalf("k=%d: canonical decode: %d windows delivered, %d returned, want %d, err %v", k, i, n, len(want), err)
+		}
+	}
+}
+
+func BenchmarkForEachCanonical(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	seq := randSeq(rng, 10000)
+	b.SetBytes(int64(len(seq)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		ForEachCanonical(seq, 31, func(_ int, canon Kmer, _ bool) { sink += canon.W[0] })
+	}
+	_ = sink
+}
+
+func BenchmarkDecodeCanonical(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	const k = 31
+	m := ClampMinimizerLen(k, 0)
+	var payload []byte
+	windows := 0
+	for read := 0; read < 100; read++ {
+		seq := randSeqN(rng, 101, false)
+		qual := randQual(rng, len(seq))
+		ScanSuperKmers(seq, k, m, func(start, nwin int, _ uint64) {
+			payload, _ = AppendSuperKmer(payload, seq, qual, start, nwin+k-1, 19)
+			windows += nwin
+		})
+	}
+	b.SetBytes(int64(windows)) // "bytes" are k-mer windows: MB/s reads as Mkmers/s
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeSuperKmersCanonical(payload, k, func(canon Kmer, l, r uint8) {
+			sink += canon.W[0] + uint64(l+r)
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	_ = sink
+}

@@ -28,17 +28,8 @@ type Kmer struct {
 // BaseCode maps a nucleotide letter to its 2-bit code; ok is false for
 // non-ACGT characters (e.g. 'N'). Lower case is accepted.
 func BaseCode(b byte) (code uint64, ok bool) {
-	switch b {
-	case 'A', 'a':
-		return 0, true
-	case 'C', 'c':
-		return 1, true
-	case 'G', 'g':
-		return 2, true
-	case 'T', 't':
-		return 3, true
-	}
-	return 0, false
+	c := baseCodes[b]
+	return uint64(c & 3), c < 4
 }
 
 // CodeBase is the inverse of BaseCode for valid codes 0..3.
@@ -120,6 +111,12 @@ func grouprev(v uint64) uint64 {
 
 // RevComp returns the reverse complement of a k-mer of length k.
 func (km Kmer) RevComp(k int) Kmer {
+	if k <= 32 {
+		// One word: complementing turns the zero padding into ones,
+		// reversing moves them to the top, and the shift that re-aligns
+		// the k bases pushes exactly those out.
+		return Kmer{W: [2]uint64{grouprev(^km.W[0]) << uint(64-2*k), 0}}
+	}
 	// Reverse-complement as if the k-mer were 64 bases long, then shift
 	// the result left so the k meaningful bases re-align at position 0.
 	r0 := grouprev(^km.W[1])
@@ -226,31 +223,6 @@ func splitmix(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// ForEach calls fn for every valid k-mer window of seq, with its start
-// position. Windows containing non-ACGT characters are skipped. The packed
-// value is maintained incrementally, so a scan is O(len(seq)).
-func ForEach(seq []byte, k int, fn func(pos int, km Kmer)) {
-	if len(seq) < k || k <= 0 || k > MaxK {
-		return
-	}
-	var km Kmer
-	run := 0 // count of consecutive valid bases ending at i
-	for i := 0; i < len(seq); i++ {
-		c, ok := BaseCode(seq[i])
-		if !ok {
-			run = 0
-			km = Kmer{}
-			continue
-		}
-		km = km.shiftLeftBases(1).mask(k)
-		km.setBase(k-1, c)
-		run++
-		if run >= k {
-			fn(i-k+1, km)
-		}
-	}
 }
 
 // --- extension codes -------------------------------------------------

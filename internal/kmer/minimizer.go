@@ -99,21 +99,22 @@ func ScanSuperKmers(seq []byte, k, m int, fn func(start, nwin int, minimizer uin
 	mask := uint64(1)<<(2*uint(m)) - 1
 	rcShift := 2 * uint(m-1)
 
-	// Deque of m-mer candidates with strictly increasing values; capacity
-	// k−m+1 suffices (one window's worth) but the full MaxK keeps the ring
-	// arithmetic trivial. Lives on the stack.
-	var ring [MaxK + 1]mmerPos
+	// Deque of m-mer candidates with strictly increasing values. One
+	// window holds at most k−m+1 ≤ MaxK of them; the ring is the next
+	// power of two so that wrapping is a mask. Lives on the stack.
+	const ringMask = 2*MaxK - 1
+	var ring [ringMask + 1]mmerPos
 	head, tail := 0, 0 // [head, tail) in ring, modulo len(ring)
 	push := func(e mmerPos) {
 		for tail != head {
-			prev := (tail - 1 + len(ring)) % len(ring)
+			prev := (tail - 1) & ringMask
 			if ring[prev].val < e.val {
 				break
 			}
 			tail = prev
 		}
 		ring[tail] = e
-		tail = (tail + 1) % len(ring)
+		tail = (tail + 1) & ringMask
 	}
 
 	var fwd, rc uint64
@@ -128,8 +129,8 @@ func ScanSuperKmers(seq []byte, k, m int, fn func(start, nwin int, minimizer uin
 		runStart, runWins = -1, 0
 	}
 	for i := 0; i < len(seq); i++ {
-		c, ok := BaseCode(seq[i])
-		if !ok {
+		c := uint64(baseCodes[seq[i]])
+		if c > 3 {
 			flush()
 			run = 0
 			head, tail = 0, 0
@@ -151,7 +152,7 @@ func ScanSuperKmers(seq []byte, k, m int, fn func(start, nwin int, minimizer uin
 		}
 		w := i - k + 1 // current k-mer window start
 		for head != tail && ring[head].pos < w {
-			head = (head + 1) % len(ring)
+			head = (head + 1) & ringMask
 		}
 		minv := ring[head].val
 		if runWins > 0 && minv == runMin {

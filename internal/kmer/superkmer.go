@@ -21,8 +21,8 @@
 package kmer
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // ExtAbsent is the left/right neighbor code DecodeSuperKmers reports when a
@@ -58,46 +58,45 @@ func AppendSuperKmer(dst []byte, seq, qual []byte, start, L, qualThresh int) (ou
 	if L < 1 || L > MaxSuperKmerBases || start < 0 || start+L > len(seq) {
 		return dst, false
 	}
-	qualAt := func(p int) bool {
-		return p < len(qual) && int(qual[p])-33 >= qualThresh
-	}
 	flags := byte(0)
 	if p := start - 1; p >= 0 {
-		if c, valid := BaseCode(seq[p]); valid {
-			flags |= skFlagLead | byte(c)<<2
+		if c := baseCodes[seq[p]]; c < 4 {
+			flags |= skFlagLead | c<<2
 		}
 	}
 	if p := start + L; p < len(seq) {
-		if c, valid := BaseCode(seq[p]); valid {
-			flags |= skFlagTrail | byte(c)<<4
+		if c := baseCodes[seq[p]]; c < 4 {
+			flags |= skFlagTrail | c<<4
 		}
 	}
 	base := len(dst)
 	dst = append(dst, byte(L), byte(L>>8), flags)
 
-	maskBytes := (L + 2 + 7) / 8
-	maskOff := len(dst)
-	for i := 0; i < maskBytes; i++ {
-		dst = append(dst, 0)
-	}
-	setBit := func(j int, on bool) {
-		if on {
-			dst[maskOff+j>>3] |= 1 << uint(j&7)
+	// Quality mask, built a 64-bit word at a time: stream bit j covers
+	// position start-1+j (lead, the run, trail) and lands LSB-first, so a
+	// word goes out little-endian.
+	var w uint64
+	for j := 0; j < L+2; j++ {
+		if p := start - 1 + j; p >= 0 && p < len(qual) && int(qual[p])-33 >= qualThresh {
+			w |= 1 << uint(j&63)
+		}
+		if j&63 == 63 {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+			w = 0
 		}
 	}
-	setBit(0, start > 0 && qualAt(start-1))
-	for j := 0; j < L; j++ {
-		setBit(j+1, qualAt(start+j))
+	for rem := (L+2+7)/8 - (L+2)/64*8; rem > 0; rem-- {
+		dst = append(dst, byte(w))
+		w >>= 8
 	}
-	setBit(L+1, qualAt(start+L))
 
 	var cur byte
 	for j := 0; j < L; j++ {
-		c, valid := BaseCode(seq[start+j])
-		if !valid {
+		c := baseCodes[seq[start+j]]
+		if c > 3 {
 			return dst[:base], false
 		}
-		cur |= byte(c) << uint(6-2*(j&3))
+		cur |= c << uint(6-2*(j&3))
 		if j&3 == 3 {
 			dst = append(dst, cur)
 			cur = 0
@@ -141,66 +140,4 @@ func (r *skReader) bytes(n int) []byte {
 	v := r.b[r.off : r.off+n]
 	r.off += n
 	return v
-}
-
-// DecodeSuperKmers walks every record in payload (records are
-// concatenated back to back) and calls fn once per k-mer window, in run
-// order, with the window's packed k-mer as read and its left/right
-// extension evidence (a base code 0..3, or ExtAbsent). The k-mer is NOT
-// canonicalized — callers canonicalize and, if flipped, swap and
-// complement the evidence, exactly as for an occurrence scanned from a
-// read. Returns the number of windows delivered; a framing error (bad
-// length, truncated record, trailing garbage) aborts the walk with
-// ErrBadSuperKmer.
-func DecodeSuperKmers(payload []byte, k int, fn func(km Kmer, left, right uint8)) (windows int, err error) {
-	if k <= 0 || k > MaxK {
-		return 0, fmt.Errorf("%w: k=%d", ErrBadSuperKmer, k)
-	}
-	r := &skReader{b: payload}
-	for r.off < len(r.b) {
-		L := r.u16()
-		flags := r.u8()
-		if r.bad || L < k {
-			return windows, fmt.Errorf("%w: run length %d below k=%d", ErrBadSuperKmer, L, k)
-		}
-		mask := r.bytes((L + 2 + 7) / 8)
-		bases := r.bytes((L + 3) / 4)
-		if r.bad {
-			return windows, fmt.Errorf("%w: truncated record (L=%d)", ErrBadSuperKmer, L)
-		}
-		baseAt := func(j int) uint64 {
-			return uint64(bases[j>>2]) >> uint(6-2*(j&3)) & 3
-		}
-		bit := func(j int) bool {
-			return mask[j>>3]>>uint(j&7)&1 == 1
-		}
-		var km Kmer
-		for j := 0; j < k; j++ {
-			km.setBase(j, baseAt(j))
-		}
-		nwin := L - k + 1
-		for i := 0; i < nwin; i++ {
-			if i > 0 {
-				km = km.NextRight(k, baseAt(i+k-1))
-			}
-			left, right := ExtAbsent, ExtAbsent
-			if i == 0 {
-				if flags&skFlagLead != 0 && bit(0) {
-					left = flags >> 2 & 3
-				}
-			} else if bit(i) {
-				left = uint8(baseAt(i - 1))
-			}
-			if i == nwin-1 {
-				if flags&skFlagTrail != 0 && bit(L+1) {
-					right = flags >> 4 & 3
-				}
-			} else if bit(i + k + 1) {
-				right = uint8(baseAt(i + k))
-			}
-			fn(km, left, right)
-		}
-		windows += nwin
-	}
-	return windows, nil
 }

@@ -10,45 +10,75 @@
 // error bound, which is what lets each rank scan its reads independently
 // and the team reduce to a global heavy-hitter set — the parallelization
 // of Cafaro & Tempesta the paper cites.
+//
+// The counters live in a flat hash-addressed table that grows with the
+// stream: a rank that sees a few thousand items pays for a few thousand
+// counters, not for θ of them, and a scan that already holds an item's
+// hash (k-mer analysis does) offers it with OfferHashed and is never
+// hashed again.
 package mg
 
-import "sort"
+import (
+	"sort"
 
-// Summary is a Misra–Gries sketch over items of comparable type K.
-type Summary[K comparable] struct {
+	"hipmer/internal/flat"
+)
+
+// Item is what a summary counts: comparable, and able to hash itself (the
+// k-mer type's own Hash method has this shape).
+type Item interface {
+	comparable
+	Hash(seed uint64) uint64
+}
+
+// Summary is a Misra–Gries sketch over items of type K.
+type Summary[K Item] struct {
 	theta    int
-	counters map[K]int64
+	seed     uint64
+	counters flat.Map[K, int64]
 	n        int64 // stream length observed
+	scratch  []int64
 }
 
 // New creates a summary with θ counters (θ = 32,000 in the paper's wheat
-// experiments).
-func New[K comparable](theta int) *Summary[K] {
+// experiments) that hashes items with seed 0.
+func New[K Item](theta int) *Summary[K] { return NewSeeded[K](theta, 0) }
+
+// NewSeeded is New for callers that already hold x.Hash(seed) for the
+// items they offer: OfferHashed takes that value instead of recomputing
+// it. Summaries that are merged must share a seed.
+func NewSeeded[K Item](theta int, seed uint64) *Summary[K] {
 	if theta < 1 {
 		theta = 1
 	}
-	return &Summary[K]{theta: theta, counters: make(map[K]int64, theta+1)}
+	s := &Summary[K]{theta: theta, seed: seed}
+	// Between merges the table never holds more than θ entries, so that
+	// is where its growth aims: no step overshoots the final array.
+	s.counters.Aim((theta*4 + 2) / 3)
+	return s
 }
 
 // Offer feeds one occurrence of item x into the summary.
-func (s *Summary[K]) Offer(x K) {
+func (s *Summary[K]) Offer(x K) { s.OfferHashed(x.Hash(s.seed), x) }
+
+// OfferHashed is Offer with h = x.Hash(seed) supplied by the caller, seed
+// being the summary's (NewSeeded).
+func (s *Summary[K]) OfferHashed(h uint64, x K) {
 	s.n++
-	if c, ok := s.counters[x]; ok {
-		s.counters[x] = c + 1
+	if s.counters.Len() < s.theta {
+		c, _ := s.counters.Upsert(h, x)
+		*c++
 		return
 	}
-	if len(s.counters) < s.theta {
-		s.counters[x] = 1
+	if c := s.counters.Get(h, x); c != nil {
+		*c++
 		return
 	}
-	// decrement-all step; delete zeroed counters
-	for k, c := range s.counters {
-		if c == 1 {
-			delete(s.counters, k)
-		} else {
-			s.counters[k] = c - 1
-		}
-	}
+	// decrement-all step; zeroed counters leave
+	s.counters.Filter(func(_ K, c *int64) bool {
+		*c--
+		return *c > 0
+	})
 }
 
 // N returns the number of items offered (including via merges).
@@ -59,14 +89,20 @@ func (s *Summary[K]) Theta() int { return s.theta }
 
 // Count returns the estimated count of x (0 if untracked). The estimate
 // is a lower bound on the true count.
-func (s *Summary[K]) Count(x K) int64 { return s.counters[x] }
+func (s *Summary[K]) Count(x K) int64 {
+	if c := s.counters.Get(x.Hash(s.seed), x); c != nil {
+		return *c
+	}
+	return 0
+}
 
 // Items returns the tracked items and their estimated counts.
 func (s *Summary[K]) Items() map[K]int64 {
-	out := make(map[K]int64, len(s.counters))
-	for k, v := range s.counters {
-		out[k] = v
-	}
+	out := make(map[K]int64, s.counters.Len())
+	s.counters.Range(func(_ uint64, k K, c *int64) bool {
+		out[k] = *c
+		return true
+	})
 	return out
 }
 
@@ -74,11 +110,12 @@ func (s *Summary[K]) Items() map[K]int64 {
 // sorted by descending estimate (ties in unspecified order).
 func (s *Summary[K]) HeavyHitters(minCount int64) []Hit[K] {
 	var hits []Hit[K]
-	for k, c := range s.counters {
-		if c >= minCount {
-			hits = append(hits, Hit[K]{Item: k, Count: c})
+	s.counters.Range(func(_ uint64, k K, c *int64) bool {
+		if *c >= minCount {
+			hits = append(hits, Hit[K]{Item: k, Count: *c})
 		}
-	}
+		return true
+	})
 	sort.Slice(hits, func(i, j int) bool { return hits[i].Count > hits[j].Count })
 	return hits
 }
@@ -90,27 +127,81 @@ type Hit[K comparable] struct {
 }
 
 // Merge folds other into s, preserving the Misra–Gries error guarantee
-// for the combined stream. Both summaries should share θ.
+// for the combined stream. Both summaries should share θ, and must share
+// their hash seed.
 func (s *Summary[K]) Merge(other *Summary[K]) {
-	for k, c := range other.counters {
-		s.counters[k] += c
+	if s.seed != other.seed {
+		panic("mg: Merge of summaries with different hash seeds")
 	}
+	// Room for the whole union up front: other is walked in slot order,
+	// and flat.Map must not take such a copy into a table that grows
+	// under it (see the package comment there).
+	union := s.counters.Len() + other.counters.Len()
+	s.counters.Grow((union*4 + 2) / 3)
+	other.counters.Range(func(h uint64, k K, c *int64) bool {
+		mine, _ := s.counters.Upsert(h, k)
+		*mine += *c
+		return true
+	})
 	s.n += other.n
-	if len(s.counters) <= s.theta {
+	if s.counters.Len() <= s.theta {
 		return
 	}
-	// find the (θ+1)-th largest count and subtract it from everything
-	counts := make([]int64, 0, len(s.counters))
-	for _, c := range s.counters {
-		counts = append(counts, c)
-	}
-	sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
-	sub := counts[s.theta]
-	for k, c := range s.counters {
-		if c <= sub {
-			delete(s.counters, k)
-		} else {
-			s.counters[k] = c - sub
+	// subtract the (θ+1)-th largest count from everything
+	counts := s.scratch[:0]
+	s.counters.Range(func(_ uint64, _ K, c *int64) bool {
+		counts = append(counts, *c)
+		return true
+	})
+	s.scratch = counts
+	sub := kthLargest(counts, s.theta)
+	s.counters.Filter(func(_ K, c *int64) bool {
+		*c -= sub
+		return *c > 0
+	})
+}
+
+// kthLargest returns the element that a descending sort of a would put at
+// index k, by three-way quickselect: the counters of a k-mer stream are
+// overwhelmingly small and equal, which a two-way partition handles
+// quadratically and a full sort pays n log n for on every merge. Reorders a.
+func kthLargest(a []int64, k int) int64 {
+	lo, hi := 0, len(a) // the answer lies in a[lo:hi]
+	for {
+		// median of three as the pivot
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
+		if x > y {
+			x, y = y, x
+		}
+		if y > z {
+			y = z
+			if x > y {
+				y = x
+			}
+		}
+		pivot := y
+		// partition a[lo:hi] into  > pivot | == pivot | < pivot
+		gt, i, lt := lo, lo, hi
+		for i < lt {
+			switch v := a[i]; {
+			case v > pivot:
+				a[gt], a[i] = a[i], a[gt]
+				gt++
+				i++
+			case v < pivot:
+				lt--
+				a[lt], a[i] = a[i], a[lt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < gt:
+			hi = gt
+		case k >= lt:
+			lo = lt
+		default:
+			return pivot
 		}
 	}
 }

@@ -2,22 +2,46 @@ package mg
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
+// ik and sk are the tests' item types: plain ints and strings that can
+// hash themselves, as mg.Item asks.
+type ik int
+
+func (x ik) Hash(seed uint64) uint64 { return mix(uint64(x) ^ seed) }
+
+type sk string
+
+func (x sk) Hash(seed uint64) uint64 {
+	h := seed ^ 0xcbf29ce484222325
+	for i := 0; i < len(x); i++ {
+		h = (h ^ uint64(x[i])) * 0x100000001b3
+	}
+	return mix(h)
+}
+
+func mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // zipfStream generates a skewed stream mimicking a repetitive genome's
 // k-mer frequency distribution.
-func zipfStream(rng *rand.Rand, n, universe int) []int {
+func zipfStream(rng *rand.Rand, n, universe int) []ik {
 	z := rand.NewZipf(rng, 1.3, 1, uint64(universe-1))
-	out := make([]int, n)
+	out := make([]ik, n)
 	for i := range out {
-		out[i] = int(z.Uint64())
+		out[i] = ik(z.Uint64())
 	}
 	return out
 }
 
-func trueCounts(stream []int) map[int]int64 {
-	c := make(map[int]int64)
+func trueCounts(stream []ik) map[ik]int64 {
+	c := make(map[ik]int64)
 	for _, x := range stream {
 		c[x]++
 	}
@@ -28,7 +52,7 @@ func TestGuaranteeAllFrequentItemsReported(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	stream := zipfStream(rng, 200000, 10000)
 	theta := 100
-	s := New[int](theta)
+	s := New[ik](theta)
 	for _, x := range stream {
 		s.Offer(x)
 	}
@@ -45,7 +69,7 @@ func TestCountBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	stream := zipfStream(rng, 100000, 5000)
 	theta := 200
-	s := New[int](theta)
+	s := New[ik](theta)
 	for _, x := range stream {
 		s.Offer(x)
 	}
@@ -67,10 +91,10 @@ func TestMergePreservesGuarantee(t *testing.T) {
 	stream := zipfStream(rng, 300000, 8000)
 	theta := 150
 	parts := 8
-	merged := New[int](theta)
+	merged := New[ik](theta)
 	chunk := len(stream) / parts
 	for i := 0; i < parts; i++ {
-		s := New[int](theta)
+		s := New[ik](theta)
 		for _, x := range stream[i*chunk : (i+1)*chunk] {
 			s.Offer(x)
 		}
@@ -99,7 +123,7 @@ func TestMergePreservesGuarantee(t *testing.T) {
 }
 
 func TestHeavyHittersSortedAndThresholded(t *testing.T) {
-	s := New[string](10)
+	s := New[sk](10)
 	for i := 0; i < 50; i++ {
 		s.Offer("big")
 	}
@@ -122,10 +146,10 @@ func TestHeavyHittersSortedAndThresholded(t *testing.T) {
 func TestUniformStreamYieldsNoSpuriousGiants(t *testing.T) {
 	// On a uniform stream nothing is frequent; estimates must stay tiny.
 	rng := rand.New(rand.NewSource(4))
-	s := New[int](50)
+	s := New[ik](50)
 	n := 100000
 	for i := 0; i < n; i++ {
-		s.Offer(rng.Intn(100000))
+		s.Offer(ik(rng.Intn(100000)))
 	}
 	for x, c := range s.Items() {
 		if c > int64(n/50) {
@@ -135,7 +159,7 @@ func TestUniformStreamYieldsNoSpuriousGiants(t *testing.T) {
 }
 
 func TestThetaClamp(t *testing.T) {
-	s := New[int](0)
+	s := New[ik](0)
 	s.Offer(1)
 	s.Offer(1)
 	if s.Count(1) == 0 && len(s.Items()) > 1 {
@@ -149,9 +173,138 @@ func TestThetaClamp(t *testing.T) {
 func BenchmarkOffer(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	stream := zipfStream(rng, 100000, 10000)
-	s := New[int](32000)
+	s := New[ik](32000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Offer(stream[i%len(stream)])
+	}
+}
+
+// refSummary is the textbook algorithm over a Go map — what this package
+// was before its counters moved to a flat table — kept as the reference
+// the real one must match item for item.
+type refSummary struct {
+	theta    int
+	counters map[ik]int64
+}
+
+func (s *refSummary) offer(x ik) {
+	if c, ok := s.counters[x]; ok {
+		s.counters[x] = c + 1
+		return
+	}
+	if len(s.counters) < s.theta {
+		s.counters[x] = 1
+		return
+	}
+	for k, c := range s.counters {
+		if c == 1 {
+			delete(s.counters, k)
+		} else {
+			s.counters[k] = c - 1
+		}
+	}
+}
+
+func (s *refSummary) merge(o *refSummary) {
+	for k, c := range o.counters {
+		s.counters[k] += c
+	}
+	if len(s.counters) <= s.theta {
+		return
+	}
+	counts := make([]int64, 0, len(s.counters))
+	for _, c := range s.counters {
+		counts = append(counts, c)
+	}
+	sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
+	sub := counts[s.theta]
+	for k, c := range s.counters {
+		if c <= sub {
+			delete(s.counters, k)
+		} else {
+			s.counters[k] = c - sub
+		}
+	}
+}
+
+// TestMatchesReferenceAlgorithm: per-part summaries and their rank-order
+// fold equal the map-based reference exactly, across budgets small enough
+// to force decrement-all steps and merge-time trimming, with half the
+// offers arriving pre-hashed.
+func TestMatchesReferenceAlgorithm(t *testing.T) {
+	same := func(what string, got map[ik]int64, want map[ik]int64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d counters, reference has %d", what, len(got), len(want))
+		}
+		for k, c := range want {
+			if got[k] != c {
+				t.Fatalf("%s: item %d = %d, reference %d", what, k, got[k], c)
+			}
+		}
+	}
+	for trial := 0; trial < 30; trial++ {
+		rng := rand.New(rand.NewSource(int64(100 + trial)))
+		theta := []int{1, 7, 64, 300, 5000}[trial%5]
+		const seed = 0xc0ffee
+		merged := NewSeeded[ik](theta, seed)
+		refMerged := &refSummary{theta, map[ik]int64{}}
+		for part := 0; part < 6; part++ {
+			stream := zipfStream(rng, rng.Intn(20000), 1+rng.Intn(3000))
+			s := NewSeeded[ik](theta, seed)
+			ref := &refSummary{theta, map[ik]int64{}}
+			for i, x := range stream {
+				if i%2 == 0 {
+					s.Offer(x)
+				} else {
+					s.OfferHashed(x.Hash(seed), x)
+				}
+				ref.offer(x)
+			}
+			same("part", s.Items(), ref.counters)
+			merged.Merge(s)
+			refMerged.merge(ref)
+			same("merged", merged.Items(), refMerged.counters)
+		}
+	}
+}
+
+func TestKthLargest(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		a := make([]int64, n)
+		for i := range a {
+			a[i] = int64(rng.Intn(1 + rng.Intn(50))) // heavy duplication
+		}
+		sorted := append([]int64(nil), a...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
+		k := rng.Intn(n)
+		if got := kthLargest(a, k); got != sorted[k] {
+			t.Fatalf("kthLargest(k=%d of %d) = %d, sort says %d", k, n, got, sorted[k])
+		}
+	}
+}
+
+// BenchmarkMergeSummaries is the orchestrator-side fold of k-mer analysis:
+// 32 full per-rank summaries into one.
+func BenchmarkMergeSummaries(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	const theta, ranks = 32000, 32
+	parts := make([]*Summary[ik], ranks)
+	for r := range parts {
+		parts[r] = New[ik](theta)
+		for _, x := range zipfStream(rng, 60000, 400000) {
+			parts[r].Offer(x)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merged := New[ik](theta)
+		for _, p := range parts {
+			merged.Merge(p)
+		}
 	}
 }
