@@ -85,31 +85,32 @@ func (l *libFlags) Set(v string) error {
 
 func main() {
 	var libs libFlags
+	var opts hipmer.Options
 	flag.Var(&libs, "reads", "FASTQ file, optionally with ,insertSize (repeatable)")
-	k := flag.Int("k", 31, "k-mer length (odd)")
+	flag.IntVar(&opts.K, "k", 31, "k-mer length (odd)")
 	kmerLens := flag.String("kmer-lens", "", "comma-separated iterative-k ladder, e.g. 21,33,55 (odd, strictly increasing); runs one assembly round per length with contig feedback, overriding -k")
-	minCount := flag.Int("min-count", 2, "minimum k-mer count (error threshold)")
-	ranks := flag.Int("ranks", 48, "simulated processor count (with -resume: 0 or omitted adopts the checkpoint's recorded rank count; an explicit value re-shards the checkpoint onto it)")
-	ranksPerNode := flag.Int("ranks-per-node", 24, "simulated cores per node")
-	seed := flag.Int64("seed", 1, "deterministic seed")
+	flag.IntVar(&opts.MinCount, "min-count", 2, "minimum k-mer count (error threshold)")
+	flag.IntVar(&opts.Ranks, "ranks", 48, "simulated processor count (with -resume: 0 or omitted adopts the checkpoint's recorded rank count; an explicit value re-shards the checkpoint onto it)")
+	flag.IntVar(&opts.RanksPerNode, "ranks-per-node", 24, "simulated cores per node")
+	flag.Int64Var(&opts.Seed, "seed", 1, "deterministic seed")
 	out := flag.String("out", "assembly.fasta", "output FASTA path")
-	contigsOnly := flag.Bool("contigs-only", false, "stop after contig generation (metagenome mode)")
-	noHH := flag.Bool("no-heavy-hitters", false, "disable the heavy-hitter optimization")
-	minimizerLen := flag.Int("minimizer-len", 0, "super-k-mer minimizer length m (0 = default; odd, 4 <= m < k)")
-	noSuperKmers := flag.Bool("no-superkmers", false, "send one store per k-mer occurrence instead of minimizer-binned super-k-mer blobs")
+	flag.BoolVar(&opts.ContigsOnly, "contigs-only", false, "stop after contig generation (metagenome mode)")
+	flag.BoolVar(&opts.DisableHeavyHitters, "no-heavy-hitters", false, "disable the heavy-hitter optimization")
+	flag.IntVar(&opts.MinimizerLen, "minimizer-len", 0, "super-k-mer minimizer length m (0 = default; odd, 4 <= m < k)")
+	flag.BoolVar(&opts.DisableSuperKmers, "no-superkmers", false, "send one store per k-mer occurrence instead of minimizer-binned super-k-mer blobs")
 	refPath := flag.String("ref", "", "optional reference FASTA for validation")
-	doVerify := flag.Bool("verify", false, "run the assembly oracle (with -ref: also misassembly and gap checks); exit nonzero on failure")
-	perturbSeed := flag.Int64("perturb-seed", 0, "schedule-perturbation seed (0 = off); output must not depend on it")
+	flag.BoolVar(&opts.Verify, "verify", false, "run the assembly oracle (with -ref: also misassembly and gap checks); exit nonzero on failure")
+	flag.Int64Var(&opts.PerturbSeed, "perturb-seed", 0, "schedule-perturbation seed (0 = off); output must not depend on it")
 	metricsOut := flag.String("metrics-out", "", "write the per-stage metrics report (JSON) to this path")
-	ckptDir := flag.String("ckpt-dir", "", "checkpoint each stage's output into this directory")
-	resume := flag.Bool("resume", false, "skip stages already checkpointed in -ckpt-dir (fingerprint-validated)")
-	faultSeed := flag.Int64("fault-seed", 0, "deterministic fault-injection seed (requires -fail-stage)")
-	failStage := flag.String("fail-stage", "", "pipeline stage the injected rank crash fires in (requires -fault-seed)")
-	chaosSeed := flag.Int64("chaos-seed", 0, "unreliable-transport seed (0 = off); output must not depend on it")
-	dropRate := flag.Float64("drop-rate", 0, "per-message loss probability in [0,1) (requires -chaos-seed)")
-	retryBudget := flag.Int("retry-budget", 16, "max retransmissions per message before the run fails (exit 4)")
-	diskFaultSeed := flag.Int64("disk-fault-seed", 0, "storage fault-injection seed (requires -disk-fail-stage and -ckpt-dir)")
-	diskFailStage := flag.String("disk-fail-stage", "", "checkpointable stage whose segment write the storage fault damages")
+	flag.StringVar(&opts.CkptDir, "ckpt-dir", "", "checkpoint each stage's output into this directory")
+	flag.BoolVar(&opts.Resume, "resume", false, "skip stages already checkpointed in -ckpt-dir (fingerprint-validated)")
+	flag.Int64Var(&opts.FaultSeed, "fault-seed", 0, "deterministic fault-injection seed (requires -fail-stage)")
+	flag.StringVar(&opts.FailStage, "fail-stage", "", "pipeline stage the injected rank crash fires in (requires -fault-seed)")
+	flag.Int64Var(&opts.ChaosSeed, "chaos-seed", 0, "unreliable-transport seed (0 = off); output must not depend on it")
+	flag.Float64Var(&opts.DropRate, "drop-rate", 0, "per-message loss probability in [0,1) (requires -chaos-seed)")
+	flag.IntVar(&opts.RetryBudget, "retry-budget", 16, "max retransmissions per message before the run fails (exit 4)")
+	flag.Int64Var(&opts.DiskFaultSeed, "disk-fault-seed", 0, "storage fault-injection seed (requires -disk-fail-stage and -ckpt-dir)")
+	flag.StringVar(&opts.DiskFailStage, "disk-fail-stage", "", "checkpointable stage whose segment write the storage fault damages")
 	profiles := prof.Flags()
 	scrub := flag.Bool("scrub", false, "offline checkpoint repair: validate -ckpt-dir, quarantine damaged segments, truncate to the intact prefix, and exit")
 	flag.Parse()
@@ -126,7 +127,7 @@ func main() {
 	// defaults (48/24) must not silently rescale a checkpoint written at
 	// another rank count, so unless the user explicitly set the flag it
 	// collapses to the adopt-recorded sentinel (Options.Ranks == 0).
-	if *resume {
+	if opts.Resume {
 		ranksSet, rpnSet := false, false
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
@@ -137,14 +138,13 @@ func main() {
 			}
 		})
 		if !ranksSet {
-			*ranks = 0
+			opts.Ranks = 0
 		}
 		if !rpnSet {
-			*ranksPerNode = 0
+			opts.RanksPerNode = 0
 		}
 	}
 
-	var lens []int
 	if *kmerLens != "" {
 		for _, s := range strings.Split(*kmerLens, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(s))
@@ -152,33 +152,10 @@ func main() {
 				fmt.Fprintf(os.Stderr, "hipmer: bad -kmer-lens entry %q\n", s)
 				exit(2)
 			}
-			lens = append(lens, v)
+			opts.KmerLens = append(opts.KmerLens, v)
 		}
 	}
 
-	opts := hipmer.Options{
-		K:                   *k,
-		KmerLens:            lens,
-		MinCount:            *minCount,
-		Ranks:               *ranks,
-		RanksPerNode:        *ranksPerNode,
-		Seed:                *seed,
-		ContigsOnly:         *contigsOnly,
-		DisableHeavyHitters: *noHH,
-		MinimizerLen:        *minimizerLen,
-		DisableSuperKmers:   *noSuperKmers,
-		Verify:              *doVerify,
-		PerturbSeed:         *perturbSeed,
-		CkptDir:             *ckptDir,
-		Resume:              *resume,
-		FaultSeed:           *faultSeed,
-		FailStage:           *failStage,
-		ChaosSeed:           *chaosSeed,
-		DropRate:            *dropRate,
-		RetryBudget:         *retryBudget,
-		DiskFaultSeed:       *diskFaultSeed,
-		DiskFailStage:       *diskFailStage,
-	}
 	if err := validateOptions(opts, len(libs), *scrub); err != nil {
 		fmt.Fprintf(os.Stderr, "hipmer: %v\n", err)
 		flag.Usage()
@@ -186,9 +163,9 @@ func main() {
 	}
 
 	if *scrub {
-		rep, err := ckpt.Scrub(*ckptDir)
+		rep, err := ckpt.Scrub(opts.CkptDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hipmer: scrubbing %s: %v\n", *ckptDir, err)
+			fmt.Fprintf(os.Stderr, "hipmer: scrubbing %s: %v\n", opts.CkptDir, err)
 			if errors.Is(err, ckpt.ErrUnrecoverableCkpt) {
 				exit(exitUnrecoverableCkpt)
 			}
@@ -212,7 +189,7 @@ func main() {
 			ref = append(ref, r.Seq...)
 		}
 	}
-	if *doVerify {
+	if opts.Verify {
 		opts.VerifyRef = ref
 	}
 
@@ -224,30 +201,30 @@ func main() {
 		case exitRetryExhausted:
 			// Chaos retry budget exhausted: distinct exit code so chaos
 			// harnesses can tell transport give-up from a real error.
-			if errors.As(err, &sf) && *ckptDir != "" {
+			if errors.As(err, &sf) && opts.CkptDir != "" {
 				fmt.Fprintf(os.Stderr, "hipmer: stages before %q are checkpointed in %s; rerun with -resume (any -chaos-seed)\n",
-					sf.Stage, *ckptDir)
+					sf.Stage, opts.CkptDir)
 			}
 			exit(code)
 		case exitInjectedCrash:
 			// Injected crash: distinct exit code so harnesses can tell a
 			// planned failure (resumable via -resume) from a real error.
-			if errors.As(err, &sf) && *ckptDir != "" {
+			if errors.As(err, &sf) && opts.CkptDir != "" {
 				fmt.Fprintf(os.Stderr, "hipmer: stages before %q are checkpointed in %s; rerun with -resume\n",
-					sf.Stage, *ckptDir)
+					sf.Stage, opts.CkptDir)
 			}
 			exit(code)
 		case exitFingerprintMismatch:
 			fmt.Fprintf(os.Stderr, "hipmer: the checkpoint in %s was written by a different config or input; rerun with the original flags and reads, or start a fresh -ckpt-dir\n",
-				*ckptDir)
+				opts.CkptDir)
 			exit(code)
 		case exitTopologyMismatch:
 			fmt.Fprintf(os.Stderr, "hipmer: the checkpoint in %s cannot be re-sharded onto this run's topology; resume at the recorded rank count\n",
-				*ckptDir)
+				opts.CkptDir)
 			exit(code)
 		case exitUnrecoverableCkpt:
 			fmt.Fprintf(os.Stderr, "hipmer: the checkpoint in %s is beyond self-healing (manifest missing or unparsable); inspect with -scrub or start a fresh -ckpt-dir\n",
-				*ckptDir)
+				opts.CkptDir)
 			exit(code)
 		default:
 			exit(code)

@@ -9,6 +9,8 @@ import (
 // validateOptions rejects invalid or conflicting CLI configurations
 // before any work starts. Kept separate from flag parsing so tests can
 // drive it directly; main exits 2 (usage error) on any returned error.
+// The rules about the run itself are hipmer.Options.Validate, shared
+// with the library and hipmerd; only what is about flags lives here.
 // scrub is the -scrub offline-repair mode: it needs only -ckpt-dir (no
 // reads, no assembly flags) and is incompatible with anything that
 // would run or perturb an assembly.
@@ -30,42 +32,14 @@ func validateOptions(opt hipmer.Options, nLibs int, scrub bool) error {
 	if nLibs == 0 {
 		return fmt.Errorf("at least one -reads library is required")
 	}
-	if opt.K < 1 || opt.K > 64 {
-		return fmt.Errorf("-k must be in 1..64, got %d", opt.K)
-	}
-	if opt.K%2 == 0 {
-		return fmt.Errorf("-k must be odd, got %d", opt.K)
-	}
-	for i, k := range opt.KmerLens {
-		if k < 1 || k > 64 {
-			return fmt.Errorf("-kmer-lens entries must be in 1..64, got %d", k)
-		}
-		if k%2 == 0 {
-			return fmt.Errorf("-kmer-lens entries must be odd, got %d", k)
-		}
-		if i > 0 && k <= opt.KmerLens[i-1] {
-			return fmt.Errorf("-kmer-lens must be strictly increasing, got %v", opt.KmerLens)
-		}
-	}
-	if m := opt.MinimizerLen; m != 0 {
-		if m%2 == 0 {
-			return fmt.Errorf("-minimizer-len must be odd, got %d", m)
-		}
-		if m < 4 || m > 31 {
-			return fmt.Errorf("-minimizer-len must be in 4..31, got %d", m)
-		}
-		// In iterative-k mode every round's k must accommodate the
-		// minimizer, so the smallest entry is the binding bound.
-		smallestK := opt.K
-		if len(opt.KmerLens) > 0 {
-			smallestK = opt.KmerLens[0]
-		}
-		if m >= smallestK {
-			return fmt.Errorf("-minimizer-len must be < smallest k (%d), got %d", smallestK, m)
-		}
-	}
+	// The library reads a zero in these as "use the default". Every flag
+	// already carries its default, so a zero (or less) typed on the
+	// command line is a mistake, not a request for it.
 	if opt.MinCount < 1 {
 		return fmt.Errorf("-min-count must be >= 1, got %d", opt.MinCount)
+	}
+	if opt.ChaosSeed != 0 && opt.RetryBudget < 1 {
+		return fmt.Errorf("-retry-budget must be >= 1, got %d", opt.RetryBudget)
 	}
 	// -ranks 0 is the "adopt the checkpoint's recorded rank count"
 	// sentinel and only meaningful on a resume; anything else below 1 is
@@ -80,67 +54,5 @@ func validateOptions(opt hipmer.Options, nLibs int, scrub bool) error {
 	} else if opt.RanksPerNode < 1 {
 		return fmt.Errorf("-ranks-per-node must be >= 1, got %d", opt.RanksPerNode)
 	}
-	if opt.ScaffoldRounds < 0 {
-		return fmt.Errorf("-rounds must be >= 0, got %d", opt.ScaffoldRounds)
-	}
-	if opt.Resume && opt.CkptDir == "" {
-		return fmt.Errorf("-resume requires -ckpt-dir")
-	}
-	if (opt.FaultSeed != 0) != (opt.FailStage != "") {
-		return fmt.Errorf("-fault-seed and -fail-stage must be given together")
-	}
-	if opt.FailStage != "" {
-		if len(opt.KmerLens) > 0 {
-			// Iterative-k renames every pre-scaffolding stage with a
-			// per-round -k<N> suffix; check against the actual registry.
-			found := false
-			for _, name := range hipmer.StageNames(opt) {
-				if name == opt.FailStage {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("-fail-stage %q does not exist with -kmer-lens %v (see hipmer.StageNames)",
-					opt.FailStage, opt.KmerLens)
-			}
-		} else if opt.ContigsOnly {
-			switch opt.FailStage {
-			case "io", "kmer-analysis", "contig-generation":
-			default:
-				return fmt.Errorf("-fail-stage %q does not exist with -contigs-only", opt.FailStage)
-			}
-		}
-	}
-	if (opt.DiskFaultSeed != 0) != (opt.DiskFailStage != "") {
-		return fmt.Errorf("-disk-fault-seed and -disk-fail-stage must be given together")
-	}
-	if opt.DiskFailStage != "" {
-		if opt.CkptDir == "" {
-			return fmt.Errorf("-disk-fault-seed requires -ckpt-dir (the fault damages a checkpoint write)")
-		}
-		// Only checkpointable stages take a segment write the fault can
-		// damage; io has no save codec, so it is never a legal target.
-		found := false
-		for _, name := range hipmer.StageNames(opt) {
-			if name == opt.DiskFailStage && name != "io" {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("-disk-fail-stage %q is not a checkpointable stage for this configuration (see hipmer.StageNames)",
-				opt.DiskFailStage)
-		}
-	}
-	if opt.DropRate < 0 || opt.DropRate >= 1 {
-		return fmt.Errorf("-drop-rate must be in [0,1), got %g", opt.DropRate)
-	}
-	if opt.DropRate > 0 && opt.ChaosSeed == 0 {
-		return fmt.Errorf("-drop-rate requires -chaos-seed")
-	}
-	if opt.ChaosSeed != 0 && opt.RetryBudget < 1 {
-		return fmt.Errorf("-retry-budget must be >= 1, got %d", opt.RetryBudget)
-	}
-	return nil
+	return opt.Validate()
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"hipmer"
+	"hipmer/internal/pipeline"
+	"hipmer/internal/sched"
 )
 
 func TestValidateOptions(t *testing.T) {
@@ -208,6 +210,70 @@ func TestValidateOptions(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("err = %v, want mention of %q", err, c.wantErr)
 			}
+		})
+	}
+}
+
+// TestOneRuleAtEveryEntryPoint: the CLI, the library and hipmerd
+// admission reject the same bad run with the same rule, because all
+// three call the one Validate. Before it existed only the CLI knew that a
+// disk fault needs a checkpointable stage: hipmer.Assemble and hipmerd
+// ran such a job to completion with nothing armed and nothing said.
+func TestOneRuleAtEveryEntryPoint(t *testing.T) {
+	libs := []hipmer.Library{{Name: "none", Reads: []hipmer.Read{}}}
+	cases := []struct {
+		name   string
+		mutate func(o *hipmer.Options)
+		rule   string
+	}{
+		{"k-even", func(o *hipmer.Options) { o.K = 32 }, "-k must be odd"},
+		{"ladder-not-increasing", func(o *hipmer.Options) { o.KmerLens = []int{33, 21} }, "strictly increasing"},
+		{"minimizer-too-long", func(o *hipmer.Options) { o.K, o.MinimizerLen = 21, 21 }, "smallest k"},
+		{"scaffold-rounds-negative", func(o *hipmer.Options) { o.ScaffoldRounds = -1 }, "scaffold-rounds must be >= 0"},
+		{"fail-stage-unknown", func(o *hipmer.Options) { o.FaultSeed, o.FailStage = 9, "no-such-stage" }, "not a stage of this run"},
+		{"fault-seed-alone", func(o *hipmer.Options) { o.FaultSeed = 9 }, "must be given together"},
+		{"disk-fail-stage-unknown", func(o *hipmer.Options) { o.DiskFaultSeed, o.DiskFailStage = 21, "no-such-stage" }, "not a checkpointable stage"},
+		{"disk-fail-stage-io", func(o *hipmer.Options) { o.DiskFaultSeed, o.DiskFailStage = 21, "io" }, "not a checkpointable stage"},
+		{"drop-rate-one", func(o *hipmer.Options) { o.ChaosSeed, o.DropRate = 7, 1 }, "[0,1)"},
+		{"drop-rate-unarmed", func(o *hipmer.Options) { o.DropRate = 0.05 }, "requires -chaos-seed"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opt := hipmer.Options{K: 21, MinCount: 2, Ranks: 4, RanksPerNode: 2, CkptDir: t.TempDir()}
+			opt.RetryBudget = 16 // the flag's default
+			c.mutate(&opt)
+			check := func(entry string, got string) {
+				t.Helper()
+				if !strings.Contains(got, c.rule) {
+					t.Errorf("%s: %q, want the rule %q", entry, got, c.rule)
+				}
+			}
+			errText := func(err error) string {
+				if err == nil {
+					return "<accepted>"
+				}
+				return err.Error()
+			}
+			check("cmd/hipmer", errText(validateOptions(opt, len(libs), false)))
+			_, err := hipmer.Assemble(libs, opt)
+			check("hipmer.Assemble", errText(err))
+
+			s, err := sched.New(sched.Config{Ranks: 4, DefaultQuota: 4}, &sched.PipelineRunner{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := s.Run([]sched.JobSpec{{
+				Tenant: "t", Ranks: 4, Inject: opt.Inject,
+				Pipeline: pipeline.Config{K: opt.K, KmerLens: opt.KmerLens,
+					MinimizerLen: opt.MinimizerLen, ScaffoldRounds: opt.ScaffoldRounds},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Jobs[0].State != sched.StateRejected {
+				t.Fatalf("hipmerd admission: job %s, want rejected", out.Jobs[0].State)
+			}
+			check("hipmerd admission", out.Jobs[0].Reason)
 		})
 	}
 }

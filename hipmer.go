@@ -101,9 +101,6 @@ type Options struct {
 	// placement from a previous assembly of the same species (e.g.
 	// Result.Scaffolds of another individual) before assembling.
 	OracleContigs [][]byte
-	// OracleSlots sizes the oracle vector (default 8x the k-mer count of
-	// OracleContigs).
-	OracleSlots int
 	// ScaffoldRounds repeats scaffolding + gap closing, feeding scaffolds
 	// back in as contigs; the paper's wheat runs used four rounds (§5.3).
 	// Default 1.
@@ -115,11 +112,6 @@ type Options struct {
 	// VerifyRef is the reference the reads were simulated from, enabling
 	// the oracle's misassembly and gap checks.
 	VerifyRef []byte
-	// PerturbSeed, when non-zero, enables deterministic schedule
-	// perturbation (delayed rank starts, barrier arrivals, and buffer
-	// flushes). The assembly must be bit-identical for every seed; tests
-	// sweep seeds to prove output is schedule-independent.
-	PerturbSeed int64
 	// CkptDir, when set, checkpoints every stage's output into that
 	// directory as it completes (see internal/ckpt for the format).
 	CkptDir string
@@ -131,38 +123,14 @@ type Options struct {
 	// unless the run uses an oracle placement, which is rank-count-bound
 	// (ckpt.ErrTopologyMismatch). Requires CkptDir.
 	Resume bool
-	// FaultSeed, with FailStage, arms deterministic fault injection: one
-	// rank crashes partway through the named stage and Assemble returns
-	// a *pipeline.StageFailedError. Used by the crash-resume harness.
-	FaultSeed int64
-	// FailStage names the pipeline stage the injected crash fires in
-	// (see pipeline.StageNames for legal values).
-	FailStage string
-	// ChaosSeed, when non-zero, arms the unreliable-transport simulation:
-	// every remote message may be deterministically dropped or duplicated
-	// (per DropRate) and is carried by a reliable channel with retry,
-	// capped exponential backoff, and exactly-once dedup. The assembly
-	// must be bit-identical to the fault-free run — chaos only adds
-	// virtual retry time and reliability counters to Result.Metrics.
-	ChaosSeed int64
-	// DropRate is the per-transmission loss probability in [0,1);
-	// requires ChaosSeed. Default 0 (no losses even when chaos is armed).
-	DropRate float64
-	// RetryBudget caps retransmissions per message before the run fails
-	// with a retry-exhaustion error (default 16). Only read when
-	// ChaosSeed is non-zero.
-	RetryBudget int
-	// DiskFaultSeed, with DiskFailStage, arms deterministic storage
-	// fault injection: the named stage's checkpoint write is damaged on
-	// disk (torn write, bit-flip, segment deletion, or refused write —
-	// the kind cycles with the seed). The faulted run itself completes
-	// bit-identically — damage lands only on disk — and a later resume
-	// detects it, scrubs the directory, and recomputes the damaged
-	// suffix. Requires CkptDir.
-	DiskFaultSeed int64
-	// DiskFailStage names the checkpointable stage whose segment write
-	// the storage fault targets (see StageNames).
-	DiskFailStage string
+	// Inject arms the deterministic injection layers the robustness
+	// harnesses drive: schedule perturbation (PerturbSeed), a rank crash
+	// (FaultSeed + FailStage; Assemble returns a
+	// *pipeline.StageFailedError), a lossy transport (ChaosSeed, DropRate,
+	// RetryBudget) and checkpoint damage (DiskFaultSeed + DiskFailStage,
+	// requires CkptDir). The assembly must be bit-identical under every
+	// one of them. Its fields are promoted: opt.FaultSeed = 9 works.
+	xrt.Inject
 }
 
 // StageTime reports one pipeline stage's simulated (virtual) duration —
@@ -244,16 +212,8 @@ func Assemble(libs []Library, opt Options) (*Result, error) {
 	if opt.K == 0 {
 		opt.K = 31
 	}
-	if opt.K%2 == 0 {
-		return nil, fmt.Errorf("hipmer: k must be odd, got %d", opt.K)
-	}
-	for i, k := range opt.KmerLens {
-		if k%2 == 0 {
-			return nil, fmt.Errorf("hipmer: kmer-lens entries must be odd, got %d", k)
-		}
-		if i > 0 && k <= opt.KmerLens[i-1] {
-			return nil, fmt.Errorf("hipmer: kmer-lens must be strictly increasing, got %v", opt.KmerLens)
-		}
+	if err := opt.Validate(); err != nil {
+		return nil, fmt.Errorf("hipmer: %w", err)
 	}
 	if opt.Resume && opt.CkptDir != "" && opt.Ranks == 0 {
 		// Adopt the checkpoint's recorded topology (the CLI's default
@@ -281,20 +241,7 @@ func Assemble(libs []Library, opt Options) (*Result, error) {
 		}
 		plibs = append(plibs, pl)
 	}
-	cfg := pipeline.Config{
-		K:                   opt.K,
-		KmerLens:            append([]int(nil), opt.KmerLens...),
-		MinCount:            opt.MinCount,
-		DisableHeavyHitters: opt.DisableHeavyHitters,
-		MinimizerLen:        opt.MinimizerLen,
-		DisableSuperKmers:   opt.DisableSuperKmers,
-		ContigsOnly:         opt.ContigsOnly,
-		ScaffoldRounds:      opt.ScaffoldRounds,
-		CkptDir:             opt.CkptDir,
-		Resume:              opt.Resume,
-		Fault:               xrt.FaultPlan{Seed: opt.FaultSeed, Stage: opt.FailStage},
-		DiskFault:           xrt.DiskFaultPlan{Seed: opt.DiskFaultSeed, Stage: opt.DiskFailStage},
-	}
+	cfg := opt.pipelineConfig()
 	if opt.Verify {
 		cfg.Verify = &verify.Options{Ref: opt.VerifyRef}
 	}
@@ -305,22 +252,14 @@ func Assemble(libs []Library, opt Options) (*Result, error) {
 			cs = append(cs, &contig.Contig{ID: int64(i + 1), Seq: seq})
 			n += len(seq)
 		}
-		slots := opt.OracleSlots
-		if slots <= 0 {
-			slots = 8 * n
-		}
-		cfg.Oracle = contig.BuildOracle(cs, opt.K, opt.Ranks, slots)
+		// The oracle vector gets 8 slots per k-mer of the contigs.
+		cfg.Oracle = contig.BuildOracle(cs, opt.K, opt.Ranks, 8*n)
 	}
 	team := xrt.NewTeam(xrt.Config{
 		Ranks:        opt.Ranks,
 		RanksPerNode: opt.RanksPerNode,
 		Seed:         opt.Seed,
-		Perturb:      xrt.PerturbPlan{Seed: opt.PerturbSeed},
-		Chaos: xrt.MessageFaultPlan{
-			Seed:        opt.ChaosSeed,
-			DropRate:    opt.DropRate,
-			RetryBudget: opt.RetryBudget,
-		},
+		Inject:       opt.Inject,
 	})
 	pres, err := pipeline.Run(team, plibs, cfg)
 	if err != nil {
@@ -369,18 +308,39 @@ func Assemble(libs []Library, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// pipelineConfig is the options' pipeline-level half (the runtime half —
+// ranks, seed, injections — goes to the team).
+func (opt Options) pipelineConfig() pipeline.Config {
+	return pipeline.Config{
+		K:                   opt.K,
+		KmerLens:            append([]int(nil), opt.KmerLens...),
+		MinCount:            opt.MinCount,
+		DisableHeavyHitters: opt.DisableHeavyHitters,
+		MinimizerLen:        opt.MinimizerLen,
+		DisableSuperKmers:   opt.DisableSuperKmers,
+		ContigsOnly:         opt.ContigsOnly,
+		ScaffoldRounds:      opt.ScaffoldRounds,
+		CkptDir:             opt.CkptDir,
+		Resume:              opt.Resume,
+	}
+}
+
+// Validate checks the run-shape rules Assemble enforces — k and ladder
+// parity, range and order, the minimizer bound, Resume needing CkptDir,
+// and the injection pairings and stage names — on the options as given
+// (a zero K is out of range here; Assemble fills its default first).
+// Errors name each knob by its cmd/hipmer flag.
+func (opt Options) Validate() error {
+	return opt.pipelineConfig().Validate(opt.Inject)
+}
+
 // StageNames returns the pipeline stage names an assembly with these
 // options would execute, in order — the legal values for FailStage. In
 // iterative-k mode (KmerLens) each round contributes kmer-analysis-k<N>,
 // contig-generation-k<N>, tip-clip-k<N>, bubble-pop-k<N>, and
 // pseudo-merge-k<N> stages.
 func StageNames(opt Options) []string {
-	return pipeline.StageNames(pipeline.Config{
-		K:              opt.K,
-		KmerLens:       append([]int(nil), opt.KmerLens...),
-		ContigsOnly:    opt.ContigsOnly,
-		ScaffoldRounds: opt.ScaffoldRounds,
-	})
+	return pipeline.StageNames(opt.pipelineConfig())
 }
 
 // Validate compares the assembly to a reference sequence.

@@ -38,12 +38,12 @@ type Options struct {
 	// against the same contig then cost local time only). 0 uses the
 	// default of 1024; negative disables caching.
 	CacheContigs int
-	// CacheSeeds is the per-rank direct-mapped software-cache slot count
-	// in front of remote seed lookups (the second merAligner cache of the
-	// companion paper: overlapping reads look up the same seed k-mers).
-	// 0 uses the default of 8192 slots; negative disables caching.
-	CacheSeeds int
 }
+
+// seedCacheSlots is the per-rank direct-mapped software-cache slot count
+// in front of remote seed lookups (the second merAligner cache of the
+// companion paper: overlapping reads look up the same seed k-mers).
+const seedCacheSlots = 8192
 
 func (o Options) withDefaults() Options {
 	if o.SeedLen <= 0 {
@@ -69,11 +69,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheContigs == 0 {
 		o.CacheContigs = 1024
-	}
-	if o.CacheSeeds == 0 {
-		o.CacheSeeds = 8192
-	} else if o.CacheSeeds < 0 {
-		o.CacheSeeds = 0
 	}
 	return o
 }
@@ -182,7 +177,7 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 		Hash:          func(km kmer.Kmer) uint64 { return km.Hash(0x5eed1d) },
 		ItemBytes:     16 + 14,
 		ExpectedItems: totalBases,
-		CacheSlots:    opt.CacheSeeds,
+		CacheSlots:    seedCacheSlots,
 	}, nil)
 	cap := opt.MaxSeedHits
 	idx.seeds.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in hitList, e dht.Entry[kmer.Kmer, hitList]) {

@@ -28,7 +28,7 @@ func TestTraversalPerturbedSchedules(t *testing.T) {
 		team := xrt.NewTeam(xrt.Config{
 			Ranks:        24,
 			RanksPerNode: 6,
-			Perturb:      xrt.PerturbPlan{Seed: perturbSeed, StartJitterNs: 30_000, BarrierJitterNs: 8_000, FlushJitterNs: 4_000},
+			Inject:       xrt.Inject{PerturbSeed: perturbSeed},
 		})
 		kt := tableFromSeqs(team, [][]byte{g1, g2}, k)
 		res := Run(team, kt, Options{K: k})

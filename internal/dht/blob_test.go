@@ -104,25 +104,6 @@ func TestPutBlobWithoutHookPanics(t *testing.T) {
 	})
 }
 
-func TestFreezeSerialPanicsOnUndrainedBlobBuffer(t *testing.T) {
-	team := xrt.NewTeam(xrt.Config{Ranks: 2})
-	tab := New[uint64, int64](team, intOpts(), sumMerge)
-	tab.SetBlobApply(func(src, owner int, payload []byte, put func(k uint64, v int64)) {
-		blobDecode(payload, put)
-	})
-	team.Run(func(r *xrt.Rank) {
-		if r.ID == 0 {
-			tab.PutBlob(r, 1, blobAppend(nil, 7, 1), 1) // never flushed
-		}
-	})
-	defer func() {
-		if recover() == nil {
-			t.Error("FreezeSerial with an undrained blob buffer did not panic")
-		}
-	}()
-	tab.FreezeSerial()
-}
-
 // TestOwnerHashPlacement: an OwnerHash decouples placement from the
 // stripe/cache hash — every operation must agree on the owner.
 func TestOwnerHashPlacement(t *testing.T) {

@@ -63,7 +63,7 @@ type Options[K comparable] struct {
 	// mod ranks). Hash keeps driving stripe selection and the read cache,
 	// so co-locating related keys — all k-mers sharing a minimizer, say —
 	// does not collapse them onto one stripe or cache slot. Every access
-	// path (Put, Get, Mutate, Delete, Lookup, Owner, and blob decode)
+	// path (Put, Get, Mutate, Lookup, Owner, and blob decode)
 	// places through it, so senders that route payloads by the same hash
 	// stay consistent with point lookups.
 	OwnerHash func(K) uint64
@@ -319,7 +319,7 @@ func (t *Table[K, V]) Frozen() bool { return t.frozen.Load() }
 // slot array as immutable — the arrays construction filled, from then on
 // read without the lock; subsequent Gets are served lock-free and, when
 // Options.CacheSlots is set, through a per-rank software cache for remote
-// keys. Any Put/Mutate/Delete/local rewrite on the frozen table panics.
+// keys. Any Put/Mutate/local rewrite on the frozen table panics.
 //
 // Freeze is idempotent: freezing an already-frozen table is a documented
 // no-op (one barrier, caches and contents untouched), so code handed a
@@ -374,49 +374,11 @@ func (t *Table[K, V]) Thaw(r *xrt.Rank) {
 func (t *Table[K, V]) invalidateCache(id int) { t.caches[id] = nil }
 
 // invalidateAllCaches discards every rank's cache. Only safe where no
-// rank goroutine can be reading its slot: between Thaw's barriers, or
-// from orchestration code between Run phases (ThawSerial).
+// rank goroutine can be reading its slot: between Thaw's barriers.
 func (t *Table[K, V]) invalidateAllCaches() {
 	for i := range t.caches {
 		t.caches[i] = nil
 	}
-}
-
-// FreezeSerial freezes the table from orchestration code between Run
-// phases (a single goroutine): buffers of all ranks must already be
-// drained (it panics otherwise, since flushing would need rank handles).
-func (t *Table[K, V]) FreezeSerial() {
-	if t.frozen.Load() {
-		return // idempotent, like Freeze
-	}
-	for i := range t.locals {
-		for _, buf := range t.locals[i].bufs {
-			if len(buf) > 0 {
-				panic("dht: FreezeSerial with undrained store buffers")
-			}
-		}
-		for _, buf := range t.locals[i].blobBufs {
-			if len(buf) > 0 {
-				panic("dht: FreezeSerial with undrained blob buffers")
-			}
-		}
-	}
-	if t.opt.CacheSlots > 0 {
-		for i := range t.caches {
-			t.caches[i] = newReadCache[K, V](t.opt.CacheSlots)
-		}
-	}
-	t.frozen.Store(true)
-}
-
-// ThawSerial restores writability from orchestration code between phases.
-// Idempotent, like Thaw.
-func (t *Table[K, V]) ThawSerial() {
-	if !t.frozen.Load() {
-		return
-	}
-	t.invalidateAllCaches()
-	t.frozen.Store(false)
 }
 
 // Put enqueues a store of (k, v); it is applied at the owner when the
@@ -646,19 +608,6 @@ func (t *Table[K, V]) MutateRetry(r *xrt.Rank, k K, fn func(v V, exists bool) (V
 	t.mutate(t.placeKey(k, h), h, k, fn)
 }
 
-// Delete removes k at its owner (charged as a lookup-class operation).
-func (t *Table[K, V]) Delete(r *xrt.Rank, k K) {
-	t.assertMutable("Delete")
-	h := t.opt.Hash(k)
-	mix := flat.Mix(h)
-	dst := t.placeKey(k, h)
-	r.ChargeLookup(dst, t.opt.ItemBytes)
-	st, _ := t.stripeOf(dst, mix)
-	st.mu.Lock()
-	st.m.Delete(mix, k)
-	st.mu.Unlock()
-}
-
 // visitLocal runs visit over each stripe of the calling rank's shard in
 // turn — under the stripe lock unless the table is frozen — and charges
 // the per-entry local cost of the entries it reports having visited. It
@@ -700,18 +649,6 @@ func (t *Table[K, V]) LocalRange(r *xrt.Rank, fn func(k K, v V) bool) {
 			return !stop
 		})
 		return visited, stop
-	})
-}
-
-// LocalUpdate rewrites every value of the calling rank's shard in place.
-func (t *Table[K, V]) LocalUpdate(r *xrt.Rank, fn func(k K, v V) V) {
-	t.assertMutable("LocalUpdate")
-	t.visitLocal(r, func(m *flat.Map[K, V]) (int, bool) {
-		m.Range(func(_ uint64, k K, v *V) bool {
-			*v = fn(k, *v)
-			return true
-		})
-		return m.Len(), false
 	})
 }
 

@@ -199,32 +199,6 @@ func TestLocalRangeCoversExactlyOwnShard(t *testing.T) {
 	}
 }
 
-func TestLocalUpdateAndDelete(t *testing.T) {
-	team := xrt.NewTeam(xrt.Config{Ranks: 3})
-	tab := New[uint64, int64](team, intOpts(), nil)
-	team.Run(func(r *xrt.Rank) {
-		if r.ID == 0 {
-			for i := 0; i < 30; i++ {
-				tab.Put(r, uint64(i), 1)
-			}
-			tab.Flush(r)
-		}
-		r.Barrier()
-		tab.LocalUpdate(r, func(k uint64, v int64) int64 { return v * 10 })
-		r.Barrier()
-		if r.ID == 0 {
-			v, _ := tab.Get(r, 5)
-			if v != 10 {
-				t.Errorf("update not applied: %d", v)
-			}
-			tab.Delete(r, 5)
-			if _, ok := tab.Get(r, 5); ok {
-				t.Error("delete did not remove key")
-			}
-		}
-	})
-}
-
 func TestGlobalLen(t *testing.T) {
 	team := xrt.NewTeam(xrt.Config{Ranks: 4})
 	tab := New[uint64, int64](team, intOpts(), nil)

@@ -36,10 +36,6 @@ func TestFreezePanicsOnWritesAndThawRestores(t *testing.T) {
 			for name, fn := range map[string]func(){
 				"Put":    func() { tab.Put(r, 7, 1) },
 				"Mutate": func() { tab.Mutate(r, 7, func(v int64, _ bool) (int64, bool) { return v, true }) },
-				"Delete": func() { tab.Delete(r, 7) },
-				"LocalUpdate": func() {
-					tab.LocalUpdate(r, func(_ uint64, v int64) int64 { return v })
-				},
 				"LocalFilter": func() {
 					tab.LocalFilter(r, func(_ uint64, v int64) (int64, bool) { return v, true })
 				},
@@ -69,32 +65,6 @@ func TestFrozenFlushOfEmptyBuffersIsNoop(t *testing.T) {
 		tab.Put(r, uint64(r.ID), 1)
 		tab.Freeze(r)
 		tab.Flush(r) // buffers drained by Freeze: must not panic
-	})
-}
-
-func TestFreezeSerialAndThawSerial(t *testing.T) {
-	team := xrt.NewTeam(xrt.Config{Ranks: 3})
-	opt := intOpts()
-	opt.CacheSlots = 64
-	tab := New[uint64, int64](team, opt, sumMerge)
-	team.Run(func(r *xrt.Rank) {
-		tab.Put(r, uint64(r.ID), int64(r.ID))
-		tab.Flush(r)
-	})
-	tab.FreezeSerial()
-	if !tab.Frozen() {
-		t.Fatal("FreezeSerial did not freeze")
-	}
-	if v, ok := tab.Lookup(2); !ok || v != 2 {
-		t.Fatalf("frozen Lookup = (%d,%v)", v, ok)
-	}
-	tab.ThawSerial()
-	if tab.Frozen() {
-		t.Fatal("ThawSerial did not thaw")
-	}
-	team.Run(func(r *xrt.Rank) {
-		tab.Put(r, 99, 1) // must not panic
-		tab.Flush(r)
 	})
 }
 
@@ -326,7 +296,7 @@ func BenchmarkDHTGetStriped(b *testing.B) {
 // frozen table.
 func BenchmarkDHTGetFrozen(b *testing.B) {
 	team, tab := buildBenchTable(0)
-	tab.FreezeSerial()
+	team.Run(func(r *xrt.Rank) { tab.Freeze(r) })
 	benchGets(b, team, tab, benchKeys)
 }
 
@@ -334,7 +304,7 @@ func BenchmarkDHTGetFrozen(b *testing.B) {
 // working set that fits it (seed-lookup-like reuse).
 func BenchmarkDHTGetFrozenCached(b *testing.B) {
 	team, tab := buildBenchTable(1 << 14)
-	tab.FreezeSerial()
+	team.Run(func(r *xrt.Rank) { tab.Freeze(r) })
 	benchGets(b, team, tab, 1<<12)
 	s := team.AggStats()
 	b.ReportMetric(s.CacheHitRate(), "hitRate")
@@ -342,8 +312,7 @@ func BenchmarkDHTGetFrozenCached(b *testing.B) {
 
 // TestFreezeThawIdempotent: Freeze on a frozen table and Thaw on a
 // thawed table are documented no-ops — every rank must still converge
-// (the collective variants keep their barrier), the table's contents
-// must be untouched, and the serial variants must return immediately.
+// (they keep their barrier) and the table's contents must be untouched.
 // Regression test: double-freeze used to flush into frozen shards.
 func TestFreezeThawIdempotent(t *testing.T) {
 	team := xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2})
@@ -362,17 +331,6 @@ func TestFreezeThawIdempotent(t *testing.T) {
 		r.Barrier()
 		if v, ok := tab.Get(r, uint64(100+(r.ID+1)%4)); !ok || v != 9 {
 			t.Errorf("rank %d: writes after double Thaw = (%d,%v)", r.ID, v, ok)
-		}
-	})
-
-	// Serial variants: same contract from the orchestrator goroutine.
-	tab.FreezeSerial()
-	tab.FreezeSerial()
-	tab.ThawSerial()
-	tab.ThawSerial()
-	team.Run(func(r *xrt.Rank) {
-		if v, ok := tab.Get(r, uint64(r.ID)); !ok || v != int64(r.ID)+1 {
-			t.Errorf("rank %d: Get after serial freeze/thaw pairs = (%d,%v)", r.ID, v, ok)
 		}
 	})
 }

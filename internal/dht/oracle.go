@@ -15,7 +15,6 @@ type Oracle struct {
 	slots      []int32
 	ranks      int
 	collisions atomic.Int64
-	assigned   atomic.Int64
 }
 
 // NewOracle creates an oracle vector with the given number of slots for a
@@ -36,7 +35,6 @@ func NewOracle(slots int, ranks int) *Oracle {
 func (o *Oracle) Assign(h uint64, rank int) (stored bool) {
 	i := h % uint64(len(o.slots))
 	if atomic.CompareAndSwapInt32(&o.slots[i], -1, int32(rank)) {
-		o.assigned.Add(1)
 		return true
 	}
 	if atomic.LoadInt32(&o.slots[i]) != int32(rank) {
@@ -64,9 +62,6 @@ func (o *Oracle) Ranks() int { return o.ranks }
 // Collisions returns the number of conflicting assignments observed while
 // building the vector — an upper-bound estimate of residual communication.
 func (o *Oracle) Collisions() int64 { return o.collisions.Load() }
-
-// Assigned returns the number of slots that took an assignment.
-func (o *Oracle) Assigned() int64 { return o.assigned.Load() }
 
 // MemoryBytes returns the per-process memory footprint of the vector,
 // the quantity the paper reports as 115 MB (oracle-1) vs 461 MB (oracle-4).

@@ -23,7 +23,7 @@ func TestStressConcurrentOpsPerturbed(t *testing.T) {
 			Ranks:        ranks,
 			RanksPerNode: 2,
 			Seed:         5,
-			Perturb:      xrt.PerturbPlan{Seed: perturbSeed, StartJitterNs: 20_000, BarrierJitterNs: 5_000, FlushJitterNs: 3_000},
+			Inject:       xrt.Inject{PerturbSeed: perturbSeed},
 		})
 		opt := intOpts()
 		opt.AggBufSize = 16

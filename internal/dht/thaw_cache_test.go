@@ -84,40 +84,6 @@ func TestThawedMutateVisibleAfterRefreeze(t *testing.T) {
 	})
 }
 
-// TestThawSerialInvalidatesAllCaches covers the orchestration-side path:
-// caches created by FreezeSerial for every rank must all be discarded by
-// ThawSerial, so a between-phases mutation is visible to every rank's
-// reads after the next FreezeSerial.
-func TestThawSerialInvalidatesAllCaches(t *testing.T) {
-	team := xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2})
-	opt := intOpts()
-	opt.CacheSlots = 64
-	tab := New[uint64, int64](team, opt, nil)
-	const key = 4242
-	owner := tab.Owner(key)
-	tab.FreezeSerial()
-	team.Run(func(r *xrt.Rank) {
-		for i := 0; i < 2; i++ {
-			if _, ok := tab.Get(r, key); ok {
-				t.Errorf("rank %d: key present before any write", r.ID)
-			}
-		}
-	})
-	tab.ThawSerial()
-	team.Run(func(r *xrt.Rank) {
-		if r.ID == owner {
-			tab.Put(r, key, 9)
-		}
-		tab.Flush(r)
-	})
-	tab.FreezeSerial()
-	team.Run(func(r *xrt.Rank) {
-		if v, ok := tab.Get(r, key); !ok || v != 9 {
-			t.Errorf("rank %d: serial thaw left a stale negative entry: (%d,%v)", r.ID, v, ok)
-		}
-	})
-}
-
 // TestThawIdempotentPathLeavesNoCaches: thawing a never-frozen or
 // already-thawed table must leave no cache behind for any rank (the
 // "not frozen => every cache nil" invariant the frozen Get fast path
@@ -136,12 +102,6 @@ func TestThawIdempotentPathLeavesNoCaches(t *testing.T) {
 	for i, c := range tab.caches {
 		if c != nil {
 			t.Fatalf("rank %d cache survived thaw", i)
-		}
-	}
-	tab.ThawSerial() // idempotent from orchestration code too
-	for i, c := range tab.caches {
-		if c != nil {
-			t.Fatalf("rank %d cache survived serial thaw", i)
 		}
 	}
 }

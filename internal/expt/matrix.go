@@ -268,10 +268,16 @@ func (m *matrix) dataset(name string) dataset {
 	return d
 }
 
-func (m *matrix) runLeg(c Cell, ranks int, perturb int64, chaos xrt.MessageFaultPlan, pcfg pipeline.Config) *leg {
+// arming is the one value a run is armed through, from a leg's schedule
+// perturbation and transport faults.
+func arming(perturb int64, chaos xrt.MessageFaultPlan) xrt.Inject {
+	return xrt.Inject{PerturbSeed: perturb,
+		ChaosSeed: chaos.Seed, DropRate: chaos.DropRate, RetryBudget: chaos.RetryBudget}
+}
+
+func (m *matrix) runLeg(c Cell, ranks int, inj xrt.Inject, pcfg pipeline.Config) *leg {
 	tcfg := m.sc.teamCfg(ranks)
-	tcfg.Perturb = xrt.PerturbPlan{Seed: perturb}
-	tcfg.Chaos = chaos
+	tcfg.Inject = inj
 	team := xrt.NewTeam(tcfg)
 	d := m.dataset(c.Dataset)
 	l := &leg{dir: pcfg.CkptDir, err: d.err}
@@ -290,7 +296,7 @@ func (m *matrix) runLeg(c Cell, ranks int, perturb int64, chaos xrt.MessageFault
 func (m *matrix) baseline(c Cell) *leg {
 	b, ok := m.base[c.baselineKey()]
 	if !ok {
-		b = m.runLeg(c, c.baselineRanks(), 0, xrt.MessageFaultPlan{}, c.Mode.config(m.sc))
+		b = m.runLeg(c, c.baselineRanks(), xrt.Inject{}, c.Mode.config(m.sc))
 		m.base[c.baselineKey()] = b
 	}
 	return b
@@ -310,9 +316,11 @@ func (m *matrix) observe(c Cell, first map[string]*leg) observation {
 		pcfg.Verify = &verify.Options{Ref: m.dataset(c.Dataset).ref}
 	}
 	fcfg := pcfg
-	fcfg.Fault, fcfg.DiskFault = c.Crash, c.Disk
+	inj := arming(c.Perturb, c.Chaos)
+	inj.FaultSeed, inj.FailStage = c.Crash.Seed, c.Crash.Stage
+	inj.DiskFaultSeed, inj.DiskFailStage = c.Disk.Seed, c.Disk.Stage
 	if c.Resume == nil {
-		l := m.runLeg(c, c.Ranks, c.Perturb, c.Chaos, fcfg)
+		l := m.runLeg(c, c.Ranks, inj, fcfg)
 		return observation{first: l, final: l}
 	}
 	f, ok := first[c.firstLeg()]
@@ -321,7 +329,7 @@ func (m *matrix) observe(c Cell, first map[string]*leg) observation {
 		if fcfg.CkptDir, err = os.MkdirTemp("", "hipmer-matrix-*"); err != nil {
 			return observation{first: &leg{err: err}}
 		}
-		f = m.runLeg(c, c.Ranks, c.Perturb, c.Chaos, fcfg)
+		f = m.runLeg(c, c.Ranks, inj, fcfg)
 		first[c.firstLeg()] = f
 	}
 	if f.err != nil && !c.crashed(f) {
@@ -338,7 +346,7 @@ func (m *matrix) observe(c Cell, first map[string]*leg) observation {
 	if err := copyDir(f.dir, pcfg.CkptDir); err != nil {
 		return observation{first: f, final: &leg{err: err}}
 	}
-	return observation{first: f, final: m.runLeg(c, c.Resume.Ranks, c.Resume.Perturb, c.Resume.Chaos, pcfg)}
+	return observation{first: f, final: m.runLeg(c, c.Resume.Ranks, arming(c.Resume.Perturb, c.Resume.Chaos), pcfg)}
 }
 
 // copyDir clones a (flat) checkpoint directory.

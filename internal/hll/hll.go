@@ -72,9 +72,5 @@ func (s *Sketch) Estimate() uint64 {
 	return uint64(e + 0.5)
 }
 
-// Registers exposes the raw register array (for serialization in
-// collectives); treat as read-only.
-func (s *Sketch) Registers() []uint8 { return s.regs }
-
 // Precision returns the sketch precision p.
 func (s *Sketch) Precision() uint8 { return s.p }

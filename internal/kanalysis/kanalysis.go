@@ -57,6 +57,17 @@ const kmerItemBytes = 16 + 10
 // sketches all derive from km.Hash(hashSeed).
 const hashSeed = 0xc0ffee
 
+const (
+	// qualThreshold is the minimum phred score (not ASCII) for a base to
+	// contribute extension evidence (Meraculous uses Q≥19).
+	qualThreshold = 19
+	// minExtCount is the evidence needed to call an extension base; two
+	// or more qualifying bases make a fork.
+	minExtCount = 2
+	// bloomFP is the Bloom filter false-positive design point.
+	bloomFP = 0.05
+)
+
 // Options configures k-mer analysis.
 type Options struct {
 	// K is the k-mer length (the paper uses 41–51 for human/wheat).
@@ -64,12 +75,6 @@ type Options struct {
 	// MinCount discards k-mers observed fewer times (default 2): those are
 	// treated as erroneous, per Meraculous.
 	MinCount int
-	// QualThreshold is the minimum phred score for a base to contribute
-	// extension evidence (Meraculous uses Q≥19). Phred, not ASCII.
-	QualThreshold int
-	// MinExtCount is the evidence needed to call an extension base
-	// (default 2); two or more qualifying bases make a fork.
-	MinExtCount int
 	// Theta is the Misra–Gries counter budget (paper: 32,000).
 	Theta int
 	// HeavyHitters enables the §3.1 optimization. When false every k-mer
@@ -78,8 +83,6 @@ type Options struct {
 	// HHMinCount is the estimated-count threshold above which a tracked
 	// item is treated as a heavy hitter. Defaults to max(64, n/Theta).
 	HHMinCount int64
-	// BloomFP is the Bloom filter false-positive design point.
-	BloomFP float64
 	// DisableBloom admits every k-mer into the hash table on first
 	// sighting, the behaviour the Bloom filters exist to avoid; used by
 	// the memory ablation that reproduces the paper's "up to 85%" saving.
@@ -127,17 +130,8 @@ func (o Options) withDefaults() Options {
 	if o.MinCount <= 0 {
 		o.MinCount = 2
 	}
-	if o.QualThreshold <= 0 {
-		o.QualThreshold = 19
-	}
-	if o.MinExtCount <= 0 {
-		o.MinExtCount = 2
-	}
 	if o.Theta <= 0 {
 		o.Theta = 32000
-	}
-	if o.BloomFP <= 0 {
-		o.BloomFP = 0.05
 	}
 	if o.CacheSlots == 0 {
 		o.CacheSlots = 4096
@@ -268,8 +262,8 @@ const noExt = kmer.ExtAbsent
 // base code when p is inside the read, ACGT, and at or above the quality
 // threshold. Pseudo-reads carry no quality string (qual == nil): every
 // base qualifies.
-func extAt(seq, qual []byte, p, qualThresh int) uint8 {
-	if p < 0 || p >= len(seq) || qual != nil && int(qual[p])-33 < qualThresh {
+func extAt(seq, qual []byte, p int) uint8 {
+	if p < 0 || p >= len(seq) || qual != nil && int(qual[p])-33 < qualThreshold {
 		return noExt
 	}
 	if c, ok := kmer.BaseCode(seq[p]); ok {
@@ -281,8 +275,8 @@ func extAt(seq, qual []byte, p, qualThresh int) uint8 {
 // occurrenceAt builds the occurrence of the k-mer window at pos of seq,
 // already canonicalized as (canon, flipped): the flanking bases are its
 // extension evidence, and flipping swaps and complements the two ends.
-func occurrenceAt(seq, qual []byte, pos, k, qualThresh int, canon kmer.Kmer, flipped bool) occurrence {
-	left, right := extAt(seq, qual, pos-1, qualThresh), extAt(seq, qual, pos+k, qualThresh)
+func occurrenceAt(seq, qual []byte, pos, k int, canon kmer.Kmer, flipped bool) occurrence {
+	left, right := extAt(seq, qual, pos-1), extAt(seq, qual, pos+k)
 	if flipped {
 		left, right = kmer.ComplementExt(right), kmer.ComplementExt(left)
 	}
@@ -293,9 +287,9 @@ func occurrenceAt(seq, qual []byte, pos, k, qualThresh int, canon kmer.Kmer, fli
 // with its oriented extension evidence and the canonical table hash, each
 // computed once per window. Sequences shorter than k and windows
 // containing N are skipped.
-func forEachOccurrence(seq, qual []byte, k, qualThresh int, fn func(o occurrence, h uint64)) {
+func forEachOccurrence(seq, qual []byte, k int, fn func(o occurrence, h uint64)) {
 	kmer.ForEachCanonical(seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
-		fn(occurrenceAt(seq, qual, pos, k, qualThresh, canon, flipped), canon.Hash(hashSeed))
+		fn(occurrenceAt(seq, qual, pos, k, canon, flipped), canon.Hash(hashSeed))
 	})
 }
 
@@ -327,7 +321,7 @@ func forEachPseudo(prs []PseudoRead, k int, fn func(o occurrence, h uint64, w ui
 		if w == 0 {
 			w = 1
 		}
-		forEachOccurrence(pr.Seq, nil, k, 0, func(o occurrence, h uint64) {
+		forEachOccurrence(pr.Seq, nil, k, func(o occurrence, h uint64) {
 			fn(o, h, w)
 			n++
 		})
@@ -379,14 +373,14 @@ type superKmerScratch struct {
 // visited — identical to the forEachOccurrence count. When there are no
 // heavy hitters the per-window canonicalization is skipped entirely and
 // each run is encoded straight from the read.
-func forEachSuperKmer(rec fastq.Record, k, m, qualThresh int, hh *heavySet, acc []KmerData,
+func forEachSuperKmer(rec fastq.Record, k, m int, hh *heavySet, acc []KmerData,
 	emit func(minimizer uint64, record []byte, nwin int), sc *superKmerScratch) int {
 	seq, qual := rec.Seq, rec.Qual
 	heavy := sc.heavy[:0]
 	if len(hh.keys) > 0 {
 		kmer.ForEachCanonical(seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
 			if i := hh.find(canon.Hash(hashSeed), canon); i >= 0 {
-				acc[i].add(occurrenceAt(seq, qual, pos, k, qualThresh, canon, flipped), 1)
+				acc[i].add(occurrenceAt(seq, qual, pos, k, canon, flipped), 1)
 				heavy = append(heavy, pos)
 			}
 		})
@@ -400,7 +394,7 @@ func forEachSuperKmer(rec fastq.Record, k, m, qualThresh int, hh *heavySet, acc 
 			if to <= from {
 				return
 			}
-			if out, ok := kmer.AppendSuperKmer(sc.record[:0], seq, qual, from, (to-from)+k-1, qualThresh); ok {
+			if out, ok := kmer.AppendSuperKmer(sc.record[:0], seq, qual, from, (to-from)+k-1, qualThreshold); ok {
 				sc.record = out
 				emit(minv, out, to-from)
 			}
@@ -573,7 +567,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	perBloom := res.DistinctEstimate/uint64(p*stripes) + 64
 	blooms := make([]*bloom.Filter, p*stripes)
 	for i := range blooms {
-		blooms[i] = bloom.New(perBloom*12/10, opt.BloomFP)
+		blooms[i] = bloom.New(perBloom*12/10, bloomFP)
 	}
 
 	// pass 2: Bloom screening — the second sighting of a k-mer promotes it
@@ -620,7 +614,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 			var sc superKmerScratch
 			n := 0
 			for _, rec := range readsByRank[r.ID] {
-				n += forEachSuperKmer(rec, opt.K, minLen, opt.QualThreshold, hh, acc,
+				n += forEachSuperKmer(rec, opt.K, minLen, hh, acc,
 					func(minv uint64, record []byte, nwin int) {
 						dst := int(kmer.MinimizerHash(minv) % uint64(p))
 						skRecords[r.ID]++
@@ -695,7 +689,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 			acc := make([]KmerData, len(hh.keys))
 			n := 0
 			for _, rec := range readsByRank[r.ID] {
-				forEachOccurrence(rec.Seq, rec.Qual, opt.K, opt.QualThreshold, func(o occurrence, h uint64) {
+				forEachOccurrence(rec.Seq, rec.Qual, opt.K, func(o occurrence, h uint64) {
 					n++
 					if i := hh.find(h, o.km); i >= 0 {
 						acc[i].add(o, 1)
@@ -741,8 +735,8 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 			if v.Count < uint32(opt.MinCount) {
 				return v, false
 			}
-			v.ExtL = callExt(v.LeftCnt, opt.MinExtCount)
-			v.ExtR = callExt(v.RightCnt, opt.MinExtCount)
+			v.ExtL = callExt(v.LeftCnt, minExtCount)
+			v.ExtR = callExt(v.RightCnt, minExtCount)
 			return v, true
 		})
 		kept := table.GlobalLen(r)

@@ -258,7 +258,7 @@ func TestLowQualityExtensionsIgnored(t *testing.T) {
 	}
 	run := func(q []byte) *Result {
 		team := xrt.NewTeam(xrt.Config{Ranks: 2})
-		return Run(team, splitReads(mk(q), 2), Options{K: k, MinCount: 2, QualThreshold: 19})
+		return Run(team, splitReads(mk(q), 2), Options{K: k, MinCount: 2})
 	}
 	hi := run(hiq)
 	lo := run(loq)

@@ -24,7 +24,7 @@ func toyRun(t *testing.T, perturbSeed int64) (*pipeline.Result, *xrt.Team) {
 	})
 	team := xrt.NewTeam(xrt.Config{
 		Ranks: 4, RanksPerNode: 2, Seed: 7,
-		Perturb: xrt.PerturbPlan{Seed: perturbSeed},
+		Inject: xrt.Inject{PerturbSeed: perturbSeed},
 	})
 	res, err := pipeline.Run(team,
 		[]pipeline.Library{{Name: "toy", Records: recs, InsertHint: 300}},
@@ -48,7 +48,7 @@ func toyRun(t *testing.T, perturbSeed int64) (*pipeline.Result, *xrt.Team) {
 func syntheticRun(perturbSeed int64) *metrics.Report {
 	team := xrt.NewTeam(xrt.Config{
 		Ranks: 4, RanksPerNode: 2, Seed: 9,
-		Perturb: xrt.PerturbPlan{Seed: perturbSeed},
+		Inject: xrt.Inject{PerturbSeed: perturbSeed},
 	})
 	team.BeginSpan("ingest")
 	team.Run(func(r *xrt.Rank) {

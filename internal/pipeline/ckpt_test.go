@@ -23,8 +23,11 @@ func smallLibs(seed int64) []Library {
 	return []Library{{Name: "ck", Records: recs, InsertHint: 300}}
 }
 
-func ckTeam() *xrt.Team {
-	return xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2, Seed: 11})
+func ckTeam() *xrt.Team { return armedTeam(xrt.Inject{}) }
+
+// armedTeam is ckTeam with injections armed.
+func armedTeam(inj xrt.Inject) *xrt.Team {
+	return xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2, Seed: 11, Inject: inj})
 }
 
 // TestCheckpointResumeSkipsStages runs once with checkpointing, then
@@ -93,10 +96,8 @@ func TestCrashThenResumeMatchesUninterrupted(t *testing.T) {
 			}
 
 			dir := t.TempDir()
-			_, err = Run(ckTeam(), libs, Config{
-				K: 21, MinCount: 2, CkptDir: dir,
-				Fault: xrt.FaultPlan{Seed: seed, Stage: stage},
-			})
+			_, err = Run(armedTeam(xrt.Inject{FaultSeed: seed, FailStage: stage}), libs,
+				Config{K: 21, MinCount: 2, CkptDir: dir})
 			var sf *StageFailedError
 			if !errors.As(err, &sf) {
 				t.Fatalf("crashed run: err = %v, want *StageFailedError", err)
@@ -171,9 +172,13 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(ckTeam(), libs, Config{K: 21, Resume: true}); err == nil {
 		t.Fatal("Resume without CkptDir accepted")
 	}
-	_, err := Run(ckTeam(), libs, Config{K: 21,
-		Fault: xrt.FaultPlan{Seed: 1, Stage: "no-such-stage"}})
+	_, err := Run(armedTeam(xrt.Inject{FaultSeed: 1, FailStage: "no-such-stage"}), libs, Config{K: 21})
 	if err == nil {
 		t.Fatal("unknown fault stage accepted")
+	}
+	_, err = Run(armedTeam(xrt.Inject{DiskFaultSeed: 1, DiskFailStage: "io"}), libs,
+		Config{K: 21, CkptDir: t.TempDir()})
+	if err == nil {
+		t.Fatal("disk fault on io, which writes no segment, accepted")
 	}
 }

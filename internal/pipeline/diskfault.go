@@ -38,14 +38,15 @@ func (d *diskInjector) take() xrt.DiskFaultKind {
 	return k
 }
 
-// installInjector arms the config's disk-fault plan on a freshly opened
+// installInjector arms the team's disk-fault plan on a freshly opened
 // store (no-op when the plan is disabled).
 func (env *stageEnv) installInjector(store *ckpt.Store) {
-	if !env.cfg.DiskFault.Enabled() {
+	plan := env.team.Config().Inject.Disk()
+	if !plan.Enabled() {
 		return
 	}
 	if env.disk == nil {
-		env.disk = &diskInjector{plan: env.cfg.DiskFault}
+		env.disk = &diskInjector{plan: plan}
 	}
 	store.SetInjector(env.disk)
 }

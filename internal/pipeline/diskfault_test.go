@@ -46,10 +46,8 @@ func TestDiskFaultHealsEveryKind(t *testing.T) {
 	for kind, seed := range diskKindSeeds {
 		t.Run(kind.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			res, err := Run(ckTeam(), libs, Config{
-				K: 21, MinCount: 2, CkptDir: dir,
-				DiskFault: xrt.DiskFaultPlan{Seed: seed, Stage: stage},
-			})
+			res, err := Run(armedTeam(xrt.Inject{DiskFaultSeed: seed, DiskFailStage: stage}), libs,
+				Config{K: 21, MinCount: 2, CkptDir: dir})
 			if err != nil {
 				t.Fatalf("faulted run failed: %v", err)
 			}
@@ -120,8 +118,8 @@ func TestDiskFaultMultiKHeals(t *testing.T) {
 	dir := t.TempDir()
 	fcfg := cfg
 	fcfg.CkptDir = dir
-	fcfg.DiskFault = xrt.DiskFaultPlan{Seed: 21, Stage: "tip-clip-k33"} // bit-flip
-	res, err := Run(ckTeam(), libs, fcfg)
+	bitFlip := xrt.Inject{DiskFaultSeed: 21, DiskFailStage: "tip-clip-k33"}
+	res, err := Run(armedTeam(bitFlip), libs, fcfg)
 	if err != nil {
 		t.Fatalf("faulted multi-k run failed: %v", err)
 	}

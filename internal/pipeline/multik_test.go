@@ -114,9 +114,7 @@ func TestMultiKPerturbChaosInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 2, 3, 4} {
-		tc := xrt.Config{Ranks: 4, RanksPerNode: 2, Seed: 11,
-			Perturb: xrt.PerturbPlan{Seed: seed}}
-		res, err := Run(xrt.NewTeam(tc), libs, multiKCfg())
+		res, err := Run(armedTeam(xrt.Inject{PerturbSeed: seed}), libs, multiKCfg())
 		if err != nil {
 			t.Fatalf("perturb=%d: %v", seed, err)
 		}
@@ -124,9 +122,7 @@ func TestMultiKPerturbChaosInvariance(t *testing.T) {
 			t.Fatalf("perturb=%d: assembly not bit-identical", seed)
 		}
 
-		tc = xrt.Config{Ranks: 4, RanksPerNode: 2, Seed: 11,
-			Chaos: xrt.MessageFaultPlan{Seed: seed}}
-		res, err = Run(xrt.NewTeam(tc), libs, multiKCfg())
+		res, err = Run(armedTeam(xrt.Inject{ChaosSeed: seed}), libs, multiKCfg())
 		if err != nil {
 			t.Fatalf("chaos=%d: %v", seed, err)
 		}
@@ -174,8 +170,7 @@ func TestMultiKCrashResume(t *testing.T) {
 				dir := t.TempDir()
 				cfg := multiKCfg()
 				cfg.CkptDir = dir
-				cfg.Fault = xrt.FaultPlan{Seed: seed, Stage: stage}
-				_, err := Run(ckTeam(), libs, cfg)
+				_, err := Run(armedTeam(xrt.Inject{FaultSeed: seed, FailStage: stage}), libs, cfg)
 				var sf *StageFailedError
 				if errors.As(err, &sf) {
 					if sf.Stage != stage && !strings.HasPrefix(sf.Stage, stage) {

@@ -46,7 +46,7 @@ type Config struct {
 	// the pipeline runs k-mer analysis, contig generation, tip clipping,
 	// bubble popping, and a pseudo-read merge; the merged contigs of
 	// round i feed round i+1's k-mer analysis as depth-weighted pseudo-
-	// reads. Values must be odd and strictly increasing (the CLI
+	// reads. Values must be odd and strictly increasing (Validate
 	// enforces this). K is forced to the last entry — downstream stages
 	// (scaffolding, gap closing, verification defaults) operate at the
 	// final k, while verification's spectrum check defaults to the
@@ -58,12 +58,9 @@ type Config struct {
 	// HeavyHitters enables the §3.1 optimization (default on via
 	// DisableHeavyHitters=false).
 	DisableHeavyHitters bool
-	// Theta is the Misra–Gries budget (default 32000).
-	Theta int
-	// HHMinCount overrides the heavy-hitter threshold (0 = automatic).
-	HHMinCount int64
 	// MinimizerLen overrides the super-k-mer minimizer length of k-mer
-	// analysis (0 = default; clamped odd and below K).
+	// analysis (0 = default; otherwise odd, in 4..31 and below the
+	// smallest k — see Validate).
 	MinimizerLen int
 	// DisableSuperKmers reverts stage-1 communication to one aggregated
 	// store item per k-mer occurrence (the ablation baseline).
@@ -107,22 +104,11 @@ type Config struct {
 	// rank-count-bound, so that resume is refused with
 	// ckpt.ErrTopologyMismatch. Requires CkptDir.
 	Resume bool
-	// Fault, when enabled, deterministically crashes one rank inside the
-	// named stage (see xrt.FaultPlan); Run then returns a
-	// *StageFailedError. Used by the crash-resume harness.
-	Fault xrt.FaultPlan
-	// DiskFault, when enabled, deterministically damages the checkpoint
-	// segment the named stage writes (see xrt.DiskFaultPlan): the run
-	// itself completes bit-identically — the damage lands only on disk,
-	// with the manifest entry computed from the clean bytes — and a LATER
-	// resume detects it, scrubs it away, and recomputes the damaged
-	// suffix. Requires CkptDir to have any effect. The seed is excluded
-	// from the checkpoint fingerprint (it represents the failure being
-	// recovered from), so a healing resume needs no matching flag.
-	DiskFault xrt.DiskFaultPlan
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults resolves the documented zero-value defaults: K (the last
+// ladder rung, else 31) and MinCount (2).
+func (c Config) WithDefaults() Config {
 	if len(c.KmerLens) > 0 {
 		c.K = c.KmerLens[len(c.KmerLens)-1]
 	}
@@ -188,31 +174,75 @@ func (r *Result) Timing(name string) StageTiming {
 	return StageTiming{}
 }
 
+// Validate is the one statement of the run-shape rules; hipmer.Assemble,
+// hipmerd admission, cmd/hipmer and Run all call it. It judges the values
+// as given — resolve defaults first (WithDefaults) where a zero means
+// "default" — together with the injections the run would be armed with.
+// Each knob is named by its cmd/hipmer flag (ScaffoldRounds, which has
+// none, by its job-file spelling).
+func (c Config) Validate(inj xrt.Inject) error {
+	if c.K < 1 || c.K > 64 {
+		return fmt.Errorf("-k must be in 1..64, got %d", c.K)
+	}
+	if c.K%2 == 0 {
+		return fmt.Errorf("-k must be odd, got %d", c.K)
+	}
+	for i, k := range c.KmerLens {
+		if k < 1 || k > 64 {
+			return fmt.Errorf("-kmer-lens entries must be in 1..64, got %d", k)
+		}
+		if k%2 == 0 {
+			return fmt.Errorf("-kmer-lens entries must be odd, got %d", k)
+		}
+		if i > 0 && k <= c.KmerLens[i-1] {
+			return fmt.Errorf("-kmer-lens must be strictly increasing, got %v", c.KmerLens)
+		}
+	}
+	if m := c.MinimizerLen; m != 0 {
+		if m%2 == 0 {
+			return fmt.Errorf("-minimizer-len must be odd, got %d", m)
+		}
+		if m < 4 || m > 31 {
+			return fmt.Errorf("-minimizer-len must be in 4..31, got %d", m)
+		}
+		// Every round's k must accommodate the minimizer, so the ladder's
+		// first rung is the binding bound.
+		smallestK := c.K
+		if len(c.KmerLens) > 0 {
+			smallestK = c.KmerLens[0]
+		}
+		if m >= smallestK {
+			return fmt.Errorf("-minimizer-len must be < smallest k (%d), got %d", smallestK, m)
+		}
+	}
+	if c.ScaffoldRounds < 0 {
+		return fmt.Errorf("scaffold-rounds must be >= 0, got %d", c.ScaffoldRounds)
+	}
+	if c.Resume && c.CkptDir == "" {
+		return fmt.Errorf("-resume requires -ckpt-dir")
+	}
+	return inj.Validate(StageNames(c), c.CkptDir != "")
+}
+
 // Run executes the pipeline on the given team. The stage list comes
 // from buildStages; with cfg.CkptDir set each stage's output is
 // checkpointed as it completes, with cfg.Resume also set the runner
 // consults the manifest and skips (rehydrates) stages already recorded
-// complete, and with cfg.Fault enabled the targeted stage suffers a
-// deterministic injected rank crash and Run returns a *StageFailedError.
+// complete. The team's Config.Inject supplies the two stage-scoped
+// injections: an armed crash makes the targeted stage suffer a
+// deterministic rank crash (Run returns a *StageFailedError), an armed
+// disk fault damages the checkpoint segment the targeted stage writes —
+// that run still completes bit-identically, with the manifest entry
+// computed from the clean bytes, and a LATER resume detects the damage,
+// scrubs it away and recomputes the suffix.
 func Run(team *xrt.Team, libs []Library, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Resume && cfg.CkptDir == "" {
-		return nil, fmt.Errorf("pipeline: Resume requires CkptDir")
+	cfg = cfg.WithDefaults()
+	inj := team.Config().Inject
+	if err := cfg.Validate(inj); err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	stages := buildStages(cfg)
-	if cfg.Fault.Enabled() {
-		known := false
-		for _, st := range stages {
-			if st.name == cfg.Fault.Stage {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, fmt.Errorf("pipeline: fault stage %q not in pipeline (stages: %s)",
-				cfg.Fault.Stage, strings.Join(StageNames(cfg), ", "))
-		}
-	}
+	crash := inj.Crash()
 
 	env := &stageEnv{
 		team: team, cfg: cfg, libs: libs, res: &Result{},
@@ -241,9 +271,9 @@ func Run(team *xrt.Team, libs []Library, cfg Config) (*Result, error) {
 				return nil, lerr
 			}
 		}
-		armed := cfg.Fault.Enabled() && cfg.Fault.Stage == st.name
+		armed := crash.Enabled() && crash.Stage == st.name
 		if armed {
-			team.ArmFault(cfg.Fault)
+			team.ArmFault(crash)
 		}
 		err := runStage(env, st)
 		if armed {

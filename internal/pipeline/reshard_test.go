@@ -168,9 +168,8 @@ func TestReshardCrashResume(t *testing.T) {
 	for _, p := range []int{2, 8} {
 		t.Run(fmt.Sprintf("ranks=%d", p), func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := Config{K: 21, MinCount: 2, CkptDir: dir,
-				Fault: xrt.FaultPlan{Seed: 5, Stage: "scaffolding"}}
-			if _, err := Run(ckTeam(), libs, cfg); err == nil {
+			cfg := Config{K: 21, MinCount: 2, CkptDir: dir}
+			if _, err := Run(armedTeam(xrt.Inject{FaultSeed: 5, FailStage: "scaffolding"}), libs, cfg); err == nil {
 				t.Fatal("injected crash did not fire")
 			}
 
@@ -200,9 +199,8 @@ func TestReshardCrashResume(t *testing.T) {
 func TestReshardMixedPartitionDir(t *testing.T) {
 	libs := smallLibs(43)
 	dir := t.TempDir()
-	cfg := Config{K: 21, MinCount: 2, CkptDir: dir,
-		Fault: xrt.FaultPlan{Seed: 5, Stage: "scaffolding"}}
-	if _, err := Run(ckTeam(), libs, cfg); err == nil {
+	cfg := Config{K: 21, MinCount: 2, CkptDir: dir}
+	if _, err := Run(armedTeam(xrt.Inject{FaultSeed: 5, FailStage: "scaffolding"}), libs, cfg); err == nil {
 		t.Fatal("injected crash did not fire")
 	}
 

@@ -25,10 +25,10 @@ import (
 )
 
 // StageFailedError reports a pipeline stage aborted by an injected rank
-// crash (Config.Fault) or a chaos-layer retry exhaustion (an enabled
-// xrt.MessageFaultPlan whose budget ran out): the team unwound cleanly,
-// the error names the stage and rank, and — when checkpointing was on —
-// every stage before the failed one remains resumable from
+// crash (xrt.Inject.FaultSeed) or a chaos-layer retry exhaustion (an
+// armed xrt.Inject.ChaosSeed whose budget ran out): the team unwound
+// cleanly, the error names the stage and rank, and — when checkpointing
+// was on — every stage before the failed one remains resumable from
 // Config.CkptDir.
 type StageFailedError struct {
 	// Stage is the pipeline stage that was running when the rank died.
@@ -73,9 +73,10 @@ type stageEnv struct {
 	// current stage's own entry (scaffolding's merAligner sub-timing).
 	extraTimings []StageTiming
 
-	// disk is the armed storage-fault injector, nil when Config.DiskFault
-	// is disabled. Installed on every store this run opens (including a
-	// reopen after a heal) so one injection plan survives the swap.
+	// disk is the armed storage-fault injector, nil when the team's
+	// Inject arms no disk fault. Installed on every store this run opens
+	// (including a reopen after a heal) so one injection plan survives
+	// the swap.
 	disk *diskInjector
 
 	// srcRanks is the source partition of the stage entry currently
@@ -108,7 +109,8 @@ type stage struct {
 }
 
 // buildStages assembles the registry for a config: io, then either the
-// classic single-k pair (k-mer analysis, contig generation) or — when
+// classic single-k pair (k-mer analysis, contig generation — the ladder's
+// round constructors at cfg.K, under their unsuffixed names) or — when
 // KmerLens is set — the iterative-k loop (per round: k-mer analysis,
 // contig generation, tip clipping, bubble popping, pseudo-read merge),
 // then (unless ContigsOnly) scaffolding and gap closing, with one extra
@@ -158,9 +160,9 @@ func buildStages(cfg Config) []stage {
 	sts := []stage{{name: "io", run: runIO}}
 	if len(cfg.KmerLens) == 0 {
 		sts = append(sts,
-			stage{name: "kmer-analysis", run: runKmerAnalysis,
+			stage{name: "kmer-analysis", run: runKmerAnalysisRound(cfg.K, false),
 				save: saveKmer(cfg.K), load: loadKmer},
-			stage{name: "contig-generation", run: runContigGeneration,
+			stage{name: "contig-generation", run: runContigRound(cfg.K),
 				save: saveContig, load: loadContig},
 		)
 	} else {
@@ -247,9 +249,9 @@ func buildStages(cfg Config) []stage {
 }
 
 // StageNames returns the pipeline's stage names for a config, in
-// execution order — the legal targets for Config.Fault.Stage.
+// execution order — the legal targets for xrt.Inject.FailStage.
 func StageNames(cfg Config) []string {
-	sts := buildStages(cfg.withDefaults())
+	sts := buildStages(cfg.WithDefaults())
 	names := make([]string, len(sts))
 	for i, st := range sts {
 		names[i] = st.name
@@ -259,51 +261,24 @@ func StageNames(cfg Config) []string {
 
 // ---------------------------------------------------------------------
 // stage run functions
-
-func runKmerAnalysis(env *stageEnv) error {
-	env.res.KAnalysis = kanalysis.Run(env.team, env.merged, kanalysis.Options{
-		K:                 env.cfg.K,
-		MinCount:          env.cfg.MinCount,
-		HeavyHitters:      !env.cfg.DisableHeavyHitters,
-		Theta:             env.cfg.Theta,
-		HHMinCount:        env.cfg.HHMinCount,
-		MinimizerLen:      env.cfg.MinimizerLen,
-		DisableSuperKmers: env.cfg.DisableSuperKmers,
-		AggBufSize:        env.cfg.AggBufSize,
-	})
-	return nil
-}
-
-func runContigGeneration(env *stageEnv) error {
-	env.res.Contigs = contig.Run(env.team, env.res.KAnalysis.Table, contig.Options{
-		K:          env.cfg.K,
-		Oracle:     env.cfg.Oracle,
-		AggBufSize: env.cfg.AggBufSize,
-	})
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// iterative-k round stages
 //
-// Each round's five stages are closures over that round's k: analysis
-// and contig generation mirror the single-k stages; the cleaning stages
-// mutate env.res.Contigs in place; the pseudo-merge folds the previous
-// round's carried set into the current survivors and renumbers. All
-// inter-stage state lives in env.res.Contigs / env.carried and every
-// stage has a codec, so a crash at any stage boundary resumes exactly.
+// Each ladder round's five stages are closures over that round's k (the
+// single-k pipeline is the one-round case of the first two): the
+// cleaning stages mutate env.res.Contigs in place; the pseudo-merge folds
+// the previous round's carried set into the current survivors and
+// renumbers. All inter-stage state lives in env.res.Contigs /
+// env.carried and every stage has a codec, so a crash at any stage
+// boundary resumes exactly.
 
-// runKmerAnalysisRound is runKmerAnalysis at a specific k; rounds after
-// the first also ingest the previous round's carried contigs as depth-
-// weighted pseudo-reads.
+// runKmerAnalysisRound is k-mer analysis at a specific k; ladder rounds
+// after the first also ingest the previous round's carried contigs as
+// depth-weighted pseudo-reads.
 func runKmerAnalysisRound(k int, usePseudo bool) func(env *stageEnv) error {
 	return func(env *stageEnv) error {
 		opt := kanalysis.Options{
 			K:                 k,
 			MinCount:          env.cfg.MinCount,
 			HeavyHitters:      !env.cfg.DisableHeavyHitters,
-			Theta:             env.cfg.Theta,
-			HHMinCount:        env.cfg.HHMinCount,
 			MinimizerLen:      env.cfg.MinimizerLen,
 			DisableSuperKmers: env.cfg.DisableSuperKmers,
 			AggBufSize:        env.cfg.AggBufSize,
@@ -604,8 +579,10 @@ func runFingerprint(team *xrt.Team, cfg Config, libs []Library, readLibs []scaff
 	}
 	f.Int(int64(cfg.MinCount))
 	f.Bool(cfg.DisableHeavyHitters)
-	f.Int(int64(cfg.Theta))
-	f.Int(cfg.HHMinCount)
+	// Two words where Config.Theta and Config.HHMinCount (only ever 0)
+	// were hashed, so checkpoints written before their removal resume.
+	f.Int(0)
+	f.Int(0)
 	f.Int(int64(cfg.MinimizerLen))
 	f.Bool(cfg.DisableSuperKmers)
 	f.Int(int64(cfg.AggBufSize))

@@ -22,7 +22,7 @@ func TestSuperKmerBitIdenticalAssembly(t *testing.T) {
 	run := func(ranks int, disable bool, chaosSeed int64) string {
 		cfg := xrt.Config{Ranks: ranks, RanksPerNode: 4}
 		if chaosSeed != 0 {
-			cfg.Chaos = xrt.MessageFaultPlan{Seed: chaosSeed, DropRate: 0.05, RetryBudget: 16}
+			cfg.Inject = xrt.Inject{ChaosSeed: chaosSeed, DropRate: 0.05, RetryBudget: 16}
 		}
 		team := xrt.NewTeam(cfg)
 		res, err := Run(team, []Library{{Name: "sk", Records: recs, InsertHint: 300}},

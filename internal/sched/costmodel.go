@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hipmer/internal/pipeline"
+	"hipmer/internal/xrt"
 )
 
 // The service accounting model.
@@ -149,7 +150,7 @@ func modelFailureVirtual(marks []StageMark, failedStage string) time.Duration {
 	return marks[len(marks)-1].End
 }
 
-// modelFailStage decides, from the submitted spec alone, whether an
+// modelFailStage decides, from the attempt's arming alone, whether an
 // armed attempt is billed as failing and in which stage. The physical
 // injections cannot drive the schedule: a FaultPlan countdown fires
 // after a seeded number of charges in the target stage and a chaos plan
@@ -161,23 +162,17 @@ func modelFailureVirtual(marks []StageMark, failedStage string) time.Duration {
 // past input. A chaos plan whose per-message exhaustion probability is
 // negligible (soft plans meant to survive on retries) is billed as
 // succeeding.
-func modelFailStage(spec JobSpec, att Attempt, stages []string) (string, bool) {
+func modelFailStage(inj xrt.Inject, stages []string) (string, bool) {
 	if len(stages) == 0 {
 		return "", false
 	}
-	if att.Fault.Seed != 0 && att.Fault.Stage != "" {
-		for _, s := range stages {
-			if s == att.Fault.Stage {
-				return s, true
-			}
-		}
-		// Target stage unknown to this pipeline (e.g. a bare base name
-		// against a multi-k run): bill the failure in the last stage.
-		return stages[len(stages)-1], true
+	if crash := inj.Crash(); crash.Enabled() {
+		// Admission checked the stage is one of this pipeline's.
+		return crash.Stage, true
 	}
-	if att.ChaosSeed != 0 && chaosModelExhausts(att.DropRate, att.RetryBudget) {
+	if inj.ChaosSeed != 0 && chaosModelExhausts(inj.DropRate, inj.RetryBudget) {
 		// Never the input stage: exhaustion needs remote traffic.
-		i := 1 + int(uint64(att.ChaosSeed)%uint64(maxInt(len(stages)-1, 1)))
+		i := 1 + int(uint64(inj.ChaosSeed)%uint64(maxInt(len(stages)-1, 1)))
 		if i >= len(stages) {
 			i = len(stages) - 1
 		}

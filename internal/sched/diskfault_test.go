@@ -63,9 +63,9 @@ func TestGenJobsDiskFaultPairing(t *testing.T) {
 		}
 		armed++
 		idx := stageIdx[spec.Name]
-		di, ok := idx[spec.DiskFaultStage]
+		di, ok := idx[spec.DiskFailStage]
 		if !ok || di == 0 {
-			t.Fatalf("job %s: disk stage %q is not a checkpointable stage", spec.Name, spec.DiskFaultStage)
+			t.Fatalf("job %s: disk stage %q is not a checkpointable stage", spec.Name, spec.DiskFailStage)
 		}
 		if spec.FaultSeed == 0 || spec.FailStage == "" {
 			t.Fatalf("job %s: disk fault armed without a paired crash", spec.Name)
@@ -76,7 +76,7 @@ func TestGenJobsDiskFaultPairing(t *testing.T) {
 		}
 		if fi <= di {
 			t.Fatalf("job %s: crash in %q (stage %d) not strictly after disk fault in %q (stage %d)",
-				spec.Name, spec.FailStage, fi, spec.DiskFaultStage, di)
+				spec.Name, spec.FailStage, fi, spec.DiskFailStage, di)
 		}
 	}
 	if armed != len(specs) {
@@ -95,7 +95,7 @@ func TestGenJobsDiskFracZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range specs {
-		if spec.DiskFaultSeed != 0 || spec.DiskFaultStage != "" {
+		if spec.DiskFaultSeed != 0 || spec.DiskFailStage != "" {
 			t.Fatalf("job %s disk-armed with DiskFrac 0", spec.Name)
 		}
 	}
@@ -130,22 +130,23 @@ func TestDiskFaultBillingTrim(t *testing.T) {
 	spec := JobSpec{
 		Tenant: "acme", Name: humanS.Name, Libs: humanS.Libs, Pipeline: humanS.Pipeline,
 		Ranks: 8, Seed: humanS.Seed,
-		FaultSeed: 7, FailStage: "scaffolding",
-		DiskFaultSeed: 21, DiskFaultStage: "contig-generation",
+		Inject: xrt.Inject{
+			FaultSeed: 7, FailStage: "scaffolding",
+			DiskFaultSeed: 21, DiskFailStage: "contig-generation",
+		},
 	}
 	r := &PipelineRunner{}
 	dir := t.TempDir()
 	att := Attempt{
 		JobID: 0, Attempt: 1, Ranks: 8, RanksPerNode: 8, CkptDir: dir,
-		Fault:     xrt.FaultPlan{Seed: spec.FaultSeed, Stage: spec.FailStage},
-		DiskFault: xrt.DiskFaultPlan{Seed: spec.DiskFaultSeed, Stage: spec.DiskFaultStage},
+		Inject: spec.Inject,
 	}
 	out := r.Run(spec, att)
 	if !out.Failed || out.Fatal {
 		t.Fatalf("armed attempt outcome: %+v", out)
 	}
 	for _, st := range out.BilledDone {
-		if st == spec.DiskFaultStage || st == spec.FailStage {
+		if st == spec.DiskFailStage || st == spec.FailStage {
 			t.Fatalf("billed prefix %v includes damaged/failed stage", out.BilledDone)
 		}
 	}
@@ -199,7 +200,7 @@ func TestDiskFaultJobHealsInService(t *testing.T) {
 	}
 	disk := mk("human-s", "acme")
 	disk.DiskFaultSeed = 21
-	disk.DiskFaultStage = "contig-generation"
+	disk.DiskFailStage = "contig-generation"
 	disk.FaultSeed = 7
 	disk.FailStage = "scaffolding"
 	specs := []JobSpec{disk, mk("wheat-s", "bio")}

@@ -43,7 +43,8 @@ func (f *fakeRunner) Run(spec JobSpec, att Attempt) RunOutcome {
 	if att.Resume {
 		skip = f.completed[att.JobID]
 	}
-	fail := att.Fault.Enabled() || (att.ChaosSeed != 0 && att.DropRate > 0.4 && att.RetryBudget <= 1)
+	inj := att.Inject
+	fail := inj.Crash().Enabled() || (inj.ChaosSeed != 0 && inj.DropRate > 0.4 && inj.RetryBudget <= 1)
 	if fail && skip < 4 {
 		// Crash mid-stage-4: stages 1..3 are checkpointed.
 		f.completed[att.JobID] = 3

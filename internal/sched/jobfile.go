@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hipmer/internal/pipeline"
+	"hipmer/internal/xrt"
 )
 
 // jobFileEntry is the on-disk JSON shape of one submitted job (see
@@ -30,19 +31,17 @@ type jobFileEntry struct {
 		Path   string `json:"path"`
 		Insert int    `json:"insert"`
 	} `json:"reads"`
-	K           int     `json:"k"`
-	KmerLens    []int   `json:"kmer_lens"`
-	MinCount    int     `json:"min_count"`
-	ContigsOnly bool    `json:"contigs_only"`
-	Ranks       int     `json:"ranks"`
-	Priority    int     `json:"priority"`
-	ArrivalMs   int64   `json:"arrival_ms"`
-	Seed        int64   `json:"seed"`
-	FailStage   string  `json:"fail_stage"`
-	FaultSeed   int64   `json:"fault_seed"`
-	ChaosSeed   int64   `json:"chaos_seed"`
-	DropRate    float64 `json:"drop_rate"`
-	RetryBudget int     `json:"retry_budget"`
+	K           int   `json:"k"`
+	KmerLens    []int `json:"kmer_lens"`
+	MinCount    int   `json:"min_count"`
+	ContigsOnly bool  `json:"contigs_only"`
+	Ranks       int   `json:"ranks"`
+	Priority    int   `json:"priority"`
+	ArrivalMs   int64 `json:"arrival_ms"`
+	Seed        int64 `json:"seed"`
+	// The injection keys (fault_seed, fail_stage, chaos_seed, drop_rate,
+	// retry_budget, disk_fault_seed, disk_fail_stage, perturb_seed).
+	xrt.Inject
 }
 
 // ParseJobFile reads a JSON job file (a list of job entries) into
@@ -77,15 +76,11 @@ func ParseJobFile(path string) ([]JobSpec, error) {
 				MinCount:    e.MinCount,
 				ContigsOnly: e.ContigsOnly,
 			},
-			Ranks:       e.Ranks,
-			Priority:    e.Priority,
-			Arrival:     time.Duration(e.ArrivalMs) * time.Millisecond,
-			Seed:        e.Seed,
-			FailStage:   e.FailStage,
-			FaultSeed:   e.FaultSeed,
-			ChaosSeed:   e.ChaosSeed,
-			DropRate:    e.DropRate,
-			RetryBudget: e.RetryBudget,
+			Ranks:    e.Ranks,
+			Priority: e.Priority,
+			Arrival:  time.Duration(e.ArrivalMs) * time.Millisecond,
+			Seed:     e.Seed,
+			Inject:   e.Inject,
 		}
 		if spec.Name == "" {
 			spec.Name = fmt.Sprintf("job%d", i)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hipmer/internal/xrt"
 )
 
 func TestParseJobFile(t *testing.T) {
@@ -20,7 +22,8 @@ func TestParseJobFile(t *testing.T) {
    "k": 21, "ranks": 4, "priority": 1, "arrival_ms": 5, "seed": 3},
   {"tenant": "bio", "dataset": {"kind": "metagenome", "seed": 2}, "ranks": 8},
   {"tenant": "bio", "name": "file", "reads": [{"path": "human-s.fastq", "insert": 395}], "k": 21, "ranks": 4,
-   "fail_stage": "contig-generation", "fault_seed": 9}
+   "fail_stage": "contig-generation", "fault_seed": 9,
+   "disk_fault_seed": 21, "disk_fail_stage": "kmer-analysis", "perturb_seed": 5}
 ]`
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
@@ -48,8 +51,12 @@ func TestParseJobFile(t *testing.T) {
 	if got := specs[2].Libs[0].Path; got != filepath.Join(dir, "human-s.fastq") {
 		t.Fatalf("relative read path resolved to %q", got)
 	}
-	if specs[2].FailStage != "contig-generation" || specs[2].FaultSeed != 9 {
-		t.Fatalf("spec 2 fault fields: %+v", specs[2])
+	// Every arming key reaches the spec: the entry shares xrt.Inject, so
+	// none can be left out of the file format.
+	want := xrt.Inject{FailStage: "contig-generation", FaultSeed: 9,
+		DiskFaultSeed: 21, DiskFailStage: "kmer-analysis", PerturbSeed: 5}
+	if specs[2].Inject != want {
+		t.Fatalf("spec 2 arming = %+v, want %+v", specs[2].Inject, want)
 	}
 
 	for name, bad := range map[string]string{

@@ -64,10 +64,11 @@ type LoadConfig struct {
 	// Jobs is the total number of submissions (>= 1).
 	Jobs int
 	// MeanGapNs is the mean virtual interarrival gap (exponential;
-	// > 0, default 10ms).
+	// 0 = default 10ms).
 	MeanGapNs int64
 	// Burst is the maximum burst size: some arrivals bring a burst of
-	// 2..Burst near-simultaneous submissions (1 disables bursts).
+	// 2..Burst near-simultaneous submissions (0 = default 1, which
+	// disables bursts).
 	Burst int
 	// FaultFrac of jobs arrive with an armed mid-pipeline rank crash
 	// (requeue + resume exercises). In [0, 1].
@@ -102,10 +103,10 @@ func (c LoadConfig) Validate() error {
 		return fmt.Errorf("jobs must be >= 1, got %d", c.Jobs)
 	}
 	if c.MeanGapNs < 0 {
-		return fmt.Errorf("mean arrival gap must be > 0, got %d", c.MeanGapNs)
+		return fmt.Errorf("mean arrival gap must be >= 0 (0 = default), got %d", c.MeanGapNs)
 	}
 	if c.Burst < 0 {
-		return fmt.Errorf("burst must be >= 1, got %d", c.Burst)
+		return fmt.Errorf("burst must be >= 0 (0 = default), got %d", c.Burst)
 	}
 	if c.FaultFrac < 0 || c.FaultFrac > 1 {
 		return fmt.Errorf("fault fraction must be in [0, 1], got %g", c.FaultFrac)
@@ -240,7 +241,7 @@ func GenJobs(c LoadConfig, templates []Template) ([]JobSpec, error) {
 				Arrival:  now + time.Duration(b)*time.Microsecond,
 				// Per-job wall-clock schedule perturbation: diversifies
 				// physical interleavings without touching virtual time.
-				PerturbSeed: prng.Int63() | 1,
+				Inject: xrt.Inject{PerturbSeed: prng.Int63() | 1},
 			}
 			if c.MaxPriority > 0 {
 				spec.Priority = prng.Intn(c.MaxPriority + 1)
@@ -275,7 +276,7 @@ func GenJobs(c LoadConfig, templates []Template) ([]JobSpec, error) {
 				// the requeued resume detects the damage, scrubs, and
 				// recomputes di..end.
 				di := 1 + prng.Intn(len(names)-2)
-				spec.DiskFaultStage = names[di]
+				spec.DiskFailStage = names[di]
 				spec.DiskFaultSeed = prng.Int63() | 1
 				spec.FailStage = names[di+1+prng.Intn(len(names)-1-di)]
 				spec.FaultSeed = prng.Int63() | 1

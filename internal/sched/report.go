@@ -161,22 +161,6 @@ func (r *Report) WriteFile(path string) error {
 	return nil
 }
 
-// ReadReport parses a hipmer-sched/v1 report file.
-func ReadReport(path string) (*Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("sched: reading report: %w", err)
-	}
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("sched: parsing report %s: %w", path, err)
-	}
-	if r.Schema != Schema {
-		return nil, fmt.Errorf("sched: report %s has schema %q, want %q", path, r.Schema, Schema)
-	}
-	return &r, nil
-}
-
 // FormatTable renders the human-readable service summary.
 func (r *Report) FormatTable() string {
 	var b strings.Builder

@@ -12,8 +12,8 @@ import (
 )
 
 // Attempt is the scheduler's dispatch decision for one runner
-// invocation: the allocation, resume state, and the fault/chaos arming
-// for this attempt (disarmed on retries).
+// invocation: the allocation, resume state, and the injections armed on
+// this attempt (disarmed on retries).
 type Attempt struct {
 	JobID        int
 	Attempt      int
@@ -27,18 +27,15 @@ type Attempt struct {
 	// scheduler tracks it so billing never reads the physical checkpoint
 	// — a failed attempt's manifest records whichever stages the real
 	// goroutines happened to finish, which is schedule-dependent.
-	BilledDone  []string
-	Fault       xrt.FaultPlan
-	ChaosSeed   int64
-	DropRate    float64
-	RetryBudget int
-	// DiskFault arms storage damage on this attempt's checkpoint write
-	// for the plan's stage. The attempt still completes bit-identically;
+	BilledDone []string
+	// Inject is what this attempt runs under: the spec's value, or its
+	// Disarmed form once the job has been requeued after a failure. An
+	// armed disk fault still lets the attempt complete bit-identically;
 	// the damage surfaces only if a failure sends the job back to its
 	// checkpoint, where the resume scrubs and recomputes — so billing
 	// trims the requeued attempt's rehydration prefix to the stages
 	// strictly before the disk stage (see trimBilledAt).
-	DiskFault xrt.DiskFaultPlan
+	Inject xrt.Inject
 }
 
 // StageMark records one completed stage of an attempt and its
@@ -106,38 +103,25 @@ type PipelineRunner struct {
 	Seed int64
 }
 
-// Run builds the job's team (geometry from the attempt, fault/chaos/
-// perturb arming from the attempt and spec) and executes the pipeline
-// with checkpointing on. The attempt is billed by the deterministic
-// accounting model: executed stages at full cost, billed-done stages at
-// the flat rehydration cost, and an armed attempt as failing exactly
-// once at a model-chosen stage (its prefix plus half the failed stage)
-// regardless of where — or whether — the injection physically trips.
-// The service timeline therefore depends only on the submitted jobs,
-// never on how the physical goroutines interleaved.
+// Run builds the job's team (geometry and injections from the attempt)
+// and executes the pipeline with checkpointing on. The attempt is billed
+// by the deterministic accounting model: executed stages at full cost,
+// billed-done stages at the flat rehydration cost, and an armed attempt
+// as failing exactly once at a model-chosen stage (its prefix plus half
+// the failed stage) regardless of where — or whether — the injection
+// physically trips. The service timeline therefore depends only on the
+// submitted jobs, never on how the physical goroutines interleaved.
 func (r *PipelineRunner) Run(spec JobSpec, att Attempt) RunOutcome {
-	cfg := xrt.Config{
+	team := xrt.NewTeam(xrt.Config{
 		Ranks:        att.Ranks,
 		RanksPerNode: att.RanksPerNode,
 		Seed:         spec.Seed + r.Seed,
-	}
-	if spec.PerturbSeed != 0 {
-		cfg.Perturb = xrt.PerturbPlan{Seed: spec.PerturbSeed}
-	}
-	if att.ChaosSeed != 0 {
-		cfg.Chaos = xrt.MessageFaultPlan{
-			Seed:        att.ChaosSeed,
-			DropRate:    att.DropRate,
-			RetryBudget: att.RetryBudget,
-		}
-	}
-	team := xrt.NewTeam(cfg)
+		Inject:       att.Inject,
+	})
 
 	pcfg := spec.Pipeline
 	pcfg.CkptDir = att.CkptDir
 	pcfg.Resume = att.Resume
-	pcfg.Fault = att.Fault
-	pcfg.DiskFault = att.DiskFault
 
 	// The billed timeline comes from the accounting model, anchored on
 	// the billed completed-stage prefix the scheduler tracked for this
@@ -150,7 +134,7 @@ func (r *PipelineRunner) Run(spec JobSpec, att Attempt) RunOutcome {
 		}
 	}
 	marks := modelMarks(spec, att.Ranks, completed)
-	failStage, armed := modelFailStage(spec, att, pipeline.StageNames(spec.Pipeline))
+	failStage, armed := modelFailStage(att.Inject, pipeline.StageNames(spec.Pipeline))
 
 	res, err := pipeline.Run(team, spec.Libs, pcfg)
 	out := RunOutcome{Measured: team.VirtualNow()}
@@ -166,11 +150,11 @@ func (r *PipelineRunner) Run(spec JobSpec, att Attempt) RunOutcome {
 		out.FailedStage = stage
 		out.Virtual = modelFailureVirtual(marks, stage)
 		out.BilledDone = billedPrefix(marks, stage)
-		if att.DiskFault.Enabled() {
+		if disk := att.Inject.Disk(); disk.Enabled() {
 			// The attempt also damaged the disk stage's checkpoint: the
 			// requeued resume will scrub and recompute from there, so the
 			// billed rehydration prefix stops strictly before it.
-			out.BilledDone = trimBilledAt(out.BilledDone, att.DiskFault.Stage)
+			out.BilledDone = trimBilledAt(out.BilledDone, disk.Stage)
 		}
 		out.Err = errText
 		return out

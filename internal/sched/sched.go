@@ -193,8 +193,7 @@ type JobSpec struct {
 	// seqdb paths ingested by the block reader).
 	Libs []pipeline.Library
 	// Pipeline is the job's assembly configuration (K, MinCount, ...).
-	// CkptDir / Resume / Fault are owned by the scheduler and must be
-	// left zero.
+	// CkptDir / Resume are owned by the scheduler and must be left zero.
 	Pipeline pipeline.Config
 	// Ranks is the requested team size (>= 1; admission rejects
 	// requests above the tenant quota or the cluster size).
@@ -207,35 +206,27 @@ type JobSpec struct {
 	// Seed is the job's team seed (default 1). Solo-run comparisons must
 	// use the same seed.
 	Seed int64
-	// PerturbSeed arms schedule perturbation for the job's team
-	// (wall-clock-only; never changes virtual time or output).
-	PerturbSeed int64
-	// FaultSeed / FailStage arm a deterministic rank crash in the named
-	// stage on the job's FIRST attempt; the requeued attempt runs with
-	// the fault disarmed and resumes from the job's checkpoint. The
-	// scheduler bills every armed attempt as failing exactly once at a
-	// model-chosen stage, whether or not the injection physically trips
-	// (see costmodel.go) — so arming a fault always costs one requeue.
-	FaultSeed int64
-	FailStage string
-	// ChaosSeed / DropRate / RetryBudget arm message-level chaos on the
-	// job's attempts. A plan harsh enough to exhaust its retry budget is
-	// billed as one retryable failure (requeue + resume with chaos
-	// disarmed); a soft plan is billed as surviving on retries.
-	ChaosSeed   int64
-	DropRate    float64
-	RetryBudget int
-	// DiskFaultSeed / DiskFaultStage arm deterministic storage damage on
-	// the job's FIRST attempt: the named stage's checkpoint write is
-	// corrupted on disk (the attempt itself completes bit-identically).
-	// The damage only matters when something sends the job back to its
-	// checkpoint — a crash or chaos failure later in the same attempt —
-	// so the billed rehydration prefix is trimmed to the stages before
-	// the disk stage and the requeued attempt is billed for recomputing
-	// the damaged suffix (see costmodel.go). Requeued attempts run with
-	// the disk fault disarmed.
-	DiskFaultSeed  int64
-	DiskFaultStage string
+	// Inject arms the job's injections (fields promoted). PerturbSeed
+	// perturbs every attempt's schedule (wall-clock only; never changes
+	// virtual time or output). The failure injections are armed until the
+	// job's first retryable failure; the requeued attempt runs Disarmed
+	// and resumes from the job's checkpoint:
+	//   - FaultSeed / FailStage crash a rank in the named stage. The
+	//     scheduler bills every armed attempt as failing exactly once at
+	//     a model-chosen stage, whether or not the injection physically
+	//     trips (see costmodel.go) — so arming a fault always costs one
+	//     requeue.
+	//   - ChaosSeed / DropRate / RetryBudget: a plan harsh enough to
+	//     exhaust its retry budget is billed as one retryable failure; a
+	//     soft plan is billed as surviving on retries.
+	//   - DiskFaultSeed / DiskFailStage corrupt the named stage's
+	//     checkpoint write on disk (the attempt itself completes
+	//     bit-identically). The damage only matters when something sends
+	//     the job back to its checkpoint — a crash or chaos failure later
+	//     in the same attempt — so the billed rehydration prefix is
+	//     trimmed to the stages before the disk stage and the requeued
+	//     attempt is billed for recomputing the damaged suffix.
+	xrt.Inject
 }
 
 // Job states in JobResult.State.
@@ -308,11 +299,11 @@ type job struct {
 	state        string
 	rejectReason string
 
-	started    bool
-	resume     bool
-	faultArmed bool
-	chaosArmed bool
-	diskArmed  bool
+	started bool
+	resume  bool
+	// inject is what the next attempt runs under: the spec's value until
+	// the first retryable failure, its Disarmed form after.
+	inject xrt.Inject
 
 	arrival    time.Duration
 	firstStart time.Duration
@@ -493,12 +484,7 @@ func (s *Scheduler) Run(specs []JobSpec) (*Outcome, error) {
 
 	// Submission: structural admission control, then arrival events.
 	for i, spec := range specs {
-		j := &job{
-			id: i, spec: spec, arrival: spec.Arrival,
-			faultArmed: spec.FaultSeed != 0 && spec.FailStage != "",
-			chaosArmed: spec.ChaosSeed != 0,
-			diskArmed:  spec.DiskFaultSeed != 0 && spec.DiskFaultStage != "",
-		}
+		j := &job{id: i, spec: spec, arrival: spec.Arrival, inject: spec.Inject}
 		if j.spec.Seed == 0 {
 			j.spec.Seed = 1
 		}
@@ -552,6 +538,13 @@ func (s *Scheduler) admit(j *job) string {
 	}
 	if j.spec.Ranks > s.cfg.Ranks {
 		return fmt.Sprintf("requested %d ranks over cluster size %d", j.spec.Ranks, s.cfg.Ranks)
+	}
+	// The run-shape rules, judged as the job's attempts will run: with
+	// defaults resolved and checkpointing into the job's own directory.
+	p := j.spec.Pipeline.WithDefaults()
+	p.CkptDir = j.ckptDir
+	if err := p.Validate(j.spec.Inject); err != nil {
+		return err.Error()
 	}
 	return ""
 }
@@ -701,17 +694,7 @@ func (s *Scheduler) start(j *job, alloc int) {
 		Resume:       j.resume,
 		CkptDir:      j.ckptDir,
 		BilledDone:   j.billedDone,
-	}
-	if j.faultArmed {
-		att.Fault = xrt.FaultPlan{Seed: j.spec.FaultSeed, Stage: j.spec.FailStage}
-	}
-	if j.chaosArmed {
-		att.ChaosSeed = j.spec.ChaosSeed
-		att.DropRate = j.spec.DropRate
-		att.RetryBudget = j.spec.RetryBudget
-	}
-	if j.diskArmed {
-		att.DiskFault = xrt.DiskFaultPlan{Seed: j.spec.DiskFaultSeed, Stage: j.spec.DiskFaultStage}
+		Inject:       j.inject,
 	}
 	j.outcome = s.runner.Run(j.spec, att)
 	j.wroteCkpt = true
@@ -759,9 +742,7 @@ func (s *Scheduler) finish(j *job) {
 		// calmer resume is accepted. The billed rehydration prefix comes
 		// from the runner's model, never the physical manifest.
 		j.resume = true
-		j.faultArmed = false
-		j.chaosArmed = false
-		j.diskArmed = false
+		j.inject = j.inject.Disarmed()
 		j.billedDone = out.BilledDone
 		j.requeues++
 		s.requeues++

@@ -10,9 +10,15 @@ import (
 	"time"
 
 	"hipmer/internal/pipeline"
+	"hipmer/internal/xrt"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// crashInScaffolding arms a rank crash for fake-runner jobs. The fake
+// fails any crash-armed attempt whatever the stage, but admission checks
+// the name against the job's real stage list.
+var crashInScaffolding = xrt.Inject{FaultSeed: 9, FailStage: "scaffolding"}
 
 // fakeTemplates is a synthetic job pool for fake-runner tests (no real
 // datasets: the fake derives work from name+seed only).
@@ -171,14 +177,14 @@ func TestAdmissionControl(t *testing.T) {
 		return JobSpec{Tenant: tenant, Name: "small", Ranks: ranks, Seed: 11, Arrival: arrival}
 	}
 	specs := []JobSpec{
-		mk("a", 16, 0),               // occupies the whole cluster
+		mk("a", 16, 0),                   // occupies the whole cluster
 		mk("ghost", 4, time.Microsecond), // unknown tenant
-		mk("b", 8, time.Microsecond), // over tenant quota
-		mk("b", 0, time.Microsecond), // nonsense rank request
+		mk("b", 8, time.Microsecond),     // over tenant quota
+		mk("b", 0, time.Microsecond),     // nonsense rank request
 		// Queue cap 2: the first two queue, the third is bounced.
-		mk("a", 4, 2 * time.Microsecond),
-		mk("a", 4, 3 * time.Microsecond),
-		mk("a", 4, 4 * time.Microsecond),
+		mk("a", 4, 2*time.Microsecond),
+		mk("a", 4, 3*time.Microsecond),
+		mk("a", 4, 4*time.Microsecond),
 	}
 	out := runFake(t, cfg, specs)
 
@@ -205,7 +211,7 @@ func TestElasticRescale(t *testing.T) {
 	cfg := Config{Ranks: 16, Seed: 1, DefaultQuota: 16, DisablePreempt: true}
 	specs := []JobSpec{
 		// Faulted 16-rank job: fails, requeues as resumable.
-		{Tenant: "a", Name: "big", Ranks: 16, Seed: 5, FaultSeed: 9, FailStage: "s4"},
+		{Tenant: "a", Name: "big", Ranks: 16, Seed: 5, Inject: crashInScaffolding},
 		// A higher-priority 12-rank job queued behind the crash wins the
 		// post-crash dispatch, so the resumed job can only fit on 4.
 		{Tenant: "b", Name: "long", Ranks: 12, Seed: 6, Priority: 1, Arrival: time.Millisecond},
@@ -236,7 +242,7 @@ func TestElasticRescale(t *testing.T) {
 func TestRetryBudgetTerminalFailure(t *testing.T) {
 	cfg := Config{Ranks: 16, Seed: 1, DefaultQuota: 8, MaxRetries: 1}
 	specs := []JobSpec{
-		{Tenant: "a", Name: "doomed", Ranks: 4, Seed: 5, FaultSeed: 9, FailStage: "s4"},
+		{Tenant: "a", Name: "doomed", Ranks: 4, Seed: 5, Inject: crashInScaffolding},
 		{Tenant: "b", Name: "fine", Ranks: 4, Seed: 6},
 	}
 	// The fake disarms nothing on its own, but the scheduler disarms the

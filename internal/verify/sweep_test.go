@@ -14,15 +14,15 @@ import (
 	"hipmer/internal/xrt"
 )
 
-// runPerturbed assembles libs end-to-end under one perturbation plan.
-func runPerturbed(t *testing.T, libs []pipeline.Library, plan xrt.PerturbPlan, vopt *verify.Options) *pipeline.Result {
+// runPerturbed assembles libs end-to-end under one perturbation seed.
+func runPerturbed(t *testing.T, libs []pipeline.Library, seed int64, vopt *verify.Options) *pipeline.Result {
 	t.Helper()
-	team := xrt.NewTeam(xrt.Config{Ranks: 8, RanksPerNode: 4, Seed: 3, Perturb: plan})
+	team := xrt.NewTeam(xrt.Config{Ranks: 8, RanksPerNode: 4, Seed: 3, Inject: xrt.Inject{PerturbSeed: seed}})
 	res, err := pipeline.Run(team, libs, pipeline.Config{
 		K: 21, MinCount: 3, Verify: vopt,
 	})
 	if err != nil {
-		t.Fatalf("pipeline under plan %+v: %v", plan, err)
+		t.Fatalf("pipeline under perturb seed %d: %v", seed, err)
 	}
 	return res
 }
@@ -34,7 +34,7 @@ func runPerturbed(t *testing.T, libs []pipeline.Library, plan xrt.PerturbPlan, v
 // also passes the assembly oracle against the simulated reference.
 func TestPerturbSeedSweepBitIdenticalAssembly(t *testing.T) {
 	ref, libs := pipeline.SimulatedHuman(7, 12000, 25)
-	base := runPerturbed(t, libs, xrt.PerturbPlan{}, &verify.Options{Ref: ref})
+	base := runPerturbed(t, libs, 0, &verify.Options{Ref: ref})
 	if len(base.FinalSeqs) == 0 {
 		t.Fatal("baseline assembled nothing")
 	}
@@ -43,12 +43,7 @@ func TestPerturbSeedSweepBitIdenticalAssembly(t *testing.T) {
 	}
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 0x5eed}
 	for _, seed := range seeds {
-		plan := xrt.PerturbPlan{Seed: seed}
-		if testing.Short() {
-			// smaller jitters keep -short fast; the seeds still differ
-			plan.StartJitterNs, plan.BarrierJitterNs, plan.FlushJitterNs = 10_000, 3_000, 1_500
-		}
-		res := runPerturbed(t, libs, plan, nil)
+		res := runPerturbed(t, libs, seed, nil)
 		if len(res.FinalSeqs) != len(base.FinalSeqs) {
 			t.Fatalf("perturb seed %d: %d sequences, baseline %d",
 				seed, len(res.FinalSeqs), len(base.FinalSeqs))
@@ -72,7 +67,7 @@ func TestPerturbContigSetAcrossRankCounts(t *testing.T) {
 		for _, seed := range []int64{0, 9} {
 			team := xrt.NewTeam(xrt.Config{
 				Ranks: ranks, RanksPerNode: 4,
-				Perturb: xrt.PerturbPlan{Seed: seed},
+				Inject: xrt.Inject{PerturbSeed: seed},
 			})
 			res, err := pipeline.Run(team, libs, pipeline.Config{K: 21, MinCount: 3, ContigsOnly: true})
 			if err != nil {

@@ -26,9 +26,18 @@ package xrt
 
 import "fmt"
 
-// chaosBackoffCapExp caps the exponential backoff at
-// TimeoutNs * 2^chaosBackoffCapExp per retry.
-const chaosBackoffCapExp = 6
+// chaosTimeoutNs is the virtual-time retransmission timeout (a few
+// off-node message latencies); retry k backs off to
+// chaosTimeoutNs*2^min(k-1, chaosBackoffCapExp) plus seeded jitter.
+const (
+	chaosTimeoutNs     = 2_000.0
+	chaosBackoffCapExp = 6
+)
+
+// dedupWindowSize is the receiver dedup window, in sequence numbers.
+// Duplicates older than the window are assumed already applied and
+// dropped.
+const dedupWindowSize = 64
 
 // collectiveMsgBytes is the nominal payload of one tree step of a small
 // collective, used for redelivery accounting under a MessageFaultPlan.
@@ -51,17 +60,9 @@ type MessageFaultPlan struct {
 	// deliveries, so 0 (the default) still exercises deduplication
 	// whenever DropRate > 0.
 	DupRate float64
-	// TimeoutNs is the virtual-time retransmission timeout; retry k
-	// backs off to TimeoutNs*2^min(k-1, 6) plus seeded jitter.
-	// Default 2µs (a few off-node message latencies).
-	TimeoutNs float64
 	// RetryBudget bounds retransmissions per message; exceeding it
 	// unwinds the team with a *RetryExhaustedError. Default 16.
 	RetryBudget int
-	// WindowSize is the receiver dedup window, in sequence numbers.
-	// Duplicates older than the window are assumed already applied and
-	// dropped. Default 64.
-	WindowSize int
 }
 
 // Enabled reports whether the plan injects anything.
@@ -71,14 +72,8 @@ func (p MessageFaultPlan) withDefaults() MessageFaultPlan {
 	if !p.Enabled() {
 		return p
 	}
-	if p.TimeoutNs <= 0 {
-		p.TimeoutNs = 2_000
-	}
 	if p.RetryBudget <= 0 {
 		p.RetryBudget = 16
-	}
-	if p.WindowSize <= 0 {
-		p.WindowSize = 64
 	}
 	return p
 }
@@ -107,10 +102,10 @@ type DedupWindow struct {
 }
 
 // NewDedupWindow returns a window covering size in-flight sequence
-// numbers (the MessageFaultPlan default when size <= 0).
+// numbers (the transport's own window when size <= 0).
 func NewDedupWindow(size int) *DedupWindow {
 	if size <= 0 {
-		size = 64
+		size = dedupWindowSize
 	}
 	return &DedupWindow{slots: make([]uint64, size)}
 }
@@ -192,10 +187,10 @@ func (r *Rank) chaosPoint(dst, bytes int) {
 		// crash); join it instead of starting a new exchange.
 		panic(faultCrash{})
 	}
-	plan := &t.cfg.Chaos
+	plan := &t.chaos
 	ch := &r.chans[dst]
 	if ch.dedup.slots == nil {
-		ch.dedup.slots = make([]uint64, plan.WindowSize)
+		ch.dedup.slots = make([]uint64, dedupWindowSize)
 	}
 	seq := ch.nextSeq
 	ch.nextSeq++
@@ -233,7 +228,7 @@ func (r *Rank) chaosPoint(dst, bytes int) {
 // seeded jitter and accounts the retransmission, unwinding the team when
 // the budget is exhausted.
 func (r *Rank) chaosRetry(dst int, seq uint64, bytes int, attempt *int) {
-	plan := &r.team.cfg.Chaos
+	plan := &r.team.chaos
 	r.stats.Drops++
 	if *attempt > plan.RetryBudget {
 		r.tripRetryExhausted(dst, seq, *attempt)
@@ -242,7 +237,7 @@ func (r *Rank) chaosRetry(dst int, seq uint64, bytes int, attempt *int) {
 	if exp > chaosBackoffCapExp {
 		exp = chaosBackoffCapExp
 	}
-	base := plan.TimeoutNs * float64(uint64(1)<<uint(exp))
+	base := chaosTimeoutNs * float64(uint64(1)<<uint(exp))
 	r.advance(base + r.chaos.Float64()*base*0.5)
 	*attempt++
 	r.stats.Retries++
@@ -259,7 +254,7 @@ func (r *Rank) tripRetryExhausted(dst int, seq uint64, attempts int) {
 		Dst:      dst,
 		Seq:      seq,
 		Attempts: attempts,
-		Seed:     t.cfg.Chaos.Seed,
+		Seed:     t.chaos.Seed,
 	}
 	if t.chaosErr.CompareAndSwap(nil, err) {
 		t.tripClockNs = r.clockNs

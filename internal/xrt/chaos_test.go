@@ -20,8 +20,8 @@ func chaosWorkload(r *Rank) {
 	r.AllReduceInt64(int64(r.ID), func(a, b int64) int64 { return a + b })
 }
 
-func runChaos(ranks int, chaos MessageFaultPlan, perturb PerturbPlan) (*Team, PhaseStats) {
-	team := NewTeam(Config{Ranks: ranks, RanksPerNode: 4, Seed: 3, Chaos: chaos, Perturb: perturb})
+func runChaos(ranks int, chaos MessageFaultPlan, perturbSeed int64) (*Team, PhaseStats) {
+	team := newTeam(Config{Ranks: ranks, RanksPerNode: 4, Seed: 3, Inject: Inject{PerturbSeed: perturbSeed}}, chaos)
 	st := team.Run(chaosWorkload)
 	return team, st
 }
@@ -29,7 +29,7 @@ func runChaos(ranks int, chaos MessageFaultPlan, perturb PerturbPlan) (*Team, Ph
 // TestChaosDisabledIsFree: without a plan the reliability counters stay
 // zero and the run is byte-for-byte the baseline.
 func TestChaosDisabledIsFree(t *testing.T) {
-	team, _ := runChaos(8, MessageFaultPlan{}, PerturbPlan{})
+	team, _ := runChaos(8, MessageFaultPlan{}, 0)
 	s := team.AggStats()
 	if s.Drops != 0 || s.Retries != 0 || s.Dups != 0 || s.RedeliveredBytes != 0 {
 		t.Fatalf("reliability counters nonzero without a plan: %+v", s)
@@ -44,8 +44,8 @@ func TestChaosDisabledIsFree(t *testing.T) {
 // drop/dup schedule is part of the configuration.
 func TestChaosDeterminism(t *testing.T) {
 	plan := MessageFaultPlan{Seed: 101, DropRate: 0.2, DupRate: 0.05}
-	teamA, stA := runChaos(8, plan, PerturbPlan{})
-	teamB, stB := runChaos(8, plan, PerturbPlan{})
+	teamA, stA := runChaos(8, plan, 0)
+	teamB, stB := runChaos(8, plan, 0)
 	if stA.Virtual != stB.Virtual {
 		t.Fatalf("virtual time differs across identical chaos runs: %v vs %v", stA.Virtual, stB.Virtual)
 	}
@@ -64,7 +64,7 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 
 	// A different seed draws a different schedule.
-	teamC, _ := runChaos(8, MessageFaultPlan{Seed: 102, DropRate: 0.2, DupRate: 0.05}, PerturbPlan{})
+	teamC, _ := runChaos(8, MessageFaultPlan{Seed: 102, DropRate: 0.2, DupRate: 0.05}, 0)
 	if teamC.AggStats() == s {
 		t.Fatal("adjacent chaos seeds produced identical aggregate stats")
 	}
@@ -75,7 +75,7 @@ func TestChaosDeterminism(t *testing.T) {
 // shift any randomized algorithmic decision.
 func TestChaosLeavesAlgorithmicRngUntouched(t *testing.T) {
 	draw := func(chaos MessageFaultPlan) [][]uint64 {
-		team := NewTeam(Config{Ranks: 4, RanksPerNode: 2, Seed: 3, Chaos: chaos})
+		team := newTeam(Config{Ranks: 4, RanksPerNode: 2, Seed: 3}, chaos)
 		out := make([][]uint64, 4)
 		team.Run(func(r *Rank) {
 			for i := 0; i < 50; i++ {
@@ -103,8 +103,8 @@ func TestChaosLeavesAlgorithmicRngUntouched(t *testing.T) {
 // modelled as time and reliability counters, not as extra traffic in the
 // locality statistics the paper's tables are built from.
 func TestChaosOnlyAddsTimeAndCounters(t *testing.T) {
-	base, stBase := runChaos(8, MessageFaultPlan{}, PerturbPlan{})
-	chaos, stChaos := runChaos(8, MessageFaultPlan{Seed: 101, DropRate: 0.2, DupRate: 0.05}, PerturbPlan{})
+	base, stBase := runChaos(8, MessageFaultPlan{}, 0)
+	chaos, stChaos := runChaos(8, MessageFaultPlan{Seed: 101, DropRate: 0.2, DupRate: 0.05}, 0)
 	for i := 0; i < 8; i++ {
 		b, c := base.RankStats(i), chaos.RankStats(i)
 		// Zero the reliability counters on the chaos side; the rest must match.
@@ -123,8 +123,8 @@ func TestChaosOnlyAddsTimeAndCounters(t *testing.T) {
 // virtual time or any statistic for this deterministic workload.
 func TestChaosComposesWithPerturb(t *testing.T) {
 	plan := MessageFaultPlan{Seed: 101, DropRate: 0.1, DupRate: 0.02}
-	teamA, stA := runChaos(8, plan, PerturbPlan{})
-	teamB, stB := runChaos(8, plan, PerturbPlan{Seed: 9})
+	teamA, stA := runChaos(8, plan, 0)
+	teamB, stB := runChaos(8, plan, 9)
 	if stA.Virtual != stB.Virtual {
 		t.Fatalf("perturbation changed chaos virtual time: %v vs %v", stA.Virtual, stB.Virtual)
 	}
@@ -141,7 +141,7 @@ func TestChaosComposesWithPerturb(t *testing.T) {
 // *RetryExhaustedError; the team is dead afterwards.
 func TestChaosRetryExhaustion(t *testing.T) {
 	team := NewTeam(Config{Ranks: 4, RanksPerNode: 2, Seed: 3,
-		Chaos: MessageFaultPlan{Seed: 7, DropRate: 1.0, RetryBudget: 3}})
+		Inject: Inject{ChaosSeed: 7, DropRate: 1.0, RetryBudget: 3}})
 	reached := make([]bool, 4)
 	ree := runWithRetryRecover(t, func() {
 		team.Run(func(r *Rank) {

@@ -13,8 +13,8 @@
 // assembly must be bit-identical under every perturbation seed, turning
 // "no schedule-dependent results" into a property the race detector and
 // CI exercise on every run. To reproduce a failure, re-run with the same
-// Config (Ranks, Seed, Perturb) — the delay schedule is part of the
-// configuration, not of the runtime's mood.
+// Config (Ranks, Seed, Inject.PerturbSeed) — the delay schedule is part
+// of the configuration, not of the runtime's mood.
 package xrt
 
 import (
@@ -37,42 +37,19 @@ const (
 	PerturbFlush
 )
 
+// perturbJitterNs caps the uniformly drawn delay per point class: 200µs
+// at a phase start, 50µs before a barrier, 20µs before a flush.
+var perturbJitterNs = [...]int64{PerturbStart: 200_000, PerturbBarrier: 50_000, PerturbFlush: 20_000}
+
 // PerturbPlan configures deterministic schedule perturbation for a Team.
-// The zero value disables perturbation. A non-zero Seed enables it with
-// default jitter magnitudes; the *Ns fields cap the uniformly drawn delay
-// per point class (0 = default).
+// The zero value disables perturbation.
 type PerturbPlan struct {
 	// Seed selects the delay schedule. 0 disables perturbation entirely.
 	Seed int64
-	// StartJitterNs caps the delay injected at each rank's entry into a
-	// Run phase (default 200µs).
-	StartJitterNs int64
-	// BarrierJitterNs caps the delay injected before each barrier arrival
-	// (default 50µs).
-	BarrierJitterNs int64
-	// FlushJitterNs caps the delay injected before each buffer flush
-	// (default 20µs).
-	FlushJitterNs int64
 }
 
 // Enabled reports whether the plan perturbs schedules at all.
 func (p PerturbPlan) Enabled() bool { return p.Seed != 0 }
-
-func (p PerturbPlan) withDefaults() PerturbPlan {
-	if !p.Enabled() {
-		return p
-	}
-	if p.StartJitterNs <= 0 {
-		p.StartJitterNs = 200_000
-	}
-	if p.BarrierJitterNs <= 0 {
-		p.BarrierJitterNs = 50_000
-	}
-	if p.FlushJitterNs <= 0 {
-		p.FlushJitterNs = 20_000
-	}
-	return p
-}
 
 // perturbSeed derives the per-rank delay-stream seed. It is decoupled
 // from the rank's algorithmic RNG seeding (Config.Seed) so that enabling
@@ -88,21 +65,7 @@ func (r *Rank) PerturbPoint(pt PerturbPoint) {
 	if r.pert == nil {
 		return
 	}
-	plan := &r.team.cfg.Perturb
-	var max int64
-	switch pt {
-	case PerturbStart:
-		max = plan.StartJitterNs
-	case PerturbBarrier:
-		max = plan.BarrierJitterNs
-	default:
-		max = plan.FlushJitterNs
-	}
-	if max <= 0 {
-		return
-	}
-	d := int64(r.pert.Uint64() % uint64(max))
-	spinDelay(d)
+	spinDelay(int64(r.pert.Uint64() % uint64(perturbJitterNs[pt])))
 }
 
 // spinDelay blocks for roughly ns of wall time. Short delays yield the

@@ -33,8 +33,7 @@ func TestPerturbInvariants(t *testing.T) {
 	v0, agg0, draws0, red0 := perturbWorkload(base)
 	for _, seed := range []int64{1, 2, 7, 0xdeadbeef} {
 		cfg := base
-		// tiny jitter caps keep the test fast while still reordering
-		cfg.Perturb = PerturbPlan{Seed: seed, StartJitterNs: 5_000, BarrierJitterNs: 2_000, FlushJitterNs: 1_000}
+		cfg.Inject.PerturbSeed = seed
 		v, agg, draws, red := perturbWorkload(cfg)
 		if v != v0 {
 			t.Errorf("perturb seed %d: virtual time %v != unperturbed %v", seed, v, v0)
@@ -72,23 +71,6 @@ func TestPerturbNoopWithoutPlan(t *testing.T) {
 	}
 }
 
-// TestPerturbDefaults checks defaulting: an enabled plan gets non-zero
-// jitter caps, explicit caps are kept, and a disabled plan stays zero.
-func TestPerturbDefaults(t *testing.T) {
-	p := PerturbPlan{Seed: 3}.withDefaults()
-	if p.StartJitterNs <= 0 || p.BarrierJitterNs <= 0 || p.FlushJitterNs <= 0 {
-		t.Fatalf("enabled plan missing default caps: %+v", p)
-	}
-	q := PerturbPlan{Seed: 3, StartJitterNs: 42, BarrierJitterNs: 43, FlushJitterNs: 44}.withDefaults()
-	if q.StartJitterNs != 42 || q.BarrierJitterNs != 43 || q.FlushJitterNs != 44 {
-		t.Fatalf("explicit caps overwritten: %+v", q)
-	}
-	z := PerturbPlan{}.withDefaults()
-	if z != (PerturbPlan{}) {
-		t.Fatalf("zero plan gained defaults: %+v", z)
-	}
-}
-
 // TestPerturbDelayStreamsDeterministic checks the per-rank delay streams
 // are a pure function of (plan seed, rank): distinct across ranks and
 // reproducible across teams, independent of Config.Seed.
@@ -105,8 +87,8 @@ func TestPerturbDelayStreamsDeterministic(t *testing.T) {
 		}
 		return out
 	}
-	a := collect(Config{Ranks: 4, Seed: 1, Perturb: PerturbPlan{Seed: 5}})
-	b := collect(Config{Ranks: 4, Seed: 999, Perturb: PerturbPlan{Seed: 5}})
+	a := collect(Config{Ranks: 4, Seed: 1, Inject: Inject{PerturbSeed: 5}})
+	b := collect(Config{Ranks: 4, Seed: 999, Inject: Inject{PerturbSeed: 5}})
 	seen := map[uint64]bool{}
 	for i := range a {
 		for j := range a[i] {
@@ -119,7 +101,7 @@ func TestPerturbDelayStreamsDeterministic(t *testing.T) {
 		}
 		seen[a[i][0]] = true
 	}
-	c := collect(Config{Ranks: 4, Seed: 1, Perturb: PerturbPlan{Seed: 6}})
+	c := collect(Config{Ranks: 4, Seed: 1, Inject: Inject{PerturbSeed: 6}})
 	if c[0][0] == a[0][0] && c[1][0] == a[1][0] {
 		t.Fatal("different plan seeds produced the same delay schedule")
 	}

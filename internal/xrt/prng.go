@@ -105,22 +105,3 @@ func Splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// BlockRange splits n items into p nearly equal contiguous blocks and
-// returns the half-open range assigned to block i.
-func BlockRange(n, p, i int) (lo, hi int) {
-	q, r := n/p, n%p
-	lo = i*q + min(i, r)
-	hi = lo + q
-	if i < r {
-		hi++
-	}
-	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -99,7 +99,7 @@ func TestRankStreamsReproducibleAcrossTeams(t *testing.T) {
 	for _, cfg := range []Config{
 		{Ranks: 8, Seed: 7},
 		{Ranks: 16, Seed: 7, RanksPerNode: 2},
-		{Ranks: 4, Seed: 7, Perturb: PerturbPlan{Seed: 99}},
+		{Ranks: 4, Seed: 7, Inject: Inject{PerturbSeed: 99}},
 	} {
 		got := draw(cfg, 2)
 		for i := range base {

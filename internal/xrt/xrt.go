@@ -33,19 +33,11 @@ type Config struct {
 	// independent stream (see NewTeam); for a fixed Seed every randomized
 	// algorithmic decision is reproducible regardless of scheduling.
 	Seed int64
-	// Perturb, when enabled (non-zero Seed), injects deterministic
-	// physical delays at rank starts, barrier arrivals, and buffer
-	// flushes, so tests can sweep schedules while asserting bit-identical
-	// output. It never affects virtual time, statistics, or Seed's RNG
-	// streams.
-	Perturb PerturbPlan
-	// Chaos, when enabled (non-zero Seed), simulates a lossy, duplicating
-	// network under every remote operation and the reliable-channel
-	// protocol that absorbs it (see chaos.go). It adds deterministic
-	// virtual time and retry counters but never changes what the
-	// operations apply, so assemblies stay bit-identical to a fault-free
-	// run.
-	Chaos MessageFaultPlan
+	// Inject arms the injection layers (see inject.go). The team itself
+	// applies the schedule perturbation and the lossy transport, neither
+	// of which touches Seed's RNG streams or what operations apply; the
+	// stage-scoped crash and disk plans are read back by pipeline.Run.
+	Inject Inject
 }
 
 // CostModel holds calibrated virtual-time costs, all in nanoseconds unless
@@ -291,10 +283,10 @@ type Rank struct {
 	stats     CommStats
 	foreignNs atomic.Int64 // work charged to this rank by other ranks
 	rng       *Prng
-	pert      *Prng // delay stream; nil unless Config.Perturb is enabled
+	pert      *Prng // delay stream; nil unless perturbation is armed
 
 	// chaos is the message-fault decision stream and chans the per-peer
-	// reliable-channel state; both nil unless Config.Chaos is enabled.
+	// reliable-channel state; both nil unless chaos is armed.
 	// Owned by the rank's goroutine (deliveries are simulated sender-side).
 	chaos *Prng
 	chans []chanState
@@ -503,9 +495,8 @@ type Team struct {
 	bar   *barrier
 
 	// scratch buffers for collectives, indexed by rank
-	sInt   []int64
-	sFloat []float64
-	sAny   []any
+	sInt []int64
+	sAny []any
 
 	walkSeq atomic.Int64 // global unique id source (traversal walks etc.)
 
@@ -530,6 +521,10 @@ type Team struct {
 	// job scheduler charges it as a failed attempt's duration.
 	tripClockNs float64
 
+	// chaos is Config.Inject's transport plan with defaults applied,
+	// fixed for the team's lifetime (see chaos.go).
+	chaos MessageFaultPlan
+
 	// message-fault state (see chaos.go). chaosOn is static for the
 	// team's lifetime; chaosErr records the first retry exhaustion (the
 	// trip itself reuses faultTripped + barrier poisoning).
@@ -540,6 +535,13 @@ type Team struct {
 // NewTeam creates a team. The team may execute multiple Run phases; rank
 // clocks and stats persist across phases.
 func NewTeam(cfg Config) *Team {
+	return newTeam(cfg, cfg.Inject.Chaos())
+}
+
+// newTeam is NewTeam with the transport plan given in full, so this
+// package's tests can set a duplication rate; every other caller arms
+// through Config.Inject.
+func newTeam(cfg Config, chaos MessageFaultPlan) *Team {
 	if cfg.Ranks <= 0 {
 		panic(fmt.Sprintf("xrt: invalid rank count %d", cfg.Ranks))
 	}
@@ -547,15 +549,13 @@ func NewTeam(cfg Config) *Team {
 		cfg.RanksPerNode = 24
 	}
 	cfg.Cost = cfg.Cost.withDefaults()
-	cfg.Perturb = cfg.Perturb.withDefaults()
-	cfg.Chaos = cfg.Chaos.withDefaults()
 	t := &Team{
-		cfg:    cfg,
-		cost:   cfg.Cost,
-		bar:    newBarrier(cfg.Ranks),
-		sInt:   make([]int64, cfg.Ranks),
-		sFloat: make([]float64, cfg.Ranks),
-		sAny:   make([]any, cfg.Ranks),
+		cfg:   cfg,
+		chaos: chaos.withDefaults(),
+		cost:  cfg.Cost,
+		bar:   newBarrier(cfg.Ranks),
+		sInt:  make([]int64, cfg.Ranks),
+		sAny:  make([]any, cfg.Ranks),
 	}
 	t.ranks = make([]*Rank, cfg.Ranks)
 	for i := range t.ranks {
@@ -564,12 +564,12 @@ func NewTeam(cfg Config) *Team {
 			team: t,
 			rng:  NewPrng(cfg.Seed + int64(i)*0x9e3779b97f4a7c + 1),
 		}
-		if cfg.Perturb.Enabled() {
-			t.ranks[i].pert = NewPrng(perturbSeed(cfg.Perturb.Seed, i))
+		if perturb := cfg.Inject.Perturb(); perturb.Enabled() {
+			t.ranks[i].pert = NewPrng(perturbSeed(perturb.Seed, i))
 		}
-		if cfg.Chaos.Enabled() {
+		if chaos.Enabled() {
 			t.chaosOn = true
-			t.ranks[i].chaos = NewPrng(chaosSeed(cfg.Chaos.Seed, i))
+			t.ranks[i].chaos = NewPrng(chaosSeed(chaos.Seed, i))
 			t.ranks[i].chans = make([]chanState, cfg.Ranks)
 		}
 	}
@@ -709,20 +709,6 @@ func (r *Rank) AllReduceInt64(v int64, op func(a, b int64) int64) int64 {
 	return acc
 }
 
-// AllReduceFloat64 is AllReduceInt64 for float64 values.
-func (r *Rank) AllReduceFloat64(v float64, op func(a, b float64) float64) float64 {
-	t := r.team
-	t.sFloat[r.ID] = v
-	r.Barrier()
-	acc := t.sFloat[0]
-	for i := 1; i < len(t.sFloat); i++ {
-		acc = op(acc, t.sFloat[i])
-	}
-	r.chargeCollective()
-	r.Barrier()
-	return acc
-}
-
 // AllGather shares one arbitrary value per rank; the returned slice is
 // indexed by rank and must be treated as read-only. Every rank receives
 // the same contents.
@@ -748,26 +734,6 @@ func (r *Rank) Broadcast(root int, v any) any {
 	r.chargeCollective()
 	r.Barrier()
 	return out
-}
-
-// ExclusivePrefixSum returns the exclusive prefix sum of the per-rank
-// contributions (the standard trick for assigning globally contiguous ID
-// ranges), along with the total.
-func (r *Rank) ExclusivePrefixSum(v int64) (offset, total int64) {
-	t := r.team
-	t.sInt[r.ID] = v
-	r.Barrier()
-	var sum int64
-	for i := 0; i < r.ID; i++ {
-		sum += t.sInt[i]
-	}
-	var tot int64
-	for i := range t.sInt {
-		tot += t.sInt[i]
-	}
-	r.chargeCollective()
-	r.Barrier()
-	return sum, tot
 }
 
 // chargeCollective charges a log(p) latency tree for a small collective.

@@ -111,23 +111,6 @@ func TestAllReduceRepeatedCalls(t *testing.T) {
 	})
 }
 
-func TestExclusivePrefixSum(t *testing.T) {
-	team := NewTeam(Config{Ranks: 6})
-	team.Run(func(r *Rank) {
-		off, tot := r.ExclusivePrefixSum(int64(r.ID + 1))
-		want := int64(0)
-		for i := 0; i < r.ID; i++ {
-			want += int64(i + 1)
-		}
-		if off != want {
-			t.Errorf("rank %d: offset %d want %d", r.ID, off, want)
-		}
-		if tot != 21 {
-			t.Errorf("rank %d: total %d want 21", r.ID, tot)
-		}
-	})
-}
-
 func TestBroadcastAndAllGather(t *testing.T) {
 	team := NewTeam(Config{Ranks: 4})
 	team.Run(func(r *Rank) {
@@ -256,26 +239,6 @@ func TestPrngPermIsPermutation(t *testing.T) {
 			seen[v] = true
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlockRangePartitionsExactly(t *testing.T) {
-	f := func(n16 uint16, p8 uint8) bool {
-		n, p := int(n16), int(p8)%64+1
-		covered := 0
-		prevHi := 0
-		for i := 0; i < p; i++ {
-			lo, hi := BlockRange(n, p, i)
-			if lo != prevHi || hi < lo {
-				return false
-			}
-			covered += hi - lo
-			prevHi = hi
-		}
-		return covered == n && prevHi == n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
