@@ -58,8 +58,10 @@ verify: build vet fuzz
 # comparing striped-mutex, frozen lock-free, and frozen+cached Get paths,
 # the stage-1 hot loops one layer at a time (flat-shard probe and insert,
 # rolling canonical scan, minimizer scan, super-k-mer encode and canonical
-# decode, the Misra–Gries fold), and then the committed harness: benchmark/run.sh measures wall, virtual and memory, end to end
-# and per layer, on four workloads (BENCHMARK.json; compare two runs with
+# decode, the Misra–Gries fold), the scaffolding-half hot loops (seed-index
+# build, one read's alignment, one walk-heavy gap closed at all three k;
+# allocations per op beside the time), and then the committed harness:
+# benchmark/run.sh measures wall, virtual and memory, end to end and per layer, on four workloads (BENCHMARK.json; compare two runs with
 # `bash benchmark/run.sh -compare A.json B.json`).
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1x .
@@ -67,4 +69,6 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkShardUpsert|BenchmarkShardGet' ./internal/flat/
 	$(GO) test -run xxx -bench 'BenchmarkForEachCanonical|BenchmarkMinimizerScan|BenchmarkSuperKmerEncode|BenchmarkDecodeCanonical' ./internal/kmer/
 	$(GO) test -run xxx -bench BenchmarkMergeSummaries ./internal/mg/
+	$(GO) test -run xxx -bench 'BenchmarkBuildIndex|BenchmarkAlignRead' ./internal/aligner/
+	$(GO) test -run xxx -bench BenchmarkCloseGap ./internal/gapclose/
 	bash benchmark/run.sh -out bench.json

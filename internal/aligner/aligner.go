@@ -5,14 +5,22 @@
 // alignment are the same irregular-access pattern as the rest of the
 // pipeline. Candidate (contig, strand, diagonal) bins are voted on by
 // seed hits and the best candidates are extended along the diagonal.
+//
+// Memory: the hit lists of the index are carved from one arena per
+// indexing rank (a seed that occurs once — almost all of them — costs no
+// allocation of its own), and everything AlignRead needs between its
+// lookups and the slice it returns lives in one scratch per rank, created
+// by the rank's first read.
 package aligner
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"hipmer/internal/contig"
 	"hipmer/internal/dht"
 	"hipmer/internal/fastq"
+	"hipmer/internal/flat"
 	"hipmer/internal/kmer"
 	"hipmer/internal/xrt"
 )
@@ -119,46 +127,70 @@ type Index struct {
 	seeds   *dht.Table[kmer.Kmer, hitList]
 	seqs    map[int64]*contig.Contig
 	numCtgs int64
-	// caches[rank] is the rank-local contig cache (FIFO eviction).
-	caches []*contigCache
+	// scratch[rank] is the rank's alignment working memory, nil until the
+	// rank aligns its first read; only that rank touches it.
+	scratch []*alignScratch
+}
+
+// alignScratch is what one rank reuses from read to read.
+type alignScratch struct {
+	votes flat.Map[candidate, int32] // keyed with votes = 0
+	cands []candidate
+	rc    []byte  // the read's reverse complement, when a flipped candidate is extended
+	seen  []int64 // contigs already aligned to: at most MaxCandidates
+	cache contigCache
 }
 
 // contigCache is a bounded per-rank set of contig IDs whose sequences
-// have already been fetched; only its owning rank touches it.
+// have already been fetched (FIFO eviction); only its owning rank touches
+// it. The zero value with cap set is an empty cache: the set and the ring
+// appear with the first fetch.
 type contigCache struct {
-	cap   int
-	have  map[int64]bool
-	order []int64
+	cap  int
+	have map[int64]bool
+	ring []int64 // insertion order: grows to cap, then ring[next] is the oldest
+	next int
 }
 
 func (c *contigCache) hit(id int64) bool {
-	if c == nil || c.cap <= 0 {
+	if c.cap <= 0 {
 		return false
 	}
 	if c.have[id] {
 		return true
 	}
-	if len(c.order) >= c.cap {
-		evict := c.order[0]
-		c.order = c.order[1:]
-		delete(c.have, evict)
+	if c.have == nil {
+		c.have = make(map[int64]bool)
 	}
 	c.have[id] = true
-	c.order = append(c.order, id)
+	if len(c.ring) < c.cap {
+		c.ring = append(c.ring, id)
+		return false
+	}
+	delete(c.have, c.ring[c.next])
+	c.ring[c.next] = id
+	if c.next++; c.next == c.cap {
+		c.next = 0
+	}
 	return false
+}
+
+// hash mixes a candidate's bin — contig, strand, diagonal — for the vote
+// table.
+func (c candidate) hash() uint64 {
+	h := uint64(c.contigID)*0x9e3779b97f4a7c15 ^ uint64(uint32(c.diag))<<1
+	if c.flipped {
+		h ^= 1
+	}
+	return flat.Mix(h)
 }
 
 // BuildIndex constructs the distributed seed index over all contigs.
 // Contig IDs must be the global IDs assigned by contig.Run.
 func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *Index {
 	opt = opt.withDefaults()
-	idx := &Index{opt: opt, team: team, seqs: make(map[int64]*contig.Contig)}
-	if opt.CacheContigs > 0 {
-		idx.caches = make([]*contigCache, team.Config().Ranks)
-		for i := range idx.caches {
-			idx.caches[i] = &contigCache{cap: opt.CacheContigs, have: make(map[int64]bool)}
-		}
-	}
+	idx := &Index{opt: opt, team: team, seqs: make(map[int64]*contig.Contig),
+		scratch: make([]*alignScratch, team.Config().Ranks)}
 	for _, cs := range contigsByRank {
 		for _, c := range cs {
 			idx.seqs[c.ID] = c
@@ -181,7 +213,13 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 	}, nil)
 	cap := opt.MaxSeedHits
 	idx.seeds.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in hitList, e dht.Entry[kmer.Kmer, hitList]) {
-		cur, _ := e.Upsert()
+		cur, inserted := e.Upsert()
+		if inserted {
+			// adopt the sender's one-element slice; its capacity is one,
+			// so a second hit appends into storage of the list's own
+			cur.hits = in.hits
+			return
+		}
 		if cur.saturated {
 			return
 		}
@@ -193,16 +231,22 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 	})
 	team.BeginSpan("index-build")
 	team.Run(func(r *xrt.Rank) {
+		// one arena for all of the rank's hits: a contig of n bases has at
+		// most n−SeedLen+1 seed windows
+		windows := 0
+		for _, c := range contigsByRank[r.ID] {
+			windows += max(len(c.Seq)-opt.SeedLen+1, 0)
+		}
+		arena := make([]SeedHit, 0, windows)
 		for _, c := range contigsByRank[r.ID] {
 			id := c.ID
-			n := 0
+			first := len(arena)
 			kmer.ForEachCanonical(c.Seq, opt.SeedLen, func(pos int, canon kmer.Kmer, flipped bool) {
-				idx.seeds.Put(r, canon, hitList{hits: []SeedHit{{
-					ContigID: id, Pos: int32(pos), Flipped: flipped,
-				}}})
-				n++
+				n := len(arena)
+				arena = append(arena, SeedHit{ContigID: id, Pos: int32(pos), Flipped: flipped})
+				idx.seeds.Put(r, canon, hitList{hits: arena[n : n+1 : n+1]})
 			})
-			r.ChargeItems(n)
+			r.ChargeItems(len(arena) - first)
 		}
 		idx.seeds.Flush(r)
 		r.Barrier()
@@ -230,7 +274,7 @@ func (x *Index) fetchContig(r *xrt.Rank, id int64, bytes int) *contig.Contig {
 	if c == nil {
 		return nil
 	}
-	if x.caches != nil && x.caches[r.ID].hit(id) {
+	if x.scratch[r.ID].cache.hit(id) {
 		r.Charge(x.team.Cost().LocalOpNs)
 		return c
 	}
@@ -254,9 +298,13 @@ func (x *Index) AlignRead(r *xrt.Rank, read []byte) []Alignment {
 	if len(read) < k {
 		return nil
 	}
-	rc := kmer.RevCompString(read)
+	s := x.scratch[r.ID]
+	if s == nil {
+		s = &alignScratch{cache: contigCache{cap: opt.CacheContigs}}
+		x.scratch[r.ID] = s
+	}
 	// vote for (contig, strand, diagonal) bins
-	votes := make(map[candidate]int)
+	s.votes.Clear()
 	for pos := 0; pos+k <= len(read); pos += opt.Stride {
 		km, ok := kmer.Pack(read[pos:], k)
 		if !ok {
@@ -268,47 +316,52 @@ func (x *Index) AlignRead(r *xrt.Rank, read []byte) []Alignment {
 			continue
 		}
 		for _, h := range hl.hits {
-			flip := h.Flipped != flippedR
-			var diag int32
-			if !flip {
-				diag = h.Pos - int32(pos)
-			} else {
+			c := candidate{contigID: h.ContigID, flipped: h.Flipped != flippedR, diag: h.Pos - int32(pos)}
+			if c.flipped {
 				// in the reverse-complemented read frame the seed starts at
 				// len(read)-k-pos
-				diag = h.Pos - int32(len(read)-k-pos)
+				c.diag = h.Pos - int32(len(read)-k-pos)
 			}
-			key := candidate{contigID: h.ContigID, flipped: flip, diag: diag}
-			votes[key]++
+			v, _ := s.votes.Upsert(c.hash(), c)
+			*v++
 		}
 	}
-	if len(votes) == 0 {
+	if s.votes.Len() == 0 {
 		return nil
 	}
-	cands := make([]candidate, 0, len(votes))
-	for c, v := range votes {
-		c.votes = v
+	cands := s.cands[:0]
+	s.votes.Range(func(_ uint64, c candidate, v *int32) bool {
+		c.votes = int(*v)
 		cands = append(cands, c)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].votes != cands[j].votes {
-			return cands[i].votes > cands[j].votes
+		return true
+	})
+	s.cands = cands
+	// a total order, so the result does not depend on the table's slot order
+	slices.SortFunc(cands, func(a, b candidate) int {
+		switch {
+		case a.votes != b.votes:
+			return b.votes - a.votes
+		case a.contigID != b.contigID:
+			return cmp.Compare(a.contigID, b.contigID)
+		case a.diag != b.diag:
+			return cmp.Compare(a.diag, b.diag)
+		case a.flipped != b.flipped:
+			if b.flipped {
+				return -1
+			}
+			return 1
 		}
-		if cands[i].contigID != cands[j].contigID {
-			return cands[i].contigID < cands[j].contigID
-		}
-		if cands[i].diag != cands[j].diag {
-			return cands[i].diag < cands[j].diag
-		}
-		return !cands[i].flipped && cands[j].flipped
+		return 0
 	})
 	if len(cands) > opt.MaxCandidates {
 		cands = cands[:opt.MaxCandidates]
 	}
 
 	var out []Alignment
-	seen := make(map[int64]bool) // best alignment per contig wins
-	for _, c := range cands {
-		if seen[c.contigID] {
+	s.seen = s.seen[:0] // best alignment per contig wins
+	s.rc = s.rc[:0]     // filled by the first flipped candidate
+	for i, c := range cands {
+		if slices.Contains(s.seen, c.contigID) {
 			continue
 		}
 		ctg := x.fetchContig(r, c.contigID, len(read))
@@ -317,7 +370,10 @@ func (x *Index) AlignRead(r *xrt.Rank, read []byte) []Alignment {
 		}
 		q := read
 		if c.flipped {
-			q = rc
+			if len(s.rc) == 0 {
+				s.rc = kmer.AppendRevComp(s.rc, read)
+			}
+			q = s.rc
 		}
 		a, ok := extendDiagonal(q, ctg.Seq, int(c.diag), opt)
 		if !ok {
@@ -331,10 +387,18 @@ func (x *Index) AlignRead(r *xrt.Rank, read []byte) []Alignment {
 			// convert coordinates back to the original read frame
 			a.RStart, a.REnd = len(read)-a.REnd, len(read)-a.RStart
 		}
-		seen[c.contigID] = true
+		s.seen = append(s.seen, c.contigID)
+		if out == nil {
+			out = make([]Alignment, 0, len(cands)-i)
+		}
+		// descending score, ties in candidate order: a stable insertion
+		j := len(out)
 		out = append(out, a)
+		for ; j > 0 && out[j-1].Score < a.Score; j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = a
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Score > out[j].Score })
 	return out
 }
 
@@ -357,8 +421,11 @@ func extendDiagonal(q, ctg []byte, diag int, opt Options) (Alignment, bool) {
 	best, bestLo, bestHi := -1, rlo, rlo
 	cur, curLo := 0, rlo
 	bestMatches, curMatches := 0, 0
-	for i := rlo; i < rhi; i++ {
-		if q[i] == ctg[i+diag] {
+	qw, cw := q[rlo:rhi], ctg[rlo+diag:rhi+diag] // the diagonal's two sides, equally long
+	cw = cw[:len(qw)]
+	for j := range qw {
+		i := rlo + j
+		if qw[j] == cw[j] {
 			cur++
 			curMatches++
 		} else {

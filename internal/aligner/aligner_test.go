@@ -276,12 +276,77 @@ func BenchmarkAlignRead(b *testing.B) {
 	team := xrt.NewTeam(xrt.Config{Ranks: 1})
 	idx := mkIndex(team, [][]byte{g}, Options{})
 	read := g[5000:5100]
+	b.ReportAllocs()
 	b.ResetTimer()
 	team.Run(func(r *xrt.Rank) {
 		for i := 0; i < b.N; i++ {
 			idx.AlignRead(r, read)
 		}
 	})
+}
+
+// indexInput cuts 200 kbp of sequence into 2–6 kbp contigs for the
+// index-build gate and benchmark.
+func indexInput(g []byte, ranks int) (byRank [][]*contig.Contig, positions int) {
+	rng := xrt.NewPrng(12)
+	byRank = make([][]*contig.Contig, ranks)
+	k := Options{}.withDefaults().SeedLen
+	for pos, i := 0, 0; pos < len(g); i++ {
+		n := min(2000+rng.Intn(4000), len(g)-pos)
+		byRank[i%ranks] = append(byRank[i%ranks], &contig.Contig{ID: int64(i + 1), Seq: g[pos : pos+n]})
+		positions += max(n-k+1, 0)
+		pos += n
+	}
+	return byRank, positions
+}
+
+func BenchmarkBuildIndex(b *testing.B) {
+	// human-like: mostly unique seeds, plus the repeat families whose hit
+	// lists grow and saturate
+	byRank, positions := indexInput(genome.HumanLike(xrt.NewPrng(14), 200000), 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		team := xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2})
+		BuildIndex(team, byRank, Options{})
+	}
+	b.ReportMetric(float64(positions), "positions/op")
+}
+
+// TestAlignReadAllocations: a rank's steady-state AlignRead allocates the
+// slice it returns and nothing else, whichever strand the read is on.
+func TestAlignReadAllocations(t *testing.T) {
+	rng := xrt.NewPrng(13)
+	g := genome.Random(rng, 20000)
+	team := xrt.NewTeam(xrt.Config{Ranks: 1})
+	idx := mkIndex(team, [][]byte{g[:12000], g[11000:]}, Options{})
+	reads := [][]byte{g[5000:5100], kmer.RevCompString(g[7000:7100]), g[11450:11550]}
+	team.Run(func(r *xrt.Rank) {
+		for _, read := range reads {
+			if len(idx.AlignRead(r, read)) == 0 { // and warms the scratch
+				t.Errorf("precondition: read does not align")
+			}
+			if allocs := testing.AllocsPerRun(50, func() { idx.AlignRead(r, read) }); allocs > 2 {
+				t.Errorf("steady-state AlignRead: %.0f allocations, ceiling 2", allocs)
+			}
+		}
+	})
+}
+
+// TestBuildIndexAllocations: indexing a contig position whose seed occurs
+// once costs no allocation of its own — the hit comes from the rank's
+// arena and the owner adopts it — and what remains (the arenas, the store
+// buffers, the slot arrays) is amortised over the positions. The sequence
+// is random, so every seed is unique; a repeated seed's list grows by
+// append like any slice.
+func TestBuildIndexAllocations(t *testing.T) {
+	byRank, positions := indexInput(genome.Random(xrt.NewPrng(14), 200000), 4)
+	allocs := testing.AllocsPerRun(3, func() {
+		team := xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2})
+		BuildIndex(team, byRank, Options{})
+	})
+	if perPos := allocs / float64(positions); perPos > 0.01 {
+		t.Fatalf("BuildIndex: %.0f allocations for %d positions = %.4f per position, ceiling 0.01", allocs, positions, perPos)
+	}
 }
 
 func TestContigCacheReducesRemoteFetches(t *testing.T) {
@@ -322,5 +387,15 @@ func TestContigCacheEviction(t *testing.T) {
 	c.hit(3) // evicts 1 (FIFO)
 	if c.hit(1) {
 		t.Fatal("evicted entry reported hit")
+	}
+	// the order is a ring of cap ids: a long-lived cache never grows it
+	for id := int64(10); id < 1000; id++ {
+		c.hit(id)
+	}
+	if len(c.ring) != 2 || cap(c.ring) > 2 || len(c.have) != 2 {
+		t.Fatalf("after 990 evictions: ring len %d cap %d, set %d, want 2 2 2", len(c.ring), cap(c.ring), len(c.have))
+	}
+	if !c.hit(999) || !c.hit(998) || c.hit(997) {
+		t.Fatal("ring does not hold the two most recent ids")
 	}
 }

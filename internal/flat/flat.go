@@ -30,7 +30,7 @@
 //
 // Pointers returned by Get and Upsert address the slot itself: a
 // read-modify-write is one probe and no value copy. They stay valid until
-// the next Upsert, Delete, Filter or Grow on the map.
+// the next Upsert, Delete, Filter, Grow or Clear on the map.
 //
 // A Map is not safe for concurrent mutation; concurrent readers of a map
 // nobody mutates need no lock (a frozen dht.Table is served that way).
@@ -106,6 +106,15 @@ func (m *Map[K, V]) Len() int { return m.n }
 
 // Cap returns the number of slots allocated.
 func (m *Map[K, V]) Cap() int { return len(m.slots) }
+
+// Clear removes every entry and keeps the slot array, so that a map
+// refilled to a similar size — a per-rank scratch table reused from one
+// work item to the next — never allocates again. It costs one pass over
+// the slots, whatever the number of entries.
+func (m *Map[K, V]) Clear() {
+	clear(m.slots)
+	m.n = 0
+}
 
 func (m *Map[K, V]) home(tag uint64) int {
 	hi, _ := bits.Mul64(tag*m.salt, uint64(len(m.slots)))

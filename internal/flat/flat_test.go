@@ -89,7 +89,17 @@ func runScript(t *testing.T, mode int, script []byte) {
 				}
 			}
 		case 7: // explicit growth, to arbitrary (non power of two) sizes
-			m.Grow(int(k) * 3)
+			if k&7 != 7 {
+				m.Grow(int(k) * 3)
+				break
+			}
+			// every eighth time, Clear instead: empty, storage kept
+			slots := m.Cap()
+			m.Clear()
+			clear(ref)
+			if m.Cap() != slots {
+				t.Fatalf("step %d: Clear changed Cap %d -> %d", i, slots, m.Cap())
+			}
 		}
 		check(i)
 	}
@@ -140,6 +150,7 @@ func FuzzMapAgainstModel(f *testing.F) {
 	f.Add(byte(0), []byte{0, 1, 0, 2, 5, 1, 3, 1, 6, 0})
 	f.Add(byte(1), []byte{0, 1, 0, 2, 0, 3, 5, 2, 0, 2, 7, 9, 3, 3})
 	f.Add(byte(4), []byte{0, 7, 0, 6, 0, 5, 0, 4, 0, 3, 0, 2, 5, 7, 5, 5, 0, 7, 6, 1})
+	f.Add(byte(2), []byte{0, 1, 0, 2, 0, 3, 7, 7, 3, 1, 0, 2, 0, 9, 7, 15, 0, 1, 3, 1})
 	f.Fuzz(func(t *testing.T, mode byte, script []byte) {
 		runScript(t, int(mode), script)
 	})

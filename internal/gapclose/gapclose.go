@@ -141,6 +141,22 @@ func Run(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadLib,
 	opt Options) *Result {
 	opt = opt.withDefaults()
 	res := &Result{}
+	gaps := collectGaps(team, scafRes, libs, opt)
+	res.Gaps = len(gaps)
+	closures := closeGaps(team, gaps, opt, res)
+	res.ScaffoldSeqs = splice(scafRes, gaps, closures)
+	return res
+}
+
+// closure is the outcome of one gap.
+type closure struct {
+	method Method
+	seq    []byte
+}
+
+// collectGaps enumerates the gaps of the scaffolds and projects the reads
+// aligned near each into it.
+func collectGaps(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadLib, opt Options) []*gapState {
 	p := team.Config().Ranks
 
 	// enumerate gaps and index them by adjacent contig end
@@ -166,7 +182,6 @@ func Run(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadLib,
 			gapAt[gapEndKey{cur.ContigID, entryEnd(cur)}] = idx
 		}
 	}
-	res.Gaps = len(gaps)
 
 	// project reads into gaps: any pair whose top alignment sits within
 	// insert distance of a gap-adjacent contig end contributes both mates
@@ -223,25 +238,28 @@ func Run(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadLib,
 		}
 	}
 
-	// close gaps, round-robin across ranks (§4.8 load-balance strategy)
-	type closure struct {
-		method Method
-		seq    []byte
-	}
+	return gaps
+}
+
+// closeGaps closes the gaps, dealt round-robin across ranks (§4.8
+// load-balance strategy), and fills in res's outcome counts.
+func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []closure {
+	p := team.Config().Ranks
 	closures := make([]closure, len(gaps))
 	var verified, checked atomic.Int64
 	team.BeginSpan("close")
 	res.Phase = team.Run(func(r *xrt.Rank) {
+		var s scratch // buffers appear with the rank's first gap
 		for gi := r.ID; gi < len(gaps); gi += p {
 			g := gaps[gi]
-			m, seq, work := closeGap(g, opt)
+			m, seq, work := s.closeGap(g, opt)
 			closures[gi] = closure{m, seq}
 			// closure methods differ in computational intensity by orders
 			// of magnitude (§4.8); charge the bases actually scanned
 			r.ChargeItems(work + 64)
 			if m != Unclosed && opt.KmerTable != nil && opt.K > 0 {
 				checked.Add(1)
-				if verifyClosure(r, g, seq, opt) {
+				if s.verifyClosure(r, g, seq, opt) {
 					verified.Add(1)
 				}
 			}
@@ -269,8 +287,12 @@ func Run(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadLib,
 	team.AddCounter("verify_checked", int64(res.Checked))
 	team.AddCounter("verify_confirmed", int64(res.Verified))
 	team.EndSpan()
+	return closures
+}
 
-	// splice closures into final scaffold sequences
+// splice renders the final scaffold sequences, closures in place.
+func splice(scafRes *scaffold.Result, gaps []*gapState, closures []closure) [][]byte {
+	var seqs [][]byte
 	gapIdxByID := make(map[gapID]int)
 	for i, g := range gaps {
 		gapIdxByID[g.id] = i
@@ -292,9 +314,9 @@ func Run(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadLib,
 			// fall back to the scaffold-level join (Ns or splint overlap)
 			out = appendWithGap(out, seq, m.GapBefore)
 		}
-		res.ScaffoldSeqs = append(res.ScaffoldSeqs, out)
+		seqs = append(seqs, out)
 	}
-	return res
+	return seqs
 }
 
 type gapEndKey struct {
@@ -354,187 +376,4 @@ func appendWithGap(out, seq []byte, gap int) []byte {
 	}
 	out = append(out, 'N')
 	return append(out, seq...)
-}
-
-// closeGap tries the closure methods in order of computational cost. The
-// returned work is the number of read bases scanned, used for cost
-// accounting: spanning is orders of magnitude cheaper than k-mer walks,
-// which is exactly why the paper distributes gaps round-robin.
-func closeGap(g *gapState, opt Options) (Method, []byte, int) {
-	if len(g.left) < opt.MinOverlap || len(g.right) < opt.MinOverlap {
-		return Unclosed, nil, 0
-	}
-	readBases := 0
-	for _, rd := range g.reads {
-		readBases += len(rd)
-	}
-	work := readBases // spanning scan
-	if seq, ok := trySpanning(g, opt); ok {
-		return Spanned, seq, work
-	}
-	maxLen := g.est*opt.MaxGapFactor + 200
-	var bestL, bestR []byte
-	for k := opt.WalkK; k <= opt.MaxWalkK; k += opt.WalkKStep {
-		work += 3 * readBases // mini de Bruijn build + two directed walks
-		counts := kmerCounts(g.reads, k)
-		if seq, partial, ok := walkAcross(g.left, g.right, counts, k, maxLen); ok {
-			return Walked, seq, work
-		} else if len(partial) > len(bestL) {
-			bestL = partial
-		}
-		// right-to-left: walk the reverse complement problem
-		rl := kmer.RevCompString(g.right)
-		rr := kmer.RevCompString(g.left)
-		if seq, partial, ok := walkAcross(rl, rr, counts, k, maxLen); ok {
-			return Walked, kmer.RevCompString(seq), work
-		} else if len(partial) > len(bestR) {
-			bestR = partial
-		}
-	}
-	// patching: overlap the two partial walks (left-extension vs the
-	// reverse complement of the right-extension)
-	if len(bestL) > 0 && len(bestR) > 0 {
-		work += (len(g.left) + len(bestL)) * 8 // banded overlap DP
-		a := append(append([]byte(nil), g.left...), bestL...)
-		b := append(kmer.RevCompString(bestR), g.right...)
-		if o, ok := aligner.BestOverlap(a, b, opt.MinOverlap, opt.MinIdentity); ok {
-			// closure = bestL + (b after the overlap, before right flank)
-			joined := append(append([]byte(nil), a...), b[o.LenB:]...)
-			// extract the part strictly between the flanks
-			if len(joined) >= len(g.left)+len(g.right) {
-				seq := joined[len(g.left) : len(joined)-len(g.right)]
-				return Patched, append([]byte(nil), seq...), work
-			}
-		}
-	}
-	return Unclosed, nil, work
-}
-
-// verifyClosure checks a closure's junction k-mers — every window that
-// touches closure sequence or straddles a flank boundary — against the
-// frozen global k-mer table. A correct closure is assembled from real
-// read k-mers, so most junction windows should have survived k-mer
-// analysis; a chimeric join produces windows never seen in any read. The
-// closure is deemed verified when at least half the windows are found
-// (single-read spans legitimately contain low-count k-mers the MinCount
-// filter dropped). Lookups are the same irregular-access pattern as the
-// gap walks and run lock-free through the per-rank software cache.
-func verifyClosure(r *xrt.Rank, g *gapState, seq []byte, opt Options) bool {
-	k := opt.K
-	joined := make([]byte, 0, len(g.left)+len(seq)+len(g.right))
-	joined = append(joined, g.left...)
-	joined = append(joined, seq...)
-	joined = append(joined, g.right...)
-	lo := len(g.left) - k + 1
-	if lo < 0 {
-		lo = 0
-	}
-	hi := len(g.left) + len(seq)
-	if hi > len(joined)-k {
-		hi = len(joined) - k
-	}
-	found, total := 0, 0
-	for pos := lo; pos <= hi; pos++ {
-		km, ok := kmer.Pack(joined[pos:], k)
-		if !ok {
-			continue
-		}
-		canon, _ := km.Canonical(k)
-		total++
-		if _, ok := opt.KmerTable.Get(r, canon); ok {
-			found++
-		}
-	}
-	return total > 0 && 2*found >= total
-}
-
-// trySpanning looks for a single read that contains the end of the left
-// flank and the start of the right flank in order (§4.8 method 1).
-func trySpanning(g *gapState, opt Options) ([]byte, bool) {
-	la := tail(g.left, opt.MinOverlap)
-	ra := head(g.right, opt.MinOverlap)
-	for _, rd := range g.reads {
-		for _, seq := range [][]byte{rd, kmer.RevCompString(rd)} {
-			li := bytes.Index(seq, la)
-			if li < 0 {
-				continue
-			}
-			ri := bytes.Index(seq[li+len(la):], ra)
-			if ri < 0 {
-				continue
-			}
-			gapStart := li + len(la)
-			return append([]byte(nil), seq[gapStart:gapStart+ri]...), true
-		}
-	}
-	return nil, false
-}
-
-// kmerCounts builds the mini de Bruijn extension counts from the gap's
-// reads (both strands).
-func kmerCounts(reads [][]byte, k int) map[string][4]int {
-	counts := make(map[string][4]int)
-	add := func(seq []byte) {
-		for i := 0; i+k < len(seq); i++ {
-			w := string(seq[i : i+k])
-			c, ok := kmer.BaseCode(seq[i+k])
-			if !ok {
-				continue
-			}
-			arr := counts[w]
-			arr[c]++
-			counts[w] = arr
-		}
-	}
-	for _, rd := range reads {
-		add(rd)
-		add(kmer.RevCompString(rd))
-	}
-	return counts
-}
-
-// walkAcross greedily extends from the left flank's final k bases,
-// choosing the dominant extension at each step, until the right flank's
-// anchor is reached (closure found), the walk dead-ends, or maxLen is
-// exceeded. It returns the closure (bases strictly between the flanks) on
-// success, else the partial extension.
-func walkAcross(left, right []byte, counts map[string][4]int, k, maxLen int) (
-	closure []byte, partial []byte, ok bool) {
-	if len(left) < k || len(right) < k {
-		return nil, nil, false
-	}
-	anchor := string(right[:k])
-	cur := append([]byte(nil), left[len(left)-k:]...)
-	var walked []byte
-	for len(walked) < maxLen+k {
-		w := string(cur)
-		if w == anchor {
-			// reached the right flank: closure excludes the anchor bases
-			n := len(walked) - k
-			if n < 0 {
-				n = 0
-			}
-			return append([]byte(nil), walked[:n]...), nil, true
-		}
-		arr, exists := counts[w]
-		if !exists {
-			return nil, walked, false
-		}
-		// dominant extension: best count must be unambiguous
-		bi, bc, sc := -1, 0, 0
-		for b, c := range arr {
-			if c > bc {
-				bi, sc, bc = b, bc, c
-			} else if c > sc {
-				sc = c
-			}
-		}
-		if bi < 0 || bc == 0 || bc == sc {
-			return nil, walked, false
-		}
-		nb := kmer.CodeBase(uint64(bi))
-		walked = append(walked, nb)
-		cur = append(cur[1:], nb)
-	}
-	return nil, walked, false
 }

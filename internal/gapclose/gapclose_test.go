@@ -186,12 +186,12 @@ func TestWalkAcrossUnit(t *testing.T) {
 	for i := 0; i+80 <= len(g); i += 7 {
 		reads = append(reads, g[i:i+80])
 	}
-	counts := kmerCounts(reads, 21)
-	closure, _, ok := walkAcross(left, right, counts, 21, 500)
-	if !ok {
+	var s scratch
+	s.graph.build(reads, 21)
+	if !s.walk(kmer.FromString(string(left[len(left)-21:])), kmer.FromString(string(right[:21])), true, true, 21, 500) {
 		t.Fatal("walk failed on perfectly covered gap")
 	}
-	if !bytes.Equal(closure, g[150:250]) {
+	if closure := s.closure(21); !bytes.Equal(closure, g[150:250]) {
 		t.Fatalf("closure %d bases, want the 100-base gap interior", len(closure))
 	}
 }
@@ -201,9 +201,9 @@ func TestWalkStopsAtAmbiguity(t *testing.T) {
 	left := []byte("ACGTACGTACGTACGTACGTACGTA")
 	branch1 := append(append([]byte(nil), left...), []byte("GGGGGGGGGG")...)
 	branch2 := append(append([]byte(nil), left...), []byte("CCCCCCCCCC")...)
-	counts := kmerCounts([][]byte{branch1, branch2}, 21)
-	_, _, ok := walkAcross(left, []byte("TTTTTTTTTTTTTTTTTTTTTTTT"), counts, 21, 100)
-	if ok {
+	var s scratch
+	s.graph.build([][]byte{branch1, branch2}, 21)
+	if s.walk(kmer.FromString(string(left[len(left)-21:])), kmer.FromString("TTTTTTTTTTTTTTTTTTTTT"), true, true, 21, 100) {
 		t.Fatal("walk crossed an ambiguous branch")
 	}
 }
@@ -217,7 +217,8 @@ func TestSpanningUnit(t *testing.T) {
 		est:   60,
 		reads: [][]byte{g[100:200]}, // spans the gap
 	}
-	m, seq, _ := closeGap(gst, Options{}.withDefaults())
+	var s scratch
+	m, seq, _ := s.closeGap(gst, Options{}.withDefaults())
 	if m != Spanned {
 		t.Fatalf("method %v, want spanned", m)
 	}
@@ -226,7 +227,7 @@ func TestSpanningUnit(t *testing.T) {
 	}
 	// reverse-complement spanning read must also work
 	gst.reads = [][]byte{kmer.RevCompString(g[100:200])}
-	m, seq, _ = closeGap(gst, Options{}.withDefaults())
+	m, seq, _ = s.closeGap(gst, Options{}.withDefaults())
 	if m != Spanned || !bytes.Equal(seq, g[120:180]) {
 		t.Fatalf("rc spanning failed: %v", m)
 	}
@@ -263,7 +264,8 @@ func TestPatchingUnit(t *testing.T) {
 	gst := &gapState{left: left, right: right, est: len(gapSeq), reads: reads}
 	opt := Options{}.withDefaults()
 	opt.WalkK, opt.MaxWalkK = k, k // no k escalation
-	m, seq, _ := closeGap(gst, opt)
+	var s scratch
+	m, seq, _ := s.closeGap(gst, opt)
 	if m != Patched {
 		t.Fatalf("expected patched closure, got %v", m)
 	}

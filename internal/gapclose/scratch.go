@@ -1,0 +1,225 @@
+package gapclose
+
+import (
+	"bytes"
+
+	"hipmer/internal/aligner"
+	"hipmer/internal/flat"
+	"hipmer/internal/kmer"
+	"hipmer/internal/xrt"
+)
+
+// scratch is one rank's working memory for closing gaps. The zero value
+// is ready: each buffer is allocated by the first gap that needs it and
+// reused by every later one, across the k ladder and across gaps, so a
+// rank that is dealt no gap allocates nothing and a warmed rank allocates
+// only the closures it returns. Only its rank touches it.
+type scratch struct {
+	graph        miniGraph
+	walked       []byte // the walk in progress
+	bestL, bestR []byte // longest partial walk from either side, over the k ladder
+	rcLa, rcRa   []byte // reverse complements of the spanning anchors
+	a, b         []byte // patching operands
+	joined       []byte // verification window: left flank + closure + right flank
+}
+
+// miniGraph is the mini-assembly de Bruijn graph of one gap at one k: for
+// every k-mer of the gap's reads, on both strands, how often each base
+// follows it. Walk k ≤ 41 fits the two-word k-mer, so windows are packed,
+// never copied.
+//
+// Only windows of k nucleotides are stored, with case folded as everywhere
+// else in package kmer. A walk whose start window holds another character
+// dead-ends at once, and an anchor window that does never matches — the
+// flanks of scaffolding rounds ≥ 2 are earlier scaffolds and carry the Ns
+// of unclosed gaps. (A table keyed by the window's bytes would match such
+// a window only against a read with the same characters at the same
+// offsets, and reads carry no N runs.)
+type miniGraph struct {
+	counts flat.Map[kmer.Kmer, [4]int32]
+}
+
+const miniGraphSeed = 0x6a9c105e
+
+// build replaces the graph with that of reads at k, in one rolling pass per
+// read: the window at pos is followed by read[pos+k] on the read's strand,
+// and its reverse complement by the complement of read[pos-1] on the other.
+func (g *miniGraph) build(reads [][]byte, k int) {
+	g.counts.Clear()
+	for _, rd := range reads {
+		kmer.ForEachStrands(rd, k, func(pos int, fw, rc kmer.Kmer) {
+			if pos+k < len(rd) {
+				if c, ok := kmer.BaseCode(rd[pos+k]); ok {
+					v, _ := g.counts.Upsert(fw.Hash(miniGraphSeed), fw)
+					v[c]++
+				}
+			}
+			if pos > 0 {
+				if c, ok := kmer.BaseCode(rd[pos-1]); ok {
+					v, _ := g.counts.Upsert(rc.Hash(miniGraphSeed), rc)
+					v[3-c]++
+				}
+			}
+		})
+	}
+}
+
+// after returns the counts of the bases following km, or nil when no read
+// continues it.
+func (g *miniGraph) after(km kmer.Kmer) *[4]int32 {
+	return g.counts.Get(km.Hash(miniGraphSeed), km)
+}
+
+// closeGap tries the closure methods in order of computational cost. The
+// returned work is the number of read bases scanned, used for cost
+// accounting: spanning is orders of magnitude cheaper than k-mer walks,
+// which is exactly why the paper distributes gaps round-robin.
+func (s *scratch) closeGap(g *gapState, opt Options) (Method, []byte, int) {
+	if len(g.left) < opt.MinOverlap || len(g.right) < opt.MinOverlap {
+		return Unclosed, nil, 0
+	}
+	readBases := 0
+	for _, rd := range g.reads {
+		readBases += len(rd)
+	}
+	work := readBases // spanning scan
+	if seq, ok := s.trySpanning(g, opt); ok {
+		return Spanned, seq, work
+	}
+	maxLen := g.est*opt.MaxGapFactor + 200
+	s.bestL, s.bestR = s.bestL[:0], s.bestR[:0]
+	for k := opt.WalkK; k <= opt.MaxWalkK; k += opt.WalkKStep {
+		work += 3 * readBases // mini de Bruijn build + two directed walks
+		if len(g.left) < k || len(g.right) < k {
+			continue
+		}
+		s.graph.build(g.reads, k)
+		from, fromOK := kmer.Pack(g.left[len(g.left)-k:], k)
+		to, toOK := kmer.Pack(g.right, k)
+		if s.walk(from, to, fromOK, toOK, k, maxLen) {
+			return Walked, bytes.Clone(s.closure(k)), work
+		} else if len(s.walked) > len(s.bestL) {
+			s.bestL = append(s.bestL[:0], s.walked...)
+		}
+		// right-to-left: the same walk on the other strand, from the
+		// reverse complement of the right anchor to that of the left
+		if s.walk(to.RevComp(k), from.RevComp(k), toOK, fromOK, k, maxLen) {
+			return Walked, kmer.RevCompString(s.closure(k)), work
+		} else if len(s.walked) > len(s.bestR) {
+			s.bestR = append(s.bestR[:0], s.walked...)
+		}
+	}
+	// patching: overlap the two partial walks (left-extension vs the
+	// reverse complement of the right-extension)
+	if len(s.bestL) > 0 && len(s.bestR) > 0 {
+		work += (len(g.left) + len(s.bestL)) * 8 // banded overlap DP
+		s.a = append(append(s.a[:0], g.left...), s.bestL...)
+		s.b = append(kmer.AppendRevComp(s.b[:0], s.bestR), g.right...)
+		if o, ok := aligner.BestOverlap(s.a, s.b, opt.MinOverlap, opt.MinIdentity); ok {
+			// joined = a + (b after the overlap); the closure is the part
+			// strictly between the flanks
+			s.a = append(s.a, s.b[o.LenB:]...)
+			if len(s.a) >= len(g.left)+len(g.right) {
+				return Patched, bytes.Clone(s.a[len(g.left) : len(s.a)-len(g.right)]), work
+			}
+		}
+	}
+	return Unclosed, nil, work
+}
+
+// verifyClosure checks a closure's junction k-mers — every window that
+// touches closure sequence or straddles a flank boundary — against the
+// frozen global k-mer table. A correct closure is assembled from real
+// read k-mers, so most junction windows should have survived k-mer
+// analysis; a chimeric join produces windows never seen in any read. The
+// closure is deemed verified when at least half the windows are found
+// (single-read spans legitimately contain low-count k-mers the MinCount
+// filter dropped). Lookups are the same irregular-access pattern as the
+// gap walks and run lock-free through the per-rank software cache.
+func (s *scratch) verifyClosure(r *xrt.Rank, g *gapState, seq []byte, opt Options) bool {
+	k := opt.K
+	s.joined = append(append(append(s.joined[:0], g.left...), seq...), g.right...)
+	lo := max(len(g.left)-k+1, 0)
+	hi := min(len(g.left)+len(seq), len(s.joined)-k)
+	if hi < lo {
+		return false
+	}
+	found, total := 0, 0
+	kmer.ForEachCanonical(s.joined[lo:hi+k], k, func(_ int, canon kmer.Kmer, _ bool) {
+		total++
+		if _, ok := opt.KmerTable.Get(r, canon); ok {
+			found++
+		}
+	})
+	return total > 0 && 2*found >= total
+}
+
+// trySpanning looks for a single read that contains the end of the left
+// flank and the start of the right flank in order (§4.8 method 1), on
+// either strand. The other strand is searched in place: the first
+// occurrence of an anchor in a read's reverse complement is the last
+// occurrence of the anchor's reverse complement in the read.
+func (s *scratch) trySpanning(g *gapState, opt Options) ([]byte, bool) {
+	la := tail(g.left, opt.MinOverlap)
+	ra := head(g.right, opt.MinOverlap)
+	s.rcLa = kmer.AppendRevComp(s.rcLa[:0], la)
+	s.rcRa = kmer.AppendRevComp(s.rcRa[:0], ra)
+	for _, rd := range g.reads {
+		if li := bytes.Index(rd, la); li >= 0 {
+			from := li + len(la)
+			if ri := bytes.Index(rd[from:], ra); ri >= 0 {
+				return bytes.Clone(rd[from : from+ri]), true
+			}
+		}
+		if li := bytes.LastIndex(rd, s.rcLa); li >= 0 {
+			if ri := bytes.LastIndex(rd[:li], s.rcRa); ri >= 0 {
+				return kmer.RevCompString(rd[ri+len(ra) : li]), true
+			}
+		}
+	}
+	return nil, false
+}
+
+// walk greedily extends from k-mer from through the graph, choosing the
+// dominant extension at each step, until k-mer to is reached (it reports
+// true), the walk dead-ends, or maxLen is exceeded. The bases walked are
+// left in s.walked either way: the partial extension, or — on success —
+// the closure followed by the k bases of to (see closure). fromOK and toOK
+// say whether the two windows were nucleotides throughout.
+func (s *scratch) walk(from, to kmer.Kmer, fromOK, toOK bool, k, maxLen int) bool {
+	s.walked = s.walked[:0]
+	if !fromOK {
+		return false
+	}
+	for cur := from; len(s.walked) < maxLen+k; {
+		if toOK && cur == to {
+			return true
+		}
+		arr := s.graph.after(cur)
+		if arr == nil {
+			return false
+		}
+		// dominant extension: best count must be unambiguous
+		bi, bc, sc := -1, int32(0), int32(0)
+		for b, c := range arr {
+			if c > bc {
+				bi, sc, bc = b, bc, c
+			} else if c > sc {
+				sc = c
+			}
+		}
+		if bi < 0 || bc == sc {
+			return false
+		}
+		s.walked = append(s.walked, kmer.CodeBase(uint64(bi)))
+		cur = cur.NextRight(k, uint64(bi))
+	}
+	return false
+}
+
+// closure is the result of a successful walk at k: the bases strictly
+// between the flanks, i.e. the walk without the anchor it ended on (none,
+// when the flanks overlap and the anchor was reached in under k steps).
+func (s *scratch) closure(k int) []byte {
+	return s.walked[:max(len(s.walked)-k, 0)]
+}

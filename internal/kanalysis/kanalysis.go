@@ -476,6 +476,13 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	res.SketchPhase = team.Run(func(r *xrt.Rank) {
 		sk := hll.New(14)
 		sm := mg.NewSeeded[kmer.Kmer](opt.Theta, hashSeed)
+		if opt.HeavyHitters {
+			windows := 0
+			for _, rec := range readsByRank[r.ID] {
+				windows += max(len(rec.Seq)-opt.K+1, 0)
+			}
+			sm.Expect(windows)
+		}
 		n := 0
 		for _, rec := range readsByRank[r.ID] {
 			kmer.ForEachCanonical(rec.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {

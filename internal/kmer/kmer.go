@@ -35,20 +35,9 @@ func BaseCode(b byte) (code uint64, ok bool) {
 // CodeBase is the inverse of BaseCode for valid codes 0..3.
 func CodeBase(c uint64) byte { return "ACGT"[c&3] }
 
-// Complement returns the complementary base letter.
-func Complement(b byte) byte {
-	switch b {
-	case 'A', 'a':
-		return 'T'
-	case 'C', 'c':
-		return 'G'
-	case 'G', 'g':
-		return 'C'
-	case 'T', 't':
-		return 'A'
-	}
-	return 'N'
-}
+// Complement returns the complementary base letter: upper case for a
+// nucleotide of either case, 'N' for anything else.
+func Complement(b byte) byte { return complements[b] }
 
 // Pack converts seq[0:k] into a Kmer. ok is false if the window contains a
 // non-ACGT character.
@@ -245,9 +234,14 @@ func IsBaseExt(e byte) bool {
 
 // RevCompString reverse-complements an ASCII DNA sequence (N maps to N).
 func RevCompString(s []byte) []byte {
-	out := make([]byte, len(s))
-	for i, b := range s {
-		out[len(s)-1-i] = Complement(b)
+	return AppendRevComp(make([]byte, 0, len(s)), s)
+}
+
+// AppendRevComp appends the reverse complement of s to dst: RevCompString
+// into a buffer the caller owns.
+func AppendRevComp(dst, s []byte) []byte {
+	for i := len(s) - 1; i >= 0; i-- {
+		dst = append(dst, complements[s[i]])
 	}
-	return out
+	return dst
 }

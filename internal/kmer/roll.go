@@ -22,6 +22,18 @@ var baseCodes = func() (t [256]uint8) {
 	return t
 }()
 
+// complements maps a nucleotide letter (either case) to its upper-case
+// complement, and everything else to 'N'.
+var complements = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 'N'
+	}
+	for c, b := range []byte("ACGT") {
+		t[b], t[b|0x20] = "TGCA"[c], "TGCA"[c]
+	}
+	return t
+}()
+
 // roller holds a k-base window and its reverse complement side by side,
 // both in Kmer's packed layout, and slides them one base at a time. After k
 // pushes the words hold exactly the last k bases: older ones fall off the
@@ -102,6 +114,16 @@ func scan(seq []byte, k int, fn func(pos int, f0, f1, r0, r1 uint64)) {
 // value is maintained incrementally, so a scan is O(len(seq)).
 func ForEach(seq []byte, k int, fn func(pos int, km Kmer)) {
 	scan(seq, k, func(pos int, f0, f1, _, _ uint64) { fn(pos, Kmer{W: [2]uint64{f0, f1}}) })
+}
+
+// ForEachStrands is ForEach delivering both strands of each window: fw is
+// what ForEach reports at pos, rc its reverse complement. It serves scans
+// that index a sequence and its reverse complement in one pass (the
+// mini-assembly graph of gap closing) without materialising the latter.
+func ForEachStrands(seq []byte, k int, fn func(pos int, fw, rc Kmer)) {
+	scan(seq, k, func(pos int, f0, f1, r0, r1 uint64) {
+		fn(pos, Kmer{W: [2]uint64{f0, f1}}, Kmer{W: [2]uint64{r0, r1}})
+	})
 }
 
 // ForEachCanonical is ForEach delivering each window in canonical form:

@@ -58,6 +58,18 @@ func NewSeeded[K Item](theta int, seed uint64) *Summary[K] {
 	return s
 }
 
+// Expect tells a summary that has seen nothing yet how long its stream
+// will be at most, and sizes the counter table once for it: a stream of
+// n items fills min(θ, n) counters, which the growth steps of an aimed
+// table (×8, landing on θ·4/3) overshoot for every stream between an
+// eighth of θ and θ. Capacity only — the counts are the same whatever the
+// table's size.
+func (s *Summary[K]) Expect(items int) {
+	if items > 0 {
+		s.counters.Grow((min(s.theta, items)*4 + 2) / 3)
+	}
+}
+
 // Offer feeds one occurrence of item x into the summary.
 func (s *Summary[K]) Offer(x K) { s.OfferHashed(x.Hash(s.seed), x) }
 
