@@ -60,15 +60,19 @@ verify: build vet fuzz
 # rolling canonical scan, minimizer scan, super-k-mer encode and canonical
 # decode, the Misra–Gries fold), the scaffolding-half hot loops (seed-index
 # build, one read's alignment, one walk-heavy gap closed at all three k;
-# allocations per op beside the time), and then the committed harness:
+# allocations per op beside the time), the per-run fixed costs (the sketch
+# pass at 32 and 96 ranks, a Freeze/Thaw pair at 96 ranks, the k-mer stage
+# encoder; bytes per op are the point), and then the committed harness:
 # benchmark/run.sh measures wall, virtual and memory, end to end and per layer, on four workloads (BENCHMARK.json; compare two runs with
 # `bash benchmark/run.sh -compare A.json B.json`).
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1x .
-	$(GO) test -run xxx -bench BenchmarkDHTGet ./internal/dht/
+	$(GO) test -run xxx -bench 'BenchmarkDHTGet|BenchmarkFreeze' ./internal/dht/
 	$(GO) test -run xxx -bench 'BenchmarkShardUpsert|BenchmarkShardGet' ./internal/flat/
 	$(GO) test -run xxx -bench 'BenchmarkForEachCanonical|BenchmarkMinimizerScan|BenchmarkSuperKmerEncode|BenchmarkDecodeCanonical' ./internal/kmer/
 	$(GO) test -run xxx -bench BenchmarkMergeSummaries ./internal/mg/
 	$(GO) test -run xxx -bench 'BenchmarkBuildIndex|BenchmarkAlignRead' ./internal/aligner/
 	$(GO) test -run xxx -bench BenchmarkCloseGap ./internal/gapclose/
+	$(GO) test -run xxx -bench BenchmarkSketchPass ./internal/kanalysis/
+	$(GO) test -run xxx -bench BenchmarkEncodeKmerStage ./internal/ckpt/
 	bash benchmark/run.sh -out bench.json

@@ -11,7 +11,7 @@
 //	hipmerd -ranks 32 -tenant acme:16 -tenant umich:8 -default-quota 8 \
 //	        -jobs jobs.json -report sched-report.json [-metrics-dir DIR]
 //	hipmerd -ranks 32 -loadgen -lg-jobs 1000 -lg-tenants 12 \
-//	        -report sched-report.json
+//	        -report sched-report.json [-cpuprofile f] [-memprofile f]
 //
 // Jobs come from a JSON job file (-jobs; see internal/sched.ParseJobFile
 // for the schema: per-job tenant, dataset or FASTQ paths, pipeline
@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"hipmer/internal/metrics"
+	"hipmer/internal/prof"
 	"hipmer/internal/sched"
 )
 
@@ -99,6 +100,7 @@ func main() {
 	reportPath := flag.String("report", "", "write the hipmer-sched/v1 service report (JSON) to this path")
 	metricsDir := flag.String("metrics-dir", "", "write per-tenant hipmer-metrics/v1 report arrays under this directory")
 	quiet := flag.Bool("quiet", false, "suppress the report table on stdout")
+	profiles := prof.Flags()
 	flag.Parse()
 
 	cfg := sched.Config{
@@ -134,24 +136,32 @@ func main() {
 		os.Exit(exitUsageError)
 	}
 
+	// Every exit below goes through profiles.Exit: os.Exit skips deferred
+	// calls, and a profile that is not stopped is not written.
+	exit := profiles.Exit
+	if err := profiles.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "hipmerd: %v\n", err)
+		os.Exit(exitUsageError)
+	}
+
 	specs, cfg, cleanup, err := buildJobs(cfg, *jobsPath, lg, *lgSeed, *seed)
 	if cleanup != nil {
 		defer cleanup()
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hipmerd: %v\n", err)
-		os.Exit(exitRuntimeError)
+		exit(exitRuntimeError)
 	}
 
 	s, err := sched.New(cfg, &sched.PipelineRunner{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hipmerd: %v\n", err)
-		os.Exit(exitUsageError)
+		exit(exitUsageError)
 	}
 	out, err := s.Run(specs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hipmerd: %v\n", err)
-		os.Exit(exitRuntimeError)
+		exit(exitRuntimeError)
 	}
 
 	if !*quiet {
@@ -160,17 +170,17 @@ func main() {
 	if *reportPath != "" {
 		if err := out.Report.WriteFile(*reportPath); err != nil {
 			fmt.Fprintf(os.Stderr, "hipmerd: %v\n", err)
-			os.Exit(exitRuntimeError)
+			exit(exitRuntimeError)
 		}
 	}
 	if *metricsDir != "" {
 		if err := writeTenantMetrics(*metricsDir, out); err != nil {
 			fmt.Fprintf(os.Stderr, "hipmerd: %v\n", err)
-			os.Exit(exitRuntimeError)
+			exit(exitRuntimeError)
 		}
 	}
 
-	os.Exit(exitCodeFor(out))
+	exit(exitCodeFor(out))
 }
 
 // loadgenOptions carries the -lg-* flags into validation and job

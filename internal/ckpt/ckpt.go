@@ -36,6 +36,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -192,6 +193,9 @@ type Store struct {
 	// inj, when non-nil, intercepts segment writes (storage fault
 	// injection; see SetInjector).
 	inj Injector
+	// frame is the buffer segments are framed in, reused from one stage
+	// write to the next (each is on disk before WriteStageRound returns).
+	frame []byte
 }
 
 // Injector intercepts segment writes for storage fault injection. The
@@ -315,7 +319,8 @@ func (s *Store) WriteStage(stage string, payload []byte) (StageEntry, error) {
 // WriteStageRound is WriteStage with an iterative-k round tag recorded
 // in the manifest entry (0 for stages outside the multi-k loop).
 func (s *Store) WriteStageRound(stage string, round int, payload []byte) (StageEntry, error) {
-	seg := encodeSegment(stage, payload)
+	seg, crc := appendSegment(s.frame[:0], stage, payload)
+	s.frame = seg
 	file := segFileName(stage)
 	path := filepath.Join(s.dir, file)
 	toDisk := seg
@@ -343,7 +348,7 @@ func (s *Store) WriteStageRound(stage string, round int, payload []byte) (StageE
 		Round:       round,
 		Ranks:       s.runTopo.Ranks,
 		Bytes:       int64(len(seg)),
-		CRC32:       crc32.ChecksumIEEE(seg[:len(seg)-4]),
+		CRC32:       crc,
 		ContentHash: hashHex(payload),
 	}
 	replaced := false
@@ -394,16 +399,17 @@ func (s *Store) ReadStage(stage string) ([]byte, error) {
 	return payload, nil
 }
 
-// encodeSegment frames a payload (see the package comment for layout).
-func encodeSegment(stage string, payload []byte) []byte {
-	n := len(segMagic) + 4 + len(stage) + 8 + len(payload) + 4
-	b := make([]byte, 0, n)
+// appendSegment frames a payload onto b (see the package comment for
+// layout) and returns the segment with the CRC stored at its tail.
+func appendSegment(b []byte, stage string, payload []byte) ([]byte, uint32) {
+	b = slices.Grow(b, len(segMagic)+4+len(stage)+8+len(payload)+4)
 	b = append(b, segMagic...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(stage)))
 	b = append(b, stage...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
 	b = append(b, payload...)
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	crc := crc32.ChecksumIEEE(b)
+	return binary.LittleEndian.AppendUint32(b, crc), crc
 }
 
 // ParseSegment validates a segment's framing and embedded CRC and

@@ -22,7 +22,16 @@ type enc struct {
 	b []byte
 }
 
-func (e *enc) u8(v byte)  { e.b = append(e.b, v) }
+// newEnc starts a writer with room for size bytes. Every stage encoder
+// passes the exact length of the payload it is about to write — all fields
+// are fixed-width or length-prefixed, so the length is a sum over counts
+// the result already holds — and the buffer is allocated once; append's
+// own growth (a quarter at a time on large slices, several times the
+// payload in cumulative copies) remains the fallback should a size
+// function ever fall behind its encoder.
+func newEnc(size int) *enc { return &enc{b: make([]byte, 0, size)} }
+
+func (e *enc) u8(v byte) { e.b = append(e.b, v) }
 func (e *enc) u32(v uint32) {
 	e.b = binary.LittleEndian.AppendUint32(e.b, v)
 }

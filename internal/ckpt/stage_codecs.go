@@ -6,8 +6,8 @@
 // What is and is not checkpointed, per stage:
 //
 //   - k-mer analysis: the full count/extension table plus the scalar
-//     outcomes. Entries are sorted by k-mer words before encoding so the
-//     payload is independent of shard iteration order.
+//     outcomes. Entries are sorted by k-mer words so the payload is
+//     independent of shard iteration order.
 //   - contig generation: the per-rank contig lists exactly as generated
 //     (rank assignment and order preserved — downstream stages partition
 //     work by these lists) plus the outcome counters. The de Bruijn
@@ -24,6 +24,7 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -45,23 +46,8 @@ import (
 // classic hash placement) so rehydration rebuilds a table whose owners
 // match the one that was checkpointed.
 func EncodeKmerStage(res *kanalysis.Result, k, minimizerLen int) []byte {
-	type entry struct {
-		km kmer.Kmer
-		d  kanalysis.KmerData
-	}
-	var entries []entry
-	res.Table.RangeAll(func(k kmer.Kmer, v kanalysis.KmerData) bool {
-		entries = append(entries, entry{k, v})
-		return true
-	})
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i].km, entries[j].km
-		if a.W[0] != b.W[0] {
-			return a.W[0] < b.W[0]
-		}
-		return a.W[1] < b.W[1]
-	})
-	e := &enc{}
+	n := int(res.Table.Len())
+	e := newEnc(kmerHeaderBytes + n*kmerEntryBytes)
 	e.u32(uint32(k))
 	e.u32(uint32(minimizerLen))
 	e.u64(res.DistinctEstimate)
@@ -72,26 +58,58 @@ func EncodeKmerStage(res *kanalysis.Result, k, minimizerLen int) []byte {
 	e.i64(res.SuperKmers)
 	e.i64(res.SuperKmerBases)
 	e.i64(res.CommBytesSaved)
-	e.u64(uint64(len(entries)))
-	for _, en := range entries {
-		e.u64(en.km.W[0])
-		e.u64(en.km.W[1])
-		e.u32(en.d.Count)
+	e.u64(uint64(n))
+	res.Table.RangeAll(func(km kmer.Kmer, d kanalysis.KmerData) bool {
+		e.u64(km.W[0])
+		e.u64(km.W[1])
+		e.u32(d.Count)
 		for i := 0; i < 4; i++ {
-			e.u32(en.d.LeftCnt[i])
+			e.u32(d.LeftCnt[i])
 		}
 		for i := 0; i < 4; i++ {
-			e.u32(en.d.RightCnt[i])
+			e.u32(d.RightCnt[i])
 		}
-		e.u8(en.d.ExtL)
-		e.u8(en.d.ExtR)
-	}
+		e.u8(d.ExtL)
+		e.u8(d.ExtR)
+		return true
+	})
+	// Entries are fixed-size records: written in shard order, then sorted
+	// where they lie, so the table is never copied into a slice of its own.
+	sort.Sort(kmerRecords(e.b[kmerHeaderBytes:]))
 	return e.b
 }
 
-// kmerEntryBytes is the wire size of one table entry (two words, count,
-// 8 extension counters, two extension codes).
-const kmerEntryBytes = 8 + 8 + 4 + 4*4 + 4*4 + 1 + 1
+// kmerRecords orders the entry records of a k-mer payload by k-mer words.
+type kmerRecords []byte
+
+func (r kmerRecords) at(i int) []byte { return r[i*kmerEntryBytes : (i+1)*kmerEntryBytes] }
+
+func (r kmerRecords) Len() int { return len(r) / kmerEntryBytes }
+
+func (r kmerRecords) Less(i, j int) bool {
+	a, b := r.at(i), r.at(j)
+	if a0, b0 := binary.LittleEndian.Uint64(a), binary.LittleEndian.Uint64(b); a0 != b0 {
+		return a0 < b0
+	}
+	return binary.LittleEndian.Uint64(a[8:]) < binary.LittleEndian.Uint64(b[8:])
+}
+
+func (r kmerRecords) Swap(i, j int) {
+	var tmp [kmerEntryBytes]byte
+	a, b := r.at(i), r.at(j)
+	copy(tmp[:], a)
+	copy(a, b)
+	copy(b, tmp[:])
+}
+
+const (
+	// kmerHeaderBytes is the wire size of everything before the entries
+	// (k, minimizer length, eight scalar outcomes, the entry count).
+	kmerHeaderBytes = 4 + 4 + 8*8 + 8
+	// kmerEntryBytes is the wire size of one table entry (two words,
+	// count, 8 extension counters, two extension codes).
+	kmerEntryBytes = 8 + 8 + 4 + 4*4 + 4*4 + 1 + 1
+)
 
 // DecodeKmerStage rebuilds a k-mer analysis result, rehydrating the
 // distributed table: entries are partitioned by owner, stored through
@@ -159,10 +177,28 @@ func DecodeKmerStage(team *xrt.Team, b []byte, aggBufSize int) (*kanalysis.Resul
 // ---------------------------------------------------------------------
 // contig generation
 
-// contigRecBytes is the minimum wire size of one contig record (ID,
-// length-prefixed seq, two terminations, four neighbor words, two
-// neighbor flags, sum count, pseudo weight).
+// contigRecBytes is the wire size of one contig record less its sequence
+// bytes (ID, length-prefixed seq, two terminations, four neighbor words,
+// two neighbor flags, sum count, pseudo weight).
 const contigRecBytes = 8 + 8 + 2 + 32 + 2 + 8 + 4
+
+// contigsBytes is the wire size of a count-prefixed list of contig records.
+func contigsBytes(cs []*contig.Contig) int {
+	n := 8 + len(cs)*contigRecBytes
+	for _, c := range cs {
+		n += len(c.Seq)
+	}
+	return n
+}
+
+// contigResultBytes is the wire size of encodeContigResult's output.
+func contigResultBytes(res *contig.Result) int {
+	n := 6*8 + 8
+	for _, cs := range res.Contigs {
+		n += contigsBytes(cs)
+	}
+	return n
+}
 
 func encodeContig(e *enc, c *contig.Contig) {
 	e.i64(c.ID)
@@ -248,7 +284,7 @@ func decodeContigResult(d *dec, wantRanks int) (*contig.Result, error) {
 // EncodeContigStage serializes a contig-generation result (minus the de
 // Bruijn graph — see the package comment).
 func EncodeContigStage(res *contig.Result) []byte {
-	e := &enc{}
+	e := newEnc(contigResultBytes(res))
 	encodeContigResult(e, res)
 	return e.b
 }
@@ -302,7 +338,7 @@ func DecodeContigStageReshard(b []byte, dstRanks int) (*contig.Result, error) {
 // cumulative cleaning counters followed by the surviving contig result
 // (same projection as the contig-generation codec).
 func EncodeCleaningStage(res *contig.Result, stats contig.CleanStats) []byte {
-	e := &enc{}
+	e := newEnc(4*8 + contigResultBytes(res))
 	e.i64(stats.TipsClipped)
 	e.i64(stats.BubblesPopped)
 	e.i64(stats.BasesRemoved)
@@ -350,7 +386,7 @@ func DecodeCleaningStageReshard(b []byte, dstRanks int) (*contig.Result, contig.
 // counters and the flat, globally renumbered carried-contig list that
 // seeds the next k round.
 func EncodeCarryStage(carried []*contig.Contig, st contig.MergeStats) []byte {
-	e := &enc{}
+	e := newEnc(5*8 + contigsBytes(carried))
 	e.i64(st.Carried)
 	e.i64(st.Represented)
 	e.i64(st.PoppedOld)
@@ -391,11 +427,54 @@ func DecodeCarryStage(b []byte) ([]*contig.Contig, contig.MergeStats, error) {
 // ---------------------------------------------------------------------
 // scaffolding
 
+// Wire sizes of the scaffold payload's records, each less its variable
+// part: a surviving contig (ID, length-prefixed seq, depth, two
+// terminations, four neighbor words, two neighbor flags, member count,
+// popped flag; plus the seq bytes and 8 per member), a scaffold (ID,
+// member count; plus scaffoldMemberBytes per member), a link, one
+// library's insert-size estimate, and an alignment.
+const (
+	scontigRecBytes     = 8 + 8 + 8 + 2 + 32 + 2 + 8 + 1
+	scaffoldRecBytes    = 8 + 8
+	scaffoldMemberBytes = 8 + 1 + 8
+	linkRecBytes        = 8 + 8 + 2 + 8 + 8 + 8 + 8
+	insertRecBytes      = 8 + 8
+	alignmentRecBytes   = 8*9 + 1
+)
+
+// scaffoldStageBytes is the wire size of EncodeScaffoldStage's output.
+func scaffoldStageBytes(res *scaffold.Result) int {
+	n := 8
+	for _, cs := range res.ContigsByRank {
+		n += 8 + len(cs)*scontigRecBytes
+		for _, sc := range cs {
+			n += len(sc.Seq) + 8*len(sc.Members)
+		}
+	}
+	n += 8 + len(res.Scaffolds)*scaffoldRecBytes
+	for _, s := range res.Scaffolds {
+		n += len(s.Members) * scaffoldMemberBytes
+	}
+	n += 8 + len(res.Links)*linkRecBytes
+	n += 8 + len(res.InsertMean)*insertRecBytes
+	n += 8 + 8 // the bubble count, the library count
+	for _, lib := range res.Alignments {
+		n += 8
+		for _, rank := range lib {
+			n += 8 + 8*len(rank)
+			for _, alns := range rank {
+				n += len(alns) * alignmentRecBytes
+			}
+		}
+	}
+	return n
+}
+
 // EncodeScaffoldStage serializes a scaffolding result (minus the seed
 // index — see the package comment). Contigs are encoded from the
 // per-rank distribution, which also carries the map's full content.
 func EncodeScaffoldStage(res *scaffold.Result) []byte {
-	e := &enc{}
+	e := newEnc(scaffoldStageBytes(res))
 	e.u64(uint64(len(res.ContigsByRank)))
 	for _, cs := range res.ContigsByRank {
 		e.u64(uint64(len(cs)))
@@ -499,7 +578,7 @@ func DecodeScaffoldStageAny(b []byte) (*scaffold.Result, int, error) {
 	ranks := d.count(8)
 	res.ContigsByRank = make([][]*scaffold.SContig, ranks)
 	for r := 0; r < ranks; r++ {
-		n := d.count(8 + 8 + 8 + 2 + 32 + 2 + 8 + 1)
+		n := d.count(scontigRecBytes)
 		for i := 0; i < n; i++ {
 			sc := &scaffold.SContig{}
 			sc.ID = d.i64()
@@ -525,10 +604,10 @@ func DecodeScaffoldStageAny(b []byte) (*scaffold.Result, int, error) {
 			res.Contigs[sc.ID] = sc
 		}
 	}
-	ns := d.count(8 + 8)
+	ns := d.count(scaffoldRecBytes)
 	for i := 0; i < ns; i++ {
 		s := &scaffold.Scaffold{ID: int(d.i64())}
-		nm := d.count(8 + 1 + 8)
+		nm := d.count(scaffoldMemberBytes)
 		for j := 0; j < nm; j++ {
 			s.Members = append(s.Members, scaffold.Member{
 				ContigID:  d.i64(),
@@ -541,7 +620,7 @@ func DecodeScaffoldStageAny(b []byte) (*scaffold.Result, int, error) {
 		}
 		res.Scaffolds = append(res.Scaffolds, s)
 	}
-	nl := d.count(8 + 8 + 2 + 8 + 8 + 8 + 8)
+	nl := d.count(linkRecBytes)
 	for i := 0; i < nl; i++ {
 		res.Links = append(res.Links, scaffold.Link{
 			A: d.i64(), B: d.i64(),
@@ -550,7 +629,7 @@ func DecodeScaffoldStageAny(b []byte) (*scaffold.Result, int, error) {
 			Splints: int(d.i64()), Spans: int(d.i64()),
 		})
 	}
-	ni := d.count(8 + 8)
+	ni := d.count(insertRecBytes)
 	for i := 0; i < ni; i++ {
 		res.InsertMean = append(res.InsertMean, d.f64())
 		res.InsertSD = append(res.InsertSD, d.f64())
@@ -564,7 +643,7 @@ func DecodeScaffoldStageAny(b []byte) (*scaffold.Result, int, error) {
 			nread := d.count(8)
 			lib[r] = make([][]aligner.Alignment, nread)
 			for ri := 0; ri < nread; ri++ {
-				na := d.count(8*9 + 1)
+				na := d.count(alignmentRecBytes)
 				for ai := 0; ai < na; ai++ {
 					lib[r][ri] = append(lib[r][ri], aligner.Alignment{
 						ContigID: d.i64(),
@@ -614,7 +693,11 @@ func ReshardScaffoldContigs(res *scaffold.Result, dstRanks int) error {
 
 // EncodeGapcloseStage serializes a gap-closing result.
 func EncodeGapcloseStage(res *gapclose.Result) []byte {
-	e := &enc{}
+	size := 7*8 + 8 + 8*len(res.ScaffoldSeqs)
+	for _, s := range res.ScaffoldSeqs {
+		size += len(s)
+	}
+	e := newEnc(size)
 	e.i64(int64(res.Gaps))
 	e.i64(int64(res.Closed))
 	e.i64(int64(res.BySpanning))

@@ -161,7 +161,7 @@ type Table[K comparable, V any] struct {
 	frozen     atomic.Bool
 	shards     []shard[K, V]
 	locals     []localState[K, V]
-	caches     []*readCache[K, V] // per rank; non-nil only while frozen
+	caches     []*readCache[K, V] // per rank; non-nil from the rank's first cache fill until Thaw
 }
 
 // SetApply installs an owner-side apply hook that replaces the merge
@@ -319,7 +319,9 @@ func (t *Table[K, V]) Frozen() bool { return t.frozen.Load() }
 // slot array as immutable — the arrays construction filled, from then on
 // read without the lock; subsequent Gets are served lock-free and, when
 // Options.CacheSlots is set, through a per-rank software cache for remote
-// keys. Any Put/Mutate/local rewrite on the frozen table panics.
+// keys, which a rank allocates at its first remote miss — Freeze itself
+// allocates nothing. Any Put/Mutate/local rewrite on the frozen table
+// panics.
 //
 // Freeze is idempotent: freezing an already-frozen table is a documented
 // no-op (one barrier, caches and contents untouched), so code handed a
@@ -335,10 +337,6 @@ func (t *Table[K, V]) Freeze(r *xrt.Rank) {
 	r.Barrier()
 	if r.ID == 0 {
 		t.frozen.Store(true)
-	}
-	r.Barrier()
-	if t.opt.CacheSlots > 0 {
-		t.caches[r.ID] = newReadCache[K, V](t.opt.CacheSlots)
 	}
 	r.Barrier()
 }
@@ -540,18 +538,24 @@ func (t *Table[K, V]) Get(r *xrt.Rank, k K) (V, bool) {
 	mix := flat.Mix(h)
 	dst := t.placeKey(k, h)
 	frozen := t.frozen.Load()
-	if frozen && dst != r.ID {
-		if c := t.caches[r.ID]; c != nil {
+	if frozen && dst != r.ID && t.opt.CacheSlots > 0 {
+		c := t.caches[r.ID]
+		if c != nil {
 			if v, ok, hit := c.get(mix, k); hit {
 				r.ChargeCacheHit()
 				return v, ok
 			}
-			r.ChargeLookup(dst, t.opt.ItemBytes)
-			v, ok := t.load(dst, mix, k, true)
-			r.CountCacheMiss()
-			c.put(mix, k, v, ok)
-			return v, ok
 		}
+		r.ChargeLookup(dst, t.opt.ItemBytes)
+		v, ok := t.load(dst, mix, k, true)
+		r.CountCacheMiss()
+		if c == nil {
+			// the rank's first remote miss of this frozen era
+			c = newReadCache[K, V](t.opt.CacheSlots)
+			t.caches[r.ID] = c
+		}
+		c.put(mix, k, v, ok)
+		return v, ok
 	}
 	r.ChargeLookup(dst, t.opt.ItemBytes)
 	return t.load(dst, mix, k, frozen)
@@ -742,47 +746,67 @@ func (t *Table[K, V]) RangeAll(fn func(k K, v V) bool) {
 // ---------------------------------------------------------------------
 // Per-rank software cache (frozen read phase only).
 
+// cacheChunk is the number of entries the cache's storage grows by: a
+// power of two, so an entry number splits into chunk and offset by shift
+// and mask.
 const (
-	slotEmpty uint8 = iota
-	slotPresent
-	slotAbsent // negative entry: the key is known not to exist
+	cacheChunkShift = 6
+	cacheChunk      = 1 << cacheChunkShift
 )
 
-type cacheSlot[K comparable, V any] struct {
-	key   K
-	val   V
-	state uint8
+// cacheEntry is one cached answer; !present is a negative entry — the key
+// is known not to exist.
+type cacheEntry[K comparable, V any] struct {
+	key     K
+	val     V
+	present bool
 }
 
 // readCache is a direct-mapped, power-of-two-slot software cache owned by
-// one rank's goroutine; no synchronization is needed.
+// one rank's goroutine; no synchronization is needed. A key's slot is the
+// low bits of its mixed hash and a fill overwrites whatever the slot held.
+//
+// Slots are numbers, not entries: index[slot] is 0 for an empty slot and
+// otherwise one more than the number of the entry filling it, and entries
+// are handed out in fill order from chunks of cacheChunk. The cache costs
+// 4 bytes per slot plus the entries of the slots that were ever filled
+// (rounded up to a chunk) — a rank that reads a few hundred remote keys
+// through 8192 slots pays for a few hundred entries, and the index, being
+// pointer-free, is never scanned by the collector. With every slot filled
+// that is the dense array of entries plus the index.
 type readCache[K comparable, V any] struct {
-	mask  uint64
-	slots []cacheSlot[K, V]
+	mask   uint64
+	index  []int32
+	chunks [][]cacheEntry[K, V]
+	filled int // entries handed out
 }
 
 func newReadCache[K comparable, V any](slots int) *readCache[K, V] {
-	return &readCache[K, V]{
-		mask:  uint64(slots - 1),
-		slots: make([]cacheSlot[K, V], slots),
-	}
+	return &readCache[K, V]{mask: uint64(slots - 1), index: make([]int32, slots)}
+}
+
+func (c *readCache[K, V]) entry(n int32) *cacheEntry[K, V] {
+	return &c.chunks[n>>cacheChunkShift][n&(cacheChunk-1)]
 }
 
 // get and put take the key's mixed hash, as the stripes do.
 func (c *readCache[K, V]) get(mix uint64, k K) (v V, ok bool, hit bool) {
-	s := &c.slots[mix&c.mask]
-	if s.state != slotEmpty && s.key == k {
-		return s.val, s.state == slotPresent, true
+	if n := c.index[mix&c.mask]; n != 0 {
+		if e := c.entry(n - 1); e.key == k {
+			return e.val, e.present, true
+		}
 	}
 	return v, false, false
 }
 
 func (c *readCache[K, V]) put(mix uint64, k K, v V, ok bool) {
-	s := &c.slots[mix&c.mask]
-	s.key, s.val = k, v
-	if ok {
-		s.state = slotPresent
-	} else {
-		s.state = slotAbsent
+	n := &c.index[mix&c.mask]
+	if *n == 0 {
+		if c.filled == len(c.chunks)*cacheChunk {
+			c.chunks = append(c.chunks, make([]cacheEntry[K, V], cacheChunk))
+		}
+		c.filled++
+		*n = int32(c.filled)
 	}
+	*c.entry(*n - 1) = cacheEntry[K, V]{k, v, ok}
 }

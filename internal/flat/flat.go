@@ -165,7 +165,9 @@ func (m *Map[K, V]) Upsert(h uint64, k K) (v *V, inserted bool) {
 			}
 		}
 	}
-	m.rehash(m.nextSlots())
+	// An aimed step can land just above an array the caller sized itself
+	// (Grow): never take one too small for the entry being added.
+	m.rehash(max(m.nextSlots(), ((m.n+1)*4+2)/3))
 	e := m.place(tag)
 	e.key = k
 	m.n++

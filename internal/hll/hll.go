@@ -40,6 +40,9 @@ func (s *Sketch) Add(hash uint64) {
 	}
 }
 
+// Reset empties the sketch, keeping its registers for reuse.
+func (s *Sketch) Reset() { clear(s.regs) }
+
 // Merge folds other into s. Both sketches must share a precision.
 func (s *Sketch) Merge(other *Sketch) {
 	if s.p != other.p {

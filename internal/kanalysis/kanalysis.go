@@ -35,6 +35,7 @@
 package kanalysis
 
 import (
+	"runtime"
 	"sync"
 
 	"hipmer/internal/bloom"
@@ -446,6 +447,114 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
+// pseudoOf returns rank id's pseudo-reads (none outside the iterative-k
+// outer loop).
+func (o Options) pseudoOf(id int) []PseudoRead {
+	if o.PseudoByRank == nil {
+		return nil
+	}
+	return o.PseudoByRank[id]
+}
+
+// rankSketch is the pass-1 state of one scanning rank.
+type rankSketch struct {
+	card  *hll.Sketch
+	heavy *mg.Summary[kmer.Kmer]
+}
+
+// sketchPass is pass 1: every rank feeds the canonical hash of each of its
+// windows to a HyperLogLog sketch and, when heavy hitters are wanted, to a
+// Misra–Gries summary (no extension evidence is needed yet, so none is
+// computed), and the team reduces them to the global cardinality estimate
+// and the global summary, which it returns (empty unless heavy hitters
+// are wanted). It fills res.SketchPhase, DistinctEstimate, TotalKmers and
+// the pseudo-read counters.
+//
+// The reduction is a fold in rank order — Misra–Gries merges do not
+// commute — and runs inside the phase: a rank that has scanned and charged
+// its windows takes its turn in an ordered section, merges, and hands its
+// cleared sketches to the next rank that starts, while the other ranks are
+// still scanning. A rank may start only once rank ID−W has left the
+// section, W being twice the ranks that can physically scan at once, so an
+// analysis holds at most W counter tables however many ranks it has. The
+// lowest rank still inside is never held back (it needs ID−W+1 ≤ ID
+// departures), so the window cannot deadlock; a rank killed by an injected
+// crash before its turn poisons the section like a barrier. None of this
+// exists on the virtual clock: the section charges nothing, as the serial
+// fold after the phase that it replaces charged nothing.
+func sketchPass(team *xrt.Team, readsByRank [][]fastq.Record, opt Options, res *Result) *mg.Summary[kmer.Kmer] {
+	p := team.Config().Ranks
+	window := 2 * runtime.GOMAXPROCS(0)
+	// Exactly the sketches of ranks that left the section and whose
+	// successors have not started: never more than window of them.
+	free := make(chan rankSketch, window)
+	global := hll.New(14)
+	merged := mg.NewSeeded[kmer.Kmer](opt.Theta, hashSeed)
+	pseudoKmers := make([]int64, p)
+	team.BeginSpan("sketch")
+	res.SketchPhase = team.Run(func(r *xrt.Rank) {
+		r.AwaitOrdered(r.ID - window + 1)
+		var s rankSketch
+		select {
+		case s = <-free:
+		default:
+			s = rankSketch{hll.New(14), mg.NewSeeded[kmer.Kmer](opt.Theta, hashSeed)}
+		}
+		if opt.HeavyHitters {
+			windows := 0
+			for _, rec := range readsByRank[r.ID] {
+				windows += max(len(rec.Seq)-opt.K+1, 0)
+			}
+			s.heavy.Expect(windows)
+		}
+		n := 0
+		for _, rec := range readsByRank[r.ID] {
+			kmer.ForEachCanonical(rec.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
+				h := canon.Hash(hashSeed)
+				s.card.Add(h)
+				if opt.HeavyHitters {
+					s.heavy.OfferHashed(h, canon)
+				}
+				n++
+			})
+		}
+		// pseudo-reads feed the cardinality sketch but not Misra–Gries:
+		// their weighted counts would distort the heavy-hitter estimate,
+		// and they always bypass the heavy-hitter path anyway.
+		reads := n
+		for _, pr := range opt.pseudoOf(r.ID) {
+			kmer.ForEachCanonical(pr.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
+				s.card.Add(canon.Hash(hashSeed))
+				n++
+			})
+		}
+		pseudoKmers[r.ID] = int64(n - reads)
+		r.ChargeItems(n)
+		r.Ordered(func() {
+			global.Merge(s.card)
+			if opt.HeavyHitters {
+				merged.Merge(s.heavy)
+			}
+			// Recycled before the section is left: the rank this departure
+			// lets start must find them.
+			s.card.Reset()
+			s.heavy.Reset()
+			free <- s
+		})
+		total := r.AllReduceInt64(int64(n), func(a, b int64) int64 { return a + b })
+		if r.ID == 0 {
+			res.TotalKmers = total
+		}
+	})
+	team.EndSpan()
+	for id, prs := range opt.PseudoByRank {
+		res.PseudoReads += int64(len(prs))
+		res.PseudoKmers += pseudoKmers[id]
+	}
+	res.DistinctEstimate = global.Estimate()
+	return merged
+}
+
 // Run executes k-mer analysis. readsByRank[i] is the slice of reads rank i
 // obtained from the parallel FASTQ reader. The returned table's entries
 // are complete and extension-finalized after Run returns.
@@ -458,85 +567,14 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	if opt.PseudoByRank != nil && len(opt.PseudoByRank) != p {
 		panic("kanalysis: PseudoByRank must have one list per rank")
 	}
-	pseudoOf := func(id int) []PseudoRead {
-		if opt.PseudoByRank == nil {
-			return nil
-		}
-		return opt.PseudoByRank[id]
-	}
 
-	// --- pass 1: cardinality + heavy-hitter sketches (free I/O-wise) ----
-	// Both sketches eat the canonical hash; no extension evidence is
-	// needed yet, so none is computed.
-	sketches := make([]*hll.Sketch, p)
-	summaries := make([]*mg.Summary[kmer.Kmer], p)
-	pseudoKmers := make([]int64, p)
-	var totalKmers int64
-	team.BeginSpan("sketch")
-	res.SketchPhase = team.Run(func(r *xrt.Rank) {
-		sk := hll.New(14)
-		sm := mg.NewSeeded[kmer.Kmer](opt.Theta, hashSeed)
-		if opt.HeavyHitters {
-			windows := 0
-			for _, rec := range readsByRank[r.ID] {
-				windows += max(len(rec.Seq)-opt.K+1, 0)
-			}
-			sm.Expect(windows)
-		}
-		n := 0
-		for _, rec := range readsByRank[r.ID] {
-			kmer.ForEachCanonical(rec.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
-				h := canon.Hash(hashSeed)
-				sk.Add(h)
-				if opt.HeavyHitters {
-					sm.OfferHashed(h, canon)
-				}
-				n++
-			})
-		}
-		// pseudo-reads feed the cardinality sketch but not Misra–Gries:
-		// their weighted counts would distort the heavy-hitter estimate,
-		// and they always bypass the heavy-hitter path anyway.
-		reads := n
-		for _, pr := range pseudoOf(r.ID) {
-			kmer.ForEachCanonical(pr.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
-				sk.Add(canon.Hash(hashSeed))
-				n++
-			})
-		}
-		pseudoKmers[r.ID] = int64(n - reads)
-		r.ChargeItems(n)
-		sketches[r.ID] = sk
-		summaries[r.ID] = sm
-		total := r.AllReduceInt64(int64(n), func(a, b int64) int64 { return a + b })
-		if r.ID == 0 {
-			totalKmers = total
-		}
-	})
-	team.EndSpan()
-	res.TotalKmers = totalKmers
-	for id, prs := range opt.PseudoByRank {
-		res.PseudoReads += int64(len(prs))
-		res.PseudoKmers += pseudoKmers[id]
-	}
-
-	// Merge sketches (deterministic rank order) — every rank derives the
-	// same global cardinality and heavy-hitter set.
-	global := hll.New(14)
-	for _, sk := range sketches {
-		global.Merge(sk)
-	}
-	res.DistinctEstimate = global.Estimate()
+	merged := sketchPass(team, readsByRank, opt, res)
 
 	var heavyKeys []kmer.Kmer
 	if opt.HeavyHitters {
-		merged := mg.NewSeeded[kmer.Kmer](opt.Theta, hashSeed)
-		for _, sm := range summaries {
-			merged.Merge(sm)
-		}
 		thresh := opt.HHMinCount
 		if thresh <= 0 {
-			thresh = totalKmers / int64(opt.Theta)
+			thresh = res.TotalKmers / int64(opt.Theta)
 			if thresh < 64 {
 				thresh = 64
 			}
@@ -630,7 +668,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 						table.PutBlob(r, dst, record, nwin)
 					}, &sc)
 			}
-			n += putPseudoBloom(table, r, pseudoOf(r.ID), opt.K)
+			n += putPseudoBloom(table, r, opt.pseudoOf(r.ID), opt.K)
 			r.ChargeItems(n)
 			table.Flush(r)
 			heavyAcc[r.ID] = acc
@@ -647,7 +685,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 					}
 				})
 			}
-			n += putPseudoBloom(table, r, pseudoOf(r.ID), opt.K)
+			n += putPseudoBloom(table, r, opt.pseudoOf(r.ID), opt.K)
 			r.ChargeItems(n)
 			table.Flush(r)
 			r.Barrier()
@@ -688,7 +726,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 				wins += n
 			}
 			retained[r.ID].payloads = nil
-			wins += forEachPseudo(pseudoOf(r.ID), opt.K, func(o occurrence, h uint64, w uint32) {
+			wins += forEachPseudo(opt.pseudoOf(r.ID), opt.K, func(o occurrence, h uint64, w uint32) {
 				table.PutHashed(r, h, o.km, o.delta(w))
 			})
 			r.ChargeItems(wins)
@@ -705,7 +743,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 					table.PutHashed(r, h, o.km, o.delta(1))
 				})
 			}
-			n += forEachPseudo(pseudoOf(r.ID), opt.K, func(o occurrence, h uint64, w uint32) {
+			n += forEachPseudo(opt.pseudoOf(r.ID), opt.K, func(o occurrence, h uint64, w uint32) {
 				table.PutHashed(r, h, o.km, o.delta(w))
 			})
 			r.ChargeItems(n)

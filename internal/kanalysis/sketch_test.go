@@ -1,0 +1,117 @@
+package kanalysis
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"hipmer/internal/fastq"
+	"hipmer/internal/genome"
+	"hipmer/internal/kmer"
+	"hipmer/internal/mg"
+	"hipmer/internal/xrt"
+)
+
+// distinctReads gives every rank perRank random 100-base reads of its own,
+// so a rank's windows are (all but certainly) distinct k-mers.
+func distinctReads(ranks, perRank int) [][]fastq.Record {
+	rng := xrt.NewPrng(5)
+	out := make([][]fastq.Record, ranks)
+	for r := range out {
+		for i := 0; i < perRank; i++ {
+			out[r] = append(out[r], fastq.Record{Seq: genome.Random(rng, 100)})
+		}
+	}
+	return out
+}
+
+// allocated returns the heap bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSketchPassBoundsLiveSummaries: 96 ranks each fill all θ counters,
+// yet the pass allocates a window's worth of counter tables, not 96. With
+// GOMAXPROCS pinned the window W is 4, and the pass builds at most W rank
+// summaries (one table each, sized once) plus the global one (θ·4/3 slots,
+// then the 2θ·4/3 a merge of two full summaries needs, and its selection
+// scratch): under W+4 tables. The bound is on bytes allocated, which no
+// schedule changes.
+func TestSketchPassBoundsLiveSummaries(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const ranks, theta, window = 96, 2000, 4
+	reads := distinctReads(ranks, 30) // 2400 windows per rank at k=21
+	opt := Options{K: 21, Theta: theta, HeavyHitters: true}.withDefaults()
+
+	table := allocated(func() {
+		s := mg.NewSeeded[kmer.Kmer](theta, hashSeed)
+		s.Expect(2 * theta)
+	})
+	team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 24})
+	res := &Result{}
+	var merged *mg.Summary[kmer.Kmer]
+	got := allocated(func() { merged = sketchPass(team, reads, opt, res) })
+
+	if merged.N() != res.TotalKmers || res.TotalKmers != ranks*30*(100-21+1) {
+		t.Fatalf("merged %d of %d windows", merged.N(), res.TotalKmers)
+	}
+	const slack = 512 << 10 // W+1 HyperLogLog sketches, the phase's own bookkeeping
+	if limit := (window+4)*table + slack; got > limit {
+		t.Fatalf("sketch pass allocated %d bytes; %d summaries of %d bytes fit in %d",
+			got, window+4, table, limit)
+	}
+	if all := ranks * table; all < 4*((window+4)*table+slack) {
+		t.Fatalf("a table per rank is %d bytes: too close to the bound to tell the two apart", all)
+	}
+}
+
+// TestSketchPassCrashUnwinds: the victim dies in its first charge — after
+// its scan, before its turn in the ordered section — while higher ranks
+// wait for that turn and, beyond the window, at the start gate. Everyone
+// must unwind (the test timeout detects a hang) into the usual typed
+// error.
+func TestSketchPassCrashUnwinds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const ranks = 96
+	plan := xrt.FaultPlan{Stage: "kmer-analysis"}
+	for plan.Seed = 1; plan.AfterCharges() != 1 || plan.Victim(ranks) > 2; plan.Seed++ {
+	}
+	team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 24})
+	team.ArmFault(plan)
+	defer func() {
+		fe, ok := recover().(*xrt.FaultError)
+		if !ok || fe.Rank != plan.Victim(ranks) {
+			t.Fatalf("Run panicked with %+v, want the *xrt.FaultError of rank %d", fe, plan.Victim(ranks))
+		}
+	}()
+	Run(team, distinctReads(ranks, 4), Options{K: 21, HeavyHitters: true})
+	t.Fatal("Run returned despite the armed crash")
+}
+
+// BenchmarkSketchPass is pass 1 by itself — scan, sketch, rank-order fold —
+// on a human-like input at the rank counts of the human and wheat
+// workloads.
+func BenchmarkSketchPass(b *testing.B) {
+	rng := xrt.NewPrng(8)
+	recs, _ := genome.SimulatePairs(rng, genome.HumanLike(rng, 40000), genome.SimOptions{
+		Coverage: 25,
+		Lib:      genome.Library{Name: "b", ReadLen: 100, InsertMean: 300, InsertSD: 20},
+		Err:      genome.DefaultErrorModel(),
+	})
+	for _, ranks := range []int{32, 96} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 24})
+			reads := splitReads(recs, ranks)
+			opt := Options{K: 31, HeavyHitters: true}.withDefaults()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sketchPass(team, reads, opt, &Result{})
+			}
+		})
+	}
+}

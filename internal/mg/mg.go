@@ -70,6 +70,14 @@ func (s *Summary[K]) Expect(items int) {
 	}
 }
 
+// Reset returns the summary to the state New left it in — nothing seen,
+// nothing tracked — but keeps the counter table it grew, so a summary
+// reused for a stream of similar length does not allocate again.
+func (s *Summary[K]) Reset() {
+	s.counters.Clear()
+	s.n = 0
+}
+
 // Offer feeds one occurrence of item x into the summary.
 func (s *Summary[K]) Offer(x K) { s.OfferHashed(x.Hash(s.seed), x) }
 
@@ -119,16 +127,32 @@ func (s *Summary[K]) Items() map[K]int64 {
 }
 
 // HeavyHitters returns items whose estimated count is at least minCount,
-// sorted by descending estimate (ties in unspecified order).
+// sorted by descending estimate and, among equal estimates, by ascending
+// item hash: the order is a function of what the summary holds, never of
+// the capacities its table passed through on the way (a recycled table
+// and a fresh one range in different slot orders).
 func (s *Summary[K]) HeavyHitters(minCount int64) []Hit[K] {
-	var hits []Hit[K]
-	s.counters.Range(func(_ uint64, k K, c *int64) bool {
+	type found struct {
+		hit  Hit[K]
+		hash uint64
+	}
+	var all []found
+	s.counters.Range(func(h uint64, k K, c *int64) bool {
 		if *c >= minCount {
-			hits = append(hits, Hit[K]{Item: k, Count: *c})
+			all = append(all, found{Hit[K]{Item: k, Count: *c}, h})
 		}
 		return true
 	})
-	sort.Slice(hits, func(i, j int) bool { return hits[i].Count > hits[j].Count })
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].hit.Count != all[j].hit.Count {
+			return all[i].hit.Count > all[j].hit.Count
+		}
+		return all[i].hash < all[j].hash
+	})
+	var hits []Hit[K]
+	for _, f := range all {
+		hits = append(hits, f.hit)
+	}
 	return hits
 }
 

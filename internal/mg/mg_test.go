@@ -308,3 +308,112 @@ func BenchmarkMergeSummaries(b *testing.B) {
 		}
 	}
 }
+
+// TestHeavyHittersOrderIgnoresCapacity: the same offers reach the same
+// counts whatever sizes the table passed through, but a table ranges in
+// slot order and slot order follows capacity — a fresh summary, one sized
+// for a longer stream, and one recycled from a much larger stream must
+// still report their hits in one order, ties included (the stream offers
+// its 50 items in groups of five equal counts).
+func TestHeavyHittersOrderIgnoresCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const theta = 500
+	var stream []ik
+	for x := 0; x < 50; x++ {
+		for n := 0; n < 10+x/5; n++ {
+			stream = append(stream, ik(x))
+		}
+	}
+	rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+	fresh := New[ik](theta)
+	sized := New[ik](theta)
+	sized.Expect(10 * theta)
+	recycled := New[ik](4 * theta) // grows past anything theta allows
+	for i := 0; i < 20000; i++ {
+		recycled.Offer(ik(1000 + i%1900))
+	}
+	recycled.Reset()
+	summaries := []*Summary[ik]{fresh, sized, recycled}
+	for _, s := range summaries {
+		for _, x := range stream {
+			s.Offer(x)
+		}
+	}
+	if fresh.counters.Cap() == sized.counters.Cap() || sized.counters.Cap() == recycled.counters.Cap() {
+		t.Fatalf("capacities %d/%d/%d: the three tables were meant to differ",
+			fresh.counters.Cap(), sized.counters.Cap(), recycled.counters.Cap())
+	}
+	want := fresh.HeavyHitters(5)
+	ties := 0
+	for i := 1; i < len(want); i++ {
+		if want[i].Count == want[i-1].Count {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no equal counts among the hits; the tie-break is not exercised")
+	}
+	for _, s := range summaries[1:] {
+		got := s.HeavyHitters(5)
+		if len(got) != len(want) {
+			t.Fatalf("%d hits from a %d-slot table, %d from the fresh one", len(got), s.counters.Cap(), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("hit %d from a %d-slot table is %+v, fresh table says %+v",
+					i, s.counters.Cap(), got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestResetThenReuseMatchesFresh: a summary that was filled, merged into
+// and Reset is indistinguishable — counters, stream length, and what it
+// contributes to a merge — from a new one fed the same second stream.
+func TestResetThenReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, theta := range []int{7, 300} {
+		reused := New[ik](theta)
+		for _, x := range zipfStream(rng, 30000, 5000) {
+			reused.Offer(x)
+		}
+		reused.Merge(reused2(rng, theta))
+		reused.Reset()
+		if reused.N() != 0 || len(reused.Items()) != 0 {
+			t.Fatalf("after Reset: n=%d, %d counters", reused.N(), len(reused.Items()))
+		}
+		second := zipfStream(rng, 20000, 2000)
+		fresh := New[ik](theta)
+		for _, x := range second {
+			reused.Offer(x)
+			fresh.Offer(x)
+		}
+		into, intoFresh := reused2(rng, theta), New[ik](theta)
+		intoFresh.Merge(into) // a copy of into
+		into.Merge(reused)
+		intoFresh.Merge(fresh)
+		for what, pair := range map[string][2]*Summary[ik]{
+			"summary": {reused, fresh}, "merge target": {into, intoFresh},
+		} {
+			got, want := pair[0].Items(), pair[1].Items()
+			if pair[0].N() != pair[1].N() || len(got) != len(want) {
+				t.Fatalf("θ=%d %s: n=%d with %d counters, fresh has n=%d with %d",
+					theta, what, pair[0].N(), len(got), pair[1].N(), len(want))
+			}
+			for k, c := range want {
+				if got[k] != c {
+					t.Fatalf("θ=%d %s: item %d = %d, fresh %d", theta, what, k, got[k], c)
+				}
+			}
+		}
+	}
+}
+
+// reused2 is a summary over a stream of its own, for the merges above.
+func reused2(rng *rand.Rand, theta int) *Summary[ik] {
+	s := New[ik](theta)
+	for _, x := range zipfStream(rng, 10000, 3000) {
+		s.Offer(x)
+	}
+	return s
+}

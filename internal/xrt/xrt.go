@@ -291,6 +291,9 @@ type Rank struct {
 	chaos *Prng
 	chans []chanState
 
+	// ordered counts the ordered sections this rank has left (see Ordered).
+	ordered int
+
 	// faultCD counts down charge events until this rank's injected crash;
 	// 0 means this rank is not the armed fault's victim (see fault.go).
 	// Only touched from the rank's own goroutine while a fault is armed.
@@ -694,6 +697,35 @@ func (r *Rank) Barrier() {
 	r.team.bar.await(func() { r.team.syncClocks() })
 }
 
+// Ordered runs body on the calling rank once every lower rank has left its
+// own Ordered call, and lets rank ID+1 in when body returns: a serial
+// reduction in rank order — the order that makes a non-commutative fold
+// reproducible — whose steps overlap with whatever the ranks still outside
+// are doing. Every rank of the phase must call it, once per section; a
+// team may run any number of sections one after another.
+//
+// It orders physical execution and nothing else: no charge, no clock
+// synchronization and no perturbation point, so virtual time cannot tell a
+// phase that uses it from one that folds after the join. A rank that dies
+// before its turn strands nobody — waiters are released with the crash
+// panic of a poisoned Barrier.
+func (r *Rank) Ordered(body func()) {
+	r.AwaitOrdered(r.ID)
+	body()
+	r.ordered++
+	r.team.bar.leaveOrdered()
+}
+
+// AwaitOrdered blocks until the ordered section before the one the calling
+// rank enters next is over and at least n ranks have left that next one:
+// the gate that bounds how far ahead of the fold a rank may run — with
+// every rank passing AwaitOrdered(ID−w+1) on its way to Ordered, at most w
+// ranks are ever between the two. Like Ordered it is wall-clock only and
+// panics out when the team is poisoned.
+func (r *Rank) AwaitOrdered(n int) {
+	r.team.bar.awaitOrdered(r.ordered*len(r.team.ranks) + max(n, 0))
+}
+
 // AllReduceInt64 combines one int64 contribution per rank with op and
 // returns the result on every rank. op must be associative and commutative.
 func (r *Rank) AllReduceInt64(v int64, op func(a, b int64) int64) int64 {
@@ -760,6 +792,10 @@ type barrier struct {
 	// are released and every party panics out of await instead of
 	// completing, so a dead victim can never deadlock the survivors.
 	poisoned bool
+	// left counts every departure from an ordered section since the team
+	// was created (Rank.Ordered). It shares the barrier's lock and
+	// condition variable so that poison releases its waiters too.
+	left int
 }
 
 func newBarrier(n int) *barrier {
@@ -796,6 +832,26 @@ func (b *barrier) await(onLast func()) {
 	if poisoned {
 		panic(faultCrash{})
 	}
+}
+
+// awaitOrdered blocks until left reaches n.
+func (b *barrier) awaitOrdered(n int) {
+	b.mu.Lock()
+	for b.left < n && !b.poisoned {
+		b.cond.Wait()
+	}
+	poisoned := b.poisoned
+	b.mu.Unlock()
+	if poisoned {
+		panic(faultCrash{})
+	}
+}
+
+func (b *barrier) leaveOrdered() {
+	b.mu.Lock()
+	b.left++
+	b.cond.Broadcast()
+	b.mu.Unlock()
 }
 
 // poison releases every current and future waiter with a crash panic.
