@@ -40,14 +40,15 @@ fuzz:
 # no separate `go test -run Matrix ./internal/expt/` step is needed; the
 # paper-exhibit sweeps and the service exhibit do skip under -short) — a
 # targeted race-detector pass over the schedule-perturbation surface (the
-# perturbation layer, DHT flushes, claim/abort traversal, the
+# perturbation layer, DHT flushes and owner sections, stage 1's inbox
+# drain — ordered by a barrier, not a lock — claim/abort traversal, the
 # perturbation-seed assembly sweep, the scheduler's fake-runner suite),
 # and the two real-pipeline batteries that are too slow for -short
 # (multi-k determinism, cross-job isolation). `make test` / `make race`
 # remain the exhaustive versions.
 verify: build vet fuzz
 	$(GO) test -short ./...
-	$(GO) test -short -race ./internal/xrt/ ./internal/dht/ ./internal/sched/
+	$(GO) test -short -race ./internal/xrt/ ./internal/dht/ ./internal/kanalysis/ ./internal/sched/
 	$(GO) test -short -race -run 'Perturbed|Contention' ./internal/contig/
 	$(GO) test -short -race -run 'Perturb' ./internal/verify/
 	$(GO) test -short -race -run 'Conservation|Metamorphic' ./internal/metrics/
@@ -62,7 +63,9 @@ verify: build vet fuzz
 # build, one read's alignment, one walk-heavy gap closed at all three k;
 # allocations per op beside the time), the per-run fixed costs (the sketch
 # pass at 32 and 96 ranks, a Freeze/Thaw pair at 96 ranks, the k-mer stage
-# encoder; bytes per op are the point), and then the committed harness:
+# encoder; bytes per op are the point), all of stage 1 (a whole
+# kanalysis.Run, human-like at 32 ranks and wheat-like at 96, per k-mer
+# window), and then the committed harness:
 # benchmark/run.sh measures wall, virtual and memory, end to end and per layer, on four workloads (BENCHMARK.json; compare two runs with
 # `bash benchmark/run.sh -compare A.json B.json`).
 bench:
@@ -73,6 +76,6 @@ bench:
 	$(GO) test -run xxx -bench BenchmarkMergeSummaries ./internal/mg/
 	$(GO) test -run xxx -bench 'BenchmarkBuildIndex|BenchmarkAlignRead' ./internal/aligner/
 	$(GO) test -run xxx -bench BenchmarkCloseGap ./internal/gapclose/
-	$(GO) test -run xxx -bench BenchmarkSketchPass ./internal/kanalysis/
+	$(GO) test -run xxx -bench 'BenchmarkSketchPass|BenchmarkStage1' ./internal/kanalysis/
 	$(GO) test -run xxx -bench BenchmarkEncodeKmerStage ./internal/ckpt/
 	bash benchmark/run.sh -out bench.json

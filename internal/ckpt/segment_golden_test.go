@@ -19,9 +19,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/segments.
 
 // segmentDigests assembles libs with checkpoints on and returns the sha256
 // of every segment file the manifest lists, by stage name. One rank: the
-// k-mer payload carries PeakEntries and the contig payloads the claim
-// counters and per-rank lists of the speculative traversal, all of which
-// follow the goroutine schedule on more than one.
+// contig payloads carry the claim counters and per-rank lists of the
+// speculative traversal, which follow the goroutine schedule on more than
+// one.
 func segmentDigests(t *testing.T, libs []pipeline.Library, cfg pipeline.Config) map[string]string {
 	t.Helper()
 	cfg.CkptDir = t.TempDir()
@@ -53,7 +53,10 @@ func segmentDigests(t *testing.T, libs []pipeline.Library, cfg pipeline.Config) 
 // one single-k and one multi-k assembly. testdata/segments.json was
 // generated at the commit before the stage encoders were given sized
 // buffers and the store a reused frame, and should only ever be
-// regenerated for an intended format change (-update-golden).
+// regenerated for an intended format change (-update-golden). One digest
+// is younger: multi-k/kmer-analysis-k33 changed in its PeakEntries field
+// (and CRC) when stage 1 began to screen read windows after all pseudo-read
+// stores instead of in between.
 func TestSegmentBytesGolden(t *testing.T) {
 	rng := xrt.NewPrng(21)
 	g := genome.Random(rng, 12000)

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"encoding/binary"
+	"sync"
 	"testing"
 
 	"hipmer/internal/xrt"
@@ -137,11 +138,13 @@ func TestOwnerHashPlacement(t *testing.T) {
 
 // TestStressBlobFlushesAndMutateOnOneOwner funnels every rank's traffic
 // into one owner's shard at once — blob flushes decoded on the senders'
-// goroutines, remote Mutates, and the owner's own PutOwned stores — over a
-// key space that keeps growing, so the stripes' slot arrays grow (and
-// re-place every entry) while other ranks probe them. Two stripes
-// maximize the contention. The -race target for the flat shards; the sum
-// invariant checks no update was lost to a stale slot pointer.
+// goroutines, aggregated stores, remote Mutates, and the owner applying its
+// own stores a batch at a time inside OwnShard sections — over a key space
+// that keeps growing, so the stripes' slot arrays grow (and re-place every
+// entry) while other ranks probe them. Two stripes maximize the
+// contention. The -race target for the flat shards and the owner section;
+// the sum invariant checks no update was lost to a stale slot pointer or
+// slipped past a section's locks.
 func TestStressBlobFlushesAndMutateOnOneOwner(t *testing.T) {
 	const (
 		ranks = 6
@@ -151,6 +154,7 @@ func TestStressBlobFlushesAndMutateOnOneOwner(t *testing.T) {
 	opt := intOpts()
 	opt.Stripes = 2
 	opt.BlobBytes = 256
+	opt.AggBufSize = 8
 	opt.OwnerHash = func(uint64) uint64 { return 0 } // every key lives on rank 0
 	tab := New[uint64, int64](team, opt, sumMerge)
 	tab.SetBlobApply(func(src, owner int, payload []byte, put func(k uint64, v int64)) {
@@ -161,17 +165,33 @@ func TestStressBlobFlushesAndMutateOnOneOwner(t *testing.T) {
 	})
 	team.Run(func(r *xrt.Rank) {
 		rng := r.Rng()
+		var own []uint64 // rank 0: keys waiting for its next section
+		section := func() {
+			tab.OwnShard(r, func(o Owned[uint64, int64]) {
+				for _, k := range own {
+					e, _ := o.Entry(opt.Hash(k), k)
+					v, _ := e.Upsert()
+					*v++
+				}
+			})
+			own = own[:0]
+		}
 		for i := 0; i < steps; i++ {
 			k := rng.Uint64() % uint64(8+i) // the key space widens as the run goes
 			switch {
 			case i%3 == 0:
 				tab.Mutate(r, k, func(v int64, _ bool) (int64, bool) { return v + 1, true })
 			case r.ID == 0:
-				tab.PutOwned(r, opt.Hash(k), k, 1)
+				if own = append(own, k); len(own) == 64 {
+					section()
+				}
+			case i%3 == 1:
+				tab.PutHashed(r, opt.Hash(k), k, 1)
 			default:
 				tab.PutBlob(r, 0, blobAppend(nil, k, 1), 1)
 			}
 		}
+		section()
 		tab.Flush(r)
 		r.Barrier()
 	})
@@ -188,5 +208,107 @@ func TestStressBlobFlushesAndMutateOnOneOwner(t *testing.T) {
 	}
 	if n := tab.Len(); n < 1000 {
 		t.Fatalf("only %d keys stored: the shard never grew under load", n)
+	}
+}
+
+// TestOwnShardMatchesPerItemPath: owners that are handed raw payloads and
+// apply them themselves inside OwnShard end up with the table the per-item
+// path builds from the same stores, and Entry names the stripe an ApplyFunc
+// is handed for the key.
+func TestOwnShardMatchesPerItemPath(t *testing.T) {
+	const ranks, perRank, keyspace = 5, 3000, 700
+	stores := func(r *xrt.Rank, put func(k uint64, v int64)) {
+		rng := xrt.NewPrng(int64(r.ID) + 1)
+		for i := 0; i < perRank; i++ {
+			put(rng.Uint64()%keyspace, int64(1+rng.Uint64()%9))
+		}
+	}
+
+	team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 2})
+	model := New[uint64, int64](team, intOpts(), nil)
+	stripeOf := make([]int, keyspace) // written under the key's stripe lock
+	model.SetApply(func(_, stripe int, _ uint64, k uint64, in int64, e Entry[uint64, int64]) {
+		stripeOf[k] = stripe
+		v, _ := e.Upsert()
+		*v += in
+	})
+	team.Run(func(r *xrt.Rank) {
+		stores(r, func(k uint64, v int64) { model.Put(r, k, v) })
+		model.Flush(r)
+		r.Barrier()
+	})
+
+	tab := New[uint64, int64](team, intOpts(), nil)
+	var mu sync.Mutex
+	inbox := make([][]byte, ranks)
+	tab.SetBlobApply(func(_, owner int, payload []byte, _ func(uint64, int64)) {
+		mu.Lock()
+		inbox[owner] = append(inbox[owner], payload...)
+		mu.Unlock()
+	})
+	team.Run(func(r *xrt.Rank) {
+		stores(r, func(k uint64, v int64) { tab.PutBlob(r, tab.Owner(k), blobAppend(nil, k, v), 1) })
+		tab.Flush(r)
+		r.Barrier()
+		tab.OwnShard(r, func(o Owned[uint64, int64]) {
+			blobDecode(inbox[r.ID], func(k uint64, in int64) {
+				e, stripe := o.Entry(xrt.Splitmix64(k), k)
+				if stripe != stripeOf[k] {
+					t.Errorf("key %d: Entry says stripe %d, the apply hook was handed %d", k, stripe, stripeOf[k])
+				}
+				v, _ := e.Upsert()
+				*v += in
+			})
+		})
+	})
+
+	if tab.Len() != model.Len() {
+		t.Fatalf("%d keys, the per-item path stored %d", tab.Len(), model.Len())
+	}
+	model.RangeAll(func(k uint64, want int64) bool {
+		if got, ok := tab.Lookup(k); !ok || got != want {
+			t.Errorf("key %d = (%d, %v), the per-item path has %d", k, got, ok, want)
+		}
+		return true
+	})
+}
+
+// TestOwnShardPanicReleasesStripes: a panic inside the section — an
+// injected crash fires inside a charge — leaves no stripe locked, so a rank
+// storing into that shard afterwards gets through.
+func TestOwnShardPanicReleasesStripes(t *testing.T) {
+	team := xrt.NewTeam(xrt.Config{Ranks: 2})
+	opt := intOpts()
+	opt.OwnerHash = func(uint64) uint64 { return 0 }
+	tab := New[uint64, int64](team, opt, sumMerge)
+	team.Run(func(r *xrt.Rank) {
+		if r.ID == 0 {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("the section swallowed the panic")
+					}
+				}()
+				tab.OwnShard(r, func(Owned[uint64, int64]) { panic("crash inside a charge") })
+			}()
+			for i := range tab.shards[0].stripes {
+				if mu := &tab.shards[0].stripes[i].mu; !mu.TryLock() {
+					t.Errorf("stripe %d is still locked", i)
+				} else {
+					mu.Unlock()
+				}
+			}
+		}
+		r.Barrier()
+		if r.ID == 1 && !t.Failed() { // a stranded lock would hang the Put
+			for k := uint64(0); k < 100; k++ {
+				tab.Put(r, k, 1)
+			}
+			tab.Flush(r)
+		}
+		r.Barrier()
+	})
+	if !t.Failed() && tab.Len() != 100 {
+		t.Fatalf("%d keys reached the shard, want 100", tab.Len())
 	}
 }

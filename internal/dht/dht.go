@@ -27,9 +27,11 @@
 //
 // Concurrency is phase-aware. During construction each shard is split into
 // power-of-two lock stripes so ranks flushing into one owner do not
-// funnel through a single mutex. The pipeline's lookup-heavy stages
-// (contig traversal terminations, merAligner seeding, splint/span
-// assessment, gap-closing verification) run against tables that are no
+// funnel through a single mutex; a rank applying a batch to its own shard
+// takes all of its stripes once instead (OwnShard). The pipeline's
+// lookup-heavy stages (contig traversal terminations, merAligner seeding,
+// splint/span assessment, gap-closing verification) run against tables
+// that are no
 // longer mutated; Freeze publishes every stripe's slot array as immutable and Get
 // is then served lock-free, optionally through a per-rank direct-mapped
 // software cache in front of remote lookups (the merAligner single-node
@@ -396,7 +398,7 @@ func (t *Table[K, V]) PutHashed(r *xrt.Rank, h uint64, k K, v V) {
 	t.assertMutable("Put")
 	dst := t.placeKey(k, h)
 	if dst == r.ID {
-		t.PutOwned(r, h, k, v)
+		t.putOwned(r, h, k, v)
 		return
 	}
 	ls := &t.locals[r.ID]
@@ -406,17 +408,54 @@ func (t *Table[K, V]) PutHashed(r *xrt.Rank, h uint64, k K, v V) {
 	}
 }
 
-// PutOwned is PutHashed for a key the caller knows it owns — a rank
-// replaying payloads that placement already routed to it — so the owner is
-// not derived again (for a minimizer-placed table that derivation is a
-// k-step scan per key). It is the rank-local fast path of Put: no
-// buffering, no message — the paper's local store, charged as such. The
-// claim cannot be checked without redoing the work it saves: a key stored
-// on a rank that does not own it is stranded where lookups never search.
-func (t *Table[K, V]) PutOwned(r *xrt.Rank, h uint64, k K, v V) {
-	t.assertMutable("Put")
+// putOwned is the rank-local fast path of Put: no buffering, no message —
+// the paper's local store, charged as such and applied in place.
+func (t *Table[K, V]) putOwned(r *xrt.Rank, h uint64, k K, v V) {
 	r.ChargeStoreBatch(r.ID, 1, t.opt.ItemBytes)
 	t.applyOne(r.ID, h, k, v)
+}
+
+// Owned is the calling rank's handle on its own shard for the length of an
+// OwnShard section.
+type Owned[K comparable, V any] struct {
+	stripes []stripe[K, V]
+	mask    uint64
+}
+
+// Entry returns the handle on key k, whose Options.Hash value is h, and
+// the index of the stripe holding it — the (owner, stripe) an ApplyFunc
+// would be handed, for state partitioned the same way. The caller asserts
+// it owns k, as the sender of a PutBlob asserts its destination: a key
+// stored on a rank that does not own it is stranded where lookups never
+// search.
+func (o Owned[K, V]) Entry(h uint64, k K) (Entry[K, V], int) {
+	mix := flat.Mix(h)
+	si := int(mix & o.mask)
+	return Entry[K, V]{&o.stripes[si].m, mix, k}, si
+}
+
+// OwnShard runs fn with every stripe lock of the calling rank's shard held:
+// the owner-computes section of a rank applying, by itself and in an order
+// it chooses, what placement already routed to it. One lock round for the
+// whole section instead of one per key; stores, flushes and Mutates other
+// ranks aim at this shard wait for the section to end, so fn must touch
+// the table through its handle only (a Put or Mutate of its own would
+// wait for itself). It charges nothing and applies no hook — fn charges
+// what its work is modelled to cost. The locks are released on the way out
+// of a panic too: a charge inside fn can be an injected crash, and the
+// ranks it strands must still reach their own.
+func (t *Table[K, V]) OwnShard(r *xrt.Rank, fn func(own Owned[K, V])) {
+	t.assertMutable("OwnShard")
+	stripes := t.shards[r.ID].stripes
+	for i := range stripes {
+		stripes[i].mu.Lock()
+	}
+	defer func() {
+		for i := range stripes {
+			stripes[i].mu.Unlock()
+		}
+	}()
+	fn(Owned[K, V]{stripes, t.stripeMask})
 }
 
 // PutBlob enqueues one pre-framed record — decodable by the table's

@@ -35,8 +35,9 @@ type golden struct {
 	CommBytesSaved int64
 	PseudoKmers    int64
 	// PeakEntries depends on the order Bloom filters see their keys, so
-	// it is pinned only where one rank makes that order a function of the
-	// input (-1 elsewhere).
+	// it is pinned only where that order is a function of the input: on
+	// the super-k-mer transport (owners screen their inboxes in sender
+	// order) and on one rank (-1 elsewhere).
 	PeakEntries int64
 	Table       string // sha256 of ckpt.EncodeKmerStage with PeakEntries zeroed
 	Charges     string // sha256 over the sketch/bloom-screen/count span records
@@ -126,7 +127,8 @@ func runGolden(c goldenCase) golden {
 		Kept: res.Kept, SuperKmers: res.SuperKmers, SuperKmerBases: res.SuperKmerBases,
 		CommBytesSaved: res.CommBytesSaved, PseudoKmers: res.PseudoKmers, PeakEntries: -1,
 	}
-	if c.ranks == 1 {
+	admissionFixed := c.ranks == 1 || !c.opt.DisableSuperKmers
+	if admissionFixed {
 		g.PeakEntries = res.PeakEntries
 	}
 	res.PeakEntries = 0
@@ -136,14 +138,14 @@ func runGolden(c goldenCase) golden {
 
 	// Every charge of the three phases: per span and rank the full
 	// CommStats delta, plus the span's virtual duration and each rank's
-	// busy time. The count span's times are left out on several ranks:
-	// its LocalFilter is charged per visited entry, and how many Bloom
-	// false positives sit in the table then is schedule-dependent (the
-	// PeakEntries caveat above).
+	// busy time. The count span's times are left out where admission
+	// order is the schedule's: its LocalFilter is charged per visited
+	// entry, and how many Bloom false positives sit in the table then
+	// follows that order (the PeakEntries caveat above).
 	h := sha256.New()
 	put := func(v any) { binary.Write(h, binary.LittleEndian, v) }
 	for _, sp := range team.Spans() {
-		timed := c.ranks == 1 || sp.Name != "count"
+		timed := admissionFixed || sp.Name != "count"
 		h.Write([]byte(sp.Path))
 		if timed {
 			put(math.Float64bits(sp.VirtualNs))
@@ -200,6 +202,47 @@ func TestGoldenTablesAndCharges(t *testing.T) {
 			t.Errorf("%s: no golden", name)
 		} else if g != w {
 			t.Errorf("%s:\n got  %+v\n want %+v", name, g, w)
+		}
+	}
+}
+
+// TestBloomAdmissionIgnoresSchedule: on the super-k-mer transport the order
+// the Bloom filters see their keys in — and with it the table's high-water
+// mark, the per-entry charges of the count span's filter pass, and the
+// checkpoint payload carrying both — is the same under every schedule
+// perturbation, with and without pseudo-read stores racing the reads.
+func TestBloomAdmissionIgnoresSchedule(t *testing.T) {
+	human := goldenReads("human", 11, 30000, 10)
+	type outcome struct {
+		peak    int64
+		countNs float64
+		segment [sha256.Size]byte
+	}
+	for _, ranks := range []int{6, 32} {
+		for _, pseudo := range []bool{false, true} {
+			opt := kanalysis.Options{K: 31, HeavyHitters: true}
+			if pseudo {
+				opt.K, opt.PseudoByRank = 33, goldenPseudo(human, ranks)
+			}
+			var first outcome
+			for i, seed := range []int64{1, 2, 3, 17} {
+				team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 3, Seed: 1,
+					Inject: xrt.Inject{PerturbSeed: seed}})
+				res := kanalysis.Run(team, kanalysis.SplitReads(human, ranks), opt)
+				got := outcome{peak: res.PeakEntries,
+					segment: sha256.Sum256(ckpt.EncodeKmerStage(res, opt.K, kanalysis.EffectiveMinimizerLen(opt.K, 0, false)))}
+				for _, sp := range team.Spans() {
+					if sp.Name == "count" {
+						got.countNs = sp.VirtualNs
+					}
+				}
+				if i == 0 {
+					first = got
+				} else if got != first {
+					t.Errorf("%d ranks, pseudo-reads %v: perturb seed %d gives peak %d, count span %v ns, segment %x; seed 1 gave %d, %v, %x",
+						ranks, pseudo, seed, got.peak, got.countNs, got.segment[:4], first.peak, first.countNs, first.segment[:4])
+				}
+			}
 		}
 	}
 }

@@ -36,6 +36,7 @@ package kanalysis
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"hipmer/internal/bloom"
@@ -331,20 +332,30 @@ func forEachPseudo(prs []PseudoRead, k int, fn func(o occurrence, h uint64, w ui
 }
 
 // heavySet is the heavy-hitter set of one analysis: the k-mers in a fixed
-// order, and a small hash-keyed index from k-mer to position. Scanners
-// probe it with the canonical hash they already hold, and ranks
-// accumulate heavy occurrences in a dense array parallel to keys.
+// order, a small hash-keyed index from k-mer to position, and the set of
+// their minimizers. Scanners probe the index with the canonical hash they
+// already hold, and ranks accumulate heavy occurrences in a dense array
+// parallel to keys. A heavy k-mer's windows lie in runs whose minimizer is
+// that k-mer's, so the super-k-mer scanner asks for a run's minimizer first
+// and looks at the windows of the few runs that pass.
 type heavySet struct {
-	keys  []kmer.Kmer
-	index flat.Map[kmer.Kmer, int32]
+	keys       []kmer.Kmer
+	index      flat.Map[kmer.Kmer, int32]
+	minimizers flat.Map[uint64, struct{}] // keyed by kmer.MinimizerHash
 }
 
-func newHeavySet(keys []kmer.Kmer) *heavySet {
+// newHeavySet indexes keys; m is the minimizer length of the super-k-mer
+// transport, 0 on the per-k-mer path (which probes every window).
+func newHeavySet(keys []kmer.Kmer, k, m int) *heavySet {
 	s := &heavySet{keys: keys}
 	s.index.Grow((len(keys)*4 + 2) / 3)
 	for i, km := range keys {
 		at, _ := s.index.Upsert(km.Hash(hashSeed), km)
 		*at = int32(i)
+		if m > 0 {
+			minv := km.Minimizer(k, m)
+			s.minimizers.Upsert(kmer.MinimizerHash(minv), minv)
+		}
 	}
 	return s
 }
@@ -357,55 +368,57 @@ func (s *heavySet) find(h uint64, km kmer.Kmer) int {
 	return -1
 }
 
-// superKmerScratch is one rank's reusable buffers for forEachSuperKmer.
-type superKmerScratch struct {
-	record []byte
-	heavy  []int // start positions of the current read's heavy windows
+// mayHold reports whether a run with minimizer minv can hold a heavy
+// window.
+func (s *heavySet) mayHold(minv uint64) bool {
+	return s.minimizers.Len() > 0 && s.minimizers.Get(kmer.MinimizerHash(minv), minv) != nil
 }
 
 // forEachSuperKmer segments one read into encoded super-k-mer records:
-// every maximal minimizer run becomes one record (split around heavy-
-// hitter windows, which are folded into acc instead of shipped — their
-// occurrences take the local-accumulation path, and splitting keeps them
-// out of the retained payloads the count pass replays). emit receives the
-// run's minimizer, its encoded record, and its window count; the record
-// aliases the scratch buffer and must be consumed (copied or buffered)
-// before the next emission. Returns the total number of k-mer windows
-// visited — identical to the forEachOccurrence count. When there are no
-// heavy hitters the per-window canonicalization is skipped entirely and
-// each run is encoded straight from the read.
+// every maximal minimizer run becomes one record, with two exceptions.
+// Heavy-hitter windows split their run: they are folded into acc instead of
+// shipped — their occurrences take the local-accumulation path, and
+// splitting keeps them out of the payloads the owner replays. And a run
+// longer than a frame (kmer.MaxSuperKmerBases) travels as several records,
+// consecutive ones sharing the k−1 bases between their windows. Windows
+// are canonicalized and probed for heavy hitters only inside runs whose
+// minimizer a heavy hitter has; every other run is encoded straight from
+// the read.
+//
+// emit receives the run's minimizer, an encoded record, and its window
+// count; the record aliases the scratch buffer *record and must be
+// consumed (copied or buffered) before the next emission. Returns the
+// total number of k-mer windows visited — identical to the
+// forEachOccurrence count.
 func forEachSuperKmer(rec fastq.Record, k, m int, hh *heavySet, acc []KmerData,
-	emit func(minimizer uint64, record []byte, nwin int), sc *superKmerScratch) int {
+	emit func(minimizer uint64, record []byte, nwin int), record *[]byte) int {
 	seq, qual := rec.Seq, rec.Qual
-	heavy := sc.heavy[:0]
-	if len(hh.keys) > 0 {
-		kmer.ForEachCanonical(seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
-			if i := hh.find(canon.Hash(hashSeed), canon); i >= 0 {
-				acc[i].add(occurrenceAt(seq, qual, pos, k, canon, flipped), 1)
-				heavy = append(heavy, pos)
-			}
-		})
-		sc.heavy = heavy
-	}
 	windows := 0
 	kmer.ScanSuperKmers(seq, k, m, func(start, nwin int, minv uint64) {
 		windows += nwin
-		// ship windows [from, to) of the read as one record
+		// ship windows [from, to) of the read
 		ship := func(from, to int) {
-			if to <= from {
-				return
-			}
-			if out, ok := kmer.AppendSuperKmer(sc.record[:0], seq, qual, from, (to-from)+k-1, qualThreshold); ok {
-				sc.record = out
-				emit(minv, out, to-from)
+			for from < to {
+				n := min(to-from, kmer.MaxSuperKmerBases-k+1)
+				out, ok := kmer.AppendSuperKmer((*record)[:0], seq, qual, from, n+k-1, qualThreshold)
+				if !ok {
+					panic("kanalysis: minimizer run does not encode")
+				}
+				*record = out
+				emit(minv, out, n)
+				from += n
 			}
 		}
-		// heavy positions ascend and every one lies in exactly one run,
-		// so each run consumes its own from the front
 		from := start
-		for ; len(heavy) > 0 && heavy[0] < start+nwin; heavy = heavy[1:] {
-			ship(from, heavy[0])
-			from = heavy[0] + 1
+		if hh.mayHold(minv) {
+			kmer.ForEachCanonical(seq[start:start+nwin+k-1], k, func(pos int, canon kmer.Kmer, flipped bool) {
+				if i := hh.find(canon.Hash(hashSeed), canon); i >= 0 {
+					pos += start
+					acc[i].add(occurrenceAt(seq, qual, pos, k, canon, flipped), 1)
+					ship(from, pos)
+					from = pos + 1
+				}
+			})
 		}
 		ship(from, start+nwin)
 	})
@@ -424,15 +437,86 @@ func putPseudoBloom(table *dht.Table[kmer.Kmer, KmerData], r *xrt.Rank, prs []Ps
 	})
 }
 
-// retainedBlob keeps the super-k-mer payloads delivered to one owner
-// during the Bloom pass, for local replay in the count pass: one exact-
-// size copy per delivered message (the flush buffer is reused), so
-// retaining allocates the payload bytes and nothing more. Senders deliver
-// concurrently (a blob flush runs on the sender's goroutine), hence the
-// mutex.
-type retainedBlob struct {
-	mu       sync.Mutex
-	payloads [][]byte
+// inbox is what one owner received over the super-k-mer transport during
+// the Bloom pass. A delivery only files its payload — one exact-size copy
+// per message (the flush buffer is reused), tagged with the sender; senders
+// deliver concurrently (a blob flush runs on the sender's goroutine), hence
+// the mutex. Once the pass's barrier has closed the inbox, its owner is the
+// only rank that ever decodes it, inside an owner section of the table:
+// once to screen, once to replay.
+type inbox struct {
+	mu   sync.Mutex
+	msgs []inboxMsg
+	// first has one bit per window in decode order, set where the window
+	// was its k-mer's first sighting by the Bloom filter: the windows
+	// replay still has to apply.
+	first []uint64
+}
+
+type inboxMsg struct {
+	src     int
+	payload []byte
+}
+
+func (in *inbox) deliver(src int, payload []byte) {
+	kept := append([]byte(nil), payload...)
+	in.mu.Lock()
+	in.msgs = append(in.msgs, inboxMsg{src, kept})
+	in.mu.Unlock()
+}
+
+// decode reports every window of every message, in order.
+func (in *inbox) decode(k int, fn func(canon kmer.Kmer, left, right uint8)) {
+	for _, m := range in.msgs {
+		if _, err := kmer.DecodeSuperKmersCanonical(m.payload, k, fn); err != nil {
+			panic("kanalysis: corrupt super-k-mer payload: " + err.Error())
+		}
+	}
+}
+
+// screen is the Bloom pass of an owner over its inbox, in sender order: a
+// sender's messages arrive in its program order, so sorting by sender makes
+// the order the filters see their keys in a function of the input, not of
+// the schedule. A window whose k-mer the filter of its stripe has seen is
+// admitted and counted on the spot — count and both extension codes; a
+// first sighting is only flagged.
+func (in *inbox) screen(k, owner int, own dht.Owned[kmer.Kmer, KmerData], seen func(owner, stripe int, h uint64) bool) {
+	slices.SortStableFunc(in.msgs, func(a, b inboxMsg) int { return a.src - b.src })
+	w := 0
+	in.decode(k, func(canon kmer.Kmer, left, right uint8) {
+		if w&63 == 0 {
+			in.first = append(in.first, 0)
+		}
+		h := canon.Hash(hashSeed)
+		if e, stripe := own.Entry(h, canon); seen(owner, stripe, h) {
+			d, _ := e.Upsert()
+			d.add(occurrence{canon, left, right}, 1)
+		} else {
+			in.first[w>>6] |= 1 << (w & 63)
+		}
+		w++
+	})
+}
+
+// replay is the count pass of an owner over its screened inbox. Every
+// window is charged to r as the local store it is; only the flagged ones —
+// the rest were counted on admission — are hashed and looked up, and
+// applied if their k-mer made it into the table since. Returns the number
+// of windows and empties the inbox.
+func (in *inbox) replay(k int, own dht.Owned[kmer.Kmer, KmerData], r *xrt.Rank) int {
+	w := 0
+	in.decode(k, func(canon kmer.Kmer, left, right uint8) {
+		r.ChargeStoreBatch(r.ID, 1, kmerItemBytes)
+		if in.first[w>>6]>>(w&63)&1 != 0 {
+			e, _ := own.Entry(canon.Hash(hashSeed), canon)
+			if d := e.Get(); d != nil {
+				d.add(occurrence{canon, left, right}, 1)
+			}
+		}
+		w++
+	})
+	in.msgs, in.first = nil, nil
+	return w
 }
 
 // mix64 derives the second Bloom probe from the canonical table hash, so
@@ -583,7 +667,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 			heavyKeys = append(heavyKeys, hit.Item)
 		}
 	}
-	hh := newHeavySet(heavyKeys)
+	hh := newHeavySet(heavyKeys, opt.K, minLen)
 	res.HeavyHitters = len(hh.keys)
 
 	// No size hint: the only estimate at hand, the HyperLogLog cardinality,
@@ -624,39 +708,32 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	// in the same state as if admitted keys skipped it — a key is admitted
 	// when all its bits are set, and bits are never cleared, so adding it
 	// again sets nothing — and so the admitted set is the same too.
+	seen := func(owner, stripe int, h uint64) bool {
+		return opt.DisableBloom || blooms[owner*stripes+stripe].Add(h, mix64(h))
+	}
 	table.SetApply(func(owner, stripe int, h uint64, _ kmer.Kmer, _ KmerData, e dht.Entry[kmer.Kmer, KmerData]) {
-		if opt.DisableBloom || blooms[owner*stripes+stripe].Add(h, mix64(h)) {
+		if seen(owner, stripe, h) {
 			e.Upsert()
 		}
 	})
 
 	// Per-rank super-k-mer transport statistics (summed deterministically
-	// after the phase) and the payloads each owner retains for replay.
+	// after the phase) and what each owner received.
 	skRecords := make([]int64, p)
 	skBases := make([]int64, p)
 	skSaved := make([]int64, p)
-	retained := make([]retainedBlob, p)
+	inboxes := make([]inbox, p)
 
 	team.BeginSpan("bloom-screen")
 	if superk {
-		// Owner-side decode: drive each window's canonical k-mer through
-		// the stripe-locked apply hook; the raw payload is retained for the
-		// count pass's local replay.
-		table.SetBlobApply(func(src, owner int, payload []byte, put func(k kmer.Kmer, v KmerData)) {
-			kept := append([]byte(nil), payload...)
-			rb := &retained[owner]
-			rb.mu.Lock()
-			rb.payloads = append(rb.payloads, kept)
-			rb.mu.Unlock()
-			if _, err := kmer.DecodeSuperKmersCanonical(payload, opt.K, func(canon kmer.Kmer, _, _ uint8) {
-				put(canon, KmerData{})
-			}); err != nil {
-				panic("kanalysis: corrupt super-k-mer payload: " + err.Error())
-			}
+		// A delivery is filed, not decoded: the owner drains its inbox
+		// itself once the barrier below has closed it.
+		table.SetBlobApply(func(src, owner int, payload []byte, _ func(kmer.Kmer, KmerData)) {
+			inboxes[owner].deliver(src, payload)
 		})
 		res.BloomPhase = team.Run(func(r *xrt.Rank) {
 			acc := make([]KmerData, len(hh.keys))
-			var sc superKmerScratch
+			var buf []byte // every record of this rank is encoded here
 			n := 0
 			for _, rec := range readsByRank[r.ID] {
 				n += forEachSuperKmer(rec, opt.K, minLen, hh, acc,
@@ -666,13 +743,23 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 						skBases[r.ID] += int64(nwin + opt.K - 1)
 						skSaved[r.ID] += int64(nwin*kmerItemBytes - len(record))
 						table.PutBlob(r, dst, record, nwin)
-					}, &sc)
+					}, &buf)
 			}
 			n += putPseudoBloom(table, r, opt.pseudoOf(r.ID), opt.K)
 			r.ChargeItems(n)
 			table.Flush(r)
 			heavyAcc[r.ID] = acc
 			r.Barrier()
+
+			// Owner computes: every window this rank will ever own is in its
+			// inbox now (minimizer placement), and every pseudo-read store has
+			// been applied (through the hook above, at delivery). The rank
+			// screens its windows alone, under one round of its stripe locks.
+			// Uncharged, like the delivery-time decode it replaces (the
+			// sender's store batch charged the owner per item).
+			table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
+				inboxes[r.ID].screen(opt.K, r.ID, own, seen)
+			})
 		})
 	} else {
 		res.BloomPhase = team.Run(func(r *xrt.Rank) {
@@ -708,24 +795,16 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	team.BeginSpan("count")
 	res.CountPhase = team.Run(func(r *xrt.Rank) {
 		if superk {
-			// Replay the payloads this rank received in the Bloom pass:
-			// minimizer placement guarantees they are exactly the non-heavy
-			// occurrences it owns, so counting is communication-free and
-			// the owner is known — each window is stored at this rank with
-			// the one hash computed here, never placed again (charged as
-			// the local store it is); the decode itself is charged per
-			// window like a scan.
-			wins := 0
-			for _, payload := range retained[r.ID].payloads {
-				n, err := kmer.DecodeSuperKmersCanonical(payload, opt.K, func(canon kmer.Kmer, left, right uint8) {
-					table.PutOwned(r, canon.Hash(hashSeed), canon, occurrence{canon, left, right}.delta(1))
-				})
-				if err != nil {
-					panic("kanalysis: corrupt retained super-k-mer payload: " + err.Error())
-				}
-				wins += n
-			}
-			retained[r.ID].payloads = nil
+			// Replay the inbox of the Bloom pass: minimizer placement
+			// guarantees it holds exactly the non-heavy occurrences this rank
+			// owns, so counting is communication-free and the owner is known;
+			// the decode is charged per window like a scan. Pseudo-read
+			// stores other ranks aim at this shard meanwhile wait for the
+			// section to end.
+			var wins int
+			table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
+				wins = inboxes[r.ID].replay(opt.K, own, r)
+			})
 			wins += forEachPseudo(opt.pseudoOf(r.ID), opt.K, func(o occurrence, h uint64, w uint32) {
 				table.PutHashed(r, h, o.km, o.delta(w))
 			})

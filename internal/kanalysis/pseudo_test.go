@@ -144,7 +144,10 @@ func TestPseudoByRankShapeEnforced(t *testing.T) {
 
 // TestPseudoDeterministicAcrossTransports: the final table with pseudo-
 // reads is identical with and without the super-k-mer transport and
-// heavy-hitter paths (pseudo occurrences bypass both by design).
+// heavy-hitter paths (pseudo occurrences bypass both by design), and with
+// and without the Bloom screen on either transport (the super-k-mer one
+// counts read windows as it admits them, pseudo-read weight only in the
+// count pass).
 func TestPseudoDeterministicAcrossTransports(t *testing.T) {
 	const k = 21
 	rng := xrt.NewPrng(8)
@@ -161,6 +164,8 @@ func TestPseudoDeterministicAcrossTransports(t *testing.T) {
 		{K: k, MinCount: 2, PseudoByRank: pseudo},
 		{K: k, MinCount: 2, PseudoByRank: pseudo, DisableSuperKmers: true},
 		{K: k, MinCount: 2, PseudoByRank: pseudo, HeavyHitters: true},
+		{K: k, MinCount: 2, PseudoByRank: pseudo, DisableBloom: true},
+		{K: k, MinCount: 2, PseudoByRank: pseudo, DisableBloom: true, DisableSuperKmers: true},
 	} {
 		team := xrt.NewTeam(xrt.Config{Ranks: p})
 		got := tableCounts(Run(team, splitReads(recs, p), variant))

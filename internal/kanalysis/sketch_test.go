@@ -115,3 +115,37 @@ func BenchmarkSketchPass(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStage1 is a whole Run — sketch, Bloom screen, count, finalize —
+// on a human-like input at the human workload's rank count and on a
+// wheat-like one (heavy hitters in most runs) at the wheat workload's, per
+// k-mer window.
+func BenchmarkStage1(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		ranks int
+		gen   func(*xrt.Prng, int) []byte
+		opt   Options
+	}{
+		{"human/ranks=32", 32, genome.HumanLike, Options{K: 31, HeavyHitters: true}},
+		{"wheat/ranks=96", 96, genome.WheatLike, Options{K: 31, HeavyHitters: true, Theta: 2000}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := xrt.NewPrng(8)
+			recs, _ := genome.SimulatePairs(rng, c.gen(rng, 40000), genome.SimOptions{
+				Coverage: 25,
+				Lib:      genome.Library{Name: "b", ReadLen: 100, InsertMean: 300, InsertSD: 20},
+				Err:      genome.DefaultErrorModel(),
+			})
+			team := xrt.NewTeam(xrt.Config{Ranks: c.ranks, RanksPerNode: 24})
+			reads := splitReads(recs, c.ranks)
+			var windows int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				windows = Run(team, reads, c.opt).TotalKmers
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*windows), "ns/window")
+		})
+	}
+}

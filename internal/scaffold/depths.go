@@ -31,8 +31,7 @@ func computeDepths(team *xrt.Team, ctgRes *contig.Result,
 			}
 			var sum uint64
 			var n int
-			kmer.ForEach(c.Seq, opt.K, func(_ int, km kmer.Kmer) {
-				canon, _ := km.Canonical(opt.K)
+			kmer.ForEachCanonical(c.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
 				if d, ok := kt.Get(r, canon); ok {
 					sum += uint64(d.Count)
 					n++
