@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz verify bench
+.PHONY: all build vet test race fuzz verify bench loc
 
 all: build vet test
 
@@ -54,6 +54,12 @@ verify: build vet fuzz
 	$(GO) test -short -race -run 'Conservation|Metamorphic' ./internal/metrics/
 	$(GO) test -run 'MultiK' ./internal/pipeline/
 	$(GO) test -run 'CrossJobIsolation|PreemptionResumes' ./internal/sched/
+
+# The size ROADMAP tracks: non-blank lines of non-test Go outside
+# benchmark/ (tracked files plus new ones not yet added).
+loc:
+	@git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '^benchmark/' -e '_test\.go$$' | \
+		xargs cat | grep -cv '^[[:space:]]*$$'
 
 # Exhibit benchmarks (paper tables/figures), the DHT microbenchmarks
 # comparing striped-mutex, frozen lock-free, and frozen+cached Get paths,

@@ -16,6 +16,7 @@ import (
 	"hipmer/internal/fasta"
 	"hipmer/internal/metrics"
 	"hipmer/internal/stats"
+	"hipmer/internal/verify"
 )
 
 func main() {
@@ -69,7 +70,7 @@ func main() {
 		for _, r := range refs {
 			ref = append(ref, r.Seq...)
 		}
-		v := stats.Validate(seqs, ref)
+		v := verify.Place(seqs, ref)
 		fmt.Printf("NG50:      %d\nplaced:    %d (unplaced %d, misassembled %d)\n"+
 			"coverage:  %.2f%%\nidentity:  %.4f%%\n",
 			stats.NG50(seqs, len(ref)), v.Placed, v.Unplaced, v.Misassemblies,

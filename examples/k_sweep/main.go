@@ -35,7 +35,7 @@ func main() {
 		}
 		fmt.Printf("%s %2d   %6d   %7d   %6.2f%%   %v (%s)\n",
 			marker, r.K, r.Result.Stats.Sequences, r.Result.Stats.N50,
-			100*v.CoveredFrac, r.Result.Timing("contig-generation"), oracle)
+			100*v.CoveredFrac, r.Result.Metrics.Time("contig-generation"), oracle)
 	}
 	fmt.Printf("best k by N50: %d\n", results[best].K)
 }

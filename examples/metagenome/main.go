@@ -42,5 +42,5 @@ func main() {
 		fmt.Printf("  %2d. %6d bp\n", i+1, lens[i])
 	}
 	fmt.Printf("k-mer analysis %v, contig generation %v (simulated)\n",
-		res.Timing("kmer-analysis"), res.Timing("contig-generation"))
+		res.Metrics.Time("kmer-analysis"), res.Metrics.Time("contig-generation"))
 }

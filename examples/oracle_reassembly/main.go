@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("individual 1: %d scaffolds assembled (traversal %v simulated)\n",
-		res1.Stats.Sequences, res1.Timing("contig-generation"))
+		res1.Stats.Sequences, res1.Metrics.Time("contig-generation"))
 
 	// Individual 2 of the same species: every chromosome 0.2% diverged.
 	var frags2 [][]byte
@@ -66,8 +66,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	tNo := noOracle.Timing("contig-generation")
-	tOr := withOracle.Timing("contig-generation")
+	tNo := noOracle.Metrics.Time("contig-generation")
+	tOr := withOracle.Metrics.Time("contig-generation")
 	fmt.Printf("individual 2 contig generation (simulated):\n")
 	fmt.Printf("  uniform layout: %v\n", tNo)
 	fmt.Printf("  oracle layout:  %v (%.1fx faster)\n",

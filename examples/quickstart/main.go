@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"hipmer"
 )
@@ -31,9 +32,12 @@ func main() {
 		res.Stats.Sequences, res.Stats.TotalLen, res.Stats.N50)
 	fmt.Printf("pipeline: %d contigs, %d/%d gaps closed\n",
 		res.ContigCount, res.GapsClosed, res.Gaps)
-	for _, t := range res.Timings {
-		fmt.Printf("  %-18s %12v (simulated)\n", t.Name, t.Virtual)
+	for _, st := range res.Metrics.Stages {
+		if st.Depth == 0 { // the pipeline stages; sub-spans sit beneath them
+			fmt.Printf("  %-18s %12v (simulated)\n", st.Name, res.Metrics.Time(st.Path))
+		}
 	}
+	fmt.Printf("  %-18s %12v (simulated)\n", "total", time.Duration(res.Metrics.VirtualNs))
 
 	// 4. Validate against the reference we simulated from.
 	v := res.Validate(ref)

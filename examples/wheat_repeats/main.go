@@ -42,8 +42,8 @@ func main() {
 	withoutHH := run(true)
 
 	fmt.Printf("\nheavy hitters identified: %d\n", withHH.HeavyHitters)
-	tHH := withHH.Timing("kmer-analysis")
-	tDef := withoutHH.Timing("kmer-analysis")
+	tHH := withHH.Metrics.Time("kmer-analysis")
+	tDef := withoutHH.Metrics.Time("kmer-analysis")
 	fmt.Printf("k-mer analysis (simulated): default %v, heavy-hitters %v (%.2fx)\n",
 		tDef, tHH, tDef.Seconds()/tHH.Seconds())
 

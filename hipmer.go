@@ -8,8 +8,9 @@
 // speculative parallel traversal, the seven scaffolding modules including
 // the merAligner read-to-contig aligner, and gap closing — executed over
 // a simulated distributed runtime whose ranks, nodes, and communication
-// costs stand in for the paper's UPC/Cray XC30 environment. Outputs are
-// deterministic for a fixed Options.Seed.
+// costs stand in for the paper's UPC/Cray XC30 environment. The assembly
+// is a function of the reads and the options alone — bit-identical across
+// rank counts, schedules, injected faults and resumes.
 //
 // Quick start:
 //
@@ -24,10 +25,10 @@ package hipmer
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"hipmer/internal/ckpt"
 	"hipmer/internal/contig"
+	"hipmer/internal/fasta"
 	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
 	"hipmer/internal/metrics"
@@ -38,12 +39,8 @@ import (
 	"hipmer/internal/xrt"
 )
 
-// Read is one sequencing read.
-type Read struct {
-	ID   []byte
-	Seq  []byte
-	Qual []byte // phred+33
-}
+// Read is one sequencing read: ID, Seq and Qual (phred+33).
+type Read = fastq.Record
 
 // Library is one paired-end read library. Reads come either from a FASTQ
 // file (read in parallel with the block reader of paper §3.3) or from
@@ -83,7 +80,10 @@ type Options struct {
 	Ranks int
 	// RanksPerNode groups ranks into simulated nodes (default 24).
 	RanksPerNode int
-	// Seed fixes all randomized decisions (default 1).
+	// Seed seeds the simulated ranks' RNG streams (default 1). No stage
+	// draws from them today — the assembly does not depend on it — so what
+	// the value reaches is the Metrics report's seed field and the
+	// checkpoint fingerprint: a Resume under a different Seed is refused.
 	Seed int64
 	// DisableHeavyHitters turns off the §3.1 frequent-k-mer optimization.
 	DisableHeavyHitters bool
@@ -133,33 +133,18 @@ type Options struct {
 	xrt.Inject
 }
 
-// StageTime reports one pipeline stage's simulated (virtual) duration —
-// the modelled time on the simulated machine — and the wall time the
-// simulation itself took.
-type StageTime struct {
-	Name    string
-	Virtual time.Duration
-	Wall    time.Duration
-}
+// Stats summarizes an assembly: Sequences, TotalLen, MaxLen, MeanLen, N50,
+// N90 and GapBases (N characters).
+type Stats = stats.AsmStats
 
-// Stats summarizes an assembly.
-type Stats struct {
-	Sequences int
-	TotalLen  int
-	MaxLen    int
-	N50       int
-	N90       int
-	GapBases  int
-}
-
-// Validation compares an assembly against a known reference.
-type Validation struct {
-	Placed        int
-	Unplaced      int
-	Misassemblies int
-	CoveredFrac   float64
-	IdentityFrac  float64
-}
+// VerifyReport is the assembly oracle's verdict (Options.Verify, or
+// Result.Validate for the reference placement alone): OK() is true when
+// every check passed, Summary is a one-line account of what was checked,
+// Issues lists the individual failures (capped); MissingKmers counts
+// contig k-mers absent from the read set, and Placed, Unplaced,
+// Misassemblies, CoveredFrac, IdentityFrac and GapViolations are the
+// reference-based figures (zero when no reference was given).
+type VerifyReport = verify.Report
 
 // Result is a finished assembly.
 type Result struct {
@@ -171,8 +156,6 @@ type Result struct {
 	ContigSeqs [][]byte
 	// Stats summarizes the assembly.
 	Stats Stats
-	// Timings lists per-stage virtual durations, ending with "total".
-	Timings []StageTime
 	// ContigCount and HeavyHitters expose pipeline internals of interest.
 	ContigCount  int64
 	HeavyHitters int
@@ -181,30 +164,18 @@ type Result struct {
 	Gaps         int
 	// Verify is the oracle report (nil unless Options.Verify was set).
 	Verify *VerifyReport
-	// Metrics is the per-stage observability report: one span per
-	// pipeline stage (plus named sub-spans), each with per-rank
+	// Metrics is the per-stage observability report and the one record of
+	// stage times: one span per pipeline stage that ran (plus named
+	// sub-spans), each with its virtual and wall duration, per-rank
 	// communication deltas, virtual busy time, and load-imbalance
-	// statistics. Every field except the wall-clock ones is
-	// deterministic for a fixed configuration. Serialize it with
+	// statistics. Metrics.Time("contig-generation") is a stage's simulated
+	// duration ("scaffolding/merAligner" a sub-span's; iterative-k stages
+	// carry their -k<N> suffix, later scaffolding rounds -round<N>) and
+	// Metrics.VirtualNs the whole run's. Every field except the wall-clock
+	// ones is deterministic for a fixed configuration. Serialize it with
 	// Metrics.WriteFile (cmd/hipmer -metrics-out) and render it with
 	// Metrics.FormatTable (asmstats -report).
 	Metrics *metrics.Report
-}
-
-// VerifyReport is the assembly oracle's verdict (Options.Verify).
-type VerifyReport struct {
-	// OK is true when every check passed.
-	OK bool
-	// Summary is a one-line account of what was checked.
-	Summary string
-	// Issues lists the individual failures (capped).
-	Issues []string
-	// Misassemblies and GapViolations expose the reference-based counts
-	// (zero when no VerifyRef was given).
-	Misassemblies int
-	GapViolations int
-	// MissingKmers counts contig k-mers absent from the read set.
-	MissingKmers int64
 }
 
 // Assemble runs the full pipeline.
@@ -235,11 +206,9 @@ func Assemble(libs []Library, opt Options) (*Result, error) {
 	}
 	var plibs []pipeline.Library
 	for _, l := range libs {
-		pl := pipeline.Library{Name: l.Name, Path: l.Path, InsertHint: l.InsertMean}
-		for _, rd := range l.Reads {
-			pl.Records = append(pl.Records, fastq.Record{ID: rd.ID, Seq: rd.Seq, Qual: rd.Qual})
-		}
-		plibs = append(plibs, pl)
+		plibs = append(plibs, pipeline.Library{
+			Name: l.Name, Path: l.Path, Records: l.Reads, InsertHint: l.InsertMean,
+		})
 	}
 	cfg := opt.pipelineConfig()
 	if opt.Verify {
@@ -265,21 +234,16 @@ func Assemble(libs []Library, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Scaffolds: pres.FinalSeqs, Metrics: pres.Metrics}
+	res := &Result{
+		Scaffolds: pres.FinalSeqs,
+		Stats:     stats.Compute(pres.FinalSeqs),
+		Verify:    pres.Verify,
+		Metrics:   pres.Metrics,
+	}
 	if pres.Contigs != nil {
 		for _, c := range pres.Contigs.All() {
 			res.ContigSeqs = append(res.ContigSeqs, c.Seq)
 		}
-	}
-	s := stats.Compute(pres.FinalSeqs)
-	res.Stats = Stats{
-		Sequences: s.Sequences, TotalLen: s.TotalLen, MaxLen: s.MaxLen,
-		N50: s.N50, N90: s.N90, GapBases: s.GapBases,
-	}
-	for _, t := range pres.Timings {
-		res.Timings = append(res.Timings, StageTime{Name: t.Name, Virtual: t.Virtual, Wall: t.Wall})
-	}
-	if pres.Contigs != nil {
 		res.ContigCount = pres.Contigs.NumContigs
 	}
 	if pres.KAnalysis != nil {
@@ -291,19 +255,6 @@ func Assemble(libs []Library, opt Options) (*Result, error) {
 	if pres.Gapclose != nil {
 		res.GapsClosed = pres.Gapclose.Closed
 		res.Gaps = pres.Gapclose.Gaps
-	}
-	if pres.Verify != nil {
-		vr := &VerifyReport{
-			OK:            pres.Verify.OK(),
-			Summary:       pres.Verify.String(),
-			Misassemblies: pres.Verify.Misassemblies,
-			GapViolations: pres.Verify.GapViolations,
-			MissingKmers:  pres.Verify.MissingKmers,
-		}
-		for _, is := range pres.Verify.Issues {
-			vr.Issues = append(vr.Issues, is.String())
-		}
-		res.Verify = vr
 	}
 	return res, nil
 }
@@ -343,86 +294,56 @@ func StageNames(opt Options) []string {
 	return pipeline.StageNames(opt.pipelineConfig())
 }
 
-// Validate compares the assembly to a reference sequence.
-func (r *Result) Validate(ref []byte) Validation {
-	v := stats.Validate(r.Scaffolds, ref)
-	return Validation{
-		Placed: v.Placed, Unplaced: v.Unplaced, Misassemblies: v.Misassemblies,
-		CoveredFrac: v.CoveredFrac, IdentityFrac: v.IdentityFrac,
-	}
-}
-
-// Timing returns the named stage's virtual duration (zero if absent).
-func (r *Result) Timing(name string) time.Duration {
-	for _, t := range r.Timings {
-		if t.Name == name {
-			return t.Virtual
-		}
-	}
-	return 0
+// Validate places the assembly on a reference sequence: the oracle's
+// placement check (each gap-free piece anchored by 31-mer diagonal voting,
+// chimeras told from repeats by disjoint support spans) on its own, the
+// same engine Options.Verify with VerifyRef runs.
+func (r *Result) Validate(ref []byte) *VerifyReport {
+	return verify.Place(r.Scaffolds, ref)
 }
 
 // WriteFasta writes the scaffolds as FASTA.
 func (r *Result) WriteFasta(w io.Writer) error {
+	recs := make([]fasta.Record, len(r.Scaffolds))
 	for i, seq := range r.Scaffolds {
-		if _, err := fmt.Fprintf(w, ">scaffold_%d len=%d\n", i+1, len(seq)); err != nil {
-			return err
-		}
-		for j := 0; j < len(seq); j += 80 {
-			end := j + 80
-			if end > len(seq) {
-				end = len(seq)
-			}
-			if _, err := w.Write(seq[j:end]); err != nil {
-				return err
-			}
-			if _, err := w.Write([]byte{'\n'}); err != nil {
-				return err
-			}
-		}
+		recs[i] = fasta.Record{Name: fmt.Sprintf("scaffold_%d len=%d", i+1, len(seq)), Seq: seq}
 	}
-	return nil
+	return fasta.Write(w, recs)
 }
 
 // ---------------------------------------------------------------------
 // Synthetic data generation (the evaluation datasets, scaled).
 
+// fromPipeline is the facade's view of a simulated library.
+func fromPipeline(pl pipeline.Library) Library {
+	return Library{Name: pl.Name, Reads: pl.Records, InsertMean: pl.InsertHint}
+}
+
 // SimHumanLike generates a human-like diploid dataset: mostly unique
 // sequence, 0.1% heterozygosity, one short-insert library. It returns the
 // reference haplotype and the library.
 func SimHumanLike(seed int64, genomeLen int, coverage float64) ([]byte, Library) {
-	rng := xrt.NewPrng(seed)
-	g := genome.HumanLike(rng, genomeLen)
-	hap2 := genome.Mutate(rng, g, 0.001)
-	recs, _ := genome.SimulatePairs(rng, g, genome.SimOptions{
-		Coverage:   coverage,
-		Lib:        genome.Library{Name: "pe395", ReadLen: 101, InsertMean: 395, InsertSD: 30},
-		Err:        genome.DefaultErrorModel(),
-		Haplotypes: [][]byte{hap2},
-	})
-	return g, Library{Name: "pe395", Reads: toReads(recs), InsertMean: 395}
+	g, plibs := pipeline.SimulatedHuman(seed, genomeLen, coverage)
+	lib := fromPipeline(plibs[0])
+	lib.Name = "pe395"
+	return g, lib
 }
 
 // SimWheatLike generates a wheat-like dataset: highly repetitive with
 // heavy-hitter k-mers, three libraries including long inserts.
 func SimWheatLike(seed int64, genomeLen int, coverage float64) ([]byte, []Library) {
-	g, plibs := simWheat(seed, genomeLen, coverage)
+	g, plibs := pipeline.SimulatedWheat(seed, genomeLen, coverage)
 	var libs []Library
 	for _, pl := range plibs {
-		libs = append(libs, Library{Name: pl.Name, Reads: toReads(pl.Records), InsertMean: pl.InsertHint})
+		libs = append(libs, fromPipeline(pl))
 	}
 	return g, libs
-}
-
-func simWheat(seed int64, genomeLen int, coverage float64) ([]byte, []pipeline.Library) {
-	return pipeline.SimulatedWheat(seed, genomeLen, coverage)
 }
 
 // SimMetagenome generates a wetlands-like metagenome dataset: many
 // species with log-normal abundances.
 func SimMetagenome(seed int64, totalLen, species, pairs int) Library {
-	plibs := pipeline.SimulatedMetagenome(seed, totalLen, species, pairs)
-	return Library{Name: plibs[0].Name, Reads: toReads(plibs[0].Records), InsertMean: 300}
+	return fromPipeline(pipeline.SimulatedMetagenome(seed, totalLen, species, pairs)[0])
 }
 
 // SimReads generates paired-end reads from an arbitrary genome.
@@ -434,7 +355,7 @@ func SimReads(seed int64, g []byte, coverage float64, readLen, insertMean, inser
 			InsertMean: insertMean, InsertSD: insertSD},
 		Err: genome.DefaultErrorModel(),
 	})
-	return Library{Name: "sim", Reads: toReads(recs), InsertMean: insertMean}
+	return Library{Name: "sim", Reads: recs, InsertMean: insertMean}
 }
 
 // RandomGenome generates a uniform random genome sequence.
@@ -451,28 +372,12 @@ func MutateGenome(seed int64, g []byte, rate float64) []byte {
 // WriteFastq writes a library's reads as a FASTQ file suitable for
 // Library.Path input.
 func WriteFastq(w io.Writer, lib Library) error {
-	return fastq.Write(w, toRecords(lib))
+	return fastq.Write(w, lib.Reads)
 }
 
 // WriteSeqDB writes a library's reads in the SeqDB-like binary container
 // (2-bit packed, block-indexed for parallel reading); pass the resulting
 // path (ending in ".seqdb") as Library.Path.
 func WriteSeqDB(path string, lib Library) error {
-	return seqdb.WriteFile(path, toRecords(lib))
-}
-
-func toRecords(lib Library) []fastq.Record {
-	recs := make([]fastq.Record, len(lib.Reads))
-	for i, rd := range lib.Reads {
-		recs[i] = fastq.Record{ID: rd.ID, Seq: rd.Seq, Qual: rd.Qual}
-	}
-	return recs
-}
-
-func toReads(recs []fastq.Record) []Read {
-	out := make([]Read, len(recs))
-	for i, r := range recs {
-		out[i] = Read{ID: r.ID, Seq: r.Seq, Qual: r.Qual}
-	}
-	return out
+	return seqdb.WriteFile(path, lib.Reads)
 }

@@ -2,9 +2,37 @@ package hipmer
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
+
+// validate is Result.Validate pinned to testdata/validate_parent.json:
+// Placed and Unplaced on the calling test's assembly as package stats'
+// validator, the second reference engine the tree had until commit
+// 268b93e, counted them.
+func validate(t *testing.T, res *Result, ref []byte) *VerifyReport {
+	t.Helper()
+	b, err := os.ReadFile("testdata/validate_parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parent map[string]struct{ Placed, Unplaced int }
+	if err := json.Unmarshal(b, &parent); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := parent[t.Name()]
+	if !ok {
+		t.Fatalf("no parent placement recorded for %s", t.Name())
+	}
+	v := res.Validate(ref)
+	if v.Placed != want.Placed || v.Unplaced != want.Unplaced {
+		t.Fatalf("placed %d / unplaced %d, parent engine %d / %d",
+			v.Placed, v.Unplaced, want.Placed, want.Unplaced)
+	}
+	return v
+}
 
 func TestAssembleInMemory(t *testing.T) {
 	g := RandomGenome(1, 20000)
@@ -16,12 +44,12 @@ func TestAssembleInMemory(t *testing.T) {
 	if res.Stats.TotalLen < 18000 {
 		t.Fatalf("assembled only %d bases of a 20k genome", res.Stats.TotalLen)
 	}
-	v := res.Validate(g)
+	v := validate(t, res, g)
 	if v.CoveredFrac < 0.95 || v.IdentityFrac < 0.999 {
 		t.Fatalf("poor assembly: %+v", v)
 	}
-	if res.Timing("total") <= 0 {
-		t.Fatal("no total timing")
+	if res.Metrics.VirtualNs <= 0 || res.Metrics.Time("contig-generation") <= 0 {
+		t.Fatal("no stage times in Metrics")
 	}
 }
 
@@ -37,7 +65,7 @@ func TestHumanLikeDiploid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := res.Validate(ref)
+	v := validate(t, res, ref)
 	if v.CoveredFrac < 0.7 {
 		t.Fatalf("diploid assembly covers only %.3f", v.CoveredFrac)
 	}
@@ -88,7 +116,7 @@ func TestOracleWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := res2.Validate(g2)
+	v := validate(t, res2, g2)
 	if v.CoveredFrac < 0.95 {
 		t.Fatalf("oracle-placed assembly covers only %.3f", v.CoveredFrac)
 	}

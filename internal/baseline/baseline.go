@@ -35,39 +35,38 @@ type Outcome struct {
 	FinalSeqs                            [][]byte
 }
 
+// outcome reads a finished run's times off its metrics report; Virtual is
+// the team's clock, so it includes whatever the baseline charged before
+// the pipeline started.
+func outcome(name string, res *pipeline.Result) *Outcome {
+	m := res.Metrics
+	return &Outcome{
+		Name:         name,
+		Virtual:      time.Duration(m.VirtualNs),
+		KmerAnalysis: m.Time("kmer-analysis"),
+		ContigGen:    m.Time("contig-generation"),
+		Scaffolding:  m.Time("scaffolding") + m.Time("gap-closing"),
+		FinalSeqs:    res.FinalSeqs,
+	}
+}
+
 // RunHipMer runs the full optimized pipeline, for side-by-side comparison.
 func RunHipMer(cfg xrt.Config, libs []pipeline.Library, pcfg pipeline.Config) (*Outcome, error) {
-	team := xrt.NewTeam(cfg)
-	res, err := pipeline.Run(team, libs, pcfg)
+	res, err := pipeline.Run(xrt.NewTeam(cfg), libs, pcfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Outcome{
-		Name:         "HipMer",
-		Virtual:      res.Timing("total").Virtual,
-		KmerAnalysis: res.Timing("kmer-analysis").Virtual,
-		ContigGen:    res.Timing("contig-generation").Virtual,
-		Scaffolding:  res.Timing("scaffolding").Virtual + res.Timing("gap-closing").Virtual,
-		FinalSeqs:    res.FinalSeqs,
-	}, nil
+	return outcome("HipMer", res), nil
 }
 
 // RunSerial runs the identical pipeline on one rank: the original
 // Meraculous reference point.
 func RunSerial(cost xrt.CostModel, libs []pipeline.Library, pcfg pipeline.Config) (*Outcome, error) {
-	team := xrt.NewTeam(xrt.Config{Ranks: 1, Cost: cost})
-	res, err := pipeline.Run(team, libs, pcfg)
+	res, err := pipeline.Run(xrt.NewTeam(xrt.Config{Ranks: 1, Cost: cost}), libs, pcfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Outcome{
-		Name:         "Meraculous-serial",
-		Virtual:      res.Timing("total").Virtual,
-		KmerAnalysis: res.Timing("kmer-analysis").Virtual,
-		ContigGen:    res.Timing("contig-generation").Virtual,
-		Scaffolding:  res.Timing("scaffolding").Virtual + res.Timing("gap-closing").Virtual,
-		FinalSeqs:    res.FinalSeqs,
-	}, nil
+	return outcome("Meraculous-serial", res), nil
 }
 
 // RunRayLike runs end-to-end distributed with fine-grained messages and
@@ -95,33 +94,21 @@ func RunRayLike(cfg xrt.Config, libs []pipeline.Library, pcfg pipeline.Config) (
 	if err != nil {
 		return nil, err
 	}
-	return &Outcome{
-		Name:         "Ray-like",
-		Virtual:      team.VirtualNow(),
-		KmerAnalysis: res.Timing("kmer-analysis").Virtual,
-		ContigGen:    res.Timing("contig-generation").Virtual,
-		Scaffolding:  res.Timing("scaffolding").Virtual + res.Timing("gap-closing").Virtual,
-		FinalSeqs:    res.FinalSeqs,
-	}, nil
+	return outcome("Ray-like", res), nil
 }
 
 // RunAbyssLike runs k-mer analysis and contig generation distributed
 // (fine-grained), then performs all scaffolding on a single rank, as
 // ABySS 1.x did on one shared-memory node.
 func RunAbyssLike(cfg xrt.Config, libs []pipeline.Library, pcfg pipeline.Config) (*Outcome, error) {
-	team := xrt.NewTeam(cfg)
 	pcfgContigs := pcfg
 	pcfgContigs.AggBufSize = 1
 	pcfgContigs.ContigsOnly = true
-	res, err := pipeline.Run(team, libs, pcfgContigs)
+	res, err := pipeline.Run(xrt.NewTeam(cfg), libs, pcfgContigs)
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{
-		Name:         "ABySS-like",
-		KmerAnalysis: res.Timing("kmer-analysis").Virtual,
-		ContigGen:    res.Timing("contig-generation").Virtual,
-	}
+	out := outcome("ABySS-like", res)
 
 	// Scaffolding on one rank: re-run the pipeline serially and charge
 	// only its scaffolding and gap-closing stages to this baseline (the
@@ -132,8 +119,8 @@ func RunAbyssLike(cfg xrt.Config, libs []pipeline.Library, pcfg pipeline.Config)
 	if err != nil {
 		return nil, err
 	}
-	out.Scaffolding = sres.Timing("scaffolding").Virtual + sres.Timing("gap-closing").Virtual
-	out.Virtual = res.Timing("total").Virtual + out.Scaffolding
+	out.Scaffolding = outcome("", sres).Scaffolding
+	out.Virtual += out.Scaffolding
 	out.FinalSeqs = sres.FinalSeqs
 	return out, nil
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"hipmer/internal/pipeline"
-	"hipmer/internal/stats"
+	"hipmer/internal/verify"
 	"hipmer/internal/xrt"
 )
 
@@ -31,11 +31,10 @@ func TestHipMerBeatsSerial(t *testing.T) {
 	}
 	// both must assemble the genome
 	for _, o := range []*Outcome{hip, ser} {
-		v := stats.Validate(o.FinalSeqs, g)
 		// Alu-like repeats collapse, so ~12% of the reference is covered
 		// by a single repeat copy
-		if v.CoveredFrac < 0.78 {
-			t.Fatalf("%s covers only %.3f", o.Name, v.CoveredFrac)
+		if cov := verify.Place(o.FinalSeqs, g).CoveredFrac; cov < 0.78 {
+			t.Fatalf("%s covers only %.3f", o.Name, cov)
 		}
 	}
 }
@@ -55,9 +54,8 @@ func TestHipMerBeatsRayLike(t *testing.T) {
 	if ray.Virtual <= hip.Virtual {
 		t.Fatalf("Ray-like (%v) should be slower than HipMer (%v)", ray.Virtual, hip.Virtual)
 	}
-	v := stats.Validate(ray.FinalSeqs, g)
-	if v.CoveredFrac < 0.78 {
-		t.Fatalf("Ray-like produces a bad assembly: %.3f", v.CoveredFrac)
+	if cov := verify.Place(ray.FinalSeqs, g).CoveredFrac; cov < 0.78 {
+		t.Fatalf("Ray-like produces a bad assembly: %.3f", cov)
 	}
 }
 

@@ -304,17 +304,12 @@ func DecodeContigStage(team *xrt.Team, b []byte) (*contig.Result, error) {
 // downstream consumer sees a deterministic partition that depends only
 // on the global contig set and the target rank count.
 func reshardContigResult(res *contig.Result, dstRanks int) *contig.Result {
-	flat := res.All() // sorted by ID
-	out := &contig.Result{
+	return &contig.Result{
 		NumContigs: res.NumContigs, UUKmers: res.UUKmers,
 		Claimed: res.Claimed, Completed: res.Completed,
 		Aborted: res.Aborted, Rounds: res.Rounds,
-		Contigs: make([][]*contig.Contig, dstRanks),
+		Contigs: xrt.Deal(res.All(), dstRanks), // All sorts by ID
 	}
-	for i, c := range flat {
-		out.Contigs[i%dstRanks] = append(out.Contigs[i%dstRanks], c)
-	}
-	return out
 }
 
 // DecodeContigStageReshard rebuilds a contig-generation result written
@@ -680,11 +675,7 @@ func ReshardScaffoldContigs(res *scaffold.Result, dstRanks int) error {
 		flat = append(flat, cs...)
 	}
 	sort.Slice(flat, func(i, j int) bool { return flat[i].ID < flat[j].ID })
-	byRank := make([][]*scaffold.SContig, dstRanks)
-	for i, sc := range flat {
-		byRank[i%dstRanks] = append(byRank[i%dstRanks], sc)
-	}
-	res.ContigsByRank = byRank
+	res.ContigsByRank = xrt.Deal(flat, dstRanks)
 	return nil
 }
 

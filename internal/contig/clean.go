@@ -28,36 +28,29 @@ import (
 
 // CleanOptions configures the graph-cleaning passes.
 type CleanOptions struct {
-	// K is the k-mer length the contigs were assembled at.
+	// K is the k-mer length the contigs were assembled at (default 31).
 	K int
-	// TipMaxLen is the maximum length of a clippable tip (default 3k,
-	// MEGAHIT's 2k..3k band): longer dead ends are genuine sequence.
-	TipMaxLen int
-	// TipDepthRatio is the dominance requirement: a tip is clipped only
-	// when its depth is at most this fraction of a rival path through the
-	// same junction (default 0.5). Ratios below 1 make mutual clipping
-	// impossible, which is what keeps the pass idempotent.
-	TipDepthRatio float64
-	// BubbleMaxLen is the maximum length of a poppable bubble branch
-	// (default 4k, matching scaffold bubble merging).
-	BubbleMaxLen int
 }
 
 func (o CleanOptions) withDefaults() CleanOptions {
 	if o.K <= 0 {
 		o.K = 31
 	}
-	if o.TipMaxLen <= 0 {
-		o.TipMaxLen = 3 * o.K
-	}
-	if o.TipDepthRatio <= 0 {
-		o.TipDepthRatio = 0.5
-	}
-	if o.BubbleMaxLen <= 0 {
-		o.BubbleMaxLen = 4 * o.K
-	}
 	return o
 }
+
+const (
+	// tipMaxLenK: a clippable tip is shorter than 3k (MEGAHIT's 2k..3k
+	// band); longer dead ends are genuine sequence.
+	tipMaxLenK = 3
+	// tipDepthRatio is the dominance requirement: a tip is clipped only
+	// when its depth is at most this fraction of a rival path through the
+	// same junction. Below 1, mutual clipping is impossible, which is what
+	// keeps the pass idempotent.
+	tipDepthRatio = 0.5
+	// bubbleMaxLenK: a poppable bubble branch is at most 4k long.
+	bubbleMaxLenK = 4
+)
 
 // CleanStats summarizes one cleaning pass.
 type CleanStats struct {
@@ -79,9 +72,10 @@ func (s *CleanStats) Add(o CleanStats) {
 	s.Survivors = o.Survivors
 }
 
-// cleanRec is the compact endpoint record the cleaning passes gather to
-// every rank — the same projection scaffold bubble merging uses.
-type cleanRec struct {
+// EndRec is the compact endpoint record of the gathered-graph idiom: what
+// tip clipping and bubble popping — here and in scaffold's §4.2 bubble
+// merging — need to know about one contig.
+type EndRec struct {
 	ID         int64
 	Len        int
 	Depth      float64
@@ -89,34 +83,82 @@ type cleanRec struct {
 	HasL, HasR bool
 }
 
-// gatherCleanRecs AllGathers every contig's endpoint record and returns
-// the global, ID-sorted list (identical on every rank by construction).
-func gatherCleanRecs(team *xrt.Team, res *Result, k int) []cleanRec {
-	p := team.Config().Ranks
-	gathered := make([][]cleanRec, p)
+// GatherEnds AllGathers the endpoint records of every rank's partition
+// (mine is called inside the SPMD region, once per rank) and returns the
+// global, ID-sorted list — identical on every rank by construction.
+func GatherEnds(team *xrt.Team, mine func(rank int) []EndRec) []EndRec {
+	gathered := make([][]EndRec, team.Config().Ranks)
 	team.Run(func(r *xrt.Rank) {
-		var mine []cleanRec
-		for _, c := range res.Contigs[r.ID] {
-			mine = append(mine, cleanRec{
-				ID: c.ID, Len: len(c.Seq), Depth: c.Depth(k),
-				NbrL: c.NbrL, NbrR: c.NbrR,
-				HasL: c.HasNbrL, HasR: c.HasNbrR,
-			})
-		}
-		all := r.AllGather(mine)
+		all := r.AllGather(mine(r.ID))
 		if r.ID == 0 {
 			for i, a := range all {
-				gathered[i] = a.([]cleanRec)
+				gathered[i] = a.([]EndRec)
 			}
 		}
 		r.Barrier()
 	})
-	var recs []cleanRec
+	var recs []EndRec
 	for _, g := range gathered {
 		recs = append(recs, g...)
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
 	return recs
+}
+
+// gatherContigEnds is GatherEnds over a contig result.
+func gatherContigEnds(team *xrt.Team, res *Result, k int) []EndRec {
+	return GatherEnds(team, func(rank int) []EndRec {
+		var mine []EndRec
+		for _, c := range res.Contigs[rank] {
+			mine = append(mine, EndRec{
+				ID: c.ID, Len: len(c.Seq), Depth: c.Depth(k),
+				NbrL: c.NbrL, NbrR: c.NbrR,
+				HasL: c.HasNbrL, HasR: c.HasNbrR,
+			})
+		}
+		return mine
+	})
+}
+
+// BubbleLosers is the allelic-bubble rule: contigs of at most 4k bases
+// whose two ends meet the same unordered pair of junction k-mers are
+// branches of one locus. In each group the depth-dominant branch (ID
+// tiebreak) is kept, and every other branch of similar length — within
+// [2/3, 4/3] of the winner's, or within k bases of it — is a loser;
+// dissimilar-length members stay.
+func BubbleLosers(recs []EndRec, k int) map[int64]bool {
+	type pairKey struct{ a, b kmer.Kmer }
+	groups := make(map[pairKey][]EndRec)
+	for _, rec := range recs {
+		if !rec.HasL || !rec.HasR || rec.Len > bubbleMaxLenK*k {
+			continue
+		}
+		a, b := rec.NbrL, rec.NbrR
+		if b.Less(a) {
+			a, b = b, a
+		}
+		groups[pairKey{a, b}] = append(groups[pairKey{a, b}], rec)
+	}
+	losers := make(map[int64]bool)
+	for _, g := range groups {
+		if len(g) < 2 {
+			continue
+		}
+		sort.Slice(g, func(i, j int) bool {
+			if g[i].Depth != g[j].Depth {
+				return g[i].Depth > g[j].Depth
+			}
+			return g[i].ID < g[j].ID
+		})
+		ref := g[0].Len
+		for _, loser := range g[1:] {
+			if loser.Len*3 >= ref*2 && loser.Len*3 <= ref*4 ||
+				max(loser.Len-ref, ref-loser.Len) <= k {
+				losers[loser.ID] = true
+			}
+		}
+	}
+	return losers
 }
 
 // pruneContigs removes the doomed set from every rank's partition and
@@ -149,7 +191,7 @@ func pruneContigs(team *xrt.Team, res *Result, doomed map[int64]bool, items int)
 // pass.
 func ClipTips(team *xrt.Team, res *Result, opt CleanOptions) CleanStats {
 	opt = opt.withDefaults()
-	recs := gatherCleanRecs(team, res, opt.K)
+	recs := gatherContigEnds(team, res, opt.K)
 
 	type end struct {
 		id    int64
@@ -168,7 +210,7 @@ func ClipTips(team *xrt.Team, res *Result, opt CleanOptions) CleanStats {
 	doomed := make(map[int64]bool)
 	var bases int64
 	for _, rec := range recs {
-		if rec.Len >= opt.TipMaxLen {
+		if rec.Len >= tipMaxLenK*opt.K {
 			continue
 		}
 		// a tip dangles: one end attached to a junction, the other dead.
@@ -184,7 +226,7 @@ func ClipTips(team *xrt.Team, res *Result, opt CleanOptions) CleanStats {
 			continue
 		}
 		for _, e := range junction[at] {
-			if e.id != rec.ID && rec.Depth <= opt.TipDepthRatio*e.depth {
+			if e.id != rec.ID && rec.Depth <= tipDepthRatio*e.depth {
 				doomed[rec.ID] = true
 				bases += int64(rec.Len)
 				break
@@ -198,50 +240,19 @@ func ClipTips(team *xrt.Team, res *Result, opt CleanOptions) CleanStats {
 	}
 }
 
-// PopBubbles removes allelic bubble branches from res in place: contigs
-// spanning the same unordered pair of junction k-mers with similar
-// lengths are variants of one locus; the depth-dominant branch (ID
-// tiebreak) is kept and the rest are popped. Exactly one branch of each
-// allelic group survives; since only whole contigs are removed, the
-// surviving set's k-mer spectrum stays contained in the input's. A second
-// pass finds every group reduced to its winner plus dissimilar-length
-// members and removes nothing.
+// PopBubbles removes the allelic bubble branches (BubbleLosers) from res
+// in place. Exactly one branch of each allelic group survives; since only
+// whole contigs are removed, the surviving set's k-mer spectrum stays
+// contained in the input's. A second pass finds every group reduced to
+// its winner plus dissimilar-length members and removes nothing.
 func PopBubbles(team *xrt.Team, res *Result, opt CleanOptions) CleanStats {
 	opt = opt.withDefaults()
-	recs := gatherCleanRecs(team, res, opt.K)
-
-	type pairKey struct{ a, b kmer.Kmer }
-	groups := make(map[pairKey][]cleanRec)
-	for _, rec := range recs {
-		if !rec.HasL || !rec.HasR || rec.Len > opt.BubbleMaxLen {
-			continue
-		}
-		a, b := rec.NbrL, rec.NbrR
-		if b.Less(a) {
-			a, b = b, a
-		}
-		groups[pairKey{a, b}] = append(groups[pairKey{a, b}], rec)
-	}
-
-	doomed := make(map[int64]bool)
+	recs := gatherContigEnds(team, res, opt.K)
+	doomed := BubbleLosers(recs, opt.K)
 	var bases int64
-	for _, g := range groups {
-		if len(g) < 2 {
-			continue
-		}
-		sort.Slice(g, func(i, j int) bool {
-			if g[i].Depth != g[j].Depth {
-				return g[i].Depth > g[j].Depth
-			}
-			return g[i].ID < g[j].ID
-		})
-		ref := g[0].Len
-		for _, loser := range g[1:] {
-			if loser.Len*3 >= ref*2 && loser.Len*3 <= ref*4 ||
-				absInt(loser.Len-ref) <= opt.K {
-				doomed[loser.ID] = true
-				bases += int64(loser.Len)
-			}
+	for _, rec := range recs {
+		if doomed[rec.ID] {
+			bases += int64(rec.Len)
 		}
 	}
 	pruneContigs(team, res, doomed, len(recs))
@@ -249,13 +260,6 @@ func PopBubbles(team *xrt.Team, res *Result, opt CleanOptions) CleanStats {
 		BubblesPopped: int64(len(doomed)), BasesRemoved: bases,
 		Survivors: res.NumContigs,
 	}
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // MergeStats summarizes one cross-round pseudo-read merge.
@@ -406,11 +410,5 @@ func MergeRounds(team *xrt.Team, prev []*Contig, cur *Result, mergeK, curK int) 
 // dealing contigs round-robin by ID order — the deterministic layout
 // downstream stages (scaffolding, output) partition work by.
 func ResultFromContigs(team *xrt.Team, cs []*Contig) *Result {
-	p := team.Config().Ranks
-	out := &Result{Contigs: make([][]*Contig, p)}
-	for i, c := range cs {
-		out.Contigs[i%p] = append(out.Contigs[i%p], c)
-	}
-	out.NumContigs = int64(len(cs))
-	return out
+	return &Result{Contigs: xrt.Deal(cs, team.Config().Ranks), NumContigs: int64(len(cs))}
 }

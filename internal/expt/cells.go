@@ -74,7 +74,7 @@ func verifyCells() []Cell {
 		}
 		out = append(out, Cell{Dataset: ds, Mode: fullMode, Ranks: matrixRanks, Oracle: true})
 		for _, seed := range []int64{1, 2, 3} {
-			out = append(out, Cell{Dataset: ds, Mode: fullMode, Ranks: matrixRanks, Perturb: seed})
+			out = append(out, Cell{Dataset: ds, Mode: fullMode, Ranks: matrixRanks, Inject: xrt.Inject{PerturbSeed: seed}})
 		}
 	}
 	return out
@@ -88,7 +88,7 @@ func chaosCells() []Cell {
 	for _, ds := range genomes {
 		for _, seed := range []int64{21, 22, 23, 24} {
 			out = append(out, Cell{Dataset: ds, Mode: fullMode, Ranks: matrixRanks,
-				Chaos: xrt.MessageFaultPlan{Seed: seed, DropRate: 0.05}})
+				Inject: xrt.Inject{ChaosSeed: seed, DropRate: 0.05}})
 		}
 	}
 	return out
@@ -102,7 +102,7 @@ func crashCells() []Cell {
 	for _, ds := range genomes {
 		for _, seed := range []int64{11, 12, 13, 14} {
 			out = append(out, Cell{Dataset: ds, Mode: fullMode, Ranks: matrixRanks,
-				Crash:  xrt.FaultPlan{Seed: seed, Stage: "scaffolding"},
+				Inject: xrt.Inject{FaultSeed: seed, FailStage: "scaffolding"},
 				Resume: &Resume{Ranks: matrixRanks}})
 		}
 	}
@@ -124,12 +124,12 @@ func rescaleCells() []Cell {
 			stages := mode.stages()
 			for si, stage := range stages {
 				for _, p := range []int{matrixRanks / 2, matrixRanks, 2 * matrixRanks} {
-					resume := &Resume{Ranks: p, Perturb: int64(1 + len(out)%4)}
+					resume := &Resume{Ranks: p, Inject: xrt.Inject{PerturbSeed: int64(1 + len(out)%4)}}
 					if si == len(stages)-1 {
-						resume.Chaos = xrt.MessageFaultPlan{Seed: 9}
+						resume.Inject.ChaosSeed = 9
 					}
 					out = append(out, Cell{Dataset: ds, Mode: mode, Ranks: matrixRanks,
-						Crash:  xrt.FaultPlan{Seed: faultSeeds[si%len(faultSeeds)], Stage: stage},
+						Inject: xrt.Inject{FaultSeed: faultSeeds[si%len(faultSeeds)], FailStage: stage},
 						Resume: resume})
 				}
 			}
@@ -147,7 +147,7 @@ func diskCells() []Cell {
 		for _, stage := range fullMode.stages() {
 			for _, seed := range []int64{21, 22, 23, 24} {
 				out = append(out, Cell{Dataset: ds, Mode: fullMode, Ranks: matrixRanks,
-					Disk:   xrt.DiskFaultPlan{Seed: seed, Stage: stage},
+					Inject: xrt.Inject{DiskFaultSeed: seed, DiskFailStage: stage},
 					Resume: &Resume{Ranks: matrixRanks}})
 			}
 		}
@@ -169,18 +169,18 @@ func metaCells() []Cell {
 	}
 	for _, seed := range []int64{1, 2, 3, 4} {
 		c := cell
-		c.Perturb = seed
+		c.Inject.PerturbSeed = seed
 		out = append(out, c)
 	}
 	for _, seed := range []int64{1, 2, 3, 4} {
 		c := cell
-		c.Chaos = xrt.MessageFaultPlan{Seed: seed}
+		c.Inject.ChaosSeed = seed
 		out = append(out, c)
 	}
 	for _, stage := range []string{"tip-clip-k33", "bubble-pop-k33", "pseudo-merge-k33"} {
 		for _, seed := range []int64{50, 346} {
 			c := cell
-			c.Crash = xrt.FaultPlan{Seed: seed, Stage: stage}
+			c.Inject.FaultSeed, c.Inject.FailStage = seed, stage
 			c.Resume = &Resume{Ranks: metaRanks}
 			out = append(out, c)
 		}
@@ -192,16 +192,16 @@ func metaCells() []Cell {
 // early, a rank crash later, and the resume on twice the ranks over a
 // lossy transport. No hand-written sweep covered these.
 func crossCells() []Cell {
-	lossy := xrt.MessageFaultPlan{Seed: 9, DropRate: 0.05}
+	lossy := xrt.Inject{PerturbSeed: 1, ChaosSeed: 9, DropRate: 0.05}
 	var out []Cell
 	for _, ds := range genomes {
 		out = append(out, Cell{Dataset: ds, Mode: fullMode, Ranks: matrixRanks,
-			Disk:   xrt.DiskFaultPlan{Seed: 22, Stage: "contig-generation"},
-			Crash:  xrt.FaultPlan{Seed: 11, Stage: "scaffolding"},
-			Resume: &Resume{Ranks: 2 * matrixRanks, Perturb: 1, Chaos: lossy}})
+			Inject: xrt.Inject{DiskFaultSeed: 22, DiskFailStage: "contig-generation",
+				FaultSeed: 11, FailStage: "scaffolding"},
+			Resume: &Resume{Ranks: 2 * matrixRanks, Inject: lossy}})
 	}
 	return append(out, Cell{Dataset: "meta", Mode: metaMode, Ranks: metaRanks,
-		Disk:   xrt.DiskFaultPlan{Seed: 21, Stage: "contig-generation-k33"},
-		Crash:  xrt.FaultPlan{Seed: 50, Stage: "pseudo-merge-k33"},
-		Resume: &Resume{Ranks: 2 * metaRanks, Perturb: 1, Chaos: lossy}})
+		Inject: xrt.Inject{DiskFaultSeed: 21, DiskFailStage: "contig-generation-k33",
+			FaultSeed: 50, FailStage: "pseudo-merge-k33"},
+		Resume: &Resume{Ranks: 2 * metaRanks, Inject: lossy}})
 }

@@ -380,20 +380,18 @@ func RunSweep(sc Scale, dataset string) ([]SweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		scafSec := res.Timing("scaffolding").Virtual.Seconds() +
-			res.Timing("gap-closing").Virtual.Seconds()
-		alignSec := res.Timing("merAligner").Virtual.Seconds()
+		sec := func(path string) float64 { return res.Metrics.Time(path).Seconds() }
 		rows = append(rows, SweepRow{
 			Dataset:     dataset,
 			Cores:       p,
-			IOSec:       res.Timing("io").Virtual.Seconds(),
-			KmerSec:     res.Timing("kmer-analysis").Virtual.Seconds(),
-			ContigSec:   res.Timing("contig-generation").Virtual.Seconds(),
-			AlignerSec:  alignSec,
-			GapCloseSec: res.Timing("gap-closing").Virtual.Seconds(),
-			RestScafSec: res.Timing("scaffolding").Virtual.Seconds() - alignSec,
-			ScafSec:     scafSec,
-			TotalSec:    res.Timing("total").Virtual.Seconds(),
+			IOSec:       sec("io"),
+			KmerSec:     sec("kmer-analysis"),
+			ContigSec:   sec("contig-generation"),
+			AlignerSec:  sec("scaffolding/merAligner"),
+			GapCloseSec: sec("gap-closing"),
+			RestScafSec: sec("scaffolding") - sec("scaffolding/merAligner"),
+			ScafSec:     sec("scaffolding") + sec("gap-closing"),
+			TotalSec:    float64(res.Metrics.VirtualNs) / 1e9,
 		})
 	}
 	return rows, nil
@@ -467,9 +465,9 @@ func Table3(sc Scale) ([]Table3Row, string) {
 		}
 		rows = append(rows, Table3Row{
 			Cores:     p,
-			KmerSec:   res.Timing("kmer-analysis").Virtual.Seconds(),
-			ContigSec: res.Timing("contig-generation").Virtual.Seconds(),
-			IOSec:     res.Timing("io").Virtual.Seconds(),
+			KmerSec:   res.Metrics.Time("kmer-analysis").Seconds(),
+			ContigSec: res.Metrics.Time("contig-generation").Seconds(),
+			IOSec:     res.Metrics.Time("io").Seconds(),
 		})
 	}
 	var tab [][]string

@@ -214,18 +214,11 @@ func TestAblationAggStoresMonotone(t *testing.T) {
 	}
 	first, last := rows[0], rows[len(rows)-1]
 	if first.Msgs < 20*last.Msgs {
-		t.Fatalf("aggregation reduced messages only %dx", first.Msgs/maxI64(last.Msgs, 1))
+		t.Fatalf("aggregation reduced messages only %dx", first.Msgs/max(last.Msgs, 1))
 	}
 	if last.TimeSec >= first.TimeSec {
 		t.Fatalf("aggregation did not reduce time: %.4f vs %.4f", last.TimeSec, first.TimeSec)
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func TestAblationOracleMemoryTradeoff(t *testing.T) {

@@ -68,12 +68,11 @@ func (m Mode) stages() []string {
 
 // Resume is a cell's optional second leg: a fresh team of Ranks ranks
 // (any count — a different one is an elastic rescale) resumes the first
-// leg's checkpoint under its own schedule perturbation and transport
-// faults.
+// leg's checkpoint under its own arming (the cells use the schedule
+// perturbation and the lossy transport).
 type Resume struct {
-	Ranks   int
-	Perturb int64
-	Chaos   xrt.MessageFaultPlan
+	Ranks  int
+	Inject xrt.Inject
 }
 
 // Cell is one scenario: a dataset, a pipeline mode, a rank count, the
@@ -92,22 +91,22 @@ type Cell struct {
 	// dataset's reference genome (see oracleGate).
 	Oracle bool
 
-	Perturb int64                // schedule-perturbation seed
-	Chaos   xrt.MessageFaultPlan // lossy transport
-	Crash   xrt.FaultPlan        // rank crash inside a stage
-	Disk    xrt.DiskFaultPlan    // damage to one stage's checkpoint segment
-	Resume  *Resume
+	// Inject is what the first leg runs armed with: a schedule
+	// perturbation, a lossy transport, a rank crash inside a stage, damage
+	// to one stage's checkpoint segment.
+	Inject xrt.Inject
+	Resume *Resume
 }
 
 // firstLeg renders everything that determines the first leg's run and
 // hence its checkpoint directory; cells that agree on it share that run.
 func (c Cell) firstLeg() string {
-	s := fmt.Sprintf("%s %s ranks=%d", c.Dataset, c.Mode, c.Ranks) + scheduleString(c.Perturb, c.Chaos)
-	if c.Crash.Enabled() {
-		s += fmt.Sprintf(" crash=%d@%s", c.Crash.Seed, c.Crash.Stage)
+	s := fmt.Sprintf("%s %s ranks=%d", c.Dataset, c.Mode, c.Ranks) + scheduleString(c.Inject)
+	if crash := c.Inject.Crash(); crash.Enabled() {
+		s += fmt.Sprintf(" crash=%d@%s", crash.Seed, crash.Stage)
 	}
-	if c.Disk.Enabled() {
-		s += fmt.Sprintf(" disk=%d@%s", c.Disk.Seed, c.Disk.Stage)
+	if disk := c.Inject.Disk(); disk.Enabled() {
+		s += fmt.Sprintf(" disk=%d@%s", disk.Seed, disk.Stage)
 	}
 	return s
 }
@@ -123,17 +122,17 @@ func (c Cell) String() string {
 		s += " oracle"
 	}
 	if r := c.Resume; r != nil {
-		s += fmt.Sprintf(" resume=%d", r.Ranks) + scheduleString(r.Perturb, r.Chaos)
+		s += fmt.Sprintf(" resume=%d", r.Ranks) + scheduleString(r.Inject)
 	}
 	return s
 }
 
-func scheduleString(perturb int64, chaos xrt.MessageFaultPlan) string {
+func scheduleString(inj xrt.Inject) string {
 	var s string
-	if perturb != 0 {
-		s += fmt.Sprintf(" perturb=%d", perturb)
+	if inj.PerturbSeed != 0 {
+		s += fmt.Sprintf(" perturb=%d", inj.PerturbSeed)
 	}
-	if chaos.Enabled() {
+	if chaos := inj.Chaos(); chaos.Enabled() {
 		s += fmt.Sprintf(" chaos=%d@%g", chaos.Seed, chaos.DropRate)
 	}
 	return s
@@ -160,8 +159,9 @@ func (c Cell) baselineKey() string {
 // earliest crashed or damaged one: what a resume can still rehydrate.
 func (c Cell) intactPrefix() int {
 	stages := c.Mode.stages()
+	crash, disk := c.Inject.Crash(), c.Inject.Disk()
 	for i, s := range stages {
-		if (c.Crash.Enabled() && s == c.Crash.Stage) || (c.Disk.Enabled() && s == c.Disk.Stage) {
+		if (crash.Enabled() && s == crash.Stage) || (disk.Enabled() && s == disk.Stage) {
 			return i
 		}
 	}
@@ -268,13 +268,6 @@ func (m *matrix) dataset(name string) dataset {
 	return d
 }
 
-// arming is the one value a run is armed through, from a leg's schedule
-// perturbation and transport faults.
-func arming(perturb int64, chaos xrt.MessageFaultPlan) xrt.Inject {
-	return xrt.Inject{PerturbSeed: perturb,
-		ChaosSeed: chaos.Seed, DropRate: chaos.DropRate, RetryBudget: chaos.RetryBudget}
-}
-
 func (m *matrix) runLeg(c Cell, ranks int, inj xrt.Inject, pcfg pipeline.Config) *leg {
 	tcfg := m.sc.teamCfg(ranks)
 	tcfg.Inject = inj
@@ -287,7 +280,7 @@ func (m *matrix) runLeg(c Cell, ranks int, inj xrt.Inject, pcfg pipeline.Config)
 	var res *pipeline.Result
 	if res, l.err = pipeline.Run(team, d.libs, pcfg); l.err == nil {
 		l.seqs, l.report, l.oracle = res.FinalSeqs, res.Metrics, res.Verify
-		l.virtualSec = res.Timing("total").Virtual.Seconds()
+		l.virtualSec = float64(res.Metrics.VirtualNs) / 1e9
 	}
 	l.comm = team.AggStats()
 	return l
@@ -305,7 +298,7 @@ func (m *matrix) baseline(c Cell) *leg {
 // crashed reports whether the leg ended in the cell's injected crash.
 func (c Cell) crashed(l *leg) bool {
 	var sf *pipeline.StageFailedError
-	return c.Crash.Enabled() && errors.As(l.err, &sf)
+	return c.Inject.Crash().Enabled() && errors.As(l.err, &sf)
 }
 
 // observe runs the cell's legs. first memoizes the checkpointed first
@@ -316,11 +309,8 @@ func (m *matrix) observe(c Cell, first map[string]*leg) observation {
 		pcfg.Verify = &verify.Options{Ref: m.dataset(c.Dataset).ref}
 	}
 	fcfg := pcfg
-	inj := arming(c.Perturb, c.Chaos)
-	inj.FaultSeed, inj.FailStage = c.Crash.Seed, c.Crash.Stage
-	inj.DiskFaultSeed, inj.DiskFailStage = c.Disk.Seed, c.Disk.Stage
 	if c.Resume == nil {
-		l := m.runLeg(c, c.Ranks, inj, fcfg)
+		l := m.runLeg(c, c.Ranks, c.Inject, fcfg)
 		return observation{first: l, final: l}
 	}
 	f, ok := first[c.firstLeg()]
@@ -329,7 +319,7 @@ func (m *matrix) observe(c Cell, first map[string]*leg) observation {
 		if fcfg.CkptDir, err = os.MkdirTemp("", "hipmer-matrix-*"); err != nil {
 			return observation{first: &leg{err: err}}
 		}
-		f = m.runLeg(c, c.Ranks, inj, fcfg)
+		f = m.runLeg(c, c.Ranks, c.Inject, fcfg)
 		first[c.firstLeg()] = f
 	}
 	if f.err != nil && !c.crashed(f) {
@@ -346,7 +336,7 @@ func (m *matrix) observe(c Cell, first map[string]*leg) observation {
 	if err := copyDir(f.dir, pcfg.CkptDir); err != nil {
 		return observation{first: f, final: &leg{err: err}}
 	}
-	return observation{first: f, final: m.runLeg(c, c.Resume.Ranks, arming(c.Resume.Perturb, c.Resume.Chaos), pcfg)}
+	return observation{first: f, final: m.runLeg(c, c.Resume.Ranks, c.Resume.Inject, pcfg)}
 }
 
 // copyDir clones a (flat) checkpoint directory.
@@ -387,7 +377,7 @@ func judge(c Cell, base *leg, obs observation) CellResult {
 	switch {
 	case base.err != nil:
 		failf("baseline: %v", base.err)
-	case first.err != nil && !r.Crashed && c.Crash.Enabled():
+	case first.err != nil && !r.Crashed && c.Inject.Crash().Enabled():
 		failf("no crash: %v", first.err)
 	case first.err != nil && !r.Crashed:
 		failf("first leg: %v", first.err)
@@ -425,18 +415,18 @@ func judge(c Cell, base *leg, obs observation) CellResult {
 				name, plan.DropRate, l.comm.Drops, l.comm.Retries, l.comm.Dups)
 		}
 	}
-	lossy("chaos", c.Chaos, first)
-	if c.Disk.Enabled() {
+	lossy("chaos", c.Inject.Chaos(), first)
+	if disk := c.Inject.Disk(); disk.Enabled() {
 		if first.comm.DiskFaults == 0 {
-			failf("disk fault at %s was never counted", c.Disk.Stage)
+			failf("disk fault at %s was never counted", disk.Stage)
 		}
 		// A refused write leaves no manifest entry: nothing to scrub.
-		if c.Disk.Kind() != xrt.DiskFaultWriteRefused && (final == first || final.comm.ScrubRepairedBytes == 0) {
-			failf("%s damage at %s was not scrubbed on resume", c.Disk.Kind(), c.Disk.Stage)
+		if disk.Kind() != xrt.DiskFaultWriteRefused && (final == first || final.comm.ScrubRepairedBytes == 0) {
+			failf("%s damage at %s was not scrubbed on resume", disk.Kind(), disk.Stage)
 		}
 	}
 	if c.Resume != nil {
-		lossy("resume chaos", c.Resume.Chaos, final)
+		lossy("resume chaos", c.Resume.Inject.Chaos(), final)
 		r.CkptLoadBytes = ckptLoadBytes(final.report)
 		if intact := c.intactPrefix(); intact > 0 && r.CkptLoadBytes == 0 {
 			failf("resume loaded no checkpoint bytes though %d stages were intact", intact)
@@ -529,7 +519,7 @@ func (m *matrix) run(cells []Cell) ([]Row, []*metrics.Report, string) {
 			rows = append(rows, Row{Group: c.Group, Dataset: c.Dataset, Mode: c.Mode.String()})
 		}
 		rows[i].Cells = append(rows[i].Cells, res)
-		if c.Crash.Enabled() {
+		if c.Inject.Crash().Enabled() {
 			rows[i].CrashArmed++
 		}
 		if res.Crashed {

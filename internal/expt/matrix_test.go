@@ -111,7 +111,7 @@ func TestMatrixCanFail(t *testing.T) {
 		}
 	}
 
-	cell := Cell{Group: "neg", Dataset: "human", Mode: contigsMode, Ranks: 4, Perturb: 1}
+	cell := Cell{Group: "neg", Dataset: "human", Mode: contigsMode, Ranks: 4, Inject: xrt.Inject{PerturbSeed: 1}}
 	obs := m.observe(cell, nil)
 	if res := judge(cell, m.baseline(cell), obs); len(res.Fail) != 0 {
 		t.Fatalf("control cell is red: %q", res.Fail)
@@ -123,18 +123,18 @@ func TestMatrixCanFail(t *testing.T) {
 	// Armed but lossless transport: green as declared, red once the cell
 	// claims a drop rate the run never had.
 	quiet := cell
-	quiet.Chaos = xrt.MessageFaultPlan{Seed: 21}
+	quiet.Inject.ChaosSeed = 21
 	obs = m.observe(quiet, nil)
 	if res := judge(quiet, m.baseline(quiet), obs); len(res.Fail) != 0 {
 		t.Fatalf("lossless chaos cell is red: %q", res.Fail)
 	}
 	lossy := quiet
-	lossy.Chaos.DropRate = 0.05
+	lossy.Inject.DropRate = 0.05
 	wantFail(judge(lossy, m.baseline(lossy), obs), "drops/retries/dups = 0/0/0")
 
 	// Scaffolding never runs under ContigsOnly, so the crash cannot fire.
 	vacuous := cell
-	vacuous.Crash = xrt.FaultPlan{Seed: 11, Stage: "scaffolding"}
+	vacuous.Inject.FaultSeed, vacuous.Inject.FailStage = 11, "scaffolding"
 	vacuous.Resume = &Resume{Ranks: 4}
 	rows, _, text := m.run([]Cell{vacuous})
 	if len(rows) != 1 || rows[0].OK() || rows[0].Crashes != 0 {

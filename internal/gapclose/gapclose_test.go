@@ -274,3 +274,29 @@ func TestPatchingUnit(t *testing.T) {
 			len(seq), len(gapSeq))
 	}
 }
+
+// TestAppendWithGap: the scaffold-level join splice falls back to for an
+// unclosed gap — a positive estimate becomes that many Ns, an overlap is
+// merged only when it verifies exactly at the estimate and is long enough
+// to mean something, and anything else gets a single N so the join cannot
+// shift the frame downstream.
+func TestAppendWithGap(t *testing.T) {
+	left := []byte("TTGACCATGCAGGTACCGATTACAGGCATCA")
+	ov := left[len(left)-20:]
+	right := append(append([]byte(nil), ov...), "GGATCCTTAGCA"...)
+	for _, c := range []struct {
+		name string
+		gap  int
+		want string
+	}{
+		{"positive", 5, string(left) + "NNNNN" + string(right)},
+		{"exact-overlap", -20, string(left) + string(right[20:])},
+		{"estimate-off-by-two", -22, string(left) + "N" + string(right)},
+		{"too-short-to-verify", -8, string(left) + "N" + string(right)},
+		{"abutting", 0, string(left) + "N" + string(right)},
+	} {
+		if got := appendWithGap(append([]byte(nil), left...), right, c.gap); string(got) != c.want {
+			t.Errorf("%s: got %s, want %s", c.name, got, c.want)
+		}
+	}
+}

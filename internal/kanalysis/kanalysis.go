@@ -100,11 +100,6 @@ type Options struct {
 	DisableSuperKmers bool
 	// AggBufSize overrides the aggregating-stores buffer size (0 = default).
 	AggBufSize int
-	// CacheSlots sizes the per-rank software cache in front of remote
-	// k-mer lookups once the table is frozen after analysis (contig
-	// traversal terminations, contig depths, gap-closing verification).
-	// 0 uses the default of 4096 slots; negative disables caching.
-	CacheSlots int
 	// PseudoByRank, when non-nil, feeds the iterative-k outer loop's
 	// carried contigs into the analysis as error-free pseudo-reads, one
 	// list per rank (must match the team's rank count). Every k-mer
@@ -135,13 +130,13 @@ func (o Options) withDefaults() Options {
 	if o.Theta <= 0 {
 		o.Theta = 32000
 	}
-	if o.CacheSlots == 0 {
-		o.CacheSlots = 4096
-	} else if o.CacheSlots < 0 {
-		o.CacheSlots = 0
-	}
 	return o
 }
+
+// kmerCacheSlots sizes the per-rank software cache in front of remote
+// k-mer lookups once the table is frozen after analysis (contig traversal
+// terminations, contig depths, gap-closing verification).
+const kmerCacheSlots = 4096
 
 // EffectiveMinimizerLen resolves the minimizer length stage 1 uses for
 // table placement: 0 when the super-k-mer transport is disabled (classic
@@ -187,8 +182,8 @@ func (d KmerData) IsUU() bool {
 // Exported so checkpoint rehydration builds a table that places, charges,
 // and caches identically to a freshly analyzed one. expectedItems is
 // dht.Options.ExpectedItems, a sizing hint that allocates nothing (0 = no
-// hint); cacheSlots follows
-// Options.CacheSlots conventions (0 = default 4096, negative = off).
+// hint); cacheSlots 0 means kmerCacheSlots, which every product caller
+// passes, and negative turns the read cache off.
 // minimizerLen > 0 selects minimizer placement — the owner of a k-mer is
 // the owner of its length-minimizerLen canonical minimizer, so point
 // lookups land on the shard the super-k-mer transport filled — and 0
@@ -196,7 +191,7 @@ func (d KmerData) IsUU() bool {
 // checkpoints).
 func NewTable(team *xrt.Team, expectedItems int64, aggBufSize, cacheSlots, k, minimizerLen int) *dht.Table[kmer.Kmer, KmerData] {
 	if cacheSlots == 0 {
-		cacheSlots = 4096
+		cacheSlots = kmerCacheSlots
 	} else if cacheSlots < 0 {
 		cacheSlots = 0
 	}
@@ -674,7 +669,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	// counts the single-occurrence k-mers the Bloom screen exists to keep
 	// out (3.5× the peak entry count on human-like reads). Stripes start
 	// small and double.
-	table := NewTable(team, 0, opt.AggBufSize, opt.CacheSlots, opt.K, minLen)
+	table := NewTable(team, 0, opt.AggBufSize, 0, opt.K, minLen)
 	res.Table = table
 
 	// Each heavy hitter's owner, resolved once: the reduction at the end of

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"time"
 
 	"hipmer/internal/stats"
 	"hipmer/internal/xrt"
@@ -217,6 +218,22 @@ func (r *Report) Stage(path string) *Stage {
 		}
 	}
 	return nil
+}
+
+// Time is the way to read a stage time: the virtual duration of the span
+// at path — a pipeline stage by its name ("kmer-analysis-k33",
+// "scaffolding-round2"), a sub-span by its '/'-joined path
+// ("scaffolding/merAligner"). Zero when the run had no such span (a
+// resume loads a completed stage instead of running it) or the report is
+// nil. The run's total is Report.VirtualNs.
+func (r *Report) Time(path string) time.Duration {
+	if r == nil {
+		return 0
+	}
+	if st := r.Stage(path); st != nil {
+		return time.Duration(st.VirtualNs)
+	}
+	return 0
 }
 
 // ZeroWall returns a deep copy of the report with every wall-clock field

@@ -64,8 +64,8 @@ func syntheticRun(perturbSeed int64) *metrics.Report {
 		for i := 0; i < 50+10*r.ID; i++ {
 			r.ChargeLookup((r.ID+1+i)%4, 64)
 		}
-		r.ChargeStoreBatch((r.ID+2)%4, 100, 6400)
-		r.ChargeForeign((r.ID+1)%4, 5_000)
+		r.ChargeStoreBatch((r.ID+2)%4, 100, 6400) // charges its receiver too
+		r.Charge(5_000)
 		r.Barrier()
 		r.ChargeCacheHit()
 	})

@@ -53,7 +53,7 @@ func TestCheckpointResumeSkipsStages(t *testing.T) {
 	}
 	// Skipped stages produce checkpoint-load spans (with bytes) instead
 	// of stage timings.
-	if ti := res.Timing("scaffolding"); ti.Name != "" {
+	if res.Metrics.Stage("scaffolding") != nil {
 		t.Fatal("scaffolding recomputed on full resume")
 	}
 	assertLoadSpan(t, res.Metrics, "checkpoint-load:kmer-analysis")
@@ -122,7 +122,7 @@ func TestCrashThenResumeMatchesUninterrupted(t *testing.T) {
 			}
 			// The crashed stage itself was not checkpointed, so the resume
 			// recomputes it; everything before it must have been loaded.
-			if res.Timing(stage).Name == "" {
+			if res.Metrics.Stage(stage) == nil {
 				t.Fatalf("stage %s was not recomputed after its crash", stage)
 			}
 			if stage != "contig-generation" {

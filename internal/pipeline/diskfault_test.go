@@ -67,7 +67,7 @@ func TestDiskFaultHealsEveryKind(t *testing.T) {
 			if !verify.EqualSets(baseSet, verify.CanonicalSet(heal.FinalSeqs)) {
 				t.Fatal("healed resume diverged from uninterrupted run")
 			}
-			if heal.Timing(stage).Name == "" {
+			if heal.Metrics.Stage(stage) == nil {
 				t.Fatalf("damaged stage %s was not recomputed", stage)
 			}
 			scrubbed := sumCommField(heal.Metrics, func(c metrics.Comm) int64 { return c.ScrubRepairedBytes })
@@ -140,7 +140,7 @@ func TestDiskFaultMultiKHeals(t *testing.T) {
 	if sumCommField(heal.Metrics, func(c metrics.Comm) int64 { return c.ScrubRepairedBytes }) <= 0 {
 		t.Fatal("multi-k heal reported no scrub_repaired_bytes")
 	}
-	if heal.Timing("tip-clip-k33").Name == "" {
+	if heal.Metrics.Stage("tip-clip-k33") == nil {
 		t.Fatal("damaged round stage was not recomputed")
 	}
 }

@@ -58,7 +58,7 @@ func TestMultiKSmoke(t *testing.T) {
 		t.Fatal("no output sequences")
 	}
 	for _, name := range StageNames(multiKCfg()) {
-		if res.Timing(name).Name == "" {
+		if res.Metrics.Stage(name) == nil {
 			t.Errorf("stage %s reported no timing", name)
 		}
 	}

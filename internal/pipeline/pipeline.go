@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"hipmer/internal/ckpt"
 	"hipmer/internal/contig"
@@ -121,14 +120,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// StageTiming is one stage's virtual duration and communication delta.
-type StageTiming struct {
-	Name    string
-	Virtual time.Duration
-	Wall    time.Duration
-	Comm    xrt.CommStats
-}
-
 // Result is the complete pipeline output.
 type Result struct {
 	KAnalysis *kanalysis.Result
@@ -138,16 +129,15 @@ type Result struct {
 	// FinalSeqs are the assembled scaffold sequences (or contig sequences
 	// in ContigsOnly mode).
 	FinalSeqs [][]byte
-	// Timings per stage: io, kmer-analysis, contig-generation,
-	// scaffolding (with merAligner and gap-closing reported separately),
-	// and total.
-	Timings []StageTiming
 	// Verify is the oracle report (nil unless Config.Verify was set).
 	Verify *verify.Report
 	// Metrics is the per-stage observability report built from the
-	// team's span records: per-rank comm deltas, busy time, and
-	// load-imbalance statistics for every stage and sub-span. All its
-	// fields except the wall-clock ones are deterministic.
+	// team's span records, and the one record of stage times: one span
+	// per stage that ran (Metrics.Time("contig-generation")), sub-spans by
+	// path ("scaffolding/merAligner"), checkpoint-save/-load spans beside
+	// them, VirtualNs the total; per-rank comm deltas, busy time and
+	// load-imbalance statistics on each. All its fields except the
+	// wall-clock ones are deterministic.
 	Metrics *metrics.Report
 }
 
@@ -162,16 +152,6 @@ type Result struct {
 // via Report.ZeroProfile.
 var ScheduleDependentCounters = []string{
 	"peak_entries", "quiescence_rounds", "walks_claimed", "walks_aborted",
-}
-
-// Timing returns the named stage timing (zero value if absent).
-func (r *Result) Timing(name string) StageTiming {
-	for _, t := range r.Timings {
-		if t.Name == name {
-			return t
-		}
-	}
-	return StageTiming{}
 }
 
 // Validate is the one statement of the run-shape rules; hipmer.Assemble,
@@ -343,7 +323,6 @@ func Run(team *xrt.Team, libs []Library, cfg Config) (*Result, error) {
 			res.FinalSeqs = append(res.FinalSeqs, c.Seq)
 		}
 	}
-	res.addTotal()
 	res.Metrics = metrics.FromTeam(team)
 	res.runVerify(cfg, env.merged)
 	return res, nil
@@ -459,28 +438,11 @@ func (r *Result) runVerify(cfg Config, merged [][]fastq.Record) {
 // contigResultFromSeqs re-enters scaffolding with a previous round's
 // scaffolds as the contig set, dealt round-robin across ranks.
 func contigResultFromSeqs(team *xrt.Team, seqs [][]byte) *contig.Result {
-	p := team.Config().Ranks
-	out := &contig.Result{Contigs: make([][]*contig.Contig, p)}
+	cs := make([]*contig.Contig, len(seqs))
 	for i, seq := range seqs {
-		c := &contig.Contig{ID: int64(i + 1), Seq: seq}
-		out.Contigs[i%p] = append(out.Contigs[i%p], c)
-		out.NumContigs++
+		cs[i] = &contig.Contig{ID: int64(i + 1), Seq: seq}
 	}
-	return out
-}
-
-func (r *Result) addTotal() {
-	var total StageTiming
-	total.Name = "total"
-	for _, t := range r.Timings {
-		if t.Name == "merAligner" { // subset of scaffolding, not additive
-			continue
-		}
-		total.Virtual += t.Virtual
-		total.Wall += t.Wall
-		total.Comm.Add(t.Comm)
-	}
-	r.Timings = append(r.Timings, total)
+	return contig.ResultFromContigs(team, cs)
 }
 
 // repairPairs fixes mate pairing broken by byte-range splitting: when a

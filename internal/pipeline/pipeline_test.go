@@ -1,16 +1,53 @@
 package pipeline
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
+	"hipmer/internal/metrics"
 	"hipmer/internal/seqdb"
 	"hipmer/internal/stats"
+	"hipmer/internal/verify"
 	"hipmer/internal/xrt"
 )
+
+func readGolden(t *testing.T, name string, into any) {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, into); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+}
+
+// place is these tests' reference check — the oracle's placement engine
+// at anchor length 31 — and pins its piece counts to
+// testdata/validate_parent.json: Placed and Unplaced on the calling
+// test's assembly as package stats' validator counted them at commit
+// 268b93e, the last to have that second engine. The two told chimeras
+// apart differently but anchored pieces alike.
+func place(t *testing.T, seqs [][]byte, ref []byte) *verify.Report {
+	t.Helper()
+	rep := verify.Place(seqs, ref)
+	var parent map[string]struct{ Placed, Unplaced int }
+	readGolden(t, "validate_parent.json", &parent)
+	want, ok := parent[t.Name()]
+	if !ok {
+		t.Fatalf("no parent placement recorded for %s", t.Name())
+	}
+	if rep.Placed != want.Placed || rep.Unplaced != want.Unplaced {
+		t.Fatalf("placed %d / unplaced %d, parent engine %d / %d",
+			rep.Placed, rep.Unplaced, want.Placed, want.Unplaced)
+	}
+	return rep
+}
 
 func TestEndToEndReconstructsGenome(t *testing.T) {
 	rng := xrt.NewPrng(1)
@@ -29,7 +66,7 @@ func TestEndToEndReconstructsGenome(t *testing.T) {
 	if len(res.FinalSeqs) == 0 {
 		t.Fatal("no output sequences")
 	}
-	v := stats.Validate(res.FinalSeqs, g)
+	v := place(t, res.FinalSeqs, g)
 	if v.CoveredFrac < 0.95 {
 		t.Fatalf("assembly covers only %.3f of the reference", v.CoveredFrac)
 	}
@@ -58,24 +95,108 @@ func TestTimingsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"io", "kmer-analysis", "contig-generation",
-		"scaffolding", "merAligner", "gap-closing", "total"} {
-		ti := res.Timing(name)
-		if ti.Name != name {
-			t.Fatalf("missing stage timing %q", name)
-		}
-		// merAligner is a sub-timing and gap-closing may be free when the
-		// assembly has no gaps; everything else must consume time
-		if name != "merAligner" && name != "gap-closing" && ti.Virtual <= 0 {
-			t.Fatalf("stage %q has no virtual time", name)
+	var sum, top int64
+	for _, st := range res.Metrics.Stages {
+		if st.Depth == 0 {
+			sum += st.VirtualNs
+			top++
 		}
 	}
-	total := res.Timing("total").Virtual
-	sum := res.Timing("io").Virtual + res.Timing("kmer-analysis").Virtual +
-		res.Timing("contig-generation").Virtual + res.Timing("scaffolding").Virtual +
-		res.Timing("gap-closing").Virtual
-	if total != sum {
-		t.Fatalf("total %v != sum of stages %v", total, sum)
+	for _, path := range []string{"io", "kmer-analysis", "contig-generation",
+		"scaffolding", "scaffolding/merAligner", "gap-closing"} {
+		if res.Metrics.Stage(path) == nil {
+			t.Fatalf("missing stage span %q", path)
+		}
+		// gap-closing may be free when the assembly has no gaps; everything
+		// else must consume time
+		if path != "gap-closing" && res.Metrics.Time(path) <= 0 {
+			t.Fatalf("stage %q has no virtual time", path)
+		}
+	}
+	if top != 5 {
+		t.Fatalf("%d top-level spans, want the five stages", top)
+	}
+	if res.Metrics.Time("scaffolding/merAligner") > res.Metrics.Time("scaffolding") {
+		t.Fatal("merAligner sub-span exceeds its stage")
+	}
+	// The total is the team's clock; each span's whole-ns duration rounds
+	// a fraction of a nanosecond away.
+	if d := res.Metrics.VirtualNs - sum; d < 0 || d >= top {
+		t.Fatalf("total %d != sum of stages %d", res.Metrics.VirtualNs, sum)
+	}
+	if res.Metrics.Time("no-such-stage") != 0 || (*metrics.Report)(nil).Time("io") != 0 {
+		t.Fatal("absent span or nil report has a time")
+	}
+}
+
+// TestStageTimesMatchParent: testdata/timings_parent.json holds every
+// (name, virtual ns) of the per-stage timing list Result carried at
+// commit 268b93e, the last to have one, for three run shapes at one rank
+// (with more, traversal and depths times follow the Go scheduler). Each
+// is read back from Metrics exactly; merAligner within 1 ns (that entry
+// subtracted two truncated clock readings, the span truncates their
+// difference); and the run's total, which is the team's clock, is that
+// list's sum of stages plus the checkpoint spans the sum left out.
+func TestStageTimesMatchParent(t *testing.T) {
+	var parent map[string][]struct {
+		Name      string
+		VirtualNs int64 `json:"virtual_ns"`
+	}
+	readGolden(t, "timings_parent.json", &parent)
+	_, human := SimulatedHuman(7, 20000, 20)
+	_, wheat := SimulatedWheat(7, 20000, 25)
+	meta := SimulatedMetagenome(7, 30000, 6, 3000)
+	for _, c := range []struct {
+		name string
+		libs []Library
+		cfg  Config
+	}{
+		{"human", human, Config{K: 31, MinCount: 3}},
+		{"wheat", wheat, Config{K: 31, MinCount: 3, ScaffoldRounds: 2, CkptDir: t.TempDir()}},
+		{"meta", meta, Config{KmerLens: []int{21, 33}, ContigsOnly: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := Run(xrt.NewTeam(xrt.Config{Ranks: 1}), c.libs, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ckpt, top int64 // checkpoint spans' time; top-level span count
+			stages := 0
+			for _, st := range res.Metrics.Stages {
+				if st.Depth != 0 {
+					continue
+				}
+				top++
+				if strings.HasPrefix(st.Name, "checkpoint-") {
+					ckpt += st.VirtualNs
+				} else {
+					stages++
+				}
+			}
+			if (ckpt > 0) != (c.cfg.CkptDir != "") {
+				t.Fatalf("checkpoint spans total %d ns with CkptDir %q", ckpt, c.cfg.CkptDir)
+			}
+			for _, want := range parent[c.name] {
+				switch want.Name {
+				case "total":
+					if d := res.Metrics.VirtualNs - (want.VirtualNs + ckpt); d < 0 || d >= top {
+						t.Errorf("total %d, parent %d + checkpoint spans %d", res.Metrics.VirtualNs, want.VirtualNs, ckpt)
+					}
+				case "merAligner":
+					if d := int64(res.Metrics.Time("scaffolding/merAligner")) - want.VirtualNs; d < -1 || d > 1 {
+						t.Errorf("scaffolding/merAligner %d, parent %d", res.Metrics.Time("scaffolding/merAligner"), want.VirtualNs)
+					}
+				default:
+					stages--
+					if got := int64(res.Metrics.Time(want.Name)); got != want.VirtualNs {
+						t.Errorf("%s %d, parent %d", want.Name, got, want.VirtualNs)
+					}
+				}
+			}
+			if stages != 0 {
+				t.Errorf("%d stage spans have no entry in the parent's list", stages)
+			}
+		})
 	}
 }
 
@@ -112,11 +233,11 @@ func TestFromFastqFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := stats.Validate(res.FinalSeqs, g)
+	v := place(t, res.FinalSeqs, g)
 	if v.CoveredFrac < 0.93 {
 		t.Fatalf("file-based run covers only %.3f", v.CoveredFrac)
 	}
-	if io := res.Timing("io"); io.Comm.IOBytes == 0 {
+	if res.Metrics.Stage("io").Comm.IOBytes == 0 {
 		t.Fatal("no I/O bytes charged for file input")
 	}
 }
@@ -160,7 +281,7 @@ func TestMultiLibraryWheat(t *testing.T) {
 	// Repeats collapse to one contig per family, so only one copy of each
 	// repeat region is covered; the bar reflects unique sequence plus one
 	// copy per family.
-	v := stats.Validate(res.FinalSeqs, g)
+	v := place(t, res.FinalSeqs, g)
 	if v.CoveredFrac < 0.30 {
 		t.Fatalf("wheat assembly covers only %.3f (repetitive, but too low)", v.CoveredFrac)
 	}
@@ -231,11 +352,11 @@ func TestMultiRoundScaffolding(t *testing.T) {
 	if s2.N50 < s1.N50 {
 		t.Fatalf("round 2 reduced N50: %d -> %d", s1.N50, s2.N50)
 	}
-	if two.Timing("scaffolding-round2").Virtual <= 0 {
+	if two.Metrics.Time("scaffolding-round2") <= 0 {
 		t.Fatal("round-2 timing not recorded")
 	}
 	// quality must not degrade
-	v := stats.Validate(two.FinalSeqs, g)
+	v := place(t, two.FinalSeqs, g)
 	if v.IdentityFrac < 0.999 || v.Misassemblies > 0 {
 		t.Fatalf("multi-round degraded quality: %+v", v)
 	}
@@ -259,12 +380,12 @@ func TestFromSeqDBFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := stats.Validate(res.FinalSeqs, g)
+	v := place(t, res.FinalSeqs, g)
 	if v.CoveredFrac < 0.93 {
 		t.Fatalf("seqdb-based run covers only %.3f", v.CoveredFrac)
 	}
 	// the binary container moves fewer bytes than FASTQ would
-	if io := res.Timing("io"); io.Comm.IOBytes == 0 {
+	if res.Metrics.Stage("io").Comm.IOBytes == 0 {
 		t.Fatal("no I/O bytes charged")
 	}
 }
@@ -285,7 +406,7 @@ func TestLargeKFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := stats.Validate(res.FinalSeqs, g)
+	v := place(t, res.FinalSeqs, g)
 	if v.CoveredFrac < 0.93 || v.IdentityFrac < 0.999 {
 		t.Fatalf("k=51 assembly poor: %+v", v)
 	}

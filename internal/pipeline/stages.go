@@ -13,7 +13,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"hipmer/internal/ckpt"
 	"hipmer/internal/contig"
@@ -68,10 +67,6 @@ type stageEnv struct {
 	// counters by stage name, for its save codec.
 	cleanStat map[string]contig.CleanStats
 	mergeStat map[string]contig.MergeStats
-
-	// extraTimings are appended to Result.Timings right after the
-	// current stage's own entry (scaffolding's merAligner sub-timing).
-	extraTimings []StageTiming
 
 	// disk is the armed storage-fault injector, nil when the team's
 	// Inject arms no disk fault. Installed on every store this run opens
@@ -297,11 +292,11 @@ func runKmerAnalysisRound(k int, usePseudo bool) func(env *stageEnv) error {
 // per-rank placement varies with p, but k-mer analysis results are
 // placement-invariant (counts are commutative sums).
 func pseudoByRank(p int, carried []*contig.Contig) [][]kanalysis.PseudoRead {
-	prs := make([][]kanalysis.PseudoRead, p)
+	prs := make([]kanalysis.PseudoRead, len(carried))
 	for i, c := range carried {
-		prs[i%p] = append(prs[i%p], kanalysis.PseudoRead{Seq: c.Seq, Weight: c.PseudoWeight})
+		prs[i] = kanalysis.PseudoRead{Seq: c.Seq, Weight: c.PseudoWeight}
 	}
-	return prs
+	return xrt.Deal(prs, p)
 }
 
 func runContigRound(k int) func(env *stageEnv) error {
@@ -401,10 +396,6 @@ func runScaffolding(env *stageEnv) error {
 	sOpt.K = env.cfg.K
 	env.res.Scaffold = scaffold.Run(env.team, env.res.Contigs,
 		env.res.KAnalysis.Table, env.readLibs, sOpt)
-	env.extraTimings = append(env.extraTimings, StageTiming{
-		Name:    "merAligner",
-		Virtual: env.res.Scaffold.AlignPhase.Virtual,
-	})
 	return nil
 }
 
@@ -432,33 +423,12 @@ func runGapClosing(env *stageEnv) error {
 // ---------------------------------------------------------------------
 // stage execution, checkpoint save/load, fault recovery
 
-// track brackets a stage in an observability span; the span records
-// per-rank comm and busy-time deltas (internal/metrics consumes them),
-// and the aggregate feeds the legacy Timings list.
-func (env *stageEnv) track(name string, fn func() error) error {
-	env.team.BeginSpan(name)
-	err := fn()
-	rec := env.team.EndSpan()
-	if err != nil {
-		return err
-	}
-	env.res.Timings = append(env.res.Timings, StageTiming{
-		Name:    name,
-		Virtual: time.Duration(rec.VirtualNs),
-		Wall:    time.Duration(rec.WallNs),
-		Comm:    rec.AggComm(),
-	})
-	if len(env.extraTimings) > 0 {
-		env.res.Timings = append(env.res.Timings, env.extraTimings...)
-		env.extraTimings = nil
-	}
-	return nil
-}
-
-// runStage executes one stage under its span, converting a team unwind —
-// an injected rank crash (*xrt.FaultError panic) or a chaos-layer retry
-// exhaustion (*xrt.RetryExhaustedError panic) — into a typed
-// StageFailedError after unwinding every span the dead stage left open.
+// runStage executes one stage under its span — the per-rank comm and
+// busy-time deltas internal/metrics reports, and the stage's time —
+// converting a team unwind — an injected rank crash (*xrt.FaultError
+// panic) or a chaos-layer retry exhaustion (*xrt.RetryExhaustedError
+// panic) — into a typed StageFailedError after unwinding every span the
+// dead stage left open.
 func runStage(env *stageEnv, st stage) (err error) {
 	depth := env.team.OpenSpans()
 	defer func() {
@@ -478,7 +448,10 @@ func runStage(env *stageEnv, st stage) (err error) {
 			err = &StageFailedError{Stage: st.name, Rank: rank, Err: p.(error)}
 		}
 	}()
-	return env.track(st.name, func() error { return st.run(env) })
+	env.team.BeginSpan(st.name)
+	err = st.run(env)
+	env.team.EndSpan()
+	return err
 }
 
 // saveStage checkpoints a completed stage: serialize, write segment +

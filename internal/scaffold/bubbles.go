@@ -3,6 +3,7 @@ package scaffold
 import (
 	"sort"
 
+	"hipmer/internal/contig"
 	"hipmer/internal/kmer"
 	"hipmer/internal/xrt"
 )
@@ -21,33 +22,16 @@ func mergeBubbles(team *xrt.Team, scByRank [][]*SContig, opt Options,
 	p := team.Config().Ranks
 	k := opt.K
 
-	// gather compact endpoint records from every rank
-	type endpointRec struct {
-		ID           int64
-		Len          int
-		Depth        float64
-		NbrL, NbrR   kmer.Kmer
-		HasL, HasR   bool
-		TermL, TermR byte
-	}
-	gathered := make([][]endpointRec, p)
-	team.Run(func(r *xrt.Rank) {
-		var mine []endpointRec
-		for _, sc := range scByRank[r.ID] {
-			mine = append(mine, endpointRec{
+	recs := contig.GatherEnds(team, func(rank int) []contig.EndRec {
+		var mine []contig.EndRec
+		for _, sc := range scByRank[rank] {
+			mine = append(mine, contig.EndRec{
 				ID: sc.ID, Len: len(sc.Seq), Depth: sc.Depth,
 				NbrL: sc.NbrL, NbrR: sc.NbrR,
 				HasL: sc.HasNbrL, HasR: sc.HasNbrR,
-				TermL: sc.TermL, TermR: sc.TermR,
 			})
 		}
-		all := r.AllGather(mine)
-		if r.ID == 0 {
-			for i, a := range all {
-				gathered[i] = a.([]endpointRec)
-			}
-		}
-		r.Barrier()
+		return mine
 	})
 
 	// index every contig
@@ -57,47 +41,11 @@ func mergeBubbles(team *xrt.Team, scByRank [][]*SContig, opt Options,
 			byID[sc.ID] = sc
 		}
 	}
-	var recs []endpointRec
-	for _, g := range gathered {
-		recs = append(recs, g...)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
 
-	popped := make(map[int64]bool)
+	// similar lengths → allelic variants; keep the deepest path
+	var popped map[int64]bool
 	if !opt.DisableBubbles {
-		// bubble groups: same unordered junction pair on both ends
-		type pairKey struct{ a, b kmer.Kmer }
-		groups := make(map[pairKey][]endpointRec)
-		maxBubbleLen := 4 * k
-		for _, rec := range recs {
-			if !rec.HasL || !rec.HasR || rec.Len > maxBubbleLen {
-				continue
-			}
-			a, b := rec.NbrL, rec.NbrR
-			if b.Less(a) {
-				a, b = b, a
-			}
-			groups[pairKey{a, b}] = append(groups[pairKey{a, b}], rec)
-		}
-		for _, g := range groups {
-			if len(g) < 2 {
-				continue
-			}
-			// similar lengths → allelic variants; keep the deepest path
-			sort.Slice(g, func(i, j int) bool {
-				if g[i].Depth != g[j].Depth {
-					return g[i].Depth > g[j].Depth
-				}
-				return g[i].ID < g[j].ID
-			})
-			ref := g[0].Len
-			for _, loser := range g[1:] {
-				if loser.Len*3 >= ref*2 && loser.Len*3 <= ref*4 ||
-					absInt(loser.Len-ref) <= k {
-					popped[loser.ID] = true
-				}
-			}
-		}
+		popped = contig.BubbleLosers(recs, k)
 	}
 	res.Bubbles = len(popped)
 
@@ -160,15 +108,12 @@ func mergeBubbles(team *xrt.Team, scByRank [][]*SContig, opt Options,
 	}
 
 	// charge the gathered-graph computation modestly and redistribute
-	out := make([][]*SContig, p)
-	var ids []int64
-	for id := range merged {
-		ids = append(ids, id)
+	flat := make([]*SContig, 0, len(merged))
+	for _, sc := range merged {
+		flat = append(flat, sc)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for i, id := range ids {
-		out[i%p] = append(out[i%p], merged[id])
-	}
+	sort.Slice(flat, func(i, j int) bool { return flat[i].ID < flat[j].ID })
+	out := xrt.Deal(flat, p)
 	res.BubblePhase = team.Run(func(r *xrt.Rank) {
 		r.ChargeItems(len(recs))
 		r.Barrier()
@@ -273,11 +218,4 @@ func joinThroughJunction(a, b []byte, k int) ([]byte, bool) {
 type endpoint struct {
 	id   int64
 	side byte
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -33,8 +33,8 @@ func estimateInserts(team *xrt.Team, libs []ReadLib, res *Result, opt Options) {
 				if !nearFull(a1) || !nearFull(a2) {
 					continue
 				}
-				lo := minI(a1.CStart-a1.RStart, a2.CStart-a2.RStart)
-				hi := maxI(a1.CEnd+(a1.ReadLen-a1.REnd), a2.CEnd+(a2.ReadLen-a2.REnd))
+				lo := min(a1.CStart-a1.RStart, a2.CStart-a2.RStart)
+				hi := max(a1.CEnd+(a1.ReadLen-a1.REnd), a2.CEnd+(a2.ReadLen-a2.REnd))
 				if hi > lo {
 					local[hi-lo]++
 				}
@@ -298,18 +298,4 @@ func anchoredHead(a aligner.Alignment) bool {
 		return a.CStart <= slack
 	}
 	return a.ContigLen-a.CEnd <= slack
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

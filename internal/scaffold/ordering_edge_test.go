@@ -1,6 +1,7 @@
 package scaffold
 
 import (
+	"reflect"
 	"testing"
 
 	"hipmer/internal/xrt"
@@ -99,8 +100,8 @@ func TestOrderTieWeightLinks(t *testing.T) {
 			len(got1), len(res2.Scaffolds))
 	}
 	for i := range got1 {
-		if got1[i].String() != res2.Scaffolds[i].String() {
-			t.Fatalf("link input order changed scaffold %d: %s vs %s",
+		if !reflect.DeepEqual(got1[i], res2.Scaffolds[i]) {
+			t.Fatalf("link input order changed scaffold %d: %+v vs %+v",
 				i, got1[i], res2.Scaffolds[i])
 		}
 	}

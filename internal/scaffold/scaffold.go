@@ -7,7 +7,6 @@
 package scaffold
 
 import (
-	"fmt"
 	"math"
 
 	"hipmer/internal/aligner"
@@ -202,81 +201,6 @@ func Run(team *xrt.Team, ctgRes *contig.Result,
 	team.AddCounter("scaffolds", int64(len(res.Scaffolds)))
 	team.EndSpan()
 	return res
-}
-
-// ScaffoldSeq renders a scaffold's sequence: members oriented and joined;
-// positive gaps become runs of N, negative gaps (splint overlaps) are
-// merged when the overlapping bases agree, else a single N.
-func (r *Result) ScaffoldSeq(s *Scaffold) []byte {
-	var out []byte
-	for i, m := range s.Members {
-		sc := r.Contigs[m.ContigID]
-		seq := sc.Seq
-		if m.Flipped {
-			seq = kmer.RevCompString(seq)
-		}
-		if i == 0 {
-			out = append(out, seq...)
-			continue
-		}
-		gap := m.GapBefore
-		if gap > 0 {
-			for j := 0; j < gap; j++ {
-				out = append(out, 'N')
-			}
-			out = append(out, seq...)
-			continue
-		}
-		// gap <= 0: an estimated overlap (or abutment). Search near the
-		// estimate for an exact suffix/prefix match; when none verifies,
-		// fall back to a single N so the join cannot shift the frame of
-		// everything downstream.
-		if n, ok := exactOverlap(out, seq, -gap); ok {
-			out = append(out, seq[n:]...)
-		} else {
-			out = append(out, 'N')
-			out = append(out, seq...)
-		}
-	}
-	return out
-}
-
-// minVerifiedOverlap is the shortest overlap that exact matching can
-// confirm trustworthily: shorter matches succeed by chance (a 1-base
-// "overlap" matches 25% of the time) and would silently shift the frame
-// of the joined sequence.
-const minVerifiedOverlap = 16
-
-// exactOverlap searches overlap lengths near the estimate for an exact,
-// long-enough suffix/prefix match.
-func exactOverlap(a, b []byte, est int) (int, bool) {
-	for d := 0; d <= 8; d++ {
-		for _, n := range []int{est - d, est + d} {
-			if n < minVerifiedOverlap || n > len(a) || n > len(b) {
-				continue
-			}
-			if string(a[len(a)-n:]) == string(b[:n]) {
-				return n, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// String renders a compact description of a scaffold.
-func (s *Scaffold) String() string {
-	out := fmt.Sprintf("scaffold%d[", s.ID)
-	for i, m := range s.Members {
-		if i > 0 {
-			out += fmt.Sprintf(" -(%d)- ", m.GapBefore)
-		}
-		dir := "+"
-		if m.Flipped {
-			dir = "-"
-		}
-		out += fmt.Sprintf("c%d%s", m.ContigID, dir)
-	}
-	return out + "]"
 }
 
 // trimmedMeanSD computes mean and standard deviation of a histogram after

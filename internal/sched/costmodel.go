@@ -172,7 +172,7 @@ func modelFailStage(inj xrt.Inject, stages []string) (string, bool) {
 	}
 	if inj.ChaosSeed != 0 && chaosModelExhausts(inj.DropRate, inj.RetryBudget) {
 		// Never the input stage: exhaustion needs remote traffic.
-		i := 1 + int(uint64(inj.ChaosSeed)%uint64(maxInt(len(stages)-1, 1)))
+		i := 1 + int(uint64(inj.ChaosSeed)%uint64(max(len(stages)-1, 1)))
 		if i >= len(stages) {
 			i = len(stages) - 1
 		}
@@ -223,11 +223,4 @@ func trimBilledAt(prefix []string, diskStage string) []string {
 		}
 	}
 	return prefix
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -242,7 +242,7 @@ func decodeRecord(buf []byte) (fastq.Record, []byte, error) {
 func (f *File) PartBlocks(parts, i int) (lo, hi int) {
 	n := len(f.offsets)
 	q, r := n/parts, n%parts
-	lo = i*q + minInt(i, r)
+	lo = i*q + min(i, r)
 	hi = lo + q
 	if i < r {
 		hi++
@@ -265,11 +265,4 @@ func (f *File) ReadPart(parts, i int) ([]fastq.Record, int64, error) {
 		bytes += f.BlockBytes(b)
 	}
 	return recs, bytes, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

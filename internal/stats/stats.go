@@ -1,14 +1,13 @@
 // Package stats computes assembly quality statistics (N50/NG50, length
-// distributions) and validates assemblies against the reference they were
-// simulated from — the accuracy check the paper delegates to the
-// Assemblathon studies.
+// distributions) and the distribution summaries the metrics report uses.
+// The check against the reference an assembly was simulated from — the
+// accuracy check the paper delegates to the Assemblathon studies — is
+// internal/verify's.
 package stats
 
 import (
 	"fmt"
 	"sort"
-
-	"hipmer/internal/kmer"
 )
 
 // AsmStats summarizes an assembly.
@@ -76,152 +75,4 @@ func nxx(lens []int, total, pct int) int {
 func (s AsmStats) String() string {
 	return fmt.Sprintf("seqs=%d total=%d max=%d N50=%d N90=%d gapN=%d",
 		s.Sequences, s.TotalLen, s.MaxLen, s.N50, s.N90, s.GapBases)
-}
-
-// Validation reports how an assembly compares to its reference.
-type Validation struct {
-	Placed        int // sequences anchored to the reference
-	Unplaced      int
-	Misassemblies int     // sequences whose anchors disagree on placement
-	AlignedBases  int     // non-N bases compared
-	Mismatches    int     // disagreements among aligned bases
-	CoveredFrac   float64 // fraction of reference covered by placed sequences
-	IdentityFrac  float64 // 1 - mismatch rate over aligned bases
-}
-
-const anchorK = 31
-
-// Validate anchors every assembled sequence on the reference via k-mer
-// diagonal voting (both strands), verifies it column by column at the
-// voted offset, and measures reference coverage. Scaffold sequences are
-// first split at N-gap runs: an unclosed gap whose estimated size is off
-// by a few bases would otherwise shift every downstream column, so the
-// flanked pieces are validated independently (coverage still reflects the
-// whole assembly). Pieces whose anchor votes are split across diagonals
-// are counted as misassemblies.
-func Validate(seqs [][]byte, ref []byte) Validation {
-	var v Validation
-	// reference k-mer index
-	index := make(map[kmer.Kmer][]int32)
-	kmer.ForEach(ref, anchorK, func(pos int, km kmer.Kmer) {
-		canon, _ := km.Canonical(anchorK)
-		if hits := index[canon]; len(hits) < 8 {
-			index[canon] = append(hits, int32(pos))
-		}
-	})
-	covered := make([]bool, len(ref))
-	var pieces [][]byte
-	for _, seq := range seqs {
-		pieces = append(pieces, splitAtNs(seq)...)
-	}
-	for _, seq := range pieces {
-		placed, mis, offset, flipped := placeSequence(seq, ref, index)
-		if !placed {
-			v.Unplaced++
-			continue
-		}
-		if mis {
-			v.Misassemblies++
-		}
-		v.Placed++
-		q := seq
-		if flipped {
-			q = kmer.RevCompString(seq)
-		}
-		for i := 0; i < len(q); i++ {
-			rp := offset + i
-			if rp < 0 || rp >= len(ref) {
-				continue
-			}
-			covered[rp] = true
-			if q[i] == 'N' {
-				continue
-			}
-			v.AlignedBases++
-			if q[i] != ref[rp] {
-				v.Mismatches++
-			}
-		}
-	}
-	n := 0
-	for _, c := range covered {
-		if c {
-			n++
-		}
-	}
-	if len(ref) > 0 {
-		v.CoveredFrac = float64(n) / float64(len(ref))
-	}
-	if v.AlignedBases > 0 {
-		v.IdentityFrac = 1 - float64(v.Mismatches)/float64(v.AlignedBases)
-	}
-	return v
-}
-
-// splitAtNs splits a scaffold sequence into its contig-like pieces at
-// runs of N (gap placeholders).
-func splitAtNs(seq []byte) [][]byte {
-	var out [][]byte
-	start := -1
-	for i := 0; i <= len(seq); i++ {
-		isN := i == len(seq) || seq[i] == 'N'
-		if !isN && start < 0 {
-			start = i
-		}
-		if isN && start >= 0 {
-			if i-start >= anchorK {
-				out = append(out, seq[start:i])
-			}
-			start = -1
-		}
-	}
-	return out
-}
-
-// placeSequence votes with sampled anchors for a (strand, offset).
-func placeSequence(seq, ref []byte, index map[kmer.Kmer][]int32) (
-	placed, misassembled bool, offset int, flipped bool) {
-	type diag struct {
-		off  int
-		flip bool
-	}
-	votes := make(map[diag]int)
-	total := 0
-	for strand := 0; strand < 2; strand++ {
-		q := seq
-		flip := strand == 1
-		if flip {
-			q = kmer.RevCompString(seq)
-		}
-		stride := len(q) / 32
-		if stride < 1 {
-			stride = 1
-		}
-		for pos := 0; pos+anchorK <= len(q); pos += stride {
-			km, ok := kmer.Pack(q[pos:], anchorK)
-			if !ok {
-				continue
-			}
-			canon, _ := km.Canonical(anchorK)
-			for _, rp := range index[canon] {
-				// confirm orientation by direct comparison
-				if string(ref[rp:int(rp)+anchorK]) == km.String(anchorK) {
-					votes[diag{int(rp) - pos, flip}]++
-					total++
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return false, false, 0, false
-	}
-	bestD, bestV := diag{}, 0
-	for d, n := range votes {
-		if n > bestV {
-			bestD, bestV = d, n
-		}
-	}
-	// anchors disagreeing with the winner indicate chimeric placement
-	mis := bestV*3 < total*2
-	return true, mis, bestD.off, bestD.flip
 }

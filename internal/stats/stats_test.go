@@ -1,12 +1,6 @@
 package stats
 
-import (
-	"testing"
-
-	"hipmer/internal/genome"
-	"hipmer/internal/kmer"
-	"hipmer/internal/xrt"
-)
+import "testing"
 
 func TestComputeBasics(t *testing.T) {
 	seqs := [][]byte{
@@ -54,75 +48,5 @@ func TestEmptyInputs(t *testing.T) {
 	s := Compute(nil)
 	if s.Sequences != 0 || s.N50 != 0 {
 		t.Fatalf("empty stats: %+v", s)
-	}
-	v := Validate(nil, []byte("ACGT"))
-	if v.Placed != 0 || v.CoveredFrac != 0 {
-		t.Fatalf("empty validation: %+v", v)
-	}
-}
-
-func TestValidatePerfectAssembly(t *testing.T) {
-	rng := xrt.NewPrng(1)
-	ref := genome.Random(rng, 20000)
-	seqs := [][]byte{ref[0:8000], ref[8000:15000], kmer.RevCompString(ref[15000:])}
-	v := Validate(seqs, ref)
-	if v.Placed != 3 || v.Unplaced != 0 || v.Misassemblies != 0 {
-		t.Fatalf("placement wrong: %+v", v)
-	}
-	if v.Mismatches != 0 || v.CoveredFrac < 0.999 {
-		t.Fatalf("perfect assembly scored imperfect: %+v", v)
-	}
-}
-
-func TestValidateCountsMismatches(t *testing.T) {
-	rng := xrt.NewPrng(2)
-	ref := genome.Random(rng, 10000)
-	seq := append([]byte(nil), ref[1000:5000]...)
-	for i := 100; i < 120; i++ { // 20 mismatches
-		seq[i] = kmer.Complement(seq[i])
-	}
-	v := Validate([][]byte{seq}, ref)
-	if v.Placed != 1 {
-		t.Fatalf("not placed: %+v", v)
-	}
-	if v.Mismatches < 15 || v.Mismatches > 40 {
-		t.Fatalf("mismatches %d, want ~20", v.Mismatches)
-	}
-}
-
-func TestValidateNsAreWildcards(t *testing.T) {
-	rng := xrt.NewPrng(3)
-	ref := genome.Random(rng, 10000)
-	seq := append([]byte(nil), ref[2000:6000]...)
-	for i := 1000; i < 1100; i++ {
-		seq[i] = 'N'
-	}
-	v := Validate([][]byte{seq}, ref)
-	if v.Mismatches != 0 {
-		t.Fatalf("N treated as mismatch: %+v", v)
-	}
-	if v.CoveredFrac < 0.39 || v.CoveredFrac > 0.41 {
-		t.Fatalf("coverage %f, want 0.4", v.CoveredFrac)
-	}
-}
-
-func TestValidateDetectsChimera(t *testing.T) {
-	rng := xrt.NewPrng(4)
-	ref := genome.Random(rng, 20000)
-	// chimeric join of two distant regions
-	chimera := append(append([]byte(nil), ref[1000:3000]...), ref[15000:17000]...)
-	v := Validate([][]byte{chimera}, ref)
-	if v.Misassemblies != 1 {
-		t.Fatalf("chimera not detected: %+v", v)
-	}
-}
-
-func TestValidateUnplaced(t *testing.T) {
-	rng := xrt.NewPrng(5)
-	ref := genome.Random(rng, 10000)
-	junk := genome.Random(rng, 3000)
-	v := Validate([][]byte{junk}, ref)
-	if v.Unplaced != 1 || v.Placed != 0 {
-		t.Fatalf("random sequence placed: %+v", v)
 	}
 }

@@ -6,6 +6,7 @@ package verify_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"hipmer/internal/fastq"
@@ -146,4 +147,35 @@ func TestOracleOnFullPipeline(t *testing.T) {
 		t.Fatalf("oracle checked nothing: %s", res.Verify)
 	}
 	fmt.Println(res.Verify) // visible with -v: what a clean report looks like
+}
+
+// TestPlacementIgnoresMapOrder: on repeats and diploid bubbles several
+// diagonals tie on votes, and the verdict must not depend on which of
+// them a map iteration visits first — the same assembly checked twenty
+// times yields the same report, field for field (offsets decide
+// identity, coverage and the gap anchors).
+func TestPlacementIgnoresMapOrder(t *testing.T) {
+	href, human := pipeline.SimulatedHuman(7, 40000, 25)
+	wref, wheat := pipeline.SimulatedWheat(7, 40000, 30)
+	for _, c := range []struct {
+		name string
+		ref  []byte
+		libs []pipeline.Library
+	}{{"human", href, human}, {"wheat", wref, wheat}} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := pipeline.Run(xrt.NewTeam(xrt.Config{Ranks: 8}), c.libs, pipeline.Config{K: 31})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func() *verify.Report {
+				return verify.Check(verify.Input{Finals: res.FinalSeqs}, verify.Options{K: 31, Ref: c.ref})
+			}
+			first := check()
+			for i := 1; i < 20; i++ {
+				if rep := check(); !reflect.DeepEqual(rep, first) {
+					t.Fatalf("check %d of one assembly differs:\n%s\n%s", i, first, rep)
+				}
+			}
+		})
+	}
 }

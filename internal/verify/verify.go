@@ -88,10 +88,15 @@ type Report struct {
 	ContigsChecked int
 	KmersChecked   int64
 	MissingKmers   int64
-	// Reference placement.
+	// Reference placement. Placed counts the pieces that anchor at all,
+	// Misassemblies those of them whose anchors split across diagonals.
+	// CoveredFrac is the fraction of reference positions under a placed
+	// piece laid along its winning diagonal; IdentityFrac is 1 - mismatch
+	// rate over the bases of the placed pieces that are not misassembled.
 	Placed        int
 	Unplaced      int
 	Misassemblies int
+	CoveredFrac   float64
 	IdentityFrac  float64
 	// Gap estimates.
 	GapsChecked   int
@@ -101,6 +106,9 @@ type Report struct {
 	// counts issues beyond the cap.
 	Issues  []Issue
 	Dropped int
+	// Summary is String() as Check left it — the one-line verdict as a
+	// value, for callers that hold the report as data (hipmer.Result.Verify).
+	Summary string
 
 	maxIssues int
 }
@@ -124,9 +132,9 @@ func (r *Report) String() string {
 	}
 	return fmt.Sprintf(
 		"verify %s: %d contigs / %d k-mers spectrum-checked (%d missing), "+
-			"%d placed / %d unplaced / %d misassembled, identity %.4f, gaps %d/%d ok",
+			"%d placed / %d unplaced / %d misassembled, coverage %.4f, identity %.4f, gaps %d/%d ok",
 		status, r.ContigsChecked, r.KmersChecked, r.MissingKmers,
-		r.Placed, r.Unplaced, r.Misassemblies, r.IdentityFrac,
+		r.Placed, r.Unplaced, r.Misassemblies, r.CoveredFrac, r.IdentityFrac,
 		r.GapsChecked-r.GapViolations, r.GapsChecked)
 }
 
@@ -168,6 +176,18 @@ func Check(in Input, opt Options) *Report {
 		CheckPlacement(rep, seqs, opt)
 		CheckGaps(rep, in.Finals, opt)
 	}
+	rep.Summary = rep.String()
+	return rep
+}
+
+// Place is the reference check on its own, for a caller that holds only
+// sequences and the reference they should match (hipmer -ref, asmstats
+// -ref, hipmer.Result.Validate): CheckPlacement at the default anchor
+// length, 31, whatever k the sequences were assembled at.
+func Place(seqs [][]byte, ref []byte) *Report {
+	rep := &Report{}
+	CheckPlacement(rep, seqs, Options{Ref: ref})
+	rep.Summary = rep.String()
 	return rep
 }
 
@@ -219,21 +239,7 @@ func indexRef(ref []byte, k int) *refIndex {
 	return ix
 }
 
-// place anchors seq on the reference by k-mer diagonal voting on both
-// strands. It reports whether any anchor matched, whether the piece is
-// chimeric, and the winning offset/orientation.
-//
-// The chimera test compares support *spans*, not vote counts: a genuine
-// repeat places the whole piece on several diagonals (overlapping
-// spans — harmless), while a false join places the left part on one
-// diagonal and the right part on another with disjoint spans, and no
-// diagonal explains both.
-func (ix *refIndex) place(seq []byte) (placed, mis bool, offset int, flipped bool) {
-	p := ix.placeFull(seq)
-	return p.placed, p.mis, p.off, p.flipped
-}
-
-// placement is the full anchoring verdict for one piece.
+// placement is the anchoring verdict for one piece.
 type placement struct {
 	placed, mis, flipped bool
 	off                  int
@@ -245,7 +251,18 @@ type placement struct {
 	rivals int
 }
 
-func (ix *refIndex) placeFull(seq []byte) placement {
+// place anchors seq on the reference by k-mer diagonal voting on both
+// strands — the one reference-placement engine. The winner is the
+// greatest diagonal under a total order (votes, then the lower offset,
+// then the forward strand), so the verdict is a function of the input,
+// never of map iteration order.
+//
+// The chimera test compares support *spans*, not vote counts: a genuine
+// repeat places the whole piece on several diagonals (overlapping
+// spans — harmless), while a false join places the left part on one
+// diagonal and the right part on another with disjoint spans, and no
+// diagonal explains both.
+func (ix *refIndex) place(seq []byte) placement {
 	type diag struct {
 		off  int
 		flip bool
@@ -302,7 +319,8 @@ func (ix *refIndex) placeFull(seq []byte) placement {
 	var bestD diag
 	var best *span
 	for d, s := range votes {
-		if best == nil || s.votes > best.votes {
+		if best == nil || s.votes > best.votes || s.votes == best.votes &&
+			(d.off < bestD.off || d.off == bestD.off && !d.flip) {
 			bestD, best = d, s
 		}
 	}
@@ -326,33 +344,42 @@ func (ix *refIndex) placeFull(seq []byte) placement {
 }
 
 // CheckPlacement verifies no sequence is chimeric: each gap-free piece of
-// each sequence must anchor to a single reference diagonal, and the bases
-// at the voted placement must match within Options.MinIdentity.
+// each sequence (at least Options.K long) must anchor to a single
+// reference diagonal, and the bases at the voted placement must match
+// within Options.MinIdentity. Scaffolds are split at their N runs first:
+// an unclosed gap whose estimate is off by a few bases would otherwise
+// shift every downstream column.
 func CheckPlacement(rep *Report, seqs [][]byte, opt Options) {
 	opt = opt.withDefaults()
 	ix := indexRef(opt.Ref, opt.K)
+	covered := make([]bool, len(opt.Ref))
 	var aligned, mismatched int64
 	for si, seq := range seqs {
 		for _, pc := range splitAtNs(seq, opt.K) {
-			placed, mis, off, flip := ix.place(pc.seq)
-			if !placed {
+			p := ix.place(pc.seq)
+			if !p.placed {
 				rep.Unplaced++
 				continue
 			}
-			if mis {
+			rep.Placed++
+			if p.mis {
 				rep.Misassemblies++
 				rep.issuef("placement", "sequence %d piece at %d (len %d): anchor votes split across diagonals",
 					si, pc.start, len(pc.seq))
-				continue
 			}
-			rep.Placed++
 			q := pc.seq
-			if flip {
+			if p.flipped {
 				q = kmer.RevCompString(q)
 			}
-			for i := 0; i < len(q); i++ {
-				rp := off + i
-				if rp < 0 || rp >= len(opt.Ref) || q[i] == 'N' {
+			for i := range q {
+				rp := p.off + i
+				if rp < 0 || rp >= len(opt.Ref) {
+					continue
+				}
+				covered[rp] = true
+				if p.mis {
+					// what a chimera holds off its winning diagonal is a
+					// false join, not base errors
 					continue
 				}
 				aligned++
@@ -361,6 +388,15 @@ func CheckPlacement(rep *Report, seqs [][]byte, opt Options) {
 				}
 			}
 		}
+	}
+	n := 0
+	for _, c := range covered {
+		if c {
+			n++
+		}
+	}
+	if n > 0 {
+		rep.CoveredFrac = float64(n) / float64(len(covered))
 	}
 	if aligned > 0 {
 		rep.IdentityFrac = 1 - float64(mismatched)/float64(aligned)
@@ -426,7 +462,7 @@ func CheckGaps(rep *Report, finals [][]byte, opt Options) {
 			}
 			var cur []placedPiece
 			for _, pc := range splitAtNs(q, 2*opt.K) {
-				p := ix.placeFull(pc.seq)
+				p := ix.place(pc.seq)
 				anchored := p.placed && !p.mis && !p.flipped && p.rivals == 0 &&
 					2*(p.spanHi-p.spanLo+opt.K) >= len(pc.seq)
 				if anchored {

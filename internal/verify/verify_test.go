@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -112,6 +113,51 @@ func TestPlacementCatchesLowIdentity(t *testing.T) {
 	}
 }
 
+// TestPlacementTable pins the whole placement verdict — piece counts,
+// covered fraction, identity — on small exact inputs at the default
+// anchor length.
+func TestPlacementTable(t *testing.T) {
+	ref := func(seed int64, n int) []byte { return genome.Random(xrt.NewPrng(seed), n) }
+	r1, r2, r3, r4, r5 := ref(1, 20000), ref(2, 10000), ref(3, 10000), ref(4, 20000), ref(5, 10000)
+	mismatched := append([]byte(nil), r2[1000:5000]...)
+	for i := 100; i < 120; i++ {
+		mismatched[i] = kmer.Complement(mismatched[i])
+	}
+	gapped := append([]byte(nil), r3[2000:6000]...)
+	copy(gapped[1000:1100], bytes.Repeat([]byte{'N'}, 100))
+	cases := []struct {
+		name string
+		ref  []byte
+		seqs [][]byte
+		want Report
+		ok   bool
+	}{
+		{"three-pieces", r1, [][]byte{r1[0:8000], r1[8000:15000], kmer.RevCompString(r1[15000:])},
+			Report{Placed: 3, CoveredFrac: 1, IdentityFrac: 1}, true},
+		{"chimera", r4, [][]byte{append(append([]byte(nil), r4[1000:3000]...), r4[15000:17000]...)},
+			Report{Placed: 1, Misassemblies: 1, CoveredFrac: 0.2}, false},
+		{"mismatches", r2, [][]byte{mismatched},
+			Report{Placed: 1, CoveredFrac: 0.4, IdentityFrac: 1 - 20.0/4000}, true},
+		// an N run splits the sequence; the pieces place independently and
+		// the run itself covers nothing
+		{"n-run", r3, [][]byte{gapped},
+			Report{Placed: 2, CoveredFrac: 0.39, IdentityFrac: 1}, true},
+		{"unplaced", r5, [][]byte{genome.Random(xrt.NewPrng(6), 3000)},
+			Report{Unplaced: 1}, true},
+		{"no-sequences", []byte("ACGT"), nil, Report{}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rep := Place(c.seqs, c.ref)
+			got := Report{Placed: rep.Placed, Unplaced: rep.Unplaced, Misassemblies: rep.Misassemblies,
+				CoveredFrac: rep.CoveredFrac, IdentityFrac: rep.IdentityFrac}
+			if !reflect.DeepEqual(got, c.want) || rep.OK() != c.ok {
+				t.Fatalf("got %+v ok=%v, want %+v ok=%v", got, rep.OK(), c.want, c.ok)
+			}
+		})
+	}
+}
+
 func TestGapEstimatesWithinTolerance(t *testing.T) {
 	g := genome.Random(xrt.NewPrng(7), 30000)
 	mkScaffold := func(gapEstimate int) []byte {
@@ -159,8 +205,8 @@ func TestCheckCombinesEverything(t *testing.T) {
 	if rep.ContigsChecked != 2 || rep.Placed == 0 || rep.GapsChecked != 1 {
 		t.Fatalf("checks skipped: %+v", rep)
 	}
-	if !strings.Contains(rep.String(), "verify ok") {
-		t.Fatalf("summary: %s", rep.String())
+	if !strings.Contains(rep.Summary, "verify ok") {
+		t.Fatalf("summary: %s", rep.Summary)
 	}
 	// empty input: trivially OK, nothing checked
 	empty := Check(Input{}, Options{})

@@ -3,7 +3,7 @@
 // crashes): it models a lossy, duplicating network under every remote
 // operation, together with the reliability layer that makes the pipeline
 // survive it. Every logical message charged at ChargeLookup,
-// ChargeForeign, ChargeStoreBatch, or a collective's tree steps runs an
+// ChargeStoreBatch, or a collective's tree steps runs an
 // RPC-style protocol on a per-(src,dst) channel: a sequence number is
 // assigned, drop decisions are drawn from a dedicated seeded per-rank
 // stream, lost sends and lost acks cost a timeout plus capped exponential

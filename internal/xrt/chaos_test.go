@@ -3,7 +3,7 @@ package xrt
 import "testing"
 
 // chaosWorkload drives every charge class the protocol hooks into —
-// remote lookups, aggregated store batches, direct foreign charges, and
+// remote lookups, aggregated store batches (to two destinations), and
 // collectives — with a deterministic per-rank program order.
 func chaosWorkload(r *Rank) {
 	p := r.N()
@@ -13,7 +13,7 @@ func chaosWorkload(r *Rank) {
 			r.ChargeStoreBatch((r.ID+2)%p, 16, 512)
 		}
 		if i%25 == 0 {
-			r.ChargeForeign((r.ID+3)%p, 1_000)
+			r.ChargeStoreBatch((r.ID+3)%p, 4, 128)
 		}
 	}
 	r.Barrier()

@@ -352,18 +352,11 @@ func (r *Rank) Charge(ns float64) { r.advance(ns) }
 // ChargeItems charges the generic per-item compute cost for n items.
 func (r *Rank) ChargeItems(n int) { r.advance(float64(n) * r.team.cost.ItemNs) }
 
-// ChargeForeign charges ns of work to another rank (e.g. the owner of a
-// hash-table shard processing items this rank sent it). The foreign
-// accumulator is atomic, but the call must come from r's own goroutine
-// (it draws from r's chaos stream under a MessageFaultPlan).
-func (r *Rank) ChargeForeign(dst int, ns float64) {
-	r.chaosPoint(dst, 0)
-	r.chargeForeignRaw(dst, ns)
-}
-
-// chargeForeignRaw is ChargeForeign without the message-fault protocol,
-// for charges that ride on an already-delivered message (a store batch's
-// per-item apply cost must not roll a second drop decision).
+// chargeForeignRaw charges ns of work to another rank: the owner of a
+// hash-table shard processing items this rank sent it. It rides on an
+// already-delivered message (a store batch's per-item apply cost must not
+// roll a second drop decision), so it runs no message-fault protocol. The
+// foreign accumulator is atomic.
 func (r *Rank) chargeForeignRaw(dst int, ns float64) {
 	r.team.ranks[dst].foreignNs.Add(int64(ns))
 }
@@ -587,6 +580,19 @@ func (t *Team) Cost() CostModel { return t.cost }
 
 // NextID returns a team-global unique positive identifier.
 func (t *Team) NextID() int64 { return t.walkSeq.Add(1) }
+
+// Deal partitions an ordered list onto p ranks round-robin: item i goes
+// to rank i % p and each rank's share keeps the list's order. Every
+// "order by ID, then deal" layout of the pipeline — contig results,
+// carried pseudo-reads, re-sharded checkpoint state — is this function,
+// so such a layout depends only on the ordered list and p.
+func Deal[T any](items []T, p int) [][]T {
+	out := make([][]T, p)
+	for i, it := range items {
+		out[i%p] = append(out[i%p], it)
+	}
+	return out
+}
 
 // PhaseStats reports the time consumed by one Run phase.
 type PhaseStats struct {

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestTeamRunAllRanksExecute(t *testing.T) {
@@ -66,14 +67,17 @@ func TestVirtualTimeIsCriticalPath(t *testing.T) {
 }
 
 func TestForeignChargesCount(t *testing.T) {
+	// A store batch charges its receiver the per-item apply cost: with
+	// enough items that, not the sender's one message, is the phase.
 	team := NewTeam(Config{Ranks: 2})
+	const items = 1_000_000
 	ps := team.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.ChargeForeign(1, 5e6)
+			r.ChargeStoreBatch(1, items, 8)
 		}
 	})
-	if ps.Virtual.Milliseconds() != 5 {
-		t.Fatalf("virtual = %v, want 5ms from foreign charge", ps.Virtual)
+	if want := time.Duration(items * team.Cost().LocalOpNs); ps.Virtual != want {
+		t.Fatalf("virtual = %v, want %v from the receiver's foreign charge", ps.Virtual, want)
 	}
 }
 
