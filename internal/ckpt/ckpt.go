@@ -217,8 +217,8 @@ func (s *Store) SetInjector(inj Injector) { s.inj = inj }
 
 // Create starts a fresh run directory for the given fingerprint and
 // topology, creating it if needed and truncating any previous manifest
-// (stale segments are simply unreferenced; WriteStage replaces them by
-// name).
+// (stale segments are simply unreferenced; WriteStageRound replaces them
+// by name).
 func Create(dir, fingerprint string, topo Topology) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: creating run directory: %w", err)
@@ -227,7 +227,7 @@ func Create(dir, fingerprint string, topo Topology) (*Store, error) {
 	s := &Store{dir: dir, man: Manifest{
 		Schema: Schema, Fingerprint: fingerprint, Topology: topo,
 	}, runTopo: topo}
-	if err := s.writeManifest(); err != nil {
+	if err := writeManifest(s.dir, &s.man); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -240,11 +240,7 @@ func Create(dir, fingerprint string, topo Topology) (*Store, error) {
 // caller reads Topology() to learn the source partition and decides
 // whether its own placement constraints allow the rescale.
 func Resume(dir, fingerprint string) (*Store, error) {
-	b, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: reading manifest: %w", err)
-	}
-	m, err := ParseManifest(b)
+	m, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -268,26 +264,19 @@ func (s *Store) AdoptTopology(topo Topology) error {
 	}
 	s.runTopo = topo
 	s.man.Topology = topo
-	return s.writeManifest()
+	return writeManifest(s.dir, &s.man)
 }
 
 // ReadTopology reads just the recorded topology from a run directory's
 // manifest, without opening the store — the CLI uses it to adopt the
 // checkpoint's rank geometry before building a team.
 func ReadTopology(dir string) (Topology, error) {
-	b, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return Topology{}, fmt.Errorf("ckpt: reading manifest: %w", err)
-	}
-	m, err := ParseManifest(b)
+	m, err := readManifest(dir)
 	if err != nil {
 		return Topology{}, err
 	}
 	return m.Topology, nil
 }
-
-// Dir returns the run directory path.
-func (s *Store) Dir() string { return s.dir }
 
 // Topology returns the rank geometry recorded when the run directory was
 // created — the partition the stage payloads were written under.
@@ -309,15 +298,11 @@ func (s *Store) Entry(stage string) *StageEntry {
 // Completed reports whether the named stage has a checkpoint.
 func (s *Store) Completed(stage string) bool { return s.Entry(stage) != nil }
 
-// WriteStage persists one stage's payload: segment written atomically,
-// then the manifest updated (replace-by-name or append) and rewritten
-// atomically. Returns the resulting entry.
-func (s *Store) WriteStage(stage string, payload []byte) (StageEntry, error) {
-	return s.WriteStageRound(stage, 0, payload)
-}
-
-// WriteStageRound is WriteStage with an iterative-k round tag recorded
-// in the manifest entry (0 for stages outside the multi-k loop).
+// WriteStageRound persists one stage's payload: segment written
+// atomically, then the manifest updated (replace-by-name or append) and
+// rewritten atomically. round is the iterative-k round tag recorded in the
+// manifest entry (0 for stages outside the multi-k loop). Returns the
+// resulting entry.
 func (s *Store) WriteStageRound(stage string, round int, payload []byte) (StageEntry, error) {
 	seg, crc := appendSegment(s.frame[:0], stage, payload)
 	s.frame = seg
@@ -363,14 +348,14 @@ func (s *Store) WriteStageRound(stage string, round int, payload []byte) (StageE
 	if !replaced {
 		s.man.Stages = append(s.man.Stages, entry)
 	}
-	if err := s.writeManifest(); err != nil {
+	if err := writeManifest(s.dir, &s.man); err != nil {
 		return StageEntry{}, err
 	}
 	return entry, nil
 }
 
-// ReadStage loads and fully validates one stage's payload: file size,
-// framing, stored CRC, and the manifest's content hash must all agree.
+// ReadStage loads and fully validates one stage's payload (see
+// checkSegment).
 func (s *Store) ReadStage(stage string) ([]byte, error) {
 	e := s.Entry(stage)
 	if e == nil {
@@ -380,23 +365,38 @@ func (s *Store) ReadStage(stage string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: reading segment for %s: %w", stage, err)
 	}
+	return checkSegment(b, *e)
+}
+
+// checkSegment is the full validation of a segment's bytes against its
+// manifest entry — file size, framing and stored CRC, manifest CRC,
+// content hash must all agree — and returns the payload.
+func checkSegment(b []byte, e StageEntry) ([]byte, error) {
 	if int64(len(b)) != e.Bytes {
 		return nil, fmt.Errorf("%w: %s: %d bytes on disk, manifest says %d",
-			ErrCorruptSegment, stage, len(b), e.Bytes)
+			ErrCorruptSegment, e.Name, len(b), e.Bytes)
 	}
-	payload, err := ParseSegment(b, stage)
+	payload, err := ParseSegment(b, e.Name)
 	if err != nil {
 		return nil, err
 	}
 	if got := crc32.ChecksumIEEE(b[:len(b)-4]); got != e.CRC32 {
 		return nil, fmt.Errorf("%w: %s: CRC %08x, manifest says %08x",
-			ErrCorruptSegment, stage, got, e.CRC32)
+			ErrCorruptSegment, e.Name, got, e.CRC32)
 	}
 	if got := hashHex(payload); got != e.ContentHash {
 		return nil, fmt.Errorf("%w: %s: content hash %s, manifest says %s",
-			ErrCorruptSegment, stage, got, e.ContentHash)
+			ErrCorruptSegment, e.Name, got, e.ContentHash)
 	}
 	return payload, nil
+}
+
+// ValidateSegmentBytes runs the full ReadStage validation against
+// in-memory segment bytes, so property tests can sweep corruptions without
+// rewriting files.
+func ValidateSegmentBytes(b []byte, e StageEntry) error {
+	_, err := checkSegment(b, e)
+	return err
 }
 
 // appendSegment frames a payload onto b (see the package comment for
@@ -463,12 +463,22 @@ func atomicWrite(path string, b []byte) error {
 	return nil
 }
 
-func (s *Store) writeManifest() error {
-	b, err := json.MarshalIndent(&s.man, "", "  ")
+// readManifest reads and validates a run directory's manifest.
+func readManifest(dir string) (*Manifest, error) {
+	b, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: reading manifest: %w", err)
+	}
+	return ParseManifest(b)
+}
+
+// writeManifest replaces a run directory's manifest atomically.
+func writeManifest(dir string, m *Manifest) error {
+	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("ckpt: encoding manifest: %w", err)
 	}
-	if err := atomicWrite(filepath.Join(s.dir, ManifestName), append(b, '\n')); err != nil {
+	if err := atomicWrite(filepath.Join(dir, ManifestName), append(b, '\n')); err != nil {
 		return fmt.Errorf("ckpt: writing manifest: %w", err)
 	}
 	return nil

@@ -24,10 +24,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	pay1 := []byte("kmer payload bytes")
 	pay2 := []byte{0, 1, 2, 0xff, 0xfe}
-	if _, err := s.WriteStage("kmer-analysis", pay1); err != nil {
+	if _, err := s.WriteStageRound("kmer-analysis", 0, pay1); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := s.WriteStage("contig-generation", pay2)
+	e2, err := s.WriteStageRound("contig-generation", 0, pay2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestStoreRoundTrip(t *testing.T) {
 
 	// Replacing a stage keeps its sequence position and updates the hash.
 	old := *s.Entry("kmer-analysis")
-	e, err := s.WriteStage("kmer-analysis", []byte("new content"))
+	e, err := s.WriteStageRound("kmer-analysis", 0, []byte("new content"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestResumeRefusesTruncatedManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteStage("kmer-analysis", []byte("x")); err != nil {
+	if _, err := s.WriteStageRound("kmer-analysis", 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, ManifestName)
@@ -118,7 +118,7 @@ func TestReadStageDetectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.WriteStage("scaffolding", []byte("scaffold payload")); err != nil {
+		if _, err := s.WriteStageRound("scaffolding", 0, []byte("scaffold payload")); err != nil {
 			t.Fatal(err)
 		}
 		return s, filepath.Join(dir, "scaffolding.seg")
@@ -314,7 +314,7 @@ func TestWriteStageRoundTagsManifest(t *testing.T) {
 	if _, err := s.WriteStageRound("tip-clip-k21", 1, []byte("clean")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteStage("io", []byte("reads")); err != nil {
+	if _, err := s.WriteStageRound("io", 0, []byte("reads")); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Resume(dir, "fp")
@@ -346,7 +346,7 @@ func TestAdoptTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteStage("kmer-analysis", []byte("at 8")); err != nil {
+	if _, err := s.WriteStageRound("kmer-analysis", 0, []byte("at 8")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -358,7 +358,7 @@ func TestAdoptTopology(t *testing.T) {
 	if err := r.AdoptTopology(rescaled); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.WriteStage("contig-generation", []byte("at 2")); err != nil {
+	if _, err := r.WriteStageRound("contig-generation", 0, []byte("at 2")); err != nil {
 		t.Fatal(err)
 	}
 

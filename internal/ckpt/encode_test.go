@@ -81,3 +81,27 @@ func BenchmarkEncodeKmerStage(b *testing.B) {
 		b.SetBytes(int64(len(ckpt.EncodeKmerStage(res.KAnalysis, k, m))))
 	}
 }
+
+// BenchmarkEncodeScaffoldStage serializes the scaffolding result of the
+// same assembly: the payload with the most records (one list per read).
+func BenchmarkEncodeScaffoldStage(b *testing.B) {
+	res := assembled(b, 40000, pipeline.Config{K: 31, MinCount: 2})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.SetBytes(int64(len(ckpt.EncodeScaffoldStage(res.Scaffold))))
+	}
+}
+
+// BenchmarkDecodeScaffoldStage reads that payload back.
+func BenchmarkDecodeScaffoldStage(b *testing.B) {
+	payload := ckpt.EncodeScaffoldStage(assembled(b, 40000, pipeline.Config{K: 31, MinCount: 2}).Scaffold)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ckpt.DecodeScaffoldStageAny(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

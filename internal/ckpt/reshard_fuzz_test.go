@@ -17,14 +17,18 @@ import (
 	"hipmer/internal/xrt"
 )
 
-// realStagePayloads checkpoints a tiny single-k pipeline and a tiny
-// multi-k (round-tagged) pipeline at 3 ranks and returns every stage
-// payload written, cached across fuzz workers. Failures just shrink the
-// corpus — the fuzz target still runs on the synthetic seeds.
-var realStagePayloads = sync.OnceValue(func() [][]byte {
-	team := func() *xrt.Team {
-		return xrt.NewTeam(xrt.Config{Ranks: 3, RanksPerNode: 3, Seed: 11})
-	}
+// stagePayload is one stage's checkpoint payload of a real run.
+type stagePayload struct {
+	name string
+	b    []byte
+}
+
+// realStages checkpoints a tiny single-k pipeline and a tiny multi-k
+// (round-tagged) pipeline at 3 ranks and returns every stage payload
+// written, in stage order, cached across tests and fuzz workers. Failures
+// just shrink the corpus — the fuzz targets still run on the synthetic
+// seeds.
+var realStages = sync.OnceValue(func() []stagePayload {
 	rng := xrt.NewPrng(61)
 	g := genome.Random(rng, 6000)
 	recs, _ := genome.SimulatePairs(rng, g, genome.SimOptions{
@@ -35,7 +39,7 @@ var realStagePayloads = sync.OnceValue(func() [][]byte {
 	singleLibs := []pipeline.Library{{Name: "fz", Records: recs, InsertHint: 300}}
 	_, multiLibs := pipeline.SimulatedMetagenomeRefs(62, 8000, 3, 1200)
 
-	var payloads [][]byte
+	var payloads []stagePayload
 	for _, run := range []struct {
 		libs []pipeline.Library
 		cfg  pipeline.Config
@@ -48,7 +52,7 @@ var realStagePayloads = sync.OnceValue(func() [][]byte {
 			continue
 		}
 		run.cfg.CkptDir = dir
-		if _, err := pipeline.Run(team(), run.libs, run.cfg); err == nil {
+		if _, err := pipeline.Run(team3(), run.libs, run.cfg); err == nil {
 			// The run's fingerprint is whatever it recorded; reading it
 			// back lets Resume open the store it just wrote.
 			if mb, err := os.ReadFile(filepath.Join(dir, ckpt.ManifestName)); err == nil {
@@ -56,7 +60,7 @@ var realStagePayloads = sync.OnceValue(func() [][]byte {
 					if store, err := ckpt.Resume(dir, m.Fingerprint); err == nil {
 						for _, e := range store.Stages() {
 							if b, err := store.ReadStage(e.Name); err == nil {
-								payloads = append(payloads, b)
+								payloads = append(payloads, stagePayload{e.Name, b})
 							}
 						}
 					}
@@ -72,9 +76,9 @@ var realStagePayloads = sync.OnceValue(func() [][]byte {
 // re-sharding decoder under any src→target rank mapping; corrupt frames
 // and unusable target rank counts must surface as errors.
 func FuzzReshardDecode(f *testing.F) {
-	for _, b := range realStagePayloads() {
+	for _, st := range realStages() {
 		for _, dst := range []int{-1, 0, 1, 2, 3, 7} {
-			f.Add(b, dst)
+			f.Add(st.b, dst)
 		}
 	}
 	f.Add([]byte{}, 1)
@@ -82,7 +86,8 @@ func FuzzReshardDecode(f *testing.F) {
 	// Quarantine-shaped corpus: the storage-damage forms Scrub moves
 	// aside — torn prefixes and single-bit flips of real payloads — so
 	// the decoders are fuzzed from exactly what a damaged directory holds.
-	for _, b := range realStagePayloads() {
+	for _, st := range realStages() {
+		b := st.b
 		if len(b) >= 2 {
 			f.Add(b[:len(b)/2:len(b)/2], 4)
 		}
@@ -119,5 +124,32 @@ func FuzzReshardDecode(f *testing.F) {
 		// The partition-free decoders must hold up on the same corpus.
 		_, _, _ = ckpt.DecodeCarryStage(b)
 		_, _ = ckpt.DecodeGapcloseStage(b)
+	})
+}
+
+// FuzzKmerDecode: the k-mer stage decoder validates the placement
+// parameters and the entry count before it sizes a table, so no payload —
+// a real one, a torn one, a header promising entries that are not there —
+// may panic it or yield a result without a table.
+func FuzzKmerDecode(f *testing.F) {
+	empty := kmerResult(team3(), 21, 0, nil)
+	header := len(ckpt.EncodeKmerStage(empty, 21, 0))
+	for _, st := range realStages() {
+		if st.name == "kmer-analysis" {
+			f.Add(st.b)
+			f.Add(st.b[: len(st.b)/2 : len(st.b)/2])
+			f.Add(st.b[:header:header])
+		}
+	}
+	f.Add([]byte{})
+	syn := syntheticPayloads()
+	for _, name := range []string{"kmer", "kmer-minimizer", "kmer-empty", "contig"} {
+		f.Add(syn[name])
+	}
+	team := team3()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if res, err := ckpt.DecodeKmerStage(team, b, 0); err == nil && (res == nil || res.Table == nil) {
+			t.Fatal("nil result or table with nil error")
+		}
 	})
 }

@@ -3,7 +3,6 @@ package ckpt
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"text/tabwriter"
@@ -99,30 +98,6 @@ func (r *ScrubReport) FormatTable() string {
 	return buf.String()
 }
 
-// ValidateSegmentBytes runs the full ReadStage validation — size,
-// framing, stored CRC, manifest CRC, content hash — against in-memory
-// segment bytes, so property tests can sweep corruptions without
-// rewriting files.
-func ValidateSegmentBytes(b []byte, e StageEntry) error {
-	if int64(len(b)) != e.Bytes {
-		return fmt.Errorf("%w: %s: %d bytes on disk, manifest says %d",
-			ErrCorruptSegment, e.Name, len(b), e.Bytes)
-	}
-	payload, err := ParseSegment(b, e.Name)
-	if err != nil {
-		return err
-	}
-	if got := crc32.ChecksumIEEE(b[:len(b)-4]); got != e.CRC32 {
-		return fmt.Errorf("%w: %s: CRC %08x, manifest says %08x",
-			ErrCorruptSegment, e.Name, got, e.CRC32)
-	}
-	if got := hashHex(payload); got != e.ContentHash {
-		return fmt.Errorf("%w: %s: content hash %s, manifest says %s",
-			ErrCorruptSegment, e.Name, got, e.ContentHash)
-	}
-	return nil
-}
-
 // Scrub heals a run directory in place (see the package comment above)
 // and reports what it found. It returns ErrUnrecoverableCkpt only when
 // the manifest itself is missing or unparsable.
@@ -130,11 +105,7 @@ func Scrub(dir string) (*ScrubReport, error) {
 	rep := &ScrubReport{}
 	rep.TempsRemoved = sweepTemps(dir)
 
-	mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading manifest: %w", ErrUnrecoverableCkpt, err)
-	}
-	m, err := ParseManifest(mb)
+	m, err := readManifest(dir)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrUnrecoverableCkpt, err)
 	}

@@ -17,7 +17,7 @@ func scrubFixture(t *testing.T) (string, []StageEntry) {
 		t.Fatal(err)
 	}
 	for _, st := range []string{"kmer-analysis", "contig-generation", "scaffolding"} {
-		if _, err := s.WriteStage(st, []byte("payload for "+st)); err != nil {
+		if _, err := s.WriteStageRound(st, 0, []byte("payload for "+st)); err != nil {
 			t.Fatal(err)
 		}
 	}

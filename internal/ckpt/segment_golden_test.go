@@ -15,7 +15,32 @@ import (
 	"hipmer/internal/xrt"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/segments.json from this tree's segments")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/*.json digests from this tree's encoders")
+
+// golden loads testdata/<name> into want; with -update-golden it rewrites
+// the file from got instead and reports false (nothing to compare).
+func golden(t *testing.T, name string, got, want any) bool {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return false
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, want); err != nil {
+		t.Fatal(err)
+	}
+	return true
+}
 
 // segmentDigests assembles libs with checkpoints on and returns the sha256
 // of every segment file the manifest lists, by stage name. One rank: the
@@ -72,24 +97,9 @@ func TestSegmentBytesGolden(t *testing.T) {
 		"multi-k": segmentDigests(t, meta,
 			pipeline.Config{KmerLens: []int{21, 33}, MinCount: 2, ContigsOnly: true}),
 	}
-	path := filepath.Join("testdata", "segments.json")
-	if *updateGolden {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want map[string]map[string]string
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
+	if !golden(t, "segments.json", got, &want) {
+		return
 	}
 	for run, stages := range want {
 		if len(got[run]) != len(stages) {

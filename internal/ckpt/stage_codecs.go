@@ -1,7 +1,10 @@
 // Stage-output codecs: the serializable projection of each pipeline
-// stage's result. Encoders are deterministic (see codec.go); decoders
-// validate exhaustively and rebuild the in-memory form, including DHT
-// rehydration for the k-mer table.
+// stage's result. Every record type has one walk (see codec.go) that
+// states its wire layout, field by field in wire order; an Encode*Stage
+// measures its payload under the walk, allocates it once and writes it, a
+// Decode* reads through the same walk, validates exhaustively and
+// rebuilds the in-memory form, including DHT rehydration for the k-mer
+// table. Changing a format is one edit to one walk.
 //
 // What is and is not checkpointed, per stage:
 //
@@ -21,6 +24,14 @@
 //
 // Phase timing fields (xrt.PhaseStats) are never checkpointed: a resumed
 // run's report covers the work it actually performed.
+//
+// A payload with per-rank lists carries its own partition count, so
+// loading it onto a team needs no hint from the manifest: lists written
+// at the team's rank count are kept exactly as written, any other
+// partition is flattened, ordered by the globally deterministic
+// content-hash IDs and dealt round-robin (xrt.Deal) — the owner-computes
+// layout contig.ResultFromContigs produces, which depends only on the
+// global contig set and the target rank count.
 package ckpt
 
 import (
@@ -37,8 +48,56 @@ import (
 	"hipmer/internal/xrt"
 )
 
+func walkKmer(c *cursor, km *kmer.Kmer) {
+	i64(c, &km.W[0])
+	i64(c, &km.W[1])
+}
+
+var (
+	i64Rec  = recordOf(i64[int64])
+	f64Rec  = recordOf(f64)
+	blobRec = recordOf(blob)
+)
+
 // ---------------------------------------------------------------------
 // k-mer analysis
+
+// walkKmerHeader is everything before the entry list: the table-placement
+// parameters and the scalar outcomes.
+func walkKmerHeader(c *cursor, k, minimizerLen *uint32, res *kanalysis.Result) {
+	u32(c, k)
+	u32(c, minimizerLen)
+	i64(c, &res.DistinctEstimate)
+	i64(c, &res.HeavyHitters)
+	i64(c, &res.Kept)
+	i64(c, &res.PeakEntries)
+	i64(c, &res.TotalKmers)
+	i64(c, &res.SuperKmers)
+	i64(c, &res.SuperKmerBases)
+	i64(c, &res.CommBytesSaved)
+}
+
+// kmerEntry is one table entry; the k-mer words come first on the wire,
+// which is what kmerRecords sorts by.
+type kmerEntry struct {
+	km kmer.Kmer
+	d  kanalysis.KmerData
+}
+
+func walkKmerEntry(c *cursor, e *kmerEntry) {
+	walkKmer(c, &e.km)
+	u32(c, &e.d.Count)
+	for i := range e.d.LeftCnt {
+		u32(c, &e.d.LeftCnt[i])
+	}
+	for i := range e.d.RightCnt {
+		u32(c, &e.d.RightCnt[i])
+	}
+	u8(c, &e.d.ExtL)
+	u8(c, &e.d.ExtR)
+}
+
+var kmerEntryRec = recordOf(walkKmerEntry)
 
 // EncodeKmerStage serializes a k-mer analysis result. The table must be
 // quiescent (frozen or between phases). k and minimizerLen record the
@@ -46,125 +105,89 @@ import (
 // classic hash placement) so rehydration rebuilds a table whose owners
 // match the one that was checkpointed.
 func EncodeKmerStage(res *kanalysis.Result, k, minimizerLen int) []byte {
-	n := int(res.Table.Len())
-	e := newEnc(kmerHeaderBytes + n*kmerEntryBytes)
-	e.u32(uint32(k))
-	e.u32(uint32(minimizerLen))
-	e.u64(res.DistinctEstimate)
-	e.i64(int64(res.HeavyHitters))
-	e.i64(res.Kept)
-	e.i64(res.PeakEntries)
-	e.i64(res.TotalKmers)
-	e.i64(res.SuperKmers)
-	e.i64(res.SuperKmerBases)
-	e.i64(res.CommBytesSaved)
-	e.u64(uint64(n))
-	res.Table.RangeAll(func(km kmer.Kmer, d kanalysis.KmerData) bool {
-		e.u64(km.W[0])
-		e.u64(km.W[1])
-		e.u32(d.Count)
-		for i := 0; i < 4; i++ {
-			e.u32(d.LeftCnt[i])
+	n, size := int(res.Table.Len()), kmerEntryRec.size
+	ku, mu := uint32(k), uint32(minimizerLen)
+	var entries int // where the first entry lies
+	b := encode(func(c *cursor) {
+		walkKmerHeader(c, &ku, &mu, res)
+		c.count(n, size)
+		entries = c.off
+		if c.mode == measuring {
+			c.next(n * size)
+			return
 		}
-		for i := 0; i < 4; i++ {
-			e.u32(d.RightCnt[i])
-		}
-		e.u8(d.ExtL)
-		e.u8(d.ExtR)
-		return true
+		res.Table.RangeAll(func(km kmer.Kmer, d kanalysis.KmerData) bool {
+			e := kmerEntry{km, d}
+			walkKmerEntry(c, &e)
+			return true
+		})
 	})
 	// Entries are fixed-size records: written in shard order, then sorted
 	// where they lie, so the table is never copied into a slice of its own.
-	sort.Sort(kmerRecords(e.b[kmerHeaderBytes:]))
-	return e.b
+	sort.Sort(&kmerRecords{b[entries:], size, make([]byte, size)})
+	return b
 }
 
 // kmerRecords orders the entry records of a k-mer payload by k-mer words.
-type kmerRecords []byte
+type kmerRecords struct {
+	b    []byte
+	size int    // of one record
+	tmp  []byte // one record of swap space
+}
 
-func (r kmerRecords) at(i int) []byte { return r[i*kmerEntryBytes : (i+1)*kmerEntryBytes] }
+func (r *kmerRecords) at(i int) []byte { return r.b[i*r.size : (i+1)*r.size] }
 
-func (r kmerRecords) Len() int { return len(r) / kmerEntryBytes }
+func (r *kmerRecords) Len() int { return len(r.b) / r.size }
 
-func (r kmerRecords) Less(i, j int) bool {
-	a, b := r.at(i), r.at(j)
+func (r *kmerRecords) Less(i, j int) bool {
+	a, b := r.b[i*r.size:], r.b[j*r.size:]
 	if a0, b0 := binary.LittleEndian.Uint64(a), binary.LittleEndian.Uint64(b); a0 != b0 {
 		return a0 < b0
 	}
 	return binary.LittleEndian.Uint64(a[8:]) < binary.LittleEndian.Uint64(b[8:])
 }
 
-func (r kmerRecords) Swap(i, j int) {
-	var tmp [kmerEntryBytes]byte
+func (r *kmerRecords) Swap(i, j int) {
 	a, b := r.at(i), r.at(j)
-	copy(tmp[:], a)
+	copy(r.tmp, a)
 	copy(a, b)
-	copy(b, tmp[:])
+	copy(b, r.tmp)
 }
-
-const (
-	// kmerHeaderBytes is the wire size of everything before the entries
-	// (k, minimizer length, eight scalar outcomes, the entry count).
-	kmerHeaderBytes = 4 + 4 + 8*8 + 8
-	// kmerEntryBytes is the wire size of one table entry (two words,
-	// count, 8 extension counters, two extension codes).
-	kmerEntryBytes = 8 + 8 + 4 + 4*4 + 4*4 + 1 + 1
-)
 
 // DecodeKmerStage rebuilds a k-mer analysis result, rehydrating the
 // distributed table: entries are partitioned by owner, stored through
 // each owner's rank-local fast path in one SPMD phase (pre-sized via
 // ExpectedItems, so no incremental rehashing), and the table is returned
-// frozen — exactly the state a fresh analysis hands downstream.
+// frozen — exactly the state a fresh analysis hands downstream. The
+// payload lists entries in global k-mer order and they are placed by the
+// running team's owner function, so any rank count rebuilds the same
+// table.
 func DecodeKmerStage(team *xrt.Team, b []byte, aggBufSize int) (*kanalysis.Result, error) {
-	d := &dec{b: b}
+	c := cursor{mode: reading, b: b}
 	res := &kanalysis.Result{}
-	k := int(d.u32())
-	minimizerLen := int(d.u32())
-	if d.err == nil && (k <= 0 || k > kmer.MaxK || minimizerLen < 0 || minimizerLen >= k && minimizerLen != 0) {
-		return nil, fmt.Errorf("kmer-analysis payload: bad placement params k=%d m=%d", k, minimizerLen)
+	var k, m uint32
+	walkKmerHeader(&c, &k, &m, res)
+	n := c.count(0, kmerEntryRec.size)
+	if c.err != nil {
+		return nil, c.done("kmer-analysis")
 	}
-	res.DistinctEstimate = d.u64()
-	res.HeavyHitters = int(d.i64())
-	res.Kept = d.i64()
-	res.PeakEntries = d.i64()
-	res.TotalKmers = d.i64()
-	res.SuperKmers = d.i64()
-	res.SuperKmerBases = d.i64()
-	res.CommBytesSaved = d.i64()
-	n := d.count(kmerEntryBytes)
-	table := kanalysis.NewTable(team, int64(n), aggBufSize, 0, k, minimizerLen)
-	p := team.Config().Ranks
-	type entry struct {
-		km kmer.Kmer
-		d  kanalysis.KmerData
+	if k < 1 || k > kmer.MaxK || m >= k && m != 0 {
+		return nil, fmt.Errorf("kmer-analysis payload: bad placement params k=%d m=%d", k, m)
 	}
-	perOwner := make([][]entry, p)
+	table := kanalysis.NewTable(team, int64(n), aggBufSize, 0, int(k), int(m))
+	perOwner := make([][]kmerEntry, team.Config().Ranks)
 	for i := 0; i < n; i++ {
-		var en entry
-		en.km.W[0] = d.u64()
-		en.km.W[1] = d.u64()
-		en.d.Count = d.u32()
-		for j := 0; j < 4; j++ {
-			en.d.LeftCnt[j] = d.u32()
-		}
-		for j := 0; j < 4; j++ {
-			en.d.RightCnt[j] = d.u32()
-		}
-		en.d.ExtL = d.u8()
-		en.d.ExtR = d.u8()
-		if d.err != nil {
-			break
-		}
-		o := table.Owner(en.km)
-		perOwner[o] = append(perOwner[o], en)
+		var e kmerEntry
+		walkKmerEntry(&c, &e)
+		o := table.Owner(e.km)
+		perOwner[o] = append(perOwner[o], e)
 	}
-	if err := d.done(); err != nil {
-		return nil, fmt.Errorf("kmer-analysis payload: %w", err)
+	if err := c.done("kmer-analysis"); err != nil {
+		return nil, err
 	}
 	team.Run(func(r *xrt.Rank) {
-		for _, en := range perOwner[r.ID] {
-			table.Put(r, en.km, en.d) // owner == r.ID: rank-local fast path
+		for _, e := range perOwner[r.ID] {
+			table.Put(r, e.km, e.d) // owner == r.ID: rank-local fast path
 		}
 		table.Flush(r)
 		r.Barrier()
@@ -175,246 +198,151 @@ func DecodeKmerStage(team *xrt.Team, b []byte, aggBufSize int) (*kanalysis.Resul
 }
 
 // ---------------------------------------------------------------------
-// contig generation
+// contig generation, graph cleaning (tip-clip / bubble-pop rounds of the
+// iterative-k loop) and the pseudo-read carry (its merge stage): three
+// payloads over one contig record
 
-// contigRecBytes is the wire size of one contig record less its sequence
-// bytes (ID, length-prefixed seq, two terminations, four neighbor words,
-// two neighbor flags, sum count, pseudo weight).
-const contigRecBytes = 8 + 8 + 2 + 32 + 2 + 8 + 4
-
-// contigsBytes is the wire size of a count-prefixed list of contig records.
-func contigsBytes(cs []*contig.Contig) int {
-	n := 8 + len(cs)*contigRecBytes
-	for _, c := range cs {
-		n += len(c.Seq)
-	}
-	return n
+func walkContig(c *cursor, ct *contig.Contig) {
+	i64(c, &ct.ID)
+	blob(c, &ct.Seq)
+	u8(c, &ct.TermL)
+	u8(c, &ct.TermR)
+	walkKmer(c, &ct.NbrL)
+	walkKmer(c, &ct.NbrR)
+	flag(c, &ct.HasNbrL)
+	flag(c, &ct.HasNbrR)
+	i64(c, &ct.SumCount)
+	u32(c, &ct.PseudoWeight)
 }
 
-// contigResultBytes is the wire size of encodeContigResult's output.
-func contigResultBytes(res *contig.Result) int {
-	n := 6*8 + 8
-	for _, cs := range res.Contigs {
-		n += contigsBytes(cs)
-	}
-	return n
+var (
+	contigRec  = ptrTo(recordOf(walkContig))
+	contigsRec = listOf(contigRec)
+)
+
+// walkContigResult is the outcome counters, then the per-rank lists.
+func walkContigResult(c *cursor, r *contig.Result) {
+	i64(c, &r.NumContigs)
+	i64(c, &r.UUKmers)
+	i64(c, &r.Claimed)
+	i64(c, &r.Completed)
+	i64(c, &r.Aborted)
+	i64(c, &r.Rounds)
+	list(c, &r.Contigs, contigsRec)
 }
 
-func encodeContig(e *enc, c *contig.Contig) {
-	e.i64(c.ID)
-	e.bytes(c.Seq)
-	e.u8(c.TermL)
-	e.u8(c.TermR)
-	e.u64(c.NbrL.W[0])
-	e.u64(c.NbrL.W[1])
-	e.u64(c.NbrR.W[0])
-	e.u64(c.NbrR.W[1])
-	e.bool(c.HasNbrL)
-	e.bool(c.HasNbrR)
-	e.u64(c.SumCount)
-	e.u32(c.PseudoWeight)
+func walkCleanStats(c *cursor, s *contig.CleanStats) {
+	i64(c, &s.TipsClipped)
+	i64(c, &s.BubblesPopped)
+	i64(c, &s.BasesRemoved)
+	i64(c, &s.Survivors)
 }
 
-func decodeContig(d *dec) *contig.Contig {
-	c := &contig.Contig{}
-	c.ID = d.i64()
-	c.Seq = d.bytes()
-	c.TermL = d.u8()
-	c.TermR = d.u8()
-	c.NbrL.W[0] = d.u64()
-	c.NbrL.W[1] = d.u64()
-	c.NbrR.W[0] = d.u64()
-	c.NbrR.W[1] = d.u64()
-	c.HasNbrL = d.bool()
-	c.HasNbrR = d.bool()
-	c.SumCount = d.u64()
-	c.PseudoWeight = d.u32()
-	return c
-}
-
-func encodeContigResult(e *enc, res *contig.Result) {
-	e.i64(res.NumContigs)
-	e.i64(res.UUKmers)
-	e.i64(res.Claimed)
-	e.i64(res.Completed)
-	e.i64(res.Aborted)
-	e.i64(res.Rounds)
-	e.u64(uint64(len(res.Contigs)))
-	for _, cs := range res.Contigs {
-		e.u64(uint64(len(cs)))
-		for _, c := range cs {
-			encodeContig(e, c)
-		}
-	}
-}
-
-// decodeContigResult is the team-free core of DecodeContigStage:
-// wantRanks <= 0 skips the rank-partition check (fuzzing decodes with
-// no team at hand).
-func decodeContigResult(d *dec, wantRanks int) (*contig.Result, error) {
-	res := &contig.Result{}
-	res.NumContigs = d.i64()
-	res.UUKmers = d.i64()
-	res.Claimed = d.i64()
-	res.Completed = d.i64()
-	res.Aborted = d.i64()
-	res.Rounds = d.i64()
-	ranks := d.count(8)
-	if d.err == nil && wantRanks > 0 && ranks != wantRanks {
-		return nil, fmt.Errorf("contig payload: %d rank partitions, team has %d",
-			ranks, wantRanks)
-	}
-	res.Contigs = make([][]*contig.Contig, ranks)
-	for r := 0; r < ranks; r++ {
-		n := d.count(contigRecBytes)
-		for i := 0; i < n; i++ {
-			c := decodeContig(d)
-			if d.err != nil {
-				break
-			}
-			res.Contigs[r] = append(res.Contigs[r], c)
-		}
-	}
-	if err := d.done(); err != nil {
-		return nil, fmt.Errorf("contig payload: %w", err)
-	}
-	return res, nil
+func walkMergeStats(c *cursor, s *contig.MergeStats) {
+	i64(c, &s.Carried)
+	i64(c, &s.Represented)
+	i64(c, &s.PoppedOld)
+	i64(c, &s.Rescued)
+	i64(c, &s.Total)
 }
 
 // EncodeContigStage serializes a contig-generation result (minus the de
 // Bruijn graph — see the package comment).
 func EncodeContigStage(res *contig.Result) []byte {
-	e := newEnc(contigResultBytes(res))
-	encodeContigResult(e, res)
-	return e.b
+	return encode(func(c *cursor) { walkContigResult(c, res) })
 }
-
-// DecodeContigStage rebuilds a contig-generation result for a team with
-// the same rank count the checkpoint was written under, preserving the
-// original per-rank lists exactly. Resuming on a different rank count
-// goes through DecodeContigStageReshard instead.
-func DecodeContigStage(team *xrt.Team, b []byte) (*contig.Result, error) {
-	return decodeContigResult(&dec{b: b}, team.Config().Ranks)
-}
-
-// reshardContigResult redistributes a decoded contig result onto
-// dstRanks: the global contig set is flattened, ordered by its globally
-// deterministic content-hash-assigned IDs, and dealt round-robin — the
-// same owner-computes layout contig.ResultFromContigs produces, so every
-// downstream consumer sees a deterministic partition that depends only
-// on the global contig set and the target rank count.
-func reshardContigResult(res *contig.Result, dstRanks int) *contig.Result {
-	return &contig.Result{
-		NumContigs: res.NumContigs, UUKmers: res.UUKmers,
-		Claimed: res.Claimed, Completed: res.Completed,
-		Aborted: res.Aborted, Rounds: res.Rounds,
-		Contigs: xrt.Deal(res.All(), dstRanks), // All sorts by ID
-	}
-}
-
-// DecodeContigStageReshard rebuilds a contig-generation result written
-// under any rank count and redistributes it onto dstRanks (elastic
-// rescale). Team-free; never panics on corrupt bytes (fuzzed).
-func DecodeContigStageReshard(b []byte, dstRanks int) (*contig.Result, error) {
-	if dstRanks < 1 {
-		return nil, fmt.Errorf("contig payload: reshard to %d ranks", dstRanks)
-	}
-	res, err := decodeContigResult(&dec{b: b}, 0)
-	if err != nil {
-		return nil, err
-	}
-	return reshardContigResult(res, dstRanks), nil
-}
-
-// ---------------------------------------------------------------------
-// graph cleaning (tip-clip / bubble-pop rounds of the iterative-k loop)
 
 // EncodeCleaningStage serializes the output of a cleaning pass: the
 // cumulative cleaning counters followed by the surviving contig result
 // (same projection as the contig-generation codec).
 func EncodeCleaningStage(res *contig.Result, stats contig.CleanStats) []byte {
-	e := newEnc(4*8 + contigResultBytes(res))
-	e.i64(stats.TipsClipped)
-	e.i64(stats.BubblesPopped)
-	e.i64(stats.BasesRemoved)
-	e.i64(stats.Survivors)
-	encodeContigResult(e, res)
-	return e.b
+	return encode(func(c *cursor) {
+		walkCleanStats(c, &stats)
+		walkContigResult(c, res)
+	})
 }
 
-// DecodeCleaningStage rebuilds a cleaning pass's surviving contigs and
-// counters. wantRanks <= 0 skips the rank-partition check; the sticky-
-// error decoder rejects any malformed payload without panicking
-// (fuzzed).
-func DecodeCleaningStage(b []byte, wantRanks int) (*contig.Result, contig.CleanStats, error) {
-	d := &dec{b: b}
-	var stats contig.CleanStats
-	stats.TipsClipped = d.i64()
-	stats.BubblesPopped = d.i64()
-	stats.BasesRemoved = d.i64()
-	stats.Survivors = d.i64()
-	res, err := decodeContigResult(d, wantRanks)
+// readContigs reads a contig-generation payload — or, with cleaned, a
+// cleaning payload and its counters — in the partition it was written
+// under, which must be want ranks wide (want <= 0: any). Team-free; never
+// panics on corrupt bytes (fuzzed).
+func readContigs(b []byte, cleaned bool, want int) (*contig.Result, contig.CleanStats, error) {
+	c := cursor{mode: reading, b: b}
+	res, stats, what := &contig.Result{}, contig.CleanStats{}, "contig"
+	if cleaned {
+		what = "cleaning"
+		walkCleanStats(&c, &stats)
+	}
+	walkContigResult(&c, res)
+	err := c.done(what)
+	if err == nil && want > 0 && len(res.Contigs) != want {
+		err = fmt.Errorf("%s payload: %d rank partitions, team has %d", what, len(res.Contigs), want)
+	}
 	if err != nil {
-		return nil, contig.CleanStats{}, fmt.Errorf("cleaning payload: %w", err)
+		return nil, contig.CleanStats{}, err
 	}
 	return res, stats, nil
 }
 
-// DecodeCleaningStageReshard rebuilds a cleaning pass written under any
-// rank count and redistributes its surviving contigs onto dstRanks
-// (elastic rescale). Team-free; never panics on corrupt bytes (fuzzed).
-func DecodeCleaningStageReshard(b []byte, dstRanks int) (*contig.Result, contig.CleanStats, error) {
-	if dstRanks < 1 {
-		return nil, contig.CleanStats{}, fmt.Errorf("cleaning payload: reshard to %d ranks", dstRanks)
+// contigsOnto decodes such a payload onto n ranks by the package comment's
+// one load rule: kept as written at n partitions, dealt by ID otherwise.
+func contigsOnto(b []byte, cleaned bool, n int) (*contig.Result, contig.CleanStats, error) {
+	if n < 1 {
+		return nil, contig.CleanStats{}, fmt.Errorf("contig payload: reshard to %d ranks", n)
 	}
-	res, stats, err := DecodeCleaningStage(b, 0)
-	if err != nil {
-		return nil, contig.CleanStats{}, err
+	res, stats, err := readContigs(b, cleaned, 0)
+	if err == nil && len(res.Contigs) != n {
+		res.Contigs = xrt.Deal(res.All(), n) // All sorts by ID
 	}
-	return reshardContigResult(res, dstRanks), stats, nil
+	return res, stats, err
 }
 
-// ---------------------------------------------------------------------
-// pseudo-read carry (merge stage of the iterative-k loop)
+// DecodeContigStageReshard rebuilds a contig-generation result, written
+// under any rank count, on n ranks.
+func DecodeContigStageReshard(b []byte, n int) (*contig.Result, error) {
+	res, _, err := contigsOnto(b, false, n)
+	return res, err
+}
+
+// DecodeCleaningStageReshard rebuilds a cleaning pass's surviving contigs,
+// written under any rank count, on n ranks, and its counters.
+func DecodeCleaningStageReshard(b []byte, n int) (*contig.Result, contig.CleanStats, error) {
+	return contigsOnto(b, true, n)
+}
+
+// DecodeContigStage is DecodeContigStageReshard refusing any payload not
+// written at the team's rank count.
+func DecodeContigStage(team *xrt.Team, b []byte) (*contig.Result, error) {
+	res, _, err := readContigs(b, false, team.Config().Ranks)
+	return res, err
+}
+
+// DecodeCleaningStage rebuilds a cleaning pass as written, refusing any
+// payload without wantRanks partitions (wantRanks <= 0: any).
+func DecodeCleaningStage(b []byte, wantRanks int) (*contig.Result, contig.CleanStats, error) {
+	return readContigs(b, true, wantRanks)
+}
 
 // EncodeCarryStage serializes a pseudo-merge stage's output: the merge
 // counters and the flat, globally renumbered carried-contig list that
 // seeds the next k round.
 func EncodeCarryStage(carried []*contig.Contig, st contig.MergeStats) []byte {
-	e := newEnc(5*8 + contigsBytes(carried))
-	e.i64(st.Carried)
-	e.i64(st.Represented)
-	e.i64(st.PoppedOld)
-	e.i64(st.Rescued)
-	e.i64(st.Total)
-	e.u64(uint64(len(carried)))
-	for _, c := range carried {
-		encodeContig(e, c)
-	}
-	return e.b
+	return encode(func(c *cursor) {
+		walkMergeStats(c, &st)
+		list(c, &carried, contigRec)
+	})
 }
 
 // DecodeCarryStage rebuilds a pseudo-merge stage's carried contigs and
 // counters. Team-free; never panics on corrupt bytes (fuzzed).
 func DecodeCarryStage(b []byte) ([]*contig.Contig, contig.MergeStats, error) {
-	d := &dec{b: b}
+	c := cursor{mode: reading, b: b}
 	var st contig.MergeStats
-	st.Carried = d.i64()
-	st.Represented = d.i64()
-	st.PoppedOld = d.i64()
-	st.Rescued = d.i64()
-	st.Total = d.i64()
-	n := d.count(contigRecBytes)
 	var carried []*contig.Contig
-	for i := 0; i < n; i++ {
-		c := decodeContig(d)
-		if d.err != nil {
-			break
-		}
-		carried = append(carried, c)
-	}
-	if err := d.done(); err != nil {
-		return nil, contig.MergeStats{}, fmt.Errorf("carry payload: %w", err)
+	walkMergeStats(&c, &st)
+	list(&c, &carried, contigRec)
+	if err := c.done("carry"); err != nil {
+		return nil, contig.MergeStats{}, err
 	}
 	return carried, st, nil
 }
@@ -422,250 +350,130 @@ func DecodeCarryStage(b []byte) ([]*contig.Contig, contig.MergeStats, error) {
 // ---------------------------------------------------------------------
 // scaffolding
 
-// Wire sizes of the scaffold payload's records, each less its variable
-// part: a surviving contig (ID, length-prefixed seq, depth, two
-// terminations, four neighbor words, two neighbor flags, member count,
-// popped flag; plus the seq bytes and 8 per member), a scaffold (ID,
-// member count; plus scaffoldMemberBytes per member), a link, one
-// library's insert-size estimate, and an alignment.
-const (
-	scontigRecBytes     = 8 + 8 + 8 + 2 + 32 + 2 + 8 + 1
-	scaffoldRecBytes    = 8 + 8
-	scaffoldMemberBytes = 8 + 1 + 8
-	linkRecBytes        = 8 + 8 + 2 + 8 + 8 + 8 + 8
-	insertRecBytes      = 8 + 8
-	alignmentRecBytes   = 8*9 + 1
+func walkSContig(c *cursor, sc *scaffold.SContig) {
+	i64(c, &sc.ID)
+	blob(c, &sc.Seq)
+	f64(c, &sc.Depth)
+	u8(c, &sc.TermL)
+	u8(c, &sc.TermR)
+	walkKmer(c, &sc.NbrL)
+	walkKmer(c, &sc.NbrR)
+	flag(c, &sc.HasNbrL)
+	flag(c, &sc.HasNbrR)
+	list(c, &sc.Members, i64Rec)
+	flag(c, &sc.PoppedOut)
+}
+
+func walkMember(c *cursor, m *scaffold.Member) {
+	i64(c, &m.ContigID)
+	flag(c, &m.Flipped)
+	i64(c, &m.GapBefore)
+}
+
+var memberRec = recordOf(walkMember)
+
+func walkScaffold(c *cursor, s *scaffold.Scaffold) {
+	i64(c, &s.ID)
+	list(c, &s.Members, memberRec)
+}
+
+func walkLink(c *cursor, l *scaffold.Link) {
+	i64(c, &l.A)
+	i64(c, &l.B)
+	u8(c, &l.EndA)
+	u8(c, &l.EndB)
+	f64(c, &l.Gap)
+	f64(c, &l.GapSD)
+	i64(c, &l.Splints)
+	i64(c, &l.Spans)
+}
+
+func walkAlignment(c *cursor, a *aligner.Alignment) {
+	i64(c, &a.ContigID)
+	i64(c, &a.RStart)
+	i64(c, &a.REnd)
+	i64(c, &a.CStart)
+	i64(c, &a.CEnd)
+	flag(c, &a.Flipped)
+	i64(c, &a.Matches)
+	i64(c, &a.Score)
+	i64(c, &a.ReadLen)
+	i64(c, &a.ContigLen)
+}
+
+var (
+	scontigsRec = listOf(ptrTo(recordOf(walkSContig)))
+	scaffoldRec = ptrTo(recordOf(walkScaffold))
+	linkRec     = recordOf(walkLink)
+	// alignmentsRec is one library's alignments: per rank, per read.
+	alignmentsRec = listOf(listOf(listOf(recordOf(walkAlignment))))
 )
 
-// scaffoldStageBytes is the wire size of EncodeScaffoldStage's output.
-func scaffoldStageBytes(res *scaffold.Result) int {
-	n := 8
-	for _, cs := range res.ContigsByRank {
-		n += 8 + len(cs)*scontigRecBytes
-		for _, sc := range cs {
-			n += len(sc.Seq) + 8*len(sc.Members)
-		}
+// walkScaffoldResult: contigs from the per-rank distribution (which also
+// carries the map's full content), scaffolds, links, one (mean, sd)
+// insert-size estimate per library under a single count, the bubble count,
+// and every library's alignments.
+func walkScaffoldResult(c *cursor, r *scaffold.Result) {
+	list(c, &r.ContigsByRank, scontigsRec)
+	list(c, &r.Scaffolds, scaffoldRec)
+	list(c, &r.Links, linkRec)
+	n := c.count(len(r.InsertMean), 2*f64Rec.size)
+	if c.mode == reading {
+		r.InsertMean, r.InsertSD = make([]float64, n), make([]float64, n)
 	}
-	n += 8 + len(res.Scaffolds)*scaffoldRecBytes
-	for _, s := range res.Scaffolds {
-		n += len(s.Members) * scaffoldMemberBytes
+	for i := range r.InsertMean {
+		f64(c, &r.InsertMean[i])
+		f64(c, &r.InsertSD[i])
 	}
-	n += 8 + len(res.Links)*linkRecBytes
-	n += 8 + len(res.InsertMean)*insertRecBytes
-	n += 8 + 8 // the bubble count, the library count
-	for _, lib := range res.Alignments {
-		n += 8
-		for _, rank := range lib {
-			n += 8 + 8*len(rank)
-			for _, alns := range rank {
-				n += len(alns) * alignmentRecBytes
-			}
-		}
-	}
-	return n
+	i64(c, &r.Bubbles)
+	list(c, &r.Alignments, alignmentsRec)
 }
 
 // EncodeScaffoldStage serializes a scaffolding result (minus the seed
-// index — see the package comment). Contigs are encoded from the
-// per-rank distribution, which also carries the map's full content.
+// index — see the package comment).
 func EncodeScaffoldStage(res *scaffold.Result) []byte {
-	e := newEnc(scaffoldStageBytes(res))
-	e.u64(uint64(len(res.ContigsByRank)))
-	for _, cs := range res.ContigsByRank {
-		e.u64(uint64(len(cs)))
-		for _, sc := range cs {
-			e.i64(sc.ID)
-			e.bytes(sc.Seq)
-			e.f64(sc.Depth)
-			e.u8(sc.TermL)
-			e.u8(sc.TermR)
-			e.u64(sc.NbrL.W[0])
-			e.u64(sc.NbrL.W[1])
-			e.u64(sc.NbrR.W[0])
-			e.u64(sc.NbrR.W[1])
-			e.bool(sc.HasNbrL)
-			e.bool(sc.HasNbrR)
-			e.u64(uint64(len(sc.Members)))
-			for _, m := range sc.Members {
-				e.i64(m)
-			}
-			e.bool(sc.PoppedOut)
-		}
-	}
-	e.u64(uint64(len(res.Scaffolds)))
-	for _, s := range res.Scaffolds {
-		e.i64(int64(s.ID))
-		e.u64(uint64(len(s.Members)))
-		for _, m := range s.Members {
-			e.i64(m.ContigID)
-			e.bool(m.Flipped)
-			e.i64(int64(m.GapBefore))
-		}
-	}
-	e.u64(uint64(len(res.Links)))
-	for _, l := range res.Links {
-		e.i64(l.A)
-		e.i64(l.B)
-		e.u8(l.EndA)
-		e.u8(l.EndB)
-		e.f64(l.Gap)
-		e.f64(l.GapSD)
-		e.i64(int64(l.Splints))
-		e.i64(int64(l.Spans))
-	}
-	e.u64(uint64(len(res.InsertMean)))
-	for i := range res.InsertMean {
-		e.f64(res.InsertMean[i])
-		e.f64(res.InsertSD[i])
-	}
-	e.i64(int64(res.Bubbles))
-	e.u64(uint64(len(res.Alignments)))
-	for _, lib := range res.Alignments {
-		e.u64(uint64(len(lib)))
-		for _, rank := range lib {
-			e.u64(uint64(len(rank)))
-			for _, alns := range rank {
-				e.u64(uint64(len(alns)))
-				for _, a := range alns {
-					e.i64(a.ContigID)
-					e.i64(int64(a.RStart))
-					e.i64(int64(a.REnd))
-					e.i64(int64(a.CStart))
-					e.i64(int64(a.CEnd))
-					e.bool(a.Flipped)
-					e.i64(int64(a.Matches))
-					e.i64(int64(a.Score))
-					e.i64(int64(a.ReadLen))
-					e.i64(int64(a.ContigLen))
-				}
-			}
-		}
-	}
-	return e.b
-}
-
-// DecodeScaffoldStage rebuilds a scaffolding result for a team with the
-// same rank count the checkpoint was written under: the contig map is
-// the union of the per-rank lists, exactly as scaffolding itself leaves
-// it. Resuming on a different rank count goes through
-// DecodeScaffoldStageAny plus a re-shard transform.
-func DecodeScaffoldStage(team *xrt.Team, b []byte) (*scaffold.Result, error) {
-	res, ranks, err := DecodeScaffoldStageAny(b)
-	if err != nil {
-		return nil, err
-	}
-	if ranks != team.Config().Ranks {
-		return nil, fmt.Errorf("scaffold payload: %d rank partitions, team has %d",
-			ranks, team.Config().Ranks)
-	}
-	return res, nil
+	return encode(func(c *cursor) { walkScaffoldResult(c, res) })
 }
 
 // DecodeScaffoldStageAny rebuilds a scaffolding result written under any
-// rank count, returning the source rank count alongside it. The per-rank
-// structures (ContigsByRank, Alignments) are left in the source
-// partition; callers rescaling onto a different rank count apply
-// ReshardScaffoldContigs and remap the alignments against their own read
+// rank count, returning that count alongside it; the contig map is the
+// union of the per-rank lists, exactly as scaffolding itself leaves it.
+// The per-rank structures (ContigsByRank, Alignments) are left in the
+// source partition: a caller on another rank count applies
+// ReshardScaffoldContigs and remaps the alignments against its own read
 // partition. Team-free; never panics on corrupt bytes (fuzzed).
 func DecodeScaffoldStageAny(b []byte) (*scaffold.Result, int, error) {
-	d := &dec{b: b}
+	c := cursor{mode: reading, b: b}
 	res := &scaffold.Result{Contigs: make(map[int64]*scaffold.SContig)}
-	ranks := d.count(8)
-	res.ContigsByRank = make([][]*scaffold.SContig, ranks)
-	for r := 0; r < ranks; r++ {
-		n := d.count(scontigRecBytes)
-		for i := 0; i < n; i++ {
-			sc := &scaffold.SContig{}
-			sc.ID = d.i64()
-			sc.Seq = d.bytes()
-			sc.Depth = d.f64()
-			sc.TermL = d.u8()
-			sc.TermR = d.u8()
-			sc.NbrL.W[0] = d.u64()
-			sc.NbrL.W[1] = d.u64()
-			sc.NbrR.W[0] = d.u64()
-			sc.NbrR.W[1] = d.u64()
-			sc.HasNbrL = d.bool()
-			sc.HasNbrR = d.bool()
-			nm := d.count(8)
-			for j := 0; j < nm; j++ {
-				sc.Members = append(sc.Members, d.i64())
-			}
-			sc.PoppedOut = d.bool()
-			if d.err != nil {
-				break
-			}
-			res.ContigsByRank[r] = append(res.ContigsByRank[r], sc)
+	walkScaffoldResult(&c, res)
+	if err := c.done("scaffold"); err != nil {
+		return nil, 0, err
+	}
+	for _, cs := range res.ContigsByRank {
+		for _, sc := range cs {
 			res.Contigs[sc.ID] = sc
 		}
 	}
-	ns := d.count(scaffoldRecBytes)
-	for i := 0; i < ns; i++ {
-		s := &scaffold.Scaffold{ID: int(d.i64())}
-		nm := d.count(scaffoldMemberBytes)
-		for j := 0; j < nm; j++ {
-			s.Members = append(s.Members, scaffold.Member{
-				ContigID:  d.i64(),
-				Flipped:   d.bool(),
-				GapBefore: int(d.i64()),
-			})
-		}
-		if d.err != nil {
-			break
-		}
-		res.Scaffolds = append(res.Scaffolds, s)
+	return res, len(res.ContigsByRank), nil
+}
+
+// DecodeScaffoldStage is DecodeScaffoldStageAny refusing any payload not
+// written at the team's rank count.
+func DecodeScaffoldStage(team *xrt.Team, b []byte) (*scaffold.Result, error) {
+	res, ranks, err := DecodeScaffoldStageAny(b)
+	if err == nil && ranks != team.Config().Ranks {
+		return nil, fmt.Errorf("scaffold payload: %d rank partitions, team has %d",
+			ranks, team.Config().Ranks)
 	}
-	nl := d.count(linkRecBytes)
-	for i := 0; i < nl; i++ {
-		res.Links = append(res.Links, scaffold.Link{
-			A: d.i64(), B: d.i64(),
-			EndA: d.u8(), EndB: d.u8(),
-			Gap: d.f64(), GapSD: d.f64(),
-			Splints: int(d.i64()), Spans: int(d.i64()),
-		})
-	}
-	ni := d.count(insertRecBytes)
-	for i := 0; i < ni; i++ {
-		res.InsertMean = append(res.InsertMean, d.f64())
-		res.InsertSD = append(res.InsertSD, d.f64())
-	}
-	res.Bubbles = int(d.i64())
-	nlib := d.count(8)
-	for li := 0; li < nlib; li++ {
-		nr := d.count(8)
-		lib := make([][][]aligner.Alignment, nr)
-		for r := 0; r < nr; r++ {
-			nread := d.count(8)
-			lib[r] = make([][]aligner.Alignment, nread)
-			for ri := 0; ri < nread; ri++ {
-				na := d.count(alignmentRecBytes)
-				for ai := 0; ai < na; ai++ {
-					lib[r][ri] = append(lib[r][ri], aligner.Alignment{
-						ContigID: d.i64(),
-						RStart:   int(d.i64()), REnd: int(d.i64()),
-						CStart: int(d.i64()), CEnd: int(d.i64()),
-						Flipped: d.bool(),
-						Matches: int(d.i64()), Score: int(d.i64()),
-						ReadLen: int(d.i64()), ContigLen: int(d.i64()),
-					})
-				}
-			}
-		}
-		res.Alignments = append(res.Alignments, lib)
-	}
-	if err := d.done(); err != nil {
-		return nil, 0, fmt.Errorf("scaffold payload: %w", err)
-	}
-	return res, ranks, nil
+	return res, err
 }
 
 // ReshardScaffoldContigs redistributes a decoded scaffold result's
-// surviving contigs onto dstRanks: the global contig set (IDs are
-// globally deterministic content-hash ranks) is ordered by ID and dealt
-// round-robin, the same owner-computes layout the contig re-shard uses.
-// Global structures (Contigs map, Scaffolds, Links, insert estimates)
-// are untouched; Alignments remain in the source read partition and are
-// remapped separately against the resuming run's own read layout.
+// surviving contigs onto dstRanks: ordered by ID and dealt round-robin,
+// the layout the contig re-shard uses. Global structures (Contigs map,
+// Scaffolds, Links, insert estimates) are untouched; Alignments remain in
+// the source read partition and are remapped separately against the
+// resuming run's own read layout.
 func ReshardScaffoldContigs(res *scaffold.Result, dstRanks int) error {
 	if dstRanks < 1 {
 		return fmt.Errorf("scaffold payload: reshard to %d ranks", dstRanks)
@@ -682,44 +490,29 @@ func ReshardScaffoldContigs(res *scaffold.Result, dstRanks int) error {
 // ---------------------------------------------------------------------
 // gap closing
 
+func walkGapcloseResult(c *cursor, r *gapclose.Result) {
+	i64(c, &r.Gaps)
+	i64(c, &r.Closed)
+	i64(c, &r.BySpanning)
+	i64(c, &r.ByWalking)
+	i64(c, &r.ByPatching)
+	i64(c, &r.Verified)
+	i64(c, &r.Checked)
+	list(c, &r.ScaffoldSeqs, blobRec)
+}
+
 // EncodeGapcloseStage serializes a gap-closing result.
 func EncodeGapcloseStage(res *gapclose.Result) []byte {
-	size := 7*8 + 8 + 8*len(res.ScaffoldSeqs)
-	for _, s := range res.ScaffoldSeqs {
-		size += len(s)
-	}
-	e := newEnc(size)
-	e.i64(int64(res.Gaps))
-	e.i64(int64(res.Closed))
-	e.i64(int64(res.BySpanning))
-	e.i64(int64(res.ByWalking))
-	e.i64(int64(res.ByPatching))
-	e.i64(int64(res.Verified))
-	e.i64(int64(res.Checked))
-	e.u64(uint64(len(res.ScaffoldSeqs)))
-	for _, s := range res.ScaffoldSeqs {
-		e.bytes(s)
-	}
-	return e.b
+	return encode(func(c *cursor) { walkGapcloseResult(c, res) })
 }
 
 // DecodeGapcloseStage rebuilds a gap-closing result.
 func DecodeGapcloseStage(b []byte) (*gapclose.Result, error) {
-	d := &dec{b: b}
+	c := cursor{mode: reading, b: b}
 	res := &gapclose.Result{}
-	res.Gaps = int(d.i64())
-	res.Closed = int(d.i64())
-	res.BySpanning = int(d.i64())
-	res.ByWalking = int(d.i64())
-	res.ByPatching = int(d.i64())
-	res.Verified = int(d.i64())
-	res.Checked = int(d.i64())
-	n := d.count(8)
-	for i := 0; i < n; i++ {
-		res.ScaffoldSeqs = append(res.ScaffoldSeqs, d.bytes())
-	}
-	if err := d.done(); err != nil {
-		return nil, fmt.Errorf("gap-closing payload: %w", err)
+	walkGapcloseResult(&c, res)
+	if err := c.done("gap-closing"); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

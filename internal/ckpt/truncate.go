@@ -1,30 +1,18 @@
 package ckpt
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-)
-
 // Truncate rewrites a run directory's manifest keeping only the stage
 // entries the keep predicate admits, preserving order. The scheduler
 // uses it to preempt a running job at a stage boundary: the entries of
 // stages past the preemption point are dropped, so a later -resume
 // recomputes them while the kept prefix rehydrates as usual. Dropped
-// segment files stay on disk unreferenced — WriteStage replaces them by
-// name when the resumed run re-reaches those stages.
+// segment files stay on disk unreferenced — WriteStageRound replaces them
+// by name when the resumed run re-reaches those stages.
 //
 // The fingerprint and topology are untouched: the truncated directory
 // is exactly what a crash inside the first dropped stage would have
 // left behind. Returns the number of entries removed.
 func Truncate(dir string, keep func(stage string) bool) (int, error) {
-	path := filepath.Join(dir, ManifestName)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("ckpt: truncating: %w", err)
-	}
-	m, err := ParseManifest(b)
+	m, err := readManifest(dir)
 	if err != nil {
 		return 0, err
 	}
@@ -39,12 +27,8 @@ func Truncate(dir string, keep func(stage string) bool) (int, error) {
 		return 0, nil
 	}
 	m.Stages = kept
-	nb, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return 0, fmt.Errorf("ckpt: encoding truncated manifest: %w", err)
-	}
-	if err := atomicWrite(path, append(nb, '\n')); err != nil {
-		return 0, fmt.Errorf("ckpt: writing truncated manifest: %w", err)
+	if err := writeManifest(dir, m); err != nil {
+		return 0, err
 	}
 	return removed, nil
 }

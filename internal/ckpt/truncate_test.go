@@ -15,7 +15,7 @@ func TestTruncate(t *testing.T) {
 	}
 	stages := []string{"io", "kmer-analysis", "contig-generation", "scaffolding"}
 	for _, st := range stages {
-		if _, err := s.WriteStage(st, []byte("payload of "+st)); err != nil {
+		if _, err := s.WriteStageRound(st, 0, []byte("payload of "+st)); err != nil {
 			t.Fatal(err)
 		}
 	}

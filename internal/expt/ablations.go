@@ -28,7 +28,7 @@ func AblationBloom(sc Scale) ([]AblationBloomRow, string) {
 	var rows []AblationBloomRow
 	for _, ds := range genomes {
 		_, libs, _ := sc.dataset(ds)
-		parts := splitPairs(mergeLibs(libs), p)
+		parts := xrt.DealPairs(mergeLibs(libs), p)
 		run := func(disable bool) *kanalysis.Result {
 			team := xrt.NewTeam(sc.teamCfg(p))
 			return kanalysis.Run(team, parts, kanalysis.Options{
@@ -76,7 +76,7 @@ type AblationAggRow struct {
 func AblationAggStores(sc Scale) ([]AblationAggRow, string) {
 	p := sc.Cores[len(sc.Cores)/2]
 	_, libs, _ := sc.dataset("human")
-	parts := splitPairs(mergeLibs(libs), p)
+	parts := xrt.DealPairs(mergeLibs(libs), p)
 	var rows []AblationAggRow
 	for _, buf := range []int{1, 8, 64, 512, 4096} {
 		team := xrt.NewTeam(sc.teamCfg(p))

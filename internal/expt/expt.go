@@ -15,7 +15,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
 	"hipmer/internal/kanalysis"
 	"hipmer/internal/pipeline"
@@ -110,16 +109,6 @@ func (sc Scale) dataset(name string) (ref []byte, libs []pipeline.Library, err e
 	return ref, libs, err
 }
 
-// splitPairs distributes interleaved pair records round-robin by pair.
-func splitPairs(recs []fastq.Record, p int) [][]fastq.Record {
-	parts := make([][]fastq.Record, p)
-	for i := 0; i+1 < len(recs); i += 2 {
-		r := (i / 2) % p
-		parts[r] = append(parts[r], recs[i], recs[i+1])
-	}
-	return parts
-}
-
 // commPct estimates the paper's "percentage of communication": the share
 // of the critical-path time not explained by perfectly balanced local
 // compute — i.e. message costs plus the wait caused by receiver-side load
@@ -198,7 +187,7 @@ func Fig6(sc Scale) ([]Fig6Row, string) {
 	var rows []Fig6Row
 	for _, p := range sc.Cores {
 		row := Fig6Row{Cores: p}
-		parts := splitPairs(recs, p)
+		parts := xrt.DealPairs(recs, p)
 		for _, hh := range []bool{false, true} {
 			team := xrt.NewTeam(sc.teamCfg(p))
 			io := team.Run(func(r *xrt.Rank) { r.ChargeIORead(inputBytes / int64(p)) })

@@ -60,7 +60,7 @@ func (r BenchRow) VirtualRatio() float64 {
 // super-k-mer transport and the per-k-mer ablation — and reports both
 // sides' stage-1 communication from the team's aggregate counters.
 func benchPoint(sc Scale, dataset string, recs []fastq.Record, p int) BenchRow {
-	parts := splitPairs(recs, p)
+	parts := xrt.DealPairs(recs, p)
 	row := BenchRow{Dataset: dataset, Cores: p}
 	for _, disable := range []bool{false, true} {
 		team := xrt.NewTeam(sc.teamCfg(p))

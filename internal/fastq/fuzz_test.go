@@ -13,14 +13,14 @@ import (
 func FuzzParse(f *testing.F) {
 	f.Add([]byte("@r1\nACGT\n+\nIIII\n"))
 	f.Add([]byte("@r1/1\nACGTN\n+r1/1\nIIIII\n@r1/2\nTTTT\n+\nJJJJ\n"))
-	f.Add([]byte("@a\nAC\r\n+\r\nII\r\n"))       // CRLF line endings
-	f.Add([]byte("\n\n@b\nGG\n+\nII\n\n"))       // blank lines between records
-	f.Add([]byte("@q\n@@++\n+\n@+II\n"))         // quality/sequence full of metachars
-	f.Add([]byte("@trunc\nACGT\n+"))             // truncated at the separator
-	f.Add([]byte("no header at all"))            // malformed from byte 0
-	f.Add([]byte("@x\nACGT\n+\nII\n"))           // qual shorter than seq
-	f.Add([]byte("@\nA\n+\nI\n"))                // empty ID
-	f.Add([]byte("@y\n\n+\n\n"))                 // empty sequence
+	f.Add([]byte("@a\nAC\r\n+\r\nII\r\n")) // CRLF line endings
+	f.Add([]byte("\n\n@b\nGG\n+\nII\n\n")) // blank lines between records
+	f.Add([]byte("@q\n@@++\n+\n@+II\n"))   // quality/sequence full of metachars
+	f.Add([]byte("@trunc\nACGT\n+"))       // truncated at the separator
+	f.Add([]byte("no header at all"))      // malformed from byte 0
+	f.Add([]byte("@x\nACGT\n+\nII\n"))     // qual shorter than seq
+	f.Add([]byte("@\nA\n+\nI\n"))          // empty ID
+	f.Add([]byte("@y\n\n+\n\n"))           // empty sequence
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ParseAll(data)
 		if err == nil {

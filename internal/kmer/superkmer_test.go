@@ -114,9 +114,9 @@ func TestDecodeSuperKmersRejectsMalformed(t *testing.T) {
 		t.Fatal("encode failed")
 	}
 	bad := [][]byte{
-		rec[:len(rec)-1],          // truncated bases
-		rec[:1],                   // truncated header
-		append(rec[:0:0], 0, 0),   // L = 0 < k
+		rec[:len(rec)-1],               // truncated bases
+		rec[:1],                        // truncated header
+		append(rec[:0:0], 0, 0),        // L = 0 < k
 		append(bytes.Clone(rec), 0xff), // trailing garbage
 	}
 	for i, p := range bad {

@@ -38,19 +38,6 @@ func (d *diskInjector) take() xrt.DiskFaultKind {
 	return k
 }
 
-// installInjector arms the team's disk-fault plan on a freshly opened
-// store (no-op when the plan is disabled).
-func (env *stageEnv) installInjector(store *ckpt.Store) {
-	plan := env.team.Config().Inject.Disk()
-	if !plan.Enabled() {
-		return
-	}
-	if env.disk == nil {
-		env.disk = &diskInjector{plan: plan}
-	}
-	store.SetInjector(env.disk)
-}
-
 // healableCkptErr reports whether a loadStage failure is storage damage
 // a scrub pass can heal: a segment that fails validation or is missing
 // outright. Everything else (codec bugs, unparsable manifests, I/O
@@ -72,24 +59,10 @@ func healCkpt(env *stageEnv, fp string) (*ckpt.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := ckpt.Resume(env.cfg.CkptDir, fp)
+	store, err := openStore(env, fp, true)
 	if err != nil {
 		return nil, err
 	}
-	// The run adopted the directory's topology when it first opened the
-	// store; re-assert it in case this team differs from the recorded
-	// geometry (a rescaled resume that hit damage).
-	topo := ckpt.Topology{
-		Ranks:        env.team.Config().Ranks,
-		RanksPerNode: env.team.Config().RanksPerNode,
-	}
-	if store.Topology() != topo {
-		if err := store.AdoptTopology(topo); err != nil {
-			return nil, err
-		}
-	}
-	env.installInjector(store)
-
 	team := env.team
 	team.BeginSpan("checkpoint-scrub")
 	team.AddCounter("scrub_repaired_bytes", rep.RepairedBytes)

@@ -5,7 +5,6 @@
 package pipeline
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -224,11 +223,7 @@ func Run(team *xrt.Team, libs []Library, cfg Config) (*Result, error) {
 	stages := buildStages(cfg)
 	crash := inj.Crash()
 
-	env := &stageEnv{
-		team: team, cfg: cfg, libs: libs, res: &Result{},
-		cleanStat: map[string]contig.CleanStats{},
-		mergeStat: map[string]contig.MergeStats{},
-	}
+	env := &stageEnv{team: team, cfg: cfg, libs: libs, res: &Result{}}
 	var store *ckpt.Store
 	var fp string
 	for _, st := range stages {
@@ -265,50 +260,12 @@ func Run(team *xrt.Team, libs []Library, cfg Config) (*Result, error) {
 		if st.name == "io" && cfg.CkptDir != "" {
 			// The store opens only after io: the fingerprint's domain is
 			// the parsed read content, so io always reruns.
-			var ferr error
-			fp, ferr = runFingerprint(team, cfg, libs, env.readLibs)
-			if ferr != nil {
-				return nil, ferr
+			if fp, err = runFingerprint(team, cfg, libs, env.readLibs); err != nil {
+				return nil, err
 			}
-			var serr error
-			if cfg.Resume {
-				store, serr = ckpt.Resume(cfg.CkptDir, fp)
-				if errors.Is(serr, ckpt.ErrBadManifest) {
-					// An unparsable manifest cannot seed a resume and Scrub
-					// cannot heal it either: there is no trustworthy record
-					// of an intact prefix.
-					serr = fmt.Errorf("%w: %w", ckpt.ErrUnrecoverableCkpt, serr)
-				}
-				if serr == nil {
-					// Per-entry source partitions drive load-time
-					// re-sharding (elastic rescale); only oracle-placed
-					// runs refuse a rank-count difference. A rescaled
-					// resume adopts the directory: stages it writes are
-					// stamped with its own rank count and the recorded
-					// topology now names this run's geometry.
-					topo := ckpt.Topology{
-						Ranks:        team.Config().Ranks,
-						RanksPerNode: team.Config().RanksPerNode,
-					}
-					if err := checkRescale(cfg, store, team.Config().Ranks); err != nil {
-						return nil, err
-					}
-					if store.Topology() != topo {
-						if err := store.AdoptTopology(topo); err != nil {
-							return nil, err
-						}
-					}
-				}
-			} else {
-				store, serr = ckpt.Create(cfg.CkptDir, fp, ckpt.Topology{
-					Ranks:        team.Config().Ranks,
-					RanksPerNode: team.Config().RanksPerNode,
-				})
+			if store, err = openStore(env, fp, cfg.Resume); err != nil {
+				return nil, err
 			}
-			if serr != nil {
-				return nil, serr
-			}
-			env.installInjector(store)
 		}
 		if store != nil && st.save != nil {
 			if err := saveStage(env, store, st); err != nil {
@@ -381,10 +338,7 @@ func runIO(env *stageEnv) error {
 			for _, rec := range lib.Records {
 				bytes += int64(len(rec.ID) + len(rec.Seq) + len(rec.Qual) + 6)
 			}
-			for i := 0; i+1 < len(lib.Records); i += 2 {
-				r := (i / 2) % p
-				parts[r] = append(parts[r], lib.Records[i], lib.Records[i+1])
-			}
+			parts = xrt.DealPairs(lib.Records, p)
 			team.Run(func(r *xrt.Rank) { r.ChargeIORead(bytes / int64(p)) })
 		}
 		readLibs[li] = scaffold.ReadLib{

@@ -8,10 +8,10 @@
 //     count (repairPairs only moves a record across an adjacent part
 //     boundary, preserving the concatenation), so file order IS the
 //     global order;
-//   - in-memory record libraries: runIO deals pair j to rank j%p, so the
-//     global order is recovered by un-dealing (pair j sits at
-//     parts[j%p][2⌊j/p⌋..]) and the target layout by re-dealing with the
-//     target p.
+//   - in-memory record libraries: runIO deals pair j to rank j%p
+//     (xrt.DealPairs), so the global order is recovered by un-dealing
+//     (pair j sits at parts[j%p][2⌊j/p⌋..]) and the target layout by
+//     re-dealing with the target p.
 //
 // Contig-shaped state re-shards by sorting on the globally deterministic
 // content-hash IDs and round-robin dealing — the same owner-computes
@@ -25,6 +25,7 @@ import (
 
 	"hipmer/internal/ckpt"
 	"hipmer/internal/scaffold"
+	"hipmer/internal/xrt"
 )
 
 // globalFromPairDeal reconstructs the global element order from a
@@ -82,9 +83,8 @@ func globalOrder[T any](lib Library, parts [][]T) ([]T, error) {
 // sequential split for path libraries, round-robin pair deal for record
 // libraries. Any size mismatch with the target layout is an error.
 func dealToPartition[T any](lib Library, global []T, dstCounts []int) ([][]T, error) {
-	p := len(dstCounts)
-	out := make([][]T, p)
 	if lib.Path != "" {
+		out := make([][]T, len(dstCounts))
 		off := 0
 		for r, n := range dstCounts {
 			if off+n > len(global) {
@@ -101,10 +101,7 @@ func dealToPartition[T any](lib Library, global []T, dstCounts []int) ([][]T, er
 	if len(global)%2 != 0 {
 		return nil, fmt.Errorf("%d global records, not whole pairs", len(global))
 	}
-	for j := 0; j+1 < len(global); j += 2 {
-		r := (j / 2) % p
-		out[r] = append(out[r], global[j], global[j+1])
-	}
+	out := xrt.DealPairs(global, len(dstCounts))
 	for r, n := range dstCounts {
 		if len(out[r]) != n {
 			return nil, fmt.Errorf("re-dealt rank %d holds %d records, target io layout holds %d", r, len(out[r]), n)

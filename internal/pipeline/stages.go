@@ -63,31 +63,17 @@ type stageEnv struct {
 	// at any stage boundary sees the same carried set a straight run
 	// would.
 	carried []*contig.Contig
-	// cleanStat / mergeStat record each cleaning or merge stage's
-	// counters by stage name, for its save codec.
-	cleanStat map[string]contig.CleanStats
-	mergeStat map[string]contig.MergeStats
+	// cleanStat / mergeStat are the counters of the cleaning or merge stage
+	// that ran last, for its save codec (a stage is saved right after it
+	// runs, never after it loads).
+	cleanStat contig.CleanStats
+	mergeStat contig.MergeStats
 
 	// disk is the armed storage-fault injector, nil when the team's
 	// Inject arms no disk fault. Installed on every store this run opens
 	// (including a reopen after a heal) so one injection plan survives
 	// the swap.
 	disk *diskInjector
-
-	// srcRanks is the source partition of the stage entry currently
-	// being loaded — the rank count of the run that wrote it, stamped
-	// per entry in the manifest (zero outside loadStage). A checkpoint
-	// directory can mix partitions: a rescaled resume appends stages at
-	// its own rank count next to the original run's, so the re-shard
-	// decision is per entry, not per manifest.
-	srcRanks int
-}
-
-// rescaling reports whether the stage entry being loaded was written at
-// a different rank count than this team's (elastic rescale), i.e. the
-// load must re-shard its payload onto the current partition.
-func (env *stageEnv) rescaling() bool {
-	return env.srcRanks != 0 && env.srcRanks != env.team.Config().Ranks
 }
 
 // stage is one registry entry. save/load are nil for stages that cannot
@@ -99,7 +85,7 @@ type stage struct {
 	name  string
 	round int
 	run   func(env *stageEnv) error
-	save  func(env *stageEnv) ([]byte, error)
+	save  func(env *stageEnv) []byte
 	load  func(env *stageEnv, payload []byte) error
 }
 
@@ -111,45 +97,29 @@ type stage struct {
 // then (unless ContigsOnly) scaffolding and gap closing, with one extra
 // scaffolding/gap-closing pair per additional ScaffoldRounds round.
 func buildStages(cfg Config) []stage {
-	saveKmer := func(k int) func(env *stageEnv) ([]byte, error) {
-		return func(env *stageEnv) ([]byte, error) {
+	saveKmer := func(k int) func(env *stageEnv) []byte {
+		return func(env *stageEnv) []byte {
 			m := kanalysis.EffectiveMinimizerLen(k,
 				env.cfg.MinimizerLen, env.cfg.DisableSuperKmers)
-			return ckpt.EncodeKmerStage(env.res.KAnalysis, k, m), nil
+			return ckpt.EncodeKmerStage(env.res.KAnalysis, k, m)
 		}
 	}
-	// loadKmer needs no re-shard branch: the payload lists entries in
-	// global k-mer order and the decoder repartitions them through the
-	// current team's OwnerHash placement, so any rank count rebuilds the
-	// same table.
-	loadKmer := func(env *stageEnv, payload []byte) error {
-		ka, err := ckpt.DecodeKmerStage(env.team, payload, env.cfg.AggBufSize)
-		if err != nil {
-			return err
-		}
-		env.res.KAnalysis = ka
-		return nil
+	// Every load lands its payload on this team whatever rank count wrote
+	// it: the k-mer decoder places entries by the team's owner function,
+	// the contig-shaped decoders keep or re-deal their per-rank lists (see
+	// the ckpt package comment), the payload itself saying which.
+	loadKmer := func(env *stageEnv, payload []byte) (err error) {
+		env.res.KAnalysis, err = ckpt.DecodeKmerStage(env.team, payload, env.cfg.AggBufSize)
+		return err
 	}
-	saveContig := func(env *stageEnv) ([]byte, error) {
-		return ckpt.EncodeContigStage(env.res.Contigs), nil
+	saveContig := func(env *stageEnv) []byte {
+		return ckpt.EncodeContigStage(env.res.Contigs)
 	}
-	loadContig := func(env *stageEnv, payload []byte) error {
+	loadContig := func(env *stageEnv, payload []byte) (err error) {
 		// The de Bruijn graph is not checkpointed (nothing
 		// downstream reads it); Result.Graph stays nil on resume.
-		if env.rescaling() {
-			cr, err := ckpt.DecodeContigStageReshard(payload, env.team.Config().Ranks)
-			if err != nil {
-				return err
-			}
-			env.res.Contigs = cr
-			return nil
-		}
-		cr, err := ckpt.DecodeContigStage(env.team, payload)
-		if err != nil {
-			return err
-		}
-		env.res.Contigs = cr
-		return nil
+		env.res.Contigs, err = ckpt.DecodeContigStageReshard(payload, env.team.Config().Ranks)
+		return err
 	}
 
 	sts := []stage{{name: "io", run: runIO}}
@@ -164,52 +134,38 @@ func buildStages(cfg Config) []stage {
 		mergeK := cfg.KmerLens[0]
 		for i, k := range cfg.KmerLens {
 			round, k, usePseudo := i+1, k, i > 0
-			tipName := fmt.Sprintf("tip-clip-k%d", k)
-			bubName := fmt.Sprintf("bubble-pop-k%d", k)
-			mrgName := fmt.Sprintf("pseudo-merge-k%d", k)
 			sts = append(sts,
 				stage{name: fmt.Sprintf("kmer-analysis-k%d", k), round: round,
 					run: runKmerAnalysisRound(k, usePseudo), save: saveKmer(k), load: loadKmer},
 				stage{name: fmt.Sprintf("contig-generation-k%d", k), round: round,
 					run: runContigRound(k), save: saveContig, load: loadContig},
-				stage{name: tipName, round: round,
-					run: runTipClip(tipName, k), save: saveClean(tipName), load: loadClean},
-				stage{name: bubName, round: round,
-					run: runBubblePop(bubName, k), save: saveClean(bubName), load: loadClean},
-				stage{name: mrgName, round: round,
-					run: runPseudoMerge(mrgName, mergeK, k), save: saveCarry(mrgName), load: loadCarry},
+				stage{name: fmt.Sprintf("tip-clip-k%d", k), round: round,
+					run: runTipClip(k), save: saveClean, load: loadClean},
+				stage{name: fmt.Sprintf("bubble-pop-k%d", k), round: round,
+					run: runBubblePop(k), save: saveClean, load: loadClean},
+				stage{name: fmt.Sprintf("pseudo-merge-k%d", k), round: round,
+					run: runPseudoMerge(mergeK, k), save: saveCarry, load: loadCarry},
 			)
 		}
 	}
 	if cfg.ContigsOnly {
 		return sts
 	}
-	saveScaffold := func(env *stageEnv) ([]byte, error) {
-		return ckpt.EncodeScaffoldStage(env.res.Scaffold), nil
+	saveScaffold := func(env *stageEnv) []byte {
+		return ckpt.EncodeScaffoldStage(env.res.Scaffold)
 	}
 	loadScaffold := func(env *stageEnv, payload []byte) error {
 		// The seed index is not checkpointed (gap closing consumes the
 		// alignments, never the index); Result.Index stays nil on resume.
-		if env.rescaling() {
-			sr, _, err := ckpt.DecodeScaffoldStageAny(payload)
-			if err != nil {
-				return err
-			}
-			if err := reshardScaffold(env, sr); err != nil {
-				return err
-			}
-			env.res.Scaffold = sr
-			return nil
-		}
-		sr, err := ckpt.DecodeScaffoldStage(env.team, payload)
-		if err != nil {
-			return err
+		sr, writtenAt, err := ckpt.DecodeScaffoldStageAny(payload)
+		if err == nil && writtenAt != env.team.Config().Ranks {
+			err = reshardScaffold(env, sr)
 		}
 		env.res.Scaffold = sr
-		return nil
+		return err
 	}
-	saveGapclose := func(env *stageEnv) ([]byte, error) {
-		return ckpt.EncodeGapcloseStage(env.res.Gapclose), nil
+	saveGapclose := func(env *stageEnv) []byte {
+		return ckpt.EncodeGapcloseStage(env.res.Gapclose)
 	}
 	loadGapclose := func(env *stageEnv, payload []byte) error {
 		gr, err := ckpt.DecodeGapcloseStage(payload)
@@ -310,20 +266,20 @@ func runContigRound(k int) func(env *stageEnv) error {
 	}
 }
 
-func runTipClip(name string, k int) func(env *stageEnv) error {
+func runTipClip(k int) func(env *stageEnv) error {
 	return func(env *stageEnv) error {
 		st := contig.ClipTips(env.team, env.res.Contigs, contig.CleanOptions{K: k})
-		env.cleanStat[name] = st
+		env.cleanStat = st
 		env.team.AddCounter("tips_clipped", st.TipsClipped)
 		env.team.AddCounter("clean_bases_removed", st.BasesRemoved)
 		return nil
 	}
 }
 
-func runBubblePop(name string, k int) func(env *stageEnv) error {
+func runBubblePop(k int) func(env *stageEnv) error {
 	return func(env *stageEnv) error {
 		st := contig.PopBubbles(env.team, env.res.Contigs, contig.CleanOptions{K: k})
-		env.cleanStat[name] = st
+		env.cleanStat = st
 		env.team.AddCounter("bubbles_popped", st.BubblesPopped)
 		env.team.AddCounter("clean_bases_removed", st.BasesRemoved)
 		return nil
@@ -336,12 +292,12 @@ func runBubblePop(name string, k int) func(env *stageEnv) error {
 // set as the round's contig result. It runs in round 1 too, where it
 // trivially carries everything: every round then ends at the same kind
 // of boundary, so resume logic never special-cases the first round.
-func runPseudoMerge(name string, mergeK, k int) func(env *stageEnv) error {
+func runPseudoMerge(mergeK, k int) func(env *stageEnv) error {
 	return func(env *stageEnv) error {
 		carried, st := contig.MergeRounds(env.team, env.carried, env.res.Contigs, mergeK, k)
 		env.carried = carried
 		env.res.Contigs = contig.ResultFromContigs(env.team, carried)
-		env.mergeStat[name] = st
+		env.mergeStat = st
 		env.team.AddCounter("pseudo_carried", st.Carried)
 		env.team.AddCounter("pseudo_represented", st.Represented)
 		env.team.AddCounter("pseudo_popped_old", st.PoppedOld)
@@ -350,37 +306,21 @@ func runPseudoMerge(name string, mergeK, k int) func(env *stageEnv) error {
 	}
 }
 
-func saveClean(name string) func(env *stageEnv) ([]byte, error) {
-	return func(env *stageEnv) ([]byte, error) {
-		return ckpt.EncodeCleaningStage(env.res.Contigs, env.cleanStat[name]), nil
-	}
+func saveClean(env *stageEnv) []byte {
+	return ckpt.EncodeCleaningStage(env.res.Contigs, env.cleanStat)
 }
 
-func loadClean(env *stageEnv, payload []byte) error {
-	if env.rescaling() {
-		res, _, err := ckpt.DecodeCleaningStageReshard(payload, env.team.Config().Ranks)
-		if err != nil {
-			return err
-		}
-		env.res.Contigs = res
-		return nil
-	}
-	res, _, err := ckpt.DecodeCleaningStage(payload, env.team.Config().Ranks)
-	if err != nil {
-		return err
-	}
-	env.res.Contigs = res
-	return nil
+func loadClean(env *stageEnv, payload []byte) (err error) {
+	env.res.Contigs, _, err = ckpt.DecodeCleaningStageReshard(payload, env.team.Config().Ranks)
+	return err
 }
 
-func saveCarry(name string) func(env *stageEnv) ([]byte, error) {
-	return func(env *stageEnv) ([]byte, error) {
-		return ckpt.EncodeCarryStage(env.carried, env.mergeStat[name]), nil
-	}
+func saveCarry(env *stageEnv) []byte {
+	return ckpt.EncodeCarryStage(env.carried, env.mergeStat)
 }
 
-// loadCarry needs no re-shard branch: the carried set is a global sorted
-// list and ResultFromContigs deals it over whatever team is running.
+// loadCarry: the carried set is a global sorted list and ResultFromContigs
+// deals it over whatever team is running.
 func loadCarry(env *stageEnv, payload []byte) error {
 	carried, _, err := ckpt.DecodeCarryStage(payload)
 	if err != nil {
@@ -454,43 +394,71 @@ func runStage(env *stageEnv, st stage) (err error) {
 	return err
 }
 
+// openStore opens the run's checkpoint directory for this team: created
+// fresh, or with resume reopened under the same fingerprint. A resume at
+// another rank geometry adopts the directory — stages it writes are
+// stamped with its own rank count and the recorded topology now names
+// this run's — which only an oracle-placed run refuses (checkRescale);
+// every load lands its payload on this team whatever count wrote it. The
+// team's disk-fault plan, when armed, is installed on the store: one
+// injector per run, so the plan survives a reopen after a heal.
+func openStore(env *stageEnv, fp string, resume bool) (*ckpt.Store, error) {
+	tc := env.team.Config()
+	topo := ckpt.Topology{Ranks: tc.Ranks, RanksPerNode: tc.RanksPerNode}
+	var store *ckpt.Store
+	var err error
+	if !resume {
+		store, err = ckpt.Create(env.cfg.CkptDir, fp, topo)
+	} else {
+		store, err = ckpt.Resume(env.cfg.CkptDir, fp)
+		if errors.Is(err, ckpt.ErrBadManifest) {
+			// An unparsable manifest cannot seed a resume and Scrub cannot
+			// heal it either: there is no trustworthy record of an intact
+			// prefix.
+			err = fmt.Errorf("%w: %w", ckpt.ErrUnrecoverableCkpt, err)
+		}
+		if err == nil {
+			err = checkRescale(env.cfg, store, topo.Ranks)
+		}
+		if err == nil && store.Topology() != topo {
+			err = store.AdoptTopology(topo)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if plan := tc.Inject.Disk(); plan.Enabled() {
+		if env.disk == nil {
+			env.disk = &diskInjector{plan: plan}
+		}
+		store.SetInjector(env.disk)
+	}
+	return store, nil
+}
+
 // saveStage checkpoints a completed stage: serialize, write segment +
 // manifest, and charge the virtual write inside a checkpoint-save span
 // (the segment bytes divided evenly across ranks, the same collective-
-// I/O model the reader uses).
+// I/O model the reader uses). An injected ENOSPC refuses the write: no
+// segment, no manifest entry. The stage itself succeeded, so the run
+// carries on — a later resume simply recomputes the hole — and the
+// attempted write is still charged (the payload hit the wire before the
+// refusal). Whichever disk fault fired is counted on rank 0.
 func saveStage(env *stageEnv, store *ckpt.Store, st stage) error {
-	payload, err := st.save(env)
-	if err != nil {
-		return fmt.Errorf("pipeline: checkpointing %s: %w", st.name, err)
-	}
+	payload := st.save(env)
 	entry, err := store.WriteStageRound(st.name, st.round, payload)
-	if err != nil {
-		if errors.Is(err, ckpt.ErrWriteRefused) {
-			// Injected ENOSPC: no segment, no manifest entry. The stage
-			// itself succeeded, so the run carries on — a later resume
-			// simply recomputes the hole. The attempted write is still
-			// charged (the bytes hit the wire before the refusal) and the
-			// fault counted on rank 0.
-			if env.disk != nil {
-				env.disk.take()
-			}
-			env.team.BeginSpan("checkpoint-save:" + st.name)
-			share := int64(len(payload))/int64(env.team.Config().Ranks) + 1
-			env.team.Run(func(r *xrt.Rank) {
-				r.ChargeIOWrite(share)
-				if r.ID == 0 {
-					r.CountDiskFault()
-				}
-			})
-			env.team.EndSpan()
-			return nil
-		}
+	refused := errors.Is(err, ckpt.ErrWriteRefused)
+	if err != nil && !refused {
 		return fmt.Errorf("pipeline: checkpointing %s: %w", st.name, err)
 	}
 	fired := env.disk != nil && env.disk.take() != xrt.DiskFaultNone
 	env.team.BeginSpan("checkpoint-save:" + st.name)
-	env.team.AddCounter("ckpt_bytes", entry.Bytes)
-	share := entry.Bytes/int64(env.team.Config().Ranks) + 1
+	written := int64(len(payload))
+	if !refused {
+		written = entry.Bytes
+		env.team.AddCounter("ckpt_bytes", written)
+	}
+	share := written/int64(env.team.Config().Ranks) + 1
 	env.team.Run(func(r *xrt.Rank) {
 		r.ChargeIOWrite(share)
 		if fired && r.ID == 0 {
@@ -510,12 +478,6 @@ func loadStage(env *stageEnv, store *ckpt.Store, st stage) error {
 	if err != nil {
 		return fmt.Errorf("pipeline: resuming %s: %w", st.name, err)
 	}
-	// Each entry records the partition it was written at; the load paths
-	// re-shard when it differs from this team's (see stageEnv.srcRanks).
-	if e := store.Entry(st.name); e != nil {
-		env.srcRanks = e.Ranks
-	}
-	defer func() { env.srcRanks = 0 }()
 	env.team.BeginSpan("checkpoint-load:" + st.name)
 	env.team.AddCounter("ckpt_bytes", int64(len(payload)))
 	share := int64(len(payload))/int64(env.team.Config().Ranks) + 1

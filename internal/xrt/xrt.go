@@ -594,6 +594,18 @@ func Deal[T any](items []T, p int) [][]T {
 	return out
 }
 
+// DealPairs is Deal by mate pair: items 2j and 2j+1 go together to rank
+// j % p (a trailing unpaired item is dropped). It is the layout of every
+// in-memory read library; pipeline's globalFromPairDeal is its inverse.
+func DealPairs[T any](items []T, p int) [][]T {
+	out := make([][]T, p)
+	for i := 0; i+1 < len(items); i += 2 {
+		r := (i / 2) % p
+		out[r] = append(out[r], items[i], items[i+1])
+	}
+	return out
+}
+
 // PhaseStats reports the time consumed by one Run phase.
 type PhaseStats struct {
 	// Virtual is the modelled critical-path duration of the phase.
