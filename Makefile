@@ -42,8 +42,9 @@ fuzz:
 # no separate `go test -run Matrix ./internal/expt/` step is needed; the
 # paper-exhibit sweeps and the service exhibit do skip under -short) — a
 # targeted race-detector pass over the schedule-perturbation surface (the
-# perturbation layer, DHT flushes and owner sections, stage 1's inbox
-# drain — ordered by a barrier, not a lock — claim/abort traversal, the
+# perturbation layer and the event loop, DHT flushes and owner sections,
+# stage 1's inbox drain — ordered by a barrier, not a lock — the goroutine
+# phases around the claim/abort traversal's event loop, the
 # perturbation-seed assembly sweep, the scheduler's fake-runner suite),
 # and the two real-pipeline batteries that are too slow for -short
 # (multi-k determinism, cross-job isolation). `make test` / `make race`
@@ -51,7 +52,7 @@ fuzz:
 verify: build vet fuzz
 	$(GO) test -short ./...
 	$(GO) test -short -race ./internal/xrt/ ./internal/dht/ ./internal/kanalysis/ ./internal/sched/
-	$(GO) test -short -race -run 'Perturbed|Contention' ./internal/contig/
+	$(GO) test -short -race -run 'Contention|OlderWalk' ./internal/contig/
 	$(GO) test -short -race -run 'Perturb' ./internal/verify/
 	$(GO) test -short -race -run 'Conservation|Metamorphic' ./internal/metrics/
 	$(GO) test -run 'MultiK' ./internal/pipeline/

@@ -5,8 +5,10 @@
 // speculatively grow subcontigs in both directions, claiming each k-mer
 // through a remote atomic. When two walks meet on the same chain the
 // younger (higher-id) walk aborts and releases its claims while the older
-// walk waits briefly and proceeds — the lightweight synchronization scheme
-// that avoids races without global locking.
+// walk waits for the release and proceeds — the lightweight synchronization
+// scheme that avoids races without global locking. The ranks' claims are
+// resolved in virtual-time order (xrt.RunEvents), so who wins a walk, what
+// a loser wastes and how long the phase takes follow from the input alone.
 //
 // The package also builds the §3.2 oracle partitioning function from a
 // previous assembly's contigs, which makes traversal lookups
@@ -14,9 +16,7 @@
 package contig
 
 import (
-	"runtime"
 	"sort"
-	"sync/atomic"
 
 	"hipmer/internal/dht"
 	"hipmer/internal/kanalysis"
@@ -97,8 +97,9 @@ type Result struct {
 	// node's Contig field set after traversal. It is returned frozen
 	// (read-only); callers needing to mutate it must Thaw first.
 	Graph *dht.Table[kmer.Kmer, Node]
-	// Contigs holds the completed contigs per generating rank; global IDs
-	// are contiguous from 1 and sorted within each rank.
+	// Contigs holds the completed contigs dealt round-robin by ID (global
+	// IDs are contiguous from 1): the one placement rule for contigs, see
+	// ResultFromContigs.
 	Contigs [][]*Contig
 	// NumContigs is the global contig count.
 	NumContigs int64
@@ -153,13 +154,17 @@ func Run(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Optio
 	// --- graph construction: project UU k-mers out of the k-mer table ---
 	team.BeginSpan("graph-build")
 	res.BuildPhase = team.Run(func(r *xrt.Rank) {
-		kt.LocalRange(r, func(km kmer.Kmer, d kanalysis.KmerData) bool {
-			if d.IsUU() {
-				graph.Put(r, km, Node{ExtL: d.ExtL, ExtR: d.ExtR, Count: d.Count})
-			}
-			return true
+		// In rank order: a shard's slot order — the order its owner later
+		// tries seeds in — depends on the order stores reach it.
+		r.Ordered(func() {
+			kt.LocalRange(r, func(km kmer.Kmer, d kanalysis.KmerData) bool {
+				if d.IsUU() {
+					graph.Put(r, km, Node{ExtL: d.ExtL, ExtR: d.ExtR, Count: d.Count})
+				}
+				return true
+			})
+			graph.Flush(r)
 		})
-		graph.Flush(r)
 		r.Barrier()
 		n := graph.GlobalLen(r)
 		if r.ID == 0 {
@@ -170,15 +175,8 @@ func Run(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Optio
 
 	// --- parallel traversal ---------------------------------------------
 	team.BeginSpan("traverse")
-	tr := &traverser{team: team, graph: graph, kt: kt, k: opt.K}
-	contigsByRank := make([][]*Contig, team.Config().Ranks)
-	res.TraversePhase = team.Run(func(r *xrt.Rank) {
-		contigsByRank[r.ID] = tr.traverseRank(r)
-	})
-	res.Claimed = tr.claims.Load()
-	res.Completed = tr.wins.Load()
-	res.Aborted = tr.aborts.Load()
-	res.Rounds = tr.rounds.Load()
+	tr := newTraverser(team, res, kt, opt.K)
+	res.TraversePhase = team.RunEvents(tr.step)
 	// Speculative-traversal outcome counters: claims = wins + aborts.
 	team.AddCounter("walks_claimed", res.Claimed)
 	team.AddCounter("walks_completed", res.Completed)
@@ -198,7 +196,7 @@ func Run(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Optio
 	})
 	team.BeginSpan("assign-ids")
 	team.Run(func(r *xrt.Rank) {
-		mine := contigsByRank[r.ID]
+		mine := tr.walkers[r.ID].out // a contig is numbered and marked by the rank that walked it
 		keys := make([]contigKey, len(mine))
 		for i, c := range mine {
 			keys[i] = keyOf(c.Seq)
@@ -240,38 +238,72 @@ func Run(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Optio
 	})
 	team.EndSpan()
 	graph.SetApply(nil)
-	res.Contigs = contigsByRank
+	// Who won a walk decides nothing downstream: contigs are dealt by ID.
+	for i := range tr.walkers {
+		res.Contigs = append(res.Contigs, tr.walkers[i].out)
+	}
+	res.Contigs = ResultFromContigs(team, res.All()).Contigs
 	team.AddCounter("uu_kmers", res.UUKmers)
 	team.AddCounter("contigs", res.NumContigs)
 	return res
 }
 
+// traverser is the traversal phase: the graph, one resumable walker per
+// rank, and what the walkers share — res takes the outcome counters. It
+// runs under xrt.RunEvents — one goroutine, steps in (clock, rank) order —
+// so nothing here is atomic.
 type traverser struct {
-	team   *xrt.Team
-	graph  *dht.Table[kmer.Kmer, Node]
-	kt     *dht.Table[kmer.Kmer, kanalysis.KmerData]
-	k      int
-	claims atomic.Int64 // walks that claimed their seed
-	wins   atomic.Int64 // walks that completed a contig
-	aborts atomic.Int64 // walks that lost a conflict and released
-	rounds atomic.Int64
+	res     *Result
+	graph   *dht.Table[kmer.Kmer, Node]
+	kt      *dht.Table[kmer.Kmer, kanalysis.KmerData]
+	k       int
+	walkers []walker
+	// walks numbers the walks in the order their seeds are tried, which
+	// under RunEvents is (start clock, rank) order: the lower id is the
+	// older walk.
+	walks int64
+	// waiters lists, per vertex, the ranks whose older walk is parked on a
+	// newer walk's claim of it.
+	waiters map[kmer.Kmer][]int
 }
 
-// pos is an oriented position on the graph: the canonical vertex plus
-// whether the walk currently reads it reverse-complemented.
-type pos struct {
-	canon   kmer.Kmer
-	flipped bool
+func newTraverser(team *xrt.Team, res *Result, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], k int) *traverser {
+	return &traverser{res: res, graph: res.Graph, kt: kt, k: k,
+		walkers: make([]walker, team.Config().Ranks), waiters: make(map[kmer.Kmer][]int)}
 }
 
-func (p pos) oriented(k int) kmer.Kmer {
-	if p.flipped {
-		return p.canon.RevComp(k)
-	}
-	return p.canon
+// What a walker's next step does.
+const (
+	atScan    = iota // snapshot the round's seed candidates
+	atSeed           // try the next seed; after the last, tally the round
+	atExtend         // claim the walk's next vertex
+	atRelease        // give back the next claim of an aborted walk
+	atReduce         // the round's all-reduce is over: quiescent?
+)
+
+// walker is one rank's traversal, suspended between steps: the seed loop
+// of a quiescence round and, inside it, the walk in progress.
+type walker struct {
+	at     int
+	round  int
+	seeds  []kmer.Kmer
+	cursor int // next seed
+	out    []*Contig
+
+	id         int64       // the walk in progress
+	claimed    []kmer.Kmer // canonical vertices; [0] is the seed, read as stored
+	released   int         // claims given back so far
+	seedNode   Node
+	cur        kmer.Kmer // the walk's end vertex, as the walk reads it,
+	extL, extR byte      // and its extensions in that orientation
+	dir        int       // 0 extends to the right of the seed, 1 to the left
+	bufs       [2][]byte // bases appended in each direction
+	endR       walkEnd
+	sumCount   uint64
 }
 
-// orientedExts returns the extension codes of p in walk orientation.
+// orientedExts returns a node's extension codes as a walk reading it
+// reverse-complemented (flipped) or as stored sees them.
 func orientedExts(n Node, flipped bool) (extL, extR byte) {
 	if !flipped {
 		return n.ExtL, n.ExtR
@@ -286,209 +318,209 @@ func compExt(e byte) byte {
 	return e
 }
 
-const (
-	claimOK        = iota
-	claimBusyOlder // held by a lower walk id: we must abort
-	claimBusyNewer // held by a higher walk id: retry, they will abort
-	claimSelf      // held by this very walk: cycle closed
-	claimGone      // vertex does not exist
-	claimRejected  // precondition (reciprocity) failed: terminate, no claim
-)
-
-// tryClaim atomically claims vertex v for walkID if it is free and the
-// optional precondition holds. Checking the precondition inside the remote
-// atomic matters: a vertex that fails reciprocity is a boundary belonging
-// to a different contig and must never be claimed, and the check must see
-// consistent node data. Only a charged attempt pays the remote-atomic
-// cost; spin retries while waiting out a newer walk go through
-// MutateRetry so the charge is per vertex, not per poll (see there).
-func (t *traverser) tryClaim(r *xrt.Rank, v kmer.Kmer, walkID int64,
-	pre func(Node) bool, charged bool) (Node, int) {
-	var node Node
-	status := claimGone
-	mutate := t.graph.Mutate
-	if !charged {
-		mutate = t.graph.MutateRetry
-	}
-	mutate(r, v, func(n Node, exists bool) (Node, bool) {
-		if !exists {
-			status = claimGone
-			return n, false
-		}
-		node = n
-		if pre != nil && !pre(n) {
-			status = claimRejected
-			return n, false
-		}
-		switch {
-		case n.Walk == 0:
-			n.Walk = walkID
-			status = claimOK
-			return n, true
-		case n.Walk == walkID:
-			status = claimSelf
-			return n, false
-		case n.Walk < walkID:
-			status = claimBusyOlder
-			return n, false
-		default:
-			status = claimBusyNewer
-			return n, false
-		}
-	})
-	return node, status
-}
-
-func (t *traverser) release(r *xrt.Rank, claimed []pos, walkID int64) {
-	for _, p := range claimed {
-		t.graph.Mutate(r, p.canon, func(n Node, exists bool) (Node, bool) {
-			if exists && n.Walk == walkID {
-				n.Walk = 0
-				return n, true
-			}
-			return n, false
-		})
-	}
-}
-
-// traverseRank runs the per-rank seed loop until global quiescence. In
-// the first round only "locally contiguous" seeds are used — vertices
-// with at least one neighbor placed on this rank. Under an oracle layout
-// a misplaced (hash-collision) vertex is surrounded by remote neighbors;
-// seeding a walk from it would re-walk a remote contig and abort, turning
-// one misplaced k-mer into O(contig) remote traffic. Deferring such seeds
-// one round lets the owning rank's walks claim their chains first, so a
-// misplaced vertex costs O(1) remote operations, matching the collision
-// accounting of §3.2.
-func (t *traverser) traverseRank(r *xrt.Rank) []*Contig {
-	var out []*Contig
-	for round := 0; ; round++ {
-		progress := int64(0)
-		// snapshot local seed candidates; claims mutate the shard, so
-		// collect keys first
-		var seeds []kmer.Kmer
+// step is one rank's next graph operation and the charges it makes. Per
+// quiescence round: scan the local shard for seeds, walk from each, count
+// what is still free, all-reduce. In the first round only "locally
+// contiguous" seeds are used — vertices with at least one neighbor placed
+// on this rank. Under an oracle layout a misplaced (hash-collision) vertex
+// is surrounded by remote neighbors; seeding a walk from it would re-walk
+// a remote contig and abort, turning one misplaced k-mer into O(contig)
+// remote traffic. Deferring such seeds one round lets the owning rank's
+// walks claim their chains first, so a misplaced vertex costs O(1) remote
+// operations, matching the collision accounting of §3.2.
+func (t *traverser) step(ev *xrt.Events, r *xrt.Rank) xrt.Status {
+	w := &t.walkers[r.ID]
+	switch w.at {
+	case atScan:
+		// claims mutate the shard, so collect keys first
+		w.seeds, w.cursor = w.seeds[:0], 0
 		t.graph.LocalRange(r, func(km kmer.Kmer, n Node) bool {
-			if n.Walk != 0 {
-				return true
-			}
-			if round == 0 && !t.locallyContiguous(r, km, n) {
-				return true
-			}
-			seeds = append(seeds, km)
-			return true
-		})
-		for _, seed := range seeds {
-			if c, ok := t.walkFrom(r, seed); ok {
-				out = append(out, c)
-				progress++
-			} else {
-				progress++ // claims changed state; another round may be needed
-			}
-		}
-		// Quiescence: nobody made progress and no free vertices remain.
-		free := int64(0)
-		t.graph.LocalRange(r, func(km kmer.Kmer, n Node) bool {
-			if n.Walk == 0 {
-				free++
+			if n.Walk == 0 && (w.round > 0 || t.locallyContiguous(r, km, n)) {
+				w.seeds = append(w.seeds, km)
 			}
 			return true
 		})
-		total := r.AllReduceInt64(progress+free, func(a, b int64) int64 { return a + b })
-		if total == 0 && round > 0 {
-			if int64(round) > t.rounds.Load() {
-				t.rounds.Store(int64(round))
-			}
-			return out
+		w.at = atSeed
+	case atSeed:
+		if w.cursor == len(w.seeds) {
+			// Quiescence: nobody tried a seed and no free vertices remain.
+			// (A seed that was taken counts too: claims changed state, so
+			// another round may be needed.)
+			tally := int64(len(w.seeds))
+			t.graph.LocalRange(r, func(km kmer.Kmer, n Node) bool {
+				if n.Walk == 0 {
+					tally++
+				}
+				return true
+			})
+			w.at = atReduce
+			return ev.AllReduceSum(tally)
 		}
+		seed := w.seeds[w.cursor]
+		w.cursor++
+		t.walks++
+		if n := t.graph.Ref(r, seed); n != nil && n.Walk == 0 {
+			n.Walk = t.walks
+			t.res.Claimed++
+			w.id, w.seedNode, w.claimed = t.walks, *n, append(w.claimed[:0], seed)
+			w.cur, w.extL, w.extR, w.dir = seed, n.ExtL, n.ExtR, 0
+			w.bufs[0], w.bufs[1] = w.bufs[0][:0], w.bufs[1][:0]
+			w.sumCount = uint64(n.Count)
+			w.at = atExtend
+		}
+	case atExtend:
+		return t.extend(r, w)
+	case atRelease:
+		v := w.claimed[w.released]
+		w.released++
+		if n := t.graph.Ref(r, v); n != nil && n.Walk == w.id {
+			n.Walk = 0
+		}
+		// older walks parked on this claim resume at this rank's clock
+		if ids, ok := t.waiters[v]; ok {
+			delete(t.waiters, v)
+			for _, id := range ids {
+				ev.Wake(id)
+			}
+		}
+		if w.released == len(w.claimed) {
+			t.res.Aborted++
+			w.at = atSeed
+		}
+	case atReduce:
+		if ev.Sum() == 0 && w.round > 0 {
+			t.res.Rounds = max(t.res.Rounds, int64(w.round))
+			return xrt.Done
+		}
+		w.round++
+		w.at = atScan
 	}
+	return xrt.Ready
 }
 
 // locallyContiguous reports whether a vertex has a neighbor whose home is
 // this rank. Owner computation is pure hashing — no communication.
 func (t *traverser) locallyContiguous(r *xrt.Rank, km kmer.Kmer, n Node) bool {
-	any := false
-	for _, dir := range [2]bool{false, true} {
-		extL, extR := n.ExtL, n.ExtR // canonical orientation
-		ext := extR
-		if dir {
-			ext = extL
-		}
+	isolated := true
+	for dir, ext := range [2]byte{n.ExtR, n.ExtL} { // canonical orientation
 		if !kmer.IsBaseExt(ext) {
 			continue
 		}
-		any = true
-		code, _ := kmer.BaseCode(ext)
-		var nxt kmer.Kmer
-		if dir {
-			nxt = km.NextLeft(t.k, code)
-		} else {
-			nxt = km.NextRight(t.k, code)
-		}
-		canon, _ := nxt.Canonical(t.k)
-		if t.graph.Owner(canon) == r.ID {
+		isolated = false
+		if canon, _ := t.neighbor(km, dir, ext).Canonical(t.k); t.graph.Owner(canon) == r.ID {
 			return true
 		}
 	}
 	// isolated vertices (no base extensions) are their own contigs; seed
 	// them immediately
-	return !any
+	return isolated
 }
 
-// walkFrom attempts a complete walk seeded at the given vertex. It
-// returns (contig, true) on completion, or (nil, false) if the seed was
-// already taken or the walk aborted after a lost conflict.
-func (t *traverser) walkFrom(r *xrt.Rank, seed kmer.Kmer) (*Contig, bool) {
-	walkID := t.team.NextID()
-	node, st := t.tryClaim(r, seed, walkID, nil, true)
-	if st != claimOK {
-		return nil, false
+// neighbor returns the k-mer one base to the right (dir 0) or left (dir 1)
+// of km along its extension ext.
+func (t *traverser) neighbor(km kmer.Kmer, dir int, ext byte) kmer.Kmer {
+	code, _ := kmer.BaseCode(ext)
+	if dir == 0 {
+		return km.NextRight(t.k, code)
 	}
-	t.claims.Add(1)
-	// A walk is where ranks race, and on the machine being simulated they
-	// all walk at once. Here a rank is a goroutine on a core or two, and
-	// one that never blocks keeps its core for a whole scheduler quantum
-	// (10 ms: longer than its entire seed loop once the table operations
-	// under it got fast), so whichever ranks run first would walk nearly
-	// every contig, and traversal virtual time — the busiest rank's —
-	// would measure the host's scheduling instead of the algorithm, rising
-	// as the program got faster. Yielding once per claimed seed lets the
-	// other ranks' walks in. It changes no charge, and the assembly does
-	// not depend on it.
-	runtime.Gosched()
+	return km.NextLeft(t.k, code)
+}
+
+// walkEnd describes how and where one direction of a walk terminated.
+type walkEnd struct {
+	term   byte
+	nbr    kmer.Kmer
+	hasNbr bool
+}
+
+// extend tries to grow w's walk by one vertex in its current direction —
+// right of the seed first, then left. The claim resolves conflicts by
+// wait-or-abort: the walk with the lower id has priority; the newer walk
+// aborts so the older can pass through (the paper's lightweight
+// synchronization scheme).
+func (t *traverser) extend(r *xrt.Rank, w *walker) xrt.Status {
 	k := t.k
-	start := pos{canon: seed, flipped: false}
-	claimed := []pos{start}
-	sumCount := uint64(node.Count)
-
-	var rightBuf, leftBuf []byte
-	// extend right, then left
-	endR, ok := t.extend(r, walkID, start, node, false, &rightBuf, &claimed, &sumCount)
-	if !ok {
-		t.release(r, claimed, walkID)
-		t.aborts.Add(1)
-		return nil, false
+	ext := [2]byte{w.extR, w.extL}[w.dir]
+	switch ext {
+	case kmer.ExtFork:
+		t.endDirection(w, walkEnd{term: TermFork})
+		return xrt.Ready
+	case kmer.ExtNone:
+		t.endDirection(w, walkEnd{term: TermNone})
+		return xrt.Ready
 	}
-	var endL walkEnd
-	if endR.term == TermCycle {
-		endL = walkEnd{term: TermCycle}
-	} else {
-		endL, ok = t.extend(r, walkID, start, node, true, &leftBuf, &claimed, &sumCount)
-		if !ok {
-			t.release(r, claimed, walkID)
-			t.aborts.Add(1)
-			return nil, false
+	next := t.neighbor(w.cur, w.dir, ext)
+	canon, flipped := next.Canonical(k)
+
+	n := t.graph.Ref(r, canon) // one remote atomic decides the claim
+	if n == nil {
+		// Neighbor is not a UU graph vertex; classify the end by
+		// consulting the full k-mer table: a surviving k-mer with a
+		// forked side is a true branch point (the bubble module
+		// uses these junctions), an absent one is a dead end.
+		end := walkEnd{term: TermNone}
+		if d, ok := t.kt.Get(r, canon); ok {
+			end.nbr, end.hasNbr = canon, true
+			if d.ExtL == kmer.ExtFork || d.ExtR == kmer.ExtFork {
+				end.term = TermFork
+			}
 		}
+		t.endDirection(w, end)
+		return xrt.Ready
 	}
+	// Reciprocity first: the neighbor must uniquely point back at us; a
+	// vertex that does not is a boundary of another contig and must never
+	// be claimed.
+	nExtL, nExtR := orientedExts(*n, flipped)
+	back, wantBase := nExtL, w.cur.Base(0)
+	if w.dir == 1 {
+		back, wantBase = nExtR, w.cur.Base(k-1)
+	}
+	switch {
+	case !kmer.IsBaseExt(back) || back != kmer.CodeBase(wantBase):
+		t.endDirection(w, walkEnd{term: TermNonRecip, nbr: canon, hasNbr: true})
+	case n.Walk == 0:
+		n.Walk = w.id
+		w.cur, w.extL, w.extR = next, nExtL, nExtR
+		w.claimed = append(w.claimed, canon)
+		w.bufs[w.dir] = append(w.bufs[w.dir], ext)
+		w.sumCount += uint64(n.Count)
+	case n.Walk == w.id:
+		t.endDirection(w, walkEnd{term: TermCycle})
+	case n.Walk < w.id:
+		w.at, w.released = atRelease, 0 // abort: the older walk has priority
+	default:
+		// The newer walk will abort when it reaches our claims; its
+		// release of this vertex wakes us to claim it again.
+		t.waiters[canon] = append(t.waiters[canon], r.ID)
+		return xrt.Parked
+	}
+	return xrt.Ready
+}
 
-	// assemble sequence: reverse(leftBuf) + seed + rightBuf
-	seq := make([]byte, 0, len(leftBuf)+k+len(rightBuf))
-	for i := len(leftBuf) - 1; i >= 0; i-- {
-		seq = append(seq, leftBuf[i])
+// endDirection records how the walk's current direction terminated: the
+// right end turns the walk around at its seed, unless it closed a cycle;
+// the left end (or the cycle) completes the contig.
+func (t *traverser) endDirection(w *walker, end walkEnd) {
+	if w.dir == 0 && end.term != TermCycle {
+		w.endR, w.dir = end, 1
+		w.cur, w.extL, w.extR = w.claimed[0], w.seedNode.ExtL, w.seedNode.ExtR
+		return
 	}
-	seq = start.oriented(k).Append(seq, k)
-	seq = append(seq, rightBuf...)
+	endR, endL := w.endR, end
+	if w.dir == 0 {
+		endR = end
+	}
+	k, right, left := t.k, w.bufs[0], w.bufs[1]
+	// assemble sequence: reverse(left) + seed + right
+	seq := make([]byte, 0, len(left)+k+len(right))
+	for i := len(left) - 1; i >= 0; i-- {
+		seq = append(seq, left[i])
+	}
+	seq = w.claimed[0].Append(seq, k)
+	seq = append(seq, right...)
 	c := &Contig{
-		Seq: seq, SumCount: sumCount,
+		Seq: seq, SumCount: w.sumCount,
 		TermL: endL.term, NbrL: endL.nbr, HasNbrL: endL.hasNbr,
 		TermR: endR.term, NbrR: endR.nbr, HasNbrR: endR.hasNbr,
 	}
@@ -500,105 +532,9 @@ func (t *traverser) walkFrom(r *xrt.Rank, seed kmer.Kmer) (*Contig, bool) {
 		c.NbrL, c.NbrR = c.NbrR, c.NbrL
 		c.HasNbrL, c.HasNbrR = c.HasNbrR, c.HasNbrL
 	}
-	t.wins.Add(1)
-	return c, true
-}
-
-// walkEnd describes how and where one direction of a walk terminated.
-type walkEnd struct {
-	term   byte
-	nbr    kmer.Kmer
-	hasNbr bool
-}
-
-// extend grows the walk from start in one direction (left if goLeft),
-// appending bases to buf and claimed vertices to claimed. It returns how
-// the direction terminated, or ok=false if the walk must abort.
-func (t *traverser) extend(r *xrt.Rank, walkID int64, start pos, startNode Node,
-	goLeft bool, buf *[]byte, claimed *[]pos, sumCount *uint64) (walkEnd, bool) {
-	k := t.k
-	cur, curNode := start, startNode
-	for {
-		extL, extR := orientedExts(curNode, cur.flipped)
-		ext := extR
-		if goLeft {
-			ext = extL
-		}
-		switch ext {
-		case kmer.ExtFork:
-			return walkEnd{term: TermFork}, true
-		case kmer.ExtNone:
-			return walkEnd{term: TermNone}, true
-		}
-		code, _ := kmer.BaseCode(ext)
-		curOriented := cur.oriented(k)
-		var nextOriented kmer.Kmer
-		if goLeft {
-			nextOriented = curOriented.NextLeft(k, code)
-		} else {
-			nextOriented = curOriented.NextRight(k, code)
-		}
-		canon, flipped := nextOriented.Canonical(k)
-		next := pos{canon: canon, flipped: flipped}
-
-		// reciprocity precondition: the neighbor must uniquely point back
-		// at us; a vertex that does not is a boundary of another contig.
-		wantBase := curOriented.Base(k - 1)
-		if !goLeft {
-			wantBase = curOriented.Base(0)
-		}
-		recip := func(n Node) bool {
-			nExtL, nExtR := orientedExts(n, next.flipped)
-			back := nExtR
-			if !goLeft {
-				back = nExtL
-			}
-			return kmer.IsBaseExt(back) && back == kmer.CodeBase(wantBase)
-		}
-
-		// claim, with wait-or-abort conflict resolution: the walk with the
-		// lower id has priority; the newer walk aborts so the older can
-		// pass through (the paper's lightweight synchronization scheme).
-		var node Node
-		for spins := 0; ; spins++ {
-			n, st := t.tryClaim(r, canon, walkID, recip, spins == 0)
-			switch st {
-			case claimOK:
-				node = n
-			case claimGone:
-				// Neighbor is not a UU graph vertex; classify the end by
-				// consulting the full k-mer table: a surviving k-mer with a
-				// forked side is a true branch point (the bubble module
-				// uses these junctions), an absent one is a dead end.
-				if d, ok := t.kt.Get(r, canon); ok {
-					term := TermNone
-					if d.ExtL == kmer.ExtFork || d.ExtR == kmer.ExtFork {
-						term = TermFork
-					}
-					return walkEnd{term: term, nbr: canon, hasNbr: true}, true
-				}
-				return walkEnd{term: TermNone}, true
-			case claimRejected:
-				return walkEnd{term: TermNonRecip, nbr: canon, hasNbr: true}, true
-			case claimSelf:
-				return walkEnd{term: TermCycle}, true
-			case claimBusyOlder:
-				return walkEnd{}, false // abort: the older walk has priority
-			case claimBusyNewer:
-				// the newer walk will abort when it reaches our claims
-				if spins > 8 {
-					runtime.Gosched()
-				}
-				continue
-			}
-			break
-		}
-
-		*claimed = append(*claimed, next)
-		*buf = append(*buf, ext)
-		*sumCount += uint64(node.Count)
-		cur, curNode = next, node
-	}
+	w.out = append(w.out, c)
+	t.res.Completed++
+	w.at = atSeed
 }
 
 // contigKey is a 128-bit content hash of a contig's canonical sequence,

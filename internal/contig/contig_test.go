@@ -152,13 +152,16 @@ func TestDeterministicAcrossRankCounts(t *testing.T) {
 		}
 		return m
 	}
-	a, b := collect(2), collect(9)
-	if len(a) != len(b) {
-		t.Fatalf("contig sets differ in size: %d vs %d", len(a), len(b))
-	}
-	for s := range a {
-		if !b[s] {
-			t.Fatal("contig set depends on rank count")
+	a := collect(1)
+	for _, p := range []int{6, 24} {
+		b := collect(p)
+		if len(a) != len(b) {
+			t.Fatalf("contig sets differ in size: %d at 1 rank vs %d at %d", len(a), len(b), p)
+		}
+		for s := range a {
+			if !b[s] {
+				t.Fatalf("contig set at %d ranks differs from 1 rank's", p)
+			}
 		}
 	}
 }
@@ -259,6 +262,12 @@ func TestHighContentionManyRanksSmallGraph(t *testing.T) {
 	}
 	if canonSeq(all[0].Seq) != canonSeq(g[1:len(g)-1]) {
 		t.Fatal("contested traversal corrupted the contig")
+	}
+	// the paper's speculative shape: walks do collide, and every walk that
+	// claimed its seed either completed the contig or aborted
+	if res.Aborted == 0 || res.Claimed != res.Completed+res.Aborted {
+		t.Fatalf("claims %d, wins %d, aborts %d: want aborts > 0 and claims = wins + aborts",
+			res.Claimed, res.Completed, res.Aborted)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // FuzzDedupWindow is the property test behind the chaos layer's
 // effectively-once guarantee: a fuzzed delivery schedule of drops,
 // duplicates, and bounded reorders over a sequence of non-idempotent
-// MutateRetry increments, filtered through an xrt.DedupWindow exactly as
+// Mutate increments, filtered through an xrt.DedupWindow exactly as
 // the reliable channel filters retransmissions, must leave the table in
 // the same final state as in-order exactly-once delivery. Dropped
 // transmissions are retransmissions in disguise (at-least-once transport
@@ -94,7 +94,7 @@ func FuzzDedupWindow(f *testing.F) {
 					continue // duplicate delivery: discarded, never applied
 				}
 				k, d := key(seq), delta(seq)
-				tab.MutateRetry(r, k, func(v int64, _ bool) (int64, bool) {
+				tab.Mutate(r, k, func(v int64, _ bool) (int64, bool) {
 					return v + d, true
 				})
 			}

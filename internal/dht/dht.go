@@ -77,9 +77,9 @@ type Options[K comparable] struct {
 	// the baselines use). Defaults to 512.
 	AggBufSize int
 	// Stripes is the number of lock stripes per shard (rounded up to a
-	// power of two). Construction-time flushes and traversal claims from
-	// different ranks contend only when they land on the same stripe of
-	// the same owner. Defaults to 8.
+	// power of two). Construction-time flushes from different ranks
+	// contend only when they land on the same stripe of the same owner.
+	// Defaults to 8.
 	Stripes int
 	// ExpectedItems is a hint of the global entry count. It allocates
 	// nothing: a stripe's slot array appears at its first insert, sized an
@@ -601,20 +601,14 @@ func (t *Table[K, V]) Get(r *xrt.Rank, k K) (V, bool) {
 }
 
 // Mutate runs fn atomically on the value stored under k at its owner,
-// modelling a remote atomic (the lightweight synchronization primitive the
-// traversal uses). fn receives the current value and whether it exists and
-// returns the new value and whether to store it. Results can be captured
-// through the closure.
+// modelling a remote atomic. fn receives the current value and whether it
+// exists and returns the new value and whether to store it. Results can be
+// captured through the closure.
 func (t *Table[K, V]) Mutate(r *xrt.Rank, k K, fn func(v V, exists bool) (V, bool)) {
 	t.assertMutable("Mutate")
 	h := t.opt.Hash(k)
 	dst := t.placeKey(k, h)
 	r.ChargeLookup(dst, t.opt.ItemBytes)
-	t.mutate(dst, h, k, fn)
-}
-
-// mutate is the uncharged body of Mutate and MutateRetry.
-func (t *Table[K, V]) mutate(dst int, h uint64, k K, fn func(v V, exists bool) (V, bool)) {
 	mix := flat.Mix(h)
 	st, _ := t.stripeOf(dst, mix)
 	st.mu.Lock()
@@ -632,23 +626,19 @@ func (t *Table[K, V]) mutate(dst int, h uint64, k K, fn func(v V, exists bool) (
 	}
 }
 
-// MutateRetry is Mutate without the communication charge. It exists for
-// bounded-spin retry loops on remote atomics (the traversal's wait-or-
-// abort scheme): the first attempt goes through Mutate and is charged
-// once; physical retries while waiting for another rank to release its
-// claim must not charge again, or the virtual clock and lookup counters
-// would scale with host-scheduler interleaving — wall-clock contention
-// laundered into deterministic fields. The wait itself advances no
-// virtual time (the simulator cannot know the release time); contention
-// is observable in the traversal's abort/retry counters instead.
-func (t *Table[K, V]) MutateRetry(r *xrt.Rank, k K, fn func(v V, exists bool) (V, bool)) {
-	t.assertMutable("MutateRetry")
-	// The retry loop is the one place a rank can wait on another rank
-	// without charging or barriering, so it must observe injected crashes
-	// explicitly or it would spin forever on a dead victim's claim.
-	r.CheckFault()
+// Ref is the remote atomic of a phase whose ranks are stepped one at a
+// time (xrt.RunEvents): charged as Mutate is, it returns a pointer to the
+// value stored under k at its owner, nil when k is absent, for the step to
+// read and write in place. No lock is taken, and the pointer is good until
+// the table's next insert.
+func (t *Table[K, V]) Ref(r *xrt.Rank, k K) *V {
+	t.assertMutable("Ref")
 	h := t.opt.Hash(k)
-	t.mutate(t.placeKey(k, h), h, k, fn)
+	dst := t.placeKey(k, h)
+	r.ChargeLookup(dst, t.opt.ItemBytes)
+	mix := flat.Mix(h)
+	st, _ := t.stripeOf(dst, mix)
+	return st.m.Get(mix, k)
 }
 
 // visitLocal runs visit over each stripe of the calling rank's shard in

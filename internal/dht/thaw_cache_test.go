@@ -49,9 +49,8 @@ func TestThawInvalidatesNegativeEntries(t *testing.T) {
 }
 
 // TestThawedMutateVisibleAfterRefreeze: a frozen-phase Get caches the old
-// value on every non-owner rank; a post-thaw Mutate (and a MutateRetry,
-// the uncharged spin variant) must win over the stale positive entry once
-// the table refreezes.
+// value on every non-owner rank; post-thaw Mutates must win over the stale
+// positive entry once the table refreezes.
 func TestThawedMutateVisibleAfterRefreeze(t *testing.T) {
 	team := xrt.NewTeam(xrt.Config{Ranks: 8, RanksPerNode: 4})
 	opt := intOpts()
@@ -74,7 +73,7 @@ func TestThawedMutateVisibleAfterRefreeze(t *testing.T) {
 		tab.Thaw(r)
 		if r.ID == owner {
 			tab.Mutate(r, key, func(v int64, _ bool) (int64, bool) { return v + 1, true })
-			tab.MutateRetry(r, key, func(v int64, _ bool) (int64, bool) { return v + 1, true })
+			tab.Mutate(r, key, func(v int64, _ bool) (int64, bool) { return v + 1, true })
 		}
 		r.Barrier()
 		tab.Freeze(r)

@@ -11,7 +11,6 @@ package expt
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"text/tabwriter"
 	"time"
 
@@ -243,8 +242,7 @@ type OracleRow struct {
 	ReductionO1, ReductionO4     float64
 	O1MemBytes, O4MemBytes       int64
 	// Oracle-vector slot collisions: k-mers of individual 1 the vector
-	// leaves on a wrong rank. Unlike the timings and lookup mixes above
-	// they depend on the input alone.
+	// leaves on a wrong rank.
 	O1Collisions, O4Collisions int64
 }
 
@@ -276,36 +274,18 @@ func Tables12(sc Scale) ([]OracleRow, string, string) {
 		row.O1MemBytes, row.O4MemBytes = o1.MemoryBytes(), o4.MemoryBytes()
 		row.O1Collisions, row.O4Collisions = o1.Collisions(), o4.Collisions()
 
-		type outcome struct {
-			sec    float64
-			offPct float64
+		// one traversal of individual 2 per layout: its time and off-node share
+		measure := func(oracle oracleT) (sec, offPct float64) {
+			ph := contigRun(xrt.NewTeam(sc.teamCfg(p)), g2, sc.K, oracle).TraversePhase
+			return ph.Virtual.Seconds(), 100 * ph.Comm.OffNodeLookupFrac()
 		}
-		// median of three runs: traversal conflict patterns vary with
-		// goroutine scheduling, and an occasional abort storm would
-		// otherwise distort a single measurement
-		measure := func(oracle oracleT) outcome {
-			var outs []outcome
-			for rep := 0; rep < 3; rep++ {
-				team := xrt.NewTeam(sc.teamCfg(p))
-				res := contigRun(team, g2, sc.K, oracle)
-				d := res.TraversePhase.Comm
-				outs = append(outs, outcome{
-					sec:    res.TraversePhase.Virtual.Seconds(),
-					offPct: 100 * d.OffNodeLookupFrac(),
-				})
-			}
-			sort.Slice(outs, func(i, j int) bool { return outs[i].sec < outs[j].sec })
-			return outs[1]
-		}
-		no := measure(nil)
-		w1 := measure(o1)
-		w4 := measure(o4)
-		row.NoOracleSec, row.O1Sec, row.O4Sec = no.sec, w1.sec, w4.sec
-		row.SpeedupO1 = no.sec / w1.sec
-		row.SpeedupO4 = no.sec / w4.sec
-		row.OffPctNo, row.OffPctO1, row.OffPctO4 = no.offPct, w1.offPct, w4.offPct
-		row.ReductionO1 = 100 * (1 - w1.offPct/no.offPct)
-		row.ReductionO4 = 100 * (1 - w4.offPct/no.offPct)
+		row.NoOracleSec, row.OffPctNo = measure(nil)
+		row.O1Sec, row.OffPctO1 = measure(o1)
+		row.O4Sec, row.OffPctO4 = measure(o4)
+		row.SpeedupO1 = row.NoOracleSec / row.O1Sec
+		row.SpeedupO4 = row.NoOracleSec / row.O4Sec
+		row.ReductionO1 = 100 * (1 - row.OffPctO1/row.OffPctNo)
+		row.ReductionO4 = 100 * (1 - row.OffPctO4/row.OffPctNo)
 		rows = append(rows, row)
 	}
 

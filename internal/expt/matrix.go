@@ -186,8 +186,7 @@ type CellResult struct {
 
 	// Virtual time and payload traffic (Comm.Bytes) next to the
 	// baseline's, filled for single-leg cells at the baseline's rank
-	// count. Reported, never asserted: both shift with the schedule
-	// (DESIGN.md §9).
+	// count. Reported, not yet asserted (ROADMAP item 2).
 	VirtualSec       float64 `json:"virtual_sec,omitempty"`
 	BaseVirtualSec   float64 `json:"base_virtual_sec,omitempty"`
 	BasePayloadBytes int64   `json:"base_payload_bytes,omitempty"`

@@ -3,9 +3,11 @@ package metrics_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hipmer/internal/pipeline"
+	"hipmer/internal/xrt"
 )
 
 var perturbSeeds = []int64{0, 1, 7, 42}
@@ -37,53 +39,68 @@ func TestMetamorphicLayer(t *testing.T) {
 	}
 }
 
-// TestMetamorphicPipeline sweeps the perturbation seeds over the full
-// toy assembly. The pipeline's speculative phases have schedule-
-// dependent performance profiles by design (which rank wins a claim
-// race, how much work a loser wastes — see DESIGN.md §9), so the
-// bit-identity claim is made on the deterministic projection
-// (ZeroProfile): the schema, the complete stage tree, and every outcome
-// counter must be identical across seeds. On top of that, invariants
-// that hold within any single schedule are checked per seed:
-// claims = wins + aborts, and wins equal to the (schedule-invariant)
-// contig count.
+// TestMetamorphicPipeline sweeps the perturbation seeds over full
+// assemblies — the 4-rank toy, and at 24 ranks a single-k human run and a
+// k ladder: the whole report — every span's virtual time, comm, per-rank
+// work and counter, the speculative traversal's included — must be
+// bit-identical across seeds and across GOMAXPROCS (alternate seeds run
+// on 1 and on 4 procs; CI also runs the whole test at -cpu 1,4), wall
+// clocks aside. On top of that the traversal's own invariant is checked
+// per run: claims = wins + aborts.
 func TestMetamorphicPipeline(t *testing.T) {
-	var base []byte
-	var baseContigs int64
-	for _, s := range perturbSeeds {
-		res, _ := toyRun(t, s)
-		rep := res.Metrics
-
-		tr := rep.Stage("contig-generation/traverse")
-		c := tr.Counters
-		if c["walks_claimed"] != c["walks_completed"]+c["walks_aborted"] {
-			t.Errorf("seed %d: claims %d != completed %d + aborted %d",
-				s, c["walks_claimed"], c["walks_completed"], c["walks_aborted"])
+	_, human := pipeline.SimulatedHuman(7, 20000, 20)
+	at24 := func(cfg pipeline.Config) func(int64) *pipeline.Result {
+		return func(seed int64) *pipeline.Result {
+			team := xrt.NewTeam(xrt.Config{Ranks: 24, RanksPerNode: 6, Seed: 7,
+				Inject: xrt.Inject{PerturbSeed: seed}})
+			res, err := pipeline.Run(team, human, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-
-		b, err := rep.ZeroProfile(pipeline.ScheduleDependentCounters...).MarshalIndent()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base == nil {
-			base, baseContigs = b, res.Contigs.Completed
-			continue
-		}
-		if !bytes.Equal(b, base) {
-			t.Errorf("perturb seed %d: deterministic projection differs from seed %d\n%s",
-				s, perturbSeeds[0], firstDiff(b, base))
-		}
-		if res.Contigs.Completed != baseContigs {
-			t.Errorf("seed %d: completed walks %d != %d (contig set must be schedule-invariant)",
-				s, res.Contigs.Completed, baseContigs)
-		}
+	}
+	for _, c := range []struct {
+		name, traverse string
+		run            func(seed int64) *pipeline.Result
+	}{
+		{"toy", "contig-generation/traverse", func(seed int64) *pipeline.Result {
+			res, _ := toyRun(t, seed)
+			return res
+		}},
+		{"human24", "contig-generation/traverse", at24(pipeline.Config{K: 31, MinCount: 3})},
+		{"ladder24", "contig-generation-k33/traverse",
+			at24(pipeline.Config{KmerLens: []int{21, 33}, ContigsOnly: true})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var base []byte
+			for i, s := range perturbSeeds {
+				procs := runtime.GOMAXPROCS(1 + 3*(i%2))
+				rep := c.run(s).Metrics
+				runtime.GOMAXPROCS(procs)
+				n := rep.Stage(c.traverse).Counters
+				if n["walks_claimed"] == 0 || n["walks_claimed"] != n["walks_completed"]+n["walks_aborted"] {
+					t.Errorf("seed %d: claims %d, completed %d + aborted %d",
+						s, n["walks_claimed"], n["walks_completed"], n["walks_aborted"])
+				}
+				b, err := rep.ZeroWall().MarshalIndent()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base == nil {
+					base = b
+				} else if !bytes.Equal(b, base) {
+					t.Errorf("perturb seed %d: report differs from seed %d\n%s",
+						s, perturbSeeds[0], firstDiff(b, base))
+				}
+			}
+		})
 	}
 }
 
-// TestMetamorphicIOStage: the io stage has no speculation — its charges
-// are pure deterministic partitioning — so unlike the traversal its FULL
-// profile (virtual time, per-rank work, comm, imbalance) must be
-// bit-identical across perturbation seeds, wall fields aside.
+// TestMetamorphicIOStage names the io stage in the sweep above: its
+// charges are pure deterministic partitioning, so a difference here is a
+// fault of the runtime's accounting, not of a stage's algorithm.
 func TestMetamorphicIOStage(t *testing.T) {
 	res0, _ := toyRun(t, 0)
 	io0 := res0.Metrics.ZeroWall().Stage("io")

@@ -258,41 +258,6 @@ func (r *Report) ZeroWall() *Report {
 	return &cp
 }
 
-// ZeroProfile returns a deep copy with every performance-profile field
-// zeroed: wall clocks, virtual times, utilization, imbalance, all
-// communication numbers, per-rank work, and the named counters (pass the
-// stage counters that track contention or memory high-water marks, e.g.
-// pipeline.ScheduleDependentCounters). What remains — the schema, the
-// stage tree, and the outcome counters — is the projection of the report
-// that is bit-identical across goroutine interleavings even for
-// speculative phases, whose profile legitimately varies with the
-// physical schedule (see DESIGN.md §9). Zeroed fields keep their JSON
-// keys, so a golden file of the projection still pins the full schema.
-func (r *Report) ZeroProfile(counters ...string) *Report {
-	cp := r.ZeroWall()
-	cp.VirtualNs = 0
-	dep := make(map[string]bool, len(counters))
-	for _, c := range counters {
-		dep[c] = true
-	}
-	for i := range cp.Stages {
-		st := &cp.Stages[i]
-		st.VirtualNs = 0
-		st.Comm = Comm{}
-		st.Imbalance = stats.Dist{}
-		st.Utilization = 0
-		for j := range st.PerRank {
-			st.PerRank[j] = RankMetrics{Rank: st.PerRank[j].Rank}
-		}
-		for k := range st.Counters {
-			if dep[k] {
-				st.Counters[k] = 0
-			}
-		}
-	}
-	return cp
-}
-
 // MarshalIndent renders the report as stable, indented JSON.
 func (r *Report) MarshalIndent() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")

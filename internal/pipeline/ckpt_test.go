@@ -77,40 +77,81 @@ func assertLoadSpan(t *testing.T, rep *metrics.Report, path string) {
 // TestCrashThenResumeMatchesUninterrupted is the crash-consistency
 // contract end to end: inject a deterministic rank crash mid-stage, see
 // the typed StageFailedError, resume from the checkpoint in a fresh
-// team, and get an assembly bit-identical to the uninterrupted run.
+// team, and get an assembly bit-identical to the uninterrupted run. The
+// two traverse cases put the failure — a crash, then a retry exhaustion
+// on a lossy transport — inside contig generation's event loop (at 24
+// ranks graph-build is over within the countdown): it must unwind like
+// any goroutine phase, every span closed, and, the loop's charge sequence
+// being a function of the input, at the same rank and clock every time.
 func TestCrashThenResumeMatchesUninterrupted(t *testing.T) {
 	libs := smallLibs(22)
 	// Fault seeds chosen so the countdown fires inside the stage: the
 	// window is 1..256 charge events, and gap-closing on a near-gapless
 	// toy assembly charges only a handful per rank, so it needs a seed
 	// with a short countdown (seed 7 → 14 charges).
-	faultSeeds := map[string]int64{
-		"contig-generation": 5, "scaffolding": 5, "gap-closing": 7,
-	}
-	for _, stage := range []string{"contig-generation", "scaffolding", "gap-closing"} {
-		t.Run(stage, func(t *testing.T) {
-			seed := faultSeeds[stage]
-			base, err := Run(ckTeam(), libs, Config{K: 21, MinCount: 2})
+	for _, c := range []struct {
+		name, stage string
+		ranks       int
+		inj         xrt.Inject
+		inTraverse  bool
+	}{
+		{"contig-generation", "contig-generation", 4, xrt.Inject{FaultSeed: 5}, false},
+		{"scaffolding", "scaffolding", 4, xrt.Inject{FaultSeed: 5}, false},
+		{"gap-closing", "gap-closing", 4, xrt.Inject{FaultSeed: 7}, false},
+		{"traverse", "contig-generation", 24, xrt.Inject{FaultSeed: 1}, true},
+		{"traverse-retry-exhaustion", "contig-generation", 24,
+			xrt.Inject{ChaosSeed: 1, DropRate: 0.1, RetryBudget: 4}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			newTeam := func(inj xrt.Inject) *xrt.Team {
+				return xrt.NewTeam(xrt.Config{Ranks: c.ranks, RanksPerNode: c.ranks / 2, Seed: 11, Inject: inj})
+			}
+			base, err := Run(newTeam(xrt.Inject{}), libs, Config{K: 21, MinCount: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 
+			if c.inj.FaultSeed != 0 {
+				c.inj.FailStage = c.stage
+			}
 			dir := t.TempDir()
-			_, err = Run(armedTeam(xrt.Inject{FaultSeed: seed, FailStage: stage}), libs,
-				Config{K: 21, MinCount: 2, CkptDir: dir})
+			team := newTeam(c.inj)
+			_, err = Run(team, libs, Config{K: 21, MinCount: 2, CkptDir: dir})
 			var sf *StageFailedError
 			if !errors.As(err, &sf) {
 				t.Fatalf("crashed run: err = %v, want *StageFailedError", err)
 			}
-			if sf.Stage != stage {
-				t.Fatalf("StageFailedError.Stage = %q, want %q", sf.Stage, stage)
+			if sf.Stage != c.stage {
+				t.Fatalf("StageFailedError.Stage = %q, want %q", sf.Stage, c.stage)
 			}
 			var fe *xrt.FaultError
-			if !errors.As(err, &fe) || fe.Seed != seed {
-				t.Fatalf("StageFailedError does not wrap the *xrt.FaultError: %v", err)
+			var re *xrt.RetryExhaustedError
+			if c.inj.FaultSeed != 0 && (!errors.As(err, &fe) || fe.Seed != c.inj.FaultSeed) ||
+				c.inj.ChaosSeed != 0 && !errors.As(err, &re) {
+				t.Fatalf("StageFailedError does not wrap the injected failure: %v", err)
+			}
+			if team.OpenSpans() != 0 {
+				t.Fatalf("%d spans left open by the failed stage", team.OpenSpans())
+			}
+			if c.inTraverse {
+				spans := map[string]bool{}
+				for _, sp := range team.Spans() {
+					spans[sp.Path] = true
+				}
+				if !spans["contig-generation/traverse"] || spans["contig-generation/assign-ids"] {
+					t.Fatalf("the failure did not land inside traverse (spans %v)", spans)
+				}
+				again := newTeam(c.inj)
+				_, err = Run(again, libs, Config{K: 21, MinCount: 2, CkptDir: t.TempDir()})
+				var sf2 *StageFailedError
+				if !errors.As(err, &sf2) || sf2.Rank != sf.Rank ||
+					again.TripVirtual() != team.TripVirtual() || team.TripVirtual() <= 0 {
+					t.Fatalf("failure at rank %d, %v; a second run: %v at %v",
+						sf.Rank, team.TripVirtual(), err, again.TripVirtual())
+				}
 			}
 
-			res, err := Run(ckTeam(), libs, Config{
+			res, err := Run(newTeam(xrt.Inject{}), libs, Config{
 				K: 21, MinCount: 2, CkptDir: dir, Resume: true,
 			})
 			if err != nil {
@@ -118,14 +159,14 @@ func TestCrashThenResumeMatchesUninterrupted(t *testing.T) {
 			}
 			if !verify.EqualSets(verify.CanonicalSet(base.FinalSeqs),
 				verify.CanonicalSet(res.FinalSeqs)) {
-				t.Fatalf("resume after crash in %s diverged from uninterrupted run", stage)
+				t.Fatalf("resume after crash in %s diverged from uninterrupted run", c.stage)
 			}
 			// The crashed stage itself was not checkpointed, so the resume
 			// recomputes it; everything before it must have been loaded.
-			if res.Metrics.Stage(stage) == nil {
-				t.Fatalf("stage %s was not recomputed after its crash", stage)
+			if res.Metrics.Stage(c.stage) == nil {
+				t.Fatalf("stage %s was not recomputed after its crash", c.stage)
 			}
-			if stage != "contig-generation" {
+			if c.stage != "contig-generation" {
 				assertLoadSpan(t, res.Metrics, "checkpoint-load:contig-generation")
 			}
 		})

@@ -140,19 +140,6 @@ type Result struct {
 	Metrics *metrics.Report
 }
 
-// ScheduleDependentCounters lists the stage counters whose values track
-// contention or memory high-water marks and therefore vary with the
-// physical goroutine interleaving, like the performance profile of the
-// speculative phases they instrument: which rank wins a claim race, how
-// much work a losing walk wastes, and how many quiescence rounds a rank
-// observes are properties of one interleaving, not of the input (the
-// assembly itself is interleaving-invariant — see internal/xrt/perturb).
-// Metrics consumers comparing runs across schedules should zero these
-// via Report.ZeroProfile.
-var ScheduleDependentCounters = []string{
-	"peak_entries", "quiescence_rounds", "walks_claimed", "walks_aborted",
-}
-
 // Validate is the one statement of the run-shape rules; hipmer.Assemble,
 // hipmerd admission, cmd/hipmer and Run all call it. It judges the values
 // as given — resolve defaults first (WithDefaults) where a zero means

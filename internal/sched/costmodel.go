@@ -12,16 +12,13 @@ import (
 
 // The service accounting model.
 //
-// The daemon cannot bill attempts by the team's measured virtual clock:
-// the speculative phases (contig traversal claim races, quiescence
-// detection) make a run's virtual-time profile a property of the
-// physical goroutine interleaving, not of the input (DESIGN.md §9,
-// pipeline.ScheduleDependentCounters). A timeline built from measured
-// durations would therefore differ between two runs of the same
-// workload, and the hipmer-sched/v1 report could never be bit-identical
-// across runs — the service's own reproducibility contract.
+// Billing by model is a choice, no longer a necessity: a run's measured
+// virtual time is a function of its input (DESIGN.md §9 — the traversal's
+// claims resolve in virtual-time order), so a timeline built from
+// measured stage times would be as reproducible as this one. Billing
+// measured stage time is the follow-up (ROADMAP item 2).
 //
-// Instead every attempt is charged by a deterministic billing model: a
+// Until then every attempt is charged by a deterministic billing model: a
 // per-stage linear cost in the job's input scale, divided by the
 // allocation, plus a fixed per-stage overhead that grows with the
 // collective tree depth. The constants below are calibrated against the

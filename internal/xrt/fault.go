@@ -10,10 +10,10 @@
 // charge, the victim marks the team as tripped, poisons the team barrier,
 // and panics with a private sentinel. Survivors notice at their next
 // charge or barrier and panic with the same sentinel; Team.Run recovers
-// the sentinel on each rank goroutine, joins, and re-panics on the
-// orchestrator goroutine with a typed *FaultError that pipeline code can
-// recover and convert into a StageFailedError. The team is dead after a
-// trip: any further Run panics with the same *FaultError.
+// the sentinel on each rank goroutine (RunEvents on its only one), joins,
+// and re-panics on the orchestrator goroutine with a typed *FaultError that
+// pipeline code can recover and convert into a StageFailedError. The team
+// is dead after a trip: any further phase panics with the same *FaultError.
 package xrt
 
 import "fmt"
@@ -132,17 +132,6 @@ func (r *Rank) faultPoint() {
 		return
 	}
 	if t.faultTripped.Load() {
-		panic(faultCrash{})
-	}
-}
-
-// CheckFault lets uncharged spin loops (e.g. dht.MutateRetry waiting for
-// another rank to release a claim) observe a team unwind — an injected
-// crash or a chaos-layer retry exhaustion: without a charge or a barrier
-// in the loop body a survivor could otherwise spin forever waiting on a
-// dead victim. No-op unless a fault or message-fault plan is active.
-func (r *Rank) CheckFault() {
-	if (r.team.faultOn || r.team.chaosOn) && r.team.faultTripped.Load() {
 		panic(faultCrash{})
 	}
 }

@@ -3,18 +3,20 @@
 // start, barrier arrival, and per-rank buffer flushes — without touching
 // virtual time, communication statistics, or the ranks' algorithmic RNG
 // streams. Sweeping PerturbPlan seeds explores adversarial goroutine
-// interleavings of the speculative protocols built on top of xrt (the
-// contig claim/abort traversal, the DHT freeze/thaw phase discipline)
-// while every run remains reproducible: for a fixed plan each rank draws
-// its delay sequence from a private generator in rank-local program
-// order, so the delays themselves do not depend on scheduling.
+// interleavings of what still runs one goroutine per rank (Team.Run): DHT
+// flushes racing lookups, the freeze/thaw phase discipline, stage 1's
+// inbox hand-off. The one protocol whose outcome used to follow the
+// interleaving, the contig claim/abort traversal, runs under RunEvents
+// and has no physical schedule to explore. Every run remains
+// reproducible: for a fixed plan each rank draws its delay sequence from
+// a private generator in rank-local program order.
 //
-// The intended use is metamorphic testing (see internal/verify): the
-// assembly must be bit-identical under every perturbation seed, turning
-// "no schedule-dependent results" into a property the race detector and
-// CI exercise on every run. To reproduce a failure, re-run with the same
-// Config (Ranks, Seed, Inject.PerturbSeed) — the delay schedule is part
-// of the configuration, not of the runtime's mood.
+// The intended use is metamorphic testing (see internal/verify,
+// internal/metrics): the assembly and every non-wall field of its report
+// must be bit-identical under every perturbation seed, a property the
+// race detector and CI exercise on every run. To reproduce a failure,
+// re-run with the same Config (Ranks, Seed, Inject.PerturbSeed) — the delay
+// schedule is part of the configuration, not of the runtime's mood.
 package xrt
 
 import (

@@ -1,6 +1,7 @@
 // Package xrt implements the execution runtime that stands in for the
 // UPC/PGAS layer used by the original HipMer. A Team is a set of SPMD
-// ranks, each backed by a goroutine, grouped into simulated nodes. All
+// ranks — each backed by a goroutine in a Run phase, all stepped on one in
+// a RunEvents phase — grouped into simulated nodes. All
 // inter-rank operations go through the team so that every communication
 // event can be classified (local, on-node, off-node), counted, and charged
 // to a deterministic virtual clock. The algorithms built on top of xrt run
@@ -494,8 +495,6 @@ type Team struct {
 	sInt []int64
 	sAny []any
 
-	walkSeq atomic.Int64 // global unique id source (traversal walks etc.)
-
 	// span bookkeeping (see span.go); orchestrator-goroutine only
 	spans []*SpanRecord
 	open  []*openSpan
@@ -578,9 +577,6 @@ func (t *Team) Config() Config { return t.cfg }
 // Cost returns the team cost model.
 func (t *Team) Cost() CostModel { return t.cost }
 
-// NextID returns a team-global unique positive identifier.
-func (t *Team) NextID() int64 { return t.walkSeq.Add(1) }
-
 // Deal partitions an ordered list onto p ranks round-robin: item i goes
 // to rank i % p and each rank's share keeps the list's order. Every
 // "order by ID, then deal" layout of the pipeline — contig results,
@@ -620,6 +616,27 @@ type PhaseStats struct {
 // On return, all rank clocks are synchronized to the phase maximum and the
 // phase's virtual duration and communication delta are reported.
 func (t *Team) Run(fn func(r *Rank)) PhaseStats {
+	return t.phase(func() {
+		var wg sync.WaitGroup
+		wg.Add(len(t.ranks))
+		for _, r := range t.ranks {
+			go func(r *Rank) {
+				defer wg.Done()
+				if t.faultOn || t.chaosOn {
+					defer recoverFaultCrash()
+				}
+				r.PerturbPoint(PerturbStart)
+				fn(r)
+			}(r)
+		}
+		wg.Wait()
+	})
+}
+
+// phase brackets one phase body, however it schedules the ranks (Run,
+// RunEvents): a dead team panics with its typed error before and after,
+// a live one leaves with its clocks synchronized.
+func (t *Team) phase(body func()) PhaseStats {
 	if t.faultTripped.Load() {
 		// The team already died; running another phase on it would hang
 		// on the poisoned barrier. Surface the same typed error.
@@ -628,19 +645,7 @@ func (t *Team) Run(fn func(r *Rank)) PhaseStats {
 	before := t.AggStats()
 	start := t.maxClock()
 	wall := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(len(t.ranks))
-	for _, r := range t.ranks {
-		go func(r *Rank) {
-			defer wg.Done()
-			if t.faultOn || t.chaosOn {
-				defer recoverFaultCrash()
-			}
-			r.PerturbPoint(PerturbStart)
-			fn(r)
-		}(r)
-	}
-	wg.Wait()
+	body()
 	if t.faultTripped.Load() {
 		panic(t.tripError())
 	}

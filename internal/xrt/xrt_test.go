@@ -278,21 +278,3 @@ func TestStatsSubAndAdd(t *testing.T) {
 		t.Fatalf("add(sub) != original: %+v vs %+v", b, a)
 	}
 }
-
-func TestNextIDUnique(t *testing.T) {
-	team := NewTeam(Config{Ranks: 8})
-	seen := make(map[int64]bool)
-	var mu atomic.Int64
-	ids := make([]int64, 8*100)
-	team.Run(func(r *Rank) {
-		for i := 0; i < 100; i++ {
-			ids[mu.Add(1)-1] = team.NextID()
-		}
-	})
-	for _, id := range ids {
-		if seen[id] {
-			t.Fatalf("duplicate id %d", id)
-		}
-		seen[id] = true
-	}
-}
