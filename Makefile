@@ -46,9 +46,10 @@ fuzz:
 # stage 1's inbox drain — ordered by a barrier, not a lock — the goroutine
 # phases around the claim/abort traversal's event loop, the
 # perturbation-seed assembly sweep, the scheduler's fake-runner suite),
-# and the two real-pipeline batteries that are too slow for -short
-# (multi-k determinism, cross-job isolation). `make test` / `make race`
-# remain the exhaustive versions.
+# and the real-pipeline batteries that are too slow for -short (multi-k
+# determinism; cross-job isolation, preemption and the real-runner service
+# report's determinism). `make test` / `make race` remain the exhaustive
+# versions.
 verify: build vet fuzz
 	$(GO) test -short ./...
 	$(GO) test -short -race ./internal/xrt/ ./internal/dht/ ./internal/kanalysis/ ./internal/sched/
@@ -56,7 +57,7 @@ verify: build vet fuzz
 	$(GO) test -short -race -run 'Perturb' ./internal/verify/
 	$(GO) test -short -race -run 'Conservation|Metamorphic' ./internal/metrics/
 	$(GO) test -run 'MultiK' ./internal/pipeline/
-	$(GO) test -run 'CrossJobIsolation|PreemptionResumes' ./internal/sched/
+	$(GO) test -run 'CrossJobIsolation|PreemptionResumes|RealServiceReportDeterminism' ./internal/sched/
 
 # The size ROADMAP tracks: non-blank lines of non-test Go outside
 # benchmark/ (tracked files plus new ones not yet added). DIR=internal/ckpt

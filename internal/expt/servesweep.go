@@ -30,7 +30,7 @@ type ServeResult struct {
 	// bit-identity check actually ran.
 	SoloRuns int
 	// FaultedCompleted counts crash-, chaos- or disk-armed jobs that
-	// completed after requeue + resume.
+	// completed — after requeue + resume, where the injection tripped.
 	FaultedCompleted int
 }
 
@@ -87,7 +87,7 @@ func ServeLoad(jobs, tenants int) sched.LoadConfig {
 
 // DiskServeLoad is the storage-fault leg: a small workload in which the
 // generator arms 40% of the jobs with checkpoint damage, each paired
-// with a later crash, so every such job must requeue and heal in
+// with a later crash: a job whose crash trips must requeue and heal in
 // service.
 func DiskServeLoad() sched.LoadConfig {
 	return sched.LoadConfig{

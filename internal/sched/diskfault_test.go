@@ -6,38 +6,7 @@ import (
 
 	"hipmer/internal/pipeline"
 	"hipmer/internal/verify"
-	"hipmer/internal/xrt"
 )
-
-func TestTrimBilledAt(t *testing.T) {
-	prefix := []string{"io", "kmer-analysis", "contig-generation", "scaffolding"}
-	cases := []struct {
-		name  string
-		stage string
-		want  []string
-	}{
-		{"cuts-at-disk-stage", "contig-generation", []string{"io", "kmer-analysis"}},
-		{"cuts-to-empty", "io", []string{}},
-		{"stage-not-in-prefix", "gap-closing", prefix},
-		{"cuts-last", "scaffolding", []string{"io", "kmer-analysis", "contig-generation"}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			got := trimBilledAt(prefix, c.stage)
-			if len(got) != len(c.want) {
-				t.Fatalf("trimBilledAt = %v, want %v", got, c.want)
-			}
-			for i := range got {
-				if got[i] != c.want[i] {
-					t.Fatalf("trimBilledAt = %v, want %v", got, c.want)
-				}
-			}
-		})
-	}
-	if got := trimBilledAt(nil, "io"); len(got) != 0 {
-		t.Fatalf("trimBilledAt(nil) = %v", got)
-	}
-}
 
 // TestGenJobsDiskFaultPairing: every disk-armed job the generator
 // emits pairs the storage fault with a crash STRICTLY after the disk
@@ -108,77 +77,12 @@ func TestGenJobsDiskFracZero(t *testing.T) {
 	}
 }
 
-// TestDiskFaultBillingTrim drives the real runner directly: an attempt
-// that both damages a checkpoint stage and crashes later must report a
-// billed rehydration prefix that stops strictly before the disk stage
-// (the requeued resume pays to recompute it), and the disarmed resume
-// must scrub, heal, and match a solo run.
-func TestDiskFaultBillingTrim(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-pipeline runner test")
-	}
-	tpls, err := DefaultTemplates(20151115, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var humanS Template
-	for _, tpl := range tpls {
-		if tpl.Name == "human-s" {
-			humanS = tpl
-		}
-	}
-	spec := JobSpec{
-		Tenant: "acme", Name: humanS.Name, Libs: humanS.Libs, Pipeline: humanS.Pipeline,
-		Ranks: 8, Seed: humanS.Seed,
-		Inject: xrt.Inject{
-			FaultSeed: 7, FailStage: "scaffolding",
-			DiskFaultSeed: 21, DiskFailStage: "contig-generation",
-		},
-	}
-	r := &PipelineRunner{}
-	dir := t.TempDir()
-	att := Attempt{
-		JobID: 0, Attempt: 1, Ranks: 8, RanksPerNode: 8, CkptDir: dir,
-		Inject: spec.Inject,
-	}
-	out := r.Run(spec, att)
-	if !out.Failed || out.Fatal {
-		t.Fatalf("armed attempt outcome: %+v", out)
-	}
-	for _, st := range out.BilledDone {
-		if st == spec.DiskFailStage || st == spec.FailStage {
-			t.Fatalf("billed prefix %v includes damaged/failed stage", out.BilledDone)
-		}
-	}
-	found := false
-	for _, st := range out.BilledDone {
-		if st == "kmer-analysis" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("billed prefix %v lost the intact stage before the damage", out.BilledDone)
-	}
-
-	// Requeue: disarmed resume from the damaged directory.
-	out2 := r.Run(spec, Attempt{
-		JobID: 0, Attempt: 2, Ranks: 8, RanksPerNode: 8, CkptDir: dir,
-		Resume: true, BilledDone: out.BilledDone,
-	})
-	if out2.Failed || out2.Fatal {
-		t.Fatalf("healing resume failed: %+v", out2)
-	}
-	solo := soloRun(t, JobSpec{
-		Name: spec.Name, Libs: spec.Libs, Pipeline: spec.Pipeline, Seed: spec.Seed,
-	}, 8, 8)
-	if !verify.EqualSets(verify.CanonicalSet(out2.Seqs), verify.CanonicalSet(solo)) {
-		t.Fatal("healed resume's assembly differs from the solo run")
-	}
-}
-
 // TestDiskFaultJobHealsInService runs a disk-armed job through the full
 // scheduler next to a healthy neighbour: the disk job requeues once,
-// heals, and both assemblies stay bit-identical to solo runs.
+// heals, and both assemblies stay bit-identical to solo runs. The healing
+// attempt's report says what it held its ranks for: the intact stage
+// loaded, the damage scrubbed, everything from the damaged stage on
+// recomputed.
 func TestDiskFaultJobHealsInService(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-pipeline service test")
@@ -187,23 +91,12 @@ func TestDiskFaultJobHealsInService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := make(map[string]Template)
-	for _, tpl := range tpls {
-		byName[tpl.Name] = tpl
-	}
-	mk := func(name, tenant string) JobSpec {
-		tpl := byName[name]
-		return JobSpec{
-			Tenant: tenant, Name: name, Libs: tpl.Libs, Pipeline: tpl.Pipeline,
-			Ranks: tpl.Ranks, Seed: tpl.Seed,
-		}
-	}
-	disk := mk("human-s", "acme")
+	disk := templateSpec(t, tpls, "human-s", "acme")
 	disk.DiskFaultSeed = 21
 	disk.DiskFailStage = "contig-generation"
 	disk.FaultSeed = 7
 	disk.FailStage = "scaffolding"
-	specs := []JobSpec{disk, mk("wheat-s", "bio")}
+	specs := []JobSpec{disk, templateSpec(t, tpls, "wheat-s", "bio")}
 
 	cfg := Config{Ranks: 16, RanksPerNode: 8, Seed: 3, DefaultQuota: 12, CkptRoot: t.TempDir()}
 	s, err := New(cfg, &PipelineRunner{})
@@ -222,6 +115,17 @@ func TestDiskFaultJobHealsInService(t *testing.T) {
 	}
 	if out.Jobs[1].Requeues != 0 {
 		t.Fatal("healthy neighbour was requeued")
+	}
+	healed := out.Jobs[0].Metrics
+	for _, span := range []string{"checkpoint-load:kmer-analysis", "checkpoint-scrub", "contig-generation", "scaffolding", "gap-closing"} {
+		if healed.Stage(span) == nil {
+			t.Errorf("healing attempt's report has no %s span", span)
+		}
+	}
+	for _, span := range []string{"kmer-analysis", "checkpoint-load:contig-generation"} {
+		if healed.Stage(span) != nil {
+			t.Errorf("healing attempt's report has a %s span", span)
+		}
 	}
 	for i, jr := range out.Jobs {
 		final := jr.RanksUsed[len(jr.RanksUsed)-1]

@@ -2,9 +2,14 @@ package sched
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"hipmer/internal/ckpt"
 	"hipmer/internal/pipeline"
 	"hipmer/internal/verify"
 	"hipmer/internal/xrt"
@@ -40,16 +45,10 @@ func TestCrossJobIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := make(map[string]Template)
-	for _, tpl := range tpls {
-		byName[tpl.Name] = tpl
-	}
 	mk := func(name, tenant string, arrival time.Duration) JobSpec {
-		tpl := byName[name]
-		return JobSpec{
-			Tenant: tenant, Name: name, Libs: tpl.Libs, Pipeline: tpl.Pipeline,
-			Ranks: tpl.Ranks, Seed: tpl.Seed, Arrival: arrival,
-		}
+		spec := templateSpec(t, tpls, name, tenant)
+		spec.Arrival = arrival
+		return spec
 	}
 	crash := mk("human-s", "acme", 0)
 	crash.FaultSeed = 7
@@ -173,5 +172,204 @@ func TestPreemptionResumesFromTruncatedCkpt(t *testing.T) {
 	solo := soloRun(t, victim, 8, 8)
 	if !verify.EqualSets(verify.CanonicalSet(out.Jobs[0].Seqs), verify.CanonicalSet(solo)) {
 		t.Fatal("preempted+resumed job's assembly differs from its solo run")
+	}
+}
+
+// templateSpec stamps a job from the named default template.
+func templateSpec(t *testing.T, tpls []Template, name, tenant string) JobSpec {
+	t.Helper()
+	for _, tpl := range tpls {
+		if tpl.Name == name {
+			return JobSpec{
+				Tenant: tenant, Name: name, Libs: tpl.Libs, Pipeline: tpl.Pipeline,
+				Ranks: tpl.Ranks, Seed: tpl.Seed,
+			}
+		}
+	}
+	t.Fatalf("no template %q", name)
+	return JobSpec{}
+}
+
+// TestAttemptBilledAsMeasured pins what the real runner reports of an
+// attempt: the team's clock and nothing else. A clean attempt lasts the
+// report's virtual time, with one mark per stage up to it; a crash that
+// trips fails the attempt at the trip clock in the stage the pipeline
+// names, and the requeued attempt loads exactly what the manifest holds;
+// a crash whose countdown outlives its stage is a job that completes.
+// (The fourth case, a damaged checkpoint healed by the requeued attempt,
+// is TestDiskFaultJobHealsInService.)
+func TestAttemptBilledAsMeasured(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-pipeline runner test")
+	}
+	tpls, err := DefaultTemplates(20151115, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := templateSpec(t, tpls, "human-s", "acme")
+	stages := pipeline.StageNames(spec.Pipeline)
+	runner := &PipelineRunner{}
+	attempt := func(dir string, resume bool, inj xrt.Inject) RunOutcome {
+		return runner.Run(spec, Attempt{
+			Attempt: 1, Ranks: spec.Ranks, RanksPerNode: 8, CkptDir: dir, Resume: resume, Inject: inj,
+		})
+	}
+	// One mark per stage, in order, strictly increasing, the last at the
+	// attempt's end.
+	checkMarks := func(out RunOutcome) {
+		t.Helper()
+		if out.Failed || out.Fatal {
+			t.Fatalf("attempt failed: %+v", out)
+		}
+		if want := time.Duration(out.Metrics.VirtualNs); out.Virtual != want || out.Measured != want {
+			t.Fatalf("Virtual %v, Measured %v: want the report's virtual time %v", out.Virtual, out.Measured, want)
+		}
+		var prev time.Duration
+		for i, m := range out.Stages {
+			if i >= len(stages) || m.Stage != stages[i] || m.End <= prev {
+				t.Fatalf("marks %v: want one per stage of %v, strictly increasing", out.Stages, stages)
+			}
+			prev = m.End
+		}
+		if len(out.Stages) != len(stages) || prev != out.Virtual {
+			t.Fatalf("marks %v: want %d ending at %v", out.Stages, len(stages), out.Virtual)
+		}
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		checkMarks(attempt(t.TempDir(), false, xrt.Inject{}))
+	})
+
+	t.Run("crash-trips", func(t *testing.T) {
+		// Fault seed 50 counts down one charge: it fits any stage.
+		inj := xrt.Inject{FaultSeed: 50, FailStage: "contig-generation", PerturbSeed: 5}
+		dir := t.TempDir()
+		out := attempt(dir, false, inj)
+		if !out.Failed || out.Fatal || out.FailedStage != inj.FailStage {
+			t.Fatalf("armed attempt: %+v, want a retryable failure in %s", out, inj.FailStage)
+		}
+		// The same run on a team of our own: the attempt lasted until its trip.
+		team := xrt.NewTeam(xrt.Config{Ranks: spec.Ranks, RanksPerNode: 8, Seed: spec.Seed, Inject: inj})
+		pcfg := spec.Pipeline
+		pcfg.CkptDir = t.TempDir()
+		if _, err := pipeline.Run(team, spec.Libs, pcfg); err == nil || team.TripVirtual() <= 0 {
+			t.Fatalf("solo armed run: err %v, trip clock %v", err, team.TripVirtual())
+		}
+		if out.Virtual != team.TripVirtual() || out.Measured != out.Virtual {
+			t.Fatalf("Virtual %v, Measured %v: want the trip clock %v", out.Virtual, out.Measured, team.TripVirtual())
+		}
+
+		b, err := os.ReadFile(filepath.Join(dir, ckpt.ManifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, err := ckpt.ParseManifest(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held []string
+		for _, e := range man.Stages {
+			held = append(held, e.Name)
+		}
+		if want := []string{"kmer-analysis"}; !slices.Equal(held, want) {
+			t.Fatalf("manifest after the crash holds %v, want %v", held, want)
+		}
+		resumed := attempt(dir, true, inj.Disarmed())
+		checkMarks(resumed)
+		var loaded []string
+		for _, st := range resumed.Metrics.Stages {
+			if of, ok := strings.CutPrefix(st.Name, "checkpoint-load:"); ok {
+				loaded = append(loaded, of)
+			}
+		}
+		if !slices.Equal(loaded, held) {
+			t.Fatalf("resumed attempt loaded %v, manifest held %v", loaded, held)
+		}
+		if !verify.EqualSets(verify.CanonicalSet(resumed.Seqs), verify.CanonicalSet(soloRun(t, spec, spec.Ranks, 8))) {
+			t.Fatal("resumed attempt's assembly differs from the solo run")
+		}
+	})
+
+	t.Run("countdown-outlives-stage", func(t *testing.T) {
+		// Fault seed 99 counts down 256 charges; no rank makes that many
+		// reading this input.
+		armed := spec
+		armed.Inject = xrt.Inject{FaultSeed: 99, FailStage: "io"}
+		s, err := New(Config{Ranks: 8, DefaultQuota: 8, CkptRoot: t.TempDir()}, runner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Run([]JobSpec{armed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jr := out.Jobs[0]; jr.State != StateCompleted || jr.Requeues != 0 || jr.Attempts != 1 {
+			t.Fatalf("job %s after %d attempts, %d requeues (%s): want completed in one", jr.State, jr.Attempts, jr.Requeues, jr.Reason)
+		}
+	})
+}
+
+// TestRealServiceReportDeterminism is the determinism gate on the real
+// runner: a dozen jobs with every failure injection armed somewhere — a
+// crash, a retry budget that exhausts, both on one job, a damaged
+// checkpoint — and a perturb seed on each, through a cluster small enough
+// to queue, preempt and rescale them. Every duration the scheduler acts on
+// is a team's clock, so two passes must give byte-equal reports (at any
+// GOMAXPROCS: CI runs this under -cpu 1,4).
+func TestRealServiceReportDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-pipeline service test")
+	}
+	tpls, err := DefaultTemplates(20151115, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	harsh := xrt.Inject{ChaosSeed: 11, DropRate: 0.5, RetryBudget: 1}
+	crash := xrt.Inject{FaultSeed: 50, FailStage: "contig-generation"}
+	both := harsh
+	both.FaultSeed, both.FailStage = 346, "kmer-analysis"
+	arm := map[int]xrt.Inject{
+		0: crash,
+		1: harsh,
+		3: both,
+		4: {FaultSeed: 7, FailStage: "scaffolding", DiskFaultSeed: 21, DiskFailStage: "contig-generation"},
+		6: {ChaosSeed: 5, DropRate: 0.1, RetryBudget: 16},
+		9: {FaultSeed: 99, FailStage: "io"}, // never trips
+	}
+	var specs []JobSpec
+	for i := 0; i < 12; i++ {
+		spec := templateSpec(t, tpls, tpls[i%len(tpls)].Name, TenantNames(3)[i%3])
+		spec.Arrival = time.Duration(i) * 400 * time.Microsecond
+		spec.Priority = i % 3
+		spec.Inject = arm[i]
+		spec.PerturbSeed = int64(2*i + 1)
+		specs = append(specs, spec)
+	}
+	pass := func() (*Report, []byte) {
+		s, err := New(Config{Ranks: 16, RanksPerNode: 8, Seed: 3, DefaultQuota: 12, CkptRoot: t.TempDir()}, &PipelineRunner{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Run(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jr := range out.Jobs {
+			if jr.State != StateCompleted {
+				t.Fatalf("job %d (%s) %s: %s", jr.ID, jr.Name, jr.State, jr.Reason)
+			}
+		}
+		b, err := out.Report.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Report, b
+	}
+	rep, b1 := pass()
+	if rep.Requeues < 4 {
+		t.Fatalf("%d requeues: want the four tripping injections to have fired", rep.Requeues)
+	}
+	if _, b2 := pass(); !bytes.Equal(b1, b2) {
+		t.Fatalf("real-runner service report differs between two passes:\n--- pass 1\n%s\n--- pass 2\n%s", b1, b2)
 	}
 }

@@ -71,16 +71,18 @@ type LoadConfig struct {
 	// disables bursts).
 	Burst int
 	// FaultFrac of jobs arrive with an armed mid-pipeline rank crash
-	// (requeue + resume exercises). In [0, 1].
+	// (requeue + resume exercises, where the seed's countdown fits the
+	// stage it is aimed at). In [0, 1].
 	FaultFrac float64
 	// ChaosFrac of jobs arrive with message chaos armed; a quarter of
-	// them get a hard plan (50% drop, retry budget 1) that is guaranteed
-	// to exhaust and requeue. In [0, 1].
+	// them get a hard plan (50% drop, retry budget 1: every message dies
+	// with p = 0.25) that exhausts and requeues. In [0, 1].
 	ChaosFrac float64
 	// DiskFrac of jobs arrive with an armed storage fault paired with a
 	// rank crash strictly after it: attempt 1 damages one stage's
-	// checkpoint on disk, then crashes later, so the requeued resume must
-	// detect the damage, scrub, and recompute the suffix. In [0, 1].
+	// checkpoint on disk, then crashes later — if that crash trips, the
+	// requeued resume must detect the damage, scrub, and recompute the
+	// suffix. In [0, 1].
 	// Zero leaves the PRNG draw stream untouched (existing workload
 	// baselines stay valid).
 	DiskFrac float64
@@ -258,7 +260,7 @@ func GenJobs(c LoadConfig, templates []Template) ([]JobSpec, error) {
 			if prng.Float64() < c.ChaosFrac {
 				spec.ChaosSeed = prng.Int63() | 1
 				if prng.Float64() < 0.25 {
-					// Hard plan: guaranteed retry exhaustion → requeue.
+					// Hard plan: retry exhaustion → requeue.
 					spec.DropRate = 0.5
 					spec.RetryBudget = 1
 				} else {

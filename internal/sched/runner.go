@@ -2,7 +2,8 @@ package sched
 
 import (
 	"errors"
-	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"hipmer/internal/ckpt"
@@ -21,20 +22,12 @@ type Attempt struct {
 	RanksPerNode int
 	Resume       bool
 	CkptDir      string
-	// BilledDone lists the stages the billing model treats as already
-	// completed (rehydrated) by this attempt: the billed prefix of a
-	// failed attempt, or the truncation boundary of a preempted one. The
-	// scheduler tracks it so billing never reads the physical checkpoint
-	// — a failed attempt's manifest records whichever stages the real
-	// goroutines happened to finish, which is schedule-dependent.
-	BilledDone []string
 	// Inject is what this attempt runs under: the spec's value, or its
 	// Disarmed form once the job has been requeued after a failure. An
 	// armed disk fault still lets the attempt complete bit-identically;
 	// the damage surfaces only if a failure sends the job back to its
-	// checkpoint, where the resume scrubs and recomputes — so billing
-	// trims the requeued attempt's rehydration prefix to the stages
-	// strictly before the disk stage (see trimBilledAt).
+	// checkpoint, where the resume scrubs and recomputes from the damaged
+	// stage on.
 	Inject xrt.Inject
 }
 
@@ -49,17 +42,15 @@ type StageMark struct {
 
 // RunOutcome is what one runner invocation produced.
 type RunOutcome struct {
-	// Virtual is the attempt's billed duration (present for failures
-	// too: the cluster was occupied until the crash unwound). The real
-	// runner bills by the deterministic service accounting model (see
-	// costmodel.go), not the measured team clock, so the service
-	// timeline is reproducible.
+	// Virtual is how long the attempt held its ranks (present for
+	// failures too: the cluster was occupied until the crash unwound).
+	// The real runner reports the team's clock: its synchronized virtual
+	// time on success, the trip clock of the crash or retry exhaustion on
+	// failure — a function of the job and the allocation, like every
+	// other virtual time in the tree.
 	Virtual time.Duration
-	// Measured is the team's measured virtual clock for the attempt
-	// (the fault-trip clock for failed attempts) — the machine-model
-	// ground truth the billing model approximates. Diagnostic only:
-	// schedule-dependent phases make it vary across runs, so nothing
-	// in the service report derives from it.
+	// Measured always equals Virtual; benchmark/serve.go reads both, so
+	// it stays until the harness can change (ROADMAP item 6).
 	Measured time.Duration
 	// Failed marks a retryable failure (injected crash, chaos retry
 	// exhaustion): the job checkpointed up to the failed stage and can
@@ -75,12 +66,11 @@ type RunOutcome struct {
 	Seqs    [][]byte
 	Metrics *metrics.Report
 	// Stages are the attempt's completed stages in order with cumulative
-	// virtual end offsets (success only; used for preemption).
+	// virtual end offsets (success only; used for preemption). A stage's
+	// mark falls after its checkpoint segment was written (or loaded), so
+	// the stages marked by a preemption boundary are the ones whose
+	// segment exists.
 	Stages []StageMark
-	// BilledDone is the billed completed-stage prefix the NEXT attempt
-	// rehydrates (failures only); the scheduler passes it back in
-	// Attempt.BilledDone on requeue.
-	BilledDone []string
 }
 
 // Runner executes job attempts. The scheduler is generic over it so the
@@ -103,14 +93,14 @@ type PipelineRunner struct {
 	Seed int64
 }
 
-// Run builds the job's team (geometry and injections from the attempt)
-// and executes the pipeline with checkpointing on. The attempt is billed
-// by the deterministic accounting model: executed stages at full cost,
-// billed-done stages at the flat rehydration cost, and an armed attempt
-// as failing exactly once at a model-chosen stage (its prefix plus half
-// the failed stage) regardless of where — or whether — the injection
-// physically trips. The service timeline therefore depends only on the
-// submitted jobs, never on how the physical goroutines interleaved.
+// Run builds the job's team (geometry and injections from the attempt),
+// executes the pipeline with checkpointing on, and reports what the team's
+// clock says: an attempt that completes held its ranks for the team's
+// virtual time, one that died to its crash or to retry exhaustion until the
+// trip, in the stage the pipeline names. An armed injection that does not
+// trip — a countdown that outlives its stage, a drop pattern that spares
+// every message — is simply a job that completes. The requeued attempt
+// resumes from whatever the checkpoint manifest records.
 func (r *PipelineRunner) Run(spec JobSpec, att Attempt) RunOutcome {
 	team := xrt.NewTeam(xrt.Config{
 		Ranks:        att.Ranks,
@@ -123,79 +113,49 @@ func (r *PipelineRunner) Run(spec JobSpec, att Attempt) RunOutcome {
 	pcfg.CkptDir = att.CkptDir
 	pcfg.Resume = att.Resume
 
-	// The billed timeline comes from the accounting model, anchored on
-	// the billed completed-stage prefix the scheduler tracked for this
-	// attempt (never on the physical checkpoint contents).
-	var completed map[string]bool
-	if att.Resume && len(att.BilledDone) > 0 {
-		completed = make(map[string]bool, len(att.BilledDone))
-		for _, st := range att.BilledDone {
-			completed[st] = true
-		}
-	}
-	marks := modelMarks(spec, att.Ranks, completed)
-	failStage, armed := modelFailStage(att.Inject, pipeline.StageNames(spec.Pipeline))
-
 	res, err := pipeline.Run(team, spec.Libs, pcfg)
-	out := RunOutcome{Measured: team.VirtualNow()}
-	if tv := team.TripVirtual(); tv > 0 {
-		// The attempt died to an injected crash or retry exhaustion: the
-		// initiator's clock at the trip is the honest measured duration;
-		// VirtualNow also counts how far survivors raced before
-		// unwinding, which varies with physical scheduling.
-		out.Measured = tv
+	out := RunOutcome{Virtual: team.VirtualNow()}
+	var sf *pipeline.StageFailedError
+	switch {
+	case errors.As(err, &sf):
+		// VirtualNow also counts how far the survivors ran before they
+		// unwound, which follows the Go scheduler; the trip clock does not.
+		out.Virtual = team.TripVirtual()
+		out.Failed, out.FailedStage, out.Err = true, sf.Stage, err.Error()
+	case err != nil:
+		out.Fatal, out.Err = true, err.Error()
+	default:
+		out.Seqs, out.Metrics, out.Stages = res.FinalSeqs, res.Metrics, stageMarks(res.Metrics)
 	}
-	fail := func(stage string, errText string) RunOutcome {
-		out.Failed = true
-		out.FailedStage = stage
-		out.Virtual = modelFailureVirtual(marks, stage)
-		out.BilledDone = billedPrefix(marks, stage)
-		if disk := att.Inject.Disk(); disk.Enabled() {
-			// The attempt also damaged the disk stage's checkpoint: the
-			// requeued resume will scrub and recompute from there, so the
-			// billed rehydration prefix stops strictly before it.
-			out.BilledDone = trimBilledAt(out.BilledDone, disk.Stage)
-		}
-		out.Err = errText
-		return out
-	}
-	if err != nil {
-		var sf *pipeline.StageFailedError
-		switch {
-		case errors.As(err, &sf) && armed:
-			// The injection physically tripped. The checkpoint holds
-			// whatever stages the real run finished first; billing uses
-			// the model's stage regardless (where the trip lands is
-			// schedule-dependent in the speculative phases).
-			return fail(failStage, err.Error())
-		case errors.As(err, &sf):
-			// An unarmed attempt died to an injection-style failure —
-			// retries run disarmed, so this should be unreachable; keep
-			// the job recoverable by billing at the physical stage.
-			return fail(sf.Stage, err.Error())
-		default:
-			out.Fatal = true
-			out.Virtual = modelFailureVirtual(marks, "")
-			out.Err = err.Error()
-			return out
-		}
-	}
-	if armed {
-		// The injection never physically fired (a fault countdown can
-		// outlive a small stage; a seeded drop pattern can spare every
-		// message). The model still bills the armed failure so the
-		// timeline cannot depend on the physical outcome; the checkpoint
-		// on disk is simply further ahead than the billing assumes, and
-		// the requeued attempt rehydrates it.
-		return fail(failStage, fmt.Sprintf("sched: armed failure billed in stage %s (injection did not trip)", failStage))
-	}
-	if n := len(marks); n > 0 {
-		out.Virtual = marks[n-1].End
-	}
-	out.Seqs = res.FinalSeqs
-	out.Metrics = res.Metrics
-	out.Stages = marks
+	out.Measured = out.Virtual
 	return out
+}
+
+// stageMarks reads an attempt's stage marks off its report: the depth-0
+// spans tile the run, so each one's end is the report's total less the
+// spans after it. A stage's mark is the end of its last span — its
+// checkpoint-save: (or, resumed, checkpoint-load:) span when it has one —
+// and checkpoint-scrub, the one span that belongs to no stage, accrues to
+// the stage that follows it.
+func stageMarks(rep *metrics.Report) []StageMark {
+	var marks []StageMark
+	end := rep.VirtualNs
+	for i := len(rep.Stages) - 1; i >= 0; i-- {
+		st := &rep.Stages[i]
+		if st.Depth != 0 {
+			continue
+		}
+		stage := st.Name
+		if _, of, ok := strings.Cut(st.Name, ":"); ok {
+			stage = of
+		}
+		if stage != "checkpoint-scrub" && (len(marks) == 0 || marks[len(marks)-1].Stage != stage) {
+			marks = append(marks, StageMark{Stage: stage, End: time.Duration(end)})
+		}
+		end -= st.VirtualNs
+	}
+	slices.Reverse(marks)
+	return marks
 }
 
 // Preempt truncates the job's checkpoint manifest to the completed-

@@ -115,10 +115,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster ranks must be >= 1, got %d", c.Ranks)
 	}
 	if c.RanksPerNode < 0 {
-		return fmt.Errorf("ranks-per-node must be >= 1, got %d", c.RanksPerNode)
+		return fmt.Errorf("ranks-per-node must be >= 0, got %d", c.RanksPerNode)
 	}
 	if c.QueueCap < 0 {
-		return fmt.Errorf("queue-cap must be >= 1, got %d", c.QueueCap)
+		return fmt.Errorf("queue-cap must be >= 0, got %d", c.QueueCap)
 	}
 	if c.DefaultQuota < 0 || c.DefaultQuota > c.Ranks {
 		return fmt.Errorf("default-quota must be in 0..ranks (%d), got %d", c.Ranks, c.DefaultQuota)
@@ -210,22 +210,22 @@ type JobSpec struct {
 	// perturbs every attempt's schedule (wall-clock only; never changes
 	// virtual time or output). The failure injections are armed until the
 	// job's first retryable failure; the requeued attempt runs Disarmed
-	// and resumes from the job's checkpoint:
-	//   - FaultSeed / FailStage crash a rank in the named stage. The
-	//     scheduler bills every armed attempt as failing exactly once at
-	//     a model-chosen stage, whether or not the injection physically
-	//     trips (see costmodel.go) — so arming a fault always costs one
-	//     requeue.
-	//   - ChaosSeed / DropRate / RetryBudget: a plan harsh enough to
-	//     exhaust its retry budget is billed as one retryable failure; a
-	//     soft plan is billed as surviving on retries.
+	// and resumes from the job's checkpoint. What an armed injection does
+	// to the job is what it does to the run — a function of the spec and
+	// the allocation, nothing is assumed on its behalf:
+	//   - FaultSeed / FailStage crash a rank in the named stage once the
+	//     victim has made the seed's count of charges there (1..256); a
+	//     stage in which it makes fewer completes, and so does the job,
+	//     with no requeue.
+	//   - ChaosSeed / DropRate / RetryBudget: a message that exhausts its
+	//     retry budget fails the attempt at that point; a plan that never
+	//     does costs the job its retransmission timeouts only.
 	//   - DiskFaultSeed / DiskFailStage corrupt the named stage's
 	//     checkpoint write on disk (the attempt itself completes
 	//     bit-identically). The damage only matters when something sends
 	//     the job back to its checkpoint — a crash or chaos failure later
-	//     in the same attempt — so the billed rehydration prefix is
-	//     trimmed to the stages before the disk stage and the requeued
-	//     attempt is billed for recomputing the damaged suffix.
+	//     in the same attempt: the requeued attempt's resume scrubs and
+	//     recomputes from the damaged stage, and its clock says so.
 	xrt.Inject
 }
 
@@ -310,17 +310,14 @@ type job struct {
 	lastStart  time.Duration
 	done       time.Duration
 
-	attempts  int
-	requeues  int
-	preempts  int
-	alloc     int // current allocation while running
-	ranksUsed []int
-	rescaled  bool
-	ckptDir   string
-	wroteCkpt bool
-	// billedDone is the billed completed-stage prefix the next attempt
-	// rehydrates (set on requeue and preemption; see Attempt.BilledDone).
-	billedDone []string
+	attempts   int
+	requeues   int
+	preempts   int
+	alloc      int // current allocation while running
+	ranksUsed  []int
+	rescaled   bool
+	ckptDir    string
+	wroteCkpt  bool
 	outcome    RunOutcome
 	completion *event
 	seqs       [][]byte
@@ -693,7 +690,6 @@ func (s *Scheduler) start(j *job, alloc int) {
 		RanksPerNode: s.cfg.RanksPerNode,
 		Resume:       j.resume,
 		CkptDir:      j.ckptDir,
-		BilledDone:   j.billedDone,
 		Inject:       j.inject,
 	}
 	j.outcome = s.runner.Run(j.spec, att)
@@ -735,15 +731,13 @@ func (s *Scheduler) finish(j *job) {
 			break
 		}
 		// Requeue and resume from the job's own checkpoint. Retries run
-		// clean: the armed failure was already billed and message chaos
-		// is disarmed (the transport is declared unhealthy for the job),
-		// so the resumed attempt recovers instead of re-dying. The
+		// clean: the armed failure has happened and message chaos is
+		// disarmed (the transport is declared unhealthy for the job), so
+		// the resumed attempt recovers instead of re-dying. The
 		// checkpoint fingerprint excludes fault and chaos seeds, so the
-		// calmer resume is accepted. The billed rehydration prefix comes
-		// from the runner's model, never the physical manifest.
+		// calmer resume is accepted.
 		j.resume = true
 		j.inject = j.inject.Disarmed()
-		j.billedDone = out.BilledDone
 		j.requeues++
 		s.requeues++
 		t.requeues++
@@ -848,10 +842,8 @@ func (s *Scheduler) preempt(v *job) {
 		// checkpoint prefix rather than resume from a future state.
 		os.RemoveAll(v.ckptDir)
 		v.resume = false
-		v.billedDone = nil
 	} else {
 		v.resume = true
-		v.billedDone = completed
 	}
 	s.release(v, elapsed)
 	v.preempts++

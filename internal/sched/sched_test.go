@@ -290,7 +290,9 @@ func TestConfigValidate(t *testing.T) {
 		want string
 	}{
 		{"no ranks", func(c *Config) { c.Ranks = 0 }, "ranks"},
-		{"negative queue", func(c *Config) { c.QueueCap = -1 }, "queue-cap"},
+		// 0 is each knob's "use the default", so the bound named is 0.
+		{"negative queue", func(c *Config) { c.QueueCap = -1 }, "queue-cap must be >= 0, got -1"},
+		{"negative ranks per node", func(c *Config) { c.RanksPerNode = -1 }, "ranks-per-node must be >= 0, got -1"},
 		{"zero quota", func(c *Config) { c.Tenants = []TenantConfig{{Name: "a", Quota: 0}} }, "quota"},
 		{"quota over cluster", func(c *Config) { c.Tenants = []TenantConfig{{Name: "a", Quota: 64}} }, "exceeds"},
 		{"duplicate tenant", func(c *Config) {

@@ -158,16 +158,10 @@ func (e *RetryExhaustedError) Error() string {
 }
 
 // ChaosFired reports whether a message exceeded its retry budget and
-// killed the team.
-func (t *Team) ChaosFired() bool { return t.chaosErr.Load() != nil }
-
-// tripError returns the typed error a dead team surfaces: the retry
-// exhaustion if the chaos layer tripped, otherwise the injected crash.
-func (t *Team) tripError() error {
-	if e := t.chaosErr.Load(); e != nil {
-		return e
-	}
-	return t.faultError()
+// killed the team. Only meaningful between phases.
+func (t *Team) ChaosFired() bool {
+	_, ok := t.tripErr.(*RetryExhaustedError)
+	return ok
 }
 
 // chaosPoint runs the reliable-channel protocol for one logical message
@@ -182,11 +176,9 @@ func (r *Rank) chaosPoint(dst, bytes int) {
 		return
 	}
 	t := r.team
-	if t.faultTripped.Load() {
-		// Another rank unwound the team (retry exhaustion or injected
-		// crash); join it instead of starting a new exchange.
-		panic(faultCrash{})
-	}
+	// Another rank may have unwound the team (retry exhaustion or injected
+	// crash): join it instead of starting a new exchange.
+	r.joinTrip()
 	plan := &t.chaos
 	ch := &r.chans[dst]
 	if ch.dedup.slots == nil {
@@ -231,7 +223,8 @@ func (r *Rank) chaosRetry(dst int, seq uint64, bytes int, attempt *int) {
 	plan := &r.team.chaos
 	r.stats.Drops++
 	if *attempt > plan.RetryBudget {
-		r.tripRetryExhausted(dst, seq, *attempt)
+		// Kills the team the same way an injected crash does.
+		r.trip(&RetryExhaustedError{Src: r.ID, Dst: dst, Seq: seq, Attempts: *attempt, Seed: plan.Seed})
 	}
 	exp := *attempt - 1
 	if exp > chaosBackoffCapExp {
@@ -242,24 +235,4 @@ func (r *Rank) chaosRetry(dst int, seq uint64, bytes int, attempt *int) {
 	*attempt++
 	r.stats.Retries++
 	r.stats.RedeliveredBytes += int64(bytes)
-}
-
-// tripRetryExhausted kills the team the same way an injected crash does:
-// record the typed error, mark the trip, poison the barrier so blocked
-// ranks unwind, and panic out of this rank with the crash sentinel.
-func (r *Rank) tripRetryExhausted(dst int, seq uint64, attempts int) {
-	t := r.team
-	err := &RetryExhaustedError{
-		Src:      r.ID,
-		Dst:      dst,
-		Seq:      seq,
-		Attempts: attempts,
-		Seed:     t.chaos.Seed,
-	}
-	if t.chaosErr.CompareAndSwap(nil, err) {
-		t.tripClockNs = r.clockNs
-	}
-	t.faultTripped.Store(true)
-	t.bar.poison()
-	panic(faultCrash{})
 }

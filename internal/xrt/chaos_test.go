@@ -1,6 +1,9 @@
 package xrt
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // chaosWorkload drives every charge class the protocol hooks into —
 // remote lookups, aggregated store batches (to two destinations), and
@@ -177,6 +180,115 @@ func TestChaosRetryExhaustion(t *testing.T) {
 	})
 	if ree2 == nil || ree2.Src != ree.Src || ree2.Seq != ree.Seq {
 		t.Fatalf("post-trip Run: got %+v, want same *RetryExhaustedError", ree2)
+	}
+}
+
+// tripRecord is what a dead team reports of the trip that killed it.
+type tripRecord struct {
+	clock time.Duration
+	rank  int
+	text  string
+}
+
+// runToTrip runs body on a fresh team armed with inj (and crash, when
+// enabled) and returns the recorded trip, ok = false if the team survived.
+func runToTrip(t *testing.T, ranks int, inj Inject, crash FaultPlan, body func(r *Rank)) (rec tripRecord, ok bool) {
+	t.Helper()
+	team := NewTeam(Config{Ranks: ranks, RanksPerNode: 4, Seed: 3, Inject: inj})
+	team.ArmFault(crash)
+	defer func() {
+		switch e := recover().(type) {
+		case nil:
+		case *RetryExhaustedError:
+			rec, ok = tripRecord{team.TripVirtual(), e.Src, e.Error()}, true
+		case *FaultError:
+			rec, ok = tripRecord{team.TripVirtual(), e.Rank, e.Error()}, true
+		default:
+			panic(e)
+		}
+	}()
+	team.Run(body)
+	return rec, false
+}
+
+// TestRetryExhaustionTripIsLeastClock: under the harsh plan the service
+// arms (every message dies with p = 0.25) several ranks exhaust between the
+// same two barriers, each at a point of its own program; the trip a team
+// reports must be the least (own clock, rank) of them whichever goroutine
+// gets there first. The free-running workloads check that against each
+// rank's trip measured alone — the second with a crash armed whose victim
+// dies on its first charge, before anyone exhausts; the collective one has
+// every rank leave a barrier on one clock and exhaust in the latency tree.
+func TestRetryExhaustionTripIsLeastClock(t *testing.T) {
+	const ranks = 8
+	harsh := Inject{ChaosSeed: 11, DropRate: 0.5, RetryBudget: 1}
+	lookups := func(r *Rank) {
+		r.Charge(1) // where a crash that counts down one charge lands
+		for i := 0; i < 400; i++ {
+			r.ChargeLookup((r.ID+1+i%(ranks-1))%ranks, 64)
+		}
+	}
+	// leastAlone is the least trip over the ranks run one at a time.
+	leastAlone := func(crash FaultPlan) (least tripRecord) {
+		tripping := 0
+		for id := 0; id < ranks; id++ {
+			alone, ok := runToTrip(t, ranks, harsh, crash, func(r *Rank) {
+				if r.ID == id {
+					lookups(r)
+				}
+			})
+			if !ok {
+				continue
+			}
+			if alone.rank != id {
+				t.Fatalf("rank %d alone: trip names rank %d", id, alone.rank)
+			}
+			if tripping++; tripping == 1 || alone.clock < least.clock {
+				least = alone
+			}
+		}
+		if tripping < 2 {
+			t.Fatalf("%d ranks trip alone; the test needs at least 2", tripping)
+		}
+		return least
+	}
+	exhausted := leastAlone(FaultPlan{})
+	countsDownOne := FaultPlan{Seed: 346, Stage: "x"}
+	crashed := leastAlone(countsDownOne)
+	if crashed.rank != countsDownOne.Victim(ranks) || crashed.clock >= exhausted.clock {
+		t.Fatalf("least trip with the crash armed is %+v: want the victim's, before %+v", crashed, exhausted)
+	}
+
+	collective := func(r *Rank) {
+		for i := 0; i < 50; i++ {
+			r.ChargeLookup((r.ID+1)%ranks, 64*(r.ID+1))
+			r.AllReduceInt64(1, func(a, b int64) int64 { return a + b })
+		}
+	}
+	for _, w := range []struct {
+		name  string
+		crash FaultPlan
+		body  func(r *Rank)
+		want  *tripRecord
+	}{
+		{"free-running", FaultPlan{}, lookups, &exhausted},
+		{"free-running, crash armed", countsDownOne, lookups, &crashed},
+		{"collective", FaultPlan{}, collective, nil},
+	} {
+		for seed := int64(0); seed < 20; seed++ {
+			inj := harsh
+			inj.PerturbSeed = seed
+			got, ok := runToTrip(t, ranks, inj, w.crash, w.body)
+			if !ok {
+				t.Fatalf("%s, perturb seed %d: the team survived", w.name, seed)
+			}
+			if w.want == nil {
+				w.want = &got
+			}
+			if got != *w.want {
+				t.Fatalf("%s, perturb seed %d: trip %+v, want %+v", w.name, seed, got, *w.want)
+			}
+		}
 	}
 }
 

@@ -7,13 +7,19 @@
 // point of the same stage — a crash that reproduces under `go test -run`.
 //
 // Crash mechanics: when the victim's countdown reaches zero inside a
-// charge, the victim marks the team as tripped, poisons the team barrier,
-// and panics with a private sentinel. Survivors notice at their next
-// charge or barrier and panic with the same sentinel; Team.Run recovers
-// the sentinel on each rank goroutine (RunEvents on its only one), joins,
-// and re-panics on the orchestrator goroutine with a typed *FaultError that
-// pipeline code can recover and convert into a StageFailedError. The team
-// is dead after a trip: any further phase panics with the same *FaultError.
+// charge, the victim records the trip, poisons the team barrier, and
+// panics with a private sentinel. Survivors notice at a charge once their
+// own clock has reached the trip's, or at the barrier, and panic with the
+// same sentinel; Team.Run recovers the sentinel on each rank goroutine
+// (RunEvents on its only one), joins, and re-panics on the orchestrator
+// goroutine with a typed *FaultError that pipeline code can recover and
+// convert into a StageFailedError. The team is dead after a trip: any
+// further phase panics with the same error.
+//
+// Which trip a team died of is a function of the input, not of the Go
+// scheduler: a retry exhaustion (chaos.go) trips the same way, several
+// ranks can get there between two barriers, and the one recorded is the
+// least (own clock, rank id) among them — see Rank.trip.
 package xrt
 
 import "fmt"
@@ -116,22 +122,59 @@ func (t *Team) faultError() *FaultError {
 }
 
 // faultPoint runs inside every charge while a fault is armed: the victim
-// counts down and crashes at zero; every other rank crashes as soon as it
-// observes the trip, so survivors unwind at their next charge instead of
-// waiting on a barrier the victim will never reach.
+// counts down and crashes at zero; every rank joins a trip it observes, so
+// survivors unwind at a charge instead of waiting on a barrier the victim
+// will never reach.
 func (r *Rank) faultPoint() {
-	t := r.team
 	if r.faultCD > 0 {
 		r.faultCD--
 		if r.faultCD == 0 {
-			t.tripClockNs = r.clockNs
-			t.faultTripped.Store(true)
-			t.bar.poison()
-			panic(faultCrash{})
+			r.trip(r.team.faultError())
 		}
+	}
+	r.joinTrip()
+}
+
+// trip kills the team from rank r: record the typed error and r's own
+// clock, poison the barrier so blocked ranks unwind, and panic out of this
+// rank with the crash sentinel. When several ranks trip between the same
+// two barriers the record kept is the least (own clock, rank id) — each
+// rank's own clock there is a function of its own program order (foreign
+// charges fold at barriers), and joinTrip lets every rank that could
+// still be the least get that far — so TripVirtual and the error do not
+// depend on which goroutine ran first.
+func (r *Rank) trip(err error) {
+	t := r.team
+	t.tripMu.Lock()
+	if !t.faultTripped.Load() || r.beforeTrip() {
+		t.tripClockNs, t.tripRank, t.tripErr = r.clockNs, r.ID, err
+	}
+	t.faultTripped.Store(true)
+	t.tripMu.Unlock()
+	t.bar.poison()
+	panic(faultCrash{})
+}
+
+// beforeTrip reports whether r's (own clock, id) precedes the recorded
+// trip's. The caller holds tripMu.
+func (r *Rank) beforeTrip() bool {
+	t := r.team
+	return r.clockNs < t.tripClockNs || r.clockNs == t.tripClockNs && r.ID < t.tripRank
+}
+
+// joinTrip unwinds a rank that observes another rank's trip — unless its
+// own clock is still below the trip's: it may yet trip earlier itself, so
+// it keeps going until its clock reaches the record or it arrives at the
+// poisoned barrier (past which every clock would be >= the trip's).
+func (r *Rank) joinTrip() {
+	t := r.team
+	if !t.faultTripped.Load() {
 		return
 	}
-	if t.faultTripped.Load() {
+	t.tripMu.Lock()
+	before := r.beforeTrip()
+	t.tripMu.Unlock()
+	if !before {
 		panic(faultCrash{})
 	}
 }

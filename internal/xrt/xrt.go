@@ -502,29 +502,32 @@ type Team struct {
 	// fault-injection state (see fault.go). faultOn is written by the
 	// orchestrator between phases and read by ranks inside phases; the
 	// Run fork/join provides the happens-before edges. faultTripped is
-	// atomic because the victim sets it mid-phase for the others to see.
+	// atomic because a tripping rank sets it mid-phase for the others to
+	// see.
 	faultOn      bool
 	faultPlan    FaultPlan
 	faultVictim  int
 	faultTripped atomic.Bool
-	// tripClockNs is the trip initiator's owner-written virtual clock at
-	// the instant it killed the team (victim rank for an injected crash,
-	// exhausted sender for chaos). Written once before faultTripped is
-	// set, read only after the team is dead. Unlike VirtualNow after a
-	// trip — survivors unwind at physically racy points, dragging the
-	// clock maximum with them — this quantity is deterministic, so the
-	// job scheduler charges it as a failed attempt's duration.
+	// The recorded trip (see Rank.trip): the tripping rank's own virtual
+	// clock at the instant it killed the team (victim rank for an injected
+	// crash, exhausted sender for chaos), its id and its typed error — the
+	// least (clock, id) when several ranks trip between two barriers.
+	// Guarded by tripMu inside a phase, read freely once the team is dead.
+	// Unlike VirtualNow after a trip — survivors unwind wherever they
+	// observe it, dragging the clock maximum with them — the record is a
+	// function of the input, so the job scheduler bills it as a failed
+	// attempt's duration.
+	tripMu      sync.Mutex
 	tripClockNs float64
+	tripRank    int
+	tripErr     error
 
-	// chaos is Config.Inject's transport plan with defaults applied,
-	// fixed for the team's lifetime (see chaos.go).
-	chaos MessageFaultPlan
-
-	// message-fault state (see chaos.go). chaosOn is static for the
-	// team's lifetime; chaosErr records the first retry exhaustion (the
-	// trip itself reuses faultTripped + barrier poisoning).
-	chaosOn  bool
-	chaosErr atomic.Pointer[RetryExhaustedError]
+	// chaos is Config.Inject's transport plan with defaults applied and
+	// chaosOn whether it is enabled, both fixed for the team's lifetime
+	// (see chaos.go). An exhausted retry budget trips the team as an
+	// injected crash does.
+	chaos   MessageFaultPlan
+	chaosOn bool
 }
 
 // NewTeam creates a team. The team may execute multiple Run phases; rank
@@ -640,14 +643,14 @@ func (t *Team) phase(body func()) PhaseStats {
 	if t.faultTripped.Load() {
 		// The team already died; running another phase on it would hang
 		// on the poisoned barrier. Surface the same typed error.
-		panic(t.tripError())
+		panic(t.tripErr)
 	}
 	before := t.AggStats()
 	start := t.maxClock()
 	wall := time.Now()
 	body()
 	if t.faultTripped.Load() {
-		panic(t.tripError())
+		panic(t.tripErr)
 	}
 	t.syncClocks()
 	return PhaseStats{
@@ -681,12 +684,12 @@ func (t *Team) syncClocks() {
 // Only meaningful between Run phases.
 func (t *Team) VirtualNow() time.Duration { return time.Duration(t.maxClock()) }
 
-// TripVirtual returns the trip initiator's virtual clock at the instant
-// an injected crash or chaos retry exhaustion killed the team, and 0 if
-// the team never tripped. After a trip this is the deterministic
-// measure of how long the team held the machine: VirtualNow would also
-// include however far the surviving ranks happened to race before
-// observing the unwind, which varies with physical scheduling.
+// TripVirtual returns the recorded trip's virtual clock — the tripping
+// rank's own, at the instant its injected crash or retry exhaustion killed
+// the team — and 0 if the team never tripped. After a trip this is the
+// deterministic measure of how long the team held the machine: VirtualNow
+// would also include however far the surviving ranks happened to run
+// before observing the unwind, which varies with physical scheduling.
 func (t *Team) TripVirtual() time.Duration {
 	if !t.faultTripped.Load() {
 		return 0
@@ -850,9 +853,11 @@ func (b *barrier) await(onLast func()) {
 	for gen == b.gen && !b.poisoned {
 		b.cond.Wait()
 	}
-	poisoned := b.poisoned
+	// A waiter the barrier released before it was poisoned passed it, even
+	// if it wakes afterwards: only a stranded one unwinds here.
+	stranded := gen == b.gen
 	b.mu.Unlock()
-	if poisoned {
+	if stranded {
 		panic(faultCrash{})
 	}
 }
@@ -863,9 +868,9 @@ func (b *barrier) awaitOrdered(n int) {
 	for b.left < n && !b.poisoned {
 		b.cond.Wait()
 	}
-	poisoned := b.poisoned
+	stranded := b.left < n
 	b.mu.Unlock()
-	if poisoned {
+	if stranded {
 		panic(faultCrash{})
 	}
 }
