@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz verify bench loc
+.PHONY: all build vet test race fuzz verify exhibits bench loc
 
 all: build vet test
 
@@ -67,9 +67,19 @@ loc:
 	@git ls-files --cached --others --exclude-standard '$(DIR)/*.go' | grep -v -e '^benchmark/' -e '_test\.go$$' | \
 		xargs cat | grep -cv '^[[:space:]]*$$'
 
-# Exhibit benchmarks (paper tables/figures), the DHT microbenchmarks
-# comparing striped-mutex, frozen lock-free, and frozen+cached Get paths,
-# the stage-1 hot loops one layer at a time (flat-shard probe and insert,
+# The one committed copy of the paper exhibits' numbers (EXPERIMENTS.md):
+# `benchsuite -all` at SmallScale into the golden, then the shape tests
+# rewrite their tiny-scale goldens and the doc test re-splices
+# EXPERIMENTS.md's measured blocks from it. Every digit is a function of
+# the input, so on an unchanged tree this leaves `git diff` empty (CI's
+# bench job checks exactly that); ~4 min on 2 cores.
+EXHIBIT_TESTS = Fig6|Tables12|SweepScales|Table3|Compare|Ablation|MetaSweepGate|ExperimentsDoc
+exhibits:
+	$(GO) run ./cmd/benchsuite -all > internal/expt/testdata/exhibits_small.txt
+	$(GO) test -count=1 -run '$(EXHIBIT_TESTS)' ./internal/expt/ -update
+
+# The DHT microbenchmarks comparing striped-mutex, frozen lock-free, and
+# frozen+cached Get paths, the stage-1 hot loops one layer at a time (flat-shard probe and insert,
 # rolling canonical scan, minimizer scan, super-k-mer encode and canonical
 # decode, the Misra–Gries fold), the scaffolding-half hot loops (seed-index
 # build, one read's alignment, one walk-heavy gap closed at all three k;
@@ -81,7 +91,6 @@ loc:
 # benchmark/run.sh measures wall, virtual and memory, end to end and per layer, on four workloads (BENCHMARK.json; compare two runs with
 # `bash benchmark/run.sh -compare A.json B.json`).
 bench:
-	$(GO) test -run xxx -bench . -benchtime=1x .
 	$(GO) test -run xxx -bench 'BenchmarkDHTGet|BenchmarkFreeze' ./internal/dht/
 	$(GO) test -run xxx -bench 'BenchmarkShardUpsert|BenchmarkShardGet' ./internal/flat/
 	$(GO) test -run xxx -bench 'BenchmarkForEachCanonical|BenchmarkMinimizerScan|BenchmarkSuperKmerEncode|BenchmarkDecodeCanonical' ./internal/kmer/

@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	benchsuite -all             # every experiment (a few minutes)
-//	benchsuite -fig6 -table1    # selected experiments
+//	benchsuite -all             # every exhibit of expt.Exhibits (a few minutes)
+//	benchsuite -fig6 -table1    # selected exhibits
 //	benchsuite -all -cores 48,96,192,384,768
 //	benchsuite -matrix all -matrix-out matrix.json   # every scenario group (heavy)
 //	benchsuite -matrix chaos,crash                   # selected groups
@@ -30,17 +30,13 @@ import (
 )
 
 func main() {
-	all := flag.Bool("all", false, "run every experiment")
-	fig6 := flag.Bool("fig6", false, "Figure 6: heavy-hitter k-mer analysis scaling (wheat)")
-	table1 := flag.Bool("table1", false, "Tables 1+2: communication-avoiding traversal")
-	fig7 := flag.Bool("fig7", false, "Figure 7: scaffolding strong scaling (human+wheat)")
-	table3 := flag.Bool("table3", false, "Table 3: metagenome k-mer analysis + contigs")
-	fig8 := flag.Bool("fig8", false, "Figure 8: end-to-end strong scaling (human+wheat)")
-	compare := flag.Bool("compare", false, "§5.6: competing assemblers")
-	ablations := flag.Bool("ablations", false, "design-choice ablations: Bloom memory, aggregating stores, super-k-mer transport, oracle sizing")
-	matrix := flag.String("matrix", "", "scenario matrix: comma-separated groups ("+strings.Join(expt.Groups(), ",")+") or all — baseline vs injected run vs resume, assembly identical and every injection fired (-all runs verify,chaos,crash,meta)")
+	all := flag.Bool("all", false, "run every exhibit")
+	selected := map[string]*bool{}
+	for _, e := range expt.Exhibits {
+		selected[e.Name] = flag.Bool(e.Name, false, e.Help)
+	}
+	matrix := flag.String("matrix", "", "scenario matrix: comma-separated groups ("+strings.Join(expt.Groups(), ",")+") or all — baseline vs injected run vs resume, assembly identical and every injection fired")
 	matrixOut := flag.String("matrix-out", "", "-matrix: write the rows and every cell's metrics report (JSON) to this path")
-	meta := flag.Bool("meta", false, "iterative-k metagenome exhibit: multi-k vs single-k recovery under the abundance-aware oracle")
 	metricsOut := flag.String("metrics-out", "", "write per-stage metrics reports (human+wheat, JSON array) to this path")
 	serve := flag.Bool("serve", false, "assembly-as-a-service load exhibit: bursty multi-tenant traffic with injected faults on the shared cluster, every job bit-identical to its solo run, then the storage-fault leg (heavy; not part of -all)")
 	serveJobs := flag.Int("serve-jobs", 1000, "-serve: number of jobs")
@@ -103,24 +99,26 @@ func main() {
 		sc.Seed = *seed
 	}
 
-	// -all runs the groups the old -all covered; the heavy rescale, disk
-	// and cross groups wait for an explicit -matrix.
 	var groups []string
-	switch {
-	case *matrix == "all":
+	switch *matrix {
+	case "":
+	case "all":
 		groups = expt.Groups()
-	case *matrix != "":
+	default:
 		groups = strings.Split(*matrix, ",")
-	case *all:
-		groups = []string{"verify", "chaos", "crash", "meta"}
 	}
 	cells, err := expt.Cells(groups...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
 		exit(2)
 	}
-	if !(*all || *fig6 || *table1 || *fig7 || *table3 || *fig8 || *compare || *ablations ||
-		len(cells) > 0 || *meta || *metricsOut != "" || *serve) {
+	var exhibits []expt.Exhibit
+	for _, e := range expt.Exhibits {
+		if *all || *selected[e.Name] {
+			exhibits = append(exhibits, e)
+		}
+	}
+	if len(exhibits) == 0 && len(cells) == 0 && *metricsOut == "" && !*serve {
 		flag.Usage()
 		exit(2)
 	}
@@ -129,40 +127,20 @@ func main() {
 	fmt.Printf("(virtual times on the simulated machine; shapes, not absolute values,\n")
 	fmt.Printf(" reproduce the paper — see EXPERIMENTS.md)\n\n")
 
-	if *all || *fig6 {
-		_, text := expt.Fig6(sc)
-		fmt.Println(text)
-	}
-	if *all || *table1 {
-		_, t1, t2 := expt.Tables12(sc)
-		fmt.Println(t1)
-		fmt.Println(t2)
-	}
-	var humanRows, wheatRows []expt.SweepRow
-	if *all || *fig7 || *fig8 {
-		humanRows, err = expt.RunSweep(sc, "human")
-		fatal(err)
-		wheatRows, err = expt.RunSweep(sc, "wheat")
-		fatal(err)
-	}
-	if *all || *fig7 {
-		fmt.Println(expt.Fig7Format(humanRows))
-		fmt.Println(expt.Fig7Format(wheatRows))
-	}
-	if *all || *table3 {
-		_, text := expt.Table3(sc)
-		fmt.Println(text)
-	}
-	if *all || *fig8 {
-		fmt.Println(expt.Fig8Format(humanRows))
-		fmt.Println(expt.Fig8Format(wheatRows))
-	}
-	if *all || *compare {
-		_, text := expt.Compare(sc)
-		fmt.Println(text)
+	// One runner: exhibits, matrix cells and -metrics-out share its
+	// datasets and fault-free runs.
+	runner := expt.NewRunner(sc)
+	for _, e := range exhibits {
+		text, err := e.Run(runner)
+		if text != "" {
+			fmt.Println(text)
+		}
+		if err != nil {
+			fatal(fmt.Errorf("-%s: %w", e.Name, err))
+		}
 	}
 	if len(cells) > 0 {
-		rows, reports, text := expt.Matrix(sc, cells)
+		rows, reports, text := runner.Matrix(cells)
 		fmt.Println(text)
 		if *matrixOut != "" {
 			b, err := json.MarshalIndent(struct {
@@ -179,29 +157,11 @@ func main() {
 			}
 		}
 	}
-	if *all || *meta {
-		row, text, err := expt.MetaSweep(sc)
-		fatal(err)
-		fmt.Println(text)
-		if !row.Gate() {
-			fatal(fmt.Errorf("metagenome exhibit gate failed: multi-k must beat single-k on the rarest quartile with zero cross-joins"))
-		}
-	}
 	if *metricsOut != "" {
-		reports, err := expt.MetricsReports(sc)
+		reports, err := runner.MetricsReports()
 		fatal(err)
 		fatal(metrics.WriteFileAll(*metricsOut, reports))
 		fmt.Printf("wrote %d metrics reports to %s\n", len(reports), *metricsOut)
-	}
-	if *all || *ablations {
-		_, text := expt.AblationBloom(sc)
-		fmt.Println(text)
-		_, text = expt.AblationAggStores(sc)
-		fmt.Println(text)
-		_, text = expt.AblationSuperKmers(sc)
-		fmt.Println(text)
-		_, text = expt.AblationOracleMemory(sc)
-		fmt.Println(text)
 	}
 	if *serve {
 		if err := validateServeOptions(*serveJobs, *serveTenants); err != nil {

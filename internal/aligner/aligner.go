@@ -29,18 +29,9 @@ import (
 type Options struct {
 	// SeedLen is the seed k-mer length (defaults to 19; must be odd).
 	SeedLen int
-	// Stride is the spacing between read seed positions (defaults to
-	// SeedLen/2, ensuring overlapping coverage).
-	Stride int
 	// MaxSeedHits caps the hit list per seed; seeds hit more often come
 	// from repeats and are skipped, as merAligner does.
 	MaxSeedHits int
-	// MaxCandidates bounds how many candidate diagonals are extended.
-	MaxCandidates int
-	// MinAlnLen is the minimum aligned length to report.
-	MinAlnLen int
-	// MinIdentity is the minimum fraction of matching bases.
-	MinIdentity float64
 	// CacheContigs is the per-rank software cache capacity for fetched
 	// contig sequences (merAligner caches these; repeated extensions
 	// against the same contig then cost local time only). 0 uses the
@@ -53,6 +44,15 @@ type Options struct {
 // companion paper: overlapping reads look up the same seed k-mers).
 const seedCacheSlots = 8192
 
+const (
+	// maxCandidates bounds how many candidate diagonals of a read are
+	// extended.
+	maxCandidates = 4
+	// minIdentity is the least fraction of matching bases an alignment is
+	// reported with.
+	minIdentity = 0.9
+)
+
 func (o Options) withDefaults() Options {
 	if o.SeedLen <= 0 {
 		o.SeedLen = 19
@@ -60,20 +60,8 @@ func (o Options) withDefaults() Options {
 	if o.SeedLen%2 == 0 {
 		o.SeedLen++
 	}
-	if o.Stride <= 0 {
-		o.Stride = o.SeedLen / 2
-	}
 	if o.MaxSeedHits <= 0 {
 		o.MaxSeedHits = 32
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 4
-	}
-	if o.MinAlnLen <= 0 {
-		o.MinAlnLen = o.SeedLen
-	}
-	if o.MinIdentity <= 0 {
-		o.MinIdentity = 0.9
 	}
 	if o.CacheContigs == 0 {
 		o.CacheContigs = 1024
@@ -137,7 +125,7 @@ type alignScratch struct {
 	votes flat.Map[candidate, int32] // keyed with votes = 0
 	cands []candidate
 	rc    []byte  // the read's reverse complement, when a flipped candidate is extended
-	seen  []int64 // contigs already aligned to: at most MaxCandidates
+	seen  []int64 // contigs already aligned to: at most maxCandidates
 	cache contigCache
 }
 
@@ -303,9 +291,10 @@ func (x *Index) AlignRead(r *xrt.Rank, read []byte) []Alignment {
 		s = &alignScratch{cache: contigCache{cap: opt.CacheContigs}}
 		x.scratch[r.ID] = s
 	}
-	// vote for (contig, strand, diagonal) bins
+	// vote for (contig, strand, diagonal) bins; read seeds half a seed
+	// apart, so that consecutive ones overlap
 	s.votes.Clear()
-	for pos := 0; pos+k <= len(read); pos += opt.Stride {
+	for pos := 0; pos+k <= len(read); pos += k / 2 {
 		km, ok := kmer.Pack(read[pos:], k)
 		if !ok {
 			continue
@@ -353,8 +342,8 @@ func (x *Index) AlignRead(r *xrt.Rank, read []byte) []Alignment {
 		}
 		return 0
 	})
-	if len(cands) > opt.MaxCandidates {
-		cands = cands[:opt.MaxCandidates]
+	if len(cands) > maxCandidates {
+		cands = cands[:maxCandidates]
 	}
 
 	var out []Alignment
@@ -414,7 +403,7 @@ func extendDiagonal(q, ctg []byte, diag int, opt Options) (Alignment, bool) {
 	if m := len(ctg) - diag; m < rhi {
 		rhi = m
 	}
-	if rhi-rlo < opt.MinAlnLen {
+	if rhi-rlo < opt.SeedLen { // an alignment is at least one seed long
 		return Alignment{}, false
 	}
 	// best-scoring subsegment (match=+1, mismatch=-1), Kadane-style
@@ -440,7 +429,7 @@ func extendDiagonal(q, ctg []byte, diag int, opt Options) (Alignment, bool) {
 		}
 	}
 	n := bestHi - bestLo
-	if n < opt.MinAlnLen {
+	if n < opt.SeedLen {
 		return Alignment{}, false
 	}
 	a := Alignment{
@@ -448,7 +437,7 @@ func extendDiagonal(q, ctg []byte, diag int, opt Options) (Alignment, bool) {
 		CStart: bestLo + diag, CEnd: bestHi + diag,
 		Matches: bestMatches, Score: best,
 	}
-	if a.Identity() < opt.MinIdentity {
+	if a.Identity() < minIdentity {
 		return Alignment{}, false
 	}
 	return a, true

@@ -313,9 +313,6 @@ func (t *Table[K, V]) assertMutable(op string) {
 	}
 }
 
-// Frozen reports whether the table is in the immutable read phase.
-func (t *Table[K, V]) Frozen() bool { return t.frozen.Load() }
-
 // Freeze is collective: every rank of a Run phase must call it. It drains
 // the calling rank's store buffers, barriers, and publishes every stripe's
 // slot array as immutable — the arrays construction filled, from then on

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hipmer/internal/fastq"
-	"hipmer/internal/genome"
 	"hipmer/internal/kanalysis"
 	"hipmer/internal/pipeline"
 	"hipmer/internal/xrt"
@@ -18,7 +17,6 @@ type AblationBloomRow struct {
 	PeakWithout int64 // same with the screen disabled
 	SavedPct    float64
 	Kept        int64 // entries surviving the count filter
-	BloomBitsMB float64
 }
 
 // AblationBloom measures the hash-table high-water mark with and without
@@ -27,8 +25,7 @@ func AblationBloom(sc Scale) ([]AblationBloomRow, string) {
 	p := sc.Cores[len(sc.Cores)/2]
 	var rows []AblationBloomRow
 	for _, ds := range genomes {
-		_, libs, _ := sc.dataset(ds)
-		parts := xrt.DealPairs(mergeLibs(libs), p)
+		parts := xrt.DealPairs(mergeLibs(sc.dataset(ds).libs), p)
 		run := func(disable bool) *kanalysis.Result {
 			team := xrt.NewTeam(sc.teamCfg(p))
 			return kanalysis.Run(team, parts, kanalysis.Options{
@@ -45,19 +42,12 @@ func AblationBloom(sc Scale) ([]AblationBloomRow, string) {
 			Kept:        with.Kept,
 		})
 	}
-	var tab [][]string
+	var tab []string
 	for _, r := range rows {
-		tab = append(tab, []string{
-			r.Dataset,
-			fmt.Sprintf("%d", r.PeakWithout),
-			fmt.Sprintf("%d", r.PeakWith),
-			fmt.Sprintf("%.1f%%", r.SavedPct),
-			fmt.Sprintf("%d", r.Kept),
-		})
+		tab = append(tab, fmt.Sprintf("%s\t%d\t%d\t%.1f%%\t%d", r.Dataset, r.PeakWithout, r.PeakWith, r.SavedPct, r.Kept))
 	}
 	out := "Ablation — Bloom screen memory effect (§3.1: up to 85% reduction)\n" +
-		fmtTable([]string{"dataset", "peak entries (no Bloom)", "peak (Bloom)",
-			"saved", "kept after filter"}, tab)
+		fmtTable("dataset\tpeak entries (no Bloom)\tpeak (Bloom)\tsaved\tkept after filter", tab)
 	return rows, out
 }
 
@@ -75,8 +65,7 @@ type AblationAggRow struct {
 // construction (§4.1, §4.6).
 func AblationAggStores(sc Scale) ([]AblationAggRow, string) {
 	p := sc.Cores[len(sc.Cores)/2]
-	_, libs, _ := sc.dataset("human")
-	parts := xrt.DealPairs(mergeLibs(libs), p)
+	parts := xrt.DealPairs(mergeLibs(sc.dataset("human").libs), p)
 	var rows []AblationAggRow
 	for _, buf := range []int{1, 8, 64, 512, 4096} {
 		team := xrt.NewTeam(sc.teamCfg(p))
@@ -94,18 +83,13 @@ func AblationAggStores(sc Scale) ([]AblationAggRow, string) {
 			TimeSec: (res.BloomPhase.Virtual + res.CountPhase.Virtual).Seconds(),
 		})
 	}
-	var tab [][]string
+	var tab []string
 	base := rows[0]
 	for _, r := range rows {
-		tab = append(tab, []string{
-			fmt.Sprintf("%d", r.BufSize),
-			fmt.Sprintf("%d", r.Msgs),
-			fmt.Sprintf("%.3f", r.TimeSec),
-			fmt.Sprintf("%.1fx", base.TimeSec/r.TimeSec),
-		})
+		tab = append(tab, fmt.Sprintf("%d\t%d\t%.3f\t%.1fx", r.BufSize, r.Msgs, r.TimeSec, base.TimeSec/r.TimeSec))
 	}
 	out := "Ablation — aggregating stores buffer size (k-mer table construction)\n" +
-		fmtTable([]string{"buffer", "messages", "time(s)", "speedup vs fine-grained"}, tab)
+		fmtTable("buffer\tmessages\ttime(s)\tspeedup vs fine-grained", tab)
 	return rows, out
 }
 
@@ -120,13 +104,7 @@ type AblationOracleRow struct {
 // communication — the §3.2 memory/collision trade-off as a curve rather
 // than the paper's two points.
 func AblationOracleMemory(sc Scale) ([]AblationOracleRow, string) {
-	rng := xrt.NewPrng(sc.Seed + 1)
-	var g1, g2 [][]byte
-	for i := 0; i < sc.OracleFragments; i++ {
-		c := genome.Random(rng, 300+rng.Intn(500))
-		g1 = append(g1, c)
-		g2 = append(g2, genome.Mutate(rng, c, 0.002))
-	}
+	g1, g2 := oracleIndividuals(sc)
 	p := sc.Cores[len(sc.Cores)-1]
 	team1 := xrt.NewTeam(sc.teamCfg(p))
 	res1 := contigRun(team1, g1, sc.K, nil)
@@ -149,20 +127,16 @@ func AblationOracleMemory(sc Scale) ([]AblationOracleRow, string) {
 		}
 		rows = append(rows, row)
 	}
-	var tab [][]string
+	var tab []string
 	for _, r := range rows {
 		label := "none"
 		if r.SlotsPerKmer > 0 {
 			label = fmt.Sprintf("%dx", r.SlotsPerKmer)
 		}
-		tab = append(tab, []string{
-			label,
-			fmt.Sprintf("%.2f", r.MemMB),
-			fmt.Sprintf("%.1f%%", r.OffPct),
-		})
+		tab = append(tab, fmt.Sprintf("%s\t%.2f\t%.1f%%", label, r.MemMB, r.OffPct))
 	}
 	out := "Ablation — oracle vector size vs residual off-node lookups (§3.2)\n" +
-		fmtTable([]string{"slots/k-mer", "memory(MB)", "off-node lookups"}, tab)
+		fmtTable("slots/k-mer\tmemory(MB)\toff-node lookups", tab)
 	return rows, out
 }
 

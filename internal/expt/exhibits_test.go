@@ -1,6 +1,8 @@
 package expt
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -10,17 +12,14 @@ import (
 // baseline and zero cross-species joins from the multi-k assembly.
 func TestMetaSweepGate(t *testing.T) {
 	skipIfShort(t)
-	row, text, err := MetaSweep(tinyScale())
+	row, text, err := NewRunner(tinyScale()).MetaSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Log("\n" + text)
 	if !row.Gate() {
 		t.Fatalf("gate failed: %+v", row)
 	}
-	if !strings.Contains(text, "Iterative-k metagenome sweep") {
-		t.Fatal("missing caption")
-	}
+	golden(t, "meta", text)
 }
 
 // TestServeSweep runs a reduced heavy-traffic exhibit (the CI service
@@ -63,7 +62,6 @@ func TestAblationSuperKmersShape(t *testing.T) {
 	sc := tinyScale()
 	sc.BenchHumanLen = 60000
 	rows, text := AblationSuperKmers(sc)
-	t.Log("\n" + text)
 	if want := 2 * len(sc.Cores); len(rows) != want {
 		t.Fatalf("%d rows, want %d", len(rows), want)
 	}
@@ -92,9 +90,60 @@ func TestAblationSuperKmersShape(t *testing.T) {
 		t.Errorf("human@%d: message reduction %.2fx (want >=5x), byte reduction %.2fx (want >=3x)",
 			top.Cores, top.MsgRatio(), top.ByteRatio())
 	}
-	for _, col := range []string{"virt(per-kmer)", "virt(superk)", "virt-ratio"} {
-		if !strings.Contains(text, col) {
-			t.Errorf("table lacks the %s column", col)
+	golden(t, "ablation-superkmers", text)
+}
+
+// TestExperimentsDocMatchesGolden holds every number EXPERIMENTS.md shows
+// to the committed `benchsuite -all` output (`make exhibits`): the fenced
+// block after a `<!-- exhibit: CAPTION -->` marker must be exactly the
+// golden's tables whose first line starts with CAPTION, and every table
+// of the golden must be quoted by some marker, so a new exhibit cannot
+// go undocumented. -update re-splices the blocks.
+func TestExperimentsDocMatchesGolden(t *testing.T) {
+	const doc = "../../EXPERIMENTS.md"
+	b, err := os.ReadFile(filepath.Join("testdata", "exhibits_small.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The golden's tables: its blank-line-separated blocks after the header.
+	blocks := strings.Split(strings.TrimSpace(string(b)), "\n\n")[1:]
+	if b, err = os.ReadFile(doc); err != nil {
+		t.Fatal(err)
+	}
+	parts := strings.Split(string(b), "\n<!-- exhibit: ")
+	quoted := make([]bool, len(blocks))
+	for i, part := range parts[1:] {
+		caption, rest, ok := strings.Cut(part, " -->\n\n```\n")
+		body, tail, ok2 := strings.Cut(rest, "```\n")
+		if !ok || !ok2 {
+			t.Fatalf("marker %d is not followed by a blank line and a fenced block: %.60q", i+1, part)
+		}
+		var want []string
+		for j, blk := range blocks {
+			if strings.HasPrefix(blk, caption) {
+				want = append(want, blk)
+				quoted[j] = true
+			}
+		}
+		if len(want) == 0 {
+			t.Errorf("exhibit %q: no table of testdata/exhibits_small.txt starts with that caption", caption)
+			continue
+		}
+		text := strings.Join(want, "\n\n") + "\n"
+		if *update {
+			parts[i+1] = caption + " -->\n\n```\n" + text + "```\n" + tail
+		} else if body != text {
+			t.Errorf("exhibit %q differs from testdata/exhibits_small.txt (`make exhibits` re-splices it)\ndoc:\n%sgolden:\n%s", caption, body, text)
+		}
+	}
+	for j, blk := range blocks {
+		if !quoted[j] {
+			t.Errorf("EXPERIMENTS.md quotes no exhibit for the table %q", strings.SplitN(blk, "\n", 2)[0])
+		}
+	}
+	if *update {
+		if err := os.WriteFile(doc, []byte(strings.Join(parts, "\n<!-- exhibit: ")), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -12,11 +12,12 @@ import (
 	"bytes"
 	"fmt"
 	"text/tabwriter"
-	"time"
 
 	"hipmer/internal/genome"
 	"hipmer/internal/kanalysis"
+	"hipmer/internal/metrics"
 	"hipmer/internal/pipeline"
+	"hipmer/internal/verify"
 	"hipmer/internal/xrt"
 )
 
@@ -91,21 +92,30 @@ func (sc Scale) teamCfg(p int) xrt.Config {
 	return xrt.Config{Ranks: p, RanksPerNode: sc.RanksPerNode, Seed: sc.Seed, Cost: cost}
 }
 
-// dataset generates the named dataset ("human", "wheat" or "meta") and,
-// for the single genomes, its reference. Callers that pass one of those
-// three literals drop the error.
-func (sc Scale) dataset(name string) (ref []byte, libs []pipeline.Library, err error) {
+// dataset is one generated input: its libraries and what it is judged
+// against — the reference of a single genome, the species of the
+// metagenome.
+type dataset struct {
+	ref     []byte
+	species []verify.Species
+	libs    []pipeline.Library
+	err     error // unknown name: every leg on it fails
+}
+
+// dataset generates the named dataset ("human", "wheat" or "meta").
+// Callers that pass one of those three literals ignore err.
+func (sc Scale) dataset(name string) (d dataset) {
 	switch name {
 	case "human":
-		ref, libs = pipeline.SimulatedHuman(sc.Seed+2, sc.HumanLen, sc.HumanCov)
+		d.ref, d.libs = pipeline.SimulatedHuman(sc.Seed+2, sc.HumanLen, sc.HumanCov)
 	case "wheat":
-		ref, libs = pipeline.SimulatedWheat(sc.Seed+3, sc.WheatLen, sc.WheatCov)
+		d.ref, d.libs = pipeline.SimulatedWheat(sc.Seed+3, sc.WheatLen, sc.WheatCov)
 	case "meta":
-		libs = pipeline.SimulatedMetagenome(sc.Seed+4, sc.MetaLen, sc.MetaSpecies, sc.MetaPairs)
+		d.species, d.libs = pipeline.SimulatedMetagenomeRefs(sc.Seed+4, sc.MetaLen, sc.MetaSpecies, sc.MetaPairs)
 	default:
-		err = fmt.Errorf("expt: unknown dataset %q", name)
+		d.err = fmt.Errorf("expt: unknown dataset %q", name)
 	}
-	return ref, libs, err
+	return d
 }
 
 // commPct estimates the paper's "percentage of communication": the share
@@ -125,30 +135,18 @@ func commPct(elapsedNs float64, items int64, cost xrt.CostModel, p int) float64 
 	return pct
 }
 
-func fmtTable(header []string, rows [][]string) string {
+// fmtTable aligns tab-separated lines — the header and one per row — into
+// columns.
+func fmtTable(header string, rows []string) string {
 	var buf bytes.Buffer
 	w := tabwriter.NewWriter(&buf, 2, 4, 2, ' ', 0)
-	for i, h := range header {
-		if i > 0 {
-			fmt.Fprint(w, "\t")
-		}
-		fmt.Fprint(w, h)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintln(w, header)
 	for _, row := range rows {
-		for i, c := range row {
-			if i > 0 {
-				fmt.Fprint(w, "\t")
-			}
-			fmt.Fprint(w, c)
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(w, row)
 	}
 	w.Flush()
 	return buf.String()
 }
-
-func secs(d time.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()) }
 
 // ---------------------------------------------------------------------
 // Figure 6: strong scaling of k-mer analysis on wheat, Default vs Heavy
@@ -210,23 +208,15 @@ func Fig6(sc Scale) ([]Fig6Row, string) {
 		rows = append(rows, row)
 	}
 
-	var tab [][]string
+	var tab []string
 	for _, r := range rows {
-		tab = append(tab, []string{
-			fmt.Sprintf("%d", r.Cores),
-			fmt.Sprintf("%.3f", r.DefaultSec),
-			fmt.Sprintf("%.3f", r.HeavyHitSec),
-			fmt.Sprintf("%.2fx", r.DefaultSec/r.HeavyHitSec),
-			fmt.Sprintf("%.0f%%", r.DefaultCommPct),
-			fmt.Sprintf("%.0f%%", r.HeavyHitPct),
-			fmt.Sprintf("%.3f", r.IOSec),
-			fmt.Sprintf("%d", r.HeavyHitters),
-		})
+		tab = append(tab, fmt.Sprintf("%d\t%.3f\t%.3f\t%.2fx\t%.0f%%\t%.0f%%\t%.3f\t%d",
+			r.Cores, r.DefaultSec, r.HeavyHitSec, r.DefaultSec/r.HeavyHitSec,
+			r.DefaultCommPct, r.HeavyHitPct, r.IOSec, r.HeavyHitters))
 	}
 	out := "Figure 6 — k-mer analysis strong scaling on wheat-like data\n" +
 		"(Default = owner-computes only; HH = Misra-Gries heavy hitters, θ=32000)\n" +
-		fmtTable([]string{"cores", "default(s)", "HH(s)", "speedup",
-			"comm%(def)", "comm%(HH)", "I/O(s)", "#HH"}, tab)
+		fmtTable("cores\tdefault(s)\tHH(s)\tspeedup\tcomm%(def)\tcomm%(HH)\tI/O(s)\t#HH", tab)
 	return rows, out
 }
 
@@ -250,14 +240,8 @@ type OracleRow struct {
 // Table 2 (off-node communication and its reduction) in one sweep: the
 // first assembly of individual 1 provides the oracle used to traverse
 // individual 2 of the same species (0.2% diverged).
-func Tables12(sc Scale) ([]OracleRow, string, string) {
-	rng := xrt.NewPrng(sc.Seed + 1)
-	var g1, g2 [][]byte
-	for i := 0; i < sc.OracleFragments; i++ {
-		c := genome.Random(rng, 300+rng.Intn(500))
-		g1 = append(g1, c)
-		g2 = append(g2, genome.Mutate(rng, c, 0.002))
-	}
+func Tables12(sc Scale) ([]OracleRow, string) {
+	g1, g2 := oracleIndividuals(sc)
 	// use multi-node concurrencies: a single-node team has no off-node
 	// traffic to avoid (the paper's 480 and 1920 cores are 20 and 80 nodes)
 	concurrencies := []int{sc.Cores[len(sc.Cores)/2], sc.Cores[len(sc.Cores)-1]}
@@ -289,32 +273,17 @@ func Tables12(sc Scale) ([]OracleRow, string, string) {
 		rows = append(rows, row)
 	}
 
-	var t1, t2 [][]string
+	var t1, t2 []string
 	for _, r := range rows {
-		t1 = append(t1, []string{
-			fmt.Sprintf("%d", r.Cores),
-			fmt.Sprintf("%.3f", r.NoOracleSec),
-			fmt.Sprintf("%.3f", r.O1Sec),
-			fmt.Sprintf("%.3f", r.O4Sec),
-			fmt.Sprintf("%.1fx", r.SpeedupO1),
-			fmt.Sprintf("%.1fx", r.SpeedupO4),
-		})
-		t2 = append(t2, []string{
-			fmt.Sprintf("%d", r.Cores),
-			fmt.Sprintf("%.1f%%", r.OffPctNo),
-			fmt.Sprintf("%.1f%%", r.OffPctO1),
-			fmt.Sprintf("%.1f%%", r.OffPctO4),
-			fmt.Sprintf("%.1f%%", r.ReductionO1),
-			fmt.Sprintf("%.1f%%", r.ReductionO4),
-		})
+		t1 = append(t1, fmt.Sprintf("%d\t%.3f\t%.3f\t%.3f\t%.1fx\t%.1fx",
+			r.Cores, r.NoOracleSec, r.O1Sec, r.O4Sec, r.SpeedupO1, r.SpeedupO4))
+		t2 = append(t2, fmt.Sprintf("%d\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%",
+			r.Cores, r.OffPctNo, r.OffPctO1, r.OffPctO4, r.ReductionO1, r.ReductionO4))
 	}
-	out1 := "Table 1 — communication-avoiding traversal speedup (same-species oracle)\n" +
-		fmtTable([]string{"cores", "no-oracle(s)", "oracle-1(s)", "oracle-4(s)",
-			"speedup-1", "speedup-4"}, t1)
-	out2 := "Table 2 — off-node lookups and reduction via oracle hash functions\n" +
-		fmtTable([]string{"cores", "off-node(no)", "off-node(o1)", "off-node(o4)",
-			"reduction-1", "reduction-4"}, t2)
-	return rows, out1, out2
+	return rows, "Table 1 — communication-avoiding traversal speedup (same-species oracle)\n" +
+		fmtTable("cores\tno-oracle(s)\toracle-1(s)\toracle-4(s)\tspeedup-1\tspeedup-4", t1) +
+		"\nTable 2 — off-node lookups and reduction via oracle hash functions\n" +
+		fmtTable("cores\toff-node(no)\toff-node(o1)\toff-node(o4)\treduction-1\treduction-4", t2)
 }
 
 // ---------------------------------------------------------------------
@@ -335,24 +304,19 @@ type SweepRow struct {
 	TotalSec    float64
 }
 
-// RunSweep executes the end-to-end pipeline over the core sweep for one
-// dataset.
-func RunSweep(sc Scale, dataset string) ([]SweepRow, error) {
-	_, libs, err := sc.dataset(dataset)
+// RunSweep reads the stage times of the end-to-end pipeline over the core
+// sweep for one dataset.
+func (m *Runner) RunSweep(dataset string) ([]SweepRow, error) {
+	legs, err := m.sweep(dataset, fullMode, m.sc.Cores)
 	if err != nil {
 		return nil, err
 	}
 	var rows []SweepRow
-	for _, p := range sc.Cores {
-		team := xrt.NewTeam(sc.teamCfg(p))
-		res, err := pipeline.Run(team, libs, pipeline.Config{K: sc.K, MinCount: 3})
-		if err != nil {
-			return nil, err
-		}
-		sec := func(path string) float64 { return res.Metrics.Time(path).Seconds() }
+	for i, l := range legs {
+		sec := func(path string) float64 { return l.report.Time(path).Seconds() }
 		rows = append(rows, SweepRow{
 			Dataset:     dataset,
-			Cores:       p,
+			Cores:       m.sc.Cores[i],
 			IOSec:       sec("io"),
 			KmerSec:     sec("kmer-analysis"),
 			ContigSec:   sec("contig-generation"),
@@ -360,50 +324,52 @@ func RunSweep(sc Scale, dataset string) ([]SweepRow, error) {
 			GapCloseSec: sec("gap-closing"),
 			RestScafSec: sec("scaffolding") - sec("scaffolding/merAligner"),
 			ScafSec:     sec("scaffolding") + sec("gap-closing"),
-			TotalSec:    float64(res.Metrics.VirtualNs) / 1e9,
+			TotalSec:    l.virtualSec,
 		})
 	}
 	return rows, nil
 }
 
+// MetricsReports returns the per-stage metrics report of the human and
+// wheat runs at the top of that sweep — the artifact `benchsuite
+// -metrics-out` writes for offline analysis (`asmstats -report`).
+func (m *Runner) MetricsReports() ([]*metrics.Report, error) {
+	var reports []*metrics.Report
+	for _, dataset := range genomes {
+		l, err := m.faultFree(dataset, fullMode, m.sc.Cores[len(m.sc.Cores)-1])
+		if err != nil {
+			return nil, err
+		}
+		rep := *l.report
+		rep.Dataset = dataset
+		reports = append(reports, &rep)
+	}
+	return reports, nil
+}
+
 // Fig7Format renders the Figure 7 view (scaffolding breakdown) of a sweep.
 func Fig7Format(rows []SweepRow) string {
-	var tab [][]string
+	var tab []string
 	base := rows[0]
 	for _, r := range rows {
 		eff := base.ScafSec / r.ScafSec * float64(base.Cores) / float64(r.Cores)
-		tab = append(tab, []string{
-			fmt.Sprintf("%d", r.Cores),
-			fmt.Sprintf("%.3f", r.AlignerSec),
-			fmt.Sprintf("%.3f", r.GapCloseSec),
-			fmt.Sprintf("%.3f", r.RestScafSec),
-			fmt.Sprintf("%.3f", r.ScafSec),
-			fmt.Sprintf("%.2f", eff),
-		})
+		tab = append(tab, fmt.Sprintf("%d\t%.3f\t%.3f\t%.3f\t%.3f\t%.2f",
+			r.Cores, r.AlignerSec, r.GapCloseSec, r.RestScafSec, r.ScafSec, eff))
 	}
 	return fmt.Sprintf("Figure 7 — scaffolding strong scaling (%s)\n", rows[0].Dataset) +
-		fmtTable([]string{"cores", "merAligner(s)", "gap-closing(s)",
-			"rest-scaffolding(s)", "overall(s)", "efficiency"}, tab)
+		fmtTable("cores\tmerAligner(s)\tgap-closing(s)\trest-scaffolding(s)\toverall(s)\tefficiency", tab)
 }
 
 // Fig8Format renders the Figure 8 view (end-to-end breakdown) of a sweep.
 func Fig8Format(rows []SweepRow) string {
-	var tab [][]string
+	var tab []string
 	base := rows[0]
 	for _, r := range rows {
-		tab = append(tab, []string{
-			fmt.Sprintf("%d", r.Cores),
-			fmt.Sprintf("%.3f", r.KmerSec),
-			fmt.Sprintf("%.3f", r.ContigSec),
-			fmt.Sprintf("%.3f", r.ScafSec),
-			fmt.Sprintf("%.3f", r.IOSec),
-			fmt.Sprintf("%.3f", r.TotalSec),
-			fmt.Sprintf("%.1fx", base.TotalSec/r.TotalSec),
-		})
+		tab = append(tab, fmt.Sprintf("%d\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.1fx",
+			r.Cores, r.KmerSec, r.ContigSec, r.ScafSec, r.IOSec, r.TotalSec, base.TotalSec/r.TotalSec))
 	}
 	return fmt.Sprintf("Figure 8 — end-to-end strong scaling (%s)\n", rows[0].Dataset) +
-		fmtTable([]string{"cores", "kmer(s)", "contig(s)", "scaffold(s)",
-			"io(s)", "total(s)", "speedup"}, tab)
+		fmtTable("cores\tkmer(s)\tcontig(s)\tscaffold(s)\tio(s)\ttotal(s)\tspeedup", tab)
 }
 
 // ---------------------------------------------------------------------
@@ -411,47 +377,37 @@ func Fig8Format(rows []SweepRow) string {
 
 // Table3Row is one concurrency point of Table 3.
 type Table3Row struct {
-	Cores         int
-	KmerSec       float64
-	ContigSec     float64
-	IOSec         float64
-	SingletonFrac float64
+	Cores     int
+	KmerSec   float64
+	ContigSec float64
+	IOSec     float64
 }
 
 // Table3 regenerates Table 3 on the synthetic wetlands metagenome,
 // running only through contig generation as the paper does.
-func Table3(sc Scale) ([]Table3Row, string) {
-	_, libs, _ := sc.dataset("meta")
-	concurrencies := []int{sc.Cores[len(sc.Cores)-2], sc.Cores[len(sc.Cores)-1]}
+func (m *Runner) Table3() ([]Table3Row, string, error) {
+	cores := m.sc.Cores[len(m.sc.Cores)-2:]
+	legs, err := m.sweep("meta", Mode{MinCount: 2, ContigsOnly: true}, cores)
+	if err != nil {
+		return nil, "", err
+	}
 	var rows []Table3Row
-	for _, p := range concurrencies {
-		team := xrt.NewTeam(sc.teamCfg(p))
-		res, err := pipeline.Run(team, libs, pipeline.Config{
-			K: sc.K, MinCount: 2, ContigsOnly: true,
-		})
-		if err != nil {
-			panic(err)
-		}
+	for i, l := range legs {
 		rows = append(rows, Table3Row{
-			Cores:     p,
-			KmerSec:   res.Metrics.Time("kmer-analysis").Seconds(),
-			ContigSec: res.Metrics.Time("contig-generation").Seconds(),
-			IOSec:     res.Metrics.Time("io").Seconds(),
+			Cores:     cores[i],
+			KmerSec:   l.report.Time("kmer-analysis").Seconds(),
+			ContigSec: l.report.Time("contig-generation").Seconds(),
+			IOSec:     l.report.Time("io").Seconds(),
 		})
 	}
-	var tab [][]string
+	var tab []string
 	for _, r := range rows {
-		tab = append(tab, []string{
-			fmt.Sprintf("%d", r.Cores),
-			fmt.Sprintf("%.3f", r.KmerSec),
-			fmt.Sprintf("%.3f", r.ContigSec),
-			fmt.Sprintf("%.3f", r.IOSec),
-		})
+		tab = append(tab, fmt.Sprintf("%d\t%.3f\t%.3f\t%.3f", r.Cores, r.KmerSec, r.ContigSec, r.IOSec))
 	}
 	out := "Table 3 — metagenome k-mer analysis and contig generation\n" +
 		"(I/O reported separately; it is saturated at both concurrencies)\n" +
-		fmtTable([]string{"cores", "k-mer analysis(s)", "contig generation(s)", "file I/O(s)"}, tab)
-	return rows, out
+		fmtTable("cores\tk-mer analysis(s)\tcontig generation(s)\tfile I/O(s)", tab)
+	return rows, out, nil
 }
 
 // ---------------------------------------------------------------------
@@ -465,13 +421,16 @@ type CompareRow struct {
 }
 
 // Compare regenerates the §5.6 comparison at one concurrency.
-func Compare(sc Scale) ([]CompareRow, string) {
+func Compare(sc Scale) ([]CompareRow, string, error) {
 	_, libs := pipeline.SimulatedHuman(sc.Seed+5, sc.HumanLen, sc.HumanCov)
 	p := sc.Cores[len(sc.Cores)/2]
 	cfg := sc.teamCfg(p)
 	pcfg := pipeline.Config{K: sc.K, MinCount: 3}
 
-	outcomes := runComparison(cfg, libs, pcfg)
+	outcomes, err := runComparison(cfg, libs, pcfg)
+	if err != nil {
+		return nil, "", fmt.Errorf("expt: assembler comparison: %w", err)
+	}
 	var rows []CompareRow
 	hip := outcomes[0].Virtual.Seconds()
 	for _, o := range outcomes {
@@ -481,15 +440,11 @@ func Compare(sc Scale) ([]CompareRow, string) {
 			VsHipMer: o.Virtual.Seconds() / hip,
 		})
 	}
-	var tab [][]string
+	var tab []string
 	for _, r := range rows {
-		tab = append(tab, []string{
-			r.Name,
-			fmt.Sprintf("%.3f", r.TotalSec),
-			fmt.Sprintf("%.1fx", r.VsHipMer),
-		})
+		tab = append(tab, fmt.Sprintf("%s\t%.3f\t%.1fx", r.Name, r.TotalSec, r.VsHipMer))
 	}
 	out := fmt.Sprintf("§5.6 — competing assemblers at %d cores (human-like dataset)\n", p) +
-		fmtTable([]string{"assembler", "end-to-end(s)", "vs HipMer"}, tab)
-	return rows, out
+		fmtTable("assembler\tend-to-end(s)\tvs HipMer", tab)
+	return rows, out, nil
 }

@@ -1,9 +1,34 @@
 package expt
 
 import (
-	"strings"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/exhibits_tiny/*.txt and EXPERIMENTS.md's measured blocks from what this run computes")
+
+// golden holds the text a shape test has just computed to the committed
+// testdata/exhibits_tiny/<name>.txt: every printed digit is a function of
+// the input, so any difference is a changed charge, not noise.
+func golden(t *testing.T, name, text string) {
+	t.Helper()
+	path := filepath.Join("testdata", "exhibits_tiny", name+".txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text != string(want) {
+		t.Errorf("%s differs from %s (regenerate with -update if the change is intended)\ngot:\n%swant:\n%s", name, path, text, want)
+	}
+}
 
 // tinyScale keeps the experiment suite fast enough for unit testing while
 // preserving every qualitative effect.
@@ -49,15 +74,13 @@ func TestFig6ShapeHeavyHittersWin(t *testing.T) {
 	if last < first {
 		t.Logf("note: HH advantage did not widen (%.2fx -> %.2fx)", first, last)
 	}
-	if !strings.Contains(text, "Figure 6") {
-		t.Fatal("missing caption")
-	}
+	golden(t, "fig6", text)
 }
 
 func TestTables12Shape(t *testing.T) {
 	skipIfShort(t)
 	sc := tinyScale()
-	rows, t1, t2 := Tables12(sc)
+	rows, text := Tables12(sc)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -91,15 +114,13 @@ func TestTables12Shape(t *testing.T) {
 				r.O4MemBytes, r.O1MemBytes)
 		}
 	}
-	if !strings.Contains(t1, "Table 1") || !strings.Contains(t2, "Table 2") {
-		t.Fatal("missing captions")
-	}
+	golden(t, "table1", text)
 }
 
 func TestSweepScalesAndBreaksDown(t *testing.T) {
 	skipIfShort(t)
 	sc := tinyScale()
-	rows, err := RunSweep(sc, "human")
+	rows, err := NewRunner(sc).RunSweep("human")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,16 +143,17 @@ func TestSweepScalesAndBreaksDown(t *testing.T) {
 		t.Fatalf("merAligner unexpectedly cheap at %d cores: %+v",
 			first.Cores, first)
 	}
-	f7, f8 := Fig7Format(rows), Fig8Format(rows)
-	if !strings.Contains(f7, "Figure 7") || !strings.Contains(f8, "Figure 8") {
-		t.Fatal("missing captions")
-	}
+	golden(t, "fig7-human", Fig7Format(rows))
+	golden(t, "fig8-human", Fig8Format(rows))
 }
 
 func TestTable3MetagenomeScales(t *testing.T) {
 	skipIfShort(t)
 	sc := tinyScale()
-	rows, text := Table3(sc)
+	rows, text, err := NewRunner(sc).Table3()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -144,15 +166,16 @@ func TestTable3MetagenomeScales(t *testing.T) {
 		t.Fatalf("saturated I/O should stay flat: %.3f -> %.3f",
 			rows[0].IOSec, rows[1].IOSec)
 	}
-	if !strings.Contains(text, "Table 3") {
-		t.Fatal("missing caption")
-	}
+	golden(t, "table3", text)
 }
 
 func TestCompareShape(t *testing.T) {
 	skipIfShort(t)
 	sc := tinyScale()
-	rows, text := Compare(sc)
+	rows, text, err := Compare(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 4 {
 		t.Fatalf("got %d assemblers", len(rows))
 	}
@@ -164,9 +187,7 @@ func TestCompareShape(t *testing.T) {
 			t.Fatalf("%s should be slower than HipMer (%.2fx)", r.Name, r.VsHipMer)
 		}
 	}
-	if !strings.Contains(text, "5.6") {
-		t.Fatal("missing caption")
-	}
+	golden(t, "compare", text)
 }
 
 func TestAblationBloomReproducesMemorySaving(t *testing.T) {
@@ -190,15 +211,13 @@ func TestAblationBloomReproducesMemorySaving(t *testing.T) {
 			t.Fatalf("%s: kept %d exceeds peak %d", r.Dataset, r.Kept, r.PeakWith)
 		}
 	}
-	if !strings.Contains(text, "85%") {
-		t.Fatal("missing caption")
-	}
+	golden(t, "ablation-bloom", text)
 }
 
 func TestAblationAggStoresMonotone(t *testing.T) {
 	skipIfShort(t)
 	sc := tinyScale()
-	rows, _ := AblationAggStores(sc)
+	rows, text := AblationAggStores(sc)
 	if len(rows) < 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -214,12 +233,13 @@ func TestAblationAggStoresMonotone(t *testing.T) {
 	if last.TimeSec >= first.TimeSec {
 		t.Fatalf("aggregation did not reduce time: %.4f vs %.4f", last.TimeSec, first.TimeSec)
 	}
+	golden(t, "ablation-aggstores", text)
 }
 
 func TestAblationOracleMemoryTradeoff(t *testing.T) {
 	skipIfShort(t)
 	sc := tinyScale()
-	rows, _ := AblationOracleMemory(sc)
+	rows, text := AblationOracleMemory(sc)
 	if rows[0].SlotsPerKmer != 0 {
 		t.Fatal("first row should be the no-oracle baseline")
 	}
@@ -233,4 +253,5 @@ func TestAblationOracleMemoryTradeoff(t *testing.T) {
 	if biggest.MemMB <= rows[1].MemMB {
 		t.Fatal("memory did not grow with slots")
 	}
+	golden(t, "ablation-oracle", text)
 }

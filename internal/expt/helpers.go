@@ -7,6 +7,7 @@ import (
 	"hipmer/internal/contig"
 	"hipmer/internal/dht"
 	"hipmer/internal/fastq"
+	"hipmer/internal/genome"
 	"hipmer/internal/kanalysis"
 	"hipmer/internal/pipeline"
 	"hipmer/internal/xrt"
@@ -44,20 +45,37 @@ func buildOracle(res *contig.Result, k, ranks, slots int) oracleT {
 	return contig.BuildOracle(res.All(), k, ranks, slots)
 }
 
-// runComparison executes HipMer plus the three baselines on one dataset.
-func runComparison(cfg xrt.Config, libs []pipeline.Library, pcfg pipeline.Config) []*baseline.Outcome {
-	var out []*baseline.Outcome
-	if o, err := baseline.RunHipMer(cfg, libs, pcfg); err == nil {
-		out = append(out, o)
+// runComparison executes HipMer plus the three baselines on one dataset,
+// stopping at the first that fails.
+func runComparison(cfg xrt.Config, libs []pipeline.Library, pcfg pipeline.Config) ([]*baseline.Outcome, error) {
+	hip, err := baseline.RunHipMer(cfg, libs, pcfg)
+	if err != nil {
+		return nil, err
 	}
-	if o, err := baseline.RunRayLike(cfg, libs, pcfg); err == nil {
-		out = append(out, o)
+	ray, err := baseline.RunRayLike(cfg, libs, pcfg)
+	if err != nil {
+		return nil, err
 	}
-	if o, err := baseline.RunAbyssLike(cfg, libs, pcfg); err == nil {
-		out = append(out, o)
+	abyss, err := baseline.RunAbyssLike(cfg, libs, pcfg)
+	if err != nil {
+		return nil, err
 	}
-	if o, err := baseline.RunSerial(cfg.Cost, libs, pcfg); err == nil {
-		out = append(out, o)
+	serial, err := baseline.RunSerial(cfg.Cost, libs, pcfg)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return []*baseline.Outcome{hip, ray, abyss, serial}, nil
+}
+
+// oracleIndividuals generates the Table 1/2 dataset: chromosome-scale
+// fragments of individual 1 and a 0.2%-diverged individual 2 of the same
+// species.
+func oracleIndividuals(sc Scale) (g1, g2 [][]byte) {
+	rng := xrt.NewPrng(sc.Seed + 1)
+	for i := 0; i < sc.OracleFragments; i++ {
+		c := genome.Random(rng, 300+rng.Intn(500))
+		g1 = append(g1, c)
+		g2 = append(g2, genome.Mutate(rng, c, 0.002))
+	}
+	return g1, g2
 }

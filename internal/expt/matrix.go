@@ -1,10 +1,12 @@
 package expt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -24,14 +26,19 @@ import (
 
 // Mode is the pipeline-configuration axis of a cell.
 type Mode struct {
-	// KmerLens is the iterative-k ladder; empty means one round at Scale.K.
-	KmerLens    []int
+	// KmerLens is the iterative-k ladder; empty means one round at K.
+	KmerLens []int
+	// K is the single round's k-mer length; 0 means Scale.K.
+	K           int
 	MinCount    int
 	ContigsOnly bool
 }
 
 func (m Mode) String() string {
 	s := "k"
+	if m.K != 0 {
+		s += fmt.Sprintf(":%d", m.K)
+	}
 	for i, k := range m.KmerLens {
 		sep := ","
 		if i == 0 {
@@ -47,8 +54,8 @@ func (m Mode) String() string {
 }
 
 func (m Mode) config(sc Scale) pipeline.Config {
-	cfg := pipeline.Config{KmerLens: m.KmerLens, MinCount: m.MinCount, ContigsOnly: m.ContigsOnly}
-	if len(m.KmerLens) == 0 {
+	cfg := pipeline.Config{K: m.K, KmerLens: m.KmerLens, MinCount: m.MinCount, ContigsOnly: m.ContigsOnly}
+	if cfg.K == 0 && len(m.KmerLens) == 0 {
 		cfg.K = sc.K
 	}
 	return cfg
@@ -186,7 +193,7 @@ type CellResult struct {
 
 	// Virtual time and payload traffic (Comm.Bytes) next to the
 	// baseline's, filled for single-leg cells at the baseline's rank
-	// count. Reported, not yet asserted (ROADMAP item 2).
+	// count: equal to it, or on a lossy transport no less.
 	VirtualSec       float64 `json:"virtual_sec,omitempty"`
 	BaseVirtualSec   float64 `json:"base_virtual_sec,omitempty"`
 	BasePayloadBytes int64   `json:"base_payload_bytes,omitempty"`
@@ -240,34 +247,32 @@ type observation struct {
 	first, final *leg
 }
 
-type dataset struct {
-	ref  []byte
-	libs []pipeline.Library
-	err  error // unknown name: every leg on it fails, so its rows go red
-}
-
-// matrix holds what cells share: generated datasets and the fault-free
-// baseline per (dataset, mode, ranks).
-type matrix struct {
+// Runner is the one place this package runs the pipeline: every exhibit
+// and every matrix cell is a view over its legs. It holds what they share
+// — the generated datasets and the fault-free run per (dataset, mode,
+// ranks) — so Figures 7 and 8 and -metrics-out read one sweep, and the
+// metagenome exhibit's ladder is the meta group's baseline.
+type Runner struct {
 	sc   Scale
 	data map[string]dataset
 	base map[string]*leg
 }
 
-func newMatrix(sc Scale) *matrix {
-	return &matrix{sc: sc, data: map[string]dataset{}, base: map[string]*leg{}}
+// NewRunner returns a runner with nothing generated or run yet.
+func NewRunner(sc Scale) *Runner {
+	return &Runner{sc: sc, data: map[string]dataset{}, base: map[string]*leg{}}
 }
 
-func (m *matrix) dataset(name string) dataset {
+func (m *Runner) dataset(name string) dataset {
 	d, ok := m.data[name]
 	if !ok {
-		d.ref, d.libs, d.err = m.sc.dataset(name)
+		d = m.sc.dataset(name)
 		m.data[name] = d
 	}
 	return d
 }
 
-func (m *matrix) runLeg(c Cell, ranks int, inj xrt.Inject, pcfg pipeline.Config) *leg {
+func (m *Runner) runLeg(c Cell, ranks int, inj xrt.Inject, pcfg pipeline.Config) *leg {
 	tcfg := m.sc.teamCfg(ranks)
 	tcfg.Inject = inj
 	team := xrt.NewTeam(tcfg)
@@ -285,13 +290,37 @@ func (m *matrix) runLeg(c Cell, ranks int, inj xrt.Inject, pcfg pipeline.Config)
 	return l
 }
 
-func (m *matrix) baseline(c Cell) *leg {
+// baseline is the fault-free run the cell is judged against, run once per
+// (dataset, mode, ranks).
+func (m *Runner) baseline(c Cell) *leg {
 	b, ok := m.base[c.baselineKey()]
 	if !ok {
 		b = m.runLeg(c, c.baselineRanks(), xrt.Inject{}, c.Mode.config(m.sc))
 		m.base[c.baselineKey()] = b
 	}
 	return b
+}
+
+// faultFree is that run for an exhibit: the leg, or why it failed.
+func (m *Runner) faultFree(dataset string, mode Mode, ranks int) (*leg, error) {
+	l := m.baseline(Cell{Dataset: dataset, Mode: mode, Ranks: ranks})
+	if l.err != nil {
+		return nil, fmt.Errorf("expt: %s %s at %d ranks: %w", dataset, mode, ranks, l.err)
+	}
+	return l, nil
+}
+
+// sweep is faultFree over a list of rank counts.
+func (m *Runner) sweep(dataset string, mode Mode, cores []int) ([]*leg, error) {
+	var legs []*leg
+	for _, p := range cores {
+		l, err := m.faultFree(dataset, mode, p)
+		if err != nil {
+			return nil, err
+		}
+		legs = append(legs, l)
+	}
+	return legs, nil
 }
 
 // crashed reports whether the leg ended in the cell's injected crash.
@@ -302,7 +331,7 @@ func (c Cell) crashed(l *leg) bool {
 
 // observe runs the cell's legs. first memoizes the checkpointed first
 // legs of the current run by Cell.firstLeg.
-func (m *matrix) observe(c Cell, first map[string]*leg) observation {
+func (m *Runner) observe(c Cell, first map[string]*leg) observation {
 	pcfg := c.Mode.config(m.sc)
 	if c.Oracle {
 		pcfg.Verify = &verify.Options{Ref: m.dataset(c.Dataset).ref}
@@ -361,8 +390,9 @@ func copyDir(src, dst string) error {
 
 // judge derives the cell's expectations from its fields and checks the
 // observation against them. Only input-determined facts are asserted:
-// the assembly equals the baseline's, and each armed injection's own
-// counter shows it fired.
+// the assembly equals the baseline's, so does its cost where the cell ran
+// the baseline's work, and each armed injection's own counter shows it
+// fired.
 func judge(c Cell, base *leg, obs observation) CellResult {
 	r := CellResult{Cell: c.String()}
 	failf := func(format string, args ...any) { r.Fail = append(r.Fail, fmt.Sprintf(format, args...)) }
@@ -403,8 +433,19 @@ func judge(c Cell, base *leg, obs observation) CellResult {
 	if final != first && first.err == nil && exact && !equalSeqs(base.seqs, first.seqs) {
 		failf("first leg's assembly differs from the fault-free run")
 	}
+	// Cost: a single-leg cell at the baseline's rank count ran the
+	// baseline's work. A lossy transport can only add to it; anything else
+	// armed (a schedule perturbation, or nothing) must not move a
+	// nanosecond or a payload byte.
 	if final == first && exact {
 		r.VirtualSec, r.BaseVirtualSec, r.BasePayloadBytes = final.virtualSec, base.virtualSec, base.comm.Bytes()
+		switch lossy := c.Inject.Chaos().Enabled(); {
+		case lossy && r.VirtualSec < r.BaseVirtualSec:
+			failf("virtual time %.9f s on the lossy transport is below the fault-free run's %.9f s", r.VirtualSec, r.BaseVirtualSec)
+		case !lossy && (r.VirtualSec != r.BaseVirtualSec || r.Comm.Bytes() != r.BasePayloadBytes):
+			failf("virtual time %.9f s / %d payload bytes differ from the fault-free run's %.9f s / %d",
+				r.VirtualSec, r.Comm.Bytes(), r.BaseVirtualSec, r.BasePayloadBytes)
+		}
 	}
 
 	// Each armed injection must have left its own trace.
@@ -469,21 +510,12 @@ func oracleGate(rep *verify.Report) bool {
 		rep.Misassemblies*100 <= rep.Placed
 }
 
-func equalSeqs(a, b [][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if string(a[i]) != string(b[i]) {
-			return false
-		}
-	}
-	return true
-}
+func equalSeqs(a, b [][]byte) bool { return slices.EqualFunc(a, b, bytes.Equal) }
 
-// run executes the cells in order and folds them into one row per
-// (group, dataset, mode), in order of first appearance.
-func (m *matrix) run(cells []Cell) ([]Row, []*metrics.Report, string) {
+// Matrix runs the cells in order and returns one row per (group, dataset,
+// mode), in order of first appearance, the metrics report of every cell's
+// final leg (Dataset set to the cell's identity), and the rendered table.
+func (m *Runner) Matrix(cells []Cell) ([]Row, []*metrics.Report, string) {
 	// A first leg's checkpoint is kept until its last resume has run.
 	uses := map[string]int{}
 	for _, c := range cells {
@@ -528,15 +560,8 @@ func (m *matrix) run(cells []Cell) ([]Row, []*metrics.Report, string) {
 	return rows, reports, matrixTable(rows)
 }
 
-// Matrix runs the cells and returns one row per (group, dataset, mode),
-// the metrics report of every cell's final leg (Dataset set to the
-// cell's identity), and the rendered table.
-func Matrix(sc Scale, cells []Cell) ([]Row, []*metrics.Report, string) {
-	return newMatrix(sc).run(cells)
-}
-
 func matrixTable(rows []Row) string {
-	var tab [][]string
+	var tab []string
 	var notes string
 	for _, r := range rows {
 		var ok int
@@ -569,23 +594,17 @@ func matrixTable(rows []Row) string {
 		if !r.OK() {
 			verdict = "FAILED"
 		}
-		tab = append(tab, []string{
-			r.Group, r.Dataset, r.Mode,
-			fmt.Sprintf("%d/%d", ok, len(r.Cells)),
-			fmt.Sprintf("%d/%d", r.Crashes, r.CrashArmed),
-			fmt.Sprintf("%d/%d/%d", sum.Drops, sum.Retries, sum.Dups),
-			fmt.Sprintf("%d/%d", sum.DiskFaults, sum.ScrubRepairedBytes),
-			fmt.Sprintf("%d", loaded),
-			overhead(dVirt), overhead(dBytes),
-			verdict,
-		})
+		tab = append(tab, fmt.Sprintf("%s\t%s\t%s\t%d/%d\t%d/%d\t%d/%d/%d\t%d/%d\t%d\t%s\t%s\t%s",
+			r.Group, r.Dataset, r.Mode, ok, len(r.Cells), r.Crashes, r.CrashArmed,
+			sum.Drops, sum.Retries, sum.Dups, sum.DiskFaults, sum.ScrubRepairedBytes, loaded,
+			overhead(dVirt), overhead(dBytes), verdict))
 		for _, f := range r.Fail() {
 			notes += "  FAILED " + f + "\n"
 		}
 	}
 	return "Scenario matrix (fault-free baseline -> injected run -> resume; assembly identical, every armed injection fired)\n" +
-		fmtTable([]string{"group", "dataset", "mode", "cells ok", "crashed", "drops/retx/dups",
-			"disk faults/scrubbed B", "ckpt loaded B", "dT(virt)", "dPayload", "verdict"}, tab) +
-		"(dT/dPayload: mean over the row's single-leg cells versus their baseline; reported, not asserted)\n" +
+		fmtTable("group\tdataset\tmode\tcells ok\tcrashed\tdrops/retx/dups\t"+
+			"disk faults/scrubbed B\tckpt loaded B\tdT(virt)\tdPayload\tverdict", tab) +
+		"(dT/dPayload: mean over the row's single-leg cells versus their baseline)\n" +
 		notes
 }

@@ -30,14 +30,14 @@ func TestMatrixAllGreen(t *testing.T) {
 	// for speed, and the oracle (correctly) flags the occasional misjoin a
 	// 21-mer assembly of the repeat-bearing human genome produces.
 	sc.K = 31
-	m := newMatrix(sc)
+	m := NewRunner(sc)
 	for _, group := range Groups() {
 		t.Run(group, func(t *testing.T) {
 			cells, err := Cells(group)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, reports, text := m.run(cells)
+			rows, reports, text := m.Matrix(cells)
 			t.Logf("\n%s", text)
 			if len(rows) == 0 {
 				t.Fatal("no rows")
@@ -98,12 +98,13 @@ func TestCellsCoverParent(t *testing.T) {
 		len(parent), len(cells), len(have), len(have)-len(parent))
 }
 
-// TestMatrixCanFail shows a row can go red: against the wrong baseline,
-// when an armed injection left no trace, when a crash never fires, and
-// on a dataset name nobody generates.
+// TestMatrixCanFail shows a row can go red — against the wrong baseline
+// or a differently timed one, when an armed injection left no trace, when
+// a crash never fires, on a dataset name nobody generates — and that an
+// exhibit whose run fails returns the error.
 func TestMatrixCanFail(t *testing.T) {
 	sc := tinyScale()
-	m := newMatrix(sc)
+	m := NewRunner(sc)
 	wantFail := func(res CellResult, substr string) {
 		t.Helper()
 		if !strings.Contains(strings.Join(res.Fail, "\n"), substr) {
@@ -119,6 +120,11 @@ func TestMatrixCanFail(t *testing.T) {
 	wheat := cell
 	wheat.Dataset = "wheat"
 	wantFail(judge(cell, m.baseline(wheat), obs), "assembly differs")
+	// A perturbed schedule may not move the clock: the same assembly
+	// against a baseline one nanosecond slower is red.
+	slower := *m.baseline(cell)
+	slower.virtualSec += 1e-9
+	wantFail(judge(cell, &slower, obs), "differ from the fault-free run")
 
 	// Armed but lossless transport: green as declared, red once the cell
 	// claims a drop rate the run never had.
@@ -136,7 +142,7 @@ func TestMatrixCanFail(t *testing.T) {
 	vacuous := cell
 	vacuous.Inject.FaultSeed, vacuous.Inject.FailStage = 11, "scaffolding"
 	vacuous.Resume = &Resume{Ranks: 4}
-	rows, _, text := m.run([]Cell{vacuous})
+	rows, _, text := m.Matrix([]Cell{vacuous})
 	if len(rows) != 1 || rows[0].OK() || rows[0].Crashes != 0 {
 		t.Fatalf("crash cell at a stage that never runs passed: %+v", rows)
 	}
@@ -149,7 +155,19 @@ func TestMatrixCanFail(t *testing.T) {
 	bogus := cell
 	bogus.Dataset = "yeast"
 	wantFail(judge(bogus, m.baseline(bogus), m.observe(bogus, nil)), "unknown dataset")
-	if _, err := RunSweep(sc, "yeast"); err == nil {
+	if _, err := m.RunSweep("yeast"); err == nil {
 		t.Error("RunSweep accepted an unknown dataset")
+	}
+	// The same error under the metagenome's name reaches Table 3's
+	// caller, and a scale the pipeline refuses reaches Compare's: neither
+	// panics nor prints a shorter table.
+	m.data["meta"] = m.dataset("yeast")
+	if _, _, err := m.Table3(); err == nil || !strings.Contains(err.Error(), "unknown dataset") {
+		t.Errorf("Table3 on a dataset that failed to generate: error %v", err)
+	}
+	evenK := sc
+	evenK.K = 32
+	if _, _, err := Compare(evenK); err == nil || !strings.Contains(err.Error(), "must be odd") {
+		t.Errorf("Compare at an even k: error %v", err)
 	}
 }

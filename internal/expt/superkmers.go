@@ -32,28 +32,21 @@ type BenchRow struct {
 }
 
 // MsgRatio is the stage-1 message-count reduction factor.
-func (r BenchRow) MsgRatio() float64 {
-	if r.Msgs == 0 {
-		return 0
-	}
-	return float64(r.BaseMsgs) / float64(r.Msgs)
-}
+func (r BenchRow) MsgRatio() float64 { return ratio(float64(r.BaseMsgs), float64(r.Msgs)) }
 
 // ByteRatio is the stage-1 remote-byte reduction factor.
-func (r BenchRow) ByteRatio() float64 {
-	if r.Bytes == 0 {
-		return 0
-	}
-	return float64(r.BaseBytes) / float64(r.Bytes)
-}
+func (r BenchRow) ByteRatio() float64 { return ratio(float64(r.BaseBytes), float64(r.Bytes)) }
 
 // VirtualRatio is the super-k-mer path's stage-1 virtual time over the
 // per-k-mer baseline's: above 1, the optimisation loses on time.
-func (r BenchRow) VirtualRatio() float64 {
-	if r.BaseVirtualSec == 0 {
+func (r BenchRow) VirtualRatio() float64 { return ratio(r.VirtualSec, r.BaseVirtualSec) }
+
+// ratio is a/b, 0 for an unmeasured denominator.
+func ratio(a, b float64) float64 {
+	if b == 0 {
 		return 0
 	}
-	return r.VirtualSec / r.BaseVirtualSec
+	return a / b
 }
 
 // benchPoint runs k-mer analysis twice on one partitioned input — the
@@ -104,31 +97,18 @@ func AblationSuperKmers(sc Scale) ([]BenchRow, string) {
 	}
 	var rows []BenchRow
 	for _, dataset := range genomes {
-		_, libs, _ := sized.dataset(dataset)
-		recs := mergeLibs(libs)
+		recs := mergeLibs(sized.dataset(dataset).libs)
 		for _, p := range sc.Cores {
 			rows = append(rows, benchPoint(sc, dataset, recs, p))
 		}
 	}
-	var tab [][]string
+	var tab []string
 	for _, r := range rows {
-		tab = append(tab, []string{
-			r.Dataset,
-			fmt.Sprintf("%d", r.Cores),
-			fmt.Sprintf("%d", r.BaseMsgs),
-			fmt.Sprintf("%d", r.Msgs),
-			fmt.Sprintf("%.2fx", r.MsgRatio()),
-			fmt.Sprintf("%d", r.BaseBytes),
-			fmt.Sprintf("%d", r.Bytes),
-			fmt.Sprintf("%.2fx", r.ByteRatio()),
-			fmt.Sprintf("%.4f", r.BaseVirtualSec),
-			fmt.Sprintf("%.4f", r.VirtualSec),
-			fmt.Sprintf("%.2fx", r.VirtualRatio()),
-			fmt.Sprintf("%d", r.SuperKmers),
-		})
+		tab = append(tab, fmt.Sprintf("%s\t%d\t%d\t%d\t%.2fx\t%d\t%d\t%.2fx\t%.4f\t%.4f\t%.2fx\t%d",
+			r.Dataset, r.Cores, r.BaseMsgs, r.Msgs, r.MsgRatio(), r.BaseBytes, r.Bytes, r.ByteRatio(),
+			r.BaseVirtualSec, r.VirtualSec, r.VirtualRatio(), r.SuperKmers))
 	}
 	return rows, "Ablation — minimizer super-k-mer binning (stage-1 transport) vs per-k-mer stores\n" +
-		fmtTable([]string{"dataset", "cores", "msgs(per-kmer)", "msgs(superk)", "msg-drop",
-			"bytes(per-kmer)", "bytes(superk)", "byte-drop",
-			"virt(per-kmer)", "virt(superk)", "virt-ratio", "superkmers"}, tab)
+		fmtTable("dataset\tcores\tmsgs(per-kmer)\tmsgs(superk)\tmsg-drop\tbytes(per-kmer)\tbytes(superk)\tbyte-drop\t"+
+			"virt(per-kmer)\tvirt(superk)\tvirt-ratio\tsuperkmers", tab)
 }

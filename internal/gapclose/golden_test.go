@@ -155,7 +155,7 @@ func runGolden(c goldenCase) []roundGolden {
 		first := len(team.Spans())
 		opt := Options{K: goldenK, KmerTable: kres.Table}.withDefaults()
 		res := &Result{}
-		gaps := collectGaps(team, sres, libs, opt)
+		gaps := collectGaps(team, sres, libs)
 		res.Gaps = len(gaps)
 		closures := closeGaps(team, gaps, opt, res)
 		res.ScaffoldSeqs = splice(sres, gaps, closures)

@@ -167,7 +167,7 @@ func TestCloseGapAllocations(t *testing.T) {
 	g, interior := walkHeavyGap()
 	opt := Options{}.withDefaults()
 	var s scratch
-	for k := opt.WalkK; k < opt.MaxWalkK; k += opt.WalkKStep {
+	for k := opt.WalkK; k < opt.MaxWalkK; k += walkKStep {
 		o := opt
 		o.MaxWalkK = k
 		if m, _, _ := s.closeGap(g, o); m == Walked || m == Spanned {

@@ -70,12 +70,24 @@ func (g *miniGraph) after(km kmer.Kmer) *[4]int32 {
 	return g.counts.Get(km.Hash(miniGraphSeed), km)
 }
 
+const (
+	// minOverlap is the anchor length for spanning and patching.
+	minOverlap = 15
+	// minIdentity is the least identity of a patching overlap.
+	minIdentity = 0.92
+	// walkKStep is the k increment between walk attempts.
+	walkKStep = 10
+	// maxGapFactor bounds a walk to maxGapFactor × the estimated gap plus
+	// a constant slack, protecting against runaway walks.
+	maxGapFactor = 3
+)
+
 // closeGap tries the closure methods in order of computational cost. The
 // returned work is the number of read bases scanned, used for cost
 // accounting: spanning is orders of magnitude cheaper than k-mer walks,
 // which is exactly why the paper distributes gaps round-robin.
 func (s *scratch) closeGap(g *gapState, opt Options) (Method, []byte, int) {
-	if len(g.left) < opt.MinOverlap || len(g.right) < opt.MinOverlap {
+	if len(g.left) < minOverlap || len(g.right) < minOverlap {
 		return Unclosed, nil, 0
 	}
 	readBases := 0
@@ -83,12 +95,12 @@ func (s *scratch) closeGap(g *gapState, opt Options) (Method, []byte, int) {
 		readBases += len(rd)
 	}
 	work := readBases // spanning scan
-	if seq, ok := s.trySpanning(g, opt); ok {
+	if seq, ok := s.trySpanning(g); ok {
 		return Spanned, seq, work
 	}
-	maxLen := g.est*opt.MaxGapFactor + 200
+	maxLen := g.est*maxGapFactor + 200
 	s.bestL, s.bestR = s.bestL[:0], s.bestR[:0]
-	for k := opt.WalkK; k <= opt.MaxWalkK; k += opt.WalkKStep {
+	for k := opt.WalkK; k <= opt.MaxWalkK; k += walkKStep {
 		work += 3 * readBases // mini de Bruijn build + two directed walks
 		if len(g.left) < k || len(g.right) < k {
 			continue
@@ -115,7 +127,7 @@ func (s *scratch) closeGap(g *gapState, opt Options) (Method, []byte, int) {
 		work += (len(g.left) + len(s.bestL)) * 8 // banded overlap DP
 		s.a = append(append(s.a[:0], g.left...), s.bestL...)
 		s.b = append(kmer.AppendRevComp(s.b[:0], s.bestR), g.right...)
-		if o, ok := aligner.BestOverlap(s.a, s.b, opt.MinOverlap, opt.MinIdentity); ok {
+		if o, ok := aligner.BestOverlap(s.a, s.b, minOverlap, minIdentity); ok {
 			// joined = a + (b after the overlap); the closure is the part
 			// strictly between the flanks
 			s.a = append(s.a, s.b[o.LenB:]...)
@@ -159,9 +171,9 @@ func (s *scratch) verifyClosure(r *xrt.Rank, g *gapState, seq []byte, opt Option
 // either strand. The other strand is searched in place: the first
 // occurrence of an anchor in a read's reverse complement is the last
 // occurrence of the anchor's reverse complement in the read.
-func (s *scratch) trySpanning(g *gapState, opt Options) ([]byte, bool) {
-	la := tail(g.left, opt.MinOverlap)
-	ra := head(g.right, opt.MinOverlap)
+func (s *scratch) trySpanning(g *gapState) ([]byte, bool) {
+	la := tail(g.left, minOverlap)
+	ra := head(g.right, minOverlap)
 	s.rcLa = kmer.AppendRevComp(s.rcLa[:0], la)
 	s.rcRa = kmer.AppendRevComp(s.rcRa[:0], ra)
 	for _, rd := range g.reads {

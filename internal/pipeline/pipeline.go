@@ -77,10 +77,6 @@ type Config struct {
 	// four rounds (§5.3); long-insert libraries join progressively larger
 	// pieces each round. Default 1.
 	ScaffoldRounds int
-	// Scaffold options pass-through.
-	Scaffold scaffold.Options
-	// Gapclose options pass-through.
-	Gapclose gapclose.Options
 	// Verify, when non-nil, runs the assembly oracle on the output
 	// (k-mer spectrum containment; with Verify.Ref set, also reference
 	// placement and gap-size checks) and attaches the report to

@@ -332,10 +332,8 @@ func loadCarry(env *stageEnv, payload []byte) error {
 }
 
 func runScaffolding(env *stageEnv) error {
-	sOpt := env.cfg.Scaffold
-	sOpt.K = env.cfg.K
 	env.res.Scaffold = scaffold.Run(env.team, env.res.Contigs,
-		env.res.KAnalysis.Table, env.readLibs, sOpt)
+		env.res.KAnalysis.Table, env.readLibs, scaffold.Options{K: env.cfg.K})
 	return nil
 }
 
@@ -343,18 +341,14 @@ func runScaffolding(env *stageEnv) error {
 // final sequences as the contig set (§5.3: wheat uses four rounds).
 func runScaffoldingRound(env *stageEnv) error {
 	ctgRes := contigResultFromSeqs(env.team, env.res.FinalSeqs)
-	sOpt := env.cfg.Scaffold
-	sOpt.K = env.cfg.K
-	sOpt.DisableBubbles = true // no junction metadata on re-entry
+	sOpt := scaffold.Options{K: env.cfg.K, DisableBubbles: true} // no junction metadata on re-entry
 	env.res.Scaffold = scaffold.Run(env.team, ctgRes,
 		env.res.KAnalysis.Table, env.readLibs, sOpt)
 	return nil
 }
 
 func runGapClosing(env *stageEnv) error {
-	gcOpt := env.cfg.Gapclose
-	gcOpt.K = env.cfg.K
-	gcOpt.KmerTable = env.res.KAnalysis.Table // frozen: cached closure verification
+	gcOpt := gapclose.Options{K: env.cfg.K, KmerTable: env.res.KAnalysis.Table} // frozen: cached closure verification
 	env.res.Gapclose = gapclose.Run(env.team, env.res.Scaffold, env.readLibs, gcOpt)
 	env.res.FinalSeqs = env.res.Gapclose.ScaffoldSeqs
 	return nil
@@ -524,12 +518,15 @@ func runFingerprint(team *xrt.Team, cfg Config, libs []Library, readLibs []scaff
 	f.Bool(cfg.ContigsOnly)
 	f.Int(int64(cfg.ScaffoldRounds))
 	f.Bool(cfg.Oracle != nil)
-	f.Int(int64(cfg.Scaffold.MinLinkSupport))
-	f.Int(int64(cfg.Scaffold.MinContigLen))
-	f.Bool(cfg.Scaffold.DisableBubbles)
-	f.Int(int64(cfg.Gapclose.WalkK))
-	f.Int(int64(cfg.Gapclose.MaxWalkK))
-	f.Int(int64(cfg.Gapclose.MinOverlap))
+	// Six more where the Config.Scaffold / Config.Gapclose pass-throughs
+	// (never set) hashed MinLinkSupport, MinContigLen, DisableBubbles,
+	// WalkK, MaxWalkK and MinOverlap.
+	f.Int(0)
+	f.Int(0)
+	f.Bool(false)
+	f.Int(0)
+	f.Int(0)
+	f.Int(0)
 	for li, rl := range readLibs {
 		f.Str(rl.Name)
 		f.Int(int64(rl.InsertHint))

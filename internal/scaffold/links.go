@@ -13,7 +13,9 @@ import (
 // of sampled pairs whose both ends align full-length within a single
 // contig; the local histograms are merged into a global one per library
 // from which a trimmed mean and standard deviation are computed.
-func estimateInserts(team *xrt.Team, libs []ReadLib, res *Result, opt Options) {
+func estimateInserts(team *xrt.Team, libs []ReadLib, res *Result) {
+	// insertTrimFrac of the pairs is trimmed from each histogram tail.
+	const insertTrimFrac = 0.01
 	res.InsertMean = make([]float64, len(libs))
 	res.InsertSD = make([]float64, len(libs))
 	for li, lib := range libs {
@@ -49,7 +51,7 @@ func estimateInserts(team *xrt.Team, libs []ReadLib, res *Result, opt Options) {
 				global[v] += c
 			}
 		}
-		mean, sd, n := trimmedMeanSD(global, opt.InsertTrimFrac)
+		mean, sd, n := trimmedMeanSD(global, insertTrimFrac)
 		if n < 20 && lib.InsertHint > 0 {
 			mean, sd = float64(lib.InsertHint), float64(lib.InsertHint)/10
 		}

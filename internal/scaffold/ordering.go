@@ -55,7 +55,7 @@ func orderAndOrient(team *xrt.Team, merged map[int64]*SContig, links []Link,
 	// unknown IDs: following one would duplicate popped-out sequence.
 	eligible := func(id int64) bool {
 		sc := merged[id]
-		return sc != nil && !sc.PoppedOut && len(sc.Seq) >= opt.MinContigLen
+		return sc != nil && !sc.PoppedOut && opt.longEnough(sc)
 	}
 	best := func(k endKey, used map[int64]bool) (tieRef, bool) {
 		for _, t := range ties[k] {
@@ -85,7 +85,7 @@ func orderAndOrient(team *xrt.Team, merged map[int64]*SContig, links []Link,
 	}
 	var seeds []seedRec
 	for id, sc := range merged {
-		if sc.PoppedOut || len(sc.Seq) < opt.MinContigLen {
+		if sc.PoppedOut || !opt.longEnough(sc) {
 			continue
 		}
 		seeds = append(seeds, seedRec{id, len(sc.Seq)})

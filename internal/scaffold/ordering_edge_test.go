@@ -46,7 +46,7 @@ func runOrder(t *testing.T, merged map[int64]*SContig, links []Link) *Result {
 		}
 	}
 	for id, sc := range merged {
-		eligible := !sc.PoppedOut && len(sc.Seq) >= opt.MinContigLen
+		eligible := !sc.PoppedOut && opt.longEnough(sc)
 		if eligible && placed[id] == 0 {
 			t.Fatalf("contig %d (len %d) never placed", id, len(sc.Seq))
 		}
@@ -131,7 +131,7 @@ func TestOrderSelfLoopLink(t *testing.T) {
 // TestOrderPoppedAndShortExcluded asserts bubble losers and sub-minimum
 // contigs stay out of scaffolds even when links reference them.
 func TestOrderPoppedAndShortExcluded(t *testing.T) {
-	merged := mkContigs(900, 700, 5) // contig 3 shorter than MinContigLen
+	merged := mkContigs(900, 700, 5) // contig 3 shorter than k
 	merged[2].PoppedOut = true
 	links := []Link{
 		{A: 1, B: 2, EndA: EndR, EndB: EndL, Gap: 10, Splints: 3},

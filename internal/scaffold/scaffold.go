@@ -25,16 +25,9 @@ type Options struct {
 	// MinLinkSupport is the number of concordant read observations needed
 	// before a splint/span link is trusted (default 2).
 	MinLinkSupport int
-	// MinContigLen excludes shorter contigs from scaffolding (default k).
-	MinContigLen int
 	// PopBubbles enables diploid bubble merging (default true; set
 	// DisableBubbles to turn off).
 	DisableBubbles bool
-	// Aligner passes through seed-and-extend options.
-	Aligner aligner.Options
-	// InsertTrimFrac trims this fraction from each histogram tail when
-	// estimating insert sizes (default 0.01).
-	InsertTrimFrac float64
 }
 
 func (o Options) withDefaults() Options {
@@ -44,14 +37,12 @@ func (o Options) withDefaults() Options {
 	if o.MinLinkSupport <= 0 {
 		o.MinLinkSupport = 2
 	}
-	if o.MinContigLen <= 0 {
-		o.MinContigLen = o.K
-	}
-	if o.InsertTrimFrac <= 0 {
-		o.InsertTrimFrac = 0.01
-	}
 	return o
 }
+
+// longEnough reports whether the contig takes part in scaffolding: one
+// shorter than k holds no k-mer to seed an alignment or measure a depth.
+func (o Options) longEnough(sc *SContig) bool { return len(sc.Seq) >= o.K }
 
 // SContig is a scaffolding contig: a (possibly bubble-merged) contig with
 // its mean k-mer depth and termination metadata.
@@ -161,14 +152,10 @@ func Run(team *xrt.Team, ctgRes *contig.Result,
 	res.ContigsByRank = mergedByRank
 
 	// §4.3 read-to-contig alignment (merAligner)
-	alnOpt := opt.Aligner
-	if alnOpt.SeedLen == 0 {
-		alnOpt.SeedLen = opt.K
-	}
 	ctgForIndex := make([][]*contig.Contig, len(mergedByRank))
 	for r, cs := range mergedByRank {
 		for _, sc := range cs {
-			if sc.PoppedOut || len(sc.Seq) < opt.MinContigLen {
+			if sc.PoppedOut || !opt.longEnough(sc) {
 				continue
 			}
 			ctgForIndex[r] = append(ctgForIndex[r], &contig.Contig{ID: sc.ID, Seq: sc.Seq})
@@ -176,7 +163,7 @@ func Run(team *xrt.Team, ctgRes *contig.Result,
 	}
 	vStart := team.VirtualNow()
 	team.BeginSpan("merAligner")
-	res.Index = aligner.BuildIndex(team, ctgForIndex, alnOpt)
+	res.Index = aligner.BuildIndex(team, ctgForIndex, aligner.Options{SeedLen: opt.K})
 	for _, lib := range libs {
 		res.Alignments = append(res.Alignments, aligner.AlignAll(team, res.Index, lib.ReadsByRank))
 	}
@@ -185,7 +172,7 @@ func Run(team *xrt.Team, ctgRes *contig.Result,
 
 	// §4.4 insert-size estimation per library
 	team.BeginSpan("inserts")
-	estimateInserts(team, libs, res, opt)
+	estimateInserts(team, libs, res)
 	team.EndSpan()
 
 	// §4.5–4.6 splints, spans, and link generation
