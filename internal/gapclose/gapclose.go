@@ -1,17 +1,22 @@
 // Package gapclose implements the final pipeline stage (paper §4.8):
 // assembling reads across the gaps between the contigs of scaffolds.
 // Read-to-contig alignments are projected into gaps in parallel; the gaps
-// are then distributed round-robin across ranks (breaking up the gaps of
-// any single scaffold, which tend to cost alike, to prevent load
-// imbalance) and closed by a succession of methods: spanning (a single
-// read bridges the gap), k-mer walks with iteratively increasing k
+// are then closed by a succession of methods: spanning (a single read
+// bridges the gap), k-mer walks with iteratively increasing k
 // (mini-assembly, attempted from both sides), and finally patching (an
 // acceptable overlap between the two partial walks).
+//
+// The paper deals whole gaps round-robin, because the methods differ in
+// cost by orders of magnitude. Here the unit of dealing is finer — a gap's
+// spanning scan, then one (gap, k) step of its ladder — and each unit's
+// cost is known from the gap's read bases before it runs, so units are
+// dealt longest first and a gap that climbs the whole ladder does so on
+// the ranks idle beside it (closeGaps, planWave).
 package gapclose
 
 import (
 	"bytes"
-	"sync/atomic"
+	"slices"
 
 	"hipmer/internal/aligner"
 	"hipmer/internal/dht"
@@ -217,35 +222,117 @@ func collectGaps(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadL
 	return gaps
 }
 
-// closeGaps closes the gaps, dealt round-robin across ranks (§4.8
-// load-balance strategy), and fills in res's outcome counts.
+// closeGaps closes the gaps in three steps, each ended by the join of its
+// phase, and fills in res's outcome counts.
+//
+//  1. Every gap is scanned for a spanning read on its home rank.
+//  2. The k ladder of every unspanned gap runs as (gap, k) tasks, wave by
+//     wave (see planWave). A ladder step needs nothing of the gap's other k
+//     values, and the gap whose ladder never succeeds is the critical path of
+//     the whole stage when it climbs it on one rank.
+//  3. Each gap's home rank reduces its steps — smallest k that walked across
+//     wins, else the longest partial walks are patched — and verifies the
+//     closure.
+//
+// The paper deals whole gaps round-robin (§4.8); the closures are the same,
+// because step 3 yields exactly what climbing the ladder one k after the
+// other would. What the split moves between ranks is charged: a rank that
+// runs a step away from the gap's home fetches the read set and sends its
+// walks back.
 func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []closure {
 	p := team.Config().Ranks
-	closures := make([]closure, len(gaps))
-	var verified, checked atomic.Int64
+	jobs := newJobs(gaps)
+	pool := newScratchPool()
+	run := func(body func(r *xrt.Rank)) {
+		ph := team.Run(body)
+		res.Phase.Virtual += ph.Virtual
+		res.Phase.Wall += ph.Wall
+		res.Phase.Comm.Add(ph.Comm)
+	}
 	team.BeginSpan("close")
-	res.Phase = team.Run(func(r *xrt.Rank) {
-		var s scratch // buffers appear with the rank's first gap
-		for gi := r.ID; gi < len(gaps); gi += p {
-			g := gaps[gi]
-			m, seq, work := s.closeGap(g, opt)
-			closures[gi] = closure{m, seq}
-			// closure methods differ in computational intensity by orders
-			// of magnitude (§4.8); charge the bases actually scanned
-			r.ChargeItems(work + 64)
-			if m != Unclosed && opt.KmerTable != nil && opt.K > 0 {
-				checked.Add(1)
-				if s.verifyClosure(r, g, seq, opt) {
-					verified.Add(1)
+
+	byHome := dealSpanning(jobs, p)
+	run(func(r *xrt.Rank) {
+		for _, j := range byHome[r.ID] {
+			if j.anchored {
+				s := pool.get()
+				if seq, ok := s.trySpanning(j.g); ok {
+					j.closure = closure{Spanned, seq}
 				}
+				pool.put(s)
+			}
+			r.ChargeItems(j.scanCost())
+		}
+	})
+
+	var ladders []*gapJob
+	for _, j := range jobs {
+		if j.anchored && j.method == Unclosed {
+			j.steps = make([]ladderStep, ladderLen(j.g, opt))
+			ladders = append(ladders, j)
+		}
+	}
+	ladders = heaviestFirst(ladders, (*gapJob).stepCost)
+	var primaries, waves int64
+	for {
+		var open []*gapJob
+		for _, j := range ladders {
+			if j.open() {
+				open = append(open, j)
 			}
 		}
-		r.Barrier()
+		if len(open) == 0 {
+			break
+		}
+		byRank := planWave(open, p)
+		waves++
+		primaries += int64(len(open))
+		more := slices.ContainsFunc(open, func(j *gapJob) bool { return j.tried < len(j.steps) })
+		run(func(r *xrt.Rank) {
+			crossed := int64(0)
+			for _, t := range byRank[r.ID] {
+				j, st := t.job, &t.job.steps[t.step]
+				if j.home != r.ID {
+					r.ChargeLookup(j.home, j.readBases)
+				}
+				s := pool.get()
+				s.runStep(j.g, opt.WalkK+t.step*walkKStep, st)
+				pool.put(s)
+				r.ChargeItems(j.stepCost())
+				if j.home != r.ID {
+					r.ChargeStoreBatch(j.home, 1, len(st.seq)+len(st.partL)+len(st.partR))
+				}
+				if st.ok {
+					crossed++
+				}
+			}
+			// which gaps are still open decides the next wave's deal on
+			// every rank: one small collective, when a next wave can follow
+			if more {
+				r.AllReduceInt64(crossed, func(a, b int64) int64 { return a + b })
+			}
+		})
+	}
+
+	run(func(r *xrt.Rank) {
+		for _, j := range byHome[r.ID] {
+			j.settle(r, pool, opt)
+		}
 	})
-	res.Verified = int(verified.Load())
-	res.Checked = int(checked.Load())
-	for _, c := range closures {
-		switch c.method {
+
+	closures := make([]closure, len(gaps))
+	var tasks, discarded int64
+	for i, j := range jobs {
+		closures[i] = j.closure
+		tasks += int64(j.tried)
+		discarded += int64(j.discarded)
+		if j.checked {
+			res.Checked++
+		}
+		if j.confirmed {
+			res.Verified++
+		}
+		switch j.method {
 		case Spanned:
 			res.BySpanning++
 		case Walked:
@@ -260,10 +347,39 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 	team.AddCounter("by_spanning", int64(res.BySpanning))
 	team.AddCounter("by_walking", int64(res.ByWalking))
 	team.AddCounter("by_patching", int64(res.ByPatching))
+	team.AddCounter("ladder_tasks", tasks)
+	team.AddCounter("ladder_waves", waves)
+	team.AddCounter("speculative_tasks", tasks-primaries)
+	team.AddCounter("speculative_discarded", discarded)
 	team.AddCounter("verify_checked", int64(res.Checked))
 	team.AddCounter("verify_confirmed", int64(res.Verified))
 	team.EndSpan()
 	return closures
+}
+
+// settle is step 3 for one gap, on its home rank: the ladder's steps
+// reduced to a closure, a patch attempted where no k walked across, and
+// the closure verified when verification is on.
+//
+// The scratch goes back even when a charge unwinds with an injected crash,
+// so that the ranks still waiting for one reach the poisoned barrier
+// instead of hanging on the pool.
+func (j *gapJob) settle(r *xrt.Rank, pool *scratchPool, opt Options) {
+	s := pool.get()
+	defer pool.put(s)
+	if at, bestL, bestR := reduceLadder(j.steps[:j.tried]); at >= 0 {
+		j.closure = closure{Walked, j.steps[at].seq}
+		j.discarded = j.tried - 1 - at
+	} else if len(bestL) > 0 && len(bestR) > 0 {
+		r.ChargeItems(patchFactor * (len(j.g.left) + len(bestL)))
+		if seq, ok := s.patch(j.g, bestL, bestR); ok {
+			j.closure = closure{Patched, seq}
+		}
+	}
+	if j.method != Unclosed && opt.KmerTable != nil && opt.K > 0 {
+		j.checked = true
+		j.confirmed = s.verifyClosure(r, j.g, j.seq, opt)
+	}
 }
 
 // splice renders the final scaffold sequences, closures in place.

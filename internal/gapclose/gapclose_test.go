@@ -208,6 +208,33 @@ func TestWalkStopsAtAmbiguity(t *testing.T) {
 	}
 }
 
+// closeGapSeq is the whole-gap loop closeGaps replaced, kept as the oracle:
+// one scratch tries the closure methods on one gap in order of cost and
+// climbs the k ladder a step at a time, leaving at the first k that walks
+// across. steps is the caller's ladder storage (reused between calls by the
+// allocation gate); ran is how many steps the loop took.
+func closeGapSeq(s *scratch, g *gapState, opt Options, steps []ladderStep) (m Method, seq []byte, ran int) {
+	if len(g.left) < minOverlap || len(g.right) < minOverlap {
+		return Unclosed, nil, 0
+	}
+	if seq, ok := s.trySpanning(g); ok {
+		return Spanned, seq, 0
+	}
+	steps = steps[:ladderLen(g, opt)]
+	for i := range steps {
+		s.runStep(g, opt.WalkK+i*walkKStep, &steps[i])
+		if steps[i].ok {
+			return Walked, steps[i].seq, i + 1
+		}
+	}
+	if _, bestL, bestR := reduceLadder(steps); len(bestL) > 0 && len(bestR) > 0 {
+		if seq, ok := s.patch(g, bestL, bestR); ok {
+			return Patched, seq, len(steps)
+		}
+	}
+	return Unclosed, nil, len(steps)
+}
+
 func TestSpanningUnit(t *testing.T) {
 	rng := xrt.NewPrng(10)
 	g := genome.Random(rng, 300)
@@ -218,7 +245,7 @@ func TestSpanningUnit(t *testing.T) {
 		reads: [][]byte{g[100:200]}, // spans the gap
 	}
 	var s scratch
-	m, seq, _ := s.closeGap(gst, Options{}.withDefaults())
+	m, seq, _ := closeGapSeq(&s, gst, Options{}.withDefaults(), nil)
 	if m != Spanned {
 		t.Fatalf("method %v, want spanned", m)
 	}
@@ -227,7 +254,7 @@ func TestSpanningUnit(t *testing.T) {
 	}
 	// reverse-complement spanning read must also work
 	gst.reads = [][]byte{kmer.RevCompString(g[100:200])}
-	m, seq, _ = s.closeGap(gst, Options{}.withDefaults())
+	m, seq, _ = closeGapSeq(&s, gst, Options{}.withDefaults(), nil)
 	if m != Spanned || !bytes.Equal(seq, g[120:180]) {
 		t.Fatalf("rc spanning failed: %v", m)
 	}
@@ -265,7 +292,7 @@ func TestPatchingUnit(t *testing.T) {
 	opt := Options{}.withDefaults()
 	opt.WalkK, opt.MaxWalkK = k, k // no k escalation
 	var s scratch
-	m, seq, _ := s.closeGap(gst, opt)
+	m, seq, _ := closeGapSeq(&s, gst, opt, make([]ladderStep, 1))
 	if m != Patched {
 		t.Fatalf("expected patched closure, got %v", m)
 	}

@@ -2,6 +2,8 @@ package gapclose
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
 
 	"hipmer/internal/aligner"
 	"hipmer/internal/flat"
@@ -9,18 +11,54 @@ import (
 	"hipmer/internal/xrt"
 )
 
-// scratch is one rank's working memory for closing gaps. The zero value
-// is ready: each buffer is allocated by the first gap that needs it and
-// reused by every later one, across the k ladder and across gaps, so a
-// rank that is dealt no gap allocates nothing and a warmed rank allocates
-// only the closures it returns. Only its rank touches it.
+// scratch is the working memory of one running task — a spanning scan, a
+// (gap, k) ladder step, a patch and its verification. The zero value is
+// ready: each buffer is allocated by the first task that needs it and
+// reused by every later one, so a warmed scratch allocates only what its
+// task returns. Only the task that took it from the pool touches it.
 type scratch struct {
-	graph        miniGraph
-	walked       []byte // the walk in progress
-	bestL, bestR []byte // longest partial walk from either side, over the k ladder
-	rcLa, rcRa   []byte // reverse complements of the spanning anchors
-	a, b         []byte // patching operands
-	joined       []byte // verification window: left flank + closure + right flank
+	graph      miniGraph
+	walked     []byte // the walk in progress
+	rcLa, rcRa []byte // reverse complements of the spanning anchors
+	a, b       []byte // patching operands
+	joined     []byte // verification window: left flank + closure + right flank
+}
+
+// scratchPool hands out the scratches of one Run: as many as goroutines can
+// physically run at once, however many ranks hold a task — the ladder split
+// would otherwise grow a mini-graph on three ranks where the whole-gap loop
+// grew one — and the one returned last first, so that a Run whose tasks
+// never overlap warms a single scratch. Nothing blocks while it holds one
+// (a task is pure computation, verification reads a frozen table), so a
+// smaller pool would idle a processor and a larger one only spend memory.
+// Taking one waits in wall time only; the virtual clock never sees the pool.
+type scratchPool struct {
+	out  chan struct{} // one token per scratch taken and not yet returned
+	mu   sync.Mutex
+	idle []*scratch
+}
+
+func newScratchPool() *scratchPool {
+	return &scratchPool{out: make(chan struct{}, runtime.GOMAXPROCS(0))}
+}
+
+func (p *scratchPool) get() *scratch {
+	p.out <- struct{}{}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.idle); n > 0 {
+		s := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		return s
+	}
+	return new(scratch)
+}
+
+func (p *scratchPool) put(s *scratch) {
+	p.mu.Lock()
+	p.idle = append(p.idle, s)
+	p.mu.Unlock()
+	<-p.out
 }
 
 // miniGraph is the mini-assembly de Bruijn graph of one gap at one k: for
@@ -82,61 +120,74 @@ const (
 	maxGapFactor = 3
 )
 
-// closeGap tries the closure methods in order of computational cost. The
-// returned work is the number of read bases scanned, used for cost
-// accounting: spanning is orders of magnitude cheaper than k-mer walks,
-// which is exactly why the paper distributes gaps round-robin.
-func (s *scratch) closeGap(g *gapState, opt Options) (Method, []byte, int) {
-	if len(g.left) < minOverlap || len(g.right) < minOverlap {
-		return Unclosed, nil, 0
-	}
-	readBases := 0
-	for _, rd := range g.reads {
-		readBases += len(rd)
-	}
-	work := readBases // spanning scan
-	if seq, ok := s.trySpanning(g); ok {
-		return Spanned, seq, work
-	}
+// ladderStep is the outcome of one (gap, k) task: the closure when a walk
+// crossed the gap at this k, otherwise how far each directed walk got.
+type ladderStep struct {
+	ok           bool
+	seq          []byte // the closure, in scaffold direction (ok only)
+	partL, partR []byte // the partial walks from the left and the right flank
+}
+
+// runStep is one (gap, k) task: the gap's mini-graph at k, walked from the
+// left flank and, failing that, from the right. It needs nothing of the
+// gap's other k values, so the steps of one ladder can run on different
+// ranks; reduceLadder puts their outcomes back in order. The caller has
+// checked that both flanks hold k bases.
+func (s *scratch) runStep(g *gapState, k int, out *ladderStep) {
 	maxLen := g.est*maxGapFactor + 200
-	s.bestL, s.bestR = s.bestL[:0], s.bestR[:0]
-	for k := opt.WalkK; k <= opt.MaxWalkK; k += walkKStep {
-		work += 3 * readBases // mini de Bruijn build + two directed walks
-		if len(g.left) < k || len(g.right) < k {
-			continue
+	s.graph.build(g.reads, k)
+	from, fromOK := kmer.Pack(g.left[len(g.left)-k:], k)
+	to, toOK := kmer.Pack(g.right, k)
+	if out.ok = s.walk(from, to, fromOK, toOK, k, maxLen); out.ok {
+		out.seq = bytes.Clone(s.closure(k))
+		return
+	}
+	out.partL = append(out.partL[:0], s.walked...)
+	// right-to-left: the same walk on the other strand, from the reverse
+	// complement of the right anchor to that of the left
+	if out.ok = s.walk(to.RevComp(k), from.RevComp(k), toOK, fromOK, k, maxLen); out.ok {
+		out.seq = kmer.RevCompString(s.closure(k))
+		return
+	}
+	out.partR = append(out.partR[:0], s.walked...)
+}
+
+// reduceLadder folds the steps of one gap's ladder, given in order of
+// increasing k, into what trying them one after the other yields: the
+// closure of the smallest k that walked across (at is its index), or else
+// (at = -1) the longest partial walk from either side, the smaller k
+// winning ties — the operands of patching.
+func reduceLadder(steps []ladderStep) (at int, bestL, bestR []byte) {
+	for i := range steps {
+		st := &steps[i]
+		if st.ok {
+			return i, nil, nil
 		}
-		s.graph.build(g.reads, k)
-		from, fromOK := kmer.Pack(g.left[len(g.left)-k:], k)
-		to, toOK := kmer.Pack(g.right, k)
-		if s.walk(from, to, fromOK, toOK, k, maxLen) {
-			return Walked, bytes.Clone(s.closure(k)), work
-		} else if len(s.walked) > len(s.bestL) {
-			s.bestL = append(s.bestL[:0], s.walked...)
+		if len(st.partL) > len(bestL) {
+			bestL = st.partL
 		}
-		// right-to-left: the same walk on the other strand, from the
-		// reverse complement of the right anchor to that of the left
-		if s.walk(to.RevComp(k), from.RevComp(k), toOK, fromOK, k, maxLen) {
-			return Walked, kmer.RevCompString(s.closure(k)), work
-		} else if len(s.walked) > len(s.bestR) {
-			s.bestR = append(s.bestR[:0], s.walked...)
+		if len(st.partR) > len(bestR) {
+			bestR = st.partR
 		}
 	}
-	// patching: overlap the two partial walks (left-extension vs the
-	// reverse complement of the right-extension)
-	if len(s.bestL) > 0 && len(s.bestR) > 0 {
-		work += (len(g.left) + len(s.bestL)) * 8 // banded overlap DP
-		s.a = append(append(s.a[:0], g.left...), s.bestL...)
-		s.b = append(kmer.AppendRevComp(s.b[:0], s.bestR), g.right...)
-		if o, ok := aligner.BestOverlap(s.a, s.b, minOverlap, minIdentity); ok {
-			// joined = a + (b after the overlap); the closure is the part
-			// strictly between the flanks
-			s.a = append(s.a, s.b[o.LenB:]...)
-			if len(s.a) >= len(g.left)+len(g.right) {
-				return Patched, bytes.Clone(s.a[len(g.left) : len(s.a)-len(g.right)]), work
-			}
+	return -1, bestL, bestR
+}
+
+// patch overlaps the two partial walks (§4.8's final method): the left
+// flank extended by bestL against the reverse complement of bestR followed
+// by the right flank.
+func (s *scratch) patch(g *gapState, bestL, bestR []byte) ([]byte, bool) {
+	s.a = append(append(s.a[:0], g.left...), bestL...)
+	s.b = append(kmer.AppendRevComp(s.b[:0], bestR), g.right...)
+	if o, ok := aligner.BestOverlap(s.a, s.b, minOverlap, minIdentity); ok {
+		// joined = a + (b after the overlap); the closure is the part
+		// strictly between the flanks
+		s.a = append(s.a, s.b[o.LenB:]...)
+		if len(s.a) >= len(g.left)+len(g.right) {
+			return bytes.Clone(s.a[len(g.left) : len(s.a)-len(g.right)]), true
 		}
 	}
-	return Unclosed, nil, work
+	return nil, false
 }
 
 // verifyClosure checks a closure's junction k-mers — every window that
