@@ -55,8 +55,9 @@ func TestServeSweep(t *testing.T) {
 // TestAblationSuperKmersShape runs the transport ablation over the tiny
 // core sweep: both paths keep identical tables, super-k-mers win on
 // messages and bytes at every point, and the human row at the top of the
-// sweep shows the headline >=5x message / >=3x byte reduction. Virtual
-// time is printed, not asserted (ROADMAP item 3 owns that decision).
+// sweep shows the headline >=5x message / >=3x byte reduction. Stage-1
+// virtual time is an equality, so it is asserted too: super-k-mers are no
+// slower than per-item stores at every tiny-scale point (ROADMAP item 3(b)).
 func TestAblationSuperKmersShape(t *testing.T) {
 	skipIfShort(t)
 	sc := tinyScale()
@@ -80,6 +81,10 @@ func TestAblationSuperKmersShape(t *testing.T) {
 		}
 		if r.VirtualSec <= 0 || r.BaseVirtualSec <= 0 {
 			t.Errorf("%s@%d: virtual times not populated: %+v", r.Dataset, r.Cores, r)
+		}
+		if r.VirtualSec > r.BaseVirtualSec {
+			t.Errorf("%s@%d: super-k-mers take %.4gs of stage-1 virtual time, per-item stores %.4gs",
+				r.Dataset, r.Cores, r.VirtualSec, r.BaseVirtualSec)
 		}
 	}
 	top := rows[len(sc.Cores)-1]

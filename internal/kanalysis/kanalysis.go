@@ -19,9 +19,12 @@
 // packed record (~1.6 wire bytes per k-mer instead of a ~26-byte store
 // item), and — because a k-mer's owner is a function of its minimizer —
 // the Bloom pass's payload already contains every occurrence the owner
-// will ever need, so the count pass replays the retained payloads locally
-// instead of re-shipping the stream. Options.DisableSuperKmers restores
-// the per-k-mer aggregated-store transport as an ablation baseline.
+// will ever need. The owner screens its payloads itself, counting every
+// window the Bloom filter has seen on the spot and keeping only the
+// records that hold a first sighting; the count pass replays just those
+// locally instead of re-shipping the stream, so each window is counted
+// once. Options.DisableSuperKmers restores the per-k-mer aggregated-store
+// transport as an ablation baseline.
 //
 // Each per-k-mer fact is computed once. Every scan rolls the forward and
 // reverse-complement words of a window side by side (kmer.ForEachCanonical,
@@ -437,14 +440,15 @@ func putPseudoBloom(table *dht.Table[kmer.Kmer, KmerData], r *xrt.Rank, prs []Ps
 // per message (the flush buffer is reused), tagged with the sender; senders
 // deliver concurrently (a blob flush runs on the sender's goroutine), hence
 // the mutex. Once the pass's barrier has closed the inbox, its owner is the
-// only rank that ever decodes it, inside an owner section of the table:
-// once to screen, once to replay.
+// only rank that ever decodes it, inside an owner section of the table: the
+// screen decodes every record, and the replay decodes the records the
+// screen kept.
 type inbox struct {
 	mu   sync.Mutex
 	msgs []inboxMsg
-	// first has one bit per window in decode order, set where the window
-	// was its k-mer's first sighting by the Bloom filter: the windows
-	// replay still has to apply.
+	// first has one bit per window of the kept records in decode order, set
+	// where the window was its k-mer's first sighting by the Bloom filter:
+	// the windows replay still has to apply.
 	first []uint64
 }
 
@@ -460,13 +464,13 @@ func (in *inbox) deliver(src int, payload []byte) {
 	in.mu.Unlock()
 }
 
-// decode reports every window of every message, in order.
-func (in *inbox) decode(k int, fn func(canon kmer.Kmer, left, right uint8)) {
-	for _, m := range in.msgs {
-		if _, err := kmer.DecodeSuperKmersCanonical(m.payload, k, fn); err != nil {
-			panic("kanalysis: corrupt super-k-mer payload: " + err.Error())
-		}
+// decode reports every window of payload in order.
+func decode(payload []byte, k int, fn func(canon kmer.Kmer, left, right uint8)) int {
+	n, err := kmer.DecodeSuperKmersCanonical(payload, k, fn)
+	if err != nil {
+		panic("kanalysis: corrupt super-k-mer payload: " + err.Error())
 	}
+	return n
 }
 
 // screen is the Bloom pass of an owner over its inbox, in sender order: a
@@ -475,41 +479,79 @@ func (in *inbox) decode(k int, fn func(canon kmer.Kmer, left, right uint8)) {
 // the schedule. A window whose k-mer the filter of its stripe has seen is
 // admitted and counted on the spot — count and both extension codes; a
 // first sighting is only flagged.
-func (in *inbox) screen(k, owner int, own dht.Owned[kmer.Kmer, KmerData], seen func(owner, stripe int, h uint64) bool) {
+//
+// The inbox is walked record by record. A record with no first sighting has
+// been counted in full and is dropped; one with a first sighting is moved
+// to the front of its own message's buffer, so the kept records stay in
+// (sender, send order) and nothing is allocated but the bitmap. A message
+// left with no record is released. Returns the number of first sightings
+// and of windows in the kept records.
+func (in *inbox) screen(k, owner int, own dht.Owned[kmer.Kmer, KmerData], seen func(owner, stripe int, h uint64) bool) (firsts, kept int) {
 	slices.SortStableFunc(in.msgs, func(a, b inboxMsg) int { return a.src - b.src })
-	w := 0
-	in.decode(k, func(canon kmer.Kmer, left, right uint8) {
-		if w&63 == 0 {
-			in.first = append(in.first, 0)
-		}
-		h := canon.Hash(hashSeed)
-		if e, stripe := own.Entry(h, canon); seen(owner, stripe, h) {
-			d, _ := e.Upsert()
-			d.add(occurrence{canon, left, right}, 1)
-		} else {
-			in.first[w>>6] |= 1 << (w & 63)
-		}
-		w++
-	})
-}
-
-// replay is the count pass of an owner over its screened inbox. Every
-// window is charged to r as the local store it is; only the flagged ones —
-// the rest were counted on admission — are hashed and looked up, and
-// applied if their k-mer made it into the table since. Returns the number
-// of windows and empties the inbox.
-func (in *inbox) replay(k int, own dht.Owned[kmer.Kmer, KmerData], r *xrt.Rank) int {
-	w := 0
-	in.decode(k, func(canon kmer.Kmer, left, right uint8) {
-		r.ChargeStoreBatch(r.ID, 1, kmerItemBytes)
-		if in.first[w>>6]>>(w&63)&1 != 0 {
-			e, _ := own.Entry(canon.Hash(hashSeed), canon)
-			if d := e.Get(); d != nil {
-				d.add(occurrence{canon, left, right}, 1)
+	msgs := in.msgs[:0]
+	for _, m := range in.msgs {
+		size := 0 // bytes kept at the front of m.payload
+		for rest := m.payload; len(rest) > 0; {
+			n := kmer.SuperKmerRecordLen(rest)
+			if n == 0 {
+				panic("kanalysis: corrupt super-k-mer payload: truncated record")
+			}
+			rec := rest[:n]
+			rest = rest[n:]
+			had, w := firsts, kept
+			nwin := decode(rec, k, func(canon kmer.Kmer, left, right uint8) {
+				h := canon.Hash(hashSeed)
+				if e, stripe := own.Entry(h, canon); seen(owner, stripe, h) {
+					d, _ := e.Upsert()
+					d.add(occurrence{canon, left, right}, 1)
+				} else {
+					in.grow(w>>6 + 1)
+					in.first[w>>6] |= 1 << (w & 63)
+					firsts++
+				}
+				w++
+			})
+			if firsts > had {
+				size += copy(m.payload[size:], rec)
+				kept += nwin
+				in.grow((kept + 63) >> 6)
 			}
 		}
-		w++
-	})
+		if size > 0 {
+			msgs = append(msgs, inboxMsg{m.src, m.payload[:size]})
+		}
+	}
+	clear(in.msgs[len(msgs):])
+	in.msgs = msgs
+	return firsts, kept
+}
+
+// grow extends the first-sighting bitmap to at least n words.
+func (in *inbox) grow(n int) {
+	if n > len(in.first) {
+		in.first = append(in.first, make([]uint64, n-len(in.first))...)
+	}
+}
+
+// replay is the count pass of an owner over the records its screen kept.
+// Every window of them is decoded; only the flagged ones — the rest were
+// counted on admission — are charged to r as the local store they are,
+// hashed and looked up, and applied if their k-mer made it into the table
+// since. Returns the number of windows decoded and empties the inbox.
+func (in *inbox) replay(k int, own dht.Owned[kmer.Kmer, KmerData], r *xrt.Rank) int {
+	w := 0
+	for _, m := range in.msgs {
+		decode(m.payload, k, func(canon kmer.Kmer, left, right uint8) {
+			if in.first[w>>6]>>(w&63)&1 != 0 {
+				r.ChargeStoreBatch(r.ID, 1, kmerItemBytes)
+				e, _ := own.Entry(canon.Hash(hashSeed), canon)
+				if d := e.Get(); d != nil {
+					d.add(occurrence{canon, left, right}, 1)
+				}
+			}
+			w++
+		})
+	}
 	in.msgs, in.first = nil, nil
 	return w
 }
@@ -718,6 +760,10 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	skBases := make([]int64, p)
 	skSaved := make([]int64, p)
 	inboxes := make([]inbox, p)
+	// What each owner's screen left for its count pass: first sightings and
+	// the windows of the records holding them.
+	firsts := make([]int, p)
+	replayWins := make([]int, p)
 
 	team.BeginSpan("bloom-screen")
 	if superk {
@@ -749,11 +795,12 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 			// Owner computes: every window this rank will ever own is in its
 			// inbox now (minimizer placement), and every pseudo-read store has
 			// been applied (through the hook above, at delivery). The rank
-			// screens its windows alone, under one round of its stripe locks.
+			// screens its windows alone, under one round of its stripe locks,
+			// and keeps only the records the count pass still has work in.
 			// Uncharged, like the delivery-time decode it replaces (the
 			// sender's store batch charged the owner per item).
 			table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-				inboxes[r.ID].screen(opt.K, r.ID, own, seen)
+				firsts[r.ID], replayWins[r.ID] = inboxes[r.ID].screen(opt.K, r.ID, own, seen)
 			})
 		})
 	} else {
@@ -777,8 +824,9 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 
 	// pass 3: exact counting with extension evidence. Heavy hitters are
 	// accumulated rank-locally; everything else goes to its owner — on the
-	// super-k-mer path it already did, so the owner replays its retained
-	// payloads without any further communication.
+	// super-k-mer path it already did, and the screen counted every window
+	// but the first sightings, so the owner replays just the records holding
+	// those without any further communication.
 	table.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in KmerData, e dht.Entry[kmer.Kmer, KmerData]) {
 		if d := e.Get(); d != nil {
 			d.merge(in)
@@ -790,12 +838,13 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	team.BeginSpan("count")
 	res.CountPhase = team.Run(func(r *xrt.Rank) {
 		if superk {
-			// Replay the inbox of the Bloom pass: minimizer placement
-			// guarantees it holds exactly the non-heavy occurrences this rank
-			// owns, so counting is communication-free and the owner is known;
-			// the decode is charged per window like a scan. Pseudo-read
-			// stores other ranks aim at this shard meanwhile wait for the
-			// section to end.
+			// Replay what the screen kept of the Bloom pass's inbox:
+			// minimizer placement guarantees it held exactly the non-heavy
+			// occurrences this rank owns, so counting is communication-free
+			// and the owner is known; the decode is charged per window like a
+			// scan, and each first sighting as the local store it is.
+			// Pseudo-read stores other ranks aim at this shard meanwhile wait
+			// for the section to end.
 			var wins int
 			table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
 				wins = inboxes[r.ID].replay(opt.K, own, r)
@@ -873,10 +922,13 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	table.SetApply(nil)
 	table.SetBlobApply(nil)
 
+	var nFirst, nReplay int64
 	for i := 0; i < p; i++ {
 		res.SuperKmers += skRecords[i]
 		res.SuperKmerBases += skBases[i]
 		res.CommBytesSaved += skSaved[i]
+		nFirst += int64(firsts[i])
+		nReplay += int64(replayWins[i])
 	}
 
 	// Stage counters land on the enclosing "kmer-analysis" span (no-ops
@@ -892,6 +944,10 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	if res.PseudoReads > 0 {
 		team.AddCounter("pseudo_reads", res.PseudoReads)
 		team.AddCounter("pseudo_kmers", res.PseudoKmers)
+	}
+	if superk {
+		team.AddCounter("first_sightings", nFirst)
+		team.AddCounter("replay_windows", nReplay)
 	}
 	return res
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"hipmer/internal/bloom"
 	"hipmer/internal/dht"
 	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
@@ -67,74 +66,159 @@ func TestSuperKmerEquivalence(t *testing.T) {
 }
 
 // TestScreenCountsOnAdmissionReplayAppliesTheRest drives one owner's inbox
-// through both passes by hand: the screen sorts by sender and leaves every
-// window either counted or flagged; the replay charges every window but
-// applies only the flagged ones — after it each admitted k-mer holds its
-// exact count, and a replay with no flag set (what DisableBloom leaves)
-// changes nothing.
+// through both passes by hand, with a Go set as the "seen" test. The screen
+// counts every window the set has seen and keeps, in sender order, exactly
+// the records an oracle decode finds a first sighting in, with one bit per
+// window of those; the replay decodes just them, charges one local store
+// per first sighting and nothing else, and leaves every k-mer seen twice at
+// its exact count. With DisableBloom every window is "seen": the screen
+// counts everything, keeps nothing, and the replay charges nothing.
 func TestScreenCountsOnAdmissionReplayAppliesTheRest(t *testing.T) {
-	const k = 21
+	const k, senders, batch = 21, 3, 5
 	_, recs := simReads(t, 13, 6000, 8, genome.DefaultErrorModel())
 	m := kmer.ClampMinimizerLen(k, 0)
+	truth := naiveCounts(recs, k)
+
+	// The inbox three senders fill, batch records to a message, and what
+	// each sent in send order.
+	var sent [senders][][]byte
+	fill := func() (in *inbox, windows int) {
+		in, sent = &inbox{}, [senders][][]byte{}
+		var pending [senders][]byte
+		var buf []byte
+		for i, rec := range recs {
+			src := senders - 1 - i%senders
+			windows += forEachSuperKmer(rec, k, m, newHeavySet(nil, k, m), nil,
+				func(_ uint64, record []byte, _ int) {
+					sent[src] = append(sent[src], bytes.Clone(record))
+					if pending[src] = append(pending[src], record...); len(sent[src])%batch == 0 {
+						in.deliver(src, pending[src])
+						pending[src] = pending[src][:0]
+					}
+				}, &buf)
+		}
+		for src, p := range pending {
+			in.deliver(src, p)
+		}
+		return in, windows
+	}
+	in, windows := fill()
+
+	// The oracle: decode every record in (sender, send order) against a set
+	// of k-mers; a record is kept iff some window is not in the set yet.
+	var want [][]byte
+	wantKept, wantFirsts := 0, 0
+	set := make(map[kmer.Kmer]bool)
+	for _, list := range sent {
+		for _, rec := range list {
+			firsts := 0
+			n := decode(rec, k, func(canon kmer.Kmer, _, _ uint8) {
+				if !set[canon] {
+					set[canon] = true
+					firsts++
+				}
+			})
+			if firsts > 0 {
+				want = append(want, rec)
+				wantKept += n
+				wantFirsts += firsts
+			}
+		}
+	}
+
 	team := xrt.NewTeam(xrt.Config{Ranks: 1})
 	table := NewTable(team, 0, 0, 0, k, m)
-	var in inbox
-	var buf []byte
-	windows := 0
-	for i, rec := range recs {
-		windows += forEachSuperKmer(rec, k, m, newHeavySet(nil, k, m), nil,
-			func(_ uint64, record []byte, _ int) { in.deliver(2-i%3, record) }, &buf)
-	}
-	truth := naiveCounts(recs, k)
-	filter := bloom.New(uint64(len(truth))*12/10, bloomFP)
 	counted := func() (n int) {
 		table.RangeAll(func(_ kmer.Kmer, d KmerData) bool { n += int(d.Count); return true })
 		return n
 	}
-
-	var msgs []inboxMsg
-	flagged := 0
+	hashes := make(map[uint64]bool)
+	seen := func(_, _ int, h uint64) bool {
+		had := hashes[h]
+		hashes[h] = true
+		return had
+	}
 	team.Run(func(r *xrt.Rank) {
-		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-			in.screen(k, 0, own, func(_, _ int, h uint64) bool { return filter.Add(h, mix64(h)) })
-		})
-		msgs = in.msgs // replay drops the inbox's reference, not the messages
-		if !slices.IsSortedFunc(msgs, func(a, b inboxMsg) int { return a.src - b.src }) {
-			t.Error("the screen did not take the inbox in sender order")
+		var firsts, kept int
+		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) { firsts, kept = in.screen(k, 0, own, seen) })
+		if n := counted(); firsts == 0 || n == 0 || n+firsts != windows {
+			t.Errorf("after the screen %d windows are counted and %d are first sightings, of %d", n, firsts, windows)
 		}
+		if firsts != wantFirsts || kept != wantKept {
+			t.Errorf("the screen left %d first sightings in %d windows, the oracle %d in %d", firsts, kept, wantFirsts, wantKept)
+		}
+		if !slices.IsSortedFunc(in.msgs, func(a, b inboxMsg) int { return a.src - b.src }) {
+			t.Error("the kept records are not in sender order")
+		}
+		var got [][]byte
+		for _, msg := range in.msgs {
+			if len(msg.payload) == 0 {
+				t.Error("a message with no kept record was not released")
+			}
+			for rest := msg.payload; len(rest) > 0; rest = rest[kmer.SuperKmerRecordLen(rest):] {
+				got = append(got, rest[:kmer.SuperKmerRecordLen(rest)])
+			}
+		}
+		if !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Errorf("the screen kept %d records, the oracle finds first sightings in %d (or their order differs)", len(got), len(want))
+		}
+		flagged := 0
 		for _, word := range in.first {
 			flagged += bits.OnesCount64(word)
 		}
-		if n := counted(); n == 0 || flagged == 0 || n+flagged != windows {
-			t.Errorf("after the screen %d windows are counted and %d flagged, of %d", n, flagged, windows)
+		if len(in.first) != (kept+63)/64 || flagged != firsts {
+			t.Errorf("bitmap of %d words with %d bits set for %d kept windows, %d first sightings", len(in.first), flagged, kept, firsts)
 		}
 
-		stores := team.RankStats(0).LocalStores
+		stores, clock := team.RankStats(0).LocalStores, r.ClockNs()
 		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-			if n := in.replay(k, own, r); n != windows {
-				t.Errorf("replay decoded %d windows, want %d", n, windows)
+			if n := in.replay(k, own, r); n != kept {
+				t.Errorf("replay decoded %d windows, the screen kept %d", n, kept)
 			}
 		})
-		if got := team.RankStats(0).LocalStores - stores; got != int64(windows) {
-			t.Errorf("replay charged %d local stores for %d windows", got, windows)
+		if got := team.RankStats(0).LocalStores - stores; got != int64(firsts) {
+			t.Errorf("replay charged %d local stores for %d first sightings", got, firsts)
+		}
+		if got, want := r.ClockNs()-clock, float64(firsts)*team.Cost().LocalOpNs; got != want {
+			t.Errorf("replay advanced the clock %v ns, %d local stores cost %v", got, firsts, want)
 		}
 	})
 	after := tableCounts(&Result{Table: table})
 	for km, c := range truth {
-		if d, ok := after[km]; ok && d.Count != c {
-			t.Fatalf("admitted k-mer counted %d times, occurs %d times", d.Count, c)
-		} else if !ok && c >= 2 {
-			t.Fatalf("k-mer occurring %d times was not admitted", c)
+		if d, ok := after[km]; ok != (c >= 2) || ok && d.Count != c {
+			t.Fatalf("k-mer occurring %d times: admitted %v, counted %d", c, ok, d.Count)
 		}
 	}
 
-	in.msgs, in.first = msgs, make([]uint64, (windows+63)/64)
-	before := counted()
+	// DisableBloom: every window is "seen".
+	in, _ = fill()
+	table = NewTable(team, 0, 0, 0, k, m)
 	team.Run(func(r *xrt.Rank) {
-		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) { in.replay(k, own, r) })
+		var firsts, kept int
+		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
+			firsts, kept = in.screen(k, 0, own, func(_, _ int, _ uint64) bool { return true })
+		})
+		if firsts != 0 || kept != 0 || len(in.msgs) != 0 || len(in.first) != 0 {
+			t.Errorf("with every window seen the screen kept %d windows in %d messages, %d first sightings", kept, len(in.msgs), firsts)
+		}
+		clock := r.ClockNs()
+		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
+			if n := in.replay(k, own, r); n != 0 {
+				t.Errorf("replay of an empty inbox decoded %d windows", n)
+			}
+		})
+		if r.ClockNs() != clock {
+			t.Error("replay of an empty inbox charged")
+		}
 	})
-	if n := counted(); n != before {
-		t.Fatalf("a replay with no window flagged moved the counts from %d to %d", before, n)
+	after = tableCounts(&Result{Table: table})
+	if len(after) != len(truth) {
+		t.Fatalf("with every window seen the table has %d k-mers, the reads %d", len(after), len(truth))
+	}
+	for km, c := range truth {
+		if after[km].Count != c {
+			t.Fatalf("with every window seen a k-mer occurring %d times counts %d", c, after[km].Count)
+		}
 	}
 }
 

@@ -46,6 +46,21 @@ const (
 // bases.
 func SuperKmerRecordBytes(L int) int { return 3 + (L+2+7)/8 + (L+3)/4 }
 
+// SuperKmerRecordLen returns the encoded size of the record payload starts
+// with, read off its frame header, so a caller can walk a payload record by
+// record. It returns 0 when the header is truncated or the record it frames
+// runs past the end of payload; the record itself is not validated (the
+// decoders do that).
+func SuperKmerRecordLen(payload []byte) int {
+	if len(payload) < 3 {
+		return 0
+	}
+	if n := SuperKmerRecordBytes(int(payload[0]) | int(payload[1])<<8); n <= len(payload) {
+		return n
+	}
+	return 0
+}
+
 // AppendSuperKmer appends one encoded record covering seq[start:start+L] to
 // dst and returns the extended slice. Flanking bases at start−1 and
 // start+L are captured as lead/trail evidence when present and ACGT. The

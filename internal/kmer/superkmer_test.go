@@ -78,7 +78,8 @@ func TestSuperKmerRoundTrip(t *testing.T) {
 }
 
 // TestSuperKmerConcatenatedRecords: a payload is a frame sequence; the
-// decoder walks all of them.
+// decoder walks all of them, and SuperKmerRecordLen steps from one record
+// to the next.
 func TestSuperKmerConcatenatedRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const k, thresh = 31, 19
@@ -87,13 +88,16 @@ func TestSuperKmerConcatenatedRecords(t *testing.T) {
 	qual := randQual(rng, len(seq))
 
 	var payload []byte
+	var sizes []int
 	total := 0
 	ScanSuperKmers(seq, k, m, func(start, nwin int, _ uint64) {
 		var ok bool
+		before := len(payload)
 		payload, ok = AppendSuperKmer(payload, seq, qual, start, nwin+k-1, thresh)
 		if !ok {
 			t.Fatal("encode failed")
 		}
+		sizes = append(sizes, len(payload)-before)
 		total += nwin
 	})
 	wins, err := DecodeSuperKmers(payload, k, func(Kmer, uint8, uint8) {})
@@ -102,6 +106,22 @@ func TestSuperKmerConcatenatedRecords(t *testing.T) {
 	}
 	if wins != total {
 		t.Fatalf("decoded %d windows, want %d", wins, total)
+	}
+	rest := payload
+	for i, want := range sizes {
+		if got := SuperKmerRecordLen(rest); got != want {
+			t.Fatalf("record %d: SuperKmerRecordLen %d, appended %d bytes", i, got, want)
+		}
+		rest = rest[want:]
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes left after the last record", len(rest))
+	}
+	if n := SuperKmerRecordLen(payload[:sizes[0]-1]); n != 0 {
+		t.Fatalf("a truncated record has length %d, want 0", n)
+	}
+	if n := SuperKmerRecordLen(payload[:2]); n != 0 {
+		t.Fatalf("a truncated header has length %d, want 0", n)
 	}
 }
 
@@ -154,6 +174,23 @@ func FuzzSuperKmerDecode(f *testing.F) {
 		})
 		if err == nil && len(payload) > 0 && wins == 0 {
 			t.Fatal("non-empty payload decoded to zero windows without error")
+		}
+		// A payload that decodes walks record by record into the same
+		// windows.
+		for rest := payload; err == nil && len(rest) > 0; {
+			n := SuperKmerRecordLen(rest)
+			if n == 0 {
+				t.Fatal("a decodable payload does not walk record by record")
+			}
+			w, rerr := DecodeSuperKmers(rest[:n], k, func(Kmer, uint8, uint8) {})
+			if rerr != nil {
+				t.Fatalf("record of a decodable payload: %v", rerr)
+			}
+			wins -= w
+			rest = rest[n:]
+		}
+		if err == nil && wins != 0 {
+			t.Fatalf("the record walk is %d windows short of the decode", wins)
 		}
 		// err != nil is fine — the decoder must only never panic and
 		// never report windows beyond what the payload frames.

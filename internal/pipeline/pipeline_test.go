@@ -132,7 +132,9 @@ func TestTimingsRecorded(t *testing.T) {
 // TestStageTimesMatchParent: testdata/timings_parent.json holds every
 // (name, virtual ns) of the per-stage timing list Result carried at
 // commit 268b93e, the last to have one, for three run shapes at one rank
-// (with more, traversal and depths times follow the Go scheduler). Each
+// (with more, traversal and depths times follow the Go scheduler) — except
+// the k-mer analysis entries and the totals that sum them, moved by exactly
+// the count-pass time PR 25 stopped charging for screened-out records. Each
 // is read back from Metrics exactly; merAligner within 1 ns (that entry
 // subtracted two truncated clock readings, the span truncates their
 // difference); and the run's total, which is the team's clock, is that
