@@ -96,9 +96,6 @@ func main() {
 	flag.Int64Var(&opts.Seed, "seed", 1, "run seed: recorded in the metrics report and the checkpoint fingerprint (a -resume under another seed is refused); the assembly does not depend on it")
 	out := flag.String("out", "assembly.fasta", "output FASTA path")
 	flag.BoolVar(&opts.ContigsOnly, "contigs-only", false, "stop after contig generation (metagenome mode)")
-	flag.BoolVar(&opts.DisableHeavyHitters, "no-heavy-hitters", false, "disable the heavy-hitter optimization")
-	flag.IntVar(&opts.MinimizerLen, "minimizer-len", 0, "super-k-mer minimizer length m (0 = default; odd, 4 <= m < k)")
-	flag.BoolVar(&opts.DisableSuperKmers, "no-superkmers", false, "send one store per k-mer occurrence instead of minimizer-binned super-k-mer blobs")
 	refPath := flag.String("ref", "", "optional reference FASTA for validation")
 	flag.BoolVar(&opts.Verify, "verify", false, "run the assembly oracle (with -ref: also misassembly and gap checks); exit nonzero on failure")
 	flag.Int64Var(&opts.PerturbSeed, "perturb-seed", 0, "schedule-perturbation seed (0 = off); output must not depend on it")

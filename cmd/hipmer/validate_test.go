@@ -71,20 +71,6 @@ func TestValidateOptions(t *testing.T) {
 		{"kmer-lens-too-big", func(o *hipmer.Options) { o.KmerLens = []int{21, 65} }, 1, false, "1..64"},
 		{"kmer-lens-decreasing", func(o *hipmer.Options) { o.KmerLens = []int{33, 21} }, 1, false, "strictly increasing"},
 		{"kmer-lens-repeated", func(o *hipmer.Options) { o.KmerLens = []int{21, 21} }, 1, false, "strictly increasing"},
-		{"minimizer-below-smallest-k", func(o *hipmer.Options) {
-			o.KmerLens = []int{21, 33, 55}
-			o.MinimizerLen = 15
-		}, 1, false, ""},
-		{"minimizer-at-smallest-k", func(o *hipmer.Options) {
-			o.KmerLens = []int{21, 33, 55}
-			o.MinimizerLen = 21
-		}, 1, false, "smallest k"},
-		{"minimizer-above-smallest-k", func(o *hipmer.Options) {
-			// Legal against -k alone (25 < 31) but not against the ladder's
-			// first round at k=21.
-			o.KmerLens = []int{21, 33, 55}
-			o.MinimizerLen = 25
-		}, 1, false, "smallest k"},
 		{"fail-stage-round-suffixed", func(o *hipmer.Options) {
 			o.KmerLens = []int{21, 33, 55}
 			o.FaultSeed = 9
@@ -228,7 +214,6 @@ func TestOneRuleAtEveryEntryPoint(t *testing.T) {
 	}{
 		{"k-even", func(o *hipmer.Options) { o.K = 32 }, "-k must be odd"},
 		{"ladder-not-increasing", func(o *hipmer.Options) { o.KmerLens = []int{33, 21} }, "strictly increasing"},
-		{"minimizer-too-long", func(o *hipmer.Options) { o.K, o.MinimizerLen = 21, 21 }, "smallest k"},
 		{"scaffold-rounds-negative", func(o *hipmer.Options) { o.ScaffoldRounds = -1 }, "scaffold-rounds must be >= 0"},
 		{"fail-stage-unknown", func(o *hipmer.Options) { o.FaultSeed, o.FailStage = 9, "no-such-stage" }, "not a stage of this run"},
 		{"fault-seed-alone", func(o *hipmer.Options) { o.FaultSeed = 9 }, "must be given together"},
@@ -264,8 +249,7 @@ func TestOneRuleAtEveryEntryPoint(t *testing.T) {
 			}
 			out, err := s.Run([]sched.JobSpec{{
 				Tenant: "t", Ranks: 4, Inject: opt.Inject,
-				Pipeline: pipeline.Config{K: opt.K, KmerLens: opt.KmerLens,
-					MinimizerLen: opt.MinimizerLen, ScaffoldRounds: opt.ScaffoldRounds},
+				Pipeline: pipeline.Config{K: opt.K, KmerLens: opt.KmerLens, ScaffoldRounds: opt.ScaffoldRounds},
 			}})
 			if err != nil {
 				t.Fatal(err)

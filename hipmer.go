@@ -80,21 +80,11 @@ type Options struct {
 	Ranks int
 	// RanksPerNode groups ranks into simulated nodes (default 24).
 	RanksPerNode int
-	// Seed seeds the simulated ranks' RNG streams (default 1). No stage
-	// draws from them today — the assembly does not depend on it — so what
-	// the value reaches is the Metrics report's seed field and the
-	// checkpoint fingerprint: a Resume under a different Seed is refused.
+	// Seed is the run's identity (default 1). The assembly does not depend
+	// on it: what the value reaches is the Metrics report's seed field and
+	// the checkpoint fingerprint, so a Resume under a different Seed is
+	// refused.
 	Seed int64
-	// DisableHeavyHitters turns off the §3.1 frequent-k-mer optimization.
-	DisableHeavyHitters bool
-	// MinimizerLen overrides the minimizer length m used to bin k-mer
-	// occurrences into super-k-mers during k-mer analysis (0 = default;
-	// must be odd and satisfy 4 <= m < K when set).
-	MinimizerLen int
-	// DisableSuperKmers reverts stage-1 communication to one aggregated
-	// store per k-mer occurrence instead of minimizer-binned super-k-mer
-	// blobs (the communication-volume ablation baseline).
-	DisableSuperKmers bool
 	// ContigsOnly stops after contig generation (metagenome mode, §5.4).
 	ContigsOnly bool
 	// OracleContigs, when non-nil, builds the §3.2 communication-avoiding
@@ -263,21 +253,18 @@ func Assemble(libs []Library, opt Options) (*Result, error) {
 // ranks, seed, injections — goes to the team).
 func (opt Options) pipelineConfig() pipeline.Config {
 	return pipeline.Config{
-		K:                   opt.K,
-		KmerLens:            append([]int(nil), opt.KmerLens...),
-		MinCount:            opt.MinCount,
-		DisableHeavyHitters: opt.DisableHeavyHitters,
-		MinimizerLen:        opt.MinimizerLen,
-		DisableSuperKmers:   opt.DisableSuperKmers,
-		ContigsOnly:         opt.ContigsOnly,
-		ScaffoldRounds:      opt.ScaffoldRounds,
-		CkptDir:             opt.CkptDir,
-		Resume:              opt.Resume,
+		K:              opt.K,
+		KmerLens:       append([]int(nil), opt.KmerLens...),
+		MinCount:       opt.MinCount,
+		ContigsOnly:    opt.ContigsOnly,
+		ScaffoldRounds: opt.ScaffoldRounds,
+		CkptDir:        opt.CkptDir,
+		Resume:         opt.Resume,
 	}
 }
 
 // Validate checks the run-shape rules Assemble enforces — k and ladder
-// parity, range and order, the minimizer bound, Resume needing CkptDir,
+// parity, range and order, Resume needing CkptDir,
 // and the injection pairings and stage names — on the options as given
 // (a zero K is out of range here; Assemble fills its default first).
 // Errors name each knob by its cmd/hipmer flag.

@@ -164,7 +164,7 @@ func TestStressBlobFlushesAndMutateOnOneOwner(t *testing.T) {
 		blobDecode(payload, put)
 	})
 	team.Run(func(r *xrt.Rank) {
-		rng := r.Rng()
+		rng := xrt.NewPrng(int64(r.ID) + 1)
 		var own []uint64 // rank 0: keys waiting for its next section
 		section := func() {
 			tab.OwnShard(r, func(o Owned[uint64, int64]) {

@@ -87,8 +87,9 @@ func TestAggregationReducesMessages(t *testing.T) {
 		opt.AggBufSize = bufSize
 		tab := New[uint64, int64](team, opt, sumMerge)
 		team.Run(func(r *xrt.Rank) {
+			rng := xrt.NewPrng(int64(r.ID) + 1)
 			for i := 0; i < 2000; i++ {
-				tab.Put(r, uint64(r.Rng().Uint64()), 1)
+				tab.Put(r, rng.Uint64(), 1)
 			}
 			tab.Flush(r)
 		})
@@ -299,8 +300,9 @@ func BenchmarkPutAggregated(b *testing.B) {
 	tab := New[uint64, int64](team, intOpts(), sumMerge)
 	b.ResetTimer()
 	team.Run(func(r *xrt.Rank) {
+		rng := xrt.NewPrng(int64(r.ID) + 1)
 		for i := 0; i < b.N/8+1; i++ {
-			tab.Put(r, r.Rng().Uint64(), 1)
+			tab.Put(r, rng.Uint64(), 1)
 		}
 		tab.Flush(r)
 	})

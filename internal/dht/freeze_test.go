@@ -187,7 +187,7 @@ func TestStressConcurrentOps(t *testing.T) {
 	opt.Stripes = 4
 	tab := New[uint64, int64](team, opt, sumMerge)
 	team.Run(func(r *xrt.Rank) {
-		rng := r.Rng()
+		rng := xrt.NewPrng(int64(r.ID) + 1)
 		for i := 0; i < puts; i++ {
 			tab.Put(r, rng.Uint64()%keys, 1)
 			if i%7 == 0 {

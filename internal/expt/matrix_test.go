@@ -138,15 +138,22 @@ func TestMatrixCanFail(t *testing.T) {
 	lossy.Inject.DropRate = 0.05
 	wantFail(judge(lossy, m.baseline(lossy), obs), "drops/retries/dups = 0/0/0")
 
-	// Scaffolding never runs under ContigsOnly, so the crash cannot fire.
+	// An armed crash that never fires is a red cell: scaffolding never runs
+	// under ContigsOnly, and a countdown of 3 charges outlives a
+	// pseudo-merge stage of one charge per rank, so that run completes and
+	// its resume rehydrates a whole checkpoint.
 	vacuous := cell
 	vacuous.Inject.FaultSeed, vacuous.Inject.FailStage = 11, "scaffolding"
 	vacuous.Resume = &Resume{Ranks: 4}
-	rows, _, text := m.Matrix([]Cell{vacuous})
-	if len(rows) != 1 || rows[0].OK() || rows[0].Crashes != 0 {
-		t.Fatalf("crash cell at a stage that never runs passed: %+v", rows)
+	late := Cell{Group: "neg", Dataset: "human", Mode: ladderMode, Ranks: 4,
+		Inject: xrt.Inject{FaultSeed: 191, FailStage: "pseudo-merge-k33"}, Resume: &Resume{Ranks: 4}}
+	rows, _, text := m.Matrix([]Cell{vacuous, late})
+	if len(rows) != 2 {
+		t.Fatalf("%d rows for 2 cells of different modes", len(rows))
 	}
-	wantFail(rows[0].Cells[0], "no crash")
+	for _, r := range rows {
+		wantFail(r.Cells[0], "no crash")
+	}
 	if !strings.Contains(text, "FAILED") {
 		t.Errorf("table does not show the red row:\n%s", text)
 	}

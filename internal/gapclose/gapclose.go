@@ -104,7 +104,6 @@ type Result struct {
 	Verified, Checked int
 	// ScaffoldSeqs are the final sequences, closures spliced in.
 	ScaffoldSeqs [][]byte
-	Phase        xrt.PhaseStats
 }
 
 // Run closes the gaps of the scaffolding result. libs must be the same
@@ -243,16 +242,10 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 	p := team.Config().Ranks
 	jobs := newJobs(gaps)
 	pool := newScratchPool()
-	run := func(body func(r *xrt.Rank)) {
-		ph := team.Run(body)
-		res.Phase.Virtual += ph.Virtual
-		res.Phase.Wall += ph.Wall
-		res.Phase.Comm.Add(ph.Comm)
-	}
 	team.BeginSpan("close")
 
 	byHome := dealSpanning(jobs, p)
-	run(func(r *xrt.Rank) {
+	team.Run(func(r *xrt.Rank) {
 		for _, j := range byHome[r.ID] {
 			if j.anchored {
 				s := pool.get()
@@ -288,7 +281,7 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 		waves++
 		primaries += int64(len(open))
 		more := slices.ContainsFunc(open, func(j *gapJob) bool { return j.tried < len(j.steps) })
-		run(func(r *xrt.Rank) {
+		team.Run(func(r *xrt.Rank) {
 			crossed := int64(0)
 			for _, t := range byRank[r.ID] {
 				j, st := t.job, &t.job.steps[t.step]
@@ -314,7 +307,7 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 		})
 	}
 
-	run(func(r *xrt.Rank) {
+	team.Run(func(r *xrt.Rank) {
 		for _, j := range byHome[r.ID] {
 			j.settle(r, pool, opt)
 		}

@@ -91,8 +91,8 @@ type Comm struct {
 	CacheMisses    int64 `json:"cache_misses"`
 	// Reliability-layer counters, nonzero only under an xrt
 	// MessageFaultPlan (chaos runs): lost transmissions, retransmissions,
-	// duplicate deliveries discarded by the dedup window, and the bytes
-	// carried by retransmissions and duplicates.
+	// duplicate deliveries (a retransmission after a lost ack) the receiver
+	// discards, and the bytes retransmissions carried.
 	Drops            int64 `json:"drops"`
 	Retries          int64 `json:"retries"`
 	Dups             int64 `json:"dups"`

@@ -53,16 +53,6 @@ type Config struct {
 	KmerLens []int
 	// MinCount is the k-mer error-exclusion threshold (default 2).
 	MinCount int
-	// HeavyHitters enables the §3.1 optimization (default on via
-	// DisableHeavyHitters=false).
-	DisableHeavyHitters bool
-	// MinimizerLen overrides the super-k-mer minimizer length of k-mer
-	// analysis (0 = default; otherwise odd, in 4..31 and below the
-	// smallest k — see Validate).
-	MinimizerLen int
-	// DisableSuperKmers reverts stage-1 communication to one aggregated
-	// store item per k-mer occurrence (the ablation baseline).
-	DisableSuperKmers bool
 	// Oracle, when set, places the de Bruijn graph with the
 	// communication-avoiding layout of §3.2.
 	Oracle *dht.Oracle
@@ -158,23 +148,6 @@ func (c Config) Validate(inj xrt.Inject) error {
 		}
 		if i > 0 && k <= c.KmerLens[i-1] {
 			return fmt.Errorf("-kmer-lens must be strictly increasing, got %v", c.KmerLens)
-		}
-	}
-	if m := c.MinimizerLen; m != 0 {
-		if m%2 == 0 {
-			return fmt.Errorf("-minimizer-len must be odd, got %d", m)
-		}
-		if m < 4 || m > 31 {
-			return fmt.Errorf("-minimizer-len must be in 4..31, got %d", m)
-		}
-		// Every round's k must accommodate the minimizer, so the ladder's
-		// first rung is the binding bound.
-		smallestK := c.K
-		if len(c.KmerLens) > 0 {
-			smallestK = c.KmerLens[0]
-		}
-		if m >= smallestK {
-			return fmt.Errorf("-minimizer-len must be < smallest k (%d), got %d", smallestK, m)
 		}
 	}
 	if c.ScaffoldRounds < 0 {

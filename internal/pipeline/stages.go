@@ -99,9 +99,7 @@ type stage struct {
 func buildStages(cfg Config) []stage {
 	saveKmer := func(k int) func(env *stageEnv) []byte {
 		return func(env *stageEnv) []byte {
-			m := kanalysis.EffectiveMinimizerLen(k,
-				env.cfg.MinimizerLen, env.cfg.DisableSuperKmers)
-			return ckpt.EncodeKmerStage(env.res.KAnalysis, k, m)
+			return ckpt.EncodeKmerStage(env.res.KAnalysis, k, kanalysis.EffectiveMinimizerLen(k, 0, false))
 		}
 	}
 	// Every load lands its payload on this team whatever rank count wrote
@@ -223,16 +221,16 @@ func StageNames(cfg Config) []string {
 
 // runKmerAnalysisRound is k-mer analysis at a specific k; ladder rounds
 // after the first also ingest the previous round's carried contigs as
-// depth-weighted pseudo-reads.
+// depth-weighted pseudo-reads. Every run has heavy hitters on and uses the
+// super-k-mer transport at the default minimizer length: the per-item
+// transport and the other kanalysis switches are the exhibits' ablations.
 func runKmerAnalysisRound(k int, usePseudo bool) func(env *stageEnv) error {
 	return func(env *stageEnv) error {
 		opt := kanalysis.Options{
-			K:                 k,
-			MinCount:          env.cfg.MinCount,
-			HeavyHitters:      !env.cfg.DisableHeavyHitters,
-			MinimizerLen:      env.cfg.MinimizerLen,
-			DisableSuperKmers: env.cfg.DisableSuperKmers,
-			AggBufSize:        env.cfg.AggBufSize,
+			K:            k,
+			MinCount:     env.cfg.MinCount,
+			HeavyHitters: true,
+			AggBufSize:   env.cfg.AggBufSize,
 		}
 		if usePseudo {
 			opt.PseudoByRank = pseudoByRank(env.team.Config().Ranks, env.carried)
@@ -507,13 +505,14 @@ func runFingerprint(team *xrt.Team, cfg Config, libs []Library, readLibs []scaff
 		f.Int(int64(k))
 	}
 	f.Int(int64(cfg.MinCount))
-	f.Bool(cfg.DisableHeavyHitters)
-	// Two words where Config.Theta and Config.HHMinCount (only ever 0)
-	// were hashed, so checkpoints written before their removal resume.
+	// Five words where DisableHeavyHitters, Theta, HHMinCount, MinimizerLen
+	// and DisableSuperKmers (zero in every product run) were hashed, so
+	// checkpoints written before their removal resume.
+	f.Bool(false)
 	f.Int(0)
 	f.Int(0)
-	f.Int(int64(cfg.MinimizerLen))
-	f.Bool(cfg.DisableSuperKmers)
+	f.Int(0)
+	f.Bool(false)
 	f.Int(int64(cfg.AggBufSize))
 	f.Bool(cfg.ContigsOnly)
 	f.Int(int64(cfg.ScaffoldRounds))

@@ -1,24 +1,22 @@
 // Message-level fault simulation. A MessageFaultPlan is the transport-
 // side companion of PerturbPlan (schedule noise) and FaultPlan (fail-stop
-// crashes): it models a lossy, duplicating network under every remote
-// operation, together with the reliability layer that makes the pipeline
-// survive it. Every logical message charged at ChargeLookup,
-// ChargeStoreBatch, or a collective's tree steps runs an
-// RPC-style protocol on a per-(src,dst) channel: a sequence number is
-// assigned, drop decisions are drawn from a dedicated seeded per-rank
-// stream, lost sends and lost acks cost a timeout plus capped exponential
-// backoff with seeded jitter (charged as virtual time), retransmissions
-// after a lost ack arrive at a receiver that already applied the
-// operation and are discarded by a sliding dedup window, and a bounded
-// retry budget converts a channel that never recovers into a typed
-// *RetryExhaustedError that unwinds the team exactly like an injected
-// crash (pipeline code maps it to StageFailedError; -ckpt-dir runs can
-// resume from the last completed stage).
+// crashes): it models a lossy network under every remote operation,
+// together with the reliability layer that makes the pipeline survive it.
+// Every logical message charged at ChargeLookup, ChargeStoreBatch, or a
+// collective's tree steps runs an RPC-style protocol on a per-(src,dst)
+// channel: a sequence number is assigned, drop decisions are drawn from a
+// dedicated seeded per-rank stream, lost sends and lost acks cost a
+// timeout plus capped exponential backoff with seeded jitter (charged as
+// virtual time), a retransmission after a lost ack reaches a receiver that
+// already applied the operation and is counted as a discarded duplicate,
+// and a bounded retry budget converts a channel that never recovers into a
+// typed *RetryExhaustedError that unwinds the team exactly like an
+// injected crash (pipeline code maps it to StageFailedError; -ckpt-dir
+// runs can resume from the last completed stage).
 //
 // Determinism contract: all chaos decisions derive from Seed via a
-// per-rank stream decoupled from Config.Seed's algorithmic RNGs and
-// drawn in rank-local program order, so for a fixed plan the drop/dup
-// schedule, the retry counters, and the virtual-time cost are
+// per-rank stream drawn in rank-local program order, so for a fixed plan
+// the drop schedule, the retry counters, and the virtual-time cost are
 // reproducible — and because the layer only adds virtual time and
 // counters, never reordering or altering what the operations apply, the
 // assembly remains bit-identical to a fault-free run.
@@ -34,32 +32,21 @@ const (
 	chaosBackoffCapExp = 6
 )
 
-// dedupWindowSize is the receiver dedup window, in sequence numbers.
-// Duplicates older than the window are assumed already applied and
-// dropped.
-const dedupWindowSize = 64
-
 // collectiveMsgBytes is the nominal payload of one tree step of a small
 // collective, used for redelivery accounting under a MessageFaultPlan.
 const collectiveMsgBytes = 16
 
 // MessageFaultPlan configures deterministic message-level fault
-// injection: seed-derived drop and duplication decisions per logical
-// remote message, absorbed by the runtime's reliable-channel protocol.
-// The zero value disables the layer entirely.
+// injection: seed-derived drop decisions per logical remote message,
+// absorbed by the runtime's reliable-channel protocol. The zero value
+// disables the layer entirely.
 type MessageFaultPlan struct {
-	// Seed selects the drop/duplicate schedule. 0 disables the plan.
+	// Seed selects the drop schedule. 0 disables the plan.
 	Seed int64
 	// DropRate is the probability, per transmission, that a message (or
 	// its ack) is lost and must be retransmitted after a timeout. Must
 	// be in [0, 1).
 	DropRate float64
-	// DupRate is the probability that a delivered message is
-	// spontaneously duplicated by the network; the receiver's dedup
-	// window discards the copy. Lost acks already produce duplicate
-	// deliveries, so 0 (the default) still exercises deduplication
-	// whenever DropRate > 0.
-	DupRate float64
 	// RetryBudget bounds retransmissions per message; exceeding it
 	// unwinds the team with a *RetryExhaustedError. Default 16.
 	RetryBudget int
@@ -78,63 +65,10 @@ func (p MessageFaultPlan) withDefaults() MessageFaultPlan {
 	return p
 }
 
-// chaosSeed derives the per-rank chaos-stream seed. Like perturbSeed it
-// is decoupled from the rank's algorithmic RNG seeding (Config.Seed), so
-// enabling message faults cannot change any randomized algorithmic
-// decision — only virtual time and the retry counters.
+// chaosSeed derives the per-rank chaos-stream seed, a function of the plan
+// seed and the rank alone.
 func chaosSeed(planSeed int64, rank int) int64 {
 	return int64(Splitmix64(uint64(planSeed)^0xc4a05fa17) + uint64(rank)*0x9e3779b97f4a7c15)
-}
-
-// DedupWindow is a sliding receive window over per-channel sequence
-// numbers: Admit reports whether a delivery with the given sequence
-// number is the first one seen, rejecting retransmissions and
-// spontaneous duplicates. Sequence numbers older than the window are
-// assumed already applied (the at-least-once transport never reorders
-// farther than the window) and rejected. Exactly-once application is
-// guaranteed for reorder distances smaller than the window size.
-type DedupWindow struct {
-	// slots[i] holds seq+1 of the newest admitted sequence number with
-	// seq % len(slots) == i; 0 means the slot never admitted anything.
-	slots []uint64
-	// head is the highest admitted sequence number + 1 (0 = none yet).
-	head uint64
-}
-
-// NewDedupWindow returns a window covering size in-flight sequence
-// numbers (the transport's own window when size <= 0).
-func NewDedupWindow(size int) *DedupWindow {
-	if size <= 0 {
-		size = dedupWindowSize
-	}
-	return &DedupWindow{slots: make([]uint64, size)}
-}
-
-// Admit records a delivery and reports whether it is the first for seq.
-func (w *DedupWindow) Admit(seq uint64) bool {
-	n := uint64(len(w.slots))
-	if seq+n < w.head {
-		// Below the window: a straggler duplicate of a long-acked
-		// message. Treat as already applied.
-		return false
-	}
-	i := seq % n
-	if w.slots[i] == seq+1 {
-		return false
-	}
-	w.slots[i] = seq + 1
-	if seq+1 > w.head {
-		w.head = seq + 1
-	}
-	return true
-}
-
-// chanState is the sender-side model of one reliable (src,dst) channel.
-// Deliveries are simulated on the sender's goroutine, so the receiver's
-// dedup window lives here too and needs no locking.
-type chanState struct {
-	nextSeq uint64
-	dedup   DedupWindow
 }
 
 // RetryExhaustedError is the typed failure surfaced (as an orchestrator-
@@ -175,37 +109,26 @@ func (r *Rank) chaosPoint(dst, bytes int) {
 	if r.chaos == nil || dst == r.ID {
 		return
 	}
-	t := r.team
 	// Another rank may have unwound the team (retry exhaustion or injected
 	// crash): join it instead of starting a new exchange.
 	r.joinTrip()
-	plan := &t.chaos
-	ch := &r.chans[dst]
-	if ch.dedup.slots == nil {
-		ch.dedup.slots = make([]uint64, dedupWindowSize)
-	}
-	seq := ch.nextSeq
-	ch.nextSeq++
+	plan := &r.team.chaos
+	seq := r.nextSeq[dst]
+	r.nextSeq[dst]++
 	attempt := 1
+	delivered := false
 	for {
 		if r.chaos.Float64() < plan.DropRate {
 			// Data message lost in flight: nothing reached the receiver.
 			r.chaosRetry(dst, seq, bytes, &attempt)
 			continue
 		}
-		if !ch.dedup.Admit(seq) {
+		if delivered {
 			// A retransmission reached a receiver that already applied
-			// the operation (its ack was lost); the window discards it.
+			// the operation (its ack was lost); the receiver discards it.
 			r.stats.Dups++
 		}
-		if plan.DupRate > 0 && r.chaos.Float64() < plan.DupRate {
-			// The network spontaneously duplicated the delivery.
-			r.stats.Dups++
-			r.stats.RedeliveredBytes += int64(bytes)
-			if ch.dedup.Admit(seq) {
-				panic("xrt: dedup window re-admitted a duplicate delivery")
-			}
-		}
+		delivered = true
 		if r.chaos.Float64() < plan.DropRate {
 			// Ack lost: the sender cannot distinguish this from a lost
 			// send and retransmits after the timeout.

@@ -18,9 +18,9 @@ package xrt
 // ScrubRepairedBytes counters, never correctness.
 //
 // The plan draws every decision (fault kind, torn-write offset,
-// flipped bit) from its own Splitmix64 stream, decoupled from the
-// rank RNGs and from the other fault layers' streams, so arming a disk
-// fault cannot perturb any algorithmic decision. The kind cycles with
+// flipped bit) from its own Splitmix64 stream, decoupled from the other
+// fault layers' streams, so arming a disk fault cannot perturb another
+// layer's decision. The kind cycles with
 // the seed (1 + seed mod 4), so a sweep over four consecutive seeds
 // covers all four fault kinds.
 
@@ -60,8 +60,8 @@ func (k DiskFaultKind) String() string {
 	}
 }
 
-// diskFaultSalt decouples the disk-fault decision stream from the rank
-// RNG streams and the other fault layers' seeds.
+// diskFaultSalt decouples the disk-fault decision stream from the other
+// fault layers' seeds.
 const diskFaultSalt = 0xd15c0fa17
 
 // DiskFaultPlan arms one injected storage fault against the checkpoint

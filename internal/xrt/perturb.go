@@ -1,8 +1,7 @@
 // Schedule perturbation: a seeded layer that injects deterministic
 // *physical* delays at the synchronization points of an SPMD run — rank
 // start, barrier arrival, and per-rank buffer flushes — without touching
-// virtual time, communication statistics, or the ranks' algorithmic RNG
-// streams. Sweeping PerturbPlan seeds explores adversarial goroutine
+// virtual time or communication statistics. Sweeping PerturbPlan seeds explores adversarial goroutine
 // interleavings of what still runs one goroutine per rank (Team.Run): DHT
 // flushes racing lookups, the freeze/thaw phase discipline, stage 1's
 // inbox hand-off. The one protocol whose outcome used to follow the
@@ -53,16 +52,15 @@ type PerturbPlan struct {
 // Enabled reports whether the plan perturbs schedules at all.
 func (p PerturbPlan) Enabled() bool { return p.Seed != 0 }
 
-// perturbSeed derives the per-rank delay-stream seed. It is decoupled
-// from the rank's algorithmic RNG seeding (Config.Seed) so that enabling
-// perturbation cannot change any randomized algorithmic decision.
+// perturbSeed derives the per-rank delay-stream seed, a function of the
+// plan seed and the rank alone.
 func perturbSeed(planSeed int64, rank int) int64 {
 	return int64(Splitmix64(uint64(planSeed)^0x7e57ab1e) + uint64(rank)*0x9e3779b97f4a7c15)
 }
 
 // PerturbPoint injects the plan's delay for point class pt. It is a no-op
 // when the team has no perturbation plan. Only physical time passes: the
-// virtual clock, the communication statistics, and r.Rng() are untouched.
+// virtual clock and the communication statistics are untouched.
 func (r *Rank) PerturbPoint(pt PerturbPoint) {
 	if r.pert == nil {
 		return

@@ -30,14 +30,14 @@ type Config struct {
 	RanksPerNode int
 	// Cost is the virtual-time cost model. Zero value means DefaultCostModel.
 	Cost CostModel
-	// Seed seeds the per-rank deterministic RNGs. Each rank derives an
-	// independent stream (see NewTeam); for a fixed Seed every randomized
-	// algorithmic decision is reproducible regardless of scheduling.
+	// Seed is the run's identity: the metrics report records it and the
+	// checkpoint fingerprint hashes it. No rank draws from it; nothing the
+	// team computes or charges depends on it.
 	Seed int64
 	// Inject arms the injection layers (see inject.go). The team itself
 	// applies the schedule perturbation and the lossy transport, neither
-	// of which touches Seed's RNG streams or what operations apply; the
-	// stage-scoped crash and disk plans are read back by pipeline.Run.
+	// of which changes what operations apply; the stage-scoped crash and
+	// disk plans are read back by pipeline.Run.
 	Inject Inject
 }
 
@@ -169,8 +169,8 @@ type CommStats struct {
 	CacheMisses    int64
 	// Reliability-layer counters, nonzero only under a MessageFaultPlan
 	// (see chaos.go): transmissions lost (message or ack), retransmissions
-	// issued, duplicate deliveries discarded by the dedup window, and the
-	// payload bytes carried by retransmissions and duplicates.
+	// issued, duplicate deliveries (a retransmission after a lost ack) the
+	// receiver discards, and the payload bytes retransmissions carried.
 	Drops            int64
 	Retries          int64
 	Dups             int64
@@ -283,14 +283,13 @@ type Rank struct {
 	workNs    float64 // cumulative charged work; never synchronized (see WorkNs)
 	stats     CommStats
 	foreignNs atomic.Int64 // work charged to this rank by other ranks
-	rng       *Prng
-	pert      *Prng // delay stream; nil unless perturbation is armed
+	pert      *Prng        // delay stream; nil unless perturbation is armed
 
-	// chaos is the message-fault decision stream and chans the per-peer
-	// reliable-channel state; both nil unless chaos is armed.
-	// Owned by the rank's goroutine (deliveries are simulated sender-side).
-	chaos *Prng
-	chans []chanState
+	// chaos is the message-fault decision stream and nextSeq the per-peer
+	// channel sequence counter; both nil unless chaos is armed. Owned by
+	// the rank's goroutine (deliveries are simulated sender-side).
+	chaos   *Prng
+	nextSeq []uint64
 
 	// ordered counts the ordered sections this rank has left (see Ordered).
 	ordered int
@@ -332,9 +331,6 @@ func (r *Rank) N() int { return r.team.cfg.Ranks }
 
 // Node returns the simulated node index hosting this rank.
 func (r *Rank) Node() int { return r.ID / r.team.cfg.RanksPerNode }
-
-// Rng returns the rank's deterministic random source.
-func (r *Rank) Rng() *Prng { return r.rng }
 
 // Locality classifies the placement of rank dst relative to the caller.
 func (r *Rank) Locality(dst int) Locality {
@@ -533,13 +529,6 @@ type Team struct {
 // NewTeam creates a team. The team may execute multiple Run phases; rank
 // clocks and stats persist across phases.
 func NewTeam(cfg Config) *Team {
-	return newTeam(cfg, cfg.Inject.Chaos())
-}
-
-// newTeam is NewTeam with the transport plan given in full, so this
-// package's tests can set a duplication rate; every other caller arms
-// through Config.Inject.
-func newTeam(cfg Config, chaos MessageFaultPlan) *Team {
 	if cfg.Ranks <= 0 {
 		panic(fmt.Sprintf("xrt: invalid rank count %d", cfg.Ranks))
 	}
@@ -547,6 +536,7 @@ func newTeam(cfg Config, chaos MessageFaultPlan) *Team {
 		cfg.RanksPerNode = 24
 	}
 	cfg.Cost = cfg.Cost.withDefaults()
+	chaos := cfg.Inject.Chaos()
 	t := &Team{
 		cfg:   cfg,
 		chaos: chaos.withDefaults(),
@@ -557,18 +547,14 @@ func newTeam(cfg Config, chaos MessageFaultPlan) *Team {
 	}
 	t.ranks = make([]*Rank, cfg.Ranks)
 	for i := range t.ranks {
-		t.ranks[i] = &Rank{
-			ID:   i,
-			team: t,
-			rng:  NewPrng(cfg.Seed + int64(i)*0x9e3779b97f4a7c + 1),
-		}
+		t.ranks[i] = &Rank{ID: i, team: t}
 		if perturb := cfg.Inject.Perturb(); perturb.Enabled() {
 			t.ranks[i].pert = NewPrng(perturbSeed(perturb.Seed, i))
 		}
 		if chaos.Enabled() {
 			t.chaosOn = true
 			t.ranks[i].chaos = NewPrng(chaosSeed(chaos.Seed, i))
-			t.ranks[i].chans = make([]chanState, cfg.Ranks)
+			t.ranks[i].nextSeq = make([]uint64, cfg.Ranks)
 		}
 	}
 	return t
