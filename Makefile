@@ -80,8 +80,8 @@ exhibits:
 	$(GO) run ./cmd/benchsuite -all > internal/expt/testdata/exhibits_small.txt
 	$(GO) test -count=1 -run '$(EXHIBIT_TESTS)' ./internal/expt/ -update
 
-# The DHT microbenchmarks comparing striped-mutex, frozen lock-free, and
-# frozen+cached Get paths, the stage-1 hot loops one layer at a time (flat-shard probe and insert,
+# The DHT microbenchmarks comparing striped-mutex and frozen Get paths,
+# the stage-1 hot loops one layer at a time (flat-shard probe and insert,
 # rolling canonical scan, minimizer scan, super-k-mer encode and canonical
 # decode, the Misra–Gries fold), the scaffolding-half hot loops (seed-index
 # build, one read's alignment, one walk-heavy gap closed at all three k;

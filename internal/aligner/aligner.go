@@ -39,11 +39,6 @@ type Options struct {
 	CacheContigs int
 }
 
-// seedCacheSlots is the per-rank direct-mapped software-cache slot count
-// in front of remote seed lookups (the second merAligner cache of the
-// companion paper: overlapping reads look up the same seed k-mers).
-const seedCacheSlots = 8192
-
 const (
 	// maxCandidates bounds how many candidate diagonals of a read are
 	// extended.
@@ -197,7 +192,6 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 		Hash:          func(km kmer.Kmer) uint64 { return km.Hash(0x5eed1d) },
 		ItemBytes:     16 + 14,
 		ExpectedItems: totalBases,
-		CacheSlots:    seedCacheSlots,
 	}, nil)
 	cap := opt.MaxSeedHits
 	idx.seeds.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in hitList, e dht.Entry[kmer.Kmer, hitList]) {
@@ -240,7 +234,7 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 		r.Barrier()
 
 		// the index is read-only from here on: alignment serves seed
-		// lookups lock-free through the per-rank software cache
+		// lookups lock-free
 		idx.seeds.Freeze(r)
 	})
 	team.EndSpan()
@@ -256,18 +250,20 @@ func (x *Index) NumContigs() int64 { return x.numCtgs }
 
 // fetchContig models fetching a contig's sequence window for extension:
 // a remote lookup on a cache miss, rank-local time on a hit (merAligner's
-// software caching of contig sequences).
+// software caching of contig sequences). Both are counted in the rank's
+// cache statistics.
 func (x *Index) fetchContig(r *xrt.Rank, id int64, bytes int) *contig.Contig {
 	c := x.seqs[id]
 	if c == nil {
 		return nil
 	}
 	if x.scratch[r.ID].cache.hit(id) {
-		r.Charge(x.team.Cost().LocalOpNs)
+		r.ChargeCacheHit()
 		return c
 	}
 	owner := int(id % int64(x.team.Config().Ranks))
 	r.ChargeLookup(owner, bytes)
+	r.CountCacheMiss()
 	return c
 }
 

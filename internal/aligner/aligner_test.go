@@ -357,7 +357,7 @@ func TestContigCacheReducesRemoteFetches(t *testing.T) {
 		pos := rng.Intn(len(ctg) - 100)
 		reads[i] = ctg[pos : pos+100]
 	}
-	run := func(cache int) int64 {
+	run := func(cache int) xrt.CommStats {
 		team := xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2})
 		idx := mkIndex(team, [][]byte{ctg}, Options{CacheContigs: cache})
 		before := team.AggStats()
@@ -366,13 +366,19 @@ func TestContigCacheReducesRemoteFetches(t *testing.T) {
 				idx.AlignRead(r, reads[i])
 			}
 		})
-		d := team.AggStats().Sub(before)
-		return d.OnNodeLookups + d.OffNodeLookups
+		return team.AggStats().Sub(before)
 	}
 	withCache := run(1024)
 	withoutCache := run(-1)
-	if withCache >= withoutCache {
-		t.Fatalf("cache did not reduce remote lookups: %d vs %d", withCache, withoutCache)
+	remote := func(d xrt.CommStats) int64 { return d.OnNodeLookups + d.OffNodeLookups }
+	if remote(withCache) >= remote(withoutCache) {
+		t.Fatalf("cache did not reduce remote lookups: %d vs %d", remote(withCache), remote(withoutCache))
+	}
+	// every read revisits the one contig: the rank's first fetch misses,
+	// the rest hit, and the team's stats count both
+	if withCache.CacheHits == 0 || withCache.CacheMisses == 0 {
+		t.Fatalf("contig cache counted %d hits and %d misses, want both > 0",
+			withCache.CacheHits, withCache.CacheMisses)
 	}
 }
 

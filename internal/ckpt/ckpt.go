@@ -38,6 +38,8 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+
+	"hipmer/internal/xrt"
 )
 
 // Schema is the manifest schema version; a manifest carrying any other
@@ -190,30 +192,21 @@ type Store struct {
 	// by AdoptTopology when a rescaled resume takes over the directory.
 	// New entries are stamped with its rank count.
 	runTopo Topology
-	// inj, when non-nil, intercepts segment writes (storage fault
-	// injection; see SetInjector).
-	inj Injector
+	// disk is the storage fault segment writes are put through (see
+	// SetDiskFault); the zero plan damages nothing.
+	disk xrt.DiskFaultPlan
 	// frame is the buffer segments are framed in, reused from one stage
 	// write to the next (each is on disk before WriteStageRound returns).
 	frame []byte
 }
 
-// Injector intercepts segment writes for storage fault injection. The
+// SetDiskFault arms a storage fault on the store's segment writes: the
+// write of plan.Stage's segment is damaged as plan.Apply says, or refused
+// outright (no file and no manifest entry) on DiskFaultWriteRefused. The
 // manifest entry is always computed from the clean segment bytes, so an
 // injected corruption is indistinguishable from storage damage after a
 // successful write — exactly the failure a later resume must detect.
-type Injector interface {
-	// CorruptWrite inspects the framed segment bytes about to be
-	// persisted for a stage and returns the bytes to write instead (nil
-	// = write no file, simulating segment loss) plus whether the write
-	// is refused outright (ENOSPC: no file AND no manifest entry). A
-	// disinterested injector returns (seg, false).
-	CorruptWrite(stage string, seg []byte) (out []byte, refused bool)
-}
-
-// SetInjector installs (or with nil removes) a write-path storage fault
-// injector on the store.
-func (s *Store) SetInjector(inj Injector) { s.inj = inj }
+func (s *Store) SetDiskFault(plan xrt.DiskFaultPlan) { s.disk = plan }
 
 // Create starts a fresh run directory for the given fingerprint and
 // topology, creating it if needed and truncating any previous manifest
@@ -308,13 +301,9 @@ func (s *Store) WriteStageRound(stage string, round int, payload []byte) (StageE
 	s.frame = seg
 	file := segFileName(stage)
 	path := filepath.Join(s.dir, file)
-	toDisk := seg
-	if s.inj != nil {
-		out, refused := s.inj.CorruptWrite(stage, seg)
-		if refused {
-			return StageEntry{}, fmt.Errorf("%w: %s", ErrWriteRefused, stage)
-		}
-		toDisk = out
+	toDisk, kind := s.disk.Apply(stage, seg)
+	if kind == xrt.DiskFaultWriteRefused {
+		return StageEntry{}, fmt.Errorf("%w: %s", ErrWriteRefused, stage)
 	}
 	if toDisk == nil {
 		// Injected segment loss: the manifest entry below still lands, so

@@ -33,11 +33,8 @@
 // splint/span assessment, gap-closing verification) run against tables
 // that are no
 // longer mutated; Freeze publishes every stripe's slot array as immutable and Get
-// is then served lock-free, optionally through a per-rank direct-mapped
-// software cache in front of remote lookups (the merAligner single-node
-// optimization of the companion paper). Writes to a frozen table panic;
-// Thaw restores writability and discards the caches, whose coherence is
-// only guaranteed while the table is frozen.
+// is then served lock-free, one lookup per remote read. Writes to a frozen
+// table panic; Thaw restores writability.
 //
 // Physically everything is an in-process sharded table; the xrt cost layer
 // supplies the distributed-memory semantics of interest.
@@ -62,9 +59,9 @@ type Options[K comparable] struct {
 	Place PlaceFunc
 	// OwnerHash, when non-nil, supplies the hash fed to placement instead
 	// of Hash: the owner of a key is Place(OwnerHash(k)) (or OwnerHash(k)
-	// mod ranks). Hash keeps driving stripe selection and the read cache,
-	// so co-locating related keys — all k-mers sharing a minimizer, say —
-	// does not collapse them onto one stripe or cache slot. Every access
+	// mod ranks). Hash keeps driving stripe selection, so co-locating
+	// related keys — all k-mers sharing a minimizer, say — does not
+	// collapse them onto one stripe. Every access
 	// path (Put, Get, Mutate, Lookup, Owner, and blob decode)
 	// places through it, so senders that route payloads by the same hash
 	// stay consistent with point lookups.
@@ -96,12 +93,6 @@ type Options[K comparable] struct {
 	// occurrence k-mers the Bloom screen keeps out). 0 means no hint:
 	// stripes start at 8 slots and double.
 	ExpectedItems int64
-	// CacheSlots enables a per-rank direct-mapped software cache (rounded
-	// up to a power of two slots) consulted by Get for remote keys while
-	// the table is frozen. Hits cost local time and are counted in the
-	// xrt cache statistics; misses fill the slot (including negative
-	// entries for absent keys). 0 disables caching.
-	CacheSlots int
 	// BlobBytes is the flush threshold of the byte-payload store path
 	// (PutBlob): encoded records are buffered per destination rank and
 	// shipped as one message once the buffer reaches this many bytes.
@@ -163,7 +154,6 @@ type Table[K comparable, V any] struct {
 	frozen     atomic.Bool
 	shards     []shard[K, V]
 	locals     []localState[K, V]
-	caches     []*readCache[K, V] // per rank; non-nil from the rank's first cache fill until Thaw
 }
 
 // SetApply installs an owner-side apply hook that replaces the merge
@@ -229,11 +219,6 @@ func New[K comparable, V any](team *xrt.Team, opt Options[K],
 		opt.Stripes = 8
 	}
 	opt.Stripes = ceilPow2(opt.Stripes)
-	if opt.CacheSlots > 0 {
-		opt.CacheSlots = ceilPow2(opt.CacheSlots)
-	} else {
-		opt.CacheSlots = 0
-	}
 	if merge == nil {
 		merge = func(_ V, in V, _ bool) V { return in }
 	}
@@ -258,7 +243,6 @@ func New[K comparable, V any](team *xrt.Team, opt Options[K],
 		t.locals[i].blobBufs = make([][]byte, p)
 		t.locals[i].blobItems = make([]int, p)
 	}
-	t.caches = make([]*readCache[K, V], p)
 	return t
 }
 
@@ -316,14 +300,12 @@ func (t *Table[K, V]) assertMutable(op string) {
 // Freeze is collective: every rank of a Run phase must call it. It drains
 // the calling rank's store buffers, barriers, and publishes every stripe's
 // slot array as immutable — the arrays construction filled, from then on
-// read without the lock; subsequent Gets are served lock-free and, when
-// Options.CacheSlots is set, through a per-rank software cache for remote
-// keys, which a rank allocates at its first remote miss — Freeze itself
+// read without the lock; subsequent Gets are served lock-free. Freeze
 // allocates nothing. Any Put/Mutate/local rewrite on the frozen table
 // panics.
 //
 // Freeze is idempotent: freezing an already-frozen table is a documented
-// no-op (one barrier, caches and contents untouched), so code handed a
+// no-op (one barrier, contents untouched), so code handed a
 // table of unknown phase — checkpoint rehydration in particular — can
 // freeze unconditionally. The phase discipline (no concurrent
 // Freeze/Thaw) means every rank branches the same way.
@@ -340,42 +322,19 @@ func (t *Table[K, V]) Freeze(r *xrt.Rank) {
 	r.Barrier()
 }
 
-// Thaw is collective: it invalidates every per-rank cache (their
-// coherence is only guaranteed while frozen) and restores writability.
-// Like Freeze it is idempotent: thawing a writable table is a no-op.
-//
-// The invalidation is total by construction: each rank drops its own
-// goroutine-owned cache, and rank 0 sweeps all cache slots — while every
-// other rank is parked between barriers — before clearing the frozen
-// flag. No frozen-era entry, positive or negative, can survive into the
-// write phase and mask a post-thaw Put/Mutate from a later reader.
+// Thaw is collective: it restores writability once every rank has
+// finished its lock-free frozen reads. Like Freeze it is idempotent:
+// thawing a writable table is a no-op.
 func (t *Table[K, V]) Thaw(r *xrt.Rank) {
 	if !t.frozen.Load() {
 		r.Barrier()
 		return
 	}
 	r.Barrier()
-	t.invalidateCache(r.ID)
-	r.Barrier()
 	if r.ID == 0 {
-		t.invalidateAllCaches()
 		t.frozen.Store(false)
 	}
 	r.Barrier()
-}
-
-// invalidateCache discards rank id's read cache. Frozen-era entries —
-// including negative ones recording "key absent" — must never survive
-// into a write phase: a reader consulting a stale slot would miss a
-// post-thaw Put or Mutate entirely.
-func (t *Table[K, V]) invalidateCache(id int) { t.caches[id] = nil }
-
-// invalidateAllCaches discards every rank's cache. Only safe where no
-// rank goroutine can be reading its slot: between Thaw's barriers.
-func (t *Table[K, V]) invalidateAllCaches() {
-	for i := range t.caches {
-		t.caches[i] = nil
-	}
 }
 
 // Put enqueues a store of (k, v); it is applied at the owner when the
@@ -565,36 +524,12 @@ func (t *Table[K, V]) load(dst int, mix uint64, k K, frozen bool) (v V, ok bool)
 
 // Get performs an irregular lookup: one message to the owner (unless
 // local), classified and charged by the xrt layer. On a frozen table the
-// read is lock-free; remote reads additionally consult the rank's
-// software cache, whose hits cost local time only and are counted in the
-// cache statistics instead of the lookup statistics (a hit never leaves
-// the rank).
+// read is lock-free.
 func (t *Table[K, V]) Get(r *xrt.Rank, k K) (V, bool) {
 	h := t.opt.Hash(k)
-	mix := flat.Mix(h)
 	dst := t.placeKey(k, h)
-	frozen := t.frozen.Load()
-	if frozen && dst != r.ID && t.opt.CacheSlots > 0 {
-		c := t.caches[r.ID]
-		if c != nil {
-			if v, ok, hit := c.get(mix, k); hit {
-				r.ChargeCacheHit()
-				return v, ok
-			}
-		}
-		r.ChargeLookup(dst, t.opt.ItemBytes)
-		v, ok := t.load(dst, mix, k, true)
-		r.CountCacheMiss()
-		if c == nil {
-			// the rank's first remote miss of this frozen era
-			c = newReadCache[K, V](t.opt.CacheSlots)
-			t.caches[r.ID] = c
-		}
-		c.put(mix, k, v, ok)
-		return v, ok
-	}
 	r.ChargeLookup(dst, t.opt.ItemBytes)
-	return t.load(dst, mix, k, frozen)
+	return t.load(dst, flat.Mix(h), k, t.frozen.Load())
 }
 
 // Mutate runs fn atomically on the value stored under k at its owner,
@@ -767,72 +702,4 @@ func (t *Table[K, V]) RangeAll(fn func(k K, v V) bool) {
 			}
 		}
 	}
-}
-
-// ---------------------------------------------------------------------
-// Per-rank software cache (frozen read phase only).
-
-// cacheChunk is the number of entries the cache's storage grows by: a
-// power of two, so an entry number splits into chunk and offset by shift
-// and mask.
-const (
-	cacheChunkShift = 6
-	cacheChunk      = 1 << cacheChunkShift
-)
-
-// cacheEntry is one cached answer; !present is a negative entry — the key
-// is known not to exist.
-type cacheEntry[K comparable, V any] struct {
-	key     K
-	val     V
-	present bool
-}
-
-// readCache is a direct-mapped, power-of-two-slot software cache owned by
-// one rank's goroutine; no synchronization is needed. A key's slot is the
-// low bits of its mixed hash and a fill overwrites whatever the slot held.
-//
-// Slots are numbers, not entries: index[slot] is 0 for an empty slot and
-// otherwise one more than the number of the entry filling it, and entries
-// are handed out in fill order from chunks of cacheChunk. The cache costs
-// 4 bytes per slot plus the entries of the slots that were ever filled
-// (rounded up to a chunk) — a rank that reads a few hundred remote keys
-// through 8192 slots pays for a few hundred entries, and the index, being
-// pointer-free, is never scanned by the collector. With every slot filled
-// that is the dense array of entries plus the index.
-type readCache[K comparable, V any] struct {
-	mask   uint64
-	index  []int32
-	chunks [][]cacheEntry[K, V]
-	filled int // entries handed out
-}
-
-func newReadCache[K comparable, V any](slots int) *readCache[K, V] {
-	return &readCache[K, V]{mask: uint64(slots - 1), index: make([]int32, slots)}
-}
-
-func (c *readCache[K, V]) entry(n int32) *cacheEntry[K, V] {
-	return &c.chunks[n>>cacheChunkShift][n&(cacheChunk-1)]
-}
-
-// get and put take the key's mixed hash, as the stripes do.
-func (c *readCache[K, V]) get(mix uint64, k K) (v V, ok bool, hit bool) {
-	if n := c.index[mix&c.mask]; n != 0 {
-		if e := c.entry(n - 1); e.key == k {
-			return e.val, e.present, true
-		}
-	}
-	return v, false, false
-}
-
-func (c *readCache[K, V]) put(mix uint64, k K, v V, ok bool) {
-	n := &c.index[mix&c.mask]
-	if *n == 0 {
-		if c.filled == len(c.chunks)*cacheChunk {
-			c.chunks = append(c.chunks, make([]cacheEntry[K, V], cacheChunk))
-		}
-		c.filled++
-		*n = int32(c.filled)
-	}
-	*c.entry(*n - 1) = cacheEntry[K, V]{k, v, ok}
 }

@@ -68,77 +68,35 @@ func TestFrozenFlushOfEmptyBuffersIsNoop(t *testing.T) {
 	})
 }
 
-func TestCacheServesRemoteReadsLocally(t *testing.T) {
-	team := xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2})
-	opt := intOpts()
-	opt.CacheSlots = 1 << 12
-	tab := New[uint64, int64](team, opt, sumMerge)
-	const n = 512
+// TestThawedMutateVisibleAfterRefreeze: every rank reads a key while the
+// table is frozen; Mutates between Thaw and the next Freeze must be what
+// every rank reads after it.
+func TestThawedMutateVisibleAfterRefreeze(t *testing.T) {
+	team := xrt.NewTeam(xrt.Config{Ranks: 8, RanksPerNode: 4})
+	tab := New[uint64, int64](team, intOpts(), nil) // last write wins
+	const key = 777
+	owner := tab.Owner(key)
 	team.Run(func(r *xrt.Rank) {
-		for i := r.ID; i < n; i += r.N() {
-			tab.Put(r, uint64(i), int64(i))
-		}
-		tab.Freeze(r)
-		// two passes over all keys, plus absent keys: the second pass
-		// must be answered from the cache with correct values
-		for pass := 0; pass < 2; pass++ {
-			for i := 0; i < n; i++ {
-				v, ok := tab.Get(r, uint64(i))
-				if !ok || v != int64(i) {
-					t.Errorf("rank %d pass %d: key %d = (%d,%v)", r.ID, pass, i, v, ok)
-					return
-				}
-			}
-			for i := n; i < n+64; i++ { // negative entries cache too
-				if _, ok := tab.Get(r, uint64(i)); ok {
-					t.Errorf("rank %d: phantom key %d", r.ID, i)
-					return
-				}
-			}
-		}
-	})
-	s := team.AggStats()
-	if s.CacheHits == 0 {
-		t.Fatalf("no cache hits recorded: %+v", s)
-	}
-	if s.CacheMisses == 0 {
-		t.Fatalf("no cache misses recorded: %+v", s)
-	}
-	// with two identical passes and a cache larger than the key space,
-	// roughly half the remote reads must hit
-	if rate := s.CacheHitRate(); rate < 0.3 {
-		t.Fatalf("cache hit rate %.2f too low", rate)
-	}
-}
-
-func TestThawDiscardsCaches(t *testing.T) {
-	team := xrt.NewTeam(xrt.Config{Ranks: 2, RanksPerNode: 1})
-	opt := intOpts()
-	opt.CacheSlots = 64
-	tab := New[uint64, int64](team, opt, nil) // last write wins
-	// find a key owned by rank 1 so rank 0 reads it remotely (cached)
-	var key uint64
-	for k := uint64(0); ; k++ {
-		if int(xrt.Splitmix64(k)%2) == 1 {
-			key = k
-			break
-		}
-	}
-	team.Run(func(r *xrt.Rank) {
-		if r.ID == 1 {
+		if r.ID == owner {
 			tab.Put(r, key, 1)
 		}
+		tab.Flush(r)
+		r.Barrier()
 		tab.Freeze(r)
-		if v, _ := tab.Get(r, key); v != 1 { // fills rank 0's cache
-			t.Errorf("rank %d: stale initial read %d", r.ID, v)
+		for i := 0; i < 2; i++ {
+			if v, ok := tab.Get(r, key); !ok || v != 1 {
+				t.Errorf("rank %d: frozen read = (%d,%v), want 1", r.ID, v, ok)
+			}
 		}
 		tab.Thaw(r)
-		if r.ID == 1 {
-			tab.Put(r, key, 2)
+		if r.ID == owner {
+			tab.Mutate(r, key, func(v int64, _ bool) (int64, bool) { return v + 1, true })
+			tab.Mutate(r, key, func(v int64, _ bool) (int64, bool) { return v + 1, true })
 		}
+		r.Barrier()
 		tab.Freeze(r)
-		if v, _ := tab.Get(r, key); v != 2 {
-			t.Errorf("rank %d: read %d after thaw+rewrite, want 2 (stale cache?)", r.ID, v)
+		if v, ok := tab.Get(r, key); !ok || v != 3 {
+			t.Errorf("rank %d: post-thaw Mutate not visible: (%d,%v), want 3", r.ID, v, ok)
 		}
 	})
 }
@@ -253,15 +211,14 @@ func TestExpectedItemsIsOnlyAHint(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Microbenchmarks: striped-mutex Get vs frozen lock-free Get vs frozen
-// cached Get, all with 8 ranks issuing lookups concurrently.
+// Microbenchmarks: striped-mutex Get vs frozen lock-free Get, both with 8
+// ranks issuing lookups concurrently, and a Freeze/Thaw pair by itself.
 
 const benchKeys = 1 << 15
 
-func buildBenchTable(cacheSlots int) (*xrt.Team, *Table[uint64, int64]) {
+func buildBenchTable() (*xrt.Team, *Table[uint64, int64]) {
 	team := xrt.NewTeam(xrt.Config{Ranks: 8, RanksPerNode: 4})
 	opt := intOpts()
-	opt.CacheSlots = cacheSlots
 	opt.ExpectedItems = benchKeys
 	tab := New[uint64, int64](team, opt, sumMerge)
 	team.Run(func(r *xrt.Rank) {
@@ -273,14 +230,14 @@ func buildBenchTable(cacheSlots int) (*xrt.Team, *Table[uint64, int64]) {
 	return team, tab
 }
 
-func benchGets(b *testing.B, team *xrt.Team, tab *Table[uint64, int64], span uint64) {
+func benchGets(b *testing.B, team *xrt.Team, tab *Table[uint64, int64]) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	team.Run(func(r *xrt.Rank) {
 		x := uint64(r.ID)*0x9e3779b97f4a7c15 + 1
 		for i := 0; i < b.N/8+1; i++ {
 			x = x*6364136223846793005 + 1442695040888963407
-			tab.Get(r, (x>>17)%span)
+			tab.Get(r, (x>>17)%benchKeys)
 		}
 	})
 }
@@ -288,26 +245,31 @@ func benchGets(b *testing.B, team *xrt.Team, tab *Table[uint64, int64], span uin
 // BenchmarkDHTGetStriped is the mutex baseline: every Get locks its
 // stripe.
 func BenchmarkDHTGetStriped(b *testing.B) {
-	team, tab := buildBenchTable(0)
-	benchGets(b, team, tab, benchKeys)
+	team, tab := buildBenchTable()
+	benchGets(b, team, tab)
 }
 
 // BenchmarkDHTGetFrozen serves the same lookups lock-free from the
 // frozen table.
 func BenchmarkDHTGetFrozen(b *testing.B) {
-	team, tab := buildBenchTable(0)
+	team, tab := buildBenchTable()
 	team.Run(func(r *xrt.Rank) { tab.Freeze(r) })
-	benchGets(b, team, tab, benchKeys)
+	benchGets(b, team, tab)
 }
 
-// BenchmarkDHTGetFrozenCached adds the per-rank software cache with a
-// working set that fits it (seed-lookup-like reuse).
-func BenchmarkDHTGetFrozenCached(b *testing.B) {
-	team, tab := buildBenchTable(1 << 14)
-	team.Run(func(r *xrt.Rank) { tab.Freeze(r) })
-	benchGets(b, team, tab, 1<<12)
-	s := team.AggStats()
-	b.ReportMetric(s.CacheHitRate(), "hitRate")
+// BenchmarkFreeze is one frozen era of a table nobody reads remotely, at
+// the wheat workload's shape: what a Freeze/Thaw pair costs by itself.
+func BenchmarkFreeze(b *testing.B) {
+	team := xrt.NewTeam(xrt.Config{Ranks: 96, RanksPerNode: 24})
+	tab := New[uint64, int64](team, intOpts(), sumMerge)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		team.Run(func(r *xrt.Rank) {
+			tab.Freeze(r)
+			tab.Thaw(r)
+		})
+	}
 }
 
 // TestFreezeThawIdempotent: Freeze on a frozen table and Thaw on a

@@ -35,9 +35,8 @@ type Options struct {
 	// K and KmerTable enable closure verification: every closed gap's
 	// junction k-mers (the windows spanning flank↔closure boundaries) are
 	// looked up in the frozen global k-mer table — the same irregular
-	// read pattern as the walks, served through the per-rank software
-	// cache. Verification only reports confidence (Result.Verified); it
-	// never changes closures. Both zero disables it.
+	// read pattern as the walks. Verification only reports confidence
+	// (Result.Verified); it never changes closures. Both zero disables it.
 	K         int
 	KmerTable *dht.Table[kmer.Kmer, kanalysis.KmerData]
 }

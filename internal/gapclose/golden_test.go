@@ -144,14 +144,6 @@ func runGolden(c goldenCase) []roundGolden {
 	var out []roundGolden
 	for round := 1; round <= c.rounds; round++ {
 		sres := scaffold.Run(team, ctgRes, kres.Table, libs, scaffold.Options{K: goldenK, DisableBubbles: round > 1})
-		// The k-mer table's per-rank read caches hold whatever contig
-		// generation's schedule-dependent traversal left in them; empty
-		// them so that verification's hits and misses depend on this
-		// round's lookups alone.
-		team.Run(func(r *xrt.Rank) {
-			kres.Table.Thaw(r)
-			kres.Table.Freeze(r)
-		})
 		first := len(team.Spans())
 		opt := Options{K: goldenK, KmerTable: kres.Table}.withDefaults()
 		res := &Result{}

@@ -198,7 +198,7 @@ func (s *scratch) patch(g *gapState, bestL, bestR []byte) ([]byte, bool) {
 // closure is deemed verified when at least half the windows are found
 // (single-read spans legitimately contain low-count k-mers the MinCount
 // filter dropped). Lookups are the same irregular-access pattern as the
-// gap walks and run lock-free through the per-rank software cache.
+// gap walks and run lock-free on the frozen table.
 func (s *scratch) verifyClosure(r *xrt.Rank, g *gapState, seq []byte, opt Options) bool {
 	k := opt.K
 	s.joined = append(append(append(s.joined[:0], g.left...), seq...), g.right...)

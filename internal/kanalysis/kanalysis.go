@@ -136,11 +136,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// kmerCacheSlots sizes the per-rank software cache in front of remote
-// k-mer lookups once the table is frozen after analysis (contig traversal
-// terminations, contig depths, gap-closing verification).
-const kmerCacheSlots = 4096
-
 // EffectiveMinimizerLen resolves the minimizer length stage 1 uses for
 // table placement: 0 when the super-k-mer transport is disabled (classic
 // hash placement), the clamped scanner length otherwise. Exported so
@@ -182,28 +177,22 @@ func (d KmerData) IsUU() bool {
 
 // NewTable constructs the stage's k-mer count table: the canonical hash
 // seed, wire size, and placement every consumer of the table assumes.
-// Exported so checkpoint rehydration builds a table that places, charges,
-// and caches identically to a freshly analyzed one. expectedItems is
+// Exported so checkpoint rehydration builds a table that places and
+// charges identically to a freshly analyzed one. expectedItems is
 // dht.Options.ExpectedItems, a sizing hint that allocates nothing (0 = no
-// hint); cacheSlots 0 means kmerCacheSlots, which every product caller
-// passes, and negative turns the read cache off.
+// hint). cacheSlots is ignored: the table has no read cache, and the
+// parameter stays only because the benchmark harness passes it.
 // minimizerLen > 0 selects minimizer placement — the owner of a k-mer is
 // the owner of its length-minimizerLen canonical minimizer, so point
 // lookups land on the shard the super-k-mer transport filled — and 0
 // selects classic hash placement (the per-k-mer ablation and pre-existing
 // checkpoints).
 func NewTable(team *xrt.Team, expectedItems int64, aggBufSize, cacheSlots, k, minimizerLen int) *dht.Table[kmer.Kmer, KmerData] {
-	if cacheSlots == 0 {
-		cacheSlots = kmerCacheSlots
-	} else if cacheSlots < 0 {
-		cacheSlots = 0
-	}
 	opt := dht.Options[kmer.Kmer]{
 		Hash:          func(km kmer.Kmer) uint64 { return km.Hash(hashSeed) },
 		ItemBytes:     kmerItemBytes,
 		AggBufSize:    aggBufSize,
 		ExpectedItems: expectedItems,
-		CacheSlots:    cacheSlots,
 	}
 	if minimizerLen > 0 {
 		opt.OwnerHash = func(km kmer.Kmer) uint64 {
@@ -217,7 +206,7 @@ func NewTable(team *xrt.Team, expectedItems int64, aggBufSize, cacheSlots, k, mi
 type Result struct {
 	// Table maps canonical k-mer → KmerData for every k-mer with
 	// count ≥ MinCount, with finalized extension codes. It is returned
-	// frozen (read-only, lock-free, software-cached); callers needing to
+	// frozen (read-only, lock-free); callers needing to
 	// mutate it must Thaw first.
 	Table *dht.Table[kmer.Kmer, KmerData]
 	// DistinctEstimate is the HyperLogLog cardinality estimate.
@@ -915,7 +904,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		// analysis is complete: every downstream consumer (contig build
 		// and traversal terminations, contig depths, gap-closing
 		// verification) only reads, so publish the table frozen —
-		// lock-free lookups behind the per-rank software cache.
+		// one lock-free lookup per read.
 		table.Freeze(r)
 	})
 	team.EndSpan()

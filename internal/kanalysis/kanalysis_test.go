@@ -75,6 +75,38 @@ func TestExactCountsErrorFree(t *testing.T) {
 	}
 }
 
+// TestFrozenRemoteReadsEachChargeALookup: the frozen table has no read
+// cache, so reading one remote k-mer twice is two lookups at its owner.
+func TestFrozenRemoteReadsEachChargeALookup(t *testing.T) {
+	const k = 21
+	_, recs := simReads(t, 1, 5000, 10, genome.ErrorModel{})
+	team := xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2})
+	res := Run(team, splitReads(recs, 4), Options{K: k})
+	var remote kmer.Kmer
+	found := false
+	res.Table.RangeAll(func(km kmer.Kmer, _ KmerData) bool {
+		remote, found = km, res.Table.Owner(km) != 0
+		return !found
+	})
+	if !found {
+		t.Fatal("no k-mer owned by a rank other than 0")
+	}
+	ph := team.Run(func(r *xrt.Rank) {
+		if r.ID != 0 {
+			return
+		}
+		for i := 0; i < 2; i++ {
+			if _, ok := res.Table.Get(r, remote); !ok {
+				t.Errorf("read %d: k-mer absent", i)
+			}
+		}
+	})
+	if n := ph.Comm.Lookups(); n != 2 || ph.Comm.CacheHits != 0 {
+		t.Fatalf("two reads of one remote k-mer: %d lookups, %d cache hits; want 2 and 0",
+			n, ph.Comm.CacheHits)
+	}
+}
+
 func TestErroneousKmersExcluded(t *testing.T) {
 	const k = 21
 	g, recs := simReads(t, 2, 20000, 30, genome.ErrorModel{StartRate: 0.005, EndRate: 0.02})

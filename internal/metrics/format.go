@@ -86,8 +86,8 @@ func retxFmt(c Comm) string {
 	return fmt.Sprintf("%d/%d (%s)", c.Retries, c.Dups, humanBytes(c.RedeliveredBytes))
 }
 
-// cachePct renders the cache hit rate, or "-" when no cached table was
-// read during the stage.
+// cachePct renders the contig cache's hit rate, or "-" when the stage
+// fetched no contig.
 func cachePct(c Comm) string {
 	if c.CacheHits+c.CacheMisses == 0 {
 		return "-"

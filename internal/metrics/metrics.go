@@ -73,35 +73,12 @@ type Stage struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
-// Comm mirrors xrt.CommStats plus derived rates. Rates are defined to
-// be 0 (never NaN/Inf) when their denominators are 0 so that an
-// empty-stage span still marshals.
+// Comm is xrt.CommStats plus derived rates. Rates are defined to be 0
+// (never NaN/Inf) when their denominators are 0 so that an empty-stage
+// span still marshals. The rate fields shadow the CommStats methods of
+// the same names.
 type Comm struct {
-	LocalLookups   int64 `json:"local_lookups"`
-	OnNodeLookups  int64 `json:"on_node_lookups"`
-	OffNodeLookups int64 `json:"off_node_lookups"`
-	LocalStores    int64 `json:"local_stores"`
-	OnNodeMsgs     int64 `json:"on_node_msgs"`
-	OffNodeMsgs    int64 `json:"off_node_msgs"`
-	OnNodeBytes    int64 `json:"on_node_bytes"`
-	OffNodeBytes   int64 `json:"off_node_bytes"`
-	IOBytes        int64 `json:"io_bytes"`
-	IOWriteBytes   int64 `json:"io_write_bytes"`
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	// Reliability-layer counters, nonzero only under an xrt
-	// MessageFaultPlan (chaos runs): lost transmissions, retransmissions,
-	// duplicate deliveries (a retransmission after a lost ack) the receiver
-	// discards, and the bytes retransmissions carried.
-	Drops            int64 `json:"drops"`
-	Retries          int64 `json:"retries"`
-	Dups             int64 `json:"dups"`
-	RedeliveredBytes int64 `json:"redelivered_bytes"`
-	// Storage-fault counters, nonzero only under an xrt DiskFaultPlan:
-	// checkpoint segments damaged by injection, and the manifest bytes a
-	// scrub pass dropped back to recomputation while healing a resume.
-	DiskFaults         int64 `json:"disk_faults"`
-	ScrubRepairedBytes int64 `json:"scrub_repaired_bytes"`
+	xrt.CommStats
 
 	OffNodeLookupFrac float64 `json:"off_node_lookup_frac"`
 	CacheHitRate      float64 `json:"cache_hit_rate"`
@@ -110,25 +87,7 @@ type Comm struct {
 
 func commFrom(s xrt.CommStats) Comm {
 	return Comm{
-		LocalLookups:       s.LocalLookups,
-		OnNodeLookups:      s.OnNodeLookups,
-		OffNodeLookups:     s.OffNodeLookups,
-		LocalStores:        s.LocalStores,
-		OnNodeMsgs:         s.OnNodeMsgs,
-		OffNodeMsgs:        s.OffNodeMsgs,
-		OnNodeBytes:        s.OnNodeBytes,
-		OffNodeBytes:       s.OffNodeBytes,
-		IOBytes:            s.IOBytes,
-		IOWriteBytes:       s.IOWriteBytes,
-		CacheHits:          s.CacheHits,
-		CacheMisses:        s.CacheMisses,
-		Drops:              s.Drops,
-		Retries:            s.Retries,
-		Dups:               s.Dups,
-		RedeliveredBytes:   s.RedeliveredBytes,
-		DiskFaults:         s.DiskFaults,
-		ScrubRepairedBytes: s.ScrubRepairedBytes,
-
+		CommStats:         s,
 		OffNodeLookupFrac: s.OffNodeLookupFrac(),
 		CacheHitRate:      s.CacheHitRate(),
 		BytesPerMsg:       s.BytesPerMsg(),

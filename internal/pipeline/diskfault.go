@@ -1,6 +1,5 @@
-// Storage fault injection and self-healing resume. The injector adapts
-// an xrt.DiskFaultPlan to the ckpt.Injector write hook; the heal path
-// turns a corrupt or missing segment discovered mid-resume into a
+// Self-healing resume after storage faults: the heal path turns a
+// corrupt or missing segment discovered mid-resume into a
 // scrub-and-recompute instead of a dead run.
 package pipeline
 
@@ -11,32 +10,6 @@ import (
 	"hipmer/internal/ckpt"
 	"hipmer/internal/xrt"
 )
-
-// diskInjector adapts the plan to ckpt.Injector and remembers the last
-// injected kind so saveStage can count the fault deterministically
-// inside the checkpoint-save span (CorruptWrite itself runs on the
-// orchestrator, outside any rank goroutine).
-type diskInjector struct {
-	plan xrt.DiskFaultPlan
-	last xrt.DiskFaultKind
-}
-
-func (d *diskInjector) CorruptWrite(stage string, seg []byte) ([]byte, bool) {
-	out, kind := d.plan.Apply(stage, seg)
-	if kind == xrt.DiskFaultNone {
-		return seg, false
-	}
-	d.last = kind
-	return out, kind == xrt.DiskFaultWriteRefused
-}
-
-// take returns and clears the kind of the injection that fired since
-// the last call (DiskFaultNone when nothing did).
-func (d *diskInjector) take() xrt.DiskFaultKind {
-	k := d.last
-	d.last = xrt.DiskFaultNone
-	return k
-}
 
 // healableCkptErr reports whether a loadStage failure is storage damage
 // a scrub pass can heal: a segment that fails validation or is missing

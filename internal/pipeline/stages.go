@@ -68,12 +68,6 @@ type stageEnv struct {
 	// runs, never after it loads).
 	cleanStat contig.CleanStats
 	mergeStat contig.MergeStats
-
-	// disk is the armed storage-fault injector, nil when the team's
-	// Inject arms no disk fault. Installed on every store this run opens
-	// (including a reopen after a heal) so one injection plan survives
-	// the swap.
-	disk *diskInjector
 }
 
 // stage is one registry entry. save/load are nil for stages that cannot
@@ -346,7 +340,7 @@ func runScaffoldingRound(env *stageEnv) error {
 }
 
 func runGapClosing(env *stageEnv) error {
-	gcOpt := gapclose.Options{K: env.cfg.K, KmerTable: env.res.KAnalysis.Table} // frozen: cached closure verification
+	gcOpt := gapclose.Options{K: env.cfg.K, KmerTable: env.res.KAnalysis.Table} // frozen: lock-free closure verification
 	env.res.Gapclose = gapclose.Run(env.team, env.res.Scaffold, env.readLibs, gcOpt)
 	env.res.FinalSeqs = env.res.Gapclose.ScaffoldSeqs
 	return nil
@@ -392,8 +386,8 @@ func runStage(env *stageEnv, st stage) (err error) {
 // stamped with its own rank count and the recorded topology now names
 // this run's — which only an oracle-placed run refuses (checkRescale);
 // every load lands its payload on this team whatever count wrote it. The
-// team's disk-fault plan, when armed, is installed on the store: one
-// injector per run, so the plan survives a reopen after a heal.
+// team's disk-fault plan is set on every store opened, so it survives a
+// reopen after a heal.
 func openStore(env *stageEnv, fp string, resume bool) (*ckpt.Store, error) {
 	tc := env.team.Config()
 	topo := ckpt.Topology{Ranks: tc.Ranks, RanksPerNode: tc.RanksPerNode}
@@ -419,12 +413,7 @@ func openStore(env *stageEnv, fp string, resume bool) (*ckpt.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if plan := tc.Inject.Disk(); plan.Enabled() {
-		if env.disk == nil {
-			env.disk = &diskInjector{plan: plan}
-		}
-		store.SetInjector(env.disk)
-	}
+	store.SetDiskFault(tc.Inject.Disk())
 	return store, nil
 }
 
@@ -435,7 +424,8 @@ func openStore(env *stageEnv, fp string, resume bool) (*ckpt.Store, error) {
 // segment, no manifest entry. The stage itself succeeded, so the run
 // carries on — a later resume simply recomputes the hole — and the
 // attempted write is still charged (the payload hit the wire before the
-// refusal). Whichever disk fault fired is counted on rank 0.
+// refusal). A disk fault aimed at this stage damaged its write, whatever
+// its kind, and is counted on rank 0.
 func saveStage(env *stageEnv, store *ckpt.Store, st stage) error {
 	payload := st.save(env)
 	entry, err := store.WriteStageRound(st.name, st.round, payload)
@@ -443,7 +433,8 @@ func saveStage(env *stageEnv, store *ckpt.Store, st stage) error {
 	if err != nil && !refused {
 		return fmt.Errorf("pipeline: checkpointing %s: %w", st.name, err)
 	}
-	fired := env.disk != nil && env.disk.take() != xrt.DiskFaultNone
+	plan := env.team.Config().Inject.Disk()
+	fired := plan.Enabled() && plan.Stage == st.name
 	env.team.BeginSpan("checkpoint-save:" + st.name)
 	written := int64(len(payload))
 	if !refused {

@@ -11,10 +11,8 @@ import (
 // computeDepths implements §4.1: each rank takes its share of the contigs
 // and, for every contig, looks up all member k-mers in the distributed
 // k-mer count table and averages their depths. The table arrives frozen
-// from k-mer analysis, so the lookups are lock-free and remote ones run
-// through the per-rank software cache — k-mers shared between contigs
-// (repeat copies, bubble arms) are fetched once and then served
-// rank-locally. Termination states were recorded by the traversal itself.
+// from k-mer analysis, so the lookups are lock-free. Termination states
+// were recorded by the traversal itself.
 func computeDepths(team *xrt.Team, ctgRes *contig.Result,
 	kt *dht.Table[kmer.Kmer, kanalysis.KmerData],
 	opt Options, res *Result) [][]*SContig {

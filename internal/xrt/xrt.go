@@ -149,38 +149,37 @@ func (l Locality) String() string {
 // CommStats counts communication events issued by one rank. Lookup
 // counters record the locality of read operations (the quantity reported
 // in the paper's Table 2); message counters record transfers, and byte
-// counters record traffic volume. Cache counters record software-cache
-// activity in front of remote lookups: a hit is a remote read served
-// rank-locally (it appears here instead of in the lookup counters — the
-// locality win next to Table 2), a miss is a remote read that also filled
-// a cache slot.
+// counters record traffic volume. Cache counters record merAligner's
+// contig-sequence cache: a hit is a contig fetch served rank-locally (it
+// appears here instead of in the lookup counters), a miss is a fetch that
+// went to the contig's owner as a lookup.
 type CommStats struct {
-	LocalLookups   int64
-	OnNodeLookups  int64
-	OffNodeLookups int64
-	LocalStores    int64
-	OnNodeMsgs     int64
-	OffNodeMsgs    int64
-	OnNodeBytes    int64
-	OffNodeBytes   int64
-	IOBytes        int64
-	IOWriteBytes   int64
-	CacheHits      int64
-	CacheMisses    int64
+	LocalLookups   int64 `json:"local_lookups"`
+	OnNodeLookups  int64 `json:"on_node_lookups"`
+	OffNodeLookups int64 `json:"off_node_lookups"`
+	LocalStores    int64 `json:"local_stores"`
+	OnNodeMsgs     int64 `json:"on_node_msgs"`
+	OffNodeMsgs    int64 `json:"off_node_msgs"`
+	OnNodeBytes    int64 `json:"on_node_bytes"`
+	OffNodeBytes   int64 `json:"off_node_bytes"`
+	IOBytes        int64 `json:"io_bytes"`
+	IOWriteBytes   int64 `json:"io_write_bytes"`
+	CacheHits      int64 `json:"cache_hits"`
+	CacheMisses    int64 `json:"cache_misses"`
 	// Reliability-layer counters, nonzero only under a MessageFaultPlan
 	// (see chaos.go): transmissions lost (message or ack), retransmissions
 	// issued, duplicate deliveries (a retransmission after a lost ack) the
 	// receiver discards, and the payload bytes retransmissions carried.
-	Drops            int64
-	Retries          int64
-	Dups             int64
-	RedeliveredBytes int64
+	Drops            int64 `json:"drops"`
+	Retries          int64 `json:"retries"`
+	Dups             int64 `json:"dups"`
+	RedeliveredBytes int64 `json:"redelivered_bytes"`
 	// Storage-fault counters, nonzero only under a DiskFaultPlan (see
 	// diskfault.go): checkpoint segments damaged by an injected storage
 	// fault, and the manifest bytes a later scrub pass dropped back to
 	// recomputation while healing the damage.
-	DiskFaults         int64
-	ScrubRepairedBytes int64
+	DiskFaults         int64 `json:"disk_faults"`
+	ScrubRepairedBytes int64 `json:"scrub_repaired_bytes"`
 }
 
 // Add accumulates o into s.
@@ -261,8 +260,8 @@ func (s CommStats) OffNodeLookupFrac() float64 {
 	return float64(s.OffNodeLookups) / float64(t)
 }
 
-// CacheHitRate returns the fraction of software-cached remote reads that
-// hit (0 when no cached table was read).
+// CacheHitRate returns the fraction of contig fetches the cache served (0
+// when no contig was fetched).
 func (s CommStats) CacheHitRate() float64 {
 	t := s.CacheHits + s.CacheMisses
 	if t == 0 {
@@ -388,8 +387,8 @@ func (r *Rank) ChargeCacheHit() {
 	r.advance(r.team.cost.LocalOpNs)
 }
 
-// CountCacheMiss records that a charged remote lookup also filled a
-// software-cache slot; the lookup itself is charged separately.
+// CountCacheMiss records that a remote read missed the rank's software
+// cache; the lookup that served it is charged separately.
 func (r *Rank) CountCacheMiss() {
 	r.stats.CacheMisses++
 }
