@@ -81,7 +81,9 @@ func segmentDigests(t *testing.T, libs []pipeline.Library, cfg pipeline.Config) 
 // regenerated for an intended format change (-update-golden). One digest
 // is younger: multi-k/kmer-analysis-k33 changed in its PeakEntries field
 // (and CRC) when stage 1 began to screen read windows after all pseudo-read
-// stores instead of in between.
+// stores instead of in between, and in its header counters (SuperKmers,
+// SuperKmerBases, CommBytesSaved, PeakEntries) when pseudo-reads moved onto
+// weighted super-k-mer records; its table entries did not change.
 func TestSegmentBytesGolden(t *testing.T) {
 	rng := xrt.NewPrng(21)
 	g := genome.Random(rng, 12000)

@@ -1,6 +1,7 @@
 package kanalysis_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -16,6 +17,7 @@ import (
 	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
 	"hipmer/internal/kanalysis"
+	"hipmer/internal/kmer"
 	"hipmer/internal/xrt"
 )
 
@@ -39,7 +41,7 @@ type golden struct {
 	// the super-k-mer transport (owners screen their inboxes in sender
 	// order) and on one rank (-1 elsewhere).
 	PeakEntries int64
-	Table       string // sha256 of ckpt.EncodeKmerStage with PeakEntries zeroed
+	Table       string // sha256 of ckpt.EncodeKmerStage (header counters, then sorted entries) with PeakEntries zeroed
 	Charges     string // sha256 over the sketch/bloom-screen/count span records
 }
 
@@ -106,11 +108,13 @@ func goldenCases() []goldenCase {
 				K: 31, HeavyHitters: true, DisableSuperKmers: disable}},
 		)
 		// the iterative-k ladder: every round after the first carries
-		// pseudo-reads, and k = 33 and 55 take the two-word k-mer paths
+		// pseudo-reads, and k = 33 and 55 take the two-word k-mer paths.
+		// The per-item transport carries reads only, so its k33 and k55
+		// cases cover the two-word paths without pseudo-reads.
 		for _, k := range []int{21, 33, 55} {
 			c := goldenCase{"multik-k" + strconv.Itoa(k) + "-" + tag, 5, 2, human, kanalysis.Options{
 				K: k, HeavyHitters: true, DisableSuperKmers: disable}}
-			if k > 21 {
+			if k > 21 && !disable {
 				c.opt.PseudoByRank = goldenPseudo(human, c.ranks)
 			}
 			cases = append(cases, c)
@@ -167,6 +171,12 @@ func runGolden(c goldenCase) golden {
 // one-for-one charge rule — every rank's charges in every phase. A change
 // to a cost constant, a charge site, or the order of a rank's charges
 // (floating-point sums are order-sensitive) fails the Charges digest.
+// Four entries are younger. multik-k33-superk and multik-k55-superk were
+// regenerated when pseudo-reads moved onto weighted super-k-mer records:
+// their transport counters, PeakEntries and Charges moved, and the table
+// entries did not (Table digests the header counters too). The two
+// -peritem ladder cases were regenerated when that transport stopped
+// carrying pseudo-reads, because their input changed.
 func TestGoldenTablesAndCharges(t *testing.T) {
 	path := filepath.Join("testdata", "golden.json")
 	got := make(map[string]golden)
@@ -210,13 +220,16 @@ func TestGoldenTablesAndCharges(t *testing.T) {
 // the Bloom filters see their keys in — and with it the table's high-water
 // mark, the per-entry charges of the count span's filter pass, and the
 // checkpoint payload carrying both — is the same under every schedule
-// perturbation, with and without pseudo-read stores racing the reads.
+// perturbation, with and without pseudo-reads. So is the order of every
+// rank's slot arrays: each insertion of the analysis is made by an owner's
+// screen in (sender, send order) or by the owner's own heavy-hitter fold.
 func TestBloomAdmissionIgnoresSchedule(t *testing.T) {
 	human := goldenReads("human", 11, 30000, 10)
 	type outcome struct {
 		peak    int64
 		countNs float64
 		segment [sha256.Size]byte
+		slots   [sha256.Size]byte // every rank's LocalRange order, rank by rank
 	}
 	for _, ranks := range []int{6, 32} {
 		for _, pseudo := range []bool{false, true} {
@@ -236,11 +249,21 @@ func TestBloomAdmissionIgnoresSchedule(t *testing.T) {
 						got.countNs = sp.VirtualNs
 					}
 				}
+				order := make([][]byte, ranks)
+				team.Run(func(r *xrt.Rank) {
+					h := sha256.New()
+					res.Table.LocalRange(r, func(km kmer.Kmer, _ kanalysis.KmerData) bool {
+						binary.Write(h, binary.LittleEndian, km.W)
+						return true
+					})
+					order[r.ID] = h.Sum(nil)
+				})
+				got.slots = sha256.Sum256(bytes.Join(order, nil))
 				if i == 0 {
 					first = got
 				} else if got != first {
-					t.Errorf("%d ranks, pseudo-reads %v: perturb seed %d gives peak %d, count span %v ns, segment %x; seed 1 gave %d, %v, %x",
-						ranks, pseudo, seed, got.peak, got.countNs, got.segment[:4], first.peak, first.countNs, first.segment[:4])
+					t.Errorf("%d ranks, pseudo-reads %v: perturb seed %d gives peak %d, count span %v ns, segment %x, slot order %x; seed 1 gave %d, %v, %x, %x",
+						ranks, pseudo, seed, got.peak, got.countNs, got.segment[:4], got.slots[:4], first.peak, first.countNs, first.segment[:4], first.slots[:4])
 				}
 			}
 		}

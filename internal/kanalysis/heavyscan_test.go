@@ -74,7 +74,7 @@ func checkAgainstWholeReadScan(t *testing.T, rec fastq.Record, k int, heavyAt []
 	var got, want []shippedRecord
 	gotAcc, wantAcc := make([]KmerData, len(keys)), make([]KmerData, len(keys))
 	var buf []byte
-	gotN := forEachSuperKmer(rec, k, m, hh, gotAcc, func(minv uint64, record []byte, nwin int) {
+	gotN := forEachSuperKmer(rec, 0, k, m, hh, gotAcc, func(minv uint64, record []byte, nwin int) {
 		got = append(got, shippedRecord{minv, bytes.Clone(record), nwin})
 	}, &buf)
 	wantN := wholeReadSuperKmers(rec, k, m, hh, wantAcc, func(minv uint64, record []byte, nwin int) {

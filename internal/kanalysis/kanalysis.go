@@ -23,8 +23,9 @@
 // window the Bloom filter has seen on the spot and keeping only the
 // records that hold a first sighting; the count pass replays just those
 // locally instead of re-shipping the stream, so each window is counted
-// once. Options.DisableSuperKmers restores the per-k-mer aggregated-store
-// transport as an ablation baseline.
+// once; the iterative-k pseudo-reads ride it as weighted records.
+// Options.DisableSuperKmers restores the per-k-mer aggregated-store
+// transport, for reads only, as an ablation baseline.
 //
 // Each per-k-mer fact is computed once. Every scan rolls the forward and
 // reverse-complement words of a window side by side (kmer.ForEachCanonical,
@@ -99,7 +100,8 @@ type Options struct {
 	MinimizerLen int
 	// DisableSuperKmers reverts stage-1 communication to one aggregated
 	// store item per k-mer occurrence with hash placement — the ablation
-	// baseline the benchsuite reports as "SuperKmers off".
+	// baseline the benchsuite reports as "SuperKmers off". It carries
+	// reads only: Run refuses it together with PseudoByRank.
 	DisableSuperKmers bool
 	// AggBufSize overrides the aggregating-stores buffer size (0 = default).
 	AggBufSize int
@@ -108,10 +110,9 @@ type Options struct {
 	// list per rank (must match the team's rank count). Every k-mer
 	// occurrence in a pseudo-read contributes its Weight to the count and
 	// extension evidence, so a previous round's depth survives the
-	// MinCount screen at the new k. Pseudo-reads always take the per-item
-	// owner path (never super-k-mer blobs or the heavy-hitter bypass):
-	// there are few of them, and the table total stays a plain sum —
-	// partition- and schedule-invariant.
+	// MinCount screen at the new k. Pseudo-reads travel like reads, as
+	// weighted super-k-mer records that their owner admits whatever the
+	// Bloom filter says; the table total stays a plain sum.
 	PseudoByRank [][]PseudoRead
 }
 
@@ -120,7 +121,7 @@ type Options struct {
 // the depth-derived weight each of its k-mer occurrences counts for.
 type PseudoRead struct {
 	Seq    []byte
-	Weight uint32 // 0 is treated as 1
+	Weight uint32 // 0 is treated as 1; Run refuses one above kmer.MaxSuperKmerWeight
 }
 
 func (o Options) withDefaults() Options {
@@ -272,16 +273,6 @@ func occurrenceAt(seq, qual []byte, pos, k int, canon kmer.Kmer, flipped bool) o
 	return occurrence{canon, left, right}
 }
 
-// forEachOccurrence reports every k-mer window of seq in canonical form
-// with its oriented extension evidence and the canonical table hash, each
-// computed once per window. Sequences shorter than k and windows
-// containing N are skipped.
-func forEachOccurrence(seq, qual []byte, k int, fn func(o occurrence, h uint64)) {
-	kmer.ForEachCanonical(seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
-		fn(occurrenceAt(seq, qual, pos, k, canon, flipped), canon.Hash(hashSeed))
-	})
-}
-
 // add accumulates w sightings of occurrence o.
 func (d *KmerData) add(o occurrence, w uint32) {
 	d.Count += w
@@ -291,31 +282,6 @@ func (d *KmerData) add(o occurrence, w uint32) {
 	if o.right != noExt {
 		d.RightCnt[o.right] += w
 	}
-}
-
-// delta is the count/extension contribution of one occurrence observed w
-// times (w > 1: pseudo-read ingestion), as a store value.
-func (o occurrence) delta(w uint32) (d KmerData) {
-	d.add(o, w)
-	return d
-}
-
-// forEachPseudo reports every window of every pseudo-read as
-// forEachOccurrence does, with the read's weight; returns the window
-// count.
-func forEachPseudo(prs []PseudoRead, k int, fn func(o occurrence, h uint64, w uint32)) int {
-	n := 0
-	for _, pr := range prs {
-		w := pr.Weight
-		if w == 0 {
-			w = 1
-		}
-		forEachOccurrence(pr.Seq, nil, k, func(o occurrence, h uint64) {
-			fn(o, h, w)
-			n++
-		})
-	}
-	return n
 }
 
 // heavySet is the heavy-hitter set of one analysis: the k-mers in a fixed
@@ -372,12 +338,15 @@ func (s *heavySet) mayHold(minv uint64) bool {
 // minimizer a heavy hitter has; every other run is encoded straight from
 // the read.
 //
+// w is 0 for a read; a pseudo-read passes its weight, which its records
+// carry and its heavy windows fold into acc at.
+//
 // emit receives the run's minimizer, an encoded record, and its window
 // count; the record aliases the scratch buffer *record and must be
 // consumed (copied or buffered) before the next emission. Returns the
 // total number of k-mer windows visited — identical to the
-// forEachOccurrence count.
-func forEachSuperKmer(rec fastq.Record, k, m int, hh *heavySet, acc []KmerData,
+// kmer.ForEachCanonical count.
+func forEachSuperKmer(rec fastq.Record, w, k, m int, hh *heavySet, acc []KmerData,
 	emit func(minimizer uint64, record []byte, nwin int), record *[]byte) int {
 	seq, qual := rec.Seq, rec.Qual
 	windows := 0
@@ -387,7 +356,7 @@ func forEachSuperKmer(rec fastq.Record, k, m int, hh *heavySet, acc []KmerData,
 		ship := func(from, to int) {
 			for from < to {
 				n := min(to-from, kmer.MaxSuperKmerBases-k+1)
-				out, ok := kmer.AppendSuperKmer((*record)[:0], seq, qual, from, n+k-1, qualThreshold)
+				out, ok := kmer.AppendWeightedSuperKmer((*record)[:0], seq, qual, from, n+k-1, qualThreshold, w)
 				if !ok {
 					panic("kanalysis: minimizer run does not encode")
 				}
@@ -401,7 +370,7 @@ func forEachSuperKmer(rec fastq.Record, k, m int, hh *heavySet, acc []KmerData,
 			kmer.ForEachCanonical(seq[start:start+nwin+k-1], k, func(pos int, canon kmer.Kmer, flipped bool) {
 				if i := hh.find(canon.Hash(hashSeed), canon); i >= 0 {
 					pos += start
-					acc[i].add(occurrenceAt(seq, qual, pos, k, canon, flipped), 1)
+					acc[i].add(occurrenceAt(seq, qual, pos, k, canon, flipped), uint32(max(w, 1)))
 					ship(from, pos)
 					from = pos + 1
 				}
@@ -410,18 +379,6 @@ func forEachSuperKmer(rec fastq.Record, k, m int, hh *heavySet, acc []KmerData,
 		ship(from, start+nwin)
 	})
 	return windows
-}
-
-// putPseudoBloom drives every pseudo occurrence through the Bloom apply
-// hook twice, guaranteeing promotion into the shard regardless of the
-// order in which read sightings of the same k-mer arrive — shard
-// membership, and therefore whether the count pass's merge applies, stays
-// deterministic. Returns the window count.
-func putPseudoBloom(table *dht.Table[kmer.Kmer, KmerData], r *xrt.Rank, prs []PseudoRead, k int) int {
-	return forEachPseudo(prs, k, func(o occurrence, h uint64, _ uint32) {
-		table.PutHashed(r, h, o.km, KmerData{})
-		table.PutHashed(r, h, o.km, KmerData{})
-	})
 }
 
 // inbox is what one owner received over the super-k-mer transport during
@@ -467,14 +424,15 @@ func decode(payload []byte, k int, fn func(canon kmer.Kmer, left, right uint8)) 
 // the order the filters see their keys in a function of the input, not of
 // the schedule. A window whose k-mer the filter of its stripe has seen is
 // admitted and counted on the spot — count and both extension codes; a
-// first sighting is only flagged.
+// first sighting is only flagged. A weighted (pseudo-read) record's window
+// is offered to the filter too, then admitted and counted at the weight.
 //
-// The inbox is walked record by record. A record with no first sighting has
-// been counted in full and is dropped; one with a first sighting is moved
-// to the front of its own message's buffer, so the kept records stay in
-// (sender, send order) and nothing is allocated but the bitmap. A message
-// left with no record is released. Returns the number of first sightings
-// and of windows in the kept records.
+// The inbox is walked record by record. A weighted record, or one with no
+// first sighting, has been counted in full and is dropped; one with a first
+// sighting is moved to the front of its own message's buffer, so the kept
+// records stay in (sender, send order) and nothing is allocated but the
+// bitmap. A message left with no record is released. Returns the number of
+// first sightings and of windows in the kept records.
 func (in *inbox) screen(k, owner int, own dht.Owned[kmer.Kmer, KmerData], seen func(owner, stripe int, h uint64) bool) (firsts, kept int) {
 	slices.SortStableFunc(in.msgs, func(a, b inboxMsg) int { return a.src - b.src })
 	msgs := in.msgs[:0]
@@ -487,12 +445,13 @@ func (in *inbox) screen(k, owner int, own dht.Owned[kmer.Kmer, KmerData], seen f
 			}
 			rec := rest[:n]
 			rest = rest[n:]
+			weight := uint32(kmer.SuperKmerWeight(rec)) // 0 on a read's record
 			had, w := firsts, kept
 			nwin := decode(rec, k, func(canon kmer.Kmer, left, right uint8) {
 				h := canon.Hash(hashSeed)
-				if e, stripe := own.Entry(h, canon); seen(owner, stripe, h) {
+				if e, stripe := own.Entry(h, canon); seen(owner, stripe, h) || weight > 0 {
 					d, _ := e.Upsert()
-					d.add(occurrence{canon, left, right}, 1)
+					d.add(occurrence{canon, left, right}, max(weight, 1))
 				} else {
 					in.grow(w>>6 + 1)
 					in.first[w>>6] |= 1 << (w & 63)
@@ -629,8 +588,8 @@ func sketchPass(team *xrt.Team, readsByRank [][]fastq.Record, opt Options, res *
 			})
 		}
 		// pseudo-reads feed the cardinality sketch but not Misra–Gries:
-		// their weighted counts would distort the heavy-hitter estimate,
-		// and they always bypass the heavy-hitter path anyway.
+		// their weighted counts would distort the heavy-hitter estimate
+		// (pass 2 folds their heavy windows in, at their weight).
 		reads := n
 		for _, pr := range opt.pseudoOf(r.ID) {
 			kmer.ForEachCanonical(pr.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
@@ -674,8 +633,13 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	res := &Result{}
 	superk := !opt.DisableSuperKmers
 	minLen := EffectiveMinimizerLen(opt.K, opt.MinimizerLen, opt.DisableSuperKmers)
-	if opt.PseudoByRank != nil && len(opt.PseudoByRank) != p {
-		panic("kanalysis: PseudoByRank must have one list per rank")
+	if opt.PseudoByRank != nil && (len(opt.PseudoByRank) != p || !superk) {
+		panic("kanalysis: PseudoByRank needs one list per rank and the super-k-mer transport")
+	}
+	for _, prs := range opt.PseudoByRank {
+		if slices.ContainsFunc(prs, func(pr PseudoRead) bool { return pr.Weight > kmer.MaxSuperKmerWeight }) {
+			panic("kanalysis: a pseudo-read weight is above kmer.MaxSuperKmerWeight")
+		}
 	}
 
 	merged := sketchPass(team, readsByRank, opt, res)
@@ -737,11 +701,6 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	seen := func(owner, stripe int, h uint64) bool {
 		return opt.DisableBloom || blooms[owner*stripes+stripe].Add(h, mix64(h))
 	}
-	table.SetApply(func(owner, stripe int, h uint64, _ kmer.Kmer, _ KmerData, e dht.Entry[kmer.Kmer, KmerData]) {
-		if seen(owner, stripe, h) {
-			e.Upsert()
-		}
-	})
 
 	// Per-rank super-k-mer transport statistics (summed deterministically
 	// after the phase) and what each owner received.
@@ -764,35 +723,41 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		res.BloomPhase = team.Run(func(r *xrt.Rank) {
 			acc := make([]KmerData, len(hh.keys))
 			var buf []byte // every record of this rank is encoded here
+			emit := func(minv uint64, record []byte, nwin int) {
+				dst := int(kmer.MinimizerHash(minv) % uint64(p))
+				skRecords[r.ID]++
+				skBases[r.ID] += int64(nwin + opt.K - 1)
+				skSaved[r.ID] += int64(nwin*kmerItemBytes - len(record))
+				table.PutBlob(r, dst, record, nwin)
+			}
 			n := 0
 			for _, rec := range readsByRank[r.ID] {
-				n += forEachSuperKmer(rec, opt.K, minLen, hh, acc,
-					func(minv uint64, record []byte, nwin int) {
-						dst := int(kmer.MinimizerHash(minv) % uint64(p))
-						skRecords[r.ID]++
-						skBases[r.ID] += int64(nwin + opt.K - 1)
-						skSaved[r.ID] += int64(nwin*kmerItemBytes - len(record))
-						table.PutBlob(r, dst, record, nwin)
-					}, &buf)
+				n += forEachSuperKmer(rec, 0, opt.K, minLen, hh, acc, emit, &buf)
 			}
-			n += putPseudoBloom(table, r, opt.pseudoOf(r.ID), opt.K)
+			for _, pr := range opt.pseudoOf(r.ID) {
+				n += forEachSuperKmer(fastq.Record{Seq: pr.Seq}, max(int(pr.Weight), 1), opt.K, minLen, hh, acc, emit, &buf)
+			}
 			r.ChargeItems(n)
 			table.Flush(r)
 			heavyAcc[r.ID] = acc
 			r.Barrier()
 
 			// Owner computes: every window this rank will ever own is in its
-			// inbox now (minimizer placement), and every pseudo-read store has
-			// been applied (through the hook above, at delivery). The rank
-			// screens its windows alone, under one round of its stripe locks,
-			// and keeps only the records the count pass still has work in.
-			// Uncharged, like the delivery-time decode it replaces (the
+			// inbox now (minimizer placement). The rank screens its windows
+			// alone, in (sender, send order), under one round of its stripe
+			// locks, and keeps only the records the count pass still has work
+			// in. Uncharged, like the delivery-time decode it replaces (the
 			// sender's store batch charged the owner per item).
 			table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
 				firsts[r.ID], replayWins[r.ID] = inboxes[r.ID].screen(opt.K, r.ID, own, seen)
 			})
 		})
 	} else {
+		table.SetApply(func(owner, stripe int, h uint64, _ kmer.Kmer, _ KmerData, e dht.Entry[kmer.Kmer, KmerData]) {
+			if seen(owner, stripe, h) {
+				e.Upsert()
+			}
+		})
 		res.BloomPhase = team.Run(func(r *xrt.Rank) {
 			n := 0
 			for _, rec := range readsByRank[r.ID] {
@@ -803,7 +768,6 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 					}
 				})
 			}
-			n += putPseudoBloom(table, r, opt.pseudoOf(r.ID), opt.K)
 			r.ChargeItems(n)
 			table.Flush(r)
 			r.Barrier()
@@ -816,11 +780,13 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	// super-k-mer path it already did, and the screen counted every window
 	// but the first sightings, so the owner replays just the records holding
 	// those without any further communication.
-	table.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in KmerData, e dht.Entry[kmer.Kmer, KmerData]) {
-		if d := e.Get(); d != nil {
-			d.merge(in)
-		}
-	})
+	if !superk {
+		table.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in KmerData, e dht.Entry[kmer.Kmer, KmerData]) {
+			if d := e.Get(); d != nil {
+				d.merge(in)
+			}
+		})
+	}
 	// The count pass, heavy-hitter reduction, and finalization share one
 	// SPMD phase; the span covers them all, with the reduction exposed
 	// through the hh_* counters below.
@@ -832,36 +798,31 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 			// occurrences this rank owns, so counting is communication-free
 			// and the owner is known; the decode is charged per window like a
 			// scan, and each first sighting as the local store it is.
-			// Pseudo-read stores other ranks aim at this shard meanwhile wait
-			// for the section to end.
 			var wins int
 			table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
 				wins = inboxes[r.ID].replay(opt.K, own, r)
-			})
-			wins += forEachPseudo(opt.pseudoOf(r.ID), opt.K, func(o occurrence, h uint64, w uint32) {
-				table.PutHashed(r, h, o.km, o.delta(w))
 			})
 			r.ChargeItems(wins)
 		} else {
 			acc := make([]KmerData, len(hh.keys))
 			n := 0
 			for _, rec := range readsByRank[r.ID] {
-				forEachOccurrence(rec.Seq, rec.Qual, opt.K, func(o occurrence, h uint64) {
+				kmer.ForEachCanonical(rec.Seq, opt.K, func(pos int, canon kmer.Kmer, flipped bool) {
 					n++
-					if i := hh.find(h, o.km); i >= 0 {
+					h, o := canon.Hash(hashSeed), occurrenceAt(rec.Seq, rec.Qual, pos, opt.K, canon, flipped)
+					if i := hh.find(h, canon); i >= 0 {
 						acc[i].add(o, 1)
 						return
 					}
-					table.PutHashed(r, h, o.km, o.delta(1))
+					var d KmerData
+					d.add(o, 1)
+					table.PutHashed(r, h, canon, d)
 				})
 			}
-			n += forEachPseudo(opt.pseudoOf(r.ID), opt.K, func(o occurrence, h uint64, w uint32) {
-				table.PutHashed(r, h, o.km, o.delta(w))
-			})
 			r.ChargeItems(n)
+			table.Flush(r)
 			heavyAcc[r.ID] = acc
 		}
-		table.Flush(r)
 		r.Barrier()
 
 		// global reduction of the heavy-hitter accumulators: every rank

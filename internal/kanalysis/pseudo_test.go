@@ -128,31 +128,49 @@ func TestPseudoReadsCombineWithReads(t *testing.T) {
 	}
 }
 
+// mustPanic runs Run on opt and fails t unless it panics.
+func mustPanic(t *testing.T, what string, ranks int, opt Options) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s accepted", what)
+		}
+	}()
+	Run(xrt.NewTeam(xrt.Config{Ranks: ranks}), make([][]fastq.Record, ranks), opt)
+}
+
 // TestPseudoByRankShapeEnforced: a PseudoByRank whose length disagrees
 // with the team's rank count is a caller bug and must panic loudly.
 func TestPseudoByRankShapeEnforced(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mis-shaped PseudoByRank accepted")
-		}
-	}()
-	team := xrt.NewTeam(xrt.Config{Ranks: 4})
-	Run(team, make([][]fastq.Record, 4), Options{
-		K: 21, PseudoByRank: make([][]PseudoRead, 3),
+	mustPanic(t, "mis-shaped PseudoByRank", 4, Options{K: 21, PseudoByRank: make([][]PseudoRead, 3)})
+}
+
+// TestPseudoRefusedOnPerItemTransport: pseudo-reads travel only as
+// weighted super-k-mer records, so the per-item ablation refuses them, and
+// a weight no record can carry is refused rather than truncated.
+func TestPseudoRefusedOnPerItemTransport(t *testing.T) {
+	s := genome.Random(xrt.NewPrng(7), 100)
+	mustPanic(t, "PseudoByRank with DisableSuperKmers", 2, Options{
+		K: 21, DisableSuperKmers: true, PseudoByRank: [][]PseudoRead{{{Seq: s, Weight: 3}}, nil},
+	})
+	mustPanic(t, "a pseudo-read of weight 256", 2, Options{
+		K: 21, PseudoByRank: [][]PseudoRead{nil, {{Seq: s, Weight: kmer.MaxSuperKmerWeight + 1}}},
 	})
 }
 
-// TestPseudoDeterministicAcrossTransports: the final table with pseudo-
-// reads is identical with and without the super-k-mer transport and
-// heavy-hitter paths (pseudo occurrences bypass both by design), and with
-// and without the Bloom screen on either transport (the super-k-mer one
-// counts read windows as it admits them, pseudo-read weight only in the
-// count pass).
-func TestPseudoDeterministicAcrossTransports(t *testing.T) {
+// TestPseudoDeterministicAcrossSwitches: the final table with pseudo-reads
+// is identical with and without the heavy-hitter path and the Bloom screen.
+// One sequence is both 200 read copies — heavy hitters — and a pseudo-read,
+// whose heavy windows then fold into the sender's accumulator at the
+// weight instead of travelling; without the Bloom screen every read window
+// is counted on admission, pseudo-read windows at their weight.
+func TestPseudoDeterministicAcrossSwitches(t *testing.T) {
 	const k = 21
 	rng := xrt.NewPrng(8)
 	_, recs := simReads(t, 9, 8000, 10, genome.DefaultErrorModel())
-	pseudoSeqs := [][]byte{genome.Random(rng, 250), genome.Random(rng, 120)}
+	repeat := genome.Random(rng, 150)
+	recs = append(recs, perfectReads([][]byte{repeat}, 200)...)
+	pseudoSeqs := [][]byte{genome.Random(rng, 250), genome.Random(rng, 120), repeat}
 	const p = 4
 	pseudo := make([][]PseudoRead, p)
 	for i, s := range pseudoSeqs {
@@ -161,24 +179,28 @@ func TestPseudoDeterministicAcrossTransports(t *testing.T) {
 
 	var base map[kmer.Kmer]KmerData
 	for _, variant := range []Options{
-		{K: k, MinCount: 2, PseudoByRank: pseudo},
-		{K: k, MinCount: 2, PseudoByRank: pseudo, DisableSuperKmers: true},
-		{K: k, MinCount: 2, PseudoByRank: pseudo, HeavyHitters: true},
-		{K: k, MinCount: 2, PseudoByRank: pseudo, DisableBloom: true},
-		{K: k, MinCount: 2, PseudoByRank: pseudo, DisableBloom: true, DisableSuperKmers: true},
+		{},
+		{HeavyHitters: true},
+		{DisableBloom: true},
+		{HeavyHitters: true, DisableBloom: true},
 	} {
+		variant.K, variant.MinCount, variant.Theta, variant.HHMinCount, variant.PseudoByRank = k, 2, 2000, 100, pseudo
 		team := xrt.NewTeam(xrt.Config{Ranks: p})
-		got := tableCounts(Run(team, splitReads(recs, p), variant))
+		res := Run(team, splitReads(recs, p), variant)
+		if variant.HeavyHitters && res.HeavyHitters == 0 {
+			t.Fatal("200 copies of one read made no heavy hitter")
+		}
+		got := tableCounts(res)
 		if base == nil {
 			base = got
 			continue
 		}
 		if len(got) != len(base) {
-			t.Fatalf("table sizes differ across transports: %d vs %d", len(got), len(base))
+			t.Fatalf("heavy hitters %v, Bloom off %v: table sizes differ: %d vs %d", variant.HeavyHitters, variant.DisableBloom, len(got), len(base))
 		}
 		for km, d := range base {
 			if got[km] != d {
-				t.Fatalf("k-mer data differs across transports: %+v vs %+v", got[km], d)
+				t.Fatalf("heavy hitters %v, Bloom off %v: k-mer data differs: %+v vs %+v", variant.HeavyHitters, variant.DisableBloom, got[km], d)
 			}
 		}
 	}

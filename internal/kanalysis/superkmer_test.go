@@ -88,7 +88,7 @@ func TestScreenCountsOnAdmissionReplayAppliesTheRest(t *testing.T) {
 		var buf []byte
 		for i, rec := range recs {
 			src := senders - 1 - i%senders
-			windows += forEachSuperKmer(rec, k, m, newHeavySet(nil, k, m), nil,
+			windows += forEachSuperKmer(rec, 0, k, m, newHeavySet(nil, k, m), nil,
 				func(_ uint64, record []byte, _ int) {
 					sent[src] = append(sent[src], bytes.Clone(record))
 					if pending[src] = append(pending[src], record...); len(sent[src])%batch == 0 {

@@ -152,6 +152,10 @@ func decode(payload []byte, k int, fn func(f0, f1, r0, r1 uint64, left, right ui
 		}
 		mask := rd.bytes((L + 2 + 7) / 8)
 		bases := rd.bytes((L + 3) / 4)
+		// a weighted record's trailer: a missing byte is truncation (below)
+		if flags&skFlagWeighted != 0 && rd.u8() == 0 && !rd.bad {
+			return windows, fmt.Errorf("%w: weight 0", ErrBadSuperKmer)
+		}
 		if rd.bad {
 			return windows, fmt.Errorf("%w: truncated record (L=%d)", ErrBadSuperKmer, L)
 		}
@@ -200,11 +204,12 @@ func decode(payload []byte, k int, fn func(f0, f1, r0, r1 uint64, left, right ui
 // DecodeSuperKmers walks every record in payload (records are
 // concatenated back to back) and calls fn once per k-mer window, in run
 // order, with the window's packed k-mer as read and its left/right
-// extension evidence (a base code 0..3, or ExtAbsent). The k-mer is NOT
-// canonicalized; DecodeSuperKmersCanonical is the variant that is.
-// Returns the number of windows delivered; a framing error (bad length,
-// truncated record, trailing garbage) aborts the walk with
-// ErrBadSuperKmer.
+// extension evidence (a base code 0..3, or ExtAbsent); a weighted record's
+// windows are reported once each (SuperKmerWeight reads the weight). The
+// k-mer is NOT canonicalized; DecodeSuperKmersCanonical is the variant
+// that is. Returns the number of windows delivered; a framing error (bad
+// length, truncated record, zero weight, trailing garbage) aborts the walk
+// with ErrBadSuperKmer.
 func DecodeSuperKmers(payload []byte, k int, fn func(km Kmer, left, right uint8)) (windows int, err error) {
 	return decode(payload, k, func(f0, f1, _, _ uint64, left, right uint8) {
 		fn(Kmer{W: [2]uint64{f0, f1}}, left, right)

@@ -2,6 +2,8 @@ package kmer
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 )
@@ -77,9 +79,83 @@ func TestSuperKmerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSuperKmerConcatenatedRecords: a payload is a frame sequence; the
-// decoder walks all of them, and SuperKmerRecordLen steps from one record
-// to the next.
+// TestWeightedSuperKmerRoundTrip: a weighted record of a sequence with no
+// quality string decodes to the windows of the unweighted one, with every
+// flanking base inside the sequence as evidence, and carries its weight in
+// one trailing byte; a weight above MaxSuperKmerWeight is refused.
+func TestWeightedSuperKmerRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	all := func(seq []byte) []byte { return bytes.Repeat([]byte("I"), len(seq)) }
+	for _, k := range []int{11, 31, 63} {
+		m := ClampMinimizerLen(k, 0)
+		for trial := 0; trial < 50; trial++ {
+			seq := randSeqN(rng, 50+rng.Intn(150), false)
+			w := 1 + rng.Intn(MaxSuperKmerWeight)
+			ScanSuperKmers(seq, k, m, func(start, nwin int, _ uint64) {
+				L := nwin + k - 1
+				rec, ok := AppendWeightedSuperKmer(nil, seq, nil, start, L, 19, w)
+				if !ok {
+					t.Fatalf("weight %d: encode failed", w)
+				}
+				if got, want := SuperKmerRecordLen(rec), SuperKmerRecordBytes(L)+1; got != want || len(rec) != want {
+					t.Fatalf("weighted record of %d bases: %d bytes, SuperKmerRecordLen %d, want %d", L, len(rec), got, want)
+				}
+				if got := SuperKmerWeight(rec); got != w {
+					t.Fatalf("weight %d read back as %d", w, got)
+				}
+				i := 0
+				wins, err := DecodeSuperKmers(rec, k, func(km Kmer, left, right uint8) {
+					p := start + i
+					want, _ := Pack(seq[p:p+k], k)
+					el, er := expectedExt(seq, all(seq), p-1, 19), expectedExt(seq, all(seq), p+k, 19)
+					if km != want || left != el || right != er {
+						t.Fatalf("window %d: %s %d/%d, want %s %d/%d", p, km.String(k), left, right, want.String(k), el, er)
+					}
+					i++
+				})
+				if err != nil || wins != nwin {
+					t.Fatalf("decoded %d of %d windows: %v", wins, nwin, err)
+				}
+			})
+		}
+	}
+	seq := randSeqN(rng, 40, false)
+	unweighted, _ := AppendSuperKmer(nil, seq, nil, 0, 40, 19)
+	if rec, ok := AppendWeightedSuperKmer(nil, seq, nil, 0, 40, 19, 0); !ok || !bytes.Equal(rec, unweighted) || SuperKmerWeight(rec) != 0 {
+		t.Errorf("weight 0 is not the unweighted record")
+	}
+	dst := []byte{7}
+	if out, ok := AppendWeightedSuperKmer(dst, seq, nil, 0, 40, 19, MaxSuperKmerWeight+1); ok || !bytes.Equal(out, dst) {
+		t.Errorf("weight %d encoded (ok %v, %d bytes)", MaxSuperKmerWeight+1, ok, len(out))
+	}
+}
+
+// TestUnweightedSuperKmerBytes pins the bytes of read records, lead and
+// trail evidence and quality masks included, to what the codec wrote
+// before records could carry a weight.
+func TestUnweightedSuperKmerBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	h := sha256.New()
+	for _, k := range []int{11, 31, 63} {
+		m := ClampMinimizerLen(k, 0)
+		for trial := 0; trial < 40; trial++ {
+			seq := randSeqN(rng, 50+rng.Intn(150), trial%3 == 0)
+			qual := randQual(rng, len(seq))
+			ScanSuperKmers(seq, k, m, func(start, nwin int, _ uint64) {
+				rec, _ := AppendSuperKmer(nil, seq, qual, start, nwin+k-1, 19)
+				h.Write(rec)
+			})
+		}
+	}
+	const want = "b74f03493cd11d7dd7a52a745b7a3e54bdc090e780942c3b6b081db761963403"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("read records digest %s, want %s", got, want)
+	}
+}
+
+// TestSuperKmerConcatenatedRecords: a payload is a frame sequence of
+// unweighted and weighted records; the decoder walks all of them, and
+// SuperKmerRecordLen steps from one record to the next.
 func TestSuperKmerConcatenatedRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const k, thresh = 31, 19
@@ -88,18 +164,23 @@ func TestSuperKmerConcatenatedRecords(t *testing.T) {
 	qual := randQual(rng, len(seq))
 
 	var payload []byte
-	var sizes []int
+	var sizes, weights []int
 	total := 0
 	ScanSuperKmers(seq, k, m, func(start, nwin int, _ uint64) {
 		var ok bool
 		before := len(payload)
-		payload, ok = AppendSuperKmer(payload, seq, qual, start, nwin+k-1, thresh)
+		w := len(sizes) % 3 * 40 // 0 (unweighted), 40, 80
+		payload, ok = AppendWeightedSuperKmer(payload, seq, qual, start, nwin+k-1, thresh, w)
 		if !ok {
 			t.Fatal("encode failed")
 		}
 		sizes = append(sizes, len(payload)-before)
+		weights = append(weights, w)
 		total += nwin
 	})
+	if len(sizes) < 3 {
+		t.Fatalf("%d records do not mix weighted and unweighted ones", len(sizes))
+	}
 	wins, err := DecodeSuperKmers(payload, k, func(Kmer, uint8, uint8) {})
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -111,6 +192,9 @@ func TestSuperKmerConcatenatedRecords(t *testing.T) {
 	for i, want := range sizes {
 		if got := SuperKmerRecordLen(rest); got != want {
 			t.Fatalf("record %d: SuperKmerRecordLen %d, appended %d bytes", i, got, want)
+		}
+		if got := SuperKmerWeight(rest[:want]); got != weights[i] {
+			t.Fatalf("record %d: weight %d, appended %d", i, got, weights[i])
 		}
 		rest = rest[want:]
 	}
@@ -133,11 +217,16 @@ func TestDecodeSuperKmersRejectsMalformed(t *testing.T) {
 	if !ok {
 		t.Fatal("encode failed")
 	}
+	weighted, _ := AppendWeightedSuperKmer(nil, seq, qual, 0, 40, 19, 9)
+	zero := bytes.Clone(weighted)
+	zero[len(zero)-1] = 0
 	bad := [][]byte{
 		rec[:len(rec)-1],               // truncated bases
 		rec[:1],                        // truncated header
 		append(rec[:0:0], 0, 0),        // L = 0 < k
 		append(bytes.Clone(rec), 0xff), // trailing garbage
+		weighted[:len(weighted)-1],     // truncated weight trailer
+		zero,                           // weight 0
 	}
 	for i, p := range bad {
 		if _, err := DecodeSuperKmers(p, k, func(Kmer, uint8, uint8) {}); err == nil {
@@ -161,6 +250,9 @@ func FuzzSuperKmerDecode(f *testing.F) {
 	f.Add(seed, 31)
 	seed2, _ := AppendSuperKmer(nil, seq, qual, 3, 21, 19)
 	f.Add(append(bytes.Clone(seed2), seed2...), 21)
+	weighted, _ := AppendWeightedSuperKmer(nil, seq, nil, 2, 35, 19, 200)
+	f.Add(append(bytes.Clone(seed2), weighted...), 21)
+	f.Add(weighted[:len(weighted)-1], 31) // truncated weight trailer
 	f.Add([]byte{}, 31)
 	f.Add([]byte{0xff, 0xff, 0x00}, 11)
 	f.Fuzz(func(t *testing.T, payload []byte, k int) {
@@ -185,6 +277,9 @@ func FuzzSuperKmerDecode(f *testing.F) {
 			w, rerr := DecodeSuperKmers(rest[:n], k, func(Kmer, uint8, uint8) {})
 			if rerr != nil {
 				t.Fatalf("record of a decodable payload: %v", rerr)
+			}
+			if weighted := rest[2]&skFlagWeighted != 0; weighted != (SuperKmerWeight(rest[:n]) > 0) {
+				t.Fatalf("record flagged weighted %v has weight %d", weighted, SuperKmerWeight(rest[:n]))
 			}
 			wins -= w
 			rest = rest[n:]
