@@ -55,7 +55,7 @@ verify: build vet fuzz
 	$(GO) test -short ./...
 	$(GO) test -short -race ./internal/xrt/ ./internal/dht/ ./internal/kanalysis/ ./internal/sched/
 	$(GO) test -short -race -run 'Contention|OlderWalk' ./internal/contig/
-	$(GO) test -short -race -run 'LadderScarcity|ClosuresRankInvariant|ScratchPool' ./internal/gapclose/
+	$(GO) test -short -race -run 'LadderScarcity|ClosuresRankInvariant|ChunkedScan|ScratchPool' ./internal/gapclose/
 	$(GO) test -short -race -run 'Perturb' ./internal/verify/
 	$(GO) test -short -race -run 'Conservation|Metamorphic' ./internal/metrics/
 	$(GO) test -run 'MultiK' ./internal/pipeline/

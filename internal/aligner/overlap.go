@@ -21,9 +21,12 @@ const (
 	ovlMatch    = 2
 	ovlMismatch = -3
 	ovlGap      = -4
-	// maxOverlapWindow bounds the DP to the relevant sequence ends.
-	maxOverlapWindow = 512
 )
+
+// OverlapWindow bounds BestOverlap's DP to the relevant sequence ends: at
+// most the last OverlapWindow bases of a (the DP's rows) against the first
+// OverlapWindow of b.
+const OverlapWindow = 512
 
 // BestOverlap computes the best-scoring alignment between a suffix of a
 // and a prefix of b, allowing mismatches and gaps — the "patch" operation
@@ -31,12 +34,12 @@ const (
 // sequences"). ok is false when no overlap meets the thresholds.
 func BestOverlap(a, b []byte, minOverlap int, minIdentity float64) (Overlap, bool) {
 	wa := a
-	if len(wa) > maxOverlapWindow {
-		wa = wa[len(wa)-maxOverlapWindow:]
+	if len(wa) > OverlapWindow {
+		wa = wa[len(wa)-OverlapWindow:]
 	}
 	wb := b
-	if len(wb) > maxOverlapWindow {
-		wb = wb[:maxOverlapWindow]
+	if len(wb) > OverlapWindow {
+		wb = wb[:OverlapWindow]
 	}
 	n, m := len(wa), len(wb)
 	if n == 0 || m == 0 {

@@ -7,16 +7,18 @@
 // acceptable overlap between the two partial walks).
 //
 // The paper deals whole gaps round-robin, because the methods differ in
-// cost by orders of magnitude. Here the unit of dealing is finer — a gap's
-// spanning scan, then one (gap, k) step of its ladder — and each unit's
-// cost is known from the gap's read bases before it runs, so units are
-// dealt longest first and a gap that climbs the whole ladder does so on
-// the ranks idle beside it (closeGaps, planWave).
+// cost by orders of magnitude. Here the unit of dealing is finer — a chunk
+// of a gap's reads scanned for a spanning one, then one (gap, k) step of
+// its ladder — and each unit's cost is known from the gap's read bases
+// before it runs, so units are dealt longest first and a large gap's scan
+// and ladder run on the ranks idle beside it (closeGaps, dealScan,
+// planWave).
 package gapclose
 
 import (
 	"bytes"
 	"slices"
+	"time"
 
 	"hipmer/internal/aligner"
 	"hipmer/internal/dht"
@@ -223,7 +225,11 @@ func collectGaps(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadL
 // closeGaps closes the gaps in three steps, each ended by the join of its
 // phase, and fills in res's outcome counts.
 //
-//  1. Every gap is scanned for a spanning read on its home rank.
+//  1. Every gap's reads are scanned for a spanning read in contiguous
+//     chunks: chunk 0 on the gap's home rank, the others on ranks that
+//     hold no gap (see dealScan). After the join the home keeps the answer
+//     of the lowest chunk that found one — the first spanning read, which
+//     is what scanning the reads in order on one rank finds.
 //  2. The k ladder of every unspanned gap runs as (gap, k) tasks, wave by
 //     wave (see planWave). A ladder step needs nothing of the gap's other k
 //     values, and the gap whose ladder never succeeds is the critical path of
@@ -235,27 +241,30 @@ func collectGaps(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadL
 // The paper deals whole gaps round-robin (§4.8); the closures are the same,
 // because step 3 yields exactly what climbing the ladder one k after the
 // other would. What the split moves between ranks is charged: a rank that
-// runs a step away from the gap's home fetches the read set and sends its
-// walks back.
+// scans a chunk or runs a step away from the gap's home fetches the reads
+// and sends its answer back.
+//
+// The close span counts each step's virtual time (scan_ns, ladder_ns over
+// all waves, settle_ns) and the chunks scanned (scan_chunks).
 func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []closure {
 	p := team.Config().Ranks
 	jobs := newJobs(gaps)
 	pool := newScratchPool()
 	team.BeginSpan("close")
 
-	byHome := dealSpanning(jobs, p)
-	team.Run(func(r *xrt.Rank) {
-		for _, j := range byHome[r.ID] {
-			if j.anchored {
-				s := pool.get()
-				if seq, ok := s.trySpanning(j.g); ok {
-					j.closure = closure{Spanned, seq}
-				}
-				pool.put(s)
-			}
-			r.ChargeItems(j.scanCost())
+	scanning := dealScan(jobs, p, team.Cost())
+	scan := team.Run(func(r *xrt.Rank) {
+		for _, c := range scanning[r.ID] {
+			c.run(r, pool)
 		}
 	})
+	var chunks int64
+	for _, j := range jobs {
+		chunks += int64(len(j.chunks))
+		if i := slices.IndexFunc(j.chunks, func(c *scanChunk) bool { return c.found }); i >= 0 {
+			j.closure = closure{Spanned, j.chunks[i].seq}
+		}
+	}
 
 	var ladders []*gapJob
 	for _, j := range jobs {
@@ -266,6 +275,7 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 	}
 	ladders = heaviestFirst(ladders, (*gapJob).stepCost)
 	var primaries, waves int64
+	var ladder time.Duration
 	for {
 		var open []*gapJob
 		for _, j := range ladders {
@@ -280,7 +290,7 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 		waves++
 		primaries += int64(len(open))
 		more := slices.ContainsFunc(open, func(j *gapJob) bool { return j.tried < len(j.steps) })
-		team.Run(func(r *xrt.Rank) {
+		wave := team.Run(func(r *xrt.Rank) {
 			crossed := int64(0)
 			for _, t := range byRank[r.ID] {
 				j, st := t.job, &t.job.steps[t.step]
@@ -304,11 +314,14 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 				r.AllReduceInt64(crossed, func(a, b int64) int64 { return a + b })
 			}
 		})
+		ladder += wave.Virtual
 	}
 
-	team.Run(func(r *xrt.Rank) {
-		for _, j := range byHome[r.ID] {
-			j.settle(r, pool, opt)
+	settle := team.Run(func(r *xrt.Rank) {
+		for _, c := range scanning[r.ID] {
+			if j := c.job; j.home == r.ID {
+				j.settle(r, pool, opt)
+			}
 		}
 	})
 
@@ -345,6 +358,10 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 	team.AddCounter("speculative_discarded", discarded)
 	team.AddCounter("verify_checked", int64(res.Checked))
 	team.AddCounter("verify_confirmed", int64(res.Verified))
+	team.AddCounter("scan_chunks", chunks)
+	team.AddCounter("scan_ns", int64(scan.Virtual))
+	team.AddCounter("ladder_ns", int64(ladder))
+	team.AddCounter("settle_ns", int64(settle.Virtual))
 	team.EndSpan()
 	return closures
 }
@@ -363,7 +380,7 @@ func (j *gapJob) settle(r *xrt.Rank, pool *scratchPool, opt Options) {
 		j.closure = closure{Walked, j.steps[at].seq}
 		j.discarded = j.tried - 1 - at
 	} else if len(bestL) > 0 && len(bestR) > 0 {
-		r.ChargeItems(patchFactor * (len(j.g.left) + len(bestL)))
+		r.ChargeItems(patchFactor * min(len(j.g.left)+len(bestL), aligner.OverlapWindow))
 		if seq, ok := s.patch(j.g, bestL, bestR); ok {
 			j.closure = closure{Patched, seq}
 		}

@@ -217,7 +217,7 @@ func closeGapSeq(s *scratch, g *gapState, opt Options, steps []ladderStep) (m Me
 	if len(g.left) < minOverlap || len(g.right) < minOverlap {
 		return Unclosed, nil, 0
 	}
-	if seq, ok := s.trySpanning(g); ok {
+	if seq, ok := s.trySpanning(g, g.reads); ok {
 		return Spanned, seq, 0
 	}
 	steps = steps[:ladderLen(g, opt)]

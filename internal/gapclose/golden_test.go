@@ -123,7 +123,8 @@ func hasNonACGT(s []byte) bool {
 // runGolden assembles contigs from the reads, re-deals them by ID (which
 // rank a traversal leaves a contig on is schedule-dependent; its ID is
 // not), and runs the scaffolding / gap-closing rounds as the pipeline does.
-func runGolden(c goldenCase) []roundGolden {
+// It returns the team too, for its span records.
+func runGolden(c goldenCase) ([]roundGolden, *xrt.Team) {
 	libSpecs, recs := goldenLibs(c.kind, c.genomeLen)
 	team := xrt.NewTeam(xrt.Config{Ranks: c.ranks, RanksPerNode: c.perNd, Seed: 1})
 	var libs []scaffold.ReadLib
@@ -194,7 +195,34 @@ func runGolden(c goldenCase) []roundGolden {
 			ctgRes.NumContigs++
 		}
 	}
-	return out
+	return out, team
+}
+
+// TestClosePhasesSumToSpan: the close span's scan_ns, ladder_ns and
+// settle_ns account for all of its virtual time on every golden case.
+// Each is a whole-ns Duration of its phases, so the sum falls short of the
+// span by the fractions of a nanosecond those drop: less than one per
+// phase, the scan, each ladder wave and the settle.
+func TestClosePhasesSumToSpan(t *testing.T) {
+	for _, c := range goldenCases() {
+		_, team := runGolden(c)
+		closes := 0
+		for _, sp := range team.Spans() {
+			if sp.Name != "close" {
+				continue
+			}
+			closes++
+			sum := sp.Counters["scan_ns"] + sp.Counters["ladder_ns"] + sp.Counters["settle_ns"]
+			phases := 2 + sp.Counters["ladder_waves"]
+			if d := sp.VirtualNs - float64(sum); d < 0 || d >= float64(phases) {
+				t.Errorf("%s %s: scan %d + ladder %d + settle %d ns = %d, the span took %.2f over %d phases", c.name, sp.Path,
+					sp.Counters["scan_ns"], sp.Counters["ladder_ns"], sp.Counters["settle_ns"], sum, sp.VirtualNs, phases)
+			}
+		}
+		if closes != c.rounds {
+			t.Fatalf("%s: %d close spans for %d rounds", c.name, closes, c.rounds)
+		}
+	}
 }
 
 // TestGoldenClosuresAndCharges pins gap closing to goldens generated at
@@ -208,7 +236,7 @@ func TestGoldenClosuresAndCharges(t *testing.T) {
 	path := filepath.Join("testdata", "golden.json")
 	got := make(map[string][]roundGolden)
 	for _, c := range goldenCases() {
-		got[c.name] = runGolden(c)
+		got[c.name], _ = runGolden(c)
 	}
 	nFlanks := 0
 	for _, rounds := range got {

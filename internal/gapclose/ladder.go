@@ -3,6 +3,8 @@ package gapclose
 import (
 	"cmp"
 	"slices"
+
+	"hipmer/internal/xrt"
 )
 
 // Work, in charged items, of the units gap closing is dealt in. Closure
@@ -15,9 +17,12 @@ const (
 	// stepFactor × read bases is one ladder step: the mini de Bruijn build
 	// and two directed walks.
 	stepFactor = 3
-	// patchFactor × (left flank + left partial walk) is the banded overlap
-	// DP of one patching attempt.
+	// patchFactor × the DP rows it computes is one patching attempt: left
+	// flank + left partial walk, at most aligner.OverlapWindow of them.
 	patchFactor = 8
+	// answerBytes is what a chunk scanned away from home sends back besides
+	// its closure: the index of its spanning read.
+	answerBytes = 8
 )
 
 // gapJob is one gap on its way through closeGaps: what the scheduler needs
@@ -26,9 +31,12 @@ type gapJob struct {
 	g         *gapState
 	anchored  bool // both flanks hold the minOverlap bases every method anchors on
 	readBases int
-	// home is the rank that scans the gap's reads for a spanning one and
-	// later reduces its ladder: where the read set lives.
+	// home is the rank that scans the gap's first chunk of reads for a
+	// spanning one and later reduces its ladder: where the read set lives.
 	home int
+	// chunks cut the read set for the spanning scan, in read order; chunk 0
+	// is scanned on home.
+	chunks []*scanChunk
 	// steps is the k ladder of an unspanned gap, one entry per k both flanks
 	// can anchor (a k a flank is shorter than is no task and costs nothing);
 	// steps[:tried] have been dealt to a wave. Entry i is written by the one
@@ -101,7 +109,8 @@ func (l rankLoads) least() int {
 }
 
 // dealSpanning gives every gap a home rank, longest scan first onto the
-// least-loaded rank, and returns each rank's gaps.
+// least-loaded rank, and returns each rank's gaps. Every scan costs
+// something, so the first p gaps land on p different ranks.
 func dealSpanning(jobs []*gapJob, p int) [][]*gapJob {
 	byHome := make([][]*gapJob, p)
 	loads := make(rankLoads, p)
@@ -111,6 +120,130 @@ func dealSpanning(jobs []*gapJob, p int) [][]*gapJob {
 		byHome[j.home] = append(byHome[j.home], j)
 	}
 	return byHome
+}
+
+// scanChunk is one contiguous run of a gap's reads, scanned for a spanning
+// read on one rank. found and seq are its answer, written by that rank and
+// read after the scan's join.
+type scanChunk struct {
+	job   *gapJob
+	reads [][]byte
+	bases int
+	found bool
+	seq   []byte
+}
+
+// run scans the chunk on r. A chunk away from home fetches its reads and
+// sends its answer back; the gap's overhead stays on home.
+func (c *scanChunk) run(r *xrt.Rank, pool *scratchPool) {
+	j := c.job
+	away := j.home != r.ID
+	if away {
+		r.ChargeLookup(j.home, c.bases)
+	}
+	if j.anchored {
+		s := pool.get()
+		c.seq, c.found = s.trySpanning(j.g, c.reads)
+		pool.put(s)
+	}
+	if !away {
+		r.ChargeItems(c.bases + gapOverhead)
+		return
+	}
+	r.ChargeItems(c.bases)
+	r.ChargeStoreBatch(j.home, 1, answerBytes+len(c.seq))
+}
+
+// cut splits j's reads into at most n contiguous chunks of about equal
+// bases, at read boundaries, none empty. A gap no method can anchor has
+// one chunk and nothing to scan.
+func (j *gapJob) cut(n int) []*scanChunk {
+	if !j.anchored {
+		return []*scanChunk{{job: j}}
+	}
+	reads := j.g.reads
+	chunks := make([]*scanChunk, 0, n)
+	lo, at, bases := 0, 0, 0
+	for i, rd := range reads {
+		at += len(rd)
+		bases += len(rd)
+		if len(chunks) < n-1 && i+1 < len(reads) && at*n >= (len(chunks)+1)*j.readBases {
+			chunks = append(chunks, &scanChunk{job: j, reads: reads[lo : i+1], bases: bases})
+			lo, bases = i+1, 0
+		}
+	}
+	return append(chunks, &scanChunk{job: j, reads: reads[lo:], bases: bases})
+}
+
+// scanNs is the virtual time of a gap's busiest chunk: chunk 0 with the
+// gap's overhead and the other chunks' answers applied on home, any other
+// with its fetch and its answer priced off-node, wherever it will run.
+func scanNs(chunks []*scanChunk, c xrt.CostModel) float64 {
+	ns := c.ItemNs*float64(chunks[0].bases+gapOverhead) + float64(len(chunks)-1)*c.LocalOpNs
+	for _, ch := range chunks[1:] {
+		ns = max(ns, c.ItemNs*float64(ch.bases)+2*c.OffNodeMsgNs+float64(ch.bases+answerBytes)*c.OffNodeByteNs)
+	}
+	return ns
+}
+
+// finer returns the cut of j's reads into the fewest chunks beyond its
+// current ones, at most spare more, that lowers its scanNs; nil if none
+// does. Reads are whole, so one chunk more can leave the longest chunk as
+// long as it was, and a few more shorten it.
+func (j *gapJob) finer(spare int, cost xrt.CostModel) []*scanChunk {
+	now := scanNs(j.chunks, cost)
+	for n := len(j.chunks) + 1; n <= len(j.chunks)+spare; n++ {
+		if c := j.cut(n); len(c) > len(j.chunks) && scanNs(c, cost) < now {
+			return c
+		}
+	}
+	return nil
+}
+
+// dealScan plans the spanning scan over p ranks and returns each rank's
+// chunks, the home chunks first in dealSpanning's order. Every gap gets its
+// home rank by dealSpanning. With fewer gaps than ranks each home holds one
+// gap and the other ranks none, and the makespan is the busiest gap's
+// scanNs: that gap is cut finer, for as long as that lowers its scanNs and
+// the ranks without a gap can take the new chunks. The chunks off home are
+// then dealt longest first, one to each such rank in rank order. With as
+// many gaps as ranks nothing is cut.
+func dealScan(jobs []*gapJob, p int, cost xrt.CostModel) [][]*scanChunk {
+	byHome := dealSpanning(jobs, p)
+	idle := make([]int, 0, p)
+	for r, js := range byHome {
+		if len(js) == 0 {
+			idle = append(idle, r)
+		}
+	}
+	for _, j := range jobs {
+		j.chunks = j.cut(1)
+	}
+	for spare := len(idle); spare > 0 && len(jobs) > 0; {
+		j := slices.MaxFunc(jobs, func(a, b *gapJob) int {
+			return cmp.Compare(scanNs(a.chunks, cost), scanNs(b.chunks, cost))
+		})
+		more := j.finer(spare, cost)
+		if more == nil {
+			break
+		}
+		spare -= len(more) - len(j.chunks)
+		j.chunks = more
+	}
+
+	byRank := make([][]*scanChunk, p)
+	var away []*scanChunk
+	for r, js := range byHome {
+		for _, j := range js {
+			byRank[r] = append(byRank[r], j.chunks[0])
+			away = append(away, j.chunks[1:]...)
+		}
+	}
+	slices.SortStableFunc(away, func(a, b *scanChunk) int { return cmp.Compare(b.bases, a.bases) })
+	for i, c := range away {
+		byRank[idle[i]] = append(byRank[idle[i]], c)
+	}
+	return byRank
 }
 
 // ladderTask is one (gap, k) unit of a wave.

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hipmer/internal/aligner"
 	"hipmer/internal/genome"
 	"hipmer/internal/xrt"
 )
@@ -199,30 +200,62 @@ func TestClosuresRankInvariant(t *testing.T) {
 	}
 }
 
-// TestSkippedStepIsNoTask: a k a flank cannot anchor is not dealt and not
-// charged (the whole-gap loop billed it and then skipped it). On one rank
-// nothing moves, so the span's work is the unit charges and nothing else.
-func TestSkippedStepIsNoTask(t *testing.T) {
-	g := syntheticGaps(53, 3)[2]
-	g.left = g.left[len(g.left)-35:] // k = 21 and 31 only
+// checkOneRankCharges closes g alone on one rank, where nothing moves, and
+// requires the span to run steps ladder tasks and to charge the unit costs
+// and nothing else: a scan, the steps, and a patch billed for the DP rows
+// BestOverlap computes. It returns the patch's left operand length.
+func checkOneRankCharges(t *testing.T, g *gapState, steps int) (leftOperand int) {
+	t.Helper()
+	var s scratch
+	ladder := make([]ladderStep, steps)
+	closeGapSeq(&s, g, Options{}.withDefaults(), ladder)
+	_, bestL, bestR := reduceLadder(ladder)
+	if len(bestL) == 0 || len(bestR) == 0 {
+		t.Fatal("precondition: the gap is not offered to patching")
+	}
 	_, span := closeSpan([]*gapState{g}, 1)
-	if n := span.Counters["ladder_tasks"]; n != 2 {
-		t.Fatalf("%d ladder tasks for a 35-base flank, want 2", n)
+	if n := span.Counters["ladder_tasks"]; n != int64(steps) {
+		t.Fatalf("%d ladder tasks, want %d", n, steps)
 	}
 	readBases := 0
 	for _, rd := range g.reads {
 		readBases += len(rd)
 	}
-	var s scratch
-	steps := make([]ladderStep, 2)
-	closeGapSeq(&s, g, Options{}.withDefaults(), steps)
-	_, bestL, bestR := reduceLadder(steps)
-	if len(bestL) == 0 || len(bestR) == 0 {
-		t.Fatal("precondition: the gap is not offered to patching")
-	}
-	items := readBases + gapOverhead + 2*stepFactor*readBases + patchFactor*(len(g.left)+len(bestL))
+	leftOperand = len(g.left) + len(bestL)
+	items := readBases + gapOverhead + steps*stepFactor*readBases + patchFactor*min(leftOperand, aligner.OverlapWindow)
 	if got, want := span.Ranks[0].WorkNs, float64(items)*xrt.DefaultCostModel().ItemNs; got != want {
-		t.Fatalf("charged %.0f ns, want %.0f: a scan, two steps and a patch over %d read bases", got, want, readBases)
+		t.Fatalf("charged %.0f ns, want %.0f: a scan, %d steps over %d read bases and a patch over %d rows",
+			got, want, steps, readBases, min(leftOperand, aligner.OverlapWindow))
+	}
+	return leftOperand
+}
+
+// TestSkippedStepIsNoTask: a k a flank cannot anchor is not dealt and not
+// charged (the whole-gap loop billed it and then skipped it).
+func TestSkippedStepIsNoTask(t *testing.T) {
+	g := syntheticGaps(53, 3)[2]
+	g.left = g.left[len(g.left)-35:] // k = 21 and 31 only
+	checkOneRankCharges(t, g, 2)
+}
+
+// TestPatchBillsOnlyWindowRows: BestOverlap runs its DP over at most the
+// last aligner.OverlapWindow bases of the left operand, so a patch whose
+// left flank and partial walk are longer is billed for that many rows.
+// The gap is 1 000 bases with a 20-base coverage hole in the middle: the
+// walk from the left flank runs about 480 bases into it before it dead-ends.
+func TestPatchBillsOnlyWindowRows(t *testing.T) {
+	const flank, gapLen, readLen, hole = 200, 1000, 100, 700
+	seq := genome.Random(xrt.NewPrng(54), 2*flank+gapLen)
+	var reads [][]byte
+	for at := flank - 90; at+readLen <= flank+gapLen+90; at += 4 {
+		if at+readLen > hole && at < hole+20 {
+			continue
+		}
+		reads = append(reads, seq[at:at+readLen])
+	}
+	g := &gapState{id: gapID{0, 1}, left: seq[:flank], right: seq[flank+gapLen:], est: gapLen, reads: reads}
+	if n := checkOneRankCharges(t, g, 3); n <= aligner.OverlapWindow {
+		t.Fatalf("precondition: a left operand of %d bases, want more than %d", n, aligner.OverlapWindow)
 	}
 }
 

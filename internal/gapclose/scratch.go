@@ -217,17 +217,17 @@ func (s *scratch) verifyClosure(r *xrt.Rank, g *gapState, seq []byte, opt Option
 	return total > 0 && 2*found >= total
 }
 
-// trySpanning looks for a single read that contains the end of the left
-// flank and the start of the right flank in order (§4.8 method 1), on
-// either strand. The other strand is searched in place: the first
-// occurrence of an anchor in a read's reverse complement is the last
-// occurrence of the anchor's reverse complement in the read.
-func (s *scratch) trySpanning(g *gapState) ([]byte, bool) {
+// trySpanning looks among reads, a run of g's, for the first that contains
+// the end of the left flank and the start of the right flank in order
+// (§4.8 method 1), on either strand. The other strand is searched in
+// place: the first occurrence of an anchor in a read's reverse complement
+// is the last occurrence of the anchor's reverse complement in the read.
+func (s *scratch) trySpanning(g *gapState, reads [][]byte) ([]byte, bool) {
 	la := tail(g.left, minOverlap)
 	ra := head(g.right, minOverlap)
 	s.rcLa = kmer.AppendRevComp(s.rcLa[:0], la)
 	s.rcRa = kmer.AppendRevComp(s.rcRa[:0], ra)
-	for _, rd := range g.reads {
+	for _, rd := range reads {
 		if li := bytes.Index(rd, la); li >= 0 {
 			from := li + len(la)
 			if ri := bytes.Index(rd[from:], ra); ri >= 0 {

@@ -135,8 +135,10 @@ func TestTimingsRecorded(t *testing.T) {
 // (with more, traversal and depths times follow the Go scheduler) — except
 // the k-mer analysis entries and the totals that sum them, moved by exactly
 // the count-pass time the owner's screen stopped charging for screened-out
-// records, and meta's kmer-analysis-k33 and total again when pseudo-reads
-// moved onto weighted super-k-mer records. Each
+// records, meta's kmer-analysis-k33 and total again when pseudo-reads
+// moved onto weighted super-k-mer records, and wheat's gap-closing-round2
+// and total when a patch came to be billed only for the DP rows
+// aligner.BestOverlap computes. Each
 // is read back from Metrics exactly; merAligner within 1 ns (that entry
 // subtracted two truncated clock readings, the span truncates their
 // difference); and the run's total, which is the team's clock, is that
