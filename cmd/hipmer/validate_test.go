@@ -49,7 +49,7 @@ func TestValidateOptions(t *testing.T) {
 			o.Resume = true
 			o.CkptDir = "d"
 		}, 1, false, ""},
-		{"rounds", func(o *hipmer.Options) { o.ScaffoldRounds = -2 }, 1, false, "-rounds"},
+		{"rounds", func(o *hipmer.Options) { o.ScaffoldRounds = -2 }, 1, false, "ScaffoldRounds must be >= 0, got -2"},
 		{"resume-without-dir", func(o *hipmer.Options) { o.Resume = true }, 1, false, "-ckpt-dir"},
 		{"resume-with-dir", func(o *hipmer.Options) { o.Resume = true; o.CkptDir = "d" }, 1, false, ""},
 		{"fault-seed-alone", func(o *hipmer.Options) { o.FaultSeed = 9 }, 1, false, "together"},
@@ -214,7 +214,7 @@ func TestOneRuleAtEveryEntryPoint(t *testing.T) {
 	}{
 		{"k-even", func(o *hipmer.Options) { o.K = 32 }, "-k must be odd"},
 		{"ladder-not-increasing", func(o *hipmer.Options) { o.KmerLens = []int{33, 21} }, "strictly increasing"},
-		{"scaffold-rounds-negative", func(o *hipmer.Options) { o.ScaffoldRounds = -1 }, "scaffold-rounds must be >= 0"},
+		{"scaffold-rounds-negative", func(o *hipmer.Options) { o.ScaffoldRounds = -1 }, "ScaffoldRounds must be >= 0"},
 		{"fail-stage-unknown", func(o *hipmer.Options) { o.FaultSeed, o.FailStage = 9, "no-such-stage" }, "not a stage of this run"},
 		{"fault-seed-alone", func(o *hipmer.Options) { o.FaultSeed = 9 }, "must be given together"},
 		{"disk-fail-stage-unknown", func(o *hipmer.Options) { o.DiskFaultSeed, o.DiskFailStage = 21, "no-such-stage" }, "not a checkpointable stage"},

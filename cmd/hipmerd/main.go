@@ -4,7 +4,10 @@
 // queue, and per-tenant rank quotas, and runs every job as a
 // checkpointable pipeline — an injected crash or chaos retry exhaustion
 // in one job requeues and resumes that job alone, and idle capacity
-// elastically rescales queued resumable jobs. See DESIGN.md §15.
+// elastically rescales queued resumable jobs. The policy has one setting,
+// not flags: a job is requeued at most twice, preempted at most once, and
+// gains one priority step per 50 ms of virtual queue wait. See DESIGN.md
+// §15.
 //
 // Usage:
 //
@@ -78,19 +81,14 @@ func main() {
 	seed := flag.Int64("seed", 1, "scheduler PRNG seed (tie-breaks)")
 	queueCap := flag.Int("queue-cap", 64, "admission queue bound; arrivals beyond it are rejected")
 	defaultQuota := flag.Int("default-quota", 0, "rank quota for tenants not declared via -tenant (0 = reject unknown tenants)")
-	maxRetries := flag.Int("max-retries", 2, "requeues allowed per job after retryable failures")
-	maxPreempts := flag.Int("max-preempts", 1, "times one job may be preempted before it becomes immune")
-	noPreempt := flag.Bool("no-preempt", false, "disable priority preemption")
-	noRescale := flag.Bool("no-rescale", false, "disable elastic rescale of queued resumable jobs")
-	agingMs := flag.Int64("aging-ms", 50, "virtual queue-wait (ms) that raises a queued job's effective priority one step")
 	ckptRoot := flag.String("ckpt-root", "", "directory hosting per-job checkpoint dirs (default: fresh temp dir)")
 	keepCkpts := flag.Bool("keep-ckpts", false, "keep per-job checkpoint dirs after the run")
 	jobsPath := flag.String("jobs", "", "JSON job file (see internal/sched.ParseJobFile)")
 	loadgen := flag.Bool("loadgen", false, "generate jobs with the seeded load generator instead of -jobs")
 	lgJobs := flag.Int("lg-jobs", 100, "loadgen: number of jobs")
 	lgTenants := flag.Int("lg-tenants", 8, "loadgen: number of synthetic tenants (overrides -tenant)")
-	lgGapMs := flag.Float64("lg-mean-gap-ms", 3, "loadgen: mean virtual interarrival gap (ms)")
-	lgBurst := flag.Int("lg-burst", 8, "loadgen: maximum burst size (1 disables bursts)")
+	lgGapMs := flag.Float64("lg-mean-gap-ms", 3, "loadgen: mean virtual interarrival gap (ms; 0 = the generator's 10)")
+	lgBurst := flag.Int("lg-burst", 8, "loadgen: maximum burst size (0 or 1 disables bursts)")
 	lgFaultFrac := flag.Float64("lg-fault-frac", 0.04, "loadgen: fraction of jobs with an armed mid-pipeline crash")
 	lgChaosFrac := flag.Float64("lg-chaos-frac", 0.06, "loadgen: fraction of jobs with message chaos armed")
 	lgDiskFrac := flag.Float64("lg-disk-frac", 0.03, "loadgen: fraction of jobs with a storage fault armed (paired with a later crash so the resume must scrub and heal)")
@@ -104,33 +102,34 @@ func main() {
 	flag.Parse()
 
 	cfg := sched.Config{
-		Ranks:          *ranks,
-		RanksPerNode:   *ranksPerNode,
-		Seed:           *seed,
-		QueueCap:       *queueCap,
-		Tenants:        tenants,
-		DefaultQuota:   *defaultQuota,
-		MaxRetries:     *maxRetries,
-		MaxPreempts:    *maxPreempts,
-		DisablePreempt: *noPreempt,
-		DisableRescale: *noRescale,
-		AgingNs:        *agingMs * int64(time.Millisecond),
-		CkptRoot:       *ckptRoot,
-		KeepCkpts:      *keepCkpts,
+		Ranks:        *ranks,
+		RanksPerNode: *ranksPerNode,
+		Seed:         *seed,
+		QueueCap:     *queueCap,
+		Tenants:      tenants,
+		DefaultQuota: *defaultQuota,
+		CkptRoot:     *ckptRoot,
+		KeepCkpts:    *keepCkpts,
 	}
-	lg := loadgenOptions{
-		Enabled:     *loadgen,
-		Jobs:        *lgJobs,
-		Tenants:     *lgTenants,
-		MeanGapMs:   *lgGapMs,
-		Burst:       *lgBurst,
-		FaultFrac:   *lgFaultFrac,
-		ChaosFrac:   *lgChaosFrac,
-		DiskFrac:    *lgDiskFrac,
-		MaxPriority: *lgMaxPrio,
-		Oversize:    *lgOversize,
+	var lc *sched.LoadConfig
+	if *loadgen {
+		lc = &sched.LoadConfig{
+			Seed:        *lgSeed,
+			Tenants:     *lgTenants,
+			Jobs:        *lgJobs,
+			MeanGapNs:   int64(*lgGapMs * float64(time.Millisecond)),
+			Burst:       *lgBurst,
+			FaultFrac:   *lgFaultFrac,
+			ChaosFrac:   *lgChaosFrac,
+			DiskFrac:    *lgDiskFrac,
+			MaxPriority: *lgMaxPrio,
+			Oversize:    *lgOversize,
+		}
+		if lc.Seed == 0 {
+			lc.Seed = *seed
+		}
 	}
-	if err := validateOptions(cfg, *jobsPath, lg, *agingMs); err != nil {
+	if err := validateOptions(cfg, *jobsPath, lc); err != nil {
 		fmt.Fprintf(os.Stderr, "hipmerd: %v\n", err)
 		flag.Usage()
 		os.Exit(exitUsageError)
@@ -144,7 +143,7 @@ func main() {
 		os.Exit(exitUsageError)
 	}
 
-	specs, cfg, cleanup, err := buildJobs(cfg, *jobsPath, lg, *lgSeed, *seed)
+	specs, cfg, cleanup, err := buildJobs(cfg, *jobsPath, lc)
 	if cleanup != nil {
 		defer cleanup()
 	}
@@ -183,61 +182,33 @@ func main() {
 	exit(exitCodeFor(out))
 }
 
-// loadgenOptions carries the -lg-* flags into validation and job
-// construction.
-type loadgenOptions struct {
-	Enabled     bool
-	Jobs        int
-	Tenants     int
-	MeanGapMs   float64
-	Burst       int
-	FaultFrac   float64
-	ChaosFrac   float64
-	DiskFrac    float64
-	MaxPriority int
-	Oversize    int
-}
-
-// buildJobs resolves the job source: a parsed job file, or generated
-// load with the default template pool (materialized under a temp dir the
-// returned cleanup removes). With -loadgen the tenant set is synthetic
-// (tiered quotas over -lg-tenants names) unless -tenant declared one.
-func buildJobs(cfg sched.Config, jobsPath string, lg loadgenOptions, lgSeed, seed int64) ([]sched.JobSpec, sched.Config, func(), error) {
-	if !lg.Enabled {
+// buildJobs resolves the job source: a parsed job file, or load generated
+// by lc (nil without -loadgen) from the default template pool
+// (materialized under a temp dir the returned cleanup removes). With
+// -loadgen the tenant set is synthetic (tiered quotas over -lg-tenants
+// names) unless -tenant declared one.
+func buildJobs(cfg sched.Config, jobsPath string, lc *sched.LoadConfig) ([]sched.JobSpec, sched.Config, func(), error) {
+	if lc == nil {
 		specs, err := sched.ParseJobFile(jobsPath)
 		return specs, cfg, nil, err
-	}
-	if lgSeed == 0 {
-		lgSeed = seed
 	}
 	dir, err := os.MkdirTemp("", "hipmerd-loadgen")
 	if err != nil {
 		return nil, cfg, nil, err
 	}
 	cleanup := func() { os.RemoveAll(dir) }
-	templates, err := sched.DefaultTemplates(lgSeed, dir)
+	templates, err := sched.DefaultTemplates(lc.Seed, dir)
 	if err != nil {
 		return nil, cfg, cleanup, err
 	}
-	specs, err := sched.GenJobs(sched.LoadConfig{
-		Seed:        lgSeed,
-		Tenants:     lg.Tenants,
-		Jobs:        lg.Jobs,
-		MeanGapNs:   int64(lg.MeanGapMs * float64(time.Millisecond)),
-		Burst:       lg.Burst,
-		FaultFrac:   lg.FaultFrac,
-		ChaosFrac:   lg.ChaosFrac,
-		DiskFrac:    lg.DiskFrac,
-		MaxPriority: lg.MaxPriority,
-		Oversize:    lg.Oversize,
-	}, templates)
+	specs, err := sched.GenJobs(*lc, templates)
 	if err != nil {
 		return nil, cfg, cleanup, err
 	}
 	if len(cfg.Tenants) == 0 {
 		// Floor quotas at 8: the largest default template requests 8
 		// ranks, so every synthetic tenant can run the whole mix.
-		cfg.Tenants = sched.DefaultTenantConfigs(lg.Tenants, cfg.Ranks, 8)
+		cfg.Tenants = sched.DefaultTenantConfigs(lc.Tenants, cfg.Ranks, 8)
 	}
 	return specs, cfg, cleanup, nil
 }

@@ -9,53 +9,25 @@ import (
 // validateOptions rejects invalid or conflicting service configurations
 // before any work starts (the cmd/hipmer validateOptions contract: kept
 // separate from flag parsing so tests drive it directly; main exits 2 on
-// any returned error). Structural scheduler validation — quota bounds,
-// duplicate tenants, stranded capacity — lives in sched.Config.Validate
-// and is folded in here.
-func validateOptions(cfg sched.Config, jobsPath string, lg loadgenOptions, agingMs int64) error {
+// any returned error). lc is the -lg-* flags' load, nil without -loadgen.
+// The scheduler's rules — quota bounds, duplicate tenants, stranded
+// capacity — are sched.Config.Validate's and the load generator's are
+// sched.LoadConfig.Validate's; this function adds only the job-source
+// rule.
+func validateOptions(cfg sched.Config, jobsPath string, lc *sched.LoadConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if agingMs < 0 {
-		return fmt.Errorf("-aging-ms must be >= 0, got %d", agingMs)
-	}
-	if lg.Enabled && jobsPath != "" {
+	if lc != nil && jobsPath != "" {
 		return fmt.Errorf("-jobs and -loadgen are mutually exclusive")
 	}
-	if !lg.Enabled && jobsPath == "" {
+	if lc == nil && jobsPath == "" {
 		return fmt.Errorf("a job source is required: -jobs FILE or -loadgen")
 	}
-	if !lg.Enabled {
-		return nil
-	}
-	// The generator re-validates as sched.LoadConfig; checking here too
-	// keeps every flag error on the exit-2 usage path with flag names.
-	if lg.Jobs < 1 {
-		return fmt.Errorf("-lg-jobs must be >= 1, got %d", lg.Jobs)
-	}
-	if lg.Tenants < 1 {
-		return fmt.Errorf("-lg-tenants must be >= 1, got %d", lg.Tenants)
-	}
-	if lg.MeanGapMs <= 0 {
-		return fmt.Errorf("-lg-mean-gap-ms must be > 0, got %g", lg.MeanGapMs)
-	}
-	if lg.Burst < 1 {
-		return fmt.Errorf("-lg-burst must be >= 1, got %d", lg.Burst)
-	}
-	if lg.FaultFrac < 0 || lg.FaultFrac > 1 {
-		return fmt.Errorf("-lg-fault-frac must be in [0, 1], got %g", lg.FaultFrac)
-	}
-	if lg.ChaosFrac < 0 || lg.ChaosFrac > 1 {
-		return fmt.Errorf("-lg-chaos-frac must be in [0, 1], got %g", lg.ChaosFrac)
-	}
-	if lg.DiskFrac < 0 || lg.DiskFrac > 1 {
-		return fmt.Errorf("-lg-disk-frac must be in [0, 1], got %g", lg.DiskFrac)
-	}
-	if lg.MaxPriority < 0 {
-		return fmt.Errorf("-lg-max-priority must be >= 0, got %d", lg.MaxPriority)
-	}
-	if lg.Oversize < 0 || lg.Oversize > lg.Jobs {
-		return fmt.Errorf("-lg-oversize must be in 0..-lg-jobs, got %d", lg.Oversize)
+	if lc != nil {
+		if err := lc.Validate(); err != nil {
+			return fmt.Errorf("-lg-* flags: %w", err)
+		}
 	}
 	return nil
 }

@@ -3,13 +3,15 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"hipmer/internal/sched"
 )
 
 // TestValidateOptions pins the daemon's usage contract: every flag
 // combination main would exit 2 on returns an error naming the offending
-// flag, and sane configurations pass.
+// flag (a load-generator rule names the sched.LoadConfig field its -lg-*
+// flag sets), and sane configurations pass.
 func TestValidateOptions(t *testing.T) {
 	base := func() sched.Config {
 		return sched.Config{
@@ -21,61 +23,69 @@ func TestValidateOptions(t *testing.T) {
 			},
 		}
 	}
-	lgOK := loadgenOptions{
-		Enabled: true, Jobs: 100, Tenants: 8, MeanGapMs: 3, Burst: 8,
-		FaultFrac: 0.04, ChaosFrac: 0.06, MaxPriority: 2,
+	// lg is the load of the -lg-* flags' defaults, changed by mut.
+	lg := func(mut func(*sched.LoadConfig)) *sched.LoadConfig {
+		lc := &sched.LoadConfig{
+			Seed: 1, Jobs: 100, Tenants: 8, MeanGapNs: int64(3 * time.Millisecond), Burst: 8,
+			FaultFrac: 0.04, ChaosFrac: 0.06, DiskFrac: 0.03, MaxPriority: 2,
+		}
+		mut(lc)
+		return lc
 	}
+	lgOK := lg(func(*sched.LoadConfig) {})
 
 	cases := []struct {
 		name    string
 		cfg     func() sched.Config
 		jobs    string
-		lg      loadgenOptions
-		agingMs int64
+		lc      *sched.LoadConfig
 		wantErr string
 	}{
-		{"loadgen-ok", base, "", lgOK, 50, ""},
-		{"jobfile-ok", base, "jobs.json", loadgenOptions{}, 50, ""},
-		{"no-source", base, "", loadgenOptions{}, 50, "job source"},
-		{"both-sources", base, "jobs.json", lgOK, 50, "mutually exclusive"},
+		{"loadgen-ok", base, "", lgOK, ""},
+		{"jobfile-ok", base, "jobs.json", nil, ""},
+		{"no-source", base, "", nil, "job source"},
+		{"both-sources", base, "jobs.json", lgOK, "mutually exclusive"},
 		{"zero-ranks", func() sched.Config { c := base(); c.Ranks = 0; return c },
-			"jobs.json", loadgenOptions{}, 50, "ranks"},
+			"jobs.json", nil, "ranks"},
 		{"zero-quota", func() sched.Config {
 			c := base()
 			c.Tenants[0].Quota = 0
 			return c
-		}, "jobs.json", loadgenOptions{}, 50, "quota"},
+		}, "jobs.json", nil, "quota"},
 		{"quota-over-ranks", func() sched.Config {
 			c := base()
 			c.Tenants[0].Quota = 64
 			return c
-		}, "jobs.json", loadgenOptions{}, 50, "exceeds cluster ranks"},
+		}, "jobs.json", nil, "exceeds cluster ranks"},
 		{"duplicate-tenant", func() sched.Config {
 			c := base()
 			c.Tenants[1].Name = "acme"
 			return c
-		}, "jobs.json", loadgenOptions{}, 50, "duplicate tenant"},
+		}, "jobs.json", nil, "duplicate tenant"},
 		{"stranded-capacity", func() sched.Config {
 			c := base()
 			c.Tenants = []sched.TenantConfig{{Name: "acme", Quota: 4}}
 			return c
-		}, "jobs.json", loadgenOptions{}, 50, "unusable"},
-		{"negative-aging", base, "jobs.json", loadgenOptions{}, -1, "-aging-ms"},
-		{"zero-lg-jobs", base, "", func() loadgenOptions { l := lgOK; l.Jobs = 0; return l }(), 50, "-lg-jobs"},
-		{"zero-lg-tenants", base, "", func() loadgenOptions { l := lgOK; l.Tenants = 0; return l }(), 50, "-lg-tenants"},
-		{"zero-gap", base, "", func() loadgenOptions { l := lgOK; l.MeanGapMs = 0; return l }(), 50, "-lg-mean-gap-ms"},
-		{"zero-burst", base, "", func() loadgenOptions { l := lgOK; l.Burst = 0; return l }(), 50, "-lg-burst"},
-		{"fault-frac-over-1", base, "", func() loadgenOptions { l := lgOK; l.FaultFrac = 1.5; return l }(), 50, "-lg-fault-frac"},
-		{"chaos-frac-negative", base, "", func() loadgenOptions { l := lgOK; l.ChaosFrac = -0.1; return l }(), 50, "-lg-chaos-frac"},
-		{"disk-frac-over-1", base, "", func() loadgenOptions { l := lgOK; l.DiskFrac = 1.2; return l }(), 50, "-lg-disk-frac"},
-		{"disk-frac-negative", base, "", func() loadgenOptions { l := lgOK; l.DiskFrac = -0.2; return l }(), 50, "-lg-disk-frac"},
-		{"disk-frac-ok", base, "", func() loadgenOptions { l := lgOK; l.DiskFrac = 0.05; return l }(), 50, ""},
-		{"negative-priority", base, "", func() loadgenOptions { l := lgOK; l.MaxPriority = -1; return l }(), 50, "-lg-max-priority"},
-		{"oversize-over-jobs", base, "", func() loadgenOptions { l := lgOK; l.Oversize = 101; return l }(), 50, "-lg-oversize"},
+		}, "jobs.json", nil, "unusable"},
+		{"zero-lg-jobs", base, "", lg(func(l *sched.LoadConfig) { l.Jobs = 0 }), "-lg-* flags: Jobs"},
+		{"zero-lg-tenants", base, "", lg(func(l *sched.LoadConfig) { l.Tenants = 0 }), "-lg-* flags: Tenants"},
+		// A zero gap or burst selects the generator's default, as in the
+		// library; only a negative one is refused.
+		{"zero-gap", base, "", lg(func(l *sched.LoadConfig) { l.MeanGapNs = 0 }), ""},
+		{"negative-gap", base, "", lg(func(l *sched.LoadConfig) { l.MeanGapNs = -1e6 }), "-lg-* flags: MeanGapNs"},
+		{"zero-burst", base, "", lg(func(l *sched.LoadConfig) { l.Burst = 0 }), ""},
+		{"negative-burst", base, "", lg(func(l *sched.LoadConfig) { l.Burst = -1 }), "-lg-* flags: Burst"},
+		{"fault-frac-over-1", base, "", lg(func(l *sched.LoadConfig) { l.FaultFrac = 1.5 }), "-lg-* flags: FaultFrac"},
+		{"chaos-frac-negative", base, "", lg(func(l *sched.LoadConfig) { l.ChaosFrac = -0.1 }), "-lg-* flags: ChaosFrac"},
+		{"disk-frac-over-1", base, "", lg(func(l *sched.LoadConfig) { l.DiskFrac = 1.2 }), "-lg-* flags: DiskFrac"},
+		{"disk-frac-negative", base, "", lg(func(l *sched.LoadConfig) { l.DiskFrac = -0.2 }), "-lg-* flags: DiskFrac"},
+		{"disk-frac-ok", base, "", lg(func(l *sched.LoadConfig) { l.DiskFrac = 0.05 }), ""},
+		{"negative-priority", base, "", lg(func(l *sched.LoadConfig) { l.MaxPriority = -1 }), "-lg-* flags: MaxPriority"},
+		{"oversize-over-jobs", base, "", lg(func(l *sched.LoadConfig) { l.Oversize = 101 }), "-lg-* flags: Oversize"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateOptions(c.cfg(), c.jobs, c.lg, c.agingMs)
+			err := validateOptions(c.cfg(), c.jobs, c.lc)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

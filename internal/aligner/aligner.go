@@ -29,17 +29,16 @@ import (
 type Options struct {
 	// SeedLen is the seed k-mer length (defaults to 19; must be odd).
 	SeedLen int
-	// MaxSeedHits caps the hit list per seed; seeds hit more often come
-	// from repeats and are skipped, as merAligner does.
-	MaxSeedHits int
-	// CacheContigs is the per-rank software cache capacity for fetched
-	// contig sequences (merAligner caches these; repeated extensions
-	// against the same contig then cost local time only). 0 uses the
-	// default of 1024; negative disables caching.
-	CacheContigs int
 }
 
 const (
+	// maxSeedHits caps the hit list per seed; seeds hit more often come
+	// from repeats and are skipped, as merAligner does.
+	maxSeedHits = 32
+	// cacheContigs is the per-rank software cache capacity for fetched
+	// contig sequences (merAligner caches these; repeated extensions
+	// against the same contig then cost local time only).
+	cacheContigs = 1024
 	// maxCandidates bounds how many candidate diagonals of a read are
 	// extended.
 	maxCandidates = 4
@@ -54,12 +53,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SeedLen%2 == 0 {
 		o.SeedLen++
-	}
-	if o.MaxSeedHits <= 0 {
-		o.MaxSeedHits = 32
-	}
-	if o.CacheContigs == 0 {
-		o.CacheContigs = 1024
 	}
 	return o
 }
@@ -124,21 +117,17 @@ type alignScratch struct {
 	cache contigCache
 }
 
-// contigCache is a bounded per-rank set of contig IDs whose sequences
-// have already been fetched (FIFO eviction); only its owning rank touches
-// it. The zero value with cap set is an empty cache: the set and the ring
+// contigCache is a per-rank set of at most cacheContigs contig IDs whose
+// sequences have already been fetched (FIFO eviction); only its owning
+// rank touches it. The zero value is an empty cache: the set and the ring
 // appear with the first fetch.
 type contigCache struct {
-	cap  int
 	have map[int64]bool
-	ring []int64 // insertion order: grows to cap, then ring[next] is the oldest
+	ring []int64 // insertion order: grows to cacheContigs, then ring[next] is the oldest
 	next int
 }
 
 func (c *contigCache) hit(id int64) bool {
-	if c.cap <= 0 {
-		return false
-	}
 	if c.have[id] {
 		return true
 	}
@@ -146,13 +135,13 @@ func (c *contigCache) hit(id int64) bool {
 		c.have = make(map[int64]bool)
 	}
 	c.have[id] = true
-	if len(c.ring) < c.cap {
+	if len(c.ring) < cacheContigs {
 		c.ring = append(c.ring, id)
 		return false
 	}
 	delete(c.have, c.ring[c.next])
 	c.ring[c.next] = id
-	if c.next++; c.next == c.cap {
+	if c.next++; c.next == cacheContigs {
 		c.next = 0
 	}
 	return false
@@ -193,7 +182,6 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 		ItemBytes:     16 + 14,
 		ExpectedItems: totalBases,
 	}, nil)
-	cap := opt.MaxSeedHits
 	idx.seeds.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in hitList, e dht.Entry[kmer.Kmer, hitList]) {
 		cur, inserted := e.Upsert()
 		if inserted {
@@ -206,8 +194,8 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 			return
 		}
 		cur.hits = append(cur.hits, in.hits...)
-		if len(cur.hits) > cap {
-			cur.hits = cur.hits[:cap]
+		if len(cur.hits) > maxSeedHits {
+			cur.hits = cur.hits[:maxSeedHits]
 			cur.saturated = true
 		}
 	})
@@ -284,7 +272,7 @@ func (x *Index) AlignRead(r *xrt.Rank, read []byte) []Alignment {
 	}
 	s := x.scratch[r.ID]
 	if s == nil {
-		s = &alignScratch{cache: contigCache{cap: opt.CacheContigs}}
+		s = &alignScratch{}
 		x.scratch[r.ID] = s
 	}
 	// vote for (contig, strand, diagonal) bins; read seeds half a seed

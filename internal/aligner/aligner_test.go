@@ -154,7 +154,7 @@ func TestRepeatSeedsSaturate(t *testing.T) {
 	}
 	seqs = append(seqs, uniq)
 	team := xrt.NewTeam(xrt.Config{Ranks: 4})
-	idx := mkIndex(team, seqs, Options{MaxSeedHits: 8})
+	idx := mkIndex(team, seqs, Options{}) // 50 copies of every repeat seed: over maxSeedHits
 	read := uniq[300:400]
 	alns := alignOne(t, idx, team, read)
 	if len(alns) == 0 {
@@ -349,7 +349,11 @@ func TestBuildIndexAllocations(t *testing.T) {
 	}
 }
 
+// TestContigCacheReducesRemoteFetches: every read aligns to the one
+// contig, so each rank fetches it remotely once — its first read misses —
+// and serves every later read from its cache.
 func TestContigCacheReducesRemoteFetches(t *testing.T) {
+	const ranks = 4
 	rng := xrt.NewPrng(20)
 	ctg := genome.Random(rng, 3000)
 	reads := make([][]byte, 200)
@@ -357,51 +361,49 @@ func TestContigCacheReducesRemoteFetches(t *testing.T) {
 		pos := rng.Intn(len(ctg) - 100)
 		reads[i] = ctg[pos : pos+100]
 	}
-	run := func(cache int) xrt.CommStats {
-		team := xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2})
-		idx := mkIndex(team, [][]byte{ctg}, Options{CacheContigs: cache})
-		before := team.AggStats()
-		team.Run(func(r *xrt.Rank) {
-			for i := r.ID; i < len(reads); i += 4 {
-				idx.AlignRead(r, reads[i])
+	team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 2})
+	idx := mkIndex(team, [][]byte{ctg}, Options{})
+	before := team.AggStats()
+	team.Run(func(r *xrt.Rank) {
+		for i := r.ID; i < len(reads); i += ranks {
+			if len(idx.AlignRead(r, reads[i])) == 0 {
+				t.Errorf("read %d does not align", i)
 			}
-		})
-		return team.AggStats().Sub(before)
-	}
-	withCache := run(1024)
-	withoutCache := run(-1)
-	remote := func(d xrt.CommStats) int64 { return d.OnNodeLookups + d.OffNodeLookups }
-	if remote(withCache) >= remote(withoutCache) {
-		t.Fatalf("cache did not reduce remote lookups: %d vs %d", remote(withCache), remote(withoutCache))
-	}
-	// every read revisits the one contig: the rank's first fetch misses,
-	// the rest hit, and the team's stats count both
-	if withCache.CacheHits == 0 || withCache.CacheMisses == 0 {
-		t.Fatalf("contig cache counted %d hits and %d misses, want both > 0",
-			withCache.CacheHits, withCache.CacheMisses)
+		}
+	})
+	d := team.AggStats().Sub(before)
+	if d.CacheMisses != ranks || d.CacheHits != int64(len(reads)-ranks) {
+		t.Fatalf("contig cache counted %d hits and %d misses, want %d and one per rank",
+			d.CacheHits, d.CacheMisses, len(reads)-ranks)
 	}
 }
 
 func TestContigCacheEviction(t *testing.T) {
-	c := &contigCache{cap: 2, have: make(map[int64]bool)}
-	if c.hit(1) || c.hit(2) {
-		t.Fatal("cold cache reported hits")
+	var c contigCache
+	for id := int64(1); id <= cacheContigs; id++ {
+		if c.hit(id) {
+			t.Fatal("cold cache reported a hit")
+		}
 	}
 	if !c.hit(1) {
 		t.Fatal("warm entry missed")
 	}
-	c.hit(3) // evicts 1 (FIFO)
+	c.hit(cacheContigs + 1) // evicts 1 (FIFO)
 	if c.hit(1) {
 		t.Fatal("evicted entry reported hit")
 	}
-	// the order is a ring of cap ids: a long-lived cache never grows it
-	for id := int64(10); id < 1000; id++ {
+	// the order is a ring of cacheContigs ids: a long-lived cache never
+	// grows it
+	ringCap := cap(c.ring)
+	for id := int64(10 * cacheContigs); id < 20*cacheContigs; id++ {
 		c.hit(id)
 	}
-	if len(c.ring) != 2 || cap(c.ring) > 2 || len(c.have) != 2 {
-		t.Fatalf("after 990 evictions: ring len %d cap %d, set %d, want 2 2 2", len(c.ring), cap(c.ring), len(c.have))
+	if len(c.ring) != cacheContigs || cap(c.ring) != ringCap || len(c.have) != cacheContigs {
+		t.Fatalf("after %d evictions: ring len %d cap %d (was %d), set %d, want %d",
+			10*cacheContigs, len(c.ring), cap(c.ring), ringCap, len(c.have), cacheContigs)
 	}
-	if !c.hit(999) || !c.hit(998) || c.hit(997) {
-		t.Fatal("ring does not hold the two most recent ids")
+	last := int64(20*cacheContigs - 1)
+	if !c.hit(last) || !c.hit(last-cacheContigs+1) || c.hit(last-cacheContigs) {
+		t.Fatal("ring does not hold the most recent cacheContigs ids")
 	}
 }

@@ -47,11 +47,10 @@ func goldenCases() []goldenCase {
 			}
 			cases = append(cases, goldenCase{fmt.Sprintf("%s-seed19-%dranks", kind, ranks), kind, ranks, perNd, Options{}})
 		}
-		// the seed length scaffolding uses (k), a two-word seed, and a
-		// contig cache small enough to evict
+		// the seed length scaffolding uses (k) and a two-word seed
 		cases = append(cases,
-			goldenCase{kind + "-seed31-8ranks", kind, 8, 4, Options{SeedLen: 31, CacheContigs: 4}},
-			goldenCase{kind + "-seed51-8ranks", kind, 8, 4, Options{SeedLen: 51, CacheContigs: -1}})
+			goldenCase{kind + "-seed31-8ranks", kind, 8, 4, Options{SeedLen: 31}},
+			goldenCase{kind + "-seed51-8ranks", kind, 8, 4, Options{SeedLen: 51}})
 	}
 	return cases
 }

@@ -3,6 +3,7 @@ package dht
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hipmer/internal/xrt"
@@ -66,18 +67,17 @@ func TestPutBlobChargesOneMessageOfPayloadBytes(t *testing.T) {
 }
 
 // TestPutBlobAutoFlushAtBlobBytes: the per-destination buffer ships as
-// soon as it reaches Options.BlobBytes.
+// soon as it reaches blobBytes.
 func TestPutBlobAutoFlushAtBlobBytes(t *testing.T) {
+	const perBuffer = blobBytes / 16 // 16-byte records
 	team := xrt.NewTeam(xrt.Config{Ranks: 2, RanksPerNode: 1})
-	opt := intOpts()
-	opt.BlobBytes = 160 // 10 records
-	tab := New[uint64, int64](team, opt, sumMerge)
+	tab := New[uint64, int64](team, intOpts(), sumMerge)
 	tab.SetBlobApply(func(src, owner int, payload []byte, put func(k uint64, v int64)) {
 		blobDecode(payload, put)
 	})
 	team.Run(func(r *xrt.Rank) {
 		if r.ID == 0 {
-			for i := 0; i < 100; i++ {
+			for i := 0; i < 10*perBuffer; i++ {
 				tab.PutBlob(r, 1, blobAppend(nil, uint64(i), 1), 1)
 			}
 			tab.Flush(r)
@@ -85,7 +85,7 @@ func TestPutBlobAutoFlushAtBlobBytes(t *testing.T) {
 		r.Barrier()
 	})
 	if got := team.AggStats().Msgs(); got != 10 {
-		t.Fatalf("sent %d messages, want 10 (100 records / 10 per buffer)", got)
+		t.Fatalf("sent %d messages, want 10 (%d records / %d per buffer)", got, 10*perBuffer, perBuffer)
 	}
 }
 
@@ -141,19 +141,22 @@ func TestOwnerHashPlacement(t *testing.T) {
 // goroutines, aggregated stores, remote Mutates, and the owner applying its
 // own stores a batch at a time inside OwnShard sections — over a key space
 // that keeps growing, so the stripes' slot arrays grow (and re-place every
-// entry) while other ranks probe them. Two stripes maximize the
-// contention. The -race target for the flat shards and the owner section;
-// the sum invariant checks no update was lost to a stale slot pointer or
-// slipped past a section's locks.
+// entry) while other ranks probe them. Every key lives in two of the
+// shard's stripes, which maximizes the contention, and each PutBlob carries
+// blobPairs records, so a sender's buffer reaches blobBytes and ships every
+// 16 calls — tens of auto-flushes per rank. The -race target for the flat
+// shards and the owner section; the sum invariant checks no update was lost
+// to a stale slot pointer or slipped past a section's locks.
 func TestStressBlobFlushesAndMutateOnOneOwner(t *testing.T) {
 	const (
-		ranks = 6
-		steps = 4000
+		ranks     = 6
+		steps     = 4000
+		blobPairs = blobBytes / 16 / 16 // 16-byte records, 16 calls per flush
 	)
+	keys := keysInStripes(8+steps, 2)
+	var want atomic.Int64 // updates issued
 	team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 2})
 	opt := intOpts()
-	opt.Stripes = 2
-	opt.BlobBytes = 256
 	opt.AggBufSize = 8
 	opt.OwnerHash = func(uint64) uint64 { return 0 } // every key lives on rank 0
 	tab := New[uint64, int64](team, opt, sumMerge)
@@ -176,8 +179,10 @@ func TestStressBlobFlushesAndMutateOnOneOwner(t *testing.T) {
 			})
 			own = own[:0]
 		}
+		key := func(i int) uint64 { return keys[rng.Uint64()%uint64(8+i)] } // the key space widens as the run goes
+		var blob []byte
 		for i := 0; i < steps; i++ {
-			k := rng.Uint64() % uint64(8+i) // the key space widens as the run goes
+			k := key(i)
 			switch {
 			case i%3 == 0:
 				tab.Mutate(r, k, func(v int64, _ bool) (int64, bool) { return v + 1, true })
@@ -188,8 +193,14 @@ func TestStressBlobFlushesAndMutateOnOneOwner(t *testing.T) {
 			case i%3 == 1:
 				tab.PutHashed(r, opt.Hash(k), k, 1)
 			default:
-				tab.PutBlob(r, 0, blobAppend(nil, k, 1), 1)
+				blob = blobAppend(blob[:0], k, 1)
+				for len(blob) < blobPairs*16 {
+					blob = blobAppend(blob, key(i), 1)
+				}
+				tab.PutBlob(r, 0, blob, blobPairs)
+				want.Add(blobPairs - 1)
 			}
+			want.Add(1)
 		}
 		section()
 		tab.Flush(r)
@@ -203,8 +214,8 @@ func TestStressBlobFlushesAndMutateOnOneOwner(t *testing.T) {
 		sum += v
 		return true
 	})
-	if want := int64(ranks * steps); sum != want {
-		t.Fatalf("lost or duplicated updates: sum %d, want %d", sum, want)
+	if sum != want.Load() {
+		t.Fatalf("lost or duplicated updates: sum %d, want %d", sum, want.Load())
 	}
 	if n := tab.Len(); n < 1000 {
 		t.Fatalf("only %d keys stored: the shard never grew under load", n)

@@ -73,11 +73,6 @@ type Options[K comparable] struct {
 	// rank. 1 disables aggregation (one message per store, the behaviour
 	// the baselines use). Defaults to 512.
 	AggBufSize int
-	// Stripes is the number of lock stripes per shard (rounded up to a
-	// power of two). Construction-time flushes from different ranks
-	// contend only when they land on the same stripe of the same owner.
-	// Defaults to 8.
-	Stripes int
 	// ExpectedItems is a hint of the global entry count. It allocates
 	// nothing: a stripe's slot array appears at its first insert, sized an
 	// eighth of the stripe's share of ExpectedItems (two thirds full), and
@@ -93,12 +88,18 @@ type Options[K comparable] struct {
 	// occurrence k-mers the Bloom screen keeps out). 0 means no hint:
 	// stripes start at 8 slots and double.
 	ExpectedItems int64
-	// BlobBytes is the flush threshold of the byte-payload store path
+}
+
+const (
+	// stripes is the number of lock stripes per shard, a power of two.
+	// Construction-time flushes from different ranks contend only when
+	// they land on the same stripe of the same owner.
+	stripes = 8
+	// blobBytes is the flush threshold of the byte-payload store path
 	// (PutBlob): encoded records are buffered per destination rank and
 	// shipped as one message once the buffer reaches this many bytes.
-	// Defaults to 16384.
-	BlobBytes int
-}
+	blobBytes = 16384
+)
 
 // ApplyFunc is an owner-side store handler: it runs under the owning
 // stripe's lock with a handle on the key's entry in the stripe's slot
@@ -150,10 +151,9 @@ type Table[K comparable, V any] struct {
 	apply     ApplyFunc[K, V]     // overrides merge when non-nil
 	blobApply BlobApplyFunc[K, V] // owner-side decoder for PutBlob payloads
 
-	stripeMask uint64
-	frozen     atomic.Bool
-	shards     []shard[K, V]
-	locals     []localState[K, V]
+	frozen atomic.Bool
+	shards []shard[K, V]
+	locals []localState[K, V]
 }
 
 // SetApply installs an owner-side apply hook that replaces the merge
@@ -190,14 +190,6 @@ type localState[K comparable, V any] struct {
 	blobItems []int        // logical item count buffered per destination
 }
 
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // New creates a table across the team. merge resolves Put collisions:
 // it receives the existing value (zero if !exists) and the incoming one
 // and returns the value to store. A nil merge means "last write wins".
@@ -212,27 +204,19 @@ func New[K comparable, V any](team *xrt.Team, opt Options[K],
 	if opt.AggBufSize <= 0 {
 		opt.AggBufSize = 512
 	}
-	if opt.BlobBytes <= 0 {
-		opt.BlobBytes = 16384
-	}
-	if opt.Stripes <= 0 {
-		opt.Stripes = 8
-	}
-	opt.Stripes = ceilPow2(opt.Stripes)
 	if merge == nil {
 		merge = func(_ V, in V, _ bool) V { return in }
 	}
 	p := team.Config().Ranks
-	t := &Table[K, V]{team: team, opt: opt, merge: merge,
-		stripeMask: uint64(opt.Stripes - 1)}
+	t := &Table[K, V]{team: team, opt: opt, merge: merge}
 	aim := 0
 	if opt.ExpectedItems > 0 {
-		perStripe := int(opt.ExpectedItems/int64(p*opt.Stripes)) + 1
+		perStripe := int(opt.ExpectedItems/int64(p*stripes)) + 1
 		aim = perStripe + perStripe/2
 	}
 	t.shards = make([]shard[K, V], p)
 	for i := range t.shards {
-		t.shards[i].stripes = make([]stripe[K, V], opt.Stripes)
+		t.shards[i].stripes = make([]stripe[K, V], stripes)
 		for s := range t.shards[i].stripes {
 			t.shards[i].stripes[s].m.Aim(aim)
 		}
@@ -275,13 +259,13 @@ func (t *Table[K, V]) placeKey(k K, h uint64) int {
 // for every shard: placement picks the shard, the mixed hash's low bits
 // the stripe.
 func (t *Table[K, V]) stripeOf(dst int, mix uint64) (*stripe[K, V], int) {
-	si := int(mix & t.stripeMask)
+	si := int(mix & (stripes - 1))
 	return &t.shards[dst].stripes[si], si
 }
 
-// Stripes returns the number of lock stripes per shard (after rounding),
-// for sizing per-(owner, stripe) state used by an ApplyFunc.
-func (t *Table[K, V]) Stripes() int { return int(t.stripeMask) + 1 }
+// Stripes returns the number of lock stripes per shard, for sizing
+// per-(owner, stripe) state used by an ApplyFunc.
+func (t *Table[K, V]) Stripes() int { return stripes }
 
 // Owner returns the rank owning key k under the current placement.
 func (t *Table[K, V]) Owner(k K) int {
@@ -375,7 +359,6 @@ func (t *Table[K, V]) putOwned(r *xrt.Rank, h uint64, k K, v V) {
 // OwnShard section.
 type Owned[K comparable, V any] struct {
 	stripes []stripe[K, V]
-	mask    uint64
 }
 
 // Entry returns the handle on key k, whose Options.Hash value is h, and
@@ -386,7 +369,7 @@ type Owned[K comparable, V any] struct {
 // search.
 func (o Owned[K, V]) Entry(h uint64, k K) (Entry[K, V], int) {
 	mix := flat.Mix(h)
-	si := int(mix & o.mask)
+	si := int(mix & (stripes - 1))
 	return Entry[K, V]{&o.stripes[si].m, mix, k}, si
 }
 
@@ -402,22 +385,22 @@ func (o Owned[K, V]) Entry(h uint64, k K) (Entry[K, V], int) {
 // ranks it strands must still reach their own.
 func (t *Table[K, V]) OwnShard(r *xrt.Rank, fn func(own Owned[K, V])) {
 	t.assertMutable("OwnShard")
-	stripes := t.shards[r.ID].stripes
-	for i := range stripes {
-		stripes[i].mu.Lock()
+	own := t.shards[r.ID].stripes
+	for i := range own {
+		own[i].mu.Lock()
 	}
 	defer func() {
-		for i := range stripes {
-			stripes[i].mu.Unlock()
+		for i := range own {
+			own[i].mu.Unlock()
 		}
 	}()
-	fn(Owned[K, V]{stripes, t.stripeMask})
+	fn(Owned[K, V]{own})
 }
 
 // PutBlob enqueues one pre-framed record — decodable by the table's
 // SetBlobApply hook — destined for rank dst, carrying items logical
 // items. Records accumulate per destination and ship as ONE message of
-// the buffered byte length once it reaches Options.BlobBytes (or at
+// the buffered byte length once it reaches blobBytes (or at
 // Flush/Freeze): the super-k-mer transport, where an L-base record
 // carries L−k+1 k-mers for ~L/4 wire bytes instead of L−k+1 item
 // records. The charge goes through the same ChargeStoreBatch as
@@ -437,7 +420,7 @@ func (t *Table[K, V]) PutBlob(r *xrt.Rank, dst int, record []byte, items int) {
 	ls := &t.locals[r.ID]
 	ls.blobBufs[dst] = append(ls.blobBufs[dst], record...)
 	ls.blobItems[dst] += items
-	if len(ls.blobBufs[dst]) >= t.opt.BlobBytes {
+	if len(ls.blobBufs[dst]) >= blobBytes {
 		t.flushBlobTo(r, dst)
 	}
 }

@@ -5,11 +5,26 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hipmer/internal/flat"
 	"hipmer/internal/xrt"
 )
 
 func intOpts() Options[uint64] {
 	return Options[uint64]{Hash: xrt.Splitmix64}
+}
+
+// keysInStripes returns the n smallest keys that intOpts places in the
+// first lim stripes of a shard: the stripe count is fixed, so a stress test
+// raises lock contention by concentrating its keys.
+func keysInStripes(n, lim int) []uint64 {
+	hash := intOpts().Hash
+	keys := make([]uint64, 0, n)
+	for k := uint64(0); len(keys) < n; k++ {
+		if int(flat.Mix(hash(k))&(stripes-1)) < lim {
+			keys = append(keys, k)
+		}
+	}
+	return keys
 }
 
 func sumMerge(old, in int64, _ bool) int64 { return old + in }

@@ -18,6 +18,7 @@ func TestStressConcurrentOpsPerturbed(t *testing.T) {
 		puts  = 1500
 		keys  = 97
 	)
+	ks := keysInStripes(keys, stripes/2) // few keys in half the stripes: contention
 	workload := func(perturbSeed int64) map[uint64]int64 {
 		team := xrt.NewTeam(xrt.Config{
 			Ranks:        ranks,
@@ -27,20 +28,19 @@ func TestStressConcurrentOpsPerturbed(t *testing.T) {
 		})
 		opt := intOpts()
 		opt.AggBufSize = 16
-		opt.Stripes = 4
 		tab := New[uint64, int64](team, opt, sumMerge)
 		team.Run(func(r *xrt.Rank) {
 			rng := xrt.NewPrng(int64(r.ID) + 1)
 			for i := 0; i < puts; i++ {
-				tab.Put(r, rng.Uint64()%keys, 1)
+				tab.Put(r, ks[rng.Uint64()%keys], 1)
 				if i%7 == 0 {
-					tab.Get(r, rng.Uint64()%keys)
+					tab.Get(r, ks[rng.Uint64()%keys])
 				}
 				if i%113 == 0 {
 					tab.Flush(r)
 				}
 				if i%6 == 0 {
-					tab.Mutate(r, rng.Uint64()%keys, func(v int64, _ bool) (int64, bool) {
+					tab.Mutate(r, ks[rng.Uint64()%keys], func(v int64, _ bool) (int64, bool) {
 						return v + 1, true
 					})
 				}
@@ -48,7 +48,7 @@ func TestStressConcurrentOpsPerturbed(t *testing.T) {
 			tab.Flush(r)
 			r.Barrier()
 			tab.Freeze(r)
-			for k := uint64(0); k < keys; k++ {
+			for _, k := range ks {
 				tab.Get(r, k)
 			}
 		})

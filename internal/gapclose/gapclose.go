@@ -30,10 +30,6 @@ import (
 
 // Options configures gap closing.
 type Options struct {
-	// WalkK is the initial mini-assembly k-mer size (default 21).
-	WalkK int
-	// MaxWalkK bounds the iterative k escalation (default 41).
-	MaxWalkK int
 	// K and KmerTable enable closure verification: every closed gap's
 	// junction k-mers (the windows spanning flank↔closure boundaries) are
 	// looked up in the frozen global k-mer table — the same irregular
@@ -41,16 +37,6 @@ type Options struct {
 	// (Result.Verified); it never changes closures. Both zero disables it.
 	K         int
 	KmerTable *dht.Table[kmer.Kmer, kanalysis.KmerData]
-}
-
-func (o Options) withDefaults() Options {
-	if o.WalkK <= 0 {
-		o.WalkK = 21
-	}
-	if o.MaxWalkK <= 0 {
-		o.MaxWalkK = 41
-	}
-	return o
 }
 
 // Method records how a gap was closed.
@@ -111,7 +97,6 @@ type Result struct {
 // libraries (same rank distribution) used during scaffolding.
 func Run(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadLib,
 	opt Options) *Result {
-	opt = opt.withDefaults()
 	res := &Result{}
 	gaps := collectGaps(team, scafRes, libs)
 	res.Gaps = len(gaps)
@@ -269,7 +254,7 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 	var ladders []*gapJob
 	for _, j := range jobs {
 		if j.anchored && j.method == Unclosed {
-			j.steps = make([]ladderStep, ladderLen(j.g, opt))
+			j.steps = make([]ladderStep, ladderLen(j.g))
 			ladders = append(ladders, j)
 		}
 	}
@@ -298,7 +283,7 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 					r.ChargeLookup(j.home, j.readBases)
 				}
 				s := pool.get()
-				s.runStep(j.g, opt.WalkK+t.step*walkKStep, st)
+				s.runStep(j.g, walkK+t.step*walkKStep, st)
 				pool.put(s)
 				r.ChargeItems(j.stepCost())
 				if j.home != r.ID {

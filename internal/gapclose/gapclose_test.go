@@ -213,16 +213,16 @@ func TestWalkStopsAtAmbiguity(t *testing.T) {
 // climbs the k ladder a step at a time, leaving at the first k that walks
 // across. steps is the caller's ladder storage (reused between calls by the
 // allocation gate); ran is how many steps the loop took.
-func closeGapSeq(s *scratch, g *gapState, opt Options, steps []ladderStep) (m Method, seq []byte, ran int) {
+func closeGapSeq(s *scratch, g *gapState, steps []ladderStep) (m Method, seq []byte, ran int) {
 	if len(g.left) < minOverlap || len(g.right) < minOverlap {
 		return Unclosed, nil, 0
 	}
 	if seq, ok := s.trySpanning(g, g.reads); ok {
 		return Spanned, seq, 0
 	}
-	steps = steps[:ladderLen(g, opt)]
+	steps = steps[:ladderLen(g)]
 	for i := range steps {
-		s.runStep(g, opt.WalkK+i*walkKStep, &steps[i])
+		s.runStep(g, walkK+i*walkKStep, &steps[i])
 		if steps[i].ok {
 			return Walked, steps[i].seq, i + 1
 		}
@@ -245,7 +245,7 @@ func TestSpanningUnit(t *testing.T) {
 		reads: [][]byte{g[100:200]}, // spans the gap
 	}
 	var s scratch
-	m, seq, _ := closeGapSeq(&s, gst, Options{}.withDefaults(), nil)
+	m, seq, _ := closeGapSeq(&s, gst, nil)
 	if m != Spanned {
 		t.Fatalf("method %v, want spanned", m)
 	}
@@ -254,7 +254,7 @@ func TestSpanningUnit(t *testing.T) {
 	}
 	// reverse-complement spanning read must also work
 	gst.reads = [][]byte{kmer.RevCompString(g[100:200])}
-	m, seq, _ = closeGapSeq(&s, gst, Options{}.withDefaults(), nil)
+	m, seq, _ = closeGapSeq(&s, gst, nil)
 	if m != Spanned || !bytes.Equal(seq, g[120:180]) {
 		t.Fatalf("rc spanning failed: %v", m)
 	}
@@ -289,12 +289,17 @@ func TestPatchingUnit(t *testing.T) {
 		reads = append(reads, g[i:i+25])
 	}
 	gst := &gapState{left: left, right: right, est: len(gapSeq), reads: reads}
-	opt := Options{}.withDefaults()
-	opt.WalkK, opt.MaxWalkK = k, k // no k escalation
+	// One ladder step, at k: no k escalation.
 	var s scratch
-	m, seq, _ := closeGapSeq(&s, gst, opt, make([]ladderStep, 1))
-	if m != Patched {
-		t.Fatalf("expected patched closure, got %v", m)
+	steps := make([]ladderStep, 1)
+	s.runStep(gst, k, &steps[0])
+	if steps[0].ok {
+		t.Fatal("a walk crossed the coverage hole")
+	}
+	_, bestL, bestR := reduceLadder(steps)
+	seq, ok := s.patch(gst, bestL, bestR)
+	if !ok {
+		t.Fatal("expected patched closure")
 	}
 	if !bytes.Equal(seq, gapSeq) {
 		t.Fatalf("patched closure (%d bases) != gap interior (%d bases)",

@@ -146,7 +146,7 @@ func runGolden(c goldenCase) ([]roundGolden, *xrt.Team) {
 	for round := 1; round <= c.rounds; round++ {
 		sres := scaffold.Run(team, ctgRes, kres.Table, libs, scaffold.Options{K: goldenK, DisableBubbles: round > 1})
 		first := len(team.Spans())
-		opt := Options{K: goldenK, KmerTable: kres.Table}.withDefaults()
+		opt := Options{K: goldenK, KmerTable: kres.Table}
 		res := &Result{}
 		gaps := collectGaps(team, sres, libs)
 		res.Gaps = len(gaps)

@@ -78,9 +78,9 @@ func newJobs(gaps []*gapState) []*gapJob {
 
 // ladderLen is the number of ladder steps g can run: the k values of the
 // ladder that both flanks are long enough to anchor.
-func ladderLen(g *gapState, opt Options) int {
+func ladderLen(g *gapState) int {
 	n := 0
-	for k := opt.WalkK; k <= opt.MaxWalkK && k <= min(len(g.left), len(g.right)); k += walkKStep {
+	for k := walkK; k <= maxWalkK && k <= min(len(g.left), len(g.right)); k += walkKStep {
 		n++
 	}
 	return n
@@ -249,7 +249,7 @@ func dealScan(jobs []*gapJob, p int, cost xrt.CostModel) [][]*scanChunk {
 // ladderTask is one (gap, k) unit of a wave.
 type ladderTask struct {
 	job  *gapJob
-	step int // index into job.steps; k = WalkK + step × walkKStep
+	step int // index into job.steps; k = walkK + step × walkKStep
 }
 
 // planWave deals one wave of ladder steps over p ranks and advances each

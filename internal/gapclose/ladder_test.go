@@ -43,7 +43,7 @@ func syntheticGaps(seed int64, n int) []*gapState {
 // closures and the close span.
 func closeSpan(gaps []*gapState, p int) ([]closure, *xrt.SpanRecord) {
 	team := xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: min(p, 24)})
-	closures := closeGaps(team, gaps, Options{}.withDefaults(), &Result{Gaps: len(gaps)})
+	closures := closeGaps(team, gaps, Options{}, &Result{Gaps: len(gaps)})
 	spans := team.Spans()
 	return closures, spans[len(spans)-1]
 }
@@ -55,7 +55,7 @@ func checkAgainstOracle(t *testing.T, gaps []*gapState, closures []closure) (ran
 	var s scratch
 	byMethod := map[Method]int{}
 	for i, g := range gaps {
-		m, seq, n := closeGapSeq(&s, g, Options{}.withDefaults(), make([]ladderStep, 3))
+		m, seq, n := closeGapSeq(&s, g, make([]ladderStep, 3))
 		if closures[i].method != m || !bytes.Equal(closures[i].seq, seq) {
 			t.Fatalf("gap %d: %v closure of %d bases, the whole-gap loop gives %v of %d",
 				i, closures[i].method, len(closures[i].seq), m, len(seq))
@@ -81,7 +81,7 @@ func checkDeal(t *testing.T, gaps []*gapState, ran []int, p int, span *xrt.SpanR
 	var ladders []*gapJob
 	for i, j := range newJobs(gaps) {
 		if ran[i] > 0 {
-			j.steps = make([]ladderStep, ladderLen(j.g, Options{}.withDefaults()))
+			j.steps = make([]ladderStep, ladderLen(j.g))
 			needs[j] = ran[i]
 			ladders = append(ladders, j)
 		}
@@ -208,7 +208,7 @@ func checkOneRankCharges(t *testing.T, g *gapState, steps int) (leftOperand int)
 	t.Helper()
 	var s scratch
 	ladder := make([]ladderStep, steps)
-	closeGapSeq(&s, g, Options{}.withDefaults(), ladder)
+	closeGapSeq(&s, g, ladder)
 	_, bestL, bestR := reduceLadder(ladder)
 	if len(bestL) == 0 || len(bestR) == 0 {
 		t.Fatal("precondition: the gap is not offered to patching")

@@ -165,33 +165,25 @@ func walkHeavyGap() (g *gapState, interior []byte) {
 
 func TestCloseGapAllocations(t *testing.T) {
 	g, interior := walkHeavyGap()
-	opt := Options{}.withDefaults()
 	var s scratch
 	steps := make([]ladderStep, 3)
-	for k := opt.WalkK; k < opt.MaxWalkK; k += walkKStep {
-		o := opt
-		o.MaxWalkK = k
-		if m, _, _ := closeGapSeq(&s, g, o, steps); m == Walked || m == Spanned {
-			t.Fatalf("precondition: gap already closed (%v) with the ladder capped at k=%d", m, k)
-		}
-	}
-	m, seq, ran := closeGapSeq(&s, g, opt, steps) // the scratch and the steps' partial walks are warm from here on
+	// Walked at the third step: not spanned, and neither smaller k crossed.
+	m, seq, ran := closeGapSeq(&s, g, steps) // the scratch and the steps' partial walks are warm from here on
 	if m != Walked || ran != 3 || !bytes.Equal(seq, interior) {
 		t.Fatalf("precondition: %v closure of %d bases after %d steps, want the %d-base interior walked at the third", m, len(seq), ran, len(interior))
 	}
-	if allocs := testing.AllocsPerRun(20, func() { closeGapSeq(&s, g, opt, steps) }); allocs > 4 {
+	if allocs := testing.AllocsPerRun(20, func() { closeGapSeq(&s, g, steps) }); allocs > 4 {
 		t.Fatalf("one gap's scan and ladder on a warmed scratch: %.0f allocations, ceiling 4", allocs)
 	}
 }
 
 func BenchmarkCloseGap(b *testing.B) {
 	g, _ := walkHeavyGap()
-	opt := Options{}.withDefaults()
 	var s scratch
 	steps := make([]ladderStep, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if m, _, _ := closeGapSeq(&s, g, opt, steps); m != Walked {
+		if m, _, _ := closeGapSeq(&s, g, steps); m != Walked {
 			b.Fatalf("closed by %v", m)
 		}
 	}

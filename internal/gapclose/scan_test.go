@@ -95,7 +95,7 @@ func TestChunkedScanKeepsFirstSpanningRead(t *testing.T) {
 					t.Errorf("scan_chunks %d, the plan cuts %d", got, len(j.chunks))
 				}
 				var s scratch
-				m, seq, _ := closeGapSeq(&s, &g, Options{}.withDefaults(), make([]ladderStep, 3))
+				m, seq, _ := closeGapSeq(&s, &g, make([]ladderStep, 3))
 				if closures[0].method != m || !bytes.Equal(closures[0].seq, seq) {
 					t.Fatalf("%v closure of %d bases, the whole-gap loop gives %v of %d",
 						closures[0].method, len(closures[0].seq), m, len(seq))

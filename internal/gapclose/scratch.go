@@ -113,7 +113,10 @@ const (
 	minOverlap = 15
 	// minIdentity is the least identity of a patching overlap.
 	minIdentity = 0.92
-	// walkKStep is the k increment between walk attempts.
+	// walkK, maxWalkK and walkKStep are the mini-assembly k ladder: the
+	// first k, the last, and the increment between walk attempts.
+	walkK     = 21
+	maxWalkK  = 41
 	walkKStep = 10
 	// maxGapFactor bounds a walk to maxGapFactor × the estimated gap plus
 	// a constant slack, protecting against runaway walks.

@@ -136,7 +136,7 @@ func runGolden(c goldenCase) golden {
 		g.PeakEntries = res.PeakEntries
 	}
 	res.PeakEntries = 0
-	mlen := kanalysis.EffectiveMinimizerLen(c.opt.K, c.opt.MinimizerLen, c.opt.DisableSuperKmers)
+	mlen := kanalysis.EffectiveMinimizerLen(c.opt.K, 0, c.opt.DisableSuperKmers)
 	sum := sha256.Sum256(ckpt.EncodeKmerStage(res, c.opt.K, mlen))
 	g.Table = hex.EncodeToString(sum[:])
 

@@ -93,11 +93,6 @@ type Options struct {
 	// sighting, the behaviour the Bloom filters exist to avoid; used by
 	// the memory ablation that reproduces the paper's "up to 85%" saving.
 	DisableBloom bool
-	// MinimizerLen is the canonical-minimizer length m of the super-k-mer
-	// transport. 0 picks the default (kmer.DefaultMinimizerLen); any value
-	// is clamped odd, below K, and to at most kmer.MaxMinimizerLen.
-	// Ignored when DisableSuperKmers is set.
-	MinimizerLen int
 	// DisableSuperKmers reverts stage-1 communication to one aggregated
 	// store item per k-mer occurrence with hash placement — the ablation
 	// baseline the benchsuite reports as "SuperKmers off". It carries
@@ -139,8 +134,9 @@ func (o Options) withDefaults() Options {
 
 // EffectiveMinimizerLen resolves the minimizer length stage 1 uses for
 // table placement: 0 when the super-k-mer transport is disabled (classic
-// hash placement), the clamped scanner length otherwise. Exported so
-// checkpoint codecs and the pipeline derive placement-identical tables.
+// hash placement), otherwise minimizerLen clamped against k, where 0 — what
+// Run passes — is kmer.DefaultMinimizerLen. Exported so checkpoint codecs
+// and the pipeline derive placement-identical tables.
 func EffectiveMinimizerLen(k, minimizerLen int, disableSuperKmers bool) int {
 	if disableSuperKmers {
 		return 0
@@ -632,7 +628,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	p := team.Config().Ranks
 	res := &Result{}
 	superk := !opt.DisableSuperKmers
-	minLen := EffectiveMinimizerLen(opt.K, opt.MinimizerLen, opt.DisableSuperKmers)
+	minLen := EffectiveMinimizerLen(opt.K, 0, opt.DisableSuperKmers)
 	if opt.PseudoByRank != nil && (len(opt.PseudoByRank) != p || !superk) {
 		panic("kanalysis: PseudoByRank needs one list per rank and the super-k-mer transport")
 	}

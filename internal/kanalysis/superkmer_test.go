@@ -265,39 +265,6 @@ func TestSuperKmersReduceCommunication(t *testing.T) {
 	}
 }
 
-// TestSuperKmerMinimizerLenOverride: a custom minimizer length flows
-// through and still produces the same table.
-func TestSuperKmerMinimizerLenOverride(t *testing.T) {
-	const k = 21
-	rng := xrt.NewPrng(7)
-	g := genome.Random(rng, 20000)
-	recs, _ := genome.SimulatePairs(rng, g, genome.SimOptions{
-		Coverage: 8,
-		Lib:      genome.Library{Name: "r", ReadLen: 80, InsertMean: 250, InsertSD: 15},
-	})
-	collect := func(mlen int) map[kmer.Kmer]KmerData {
-		team := xrt.NewTeam(xrt.Config{Ranks: 5})
-		res := Run(team, splitReads(recs, 5), Options{
-			K: k, MinCount: 2, MinimizerLen: mlen,
-		})
-		m := make(map[kmer.Kmer]KmerData)
-		res.Table.RangeAll(func(km kmer.Kmer, d KmerData) bool { m[km] = d; return true })
-		return m
-	}
-	ref := collect(0)
-	for _, mlen := range []int{5, 7, 11} {
-		got := collect(mlen)
-		if len(got) != len(ref) {
-			t.Fatalf("m=%d: table size %d, want %d", mlen, len(got), len(ref))
-		}
-		for km, d := range ref {
-			if got[km] != d {
-				t.Fatalf("m=%d: k-mer data differs", mlen)
-			}
-		}
-	}
-}
-
 func TestEffectiveMinimizerLen(t *testing.T) {
 	cases := []struct {
 		k, m    int

@@ -130,8 +130,8 @@ type Result struct {
 // hipmerd admission, cmd/hipmer and Run all call it. It judges the values
 // as given — resolve defaults first (WithDefaults) where a zero means
 // "default" — together with the injections the run would be armed with.
-// Each knob is named by its cmd/hipmer flag (ScaffoldRounds, which has
-// none, by its job-file spelling).
+// Each knob is named by its cmd/hipmer flag; ScaffoldRounds, which no
+// flag or job-file key sets, is named by its field.
 func (c Config) Validate(inj xrt.Inject) error {
 	if c.K < 1 || c.K > 64 {
 		return fmt.Errorf("-k must be in 1..64, got %d", c.K)
@@ -151,7 +151,7 @@ func (c Config) Validate(inj xrt.Inject) error {
 		}
 	}
 	if c.ScaffoldRounds < 0 {
-		return fmt.Errorf("scaffold-rounds must be >= 0, got %d", c.ScaffoldRounds)
+		return fmt.Errorf("ScaffoldRounds must be >= 0, got %d", c.ScaffoldRounds)
 	}
 	if c.Resume && c.CkptDir == "" {
 		return fmt.Errorf("-resume requires -ckpt-dir")

@@ -131,6 +131,9 @@ func anchorIn(a aligner.Alignment) (end byte, d int) {
 // local buckets to produce supported links.
 func generateLinks(team *xrt.Team, libs []ReadLib, merged map[int64]*SContig,
 	res *Result, opt Options) []Link {
+	// minLinkSupport is the number of concordant read observations needed
+	// before a splint/span link is trusted.
+	const minLinkSupport = 2
 	table := dht.New[linkKey, linkAgg](team, dht.Options[linkKey]{
 		Hash: func(k linkKey) uint64 {
 			h := xrt.Splitmix64(uint64(k.A)<<32 ^ uint64(k.B))
@@ -222,7 +225,7 @@ func generateLinks(team *xrt.Team, libs []ReadLib, merged map[int64]*SContig,
 		var mine []Link
 		table.LocalRange(r, func(k linkKey, v linkAgg) bool {
 			n := int(v.Splints + v.Spans)
-			if n < opt.MinLinkSupport {
+			if n < minLinkSupport {
 				return true
 			}
 			mean := float64(v.GapSum) / float64(n)

@@ -22,9 +22,6 @@ import (
 type Options struct {
 	// K is the assembly k-mer length (for overlaps and depth windows).
 	K int
-	// MinLinkSupport is the number of concordant read observations needed
-	// before a splint/span link is trusted (default 2).
-	MinLinkSupport int
 	// PopBubbles enables diploid bubble merging (default true; set
 	// DisableBubbles to turn off).
 	DisableBubbles bool
@@ -33,9 +30,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.K <= 0 {
 		o.K = 31
-	}
-	if o.MinLinkSupport <= 0 {
-		o.MinLinkSupport = 2
 	}
 	return o
 }

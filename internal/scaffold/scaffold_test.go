@@ -18,6 +18,8 @@ const testK = 21
 type fixture struct {
 	team  *xrt.Team
 	g     []byte
+	recs  []fastq.Record     // the simulated pairs: 2i and 2i+1 are mates
+	truth []genome.PairTruth // where pair i was drawn from
 	reads [][]fastq.Record
 	kt    *dht.Table[kmer.Kmer, kanalysis.KmerData]
 	ctg   *contig.Result
@@ -29,7 +31,7 @@ type fixture struct {
 func mkFixture(t *testing.T, seed int64, g []byte, pieces [][]byte, ranks int) *fixture {
 	t.Helper()
 	rng := xrt.NewPrng(seed)
-	recs, _ := genome.SimulatePairs(rng, g, genome.SimOptions{
+	recs, truth := genome.SimulatePairs(rng, g, genome.SimOptions{
 		Coverage: 25,
 		Lib:      genome.Library{Name: "lib", ReadLen: 100, InsertMean: 400, InsertSD: 20},
 		Err:      genome.ErrorModel{},
@@ -48,7 +50,7 @@ func mkFixture(t *testing.T, seed int64, g []byte, pieces [][]byte, ranks int) *
 		ctgRes.NumContigs++
 	}
 	return &fixture{
-		team: team, g: g, reads: reads, kt: kres.Table, ctg: ctgRes,
+		team: team, g: g, recs: recs, truth: truth, reads: reads, kt: kres.Table, ctg: ctgRes,
 		libs: []ReadLib{{Name: "lib", ReadsByRank: reads, InsertHint: 400}},
 	}
 }
@@ -277,17 +279,30 @@ func TestNoLinksYieldsSingletonScaffolds(t *testing.T) {
 	}
 }
 
+// TestLinkSupportThreshold: a link needs two concordant observations. A
+// library whose only evidence is one pair spanning the gap between two
+// contigs leaves them apart; a second such pair joins them.
 func TestLinkSupportThreshold(t *testing.T) {
 	rng := xrt.NewPrng(15)
 	g := genome.Random(rng, 4000)
-	pieces := [][]byte{g[0:1900], g[2100:4000]}
+	pieces := [][]byte{g[0:1950], g[2050:4000]}
 	fx := mkFixture(t, 16, g, pieces, 2)
-	// absurdly high support requirement: no links survive
-	res := Run(fx.team, fx.ctg, fx.kt, fx.libs, Options{K: testK, MinLinkSupport: 100000})
-	if len(res.Links) != 0 {
-		t.Fatalf("links survived an impossible support threshold: %d", len(res.Links))
+	// The pairs whose mates (100 bases each) lie one in each contig.
+	var spanning []fastq.Record
+	for i, tr := range fx.truth {
+		if tr.Pos+100 <= 1950 && tr.Pos+tr.Insert-100 >= 2050 {
+			spanning = append(spanning, fx.recs[2*i], fx.recs[2*i+1])
+		}
 	}
-	if len(res.Scaffolds) != 2 {
-		t.Fatalf("got %d scaffolds, want 2", len(res.Scaffolds))
+	if len(spanning) < 4 {
+		t.Fatalf("precondition: %d spanning pairs, want 2", len(spanning)/2)
+	}
+	for pairs, want := range map[int]struct{ links, scaffolds int }{1: {0, 2}, 2: {1, 1}} {
+		libs := []ReadLib{{Name: "lib", ReadsByRank: [][]fastq.Record{spanning[:2*pairs], nil}, InsertHint: 400}}
+		res := Run(fx.team, fx.ctg, fx.kt, libs, Options{K: testK})
+		if len(res.Links) != want.links || len(res.Scaffolds) != want.scaffolds {
+			t.Errorf("%d spanning pairs: %d links, %d scaffolds; want %d, %d",
+				pairs, len(res.Links), len(res.Scaffolds), want.links, want.scaffolds)
+		}
 	}
 }

@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-// TestQuotaInvariant replays the decision trace of a large seeded
-// workload and asserts the two capacity invariants at every event: no
-// tenant ever holds more ranks than its quota, and the cluster's free
-// capacity never goes negative.
+// TestQuotaInvariant pushes a large seeded workload of ten tenants with
+// tight quotas through the scheduler; runFake replays its decision log
+// against the capacity invariants at every event.
 func TestQuotaInvariant(t *testing.T) {
 	lc := LoadConfig{
 		Seed: 9, Tenants: 10, Jobs: 600, MeanGapNs: int64(2 * time.Millisecond),
@@ -18,36 +17,19 @@ func TestQuotaInvariant(t *testing.T) {
 		Ranks:   32,
 		Seed:    3,
 		Tenants: DefaultTenantConfigs(10, 32, 16),
-		Trace:   true,
 	}
 	out := runFake(t, cfg, fakeLoad(t, lc))
-
-	quota := make(map[string]int)
-	for _, tc := range cfg.Tenants {
-		quota[tc.Name] = tc.Quota
-	}
-	if len(out.Trace) == 0 {
-		t.Fatal("trace empty despite Config.Trace")
-	}
-	starts := 0
+	starts, attempts := 0, 0
 	for _, ev := range out.Trace {
-		if ev.TenantInUse > quota[ev.Tenant] {
-			t.Fatalf("at %v: tenant %s holds %d ranks over quota %d (event %s job %d)",
-				ev.At, ev.Tenant, ev.TenantInUse, quota[ev.Tenant], ev.Kind, ev.JobID)
-		}
-		if ev.FreeRanks < 0 || ev.FreeRanks > cfg.Ranks {
-			t.Fatalf("at %v: free ranks %d out of [0, %d]", ev.At, ev.FreeRanks, cfg.Ranks)
-		}
 		if ev.Kind == "start" {
 			starts++
-			if ev.Ranks < 1 || ev.Ranks > quota[ev.Tenant] {
-				t.Fatalf("at %v: job %d started with %d ranks (tenant %s quota %d)",
-					ev.At, ev.JobID, ev.Ranks, ev.Tenant, quota[ev.Tenant])
-			}
 		}
 	}
-	if starts == 0 {
-		t.Fatal("trace records no dispatches")
+	for _, j := range out.Jobs {
+		attempts += j.Attempts
+	}
+	if starts == 0 || starts != attempts {
+		t.Fatalf("decision log records %d dispatches, the jobs %d attempts", starts, attempts)
 	}
 }
 
@@ -71,9 +53,9 @@ func TestFairnessGiniBound(t *testing.T) {
 
 // TestNoStarvation: a minimum-priority job submitted into a permanent
 // stream of high-priority work still runs — aging lifts its effective
-// priority above the fresh arrivals. With aging disabled by an
-// enormous AgingNs it would wait until the stream drains; the test
-// asserts it starts while high-priority jobs are still arriving.
+// priority above the fresh arrivals. Without aging it would wait until the
+// stream drains; the test asserts it starts while high-priority jobs are
+// still waiting to start.
 func TestNoStarvation(t *testing.T) {
 	var specs []JobSpec
 	// The low-priority job arrives just after the stream begins, into an
@@ -90,11 +72,7 @@ func TestNoStarvation(t *testing.T) {
 			Arrival: time.Duration(i) * 3 * time.Millisecond,
 		})
 	}
-	cfg := Config{
-		Ranks: 8, Seed: 1, QueueCap: 512, DefaultQuota: 8,
-		DisablePreempt: true,
-		AgingNs:        int64(20 * time.Millisecond),
-	}
+	cfg := Config{Ranks: 8, Seed: 1, QueueCap: 512, DefaultQuota: 8}
 	out := runFake(t, cfg, specs)
 	low := out.Jobs[0]
 	if low.State != StateCompleted {
@@ -110,12 +88,12 @@ func TestNoStarvation(t *testing.T) {
 		t.Fatalf("low-priority job started at %v, after every high-priority job (last %v): starved until the stream drained",
 			low.Start, lastHighStart)
 	}
-	if low.Wait < time.Duration(cfg.AgingNs) {
-		t.Fatalf("low-priority job waited only %v; test premise (contention past the aging threshold) broken", low.Wait)
+	if low.Wait < 5*time.Duration(agingNs) {
+		t.Fatalf("low-priority job waited only %v; test premise (contention past five aging steps) broken", low.Wait)
 	}
 }
 
-// TestPreemptionBounds: preemption respects MaxPreempts (no job is
+// TestPreemptionBounds: preemption respects maxPreempts (no job is
 // preempted more than the cap) and strict priority (a preempted job
 // never had priority >= its preemptor — verified indirectly: with a
 // single priority class, no preemption happens at all).
@@ -124,14 +102,14 @@ func TestPreemptionBounds(t *testing.T) {
 		Seed: 23, Tenants: 6, Jobs: 400, MeanGapNs: int64(2 * time.Millisecond),
 		Burst: 6, MaxPriority: 3,
 	}
-	cfg := Config{Ranks: 32, Seed: 5, DefaultQuota: 16, MaxPreempts: 2}
+	cfg := Config{Ranks: 32, Seed: 5, DefaultQuota: 16}
 	out := runFake(t, cfg, fakeLoad(t, lc))
 	if out.Report.Preemptions == 0 {
 		t.Fatal("no preemptions in a mixed-priority saturated workload")
 	}
 	for _, j := range out.Jobs {
-		if j.Preemptions > cfg.MaxPreempts {
-			t.Fatalf("job %d preempted %d times, over cap %d", j.ID, j.Preemptions, cfg.MaxPreempts)
+		if j.Preemptions > maxPreempts {
+			t.Fatalf("job %d preempted %d times, over cap %d", j.ID, j.Preemptions, maxPreempts)
 		}
 	}
 

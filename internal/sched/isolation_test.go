@@ -148,7 +148,7 @@ func TestPreemptionResumesFromTruncatedCkpt(t *testing.T) {
 		Tenant: "bio", Name: wheatS.Name, Libs: wheatS.Libs, Pipeline: wheatS.Pipeline,
 		Ranks: 8, Seed: wheatS.Seed, Priority: 5, Arrival: 2 * time.Millisecond,
 	}
-	cfg := Config{Ranks: 8, RanksPerNode: 8, Seed: 3, DefaultQuota: 8, DisableRescale: true, CkptRoot: t.TempDir()}
+	cfg := Config{Ranks: 8, RanksPerNode: 8, Seed: 3, DefaultQuota: 8, CkptRoot: t.TempDir()}
 	s, err := New(cfg, &PipelineRunner{})
 	if err != nil {
 		t.Fatal(err)

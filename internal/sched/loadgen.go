@@ -95,35 +95,36 @@ type LoadConfig struct {
 	Oversize int
 }
 
-// Validate rejects unusable load-generator parameters (the benchsuite
-// -serve flag-validation contract).
+// Validate is the one statement of the load generator's rules; each
+// message names the field it rejects. GenJobs calls it, and hipmerd exits 2
+// on its error.
 func (c LoadConfig) Validate() error {
 	if c.Tenants < 1 {
-		return fmt.Errorf("tenants must be >= 1, got %d", c.Tenants)
+		return fmt.Errorf("Tenants must be >= 1, got %d", c.Tenants)
 	}
 	if c.Jobs < 1 {
-		return fmt.Errorf("jobs must be >= 1, got %d", c.Jobs)
+		return fmt.Errorf("Jobs must be >= 1, got %d", c.Jobs)
 	}
 	if c.MeanGapNs < 0 {
-		return fmt.Errorf("mean arrival gap must be >= 0 (0 = default), got %d", c.MeanGapNs)
+		return fmt.Errorf("MeanGapNs must be >= 0 (0 = default), got %d", c.MeanGapNs)
 	}
 	if c.Burst < 0 {
-		return fmt.Errorf("burst must be >= 0 (0 = default), got %d", c.Burst)
+		return fmt.Errorf("Burst must be >= 0 (0 = default), got %d", c.Burst)
 	}
 	if c.FaultFrac < 0 || c.FaultFrac > 1 {
-		return fmt.Errorf("fault fraction must be in [0, 1], got %g", c.FaultFrac)
+		return fmt.Errorf("FaultFrac must be in [0, 1], got %g", c.FaultFrac)
 	}
 	if c.ChaosFrac < 0 || c.ChaosFrac > 1 {
-		return fmt.Errorf("chaos fraction must be in [0, 1], got %g", c.ChaosFrac)
+		return fmt.Errorf("ChaosFrac must be in [0, 1], got %g", c.ChaosFrac)
 	}
 	if c.DiskFrac < 0 || c.DiskFrac > 1 {
-		return fmt.Errorf("disk-fault fraction must be in [0, 1], got %g", c.DiskFrac)
+		return fmt.Errorf("DiskFrac must be in [0, 1], got %g", c.DiskFrac)
 	}
 	if c.MaxPriority < 0 {
-		return fmt.Errorf("max priority must be >= 0, got %d", c.MaxPriority)
+		return fmt.Errorf("MaxPriority must be >= 0, got %d", c.MaxPriority)
 	}
 	if c.Oversize < 0 || c.Oversize > c.Jobs {
-		return fmt.Errorf("oversize must be in 0..jobs, got %d", c.Oversize)
+		return fmt.Errorf("Oversize must be in 0..Jobs (%d), got %d", c.Jobs, c.Oversize)
 	}
 	return nil
 }

@@ -82,31 +82,27 @@ type Config struct {
 	// DefaultQuota is assigned to tenants not listed in Tenants; 0
 	// rejects jobs from unknown tenants.
 	DefaultQuota int
-	// MaxRetries caps requeues after retryable failures (default 2);
-	// a job exceeding it is terminally failed.
-	MaxRetries int
-	// MaxPreempts caps how many times one job may be preempted before it
-	// becomes immune (default 1).
-	MaxPreempts int
-	// DisablePreempt turns priority preemption off entirely.
-	DisablePreempt bool
-	// DisableRescale turns elastic rescale off: resumable jobs wait for
-	// their originally requested rank count.
-	DisableRescale bool
-	// AgingNs is the virtual queue-wait that raises a queued job's
-	// effective priority by one step (default 50ms virtual). Aging
-	// orders dispatch but never justifies preemption.
-	AgingNs int64
 	// CkptRoot hosts the per-job checkpoint directories ("" = a fresh
 	// temp directory, removed when the run ends).
 	CkptRoot string
 	// KeepCkpts leaves per-job checkpoint directories on disk after the
 	// job completes (debugging).
 	KeepCkpts bool
-	// Trace records one TraceEvent per dispatch/preemption for the
-	// quota-invariant property tests.
-	Trace bool
 }
+
+// The scheduling policy: one setting, the one every workload runs.
+const (
+	// maxRetries caps requeues after retryable failures; a job exceeding
+	// it is terminally failed.
+	maxRetries = 2
+	// maxPreempts caps how many times one job may be preempted before it
+	// becomes immune.
+	maxPreempts = 1
+	// agingNs is the virtual queue wait that raises a queued job's
+	// effective priority by one step. Aging orders dispatch but never
+	// justifies preemption.
+	agingNs = int64(50 * time.Millisecond)
+)
 
 // Validate rejects structurally invalid service configurations (the
 // CLI-facing validateOptions contract; cmd/hipmerd exits 2 on error).
@@ -122,15 +118,6 @@ func (c Config) Validate() error {
 	}
 	if c.DefaultQuota < 0 || c.DefaultQuota > c.Ranks {
 		return fmt.Errorf("default-quota must be in 0..ranks (%d), got %d", c.Ranks, c.DefaultQuota)
-	}
-	if c.MaxRetries < 0 {
-		return fmt.Errorf("max-retries must be >= 0, got %d", c.MaxRetries)
-	}
-	if c.MaxPreempts < 0 {
-		return fmt.Errorf("max-preempts must be >= 0, got %d", c.MaxPreempts)
-	}
-	if c.AgingNs < 0 {
-		return fmt.Errorf("aging must be >= 0, got %d", c.AgingNs)
 	}
 	seen := make(map[string]bool, len(c.Tenants))
 	sum := 0
@@ -168,15 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCap == 0 {
 		c.QueueCap = 64
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.MaxPreempts == 0 {
-		c.MaxPreempts = 1
-	}
-	if c.AgingNs == 0 {
-		c.AgingNs = int64(50 * time.Millisecond)
 	}
 	return c
 }
@@ -265,7 +243,7 @@ type JobResult struct {
 	Metrics *metrics.Report
 }
 
-// TraceEvent is one scheduling decision, recorded under Config.Trace.
+// TraceEvent is one scheduling decision.
 type TraceEvent struct {
 	At     time.Duration
 	Kind   string // "start", "done", "requeue", "preempt", "reject"
@@ -285,7 +263,8 @@ type Outcome struct {
 	Jobs []JobResult
 	// Report is the hipmer-sched/v1 service-level report.
 	Report *Report
-	// Trace is the decision log (Config.Trace only).
+	// Trace is the decision log, one event per decision in virtual-time
+	// order.
 	Trace []TraceEvent
 }
 
@@ -440,9 +419,6 @@ func (s *Scheduler) pushEvent(at time.Duration, kind int, j *job) *event {
 }
 
 func (s *Scheduler) record(kind string, j *job, ranks int) {
-	if !s.cfg.Trace {
-		return
-	}
 	var inUse int
 	if t := s.tenants[j.spec.Tenant]; t != nil {
 		inUse = t.inUse
@@ -557,12 +533,12 @@ func (s *Scheduler) reject(j *job, reason string) {
 }
 
 // effPrio is the queued job's aged priority: static priority plus one
-// step per AgingNs of virtual queue wait. Aging orders dispatch so old
+// step per agingNs of virtual queue wait. Aging orders dispatch so old
 // low-priority jobs cannot starve behind a stream of younger
 // high-priority ones; it never justifies preemption (which compares
 // static priorities only).
 func (s *Scheduler) effPrio(j *job) int {
-	age := int64(s.now-j.arrival) / s.cfg.AgingNs
+	age := int64(s.now-j.arrival) / agingNs
 	if age < 0 {
 		age = 0
 	}
@@ -584,7 +560,7 @@ func (s *Scheduler) allocFor(j *job, queued int) int {
 	if lim < 1 {
 		return 0
 	}
-	if !j.resume || s.cfg.DisableRescale {
+	if !j.resume {
 		if want <= lim {
 			return want
 		}
@@ -723,7 +699,7 @@ func (s *Scheduler) finish(j *job) {
 		t.failed++
 		s.cleanupJob(j)
 	case out.Failed:
-		if j.requeues >= s.cfg.MaxRetries {
+		if j.requeues >= maxRetries {
 			j.state = StateFailed
 			j.failReason = fmt.Sprintf("retry budget exhausted after %d attempts: %s", j.attempts, out.Err)
 			t.failed++
@@ -767,9 +743,6 @@ func (s *Scheduler) cleanupJob(j *job) {
 // each victim's checkpoint is truncated to its completed stages and the
 // job is requeued as resumable. Returns true if anything was preempted.
 func (s *Scheduler) tryPreempt() bool {
-	if s.cfg.DisablePreempt {
-		return false
-	}
 	// The contender: best queued job whose quota allows its full request.
 	var cand *job
 	for _, j := range s.queue {
@@ -794,7 +767,7 @@ func (s *Scheduler) tryPreempt() bool {
 	// and is about to release its ranks and requeue anyway).
 	var victims []*job
 	for _, r := range s.running {
-		if r.spec.Priority < cand.spec.Priority && r.preempts < s.cfg.MaxPreempts &&
+		if r.spec.Priority < cand.spec.Priority && r.preempts < maxPreempts &&
 			!r.outcome.Failed && !r.outcome.Fatal {
 			victims = append(victims, r)
 		}

@@ -39,6 +39,10 @@ func fakeLoad(t *testing.T, lc LoadConfig) []JobSpec {
 	return specs
 }
 
+// runFake schedules specs on the fake runner and replays the decision log
+// against the capacity invariants: no tenant ever holds more ranks than
+// its quota, the cluster's free capacity stays within [0, Ranks], and
+// every dispatch is of 1..quota ranks.
 func runFake(t *testing.T, cfg Config, specs []JobSpec) *Outcome {
 	t.Helper()
 	cfg.CkptRoot = t.TempDir()
@@ -50,17 +54,33 @@ func runFake(t *testing.T, cfg Config, specs []JobSpec) *Outcome {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	quota := func(tenant string) int {
+		for _, tc := range cfg.Tenants {
+			if tc.Name == tenant {
+				return tc.Quota
+			}
+		}
+		return cfg.DefaultQuota
+	}
+	for _, ev := range out.Trace {
+		if q := quota(ev.Tenant); ev.TenantInUse > q || (ev.Kind == "start" && (ev.Ranks < 1 || ev.Ranks > q)) {
+			t.Fatalf("at %v: %s of job %d with %d ranks leaves tenant %s holding %d, quota %d",
+				ev.At, ev.Kind, ev.JobID, ev.Ranks, ev.Tenant, ev.TenantInUse, q)
+		}
+		if ev.FreeRanks < 0 || ev.FreeRanks > cfg.Ranks {
+			t.Fatalf("at %v: free ranks %d out of [0, %d]", ev.At, ev.FreeRanks, cfg.Ranks)
+		}
+	}
 	return out
 }
 
-func serviceConfig(trace bool) Config {
+func serviceConfig() Config {
 	return Config{
 		Ranks:        32,
 		RanksPerNode: 8,
 		Seed:         7,
 		QueueCap:     256,
 		DefaultQuota: 16,
-		Trace:        trace,
 	}
 }
 
@@ -75,7 +95,7 @@ func TestReportDeterminism(t *testing.T) {
 	}
 	var runs [][]byte
 	for i := 0; i < 2; i++ {
-		out := runFake(t, serviceConfig(false), fakeLoad(t, lc))
+		out := runFake(t, serviceConfig(), fakeLoad(t, lc))
 		b, err := out.Report.Marshal()
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
@@ -114,7 +134,7 @@ func TestServiceOutcomes(t *testing.T) {
 		Burst: 6, FaultFrac: 0.08, ChaosFrac: 0.15, MaxPriority: 2, Oversize: 4,
 	}
 	specs := fakeLoad(t, lc)
-	out := runFake(t, serviceConfig(false), specs)
+	out := runFake(t, serviceConfig(), specs)
 	r := out.Report
 
 	if r.Jobs != 400 {
@@ -208,9 +228,10 @@ func TestAdmissionControl(t *testing.T) {
 // TestElasticRescale: a requeued resumable job finds its requested rank
 // count occupied but idle capacity free, and resumes downscaled.
 func TestElasticRescale(t *testing.T) {
-	cfg := Config{Ranks: 16, Seed: 1, DefaultQuota: 16, DisablePreempt: true}
+	cfg := Config{Ranks: 16, Seed: 1, DefaultQuota: 16}
 	specs := []JobSpec{
-		// Faulted 16-rank job: fails, requeues as resumable.
+		// Faulted 16-rank job: fails, requeues as resumable. An attempt
+		// already failing is no preemption victim, so it runs to its crash.
 		{Tenant: "a", Name: "big", Ranks: 16, Seed: 5, Inject: crashInScaffolding},
 		// A higher-priority 12-rank job queued behind the crash wins the
 		// post-crash dispatch, so the resumed job can only fit on 4.
@@ -237,10 +258,10 @@ func TestElasticRescale(t *testing.T) {
 }
 
 // TestRetryBudgetTerminalFailure: a job that keeps failing is
-// terminally failed after MaxRetries requeues and does not poison the
+// terminally failed after maxRetries requeues and does not poison the
 // rest of the schedule.
 func TestRetryBudgetTerminalFailure(t *testing.T) {
-	cfg := Config{Ranks: 16, Seed: 1, DefaultQuota: 8, MaxRetries: 1}
+	cfg := Config{Ranks: 16, Seed: 1, DefaultQuota: 8}
 	specs := []JobSpec{
 		{Tenant: "a", Name: "doomed", Ranks: 4, Seed: 5, Inject: crashInScaffolding},
 		{Tenant: "b", Name: "fine", Ranks: 4, Seed: 6},
@@ -259,8 +280,8 @@ func TestRetryBudgetTerminalFailure(t *testing.T) {
 	if out.Jobs[0].State != StateFailed {
 		t.Fatalf("doomed job state %q, want failed", out.Jobs[0].State)
 	}
-	if out.Jobs[0].Attempts != 2 {
-		t.Fatalf("doomed job attempts = %d, want 2 (1 + MaxRetries)", out.Jobs[0].Attempts)
+	if out.Jobs[0].Attempts != 1+maxRetries {
+		t.Fatalf("doomed job attempts = %d, want %d (1 + maxRetries)", out.Jobs[0].Attempts, 1+maxRetries)
 	}
 	if out.Jobs[1].State != StateFailed {
 		// alwaysFail fails everything; job 1 fails too. The point is the
@@ -301,8 +322,6 @@ func TestConfigValidate(t *testing.T) {
 		{"unnamed tenant", func(c *Config) { c.Tenants = []TenantConfig{{Quota: 4}} }, "empty name"},
 		{"stranded capacity", func(c *Config) { c.Tenants = []TenantConfig{{Name: "a", Quota: 4}} }, "unusable"},
 		{"bad default quota", func(c *Config) { c.DefaultQuota = 64 }, "default-quota"},
-		{"negative retries", func(c *Config) { c.MaxRetries = -1 }, "max-retries"},
-		{"negative aging", func(c *Config) { c.AgingNs = -1 }, "aging"},
 	}
 	for _, tc := range cases {
 		c := base
@@ -328,15 +347,15 @@ func TestLoadConfigValidate(t *testing.T) {
 		mut  func(*LoadConfig)
 		want string
 	}{
-		{"no tenants", func(c *LoadConfig) { c.Tenants = 0 }, "tenants"},
-		{"no jobs", func(c *LoadConfig) { c.Jobs = 0 }, "jobs"},
-		{"negative gap", func(c *LoadConfig) { c.MeanGapNs = -5 }, "gap"},
-		{"negative burst", func(c *LoadConfig) { c.Burst = -1 }, "burst"},
-		{"fault frac", func(c *LoadConfig) { c.FaultFrac = 1.5 }, "fault fraction"},
-		{"chaos frac", func(c *LoadConfig) { c.ChaosFrac = -0.1 }, "chaos fraction"},
-		{"disk frac", func(c *LoadConfig) { c.DiskFrac = 1.5 }, "disk-fault fraction"},
-		{"priority", func(c *LoadConfig) { c.MaxPriority = -2 }, "priority"},
-		{"oversize", func(c *LoadConfig) { c.Oversize = 101 }, "oversize"},
+		{"no tenants", func(c *LoadConfig) { c.Tenants = 0 }, "Tenants must be >= 1, got 0"},
+		{"no jobs", func(c *LoadConfig) { c.Jobs = 0 }, "Jobs must be >= 1, got 0"},
+		{"negative gap", func(c *LoadConfig) { c.MeanGapNs = -5e6 }, "MeanGapNs must be >= 0 (0 = default), got -5000000"},
+		{"negative burst", func(c *LoadConfig) { c.Burst = -1 }, "Burst must be >= 0 (0 = default), got -1"},
+		{"fault frac", func(c *LoadConfig) { c.FaultFrac = 1.5 }, "FaultFrac"},
+		{"chaos frac", func(c *LoadConfig) { c.ChaosFrac = -0.1 }, "ChaosFrac"},
+		{"disk frac", func(c *LoadConfig) { c.DiskFrac = 1.5 }, "DiskFrac"},
+		{"priority", func(c *LoadConfig) { c.MaxPriority = -2 }, "MaxPriority"},
+		{"oversize", func(c *LoadConfig) { c.Oversize = 101 }, "Oversize must be in 0..Jobs (100), got 101"},
 	}
 	for _, tc := range cases {
 		c := base

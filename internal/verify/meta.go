@@ -62,29 +62,22 @@ type MetaReport struct {
 	// k-mers (inter-species repeats), which are not misassemblies.
 	ToleratedJoins int
 
-	Issues  []Issue
-	Dropped int
-
-	maxIssues int
+	issueList
 }
-
-// OK reports whether no misassembly was found.
-func (r *MetaReport) OK() bool { return len(r.Issues) == 0 }
 
 // Err returns nil when the report is clean, or a summarizing error.
 func (r *MetaReport) Err() error {
 	if r.OK() {
 		return nil
 	}
-	return fmt.Errorf("verify: %d metagenome issues (first: %s)",
-		len(r.Issues)+r.Dropped, r.Issues[0])
+	return fmt.Errorf("verify: %d metagenome issues (first: %s)", r.failures(), r.Issues[0])
 }
 
 // String summarizes the report in one line.
 func (r *MetaReport) String() string {
 	status := "ok"
 	if !r.OK() {
-		status = fmt.Sprintf("FAILED (%d issues)", len(r.Issues)+r.Dropped)
+		status = fmt.Sprintf("FAILED (%d issues)", r.failures())
 	}
 	var mean float64
 	for _, s := range r.PerSpecies {
@@ -98,18 +91,6 @@ func (r *MetaReport) String() string {
 		status, len(r.PerSpecies), mean, r.CrossJoins, r.ToleratedJoins)
 }
 
-func (r *MetaReport) issuef(check, format string, args ...any) {
-	max := r.maxIssues
-	if max <= 0 {
-		max = 20
-	}
-	if len(r.Issues) >= max {
-		r.Dropped++
-		return
-	}
-	r.Issues = append(r.Issues, Issue{Check: check, Detail: fmt.Sprintf(format, args...)})
-}
-
 // ownerShared marks a k-mer occurring in more than one species.
 const ownerShared = int32(-1)
 
@@ -120,11 +101,11 @@ const ownerShared = int32(-1)
 const minAnchorKmers = 4
 
 // CheckMeta runs the abundance-aware checks: per-species genome
-// fraction and cross-species join detection. opt supplies K and
-// MaxIssues; Ref is ignored (the species are the reference).
+// fraction and cross-species join detection. opt supplies K; Ref is
+// ignored (the species are the reference).
 func CheckMeta(seqs [][]byte, species []Species, opt Options) *MetaReport {
 	opt = opt.withDefaults()
-	rep := &MetaReport{maxIssues: opt.MaxIssues}
+	rep := &MetaReport{}
 
 	// owner: canonical k-mer -> unique species index, or ownerShared.
 	owner := make(map[kmer.Kmer]int32, 1<<16)

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -165,26 +166,27 @@ func TestMeanFraction(t *testing.T) {
 	}
 }
 
-// TestCheckMetaIssueCap: MaxIssues bounds the stored issue list; the
+// TestCheckMetaIssueCap: maxIssues bounds the stored issue list; the
 // rest are counted as Dropped and still reflected in Err.
 func TestCheckMetaIssueCap(t *testing.T) {
+	const n = maxIssues + 3
 	sp := metaSpecies(6, 4, 400)
 	var chims [][]byte
-	for i := 0; i < 5; i++ {
-		c := append(append([]byte{}, sp[0].Seq[i*20:i*20+100]...), sp[1].Seq[i*20:i*20+100]...)
+	for i := 0; i < n; i++ {
+		c := append(append([]byte{}, sp[0].Seq[i*10:i*10+100]...), sp[1].Seq[i*10:i*10+100]...)
 		chims = append(chims, c)
 	}
-	rep := CheckMeta(chims, sp, Options{K: 21, MaxIssues: 2})
-	if rep.CrossJoins != 5 {
-		t.Fatalf("cross-joins = %d, want 5", rep.CrossJoins)
+	rep := CheckMeta(chims, sp, Options{K: 21})
+	if rep.CrossJoins != n {
+		t.Fatalf("cross-joins = %d, want %d", rep.CrossJoins, n)
 	}
-	if len(rep.Issues) != 2 || rep.Dropped != 3 {
-		t.Fatalf("issues %d / dropped %d, want 2 / 3", len(rep.Issues), rep.Dropped)
+	if len(rep.Issues) != maxIssues || rep.Dropped != 3 {
+		t.Fatalf("issues %d / dropped %d, want %d / 3", len(rep.Issues), rep.Dropped, maxIssues)
 	}
 	if !strings.Contains(rep.String(), "FAILED") {
 		t.Fatalf("String() = %s", rep.String())
 	}
-	if !bytes.Contains([]byte(rep.Err().Error()), []byte("5 metagenome issues")) {
+	if !bytes.Contains([]byte(rep.Err().Error()), []byte(fmt.Sprintf("%d metagenome issues", n))) {
 		t.Fatalf("Err() = %v", rep.Err())
 	}
 }

@@ -46,40 +46,55 @@ type Options struct {
 	// Ref is the reference the reads were simulated from. When set, the
 	// placement and gap checks run in addition to spectrum containment.
 	Ref []byte
-	// GapTolerance is the permitted absolute error, in bases, of each
-	// scaffold gap estimate versus the reference distance (default 64).
-	GapTolerance int
-	// MinIdentity is the minimum acceptable identity of placed bases
-	// against the reference (default 0.97).
-	MinIdentity float64
-	// MaxIssues caps the recorded issue details (default 20); further
-	// failures are still counted.
-	MaxIssues int
 }
 
 func (o Options) withDefaults() Options {
 	if o.K <= 0 {
 		o.K = 31
 	}
-	if o.GapTolerance <= 0 {
-		o.GapTolerance = 64
-	}
-	if o.MinIdentity <= 0 {
-		o.MinIdentity = 0.97
-	}
-	if o.MaxIssues <= 0 {
-		o.MaxIssues = 20
-	}
 	return o
 }
 
+const (
+	// gapTolerance is the permitted absolute error, in bases, of each
+	// scaffold gap estimate versus the reference distance.
+	gapTolerance = 64
+	// minIdentity is the minimum acceptable identity of placed bases
+	// against the reference.
+	minIdentity = 0.97
+	// maxIssues caps the recorded issue details; further failures are
+	// still counted.
+	maxIssues = 20
+)
+
 // Issue is one concrete oracle failure.
 type Issue struct {
-	Check  string // "spectrum", "placement", "gap"
+	Check  string // "spectrum", "placement", "gap", "meta-join"
 	Detail string
 }
 
 func (i Issue) String() string { return i.Check + ": " + i.Detail }
+
+// issueList is the failure list both reports carry: Issues holds the
+// first maxIssues details, Dropped counts the failures beyond them.
+type issueList struct {
+	Issues  []Issue
+	Dropped int
+}
+
+// OK reports whether no check failed.
+func (l *issueList) OK() bool { return len(l.Issues) == 0 }
+
+// failures counts every failed check, recorded or dropped.
+func (l *issueList) failures() int { return len(l.Issues) + l.Dropped }
+
+func (l *issueList) issuef(check, format string, args ...any) {
+	if len(l.Issues) >= maxIssues {
+		l.Dropped++
+		return
+	}
+	l.Issues = append(l.Issues, Issue{Check: check, Detail: fmt.Sprintf(format, args...)})
+}
 
 // Report is the oracle's verdict. The zero value reports success over
 // nothing checked.
@@ -102,33 +117,25 @@ type Report struct {
 	GapsChecked   int
 	GapViolations int
 
-	// Issues lists failure details, capped at Options.MaxIssues; Dropped
-	// counts issues beyond the cap.
-	Issues  []Issue
-	Dropped int
+	issueList
 	// Summary is String() as Check left it — the one-line verdict as a
 	// value, for callers that hold the report as data (hipmer.Result.Verify).
 	Summary string
-
-	maxIssues int
 }
-
-// OK reports whether every check passed.
-func (r *Report) OK() bool { return len(r.Issues) == 0 }
 
 // Err returns nil when the report is clean, or an error summarizing it.
 func (r *Report) Err() error {
 	if r.OK() {
 		return nil
 	}
-	return fmt.Errorf("verify: %d failed checks (first: %s)", len(r.Issues)+r.Dropped, r.Issues[0])
+	return fmt.Errorf("verify: %d failed checks (first: %s)", r.failures(), r.Issues[0])
 }
 
 // String summarizes the report in one line.
 func (r *Report) String() string {
 	status := "ok"
 	if !r.OK() {
-		status = fmt.Sprintf("FAILED (%d issues)", len(r.Issues)+r.Dropped)
+		status = fmt.Sprintf("FAILED (%d issues)", r.failures())
 	}
 	return fmt.Sprintf(
 		"verify %s: %d contigs / %d k-mers spectrum-checked (%d missing), "+
@@ -136,18 +143,6 @@ func (r *Report) String() string {
 		status, r.ContigsChecked, r.KmersChecked, r.MissingKmers,
 		r.Placed, r.Unplaced, r.Misassemblies, r.CoveredFrac, r.IdentityFrac,
 		r.GapsChecked-r.GapViolations, r.GapsChecked)
-}
-
-func (r *Report) issuef(check, format string, args ...any) {
-	max := r.maxIssues
-	if max <= 0 {
-		max = 20
-	}
-	if len(r.Issues) >= max {
-		r.Dropped++
-		return
-	}
-	r.Issues = append(r.Issues, Issue{Check: check, Detail: fmt.Sprintf(format, args...)})
 }
 
 // Input is everything the oracle inspects. Any field may be empty; the
@@ -164,7 +159,7 @@ type Input struct {
 // Check runs every applicable check and returns the combined report.
 func Check(in Input, opt Options) *Report {
 	opt = opt.withDefaults()
-	rep := &Report{maxIssues: opt.MaxIssues}
+	rep := &Report{}
 	if len(in.Contigs) > 0 && len(in.Reads) > 0 {
 		CheckSpectrum(rep, in.Contigs, in.Reads, opt.K)
 	}
@@ -346,7 +341,7 @@ func (ix *refIndex) place(seq []byte) placement {
 // CheckPlacement verifies no sequence is chimeric: each gap-free piece of
 // each sequence (at least Options.K long) must anchor to a single
 // reference diagonal, and the bases at the voted placement must match
-// within Options.MinIdentity. Scaffolds are split at their N runs first:
+// within minIdentity. Scaffolds are split at their N runs first:
 // an unclosed gap whose estimate is off by a few bases would otherwise
 // shift every downstream column.
 func CheckPlacement(rep *Report, seqs [][]byte, opt Options) {
@@ -400,9 +395,9 @@ func CheckPlacement(rep *Report, seqs [][]byte, opt Options) {
 	}
 	if aligned > 0 {
 		rep.IdentityFrac = 1 - float64(mismatched)/float64(aligned)
-		if rep.IdentityFrac < opt.MinIdentity {
+		if rep.IdentityFrac < minIdentity {
 			rep.issuef("placement", "identity %.4f below %.4f (%d mismatches over %d bases)",
-				rep.IdentityFrac, opt.MinIdentity, mismatched, aligned)
+				rep.IdentityFrac, minIdentity, mismatched, aligned)
 		}
 	}
 }
@@ -435,7 +430,7 @@ func splitAtNs(seq []byte, minLen int) []piece {
 // N-run gaps, the flanking pieces are placed on the reference in the
 // orientation that places the most pieces; for consecutive placed
 // pieces, the scaffold-coordinate distance (flank + estimated gap) must
-// match the reference distance within Options.GapTolerance.
+// match the reference distance within gapTolerance.
 //
 // Only pieces that anchor decisively take part: at least 2k long, on one
 // diagonal (chimeras are CheckPlacement's job), with the winning
@@ -477,10 +472,10 @@ func CheckGaps(rep *Report, finals [][]byte, opt Options) {
 			rep.GapsChecked++
 			scafDelta := best[i].scafStart - best[i-1].scafStart
 			refDelta := best[i].refOff - best[i-1].refOff
-			if d := refDelta - scafDelta; d > opt.GapTolerance || d < -opt.GapTolerance {
+			if d := refDelta - scafDelta; d > gapTolerance || d < -gapTolerance {
 				rep.GapViolations++
 				rep.issuef("gap", "scaffold %d: gap before piece at %d estimated %+d bases off (tolerance %d)",
-					si, best[i].scafStart, scafDelta-refDelta, opt.GapTolerance)
+					si, best[i].scafStart, scafDelta-refDelta, gapTolerance)
 			}
 		}
 	}

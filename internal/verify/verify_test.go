@@ -223,8 +223,8 @@ func TestIssueCapCountsDropped(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		contigs = append(contigs, junk)
 	}
-	rep := Check(Input{Contigs: contigs, Reads: reads}, Options{K: tk, MaxIssues: 4})
-	if len(rep.Issues) != 4 || rep.Dropped != 26 {
+	rep := Check(Input{Contigs: contigs, Reads: reads}, Options{K: tk})
+	if len(rep.Issues) != maxIssues || rep.Dropped != 30-maxIssues {
 		t.Fatalf("issue cap: %d kept, %d dropped", len(rep.Issues), rep.Dropped)
 	}
 }
