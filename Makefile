@@ -85,7 +85,8 @@ exhibits:
 # rolling canonical scan, minimizer scan, super-k-mer encode and canonical
 # decode, the Misra–Gries fold), the scaffolding-half hot loops (seed-index
 # build, one read's alignment, one walk-heavy gap closed at all three k;
-# allocations per op beside the time), the per-run fixed costs (the sketch
+# allocations per op beside the time; the mini-graph's build, walk and
+# partial-merge cost per unit, which calibrates gap closing's charges), the per-run fixed costs (the sketch
 # pass at 32 and 96 ranks, a Freeze/Thaw pair at 96 ranks, the k-mer stage
 # encoder and the scaffold stage codec both ways; bytes per op are the
 # point), all of stage 1 (a whole kanalysis.Run, human-like at 32 ranks and
@@ -98,7 +99,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkForEachCanonical|BenchmarkMinimizerScan|BenchmarkSuperKmerEncode|BenchmarkDecodeCanonical' ./internal/kmer/
 	$(GO) test -run xxx -bench BenchmarkMergeSummaries ./internal/mg/
 	$(GO) test -run xxx -bench 'BenchmarkBuildIndex|BenchmarkAlignRead' ./internal/aligner/
-	$(GO) test -run xxx -bench BenchmarkCloseGap ./internal/gapclose/
+	$(GO) test -run xxx -bench 'BenchmarkCloseGap|BenchmarkMiniGraphUnits' ./internal/gapclose/
 	$(GO) test -run xxx -bench 'BenchmarkSketchPass|BenchmarkStage1' ./internal/kanalysis/
 	$(GO) test -run xxx -bench 'BenchmarkEncodeKmerStage|BenchmarkEncodeScaffoldStage|BenchmarkDecodeScaffoldStage' ./internal/ckpt/
 	bash benchmark/run.sh -out bench.json

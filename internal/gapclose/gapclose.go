@@ -9,10 +9,10 @@
 // The paper deals whole gaps round-robin, because the methods differ in
 // cost by orders of magnitude. Here the unit of dealing is finer — a chunk
 // of a gap's reads scanned for a spanning one, then one (gap, k) step of
-// its ladder — and each unit's cost is known from the gap's read bases
-// before it runs, so units are dealt longest first and a large gap's scan
-// and ladder run on the ranks idle beside it (closeGaps, dealScan,
-// planWave).
+// its ladder — and each unit's cost is known from the gap's read bases, or
+// bounded by its estimated size, before it runs, so units are dealt
+// longest first and a large gap's scan and ladder run on the ranks idle
+// beside it (closeGaps, dealScan, planWave).
 package gapclose
 
 import (
@@ -230,7 +230,8 @@ func collectGaps(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadL
 // and sends its answer back.
 //
 // The close span counts each step's virtual time (scan_ns, ladder_ns over
-// all waves, settle_ns) and the chunks scanned (scan_chunks).
+// all waves, settle_ns), the chunks scanned (scan_chunks) and the steps
+// walked (walk_steps).
 func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []closure {
 	p := team.Config().Ranks
 	jobs := newJobs(gaps)
@@ -259,7 +260,7 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 		}
 	}
 	ladders = heaviestFirst(ladders, (*gapJob).stepCost)
-	var primaries, waves int64
+	var primaries, waves, walked int64
 	var ladder time.Duration
 	for {
 		var open []*gapJob
@@ -277,15 +278,17 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 		more := slices.ContainsFunc(open, func(j *gapJob) bool { return j.tried < len(j.steps) })
 		wave := team.Run(func(r *xrt.Rank) {
 			crossed := int64(0)
-			for _, t := range byRank[r.ID] {
-				j, st := t.job, &t.job.steps[t.step]
+			for i := range byRank[r.ID] {
+				t := &byRank[r.ID][i]
+				j, st, k := t.job, &t.job.steps[t.step], walkK+t.step*walkKStep
 				if j.home != r.ID {
 					r.ChargeLookup(j.home, j.readBases)
 				}
 				s := pool.get()
-				s.runStep(j.g, walkK+t.step*walkKStep, st)
+				s.graph.build(j.g.reads, k)
+				t.steps = s.walkStep(j.g, k, st)
 				pool.put(s)
-				r.ChargeItems(j.stepCost())
+				r.ChargeItems(buildFactor*j.readBases + walkFactor*t.steps)
 				if j.home != r.ID {
 					r.ChargeStoreBatch(j.home, 1, len(st.seq)+len(st.partL)+len(st.partR))
 				}
@@ -300,6 +303,11 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 			}
 		})
 		ladder += wave.Virtual
+		for _, ts := range byRank {
+			for _, t := range ts {
+				walked += int64(t.steps)
+			}
+		}
 	}
 
 	settle := team.Run(func(r *xrt.Rank) {
@@ -344,6 +352,7 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 	team.AddCounter("verify_checked", int64(res.Checked))
 	team.AddCounter("verify_confirmed", int64(res.Verified))
 	team.AddCounter("scan_chunks", chunks)
+	team.AddCounter("walk_steps", walked)
 	team.AddCounter("scan_ns", int64(scan.Virtual))
 	team.AddCounter("ladder_ns", int64(ladder))
 	team.AddCounter("settle_ns", int64(settle.Virtual))

@@ -222,7 +222,9 @@ func closeGapSeq(s *scratch, g *gapState, steps []ladderStep) (m Method, seq []b
 	}
 	steps = steps[:ladderLen(g)]
 	for i := range steps {
-		s.runStep(g, walkK+i*walkKStep, &steps[i])
+		k := walkK + i*walkKStep
+		s.graph.build(g.reads, k)
+		s.walkStep(g, k, &steps[i])
 		if steps[i].ok {
 			return Walked, steps[i].seq, i + 1
 		}
@@ -292,7 +294,8 @@ func TestPatchingUnit(t *testing.T) {
 	// One ladder step, at k: no k escalation.
 	var s scratch
 	steps := make([]ladderStep, 1)
-	s.runStep(gst, k, &steps[0])
+	s.graph.build(gst.reads, k)
+	s.walkStep(gst, k, &steps[0])
 	if steps[0].ok {
 		t.Fatal("a walk crossed the coverage hole")
 	}

@@ -9,14 +9,19 @@ import (
 
 // Work, in charged items, of the units gap closing is dealt in. Closure
 // methods differ in computational intensity by orders of magnitude (§4.8),
-// but each unit's cost is known from the gap's read bases before it runs,
-// which is what lets the units be dealt longest first.
+// but each unit's cost is known, or bounded, from the gap's read bases and
+// estimated size before it runs, which is what lets the units be dealt
+// longest first. BenchmarkMiniGraphUnits calibrates the build and walk
+// factors against each other.
 const (
 	// gapOverhead is charged once per gap, whatever becomes of it.
 	gapOverhead = 64
-	// stepFactor × read bases is one ladder step: the mini de Bruijn build
-	// and two directed walks.
-	stepFactor = 3
+	// buildFactor × read bases is a ladder step's mini-graph build: the two
+	// upserts each window makes.
+	buildFactor = 2
+	// walkFactor × steps walked is a ladder step's two directed walks: a
+	// step is a dependent lookup, about twice a built base.
+	walkFactor = 4
 	// patchFactor × the DP rows it computes is one patching attempt: left
 	// flank + left partial walk, at most aligner.OverlapWindow of them.
 	patchFactor = 8
@@ -51,7 +56,11 @@ type gapJob struct {
 }
 
 func (j *gapJob) scanCost() int { return j.readBases + gapOverhead }
-func (j *gapJob) stepCost() int { return stepFactor * j.readBases }
+
+// stepCost is one ladder step of j, its walks priced at their bound. It is
+// the same at every k, so a gap's next k fits under a wave's makespan
+// wherever its smallest did.
+func (j *gapJob) stepCost() int { return buildFactor*j.readBases + walkFactor*walkBound(j.g) }
 
 // open reports whether the ladder has a step left to run: no k tried so far
 // walked across, and a larger one remains.
@@ -248,8 +257,9 @@ func dealScan(jobs []*gapJob, p int, cost xrt.CostModel) [][]*scanChunk {
 
 // ladderTask is one (gap, k) unit of a wave.
 type ladderTask struct {
-	job  *gapJob
-	step int // index into job.steps; k = walkK + step × walkKStep
+	job   *gapJob
+	step  int // index into job.steps; k = walkK + step × walkKStep
+	steps int // walked, written by the task's rank, read after the wave's join
 }
 
 // planWave deals one wave of ladder steps over p ranks and advances each
@@ -268,7 +278,7 @@ func planWave(open []*gapJob, p int) [][]ladderTask {
 	loads := make(rankLoads, p)
 	deal := func(r int, j *gapJob) {
 		loads[r] += j.stepCost()
-		byRank[r] = append(byRank[r], ladderTask{j, j.tried})
+		byRank[r] = append(byRank[r], ladderTask{job: j, step: j.tried})
 		j.tried++
 	}
 	for _, j := range open {

@@ -2,7 +2,9 @@ package gapclose
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+	"time"
 
 	"hipmer/internal/genome"
 	"hipmer/internal/kmer"
@@ -163,6 +165,36 @@ func walkHeavyGap() (g *gapState, interior []byte) {
 		est: gapHi - gapLo, reads: reads}, seq[gapLo:gapHi]
 }
 
+// repeatFlankedGap is a gap like the slowest of a wheat-like scaffolding
+// round: 400 reads of 100 and 150 bases, 50 kbp in all, drawn from the last
+// 1.2 kbp of eight lightly diverged copies of a 1.5 kbp repeat and the 300
+// unique bases after each, with 0.5 % substitution errors. The gap is the
+// 150 bases of copy 0 right after its repeat, so the left flank is repeat
+// sequence and the right flank unique.
+func repeatFlankedGap() *gapState {
+	const side, gapLen = 300, 150
+	rng := xrt.NewPrng(44)
+	repeat := genome.Random(rng, 1500)
+	var copies [][]byte
+	for i := 0; i < 8; i++ {
+		copies = append(copies, slices.Concat(genome.Mutate(rng, repeat, 0.002), genome.Random(rng, side)))
+	}
+	var reads [][]byte
+	for len(reads) < 400 {
+		src := copies[rng.Intn(len(copies))][len(repeat)-1200:]
+		n := 100 + 50*(len(reads)%2)
+		at := rng.Intn(len(src) - n + 1)
+		rd := genome.Mutate(rng, src[at:at+n], 0.005)
+		if rng.Intn(2) == 1 {
+			rd = kmer.RevCompString(rd)
+		}
+		reads = append(reads, rd)
+	}
+	end := len(repeat)
+	return &gapState{left: copies[0][end-200 : end], right: copies[0][end+gapLen : end+side],
+		est: gapLen, reads: reads}
+}
+
 func TestCloseGapAllocations(t *testing.T) {
 	g, interior := walkHeavyGap()
 	var s scratch
@@ -186,5 +218,70 @@ func BenchmarkCloseGap(b *testing.B) {
 		if m, _, _ := closeGapSeq(&s, g, steps); m != Walked {
 			b.Fatalf("closed by %v", m)
 		}
+	}
+}
+
+// BenchmarkMiniGraphUnits measures, each per unit at k = 21, what a ladder
+// step is billed for — a build per read base (the whole read set) and a
+// walk per step (both walks) — and what a step counted in 8 chunks of its
+// reads on 8 ranks would add: the merge, per entry, of the partial graphs
+// of chunks 1–7 into that of chunk 0 (entries/away-base is how many there
+// are per base those chunks count). At buildFactor items per built base,
+// walkFactor is buildFactor × ns/walk-step over ns/build-base, rounded up.
+func BenchmarkMiniGraphUnits(b *testing.B) {
+	heavy, _ := walkHeavyGap()
+	for _, c := range []struct {
+		name string
+		g    *gapState
+	}{{"walk-heavy", heavy}, {"repeat-flanked", repeatFlankedGap()}} {
+		b.Run(c.name, func(b *testing.B) {
+			j := newJobs([]*gapState{c.g})[0]
+			var reads [8][][]byte
+			for i, rd := range c.g.reads {
+				reads[i*8/len(c.g.reads)] = append(reads[i*8/len(c.g.reads)], rd)
+			}
+			parts := make([]miniGraph, 7)
+			entries, away := 0, 0
+			for i := range parts {
+				parts[i].build(reads[i+1], walkK)
+				entries += parts[i].counts.Len()
+				for _, rd := range reads[i+1] {
+					away += len(rd)
+				}
+			}
+			var s scratch
+			var st ladderStep
+			var build, merge, walk time.Duration
+			steps := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				s.graph.build(c.g.reads, walkK)
+				t1 := time.Now()
+				steps = s.walkStep(c.g, walkK, &st)
+				t2 := time.Now()
+				s.graph.build(reads[0], walkK)
+				t3 := time.Now()
+				for p := range parts {
+					parts[p].counts.Range(func(h uint64, km kmer.Kmer, v *[4]int32) bool {
+						to, _ := s.graph.counts.Upsert(h, km)
+						for x, n := range v {
+							to[x] += n
+						}
+						return true
+					})
+				}
+				merge += time.Since(t3)
+				build += t1.Sub(t0)
+				walk += t2.Sub(t1)
+			}
+			per := func(d time.Duration, units int) float64 {
+				return float64(d.Nanoseconds()) / float64(b.N) / float64(max(units, 1))
+			}
+			b.ReportMetric(per(build, j.readBases), "ns/build-base")
+			b.ReportMetric(per(walk, steps), "ns/walk-step")
+			b.ReportMetric(per(merge, entries), "ns/merged-entry")
+			b.ReportMetric(float64(entries)/float64(away), "entries/away-base")
+		})
 	}
 }

@@ -131,28 +131,41 @@ type ladderStep struct {
 	partL, partR []byte // the partial walks from the left and the right flank
 }
 
-// runStep is one (gap, k) task: the gap's mini-graph at k, walked from the
-// left flank and, failing that, from the right. It needs nothing of the
-// gap's other k values, so the steps of one ladder can run on different
-// ranks; reduceLadder puts their outcomes back in order. The caller has
-// checked that both flanks hold k bases.
-func (s *scratch) runStep(g *gapState, k int, out *ladderStep) {
+// walkStep is the walking half of one (gap, k) task, over the gap's
+// mini-graph at k that s holds: a walk from the left flank and, failing
+// that, one from the right. It returns the steps walked, at most
+// walkBound(g). A task needs nothing of the gap's other k values, so the
+// steps of one ladder can run on different ranks; reduceLadder puts their
+// outcomes back in order. The caller has checked that both flanks hold k
+// bases.
+func (s *scratch) walkStep(g *gapState, k int, out *ladderStep) (steps int) {
 	maxLen := g.est*maxGapFactor + 200
-	s.graph.build(g.reads, k)
 	from, fromOK := kmer.Pack(g.left[len(g.left)-k:], k)
 	to, toOK := kmer.Pack(g.right, k)
-	if out.ok = s.walk(from, to, fromOK, toOK, k, maxLen); out.ok {
+	out.ok = s.walk(from, to, fromOK, toOK, k, maxLen)
+	steps = len(s.walked)
+	if out.ok {
 		out.seq = bytes.Clone(s.closure(k))
-		return
+		return steps
 	}
 	out.partL = append(out.partL[:0], s.walked...)
 	// right-to-left: the same walk on the other strand, from the reverse
 	// complement of the right anchor to that of the left
-	if out.ok = s.walk(to.RevComp(k), from.RevComp(k), toOK, fromOK, k, maxLen); out.ok {
+	out.ok = s.walk(to.RevComp(k), from.RevComp(k), toOK, fromOK, k, maxLen)
+	steps += len(s.walked)
+	if out.ok {
 		out.seq = kmer.RevCompString(s.closure(k))
-		return
+		return steps
 	}
 	out.partR = append(out.partR[:0], s.walked...)
+	return steps
+}
+
+// walkBound is the most steps walkStep can take on g at any k of the
+// ladder: two walks of at most maxGapFactor × the estimate + 200 bases past
+// the anchor, and the k bases of the anchor they end on.
+func walkBound(g *gapState) int {
+	return 2 * (g.est*maxGapFactor + 200 + maxWalkK)
 }
 
 // reduceLadder folds the steps of one gap's ladder, given in order of
