@@ -23,17 +23,15 @@ const (
 	exitInjectedCrash       = 3
 	exitRetryExhausted      = 4
 	exitFingerprintMismatch = 5
-	exitTopologyMismatch    = 6
 	exitAdmissionRejected   = 7
 	exitUnrecoverableCkpt   = 8
 )
 
 // exitCodeFor maps an Assemble error onto the contract. Order matters:
 // a retry exhaustion arrives wrapped in a StageFailedError, so it is
-// tested first; the two checkpoint refusals are typed sentinels from
-// internal/ckpt — fingerprint mismatch means "different config/input",
-// topology mismatch means "this rank-count change cannot be re-sharded"
-// (an oracle-placed run), and harnesses react differently to each.
+// tested first. The checkpoint refusals are typed sentinels from
+// internal/ckpt: a fingerprint mismatch means "different config/input"
+// (a rank-count change is never refused; it re-shards).
 func exitCodeFor(err error) int {
 	var re *xrt.RetryExhaustedError
 	if errors.As(err, &re) {
@@ -42,9 +40,6 @@ func exitCodeFor(err error) int {
 	var sf *pipeline.StageFailedError
 	if errors.As(err, &sf) {
 		return exitInjectedCrash
-	}
-	if errors.Is(err, ckpt.ErrTopologyMismatch) {
-		return exitTopologyMismatch
 	}
 	if errors.Is(err, ckpt.ErrFingerprintMismatch) {
 		return exitFingerprintMismatch

@@ -10,10 +10,8 @@ import (
 	"hipmer/internal/xrt"
 )
 
-// TestExitCodeFor pins the CLI exit-code contract, in particular that
-// the two checkpoint-refusal paths stay distinguishable: harnesses
-// retry a topology mismatch at the recorded rank count, but a
-// fingerprint mismatch means the run itself is wrong.
+// TestExitCodeFor pins the CLI exit-code mapping on hand-built errors;
+// cli_test.go drives the same contract through real runs.
 func TestExitCodeFor(t *testing.T) {
 	cases := []struct {
 		name string
@@ -32,9 +30,6 @@ func TestExitCodeFor(t *testing.T) {
 		{"fingerprint-mismatch",
 			fmt.Errorf("resuming: %w", ckpt.ErrFingerprintMismatch),
 			exitFingerprintMismatch},
-		{"topology-mismatch",
-			fmt.Errorf("oracle placement: %w", ckpt.ErrTopologyMismatch),
-			exitTopologyMismatch},
 		// A bare ErrBadManifest (e.g. from a mid-run manifest rewrite) is
 		// still exit 1; only the typed unrecoverable-checkpoint wrapper —
 		// what Resume/Scrub return when the manifest is missing or

@@ -44,10 +44,11 @@
 // 2 usage error (validateOptions), 3 injected rank crash (resumable with
 // -resume), 4 chaos retry budget exhausted (also resumable with -resume),
 // 5 checkpoint written by a different config/input (fingerprint
-// mismatch), 6 checkpoint topology incompatible with this run (e.g. an
-// oracle-placed run resuming at a different rank count), 8 checkpoint
-// unrecoverable — manifest missing or unparsable, nothing to heal from
-// (start a fresh -ckpt-dir).
+// mismatch), 8 checkpoint unrecoverable — manifest missing or
+// unparsable, nothing to heal from (start a fresh -ckpt-dir). A resume
+// at another rank count is never refused. Code 7 is hipmerd's (a job
+// refused by admission control); cli_test.go runs this contract end to
+// end.
 package main
 
 import (
@@ -214,10 +215,6 @@ func main() {
 			exit(code)
 		case exitFingerprintMismatch:
 			fmt.Fprintf(os.Stderr, "hipmer: the checkpoint in %s was written by a different config or input; rerun with the original flags and reads, or start a fresh -ckpt-dir\n",
-				opts.CkptDir)
-			exit(code)
-		case exitTopologyMismatch:
-			fmt.Fprintf(os.Stderr, "hipmer: the checkpoint in %s cannot be re-sharded onto this run's topology; resume at the recorded rank count\n",
 				opts.CkptDir)
 			exit(code)
 		case exitUnrecoverableCkpt:

@@ -221,6 +221,7 @@ func TestOneRuleAtEveryEntryPoint(t *testing.T) {
 		{"disk-fail-stage-io", func(o *hipmer.Options) { o.DiskFaultSeed, o.DiskFailStage = 21, "io" }, "not a checkpointable stage"},
 		{"drop-rate-one", func(o *hipmer.Options) { o.ChaosSeed, o.DropRate = 7, 1 }, "[0,1)"},
 		{"drop-rate-unarmed", func(o *hipmer.Options) { o.DropRate = 0.05 }, "requires -chaos-seed"},
+		{"retry-budget-negative", func(o *hipmer.Options) { o.RetryBudget = -1 }, "-retry-budget must be >= 0 (0 = the default, 16)"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

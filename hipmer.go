@@ -23,11 +23,11 @@
 package hipmer
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
 	"hipmer/internal/ckpt"
-	"hipmer/internal/contig"
 	"hipmer/internal/fasta"
 	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
@@ -75,8 +75,8 @@ type Options struct {
 	// it may differ from the rank count the checkpoint was written at —
 	// the recorded state is re-sharded onto the new team (elastic
 	// rescale) and the assembly is bit-identical to a from-scratch run
-	// at the new count. Ranks 0 with Resume adopts the checkpoint's
-	// recorded rank count instead.
+	// at the new count, oracle-placed or not. Ranks 0 with Resume adopts
+	// the checkpoint's recorded rank count instead.
 	Ranks int
 	// RanksPerNode groups ranks into simulated nodes (default 24).
 	RanksPerNode int
@@ -87,9 +87,12 @@ type Options struct {
 	Seed int64
 	// ContigsOnly stops after contig generation (metagenome mode, §5.4).
 	ContigsOnly bool
-	// OracleContigs, when non-nil, builds the §3.2 communication-avoiding
-	// placement from a previous assembly of the same species (e.g.
-	// Result.Scaffolds of another individual) before assembling.
+	// OracleContigs, when non-empty, are a previous assembly of the same
+	// species (e.g. Result.ContigSeqs of another individual): every
+	// contig-generation round builds the §3.2 communication-avoiding
+	// placement from them, at its own k and for this run's rank count. The
+	// placement moves communication only; the assembly is the one a run
+	// without it produces, and a Resume may still change Ranks.
 	OracleContigs [][]byte
 	// ScaffoldRounds repeats scaffolding + gap closing, feeding scaffolds
 	// back in as contigs; the paper's wheat runs used four rounds (§5.3).
@@ -109,9 +112,8 @@ type Options struct {
 	// manifest and rehydrates their outputs instead of recomputing.
 	// Refused when the checkpoint's config/input fingerprint differs
 	// from this run's (ckpt.ErrFingerprintMismatch). A different Ranks
-	// is NOT refused — stage state re-shards onto the new rank count —
-	// unless the run uses an oracle placement, which is rank-count-bound
-	// (ckpt.ErrTopologyMismatch). Requires CkptDir.
+	// is never refused: stage state re-shards onto the new rank count,
+	// with or without OracleContigs. Requires CkptDir.
 	Resume bool
 	// Inject arms the deterministic injection layers the robustness
 	// harnesses drive: schedule perturbation (PerturbSeed), a rank crash
@@ -180,6 +182,11 @@ func Assemble(libs []Library, opt Options) (*Result, error) {
 		// Adopt the checkpoint's recorded topology (the CLI's default
 		// when -resume is given without an explicit -ranks).
 		topo, err := ckpt.ReadTopology(opt.CkptDir)
+		if errors.Is(err, ckpt.ErrBadManifest) {
+			// As on the -ranks path (pipeline's openStore): an unparsable
+			// manifest cannot seed a resume, and scrubbing cannot heal it.
+			err = fmt.Errorf("%w: %w", ckpt.ErrUnrecoverableCkpt, err)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("hipmer: adopting checkpoint topology: %w", err)
 		}
@@ -203,16 +210,6 @@ func Assemble(libs []Library, opt Options) (*Result, error) {
 	cfg := opt.pipelineConfig()
 	if opt.Verify {
 		cfg.Verify = &verify.Options{Ref: opt.VerifyRef}
-	}
-	if len(opt.OracleContigs) > 0 {
-		var cs []*contig.Contig
-		n := 0
-		for i, seq := range opt.OracleContigs {
-			cs = append(cs, &contig.Contig{ID: int64(i + 1), Seq: seq})
-			n += len(seq)
-		}
-		// The oracle vector gets 8 slots per k-mer of the contigs.
-		cfg.Oracle = contig.BuildOracle(cs, opt.K, opt.Ranks, 8*n)
 	}
 	team := xrt.NewTeam(xrt.Config{
 		Ranks:        opt.Ranks,
@@ -257,6 +254,7 @@ func (opt Options) pipelineConfig() pipeline.Config {
 		KmerLens:       append([]int(nil), opt.KmerLens...),
 		MinCount:       opt.MinCount,
 		ContigsOnly:    opt.ContigsOnly,
+		OracleContigs:  opt.OracleContigs,
 		ScaffoldRounds: opt.ScaffoldRounds,
 		CkptDir:        opt.CkptDir,
 		Resume:         opt.Resume,

@@ -96,9 +96,14 @@ func TestMetagenomeContigsOnly(t *testing.T) {
 	}
 }
 
+// TestOracleWorkflow assembles individual 1 and reuses its contigs as the
+// oracle for individual 2 of the same species, single-k and on a k
+// ladder, at 2 ranks per node so placement shows in off-node lookups.
+// The oracle moves communication only: each mode's scaffolds are its
+// no-oracle run's byte for byte, and every contig-generation round —
+// each building its vector at its own k — makes at most 60 % of the
+// no-oracle run's off-node lookups.
 func TestOracleWorkflow(t *testing.T) {
-	// assemble individual 1, reuse its scaffolds as the oracle for
-	// individual 2 of the same species
 	g1 := RandomGenome(6, 15000)
 	lib1 := SimReads(7, g1, 30, 100, 350, 25)
 	res1, err := Assemble([]Library{lib1}, Options{K: 31, MinCount: 3, Ranks: 8})
@@ -110,13 +115,46 @@ func TestOracleWorkflow(t *testing.T) {
 	if len(res1.ContigSeqs) == 0 {
 		t.Fatal("no contig sequences exposed")
 	}
-	res2, err := Assemble([]Library{lib2}, Options{
-		K: 31, MinCount: 3, Ranks: 8, OracleContigs: res1.ContigSeqs,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var singleK *Result
+	for _, lens := range [][]int{nil, {21, 33}} {
+		opt := Options{K: 31, KmerLens: lens, MinCount: 3, Ranks: 8, RanksPerNode: 2}
+		plain, err := Assemble([]Library{lib2}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.OracleContigs = res1.ContigSeqs
+		placed, err := Assemble([]Library{lib2}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(placed.Scaffolds) != len(plain.Scaffolds) {
+			t.Fatalf("k %v: %d scaffolds with the oracle, %d without", lens, len(placed.Scaffolds), len(plain.Scaffolds))
+		}
+		for i := range placed.Scaffolds {
+			if !bytes.Equal(placed.Scaffolds[i], plain.Scaffolds[i]) {
+				t.Fatalf("k %v: scaffold %d differs with the oracle", lens, i)
+			}
+		}
+		rounds := 0
+		for _, st := range plain.Metrics.Stages {
+			if st.Depth != 0 || !strings.HasPrefix(st.Name, "contig-generation") {
+				continue
+			}
+			rounds++
+			off := placed.Metrics.Stage(st.Path).Comm.OffNodeLookups
+			if base := st.Comm.OffNodeLookups; 10*off > 6*base {
+				t.Errorf("k %v: %s makes %d off-node lookups with the oracle, %d without (want <= 60 %%)",
+					lens, st.Name, off, base)
+			}
+		}
+		if want := max(1, len(lens)); rounds != want {
+			t.Fatalf("k %v: %d contig-generation spans, want %d", lens, rounds, want)
+		}
+		if lens == nil {
+			singleK = placed
+		}
 	}
-	v := validate(t, res2, g2)
+	v := validate(t, singleK, g2)
 	if v.CoveredFrac < 0.95 {
 		t.Fatalf("oracle-placed assembly covers only %.3f", v.CoveredFrac)
 	}

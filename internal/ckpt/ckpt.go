@@ -51,8 +51,11 @@ import (
 // format. v4: the manifest records the writing run's topology (rank
 // geometry) separately from the config/input fingerprint — which became
 // rank-independent — so a resume may rehydrate the checkpoint onto a
-// different rank count (elastic rescale) instead of refusing it.
-const Schema = "hipmer-ckpt/v4"
+// different rank count (elastic rescale) instead of refusing it. v5: stage
+// entries no longer record the writing rank count (every payload with
+// per-rank lists carries its own), and the fingerprint no longer hashes
+// the zero words of removed knobs nor whether an oracle placement ran.
+const Schema = "hipmer-ckpt/v5"
 
 // ManifestName is the manifest's filename inside a run directory.
 const ManifestName = "MANIFEST.json"
@@ -67,14 +70,8 @@ var (
 	// ErrFingerprintMismatch: the checkpoint belongs to a different
 	// config/input combination and must not seed a resume. The
 	// fingerprint is rank-independent: a topology difference alone never
-	// raises this error (see ErrTopologyMismatch).
+	// raises this error (a different rank count re-shards on load).
 	ErrFingerprintMismatch = errors.New("ckpt: config/input fingerprint mismatch")
-	// ErrTopologyMismatch: the checkpoint's recorded rank geometry is
-	// genuinely incompatible with the resuming run — not merely
-	// different (a different rank count re-shards on load), but
-	// unusable, e.g. a rank-count-bound oracle placement resumed on a
-	// team the placement was not built for.
-	ErrTopologyMismatch = errors.New("ckpt: incompatible checkpoint topology")
 	// ErrCorruptSegment: a segment file failed its structural, CRC, or
 	// content-hash validation.
 	ErrCorruptSegment = errors.New("ckpt: corrupt segment")
@@ -104,12 +101,6 @@ type StageEntry struct {
 	// Round is the iterative-k round the stage belongs to (1-based);
 	// zero for stages outside the multi-k loop.
 	Round int `json:"round,omitempty"`
-	// Ranks is the rank count of the run that wrote this entry — the
-	// payload's source partition. Recorded per entry, not per manifest,
-	// because a rescaled resume appends stages written at its own rank
-	// count to a directory whose earlier entries used another; each
-	// load re-shards from this entry's partition onto the running team.
-	Ranks int `json:"ranks"`
 	// Bytes is the full segment file size (header + payload + CRC).
 	Bytes int64 `json:"bytes"`
 	// CRC32 is the IEEE checksum stored at the segment tail, duplicated
@@ -120,13 +111,12 @@ type StageEntry struct {
 	ContentHash string `json:"content_hash"`
 }
 
-// Topology records the rank geometry of the run that wrote a
+// Topology records the rank geometry of the run that last wrote a
 // checkpoint. It is deliberately kept out of the config/input
 // fingerprint: stage payloads are globally canonical (or carry their own
 // source partition), so a resume on a different rank count re-shards
-// them instead of refusing. The record exists so the loader knows the
-// source partition and so a CLI resume without an explicit -ranks can
-// adopt the original geometry.
+// them instead of refusing. The record exists so a CLI resume without an
+// explicit -ranks can adopt the geometry.
 type Topology struct {
 	// Ranks is the simulated processor count of the writing run.
 	Ranks int `json:"ranks"`
@@ -175,10 +165,6 @@ func ParseManifest(b []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("%w: stage %q has negative round %d",
 				ErrBadManifest, e.Name, e.Round)
 		}
-		if e.Ranks < 1 {
-			return nil, fmt.Errorf("%w: stage %q has invalid source rank count %d",
-				ErrBadManifest, e.Name, e.Ranks)
-		}
 	}
 	return &m, nil
 }
@@ -187,11 +173,6 @@ func ParseManifest(b []byte) (*Manifest, error) {
 type Store struct {
 	dir string
 	man Manifest
-	// runTopo is the topology of the run currently writing to the store:
-	// the manifest's recorded topology after Create or Resume, replaced
-	// by AdoptTopology when a rescaled resume takes over the directory.
-	// New entries are stamped with its rank count.
-	runTopo Topology
 	// disk is the storage fault segment writes are put through (see
 	// SetDiskFault); the zero plan damages nothing.
 	disk xrt.DiskFaultPlan
@@ -219,7 +200,7 @@ func Create(dir, fingerprint string, topo Topology) (*Store, error) {
 	sweepTemps(dir)
 	s := &Store{dir: dir, man: Manifest{
 		Schema: Schema, Fingerprint: fingerprint, Topology: topo,
-	}, runTopo: topo}
+	}}
 	if err := writeManifest(s.dir, &s.man); err != nil {
 		return nil, err
 	}
@@ -228,10 +209,8 @@ func Create(dir, fingerprint string, topo Topology) (*Store, error) {
 
 // Resume opens an existing run directory, refusing schema or fingerprint
 // mismatches: a checkpoint from different inputs or a different config
-// must never seed a resume. A topology difference is NOT refused here —
-// the fingerprint is rank-independent and stage loaders re-shard; the
-// caller reads Topology() to learn the source partition and decides
-// whether its own placement constraints allow the rescale.
+// must never seed a resume. A topology difference is NOT refused: the
+// fingerprint is rank-independent and stage loaders re-shard.
 func Resume(dir, fingerprint string) (*Store, error) {
 	m, err := readManifest(dir)
 	if err != nil {
@@ -242,20 +221,17 @@ func Resume(dir, fingerprint string) (*Store, error) {
 			ErrFingerprintMismatch, m.Fingerprint, fingerprint)
 	}
 	sweepTemps(dir)
-	return &Store{dir: dir, man: *m, runTopo: m.Topology}, nil
+	return &Store{dir: dir, man: *m}, nil
 }
 
 // AdoptTopology hands the run directory to a resumed run with a
-// different rank geometry (elastic rescale): stages the resumed run
-// writes are stamped with the new rank count, and the manifest's
-// top-level topology — what ReadTopology reports and a later -resume
-// without -ranks adopts — now names the latest run's geometry. Existing
-// entries keep the source partition they were written under.
+// different rank geometry (elastic rescale): the manifest's topology —
+// what ReadTopology reports and a later -resume without -ranks adopts —
+// now names the latest run's geometry.
 func (s *Store) AdoptTopology(topo Topology) error {
 	if topo.Ranks < 1 || topo.RanksPerNode < 1 {
 		return fmt.Errorf("%w: invalid topology %+v", ErrBadManifest, topo)
 	}
-	s.runTopo = topo
 	s.man.Topology = topo
 	return writeManifest(s.dir, &s.man)
 }
@@ -271,8 +247,8 @@ func ReadTopology(dir string) (Topology, error) {
 	return m.Topology, nil
 }
 
-// Topology returns the rank geometry recorded when the run directory was
-// created — the partition the stage payloads were written under.
+// Topology returns the rank geometry the manifest records: the run that
+// created the directory's, or the latest adopter's.
 func (s *Store) Topology() Topology { return s.man.Topology }
 
 // Stages returns the manifest's stage entries in checkpoint order.
@@ -320,7 +296,6 @@ func (s *Store) WriteStageRound(stage string, round int, payload []byte) (StageE
 		File:        file,
 		Seq:         len(s.man.Stages),
 		Round:       round,
-		Ranks:       s.runTopo.Ranks,
 		Bytes:       int64(len(seg)),
 		CRC32:       crc,
 		ContentHash: hashHex(payload),

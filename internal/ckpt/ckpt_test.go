@@ -75,14 +75,22 @@ func TestResumeRefusesFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesSchemaMismatch: any other schema is refused, the v4
+// manifest — a well-formed one, whose entries carry the per-entry rank
+// count v5 dropped and whose fingerprint hashed the words v5 dropped —
+// included.
 func TestResumeRefusesSchemaMismatch(t *testing.T) {
-	dir := t.TempDir()
-	man := []byte(`{"schema":"hipmer-ckpt/v999","fingerprint":"fp","stages":[]}`)
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), man, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Resume(dir, "fp"); !errors.Is(err, ErrSchemaMismatch) {
-		t.Fatalf("err = %v, want ErrSchemaMismatch", err)
+	for _, man := range []string{
+		`{"schema":"hipmer-ckpt/v999","fingerprint":"fp","stages":[]}`,
+		`{"schema":"hipmer-ckpt/v4","fingerprint":"fp","topology":{"ranks":4,"ranks_per_node":2},"stages":[{"name":"kmer-analysis","file":"kmer-analysis.seg","seq":0,"ranks":4,"bytes":42,"crc32":7,"content_hash":"00"}]}`,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(man), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Resume(dir, "fp"); !errors.Is(err, ErrSchemaMismatch) {
+			t.Fatalf("%s: err = %v, want ErrSchemaMismatch", man, err)
+		}
 	}
 }
 
@@ -172,27 +180,29 @@ func TestParseManifestRejectsTraversalAndDuplicates(t *testing.T) {
 	// not from a check that happens to fire first.
 	const topo = `"topology":{"ranks":4,"ranks_per_node":2},`
 	cases := []string{
-		`{"schema":"hipmer-ckpt/v4",` + topo + `"stages":[{"name":"a","file":"../evil.seg","ranks":4}]}`,
-		`{"schema":"hipmer-ckpt/v4",` + topo + `"stages":[{"name":"a","file":"/abs.seg","ranks":4}]}`,
-		`{"schema":"hipmer-ckpt/v4",` + topo + `"stages":[{"name":"a","file":".hidden","ranks":4}]}`,
-		`{"schema":"hipmer-ckpt/v4",` + topo + `"stages":[{"name":"","file":"x.seg","ranks":4}]}`,
-		`{"schema":"hipmer-ckpt/v4",` + topo + `"stages":[{"name":"a","file":"x.seg","ranks":4},{"name":"a","file":"y.seg","ranks":4}]}`,
-		`{"schema":"hipmer-ckpt/v4",` + topo + `"stages":[{"name":"a","file":"x.seg","round":-1,"ranks":4}]}`,
-		// Every entry must record the partition it was written at; a
-		// missing or non-positive source rank count cannot drive a
-		// re-shard on load.
-		`{"schema":"hipmer-ckpt/v4",` + topo + `"stages":[{"name":"a","file":"x.seg"}]}`,
-		`{"schema":"hipmer-ckpt/v4",` + topo + `"stages":[{"name":"a","file":"x.seg","ranks":-2}]}`,
-		// v4 requires a usable recorded topology: missing, zero, or
-		// negative rank geometry cannot drive a re-shard on resume.
-		`{"schema":"hipmer-ckpt/v4","stages":[]}`,
-		`{"schema":"hipmer-ckpt/v4","topology":{"ranks":0,"ranks_per_node":2},"stages":[]}`,
-		`{"schema":"hipmer-ckpt/v4","topology":{"ranks":4,"ranks_per_node":-1},"stages":[]}`,
+		`{"schema":"hipmer-ckpt/v5",` + topo + `"stages":[{"name":"a","file":"../evil.seg"}]}`,
+		`{"schema":"hipmer-ckpt/v5",` + topo + `"stages":[{"name":"a","file":"/abs.seg"}]}`,
+		`{"schema":"hipmer-ckpt/v5",` + topo + `"stages":[{"name":"a","file":".hidden"}]}`,
+		`{"schema":"hipmer-ckpt/v5",` + topo + `"stages":[{"name":"","file":"x.seg"}]}`,
+		`{"schema":"hipmer-ckpt/v5",` + topo + `"stages":[{"name":"a","file":"x.seg"},{"name":"a","file":"y.seg"}]}`,
+		`{"schema":"hipmer-ckpt/v5",` + topo + `"stages":[{"name":"a","file":"x.seg","round":-1}]}`,
+		// The recorded topology must be usable: a -resume without -ranks
+		// adopts it, and missing, zero, or negative rank geometry cannot
+		// build a team.
+		`{"schema":"hipmer-ckpt/v5","stages":[]}`,
+		`{"schema":"hipmer-ckpt/v5","topology":{"ranks":0,"ranks_per_node":2},"stages":[]}`,
+		`{"schema":"hipmer-ckpt/v5","topology":{"ranks":4,"ranks_per_node":-1},"stages":[]}`,
 	}
 	for _, c := range cases {
 		if _, err := ParseManifest([]byte(c)); !errors.Is(err, ErrBadManifest) {
 			t.Errorf("ParseManifest(%s): err = %v, want ErrBadManifest", c, err)
 		}
+	}
+	// An entry is whole without a rank count: each payload with per-rank
+	// lists carries its own.
+	ok := `{"schema":"hipmer-ckpt/v5",` + topo + `"stages":[{"name":"a","file":"x.seg"}]}`
+	if _, err := ParseManifest([]byte(ok)); err != nil {
+		t.Errorf("ParseManifest(%s): %v", ok, err)
 	}
 }
 
@@ -268,16 +278,16 @@ func TestFingerprintSensitivity(t *testing.T) {
 // FuzzManifest: no manifest or segment bytes may panic the parsers, and
 // a successful manifest parse must satisfy the documented invariants.
 func FuzzManifest(f *testing.F) {
-	f.Add([]byte(`{"schema":"hipmer-ckpt/v4","fingerprint":"00","topology":{"ranks":4,"ranks_per_node":2},"stages":[]}`))
-	f.Add([]byte(`{"schema":"hipmer-ckpt/v4","topology":{"ranks":1,"ranks_per_node":1},"stages":[{"name":"a","file":"a.seg","ranks":8}]}`))
-	f.Add([]byte(`{"schema":"hipmer-ckpt/v3","fingerprint":"00","stages":[]}`))
+	f.Add([]byte(`{"schema":"hipmer-ckpt/v5","fingerprint":"00","topology":{"ranks":4,"ranks_per_node":2},"stages":[]}`))
+	f.Add([]byte(`{"schema":"hipmer-ckpt/v5","topology":{"ranks":1,"ranks_per_node":1},"stages":[{"name":"a","file":"a.seg","round":2}]}`))
+	f.Add([]byte(`{"schema":"hipmer-ckpt/v4","fingerprint":"00","topology":{"ranks":4,"ranks_per_node":2},"stages":[{"name":"a","file":"a.seg","ranks":8}]}`))
 	f.Add([]byte(`{`))
 	f.Add(encodeSegment("kmer-analysis", []byte("payload")))
 	f.Add([]byte(segMagic))
 	// Quarantine artifacts: a scrubbed manifest (truncated to the intact
 	// prefix after storage damage) and the damaged segment shapes Scrub
 	// moves aside — a torn prefix and a bit-flipped copy.
-	f.Add([]byte(`{"schema":"hipmer-ckpt/v4","fingerprint":"00","topology":{"ranks":4,"ranks_per_node":2},"stages":[{"name":"kmer-analysis","file":"kmer-analysis.seg","seq":0,"ranks":4,"bytes":42,"crc32":7,"content_hash":"00"}]}`))
+	f.Add([]byte(`{"schema":"hipmer-ckpt/v5","fingerprint":"00","topology":{"ranks":4,"ranks_per_node":2},"stages":[{"name":"kmer-analysis","file":"kmer-analysis.seg","seq":0,"bytes":42,"crc32":7,"content_hash":"00"}]}`))
 	quarantined := encodeSegment("contig-generation", []byte("quarantined payload"))
 	f.Add(quarantined[: len(quarantined)/2 : len(quarantined)/2])
 	flipped := append([]byte(nil), quarantined...)
@@ -290,7 +300,7 @@ func FuzzManifest(f *testing.F) {
 			}
 			seen := map[string]bool{}
 			for _, e := range m.Stages {
-				if e.Name == "" || seen[e.Name] || e.File != filepath.Base(e.File) || e.Ranks < 1 {
+				if e.Name == "" || seen[e.Name] || e.File != filepath.Base(e.File) || e.Round < 0 {
 					t.Fatalf("accepted invalid manifest entry %+v", e)
 				}
 				seen[e.Name] = true
@@ -327,29 +337,17 @@ func TestWriteStageRoundTagsManifest(t *testing.T) {
 	if e := r.Entry("io"); e == nil || e.Round != 0 {
 		t.Fatalf("untagged stage gained a round: %+v", e)
 	}
-	// Both entries record the writing run's partition.
-	for _, name := range []string{"tip-clip-k21", "io"} {
-		if e := r.Entry(name); e.Ranks != testTopo.Ranks {
-			t.Fatalf("entry %s ranks = %d, want %d", name, e.Ranks, testTopo.Ranks)
-		}
-	}
 }
 
-// TestAdoptTopology: a rescaled resume takes over the directory — stages
-// it writes are stamped with its own rank count, earlier entries keep
-// their source partition, and the recorded topology (what a later
-// -resume without -ranks adopts) names the latest run's geometry.
+// TestAdoptTopology: a rescaled resume takes over the directory — the
+// recorded topology (what a later -resume without -ranks adopts) names
+// the latest run's geometry.
 func TestAdoptTopology(t *testing.T) {
 	dir := t.TempDir()
 	orig := Topology{Ranks: 8, RanksPerNode: 4}
-	s, err := Create(dir, "fp", orig)
-	if err != nil {
+	if _, err := Create(dir, "fp", orig); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteStageRound("kmer-analysis", 0, []byte("at 8")); err != nil {
-		t.Fatal(err)
-	}
-
 	r, err := Resume(dir, "fp")
 	if err != nil {
 		t.Fatal(err)
@@ -358,19 +356,10 @@ func TestAdoptTopology(t *testing.T) {
 	if err := r.AdoptTopology(rescaled); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.WriteStageRound("contig-generation", 0, []byte("at 2")); err != nil {
-		t.Fatal(err)
-	}
 
 	r2, err := Resume(dir, "fp")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e := r2.Entry("kmer-analysis"); e == nil || e.Ranks != orig.Ranks {
-		t.Fatalf("pre-rescale entry = %+v, want source ranks %d", e, orig.Ranks)
-	}
-	if e := r2.Entry("contig-generation"); e == nil || e.Ranks != rescaled.Ranks {
-		t.Fatalf("post-rescale entry = %+v, want source ranks %d", e, rescaled.Ranks)
 	}
 	if got := r2.Topology(); got != rescaled {
 		t.Fatalf("recorded topology = %+v, want adopted %+v", got, rescaled)

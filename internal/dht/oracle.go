@@ -11,6 +11,9 @@ import "sync/atomic"
 // "wrong" (remote) rank — the number of collisions approximates the number
 // of communication events the traversal will still incur. A larger vector
 // trades memory for fewer collisions (the paper's oracle-1 vs oracle-4).
+// A vector maps k-mers of one length onto the ranks of one team, so the
+// pipeline builds one per contig-generation round for the team running
+// it; no vector is ever stored in a checkpoint.
 type Oracle struct {
 	slots      []int32
 	ranks      int
@@ -51,13 +54,6 @@ func (o *Oracle) Place(h uint64) int {
 	}
 	return int(h % uint64(o.ranks))
 }
-
-// Ranks returns the rank count the assignment vector was built for. A
-// vector is only usable on a team of exactly this size — placement is
-// rank-count-bound, which is why an oracle-placed run cannot resume a
-// checkpoint on a different rank count (elastic rescale refuses it with
-// a topology-mismatch error).
-func (o *Oracle) Ranks() int { return o.ranks }
 
 // Collisions returns the number of conflicting assignments observed while
 // building the vector — an upper-bound estimate of residual communication.

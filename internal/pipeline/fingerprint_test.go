@@ -6,11 +6,13 @@ import (
 	"hipmer/internal/xrt"
 )
 
-// TestFingerprintGolden pins the checkpoint fingerprint of four run
-// shapes. The digests were generated at the commit before the
-// single-valued knobs (Theta, HHMinCount) left Config: a checkpoint
-// written by that binary must still resume under this one, so removing a
-// config field may not change a byte of what runFingerprint hashes.
+// TestFingerprintGolden pins the checkpoint fingerprint of five run
+// shapes: a checkpoint written by one binary must resume under the next,
+// so removing a config field may not change a byte of what runFingerprint
+// hashes. The digests were regenerated when the manifest moved to
+// hipmer-ckpt/v5, which dropped the zero words of removed knobs and the
+// oracle flag. An oracle placement moves only communication, so the
+// oracle run fingerprints as the single-k run does.
 func TestFingerprintGolden(t *testing.T) {
 	_, libs := SimulatedHuman(3, 1500, 8)
 	team := xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2, Seed: 5})
@@ -23,10 +25,11 @@ func TestFingerprintGolden(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"single-k", Config{K: 21}, "3b308ed230405094"},
-		{"ladder", Config{KmerLens: []int{21, 33}}, "c42df7223696b4f6"},
-		{"contigs-only", Config{K: 21, ContigsOnly: true}, "d9c48395ae6621fb"},
-		{"four-scaffold-rounds", Config{K: 21, ScaffoldRounds: 4}, "e13d92117303acb0"},
+		{"single-k", Config{K: 21}, "9c8c5a6483dd7d25"},
+		{"ladder", Config{KmerLens: []int{21, 33}}, "6aecb30857825913"},
+		{"contigs-only", Config{K: 21, ContigsOnly: true}, "77fb99e65878cf66"},
+		{"four-scaffold-rounds", Config{K: 21, ScaffoldRounds: 4}, "a88acedbd3030d39"},
+		{"oracle", Config{K: 21, OracleContigs: [][]byte{[]byte("ACGTTGCAACGTAGCTAGCTAGGATCCA")}}, "9c8c5a6483dd7d25"},
 	}
 	for _, c := range cases {
 		got, err := runFingerprint(team, c.cfg.WithDefaults(), libs, env.readLibs)

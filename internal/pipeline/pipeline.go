@@ -10,7 +10,6 @@ import (
 
 	"hipmer/internal/ckpt"
 	"hipmer/internal/contig"
-	"hipmer/internal/dht"
 	"hipmer/internal/fastq"
 	"hipmer/internal/gapclose"
 	"hipmer/internal/genome"
@@ -53,9 +52,13 @@ type Config struct {
 	KmerLens []int
 	// MinCount is the k-mer error-exclusion threshold (default 2).
 	MinCount int
-	// Oracle, when set, places the de Bruijn graph with the
-	// communication-avoiding layout of §3.2.
-	Oracle *dht.Oracle
+	// OracleContigs, when non-empty, are a previous assembly's contigs:
+	// each contig-generation round places its de Bruijn graph with the
+	// communication-avoiding layout of §3.2, a vector it builds from them
+	// at the round's k for the team that runs it. The placement moves
+	// communication, not the assembly, so it is not part of the checkpoint
+	// fingerprint and an oracle-placed run resumes at any rank count.
+	OracleContigs [][]byte
 	// AggBufSize overrides the aggregating-stores buffer size everywhere
 	// (1 = fine-grained messages, used by the baselines).
 	AggBufSize int
@@ -82,11 +85,9 @@ type Config struct {
 	// manifest, rehydrating their outputs from the checkpoint instead.
 	// The manifest's config/input fingerprint must match this run's; a
 	// mismatched resume is refused (ckpt.ErrFingerprintMismatch). The
-	// rank count may differ — the fingerprint is rank-independent and
+	// rank count may differ: the fingerprint is rank-independent and
 	// every load path re-shards the recorded state onto this team
-	// (elastic rescale) — except when Oracle is set: oracle placement is
-	// rank-count-bound, so that resume is refused with
-	// ckpt.ErrTopologyMismatch. Requires CkptDir.
+	// (elastic rescale). Requires CkptDir.
 	Resume bool
 }
 

@@ -143,24 +143,3 @@ func reshardScaffold(env *stageEnv, res *scaffold.Result) error {
 	}
 	return nil
 }
-
-// checkRescale refuses the one genuinely topology-incompatible resume: a
-// run configured with a dht.Oracle placement cannot rehydrate a stage
-// entry written at a different rank count, because the oracle's
-// assignment vector maps graph fragments onto a specific grid — the
-// recorded stage was placed for its entry's rank count and no load-time
-// transform can re-derive that placement for another. Entries are
-// checked individually (a directory can mix partitions after a rescaled
-// resume); everything non-oracle re-shards on load.
-func checkRescale(cfg Config, store *ckpt.Store, ranks int) error {
-	if cfg.Oracle == nil {
-		return nil
-	}
-	for _, e := range store.Stages() {
-		if e.Ranks != ranks {
-			return fmt.Errorf("pipeline: stage %q checkpointed at %d ranks cannot resume at %d ranks under an oracle placement (the placement vector is rank-count-bound): %w",
-				e.Name, e.Ranks, ranks, ckpt.ErrTopologyMismatch)
-		}
-	}
-	return nil
-}

@@ -1,13 +1,11 @@
 package pipeline
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
-	"hipmer/internal/ckpt"
-	"hipmer/internal/dht"
 	"hipmer/internal/kanalysis"
 	"hipmer/internal/kmer"
 	"hipmer/internal/scaffold"
@@ -190,8 +188,9 @@ func TestReshardCrashResume(t *testing.T) {
 	}
 }
 
-// TestReshardMixedPartitionDir pins the per-entry source partition: a
-// crash at 4 ranks leaves entries written at 4; the rescaled resume at
+// TestReshardMixedPartitionDir pins that each payload carries its own
+// source partition: a crash at 4 ranks leaves entries written at 4; the
+// rescaled resume at
 // 2 completes the run, appending scaffolding and gap-closing entries
 // written at 2 into the same directory; a final resume back at 4 must
 // load the mixed-partition directory (4-rank entries same-rank, 2-rank
@@ -262,37 +261,48 @@ func TestReshardMultiK(t *testing.T) {
 	}
 }
 
-// TestReshardOracleRefused: an oracle-placed run is the one genuinely
-// topology-bound configuration — its placement vector maps fragments
-// onto a specific grid — so a rescaled resume must be refused with the
-// typed topology error while a same-count resume still works.
-func TestReshardOracleRefused(t *testing.T) {
+// TestReshardOracle: an oracle-placed run resumes at any rank count. A
+// 4-rank oracle run crashes in contig generation; the resumes at 2 and 8
+// ranks build the placement vector for their own team, so contig
+// generation communicates exactly as a from-scratch oracle run at that
+// count does, and the assembly is that run's byte for byte.
+func TestReshardOracle(t *testing.T) {
 	libs := smallLibs(45)
-	dir := t.TempDir()
-	oracleCfg := func() Config {
-		return Config{K: 21, MinCount: 2, CkptDir: dir,
-			Oracle: dht.NewOracle(1<<16, 4)}
-	}
-	base, err := Run(ckTeam(), libs, oracleCfg())
+	draft, err := Run(ckTeam(), libs, Config{K: 21, MinCount: 2, ContigsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	bad := oracleCfg()
-	bad.Resume = true
-	bad.Oracle = dht.NewOracle(1<<16, 2)
-	if _, err := Run(teamAt(2), libs, bad); !errors.Is(err, ckpt.ErrTopologyMismatch) {
-		t.Fatalf("rescaled oracle resume: err = %v, want ErrTopologyMismatch", err)
-	}
-
-	ok := oracleCfg()
-	ok.Resume = true
-	res, err := Run(ckTeam(), libs, ok)
-	if err != nil {
-		t.Fatalf("same-count oracle resume: %v", err)
-	}
-	if !verify.EqualSets(verify.CanonicalSet(base.FinalSeqs), verify.CanonicalSet(res.FinalSeqs)) {
-		t.Fatal("same-count oracle resume diverged")
+	cfg := Config{K: 21, MinCount: 2, OracleContigs: draft.FinalSeqs}
+	for _, p := range []int{2, 8} {
+		t.Run(fmt.Sprintf("ranks=%d", p), func(t *testing.T) {
+			ccfg := cfg
+			ccfg.CkptDir = t.TempDir()
+			if _, err := Run(armedTeam(xrt.Inject{FaultSeed: 5, FailStage: "contig-generation"}), libs, ccfg); err == nil {
+				t.Fatal("injected crash did not fire")
+			}
+			scratch, err := Run(teamAt(p), libs, cfg)
+			if err != nil {
+				t.Fatalf("from scratch at %d ranks: %v", p, err)
+			}
+			ccfg.Resume = true
+			res, err := Run(teamAt(p), libs, ccfg)
+			if err != nil {
+				t.Fatalf("oracle resume at %d ranks: %v", p, err)
+			}
+			assertLoadSpan(t, res.Metrics, "checkpoint-load:kmer-analysis")
+			want := scratch.Metrics.Stage("contig-generation").Comm.OffNodeLookups
+			if got := res.Metrics.Stage("contig-generation").Comm.OffNodeLookups; got != want {
+				t.Fatalf("contig generation: %d off-node lookups, from-scratch oracle run %d", got, want)
+			}
+			if len(res.FinalSeqs) != len(scratch.FinalSeqs) {
+				t.Fatalf("%d sequences, from-scratch oracle run %d", len(res.FinalSeqs), len(scratch.FinalSeqs))
+			}
+			for i := range res.FinalSeqs {
+				if !bytes.Equal(res.FinalSeqs[i], scratch.FinalSeqs[i]) {
+					t.Fatalf("sequence %d differs from the from-scratch oracle run", i)
+				}
+			}
+		})
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"hipmer/internal/ckpt"
 	"hipmer/internal/contig"
+	"hipmer/internal/dht"
 	"hipmer/internal/fastq"
 	"hipmer/internal/gapclose"
 	"hipmer/internal/kanalysis"
@@ -251,11 +252,28 @@ func runContigRound(k int) func(env *stageEnv) error {
 	return func(env *stageEnv) error {
 		env.res.Contigs = contig.Run(env.team, env.res.KAnalysis.Table, contig.Options{
 			K:          k,
-			Oracle:     env.cfg.Oracle,
+			Oracle:     buildOracle(env.cfg.OracleContigs, k, env.team.Config().Ranks),
 			AggBufSize: env.cfg.AggBufSize,
 		})
 		return nil
 	}
+}
+
+// buildOracle is the §3.2 placement vector of one contig-generation round:
+// built from a previous assembly's contigs (IDs 1..n, 8 slots per contig
+// base) at the round's k for the team that runs the round, so no vector
+// outlives the rank count it was built for. nil without contigs.
+func buildOracle(seqs [][]byte, k, ranks int) *dht.Oracle {
+	if len(seqs) == 0 {
+		return nil
+	}
+	cs := make([]*contig.Contig, len(seqs))
+	n := 0
+	for i, seq := range seqs {
+		cs[i] = &contig.Contig{ID: int64(i + 1), Seq: seq}
+		n += len(seq)
+	}
+	return contig.BuildOracle(cs, k, ranks, 8*n)
 }
 
 func runTipClip(k int) func(env *stageEnv) error {
@@ -382,12 +400,10 @@ func runStage(env *stageEnv, st stage) (err error) {
 
 // openStore opens the run's checkpoint directory for this team: created
 // fresh, or with resume reopened under the same fingerprint. A resume at
-// another rank geometry adopts the directory — stages it writes are
-// stamped with its own rank count and the recorded topology now names
-// this run's — which only an oracle-placed run refuses (checkRescale);
-// every load lands its payload on this team whatever count wrote it. The
-// team's disk-fault plan is set on every store opened, so it survives a
-// reopen after a heal.
+// another rank geometry adopts the directory — the recorded topology now
+// names this run's — and every load lands its payload on this team
+// whatever count wrote it. The team's disk-fault plan is set on every
+// store opened, so it survives a reopen after a heal.
 func openStore(env *stageEnv, fp string, resume bool) (*ckpt.Store, error) {
 	tc := env.team.Config()
 	topo := ckpt.Topology{Ranks: tc.Ranks, RanksPerNode: tc.RanksPerNode}
@@ -402,9 +418,6 @@ func openStore(env *stageEnv, fp string, resume bool) (*ckpt.Store, error) {
 			// heal it either: there is no trustworthy record of an intact
 			// prefix.
 			err = fmt.Errorf("%w: %w", ckpt.ErrUnrecoverableCkpt, err)
-		}
-		if err == nil {
-			err = checkRescale(env.cfg, store, topo.Ranks)
 		}
 		if err == nil && store.Topology() != topo {
 			err = store.AdoptTopology(topo)
@@ -479,7 +492,8 @@ func loadStage(env *stageEnv, store *ckpt.Store, st stage) error {
 // geometry is deliberately NOT part of the digest — it is recorded
 // separately as the manifest's Topology — so a checkpoint resumes on a
 // different rank count (elastic rescale) while a different config or
-// input is still refused. Computed after io (reads are the fingerprint's
+// input is still refused. Neither is OracleContigs: a placement moves
+// communication, not stage outputs. Computed after io (reads are the fingerprint's
 // domain, so io always reruns). Perturb, fault, chaos, and disk-fault
 // seeds are likewise excluded: they must not change outputs (schedule
 // perturbation, message-level chaos) or represent the failure being
@@ -496,27 +510,9 @@ func runFingerprint(team *xrt.Team, cfg Config, libs []Library, readLibs []scaff
 		f.Int(int64(k))
 	}
 	f.Int(int64(cfg.MinCount))
-	// Five words where DisableHeavyHitters, Theta, HHMinCount, MinimizerLen
-	// and DisableSuperKmers (zero in every product run) were hashed, so
-	// checkpoints written before their removal resume.
-	f.Bool(false)
-	f.Int(0)
-	f.Int(0)
-	f.Int(0)
-	f.Bool(false)
 	f.Int(int64(cfg.AggBufSize))
 	f.Bool(cfg.ContigsOnly)
 	f.Int(int64(cfg.ScaffoldRounds))
-	f.Bool(cfg.Oracle != nil)
-	// Six more where the Config.Scaffold / Config.Gapclose pass-throughs
-	// (never set) hashed MinLinkSupport, MinContigLen, DisableBubbles,
-	// WalkK, MaxWalkK and MinOverlap.
-	f.Int(0)
-	f.Int(0)
-	f.Bool(false)
-	f.Int(0)
-	f.Int(0)
-	f.Int(0)
 	for li, rl := range readLibs {
 		f.Str(rl.Name)
 		f.Int(int64(rl.InsertHint))

@@ -101,5 +101,8 @@ func (in Inject) Validate(stages []string, haveCkptDir bool) error {
 	if in.DropRate > 0 && in.ChaosSeed == 0 {
 		return fmt.Errorf("-drop-rate requires -chaos-seed")
 	}
+	if in.RetryBudget < 0 {
+		return fmt.Errorf("-retry-budget must be >= 0 (0 = the default, 16), got %d", in.RetryBudget)
+	}
 	return nil
 }
