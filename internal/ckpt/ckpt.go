@@ -54,8 +54,10 @@ import (
 // different rank count (elastic rescale) instead of refusing it. v5: stage
 // entries no longer record the writing rank count (every payload with
 // per-rank lists carries its own), and the fingerprint no longer hashes
-// the zero words of removed knobs nor whether an oracle placement ran.
-const Schema = "hipmer-ckpt/v5"
+// the zero words of removed knobs nor whether an oracle placement ran. v6:
+// the scaffolding payload's contigs carry no mean depth and no termination
+// metadata — only bubble merging reads them, from the contig stage.
+const Schema = "hipmer-ckpt/v6"
 
 // ManifestName is the manifest's filename inside a run directory.
 const ManifestName = "MANIFEST.json"

@@ -83,7 +83,9 @@ func segmentDigests(t *testing.T, libs []pipeline.Library, cfg pipeline.Config) 
 // (and CRC) when stage 1 began to screen read windows after all pseudo-read
 // stores instead of in between, and in its header counters (SuperKmers,
 // SuperKmerBases, CommBytesSaved, PeakEntries) when pseudo-reads moved onto
-// weighted super-k-mer records; its table entries did not change.
+// weighted super-k-mer records; its table entries did not change. The
+// scaffolding digest changed when the scaffolding payload's contigs lost
+// their mean depth and termination metadata (hipmer-ckpt/v6).
 func TestSegmentBytesGolden(t *testing.T) {
 	rng := xrt.NewPrng(21)
 	g := genome.Random(rng, 12000)

@@ -353,13 +353,6 @@ func DecodeCarryStage(b []byte) ([]*contig.Contig, contig.MergeStats, error) {
 func walkSContig(c *cursor, sc *scaffold.SContig) {
 	i64(c, &sc.ID)
 	blob(c, &sc.Seq)
-	f64(c, &sc.Depth)
-	u8(c, &sc.TermL)
-	u8(c, &sc.TermR)
-	walkKmer(c, &sc.NbrL)
-	walkKmer(c, &sc.NbrR)
-	flag(c, &sc.HasNbrL)
-	flag(c, &sc.HasNbrR)
 	list(c, &sc.Members, i64Rec)
 	flag(c, &sc.PoppedOut)
 }

@@ -120,13 +120,12 @@ func gatherContigEnds(team *xrt.Team, res *Result, k int) []EndRec {
 	})
 }
 
-// BubbleLosers is the allelic-bubble rule: contigs of at most 4k bases
-// whose two ends meet the same unordered pair of junction k-mers are
-// branches of one locus. In each group the depth-dominant branch (ID
-// tiebreak) is kept, and every other branch of similar length — within
-// [2/3, 4/3] of the winner's, or within k bases of it — is a loser;
-// dissimilar-length members stay.
-func BubbleLosers(recs []EndRec, k int) map[int64]bool {
+// BubbleGroups is the grouping half of the allelic-bubble rule: contigs of
+// at most 4k bases whose two ends meet the same unordered pair of junction
+// k-mers are branches of one locus. It returns the groups of two or more
+// branches, in no particular order; depth plays no part in the grouping,
+// and only these records' depths are read by BubbleLosers.
+func BubbleGroups(recs []EndRec, k int) [][]EndRec {
 	type pairKey struct{ a, b kmer.Kmer }
 	groups := make(map[pairKey][]EndRec)
 	for _, rec := range recs {
@@ -139,11 +138,22 @@ func BubbleLosers(recs []EndRec, k int) map[int64]bool {
 		}
 		groups[pairKey{a, b}] = append(groups[pairKey{a, b}], rec)
 	}
-	losers := make(map[int64]bool)
+	var multi [][]EndRec
 	for _, g := range groups {
-		if len(g) < 2 {
-			continue
+		if len(g) >= 2 {
+			multi = append(multi, g)
 		}
+	}
+	return multi
+}
+
+// BubbleLosers is the allelic-bubble rule: in each of the BubbleGroups the
+// depth-dominant branch (ID tiebreak) is kept, and every other branch of
+// similar length — within [2/3, 4/3] of the winner's, or within k bases of
+// it — is a loser; dissimilar-length members stay.
+func BubbleLosers(recs []EndRec, k int) map[int64]bool {
+	losers := make(map[int64]bool)
+	for _, g := range BubbleGroups(recs, k) {
 		sort.Slice(g, func(i, j int) bool {
 			if g[i].Depth != g[j].Depth {
 				return g[i].Depth > g[j].Depth

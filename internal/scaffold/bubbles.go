@@ -4,6 +4,8 @@ import (
 	"sort"
 
 	"hipmer/internal/contig"
+	"hipmer/internal/dht"
+	"hipmer/internal/kanalysis"
 	"hipmer/internal/kmer"
 	"hipmer/internal/xrt"
 )
@@ -15,37 +17,53 @@ import (
 // smaller than the de Bruijn graph, so its edge list is gathered to every
 // rank and each rank performs the identical contraction; merged contigs
 // are then re-distributed. The depth-dominant path through each bubble is
-// kept and linear chains through junctions are compressed into single
-// sequences.
-func mergeBubbles(team *xrt.Team, scByRank [][]*SContig, opt Options,
+// kept (depth is measured for its branches only) and linear chains through
+// junctions are compressed into single sequences.
+func mergeBubbles(team *xrt.Team, ctgRes *contig.Result,
+	kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Options,
 	res *Result) (map[int64]*SContig, [][]*SContig) {
 	p := team.Config().Ranks
 	k := opt.K
 
+	// index every contig
+	all := ctgRes.All()
+	byID := make(map[int64]*contig.Contig, len(all))
+	merged := make(map[int64]*SContig, len(all))
+	junctions := false
+	for _, c := range all {
+		byID[c.ID] = c
+		junctions = junctions || c.HasNbrL || c.HasNbrR
+	}
+	if !junctions {
+		// No junction metadata (every re-entry round): the graph has no
+		// edge, so every contig is a chain of its own, dealt by ID.
+		flat := make([]*SContig, len(all))
+		for i, c := range all {
+			flat[i] = &SContig{ID: c.ID, Seq: c.Seq, Members: []int64{c.ID}}
+			merged[c.ID] = flat[i]
+		}
+		return merged, xrt.Deal(flat, p)
+	}
+
 	recs := contig.GatherEnds(team, func(rank int) []contig.EndRec {
 		var mine []contig.EndRec
-		for _, sc := range scByRank[rank] {
+		for _, c := range ctgRes.Contigs[rank] {
 			mine = append(mine, contig.EndRec{
-				ID: sc.ID, Len: len(sc.Seq), Depth: sc.Depth,
-				NbrL: sc.NbrL, NbrR: sc.NbrR,
-				HasL: sc.HasNbrL, HasR: sc.HasNbrR,
+				ID: c.ID, Len: len(c.Seq),
+				NbrL: c.NbrL, NbrR: c.NbrR,
+				HasL: c.HasNbrL, HasR: c.HasNbrR,
 			})
 		}
 		return mine
 	})
 
-	// index every contig
-	byID := make(map[int64]*SContig)
-	for _, cs := range scByRank {
-		for _, sc := range cs {
-			byID[sc.ID] = sc
-		}
-	}
-
 	// similar lengths → allelic variants; keep the deepest path
 	var popped map[int64]bool
 	if !opt.DisableBubbles {
-		popped = contig.BubbleLosers(recs, k)
+		team.BeginSpan("depths")
+		cands := measureDepths(team, ctgRes, contig.BubbleGroups(recs, k), kt, k, res)
+		team.EndSpan()
+		popped = contig.BubbleLosers(cands, k)
 	}
 	res.Bubbles = len(popped)
 
@@ -72,7 +90,6 @@ func mergeBubbles(team *xrt.Team, scByRank [][]*SContig, opt Options,
 	}
 
 	// contract chains deterministically (identical on every rank)
-	merged := make(map[int64]*SContig)
 	used := make(map[int64]bool)
 	other := func(s byte) byte {
 		if s == EndL {
@@ -121,28 +138,64 @@ func mergeBubbles(team *xrt.Team, scByRank [][]*SContig, opt Options,
 	return merged, out
 }
 
+// measureDepths implements §4.1 for the members of the bubble groups, the
+// only contigs whose depth is read: each rank averages the counts of its
+// own members' k-mers in the frozen (lock-free) k-mer table, and the
+// records are all-gathered with their depths filled in.
+func measureDepths(team *xrt.Team, ctgRes *contig.Result, groups [][]contig.EndRec,
+	kt *dht.Table[kmer.Kmer, kanalysis.KmerData], k int, res *Result) []contig.EndRec {
+	want := make(map[int64]contig.EndRec)
+	for _, g := range groups {
+		for _, rec := range g {
+			want[rec.ID] = rec
+		}
+	}
+	var gathered []any
+	res.DepthPhase = team.Run(func(r *xrt.Rank) {
+		var mine []contig.EndRec
+		for _, c := range ctgRes.Contigs[r.ID] {
+			rec, ok := want[c.ID]
+			if !ok {
+				continue
+			}
+			var sum uint64
+			var n int
+			kmer.ForEachCanonical(c.Seq, k, func(_ int, canon kmer.Kmer, _ bool) {
+				if d, ok := kt.Get(r, canon); ok {
+					sum += uint64(d.Count)
+					n++
+				}
+			})
+			if n > 0 {
+				rec.Depth = float64(sum) / float64(n)
+			}
+			mine = append(mine, rec)
+		}
+		if all := r.AllGather(mine); r.ID == 0 {
+			gathered = all
+		}
+		r.Barrier()
+	})
+	var measured []contig.EndRec
+	for _, part := range gathered {
+		measured = append(measured, part.([]contig.EndRec)...)
+	}
+	return measured
+}
+
 // assembleChain walks a chain from its starting endpoint, merging member
 // sequences through their junction k-mers. The walk enters each contig on
 // the side named by the endpoint and exits on the other side.
 func assembleChain(start endpoint, edges map[endpoint]endpoint,
-	byID map[int64]*SContig, k int, other func(byte) byte) *SContig {
+	byID map[int64]*contig.Contig, k int, other func(byte) byte) *SContig {
 	first := byID[start.id]
 	seq := append([]byte(nil), first.Seq...)
-	flipFirst := start.side == EndR
-	if flipFirst {
+	if start.side == EndR {
 		seq = kmer.RevCompString(seq)
 	}
 	members := []int64{first.ID}
 	minID := first.ID
-	depthSum := first.Depth * float64(len(first.Seq))
-	lenSum := len(first.Seq)
-
-	// outer-end metadata comes from the chain's two extremities
-	outL := first
-	outLFlipped := flipFirst
 	cur := endpoint{first.ID, other(start.side)} // exit endpoint
-	var last *SContig = first
-	lastFlipped := flipFirst
 	seen := map[int64]bool{first.ID: true}
 	for {
 		nxt, ok := edges[cur]
@@ -153,10 +206,9 @@ func assembleChain(start endpoint, edges map[endpoint]endpoint,
 			break // cycle guard
 		}
 		seen[nxt.id] = true
-		sc := byID[nxt.id]
-		nseq := sc.Seq
-		flipped := nxt.side == EndR
-		if flipped {
+		c := byID[nxt.id]
+		nseq := c.Seq
+		if nxt.side == EndR {
 			nseq = kmer.RevCompString(nseq)
 		}
 		joined, ok2 := joinThroughJunction(seq, nseq, k)
@@ -164,36 +216,13 @@ func assembleChain(start endpoint, edges map[endpoint]endpoint,
 			break // defensive: junction inconsistent, stop the chain here
 		}
 		seq = joined
-		members = append(members, sc.ID)
-		if sc.ID < minID {
-			minID = sc.ID
+		members = append(members, c.ID)
+		if c.ID < minID {
+			minID = c.ID
 		}
-		depthSum += sc.Depth * float64(len(sc.Seq))
-		lenSum += len(sc.Seq)
-		last, lastFlipped = sc, flipped
 		cur = endpoint{nxt.id, other(nxt.side)}
 	}
-
-	out := &SContig{
-		ID:      minID,
-		Seq:     seq,
-		Members: members,
-	}
-	if lenSum > 0 {
-		out.Depth = depthSum / float64(lenSum)
-	}
-	// outer termination metadata, oriented to the merged sequence
-	if !outLFlipped {
-		out.TermL, out.NbrL, out.HasNbrL = outL.TermL, outL.NbrL, outL.HasNbrL
-	} else {
-		out.TermL, out.NbrL, out.HasNbrL = outL.TermR, outL.NbrR, outL.HasNbrR
-	}
-	if !lastFlipped {
-		out.TermR, out.NbrR, out.HasNbrR = last.TermR, last.NbrR, last.HasNbrR
-	} else {
-		out.TermR, out.NbrR, out.HasNbrR = last.TermL, last.NbrL, last.HasNbrL
-	}
-	return out
+	return &SContig{ID: minID, Seq: seq, Members: members}
 }
 
 // joinThroughJunction concatenates two oriented sequences that are

@@ -20,7 +20,7 @@ import (
 
 // Options configures scaffolding.
 type Options struct {
-	// K is the assembly k-mer length (for overlaps and depth windows).
+	// K is the assembly k-mer length (for overlaps, seeds and depth windows).
 	K int
 	// PopBubbles enables diploid bubble merging (default true; set
 	// DisableBubbles to turn off).
@@ -35,19 +35,14 @@ func (o Options) withDefaults() Options {
 }
 
 // longEnough reports whether the contig takes part in scaffolding: one
-// shorter than k holds no k-mer to seed an alignment or measure a depth.
+// shorter than k holds no k-mer to seed an alignment.
 func (o Options) longEnough(sc *SContig) bool { return len(sc.Seq) >= o.K }
 
-// SContig is a scaffolding contig: a (possibly bubble-merged) contig with
-// its mean k-mer depth and termination metadata.
+// SContig is a scaffolding contig: a contig, or a chain of contigs merged
+// through their junction k-mers by bubble merging.
 type SContig struct {
-	ID           int64
-	Seq          []byte
-	Depth        float64
-	TermL, TermR byte
-	NbrL, NbrR   kmer.Kmer
-	HasNbrL      bool
-	HasNbrR      bool
+	ID  int64
+	Seq []byte
 	// Members lists the original contig IDs folded into this contig by
 	// bubble merging (just the own ID when unmerged).
 	Members []int64
@@ -132,14 +127,10 @@ func Run(team *xrt.Team, ctgRes *contig.Result,
 	opt = opt.withDefaults()
 	res := &Result{}
 
-	// §4.1 contig depths and termination states
-	team.BeginSpan("depths")
-	scByRank := computeDepths(team, ctgRes, kt, opt, res)
-	team.EndSpan()
-
-	// §4.2 bubble identification and path compression
+	// §4.2 bubble identification and path compression; §4.1's depths are
+	// measured inside it for the bubble candidates only
 	team.BeginSpan("bubbles")
-	merged, mergedByRank := mergeBubbles(team, scByRank, opt, res)
+	merged, mergedByRank := mergeBubbles(team, ctgRes, kt, opt, res)
 	team.AddCounter("bubbles_popped", int64(res.Bubbles))
 	team.EndSpan()
 	res.Contigs = merged

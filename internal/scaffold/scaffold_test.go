@@ -189,24 +189,16 @@ func TestInsertEstimation(t *testing.T) {
 	}
 }
 
-func TestDepthsComputed(t *testing.T) {
-	rng := xrt.NewPrng(9)
-	g := genome.Random(rng, 4000)
-	fx := mkFixture(t, 10, g, [][]byte{g[100:2000], g[2100:3900]}, 2)
-	res := Run(fx.team, fx.ctg, fx.kt, fx.libs, Options{K: testK})
-	for _, sc := range res.Contigs {
-		// coverage 25 with read length 100: k-mer depth ≈ 25*(100-21+1)/100 ≈ 20
-		if sc.Depth < 12 || sc.Depth > 30 {
-			t.Fatalf("contig %d depth %f outside plausible band", sc.ID, sc.Depth)
-		}
-	}
-}
+// diploidLen is the haplotype length of diploidFixture.
+const diploidLen = 12000
 
-func TestDiploidBubblesPoppedEndToEnd(t *testing.T) {
-	// full pipeline integration: diploid reads -> kanalysis -> contigs ->
-	// scaffolding with bubble merging
+// diploidFixture simulates reads from two haplotypes 0.4 % apart and runs
+// k-mer analysis and contig generation on them: the allelic differences
+// fragment the graph into bubbles.
+func diploidFixture(t *testing.T) (*xrt.Team, *kanalysis.Result, *contig.Result, []ReadLib) {
+	t.Helper()
 	rng := xrt.NewPrng(11)
-	hap1 := genome.Random(rng, 12000)
+	hap1 := genome.Random(rng, diploidLen)
 	hap2 := genome.Mutate(rng, hap1, 0.004)
 	recs, _ := genome.SimulatePairs(rng, hap1, genome.SimOptions{
 		Coverage:   40,
@@ -226,9 +218,14 @@ func TestDiploidBubblesPoppedEndToEnd(t *testing.T) {
 	if cres.NumContigs < 3 {
 		t.Fatalf("diploid data should fragment into bubbles, got %d contigs", cres.NumContigs)
 	}
-	res := Run(team, cres, kres.Table,
-		[]ReadLib{{Name: "d", ReadsByRank: reads, InsertHint: 350}},
-		Options{K: testK})
+	return team, kres, cres, []ReadLib{{Name: "d", ReadsByRank: reads, InsertHint: 350}}
+}
+
+func TestDiploidBubblesPoppedEndToEnd(t *testing.T) {
+	// full pipeline integration: diploid reads -> kanalysis -> contigs ->
+	// scaffolding with bubble merging
+	team, kres, cres, libs := diploidFixture(t)
+	res := Run(team, cres, kres.Table, libs, Options{K: testK})
 	if res.Bubbles == 0 {
 		t.Fatal("no bubbles popped on diploid data")
 	}
@@ -240,8 +237,83 @@ func TestDiploidBubblesPoppedEndToEnd(t *testing.T) {
 	for _, m := range res.Scaffolds[0].Members {
 		n += len(res.Contigs[m.ContigID].Seq) + m.GapBefore
 	}
-	if n < len(hap1)/2 {
-		t.Fatalf("largest scaffold only %d of %d bases", n, len(hap1))
+	if n < diploidLen/2 {
+		t.Fatalf("largest scaffold only %d of %d bases", n, diploidLen)
+	}
+}
+
+// TestBubbleDepthOnlyWhereRead: scaffolding measures a contig's depth only
+// where the bubble rule reads it. The popped set equals the rule applied
+// with every contig's depth measured; the depths span looks up exactly the
+// candidates' k-mer windows; and with bubbles off nothing is looked up
+// before merAligner.
+func TestBubbleDepthOnlyWhereRead(t *testing.T) {
+	team, kres, cres, libs := diploidFixture(t)
+	var all []contig.EndRec
+	for _, c := range cres.All() {
+		rec := contig.EndRec{ID: c.ID, Len: len(c.Seq),
+			NbrL: c.NbrL, NbrR: c.NbrR, HasL: c.HasNbrL, HasR: c.HasNbrR}
+		var sum uint64
+		var n int
+		kmer.ForEachCanonical(c.Seq, testK, func(_ int, canon kmer.Kmer, _ bool) {
+			if d, ok := kres.Table.Lookup(canon); ok {
+				sum += uint64(d.Count)
+				n++
+			}
+		})
+		if n > 0 {
+			rec.Depth = float64(sum) / float64(n)
+		}
+		all = append(all, rec)
+	}
+	want := contig.BubbleLosers(all, testK)
+	var windows int64
+	for _, g := range contig.BubbleGroups(all, testK) {
+		for _, rec := range g {
+			windows += int64(max(rec.Len-testK+1, 0))
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("precondition: the full-depth rule pops no bubble")
+	}
+
+	// lookups sums the table lookups of the spans opened after the first
+	// `from`, up to merAligner: the one named span, or every top-level
+	// one when name is "".
+	lookups := func(from int, name string) int64 {
+		var n int64
+		for _, sp := range team.Spans()[from:] {
+			if sp.Name == "merAligner" {
+				break
+			}
+			if sp.Name == name || name == "" && sp.Depth == 0 {
+				n += sp.AggComm().Lookups()
+			}
+		}
+		return n
+	}
+
+	from := len(team.Spans())
+	res := Run(team, cres, kres.Table, libs, Options{K: testK})
+	kept := make(map[int64]bool)
+	for _, sc := range res.Contigs {
+		for _, id := range sc.Members {
+			kept[id] = true
+		}
+	}
+	for _, rec := range all {
+		if want[rec.ID] == kept[rec.ID] {
+			t.Errorf("contig %d: popped %v, the full-depth rule pops %v", rec.ID, !kept[rec.ID], want[rec.ID])
+		}
+	}
+	if got := lookups(from, "depths"); got != windows {
+		t.Errorf("depths span looked up %d k-mers, want the candidates' %d windows", got, windows)
+	}
+
+	from = len(team.Spans())
+	Run(team, cres, kres.Table, libs, Options{K: testK, DisableBubbles: true})
+	if got := lookups(from, ""); got != 0 {
+		t.Errorf("bubbles off: %d table lookups before merAligner, want 0", got)
 	}
 }
 
