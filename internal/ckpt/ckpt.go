@@ -56,8 +56,10 @@ import (
 // per-rank lists carries its own), and the fingerprint no longer hashes
 // the zero words of removed knobs nor whether an oracle placement ran. v6:
 // the scaffolding payload's contigs carry no mean depth and no termination
-// metadata — only bubble merging reads them, from the contig stage.
-const Schema = "hipmer-ckpt/v6"
+// metadata — only bubble merging reads them, from the contig stage. v7:
+// the k-mer payload's header carries the minimizer bins' weights, which
+// place its table (kanalysis.BinOwners at the loading team's rank count).
+const Schema = "hipmer-ckpt/v7"
 
 // ManifestName is the manifest's filename inside a run directory.
 const ManifestName = "MANIFEST.json"

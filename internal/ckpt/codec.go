@@ -108,6 +108,30 @@ func f64(c *cursor, p *float64) {
 	}
 }
 
+// uvarint is an integer as an unsigned LEB128 varint: 1 byte below 128,
+// up to 10 for a negative one.
+func uvarint(c *cursor, p *int64) {
+	c.varlen = true
+	if c.mode != reading {
+		var tmp [binary.MaxVarintLen64]byte
+		n := binary.PutUvarint(tmp[:], uint64(*p))
+		if s := c.next(n); s != nil {
+			copy(s, tmp[:n])
+		}
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		c.fail()
+		return
+	}
+	c.off += n
+	*p = int64(v)
+}
+
 // flag is a bool as one byte, any nonzero value read as true.
 func flag(c *cursor, p *bool) {
 	var v byte

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"hipmer/internal/ckpt"
 	"hipmer/internal/contig"
 	"hipmer/internal/gapclose"
+	"hipmer/internal/genome"
 	"hipmer/internal/kanalysis"
 	"hipmer/internal/kmer"
 	"hipmer/internal/scaffold"
@@ -74,7 +76,7 @@ func syntheticScaffold() *scaffold.Result {
 		ContigsByRank: [][]*scaffold.SContig{
 			{{ID: 3, Seq: []byte("GATTACA"), Members: []int64{3, 8, 1}}},
 			nil,
-			{{ID: 1, PoppedOut: true}, {ID: 2, Seq: []byte("CC"), Members: []int64{2}}},
+			{{ID: 1}, {ID: 2, Seq: []byte("CC"), Members: []int64{2}}},
 		},
 		Scaffolds: []*scaffold.Scaffold{
 			{ID: 1, Members: []scaffold.Member{{ContigID: 3}, {ContigID: 2, Flipped: true, GapBefore: -40}}},
@@ -107,9 +109,16 @@ func syntheticPayloads() map[string][]byte {
 		{W: [2]uint64{9, 1}}, {W: [2]uint64{2, 7}}, {W: [2]uint64{2, 3}},
 		{W: [2]uint64{^uint64(0), 0}}, {W: [2]uint64{0, 1 << 63}},
 	}
+	// Bin weights of every uvarint length up to kanalysis.MaxBinWeight's,
+	// and a zero.
+	binned := kmerResult(team3(), 33, 15, kms[:2])
+	binned.BinWeights = make([]int64, kanalysis.Bins)
+	for i := range binned.BinWeights {
+		binned.BinWeights[i] = int64(i) << (i % 43)
+	}
 	return map[string][]byte{
 		"kmer":           ckpt.EncodeKmerStage(kmerResult(team3(), 21, 0, kms), 21, 0),
-		"kmer-minimizer": ckpt.EncodeKmerStage(kmerResult(team3(), 33, 15, kms[:2]), 33, 15),
+		"kmer-minimizer": ckpt.EncodeKmerStage(binned, 33, 15),
 		"kmer-empty":     ckpt.EncodeKmerStage(kmerResult(team3(), 21, 11, nil), 21, 11),
 		"contig":         ckpt.EncodeContigStage(syntheticContigs()),
 		"contig-empty":   ckpt.EncodeContigStage(&contig.Result{Contigs: make([][]*contig.Contig, 3)}),
@@ -132,8 +141,10 @@ func syntheticPayloads() map[string][]byte {
 // testdata/synthetic_payloads.json were produced by the encoders of the
 // commit before every record's layout was restated as a single walk,
 // except the scaffold one, regenerated when its contigs lost their mean
-// depth and termination metadata (hipmer-ckpt/v6); regenerate only for an
-// intended format change (-update-golden).
+// depth and termination metadata (hipmer-ckpt/v6) and again with
+// PoppedOut (v7), and the k-mer ones, regenerated when their header gained
+// the bin weights (v7); regenerate only for an intended format change
+// (-update-golden).
 func TestSyntheticPayloadBytesGolden(t *testing.T) {
 	got := map[string]string{}
 	for name, b := range syntheticPayloads() {
@@ -151,6 +162,48 @@ func TestSyntheticPayloadBytesGolden(t *testing.T) {
 			}
 		}
 		t.Errorf("%d payloads, golden has %d", len(got), len(want))
+	}
+}
+
+// TestKmerPayloadKeepsPlacement: a k-mer payload decoded at the rank
+// count that wrote it places every key on the rank the live table did, and
+// at any other count on the rank BinOwners maps the key's bin to there.
+func TestKmerPayloadKeepsPlacement(t *testing.T) {
+	const k, p = 31, 6
+	rng := xrt.NewPrng(71)
+	recs, _ := genome.SimulatePairs(rng, genome.HumanLike(rng, 12000), genome.SimOptions{
+		Coverage: 10,
+		Lib:      genome.Library{Name: "h", ReadLen: 100, InsertMean: 300, InsertSD: 20},
+		Err:      genome.DefaultErrorModel(),
+	})
+	res := kanalysis.Run(xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 3}), xrt.DealPairs(recs, p),
+		kanalysis.Options{K: k, HeavyHitters: true})
+	m := kanalysis.EffectiveMinimizerLen(k, 0, false)
+	b := ckpt.EncodeKmerStage(res, k, m)
+	for _, q := range []int{p, 1, 4, 11} {
+		got, err := ckpt.DecodeKmerStage(xrt.NewTeam(xrt.Config{Ranks: q, RanksPerNode: 3}), b, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.BinWeights, res.BinWeights) {
+			t.Fatalf("at %d ranks the payload's weights are not the run's", q)
+		}
+		owner := kanalysis.BinOwners(res.BinWeights, q)
+		n := 0
+		got.Table.RangeAll(func(km kmer.Kmer, _ kanalysis.KmerData) bool {
+			want := int(owner[kmer.MinimizerHash(km.Minimizer(k, m))%kanalysis.Bins])
+			if q == p && want != res.Table.Owner(km) {
+				t.Fatalf("the live table places %s on %d, its bin's owner is %d", km.String(k), res.Table.Owner(km), want)
+			}
+			if o := got.Table.Owner(km); o != want {
+				t.Fatalf("at %d ranks %s is placed on %d, its bin's owner is %d", q, km.String(k), o, want)
+			}
+			n++
+			return true
+		})
+		if int64(n) != res.Kept {
+			t.Fatalf("at %d ranks %d entries decoded, %d kept", q, n, res.Kept)
+		}
 	}
 }
 

@@ -85,7 +85,11 @@ func segmentDigests(t *testing.T, libs []pipeline.Library, cfg pipeline.Config) 
 // SuperKmerBases, CommBytesSaved, PeakEntries) when pseudo-reads moved onto
 // weighted super-k-mer records; its table entries did not change. The
 // scaffolding digest changed when the scaffolding payload's contigs lost
-// their mean depth and termination metadata (hipmer-ckpt/v6).
+// their mean depth and termination metadata (hipmer-ckpt/v6), and again
+// when they lost PoppedOut (v7). Every kmer-analysis digest changed when
+// the header gained the minimizer bins' weights (v7), and k33's
+// PeakEntries once more when pseudo-read records came to be screened
+// before read records.
 func TestSegmentBytesGolden(t *testing.T) {
 	rng := xrt.NewPrng(21)
 	g := genome.Random(rng, 12000)

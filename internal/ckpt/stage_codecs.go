@@ -37,6 +37,7 @@ package ckpt
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hipmer/internal/aligner"
@@ -54,19 +55,22 @@ func walkKmer(c *cursor, km *kmer.Kmer) {
 }
 
 var (
-	i64Rec  = recordOf(i64[int64])
-	f64Rec  = recordOf(f64)
-	blobRec = recordOf(blob)
+	uvarintRec = recordOf(uvarint)
+	i64Rec     = recordOf(i64[int64])
+	f64Rec     = recordOf(f64)
+	blobRec    = recordOf(blob)
 )
 
 // ---------------------------------------------------------------------
 // k-mer analysis
 
 // walkKmerHeader is everything before the entry list: the table-placement
-// parameters and the scalar outcomes.
+// parameters — k, the minimizer length and the minimizer bins' weights —
+// and the scalar outcomes.
 func walkKmerHeader(c *cursor, k, minimizerLen *uint32, res *kanalysis.Result) {
 	u32(c, k)
 	u32(c, minimizerLen)
+	list(c, &res.BinWeights, uvarintRec)
 	i64(c, &res.DistinctEstimate)
 	i64(c, &res.HeavyHitters)
 	i64(c, &res.Kept)
@@ -102,8 +106,9 @@ var kmerEntryRec = recordOf(walkKmerEntry)
 // EncodeKmerStage serializes a k-mer analysis result. The table must be
 // quiescent (frozen or between phases). k and minimizerLen record the
 // table-placement parameters (kanalysis.EffectiveMinimizerLen: 0 =
-// classic hash placement) so rehydration rebuilds a table whose owners
-// match the one that was checkpointed.
+// classic hash placement), and with res.BinWeights they let rehydration
+// rebuild a table whose owners, at the writing rank count, match the one
+// that was checkpointed.
 func EncodeKmerStage(res *kanalysis.Result, k, minimizerLen int) []byte {
 	n, size := int(res.Table.Len()), kmerEntryRec.size
 	ku, mu := uint32(k), uint32(minimizerLen)
@@ -160,8 +165,8 @@ func (r *kmerRecords) Swap(i, j int) {
 // ExpectedItems, so no incremental rehashing), and the table is returned
 // frozen — exactly the state a fresh analysis hands downstream. The
 // payload lists entries in global k-mer order and they are placed by the
-// running team's owner function, so any rank count rebuilds the same
-// table.
+// bin weights it carries, mapped onto the running team's ranks, so any
+// rank count rebuilds the table a fresh analysis there would place.
 func DecodeKmerStage(team *xrt.Team, b []byte, aggBufSize int) (*kanalysis.Result, error) {
 	c := cursor{mode: reading, b: b}
 	res := &kanalysis.Result{}
@@ -174,7 +179,16 @@ func DecodeKmerStage(team *xrt.Team, b []byte, aggBufSize int) (*kanalysis.Resul
 	if k < 1 || k > kmer.MaxK || m >= k && m != 0 {
 		return nil, fmt.Errorf("kmer-analysis payload: bad placement params k=%d m=%d", k, m)
 	}
-	table := kanalysis.NewTable(team, int64(n), aggBufSize, 0, int(k), int(m))
+	if w := len(res.BinWeights); w != 0 && (w != kanalysis.Bins || m == 0) {
+		return nil, fmt.Errorf("kmer-analysis payload: %d bin weights for minimizer length %d", w, m)
+	}
+	if slices.ContainsFunc(res.BinWeights, func(w int64) bool { return w < 0 || w > kanalysis.MaxBinWeight }) {
+		return nil, fmt.Errorf("kmer-analysis payload: a bin weight out of range")
+	}
+	if len(res.BinWeights) == 0 {
+		res.BinWeights = nil
+	}
+	table := kanalysis.NewBinnedTable(team, int64(n), aggBufSize, int(k), int(m), res.BinWeights)
 	perOwner := make([][]kmerEntry, team.Config().Ranks)
 	for i := 0; i < n; i++ {
 		var e kmerEntry
@@ -354,7 +368,6 @@ func walkSContig(c *cursor, sc *scaffold.SContig) {
 	i64(c, &sc.ID)
 	blob(c, &sc.Seq)
 	list(c, &sc.Members, i64Rec)
-	flag(c, &sc.PoppedOut)
 }
 
 func walkMember(c *cursor, m *scaffold.Member) {

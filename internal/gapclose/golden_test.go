@@ -231,6 +231,8 @@ func TestClosePhasesSumToSpan(t *testing.T) {
 // pure code motion so that the per-gap outcomes can be hashed): method and
 // closure bytes of every gap, the final sequences, and every rank's
 // charges — the work formula and the verification lookups, in order.
+// The Charges were regenerated when stage 1 came to place minimizer bins
+// by weight, which moves the owners the verification lookups reach.
 // Regenerate with -update-golden only for an intended behaviour change.
 func TestGoldenClosuresAndCharges(t *testing.T) {
 	path := filepath.Join("testdata", "golden.json")

@@ -176,7 +176,12 @@ func runGolden(c goldenCase) golden {
 // their transport counters, PeakEntries and Charges moved, and the table
 // entries did not (Table digests the header counters too). The two
 // -peritem ladder cases were regenerated when that transport stopped
-// carrying pseudo-reads, because their input changed.
+// carrying pseudo-reads, because their input changed. Every Table digest
+// moved when the checkpoint header gained the minimizer bins' weights (the
+// entries did not: the payload without them is the previous one), and the
+// multi-rank -superk cases' PeakEntries and Charges when bins came to be
+// placed by those weights: per-(owner, stripe) Bloom filters then see other
+// key sets, so their false-positive admissions differ, and Kept does not.
 func TestGoldenTablesAndCharges(t *testing.T) {
 	path := filepath.Join("testdata", "golden.json")
 	got := make(map[string]golden)
@@ -213,6 +218,25 @@ func TestGoldenTablesAndCharges(t *testing.T) {
 		} else if g != w {
 			t.Errorf("%s:\n got  %+v\n want %+v", name, g, w)
 		}
+	}
+}
+
+// TestOwnerWindowsBalanced: with minimizer bins placed by their window
+// counts, the busiest owner of the golden human reads at 32 ranks screens
+// at most 5 % more windows than the mean owner.
+func TestOwnerWindowsBalanced(t *testing.T) {
+	const k, ranks = 31, 32
+	human := goldenReads("human", 11, 30000, 10)
+	team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 8, Seed: 1})
+	team.BeginSpan("kmer-analysis")
+	res := kanalysis.Run(team, kanalysis.SplitReads(human, ranks), kanalysis.Options{K: k, HeavyHitters: true})
+	busiest := team.EndSpan().Counters["owner_windows_max"]
+	windows := res.SuperKmerBases - (k-1)*res.SuperKmers
+	if busiest*ranks < windows {
+		t.Fatalf("the busiest owner screened %d windows, fewer than the mean of %d over %d ranks", busiest, windows, ranks)
+	}
+	if skew := float64(busiest*ranks) / float64(windows); skew > 1.05 {
+		t.Errorf("windows per owner: max/mean %.3f, want ≤ 1.05", skew)
 	}
 }
 

@@ -15,11 +15,15 @@
 // By default the communication runs over minimizer-binned super-k-mers
 // (minimum substring partitioning, after MSPKmerCounter): each read is
 // segmented into maximal runs of k-mer windows sharing one canonical
-// minimizer, each run travels to the minimizer's owner as one 2-bit
-// packed record (~1.6 wire bytes per k-mer instead of a ~26-byte store
-// item), and — because a k-mer's owner is a function of its minimizer —
-// the Bloom pass's payload already contains every occurrence the owner
-// will ever need. The owner screens its payloads itself, counting every
+// minimizer, each run travels to the owner of the minimizer's bin as one
+// 2-bit packed record (~1.6 wire bytes per k-mer instead of a ~26-byte
+// store item), and — because a k-mer's owner is a function of its
+// minimizer — the Bloom pass's payload already contains every occurrence
+// the owner will ever need. Minimizer bins are very uneven, so bins go to
+// ranks by their measured window counts, longest first (BinOwners): the
+// Bloom pass segments every read before it ships anything, and the team
+// reduces the per-bin counts of those records into the map it ships by.
+// The owner screens its payloads itself, counting every
 // window the Bloom filter has seen on the spot and keeping only the
 // records that hold a first sighting; the count pass replays just those
 // locally instead of re-shipping the stream, so each window is counted
@@ -172,24 +176,106 @@ func (d KmerData) IsUU() bool {
 	return kmer.IsBaseExt(d.ExtL) && kmer.IsBaseExt(d.ExtR)
 }
 
+// Bins is the number of minimizer bins stage 1 places k-mers by: a k-mer
+// with canonical minimizer v lies in bin kmer.MinimizerHash(v) % Bins. A
+// power of two and independent of the rank count, so the per-bin window
+// counts are a function of the input alone and a checkpoint's counts place
+// a table at any rank count as a fresh analysis there would.
+const Bins = 1 << binBits
+
+const binBits = 11
+
+// MaxBinWeight is the largest weight BinOwners takes: a weight and its bin
+// share one word while the bins are sorted.
+const MaxBinWeight = 1<<(64-binBits) - 1
+
+// BinOwners maps every bin to a rank by longest processing time first:
+// bins in order of weight, heaviest first and ties by bin, each to the rank
+// with the least weight so far, ties by the lowest rank. No rank ends
+// heavier than the mean plus the heaviest bin. There are at most Bins
+// weights, each in [0, MaxBinWeight].
+func BinOwners(weights []int64, p int) []int32 {
+	// Sorted as one word per bin: the weight's complement above the bin.
+	order := make([]uint64, len(weights))
+	for i, w := range weights {
+		if w < 0 || w > MaxBinWeight {
+			panic("kanalysis: a bin weight out of range")
+		}
+		order[i] = uint64(MaxBinWeight-w)<<binBits | uint64(i)
+	}
+	slices.Sort(order)
+	// A binary min-heap of the ranks by (load, rank): all-zero loads in
+	// rank order are one already.
+	type slot struct {
+		load int64
+		rank int32
+	}
+	less := func(a, b slot) bool { return a.load < b.load || a.load == b.load && a.rank < b.rank }
+	heap := make([]slot, p)
+	for i := range heap {
+		heap[i].rank = int32(i)
+	}
+	owner := make([]int32, len(weights))
+	for _, key := range order {
+		b := key & (Bins - 1)
+		owner[b] = heap[0].rank
+		heap[0].load += weights[b]
+		for i := 0; ; { // sift the root down
+			c := 2*i + 1
+			if c >= p {
+				break
+			}
+			if c+1 < p && less(heap[c+1], heap[c]) {
+				c++
+			}
+			if !less(heap[c], heap[i]) {
+				break
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
+	}
+	return owner
+}
+
 // NewTable constructs the stage's k-mer count table: the canonical hash
 // seed, wire size, and placement every consumer of the table assumes.
-// Exported so checkpoint rehydration builds a table that places and
-// charges identically to a freshly analyzed one. expectedItems is
-// dht.Options.ExpectedItems, a sizing hint that allocates nothing (0 = no
-// hint). cacheSlots is ignored: the table has no read cache, and the
-// parameter stays only because the benchmark harness passes it.
-// minimizerLen > 0 selects minimizer placement — the owner of a k-mer is
-// the owner of its length-minimizerLen canonical minimizer, so point
-// lookups land on the shard the super-k-mer transport filled — and 0
-// selects classic hash placement (the per-k-mer ablation and pre-existing
-// checkpoints).
+// expectedItems is dht.Options.ExpectedItems, a sizing hint that allocates
+// nothing (0 = no hint). cacheSlots is ignored: the table has no read
+// cache, and the parameter stays only because the benchmark harness passes
+// it. minimizerLen > 0 selects minimizer placement — the owner of a k-mer
+// is the owner of its length-minimizerLen canonical minimizer, so point
+// lookups land on the shard the super-k-mer transport filled — by the
+// minimizer's hash modulo the rank count; 0 selects classic hash placement
+// (the per-k-mer ablation). NewBinnedTable places by measured bins.
 func NewTable(team *xrt.Team, expectedItems int64, aggBufSize, cacheSlots, k, minimizerLen int) *dht.Table[kmer.Kmer, KmerData] {
+	return newTable(team, expectedItems, aggBufSize, k, minimizerLen, nil)
+}
+
+// NewBinnedTable is the table of an analysis whose Result.BinWeights are
+// weights: minimizer bins go to ranks by BinOwners(weights, ranks). Nil
+// weights (the per-k-mer ablation) are NewTable's placement. Exported so
+// checkpoint rehydration builds a table that places and charges
+// identically to a freshly analyzed one at the same rank count.
+func NewBinnedTable(team *xrt.Team, expectedItems int64, aggBufSize, k, minimizerLen int, weights []int64) *dht.Table[kmer.Kmer, KmerData] {
+	var owner []int32
+	if weights != nil {
+		owner = BinOwners(weights, team.Config().Ranks)
+	}
+	return newTable(team, expectedItems, aggBufSize, k, minimizerLen, owner)
+}
+
+// newTable places minimizer bins by owner, or by hash modulo the rank
+// count when owner is nil.
+func newTable(team *xrt.Team, expectedItems int64, aggBufSize, k, minimizerLen int, owner []int32) *dht.Table[kmer.Kmer, KmerData] {
 	opt := dht.Options[kmer.Kmer]{
 		Hash:          func(km kmer.Kmer) uint64 { return km.Hash(hashSeed) },
 		ItemBytes:     kmerItemBytes,
 		AggBufSize:    aggBufSize,
 		ExpectedItems: expectedItems,
+	}
+	if owner != nil {
+		opt.Place = func(h uint64) int { return int(owner[h%Bins]) }
 	}
 	if minimizerLen > 0 {
 		opt.OwnerHash = func(km kmer.Kmer) uint64 {
@@ -223,6 +309,10 @@ type Result struct {
 	SuperKmers int64
 	// SuperKmerBases is the total run length in bases those records carry.
 	SuperKmerBases int64
+	// BinWeights is the number of windows the records carry per minimizer
+	// bin (Bins of them), the weights the table's bins are placed by; nil
+	// on the per-k-mer ablation path.
+	BinWeights []int64
 	// CommBytesSaved is the wire volume the super-k-mer transport avoided
 	// versus shipping each of its windows as a per-item store record.
 	CommBytesSaved int64
@@ -418,36 +508,47 @@ func decode(payload []byte, k int, fn func(canon kmer.Kmer, left, right uint8)) 
 // screen is the Bloom pass of an owner over its inbox, in sender order: a
 // sender's messages arrive in its program order, so sorting by sender makes
 // the order the filters see their keys in a function of the input, not of
-// the schedule. A window whose k-mer the filter of its stripe has seen is
-// admitted and counted on the spot — count and both extension codes; a
-// first sighting is only flagged. A weighted (pseudo-read) record's window
-// is offered to the filter too, then admitted and counted at the weight.
+// the schedule. Weighted (pseudo-read) records go first: each of their
+// windows is offered to the filter of its stripe, then admitted and counted
+// at the weight whatever the filter says, so a read window of the same
+// k-mer is never a first sighting. Then the read records: a window whose
+// k-mer the filter has seen is admitted and counted on the spot — count and
+// both extension codes; a first sighting is only flagged.
 //
-// The inbox is walked record by record. A weighted record, or one with no
-// first sighting, has been counted in full and is dropped; one with a first
-// sighting is moved to the front of its own message's buffer, so the kept
-// records stay in (sender, send order) and nothing is allocated but the
-// bitmap. A message left with no record is released. Returns the number of
-// first sightings and of windows in the kept records.
-func (in *inbox) screen(k, owner int, own dht.Owned[kmer.Kmer, KmerData], seen func(owner, stripe int, h uint64) bool) (firsts, kept int) {
+// A weighted record, or a read record with no first sighting, has been
+// counted in full and is dropped; one with a first sighting is moved to the
+// front of its own message's buffer, so the kept records stay in (sender,
+// send order) and nothing is allocated but the bitmap. A message left with
+// no record is released. Returns the number of first sightings, of windows
+// in the kept records, and of windows screened.
+func (in *inbox) screen(k, owner int, own dht.Owned[kmer.Kmer, KmerData], seen func(owner, stripe int, h uint64) bool) (firsts, kept, windows int) {
 	slices.SortStableFunc(in.msgs, func(a, b inboxMsg) int { return a.src - b.src })
+	for _, m := range in.msgs {
+		forEachRecord(m.payload, func(rec []byte) {
+			if weight := uint32(kmer.SuperKmerWeight(rec)); weight > 0 {
+				windows += decode(rec, k, func(canon kmer.Kmer, left, right uint8) {
+					h := canon.Hash(hashSeed)
+					e, stripe := own.Entry(h, canon)
+					seen(owner, stripe, h)
+					d, _ := e.Upsert()
+					d.add(occurrence{canon, left, right}, weight)
+				})
+			}
+		})
+	}
 	msgs := in.msgs[:0]
 	for _, m := range in.msgs {
 		size := 0 // bytes kept at the front of m.payload
-		for rest := m.payload; len(rest) > 0; {
-			n := kmer.SuperKmerRecordLen(rest)
-			if n == 0 {
-				panic("kanalysis: corrupt super-k-mer payload: truncated record")
+		forEachRecord(m.payload, func(rec []byte) {
+			if kmer.SuperKmerWeight(rec) > 0 {
+				return
 			}
-			rec := rest[:n]
-			rest = rest[n:]
-			weight := uint32(kmer.SuperKmerWeight(rec)) // 0 on a read's record
 			had, w := firsts, kept
 			nwin := decode(rec, k, func(canon kmer.Kmer, left, right uint8) {
 				h := canon.Hash(hashSeed)
-				if e, stripe := own.Entry(h, canon); seen(owner, stripe, h) || weight > 0 {
+				if e, stripe := own.Entry(h, canon); seen(owner, stripe, h) {
 					d, _ := e.Upsert()
-					d.add(occurrence{canon, left, right}, max(weight, 1))
+					d.add(occurrence{canon, left, right}, 1)
 				} else {
 					in.grow(w>>6 + 1)
 					in.first[w>>6] |= 1 << (w & 63)
@@ -455,19 +556,33 @@ func (in *inbox) screen(k, owner int, own dht.Owned[kmer.Kmer, KmerData], seen f
 				}
 				w++
 			})
+			windows += nwin
 			if firsts > had {
 				size += copy(m.payload[size:], rec)
 				kept += nwin
 				in.grow((kept + 63) >> 6)
 			}
-		}
+		})
 		if size > 0 {
 			msgs = append(msgs, inboxMsg{m.src, m.payload[:size]})
 		}
 	}
 	clear(in.msgs[len(msgs):])
 	in.msgs = msgs
-	return firsts, kept
+	return firsts, kept, windows
+}
+
+// forEachRecord cuts payload into its super-k-mer records, in order; fn
+// may overwrite the bytes of the records it has been handed.
+func forEachRecord(payload []byte, fn func(rec []byte)) {
+	for len(payload) > 0 {
+		n := kmer.SuperKmerRecordLen(payload)
+		if n == 0 {
+			panic("kanalysis: corrupt super-k-mer payload: truncated record")
+		}
+		fn(payload[:n])
+		payload = payload[n:]
+	}
 }
 
 // grow extends the first-sighting bitmap to at least n words.
@@ -655,35 +770,21 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	}
 	hh := newHeavySet(heavyKeys, opt.K, minLen)
 	res.HeavyHitters = len(hh.keys)
-
-	// No size hint: the only estimate at hand, the HyperLogLog cardinality,
-	// counts the single-occurrence k-mers the Bloom screen exists to keep
-	// out (3.5× the peak entry count on human-like reads). Stripes start
-	// small and double.
-	table := NewTable(team, 0, opt.AggBufSize, 0, opt.K, minLen)
-	res.Table = table
-
-	// Each heavy hitter's owner, resolved once: the reduction at the end of
-	// the count pass hands every rank the list it folds.
-	heavyByOwner := make([][]int32, p)
-	for i, km := range hh.keys {
-		o := table.Owner(km)
-		heavyByOwner[o] = append(heavyByOwner[o], int32(i))
-	}
 	// heavyAcc[rank][i] accumulates the occurrences of hh.keys[i] that rank
 	// scanned; filled in whichever pass sees the reads' extension evidence.
 	heavyAcc := make([][]KmerData, p)
 
-	// --- per-(owner, stripe) Bloom filters -----------------------------
-	// The apply hook runs under a stripe lock, not an owner-wide lock, so
-	// the Bloom state must partition the same way the locks do: one filter
-	// per stripe (a k-mer always maps to the same stripe of its owner).
-	stripes := table.Stripes()
-	perBloom := res.DistinctEstimate/uint64(p*stripes) + 64
-	blooms := make([]*bloom.Filter, p*stripes)
-	for i := range blooms {
-		blooms[i] = bloom.New(perBloom*12/10, bloomFP)
-	}
+	// Per-rank super-k-mer transport statistics (summed deterministically
+	// after the phase) and what each owner received.
+	skRecords := make([]int64, p)
+	skBases := make([]int64, p)
+	skSaved := make([]int64, p)
+	inboxes := make([]inbox, p)
+	// What each owner's screen left for its count pass: first sightings and
+	// the windows of the records holding them; and the windows it screened.
+	firsts := make([]int, p)
+	replayWins := make([]int, p)
+	ownerWins := make([]int, p)
 
 	// pass 2: Bloom screening — the second sighting of a k-mer promotes it
 	// into the table; single-occurrence (erroneous) k-mers never enter.
@@ -694,38 +795,42 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	// in the same state as if admitted keys skipped it — a key is admitted
 	// when all its bits are set, and bits are never cleared, so adding it
 	// again sets nothing — and so the admitted set is the same too.
+	//
+	// On the super-k-mer path the pass is two phases: every rank segments
+	// its reads into records and weighs the minimizer bins by the windows
+	// they carry; the team sums the weights, maps the bins to ranks, and
+	// only then builds the table and ships each record to its bin's owner.
+	//
+	// The table gets no size hint: the only estimate at hand, the
+	// HyperLogLog cardinality, counts the single-occurrence k-mers the Bloom
+	// screen exists to keep out (3.5× the peak entry count on human-like
+	// reads). Stripes start small and double.
+	var table *dht.Table[kmer.Kmer, KmerData]
+	// Per-(owner, stripe) Bloom filters, made with the table: the apply
+	// hook runs under a stripe lock, not an owner-wide lock, so the Bloom
+	// state must partition the same way the locks do (a k-mer always maps
+	// to the same stripe of its owner).
+	var blooms []*bloom.Filter
 	seen := func(owner, stripe int, h uint64) bool {
-		return opt.DisableBloom || blooms[owner*stripes+stripe].Add(h, mix64(h))
+		return opt.DisableBloom || blooms[owner*table.Stripes()+stripe].Add(h, mix64(h))
 	}
-
-	// Per-rank super-k-mer transport statistics (summed deterministically
-	// after the phase) and what each owner received.
-	skRecords := make([]int64, p)
-	skBases := make([]int64, p)
-	skSaved := make([]int64, p)
-	inboxes := make([]inbox, p)
-	// What each owner's screen left for its count pass: first sightings and
-	// the windows of the records holding them.
-	firsts := make([]int, p)
-	replayWins := make([]int, p)
-
 	team.BeginSpan("bloom-screen")
 	if superk {
-		// A delivery is filed, not decoded: the owner drains its inbox
-		// itself once the barrier below has closed it.
-		table.SetBlobApply(func(src, owner int, payload []byte, _ func(kmer.Kmer, KmerData)) {
-			inboxes[owner].deliver(src, payload)
-		})
-		res.BloomPhase = team.Run(func(r *xrt.Rank) {
+		segs := make([]segments, p)
+		var weights []int64
+		segment := team.Run(func(r *xrt.Rank) {
 			acc := make([]KmerData, len(hh.keys))
-			var buf []byte // every record of this rank is encoded here
+			s := &segs[r.ID]
+			w := binWeights.Get().(*[Bins]int64)
 			emit := func(minv uint64, record []byte, nwin int) {
-				dst := int(kmer.MinimizerHash(minv) % uint64(p))
+				bin := kmer.MinimizerHash(minv) % Bins
+				w[bin] += int64(nwin)
+				s.add(int(bin), nwin, record)
 				skRecords[r.ID]++
 				skBases[r.ID] += int64(nwin + opt.K - 1)
 				skSaved[r.ID] += int64(nwin*kmerItemBytes - len(record))
-				table.PutBlob(r, dst, record, nwin)
 			}
+			var buf []byte // each record is encoded here, then copied to s
 			n := 0
 			for _, rec := range readsByRank[r.ID] {
 				n += forEachSuperKmer(rec, 0, opt.K, minLen, hh, acc, emit, &buf)
@@ -734,8 +839,37 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 				n += forEachSuperKmer(fastq.Record{Seq: pr.Seq}, max(int(pr.Weight), 1), opt.K, minLen, hh, acc, emit, &buf)
 			}
 			r.ChargeItems(n)
-			table.Flush(r)
 			heavyAcc[r.ID] = acc
+			// Every rank derives the map from the sum itself, so the team
+			// needs no broadcast: sorting the bins and placing each through
+			// the rank heap is charged as one item per bin. One rank's map is
+			// trivial: no reduction and nothing to compute.
+			sum := w[:]
+			if p > 1 {
+				sum = r.AllReduceSum(w[:])
+				r.ChargeItems(Bins)
+				*w = [Bins]int64{}
+				binWeights.Put(w)
+			}
+			if r.ID == 0 {
+				weights = sum
+			}
+		})
+		res.BinWeights = weights
+		owner := BinOwners(weights, p)
+		table = newTable(team, 0, opt.AggBufSize, opt.K, minLen, owner)
+		// A delivery is filed, not decoded: the owner drains its inbox
+		// itself once the barrier below has closed it.
+		table.SetBlobApply(func(src, owner int, payload []byte, _ func(kmer.Kmer, KmerData)) {
+			inboxes[owner].deliver(src, payload)
+		})
+		blooms = newBlooms(res.DistinctEstimate, p, table.Stripes())
+		ship := team.Run(func(r *xrt.Rank) {
+			segs[r.ID].forEach(func(bin, nwin int, record []byte) {
+				table.PutBlob(r, int(owner[bin]), record, nwin)
+			})
+			segs[r.ID] = nil
+			table.Flush(r)
 			r.Barrier()
 
 			// Owner computes: every window this rank will ever own is in its
@@ -745,10 +879,13 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 			// in. Uncharged, like the delivery-time decode it replaces (the
 			// sender's store batch charged the owner per item).
 			table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-				firsts[r.ID], replayWins[r.ID] = inboxes[r.ID].screen(opt.K, r.ID, own, seen)
+				firsts[r.ID], replayWins[r.ID], ownerWins[r.ID] = inboxes[r.ID].screen(opt.K, r.ID, own, seen)
 			})
 		})
+		res.BloomPhase = sumPhases(segment, ship)
 	} else {
+		table = newTable(team, 0, opt.AggBufSize, opt.K, minLen, nil)
+		blooms = newBlooms(res.DistinctEstimate, p, table.Stripes())
 		table.SetApply(func(owner, stripe int, h uint64, _ kmer.Kmer, _ KmerData, e dht.Entry[kmer.Kmer, KmerData]) {
 			if seen(owner, stripe, h) {
 				e.Upsert()
@@ -770,6 +907,15 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		})
 	}
 	team.EndSpan()
+	res.Table = table
+
+	// Each heavy hitter's owner, resolved once: the reduction at the end of
+	// the count pass hands every rank the list it folds.
+	heavyByOwner := make([][]int32, p)
+	for i, km := range hh.keys {
+		o := table.Owner(km)
+		heavyByOwner[o] = append(heavyByOwner[o], int32(i))
+	}
 
 	// pass 3: exact counting with extension evidence. Heavy hitters are
 	// accumulated rank-locally; everything else goes to its owner — on the
@@ -887,6 +1033,9 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	team.AddCounter("superkmers", res.SuperKmers)
 	team.AddCounter("superkmer_bases", res.SuperKmerBases)
 	team.AddCounter("comm_bytes_saved", res.CommBytesSaved)
+	if superk {
+		team.AddCounter("owner_windows_max", int64(slices.Max(ownerWins)))
+	}
 	if res.PseudoReads > 0 {
 		team.AddCounter("pseudo_reads", res.PseudoReads)
 		team.AddCounter("pseudo_kmers", res.PseudoKmers)
@@ -896,6 +1045,66 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		team.AddCounter("replay_windows", nReplay)
 	}
 	return res
+}
+
+// binWeights recycles the per-rank weight vectors of the segment phase,
+// which a team of p ranks would otherwise allocate p of per analysis.
+var binWeights = sync.Pool{New: func() any { return new([Bins]int64) }}
+
+// segments is what one rank's records wait in between the two phases of
+// the Bloom pass: each record after its bin and window count (two 16-bit
+// words; nwin < kmer.MaxSuperKmerBases), back to back in chunks that grow
+// from segChunkMin to segChunkMax bytes, none split across two. Chunks,
+// unlike one growing slice, allocate little more than they hold.
+type segments [][]byte
+
+const (
+	segChunkMin = 4 << 10
+	segChunkMax = 64 << 10
+)
+
+func (s *segments) add(bin, nwin int, record []byte) {
+	n := len(*s)
+	if need := 4 + len(record); n == 0 || len((*s)[n-1])+need > cap((*s)[n-1]) {
+		size := segChunkMin
+		if n > 0 {
+			size = min(2*cap((*s)[n-1]), segChunkMax)
+		}
+		*s = append(*s, make([]byte, 0, max(size, need)))
+		n++
+	}
+	(*s)[n-1] = append((*s)[n-1], byte(bin), byte(bin>>8), byte(nwin), byte(nwin>>8))
+	(*s)[n-1] = append((*s)[n-1], record...)
+}
+
+// forEach hands back every record in the order add was given them.
+func (s segments) forEach(fn func(bin, nwin int, record []byte)) {
+	for _, chunk := range s {
+		for len(chunk) > 0 {
+			n := 4 + kmer.SuperKmerRecordLen(chunk[4:])
+			fn(int(chunk[0])|int(chunk[1])<<8, int(chunk[2])|int(chunk[3])<<8, chunk[4:n])
+			chunk = chunk[n:]
+		}
+	}
+}
+
+// newBlooms sizes one Bloom filter per (owner, stripe) for an analysis of
+// distinct estimated k-mers.
+func newBlooms(distinct uint64, p, stripes int) []*bloom.Filter {
+	per := distinct/uint64(p*stripes) + 64
+	blooms := make([]*bloom.Filter, p*stripes)
+	for i := range blooms {
+		blooms[i] = bloom.New(per*12/10, bloomFP)
+	}
+	return blooms
+}
+
+// sumPhases is the cost of two consecutive phases.
+func sumPhases(a, b xrt.PhaseStats) xrt.PhaseStats {
+	a.Virtual += b.Virtual
+	a.Wall += b.Wall
+	a.Comm.Add(b.Comm)
+	return a
 }
 
 // chargeHHReduction charges the cost of the heavy-hitter tree reduction:

@@ -72,7 +72,10 @@ func TestSuperKmerEquivalence(t *testing.T) {
 // window of those; the replay decodes just them, charges one local store
 // per first sighting and nothing else, and leaves every k-mer seen twice at
 // its exact count. With DisableBloom every window is "seen": the screen
-// counts everything, keeps nothing, and the replay charges nothing.
+// counts everything, keeps nothing, and the replay charges nothing. And a
+// read window sent before a pseudo-read record of the same k-mers is
+// screened after it, so it is seen and counted on the spot, never a first
+// sighting.
 func TestScreenCountsOnAdmissionReplayAppliesTheRest(t *testing.T) {
 	const k, senders, batch = 21, 3, 5
 	_, recs := simReads(t, 13, 6000, 8, genome.DefaultErrorModel())
@@ -139,8 +142,11 @@ func TestScreenCountsOnAdmissionReplayAppliesTheRest(t *testing.T) {
 		return had
 	}
 	team.Run(func(r *xrt.Rank) {
-		var firsts, kept int
-		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) { firsts, kept = in.screen(k, 0, own, seen) })
+		var firsts, kept, screened int
+		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) { firsts, kept, screened = in.screen(k, 0, own, seen) })
+		if screened != windows {
+			t.Errorf("the screen saw %d windows, the senders sent %d", screened, windows)
+		}
 		if n := counted(); firsts == 0 || n == 0 || n+firsts != windows {
 			t.Errorf("after the screen %d windows are counted and %d are first sightings, of %d", n, firsts, windows)
 		}
@@ -196,7 +202,7 @@ func TestScreenCountsOnAdmissionReplayAppliesTheRest(t *testing.T) {
 	team.Run(func(r *xrt.Rank) {
 		var firsts, kept int
 		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-			firsts, kept = in.screen(k, 0, own, func(_, _ int, _ uint64) bool { return true })
+			firsts, kept, _ = in.screen(k, 0, own, func(_, _ int, _ uint64) bool { return true })
 		})
 		if firsts != 0 || kept != 0 || len(in.msgs) != 0 || len(in.first) != 0 {
 			t.Errorf("with every window seen the screen kept %d windows in %d messages, %d first sightings", kept, len(in.msgs), firsts)
@@ -220,6 +226,31 @@ func TestScreenCountsOnAdmissionReplayAppliesTheRest(t *testing.T) {
 			t.Fatalf("with every window seen a k-mer occurring %d times counts %d", c, after[km].Count)
 		}
 	}
+
+	// A read sent by sender 0, then the same sequence as a pseudo-read of
+	// weight 3 by sender 1: the read's windows are screened second.
+	const weight = 3
+	in = &inbox{}
+	var buf []byte
+	for src, w := range []int{0, weight} {
+		forEachSuperKmer(recs[0], w, k, m, newHeavySet(nil, k, m), nil,
+			func(_ uint64, record []byte, _ int) { in.deliver(src, record) }, &buf)
+	}
+	table = NewTable(team, 0, 0, 0, k, m)
+	clear(hashes)
+	team.Run(func(r *xrt.Rank) {
+		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
+			if firsts, kept, _ := in.screen(k, 0, own, seen); firsts != 0 || kept != 0 {
+				t.Errorf("a read behind a pseudo-read of its k-mers left %d first sightings in %d windows", firsts, kept)
+			}
+		})
+	})
+	after = tableCounts(&Result{Table: table})
+	kmer.ForEachCanonical(recs[0].Seq, k, func(_ int, canon kmer.Kmer, _ bool) {
+		if got := after[canon].Count; got != weight+1 {
+			t.Fatalf("a k-mer of a read and a weight-%d pseudo-read counts %d", weight, got)
+		}
+	})
 }
 
 // TestSuperKmersReduceCommunication: on identical inputs the super-k-mer

@@ -138,8 +138,10 @@ func TestTimingsRecorded(t *testing.T) {
 // records, meta's kmer-analysis-k33 and total again when pseudo-reads
 // moved onto weighted super-k-mer records, and wheat's gap-closing-round2
 // and total when a patch came to be billed only for the DP rows
-// aligner.BestOverlap computes, and every scaffolding entry and total when
-// depth came to be measured for bubble candidates only. Each
+// aligner.BestOverlap computes, every scaffolding entry and total when
+// depth came to be measured for bubble candidates only, and meta's
+// kmer-analysis-k33 and total when owners came to screen pseudo-read
+// records before read records (fewer first sightings to replay). Each
 // is read back from Metrics exactly; merAligner within 1 ns (that entry
 // subtracted two truncated clock readings, the span truncates their
 // difference); and the run's total, which is the team's clock, is that

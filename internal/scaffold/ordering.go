@@ -51,11 +51,11 @@ func orderAndOrient(team *xrt.Team, merged map[int64]*SContig, links []Link,
 		})
 	}
 	// eligible guards the traversal against links that reference contigs
-	// excluded from scaffolding (bubble losers, sub-minimum lengths) or
-	// unknown IDs: following one would duplicate popped-out sequence.
+	// excluded from scaffolding (sub-minimum lengths) or unknown IDs (bubble
+	// losers, left out of the merged map).
 	eligible := func(id int64) bool {
 		sc := merged[id]
-		return sc != nil && !sc.PoppedOut && opt.longEnough(sc)
+		return sc != nil && opt.longEnough(sc)
 	}
 	best := func(k endKey, used map[int64]bool) (tieRef, bool) {
 		for _, t := range ties[k] {
@@ -85,7 +85,7 @@ func orderAndOrient(team *xrt.Team, merged map[int64]*SContig, links []Link,
 	}
 	var seeds []seedRec
 	for id, sc := range merged {
-		if sc.PoppedOut || !opt.longEnough(sc) {
+		if !opt.longEnough(sc) {
 			continue
 		}
 		seeds = append(seeds, seedRec{id, len(sc.Seq)})

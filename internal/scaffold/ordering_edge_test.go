@@ -46,7 +46,7 @@ func runOrder(t *testing.T, merged map[int64]*SContig, links []Link) *Result {
 		}
 	}
 	for id, sc := range merged {
-		eligible := !sc.PoppedOut && opt.longEnough(sc)
+		eligible := opt.longEnough(sc)
 		if eligible && placed[id] == 0 {
 			t.Fatalf("contig %d (len %d) never placed", id, len(sc.Seq))
 		}
@@ -128,17 +128,16 @@ func TestOrderSelfLoopLink(t *testing.T) {
 	}
 }
 
-// TestOrderPoppedAndShortExcluded asserts bubble losers and sub-minimum
-// contigs stay out of scaffolds even when links reference them.
-func TestOrderPoppedAndShortExcluded(t *testing.T) {
+// TestOrderShortExcluded asserts sub-minimum contigs stay out of
+// scaffolds even when links reference them.
+func TestOrderShortExcluded(t *testing.T) {
 	merged := mkContigs(900, 700, 5) // contig 3 shorter than k
-	merged[2].PoppedOut = true
 	links := []Link{
 		{A: 1, B: 2, EndA: EndR, EndB: EndL, Gap: 10, Splints: 3},
 		{A: 1, B: 3, EndA: EndL, EndB: EndR, Gap: 10, Splints: 3},
 	}
 	res := runOrder(t, merged, links)
-	if len(res.Scaffolds) != 1 {
-		t.Fatalf("want exactly the surviving contig placed, got %d scaffolds", len(res.Scaffolds))
+	if len(res.Scaffolds) != 1 || len(res.Scaffolds[0].Members) != 2 {
+		t.Fatalf("want contigs 1 and 2 joined and contig 3 left out, got %d scaffolds", len(res.Scaffolds))
 	}
 }

@@ -46,8 +46,6 @@ type SContig struct {
 	// Members lists the original contig IDs folded into this contig by
 	// bubble merging (just the own ID when unmerged).
 	Members []int64
-	// PoppedOut marks bubble losers excluded from scaffolding.
-	PoppedOut bool
 }
 
 // ReadLib is one read library: paired reads (records 2i and 2i+1 are
@@ -140,7 +138,7 @@ func Run(team *xrt.Team, ctgRes *contig.Result,
 	ctgForIndex := make([][]*contig.Contig, len(mergedByRank))
 	for r, cs := range mergedByRank {
 		for _, sc := range cs {
-			if sc.PoppedOut || !opt.longEnough(sc) {
+			if !opt.longEnough(sc) {
 				continue
 			}
 			ctgForIndex[r] = append(ctgForIndex[r], &contig.Contig{ID: sc.ID, Seq: sc.Seq})

@@ -752,6 +752,31 @@ func (r *Rank) AllReduceInt64(v int64, op func(a, b int64) int64) int64 {
 	return acc
 }
 
+// AllReduceSum adds one vector per rank element-wise, in rank order, and
+// returns the sum on every rank; every rank's vector must have the same
+// length, and the returned slice is shared and must be treated as
+// read-only. Unlike the one-word collectives it is charged with its bytes:
+// each of the log(p) tree steps moves the whole vector off-node.
+func (r *Rank) AllReduceSum(v []int64) []int64 {
+	t := r.team
+	t.sAny[r.ID] = v
+	r.Barrier()
+	if r.ID == 0 {
+		sum := make([]int64, len(v))
+		for _, part := range t.sAny {
+			for i, x := range part.([]int64) {
+				sum[i] += x
+			}
+		}
+		t.sAny[0] = sum
+	}
+	r.Barrier()
+	out := t.sAny[0].([]int64)
+	r.chargeTree(8 * len(v))
+	r.Barrier()
+	return out
+}
+
 // AllGather shares one arbitrary value per rank; the returned slice is
 // indexed by rank and must be treated as read-only. Every rank receives
 // the same contents.
@@ -782,14 +807,19 @@ func (r *Rank) Broadcast(root int, v any) any {
 // chargeCollective charges a log(p) latency tree for a small collective.
 // Under a MessageFaultPlan each tree step's control message to the
 // step's partner rank runs the reliable-channel protocol.
-func (r *Rank) chargeCollective() {
+func (r *Rank) chargeCollective() { r.chargeTree(0) }
+
+// chargeTree charges a log(p) tree whose every step sends one off-node
+// message carrying bytes of payload (0: a one-word control message).
+func (r *Rank) chargeTree(bytes int) {
 	p := r.team.cfg.Ranks
 	steps := 0.0
 	for n := 1; n < p; n *= 2 {
-		r.chaosPoint((r.ID+n)%p, collectiveMsgBytes)
+		r.chaosPoint((r.ID+n)%p, max(bytes, collectiveMsgBytes))
 		steps++
 	}
-	r.Charge(steps * r.team.cost.OffNodeMsgNs)
+	cost := r.team.cost
+	r.Charge(steps * (cost.OffNodeMsgNs + float64(bytes)*cost.OffNodeByteNs))
 }
 
 // barrier is a reusable cyclic barrier.

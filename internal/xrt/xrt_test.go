@@ -1,6 +1,7 @@
 package xrt
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -111,6 +112,23 @@ func TestAllReduceRepeatedCalls(t *testing.T) {
 				t.Errorf("iter %d rank %d: got %d want %d", iter, r.ID, got, want)
 				return
 			}
+		}
+	})
+}
+
+// TestAllReduceSum: every rank gets the element-wise sum, and is charged
+// log(p) steps that each carry the whole vector off-node.
+func TestAllReduceSum(t *testing.T) {
+	team := NewTeam(Config{Ranks: 9})
+	cost := team.Cost()
+	team.Run(func(r *Rank) {
+		clock := r.ClockNs()
+		sum := r.AllReduceSum([]int64{int64(r.ID), 1, -int64(r.ID)})
+		if want := []int64{36, 9, -36}; !slices.Equal(sum, want) {
+			t.Errorf("rank %d: sum = %v, want %v", r.ID, sum, want)
+		}
+		if got, want := r.ClockNs()-clock, 4*(cost.OffNodeMsgNs+24*cost.OffNodeByteNs); got != want {
+			t.Errorf("rank %d: charged %v ns, want %v", r.ID, got, want)
 		}
 	})
 }
