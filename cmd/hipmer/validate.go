@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hipmer"
+	"hipmer/internal/xrt"
 )
 
 // validateOptions rejects invalid or conflicting CLI configurations
@@ -22,10 +23,12 @@ func validateOptions(opt hipmer.Options, nLibs int, scrub bool) error {
 		if opt.Resume {
 			return fmt.Errorf("-scrub and -resume are mutually exclusive (a healed directory resumes on the next run)")
 		}
-		if opt.FaultSeed != 0 || opt.FailStage != "" ||
-			opt.ChaosSeed != 0 || opt.DropRate != 0 ||
-			opt.DiskFaultSeed != 0 || opt.DiskFailStage != "" {
-			return fmt.Errorf("-scrub does not take fault, chaos, or disk-fault flags")
+		// -retry-budget always carries its default, so it is the one
+		// injection field a scrub may see set.
+		inj := opt.Inject
+		inj.RetryBudget = 0
+		if inj != (xrt.Inject{}) {
+			return fmt.Errorf("-scrub does not take perturbation, fault, chaos, or disk-fault flags")
 		}
 		return nil
 	}

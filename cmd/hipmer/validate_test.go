@@ -178,6 +178,14 @@ func TestValidateOptions(t *testing.T) {
 			o.CkptDir = "d"
 			o.ChaosSeed = 7
 		}, 0, true, "fault"},
+		{"scrub-with-perturb", func(o *hipmer.Options) {
+			o.CkptDir = "d"
+			o.PerturbSeed = 5
+		}, 0, true, "perturbation"},
+		{"scrub-with-retry-budget", func(o *hipmer.Options) {
+			o.CkptDir = "d"
+			o.RetryBudget = 16
+		}, 0, true, ""},
 		// -scrub takes no reads; libraries are simply ignored, not an
 		// error, so `hipmer -scrub -ckpt-dir d` works without -reads.
 		{"scrub-ignores-libs", func(o *hipmer.Options) { o.CkptDir = "d" }, 1, true, ""},

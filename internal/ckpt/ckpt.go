@@ -177,21 +177,21 @@ func ParseManifest(b []byte) (*Manifest, error) {
 type Store struct {
 	dir string
 	man Manifest
-	// disk is the storage fault segment writes are put through (see
-	// SetDiskFault); the zero plan damages nothing.
-	disk xrt.DiskFaultPlan
+	// inj arms the storage fault segment writes are put through (see
+	// SetDiskFault); the zero value damages nothing.
+	inj xrt.Inject
 	// frame is the buffer segments are framed in, reused from one stage
 	// write to the next (each is on disk before WriteStageRound returns).
 	frame []byte
 }
 
-// SetDiskFault arms a storage fault on the store's segment writes: the
-// write of plan.Stage's segment is damaged as plan.Apply says, or refused
+// SetDiskFault arms inj's storage fault on the store's segment writes: the
+// write of DiskFailStage's segment is damaged as inj.Apply says, or refused
 // outright (no file and no manifest entry) on DiskFaultWriteRefused. The
 // manifest entry is always computed from the clean segment bytes, so an
 // injected corruption is indistinguishable from storage damage after a
 // successful write — exactly the failure a later resume must detect.
-func (s *Store) SetDiskFault(plan xrt.DiskFaultPlan) { s.disk = plan }
+func (s *Store) SetDiskFault(inj xrt.Inject) { s.inj = inj }
 
 // Create starts a fresh run directory for the given fingerprint and
 // topology, creating it if needed and truncating any previous manifest
@@ -281,7 +281,7 @@ func (s *Store) WriteStageRound(stage string, round int, payload []byte) (StageE
 	s.frame = seg
 	file := segFileName(stage)
 	path := filepath.Join(s.dir, file)
-	toDisk, kind := s.disk.Apply(stage, seg)
+	toDisk, kind := s.inj.Apply(stage, seg)
 	if kind == xrt.DiskFaultWriteRefused {
 		return StageEntry{}, fmt.Errorf("%w: %s", ErrWriteRefused, stage)
 	}

@@ -108,12 +108,13 @@ type Cell struct {
 // firstLeg renders everything that determines the first leg's run and
 // hence its checkpoint directory; cells that agree on it share that run.
 func (c Cell) firstLeg() string {
-	s := fmt.Sprintf("%s %s ranks=%d", c.Dataset, c.Mode, c.Ranks) + scheduleString(c.Inject)
-	if crash := c.Inject.Crash(); crash.Enabled() {
-		s += fmt.Sprintf(" crash=%d@%s", crash.Seed, crash.Stage)
+	in := c.Inject
+	s := fmt.Sprintf("%s %s ranks=%d", c.Dataset, c.Mode, c.Ranks) + scheduleString(in)
+	if in.FaultSeed != 0 {
+		s += fmt.Sprintf(" crash=%d@%s", in.FaultSeed, in.FailStage)
 	}
-	if disk := c.Inject.Disk(); disk.Enabled() {
-		s += fmt.Sprintf(" disk=%d@%s", disk.Seed, disk.Stage)
+	if in.DiskFaultSeed != 0 {
+		s += fmt.Sprintf(" disk=%d@%s", in.DiskFaultSeed, in.DiskFailStage)
 	}
 	return s
 }
@@ -139,8 +140,8 @@ func scheduleString(inj xrt.Inject) string {
 	if inj.PerturbSeed != 0 {
 		s += fmt.Sprintf(" perturb=%d", inj.PerturbSeed)
 	}
-	if chaos := inj.Chaos(); chaos.Enabled() {
-		s += fmt.Sprintf(" chaos=%d@%g", chaos.Seed, chaos.DropRate)
+	if inj.ChaosSeed != 0 {
+		s += fmt.Sprintf(" chaos=%d@%g", inj.ChaosSeed, inj.DropRate)
 	}
 	return s
 }
@@ -166,9 +167,9 @@ func (c Cell) baselineKey() string {
 // earliest crashed or damaged one: what a resume can still rehydrate.
 func (c Cell) intactPrefix() int {
 	stages := c.Mode.stages()
-	crash, disk := c.Inject.Crash(), c.Inject.Disk()
+	in := c.Inject
 	for i, s := range stages {
-		if (crash.Enabled() && s == crash.Stage) || (disk.Enabled() && s == disk.Stage) {
+		if (in.FaultSeed != 0 && s == in.FailStage) || (in.DiskFaultSeed != 0 && s == in.DiskFailStage) {
 			return i
 		}
 	}
@@ -318,7 +319,7 @@ func (m *Runner) sweep(dataset string, mode Mode, cores []int) ([]*leg, error) {
 // crashed reports whether the leg ended in the cell's injected crash.
 func (c Cell) crashed(l *leg) bool {
 	var sf *pipeline.StageFailedError
-	return c.Inject.Crash().Enabled() && errors.As(l.err, &sf)
+	return c.Inject.FaultSeed != 0 && errors.As(l.err, &sf)
 }
 
 // observe runs the cell's legs. first memoizes the checkpointed first
@@ -398,9 +399,9 @@ func judge(c Cell, base *leg, obs observation) CellResult {
 	switch {
 	case base.err != nil:
 		failf("baseline: %v", base.err)
-	case c.Inject.Crash().Enabled() && first.err != nil && !r.Crashed:
+	case c.Inject.FaultSeed != 0 && first.err != nil && !r.Crashed:
 		failf("no crash: %v", first.err)
-	case c.Inject.Crash().Enabled() && !r.Crashed:
+	case c.Inject.FaultSeed != 0 && !r.Crashed:
 		// The resume would rehydrate a complete checkpoint and prove
 		// nothing about recovery.
 		failf("no crash: the countdown outlived %s", c.Inject.FailStage)
@@ -435,7 +436,7 @@ func judge(c Cell, base *leg, obs observation) CellResult {
 	// nanosecond or a payload byte.
 	if final == first && exact {
 		r.VirtualSec, r.BaseVirtualSec, r.BasePayloadBytes = final.virtualSec, base.virtualSec, base.comm.Bytes()
-		switch lossy := c.Inject.Chaos().Enabled(); {
+		switch lossy := c.Inject.ChaosSeed != 0; {
 		case lossy && r.VirtualSec < r.BaseVirtualSec:
 			failf("virtual time %.9f s on the lossy transport is below the fault-free run's %.9f s", r.VirtualSec, r.BaseVirtualSec)
 		case !lossy && (r.VirtualSec != r.BaseVirtualSec || r.Comm.Bytes() != r.BasePayloadBytes):
@@ -445,24 +446,24 @@ func judge(c Cell, base *leg, obs observation) CellResult {
 	}
 
 	// Each armed injection must have left its own trace.
-	lossy := func(name string, plan xrt.MessageFaultPlan, l *leg) {
-		if plan.Enabled() && plan.DropRate > 0 && (l.comm.Drops == 0 || l.comm.Retries == 0 || l.comm.Dups == 0) {
+	lossy := func(name string, inj xrt.Inject, l *leg) {
+		if inj.ChaosSeed != 0 && inj.DropRate > 0 && (l.comm.Drops == 0 || l.comm.Retries == 0 || l.comm.Dups == 0) {
 			failf("%s armed with drop rate %g but drops/retries/dups = %d/%d/%d",
-				name, plan.DropRate, l.comm.Drops, l.comm.Retries, l.comm.Dups)
+				name, inj.DropRate, l.comm.Drops, l.comm.Retries, l.comm.Dups)
 		}
 	}
-	lossy("chaos", c.Inject.Chaos(), first)
-	if disk := c.Inject.Disk(); disk.Enabled() {
+	lossy("chaos", c.Inject, first)
+	if in := c.Inject; in.DiskFaultSeed != 0 {
 		if first.comm.DiskFaults == 0 {
-			failf("disk fault at %s was never counted", disk.Stage)
+			failf("disk fault at %s was never counted", in.DiskFailStage)
 		}
 		// A refused write leaves no manifest entry: nothing to scrub.
-		if disk.Kind() != xrt.DiskFaultWriteRefused && (final == first || final.comm.ScrubRepairedBytes == 0) {
-			failf("%s damage at %s was not scrubbed on resume", disk.Kind(), disk.Stage)
+		if in.Kind() != xrt.DiskFaultWriteRefused && (final == first || final.comm.ScrubRepairedBytes == 0) {
+			failf("%s damage at %s was not scrubbed on resume", in.Kind(), in.DiskFailStage)
 		}
 	}
 	if c.Resume != nil {
-		lossy("resume chaos", c.Resume.Inject.Chaos(), final)
+		lossy("resume chaos", c.Resume.Inject, final)
 		r.CkptLoadBytes = ckptLoadBytes(final.report)
 		if intact := c.intactPrefix(); intact > 0 && r.CkptLoadBytes == 0 {
 			failf("resume loaded no checkpoint bytes though %d stages were intact", intact)

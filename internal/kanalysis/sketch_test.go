@@ -77,15 +77,15 @@ func TestSketchPassBoundsLiveSummaries(t *testing.T) {
 func TestSketchPassCrashUnwinds(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const ranks = 96
-	plan := xrt.FaultPlan{Stage: "kmer-analysis"}
-	for plan.Seed = 1; plan.AfterCharges() != 1 || plan.Victim(ranks) > 2; plan.Seed++ {
+	inj := xrt.Inject{FailStage: "kmer-analysis"}
+	for inj.FaultSeed = 1; inj.AfterCharges() != 1 || inj.Victim(ranks) > 2; inj.FaultSeed++ {
 	}
-	team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 24})
-	team.ArmFault(plan)
+	team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 24, Inject: inj})
+	team.BeginSpan("kmer-analysis")
 	defer func() {
 		fe, ok := recover().(*xrt.FaultError)
-		if !ok || fe.Rank != plan.Victim(ranks) {
-			t.Fatalf("Run panicked with %+v, want the *xrt.FaultError of rank %d", fe, plan.Victim(ranks))
+		if !ok || fe.Rank != inj.Victim(ranks) {
+			t.Fatalf("Run panicked with %+v, want the *xrt.FaultError of rank %d", fe, inj.Victim(ranks))
 		}
 	}()
 	Run(team, distinctReads(ranks, 4), Options{K: 21, HeavyHitters: true})

@@ -77,7 +77,7 @@ func (r *Report) FormatTable() string {
 }
 
 // retxFmt renders the reliability-layer activity as retries/dups plus
-// the redelivered volume, or "-" outside chaos runs (no MessageFaultPlan
+// the redelivered volume, or "-" outside chaos runs (no Inject.ChaosSeed
 // or a stage with no retransmissions).
 func retxFmt(c Comm) string {
 	if c.Drops == 0 && c.Retries == 0 && c.Dups == 0 {

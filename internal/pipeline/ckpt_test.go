@@ -83,6 +83,9 @@ func assertLoadSpan(t *testing.T, rep *metrics.Report, path string) {
 // ranks graph-build is over within the countdown): it must unwind like
 // any goroutine phase, every span closed, and, the loop's charge sequence
 // being a function of the input, at the same rank and clock every time.
+// A resume armed for a stage it rehydrates (resume) must not crash: a
+// stage loaded from its checkpoint is never armed (seed 50 counts down a
+// single charge, so arming anywhere in the rehydration would fire).
 func TestCrashThenResumeMatchesUninterrupted(t *testing.T) {
 	libs := smallLibs(22)
 	// Fault seeds chosen so the countdown fires inside the stage: the
@@ -94,13 +97,17 @@ func TestCrashThenResumeMatchesUninterrupted(t *testing.T) {
 		ranks       int
 		inj         xrt.Inject
 		inTraverse  bool
+		resume      xrt.Inject
 	}{
-		{"contig-generation", "contig-generation", 4, xrt.Inject{FaultSeed: 5}, false},
-		{"scaffolding", "scaffolding", 4, xrt.Inject{FaultSeed: 5}, false},
-		{"gap-closing", "gap-closing", 4, xrt.Inject{FaultSeed: 7}, false},
-		{"traverse", "contig-generation", 24, xrt.Inject{FaultSeed: 1}, true},
+		{"contig-generation", "contig-generation", 4, xrt.Inject{FaultSeed: 5}, false, xrt.Inject{}},
+		{"scaffolding", "scaffolding", 4, xrt.Inject{FaultSeed: 5}, false, xrt.Inject{}},
+		{"gap-closing", "gap-closing", 4, xrt.Inject{FaultSeed: 7}, false, xrt.Inject{}},
+		{"traverse", "contig-generation", 24, xrt.Inject{FaultSeed: 1}, true, xrt.Inject{}},
 		{"traverse-retry-exhaustion", "contig-generation", 24,
-			xrt.Inject{ChaosSeed: 1, DropRate: 0.1, RetryBudget: 4}, true},
+			xrt.Inject{ChaosSeed: 1, DropRate: 0.1, RetryBudget: 4}, true, xrt.Inject{}},
+		{name: "scaffolding-resume-armed-in-loaded-stage", stage: "scaffolding", ranks: 4,
+			inj:    xrt.Inject{FaultSeed: 5},
+			resume: xrt.Inject{FaultSeed: 50, FailStage: "contig-generation"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			newTeam := func(inj xrt.Inject) *xrt.Team {
@@ -151,7 +158,7 @@ func TestCrashThenResumeMatchesUninterrupted(t *testing.T) {
 				}
 			}
 
-			res, err := Run(newTeam(xrt.Inject{}), libs, Config{
+			res, err := Run(newTeam(c.resume), libs, Config{
 				K: 21, MinCount: 2, CkptDir: dir, Resume: true,
 			})
 			if err != nil {

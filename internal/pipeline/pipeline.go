@@ -166,19 +166,19 @@ func (c Config) Validate(inj xrt.Inject) error {
 // consults the manifest and skips (rehydrates) stages already recorded
 // complete. The team's Config.Inject supplies the two stage-scoped
 // injections: an armed crash makes the targeted stage suffer a
-// deterministic rank crash (Run returns a *StageFailedError), an armed
-// disk fault damages the checkpoint segment the targeted stage writes —
+// deterministic rank crash (the team arms it on the stage's span, which
+// runStage opens; a rehydrated stage opens none, so it is never armed;
+// Run returns a *StageFailedError), an armed disk fault damages the
+// checkpoint segment the targeted stage writes —
 // that run still completes bit-identically, with the manifest entry
 // computed from the clean bytes, and a LATER resume detects the damage,
 // scrubs it away and recomputes the suffix.
 func Run(team *xrt.Team, libs []Library, cfg Config) (*Result, error) {
 	cfg = cfg.WithDefaults()
-	inj := team.Config().Inject
-	if err := cfg.Validate(inj); err != nil {
+	if err := cfg.Validate(team.Config().Inject); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	stages := buildStages(cfg)
-	crash := inj.Crash()
 
 	env := &stageEnv{team: team, cfg: cfg, libs: libs, res: &Result{}}
 	var store *ckpt.Store
@@ -203,14 +203,7 @@ func Run(team *xrt.Team, libs []Library, cfg Config) (*Result, error) {
 				return nil, lerr
 			}
 		}
-		armed := crash.Enabled() && crash.Stage == st.name
-		if armed {
-			team.ArmFault(crash)
-		}
 		err := runStage(env, st)
-		if armed {
-			team.DisarmFault()
-		}
 		if err != nil {
 			return nil, err
 		}

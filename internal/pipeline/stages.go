@@ -2,12 +2,12 @@
 // pipeline is a list of named stages, each with a run function plus
 // optional save/load codecs; the runner walks the list, consults the
 // checkpoint manifest on resume (skipping completed stages and
-// rehydrating their outputs), checkpoints each completed stage, and arms
-// the fault plan when it enters the targeted stage. Stage inputs and
-// outputs flow through a stageEnv, making each stage's dependencies
-// explicit: io fills readLibs/merged, k-mer analysis reads merged,
-// contig generation reads the k-mer table, scaffolding reads contigs +
-// table + readLibs, gap closing reads the scaffold result.
+// rehydrating their outputs), and checkpoints each completed stage; the
+// span it opens per computed stage is where the team arms an injected
+// crash. Stage inputs and outputs flow through a stageEnv, making each
+// stage's dependencies explicit: io fills readLibs/merged, k-mer analysis
+// reads merged, contig generation reads the k-mer table, scaffolding
+// reads contigs + table + readLibs, gap closing reads the scaffold result.
 package pipeline
 
 import (
@@ -402,8 +402,8 @@ func runStage(env *stageEnv, st stage) (err error) {
 // fresh, or with resume reopened under the same fingerprint. A resume at
 // another rank geometry adopts the directory — the recorded topology now
 // names this run's — and every load lands its payload on this team
-// whatever count wrote it. The team's disk-fault plan is set on every
-// store opened, so it survives a reopen after a heal.
+// whatever count wrote it. The team's Inject is set on every store
+// opened, so its disk fault survives a reopen after a heal.
 func openStore(env *stageEnv, fp string, resume bool) (*ckpt.Store, error) {
 	tc := env.team.Config()
 	topo := ckpt.Topology{Ranks: tc.Ranks, RanksPerNode: tc.RanksPerNode}
@@ -426,7 +426,7 @@ func openStore(env *stageEnv, fp string, resume bool) (*ckpt.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	store.SetDiskFault(tc.Inject.Disk())
+	store.SetDiskFault(tc.Inject)
 	return store, nil
 }
 
@@ -446,8 +446,8 @@ func saveStage(env *stageEnv, store *ckpt.Store, st stage) error {
 	if err != nil && !refused {
 		return fmt.Errorf("pipeline: checkpointing %s: %w", st.name, err)
 	}
-	plan := env.team.Config().Inject.Disk()
-	fired := plan.Enabled() && plan.Stage == st.name
+	inj := env.team.Config().Inject
+	fired := inj.Kind() != xrt.DiskFaultNone && inj.DiskFailStage == st.name
 	env.team.BeginSpan("checkpoint-save:" + st.name)
 	written := int64(len(payload))
 	if !refused {

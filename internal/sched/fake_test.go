@@ -44,7 +44,7 @@ func (f *fakeRunner) Run(spec JobSpec, att Attempt) RunOutcome {
 		skip = f.completed[att.JobID]
 	}
 	inj := att.Inject
-	fail := inj.Crash().Enabled() || (inj.ChaosSeed != 0 && inj.DropRate > 0.4 && inj.RetryBudget <= 1)
+	fail := inj.FaultSeed != 0 && inj.FailStage != "" || (inj.ChaosSeed != 0 && inj.DropRate > 0.4 && inj.RetryBudget <= 1)
 	if fail && skip < 4 {
 		// Crash mid-stage-4: stages 1..3 are checkpointed.
 		f.completed[att.JobID] = 3

@@ -2,7 +2,7 @@
 // scheduler that multiplexes many concurrent assembly pipelines onto one
 // shared simulated cluster. It is the production-scale framing of the
 // ROADMAP's north star — the substrate built by the earlier PRs
-// (checkpointable stage registry, FaultPlan / MessageFaultPlan fault
+// (checkpointable stage registry, crash and lossy-transport fault
 // isolation, hipmer-metrics/v1, elastic rescale) assembled into a
 // service:
 //
@@ -14,8 +14,8 @@
 //     ranks than its quota, enforced at every dispatch;
 //   - fault isolation: every job runs as its own checkpointable
 //     pipeline on its own simulated team with its own ckpt directory —
-//     an injected crash (FaultPlan) or retry-budget exhaustion
-//     (MessageFaultPlan) fails only that job, which is requeued and
+//     an injected crash (Inject.FaultSeed) or retry-budget exhaustion
+//     (Inject.ChaosSeed) fails only that job, which is requeued and
 //     resumed from its checkpoint with the fault disarmed;
 //   - elastic rescale: a queued resumable job whose requested rank
 //     count is not free resumes on the idle capacity instead
@@ -196,8 +196,9 @@ type JobSpec struct {
 	//     stage in which it makes fewer completes, and so does the job,
 	//     with no requeue.
 	//   - ChaosSeed / DropRate / RetryBudget: a message that exhausts its
-	//     retry budget fails the attempt at that point; a plan that never
-	//     does costs the job its retransmission timeouts only.
+	//     retry budget fails the attempt at that point; a lossy transport
+	//     that never exhausts one costs the job its retransmission
+	//     timeouts only.
 	//   - DiskFaultSeed / DiskFailStage corrupt the named stage's
 	//     checkpoint write on disk (the attempt itself completes
 	//     bit-identically). The damage only matters when something sends

@@ -1,7 +1,7 @@
-// Message-level fault simulation. A MessageFaultPlan is the transport-
-// side companion of PerturbPlan (schedule noise) and FaultPlan (fail-stop
-// crashes): it models a lossy network under every remote operation,
-// together with the reliability layer that makes the pipeline survive it.
+// Message-level fault simulation. Inject.ChaosSeed arms the transport-
+// side companion of schedule perturbation and fail-stop crashes: a lossy
+// network under every remote operation, together with the reliability
+// layer that makes the pipeline survive it.
 // Every logical message charged at ChargeLookup, ChargeStoreBatch, or a
 // collective's tree steps runs an RPC-style protocol on a per-(src,dst)
 // channel: a sequence number is assigned, drop decisions are drawn from a
@@ -14,8 +14,8 @@
 // injected crash (pipeline code maps it to StageFailedError; -ckpt-dir
 // runs can resume from the last completed stage).
 //
-// Determinism contract: all chaos decisions derive from Seed via a
-// per-rank stream drawn in rank-local program order, so for a fixed plan
+// Determinism contract: all chaos decisions derive from ChaosSeed via a
+// per-rank stream drawn in rank-local program order, so for a fixed seed
 // the drop schedule, the retry counters, and the virtual-time cost are
 // reproducible — and because the layer only adds virtual time and
 // counters, never reordering or altering what the operations apply, the
@@ -33,47 +33,27 @@ const (
 )
 
 // collectiveMsgBytes is the nominal payload of one tree step of a small
-// collective, used for redelivery accounting under a MessageFaultPlan.
+// collective, used for redelivery accounting under a lossy transport.
 const collectiveMsgBytes = 16
 
-// MessageFaultPlan configures deterministic message-level fault
-// injection: seed-derived drop decisions per logical remote message,
-// absorbed by the runtime's reliable-channel protocol. The zero value
-// disables the layer entirely.
-type MessageFaultPlan struct {
-	// Seed selects the drop schedule. 0 disables the plan.
-	Seed int64
-	// DropRate is the probability, per transmission, that a message (or
-	// its ack) is lost and must be retransmitted after a timeout. Must
-	// be in [0, 1).
-	DropRate float64
-	// RetryBudget bounds retransmissions per message; exceeding it
-	// unwinds the team with a *RetryExhaustedError. Default 16.
-	RetryBudget int
+// retryBudget is Inject.RetryBudget with its default applied: the
+// retransmissions one message may take before the team unwinds.
+func (in Inject) retryBudget() int {
+	if in.RetryBudget <= 0 {
+		return 16
+	}
+	return in.RetryBudget
 }
 
-// Enabled reports whether the plan injects anything.
-func (p MessageFaultPlan) Enabled() bool { return p.Seed != 0 }
-
-func (p MessageFaultPlan) withDefaults() MessageFaultPlan {
-	if !p.Enabled() {
-		return p
-	}
-	if p.RetryBudget <= 0 {
-		p.RetryBudget = 16
-	}
-	return p
-}
-
-// chaosSeed derives the per-rank chaos-stream seed, a function of the plan
-// seed and the rank alone.
-func chaosSeed(planSeed int64, rank int) int64 {
-	return int64(Splitmix64(uint64(planSeed)^0xc4a05fa17) + uint64(rank)*0x9e3779b97f4a7c15)
+// chaosSeed derives the per-rank chaos-stream seed, a function of
+// Inject.ChaosSeed and the rank alone.
+func chaosSeed(seed int64, rank int) int64 {
+	return int64(Splitmix64(uint64(seed)^0xc4a05fa17) + uint64(rank)*0x9e3779b97f4a7c15)
 }
 
 // RetryExhaustedError is the typed failure surfaced (as an orchestrator-
 // goroutine panic from Team.Run) when one message exceeded its retry
-// budget under a MessageFaultPlan and the team unwound.
+// budget on the lossy transport and the team unwound.
 type RetryExhaustedError struct {
 	// Src and Dst identify the channel whose message could not be
 	// delivered; Src is the rank that unwound the team.
@@ -91,17 +71,10 @@ func (e *RetryExhaustedError) Error() string {
 		e.Src, e.Dst, e.Seq, e.Attempts, e.Seed)
 }
 
-// ChaosFired reports whether a message exceeded its retry budget and
-// killed the team. Only meaningful between phases.
-func (t *Team) ChaosFired() bool {
-	_, ok := t.tripErr.(*RetryExhaustedError)
-	return ok
-}
-
 // chaosPoint runs the reliable-channel protocol for one logical message
-// from r to dst. No-op without an enabled MessageFaultPlan or for
-// rank-local operations. Every draw comes from the rank's private chaos
-// stream in rank-local program order; every failed transmission charges
+// from r to dst. No-op without Inject.ChaosSeed or for rank-local
+// operations. Every draw comes from the rank's private chaos stream in
+// rank-local program order; every failed transmission charges
 // timeout+backoff to the sender's virtual clock and bumps the retry
 // counters. The operation itself is applied exactly once by the caller
 // after chaosPoint returns — duplicates exist only as counter traffic.
@@ -112,13 +85,13 @@ func (r *Rank) chaosPoint(dst, bytes int) {
 	// Another rank may have unwound the team (retry exhaustion or injected
 	// crash): join it instead of starting a new exchange.
 	r.joinTrip()
-	plan := &r.team.chaos
+	dropRate := r.team.cfg.Inject.DropRate
 	seq := r.nextSeq[dst]
 	r.nextSeq[dst]++
 	attempt := 1
 	delivered := false
 	for {
-		if r.chaos.Float64() < plan.DropRate {
+		if r.chaos.Float64() < dropRate {
 			// Data message lost in flight: nothing reached the receiver.
 			r.chaosRetry(dst, seq, bytes, &attempt)
 			continue
@@ -129,7 +102,7 @@ func (r *Rank) chaosPoint(dst, bytes int) {
 			r.stats.Dups++
 		}
 		delivered = true
-		if r.chaos.Float64() < plan.DropRate {
+		if r.chaos.Float64() < dropRate {
 			// Ack lost: the sender cannot distinguish this from a lost
 			// send and retransmits after the timeout.
 			r.chaosRetry(dst, seq, bytes, &attempt)
@@ -143,11 +116,11 @@ func (r *Rank) chaosPoint(dst, bytes int) {
 // seeded jitter and accounts the retransmission, unwinding the team when
 // the budget is exhausted.
 func (r *Rank) chaosRetry(dst int, seq uint64, bytes int, attempt *int) {
-	plan := &r.team.chaos
+	in := &r.team.cfg.Inject
 	r.stats.Drops++
-	if *attempt > plan.RetryBudget {
+	if *attempt > in.retryBudget() {
 		// Kills the team the same way an injected crash does.
-		r.trip(&RetryExhaustedError{Src: r.ID, Dst: dst, Seq: seq, Attempts: *attempt, Seed: plan.Seed})
+		r.trip(&RetryExhaustedError{Src: r.ID, Dst: dst, Seq: seq, Attempts: *attempt, Seed: in.ChaosSeed})
 	}
 	exp := *attempt - 1
 	if exp > chaosBackoffCapExp {

@@ -29,16 +29,16 @@ func runChaos(ranks int, inj Inject) (*Team, PhaseStats) {
 	return team, st
 }
 
-// TestChaosDisabledIsFree: without a plan the reliability counters stay
-// zero and the run is byte-for-byte the baseline.
+// TestChaosDisabledIsFree: without a chaos seed the reliability counters
+// stay zero and the run is byte-for-byte the baseline.
 func TestChaosDisabledIsFree(t *testing.T) {
 	team, _ := runChaos(8, Inject{})
 	s := team.AggStats()
 	if s.Drops != 0 || s.Retries != 0 || s.Dups != 0 || s.RedeliveredBytes != 0 {
-		t.Fatalf("reliability counters nonzero without a plan: %+v", s)
+		t.Fatalf("reliability counters nonzero without a chaos seed: %+v", s)
 	}
-	if team.ChaosFired() {
-		t.Fatal("ChaosFired on a team without a plan")
+	if team.TripVirtual() != 0 {
+		t.Fatal("a team without a chaos seed tripped")
 	}
 }
 
@@ -140,8 +140,8 @@ func TestChaosRetryExhaustion(t *testing.T) {
 	if ree.Src == ree.Dst || ree.Src < 0 || ree.Src >= 4 || ree.Dst < 0 || ree.Dst >= 4 {
 		t.Fatalf("implausible channel in %+v", ree)
 	}
-	if !team.ChaosFired() {
-		t.Fatal("ChaosFired() = false after retry exhaustion")
+	if team.TripVirtual() <= 0 {
+		t.Fatal("TripVirtual() = 0 after retry exhaustion")
 	}
 	for id, ok := range reached {
 		if ok {
@@ -164,12 +164,13 @@ type tripRecord struct {
 	text  string
 }
 
-// runToTrip runs body on a fresh team armed with inj (and crash, when
-// enabled) and returns the recorded trip, ok = false if the team survived.
-func runToTrip(t *testing.T, ranks int, inj Inject, crash FaultPlan, body func(r *Rank)) (rec tripRecord, ok bool) {
+// runToTrip runs body on a fresh team armed with inj, inside span "x"
+// (where a crash with that FailStage arms), and returns the recorded
+// trip, ok = false if the team survived.
+func runToTrip(t *testing.T, ranks int, inj Inject, body func(r *Rank)) (rec tripRecord, ok bool) {
 	t.Helper()
 	team := NewTeam(Config{Ranks: ranks, RanksPerNode: 4, Seed: 3, Inject: inj})
-	team.ArmFault(crash)
+	team.BeginSpan("x")
 	defer func() {
 		switch e := recover().(type) {
 		case nil:
@@ -203,10 +204,10 @@ func TestRetryExhaustionTripIsLeastClock(t *testing.T) {
 		}
 	}
 	// leastAlone is the least trip over the ranks run one at a time.
-	leastAlone := func(crash FaultPlan) (least tripRecord) {
+	leastAlone := func(inj Inject) (least tripRecord) {
 		tripping := 0
 		for id := 0; id < ranks; id++ {
-			alone, ok := runToTrip(t, ranks, harsh, crash, func(r *Rank) {
+			alone, ok := runToTrip(t, ranks, inj, func(r *Rank) {
 				if r.ID == id {
 					lookups(r)
 				}
@@ -226,8 +227,9 @@ func TestRetryExhaustionTripIsLeastClock(t *testing.T) {
 		}
 		return least
 	}
-	exhausted := leastAlone(FaultPlan{})
-	countsDownOne := FaultPlan{Seed: 346, Stage: "x"}
+	exhausted := leastAlone(harsh)
+	countsDownOne := harsh
+	countsDownOne.FaultSeed, countsDownOne.FailStage = 346, "x"
 	crashed := leastAlone(countsDownOne)
 	if crashed.rank != countsDownOne.Victim(ranks) || crashed.clock >= exhausted.clock {
 		t.Fatalf("least trip with the crash armed is %+v: want the victim's, before %+v", crashed, exhausted)
@@ -240,19 +242,19 @@ func TestRetryExhaustionTripIsLeastClock(t *testing.T) {
 		}
 	}
 	for _, w := range []struct {
-		name  string
-		crash FaultPlan
-		body  func(r *Rank)
-		want  *tripRecord
+		name string
+		inj  Inject
+		body func(r *Rank)
+		want *tripRecord
 	}{
-		{"free-running", FaultPlan{}, lookups, &exhausted},
+		{"free-running", harsh, lookups, &exhausted},
 		{"free-running, crash armed", countsDownOne, lookups, &crashed},
-		{"collective", FaultPlan{}, collective, nil},
+		{"collective", harsh, collective, nil},
 	} {
 		for seed := int64(0); seed < 20; seed++ {
-			inj := harsh
+			inj := w.inj
 			inj.PerturbSeed = seed
-			got, ok := runToTrip(t, ranks, inj, w.crash, w.body)
+			got, ok := runToTrip(t, ranks, inj, w.body)
 			if !ok {
 				t.Fatalf("%s, perturb seed %d: the team survived", w.name, seed)
 			}

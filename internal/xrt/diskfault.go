@@ -1,13 +1,12 @@
 package xrt
 
-// Storage fault injection. A DiskFaultPlan is the third injection layer
-// next to FaultPlan (fail-stop rank crashes) and MessageFaultPlan
-// (lossy transport): it deterministically damages the checkpoint
-// segment one stage writes, standing in for the parallel-file-system
-// failure modes a real extreme-scale run sees — torn writes, bit-rot,
-// lost files, and ENOSPC-style write refusals.
+// Storage fault injection. Inject.DiskFaultSeed, with DiskFailStage,
+// deterministically damages the checkpoint segment one stage writes,
+// standing in for the parallel-file-system failure modes a real
+// extreme-scale run sees — torn writes, bit-rot, lost files, and
+// ENOSPC-style write refusals.
 //
-// Determinism contract: like the other layers, a disk fault never
+// Determinism contract: like the other injections, a disk fault never
 // changes what an assembly computes. The damaged bytes land only on
 // disk; the in-memory pipeline state and the manifest entry (computed
 // from the clean segment, exactly as if the damage happened after a
@@ -17,14 +16,13 @@ package xrt
 // it away, and recomputes — paying virtual time and the DiskFaults/
 // ScrubRepairedBytes counters, never correctness.
 //
-// The plan draws every decision (fault kind, torn-write offset,
-// flipped bit) from its own Splitmix64 stream, decoupled from the other
-// fault layers' streams, so arming a disk fault cannot perturb another
-// layer's decision. The kind cycles with
-// the seed (1 + seed mod 4), so a sweep over four consecutive seeds
-// covers all four fault kinds.
+// Every decision (fault kind, torn-write offset, flipped bit) is drawn
+// from its own Splitmix64 stream, decoupled from the other injections'
+// streams, so arming a disk fault cannot perturb another one's decision.
+// The kind cycles with the seed (1 + seed mod 4), so a sweep over four
+// consecutive seeds covers all four fault kinds.
 
-// DiskFaultKind names the storage failure mode a plan injects.
+// DiskFaultKind names the storage failure mode a disk fault injects.
 type DiskFaultKind int
 
 const (
@@ -61,41 +59,30 @@ func (k DiskFaultKind) String() string {
 }
 
 // diskFaultSalt decouples the disk-fault decision stream from the other
-// fault layers' seeds.
+// injections' seeds.
 const diskFaultSalt = 0xd15c0fa17
 
-// DiskFaultPlan arms one injected storage fault against the checkpoint
-// segment written by the named stage. The zero value is disabled.
-type DiskFaultPlan struct {
-	// Seed selects the fault kind and its parameters; 0 disables.
-	Seed int64
-	// Stage is the checkpointed stage whose segment write is damaged.
-	Stage string
-}
-
-// Enabled reports whether the plan is armed.
-func (p DiskFaultPlan) Enabled() bool { return p.Seed != 0 && p.Stage != "" }
-
-// Kind returns the failure mode this plan injects. It depends only on
-// the seed (1 + seed mod 4), so harnesses can pick seeds that cover
-// specific kinds without knowing the segment contents.
-func (p DiskFaultPlan) Kind() DiskFaultKind {
-	if !p.Enabled() {
+// Kind returns the failure mode the armed disk fault injects. It depends
+// only on the seed (1 + seed mod 4), so harnesses can pick seeds that
+// cover specific kinds without knowing the segment contents.
+func (in Inject) Kind() DiskFaultKind {
+	if in.DiskFaultSeed == 0 || in.DiskFailStage == "" {
 		return DiskFaultNone
 	}
-	return DiskFaultKind(1 + uint64(p.Seed)%4)
+	return DiskFaultKind(1 + uint64(in.DiskFaultSeed)%4)
 }
 
 // Apply damages the framed segment bytes a stage is about to persist.
 // It returns the bytes to write in place of seg (nil = write no file)
-// and the injected kind; an unarmed plan or a non-target stage returns
-// seg unchanged with DiskFaultNone. Apply never mutates seg.
-func (p DiskFaultPlan) Apply(stage string, seg []byte) ([]byte, DiskFaultKind) {
-	if !p.Enabled() || stage != p.Stage {
+// and the injected kind; no disk fault or a non-target stage returns seg
+// unchanged with DiskFaultNone. Apply never mutates seg.
+func (in Inject) Apply(stage string, seg []byte) ([]byte, DiskFaultKind) {
+	kind := in.Kind()
+	if kind == DiskFaultNone || stage != in.DiskFailStage {
 		return seg, DiskFaultNone
 	}
-	x := Splitmix64(uint64(p.Seed) ^ diskFaultSalt)
-	switch kind := p.Kind(); kind {
+	x := Splitmix64(uint64(in.DiskFaultSeed) ^ diskFaultSalt)
+	switch kind {
 	case DiskFaultTornWrite:
 		if len(seg) < 2 {
 			return nil, kind

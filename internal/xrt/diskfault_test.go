@@ -6,23 +6,22 @@ import (
 	"testing"
 )
 
+// TestDiskFaultEnabled: a disk fault is armed only by a seed and a stage
+// together.
 func TestDiskFaultEnabled(t *testing.T) {
 	cases := []struct {
-		plan DiskFaultPlan
+		in   Inject
 		want bool
 	}{
-		{DiskFaultPlan{}, false},
-		{DiskFaultPlan{Seed: 7}, false},
-		{DiskFaultPlan{Stage: "contig-generation"}, false},
-		{DiskFaultPlan{Seed: 7, Stage: "contig-generation"}, true},
+		{Inject{}, false},
+		{Inject{DiskFaultSeed: 7}, false},
+		{Inject{DiskFailStage: "contig-generation"}, false},
+		{Inject{DiskFaultSeed: 7, DiskFailStage: "contig-generation"}, true},
 	}
 	for _, c := range cases {
-		if got := c.plan.Enabled(); got != c.want {
-			t.Errorf("Enabled(%+v) = %v, want %v", c.plan, got, c.want)
+		if got := c.in.Kind() != DiskFaultNone; got != c.want {
+			t.Errorf("%+v arms a disk fault = %v, want %v", c.in, got, c.want)
 		}
-	}
-	if k := (DiskFaultPlan{}).Kind(); k != DiskFaultNone {
-		t.Errorf("disabled plan Kind() = %v, want none", k)
 	}
 }
 
@@ -37,7 +36,7 @@ func TestDiskFaultKindCycle(t *testing.T) {
 	}
 	seen := map[DiskFaultKind]bool{}
 	for seed, k := range want {
-		p := DiskFaultPlan{Seed: seed, Stage: "s"}
+		p := Inject{DiskFaultSeed: seed, DiskFailStage: "s"}
 		if got := p.Kind(); got != k {
 			t.Errorf("seed %d: Kind() = %v, want %v", seed, got, k)
 		}
@@ -50,7 +49,7 @@ func TestDiskFaultKindCycle(t *testing.T) {
 
 func TestDiskFaultNonTargetPassthrough(t *testing.T) {
 	seg := []byte("framed segment bytes")
-	p := DiskFaultPlan{Seed: 21, Stage: "alignment"}
+	p := Inject{DiskFaultSeed: 21, DiskFailStage: "alignment"}
 	out, kind := p.Apply("contig-generation", seg)
 	if kind != DiskFaultNone {
 		t.Fatalf("non-target stage injected %v", kind)
@@ -66,7 +65,7 @@ func TestDiskFaultApplyDeterministic(t *testing.T) {
 		seg[i] = byte(i * 31)
 	}
 	for seed := int64(21); seed <= 24; seed++ {
-		p := DiskFaultPlan{Seed: seed, Stage: "s"}
+		p := Inject{DiskFaultSeed: seed, DiskFailStage: "s"}
 		a, ka := p.Apply("s", seg)
 		b, kb := p.Apply("s", seg)
 		if ka != kb || !bytes.Equal(a, b) {
@@ -76,7 +75,7 @@ func TestDiskFaultApplyDeterministic(t *testing.T) {
 }
 
 func TestDiskFaultTornWrite(t *testing.T) {
-	p := DiskFaultPlan{Seed: 24, Stage: "s"} // 1 + 24%4 = torn-write
+	p := Inject{DiskFaultSeed: 24, DiskFailStage: "s"} // 1 + 24%4 = torn-write
 	seg := make([]byte, 1000)
 	for i := range seg {
 		seg[i] = byte(i)
@@ -102,7 +101,7 @@ func TestDiskFaultTornWrite(t *testing.T) {
 }
 
 func TestDiskFaultBitFlip(t *testing.T) {
-	p := DiskFaultPlan{Seed: 21, Stage: "s"} // 1 + 21%4 = bit-flip
+	p := Inject{DiskFaultSeed: 21, DiskFailStage: "s"} // 1 + 21%4 = bit-flip
 	seg := make([]byte, 1000)
 	orig := append([]byte(nil), seg...)
 	out, kind := p.Apply("s", seg)
@@ -126,10 +125,10 @@ func TestDiskFaultBitFlip(t *testing.T) {
 
 func TestDiskFaultDeleteAndRefuse(t *testing.T) {
 	seg := []byte("framed segment bytes")
-	if out, kind := (DiskFaultPlan{Seed: 22, Stage: "s"}).Apply("s", seg); kind != DiskFaultDelete || out != nil {
+	if out, kind := (Inject{DiskFaultSeed: 22, DiskFailStage: "s"}).Apply("s", seg); kind != DiskFaultDelete || out != nil {
 		t.Fatalf("delete: out=%v kind=%v", out, kind)
 	}
-	if out, kind := (DiskFaultPlan{Seed: 23, Stage: "s"}).Apply("s", seg); kind != DiskFaultWriteRefused || out != nil {
+	if out, kind := (Inject{DiskFaultSeed: 23, DiskFailStage: "s"}).Apply("s", seg); kind != DiskFaultWriteRefused || out != nil {
 		t.Fatalf("refuse: out=%v kind=%v", out, kind)
 	}
 }

@@ -35,7 +35,7 @@ type Events struct {
 // are Run's. No perturbation point is visited: no schedule to perturb.
 func (t *Team) RunEvents(step func(ev *Events, r *Rank) Status) PhaseStats {
 	return t.phase(func() {
-		if t.faultOn || t.chaosOn {
+		if t.mayTrip() {
 			defer recoverFaultCrash()
 		}
 		ev := &Events{t: t, state: make([]Status, len(t.ranks))}

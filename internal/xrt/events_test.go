@@ -119,10 +119,10 @@ func TestRunEventsStallPanics(t *testing.T) {
 // victim and trip clock every time, and leaves the team dead; so does a
 // retry exhaustion.
 func TestRunEventsFaultUnwinds(t *testing.T) {
-	plan := FaultPlan{Seed: 7, Stage: "stage-x"}
+	inj := Inject{FaultSeed: 7, FailStage: "stage-x"}
 	crash := func() (*FaultError, *Team) {
-		team := NewTeam(Config{Ranks: 8, RanksPerNode: 4, Seed: 1})
-		team.ArmFault(plan)
+		team := NewTeam(Config{Ranks: 8, RanksPerNode: 4, Seed: 1, Inject: inj})
+		team.BeginSpan("stage-x")
 		return runWithFaultRecover(t, func() {
 			team.RunEvents(func(_ *Events, r *Rank) Status {
 				r.ChargeLookup((r.ID+1)%8, 24)
@@ -131,8 +131,8 @@ func TestRunEventsFaultUnwinds(t *testing.T) {
 		}), team
 	}
 	fe, team := crash()
-	if fe == nil || fe.Rank != plan.Victim(8) || fe.Stage != "stage-x" {
-		t.Fatalf("FaultError = %+v, want victim %d in stage-x", fe, plan.Victim(8))
+	if fe == nil || fe.Rank != inj.Victim(8) || fe.Stage != "stage-x" {
+		t.Fatalf("FaultError = %+v, want victim %d in stage-x", fe, inj.Victim(8))
 	}
 	if _, again := crash(); again.TripVirtual() != team.TripVirtual() || team.TripVirtual() <= 0 {
 		t.Fatalf("trip clocks %d and %d: want equal and positive", team.TripVirtual(), again.TripVirtual())
@@ -147,7 +147,7 @@ func TestRunEventsFaultUnwinds(t *testing.T) {
 		Inject: Inject{ChaosSeed: 3, DropRate: 0.9, RetryBudget: 2}})
 	defer func() {
 		var re *RetryExhaustedError
-		if err, _ := recover().(error); !errors.As(err, &re) || !lossy.ChaosFired() {
+		if err, _ := recover().(error); !errors.As(err, &re) || lossy.TripVirtual() <= 0 {
 			t.Fatalf("lossy event loop: recovered %v, want *RetryExhaustedError", err)
 		}
 	}()

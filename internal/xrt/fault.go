@@ -1,10 +1,16 @@
-// Deterministic fault injection. A FaultPlan is the failure-side
-// companion of PerturbPlan: where perturbation proves the assembly is
-// schedule-independent, a fault plan proves the pipeline's checkpoint/
-// restart path is crash-consistent. Arming a plan picks one victim rank
-// and a charge-event countdown, both derived from the seed alone, so a
-// given (seed, stage, team size) always crashes the same rank at the same
-// point of the same stage — a crash that reproduces under `go test -run`.
+// Deterministic fault injection. An injected crash is the failure-side
+// companion of schedule perturbation: where perturbation proves the
+// assembly is schedule-independent, a crash proves the pipeline's
+// checkpoint/restart path is crash-consistent. Inject.FaultSeed picks one
+// victim rank and a charge-event countdown, both derived from the seed
+// alone, so a given (seed, stage, team size) always crashes the same rank
+// at the same point of the same stage — a crash that reproduces under
+// `go test -run`.
+//
+// Arming: the team arms the countdown itself when a span whose Path is
+// Inject.FailStage opens (BeginSpan) — the pipeline opens one top-level
+// span per stage, named after it — and the matching EndSpan disarms a
+// countdown that has not tripped. A tripped crash stays fatal.
 //
 // Crash mechanics: when the victim's countdown reaches zero inside a
 // charge, the victim records the trip, poisons the team barrier, and
@@ -24,31 +30,17 @@ package xrt
 
 import "fmt"
 
-// FaultPlan configures deterministic fault injection: at most one rank
-// crash per run, injected while the named pipeline stage is armed.
-type FaultPlan struct {
-	// Seed selects the victim rank and the crash point; 0 disables the
-	// plan entirely.
-	Seed int64
-	// Stage names the pipeline stage during which the crash fires. The
-	// runtime does not interpret it beyond reporting; the pipeline arms
-	// the plan when it enters the matching stage.
-	Stage string
-}
-
-// Enabled reports whether the plan injects anything.
-func (p FaultPlan) Enabled() bool { return p.Seed != 0 && p.Stage != "" }
-
-// Victim returns the rank the plan crashes in a team of the given size.
-func (p FaultPlan) Victim(ranks int) int {
-	return int(Splitmix64(uint64(p.Seed)^0xfa017c4a5) % uint64(ranks))
+// Victim returns the rank the armed crash kills in a team of the given
+// size.
+func (in Inject) Victim(ranks int) int {
+	return int(Splitmix64(uint64(in.FaultSeed)^0xfa017c4a5) % uint64(ranks))
 }
 
 // AfterCharges returns how many charge events the victim executes inside
 // the armed stage before crashing. The range is kept small (1..256) so
 // the crash lands early in any stage of any realistic dataset.
-func (p FaultPlan) AfterCharges() int64 {
-	return int64(1 + Splitmix64(uint64(p.Seed)*0x9e3779b97f4a7c15+0xfa017)%256)
+func (in Inject) AfterCharges() int64 {
+	return int64(1 + Splitmix64(uint64(in.FaultSeed)*0x9e3779b97f4a7c15+0xfa017)%256)
 }
 
 // faultCrash is the sentinel a crashing rank panics with. It never
@@ -69,11 +61,11 @@ func recoverFaultCrash() {
 // FaultError is the typed failure surfaced (as an orchestrator-goroutine
 // panic from Team.Run) after an injected crash unwound the team.
 type FaultError struct {
-	// Stage is the armed plan's stage name.
+	// Stage is the armed stage (Inject.FailStage).
 	Stage string
 	// Rank is the victim.
 	Rank int
-	// Seed is the plan seed, for reproduction.
+	// Seed is Inject.FaultSeed, for reproduction.
 	Seed int64
 }
 
@@ -82,25 +74,22 @@ func (e *FaultError) Error() string {
 		e.Rank, e.Stage, e.Seed)
 }
 
-// ArmFault arms the plan for the next Run phases: the victim's countdown
-// starts and every rank begins checking for a trip. Must be called
-// between phases from the orchestrating goroutine; a disabled plan is a
-// no-op.
-func (t *Team) ArmFault(plan FaultPlan) {
-	if !plan.Enabled() {
-		return
-	}
-	v := plan.Victim(t.cfg.Ranks)
-	t.faultPlan = plan
-	t.faultVictim = v
-	t.faultOn = true
-	t.ranks[v].faultCD = plan.AfterCharges()
+// armsCrash reports whether a span at path arms the crash countdown.
+func (t *Team) armsCrash(path string) bool {
+	return t.cfg.Inject.FaultSeed != 0 && path == t.cfg.Inject.FailStage
 }
 
-// DisarmFault cancels an armed plan that has not tripped (the stage
-// outlived the countdown window without the victim reaching it, or the
-// pipeline moved past the armed stage). A tripped fault stays fatal.
-func (t *Team) DisarmFault() {
+// armFault starts the victim's countdown; every rank begins checking for
+// a trip. Called from BeginSpan, between phases.
+func (t *Team) armFault() {
+	t.faultOn = true
+	t.ranks[t.cfg.Inject.Victim(t.cfg.Ranks)].faultCD = t.cfg.Inject.AfterCharges()
+}
+
+// disarmFault cancels an armed countdown that has not tripped (the stage
+// outlived the countdown window without the victim reaching it). Called
+// from EndSpan. A tripped fault stays fatal.
+func (t *Team) disarmFault() {
 	if t.faultTripped.Load() {
 		return
 	}
@@ -110,15 +99,13 @@ func (t *Team) DisarmFault() {
 	}
 }
 
-// FaultFired reports whether the armed fault has tripped.
-func (t *Team) FaultFired() bool { return t.faultTripped.Load() }
+// mayTrip reports whether a phase can end in a trip: a crash is armed or
+// the transport is lossy.
+func (t *Team) mayTrip() bool { return t.faultOn || t.cfg.Inject.ChaosSeed != 0 }
 
 func (t *Team) faultError() *FaultError {
-	return &FaultError{
-		Stage: t.faultPlan.Stage,
-		Rank:  t.faultVictim,
-		Seed:  t.faultPlan.Seed,
-	}
+	in := t.cfg.Inject
+	return &FaultError{Stage: in.FailStage, Rank: in.Victim(t.cfg.Ranks), Seed: in.FaultSeed}
 }
 
 // faultPoint runs inside every charge while a fault is armed: the victim

@@ -6,14 +6,14 @@ import (
 	"strings"
 )
 
-// Inject is the arming description of one run: which of the four
-// injection layers are on, and their seeds. It is the only place these
-// knobs are declared — hipmer.Options, sched.JobSpec and the hipmerd job
-// file embed it, sched.Attempt carries one, and a run receives it through
-// Config.Inject. The mechanisms stay in their own files (perturb.go,
-// fault.go, chaos.go, diskfault.go): a wall-clock delay, a countdown
-// panic, a retry loop and a byte mangler share no logic, only this
-// description and its pairing rules.
+// Inject is the arming description of one run: which injections are
+// on, and their seeds. It is the only place these knobs are declared —
+// hipmer.Options, sched.JobSpec and the hipmerd job file embed it,
+// sched.Attempt carries one, a run receives it through Config.Inject and
+// every mechanism reads it from there. The mechanisms stay in their own
+// files (perturb.go, fault.go, chaos.go, diskfault.go): a wall-clock
+// delay, a countdown panic, a retry loop and a byte mangler share no
+// logic, only this description and its pairing rules.
 //
 // The zero value arms nothing. No field may change what an assembly
 // computes, so none is part of the checkpoint fingerprint.
@@ -23,7 +23,8 @@ type Inject struct {
 	// flushes; wall-clock only).
 	PerturbSeed int64 `json:"perturb_seed,omitempty"`
 	// FaultSeed, with FailStage, arms one rank crash partway through the
-	// named stage; the run returns a *pipeline.StageFailedError.
+	// named stage (the team arms it on the span of that name, see
+	// fault.go); the run returns a *pipeline.StageFailedError.
 	FaultSeed int64 `json:"fault_seed,omitempty"`
 	// FailStage names the stage the crash fires in (see
 	// pipeline.StageNames).
@@ -40,28 +41,12 @@ type Inject struct {
 	RetryBudget int `json:"retry_budget,omitempty"`
 	// DiskFaultSeed, with DiskFailStage, damages the checkpoint segment
 	// the named stage writes (the kind cycles with the seed, see
-	// DiskFaultPlan.Kind). The run itself completes bit-identically; a
+	// Inject.Kind). The run itself completes bit-identically; a
 	// later resume scrubs and recomputes. Needs a checkpoint directory.
 	DiskFaultSeed int64 `json:"disk_fault_seed,omitempty"`
 	// DiskFailStage names the checkpointable stage whose write is
 	// damaged.
 	DiskFailStage string `json:"disk_fail_stage,omitempty"`
-}
-
-// Perturb is the schedule-perturbation plan the value arms.
-func (in Inject) Perturb() PerturbPlan { return PerturbPlan{Seed: in.PerturbSeed} }
-
-// Crash is the rank-crash plan the value arms.
-func (in Inject) Crash() FaultPlan { return FaultPlan{Seed: in.FaultSeed, Stage: in.FailStage} }
-
-// Chaos is the lossy-transport plan the value arms.
-func (in Inject) Chaos() MessageFaultPlan {
-	return MessageFaultPlan{Seed: in.ChaosSeed, DropRate: in.DropRate, RetryBudget: in.RetryBudget}
-}
-
-// Disk is the storage-fault plan the value arms.
-func (in Inject) Disk() DiskFaultPlan {
-	return DiskFaultPlan{Seed: in.DiskFaultSeed, Stage: in.DiskFailStage}
 }
 
 // Disarmed returns the value a retry runs under: the failure injections

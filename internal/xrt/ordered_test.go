@@ -57,16 +57,16 @@ func TestOrderedRunsBodiesInRankOrder(t *testing.T) {
 // error. Rank 0, below the victim, completes.
 func TestOrderedCrashReleasesWaiters(t *testing.T) {
 	const ranks, window = 16, 4
-	plan := FaultPlan{Stage: "fold"}
-	for plan.Seed = 1; plan.Victim(ranks) != 1; plan.Seed++ {
+	inj := Inject{FailStage: "fold"}
+	for inj.FaultSeed = 1; inj.Victim(ranks) != 1; inj.FaultSeed++ {
 	}
-	team := NewTeam(Config{Ranks: ranks, RanksPerNode: 4})
-	team.ArmFault(plan)
+	team := NewTeam(Config{Ranks: ranks, RanksPerNode: 4, Inject: inj})
+	team.BeginSpan("fold")
 	var arrived atomic.Int32
 	var rank0Done bool
 	fe := runWithFaultRecover(t, func() {
 		team.Run(func(r *Rank) {
-			if r.ID == plan.Victim(ranks) {
+			if r.ID == inj.Victim(ranks) {
 				for arrived.Load() < ranks-1 {
 					runtime.Gosched()
 				}

@@ -1,13 +1,13 @@
 // Schedule perturbation: a seeded layer that injects deterministic
 // *physical* delays at the synchronization points of an SPMD run — rank
 // start, barrier arrival, and per-rank buffer flushes — without touching
-// virtual time or communication statistics. Sweeping PerturbPlan seeds explores adversarial goroutine
-// interleavings of what still runs one goroutine per rank (Team.Run): DHT
-// flushes racing lookups, the freeze/thaw phase discipline, stage 1's
-// inbox hand-off. The one protocol whose outcome used to follow the
+// virtual time or communication statistics. Sweeping Inject.PerturbSeed
+// explores adversarial goroutine interleavings of what still runs one
+// goroutine per rank (Team.Run): DHT flushes racing lookups, the
+// freeze/thaw phase discipline, stage 1's inbox hand-off. The one protocol whose outcome used to follow the
 // interleaving, the contig claim/abort traversal, runs under RunEvents
 // and has no physical schedule to explore. Every run remains
-// reproducible: for a fixed plan each rank draws its delay sequence from
+// reproducible: for a fixed seed each rank draws its delay sequence from
 // a private generator in rank-local program order.
 //
 // The intended use is metamorphic testing (see internal/verify,
@@ -42,24 +42,14 @@ const (
 // at a phase start, 50µs before a barrier, 20µs before a flush.
 var perturbJitterNs = [...]int64{PerturbStart: 200_000, PerturbBarrier: 50_000, PerturbFlush: 20_000}
 
-// PerturbPlan configures deterministic schedule perturbation for a Team.
-// The zero value disables perturbation.
-type PerturbPlan struct {
-	// Seed selects the delay schedule. 0 disables perturbation entirely.
-	Seed int64
+// perturbSeed derives the per-rank delay-stream seed, a function of
+// Inject.PerturbSeed and the rank alone.
+func perturbSeed(seed int64, rank int) int64 {
+	return int64(Splitmix64(uint64(seed)^0x7e57ab1e) + uint64(rank)*0x9e3779b97f4a7c15)
 }
 
-// Enabled reports whether the plan perturbs schedules at all.
-func (p PerturbPlan) Enabled() bool { return p.Seed != 0 }
-
-// perturbSeed derives the per-rank delay-stream seed, a function of the
-// plan seed and the rank alone.
-func perturbSeed(planSeed int64, rank int) int64 {
-	return int64(Splitmix64(uint64(planSeed)^0x7e57ab1e) + uint64(rank)*0x9e3779b97f4a7c15)
-}
-
-// PerturbPoint injects the plan's delay for point class pt. It is a no-op
-// when the team has no perturbation plan. Only physical time passes: the
+// PerturbPoint injects the armed delay for point class pt. It is a no-op
+// without Inject.PerturbSeed. Only physical time passes: the
 // virtual clock and the communication statistics are untouched.
 func (r *Rank) PerturbPoint(pt PerturbPoint) {
 	if r.pert == nil {

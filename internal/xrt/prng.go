@@ -12,7 +12,7 @@ import "math"
 // a bijection on 64-bit integers — distinct seeds always produce distinct
 // initial states, so the streams of any two ranks of one team are distinct
 // for every rank count, and a rank's stream depends only on (s, i), never
-// on scheduling, team size, or the perturbation plan. The derivation is
+// on scheduling, team size, or the perturbation seed. The derivation is
 // additive, so the same 256-bit state does recur across *configurations*
 // whose (s, i) collide — e.g. (s, i+1) and (s+0x9e3779b97f4a7c, i) — which
 // is harmless within a run and only matters if callers assume two teams

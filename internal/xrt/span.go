@@ -69,7 +69,9 @@ type openSpan struct {
 
 // BeginSpan opens a named span nested under the currently open one (if
 // any), snapshotting every rank's clock, work, and communication state.
-// Must be called between Run phases from the orchestrating goroutine.
+// A span whose Path is Config.Inject.FailStage arms the injected crash
+// (see fault.go). Must be called between Run phases from the
+// orchestrating goroutine.
 func (t *Team) BeginSpan(name string) {
 	path := name
 	if n := len(t.open); n > 0 {
@@ -89,10 +91,14 @@ func (t *Team) BeginSpan(name string) {
 	}
 	t.open = append(t.open, o)
 	t.spans = append(t.spans, rec)
+	if t.armsCrash(path) {
+		t.armFault()
+	}
 }
 
 // EndSpan closes the innermost open span, fills in its per-rank deltas,
-// and returns it. Panics if no span is open.
+// and returns it; closing the span that armed the crash disarms it unless
+// it tripped. Panics if no span is open.
 func (t *Team) EndSpan() *SpanRecord {
 	n := len(t.open)
 	if n == 0 {
@@ -109,6 +115,9 @@ func (t *Team) EndSpan() *SpanRecord {
 			WorkNs: r.workNs - o.startWork[i],
 			Comm:   r.stats.Sub(o.startComm[i]),
 		}
+	}
+	if t.armsCrash(rec.Path) {
+		t.disarmFault()
 	}
 	return rec
 }

@@ -34,10 +34,11 @@ type Config struct {
 	// checkpoint fingerprint hashes it. No rank draws from it; nothing the
 	// team computes or charges depends on it.
 	Seed int64
-	// Inject arms the injection layers (see inject.go). The team itself
-	// applies the schedule perturbation and the lossy transport, neither
-	// of which changes what operations apply; the stage-scoped crash and
-	// disk plans are read back by pipeline.Run.
+	// Inject arms the injections (see inject.go). The team itself applies
+	// the schedule perturbation and the lossy transport, neither of which
+	// changes what operations apply, and arms the crash on the span its
+	// FailStage names; the disk fault is applied by the checkpoint store
+	// the pipeline opens.
 	Inject Inject
 }
 
@@ -166,7 +167,7 @@ type CommStats struct {
 	IOWriteBytes   int64 `json:"io_write_bytes"`
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
-	// Reliability-layer counters, nonzero only under a MessageFaultPlan
+	// Reliability-layer counters, nonzero only under Inject.ChaosSeed
 	// (see chaos.go): transmissions lost (message or ack), retransmissions
 	// issued, duplicate deliveries (a retransmission after a lost ack) the
 	// receiver discards, and the payload bytes retransmissions carried.
@@ -174,7 +175,7 @@ type CommStats struct {
 	Retries          int64 `json:"retries"`
 	Dups             int64 `json:"dups"`
 	RedeliveredBytes int64 `json:"redelivered_bytes"`
-	// Storage-fault counters, nonzero only under a DiskFaultPlan (see
+	// Storage-fault counters, nonzero only under Inject.DiskFaultSeed (see
 	// diskfault.go): checkpoint segments damaged by an injected storage
 	// fault, and the manifest bytes a later scrub pass dropped back to
 	// recomputation while healing the damage.
@@ -495,13 +496,11 @@ type Team struct {
 	open  []*openSpan
 
 	// fault-injection state (see fault.go). faultOn is written by the
-	// orchestrator between phases and read by ranks inside phases; the
-	// Run fork/join provides the happens-before edges. faultTripped is
-	// atomic because a tripping rank sets it mid-phase for the others to
-	// see.
+	// orchestrator between phases (BeginSpan/EndSpan) and read by ranks
+	// inside phases; the Run fork/join provides the happens-before edges.
+	// faultTripped is atomic because a tripping rank sets it mid-phase for
+	// the others to see.
 	faultOn      bool
-	faultPlan    FaultPlan
-	faultVictim  int
 	faultTripped atomic.Bool
 	// The recorded trip (see Rank.trip): the tripping rank's own virtual
 	// clock at the instant it killed the team (victim rank for an injected
@@ -516,13 +515,6 @@ type Team struct {
 	tripClockNs float64
 	tripRank    int
 	tripErr     error
-
-	// chaos is Config.Inject's transport plan with defaults applied and
-	// chaosOn whether it is enabled, both fixed for the team's lifetime
-	// (see chaos.go). An exhausted retry budget trips the team as an
-	// injected crash does.
-	chaos   MessageFaultPlan
-	chaosOn bool
 }
 
 // NewTeam creates a team. The team may execute multiple Run phases; rank
@@ -535,24 +527,21 @@ func NewTeam(cfg Config) *Team {
 		cfg.RanksPerNode = 24
 	}
 	cfg.Cost = cfg.Cost.withDefaults()
-	chaos := cfg.Inject.Chaos()
 	t := &Team{
-		cfg:   cfg,
-		chaos: chaos.withDefaults(),
-		cost:  cfg.Cost,
-		bar:   newBarrier(cfg.Ranks),
-		sInt:  make([]int64, cfg.Ranks),
-		sAny:  make([]any, cfg.Ranks),
+		cfg:  cfg,
+		cost: cfg.Cost,
+		bar:  newBarrier(cfg.Ranks),
+		sInt: make([]int64, cfg.Ranks),
+		sAny: make([]any, cfg.Ranks),
 	}
 	t.ranks = make([]*Rank, cfg.Ranks)
 	for i := range t.ranks {
 		t.ranks[i] = &Rank{ID: i, team: t}
-		if perturb := cfg.Inject.Perturb(); perturb.Enabled() {
-			t.ranks[i].pert = NewPrng(perturbSeed(perturb.Seed, i))
+		if cfg.Inject.PerturbSeed != 0 {
+			t.ranks[i].pert = NewPrng(perturbSeed(cfg.Inject.PerturbSeed, i))
 		}
-		if chaos.Enabled() {
-			t.chaosOn = true
-			t.ranks[i].chaos = NewPrng(chaosSeed(chaos.Seed, i))
+		if cfg.Inject.ChaosSeed != 0 {
+			t.ranks[i].chaos = NewPrng(chaosSeed(cfg.Inject.ChaosSeed, i))
 			t.ranks[i].nextSeq = make([]uint64, cfg.Ranks)
 		}
 	}
@@ -610,7 +599,7 @@ func (t *Team) Run(fn func(r *Rank)) PhaseStats {
 		for _, r := range t.ranks {
 			go func(r *Rank) {
 				defer wg.Done()
-				if t.faultOn || t.chaosOn {
+				if t.mayTrip() {
 					defer recoverFaultCrash()
 				}
 				r.PerturbPoint(PerturbStart)
@@ -701,7 +690,7 @@ func (t *Team) RankWorkNs(id int) float64 { return t.ranks[id].workNs }
 
 // Barrier blocks until every rank has arrived, then synchronizes all
 // virtual clocks to the maximum, as a real barrier would. Under an
-// active PerturbPlan the arrival is preceded by a deterministic delay,
+// armed perturbation the arrival is preceded by a deterministic delay,
 // reordering which rank arrives last (and thus runs barrier epilogues).
 func (r *Rank) Barrier() {
 	r.PerturbPoint(PerturbBarrier)
@@ -805,7 +794,7 @@ func (r *Rank) Broadcast(root int, v any) any {
 }
 
 // chargeCollective charges a log(p) latency tree for a small collective.
-// Under a MessageFaultPlan each tree step's control message to the
+// On the lossy transport each tree step's control message to the
 // step's partner rank runs the reliable-channel protocol.
 func (r *Rank) chargeCollective() { r.chargeTree(0) }
 
