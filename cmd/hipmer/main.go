@@ -1,5 +1,5 @@
-// Command hipmer assembles FASTQ reads into scaffolds with the full
-// HipMer pipeline on the simulated distributed runtime.
+// Command hipmer assembles paired reads (FASTQ or .seqdb) into scaffolds
+// with the full HipMer pipeline on the simulated distributed runtime.
 //
 // Usage:
 //
@@ -88,7 +88,7 @@ func (l *libFlags) Set(v string) error {
 func main() {
 	var libs libFlags
 	var opts hipmer.Options
-	flag.Var(&libs, "reads", "FASTQ file, optionally with ,insertSize (repeatable)")
+	flag.Var(&libs, "reads", "FASTQ or .seqdb file, optionally with ,insertSize (repeatable)")
 	flag.IntVar(&opts.K, "k", 31, "k-mer length (odd)")
 	kmerLens := flag.String("kmer-lens", "", "comma-separated iterative-k ladder, e.g. 21,33,55 (odd, strictly increasing); runs one assembly round per length with contig feedback, overriding -k")
 	flag.IntVar(&opts.MinCount, "min-count", 2, "minimum k-mer count (error threshold)")

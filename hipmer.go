@@ -362,7 +362,9 @@ func WriteFastq(w io.Writer, lib Library) error {
 
 // WriteSeqDB writes a library's reads in the SeqDB-like binary container
 // (2-bit packed, block-indexed for parallel reading); pass the resulting
-// path (ending in ".seqdb") as Library.Path.
+// path (ending in ".seqdb") as Library.Path. Each rank reads an equal
+// share of its read pairs and is charged the encoded bytes from the head
+// of the first block its share touches to the end of its last record.
 func WriteSeqDB(path string, lib Library) error {
 	return seqdb.WriteFile(path, lib.Reads)
 }

@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -383,9 +385,23 @@ func TestFromSeqDBFile(t *testing.T) {
 	if err := seqdb.WriteFile(path, recs); err != nil {
 		t.Fatal(err)
 	}
-	team := xrt.NewTeam(xrt.Config{Ranks: 5})
-	res, err := Run(team, []Library{{Name: "s", Path: path, InsertHint: 320}},
-		Config{K: 31, MinCount: 3})
+	file := []Library{{Name: "s", Path: path, InsertHint: 320}}
+
+	// 3 600 reads fill 4 blocks, yet io gives each of 5 ranks its share
+	// of pairs
+	env := &stageEnv{team: xrt.NewTeam(xrt.Config{Ranks: 5}), libs: file, res: &Result{}}
+	if err := runIO(env); err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int, 0, 5)
+	for _, part := range env.readLibs[0].ReadsByRank {
+		counts = append(counts, len(part))
+	}
+	if slices.Max(counts)-slices.Min(counts) > 2 {
+		t.Fatalf("per-rank read counts %v differ by more than one pair", counts)
+	}
+
+	res, err := Run(xrt.NewTeam(xrt.Config{Ranks: 5}), file, Config{K: 31, MinCount: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,9 +409,24 @@ func TestFromSeqDBFile(t *testing.T) {
 	if v.CoveredFrac < 0.93 {
 		t.Fatalf("seqdb-based run covers only %.3f", v.CoveredFrac)
 	}
-	// the binary container moves fewer bytes than FASTQ would
 	if res.Metrics.Stage("io").Comm.IOBytes == 0 {
 		t.Fatal("no I/O bytes charged")
+	}
+
+	// the contigs do not depend on where the reads came from
+	cfg := Config{K: 31, MinCount: 3, ContigsOnly: true}
+	fromFile, err := Run(xrt.NewTeam(xrt.Config{Ranks: 5}), file, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inMemory, err := Run(xrt.NewTeam(xrt.Config{Ranks: 5}),
+		[]Library{{Name: "s", Records: recs, InsertHint: 320}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(fromFile.FinalSeqs, inMemory.FinalSeqs, bytes.Equal) {
+		t.Fatalf("contigs from the file (%d) differ from the same records in memory (%d)",
+			len(fromFile.FinalSeqs), len(inMemory.FinalSeqs))
 	}
 }
 

@@ -7,10 +7,17 @@
 // block FASTQ reader was built to match "up to compression factor
 // differences".
 //
+// A rank's share is an equal count of read pairs (ReadPart), not whole
+// blocks: with p ranks over fewer than p blocks a block split would leave
+// ranks without reads. A part is charged the bytes a sequential reader
+// consumes for it, from the head of the first block its range touches
+// (a block is parsed from its head) to the end of its last record.
+//
 // Layout:
 //
 //	[8]  magic "HIPSEQDB"
-//	[*]  blocks: each block holds up to BlockRecords records
+//	[*]  blocks: a varint record count, then the records; every block
+//	     but the last holds exactly BlockRecords, the last at most that
 //	[*]  index: varint block count, then varint block offsets
 //	[8]  index offset (big-endian uint64)
 package seqdb
@@ -38,15 +45,12 @@ func Write(w io.Writer, recs []fastq.Record) error {
 	body.Write(magic)
 	var offsets []uint64
 	for lo := 0; lo < len(recs); lo += BlockRecords {
-		hi := lo + BlockRecords
-		if hi > len(recs) {
-			hi = len(recs)
-		}
+		hi := min(lo+BlockRecords, len(recs))
 		offsets = append(offsets, uint64(body.Len()))
-		writeBlock(&body, recs[lo:hi])
-	}
-	if len(recs) == 0 {
-		offsets = nil
+		writeUvarint(&body, uint64(hi-lo))
+		for _, r := range recs[lo:hi] {
+			writeRecord(&body, r)
+		}
 	}
 	indexOff := uint64(body.Len())
 	writeUvarint(&body, uint64(len(offsets)))
@@ -73,32 +77,29 @@ func WriteFile(path string, recs []fastq.Record) error {
 	return f.Close()
 }
 
-func writeBlock(buf *bytes.Buffer, recs []fastq.Record) {
-	writeUvarint(buf, uint64(len(recs)))
-	for _, r := range recs {
-		writeUvarint(buf, uint64(len(r.ID)))
-		buf.Write(r.ID)
-		writeUvarint(buf, uint64(len(r.Seq)))
-		// 2-bit packed bases; N positions recorded as exceptions
-		var exceptions []int
-		packed := make([]byte, (len(r.Seq)+3)/4)
-		for i, b := range r.Seq {
-			code, ok := kmer.BaseCode(b)
-			if !ok {
-				exceptions = append(exceptions, i)
-				code = 0
-			}
-			packed[i/4] |= byte(code) << uint(2*(i%4))
+func writeRecord(buf *bytes.Buffer, r fastq.Record) {
+	writeUvarint(buf, uint64(len(r.ID)))
+	buf.Write(r.ID)
+	writeUvarint(buf, uint64(len(r.Seq)))
+	// 2-bit packed bases; N positions recorded as exceptions
+	var exceptions []int
+	packed := make([]byte, (len(r.Seq)+3)/4)
+	for i, b := range r.Seq {
+		code, ok := kmer.BaseCode(b)
+		if !ok {
+			exceptions = append(exceptions, i)
+			code = 0
 		}
-		buf.Write(packed)
-		writeUvarint(buf, uint64(len(exceptions)))
-		prev := 0
-		for _, e := range exceptions {
-			writeUvarint(buf, uint64(e-prev))
-			prev = e
-		}
-		buf.Write(r.Qual)
+		packed[i/4] |= byte(code) << uint(2*(i%4))
 	}
+	buf.Write(packed)
+	writeUvarint(buf, uint64(len(exceptions)))
+	prev := 0
+	for _, e := range exceptions {
+		writeUvarint(buf, uint64(e-prev))
+		prev = e
+	}
+	buf.Write(r.Qual)
 }
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {
@@ -107,14 +108,16 @@ func writeUvarint(buf *bytes.Buffer, v uint64) {
 	buf.Write(tmp[:n])
 }
 
-// File is an opened SeqDB container supporting parallel block reads.
+// File is an opened SeqDB container supporting parallel part reads.
 type File struct {
-	data    []byte
-	offsets []uint64
+	data     []byte
+	offsets  []uint64 // block starts, strictly increasing
+	indexOff uint64   // where the last block ends
+	records  int
 }
 
 // Open reads and indexes a SeqDB file. The whole file is mapped into
-// memory (datasets here are laptop-scale); per-block decoding is cheap
+// memory (datasets here are laptop-scale); per-part decoding is cheap
 // and random-access.
 func Open(path string) (*File, error) {
 	data, err := os.ReadFile(path)
@@ -124,145 +127,158 @@ func Open(path string) (*File, error) {
 	return Parse(data)
 }
 
-// Parse indexes SeqDB-format bytes.
+// Parse indexes SeqDB-format bytes. It checks the index and every block
+// header — offsets strictly increasing inside the block area, each count
+// exactly BlockRecords but the last's, which is at most that — so the
+// record count, and with it every part's record range, is known without
+// decoding a block.
 func Parse(data []byte) (*File, error) {
 	if len(data) < len(magic)+8 || !bytes.Equal(data[:len(magic)], magic) {
 		return nil, errors.New("seqdb: bad magic")
 	}
 	indexOff := binary.BigEndian.Uint64(data[len(data)-8:])
-	if indexOff > uint64(len(data)-8) {
+	if indexOff < uint64(len(magic)) || indexOff > uint64(len(data)-8) {
 		return nil, errors.New("seqdb: corrupt index offset")
 	}
 	idx := data[indexOff : len(data)-8]
 	nBlocks, n := binary.Uvarint(idx)
-	if n <= 0 {
+	if n <= 0 || nBlocks > uint64(len(idx)-n) {
 		return nil, errors.New("seqdb: corrupt index")
 	}
 	idx = idx[n:]
-	offsets := make([]uint64, nBlocks)
-	for i := range offsets {
+	f := &File{data: data, offsets: make([]uint64, nBlocks), indexOff: indexOff}
+	for i := range f.offsets {
 		v, n := binary.Uvarint(idx)
-		if n <= 0 {
+		if n <= 0 || v >= indexOff || v < uint64(len(magic)) || i > 0 && v <= f.offsets[i-1] {
 			return nil, errors.New("seqdb: corrupt index entry")
 		}
-		offsets[i] = v
+		f.offsets[i] = v
 		idx = idx[n:]
 	}
-	return &File{data: data, offsets: offsets}, nil
-}
-
-// Blocks returns the number of addressable blocks.
-func (f *File) Blocks() int { return len(f.offsets) }
-
-// BlockBytes returns the encoded size of block i (for I/O cost charging).
-func (f *File) BlockBytes(i int) int64 {
-	end := uint64(len(f.data) - 8)
-	if i+1 < len(f.offsets) {
-		end = f.offsets[i+1]
-	}
-	return int64(end - f.offsets[i])
-}
-
-// ReadBlock decodes block i.
-func (f *File) ReadBlock(i int) ([]fastq.Record, error) {
-	if i < 0 || i >= len(f.offsets) {
-		return nil, fmt.Errorf("seqdb: block %d out of range", i)
-	}
-	buf := f.data[f.offsets[i]:]
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, errors.New("seqdb: corrupt block header")
-	}
-	buf = buf[n:]
-	recs := make([]fastq.Record, 0, count)
-	for r := uint64(0); r < count; r++ {
-		rec, rest, err := decodeRecord(buf)
-		if err != nil {
-			return nil, err
+	for b := range f.offsets {
+		count, n := binary.Uvarint(f.block(b))
+		if n <= 0 || count > BlockRecords || b+1 < len(f.offsets) && count != BlockRecords {
+			return nil, fmt.Errorf("seqdb: corrupt block %d header", b)
 		}
-		recs = append(recs, rec)
-		buf = rest
+		f.records += int(count)
 	}
-	return recs, nil
+	return f, nil
 }
 
-func decodeRecord(buf []byte) (fastq.Record, []byte, error) {
-	idLen, n := binary.Uvarint(buf)
-	if n <= 0 || uint64(len(buf)) < uint64(n)+idLen {
-		return fastq.Record{}, nil, errors.New("seqdb: corrupt record id")
+// block returns the encoded bytes of block b, header first.
+func (f *File) block(b int) []byte {
+	end := f.indexOff
+	if b+1 < len(f.offsets) {
+		end = f.offsets[b+1]
 	}
-	buf = buf[n:]
-	id := append([]byte(nil), buf[:idLen]...)
-	buf = buf[idLen:]
-
-	seqLen, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return fastq.Record{}, nil, errors.New("seqdb: corrupt sequence length")
-	}
-	buf = buf[n:]
-	packedLen := (int(seqLen) + 3) / 4
-	if len(buf) < packedLen {
-		return fastq.Record{}, nil, errors.New("seqdb: truncated sequence")
-	}
-	seq := make([]byte, seqLen)
-	for i := range seq {
-		code := buf[i/4] >> uint(2*(i%4)) & 3
-		seq[i] = kmer.CodeBase(uint64(code))
-	}
-	buf = buf[packedLen:]
-
-	nExc, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return fastq.Record{}, nil, errors.New("seqdb: corrupt exception count")
-	}
-	buf = buf[n:]
-	pos := 0
-	for e := uint64(0); e < nExc; e++ {
-		d, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return fastq.Record{}, nil, errors.New("seqdb: corrupt exception")
-		}
-		buf = buf[n:]
-		pos += int(d)
-		if pos >= int(seqLen) {
-			return fastq.Record{}, nil, errors.New("seqdb: exception out of range")
-		}
-		seq[pos] = 'N'
-	}
-
-	if uint64(len(buf)) < seqLen {
-		return fastq.Record{}, nil, errors.New("seqdb: truncated quality")
-	}
-	qual := append([]byte(nil), buf[:seqLen]...)
-	return fastq.Record{ID: id, Seq: seq, Qual: qual}, buf[seqLen:], nil
+	return f.data[f.offsets[b]:end]
 }
 
-// PartBlocks returns the half-open block range assigned to part i of
-// parts, for parallel reading.
-func (f *File) PartBlocks(parts, i int) (lo, hi int) {
-	n := len(f.offsets)
-	q, r := n/parts, n%parts
-	lo = i*q + min(i, r)
-	hi = lo + q
-	if i < r {
-		hi++
+// partRecords returns the half-open record range of part i of parts: an
+// equal share of the P read pairs, pairs [⌊i·P/parts⌋, ⌊(i+1)·P/parts⌋),
+// the last part also taking an odd trailing record. Parts are contiguous
+// in file order, so their concatenation is the file.
+func (f *File) partRecords(parts, i int) (lo, hi int) {
+	pairs := f.records / 2
+	lo, hi = 2*(i*pairs/parts), 2*((i+1)*pairs/parts)
+	if i == parts-1 {
+		hi = f.records
 	}
 	return lo, hi
 }
 
-// ReadPart decodes the blocks of part i of parts and reports the encoded
-// bytes consumed (for I/O cost charging).
+// ReadPart decodes part i of parts (see partRecords) and reports the
+// encoded bytes a sequential reader consumes for it, for I/O cost
+// charging: a block is parsed from its head, so the span runs from the
+// first byte of the first block the range touches to the last byte of
+// its last record. Records before the range are skipped, not copied.
 func (f *File) ReadPart(parts, i int) ([]fastq.Record, int64, error) {
-	lo, hi := f.PartBlocks(parts, i)
-	var recs []fastq.Record
-	var bytes int64
-	for b := lo; b < hi; b++ {
-		rs, err := f.ReadBlock(b)
-		if err != nil {
-			return nil, 0, err
-		}
-		recs = append(recs, rs...)
-		bytes += f.BlockBytes(b)
+	lo, hi := f.partRecords(parts, i)
+	if lo == hi {
+		return nil, 0, nil
 	}
-	return recs, bytes, nil
+	recs := make([]fastq.Record, hi-lo)
+	first := lo / BlockRecords
+	var last uint64 // file offset just past the part's last record
+	for b, r := first, lo; r < hi; b++ {
+		blk := f.block(b)
+		_, n := binary.Uvarint(blk)
+		buf := blk[n:]
+		var err error
+		for skip := r - b*BlockRecords; skip > 0 && err == nil; skip-- {
+			buf, err = nextRecord(buf, nil)
+		}
+		for ; r < hi && r < (b+1)*BlockRecords && err == nil; r++ {
+			buf, err = nextRecord(buf, &recs[r-lo])
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("seqdb: block %d: %w", b, err)
+		}
+		last = f.offsets[b] + uint64(len(blk)-len(buf))
+	}
+	return recs, int64(last - f.offsets[first]), nil
+}
+
+// nextRecord parses the record at the head of buf and returns the bytes
+// after it. It decodes into rec, or, when rec is nil, only checks the
+// record and skips it without copying.
+func nextRecord(buf []byte, rec *fastq.Record) ([]byte, error) {
+	idLen, n := binary.Uvarint(buf)
+	if n <= 0 || idLen > uint64(len(buf)-n) {
+		return nil, errors.New("corrupt record id")
+	}
+	id := buf[n : n+int(idLen)]
+	buf = buf[n+int(idLen):]
+
+	// seqLen quality bytes follow the packed bases, so a longer
+	// sequence cannot be in buf
+	seqLen, n := binary.Uvarint(buf)
+	if n <= 0 || seqLen > uint64(len(buf)-n) {
+		return nil, errors.New("corrupt sequence length")
+	}
+	buf = buf[n:]
+	packedLen := (int(seqLen) + 3) / 4
+	packed := buf[:packedLen]
+	buf = buf[packedLen:]
+
+	var seq []byte
+	if rec != nil {
+		seq = make([]byte, seqLen)
+		for i := range seq {
+			code := packed[i/4] >> uint(2*(i%4)) & 3
+			seq[i] = kmer.CodeBase(uint64(code))
+		}
+	}
+	nExc, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return nil, errors.New("corrupt exception count")
+	}
+	buf = buf[n:]
+	var pos uint64
+	for e := uint64(0); e < nExc; e++ {
+		d, n := binary.Uvarint(buf)
+		if n <= 0 {
+			return nil, errors.New("corrupt exception")
+		}
+		buf = buf[n:]
+		if d >= seqLen-pos {
+			return nil, errors.New("exception out of range")
+		}
+		pos += d
+		if seq != nil {
+			seq[pos] = 'N'
+		}
+	}
+
+	if uint64(len(buf)) < seqLen {
+		return nil, errors.New("truncated quality")
+	}
+	if rec != nil {
+		*rec = fastq.Record{
+			ID:   append([]byte(nil), id...),
+			Seq:  seq,
+			Qual: append([]byte(nil), buf[:seqLen]...),
+		}
+	}
+	return buf[seqLen:], nil
 }

@@ -2,6 +2,7 @@ package seqdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -55,13 +56,9 @@ func TestRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		var got []fastq.Record
-		for b := 0; b < f.Blocks(); b++ {
-			rs, err := f.ReadBlock(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, rs...)
+		got, _, err := f.ReadPart(1, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if !recordsEqual(recs, got) {
 			t.Fatalf("n=%d: roundtrip mismatch", n)
@@ -83,7 +80,7 @@ func TestNsPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.ReadBlock(0)
+	got, _, err := f.ReadPart(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,33 +89,72 @@ func TestNsPreserved(t *testing.T) {
 	}
 }
 
-func TestParallelPartsCoverExactlyOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	recs := randRecords(rng, 5000)
-	var buf bytes.Buffer
-	if err := Write(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	f, err := Parse(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{1, 2, 3, 7, 16, 100} {
-		var all []fastq.Record
-		var totalBytes int64
-		for i := 0; i < parts; i++ {
-			rs, nb, err := f.ReadPart(parts, i)
-			if err != nil {
-				t.Fatal(err)
+// TestPartsBalanced holds ReadPart to its split rule: every part holds
+// ⌊P/parts⌋ or ⌈P/parts⌉ of the P pairs and starts on a pair, only the
+// last part takes an odd trailing record, the parts concatenate to the
+// file, and each part is charged the span a sequential reader consumes —
+// from the head of the first block its range touches to the end of its
+// last record.
+func TestPartsBalanced(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{0, 1, 2, BlockRecords - 1, BlockRecords, BlockRecords + 1, 11986} {
+		recs := randRecords(rng, n)
+		var buf bytes.Buffer
+		if err := Write(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		f, err := Parse(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// recEnd[r] is the file offset just past record r, blockStart[b]
+		// that of block b's header, both from the encoder alone.
+		recEnd := make([]int64, n)
+		var blockStart []int64
+		off := int64(len(magic))
+		for r := range recs {
+			if r%BlockRecords == 0 {
+				blockStart = append(blockStart, off)
+				var hdr bytes.Buffer
+				writeUvarint(&hdr, uint64(min(BlockRecords, n-r)))
+				off += int64(hdr.Len())
 			}
-			all = append(all, rs...)
-			totalBytes += nb
+			var one bytes.Buffer
+			writeRecord(&one, recs[r])
+			off += int64(one.Len())
+			recEnd[r] = off
 		}
-		if !recordsEqual(recs, all) {
-			t.Fatalf("parts=%d: split lost or duplicated records", parts)
-		}
-		if totalBytes <= 0 {
-			t.Fatalf("parts=%d: no bytes accounted", parts)
+		pairs := n / 2
+		for _, parts := range []int{1, 2, 3, 5, 12, 32, 100} {
+			var all []fastq.Record
+			for i := 0; i < parts; i++ {
+				got, nb, err := f.ReadPart(parts, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lo := len(all)
+				all = append(all, got...)
+				if lo%2 != 0 {
+					t.Fatalf("n=%d parts=%d: part %d starts at record %d, inside a pair", n, parts, i, lo)
+				}
+				held := len(got)
+				if i == parts-1 {
+					held -= n % 2
+				}
+				if held%2 != 0 || held/2 < pairs/parts || held/2 > (pairs+parts-1)/parts {
+					t.Fatalf("n=%d parts=%d: part %d holds %d records of %d pairs", n, parts, i, len(got), pairs)
+				}
+				var want int64
+				if len(got) > 0 {
+					want = recEnd[lo+len(got)-1] - blockStart[lo/BlockRecords]
+				}
+				if nb != want {
+					t.Fatalf("n=%d parts=%d: part %d charged %d bytes, sequential reader consumes %d", n, parts, i, nb, want)
+				}
+			}
+			if !recordsEqual(recs, all) {
+				t.Fatalf("n=%d parts=%d: parts do not concatenate to the input", n, parts)
+			}
 		}
 	}
 }
@@ -160,6 +196,95 @@ func TestCorruptInputsRejected(t *testing.T) {
 	if _, err := Parse(bad2); err == nil {
 		t.Fatal("accepted corrupt index offset")
 	}
+	for name, data := range map[string][]byte{
+		"block count 2^62":              container([]uint64{1 << 62}, nil),
+		"block count over BlockRecords": container([]uint64{BlockRecords + 1}, nil),
+		"short block before the last":   container([]uint64{BlockRecords - 1, 1}, nil),
+		"index count past the index":    container([]uint64{0}, []uint64{1 << 40, 8}),
+		"offsets not increasing":        container([]uint64{BlockRecords, 0}, []uint64{2, 8, 8}),
+		"offset inside the magic":       container([]uint64{0}, []uint64{1, 3}),
+		"offset past the blocks":        container([]uint64{0}, []uint64{1, 100}),
+	} {
+		if _, err := Parse(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// well-formed headers over missing records: indexed, then refused on read
+	f, err := Parse(container([]uint64{BlockRecords, 3}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.ReadPart(1, 0); err == nil {
+		t.Fatal("decoded records that are not there")
+	}
+}
+
+// container assembles a file of bare block headers holding counts, with
+// the matching index, or with the given index varints (block count, then
+// offsets) when index is non-nil.
+func container(counts, index []uint64) []byte {
+	var buf bytes.Buffer
+	buf.Write(magic)
+	offsets := []uint64{uint64(len(counts))}
+	for _, c := range counts {
+		offsets = append(offsets, uint64(buf.Len()))
+		writeUvarint(&buf, c)
+	}
+	if index == nil {
+		index = offsets
+	}
+	indexOff := uint64(buf.Len())
+	for _, v := range index {
+		writeUvarint(&buf, v)
+	}
+	var tail [8]byte
+	binary.BigEndian.PutUint64(tail[:], indexOff)
+	buf.Write(tail[:])
+	return buf.Bytes()
+}
+
+// FuzzReadPart holds Parse and ReadPart to never panicking on arbitrary
+// bytes, and, when every part of a split decodes, to the parts
+// concatenating to the whole file.
+func FuzzReadPart(f *testing.F) {
+	rng := rand.New(rand.NewSource(9))
+	tiny := make([]fastq.Record, BlockRecords+3) // two blocks in a few kB
+	for i := range tiny {
+		tiny[i] = fastq.Record{ID: []byte{'a' + byte(i%26)}, Seq: []byte{"ACGTN"[i%5]}, Qual: []byte{'I'}}
+	}
+	for _, recs := range [][]fastq.Record{nil, randRecords(rng, 1), randRecords(rng, 7), tiny} {
+		var buf bytes.Buffer
+		if err := Write(&buf, recs); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(container([]uint64{1 << 62}, nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fl, err := Parse(data)
+		if err != nil {
+			return
+		}
+		whole, _, wholeErr := fl.ReadPart(1, 0)
+		for parts := 1; parts <= 7; parts++ {
+			var all []fastq.Record
+			var partErr error
+			for i := 0; i < parts && partErr == nil; i++ {
+				var got []fastq.Record
+				got, _, partErr = fl.ReadPart(parts, i)
+				all = append(all, got...)
+			}
+			if partErr != nil {
+				continue
+			}
+			if wholeErr != nil {
+				t.Fatalf("parts=%d decode but the whole file fails: %v", parts, wholeErr)
+			}
+			if !recordsEqual(whole, all) {
+				t.Fatalf("parts=%d do not concatenate to the whole file", parts)
+			}
+		}
+	})
 }
 
 func TestFileRoundtrip(t *testing.T) {
