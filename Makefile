@@ -44,7 +44,7 @@ fuzz:
 # targeted race-detector pass over the schedule-perturbation surface (the
 # perturbation layer and the event loop, DHT flushes and owner sections,
 # stage 1's inbox drain — ordered by a barrier, not a lock — the goroutine
-# phases around the claim/abort traversal's event loop, gap closing's
+# phases around the claim/link traversal's event loop, gap closing's
 # three phases over the shared scratch pool and ladder steps, the
 # perturbation-seed assembly sweep, the scheduler's fake-runner suite),
 # and the real-pipeline batteries that are too slow for -short (multi-k
@@ -54,7 +54,7 @@ fuzz:
 verify: build vet fuzz
 	$(GO) test -short ./...
 	$(GO) test -short -race ./internal/xrt/ ./internal/dht/ ./internal/kanalysis/ ./internal/sched/
-	$(GO) test -short -race -run 'Contention|OlderWalk' ./internal/contig/
+	$(GO) test -short -race -run 'Contention|SplitChain' ./internal/contig/
 	$(GO) test -short -race -run 'LadderScarcity|ClosuresRankInvariant|ChunkedScan|ScratchPool' ./internal/gapclose/
 	$(GO) test -short -race -run 'Perturb' ./internal/verify/
 	$(GO) test -short -race -run 'Conservation|Metamorphic' ./internal/metrics/

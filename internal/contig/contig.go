@@ -2,13 +2,13 @@
 // de Bruijn graph of UU k-mers in a distributed hash table and its
 // parallel traversal into contigs (paper §2.2, §3.2, and the SC'14 prior
 // work it builds on). Ranks pick seed k-mers from their local buckets and
-// speculatively grow subcontigs in both directions, claiming each k-mer
-// through a remote atomic. When two walks meet on the same chain the
-// younger (higher-id) walk aborts and releases its claims while the older
-// walk waits for the release and proceeds — the lightweight synchronization
-// scheme that avoids races without global locking. The ranks' claims are
-// resolved in virtual-time order (xrt.RunEvents), so who wins a walk, what
-// a loser wastes and how long the phase takes follow from the input alone.
+// speculatively grow walks in both directions, claiming each k-mer through
+// a remote atomic. A claim is never given back: a walk that meets another
+// walk's claim ends that direction with a link to it, and once every
+// vertex is claimed the linked fragments of a chain are stitched into the
+// contig one walk would have produced. The ranks' claims are resolved in
+// virtual-time order (xrt.RunEvents), so who claims which vertex, where a
+// chain is cut and how long the phase takes follow from the input alone.
 //
 // The package also builds the §3.2 oracle partitioning function from a
 // previous assembly's contigs, which makes traversal lookups
@@ -16,6 +16,8 @@
 package contig
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"hipmer/internal/dht"
@@ -105,13 +107,15 @@ type Result struct {
 	NumContigs int64
 	// UUKmers is the number of vertices in the graph.
 	UUKmers int64
-	// Claimed counts walks that successfully claimed a seed; every such
-	// walk either completes a contig or aborts, so
-	// Claimed == Completed + Aborted always holds (pinned by test).
+	// Claimed counts walks that successfully claimed a seed; no walk gives
+	// its claims back, so Claimed == Completed always holds (pinned by
+	// test).
 	Claimed int64
-	// Completed counts walks that finished a contig.
+	// Completed counts walks that finished, as a contig or as a fragment
+	// of one.
 	Completed int64
-	// Aborted counts walks that lost a conflict and were retried.
+	// Aborted is always 0: no walk aborts. It stays for the benchmark
+	// harness, which reads it.
 	Aborted int64
 	// Rounds is the maximum number of quiescence rounds any rank ran.
 	Rounds int64
@@ -177,11 +181,13 @@ func Run(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Optio
 	team.BeginSpan("traverse")
 	tr := newTraverser(team, res, kt, opt.K)
 	res.TraversePhase = team.RunEvents(tr.step)
-	// Speculative-traversal outcome counters: claims = wins + aborts.
+	// Speculative-traversal outcome counters: claims = completed walks.
 	team.AddCounter("walks_claimed", res.Claimed)
 	team.AddCounter("walks_completed", res.Completed)
-	team.AddCounter("walks_aborted", res.Aborted)
 	team.AddCounter("quiescence_rounds", res.Rounds)
+	team.BeginSpan("stitch")
+	team.AddCounter("walks_linked", tr.stitch(team))
+	team.EndSpan()
 	team.EndSpan()
 
 	// --- global contig IDs + k-mer marking -------------------------------
@@ -238,7 +244,7 @@ func Run(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Optio
 	})
 	team.EndSpan()
 	graph.SetApply(nil)
-	// Who won a walk decides nothing downstream: contigs are dealt by ID.
+	// Who walked a contig decides nothing downstream: contigs are dealt by ID.
 	for i := range tr.walkers {
 		res.Contigs = append(res.Contigs, tr.walkers[i].out)
 	}
@@ -262,23 +268,19 @@ type traverser struct {
 	// under RunEvents is (start clock, rank) order: the lower id is the
 	// older walk.
 	walks int64
-	// waiters lists, per vertex, the ranks whose older walk is parked on a
-	// newer walk's claim of it.
-	waiters map[kmer.Kmer][]int
 }
 
 func newTraverser(team *xrt.Team, res *Result, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], k int) *traverser {
 	return &traverser{res: res, graph: res.Graph, kt: kt, k: k,
-		walkers: make([]walker, team.Config().Ranks), waiters: make(map[kmer.Kmer][]int)}
+		walkers: make([]walker, team.Config().Ranks)}
 }
 
 // What a walker's next step does.
 const (
-	atScan    = iota // snapshot the round's seed candidates
-	atSeed           // try the next seed; after the last, tally the round
-	atExtend         // claim the walk's next vertex
-	atRelease        // give back the next claim of an aborted walk
-	atReduce         // the round's all-reduce is over: quiescent?
+	atScan   = iota // snapshot the round's seed candidates
+	atSeed          // try the next seed; after the last, tally the round
+	atExtend        // claim the walk's next vertex
+	atReduce        // the round's all-reduce is over: quiescent?
 )
 
 // walker is one rank's traversal, suspended between steps: the seed loop
@@ -289,10 +291,10 @@ type walker struct {
 	seeds  []kmer.Kmer
 	cursor int // next seed
 	out    []*Contig
+	frags  []*fragment // finished walks with a link end, for the stitch
 
-	id         int64       // the walk in progress
-	claimed    []kmer.Kmer // canonical vertices; [0] is the seed, read as stored
-	released   int         // claims given back so far
+	id         int64     // the walk in progress
+	seed       kmer.Kmer // canonical, read as stored
 	seedNode   Node
 	cur        kmer.Kmer // the walk's end vertex, as the walk reads it,
 	extL, extR byte      // and its extensions in that orientation
@@ -323,11 +325,11 @@ func compExt(e byte) byte {
 // what is still free, all-reduce. In the first round only "locally
 // contiguous" seeds are used — vertices with at least one neighbor placed
 // on this rank. Under an oracle layout a misplaced (hash-collision) vertex
-// is surrounded by remote neighbors; seeding a walk from it would re-walk
-// a remote contig and abort, turning one misplaced k-mer into O(contig)
-// remote traffic. Deferring such seeds one round lets the owning rank's
-// walks claim their chains first, so a misplaced vertex costs O(1) remote
-// operations, matching the collision accounting of §3.2.
+// is surrounded by remote neighbors; a walk seeded there would claim its
+// way into its neighbors' chain and cut the owner's local walk into remote
+// fragments, each a link to stitch. Deferring such seeds one round lets
+// the owning rank's walks claim their chains first, so a misplaced vertex
+// costs O(1) remote operations, matching the collision accounting of §3.2.
 func (t *traverser) step(ev *xrt.Events, r *xrt.Rank) xrt.Status {
 	w := &t.walkers[r.ID]
 	switch w.at {
@@ -362,31 +364,14 @@ func (t *traverser) step(ev *xrt.Events, r *xrt.Rank) xrt.Status {
 		if n := t.graph.Ref(r, seed); n != nil && n.Walk == 0 {
 			n.Walk = t.walks
 			t.res.Claimed++
-			w.id, w.seedNode, w.claimed = t.walks, *n, append(w.claimed[:0], seed)
+			w.id, w.seed, w.seedNode = t.walks, seed, *n
 			w.cur, w.extL, w.extR, w.dir = seed, n.ExtL, n.ExtR, 0
 			w.bufs[0], w.bufs[1] = w.bufs[0][:0], w.bufs[1][:0]
 			w.sumCount = uint64(n.Count)
 			w.at = atExtend
 		}
 	case atExtend:
-		return t.extend(r, w)
-	case atRelease:
-		v := w.claimed[w.released]
-		w.released++
-		if n := t.graph.Ref(r, v); n != nil && n.Walk == w.id {
-			n.Walk = 0
-		}
-		// older walks parked on this claim resume at this rank's clock
-		if ids, ok := t.waiters[v]; ok {
-			delete(t.waiters, v)
-			for _, id := range ids {
-				ev.Wake(id)
-			}
-		}
-		if w.released == len(w.claimed) {
-			t.res.Aborted++
-			w.at = atSeed
-		}
+		t.extend(r, w)
 	case atReduce:
 		if ev.Sum() == 0 && w.round > 0 {
 			t.res.Rounds = max(t.res.Rounds, int64(w.round))
@@ -426,28 +411,32 @@ func (t *traverser) neighbor(km kmer.Kmer, dir int, ext byte) kmer.Kmer {
 	return km.NextLeft(t.k, code)
 }
 
-// walkEnd describes how and where one direction of a walk terminated.
+// walkEnd describes how and where one direction of a walk terminated: a
+// true end (term, and the junction neighbor if any), or a link to the walk
+// that owns the vertex beyond it (link, and that vertex read in the
+// walk's orientation, next).
 type walkEnd struct {
 	term   byte
 	nbr    kmer.Kmer
 	hasNbr bool
+	link   int64
+	next   kmer.Kmer
 }
 
 // extend tries to grow w's walk by one vertex in its current direction —
-// right of the seed first, then left. The claim resolves conflicts by
-// wait-or-abort: the walk with the lower id has priority; the newer walk
-// aborts so the older can pass through (the paper's lightweight
-// synchronization scheme).
-func (t *traverser) extend(r *xrt.Rank, w *walker) xrt.Status {
+// right of the seed first, then left. A vertex is claimed once and never
+// given back: a walk that meets another walk's claim ends that direction
+// with a link to it, and the stitch joins the two.
+func (t *traverser) extend(r *xrt.Rank, w *walker) {
 	k := t.k
 	ext := [2]byte{w.extR, w.extL}[w.dir]
 	switch ext {
 	case kmer.ExtFork:
 		t.endDirection(w, walkEnd{term: TermFork})
-		return xrt.Ready
+		return
 	case kmer.ExtNone:
 		t.endDirection(w, walkEnd{term: TermNone})
-		return xrt.Ready
+		return
 	}
 	next := t.neighbor(w.cur, w.dir, ext)
 	canon, flipped := next.Canonical(k)
@@ -466,7 +455,7 @@ func (t *traverser) extend(r *xrt.Rank, w *walker) xrt.Status {
 			}
 		}
 		t.endDirection(w, end)
-		return xrt.Ready
+		return
 	}
 	// Reciprocity first: the neighbor must uniquely point back at us; a
 	// vertex that does not is a boundary of another contig and must never
@@ -482,59 +471,243 @@ func (t *traverser) extend(r *xrt.Rank, w *walker) xrt.Status {
 	case n.Walk == 0:
 		n.Walk = w.id
 		w.cur, w.extL, w.extR = next, nExtL, nExtR
-		w.claimed = append(w.claimed, canon)
 		w.bufs[w.dir] = append(w.bufs[w.dir], ext)
 		w.sumCount += uint64(n.Count)
-	case n.Walk == w.id:
-		t.endDirection(w, walkEnd{term: TermCycle})
-	case n.Walk < w.id:
-		w.at, w.released = atRelease, 0 // abort: the older walk has priority
+	case n.Walk != w.id:
+		t.endDirection(w, walkEnd{link: n.Walk, next: next})
+	case canon == w.seed && !flipped:
+		// back at the seed as read: the walk closed a cycle
+		ring := walkEnd{term: TermCycle}
+		t.finish(w, ring, ring, true)
 	default:
-		// The newer walk will abort when it reaches our claims; its
-		// release of this vertex wakes us to claim it again.
-		t.waiters[canon] = append(t.waiters[canon], r.ID)
-		return xrt.Parked
+		// Any other own claim is the walk's own vertex read on the other
+		// strand — the fold of an inverted repeat: this direction ends.
+		t.endDirection(w, walkEnd{term: TermCycle})
 	}
-	return xrt.Ready
 }
 
 // endDirection records how the walk's current direction terminated: the
-// right end turns the walk around at its seed, unless it closed a cycle;
-// the left end (or the cycle) completes the contig.
+// right end turns the walk around at its seed, the left end finishes it.
 func (t *traverser) endDirection(w *walker, end walkEnd) {
-	if w.dir == 0 && end.term != TermCycle {
+	if w.dir == 0 {
 		w.endR, w.dir = end, 1
-		w.cur, w.extL, w.extR = w.claimed[0], w.seedNode.ExtL, w.seedNode.ExtR
+		w.cur, w.extL, w.extR = w.seed, w.seedNode.ExtL, w.seedNode.ExtR
 		return
 	}
-	endR, endL := w.endR, end
-	if w.dir == 0 {
-		endR = end
-	}
+	t.finish(w, end, w.endR, false)
+}
+
+// finish completes w's walk with the given ends: a contig when both are
+// true ends, otherwise a fragment for the stitch.
+func (t *traverser) finish(w *walker, endL, endR walkEnd, ring bool) {
 	k, right, left := t.k, w.bufs[0], w.bufs[1]
 	// assemble sequence: reverse(left) + seed + right
 	seq := make([]byte, 0, len(left)+k+len(right))
 	for i := len(left) - 1; i >= 0; i-- {
 		seq = append(seq, left[i])
 	}
-	seq = w.claimed[0].Append(seq, k)
+	seq = w.seed.Append(seq, k)
 	seq = append(seq, right...)
-	c := &Contig{
-		Seq: seq, SumCount: w.sumCount,
+	t.res.Completed++
+	w.at = atSeed
+	if endL.link == 0 && endR.link == 0 {
+		w.out = append(w.out, newContig(seq, w.sumCount, endL, endR, ring, k))
+		return
+	}
+	first, _ := kmer.Pack(seq, k)
+	last, _ := kmer.Pack(seq[len(seq)-k:], k)
+	w.frags = append(w.frags, &fragment{walk: w.id, seq: seq, first: first, last: last,
+		sumCount: w.sumCount, ends: [2]walkEnd{endL, endR}})
+}
+
+// newContig stores a finished chain so that its bytes do not depend on
+// which seeds and directions the walks took: a linear chain in the
+// orientation whose sequence is the smaller of it and its reverse
+// complement, a ring read from its least canonical k-mer as stored.
+func newContig(seq []byte, sumCount uint64, endL, endR walkEnd, ring bool, k int) *Contig {
+	if ring {
+		return &Contig{Seq: leastRotation(seq, k), SumCount: sumCount, TermL: TermCycle, TermR: TermCycle}
+	}
+	if rc := kmer.RevCompString(seq); string(rc) < string(seq) {
+		seq, endL, endR = rc, endR, endL
+	}
+	return &Contig{
+		Seq: seq, SumCount: sumCount,
 		TermL: endL.term, NbrL: endL.nbr, HasNbrL: endL.hasNbr,
 		TermR: endR.term, NbrR: endR.nbr, HasNbrR: endR.hasNbr,
 	}
-	// Canonicalize the stored orientation so output is independent of
-	// which seed and direction happened to win the walk.
-	if rc := kmer.RevCompString(seq); string(rc) < string(seq) {
-		c.Seq = rc
-		c.TermL, c.TermR = c.TermR, c.TermL
-		c.NbrL, c.NbrR = c.NbrR, c.NbrL
-		c.HasNbrL, c.HasNbrR = c.HasNbrR, c.HasNbrL
+}
+
+// leastRotation returns a ring — seq spells its n k-mers once, its last
+// k-1 bases repeating its first — rotated, and reverse-complemented if
+// need be, to start at its least canonical k-mer read as stored.
+func leastRotation(seq []byte, k int) []byte {
+	n := len(seq) - k + 1
+	var least kmer.Kmer
+	at, flip := -1, false
+	kmer.ForEachCanonical(seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
+		if at < 0 || canon.Less(least) {
+			least, at, flip = canon, pos, flipped
+		}
+	})
+	if flip {
+		seq, at = kmer.RevCompString(seq), n-1-at
 	}
-	w.out = append(w.out, c)
-	t.res.Completed++
-	w.at = atSeed
+	out := append(append(make([]byte, 0, len(seq)), seq[at:n]...), seq[:at]...)
+	for i := 0; len(out) < len(seq); i++ {
+		out = append(out, out[i])
+	}
+	return out
+}
+
+// fragment is a walk that ended in a link on at least one side: its
+// sequence in the walk's orientation, the k-mers at its two ends as read
+// there, and how each end ended.
+type fragment struct {
+	walk        int64
+	rank        int // the rank that walked it
+	seq         []byte
+	first, last kmer.Kmer
+	sumCount    uint64
+	ends        [2]walkEnd // left, right
+}
+
+// fragHeaderBytes is what the stitch all-gathers per fragment: its walk
+// id, rank and length, its first and last k-mer, and its two links.
+const fragHeaderBytes = 3*8 + 2*16 + 2*8
+
+// chainStep is a fragment as a chain reads it: as walked, or reverse-
+// complemented (rev).
+type chainStep struct {
+	f   *fragment
+	rev bool
+}
+
+// endOf returns s's left (side 0) or right (side 1) end as the chain
+// reads it.
+func (t *traverser) endOf(s chainStep, side int) walkEnd {
+	if !s.rev {
+		return s.f.ends[side]
+	}
+	e := s.f.ends[1-side]
+	if e.link != 0 {
+		e.next = e.next.RevComp(t.k)
+	}
+	return e
+}
+
+// follow returns the fragment a chain continues into beyond s's right
+// end, read so that the link's k-mer is its first: as walked if that is
+// its first k-mer, reverse-complemented if it is the reverse complement of
+// its last. ok is false at a true end.
+func (t *traverser) follow(byWalk map[int64]*fragment, s chainStep) (next chainStep, ok bool) {
+	e := t.endOf(s, 1)
+	if e.link == 0 {
+		return chainStep{}, false
+	}
+	if g := byWalk[e.link]; g != nil {
+		switch {
+		case g.first == e.next:
+			return chainStep{g, false}, true
+		case g.last.RevComp(t.k) == e.next:
+			return chainStep{g, true}, true
+		}
+	}
+	panic("contig: a link does not meet an end of the walk it names")
+}
+
+// chainFrom returns the chain through f, left to right with f read as
+// walked, and whether it closes into a ring.
+func (t *traverser) chainFrom(byWalk map[int64]*fragment, f *fragment) (chain []chainStep, ring bool) {
+	chain = []chainStep{{f, false}}
+	for s, ok := t.follow(byWalk, chain[0]); ok; s, ok = t.follow(byWalk, s) {
+		if s.f == f {
+			return chain, true
+		}
+		chain = append(chain, s)
+	}
+	// leftwards is rightwards along the reverse complement, turned back
+	var left []chainStep
+	for s, ok := t.follow(byWalk, chainStep{f, true}); ok; s, ok = t.follow(byWalk, s) {
+		left = append(left, chainStep{s.f, !s.rev})
+	}
+	slices.Reverse(left)
+	return append(left, chain...), false
+}
+
+// join spells a chain's contig: its fragments overlapped by k-1 bases,
+// their counts summed, its ends the chain's outer ends.
+func (t *traverser) join(chain []chainStep, ring bool) *Contig {
+	var seq []byte
+	var sumCount uint64
+	for i, s := range chain {
+		part := s.f.seq
+		if s.rev {
+			part = kmer.RevCompString(part)
+		}
+		if i > 0 {
+			part = part[t.k-1:]
+		}
+		seq = append(seq, part...)
+		sumCount += s.f.sumCount
+	}
+	return newContig(seq, sumCount, t.endOf(chain[0], 0), t.endOf(chain[len(chain)-1], 1), ring, t.k)
+}
+
+// stitch joins the linked fragments into contigs and returns how many it
+// joined. Every rank all-gathers the headers of the fragments it walked
+// and resolves the chains from them; the rank of a chain's oldest fragment
+// fetches the other fragments' sequences and keeps the contig. The chains
+// are resolved once, here, for the team; the ranks are charged for it in
+// one Team.Run. A run with no links — any run at one rank — charges
+// nothing but the header all-gather's latency tree, which is free at one
+// rank.
+func (t *traverser) stitch(team *xrt.Team) int64 {
+	var frags []*fragment
+	for id := range t.walkers {
+		for _, f := range t.walkers[id].frags {
+			f.rank = id
+			frags = append(frags, f)
+		}
+	}
+	sort.Slice(frags, func(i, j int) bool { return frags[i].walk < frags[j].walk })
+	byWalk := make(map[int64]*fragment, len(frags))
+	for _, f := range frags {
+		byWalk[f.walk] = f
+	}
+	fetches := make([][]*fragment, len(t.walkers)) // remote fragments each rank assembles
+	joined := make(map[int64]bool, len(frags))
+	for _, f := range frags { // oldest first: f is its chain's oldest fragment
+		if joined[f.walk] {
+			continue
+		}
+		chain, ring := t.chainFrom(byWalk, f)
+		for _, s := range chain {
+			joined[s.f.walk] = true
+			if s.f.rank != f.rank {
+				fetches[f.rank] = append(fetches[f.rank], s.f)
+			}
+		}
+		w := &t.walkers[f.rank]
+		w.out = append(w.out, t.join(chain, ring))
+	}
+
+	cost := team.Cost()
+	team.Run(func(r *xrt.Rank) {
+		// the headers: a latency tree whose every step carries all of them,
+		// as AllReduceSum charges a vector
+		linked := 0
+		for _, n := range r.AllGather(len(t.walkers[r.ID].frags)) {
+			linked += n.(int)
+		}
+		steps := bits.Len(uint(r.N() - 1))
+		r.Charge(float64(steps*linked*fragHeaderBytes) * cost.OffNodeByteNs)
+		r.ChargeItems(linked) // resolve the chains
+		for _, f := range fetches[r.ID] {
+			r.ChargeLookup(f.rank, len(f.seq))
+		}
+	})
+	return int64(len(frags))
 }
 
 // contigKey is a 128-bit content hash of a contig's canonical sequence,

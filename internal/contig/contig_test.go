@@ -2,6 +2,7 @@ package contig
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -199,23 +200,93 @@ func TestForkTermination(t *testing.T) {
 
 func TestCycleDetection(t *testing.T) {
 	// A circular sequence: feed the rotation-closed string so every k-mer
-	// has unique extensions around the circle.
+	// has unique extensions around the circle. However many walks cut the
+	// ring, it is one contig that starts at its least canonical k-mer read
+	// as stored, byte-equal at every rank count.
 	const k = 21
 	rng := xrt.NewPrng(6)
-	circ := genome.Random(rng, 1000)
+	circ := genome.Random(rng, 3000)
 	closed := append(append([]byte(nil), circ...), circ[:k]...)
-	team := xrt.NewTeam(xrt.Config{Ranks: 2})
-	kt := tableFromSeqs(team, [][]byte{closed}, k)
-	res := Run(team, kt, Options{K: k})
-	all := res.All()
-	if len(all) != 1 {
-		t.Fatalf("cycle yielded %d contigs", len(all))
+	around := bytes.Repeat(circ, 3) // holds every reading of the ring
+	var first *Contig
+	for _, p := range []int{1, 2, 8, 24} {
+		team := xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 4})
+		kt := tableFromSeqs(team, [][]byte{closed}, k)
+		all := Run(team, kt, Options{K: k}).All()
+		if len(all) != 1 {
+			t.Fatalf("%d ranks: cycle yielded %d contigs", p, len(all))
+		}
+		c := all[0]
+		if c.TermL != TermCycle || c.TermR != TermCycle {
+			t.Fatalf("%d ranks: terminations %c/%c, want C/C", p, c.TermL, c.TermR)
+		}
+		if len(c.Seq) != len(circ)+k-1 || !isSubstringEitherStrand(around, c.Seq) {
+			t.Fatalf("%d ranks: the contig (%d bases) is not the %d-base ring", p, len(c.Seq), len(circ))
+		}
+		start, _ := kmer.Pack(c.Seq, k)
+		kmer.ForEachCanonical(c.Seq, k, func(_ int, canon kmer.Kmer, _ bool) {
+			if canon.Less(start) {
+				t.Fatalf("%d ranks: the ring does not start at its least canonical k-mer", p)
+			}
+		})
+		if first == nil {
+			first = c
+		} else if !bytes.Equal(c.Seq, first.Seq) || c.SumCount != first.SumCount {
+			t.Fatalf("%d ranks: the ring differs from the 1-rank run's", p)
+		}
 	}
-	if all[0].TermL != TermCycle || all[0].TermR != TermCycle {
-		t.Fatalf("terminations %c/%c, want C/C", all[0].TermL, all[0].TermR)
+}
+
+// TestInvertedRepeatTerminates: a + u + rc(u) + b folds back on itself —
+// a walk through u reads u's vertices again on the other strand. The walk
+// must end that direction at its own claim and turn around, not stop, so
+// the traversal finishes at every rank count with the same contigs and
+// every UU k-mer in exactly one of them.
+func TestInvertedRepeatTerminates(t *testing.T) {
+	const k = 21
+	rng := xrt.NewPrng(10)
+	a, u, b := genome.Random(rng, 500), genome.Random(rng, 300), genome.Random(rng, 500)
+	g := append(append(append(append([]byte(nil), a...), u...), kmer.RevCompString(u)...), b...)
+	var want []*Contig
+	for _, p := range []int{1, 4, 24} {
+		team := xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 4})
+		res := Run(team, tableFromSeqs(team, [][]byte{g}, k), Options{K: k})
+		all := res.All()
+		seen := make(map[kmer.Kmer]int)
+		for _, c := range all {
+			kmer.ForEachCanonical(c.Seq, k, func(_ int, canon kmer.Kmer, _ bool) { seen[canon]++ })
+		}
+		res.Graph.RangeAll(func(km kmer.Kmer, _ Node) bool {
+			if seen[km] != 1 {
+				t.Fatalf("%d ranks: a UU k-mer lies in %d contigs, want 1", p, seen[km])
+			}
+			return true
+		})
+		if len(seen) != int(res.UUKmers) {
+			t.Fatalf("%d ranks: contigs hold %d k-mers, the graph %d", p, len(seen), res.UUKmers)
+		}
+		if want == nil {
+			want = all
+			continue
+		}
+		if len(all) != len(want) {
+			t.Fatalf("%d ranks: %d contigs, 1 rank %d", p, len(all), len(want))
+		}
+		for i := range all {
+			if !reflect.DeepEqual(*all[i], *want[i]) {
+				t.Fatalf("%d ranks: contig %d differs from the 1-rank run's", p, i+1)
+			}
+		}
 	}
-	if len(all[0].Seq) < 1000 {
-		t.Fatalf("cycle contig too short: %d", len(all[0].Seq))
+	// a's contig, b's, and u's, which ends at the fold
+	folds := 0
+	for _, c := range want {
+		if c.TermL == TermCycle || c.TermR == TermCycle {
+			folds++
+		}
+	}
+	if len(want) != 3 || folds != 1 {
+		t.Fatalf("%d contigs, %d ending at the fold: want 3 and 1", len(want), folds)
 	}
 }
 
@@ -249,13 +320,13 @@ func TestTraversalFromSimulatedReads(t *testing.T) {
 }
 
 func TestHighContentionManyRanksSmallGraph(t *testing.T) {
-	// Many ranks fighting over one chain exercises the claim/abort path.
+	// Many ranks fighting over one chain exercises the claim/link path.
 	const k = 21
 	rng := xrt.NewPrng(8)
 	g := genome.Random(rng, 3000)
 	team := xrt.NewTeam(xrt.Config{Ranks: 24, RanksPerNode: 6})
 	kt := tableFromSeqs(team, [][]byte{g}, k)
-	res := Run(team, kt, Options{K: k})
+	res, stitch := runSpanned(team, kt, k)
 	all := res.All()
 	if len(all) != 1 {
 		t.Fatalf("got %d contigs, want 1", len(all))
@@ -263,11 +334,11 @@ func TestHighContentionManyRanksSmallGraph(t *testing.T) {
 	if canonSeq(all[0].Seq) != canonSeq(g[1:len(g)-1]) {
 		t.Fatal("contested traversal corrupted the contig")
 	}
-	// the paper's speculative shape: walks do collide, and every walk that
-	// claimed its seed either completed the contig or aborted
-	if res.Aborted == 0 || res.Claimed != res.Completed+res.Aborted {
-		t.Fatalf("claims %d, wins %d, aborts %d: want aborts > 0 and claims = wins + aborts",
-			res.Claimed, res.Completed, res.Aborted)
+	// walks do collide — the chain is stitched from linked fragments — and
+	// every walk that claimed its seed completed: none aborts
+	if linked := stitch.Counters["walks_linked"]; linked == 0 || res.Aborted != 0 || res.Claimed != res.Completed {
+		t.Fatalf("claims %d, completed %d, linked %d, aborts %d: want links, no aborts and claims = completed",
+			res.Claimed, res.Completed, linked, res.Aborted)
 	}
 }
 

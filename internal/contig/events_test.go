@@ -12,14 +12,14 @@ import (
 	"hipmer/internal/xrt"
 )
 
-// TestContentionIsDeterministic targets the claim/abort protocol: many
-// ranks walk a graph with fork points (so walks collide and the
-// wait-or-abort arbitration actually fires). Claims resolve in virtual-
-// time order, so under every perturbation seed and GOMAXPROCS the phase is
-// the same phase — contigs, owners, outcome counters, virtual time, comm —
-// and in each run every contig accounts for exactly len-k+1 UU k-mers and
-// every UU k-mer lands in exactly one contig. Run with -race to also catch
-// unsynchronized access in the goroutine phases around the event loop.
+// TestContentionIsDeterministic targets the claim/link protocol: many
+// ranks walk a graph with fork points (so walks collide and meet each
+// other's claims). Claims resolve in virtual-time order, so under every
+// perturbation seed and GOMAXPROCS the phase is the same phase — contigs,
+// owners, outcome counters, virtual time, comm — and in each run every
+// contig accounts for exactly len-k+1 UU k-mers and every UU k-mer lands
+// in exactly one contig. Run with -race to also catch unsynchronized
+// access in the goroutine phases around the event loop.
 func TestContentionIsDeterministic(t *testing.T) {
 	const k = 21
 	rng := xrt.NewPrng(31)
@@ -32,6 +32,7 @@ func TestContentionIsDeterministic(t *testing.T) {
 		Seqs                              [][]string // per rank, in order
 		Claimed, Completed, Aborted, Rnds int64
 		Traverse                          xrt.PhaseStats
+		Stitch                            xrt.SpanRecord
 	}
 	run := func(perturbSeed int64) outcome {
 		team := xrt.NewTeam(xrt.Config{
@@ -40,10 +41,10 @@ func TestContentionIsDeterministic(t *testing.T) {
 			Inject:       xrt.Inject{PerturbSeed: perturbSeed},
 		})
 		kt := tableFromSeqs(team, [][]byte{g1, g2}, k)
-		res := Run(team, kt, Options{K: k})
+		res, stitch := runSpanned(team, kt, k)
 		out := outcome{Claimed: res.Claimed, Completed: res.Completed, Aborted: res.Aborted,
-			Rnds: res.Rounds, Traverse: res.TraversePhase}
-		out.Traverse.Wall = 0
+			Rnds: res.Rounds, Traverse: res.TraversePhase, Stitch: *stitch}
+		out.Traverse.Wall, out.Stitch.WallNs = 0, 0
 		covered := 0
 		seen := make(map[kmer.Kmer]int)
 		for _, cs := range res.Contigs {
@@ -77,9 +78,9 @@ func TestContentionIsDeterministic(t *testing.T) {
 	if base.Completed < 3 {
 		t.Fatalf("%d contigs, want >= 3 (fork should split)", base.Completed)
 	}
-	if base.Aborted == 0 || base.Claimed != base.Completed+base.Aborted {
-		t.Fatalf("claims %d, wins %d, aborts %d: want aborts > 0 and claims = wins + aborts",
-			base.Claimed, base.Completed, base.Aborted)
+	if linked := base.Stitch.Counters["walks_linked"]; linked == 0 || base.Aborted != 0 || base.Claimed != base.Completed {
+		t.Fatalf("claims %d, completed %d, linked %d, aborts %d: want links, no aborts and claims = completed",
+			base.Claimed, base.Completed, linked, base.Aborted)
 	}
 	for i, seed := range []int64{1, 2, 3, 4} {
 		procs := runtime.GOMAXPROCS(1 + 3*(i%2))
@@ -92,15 +93,26 @@ func TestContentionIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestOlderWalkWaitsForRelease drives the event loop by hand on a two-rank
-// chain: rank 0 owns two vertices at one end and starts first, so its walk
-// is the oldest; rank 1 owns the rest and keeps seeding newer walks ahead
-// of it. Each time the older walk meets a newer one's claim it must park on
-// that vertex, stay parked while the newer walk runs into the older one's
-// claims and aborts, and resume no earlier than the clock at which the
-// newer walk's rank released the vertex — exactly then, if it had been
-// waiting.
-func TestOlderWalkWaitsForRelease(t *testing.T) {
+// runSpanned is Run inside a span, so that the traversal's counters are
+// kept; it returns the result and the stitch span.
+func runSpanned(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], k int) (*Result, *xrt.SpanRecord) {
+	team.BeginSpan("contig-generation")
+	res := Run(team, kt, Options{K: k})
+	team.EndSpan()
+	for _, s := range team.Spans() {
+		if s.Path == "contig-generation/traverse/stitch" {
+			return res, s
+		}
+	}
+	panic("no stitch span")
+}
+
+// TestSplitChainStitches drives the traversal by hand on a two-rank chain:
+// rank 0 owns two vertices at one end and starts first, rank 1 owns the
+// rest and seeds its own walks into the chain. No walk gives a claim back,
+// so the chain is walked as several fragments that meet at links, and the
+// stitch must join them into the contig one rank walks alone.
+func TestSplitChainStitches(t *testing.T) {
 	const k = 21
 	g := genome.Random(xrt.NewPrng(77), 400)
 	team := xrt.NewTeam(xrt.Config{Ranks: 2, RanksPerNode: 1})
@@ -132,44 +144,26 @@ func TestOlderWalkWaitsForRelease(t *testing.T) {
 
 	res := &Result{Graph: graph}
 	tr := newTraverser(team, res, kt, k)
-	var waitedOn kmer.Kmer
-	parks, parkedAt, releasedAt := 0, -1.0, -1.0
-	team.RunEvents(func(ev *xrt.Events, r *xrt.Rank) xrt.Status {
-		w := &tr.walkers[r.ID]
-		releasing := r.ID == 1 && parkedAt >= 0 && w.at == atRelease &&
-			w.claimed[w.released] == waitedOn
-		if r.ID == 0 && parkedAt >= 0 {
-			if releasedAt < 0 {
-				t.Error("older walk resumed before the vertex it waited on was released")
-			} else if got := r.ClockNs(); got != max(parkedAt, releasedAt) {
-				t.Errorf("parked at %.0f ns, vertex released at %.0f ns, resumed at %.0f ns", parkedAt, releasedAt, got)
-			}
-			parkedAt, releasedAt = -1, -1
-		}
-		st := tr.step(ev, r)
-		if releasing {
-			releasedAt = r.ClockNs()
-		}
-		if st == xrt.Parked {
-			if r.ID != 0 || len(tr.waiters) != 1 {
-				t.Fatalf("rank %d parked with %d vertices waited on; only rank 0's walk is ever the older", r.ID, len(tr.waiters))
-			}
-			parks++
-			parkedAt = r.ClockNs()
-			for v := range tr.waiters {
-				waitedOn = v
-			}
-		}
-		return st
-	})
-	if parks == 0 {
-		t.Fatal("the older walk never met a newer one's claim")
+	team.RunEvents(tr.step)
+	frags := len(tr.walkers[0].frags) + len(tr.walkers[1].frags)
+	linked := tr.stitch(team)
+	if frags < 2 || linked != int64(frags) {
+		t.Fatalf("%d fragments, %d linked: want the chain cut into several, every one stitched", frags, linked)
 	}
-	if res.Completed != 1 || res.Aborted < int64(parks) || res.Claimed != res.Completed+res.Aborted {
-		t.Fatalf("claims %d wins %d aborts %d after %d parks: want one contig and an abort per park",
-			res.Claimed, res.Completed, res.Aborted, parks)
+	if res.Aborted != 0 || res.Claimed != res.Completed {
+		t.Fatalf("claims %d, completed %d, aborts %d: want claims = completed and no aborts",
+			res.Claimed, res.Completed, res.Aborted)
 	}
-	if got := tr.walkers[0].out; len(got) != 1 || canonSeq(got[0].Seq) != canonSeq(g[1:len(g)-1]) {
-		t.Fatal("the older walk did not finish the whole chain")
+	got := append(tr.walkers[0].out, tr.walkers[1].out...)
+	one := xrt.NewTeam(xrt.Config{Ranks: 1})
+	want := Run(one, tableFromSeqs(one, [][]byte{g}, k), Options{K: k}).All()
+	if len(got) != 1 || len(want) != 1 {
+		t.Fatalf("stitched %d contigs, want the one contig the 1-rank run walks", len(got))
+	}
+	if got[0].ID = want[0].ID; !reflect.DeepEqual(*got[0], *want[0]) {
+		t.Fatalf("stitched %+v, the 1-rank run walks %+v", *got[0], *want[0])
+	}
+	if canonSeq(got[0].Seq) != canonSeq(g[1:len(g)-1]) {
+		t.Fatal("the stitched contig is not the whole chain")
 	}
 }

@@ -77,8 +77,9 @@ func lastSlash(s string) int {
 }
 
 // TestSpeculativeTraversalCounters pins the speculative-traversal
-// identity: every walk that claims a seed either completes a contig or
-// aborts on a lost conflict — claims == wins + aborts, by construction.
+// identity: no walk gives its claims back, so every walk that claims a
+// seed completes — as a contig or a fragment of one — and claims ==
+// completed, by construction.
 func TestSpeculativeTraversalCounters(t *testing.T) {
 	res, _ := toyRun(t, 0)
 	st := res.Metrics.Stage("contig-generation/traverse")
@@ -89,17 +90,14 @@ func TestSpeculativeTraversalCounters(t *testing.T) {
 	if c["walks_claimed"] == 0 {
 		t.Fatal("no claimed walks recorded")
 	}
-	if c["walks_claimed"] != c["walks_completed"]+c["walks_aborted"] {
-		t.Errorf("claims %d != completed %d + aborted %d",
-			c["walks_claimed"], c["walks_completed"], c["walks_aborted"])
+	if c["walks_claimed"] != c["walks_completed"] || res.Contigs.Aborted != 0 {
+		t.Errorf("claims %d != completed %d, or %d aborts",
+			c["walks_claimed"], c["walks_completed"], res.Contigs.Aborted)
 	}
 	// The counters must agree with the stage result's own tallies.
-	if res.Contigs.Claimed != c["walks_claimed"] ||
-		res.Contigs.Completed != c["walks_completed"] ||
-		res.Contigs.Aborted != c["walks_aborted"] {
-		t.Errorf("span counters (%d/%d/%d) disagree with contig.Result (%d/%d/%d)",
-			c["walks_claimed"], c["walks_completed"], c["walks_aborted"],
-			res.Contigs.Claimed, res.Contigs.Completed, res.Contigs.Aborted)
+	if res.Contigs.Claimed != c["walks_claimed"] || res.Contigs.Completed != c["walks_completed"] {
+		t.Errorf("span counters (%d/%d) disagree with contig.Result (%d/%d)",
+			c["walks_claimed"], c["walks_completed"], res.Contigs.Claimed, res.Contigs.Completed)
 	}
 }
 

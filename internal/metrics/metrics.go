@@ -69,7 +69,7 @@ type Stage struct {
 	// PerRank holds one entry per rank, in rank order.
 	PerRank []RankMetrics `json:"per_rank"`
 	// Counters holds named stage counters (heavy_hitters,
-	// walks_aborted, ...). Keys marshal in sorted order.
+	// walks_linked, ...). Keys marshal in sorted order.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 

@@ -1,7 +1,7 @@
 // Schedule-perturbation sweeps: the end-to-end assembly must be
 // bit-identical under every deterministic schedule perturbation. A
 // divergence here means some stage let goroutine interleaving leak into
-// its output — exactly the class of bug the claim/abort traversal and
+// its output — exactly the class of bug the claim/link traversal and
 // the DHT phase discipline are designed to exclude.
 package verify_test
 

@@ -14,7 +14,6 @@ type Status int
 
 const (
 	Ready      Status = iota // step the rank again once its clock is the least
-	Parked                   // the rank waits for another rank's step to Wake it
 	Collective               // the rank has arrived at an all-reduce (see AllReduceSum)
 	Done                     // the rank's part of the phase is over
 )
@@ -22,10 +21,8 @@ const (
 // Events is the loop's handle inside a step.
 type Events struct {
 	t        *Team
-	ready    []*Rank  // min-heap by (ClockNs, ID); the root is the rank being stepped
-	state    []Status // by rank id
-	woken    []*Rank  // woken by the running step, not yet in the heap
-	acc, sum int64    // the all-reduce being arrived at; the last one's result
+	ready    []*Rank // min-heap by (ClockNs, ID); the root is the rank being stepped
+	acc, sum int64   // the all-reduce being arrived at; the last one's result
 }
 
 // RunEvents is Run for phases in which ranks contend: step is called for
@@ -38,7 +35,7 @@ func (t *Team) RunEvents(step func(ev *Events, r *Rank) Status) PhaseStats {
 		if t.mayTrip() {
 			defer recoverFaultCrash()
 		}
-		ev := &Events{t: t, state: make([]Status, len(t.ranks))}
+		ev := &Events{t: t}
 		ev.run(step)
 	})
 }
@@ -59,7 +56,6 @@ func (ev *Events) run(step func(ev *Events, r *Rank) Status) {
 			}
 			t.syncClocks()
 			ev.sum, ev.acc, arrived = ev.acc, 0, 0
-			clear(ev.state)
 			ev.push(t.ranks)
 			continue
 		}
@@ -67,10 +63,10 @@ func (ev *Events) run(step func(ev *Events, r *Rank) Status) {
 		// step costs two comparisons, not a heap operation.
 		r := ev.ready[0]
 		st := step(ev, r)
-		for st == Ready && len(ev.woken) == 0 && ev.leads() {
+		for st == Ready && ev.leads() {
 			st = step(ev, r)
 		}
-		switch ev.state[r.ID] = st; st {
+		switch st {
 		case Collective:
 			arrived++
 		case Done:
@@ -81,24 +77,7 @@ func (ev *Events) run(step func(ev *Events, r *Rank) Status) {
 			ev.ready = ev.ready[:last]
 		}
 		ev.siftDown(0)
-		ev.push(ev.woken)
-		ev.woken = ev.woken[:0]
 	}
-}
-
-// Wake makes a parked rank Ready again, no earlier than the clock of the
-// rank whose step is running: the waiter's clock is raised to it (waiting,
-// like a barrier, is not work).
-func (ev *Events) Wake(id int) {
-	if ev.state[id] != Parked {
-		panic("xrt: Wake of a rank that is not parked")
-	}
-	w := ev.t.ranks[id]
-	if d := ev.ready[0].ClockNs() - w.ClockNs(); d > 0 {
-		w.clockNs += d
-	}
-	ev.state[id] = Ready
-	ev.woken = append(ev.woken, w)
 }
 
 // AllReduceSum is the calling rank's arrival at an all-reduce of v under

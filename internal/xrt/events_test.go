@@ -45,46 +45,29 @@ func TestRunEventsStepsInClockOrder(t *testing.T) {
 	}
 }
 
-// TestRunEventsWakeAndAllReduce: a parked rank is skipped until another
-// rank's step wakes it, resumes on the waker's clock without having
-// worked in between, and an all-reduce completes only once every rank has
-// arrived — charged exactly as AllReduceInt64 charges a Run.
-func TestRunEventsWakeAndAllReduce(t *testing.T) {
-	script := func(team *Team) (resumed float64, sum int64) {
-		stage := make([]int, 3)
-		team.RunEvents(func(ev *Events, r *Rank) Status {
-			stage[r.ID]++
-			switch {
-			case stage[r.ID] == 4:
-				sum = ev.Sum()
-				return Done
-			case stage[r.ID] == 3:
-				return ev.AllReduceSum(int64(10 + r.ID))
-			case r.ID == 0 && stage[0] == 1:
-				r.Charge(50)
-				return Parked
-			case r.ID == 0:
-				resumed = r.ClockNs()
-			case r.ID == 2 && stage[2] == 2:
-				r.Charge(700)
-				ev.Wake(0)
-			default:
-				r.Charge(100)
-			}
-			return Ready
-		})
-		return resumed, sum
-	}
+// TestRunEventsAllReduce: an all-reduce completes only once every rank
+// has arrived, every rank reads its total, and it is charged exactly as
+// AllReduceInt64 charges a Run.
+func TestRunEventsAllReduce(t *testing.T) {
 	team := NewTeam(Config{Ranks: 3, RanksPerNode: 3})
-	resumed, sum := script(team)
-	if resumed != 800 {
-		t.Fatalf("woken rank resumed at %.0f ns, want the waker's 800", resumed)
-	}
-	if sum != 10+11+12 {
-		t.Fatalf("all-reduce gave %d", sum)
-	}
-	if w := team.RankWorkNs(0) - 2*team.Cost().OffNodeMsgNs; w != 50 {
-		t.Fatalf("parked rank was charged %.0f ns of work for waiting", w-50)
+	stage := make([]int, 3)
+	sums := make([]int64, 3)
+	team.RunEvents(func(ev *Events, r *Rank) Status {
+		stage[r.ID]++
+		switch stage[r.ID] {
+		case 1:
+			r.Charge([]float64{50, 200, 800}[r.ID])
+			return Ready
+		case 2:
+			return ev.AllReduceSum(int64(10 + r.ID))
+		}
+		sums[r.ID] = ev.Sum()
+		return Done
+	})
+	for id, sum := range sums {
+		if sum != 10+11+12 {
+			t.Fatalf("rank %d read the all-reduce as %d", id, sum)
+		}
 	}
 	// the same charges under Run, the all-reduce a real one
 	ref := NewTeam(Config{Ranks: 3, RanksPerNode: 3})
@@ -95,20 +78,25 @@ func TestRunEventsWakeAndAllReduce(t *testing.T) {
 	if team.VirtualNow() != ref.VirtualNow() || !reflect.DeepEqual(team.AggStats(), ref.AggStats()) {
 		t.Fatalf("event loop ended at %d ns, Run at %d ns", team.VirtualNow(), ref.VirtualNow())
 	}
+	for id := 0; id < 3; id++ {
+		if team.RankWorkNs(id) != ref.RankWorkNs(id) {
+			t.Fatalf("rank %d worked %.0f ns, under Run %.0f", id, team.RankWorkNs(id), ref.RankWorkNs(id))
+		}
+	}
 }
 
-// TestRunEventsStallPanics: a phase in which no rank can step — one parked
-// with nobody left to wake it — is a bug in the stepper, reported at once
-// rather than hung on.
+// TestRunEventsStallPanics: a phase in which no rank can step — one
+// waiting at an all-reduce that a finished rank will never reach — is a
+// bug in the stepper, reported at once rather than hung on.
 func TestRunEventsStallPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a stalled event loop returned")
 		}
 	}()
-	NewTeam(Config{Ranks: 2}).RunEvents(func(_ *Events, r *Rank) Status {
+	NewTeam(Config{Ranks: 2}).RunEvents(func(ev *Events, r *Rank) Status {
 		if r.ID == 0 {
-			return Parked
+			return ev.AllReduceSum(1)
 		}
 		return Done
 	})

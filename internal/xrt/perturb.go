@@ -5,7 +5,7 @@
 // explores adversarial goroutine interleavings of what still runs one
 // goroutine per rank (Team.Run): DHT flushes racing lookups, the
 // freeze/thaw phase discipline, stage 1's inbox hand-off. The one protocol whose outcome used to follow the
-// interleaving, the contig claim/abort traversal, runs under RunEvents
+// interleaving, the contig claim/link traversal, runs under RunEvents
 // and has no physical schedule to explore. Every run remains
 // reproducible: for a fixed seed each rank draws its delay sequence from
 // a private generator in rank-local program order.

@@ -44,7 +44,7 @@ type SpanRecord struct {
 	// Ranks holds per-rank deltas, indexed by rank ID.
 	Ranks []RankDelta
 	// Counters holds named stage counters (heavy hitters, traversal
-	// aborts, ...) accumulated via Team.AddCounter while the span was
+	// links, ...) accumulated via Team.AddCounter while the span was
 	// innermost-open or targeted by path.
 	Counters map[string]int64
 }
