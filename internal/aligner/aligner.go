@@ -1,15 +1,16 @@
 // Package aligner implements merAligner (paper §4.3 and the IPDPS'15
 // companion paper): a fully parallel seed-and-extend read-to-contig
 // aligner. The seed index — every k-mer of every contig — lives in a
-// distributed hash table built with aggregating stores, and lookups during
-// alignment are the same irregular-access pattern as the rest of the
-// pipeline. Candidate (contig, strand, diagonal) bins are voted on by
-// seed hits and the best candidates are extended along the diagonal.
+// distributed hash table built with aggregating stores. A read's seeds are
+// all known before any is looked up, so a rank reads the seeds of a chunk
+// of reads in one batch, one message per owner. Candidate (contig, strand,
+// diagonal) bins are voted on by seed hits and the best candidates are
+// extended along the diagonal.
 //
 // Memory: the hit lists of the index are carved from one arena per
 // indexing rank (a seed that occurs once — almost all of them — costs no
-// allocation of its own), and everything AlignRead needs between its
-// lookups and the slice it returns lives in one scratch per rank, created
+// allocation of its own), and everything a chunk needs between its
+// lookups and the slices it returns lives in one scratch per rank, created
 // by the rank's first read.
 package aligner
 
@@ -45,6 +46,10 @@ const (
 	// minIdentity is the least fraction of matching bases an alignment is
 	// reported with.
 	minIdentity = 0.9
+	// alignChunk is how many reads AlignAll seeds at once: the seeds of a
+	// chunk's reads are all known before any is looked up, so the chunk
+	// asks each owner once for all of its seeds.
+	alignChunk = 256
 )
 
 func (o Options) withDefaults() Options {
@@ -110,6 +115,15 @@ type Index struct {
 
 // alignScratch is what one rank reuses from read to read.
 type alignScratch struct {
+	// the chunk of reads being aligned: their canonical seeds read by read,
+	// where each seed sits in its read, and what the index holds for it
+	// (nothing when absent or saturated); ends[i] is one past read i's
+	// last seed
+	keys  []kmer.Kmer
+	seeds []readSeed
+	hits  [][]SeedHit
+	ends  []int
+
 	votes flat.Map[candidate, int32] // keyed with votes = 0
 	cands []candidate
 	rc    []byte  // the read's reverse complement, when a flipped candidate is extended
@@ -262,38 +276,101 @@ type candidate struct {
 	votes    int
 }
 
-// AlignRead aligns one read against the index, returning the surviving
-// alignments sorted by descending score.
-func (x *Index) AlignRead(r *xrt.Rank, read []byte) []Alignment {
-	opt := x.opt
-	k := opt.SeedLen
-	if len(read) < k {
-		return nil
-	}
+// readSeed is where a seed sits in its read, and whether the read's
+// window was reverse-complemented to canonical.
+type readSeed struct {
+	pos     int32
+	flipped bool
+}
+
+// scratchOf returns the rank's alignment scratch, creating it on the
+// rank's first read.
+func (x *Index) scratchOf(r *xrt.Rank) *alignScratch {
 	s := x.scratch[r.ID]
 	if s == nil {
 		s = &alignScratch{}
 		x.scratch[r.ID] = s
 	}
-	// vote for (contig, strand, diagonal) bins; read seeds half a seed
-	// apart, so that consecutive ones overlap
-	s.votes.Clear()
+	return s
+}
+
+// maxSeeds bounds the seeds addSeeds takes from a read of n bases: its
+// windows k/2 apart.
+func maxSeeds(n, k int) int {
+	if n < k {
+		return 0
+	}
+	return (n-k)/(k/2) + 1
+}
+
+// newChunk empties the chunk being seeded and makes room for n seeds, so
+// that the buffers are sized once, not grown.
+func (s *alignScratch) newChunk(n int) {
+	s.keys = slices.Grow(s.keys[:0], n)
+	s.seeds = slices.Grow(s.seeds[:0], n)
+	s.ends = s.ends[:0]
+}
+
+// addSeeds appends read's seeds to the chunk being seeded: its windows
+// half a seed apart, so that consecutive ones overlap.
+func (s *alignScratch) addSeeds(read []byte, k int) {
 	for pos := 0; pos+k <= len(read); pos += k / 2 {
 		km, ok := kmer.Pack(read[pos:], k)
 		if !ok {
 			continue
 		}
-		canon, flippedR := km.Canonical(k)
-		hl, ok := x.seeds.Get(r, canon)
-		if !ok || hl.saturated {
-			continue
+		canon, flipped := km.Canonical(k)
+		s.keys = append(s.keys, canon)
+		s.seeds = append(s.seeds, readSeed{int32(pos), flipped})
+	}
+	s.ends = append(s.ends, len(s.keys))
+}
+
+// lookupSeeds resolves every seed of the chunk in one batched read, which
+// asks each owner once.
+func (x *Index) lookupSeeds(r *xrt.Rank, s *alignScratch) {
+	s.hits = slices.Grow(s.hits[:0], len(s.keys))[:len(s.keys)]
+	x.seeds.GetBatch(r, s.keys, func(j int, hl hitList, ok bool) {
+		s.hits[j] = nil
+		if ok && !hl.saturated {
+			s.hits[j] = hl.hits
 		}
-		for _, h := range hl.hits {
-			c := candidate{contigID: h.ContigID, flipped: h.Flipped != flippedR, diag: h.Pos - int32(pos)}
+	})
+}
+
+// AlignRead aligns one read against the index, returning the surviving
+// alignments sorted by descending score: a chunk of one read.
+func (x *Index) AlignRead(r *xrt.Rank, read []byte) []Alignment {
+	k := x.opt.SeedLen
+	if len(read) < k {
+		return nil
+	}
+	s := x.scratchOf(r)
+	s.newChunk(maxSeeds(len(read), k))
+	s.addSeeds(read, k)
+	x.lookupSeeds(r, s)
+	return x.alignSeeded(r, s, 0, read)
+}
+
+// alignSeeded aligns read i of the chunk lookupSeeds resolved last, read
+// being its sequence.
+func (x *Index) alignSeeded(r *xrt.Rank, s *alignScratch, i int, read []byte) []Alignment {
+	opt := x.opt
+	k := opt.SeedLen
+	lo := 0
+	if i > 0 {
+		lo = s.ends[i-1]
+	}
+	// vote for (contig, strand, diagonal) bins
+	s.votes.Clear()
+	for j := lo; j < s.ends[i]; j++ {
+		pos, flippedR := s.seeds[j].pos, s.seeds[j].flipped
+		for _, h := range s.hits[j] {
+			c := candidate{contigID: h.ContigID, flipped: h.Flipped != flippedR, diag: h.Pos - pos}
 			if c.flipped {
 				// in the reverse-complemented read frame the seed starts at
 				// len(read)-k-pos
-				c.diag = h.Pos - int32(len(read)-k-pos)
+				c.diag = h.Pos - (int32(len(read)-k) - pos)
 			}
 			v, _ := s.votes.Upsert(c.hash(), c)
 			*v++
@@ -428,16 +505,32 @@ func extendDiagonal(q, ctg []byte, diag int, opt Options) (Alignment, bool) {
 }
 
 // AlignAll aligns every read of every rank; alnsByRank[r][i] holds the
-// alignments of readsByRank[r][i].
+// alignments of readsByRank[r][i]. A rank aligns its reads in chunks of
+// alignChunk: the chunk's seeds are resolved in one batch, then each read
+// is voted on and extended in turn, so the contig cache sees the fetches
+// in read order as AlignRead one read at a time would make them.
 func AlignAll(team *xrt.Team, idx *Index, readsByRank [][]fastq.Record) [][][]Alignment {
 	out := make([][][]Alignment, team.Config().Ranks)
 	team.BeginSpan("align")
 	team.Run(func(r *xrt.Rank) {
 		reads := readsByRank[r.ID]
 		res := make([][]Alignment, len(reads))
-		for i, rec := range reads {
-			res[i] = idx.AlignRead(r, rec.Seq)
-			r.ChargeItems(len(rec.Seq))
+		s, k := idx.scratchOf(r), idx.opt.SeedLen
+		for lo := 0; lo < len(reads); lo += alignChunk {
+			chunk := reads[lo:min(lo+alignChunk, len(reads))]
+			n := 0
+			for _, rec := range chunk {
+				n += maxSeeds(len(rec.Seq), k)
+			}
+			s.newChunk(n)
+			for _, rec := range chunk {
+				s.addSeeds(rec.Seq, k)
+			}
+			idx.lookupSeeds(r, s)
+			for i, rec := range chunk {
+				res[lo+i] = idx.alignSeeded(r, s, i, rec.Seq)
+				r.ChargeItems(len(rec.Seq))
+			}
 		}
 		out[r.ID] = res
 		r.Barrier()

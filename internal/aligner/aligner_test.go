@@ -2,6 +2,7 @@ package aligner
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"hipmer/internal/contig"
@@ -405,5 +406,97 @@ func TestContigCacheEviction(t *testing.T) {
 	last := int64(20*cacheContigs - 1)
 	if !c.hit(last) || !c.hit(last-cacheContigs+1) || c.hit(last-cacheContigs) {
 		t.Fatal("ring does not hold the most recent cacheContigs ids")
+	}
+}
+
+// dealPairs deals read pairs to ranks round-robin, as the golden cases do.
+func dealPairs(recs []fastq.Record, p int) [][]fastq.Record {
+	reads := make([][]fastq.Record, p)
+	for i := 0; i+1 < len(recs); i += 2 {
+		r := (i / 2) % p
+		reads[r] = append(reads[r], recs[i], recs[i+1])
+	}
+	return reads
+}
+
+// TestAlignAllMatchesAlignRead: aligning a rank's reads in chunks yields
+// every alignment AlignRead yields one read at a time, and makes the same
+// lookups, contig fetches and cache hits: only the messages are fewer.
+func TestAlignAllMatchesAlignRead(t *testing.T) {
+	const p = 4
+	ctgs, recs := goldenInput("human")
+	byRank := make([][]*contig.Contig, p)
+	for i, c := range ctgs {
+		byRank[i%p] = append(byRank[i%p], c)
+	}
+	reads := dealPairs(recs, p)
+	chunked := xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 2})
+	got := AlignAll(chunked, BuildIndex(chunked, byRank, Options{}), reads)
+	single := xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 2})
+	idx := BuildIndex(single, byRank, Options{})
+	want := make([][][]Alignment, p)
+	single.Run(func(r *xrt.Rank) {
+		for _, rec := range reads[r.ID] {
+			want[r.ID] = append(want[r.ID], idx.AlignRead(r, rec.Seq))
+		}
+	})
+	for rank := range want {
+		if len(got[rank]) != len(want[rank]) {
+			t.Fatalf("rank %d: %d results for %d reads", rank, len(got[rank]), len(want[rank]))
+		}
+		for i := range want[rank] {
+			if !slices.Equal(got[rank][i], want[rank][i]) {
+				t.Fatalf("rank %d read %d: chunked %+v, one at a time %+v", rank, i, got[rank][i], want[rank][i])
+			}
+		}
+		g, w := chunked.RankStats(rank), single.RankStats(rank)
+		if g.Lookups() != w.Lookups() || g.CacheHits != w.CacheHits || g.CacheMisses != w.CacheMisses || g.Msgs() >= w.Msgs() {
+			t.Errorf("rank %d: chunked %+v, one at a time %+v", rank, g, w)
+		}
+	}
+}
+
+// TestSeedLookupsBatched: a rank asks each owner for its seeds once per
+// chunk of alignChunk reads, so it sends at most chunks × (p − 1) seed
+// messages. Reads from unrelated sequence align nowhere and fetch no
+// contig, so every message they send is a seed batch; reads that align
+// send the same batches plus at most one message per cache miss.
+func TestSeedLookupsBatched(t *testing.T) {
+	const p = 4
+	ctgs, recs := goldenInput("wheat")
+	byRank := make([][]*contig.Contig, p)
+	for i, c := range ctgs {
+		byRank[i%p] = append(byRank[i%p], c)
+	}
+	unrelated := make([]fastq.Record, 3000)
+	rng := xrt.NewPrng(5)
+	for i := range unrelated {
+		unrelated[i].Seq = genome.Random(rng, 100)
+	}
+	for name, reads := range map[string][][]fastq.Record{
+		"aligning":  dealPairs(recs, p),
+		"unrelated": dealPairs(unrelated, p),
+	} {
+		team := xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 2})
+		idx := BuildIndex(team, byRank, Options{})
+		before := make([]xrt.CommStats, p)
+		for rank := range before {
+			before[rank] = team.RankStats(rank)
+		}
+		AlignAll(team, idx, reads)
+		for rank := range before {
+			d := team.RankStats(rank).Sub(before[rank])
+			chunks := (len(reads[rank]) + alignChunk - 1) / alignChunk
+			if chunks < 2 {
+				t.Fatalf("%s: rank %d holds %d reads, not several chunks", name, rank, len(reads[rank]))
+			}
+			if name == "unrelated" && d.CacheHits+d.CacheMisses != 0 {
+				t.Fatalf("unrelated reads fetched %d contigs", d.CacheHits+d.CacheMisses)
+			}
+			if bound := int64(chunks*(p-1)) + d.CacheMisses; d.Msgs() > bound {
+				t.Errorf("%s: rank %d sent %d messages for %d chunks (%d cache misses), bound %d",
+					name, rank, d.Msgs(), chunks, d.CacheMisses, bound)
+			}
+		}
 	}
 }

@@ -52,6 +52,9 @@ func goldenCases() []goldenCase {
 			goldenCase{kind + "-seed31-8ranks", kind, 8, 4, Options{SeedLen: 31}},
 			goldenCase{kind + "-seed51-8ranks", kind, 8, 4, Options{SeedLen: 51}})
 	}
+	// a rank's reads span several of AlignAll's chunks, and every seed
+	// batch but the local one crosses nodes
+	cases = append(cases, goldenCase{"human-seed19-2ranks", "human", 2, 1, Options{}})
 	return cases
 }
 

@@ -657,7 +657,8 @@ func (t *traverser) join(chain []chainStep, ring bool) *Contig {
 // stitch joins the linked fragments into contigs and returns how many it
 // joined. Every rank all-gathers the headers of the fragments it walked
 // and resolves the chains from them; the rank of a chain's oldest fragment
-// fetches the other fragments' sequences and keeps the contig. The chains
+// fetches the other fragments' sequences, asking each owner once for all
+// it needs, and keeps the contig. The chains
 // are resolved once, here, for the team; the ranks are charged for it in
 // one Team.Run. A run with no links — any run at one rank — charges
 // nothing but the header all-gather's latency tree, which is free at one
@@ -703,8 +704,16 @@ func (t *traverser) stitch(team *xrt.Team) int64 {
 		steps := bits.Len(uint(r.N() - 1))
 		r.Charge(float64(steps*linked*fragHeaderBytes) * cost.OffNodeByteNs)
 		r.ChargeItems(linked) // resolve the chains
+		// the fetches are known up front: one batch per owner, in rank order
+		n, bytes := make([]int, r.N()), make([]int, r.N())
 		for _, f := range fetches[r.ID] {
-			r.ChargeLookup(f.rank, len(f.seq))
+			n[f.rank]++
+			bytes[f.rank] += len(f.seq)
+		}
+		for owner := range n {
+			if n[owner] > 0 {
+				r.ChargeLookupBatch(owner, n[owner], bytes[owner])
+			}
 		}
 	})
 	return int64(len(frags))

@@ -6,16 +6,21 @@
 // default, or an oracle layout (see Oracle) for the communication-avoiding
 // traversal of §3.2.
 //
-// Two communication patterns from the paper are modelled faithfully:
+// Three communication patterns are modelled:
 //
-//   - Irregular lookups (Get/Mutate): one message per operation, classified
-//     local / on-node / off-node by the xrt layer. These are the events
-//     whose locality Table 2 of the paper reports.
+//   - Irregular lookups (Get/Mutate/Ref): one message per operation,
+//     classified local / on-node / off-node by the xrt layer. These are the
+//     events whose locality Table 2 of the paper reports, and the shape of
+//     every read whose key depends on an earlier answer.
 //   - Aggregating stores (Put): updates are buffered per destination rank
 //     and flushed as one message per full buffer, the optimization HipMer
 //     uses for hash-table construction (§4.1, §4.6). Stores whose owner is
 //     the calling rank skip the buffer entirely and apply in place — the
 //     local-vs-remote store distinction of the paper.
+//   - Batched reads (GetBatch): the read-side twin of aggregating stores,
+//     for reads whose keys are all known before any answer is needed. The
+//     keys are grouped by owner and each owner is asked once; this repo's
+//     addition, since the paper aggregates stores only.
 //
 // Storage is flat: each lock stripe of a shard is one open-addressed slot
 // array (internal/flat) addressed by the hash the caller already computed,
@@ -29,12 +34,12 @@
 // power-of-two lock stripes so ranks flushing into one owner do not
 // funnel through a single mutex; a rank applying a batch to its own shard
 // takes all of its stripes once instead (OwnShard). The pipeline's
-// lookup-heavy stages (contig traversal terminations, merAligner seeding,
-// splint/span assessment, gap-closing verification) run against tables
-// that are no
-// longer mutated; Freeze publishes every stripe's slot array as immutable and Get
-// is then served lock-free, one lookup per remote read. Writes to a frozen
-// table panic; Thaw restores writability.
+// read-heavy phases run against tables that are no longer mutated: the
+// k-mer table (traversal's extension lookups, bubble depths, closure
+// verification) and the seed index (merAligner). Freeze publishes every
+// stripe's slot array as immutable, and Get and GetBatch are then served
+// lock-free. Writes to a frozen table panic, as does a GetBatch on a
+// table that is not frozen; Thaw restores writability.
 //
 // Physically everything is an in-process sharded table; the xrt cost layer
 // supplies the distributed-memory semantics of interest.
@@ -188,6 +193,7 @@ type localState[K comparable, V any] struct {
 	bufs      [][]kv[K, V] // per destination rank
 	blobBufs  [][]byte     // per destination rank: concatenated PutBlob records
 	blobItems []int        // logical item count buffered per destination
+	getCounts []int        // GetBatch's keys per owner, all zero between calls
 }
 
 // New creates a table across the team. merge resolves Put collisions:
@@ -513,6 +519,38 @@ func (t *Table[K, V]) Get(r *xrt.Rank, k K) (V, bool) {
 	dst := t.placeKey(k, h)
 	r.ChargeLookup(dst, t.opt.ItemBytes)
 	return t.load(dst, flat.Mix(h), k, t.frozen.Load())
+}
+
+// GetBatch reads keys from the frozen table as one aggregated exchange per
+// owner: the read-side twin of aggregating stores, for keys the caller
+// knows before it needs any answer. The keys are grouped by owner and each
+// owner holding n of them is charged one ChargeLookupBatch of n items, in
+// rank order. fn then receives each key's value, in key order: v and
+// ok as Get would return them for keys[i]. A read whose key depends on an
+// earlier answer has no batch to join, and stays a Get.
+func (t *Table[K, V]) GetBatch(r *xrt.Rank, keys []K, fn func(i int, v V, ok bool)) {
+	if !t.frozen.Load() {
+		panic("dht: GetBatch on a mutable table (call Freeze before batched reads)")
+	}
+	counts := t.locals[r.ID].getCounts
+	if counts == nil {
+		counts = make([]int, len(t.shards))
+		t.locals[r.ID].getCounts = counts
+	}
+	for _, k := range keys {
+		counts[t.Owner(k)]++
+	}
+	for dst, n := range counts {
+		if n > 0 {
+			counts[dst] = 0
+			r.ChargeLookupBatch(dst, n, n*t.opt.ItemBytes)
+		}
+	}
+	for i, k := range keys {
+		h := t.opt.Hash(k)
+		v, ok := t.load(t.placeKey(k, h), flat.Mix(h), k, true)
+		fn(i, v, ok)
+	}
 }
 
 // Mutate runs fn atomically on the value stored under k at its owner,

@@ -339,3 +339,67 @@ func BenchmarkGet(b *testing.B) {
 		}
 	})
 }
+
+// TestGetBatch: a batched read answers every key as Get does, in key
+// order, and sends one message per remote owner it asks, where Get sends
+// one per remote key; the lookups it counts are Get's. It refuses a table
+// that is still being written.
+func TestGetBatch(t *testing.T) {
+	team := xrt.NewTeam(xrt.Config{Ranks: 6, RanksPerNode: 2})
+	tab := New[uint64, int64](team, intOpts(), nil)
+	const stored = 600
+	keys := make([]uint64, 0, 2*stored)
+	for k := uint64(0); k < 2*stored; k++ { // every other key absent
+		keys = append(keys, k*7919)
+	}
+	team.Run(func(r *xrt.Rank) {
+		if r.ID == 0 {
+			defer func() {
+				if recover() == nil {
+					t.Error("GetBatch on a mutable table did not panic")
+				}
+			}()
+			tab.GetBatch(r, keys, func(int, int64, bool) {})
+		}
+	})
+	team.Run(func(r *xrt.Rank) {
+		for i := r.ID; i < stored; i += r.N() {
+			tab.Put(r, keys[2*i], int64(i))
+		}
+		tab.Freeze(r)
+	})
+	// every rank reads at once, each through its own batch scratch
+	viaGet := make([]xrt.CommStats, team.Config().Ranks)
+	viaBatch := make([]xrt.CommStats, team.Config().Ranks)
+	team.Run(func(r *xrt.Rank) {
+		before := team.RankStats(r.ID)
+		want := make([]int64, len(keys))
+		found := make([]bool, len(keys))
+		for i, k := range keys {
+			want[i], found[i] = tab.Get(r, k)
+		}
+		viaGet[r.ID] = team.RankStats(r.ID).Sub(before)
+		before = team.RankStats(r.ID)
+		next := 0
+		tab.GetBatch(r, keys, func(i int, v int64, ok bool) {
+			if i != next || v != want[i] || ok != found[i] {
+				t.Errorf("rank %d, key %d (call %d): (%d, %v), Get says (%d, %v)", r.ID, i, next, v, ok, want[i], found[i])
+			}
+			next++
+		})
+		viaBatch[r.ID] = team.RankStats(r.ID).Sub(before)
+		if next != len(keys) {
+			t.Errorf("rank %d: GetBatch answered %d of %d keys", r.ID, next, len(keys))
+		}
+	})
+	remote := int64(team.Config().Ranks - 1)
+	for id := range viaGet {
+		g, b := viaGet[id], viaBatch[id]
+		if b.LocalLookups != g.LocalLookups || b.OnNodeLookups != g.OnNodeLookups || b.OffNodeLookups != g.OffNodeLookups {
+			t.Errorf("rank %d: batch counted lookups %+v, Get %+v", id, b, g)
+		}
+		if b.Msgs() != remote || g.Msgs() != g.OnNodeLookups+g.OffNodeLookups {
+			t.Errorf("rank %d: batch sent %d messages, want one per remote owner (%d); Get sent %d", id, b.Msgs(), remote, g.Msgs())
+		}
+	}
+}

@@ -88,12 +88,13 @@ func ServeLoad(jobs, tenants int) sched.LoadConfig {
 // DiskServeLoad is the storage-fault leg: a small workload in which the
 // generator arms 40% of the jobs with checkpoint damage, each paired
 // with a later crash: a job whose crash trips must requeue and heal in
-// service.
+// service. Its jobs arrive 2.5 ms apart on average, so that it keeps the
+// cluster about a third busy, above the gate's utilisation floor.
 func DiskServeLoad() sched.LoadConfig {
 	return sched.LoadConfig{
 		Tenants:   4,
 		Jobs:      24,
-		MeanGapNs: int64(3 * time.Millisecond),
+		MeanGapNs: int64(2500 * time.Microsecond),
 		Burst:     4,
 		DiskFrac:  0.4,
 	}

@@ -7,6 +7,7 @@ import (
 
 	"hipmer/internal/aligner"
 	"hipmer/internal/flat"
+	"hipmer/internal/kanalysis"
 	"hipmer/internal/kmer"
 	"hipmer/internal/xrt"
 )
@@ -18,10 +19,11 @@ import (
 // task returns. Only the task that took it from the pool touches it.
 type scratch struct {
 	graph      miniGraph
-	walked     []byte // the walk in progress
-	rcLa, rcRa []byte // reverse complements of the spanning anchors
-	a, b       []byte // patching operands
-	joined     []byte // verification window: left flank + closure + right flank
+	walked     []byte      // the walk in progress
+	rcLa, rcRa []byte      // reverse complements of the spanning anchors
+	a, b       []byte      // patching operands
+	joined     []byte      // verification window: left flank + closure + right flank
+	windows    []kmer.Kmer // the verification window's canonical k-mers
 }
 
 // scratchPool hands out the scratches of one Run: as many as goroutines can
@@ -213,8 +215,8 @@ func (s *scratch) patch(g *gapState, bestL, bestR []byte) ([]byte, bool) {
 // analysis; a chimeric join produces windows never seen in any read. The
 // closure is deemed verified when at least half the windows are found
 // (single-read spans legitimately contain low-count k-mers the MinCount
-// filter dropped). Lookups are the same irregular-access pattern as the
-// gap walks and run lock-free on the frozen table.
+// filter dropped). The windows are all known up front, so they are read
+// in one batch, lock-free on the frozen table.
 func (s *scratch) verifyClosure(r *xrt.Rank, g *gapState, seq []byte, opt Options) bool {
 	k := opt.K
 	s.joined = append(append(append(s.joined[:0], g.left...), seq...), g.right...)
@@ -223,14 +225,17 @@ func (s *scratch) verifyClosure(r *xrt.Rank, g *gapState, seq []byte, opt Option
 	if hi < lo {
 		return false
 	}
-	found, total := 0, 0
+	s.windows = s.windows[:0]
 	kmer.ForEachCanonical(s.joined[lo:hi+k], k, func(_ int, canon kmer.Kmer, _ bool) {
-		total++
-		if _, ok := opt.KmerTable.Get(r, canon); ok {
+		s.windows = append(s.windows, canon)
+	})
+	found := 0
+	opt.KmerTable.GetBatch(r, s.windows, func(_ int, _ kanalysis.KmerData, ok bool) {
+		if ok {
 			found++
 		}
 	})
-	return total > 0 && 2*found >= total
+	return len(s.windows) > 0 && 2*found >= len(s.windows)
 }
 
 // trySpanning looks among reads, a run of g's, for the first that contains

@@ -140,8 +140,8 @@ func mergeBubbles(team *xrt.Team, ctgRes *contig.Result,
 
 // measureDepths implements §4.1 for the members of the bubble groups, the
 // only contigs whose depth is read: each rank averages the counts of its
-// own members' k-mers in the frozen (lock-free) k-mer table, and the
-// records are all-gathered with their depths filled in.
+// own members' k-mers in the frozen (lock-free) k-mer table, read in one
+// batch, and the records are all-gathered with their depths filled in.
 func measureDepths(team *xrt.Team, ctgRes *contig.Result, groups [][]contig.EndRec,
 	kt *dht.Table[kmer.Kmer, kanalysis.KmerData], k int, res *Result) []contig.EndRec {
 	want := make(map[int64]contig.EndRec)
@@ -153,23 +153,36 @@ func measureDepths(team *xrt.Team, ctgRes *contig.Result, groups [][]contig.EndR
 	var gathered []any
 	res.DepthPhase = team.Run(func(r *xrt.Rank) {
 		var mine []contig.EndRec
+		var keys []kmer.Kmer
+		var ends []int // ends[i] is one past mine[i]'s last k-mer
 		for _, c := range ctgRes.Contigs[r.ID] {
 			rec, ok := want[c.ID]
 			if !ok {
 				continue
 			}
-			var sum uint64
-			var n int
 			kmer.ForEachCanonical(c.Seq, k, func(_ int, canon kmer.Kmer, _ bool) {
-				if d, ok := kt.Get(r, canon); ok {
-					sum += uint64(d.Count)
-					n++
-				}
+				keys = append(keys, canon)
 			})
-			if n > 0 {
-				rec.Depth = float64(sum) / float64(n)
-			}
 			mine = append(mine, rec)
+			ends = append(ends, len(keys))
+		}
+		// every k-mer is known up front: one batched read
+		sums := make([]uint64, len(mine))
+		found := make([]int, len(mine))
+		m := 0
+		kt.GetBatch(r, keys, func(j int, d kanalysis.KmerData, ok bool) {
+			for j >= ends[m] {
+				m++
+			}
+			if ok {
+				sums[m] += uint64(d.Count)
+				found[m]++
+			}
+		})
+		for i := range mine {
+			if found[i] > 0 {
+				mine[i].Depth = float64(sums[i]) / float64(found[i])
+			}
 		}
 		if all := r.AllGather(mine); r.ID == 0 {
 			gathered = all

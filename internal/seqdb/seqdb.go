@@ -11,13 +11,17 @@
 // blocks: with p ranks over fewer than p blocks a block split would leave
 // ranks without reads. A part is charged the bytes a sequential reader
 // consumes for it, from the head of the first block its range touches
-// (a block is parsed from its head) to the end of its last record.
+// (a block is parsed from its head) to the end of its last record, so
+// blocks are small: a part reads fewer than a block's records that it
+// only skips.
 //
 // Layout:
 //
 //	[8]  magic "HIPSEQDB"
 //	[*]  blocks: a varint record count, then the records; every block
-//	     but the last holds exactly BlockRecords, the last at most that
+//	     but the last holds exactly the file's block size, the last at
+//	     most that. Write uses BlockRecords (64); files written with
+//	     1 024-read blocks read the same.
 //	[*]  index: varint block count, then varint block offsets
 //	[8]  index offset (big-endian uint64)
 package seqdb
@@ -36,16 +40,27 @@ import (
 
 var magic = []byte("HIPSEQDB")
 
-// BlockRecords is the number of reads per addressable block.
-const BlockRecords = 1024
+// BlockRecords is the number of reads per addressable block Write makes.
+// A part is charged at most BlockRecords−1 records it does not hold, where
+// 1 024-read blocks charged a rank of a 32-way split up to 3.7× its share.
+const BlockRecords = 64
+
+// maxBlockRecords is the largest block size a file may declare: that of
+// the files written before blocks shrank to BlockRecords.
+const maxBlockRecords = 1024
 
 // Write encodes records into the SeqDB container format.
 func Write(w io.Writer, recs []fastq.Record) error {
+	return writeBlocks(w, recs, BlockRecords)
+}
+
+// writeBlocks is Write with blocks of per records.
+func writeBlocks(w io.Writer, recs []fastq.Record, per int) error {
 	var body bytes.Buffer
 	body.Write(magic)
 	var offsets []uint64
-	for lo := 0; lo < len(recs); lo += BlockRecords {
-		hi := min(lo+BlockRecords, len(recs))
+	for lo := 0; lo < len(recs); lo += per {
+		hi := min(lo+per, len(recs))
 		offsets = append(offsets, uint64(body.Len()))
 		writeUvarint(&body, uint64(hi-lo))
 		for _, r := range recs[lo:hi] {
@@ -114,6 +129,7 @@ type File struct {
 	offsets  []uint64 // block starts, strictly increasing
 	indexOff uint64   // where the last block ends
 	records  int
+	per      int // records per block but the last: the first block's count
 }
 
 // Open reads and indexes a SeqDB file. The whole file is mapped into
@@ -128,10 +144,11 @@ func Open(path string) (*File, error) {
 }
 
 // Parse indexes SeqDB-format bytes. It checks the index and every block
-// header — offsets strictly increasing inside the block area, each count
-// exactly BlockRecords but the last's, which is at most that — so the
-// record count, and with it every part's record range, is known without
-// decoding a block.
+// header — offsets strictly increasing inside the block area, the first
+// count between 1 and maxBlockRecords (or 0 in a file of one empty block),
+// every other count equal to it but the last's, which is at most that —
+// so the record count, and with it every part's record range, is known
+// without decoding a block.
 func Parse(data []byte) (*File, error) {
 	if len(data) < len(magic)+8 || !bytes.Equal(data[:len(magic)], magic) {
 		return nil, errors.New("seqdb: bad magic")
@@ -157,7 +174,10 @@ func Parse(data []byte) (*File, error) {
 	}
 	for b := range f.offsets {
 		count, n := binary.Uvarint(f.block(b))
-		if n <= 0 || count > BlockRecords || b+1 < len(f.offsets) && count != BlockRecords {
+		if b == 0 && n > 0 && count <= maxBlockRecords {
+			f.per = int(count)
+		}
+		if n <= 0 || count > uint64(f.per) || b+1 < len(f.offsets) && (count != uint64(f.per) || f.per == 0) {
 			return nil, fmt.Errorf("seqdb: corrupt block %d header", b)
 		}
 		f.records += int(count)
@@ -198,17 +218,17 @@ func (f *File) ReadPart(parts, i int) ([]fastq.Record, int64, error) {
 		return nil, 0, nil
 	}
 	recs := make([]fastq.Record, hi-lo)
-	first := lo / BlockRecords
+	first := lo / f.per
 	var last uint64 // file offset just past the part's last record
 	for b, r := first, lo; r < hi; b++ {
 		blk := f.block(b)
 		_, n := binary.Uvarint(blk)
 		buf := blk[n:]
 		var err error
-		for skip := r - b*BlockRecords; skip > 0 && err == nil; skip-- {
+		for skip := r - b*f.per; skip > 0 && err == nil; skip-- {
 			buf, err = nextRecord(buf, nil)
 		}
-		for ; r < hi && r < (b+1)*BlockRecords && err == nil; r++ {
+		for ; r < hi && r < (b+1)*f.per && err == nil; r++ {
 			buf, err = nextRecord(buf, &recs[r-lo])
 		}
 		if err != nil {

@@ -2,8 +2,8 @@
 // side companion of schedule perturbation and fail-stop crashes: a lossy
 // network under every remote operation, together with the reliability
 // layer that makes the pipeline survive it.
-// Every logical message charged at ChargeLookup, ChargeStoreBatch, or a
-// collective's tree steps runs an RPC-style protocol on a per-(src,dst)
+// Every logical message charged at ChargeLookup, ChargeLookupBatch,
+// ChargeStoreBatch, or a collective's tree steps runs an RPC-style protocol on a per-(src,dst)
 // channel: a sequence number is assigned, drop decisions are drawn from a
 // dedicated seeded per-rank stream, lost sends and lost acks cost a
 // timeout plus capped exponential backoff with seeded jitter (charged as

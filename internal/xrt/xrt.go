@@ -399,10 +399,40 @@ func (r *Rank) CountCacheMiss() {
 // per flushed buffer). The receiver is charged the per-item apply cost.
 func (r *Rank) ChargeStoreBatch(dst, n, bytes int) {
 	r.chaosPoint(dst, bytes)
+	if dst == r.ID {
+		r.stats.LocalStores += int64(n)
+	}
+	r.chargeBatch(dst, n, bytes)
+}
+
+// ChargeLookupBatch records n reads whose home is rank dst, resolved as
+// one exchange carrying bytes of request and reply: the aggregated read of
+// keys known before any of them is looked up, the read-side twin of
+// ChargeStoreBatch. A remote batch costs the caller one message and its
+// bytes and the owner n local operations; a local batch costs the caller
+// n local operations, exactly what n local ChargeLookups cost. The reads
+// are counted n by locality, the message once, and a lossy transport runs
+// one drop/retry exchange for the whole batch.
+func (r *Rank) ChargeLookupBatch(dst, n, bytes int) {
+	r.chaosPoint(dst, bytes)
+	switch r.Locality(dst) {
+	case Local:
+		r.stats.LocalLookups += int64(n)
+	case OnNode:
+		r.stats.OnNodeLookups += int64(n)
+	default:
+		r.stats.OffNodeLookups += int64(n)
+	}
+	r.chargeBatch(dst, n, bytes)
+}
+
+// chargeBatch charges a batch of n items totalling bytes exchanged with
+// rank dst: n local operations when dst is the caller, otherwise one
+// message to the caller and n local operations to dst.
+func (r *Rank) chargeBatch(dst, n, bytes int) {
 	c := &r.team.cost
 	switch r.Locality(dst) {
 	case Local:
-		r.stats.LocalStores += int64(n)
 		r.advance(float64(n) * c.LocalOpNs)
 	case OnNode:
 		r.stats.OnNodeMsgs++

@@ -82,6 +82,84 @@ func TestForeignChargesCount(t *testing.T) {
 	}
 }
 
+// TestChargeLookupBatch holds the aggregated read to its bill. A local
+// batch of n reads costs n local operations, what n local ChargeLookups
+// cost. A remote one costs the caller one message and its bytes, counts n
+// lookups by locality, and charges the owner n local operations. Under a
+// lossy transport a batch is one drop/retry exchange, whatever its n.
+func TestChargeLookupBatch(t *testing.T) {
+	const n, bytes = 40, 40 * 24
+	team := NewTeam(Config{Ranks: 4, RanksPerNode: 2})
+	c := team.Cost()
+	var batch, single float64
+	team.Run(func(r *Rank) {
+		if r.ID != 0 {
+			return
+		}
+		before := r.ClockNs()
+		r.ChargeLookupBatch(0, n, bytes)
+		batch = r.ClockNs() - before
+		before = r.ClockNs()
+		for i := 0; i < n; i++ {
+			r.ChargeLookup(0, 24)
+		}
+		single = r.ClockNs() - before
+	})
+	if batch != n*c.LocalOpNs || single != batch {
+		t.Errorf("local batch of %d: %v ns, %d local lookups %v ns, want %v", n, batch, n, single, n*c.LocalOpNs)
+	}
+	if s := team.RankStats(0); s.LocalLookups != 2*n || s.Msgs() != 0 {
+		t.Errorf("local batch counted %d local lookups and %d messages, want %d and 0", s.LocalLookups, s.Msgs(), 2*n)
+	}
+
+	team = NewTeam(Config{Ranks: 4, RanksPerNode: 2})
+	var clock float64
+	team.Run(func(r *Rank) {
+		if r.ID == 0 {
+			r.ChargeLookupBatch(1, n, bytes) // on-node
+			r.ChargeLookupBatch(2, n, bytes) // off-node
+			clock = r.ClockNs()
+		}
+	})
+	if want := (c.OnNodeMsgNs + bytes*c.OnNodeByteNs) + (c.OffNodeMsgNs + bytes*c.OffNodeByteNs); clock != want {
+		t.Errorf("two remote batches cost the caller %v ns, want one message each, %v", clock, want)
+	}
+	s := team.RankStats(0)
+	if s.OnNodeLookups != n || s.OffNodeLookups != n || s.LocalLookups != 0 ||
+		s.OnNodeMsgs != 1 || s.OffNodeMsgs != 1 || s.OnNodeBytes != bytes || s.OffNodeBytes != bytes {
+		t.Errorf("remote batches counted %+v", s)
+	}
+	for _, owner := range []int{1, 2} {
+		if w := team.RankWorkNs(owner); w != n*c.LocalOpNs {
+			t.Errorf("owner %d charged %v ns, want %v", owner, w, n*c.LocalOpNs)
+		}
+	}
+
+	// a batch draws from the chaos stream as one lookup of its bytes does
+	lossy := func(batched bool) CommStats {
+		team := NewTeam(Config{Ranks: 2, RanksPerNode: 1, Inject: Inject{ChaosSeed: 7, DropRate: 0.3}})
+		team.Run(func(r *Rank) {
+			for i := 0; r.ID == 0 && i < 100; i++ {
+				if batched {
+					r.ChargeLookupBatch(1, n, bytes)
+				} else {
+					r.ChargeLookup(1, bytes)
+				}
+			}
+		})
+		return team.RankStats(0)
+	}
+	b, one := lossy(true), lossy(false)
+	if b.Drops == 0 {
+		t.Fatal("precondition: the lossy transport dropped nothing")
+	}
+	if b.OffNodeMsgs != 100 || b.Drops != one.Drops || b.Retries != one.Retries || b.Dups != one.Dups ||
+		b.RedeliveredBytes != one.RedeliveredBytes {
+		t.Errorf("100 batches: %d messages, drops/retries/dups %d/%d/%d; 100 lookups: %d/%d/%d",
+			b.OffNodeMsgs, b.Drops, b.Retries, b.Dups, one.Drops, one.Retries, one.Dups)
+	}
+}
+
 func TestAllReduceInt64(t *testing.T) {
 	team := NewTeam(Config{Ranks: 9})
 	team.Run(func(r *Rank) {
