@@ -29,7 +29,7 @@ func main() {
 		if r.K == results[best].K {
 			marker = "*"
 		}
-		oracle := "uniform layout"
+		oracle := "default layout"
 		if r.OracleUsed {
 			oracle = "oracle from k=21 draft"
 		}

@@ -2,7 +2,8 @@
 // individual, build the oracle partitioning from its scaffolds, then
 // assemble a second individual of the same species (0.2% diverged) with
 // the oracle layout — the de Bruijn traversal's hash-table lookups become
-// overwhelmingly rank-local.
+// overwhelmingly rank-local. The default layout, which places the graph
+// as the k-mer table, needs no previous assembly; the example prints both.
 //
 //	go run ./examples/oracle_reassembly
 package main
@@ -69,9 +70,9 @@ func main() {
 	tNo := noOracle.Metrics.Time("contig-generation")
 	tOr := withOracle.Metrics.Time("contig-generation")
 	fmt.Printf("individual 2 contig generation (simulated):\n")
-	fmt.Printf("  uniform layout: %v\n", tNo)
-	fmt.Printf("  oracle layout:  %v (%.1fx faster)\n",
-		tOr, tNo.Seconds()/tOr.Seconds())
+	fmt.Printf("  default layout (the k-mer table's): %v\n", tNo)
+	fmt.Printf("  oracle layout:                      %v (%.2fx the default's time)\n",
+		tOr, tOr.Seconds()/tNo.Seconds())
 
 	vNo := noOracle.Validate(genome2)
 	vOr := withOracle.Validate(genome2)

@@ -100,9 +100,11 @@ func TestMetagenomeContigsOnly(t *testing.T) {
 // oracle for individual 2 of the same species, single-k and on a k
 // ladder, at 2 ranks per node so placement shows in off-node lookups.
 // The oracle moves communication only: each mode's scaffolds are its
-// no-oracle run's byte for byte, and every contig-generation round —
-// each building its vector at its own k — makes at most 60 % of the
-// no-oracle run's off-node lookups.
+// no-oracle run's byte for byte, and each contig-generation round builds
+// its vector at its own k. How far the oracle cuts off-node lookups is
+// measured against uniform hashing, the paper's baseline, which these
+// options do not reach (the default places the graph as the k-mer table):
+// TestOracleReducesOffNodeLookups in internal/contig holds that.
 func TestOracleWorkflow(t *testing.T) {
 	g1 := RandomGenome(6, 15000)
 	lib1 := SimReads(7, g1, 30, 100, 350, 25)
@@ -140,12 +142,10 @@ func TestOracleWorkflow(t *testing.T) {
 			if st.Depth != 0 || !strings.HasPrefix(st.Name, "contig-generation") {
 				continue
 			}
-			rounds++
-			off := placed.Metrics.Stage(st.Path).Comm.OffNodeLookups
-			if base := st.Comm.OffNodeLookups; 10*off > 6*base {
-				t.Errorf("k %v: %s makes %d off-node lookups with the oracle, %d without (want <= 60 %%)",
-					lens, st.Name, off, base)
+			if placed.Metrics.Stage(st.Path) == nil {
+				t.Fatalf("k %v: no %s span with the oracle", lens, st.Name)
 			}
+			rounds++
 		}
 		if want := max(1, len(lens)); rounds != want {
 			t.Fatalf("k %v: %d contig-generation spans, want %d", lens, rounds, want)

@@ -1,18 +1,25 @@
 // Package contig implements stage 2 of the pipeline: construction of the
 // de Bruijn graph of UU k-mers in a distributed hash table and its
 // parallel traversal into contigs (paper §2.2, §3.2, and the SC'14 prior
-// work it builds on). Ranks pick seed k-mers from their local buckets and
-// speculatively grow walks in both directions, claiming each k-mer through
-// a remote atomic. A claim is never given back: a walk that meets another
-// walk's claim ends that direction with a link to it, and once every
-// vertex is claimed the linked fragments of a chain are stitched into the
-// contig one walk would have produced. The ranks' claims are resolved in
-// virtual-time order (xrt.RunEvents), so who claims which vertex, where a
-// chain is cut and how long the phase takes follow from the input alone.
+// work it builds on). The graph is placed as the k-mer table is, so every
+// vertex stays on the rank k-mer analysis gave it and each rank builds its
+// shard from its own k-mers, sending nothing. Ranks pick seed k-mers from
+// their local buckets and speculatively grow walks in both directions. A
+// walk proceeds in runs: its request reaches the owner of its next vertex,
+// which claims vertices while the next one is its own, so consecutive
+// vertices sharing a minimizer — and so an owner — cost one exchange
+// between them, not one remote atomic each. A claim is never given back: a
+// walk that meets another walk's claim ends that direction with a link to
+// it, and once every vertex is claimed the linked fragments of a chain are
+// stitched into the contig one walk would have produced. The ranks' claims
+// are resolved in virtual-time order (xrt.RunEvents), so who claims which
+// vertex, where a chain is cut and how long the phase takes follow from
+// the input alone.
 //
 // The package also builds the §3.2 oracle partitioning function from a
-// previous assembly's contigs, which makes traversal lookups
-// overwhelmingly rank-local for same-species genomes.
+// previous assembly's contigs, which overrides the default placement and
+// makes traversal lookups overwhelmingly rank-local for same-species
+// genomes.
 package contig
 
 import (
@@ -32,7 +39,9 @@ type Options struct {
 	// which would create self-loops in the graph). Defaults to 31.
 	K int
 	// Oracle, when non-nil, places graph k-mers with the
-	// communication-avoiding layout instead of uniform hashing.
+	// communication-avoiding layout instead of the k-mer table's placement.
+	// A vector with no slot assigned is uniform hashing, the paper's
+	// baseline.
 	Oracle *dht.Oracle
 	// AggBufSize overrides the aggregating-stores buffer size.
 	AggBufSize int
@@ -61,8 +70,10 @@ type Node struct {
 	ExtL, ExtR byte
 	Count      uint32
 	Walk       int64 // 0 = unclaimed, otherwise owning walk id
-	Contig     int64 // 1-based contig id after marking, 0 = unset
 }
+
+// nodeBytes is the wire size of one graph vertex: its k-mer and its node.
+const nodeBytes = 16 + 8
 
 // Contig is one uncontested linear chain of the de Bruijn graph.
 type Contig struct {
@@ -95,9 +106,10 @@ func (c *Contig) Depth(k int) float64 {
 
 // Result carries the outputs of contig generation.
 type Result struct {
-	// Graph is the de Bruijn graph: canonical UU k-mer → Node, with each
-	// node's Contig field set after traversal. It is returned frozen
-	// (read-only); callers needing to mutate it must Thaw first.
+	// Graph is the de Bruijn graph: canonical UU k-mer → Node, placed as
+	// the k-mer table it was projected from (or by the oracle). It is
+	// returned frozen (read-only); callers needing to mutate it must Thaw
+	// first.
 	Graph *dht.Table[kmer.Kmer, Node]
 	// Contigs holds the completed contigs dealt round-robin by ID (global
 	// IDs are contiguous from 1): the one placement rule for contigs, see
@@ -139,70 +151,29 @@ func graphHash(km kmer.Kmer) uint64 { return km.Hash(0xdeb41) }
 // traverses it into contigs.
 func Run(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Options) *Result {
 	opt = opt.withDefaults()
-	res := &Result{}
-
-	// UU k-mers are a subset of the k-mer table — most of it — so its
-	// entry count is the graph's size hint.
-	gOpt := dht.Options[kmer.Kmer]{
-		Hash:          graphHash,
-		ItemBytes:     16 + 8,
-		AggBufSize:    opt.AggBufSize,
-		ExpectedItems: kt.Len(),
-	}
-	if opt.Oracle != nil {
-		gOpt.Place = opt.Oracle.Place
-	}
-	graph := dht.New[kmer.Kmer, Node](team, gOpt, nil)
-	res.Graph = graph
-
-	// --- graph construction: project UU k-mers out of the k-mer table ---
-	team.BeginSpan("graph-build")
-	res.BuildPhase = team.Run(func(r *xrt.Rank) {
-		// In rank order: a shard's slot order — the order its owner later
-		// tries seeds in — depends on the order stores reach it.
-		r.Ordered(func() {
-			kt.LocalRange(r, func(km kmer.Kmer, d kanalysis.KmerData) bool {
-				if d.IsUU() {
-					graph.Put(r, km, Node{ExtL: d.ExtL, ExtR: d.ExtR, Count: d.Count})
-				}
-				return true
-			})
-			graph.Flush(r)
-		})
-		r.Barrier()
-		n := graph.GlobalLen(r)
-		if r.ID == 0 {
-			res.UUKmers = n
-		}
-	})
-	team.EndSpan()
+	res := buildGraph(team, kt, opt)
 
 	// --- parallel traversal ---------------------------------------------
 	team.BeginSpan("traverse")
-	tr := newTraverser(team, res, kt, opt.K)
+	tr := newTraverser(team, res, kt, opt.K, opt.Oracle == nil)
 	res.TraversePhase = team.RunEvents(tr.step)
 	// Speculative-traversal outcome counters: claims = completed walks.
 	team.AddCounter("walks_claimed", res.Claimed)
 	team.AddCounter("walks_completed", res.Completed)
 	team.AddCounter("quiescence_rounds", res.Rounds)
+	team.AddCounter("owner_runs", tr.runs)
 	team.BeginSpan("stitch")
 	team.AddCounter("walks_linked", tr.stitch(team))
 	team.EndSpan()
 	team.EndSpan()
 
-	// --- global contig IDs + k-mer marking -------------------------------
+	// --- global contig IDs ----------------------------------------------
 	// IDs are assigned by sorting content hashes of the canonical contig
 	// sequences, so numbering is deterministic regardless of which rank's
 	// walk produced a contig or in what order walks completed.
-	// The apply hook updates only the Contig field so node data survives.
-	graph.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in Node, e dht.Entry[kmer.Kmer, Node]) {
-		if n := e.Get(); n != nil {
-			n.Contig = in.Contig
-		}
-	})
 	team.BeginSpan("assign-ids")
 	team.Run(func(r *xrt.Rank) {
-		mine := tr.walkers[r.ID].out // a contig is numbered and marked by the rank that walked it
+		mine := tr.walkers[r.ID].out // a contig is numbered by the rank that walked it
 		keys := make([]contigKey, len(mine))
 		for i, c := range mine {
 			keys[i] = keyOf(c.Seq)
@@ -228,22 +199,11 @@ func Run(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Optio
 		if r.ID == 0 {
 			res.NumContigs = int64(len(all))
 		}
-		// mark each member k-mer with its contig id (aggregated stores)
-		for _, c := range mine {
-			id := c.ID
-			kmer.ForEachCanonical(c.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
-				graph.Put(r, canon, Node{Contig: id})
-			})
-		}
-		graph.Flush(r)
-		r.Barrier()
-
 		// contig generation is done mutating the graph; downstream
 		// consumers (validation, output) only read — publish it frozen.
-		graph.Freeze(r)
+		res.Graph.Freeze(r)
 	})
 	team.EndSpan()
-	graph.SetApply(nil)
 	// Who walked a contig decides nothing downstream: contigs are dealt by ID.
 	for i := range tr.walkers {
 		res.Contigs = append(res.Contigs, tr.walkers[i].out)
@@ -251,6 +211,70 @@ func Run(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Optio
 	res.Contigs = ResultFromContigs(team, res.All()).Contigs
 	team.AddCounter("uu_kmers", res.UUKmers)
 	team.AddCounter("contigs", res.NumContigs)
+	return res
+}
+
+// buildGraph projects the UU k-mers of kt into the graph: the Result's
+// Graph, UUKmers and BuildPhase. UU k-mers are a subset of the k-mer table
+// — most of it — so its entry count is the graph's size hint. Without an
+// oracle the graph is placed as the k-mer table is: every vertex stays on
+// the rank k-mer analysis gave it, and a walk's consecutive vertices, which
+// mostly share a minimizer, mostly share an owner.
+func buildGraph(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], opt Options) *Result {
+	res := &Result{}
+	gOpt := dht.Options[kmer.Kmer]{
+		Hash:          graphHash,
+		ItemBytes:     nodeBytes,
+		AggBufSize:    opt.AggBufSize,
+		ExpectedItems: kt.Len(),
+	}
+	if opt.Oracle != nil {
+		gOpt.Place = opt.Oracle.Place
+	} else {
+		gOpt = kt.SamePlacement(gOpt)
+	}
+	graph := dht.New[kmer.Kmer, Node](team, gOpt, nil)
+	res.Graph = graph
+
+	team.BeginSpan("graph-build")
+	res.BuildPhase = team.Run(func(r *xrt.Rank) {
+		if opt.Oracle != nil {
+			// The oracle places vertices away from their k-mers: stores, in
+			// rank order, since a shard's slot order — the order its owner
+			// later tries seeds in — depends on the order stores reach it.
+			r.Ordered(func() {
+				kt.LocalRange(r, func(km kmer.Kmer, d kanalysis.KmerData) bool {
+					if d.IsUU() {
+						graph.Put(r, km, Node{ExtL: d.ExtL, ExtR: d.ExtR, Count: d.Count})
+					}
+					return true
+				})
+				graph.Flush(r)
+			})
+			r.Barrier()
+		} else {
+			// Co-located: each rank projects its own k-mer shard into its
+			// own graph shard, no message sent.
+			uu := 0
+			graph.OwnShard(r, func(own dht.Owned[kmer.Kmer, Node]) {
+				kt.LocalRange(r, func(km kmer.Kmer, d kanalysis.KmerData) bool {
+					if d.IsUU() {
+						e, _ := own.Entry(graphHash(km), km)
+						n, _ := e.Upsert()
+						*n = Node{ExtL: d.ExtL, ExtR: d.ExtR, Count: d.Count}
+						uu++
+					}
+					return true
+				})
+			})
+			r.ChargeStoreBatch(r.ID, uu, uu*nodeBytes)
+		}
+		n := graph.GlobalLen(r)
+		if r.ID == 0 {
+			res.UUKmers = n
+		}
+	})
+	team.EndSpan()
 	return res
 }
 
@@ -264,28 +288,46 @@ type traverser struct {
 	kt      *dht.Table[kmer.Kmer, kanalysis.KmerData]
 	k       int
 	walkers []walker
+	// colocated is set when the graph is placed as kt is: a run that
+	// finds its next vertex missing from the graph reads the k-mer at the
+	// same owner.
+	colocated bool
 	// walks numbers the walks in the order their seeds are tried, which
 	// under RunEvents is (start clock, rank) order: the lower id is the
 	// older walk.
 	walks int64
+	// claimed counts the claims made in each rank's shard, so a shard's
+	// free vertices are its length less its claims, no scan needed.
+	claimed []int
+	// runs counts the owner-side runs the walks made: their exchanges.
+	runs int64
 }
 
-func newTraverser(team *xrt.Team, res *Result, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], k int) *traverser {
-	return &traverser{res: res, graph: res.Graph, kt: kt, k: k,
-		walkers: make([]walker, team.Config().Ranks)}
+func newTraverser(team *xrt.Team, res *Result, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], k int, colocated bool) *traverser {
+	p := team.Config().Ranks
+	t := &traverser{res: res, graph: res.Graph, kt: kt, k: k, colocated: colocated,
+		walkers: make([]walker, p), claimed: make([]int, p)}
+	for i := range t.walkers {
+		t.walkers[i].rank = i
+	}
+	return t
 }
+
+// free returns the number of unclaimed vertices in r's shard.
+func (t *traverser) free(r *xrt.Rank) int { return t.graph.LocalLen(r) - t.claimed[r.ID] }
 
 // What a walker's next step does.
 const (
 	atScan   = iota // snapshot the round's seed candidates
 	atSeed          // try the next seed; after the last, tally the round
-	atExtend        // claim the walk's next vertex
+	atExtend        // claim the walk's next run of vertices at one owner
 	atReduce        // the round's all-reduce is over: quiescent?
 )
 
 // walker is one rank's traversal, suspended between steps: the seed loop
 // of a quiescence round and, inside it, the walk in progress.
 type walker struct {
+	rank   int
 	at     int
 	round  int
 	seeds  []kmer.Kmer
@@ -299,6 +341,7 @@ type walker struct {
 	cur        kmer.Kmer // the walk's end vertex, as the walk reads it,
 	extL, extR byte      // and its extensions in that orientation
 	dir        int       // 0 extends to the right of the seed, 1 to the left
+	owner      int       // where the next vertex is looked for first
 	bufs       [2][]byte // bases appended in each direction
 	endR       walkEnd
 	sumCount   uint64
@@ -322,50 +365,52 @@ func compExt(e byte) byte {
 
 // step is one rank's next graph operation and the charges it makes. Per
 // quiescence round: scan the local shard for seeds, walk from each, count
-// what is still free, all-reduce. In the first round only "locally
-// contiguous" seeds are used — vertices with at least one neighbor placed
-// on this rank. Under an oracle layout a misplaced (hash-collision) vertex
-// is surrounded by remote neighbors; a walk seeded there would claim its
-// way into its neighbors' chain and cut the owner's local walk into remote
-// fragments, each a link to stitch. Deferring such seeds one round lets
-// the owning rank's walks claim their chains first, so a misplaced vertex
-// costs O(1) remote operations, matching the collision accounting of §3.2.
+// what is still free, all-reduce. A seed is the walker's own vertex; a walk
+// then proceeds in runs, each one exchange with the owner of its vertices
+// (extend). In the first round only "locally contiguous" seeds are used —
+// vertices with at least one neighbor placed on this rank. Under an oracle
+// layout a misplaced (hash-collision) vertex is surrounded by remote
+// neighbors; a walk seeded there would claim its way into its neighbors'
+// chain and cut the owner's local walk into remote fragments, each a link
+// to stitch. Deferring such seeds one round lets the owning rank's walks
+// claim their chains first, so a misplaced vertex costs O(1) remote
+// operations, matching the collision accounting of §3.2. The round's tally
+// is the seeds tried plus the shard's free count, which equals what a scan
+// would find at that instant; a later round with nothing free skips its
+// scan.
 func (t *traverser) step(ev *xrt.Events, r *xrt.Rank) xrt.Status {
 	w := &t.walkers[r.ID]
 	switch w.at {
 	case atScan:
 		// claims mutate the shard, so collect keys first
 		w.seeds, w.cursor = w.seeds[:0], 0
-		t.graph.LocalRange(r, func(km kmer.Kmer, n Node) bool {
-			if n.Walk == 0 && (w.round > 0 || t.locallyContiguous(r, km, n)) {
-				w.seeds = append(w.seeds, km)
-			}
-			return true
-		})
+		if w.round == 0 || t.free(r) > 0 {
+			t.graph.LocalRange(r, func(km kmer.Kmer, n Node) bool {
+				if n.Walk == 0 && (w.round > 0 || t.locallyContiguous(r, km, n)) {
+					w.seeds = append(w.seeds, km)
+				}
+				return true
+			})
+		}
 		w.at = atSeed
 	case atSeed:
 		if w.cursor == len(w.seeds) {
 			// Quiescence: nobody tried a seed and no free vertices remain.
 			// (A seed that was taken counts too: claims changed state, so
 			// another round may be needed.)
-			tally := int64(len(w.seeds))
-			t.graph.LocalRange(r, func(km kmer.Kmer, n Node) bool {
-				if n.Walk == 0 {
-					tally++
-				}
-				return true
-			})
 			w.at = atReduce
-			return ev.AllReduceSum(tally)
+			return ev.AllReduceSum(int64(len(w.seeds) + t.free(r)))
 		}
 		seed := w.seeds[w.cursor]
 		w.cursor++
 		t.walks++
-		if n := t.graph.Ref(r, seed); n != nil && n.Walk == 0 {
+		r.ChargeLookup(r.ID, nodeBytes)
+		if n := t.graph.RefAt(r.ID, seed); n.Walk == 0 {
 			n.Walk = t.walks
+			t.claimed[r.ID]++
 			t.res.Claimed++
 			w.id, w.seed, w.seedNode = t.walks, seed, *n
-			w.cur, w.extL, w.extR, w.dir = seed, n.ExtL, n.ExtR, 0
+			w.cur, w.extL, w.extR, w.dir, w.owner = seed, n.ExtL, n.ExtR, 0, r.ID
 			w.bufs[0], w.bufs[1] = w.bufs[0][:0], w.bufs[1][:0]
 			w.sumCount = uint64(n.Count)
 			w.at = atExtend
@@ -384,7 +429,9 @@ func (t *traverser) step(ev *xrt.Events, r *xrt.Rank) xrt.Status {
 }
 
 // locallyContiguous reports whether a vertex has a neighbor whose home is
-// this rank. Owner computation is pure hashing — no communication.
+// this rank: found in the rank's shard, or else placed there. No
+// communication, and an owner is computed only for a neighbor the shard
+// does not hold.
 func (t *traverser) locallyContiguous(r *xrt.Rank, km kmer.Kmer, n Node) bool {
 	isolated := true
 	for dir, ext := range [2]byte{n.ExtR, n.ExtL} { // canonical orientation
@@ -392,7 +439,7 @@ func (t *traverser) locallyContiguous(r *xrt.Rank, km kmer.Kmer, n Node) bool {
 			continue
 		}
 		isolated = false
-		if canon, _ := t.neighbor(km, dir, ext).Canonical(t.k); t.graph.Owner(canon) == r.ID {
+		if canon, _ := t.neighbor(km, dir, ext).Canonical(t.k); t.graph.RefAt(r.ID, canon) != nil || t.graph.Owner(canon) == r.ID {
 			return true
 		}
 	}
@@ -423,74 +470,123 @@ type walkEnd struct {
 	next   kmer.Kmer
 }
 
-// extend tries to grow w's walk by one vertex in its current direction —
-// right of the seed first, then left. A vertex is claimed once and never
-// given back: a walk that meets another walk's claim ends that direction
-// with a link to it, and the stitch joins the two.
+// extend grows w's walk by one run in its current direction — right of
+// the seed first, then left: the walk's request reaches the owner of its
+// next vertex, which claims vertices while the next one lies in its own
+// shard, and the run ends at an owner change, a link or a true end. The
+// run is one exchange, billed as one lookup batch of the vertices it
+// probed. A vertex is claimed once and never given back: a walk that meets
+// another walk's claim ends that direction with a link to it, and the
+// stitch joins the two.
 func (t *traverser) extend(r *xrt.Rank, w *walker) {
-	k := t.k
-	ext := [2]byte{w.extR, w.extL}[w.dir]
-	switch ext {
-	case kmer.ExtFork:
-		t.endDirection(w, walkEnd{term: TermFork})
-		return
-	case kmer.ExtNone:
-		t.endDirection(w, walkEnd{term: TermNone})
-		return
-	}
-	next := t.neighbor(w.cur, w.dir, ext)
-	canon, flipped := next.Canonical(k)
-
-	n := t.graph.Ref(r, canon) // one remote atomic decides the claim
-	if n == nil {
-		// Neighbor is not a UU graph vertex; classify the end by
-		// consulting the full k-mer table: a surviving k-mer with a
-		// forked side is a true branch point (the bubble module
-		// uses these junctions), an absent one is a dead end.
-		end := walkEnd{term: TermNone}
-		if d, ok := t.kt.Get(r, canon); ok {
-			end.nbr, end.hasNbr = canon, true
-			if d.ExtL == kmer.ExtFork || d.ExtR == kmer.ExtFork {
-				end.term = TermFork
-			}
+	k, o, items := t.k, w.owner, 0
+	var absent kmer.Kmer // a missing vertex whose end kt classifies
+	classify := false
+run:
+	for {
+		ext := [2]byte{w.extR, w.extL}[w.dir]
+		switch ext {
+		case kmer.ExtFork:
+			t.endDirection(w, walkEnd{term: TermFork})
+			break run
+		case kmer.ExtNone:
+			t.endDirection(w, walkEnd{term: TermNone})
+			break run
 		}
-		t.endDirection(w, end)
-		return
+		next := t.neighbor(w.cur, w.dir, ext)
+		canon, flipped := next.Canonical(k)
+
+		n := t.graph.RefAt(o, canon)
+		if n == nil {
+			if owner := t.graph.Owner(canon); owner != o {
+				// the run goes on at the next owner; when nothing was
+				// probed here yet, no exchange with o took place
+				w.owner = owner
+				if items == 0 {
+					o = owner
+					continue
+				}
+				break run
+			}
+			// not a graph vertex: the end is classified from the k-mer
+			// table, at o when the tables share a placement (one more item)
+			items++
+			if t.colocated {
+				items++
+			}
+			absent, classify = canon, true
+			break run
+		}
+		items++
+		// Reciprocity first: the neighbor must uniquely point back at us; a
+		// vertex that does not is a boundary of another contig and must never
+		// be claimed.
+		nExtL, nExtR := orientedExts(*n, flipped)
+		back, wantBase := nExtL, w.cur.Base(0)
+		if w.dir == 1 {
+			back, wantBase = nExtR, w.cur.Base(k-1)
+		}
+		switch {
+		case !kmer.IsBaseExt(back) || back != kmer.CodeBase(wantBase):
+			t.endDirection(w, walkEnd{term: TermNonRecip, nbr: canon, hasNbr: true})
+		case n.Walk == 0:
+			n.Walk = w.id
+			t.claimed[o]++
+			w.cur, w.extL, w.extR = next, nExtL, nExtR
+			w.bufs[w.dir] = append(w.bufs[w.dir], ext)
+			w.sumCount += uint64(n.Count)
+			continue
+		case n.Walk != w.id:
+			t.endDirection(w, walkEnd{link: n.Walk, next: next})
+		case canon == w.seed && !flipped:
+			// back at the seed as read: the walk closed a cycle
+			ring := walkEnd{term: TermCycle}
+			t.finish(w, ring, ring, true)
+		default:
+			// Any other own claim is the walk's own vertex read on the other
+			// strand — the fold of an inverted repeat: this direction ends.
+			t.endDirection(w, walkEnd{term: TermCycle})
+		}
+		break run
 	}
-	// Reciprocity first: the neighbor must uniquely point back at us; a
-	// vertex that does not is a boundary of another contig and must never
-	// be claimed.
-	nExtL, nExtR := orientedExts(*n, flipped)
-	back, wantBase := nExtL, w.cur.Base(0)
-	if w.dir == 1 {
-		back, wantBase = nExtR, w.cur.Base(k-1)
+	if items > 0 {
+		t.runs++
+		r.ChargeLookupBatch(o, items, items*nodeBytes)
 	}
-	switch {
-	case !kmer.IsBaseExt(back) || back != kmer.CodeBase(wantBase):
-		t.endDirection(w, walkEnd{term: TermNonRecip, nbr: canon, hasNbr: true})
-	case n.Walk == 0:
-		n.Walk = w.id
-		w.cur, w.extL, w.extR = next, nExtL, nExtR
-		w.bufs[w.dir] = append(w.bufs[w.dir], ext)
-		w.sumCount += uint64(n.Count)
-	case n.Walk != w.id:
-		t.endDirection(w, walkEnd{link: n.Walk, next: next})
-	case canon == w.seed && !flipped:
-		// back at the seed as read: the walk closed a cycle
-		ring := walkEnd{term: TermCycle}
-		t.finish(w, ring, ring, true)
-	default:
-		// Any other own claim is the walk's own vertex read on the other
-		// strand — the fold of an inverted repeat: this direction ends.
-		t.endDirection(w, walkEnd{term: TermCycle})
+	if classify {
+		t.endDirection(w, t.endBefore(r, o, absent))
 	}
+}
+
+// endBefore classifies the end of a walk whose next k-mer km, owned by o,
+// is not a graph vertex, by consulting the full k-mer table: a surviving
+// k-mer with a forked side is a true branch point (the bubble module uses
+// these junctions), an absent one is a dead end. The table is read at o
+// when it shares the graph's placement — the run billed it — and with a
+// lookup of the walker's own otherwise.
+func (t *traverser) endBefore(r *xrt.Rank, o int, km kmer.Kmer) walkEnd {
+	var d kanalysis.KmerData
+	var found bool
+	if t.colocated {
+		d, found = t.kt.GetAt(o, km)
+	} else {
+		d, found = t.kt.Get(r, km)
+	}
+	end := walkEnd{term: TermNone}
+	if found {
+		end.nbr, end.hasNbr = km, true
+		if d.ExtL == kmer.ExtFork || d.ExtR == kmer.ExtFork {
+			end.term = TermFork
+		}
+	}
+	return end
 }
 
 // endDirection records how the walk's current direction terminated: the
 // right end turns the walk around at its seed, the left end finishes it.
 func (t *traverser) endDirection(w *walker, end walkEnd) {
 	if w.dir == 0 {
-		w.endR, w.dir = end, 1
+		w.endR, w.dir, w.owner = end, 1, w.rank
 		w.cur, w.extL, w.extR = w.seed, w.seedNode.ExtL, w.seedNode.ExtR
 		return
 	}

@@ -88,7 +88,7 @@ func TestEveryUUKmerInExactlyOneContig(t *testing.T) {
 		})
 	}
 	var uu, missing, dup int
-	res.Graph.RangeAll(func(km kmer.Kmer, n Node) bool {
+	res.Graph.RangeAll(func(km kmer.Kmer, _ Node) bool {
 		uu++
 		switch seen[km] {
 		case 0:
@@ -96,10 +96,6 @@ func TestEveryUUKmerInExactlyOneContig(t *testing.T) {
 		case 1:
 		default:
 			dup++
-		}
-		if n.Contig == 0 {
-			t.Errorf("k-mer not marked with a contig id")
-			return false
 		}
 		return true
 	})
@@ -377,16 +373,20 @@ func TestOracleReducesOffNodeLookups(t *testing.T) {
 	}
 	oracle := BuildOracle(res1.All(), k, ranks, 1<<20)
 
-	_, statsNo, seqsNo := run(nil)
+	// The paper's baseline is uniform hashing — a vector with no slot
+	// assigned — not the default layout, which places the graph as the
+	// k-mer table.
+	_, statsNo, seqsNo := run(dht.NewOracle(1, ranks))
 	_, statsOr, seqsOr := run(oracle)
 
 	// Table 2 of the paper reports the *reduction in off-node lookups*
 	// (41-76% depending on oracle vector size); the oracle does not
 	// eliminate off-node traffic because hash-slot collisions and k-mers
-	// novel to the second individual stay uniformly placed.
+	// novel to the second individual stay uniformly placed. The oracle
+	// makes at most 60 % of uniform hashing's off-node lookups.
 	offNo, offOr := statsNo.OffNodeLookups, statsOr.OffNodeLookups
-	if offOr*10 > offNo*7 {
-		t.Fatalf("oracle off-node lookups %d vs no-oracle %d: reduction below 30%%",
+	if offOr*10 > offNo*6 {
+		t.Fatalf("oracle off-node lookups %d vs no-oracle %d: reduction below 40%%",
 			offOr, offNo)
 	}
 	if fracNo, fracOr := statsNo.OffNodeLookupFrac(), statsOr.OffNodeLookupFrac(); fracNo-fracOr < 0.1 {

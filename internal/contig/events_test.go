@@ -107,48 +107,50 @@ func runSpanned(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], k 
 	panic("no stitch span")
 }
 
-// TestSplitChainStitches drives the traversal by hand on a two-rank chain:
-// rank 0 owns two vertices at one end and starts first, rank 1 owns the
-// rest and seeds its own walks into the chain. No walk gives a claim back,
-// so the chain is walked as several fragments that meet at links, and the
-// stitch must join them into the contig one rank walks alone.
+// TestSplitChainStitches drives the traversal by hand on a two-rank chain
+// whose owners alternate vertex by vertex, so that every run ends after one
+// vertex and both ranks' walks are in the chain at once. No walk gives a
+// claim back, so the chain is walked as several fragments that meet at
+// links, and the stitch must join them into the contig one rank walks
+// alone.
 func TestSplitChainStitches(t *testing.T) {
 	const k = 21
 	g := genome.Random(xrt.NewPrng(77), 400)
 	team := xrt.NewTeam(xrt.Config{Ranks: 2, RanksPerNode: 1})
 	kt := tableFromSeqs(team, [][]byte{g}, k)
 
-	// the graph Run would build, placed by hand
-	first, _ := kmer.FromString(string(g[1 : 1+k])).Canonical(k)
-	second, _ := kmer.FromString(string(g[2 : 2+k])).Canonical(k)
-	onZero := map[uint64]bool{graphHash(first): true, graphHash(second): true}
+	// the graph Run would build, placed by hand: the chain's i-th vertex
+	// on rank i mod 2
+	owner := map[uint64]int{}
+	for i := 0; i+k <= len(g); i++ {
+		canon, _ := kmer.FromString(string(g[i : i+k])).Canonical(k)
+		owner[graphHash(canon)] = i % 2
+	}
 	graph := dht.New[kmer.Kmer, Node](team, dht.Options[kmer.Kmer]{
-		Hash: graphHash,
-		Place: func(h uint64) int {
-			if onZero[h] {
-				return 0
-			}
-			return 1
-		},
+		Hash:  graphHash,
+		Place: func(h uint64) int { return owner[h] },
 	}, nil)
 	team.Run(func(r *xrt.Rank) {
-		kt.LocalRange(r, func(km kmer.Kmer, d kanalysis.KmerData) bool {
-			if d.IsUU() {
-				graph.Put(r, km, Node{ExtL: d.ExtL, ExtR: d.ExtR, Count: d.Count})
-			}
-			return true
+		r.Ordered(func() {
+			kt.LocalRange(r, func(km kmer.Kmer, d kanalysis.KmerData) bool {
+				if d.IsUU() {
+					graph.Put(r, km, Node{ExtL: d.ExtL, ExtR: d.ExtR, Count: d.Count})
+				}
+				return true
+			})
+			graph.Flush(r)
 		})
-		graph.Flush(r)
 		r.Barrier()
 	})
 
 	res := &Result{Graph: graph}
-	tr := newTraverser(team, res, kt, k)
+	tr := newTraverser(team, res, kt, k, false)
 	team.RunEvents(tr.step)
 	frags := len(tr.walkers[0].frags) + len(tr.walkers[1].frags)
 	linked := tr.stitch(team)
-	if frags < 2 || linked != int64(frags) {
-		t.Fatalf("%d fragments, %d linked: want the chain cut into several, every one stitched", frags, linked)
+	if len(tr.walkers[0].frags) == 0 || len(tr.walkers[1].frags) == 0 || linked != int64(frags) {
+		t.Fatalf("fragments %d and %d, %d linked: want the chain cut by both ranks' walks, every fragment stitched",
+			len(tr.walkers[0].frags), len(tr.walkers[1].frags), linked)
 	}
 	if res.Aborted != 0 || res.Claimed != res.Completed {
 		t.Fatalf("claims %d, completed %d, aborts %d: want claims = completed and no aborts",
@@ -165,5 +167,77 @@ func TestSplitChainStitches(t *testing.T) {
 	}
 	if canonSeq(got[0].Seq) != canonSeq(g[1:len(g)-1]) {
 		t.Fatal("the stitched contig is not the whole chain")
+	}
+}
+
+// TestTraversalOneExchangePerRun: on the co-located layout a walk asks an
+// owner once per run of that owner's vertices, so the traversal's messages
+// are bounded by the owner changes along the contigs it outputs plus a run
+// ending at a link or a true end in each direction of each walk. Billing
+// each vertex as its own lookup makes one message per remote vertex.
+func TestTraversalOneExchangePerRun(t *testing.T) {
+	const k = 21
+	g := genome.HumanLike(xrt.NewPrng(12), 20000)
+	for _, p := range []int{4, 24} {
+		team := xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 2})
+		res := Run(team, tableFromSeqs(team, [][]byte{g}, k), Options{K: k})
+		changes := 0
+		for _, c := range res.All() {
+			prev := -1
+			kmer.ForEachCanonical(c.Seq, k, func(_ int, canon kmer.Kmer, _ bool) {
+				if o := res.Graph.Owner(canon); o != prev {
+					if prev >= 0 {
+						changes++
+					}
+					prev = o
+				}
+			})
+		}
+		comm := res.TraversePhase.Comm
+		msgs := comm.OnNodeMsgs + comm.OffNodeMsgs
+		if bound := int64(changes) + 2*res.Claimed; msgs == 0 || msgs > bound {
+			t.Fatalf("%d ranks: %d traverse messages, want 1..%d (%d owner changes, %d walks)",
+				p, msgs, bound, changes, res.Claimed)
+		}
+		if remote := comm.OnNodeLookups + comm.OffNodeLookups; remote < 2*msgs {
+			t.Fatalf("%d ranks: %d remote lookups in %d messages: runs too short to tell", p, remote, msgs)
+		}
+	}
+}
+
+// TestFreeCountMatchesScan: the quiescence tally's free count is, at every
+// tally, what a scan of the rank's shard for unclaimed vertices finds.
+func TestFreeCountMatchesScan(t *testing.T) {
+	const k = 21
+	rng := xrt.NewPrng(31)
+	shared := genome.Random(rng, 300)
+	g1 := append(append(genome.Random(rng, 2000), shared...), genome.Random(rng, 2000)...)
+	g2 := append(append(genome.Random(rng, 2000), shared...), genome.Random(rng, 2000)...)
+	for _, p := range []int{1, 4, 24} {
+		team := xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 4})
+		kt := tableFromSeqs(team, [][]byte{g1, g2}, k)
+		res := buildGraph(team, kt, Options{K: k})
+		tr := newTraverser(team, res, kt, k, true)
+		tallies := 0
+		team.RunEvents(func(ev *xrt.Events, r *xrt.Rank) xrt.Status {
+			if w := &tr.walkers[r.ID]; w.at == atSeed && w.cursor == len(w.seeds) {
+				scan := 0
+				res.Graph.RangeAll(func(km kmer.Kmer, n Node) bool {
+					if n.Walk == 0 && res.Graph.Owner(km) == r.ID {
+						scan++
+					}
+					return true
+				})
+				if free := tr.free(r); free != scan {
+					t.Fatalf("%d ranks: rank %d round %d counts %d free vertices, a scan finds %d",
+						p, r.ID, w.round, free, scan)
+				}
+				tallies++
+			}
+			return tr.step(ev, r)
+		})
+		if tallies < 2*p {
+			t.Fatalf("%d ranks: %d tallies, want two rounds or more of every rank", p, tallies)
+		}
 	}
 }

@@ -8,10 +8,16 @@
 //
 // Three communication patterns are modelled:
 //
-//   - Irregular lookups (Get/Mutate/Ref): one message per operation,
+//   - Irregular lookups (Get/Mutate): one message per operation,
 //     classified local / on-node / off-node by the xrt layer. These are the
 //     events whose locality Table 2 of the paper reports, and the shape of
 //     every read whose key depends on an earlier answer.
+//   - Owner-side runs (RefAt): a chain of dependent reads whose keys mostly
+//     share an owner — a graph walk over a table placed by minimizer —
+//     continues at the owner while the next key is found in its shard, and
+//     the run is one exchange carrying its n reads. A key found in a shard
+//     is owned there, so the run computes its next owner only once, where
+//     it ends.
 //   - Aggregating stores (Put): updates are buffered per destination rank
 //     and flushed as one message per full buffer, the optimization HipMer
 //     uses for hash-table construction (§4.1, §4.6). Stores whose owner is
@@ -579,19 +585,38 @@ func (t *Table[K, V]) Mutate(r *xrt.Rank, k K, fn func(v V, exists bool) (V, boo
 	}
 }
 
-// Ref is the remote atomic of a phase whose ranks are stepped one at a
-// time (xrt.RunEvents): charged as Mutate is, it returns a pointer to the
-// value stored under k at its owner, nil when k is absent, for the step to
-// read and write in place. No lock is taken, and the pointer is good until
-// the table's next insert.
-func (t *Table[K, V]) Ref(r *xrt.Rank, k K) *V {
-	t.assertMutable("Ref")
-	h := t.opt.Hash(k)
-	dst := t.placeKey(k, h)
-	r.ChargeLookup(dst, t.opt.ItemBytes)
-	mix := flat.Mix(h)
-	st, _ := t.stripeOf(dst, mix)
+// RefAt is the owner's side of a run, the read-modify-write pattern of a
+// phase whose ranks are stepped one at a time (xrt.RunEvents): a step that
+// reaches a key's owner keeps working there while the keys it meets are
+// that owner's, and bills the whole run as one Rank.ChargeLookupBatch. RefAt
+// probes the shard of rank owner for k and charges nothing. It returns a
+// pointer to the value stored there, for the step to read and write in
+// place, good until the table's next insert; no lock is taken. A key found
+// in a shard is owned by that shard's rank, so a run needs no Owner per
+// key: nil says k is absent or owned elsewhere, and Owner tells which.
+func (t *Table[K, V]) RefAt(owner int, k K) *V {
+	t.assertMutable("RefAt")
+	mix := flat.Mix(t.opt.Hash(k))
+	st, _ := t.stripeOf(owner, mix)
 	return st.m.Get(mix, k)
+}
+
+// GetAt is RefAt for reads: the value stored under k in the shard of rank
+// owner, uncharged, for a run to answer from an owner's shard of another
+// table that places keys as its own does (SamePlacement).
+func (t *Table[K, V]) GetAt(owner int, k K) (V, bool) {
+	return t.load(owner, flat.Mix(t.opt.Hash(k)), k, t.frozen.Load())
+}
+
+// SamePlacement returns opt with t's placement: a table built from it, for
+// a team of t's rank count, owns every key on the rank that owns it in t.
+// opt's own Hash still picks the stripe and slot of each key.
+func (t *Table[K, V]) SamePlacement(opt Options[K]) Options[K] {
+	opt.Place, opt.OwnerHash = t.opt.Place, t.opt.OwnerHash
+	if opt.OwnerHash == nil {
+		opt.OwnerHash = t.opt.Hash
+	}
+	return opt
 }
 
 // visitLocal runs visit over each stripe of the calling rank's shard in

@@ -112,7 +112,7 @@ func AblationOracleMemory(sc Scale) ([]AblationOracleRow, string) {
 
 	var rows []AblationOracleRow
 	for _, mult := range []int{0, 1, 2, 4, 8, 16} {
-		var oracle oracleT
+		oracle := uniformLayout(p)
 		if mult > 0 {
 			oracle = buildOracle(res1, sc.K, p, mult*uu)
 		}
@@ -122,7 +122,7 @@ func AblationOracleMemory(sc Scale) ([]AblationOracleRow, string) {
 			SlotsPerKmer: mult,
 			OffPct:       100 * res.TraversePhase.Comm.OffNodeLookupFrac(),
 		}
-		if oracle != nil {
+		if mult > 0 {
 			row.MemMB = float64(oracle.MemoryBytes()) / 1e6
 		}
 		rows = append(rows, row)

@@ -36,6 +36,12 @@ func contigRun(team *xrt.Team, seqs [][]byte, k int, oracle oracleT) *contig.Res
 	return contig.Run(team, kres.Table, contig.Options{K: k, Oracle: oracle})
 }
 
+// uniformLayout is the baseline the paper measures its oracle against:
+// uniform hashing of graph k-mers, an oracle vector with no slot assigned
+// (each key placed by its hash modulo the rank count). Without an oracle
+// the graph is placed as the k-mer table is, which is not that baseline.
+func uniformLayout(ranks int) oracleT { return dht.NewOracle(1, ranks) }
+
 // buildOracle constructs the oracle partitioning vector from a previous
 // assembly's contigs.
 func buildOracle(res *contig.Result, k, ranks, slots int) oracleT {

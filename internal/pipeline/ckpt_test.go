@@ -104,7 +104,7 @@ func TestCrashThenResumeMatchesUninterrupted(t *testing.T) {
 		{"gap-closing", "gap-closing", 4, xrt.Inject{FaultSeed: 7}, false, xrt.Inject{}},
 		{"traverse", "contig-generation", 24, xrt.Inject{FaultSeed: 1}, true, xrt.Inject{}},
 		{"traverse-retry-exhaustion", "contig-generation", 24,
-			xrt.Inject{ChaosSeed: 1, DropRate: 0.1, RetryBudget: 4}, true, xrt.Inject{}},
+			xrt.Inject{ChaosSeed: 1, DropRate: 0.1, RetryBudget: 3}, true, xrt.Inject{}},
 		{name: "scaffolding-resume-armed-in-loaded-stage", stage: "scaffolding", ranks: 4,
 			inj:    xrt.Inject{FaultSeed: 5},
 			resume: xrt.Inject{FaultSeed: 50, FailStage: "contig-generation"}},

@@ -143,7 +143,10 @@ func TestTimingsRecorded(t *testing.T) {
 // aligner.BestOverlap computes, every scaffolding entry and total when
 // depth came to be measured for bubble candidates only, and meta's
 // kmer-analysis-k33 and total when owners came to screen pseudo-read
-// records before read records (fewer first sightings to replay). Each
+// records before read records (fewer first sightings to replay), and every
+// contig-generation entry and total when the graph came to be built in
+// place, the traversal's quiescence tally to read a free-vertex count
+// instead of a scan, and the contig-ID marking puts were deleted. Each
 // is read back from Metrics exactly; merAligner within 1 ns (that entry
 // subtracted two truncated clock readings, the span truncates their
 // difference); and the run's total, which is the team's clock, is that

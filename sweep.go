@@ -17,7 +17,7 @@ type KSweepResult struct {
 // paper's second §3.2 use case: "computational biologists begin the
 // genome assembly process with a reasonable initial k value [and]
 // different k lengths are then explored to optimize the quality of the
-// assembly output". The first k is assembled with the uniform layout; its
+// assembly output". The first k is assembled with the default layout; its
 // scaffolds provide the oracle partitioning for every subsequent k, which
 // works across k because the oracle is built from contig *sequences*
 // ("the new set of contigs will have a high degree of similarity with the
