@@ -74,7 +74,7 @@ loc:
 # rewrite their tiny-scale goldens and the doc test re-splices
 # EXPERIMENTS.md's measured blocks from it. Every digit is a function of
 # the input, so on an unchanged tree this leaves `git diff` empty (CI's
-# bench job checks exactly that); ~4 min on 2 cores.
+# bench job checks exactly that); ~1 min on 2 cores.
 EXHIBIT_TESTS = Fig6|Tables12|SweepScales|Table3|Compare|Ablation|MetaSweepGate|ExperimentsDoc
 exhibits:
 	$(GO) run ./cmd/benchsuite -all > internal/expt/testdata/exhibits_small.txt
@@ -86,7 +86,9 @@ exhibits:
 # decode, the Misra–Gries fold), the scaffolding-half hot loops (seed-index
 # build, one read's alignment, one walk-heavy gap closed at all three k;
 # allocations per op beside the time; the mini-graph's build, walk and
-# partial-merge cost per unit, which calibrates gap closing's charges), the per-run fixed costs (the sketch
+# partial-merge cost per unit, which calibrates gap closing's charges; the
+# segment scan's, the HyperLogLog's and the former sketch scan's cost per
+# window, which calibrates the cardinality charge), the per-run fixed costs (the sketch
 # pass at 32 and 96 ranks, a Freeze/Thaw pair at 96 ranks, the k-mer stage
 # encoder and the scaffold stage codec both ways; bytes per op are the
 # point), all of stage 1 (a whole kanalysis.Run, human-like at 32 ranks and
@@ -100,6 +102,6 @@ bench:
 	$(GO) test -run xxx -bench BenchmarkMergeSummaries ./internal/mg/
 	$(GO) test -run xxx -bench 'BenchmarkBuildIndex|BenchmarkAlignRead' ./internal/aligner/
 	$(GO) test -run xxx -bench 'BenchmarkCloseGap|BenchmarkMiniGraphUnits' ./internal/gapclose/
-	$(GO) test -run xxx -bench 'BenchmarkSketchPass|BenchmarkStage1' ./internal/kanalysis/
+	$(GO) test -run xxx -bench 'BenchmarkSketchPass|BenchmarkSketchUnits|BenchmarkStage1' ./internal/kanalysis/
 	$(GO) test -run xxx -bench 'BenchmarkEncodeKmerStage|BenchmarkEncodeScaffoldStage|BenchmarkDecodeScaffoldStage' ./internal/ckpt/
 	bash benchmark/run.sh -out bench.json

@@ -89,7 +89,10 @@ func segmentDigests(t *testing.T, libs []pipeline.Library, cfg pipeline.Config) 
 // when they lost PoppedOut (v7). Every kmer-analysis digest changed when
 // the header gained the minimizer bins' weights (v7), and k33's
 // PeakEntries once more when pseudo-read records came to be screened
-// before read records.
+// before read records. Every kmer-analysis digest changed again in its
+// header counters, bin weights and PeakEntries when heavy hitters came to
+// be found in a one-in-eight read sample (another heavy set splits other
+// windows out of the records); its table entries did not change.
 func TestSegmentBytesGolden(t *testing.T) {
 	rng := xrt.NewPrng(21)
 	g := genome.Random(rng, 12000)

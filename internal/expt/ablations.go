@@ -3,8 +3,10 @@ package expt
 import (
 	"fmt"
 
+	"hipmer/internal/dht"
 	"hipmer/internal/fastq"
 	"hipmer/internal/kanalysis"
+	"hipmer/internal/kmer"
 	"hipmer/internal/pipeline"
 	"hipmer/internal/xrt"
 )
@@ -58,29 +60,40 @@ type AblationAggRow struct {
 	TimeSec float64
 }
 
-// AblationAggStores sweeps the aggregating-stores buffer size during
-// k-mer analysis: buffer 1 is the fine-grained messaging the baselines
-// use; the message count and the resulting stage time fall with the
-// buffer, the optimization HipMer applies to every hash-table
-// construction (§4.1, §4.6).
+// AblationAggStores sweeps the aggregating-stores buffer size while a
+// k-mer count table is built from one store per read k-mer: buffer 1 is
+// the fine-grained messaging the baselines use; the message count and the
+// resulting build time fall with the buffer, the optimization HipMer
+// applies to every hash-table construction (§4.1, §4.6). Stage 1 ships
+// super-k-mer records, which bypass these buffers, so the table here is a
+// bare one of per-item stores placed by k-mer hash.
 func AblationAggStores(sc Scale) ([]AblationAggRow, string) {
 	p := sc.Cores[len(sc.Cores)/2]
 	parts := xrt.DealPairs(mergeLibs(sc.dataset("human").libs), p)
 	var rows []AblationAggRow
 	for _, buf := range []int{1, 8, 64, 512, 4096} {
 		team := xrt.NewTeam(sc.teamCfg(p))
-		before := team.AggStats()
-		// Per-k-mer stores: super-k-mer blobs bypass the aggregation
-		// buffers this ablation sweeps.
-		res := kanalysis.Run(team, parts, kanalysis.Options{
-			K: sc.K, MinCount: 2, HeavyHitters: true, AggBufSize: buf,
-			DisableSuperKmers: true,
+		table := kanalysis.NewTable(team, 0, buf, 0, sc.K, 0)
+		table.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in kanalysis.KmerData, e dht.Entry[kmer.Kmer, kanalysis.KmerData]) {
+			d, _ := e.Upsert()
+			d.Count += in.Count
 		})
-		d := team.AggStats().Sub(before)
+		ph := team.Run(func(r *xrt.Rank) {
+			n := 0
+			for _, rec := range parts[r.ID] {
+				kmer.ForEachCanonical(rec.Seq, sc.K, func(_ int, canon kmer.Kmer, _ bool) {
+					table.Put(r, canon, kanalysis.KmerData{Count: 1})
+					n++
+				})
+			}
+			r.ChargeItems(n)
+			table.Flush(r)
+			r.Barrier()
+		})
 		rows = append(rows, AblationAggRow{
 			BufSize: buf,
-			Msgs:    d.OnNodeMsgs + d.OffNodeMsgs,
-			TimeSec: (res.BloomPhase.Virtual + res.CountPhase.Virtual).Seconds(),
+			Msgs:    ph.Comm.OnNodeMsgs + ph.Comm.OffNodeMsgs,
+			TimeSec: ph.Virtual.Seconds(),
 		})
 	}
 	var tab []string

@@ -43,13 +43,12 @@ var Exhibits = []Exhibit{
 			_, text, err := Compare(m.sc)
 			return text, err
 		}},
-	{"ablations", "design-choice ablations: Bloom memory, aggregating stores, super-k-mer transport, oracle sizing",
+	{"ablations", "design-choice ablations: Bloom memory, aggregating stores, oracle sizing",
 		func(m *Runner) (string, error) {
 			_, bloom := AblationBloom(m.sc)
 			_, agg := AblationAggStores(m.sc)
-			_, superk := AblationSuperKmers(m.sc)
 			_, oracle := AblationOracleMemory(m.sc)
-			return strings.Join([]string{bloom, agg, superk, oracle}, "\n"), nil
+			return strings.Join([]string{bloom, agg, oracle}, "\n"), nil
 		}},
 	{"meta", "iterative-k metagenome exhibit: multi-k vs single-k recovery under the abundance-aware oracle",
 		func(m *Runner) (string, error) {

@@ -52,52 +52,6 @@ func TestServeSweep(t *testing.T) {
 	}
 }
 
-// TestAblationSuperKmersShape runs the transport ablation over the tiny
-// core sweep: both paths keep identical tables, super-k-mers win on
-// messages and bytes at every point, and the human row at the top of the
-// sweep shows the headline >=5x message / >=3x byte reduction. Stage-1
-// virtual time is an equality, so it is asserted too: super-k-mers are no
-// slower than per-item stores at every tiny-scale point (ROADMAP item 3(b)).
-func TestAblationSuperKmersShape(t *testing.T) {
-	skipIfShort(t)
-	sc := tinyScale()
-	sc.BenchHumanLen = 60000
-	rows, text := AblationSuperKmers(sc)
-	if want := 2 * len(sc.Cores); len(rows) != want {
-		t.Fatalf("%d rows, want %d", len(rows), want)
-	}
-	for _, r := range rows {
-		if r.Kept != r.BaseKept {
-			t.Errorf("%s@%d: kept %d != baseline %d", r.Dataset, r.Cores, r.Kept, r.BaseKept)
-		}
-		if r.MsgRatio() <= 1 {
-			t.Errorf("%s@%d: message ratio %.2f not > 1", r.Dataset, r.Cores, r.MsgRatio())
-		}
-		if r.ByteRatio() <= 1 {
-			t.Errorf("%s@%d: byte ratio %.2f not > 1", r.Dataset, r.Cores, r.ByteRatio())
-		}
-		if r.SuperKmers == 0 || r.SuperKmerBases == 0 || r.CommBytesSaved <= 0 {
-			t.Errorf("%s@%d: super-k-mer counters not populated: %+v", r.Dataset, r.Cores, r)
-		}
-		if r.VirtualSec <= 0 || r.BaseVirtualSec <= 0 {
-			t.Errorf("%s@%d: virtual times not populated: %+v", r.Dataset, r.Cores, r)
-		}
-		if r.VirtualSec > r.BaseVirtualSec {
-			t.Errorf("%s@%d: super-k-mers take %.4gs of stage-1 virtual time, per-item stores %.4gs",
-				r.Dataset, r.Cores, r.VirtualSec, r.BaseVirtualSec)
-		}
-	}
-	top := rows[len(sc.Cores)-1]
-	if top.Dataset != "human" || top.Cores != sc.Cores[len(sc.Cores)-1] {
-		t.Fatalf("row %d is not human at the top of the sweep: %+v", len(sc.Cores)-1, top)
-	}
-	if top.MsgRatio() < 5 || top.ByteRatio() < 3 {
-		t.Errorf("human@%d: message reduction %.2fx (want >=5x), byte reduction %.2fx (want >=3x)",
-			top.Cores, top.MsgRatio(), top.ByteRatio())
-	}
-	golden(t, "ablation-superkmers", text)
-}
-
 // TestExperimentsDocMatchesGolden holds every number EXPERIMENTS.md shows
 // to the committed `benchsuite -all` output (`make exhibits`): the fenced
 // block after a `<!-- exhibit: CAPTION -->` marker must be exactly the

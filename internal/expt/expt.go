@@ -46,12 +46,6 @@ type Scale struct {
 	// heavy-hitter k-mers reach the extreme counts of real wheat).
 	Fig6WheatLen int
 
-	// BenchHumanLen sizes the human dataset for the k-mer-analysis
-	// communication ablation (AblationSuperKmers). Larger than the
-	// end-to-end genome so per-destination traffic at the top of the
-	// core sweep is dominated by data, not by per-pass tail flushes.
-	BenchHumanLen int
-
 	// OracleFragments is the number of chromosome-scale pieces in the
 	// Table 1/2 same-species dataset.
 	OracleFragments int
@@ -78,7 +72,6 @@ func SmallScale() Scale {
 		MetaSpecies:     40,
 		MetaPairs:       25000,
 		Fig6WheatLen:    400000,
-		BenchHumanLen:   2000000,
 		OracleFragments: 768,
 		IOSatCores:      48,
 	}

@@ -232,7 +232,9 @@ func TestClosePhasesSumToSpan(t *testing.T) {
 // closure bytes of every gap, the final sequences, and every rank's
 // charges — the work formula and the verification lookups, in order.
 // The Charges were regenerated when stage 1 came to place minimizer bins
-// by weight, which moves the owners the verification lookups reach.
+// by weight, which moves the owners the verification lookups reach, and
+// the wheat cases' again when stage 1 came to find heavy hitters in a read
+// sample: another heavy set moves the bin weights, and with them owners.
 // Regenerate with -update-golden only for an intended behaviour change.
 func TestGoldenClosuresAndCharges(t *testing.T) {
 	path := filepath.Join("testdata", "golden.json")

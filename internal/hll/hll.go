@@ -1,12 +1,16 @@
 // Package hll implements a HyperLogLog cardinality estimator. HipMer's
 // k-mer analysis makes an initial pass over the reads to estimate the
 // number of distinct k-mers so the Bloom filters can be sized efficiently
-// (paper §3.1); the same pass hosts the Misra–Gries heavy-hitter scan.
-// Sketches are mergeable, so each rank estimates locally and the team
-// reduces to a global estimate.
+// (paper §3.1); here the sketch rides the scan that segments the reads
+// into super-k-mers. Sketches are mergeable — registers combine by
+// maximum — so each rank sketches its own windows and the team reduces
+// the registers to a global estimate.
 package hll
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Sketch is a HyperLogLog sketch with 2^p registers.
 type Sketch struct {
@@ -29,12 +33,8 @@ func New(p uint8) *Sketch {
 // Add offers a pre-hashed element to the sketch.
 func (s *Sketch) Add(hash uint64) {
 	idx := hash >> (64 - s.p)
-	rest := hash<<s.p | 1<<(s.p-1) // ensure termination
-	rank := uint8(1)
-	for rest&(1<<63) == 0 {
-		rank++
-		rest <<= 1
-	}
+	rest := hash<<s.p | 1<<(s.p-1) // caps the rank at 64-p+1
+	rank := uint8(bits.LeadingZeros64(rest) + 1)
 	if rank > s.regs[idx] {
 		s.regs[idx] = rank
 	}
@@ -74,6 +74,11 @@ func (s *Sketch) Estimate() uint64 {
 	}
 	return uint64(e + 0.5)
 }
+
+// Registers returns the sketch's registers, not a copy. Their element-wise
+// maximum over several sketches is those sketches merged, so a team can
+// reduce registers with a max collective and copy the result back.
+func (s *Sketch) Registers() []uint8 { return s.regs }
 
 // Precision returns the sketch precision p.
 func (s *Sketch) Precision() uint8 { return s.p }

@@ -36,10 +36,9 @@ type golden struct {
 	SuperKmerBases int64
 	CommBytesSaved int64
 	PseudoKmers    int64
-	// PeakEntries depends on the order Bloom filters see their keys, so
-	// it is pinned only where that order is a function of the input: on
-	// the super-k-mer transport (owners screen their inboxes in sender
-	// order) and on one rank (-1 elsewhere).
+	// PeakEntries depends on the order Bloom filters see their keys, which
+	// is a function of the input at every rank count: owners screen their
+	// inboxes in sender order.
 	PeakEntries int64
 	Table       string // sha256 of ckpt.EncodeKmerStage (header counters, then sorted entries) with PeakEntries zeroed
 	Charges     string // sha256 over the sketch/bloom-screen/count span records
@@ -93,32 +92,19 @@ func goldenPseudo(recs []fastq.Record, ranks int) [][]kanalysis.PseudoRead {
 func goldenCases() []goldenCase {
 	human := goldenReads("human", 11, 30000, 10)
 	wheat := goldenReads("wheat", 12, 30000, 10)
-	var cases []goldenCase
-	for _, disable := range []bool{false, true} {
-		tag := "superk"
-		if disable {
-			tag = "peritem"
+	cases := []goldenCase{
+		{"human-k31-superk", 6, 3, human, kanalysis.Options{K: 31, HeavyHitters: true}},
+		{"wheat-k21-hh-superk", 7, 3, wheat, kanalysis.Options{K: 21, HeavyHitters: true, Theta: 2000, HHMinCount: 100}},
+		{"human-k31-1rank-superk", 1, 1, human[:len(human)/4], kanalysis.Options{K: 31, HeavyHitters: true}},
+	}
+	// the iterative-k ladder: every round after the first carries
+	// pseudo-reads, and k = 33 and 55 take the two-word k-mer paths.
+	for _, k := range []int{21, 33, 55} {
+		c := goldenCase{"multik-k" + strconv.Itoa(k) + "-superk", 5, 2, human, kanalysis.Options{K: k, HeavyHitters: true}}
+		if k > 21 {
+			c.opt.PseudoByRank = goldenPseudo(human, c.ranks)
 		}
-		cases = append(cases,
-			goldenCase{"human-k31-" + tag, 6, 3, human, kanalysis.Options{
-				K: 31, HeavyHitters: true, DisableSuperKmers: disable}},
-			goldenCase{"wheat-k21-hh-" + tag, 7, 3, wheat, kanalysis.Options{
-				K: 21, HeavyHitters: true, Theta: 2000, HHMinCount: 100, DisableSuperKmers: disable}},
-			goldenCase{"human-k31-1rank-" + tag, 1, 1, human[:len(human)/4], kanalysis.Options{
-				K: 31, HeavyHitters: true, DisableSuperKmers: disable}},
-		)
-		// the iterative-k ladder: every round after the first carries
-		// pseudo-reads, and k = 33 and 55 take the two-word k-mer paths.
-		// The per-item transport carries reads only, so its k33 and k55
-		// cases cover the two-word paths without pseudo-reads.
-		for _, k := range []int{21, 33, 55} {
-			c := goldenCase{"multik-k" + strconv.Itoa(k) + "-" + tag, 5, 2, human, kanalysis.Options{
-				K: k, HeavyHitters: true, DisableSuperKmers: disable}}
-			if k > 21 && !disable {
-				c.opt.PseudoByRank = goldenPseudo(human, c.ranks)
-			}
-			cases = append(cases, c)
-		}
+		cases = append(cases, c)
 	}
 	return cases
 }
@@ -129,35 +115,22 @@ func runGolden(c goldenCase) golden {
 	g := golden{
 		TotalKmers: res.TotalKmers, Distinct: res.DistinctEstimate, HeavyHitters: res.HeavyHitters,
 		Kept: res.Kept, SuperKmers: res.SuperKmers, SuperKmerBases: res.SuperKmerBases,
-		CommBytesSaved: res.CommBytesSaved, PseudoKmers: res.PseudoKmers, PeakEntries: -1,
-	}
-	admissionFixed := c.ranks == 1 || !c.opt.DisableSuperKmers
-	if admissionFixed {
-		g.PeakEntries = res.PeakEntries
+		CommBytesSaved: res.CommBytesSaved, PseudoKmers: res.PseudoKmers, PeakEntries: res.PeakEntries,
 	}
 	res.PeakEntries = 0
-	mlen := kanalysis.EffectiveMinimizerLen(c.opt.K, 0, c.opt.DisableSuperKmers)
-	sum := sha256.Sum256(ckpt.EncodeKmerStage(res, c.opt.K, mlen))
+	sum := sha256.Sum256(ckpt.EncodeKmerStage(res, c.opt.K, kanalysis.EffectiveMinimizerLen(c.opt.K, 0, false)))
 	g.Table = hex.EncodeToString(sum[:])
 
 	// Every charge of the three phases: per span and rank the full
 	// CommStats delta, plus the span's virtual duration and each rank's
-	// busy time. The count span's times are left out where admission
-	// order is the schedule's: its LocalFilter is charged per visited
-	// entry, and how many Bloom false positives sit in the table then
-	// follows that order (the PeakEntries caveat above).
+	// busy time.
 	h := sha256.New()
 	put := func(v any) { binary.Write(h, binary.LittleEndian, v) }
 	for _, sp := range team.Spans() {
-		timed := admissionFixed || sp.Name != "count"
 		h.Write([]byte(sp.Path))
-		if timed {
-			put(math.Float64bits(sp.VirtualNs))
-		}
+		put(math.Float64bits(sp.VirtualNs))
 		for _, rd := range sp.Ranks {
-			if timed {
-				put(math.Float64bits(rd.WorkNs))
-			}
+			put(math.Float64bits(rd.WorkNs))
 			put(rd.Comm)
 		}
 	}
@@ -171,17 +144,21 @@ func runGolden(c goldenCase) golden {
 // one-for-one charge rule — every rank's charges in every phase. A change
 // to a cost constant, a charge site, or the order of a rank's charges
 // (floating-point sums are order-sensitive) fails the Charges digest.
-// Four entries are younger. multik-k33-superk and multik-k55-superk were
+// Some entries are younger. multik-k33-superk and multik-k55-superk were
 // regenerated when pseudo-reads moved onto weighted super-k-mer records:
 // their transport counters, PeakEntries and Charges moved, and the table
-// entries did not (Table digests the header counters too). The two
-// -peritem ladder cases were regenerated when that transport stopped
-// carrying pseudo-reads, because their input changed. Every Table digest
-// moved when the checkpoint header gained the minimizer bins' weights (the
-// entries did not: the payload without them is the previous one), and the
-// multi-rank -superk cases' PeakEntries and Charges when bins came to be
-// placed by those weights: per-(owner, stripe) Bloom filters then see other
-// key sets, so their false-positive admissions differ, and Kept does not.
+// entries did not (Table digests the header counters too). Every Table
+// digest moved when the checkpoint header gained the minimizer bins'
+// weights (the entries did not: the payload without them is the previous
+// one), and the multi-rank cases' PeakEntries and Charges when bins came to
+// be placed by those weights: per-(owner, stripe) Bloom filters then see
+// other key sets, so their false-positive admissions differ, and Kept does
+// not. Every case's HeavyHitters, PeakEntries, Charges and Table moved
+// again when heavy hitters came to be found in a one-in-eight read sample
+// and the cardinality sketch moved into the segment scan: another heavy
+// set splits other windows out of the records, which moves the bin
+// weights, the placement and the Bloom admissions; Distinct and Kept did
+// not move. The per-item transport's cases went with that transport.
 func TestGoldenTablesAndCharges(t *testing.T) {
 	path := filepath.Join("testdata", "golden.json")
 	got := make(map[string]golden)

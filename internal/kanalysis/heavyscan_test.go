@@ -6,18 +6,21 @@ import (
 
 	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
+	"hipmer/internal/hll"
 	"hipmer/internal/kmer"
 	"hipmer/internal/xrt"
 )
 
 // wholeReadSuperKmers is forEachSuperKmer as it was before the heavy probe
-// was confined to heavy-minimizer runs — roll, hash and probe every window
-// of the read, then segment and split around the hits — kept as the oracle.
-func wholeReadSuperKmers(rec fastq.Record, k, m int, hh *heavySet, acc []KmerData,
+// was confined to heavy-minimizer runs — roll, hash, sketch and probe every
+// window of the read, then segment and split around the hits — kept as the
+// oracle.
+func wholeReadSuperKmers(rec fastq.Record, k, m int, hh *heavySet, acc []KmerData, card *hll.Sketch,
 	emit func(minimizer uint64, record []byte, nwin int)) int {
 	seq, qual := rec.Seq, rec.Qual
 	var heavy []int
 	kmer.ForEachCanonical(seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
+		card.Add(canon.Hash(hashSeed))
 		if i := hh.find(canon.Hash(hashSeed), canon); i >= 0 {
 			acc[i].add(occurrenceAt(seq, qual, pos, k, canon, flipped), 1)
 			heavy = append(heavy, pos)
@@ -53,7 +56,7 @@ type shippedRecord struct {
 // checkAgainstWholeReadScan runs rec through forEachSuperKmer and the
 // oracle with the canonical k-mers of the windows at heavyAt as the heavy
 // set: same records in the same order, same accumulators, same window
-// count.
+// count, same cardinality sketch.
 func checkAgainstWholeReadScan(t *testing.T, rec fastq.Record, k int, heavyAt []int) {
 	t.Helper()
 	m := kmer.ClampMinimizerLen(k, 0)
@@ -73,13 +76,17 @@ func checkAgainstWholeReadScan(t *testing.T, rec fastq.Record, k int, heavyAt []
 
 	var got, want []shippedRecord
 	gotAcc, wantAcc := make([]KmerData, len(keys)), make([]KmerData, len(keys))
+	gotCard, wantCard := hll.New(14), hll.New(14)
 	var buf []byte
-	gotN := forEachSuperKmer(rec, 0, k, m, hh, gotAcc, func(minv uint64, record []byte, nwin int) {
+	gotN := forEachSuperKmer(rec, 0, k, m, hh, gotAcc, gotCard, func(minv uint64, record []byte, nwin int) {
 		got = append(got, shippedRecord{minv, bytes.Clone(record), nwin})
 	}, &buf)
-	wantN := wholeReadSuperKmers(rec, k, m, hh, wantAcc, func(minv uint64, record []byte, nwin int) {
+	wantN := wholeReadSuperKmers(rec, k, m, hh, wantAcc, wantCard, func(minv uint64, record []byte, nwin int) {
 		want = append(want, shippedRecord{minv, record, nwin})
 	})
+	if !bytes.Equal(gotCard.Registers(), wantCard.Registers()) {
+		t.Fatalf("k=%d: the cardinality sketch differs from the whole-read scan's", k)
+	}
 
 	if gotN != wantN {
 		t.Fatalf("k=%d: visited %d windows, whole-read scan %d", k, gotN, wantN)

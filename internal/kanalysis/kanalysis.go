@@ -1,18 +1,23 @@
 // Package kanalysis implements stage 1 of the Meraculous/HipMer pipeline:
 // parallel k-mer analysis (paper §2.1, §3.1). Reads are chopped into
-// canonical k-mers; a first pass estimates the distinct-k-mer cardinality
-// (HyperLogLog) and identifies heavy hitters (Misra–Gries) — both sketches
-// are mergeable, so the pass is embarrassingly parallel. A second pass
-// inserts k-mers into owner-side Bloom filters (one per lock stripe of
-// each owner's shard) so that only k-mers seen at least twice enter the
-// distributed hash table (the 85% memory saving of the paper). A third
-// pass counts every occurrence and accumulates quality-filtered extension
-// evidence. Heavy hitters bypass the owner-computes path: they are
-// accumulated locally and combined in a final global reduction,
-// eliminating the receiver-side load imbalance repetitive genomes
-// otherwise cause.
+// canonical k-mers. When heavy hitters are wanted, a first pass offers the
+// windows of a fixed one-in-sampleRate sample of the reads — chosen by a
+// hash of each read's content, so the same reads at any rank count — to
+// Misra–Gries summaries, mergeable, so the pass is embarrassingly parallel;
+// the k-mers over the cut-off scaled to the sample are the heavy hitters.
+// The Bloom pass then reads every read once: it segments each into
+// super-k-mers and feeds every window's canonical hash to a HyperLogLog
+// sketch, whose registers the team max-reduces to size the owner-side Bloom
+// filters (one per lock stripe of each owner's shard) before anything is
+// shipped, so that only k-mers seen at least twice enter the distributed
+// hash table (the 85% memory saving of the paper). A count pass finishes
+// every occurrence and its quality-filtered extension evidence. Heavy
+// hitters bypass the owner-computes path: they are accumulated locally and
+// combined in a final global reduction, eliminating the receiver-side load
+// imbalance repetitive genomes otherwise cause. A heavy k-mer's count is
+// exact whichever set is heavy, so the sample moves charges, never tables.
 //
-// By default the communication runs over minimizer-binned super-k-mers
+// The communication runs over minimizer-binned super-k-mers
 // (minimum substring partitioning, after MSPKmerCounter): each read is
 // segmented into maximal runs of k-mer windows sharing one canonical
 // minimizer, each run travels to the owner of the minimizer's bin as one
@@ -28,21 +33,20 @@
 // records that hold a first sighting; the count pass replays just those
 // locally instead of re-shipping the stream, so each window is counted
 // once; the iterative-k pseudo-reads ride it as weighted records.
-// Options.DisableSuperKmers restores the per-k-mer aggregated-store
-// transport, for reads only, as an ablation baseline.
 //
 // Each per-k-mer fact is computed once. Every scan rolls the forward and
 // reverse-complement words of a window side by side (kmer.ForEachCanonical,
 // kmer.DecodeSuperKmersCanonical), so canonical form is a compare, not a
 // reverse complement per window; the canonical hash is taken once where a
 // k-mer is first needed and handed to whatever wants it next — the
-// HyperLogLog and Misra–Gries sketches, the heavy-hitter probe, the store
-// path, the Bloom filter, the table's slot index; and the count pass
+// HyperLogLog and Misra–Gries sketches, the heavy-hitter probe, the Bloom
+// filter, the table's slot index; and the count pass
 // stores at the rank the payload was delivered to instead of re-deriving
 // the owner from the k-mer's minimizer.
 package kanalysis
 
 import (
+	"encoding/binary"
 	"runtime"
 	"slices"
 	"sync"
@@ -67,6 +71,20 @@ const kmerItemBytes = 16 + 10
 // sketches all derive from km.Hash(hashSeed).
 const hashSeed = 0xc0ffee
 
+// sampleRate is s of the heavy-hitter sample: Misra–Gries sees the reads
+// whose content hash is 0 mod s, and the cut-off it is held to is the
+// full-stream one divided by s. At s = 8 no k-mer of twice the cut-off was
+// missed on the wheat- and human-like curves EXPERIMENTS.md records.
+const sampleRate = 8
+
+// cardinalityItems is the price, in ItemNs per window, of what the segment
+// scan does for the HyperLogLog: canonicalise, hash, add. It is that work's
+// measured share of the former sketch scan's window (canonicalise, hash,
+// add, offer to Misra–Gries), which was charged one item: on a 2-core
+// x86-64 host BenchmarkSketchUnits (-cpu 1, medians of 8 runs) measured 42
+// of 85 ns per window.
+const cardinalityItems = 0.5
+
 const (
 	// qualThreshold is the minimum phred score (not ASCII) for a base to
 	// contribute extension evidence (Meraculous uses Q≥19).
@@ -90,18 +108,15 @@ type Options struct {
 	// HeavyHitters enables the §3.1 optimization. When false every k-mer
 	// takes the owner-computes path (the "Default" series of Figure 6).
 	HeavyHitters bool
-	// HHMinCount is the estimated-count threshold above which a tracked
-	// item is treated as a heavy hitter. Defaults to max(64, n/Theta).
+	// HHMinCount is the count, in occurrences over all reads, above which a
+	// k-mer is a heavy hitter. Defaults to max(64, n/Theta), n being the
+	// sample's windows scaled by sampleRate. The sample is held to it
+	// divided by sampleRate.
 	HHMinCount int64
 	// DisableBloom admits every k-mer into the hash table on first
 	// sighting, the behaviour the Bloom filters exist to avoid; used by
 	// the memory ablation that reproduces the paper's "up to 85%" saving.
 	DisableBloom bool
-	// DisableSuperKmers reverts stage-1 communication to one aggregated
-	// store item per k-mer occurrence with hash placement — the ablation
-	// baseline the benchsuite reports as "SuperKmers off". It carries
-	// reads only: Run refuses it together with PseudoByRank.
-	DisableSuperKmers bool
 	// AggBufSize overrides the aggregating-stores buffer size (0 = default).
 	AggBufSize int
 	// PseudoByRank, when non-nil, feeds the iterative-k outer loop's
@@ -137,10 +152,11 @@ func (o Options) withDefaults() Options {
 }
 
 // EffectiveMinimizerLen resolves the minimizer length stage 1 uses for
-// table placement: 0 when the super-k-mer transport is disabled (classic
-// hash placement), otherwise minimizerLen clamped against k, where 0 — what
-// Run passes — is kmer.DefaultMinimizerLen. Exported so checkpoint codecs
-// and the pipeline derive placement-identical tables.
+// table placement: minimizerLen clamped against k, where 0 — what Run
+// passes — is kmer.DefaultMinimizerLen. Exported so checkpoint codecs and
+// the pipeline derive placement-identical tables. disableSuperKmers, which
+// Run never sets any more, gives 0 (classic hash placement); the parameter
+// stays because the benchmark harness passes it.
 func EffectiveMinimizerLen(k, minimizerLen int, disableSuperKmers bool) int {
 	if disableSuperKmers {
 		return 0
@@ -246,15 +262,16 @@ func BinOwners(weights []int64, p int) []int32 {
 // it. minimizerLen > 0 selects minimizer placement — the owner of a k-mer
 // is the owner of its length-minimizerLen canonical minimizer, so point
 // lookups land on the shard the super-k-mer transport filled — by the
-// minimizer's hash modulo the rank count; 0 selects classic hash placement
-// (the per-k-mer ablation). NewBinnedTable places by measured bins.
+// minimizer's hash modulo the rank count; 0 selects classic hash placement,
+// a table of per-item stores (the aggregating-stores ablation fills one).
+// NewBinnedTable places by measured bins.
 func NewTable(team *xrt.Team, expectedItems int64, aggBufSize, cacheSlots, k, minimizerLen int) *dht.Table[kmer.Kmer, KmerData] {
 	return newTable(team, expectedItems, aggBufSize, k, minimizerLen, nil)
 }
 
 // NewBinnedTable is the table of an analysis whose Result.BinWeights are
 // weights: minimizer bins go to ranks by BinOwners(weights, ranks). Nil
-// weights (the per-k-mer ablation) are NewTable's placement. Exported so
+// weights are NewTable's placement. Exported so
 // checkpoint rehydration builds a table that places and charges
 // identically to a freshly analyzed one at the same rank count.
 func NewBinnedTable(team *xrt.Team, expectedItems int64, aggBufSize, k, minimizerLen int, weights []int64) *dht.Table[kmer.Kmer, KmerData] {
@@ -292,7 +309,8 @@ type Result struct {
 	// frozen (read-only, lock-free); callers needing to
 	// mutate it must Thaw first.
 	Table *dht.Table[kmer.Kmer, KmerData]
-	// DistinctEstimate is the HyperLogLog cardinality estimate.
+	// DistinctEstimate is the HyperLogLog cardinality estimate over every
+	// window, pseudo-reads included.
 	DistinctEstimate uint64
 	// HeavyHitters is the number of k-mers special-cased by the §3.1 path.
 	HeavyHitters int
@@ -305,13 +323,12 @@ type Result struct {
 	// TotalKmers is the number of k-mer occurrences processed.
 	TotalKmers int64
 	// SuperKmers is the number of super-k-mer records the minimizer
-	// transport shipped (0 on the per-k-mer ablation path).
+	// transport shipped.
 	SuperKmers int64
 	// SuperKmerBases is the total run length in bases those records carry.
 	SuperKmerBases int64
 	// BinWeights is the number of windows the records carry per minimizer
-	// bin (Bins of them), the weights the table's bins are placed by; nil
-	// on the per-k-mer ablation path.
+	// bin (Bins of them), the weights the table's bins are placed by.
 	BinWeights []int64
 	// CommBytesSaved is the wire volume the super-k-mer transport avoided
 	// versus shipping each of its windows as a per-item store record.
@@ -320,7 +337,8 @@ type Result struct {
 	// (0 outside the multi-k outer loop).
 	PseudoReads int64
 	PseudoKmers int64
-	// Phase virtual durations.
+	// Phase virtual durations; SketchPhase, the heavy-hitter sample, is
+	// zero without HeavyHitters.
 	SketchPhase, BloomPhase, CountPhase xrt.PhaseStats
 }
 
@@ -384,17 +402,15 @@ type heavySet struct {
 }
 
 // newHeavySet indexes keys; m is the minimizer length of the super-k-mer
-// transport, 0 on the per-k-mer path (which probes every window).
+// transport.
 func newHeavySet(keys []kmer.Kmer, k, m int) *heavySet {
 	s := &heavySet{keys: keys}
 	s.index.Grow((len(keys)*4 + 2) / 3)
 	for i, km := range keys {
 		at, _ := s.index.Upsert(km.Hash(hashSeed), km)
 		*at = int32(i)
-		if m > 0 {
-			minv := km.Minimizer(k, m)
-			s.minimizers.Upsert(kmer.MinimizerHash(minv), minv)
-		}
+		minv := km.Minimizer(k, m)
+		s.minimizers.Upsert(kmer.MinimizerHash(minv), minv)
 	}
 	return s
 }
@@ -413,8 +429,9 @@ func (s *heavySet) mayHold(minv uint64) bool {
 	return s.minimizers.Len() > 0 && s.minimizers.Get(kmer.MinimizerHash(minv), minv) != nil
 }
 
-// forEachSuperKmer segments one read into encoded super-k-mer records:
-// every maximal minimizer run becomes one record, with two exceptions.
+// forEachSuperKmer segments one read into encoded super-k-mer records, and
+// adds the canonical hash of each of its windows to card. Every maximal
+// minimizer run becomes one record, with two exceptions.
 // Heavy-hitter windows split their run: they are folded into acc instead of
 // shipped — their occurrences take the local-accumulation path, and
 // splitting keeps them out of the payloads the owner replays. And a run
@@ -432,9 +449,10 @@ func (s *heavySet) mayHold(minv uint64) bool {
 // consumed (copied or buffered) before the next emission. Returns the
 // total number of k-mer windows visited — identical to the
 // kmer.ForEachCanonical count.
-func forEachSuperKmer(rec fastq.Record, w, k, m int, hh *heavySet, acc []KmerData,
+func forEachSuperKmer(rec fastq.Record, w, k, m int, hh *heavySet, acc []KmerData, card *hll.Sketch,
 	emit func(minimizer uint64, record []byte, nwin int), record *[]byte) int {
 	seq, qual := rec.Seq, rec.Qual
+	kmer.ForEachCanonical(seq, k, func(_ int, canon kmer.Kmer, _ bool) { card.Add(canon.Hash(hashSeed)) })
 	windows := 0
 	kmer.ScanSuperKmers(seq, k, m, func(start, nwin int, minv uint64) {
 		windows += nwin
@@ -636,24 +654,36 @@ func (o Options) pseudoOf(id int) []PseudoRead {
 	return o.PseudoByRank[id]
 }
 
-// rankSketch is the pass-1 state of one scanning rank.
-type rankSketch struct {
-	card  *hll.Sketch
-	heavy *mg.Summary[kmer.Kmer]
+// sampled reports whether rec is in the heavy-hitter sample: the reads
+// whose content hash is 0 mod sampleRate. The hash covers the read's ID
+// and bases, so the sample is a function of the input alone — the same
+// reads at any rank count — and the two mates of a pair, or two reads of
+// one sequence under IDs of their own, are independent draws.
+func sampled(rec fastq.Record) bool {
+	h := uint64(len(rec.ID))<<32 | uint64(len(rec.Seq))
+	for _, b := range [2][]byte{rec.ID, rec.Seq} {
+		for ; len(b) >= 8; b = b[8:] {
+			h = mix64(h ^ binary.LittleEndian.Uint64(b))
+		}
+		var tail [8]byte
+		copy(tail[:], b)
+		h = mix64(h ^ binary.LittleEndian.Uint64(tail[:]))
+	}
+	return h%sampleRate == 0
 }
 
-// sketchPass is pass 1: every rank feeds the canonical hash of each of its
-// windows to a HyperLogLog sketch and, when heavy hitters are wanted, to a
-// Misra–Gries summary (no extension evidence is needed yet, so none is
-// computed), and the team reduces them to the global cardinality estimate
-// and the global summary, which it returns (empty unless heavy hitters
-// are wanted). It fills res.SketchPhase, DistinctEstimate, TotalKmers and
-// the pseudo-read counters.
+// sketchPass is the heavy-hitter pass: every rank offers the canonical
+// k-mers of its sampled reads to a Misra–Gries summary (no extension
+// evidence is needed yet, so none is computed), charged one item per
+// window, and the team reduces the summaries to the global one, which it
+// returns; its N() is the sample's window count. Pseudo-reads are not
+// offered: their weighted counts would distort the estimate (the Bloom pass
+// folds their heavy windows in, at their weight). It fills res.SketchPhase.
 //
 // The reduction is a fold in rank order — Misra–Gries merges do not
 // commute — and runs inside the phase: a rank that has scanned and charged
 // its windows takes its turn in an ordered section, merges, and hands its
-// cleared sketches to the next rank that starts, while the other ranks are
+// cleared summary to the next rank that starts, while the other ranks are
 // still scanning. A rank may start only once rank ID−W has left the
 // section, W being twice the ranks that can physically scan at once, so an
 // analysis holds at most W counter tables however many ranks it has. The
@@ -663,76 +693,67 @@ type rankSketch struct {
 // exists on the virtual clock: the section charges nothing, as the serial
 // fold after the phase that it replaces charged nothing.
 func sketchPass(team *xrt.Team, readsByRank [][]fastq.Record, opt Options, res *Result) *mg.Summary[kmer.Kmer] {
-	p := team.Config().Ranks
 	window := 2 * runtime.GOMAXPROCS(0)
-	// Exactly the sketches of ranks that left the section and whose
+	// Exactly the summaries of ranks that left the section and whose
 	// successors have not started: never more than window of them.
-	free := make(chan rankSketch, window)
-	global := hll.New(14)
+	free := make(chan *mg.Summary[kmer.Kmer], window)
 	merged := mg.NewSeeded[kmer.Kmer](opt.Theta, hashSeed)
-	pseudoKmers := make([]int64, p)
 	team.BeginSpan("sketch")
 	res.SketchPhase = team.Run(func(r *xrt.Rank) {
 		r.AwaitOrdered(r.ID - window + 1)
-		var s rankSketch
+		var s *mg.Summary[kmer.Kmer]
 		select {
 		case s = <-free:
 		default:
-			s = rankSketch{hll.New(14), mg.NewSeeded[kmer.Kmer](opt.Theta, hashSeed)}
+			s = mg.NewSeeded[kmer.Kmer](opt.Theta, hashSeed)
 		}
-		if opt.HeavyHitters {
-			windows := 0
-			for _, rec := range readsByRank[r.ID] {
+		windows := 0
+		for _, rec := range readsByRank[r.ID] {
+			if sampled(rec) {
 				windows += max(len(rec.Seq)-opt.K+1, 0)
 			}
-			s.heavy.Expect(windows)
 		}
+		s.Expect(windows)
 		n := 0
 		for _, rec := range readsByRank[r.ID] {
-			kmer.ForEachCanonical(rec.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
-				h := canon.Hash(hashSeed)
-				s.card.Add(h)
-				if opt.HeavyHitters {
-					s.heavy.OfferHashed(h, canon)
-				}
-				n++
-			})
+			if sampled(rec) {
+				kmer.ForEachCanonical(rec.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
+					s.OfferHashed(canon.Hash(hashSeed), canon)
+					n++
+				})
+			}
 		}
-		// pseudo-reads feed the cardinality sketch but not Misra–Gries:
-		// their weighted counts would distort the heavy-hitter estimate
-		// (pass 2 folds their heavy windows in, at their weight).
-		reads := n
-		for _, pr := range opt.pseudoOf(r.ID) {
-			kmer.ForEachCanonical(pr.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
-				s.card.Add(canon.Hash(hashSeed))
-				n++
-			})
-		}
-		pseudoKmers[r.ID] = int64(n - reads)
 		r.ChargeItems(n)
 		r.Ordered(func() {
-			global.Merge(s.card)
-			if opt.HeavyHitters {
-				merged.Merge(s.heavy)
-			}
+			merged.Merge(s)
 			// Recycled before the section is left: the rank this departure
-			// lets start must find them.
-			s.card.Reset()
-			s.heavy.Reset()
+			// lets start must find it.
+			s.Reset()
 			free <- s
 		})
-		total := r.AllReduceInt64(int64(n), func(a, b int64) int64 { return a + b })
-		if r.ID == 0 {
-			res.TotalKmers = total
-		}
 	})
 	team.EndSpan()
-	for id, prs := range opt.PseudoByRank {
-		res.PseudoReads += int64(len(prs))
-		res.PseudoKmers += pseudoKmers[id]
-	}
-	res.DistinctEstimate = global.Estimate()
 	return merged
+}
+
+// heavyKeys runs the sketch pass and returns the heavy hitters, heaviest
+// first: the k-mers whose sample count reaches the cut-off divided by
+// sampleRate, the cut-off being HHMinCount or max(64, n/θ) with n the
+// sample's windows scaled by sampleRate. None without HeavyHitters.
+func heavyKeys(team *xrt.Team, readsByRank [][]fastq.Record, opt Options, res *Result) []kmer.Kmer {
+	if !opt.HeavyHitters {
+		return nil
+	}
+	merged := sketchPass(team, readsByRank, opt, res)
+	cut := opt.HHMinCount
+	if cut <= 0 {
+		cut = max(64, sampleRate*merged.N()/int64(opt.Theta))
+	}
+	var keys []kmer.Kmer
+	for _, hit := range merged.HeavyHitters(max(cut/sampleRate, 1)) {
+		keys = append(keys, hit.Item)
+	}
+	return keys
 }
 
 // Run executes k-mer analysis. readsByRank[i] is the slice of reads rank i
@@ -742,10 +763,9 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	opt = opt.withDefaults()
 	p := team.Config().Ranks
 	res := &Result{}
-	superk := !opt.DisableSuperKmers
-	minLen := EffectiveMinimizerLen(opt.K, 0, opt.DisableSuperKmers)
-	if opt.PseudoByRank != nil && (len(opt.PseudoByRank) != p || !superk) {
-		panic("kanalysis: PseudoByRank needs one list per rank and the super-k-mer transport")
+	minLen := EffectiveMinimizerLen(opt.K, 0, false)
+	if opt.PseudoByRank != nil && len(opt.PseudoByRank) != p {
+		panic("kanalysis: PseudoByRank needs one list per rank")
 	}
 	for _, prs := range opt.PseudoByRank {
 		if slices.ContainsFunc(prs, func(pr PseudoRead) bool { return pr.Weight > kmer.MaxSuperKmerWeight }) {
@@ -753,29 +773,16 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		}
 	}
 
-	merged := sketchPass(team, readsByRank, opt, res)
-
-	var heavyKeys []kmer.Kmer
-	if opt.HeavyHitters {
-		thresh := opt.HHMinCount
-		if thresh <= 0 {
-			thresh = res.TotalKmers / int64(opt.Theta)
-			if thresh < 64 {
-				thresh = 64
-			}
-		}
-		for _, hit := range merged.HeavyHitters(thresh) {
-			heavyKeys = append(heavyKeys, hit.Item)
-		}
-	}
-	hh := newHeavySet(heavyKeys, opt.K, minLen)
+	hh := newHeavySet(heavyKeys(team, readsByRank, opt, res), opt.K, minLen)
 	res.HeavyHitters = len(hh.keys)
 	// heavyAcc[rank][i] accumulates the occurrences of hh.keys[i] that rank
-	// scanned; filled in whichever pass sees the reads' extension evidence.
+	// scanned, filled as the Bloom pass segments its reads.
 	heavyAcc := make([][]KmerData, p)
 
-	// Per-rank super-k-mer transport statistics (summed deterministically
-	// after the phase) and what each owner received.
+	// Per-rank scan and super-k-mer transport statistics (summed
+	// deterministically after the phase) and what each owner received.
+	windows := make([]int64, p)
+	pseudoKmers := make([]int64, p)
 	skRecords := make([]int64, p)
 	skBases := make([]int64, p)
 	skSaved := make([]int64, p)
@@ -788,124 +795,111 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 
 	// pass 2: Bloom screening — the second sighting of a k-mer promotes it
 	// into the table; single-occurrence (erroneous) k-mers never enter.
-	// Both Bloom probes derive from the canonical table hash the store
-	// path already computed (hash-once). The filter is asked first and the
-	// shard touched only on "seen before": most first sightings are the
-	// last, so most stores never reach the slot array. The filter ends up
-	// in the same state as if admitted keys skipped it — a key is admitted
-	// when all its bits are set, and bits are never cleared, so adding it
-	// again sets nothing — and so the admitted set is the same too.
+	// Both Bloom probes derive from the canonical table hash (hash-once).
+	// The filter is asked first and the shard touched only on "seen
+	// before": most first sightings are the last, so most windows never
+	// reach the slot array. The filter ends up in the same state as if
+	// admitted keys skipped it — a key is admitted when all its bits are
+	// set, and bits are never cleared, so adding it again sets nothing —
+	// and so the admitted set is the same too.
 	//
-	// On the super-k-mer path the pass is two phases: every rank segments
-	// its reads into records and weighs the minimizer bins by the windows
-	// they carry; the team sums the weights, maps the bins to ranks, and
-	// only then builds the table and ships each record to its bin's owner.
+	// The pass is two phases: every rank segments its reads into records,
+	// weighs the minimizer bins by the windows they carry and sketches the
+	// windows' cardinality; the team sums the weights and max-reduces the
+	// sketches, maps the bins to ranks, sizes the Bloom filters, and only
+	// then builds the table and ships each record to its bin's owner.
 	//
 	// The table gets no size hint: the only estimate at hand, the
 	// HyperLogLog cardinality, counts the single-occurrence k-mers the Bloom
 	// screen exists to keep out (3.5× the peak entry count on human-like
 	// reads). Stripes start small and double.
 	var table *dht.Table[kmer.Kmer, KmerData]
-	// Per-(owner, stripe) Bloom filters, made with the table: the apply
-	// hook runs under a stripe lock, not an owner-wide lock, so the Bloom
-	// state must partition the same way the locks do (a k-mer always maps
-	// to the same stripe of its owner).
+	// Per-(owner, stripe) Bloom filters, made with the table: a k-mer always
+	// maps to the same stripe of its owner, so each filter sees the keys of
+	// one stripe.
 	var blooms []*bloom.Filter
 	seen := func(owner, stripe int, h uint64) bool {
 		return opt.DisableBloom || blooms[owner*table.Stripes()+stripe].Add(h, mix64(h))
 	}
 	team.BeginSpan("bloom-screen")
-	if superk {
-		segs := make([]segments, p)
-		var weights []int64
-		segment := team.Run(func(r *xrt.Rank) {
-			acc := make([]KmerData, len(hh.keys))
-			s := &segs[r.ID]
-			w := binWeights.Get().(*[Bins]int64)
-			emit := func(minv uint64, record []byte, nwin int) {
-				bin := kmer.MinimizerHash(minv) % Bins
-				w[bin] += int64(nwin)
-				s.add(int(bin), nwin, record)
-				skRecords[r.ID]++
-				skBases[r.ID] += int64(nwin + opt.K - 1)
-				skSaved[r.ID] += int64(nwin*kmerItemBytes - len(record))
+	segs := make([]segments, p)
+	var weights []int64
+	cost := team.Cost()
+	segment := team.Run(func(r *xrt.Rank) {
+		acc := make([]KmerData, len(hh.keys))
+		s := &segs[r.ID]
+		w := binWeights.Get().(*[Bins]int64)
+		card := cardSketches.Get().(*hll.Sketch)
+		emit := func(minv uint64, record []byte, nwin int) {
+			bin := kmer.MinimizerHash(minv) % Bins
+			w[bin] += int64(nwin)
+			s.add(int(bin), nwin, record)
+			skRecords[r.ID]++
+			skBases[r.ID] += int64(nwin + opt.K - 1)
+			skSaved[r.ID] += int64(nwin*kmerItemBytes - len(record))
+		}
+		var buf []byte // each record is encoded here, then copied to s
+		n := 0
+		for _, rec := range readsByRank[r.ID] {
+			n += forEachSuperKmer(rec, 0, opt.K, minLen, hh, acc, card, emit, &buf)
+		}
+		reads := n
+		for _, pr := range opt.pseudoOf(r.ID) {
+			n += forEachSuperKmer(fastq.Record{Seq: pr.Seq}, max(int(pr.Weight), 1), opt.K, minLen, hh, acc, card, emit, &buf)
+		}
+		windows[r.ID], pseudoKmers[r.ID] = int64(n), int64(n-reads)
+		r.ChargeItems(n)
+		r.Charge(float64(n) * cardinalityItems * cost.ItemNs)
+		heavyAcc[r.ID] = acc
+		// Every rank derives the map from the sum itself, so the team
+		// needs no broadcast: sorting the bins and placing each through
+		// the rank heap is charged as one item per bin. One rank's map and
+		// sketch are trivial: no reduction and nothing to compute.
+		sum := w[:]
+		if p > 1 {
+			sum = r.AllReduceSum(w[:])
+			if regs := r.AllReduceMax(card.Registers()); r.ID == 0 {
+				copy(card.Registers(), regs)
 			}
-			var buf []byte // each record is encoded here, then copied to s
-			n := 0
-			for _, rec := range readsByRank[r.ID] {
-				n += forEachSuperKmer(rec, 0, opt.K, minLen, hh, acc, emit, &buf)
-			}
-			for _, pr := range opt.pseudoOf(r.ID) {
-				n += forEachSuperKmer(fastq.Record{Seq: pr.Seq}, max(int(pr.Weight), 1), opt.K, minLen, hh, acc, emit, &buf)
-			}
-			r.ChargeItems(n)
-			heavyAcc[r.ID] = acc
-			// Every rank derives the map from the sum itself, so the team
-			// needs no broadcast: sorting the bins and placing each through
-			// the rank heap is charged as one item per bin. One rank's map is
-			// trivial: no reduction and nothing to compute.
-			sum := w[:]
-			if p > 1 {
-				sum = r.AllReduceSum(w[:])
-				r.ChargeItems(Bins)
-				*w = [Bins]int64{}
-				binWeights.Put(w)
-			}
-			if r.ID == 0 {
-				weights = sum
-			}
+			r.ChargeItems(Bins)
+			*w = [Bins]int64{}
+			binWeights.Put(w)
+		}
+		if r.ID == 0 {
+			weights = sum
+			res.DistinctEstimate = card.Estimate()
+		}
+		card.Reset()
+		cardSketches.Put(card)
+	})
+	res.BinWeights = weights
+	owner := BinOwners(weights, p)
+	table = newTable(team, 0, opt.AggBufSize, opt.K, minLen, owner)
+	// A delivery is filed, not decoded: the owner drains its inbox
+	// itself once the barrier below has closed it.
+	table.SetBlobApply(func(src, owner int, payload []byte, _ func(kmer.Kmer, KmerData)) {
+		inboxes[owner].deliver(src, payload)
+	})
+	blooms = newBlooms(res.DistinctEstimate, p, table.Stripes())
+	ship := team.Run(func(r *xrt.Rank) {
+		segs[r.ID].forEach(func(bin, nwin int, record []byte) {
+			table.PutBlob(r, int(owner[bin]), record, nwin)
 		})
-		res.BinWeights = weights
-		owner := BinOwners(weights, p)
-		table = newTable(team, 0, opt.AggBufSize, opt.K, minLen, owner)
-		// A delivery is filed, not decoded: the owner drains its inbox
-		// itself once the barrier below has closed it.
-		table.SetBlobApply(func(src, owner int, payload []byte, _ func(kmer.Kmer, KmerData)) {
-			inboxes[owner].deliver(src, payload)
-		})
-		blooms = newBlooms(res.DistinctEstimate, p, table.Stripes())
-		ship := team.Run(func(r *xrt.Rank) {
-			segs[r.ID].forEach(func(bin, nwin int, record []byte) {
-				table.PutBlob(r, int(owner[bin]), record, nwin)
-			})
-			segs[r.ID] = nil
-			table.Flush(r)
-			r.Barrier()
+		segs[r.ID] = nil
+		table.Flush(r)
+		r.Barrier()
 
-			// Owner computes: every window this rank will ever own is in its
-			// inbox now (minimizer placement). The rank screens its windows
-			// alone, in (sender, send order), under one round of its stripe
-			// locks, and keeps only the records the count pass still has work
-			// in. Uncharged, like the delivery-time decode it replaces (the
-			// sender's store batch charged the owner per item).
-			table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-				firsts[r.ID], replayWins[r.ID], ownerWins[r.ID] = inboxes[r.ID].screen(opt.K, r.ID, own, seen)
-			})
+		// Owner computes: every window this rank will ever own is in its
+		// inbox now (minimizer placement). The rank screens its windows
+		// alone, in (sender, send order), under one round of its stripe
+		// locks, and keeps only the records the count pass still has work
+		// in. Uncharged, like the delivery-time decode it replaces (the
+		// sender's store batch charged the owner per item).
+		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
+			firsts[r.ID], replayWins[r.ID], ownerWins[r.ID] = inboxes[r.ID].screen(opt.K, r.ID, own, seen)
 		})
-		res.BloomPhase = sumPhases(segment, ship)
-	} else {
-		table = newTable(team, 0, opt.AggBufSize, opt.K, minLen, nil)
-		blooms = newBlooms(res.DistinctEstimate, p, table.Stripes())
-		table.SetApply(func(owner, stripe int, h uint64, _ kmer.Kmer, _ KmerData, e dht.Entry[kmer.Kmer, KmerData]) {
-			if seen(owner, stripe, h) {
-				e.Upsert()
-			}
-		})
-		res.BloomPhase = team.Run(func(r *xrt.Rank) {
-			n := 0
-			for _, rec := range readsByRank[r.ID] {
-				kmer.ForEachCanonical(rec.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
-					n++
-					if h := canon.Hash(hashSeed); hh.find(h, canon) < 0 {
-						table.PutHashed(r, h, canon, KmerData{})
-					}
-				})
-			}
-			r.ChargeItems(n)
-			table.Flush(r)
-			r.Barrier()
-		})
-	}
+	})
+	res.BloomPhase = sumPhases(segment, ship)
 	team.EndSpan()
 	res.Table = table
 
@@ -917,54 +911,25 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		heavyByOwner[o] = append(heavyByOwner[o], int32(i))
 	}
 
-	// pass 3: exact counting with extension evidence. Heavy hitters are
-	// accumulated rank-locally; everything else goes to its owner — on the
-	// super-k-mer path it already did, and the screen counted every window
-	// but the first sightings, so the owner replays just the records holding
-	// those without any further communication.
-	if !superk {
-		table.SetApply(func(_, _ int, _ uint64, _ kmer.Kmer, in KmerData, e dht.Entry[kmer.Kmer, KmerData]) {
-			if d := e.Get(); d != nil {
-				d.merge(in)
-			}
-		})
-	}
-	// The count pass, heavy-hitter reduction, and finalization share one
-	// SPMD phase; the span covers them all, with the reduction exposed
-	// through the hh_* counters below.
+	// pass 3: exact counting with extension evidence. Heavy hitters were
+	// accumulated rank-locally; everything else already went to its owner,
+	// and the screen counted every window but the first sightings, so the
+	// owner replays just the records holding those without any further
+	// communication. The count pass, heavy-hitter reduction, and
+	// finalization share one SPMD phase; the span covers them all, with
+	// the reduction exposed through the hh_* counters below.
 	team.BeginSpan("count")
 	res.CountPhase = team.Run(func(r *xrt.Rank) {
-		if superk {
-			// Replay what the screen kept of the Bloom pass's inbox:
-			// minimizer placement guarantees it held exactly the non-heavy
-			// occurrences this rank owns, so counting is communication-free
-			// and the owner is known; the decode is charged per window like a
-			// scan, and each first sighting as the local store it is.
-			var wins int
-			table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-				wins = inboxes[r.ID].replay(opt.K, own, r)
-			})
-			r.ChargeItems(wins)
-		} else {
-			acc := make([]KmerData, len(hh.keys))
-			n := 0
-			for _, rec := range readsByRank[r.ID] {
-				kmer.ForEachCanonical(rec.Seq, opt.K, func(pos int, canon kmer.Kmer, flipped bool) {
-					n++
-					h, o := canon.Hash(hashSeed), occurrenceAt(rec.Seq, rec.Qual, pos, opt.K, canon, flipped)
-					if i := hh.find(h, canon); i >= 0 {
-						acc[i].add(o, 1)
-						return
-					}
-					var d KmerData
-					d.add(o, 1)
-					table.PutHashed(r, h, canon, d)
-				})
-			}
-			r.ChargeItems(n)
-			table.Flush(r)
-			heavyAcc[r.ID] = acc
-		}
+		// Replay what the screen kept of the Bloom pass's inbox: minimizer
+		// placement guarantees it held exactly the non-heavy occurrences
+		// this rank owns, so counting is communication-free and the owner
+		// is known; the decode is charged per window like a scan, and each
+		// first sighting as the local store it is.
+		var wins int
+		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
+			wins = inboxes[r.ID].replay(opt.K, own, r)
+		})
+		r.ChargeItems(wins)
 		r.Barrier()
 
 		// global reduction of the heavy-hitter accumulators: every rank
@@ -1011,11 +976,15 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		table.Freeze(r)
 	})
 	team.EndSpan()
-	table.SetApply(nil)
 	table.SetBlobApply(nil)
 
+	for _, prs := range opt.PseudoByRank {
+		res.PseudoReads += int64(len(prs))
+	}
 	var nFirst, nReplay int64
 	for i := 0; i < p; i++ {
+		res.TotalKmers += windows[i]
+		res.PseudoKmers += pseudoKmers[i]
 		res.SuperKmers += skRecords[i]
 		res.SuperKmerBases += skBases[i]
 		res.CommBytesSaved += skSaved[i]
@@ -1033,23 +1002,23 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	team.AddCounter("superkmers", res.SuperKmers)
 	team.AddCounter("superkmer_bases", res.SuperKmerBases)
 	team.AddCounter("comm_bytes_saved", res.CommBytesSaved)
-	if superk {
-		team.AddCounter("owner_windows_max", int64(slices.Max(ownerWins)))
-	}
+	team.AddCounter("owner_windows_max", int64(slices.Max(ownerWins)))
 	if res.PseudoReads > 0 {
 		team.AddCounter("pseudo_reads", res.PseudoReads)
 		team.AddCounter("pseudo_kmers", res.PseudoKmers)
 	}
-	if superk {
-		team.AddCounter("first_sightings", nFirst)
-		team.AddCounter("replay_windows", nReplay)
-	}
+	team.AddCounter("first_sightings", nFirst)
+	team.AddCounter("replay_windows", nReplay)
 	return res
 }
 
-// binWeights recycles the per-rank weight vectors of the segment phase,
-// which a team of p ranks would otherwise allocate p of per analysis.
-var binWeights = sync.Pool{New: func() any { return new([Bins]int64) }}
+// binWeights and cardSketches recycle the per-rank weight vectors and
+// HyperLogLog sketches of the segment phase, which a team of p ranks would
+// otherwise allocate p of each per analysis.
+var (
+	binWeights   = sync.Pool{New: func() any { return new([Bins]int64) }}
+	cardSketches = sync.Pool{New: func() any { return hll.New(14) }}
+)
 
 // segments is what one rank's records wait in between the two phases of
 // the Bloom pass: each record after its bin and window count (two 16-bit

@@ -2,6 +2,7 @@ package kanalysis
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"hipmer/internal/fastq"
@@ -20,13 +21,14 @@ func tableCounts(res *Result) map[kmer.Kmer]KmerData {
 	return got
 }
 
-// perfectReads wraps sequences as error-free, max-quality records.
+// perfectReads wraps sequences as error-free, max-quality records, each
+// copy under an ID of its own (p0, p1, …), as a FASTQ file names them.
 func perfectReads(seqs [][]byte, copies int) []fastq.Record {
 	var recs []fastq.Record
 	for _, s := range seqs {
 		q := bytes.Repeat([]byte{'I'}, len(s))
 		for c := 0; c < copies; c++ {
-			recs = append(recs, fastq.Record{ID: []byte("p"), Seq: s, Qual: q})
+			recs = append(recs, fastq.Record{ID: fmt.Appendf(nil, "p%d", len(recs)), Seq: s, Qual: q})
 		}
 	}
 	return recs
@@ -140,19 +142,11 @@ func mustPanic(t *testing.T, what string, ranks int, opt Options) {
 }
 
 // TestPseudoByRankShapeEnforced: a PseudoByRank whose length disagrees
-// with the team's rank count is a caller bug and must panic loudly.
+// with the team's rank count is a caller bug and must panic loudly, and a
+// weight no super-k-mer record can carry is refused rather than truncated.
 func TestPseudoByRankShapeEnforced(t *testing.T) {
 	mustPanic(t, "mis-shaped PseudoByRank", 4, Options{K: 21, PseudoByRank: make([][]PseudoRead, 3)})
-}
-
-// TestPseudoRefusedOnPerItemTransport: pseudo-reads travel only as
-// weighted super-k-mer records, so the per-item ablation refuses them, and
-// a weight no record can carry is refused rather than truncated.
-func TestPseudoRefusedOnPerItemTransport(t *testing.T) {
 	s := genome.Random(xrt.NewPrng(7), 100)
-	mustPanic(t, "PseudoByRank with DisableSuperKmers", 2, Options{
-		K: 21, DisableSuperKmers: true, PseudoByRank: [][]PseudoRead{{{Seq: s, Weight: 3}}, nil},
-	})
 	mustPanic(t, "a pseudo-read of weight 256", 2, Options{
 		K: 21, PseudoByRank: [][]PseudoRead{nil, {{Seq: s, Weight: kmer.MaxSuperKmerWeight + 1}}},
 	})
@@ -163,7 +157,9 @@ func TestPseudoRefusedOnPerItemTransport(t *testing.T) {
 // One sequence is both 200 read copies — heavy hitters — and a pseudo-read,
 // whose heavy windows then fold into the sender's accumulator at the
 // weight instead of travelling; without the Bloom screen every read window
-// is counted on admission, pseudo-read windows at their weight.
+// is counted on admission, pseudo-read windows at their weight. The copies
+// carry IDs of their own, so each is its own draw of the heavy-hitter
+// sample, as two reads of a FASTQ file are.
 func TestPseudoDeterministicAcrossSwitches(t *testing.T) {
 	const k = 21
 	rng := xrt.NewPrng(8)

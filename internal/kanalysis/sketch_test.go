@@ -7,6 +7,7 @@ import (
 
 	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
+	"hipmer/internal/hll"
 	"hipmer/internal/kmer"
 	"hipmer/internal/mg"
 	"hipmer/internal/xrt"
@@ -34,32 +35,40 @@ func allocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestSketchPassBoundsLiveSummaries: 96 ranks each fill all θ counters,
-// yet the pass allocates a window's worth of counter tables, not 96. With
-// GOMAXPROCS pinned the window W is 4, and the pass builds at most W rank
-// summaries (one table each, sized once) plus the global one (θ·4/3 slots,
-// then the 2θ·4/3 a merge of two full summaries needs, and its selection
-// scratch): under W+4 tables. The bound is on bytes allocated, which no
-// schedule changes.
+// TestSketchPassBoundsLiveSummaries: 96 ranks each fill about all θ
+// counters with their sampled reads, yet the pass allocates a window's
+// worth of counter tables, not 96. With GOMAXPROCS pinned the window W is
+// 4, and the pass builds at most W rank summaries (one table each, sized
+// once) plus the global one (θ·4/3 slots, then the 2θ·4/3 a merge of two
+// full summaries needs, and its selection scratch): under W+4 tables. The
+// bound is on bytes allocated, which no schedule changes. The merged
+// summary has seen exactly the windows of the sampled reads.
 func TestSketchPassBoundsLiveSummaries(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const ranks, theta, window = 96, 2000, 4
-	reads := distinctReads(ranks, 30) // 2400 windows per rank at k=21
+	reads := distinctReads(ranks, 8*40) // about 40 sampled reads, 3200 windows, per rank at k=21
 	opt := Options{K: 21, Theta: theta, HeavyHitters: true}.withDefaults()
+	var sampleWindows int64
+	for _, part := range reads {
+		for _, rec := range part {
+			if sampled(rec) {
+				sampleWindows += 100 - 21 + 1
+			}
+		}
+	}
 
 	table := allocated(func() {
 		s := mg.NewSeeded[kmer.Kmer](theta, hashSeed)
 		s.Expect(2 * theta)
 	})
 	team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 24})
-	res := &Result{}
 	var merged *mg.Summary[kmer.Kmer]
-	got := allocated(func() { merged = sketchPass(team, reads, opt, res) })
+	got := allocated(func() { merged = sketchPass(team, reads, opt, &Result{}) })
 
-	if merged.N() != res.TotalKmers || res.TotalKmers != ranks*30*(100-21+1) {
-		t.Fatalf("merged %d of %d windows", merged.N(), res.TotalKmers)
+	if merged.N() != sampleWindows || sampleWindows < ranks*theta {
+		t.Fatalf("merged %d windows; the sampled reads have %d", merged.N(), sampleWindows)
 	}
-	const slack = 512 << 10 // W+1 HyperLogLog sketches, the phase's own bookkeeping
+	const slack = 512 << 10 // the phase's own bookkeeping
 	if limit := (window+4)*table + slack; got > limit {
 		t.Fatalf("sketch pass allocated %d bytes; %d summaries of %d bytes fit in %d",
 			got, window+4, table, limit)
@@ -114,6 +123,89 @@ func BenchmarkSketchPass(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSketchUnits calibrates cardinalityItems: ns per k-mer window of
+// the segment scan as Run does it (minimizer runs, records, and the
+// HyperLogLog adds), of the HyperLogLog's share of it alone (canonicalise,
+// hash, add), of the former sketch scan that was charged one item per
+// window (the same plus a Misra–Gries offer into a per-rank summary; the
+// rank-order fold, never charged, is left out), and of the offer alone.
+// The input is human-like, of the human workload's size, dealt to its 32
+// ranks: each rank's stream is longer than θ, so offers pay decrement
+// steps as they did there. cardinalityItems is cardinality over sketch.
+func BenchmarkSketchUnits(b *testing.B) {
+	const k, ranks = 31, 32
+	rng := xrt.NewPrng(8)
+	recs, _ := genome.SimulatePairs(rng, genome.HumanLike(rng, 100000), genome.SimOptions{
+		Coverage: 25,
+		Lib:      genome.Library{Name: "b", ReadLen: 100, InsertMean: 300, InsertSD: 20},
+		Err:      genome.DefaultErrorModel(),
+	})
+	reads := splitReads(recs, ranks)
+	m := kmer.ClampMinimizerLen(k, 0)
+	hh := newHeavySet(nil, k, m)
+	card := hll.New(14)
+	summary := mg.NewSeeded[kmer.Kmer](32000, hashSeed)
+	var windows int
+	var hashes []uint64
+	var kms []kmer.Kmer
+	for _, rec := range recs {
+		kmer.ForEachCanonical(rec.Seq, k, func(_ int, canon kmer.Kmer, _ bool) {
+			hashes = append(hashes, canon.Hash(hashSeed))
+			kms = append(kms, canon)
+			windows++
+		})
+	}
+	perRank := func(fn func(part []fastq.Record)) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, part := range reads {
+					card.Reset()
+					summary.Reset()
+					summary.Expect(len(part) * (100 - k + 1))
+					fn(part)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows), "ns/window")
+		}
+	}
+	var buf []byte
+	var seg segments
+	b.Run("segment", perRank(func(part []fastq.Record) {
+		for _, rec := range part {
+			forEachSuperKmer(rec, 0, k, m, hh, nil, card, func(_ uint64, record []byte, nwin int) {
+				seg.add(0, nwin, record)
+			}, &buf)
+		}
+		seg = seg[:0]
+	}))
+	b.Run("cardinality", perRank(func(part []fastq.Record) {
+		for _, rec := range part {
+			kmer.ForEachCanonical(rec.Seq, k, func(_ int, canon kmer.Kmer, _ bool) { card.Add(canon.Hash(hashSeed)) })
+		}
+	}))
+	b.Run("sketch", perRank(func(part []fastq.Record) {
+		for _, rec := range part {
+			kmer.ForEachCanonical(rec.Seq, k, func(_ int, canon kmer.Kmer, _ bool) {
+				h := canon.Hash(hashSeed)
+				card.Add(h)
+				summary.OfferHashed(h, canon)
+			})
+		}
+	}))
+	b.Run("offer", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < ranks; r++ {
+				summary.Reset()
+				summary.Expect(windows / ranks)
+				for j := r * windows / ranks; j < (r+1)*windows/ranks; j++ {
+					summary.OfferHashed(hashes[j], kms[j])
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows), "ns/window")
+	})
 }
 
 // BenchmarkStage1 is a whole Run — sketch, Bloom screen, count, finalize —

@@ -171,9 +171,18 @@ func (s *Summary[K]) Merge(other *Summary[K]) {
 	}
 	// Room for the whole union up front: other is walked in slot order,
 	// and flat.Map must not take such a copy into a table that grows
-	// under it (see the package comment there).
-	union := s.counters.Len() + other.counters.Len()
-	s.counters.Grow((union*4 + 2) / 3)
+	// under it (see the package comment there). A table that must grow
+	// steps to the size the union of two full summaries needs — the most a
+	// merge can hold — or to a quarter of it, or a quarter of that, the
+	// least of those that fits: a fold of small summaries rehashes a few
+	// times, not once per merge, and one of full summaries once.
+	if need := ((s.counters.Len()+other.counters.Len())*4 + 2) / 3; need > s.counters.Cap() {
+		next := (2*s.theta*4 + 2) / 3
+		for next>>2 >= need {
+			next >>= 2
+		}
+		s.counters.Grow(max(need, next))
+	}
 	other.counters.Range(func(h uint64, k K, c *int64) bool {
 		mine, _ := s.counters.Upsert(h, k)
 		*mine += *c
@@ -185,6 +194,9 @@ func (s *Summary[K]) Merge(other *Summary[K]) {
 	}
 	// subtract the (θ+1)-th largest count from everything
 	counts := s.scratch[:0]
+	if cap(counts) < s.counters.Len() {
+		counts = make([]int64, 0, s.counters.Cap()*3/4+1) // what the table can hold
+	}
 	s.counters.Range(func(_ uint64, _ K, c *int64) bool {
 		counts = append(counts, *c)
 		return true

@@ -2,8 +2,12 @@ package mg
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+
+	"hipmer/internal/flat"
 )
 
 // ik and sk are the tests' item types: plain ints and strings that can
@@ -287,25 +291,33 @@ func TestKthLargest(t *testing.T) {
 	}
 }
 
-// BenchmarkMergeSummaries is the orchestrator-side fold of k-mer analysis:
-// 32 full per-rank summaries into one.
+// BenchmarkMergeSummaries is the rank-order fold of k-mer analysis: 32
+// full per-rank summaries into one, and 96 that stay below θ, as the sketch
+// pass's sampled ones do (bytes per op is the point there: see
+// TestMergeFoldAllocatesLikeItsResult).
 func BenchmarkMergeSummaries(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	const theta, ranks = 32000, 32
-	parts := make([]*Summary[ik], ranks)
-	for r := range parts {
-		parts[r] = New[ik](theta)
+	full := make([]*Summary[ik], ranks)
+	for r := range full {
+		full[r] = New[ik](theta)
 		for _, x := range zipfStream(rng, 60000, 400000) {
-			parts[r].Offer(x)
+			full[r].Offer(x)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		merged := New[ik](theta)
-		for _, p := range parts {
-			merged.Merge(p)
-		}
+	for _, c := range []struct {
+		name  string
+		parts []*Summary[ik]
+	}{{"full/ranks=32", full}, {"sub-theta/ranks=96", subThetaParts(96, theta)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				merged := New[ik](theta)
+				for _, p := range c.parts {
+					merged.Merge(p)
+				}
+			}
+		})
 	}
 }
 
@@ -416,4 +428,59 @@ func reused2(rng *rand.Rand, theta int) *Summary[ik] {
 		s.Offer(x)
 	}
 	return s
+}
+
+// subThetaParts is ranks summaries of θ counters, each over a stream of an
+// eighth of θ items: the sampled summaries of k-mer analysis's sketch pass
+// stay below θ like this, so every merge of their fold grows the union.
+func subThetaParts(ranks, theta int) []*Summary[ik] {
+	rng := rand.New(rand.NewSource(11))
+	parts := make([]*Summary[ik], ranks)
+	for r := range parts {
+		parts[r] = New[ik](theta)
+		for _, x := range zipfStream(rng, theta/8, 40*theta) {
+			parts[r].Offer(x)
+		}
+	}
+	return parts
+}
+
+// allocated returns the heap bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMergeFoldAllocatesLikeItsResult: a rank-order fold of 96 summaries
+// that each stay below θ allocates under twice what its final counter
+// table holds — growth takes a few steps, not one rehash per merge — and
+// reaches the counts of a fold into a table sized for the end up front.
+func TestMergeFoldAllocatesLikeItsResult(t *testing.T) {
+	const theta, ranks = 32000, 96
+	parts := subThetaParts(ranks, theta)
+	var merged *Summary[ik]
+	got := allocated(func() {
+		merged = New[ik](theta)
+		for _, p := range parts {
+			merged.Merge(p)
+		}
+	})
+	final := allocated(func() {
+		var m flat.Map[ik, int64]
+		m.Grow(merged.counters.Cap())
+	})
+	if got > 2*final {
+		t.Errorf("the fold allocated %d bytes, its final table is %d", got, final)
+	}
+	sized := New[ik](theta)
+	sized.counters.Grow(merged.counters.Cap())
+	for _, p := range parts {
+		sized.Merge(p)
+	}
+	if !reflect.DeepEqual(sized.HeavyHitters(1), merged.HeavyHitters(1)) {
+		t.Error("the fold's counts depend on the sizes its table passed through")
+	}
 }

@@ -146,7 +146,9 @@ func TestTimingsRecorded(t *testing.T) {
 // records before read records (fewer first sightings to replay), and every
 // contig-generation entry and total when the graph came to be built in
 // place, the traversal's quiescence tally to read a free-vertex count
-// instead of a scan, and the contig-ID marking puts were deleted. Each
+// instead of a scan, and the contig-ID marking puts were deleted, and
+// every k-mer analysis entry and total when the sketch pass came to scan
+// a one-in-eight read sample and the cardinality sketch the segment scan. Each
 // is read back from Metrics exactly; merAligner within 1 ns (that entry
 // subtracted two truncated clock readings, the span truncates their
 // difference); and the run's total, which is the team's clock, is that

@@ -796,6 +796,30 @@ func (r *Rank) AllReduceSum(v []int64) []int64 {
 	return out
 }
 
+// AllReduceMax takes the element-wise maximum of one byte vector per rank
+// (HyperLogLog registers merge this way) and returns it on every rank,
+// under AllReduceSum's rules: equal lengths, a shared read-only result,
+// and each tree step charged with the whole vector.
+func (r *Rank) AllReduceMax(v []byte) []byte {
+	t := r.team
+	t.sAny[r.ID] = v
+	r.Barrier()
+	if r.ID == 0 {
+		out := make([]byte, len(v))
+		for _, part := range t.sAny {
+			for i, x := range part.([]byte) {
+				out[i] = max(out[i], x)
+			}
+		}
+		t.sAny[0] = out
+	}
+	r.Barrier()
+	out := t.sAny[0].([]byte)
+	r.chargeTree(len(v))
+	r.Barrier()
+	return out
+}
+
 // AllGather shares one arbitrary value per rank; the returned slice is
 // indexed by rank and must be treated as read-only. Every rank receives
 // the same contents.

@@ -211,6 +211,23 @@ func TestAllReduceSum(t *testing.T) {
 	})
 }
 
+// TestAllReduceMax: every rank gets the element-wise maximum, charged as
+// AllReduceSum is, one byte per element.
+func TestAllReduceMax(t *testing.T) {
+	team := NewTeam(Config{Ranks: 9})
+	cost := team.Cost()
+	team.Run(func(r *Rank) {
+		clock := r.ClockNs()
+		got := r.AllReduceMax([]byte{byte(r.ID), 3, byte(8 - r.ID)})
+		if want := []byte{8, 3, 8}; !slices.Equal(got, want) {
+			t.Errorf("rank %d: max = %v, want %v", r.ID, got, want)
+		}
+		if got, want := r.ClockNs()-clock, 4*(cost.OffNodeMsgNs+3*cost.OffNodeByteNs); got != want {
+			t.Errorf("rank %d: charged %v ns, want %v", r.ID, got, want)
+		}
+	})
+}
+
 func TestBroadcastAndAllGather(t *testing.T) {
 	team := NewTeam(Config{Ranks: 4})
 	team.Run(func(r *Rank) {
