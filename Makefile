@@ -49,10 +49,12 @@ fuzz:
 # perturbation-seed assembly sweep, the scheduler's fake-runner suite),
 # and the real-pipeline batteries that are too slow for -short (multi-k
 # determinism; cross-job isolation, preemption and the real-runner service
-# report's determinism). `make test` / `make race` remain the exhaustive
-# versions.
+# report's determinism), and every example program, built into a temp dir
+# and run from there (quickstart writes a FASTA into its working
+# directory). `make test` / `make race` remain the exhaustive versions.
 verify: build vet fuzz
 	$(GO) test -short ./...
+	@d=$$(mktemp -d) && $(GO) build -o $$d/ ./examples/... && (cd $$d && for x in *; do echo "example $$x"; ./$$x || exit 1; done); s=$$?; rm -rf $$d; exit $$s
 	$(GO) test -short -race ./internal/xrt/ ./internal/dht/ ./internal/kanalysis/ ./internal/sched/
 	$(GO) test -short -race -run 'Contention|SplitChain' ./internal/contig/
 	$(GO) test -short -race -run 'LadderScarcity|ClosuresRankInvariant|ChunkedScan|ScratchPool' ./internal/gapclose/

@@ -75,8 +75,8 @@ type Options struct {
 	// it may differ from the rank count the checkpoint was written at —
 	// the recorded state is re-sharded onto the new team (elastic
 	// rescale) and the assembly is bit-identical to a from-scratch run
-	// at the new count, oracle-placed or not. Ranks 0 with Resume adopts
-	// the checkpoint's recorded rank count instead.
+	// at the new count. Ranks 0 with Resume adopts the checkpoint's
+	// recorded rank count instead.
 	Ranks int
 	// RanksPerNode groups ranks into simulated nodes (default 24).
 	RanksPerNode int
@@ -87,13 +87,6 @@ type Options struct {
 	Seed int64
 	// ContigsOnly stops after contig generation (metagenome mode, §5.4).
 	ContigsOnly bool
-	// OracleContigs, when non-empty, are a previous assembly of the same
-	// species (e.g. Result.ContigSeqs of another individual): every
-	// contig-generation round builds the §3.2 communication-avoiding
-	// placement from them, at its own k and for this run's rank count. The
-	// placement moves communication only; the assembly is the one a run
-	// without it produces, and a Resume may still change Ranks.
-	OracleContigs [][]byte
 	// ScaffoldRounds repeats scaffolding + gap closing, feeding scaffolds
 	// back in as contigs; the paper's wheat runs used four rounds (§5.3).
 	// Default 1.
@@ -112,8 +105,8 @@ type Options struct {
 	// manifest and rehydrates their outputs instead of recomputing.
 	// Refused when the checkpoint's config/input fingerprint differs
 	// from this run's (ckpt.ErrFingerprintMismatch). A different Ranks
-	// is never refused: stage state re-shards onto the new rank count,
-	// with or without OracleContigs. Requires CkptDir.
+	// is never refused: stage state re-shards onto the new rank count.
+	// Requires CkptDir.
 	Resume bool
 	// Inject arms the deterministic injection layers the robustness
 	// harnesses drive: schedule perturbation (PerturbSeed), a rank crash
@@ -143,9 +136,6 @@ type Result struct {
 	// Scaffolds are the final assembled sequences (contigs in
 	// ContigsOnly mode), longest first.
 	Scaffolds [][]byte
-	// ContigSeqs are the uncontested contig sequences before scaffolding —
-	// the input the §3.2 oracle partitioning is built from.
-	ContigSeqs [][]byte
 	// Stats summarizes the assembly.
 	Stats Stats
 	// ContigCount and HeavyHitters expose pipeline internals of interest.
@@ -228,9 +218,6 @@ func Assemble(libs []Library, opt Options) (*Result, error) {
 		Metrics:   pres.Metrics,
 	}
 	if pres.Contigs != nil {
-		for _, c := range pres.Contigs.All() {
-			res.ContigSeqs = append(res.ContigSeqs, c.Seq)
-		}
 		res.ContigCount = pres.Contigs.NumContigs
 	}
 	if pres.KAnalysis != nil {
@@ -254,7 +241,6 @@ func (opt Options) pipelineConfig() pipeline.Config {
 		KmerLens:       append([]int(nil), opt.KmerLens...),
 		MinCount:       opt.MinCount,
 		ContigsOnly:    opt.ContigsOnly,
-		OracleContigs:  opt.OracleContigs,
 		ScaffoldRounds: opt.ScaffoldRounds,
 		CkptDir:        opt.CkptDir,
 		Resume:         opt.Resume,
@@ -346,12 +332,6 @@ func SimReads(seed int64, g []byte, coverage float64, readLen, insertMean, inser
 // RandomGenome generates a uniform random genome sequence.
 func RandomGenome(seed int64, n int) []byte {
 	return genome.Random(xrt.NewPrng(seed), n)
-}
-
-// MutateGenome introduces SNPs at the given rate — e.g. to derive another
-// individual of the same species for the oracle workflow.
-func MutateGenome(seed int64, g []byte, rate float64) []byte {
-	return genome.Mutate(xrt.NewPrng(seed), g, rate)
 }
 
 // WriteFastq writes a library's reads as a FASTQ file suitable for

@@ -96,70 +96,6 @@ func TestMetagenomeContigsOnly(t *testing.T) {
 	}
 }
 
-// TestOracleWorkflow assembles individual 1 and reuses its contigs as the
-// oracle for individual 2 of the same species, single-k and on a k
-// ladder, at 2 ranks per node so placement shows in off-node lookups.
-// The oracle moves communication only: each mode's scaffolds are its
-// no-oracle run's byte for byte, and each contig-generation round builds
-// its vector at its own k. How far the oracle cuts off-node lookups is
-// measured against uniform hashing, the paper's baseline, which these
-// options do not reach (the default places the graph as the k-mer table):
-// TestOracleReducesOffNodeLookups in internal/contig holds that.
-func TestOracleWorkflow(t *testing.T) {
-	g1 := RandomGenome(6, 15000)
-	lib1 := SimReads(7, g1, 30, 100, 350, 25)
-	res1, err := Assemble([]Library{lib1}, Options{K: 31, MinCount: 3, Ranks: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := MutateGenome(8, g1, 0.002)
-	lib2 := SimReads(9, g2, 30, 100, 350, 25)
-	if len(res1.ContigSeqs) == 0 {
-		t.Fatal("no contig sequences exposed")
-	}
-	var singleK *Result
-	for _, lens := range [][]int{nil, {21, 33}} {
-		opt := Options{K: 31, KmerLens: lens, MinCount: 3, Ranks: 8, RanksPerNode: 2}
-		plain, err := Assemble([]Library{lib2}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt.OracleContigs = res1.ContigSeqs
-		placed, err := Assemble([]Library{lib2}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(placed.Scaffolds) != len(plain.Scaffolds) {
-			t.Fatalf("k %v: %d scaffolds with the oracle, %d without", lens, len(placed.Scaffolds), len(plain.Scaffolds))
-		}
-		for i := range placed.Scaffolds {
-			if !bytes.Equal(placed.Scaffolds[i], plain.Scaffolds[i]) {
-				t.Fatalf("k %v: scaffold %d differs with the oracle", lens, i)
-			}
-		}
-		rounds := 0
-		for _, st := range plain.Metrics.Stages {
-			if st.Depth != 0 || !strings.HasPrefix(st.Name, "contig-generation") {
-				continue
-			}
-			if placed.Metrics.Stage(st.Path) == nil {
-				t.Fatalf("k %v: no %s span with the oracle", lens, st.Name)
-			}
-			rounds++
-		}
-		if want := max(1, len(lens)); rounds != want {
-			t.Fatalf("k %v: %d contig-generation spans, want %d", lens, rounds, want)
-		}
-		if lens == nil {
-			singleK = placed
-		}
-	}
-	v := validate(t, singleK, g2)
-	if v.CoveredFrac < 0.95 {
-		t.Fatalf("oracle-placed assembly covers only %.3f", v.CoveredFrac)
-	}
-}
-
 func TestWriteFastaAndFastq(t *testing.T) {
 	g := RandomGenome(10, 5000)
 	lib := SimReads(11, g, 10, 100, 300, 20)

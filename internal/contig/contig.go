@@ -17,9 +17,9 @@
 // the input alone.
 //
 // The package also builds the §3.2 oracle partitioning function from a
-// previous assembly's contigs, which overrides the default placement and
-// makes traversal lookups overwhelmingly rank-local for same-species
-// genomes.
+// previous assembly's contigs. That path exists for the §3.2 exhibits,
+// which measure it against uniform hashing, the paper's baseline; no
+// product entry point builds one.
 package contig
 
 import (
@@ -38,10 +38,11 @@ type Options struct {
 	// K must be odd (odd k-mers cannot be reverse-complement palindromes,
 	// which would create self-loops in the graph). Defaults to 31.
 	K int
-	// Oracle, when non-nil, places graph k-mers with the
-	// communication-avoiding layout instead of the k-mer table's placement.
-	// A vector with no slot assigned is uniform hashing, the paper's
-	// baseline.
+	// Oracle, when non-nil, places graph k-mers with the §3.2 layout
+	// instead of the k-mer table's placement; a vector with no slot
+	// assigned is uniform hashing, the paper's baseline. It exists for the
+	// §3.2 exhibits, which measure one against the other; no product entry
+	// point sets it.
 	Oracle *dht.Oracle
 	// AggBufSize overrides the aggregating-stores buffer size.
 	AggBufSize int

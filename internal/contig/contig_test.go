@@ -378,6 +378,7 @@ func TestOracleReducesOffNodeLookups(t *testing.T) {
 	// k-mer table.
 	_, statsNo, seqsNo := run(dht.NewOracle(1, ranks))
 	_, statsOr, seqsOr := run(oracle)
+	_, _, seqsDef := run(nil)
 
 	// Table 2 of the paper reports the *reduction in off-node lookups*
 	// (41-76% depending on oracle vector size); the oracle does not
@@ -392,13 +393,19 @@ func TestOracleReducesOffNodeLookups(t *testing.T) {
 	if fracNo, fracOr := statsNo.OffNodeLookupFrac(), statsOr.OffNodeLookupFrac(); fracNo-fracOr < 0.1 {
 		t.Fatalf("off-node fraction barely moved: %.3f -> %.3f", fracNo, fracOr)
 	}
-	// identical assemblies either way
-	if len(seqsNo) != len(seqsOr) {
-		t.Fatalf("oracle changed the assembly: %d vs %d contigs", len(seqsNo), len(seqsOr))
-	}
-	for s := range seqsNo {
-		if !seqsOr[s] {
-			t.Fatal("oracle changed contig content")
+	// identical assemblies under every layout: uniform hashing, the
+	// oracle, and the default co-located placement
+	for _, c := range []struct {
+		name string
+		seqs map[string]bool
+	}{{"oracle", seqsOr}, {"default layout", seqsDef}} {
+		if len(c.seqs) != len(seqsNo) {
+			t.Fatalf("%s changed the assembly: %d vs %d contigs", c.name, len(c.seqs), len(seqsNo))
+		}
+		for s := range seqsNo {
+			if !c.seqs[s] {
+				t.Fatalf("%s changed contig content", c.name)
+			}
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"text/tabwriter"
 
+	"hipmer/internal/dht"
 	"hipmer/internal/genome"
 	"hipmer/internal/kanalysis"
 	"hipmer/internal/metrics"
@@ -257,7 +258,7 @@ func Tables12(sc Scale) ([]OracleRow, string) {
 		row.O1Collisions, row.O4Collisions = o1.Collisions(), o4.Collisions()
 
 		// one traversal of individual 2 per layout: its time and off-node share
-		measure := func(oracle oracleT) (sec, offPct float64) {
+		measure := func(oracle *dht.Oracle) (sec, offPct float64) {
 			ph := contigRun(xrt.NewTeam(sc.teamCfg(p)), g2, sc.K, oracle).TraversePhase
 			return ph.Virtual.Seconds(), 100 * ph.Comm.OffNodeLookupFrac()
 		}

@@ -13,13 +13,11 @@ import (
 	"hipmer/internal/xrt"
 )
 
-type oracleT = *dht.Oracle
-
 // contigRun builds a k-mer table directly from reference fragments (each
 // fed twice so the Bloom screen admits every k-mer) and traverses it —
 // the controlled setting of the Table 1/2 experiment, where the paper
 // also isolates graph traversal from the rest of the pipeline.
-func contigRun(team *xrt.Team, seqs [][]byte, k int, oracle oracleT) *contig.Result {
+func contigRun(team *xrt.Team, seqs [][]byte, k int, oracle *dht.Oracle) *contig.Result {
 	var recs []fastq.Record
 	for i, s := range seqs {
 		q := bytes.Repeat([]byte{'I'}, len(s))
@@ -40,11 +38,11 @@ func contigRun(team *xrt.Team, seqs [][]byte, k int, oracle oracleT) *contig.Res
 // uniform hashing of graph k-mers, an oracle vector with no slot assigned
 // (each key placed by its hash modulo the rank count). Without an oracle
 // the graph is placed as the k-mer table is, which is not that baseline.
-func uniformLayout(ranks int) oracleT { return dht.NewOracle(1, ranks) }
+func uniformLayout(ranks int) *dht.Oracle { return dht.NewOracle(1, ranks) }
 
 // buildOracle constructs the oracle partitioning vector from a previous
 // assembly's contigs.
-func buildOracle(res *contig.Result, k, ranks, slots int) oracleT {
+func buildOracle(res *contig.Result, k, ranks, slots int) *dht.Oracle {
 	if slots < 64 {
 		slots = 64
 	}

@@ -52,13 +52,6 @@ type Config struct {
 	KmerLens []int
 	// MinCount is the k-mer error-exclusion threshold (default 2).
 	MinCount int
-	// OracleContigs, when non-empty, are a previous assembly's contigs:
-	// each contig-generation round places its de Bruijn graph with the
-	// communication-avoiding layout of §3.2, a vector it builds from them
-	// at the round's k for the team that runs it. The placement moves
-	// communication, not the assembly, so it is not part of the checkpoint
-	// fingerprint and an oracle-placed run resumes at any rank count.
-	OracleContigs [][]byte
 	// AggBufSize overrides the aggregating-stores buffer size everywhere
 	// (1 = fine-grained messages, used by the baselines).
 	AggBufSize int

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -256,51 +255,6 @@ func TestReshardMultiK(t *testing.T) {
 			}
 			for _, name := range []string{"tip-clip-k21", "bubble-pop-k33", "pseudo-merge-k55"} {
 				assertLoadSpan(t, res.Metrics, "checkpoint-load:"+name)
-			}
-		})
-	}
-}
-
-// TestReshardOracle: an oracle-placed run resumes at any rank count. A
-// 4-rank oracle run crashes in contig generation; the resumes at 2 and 8
-// ranks build the placement vector for their own team, so contig
-// generation communicates exactly as a from-scratch oracle run at that
-// count does, and the assembly is that run's byte for byte.
-func TestReshardOracle(t *testing.T) {
-	libs := smallLibs(45)
-	draft, err := Run(ckTeam(), libs, Config{K: 21, MinCount: 2, ContigsOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{K: 21, MinCount: 2, OracleContigs: draft.FinalSeqs}
-	for _, p := range []int{2, 8} {
-		t.Run(fmt.Sprintf("ranks=%d", p), func(t *testing.T) {
-			ccfg := cfg
-			ccfg.CkptDir = t.TempDir()
-			if _, err := Run(armedTeam(xrt.Inject{FaultSeed: 5, FailStage: "contig-generation"}), libs, ccfg); err == nil {
-				t.Fatal("injected crash did not fire")
-			}
-			scratch, err := Run(teamAt(p), libs, cfg)
-			if err != nil {
-				t.Fatalf("from scratch at %d ranks: %v", p, err)
-			}
-			ccfg.Resume = true
-			res, err := Run(teamAt(p), libs, ccfg)
-			if err != nil {
-				t.Fatalf("oracle resume at %d ranks: %v", p, err)
-			}
-			assertLoadSpan(t, res.Metrics, "checkpoint-load:kmer-analysis")
-			want := scratch.Metrics.Stage("contig-generation").Comm.OffNodeLookups
-			if got := res.Metrics.Stage("contig-generation").Comm.OffNodeLookups; got != want {
-				t.Fatalf("contig generation: %d off-node lookups, from-scratch oracle run %d", got, want)
-			}
-			if len(res.FinalSeqs) != len(scratch.FinalSeqs) {
-				t.Fatalf("%d sequences, from-scratch oracle run %d", len(res.FinalSeqs), len(scratch.FinalSeqs))
-			}
-			for i := range res.FinalSeqs {
-				if !bytes.Equal(res.FinalSeqs[i], scratch.FinalSeqs[i]) {
-					t.Fatalf("sequence %d differs from the from-scratch oracle run", i)
-				}
 			}
 		})
 	}

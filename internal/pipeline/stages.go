@@ -16,7 +16,6 @@ import (
 
 	"hipmer/internal/ckpt"
 	"hipmer/internal/contig"
-	"hipmer/internal/dht"
 	"hipmer/internal/fastq"
 	"hipmer/internal/gapclose"
 	"hipmer/internal/kanalysis"
@@ -252,28 +251,10 @@ func runContigRound(k int) func(env *stageEnv) error {
 	return func(env *stageEnv) error {
 		env.res.Contigs = contig.Run(env.team, env.res.KAnalysis.Table, contig.Options{
 			K:          k,
-			Oracle:     buildOracle(env.cfg.OracleContigs, k, env.team.Config().Ranks),
 			AggBufSize: env.cfg.AggBufSize,
 		})
 		return nil
 	}
-}
-
-// buildOracle is the §3.2 placement vector of one contig-generation round:
-// built from a previous assembly's contigs (IDs 1..n, 8 slots per contig
-// base) at the round's k for the team that runs the round, so no vector
-// outlives the rank count it was built for. nil without contigs.
-func buildOracle(seqs [][]byte, k, ranks int) *dht.Oracle {
-	if len(seqs) == 0 {
-		return nil
-	}
-	cs := make([]*contig.Contig, len(seqs))
-	n := 0
-	for i, seq := range seqs {
-		cs[i] = &contig.Contig{ID: int64(i + 1), Seq: seq}
-		n += len(seq)
-	}
-	return contig.BuildOracle(cs, k, ranks, 8*n)
 }
 
 func runTipClip(k int) func(env *stageEnv) error {
@@ -492,8 +473,7 @@ func loadStage(env *stageEnv, store *ckpt.Store, st stage) error {
 // geometry is deliberately NOT part of the digest — it is recorded
 // separately as the manifest's Topology — so a checkpoint resumes on a
 // different rank count (elastic rescale) while a different config or
-// input is still refused. Neither is OracleContigs: a placement moves
-// communication, not stage outputs. Computed after io (reads are the fingerprint's
+// input is still refused. Computed after io (reads are the fingerprint's
 // domain, so io always reruns). Perturb, fault, chaos, and disk-fault
 // seeds are likewise excluded: they must not change outputs (schedule
 // perturbation, message-level chaos) or represent the failure being
