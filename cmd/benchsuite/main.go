@@ -27,6 +27,7 @@ import (
 	"hipmer/internal/expt"
 	"hipmer/internal/metrics"
 	"hipmer/internal/prof"
+	"hipmer/internal/sched"
 )
 
 func main() {
@@ -168,7 +169,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
 			exit(2)
 		}
-		res, text, err := expt.ServeSweep(sc.Seed, expt.ServeLoad(*serveJobs, *serveTenants))
+		res, text, err := expt.ServeSweep(sc.Seed, sched.ServeLoad(*serveJobs, *serveTenants))
 		fatal(err)
 		fmt.Println(text)
 		if *serveReport != "" {

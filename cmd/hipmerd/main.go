@@ -13,15 +13,17 @@
 //
 //	hipmerd -ranks 32 -tenant acme:16 -tenant umich:8 -default-quota 8 \
 //	        -jobs jobs.json -report sched-report.json [-metrics-dir DIR]
-//	hipmerd -ranks 32 -loadgen -lg-jobs 1000 -lg-tenants 12 \
+//	hipmerd -ranks 32 -loadgen -lg-jobs 1000 -lg-tenants 12 -seed 7 \
 //	        -report sched-report.json [-cpuprofile f] [-memprofile f]
 //
 // Jobs come from a JSON job file (-jobs; see internal/sched.ParseJobFile
 // for the schema: per-job tenant, dataset or FASTQ paths, pipeline
 // options, ranks, priority, arrival, optional fault/chaos arming) or
 // from the seeded load generator (-loadgen), which stamps bursty
-// open-loop arrivals from mixed human/wheat/metagenome templates — the
-// same generator benchsuite -serve uses for the heavy-traffic exhibit.
+// open-loop arrivals from mixed human/wheat/metagenome templates. Its
+// load is sched.ServeLoad, the one benchsuite -serve gates, without its
+// oversize submissions and with a storage fault armed on 3 % of jobs;
+// -lg-jobs and -lg-tenants size it, and -seed draws it.
 //
 // The service report (schema hipmer-sched/v1) is printed as a table and
 // optionally written as JSON (-report). With -metrics-dir each tenant's
@@ -42,7 +44,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"hipmer/internal/metrics"
 	"hipmer/internal/prof"
@@ -78,7 +79,7 @@ func main() {
 	flag.Var(&tenants, "tenant", "tenant declaration name:quota (repeatable)")
 	ranks := flag.Int("ranks", 32, "shared simulated cluster size")
 	ranksPerNode := flag.Int("ranks-per-node", 8, "simulated cores per node")
-	seed := flag.Int64("seed", 1, "scheduler PRNG seed (tie-breaks)")
+	seed := flag.Int64("seed", 1, "scheduler PRNG seed (tie-breaks); with -loadgen also the load's draws and templates")
 	queueCap := flag.Int("queue-cap", 64, "admission queue bound; arrivals beyond it are rejected")
 	defaultQuota := flag.Int("default-quota", 0, "rank quota for tenants not declared via -tenant (0 = reject unknown tenants)")
 	ckptRoot := flag.String("ckpt-root", "", "directory hosting per-job checkpoint dirs (default: fresh temp dir)")
@@ -87,14 +88,6 @@ func main() {
 	loadgen := flag.Bool("loadgen", false, "generate jobs with the seeded load generator instead of -jobs")
 	lgJobs := flag.Int("lg-jobs", 100, "loadgen: number of jobs")
 	lgTenants := flag.Int("lg-tenants", 8, "loadgen: number of synthetic tenants (overrides -tenant)")
-	lgGapMs := flag.Float64("lg-mean-gap-ms", 3, "loadgen: mean virtual interarrival gap (ms; 0 = the generator's 10)")
-	lgBurst := flag.Int("lg-burst", 8, "loadgen: maximum burst size (0 or 1 disables bursts)")
-	lgFaultFrac := flag.Float64("lg-fault-frac", 0.04, "loadgen: fraction of jobs with an armed mid-pipeline crash")
-	lgChaosFrac := flag.Float64("lg-chaos-frac", 0.06, "loadgen: fraction of jobs with message chaos armed")
-	lgDiskFrac := flag.Float64("lg-disk-frac", 0.03, "loadgen: fraction of jobs with a storage fault armed (paired with a later crash so the resume must scrub and heal)")
-	lgMaxPrio := flag.Int("lg-max-priority", 2, "loadgen: priorities drawn from 0..N")
-	lgOversize := flag.Int("lg-oversize", 0, "loadgen: jobs requesting an unsatisfiable rank count (admission-rejection exercises)")
-	lgSeed := flag.Int64("lg-seed", 0, "loadgen: arrival/draw seed (0 = -seed)")
 	reportPath := flag.String("report", "", "write the hipmer-sched/v1 service report (JSON) to this path")
 	metricsDir := flag.String("metrics-dir", "", "write per-tenant hipmer-metrics/v1 report arrays under this directory")
 	quiet := flag.Bool("quiet", false, "suppress the report table on stdout")
@@ -113,21 +106,7 @@ func main() {
 	}
 	var lc *sched.LoadConfig
 	if *loadgen {
-		lc = &sched.LoadConfig{
-			Seed:        *lgSeed,
-			Tenants:     *lgTenants,
-			Jobs:        *lgJobs,
-			MeanGapNs:   int64(*lgGapMs * float64(time.Millisecond)),
-			Burst:       *lgBurst,
-			FaultFrac:   *lgFaultFrac,
-			ChaosFrac:   *lgChaosFrac,
-			DiskFrac:    *lgDiskFrac,
-			MaxPriority: *lgMaxPrio,
-			Oversize:    *lgOversize,
-		}
-		if lc.Seed == 0 {
-			lc.Seed = *seed
-		}
+		lc = loadgenLoad(*lgJobs, *lgTenants, *seed)
 	}
 	if err := validateOptions(cfg, *jobsPath, lc); err != nil {
 		fmt.Fprintf(os.Stderr, "hipmerd: %v\n", err)
@@ -180,6 +159,17 @@ func main() {
 	}
 
 	exit(exitCodeFor(out))
+}
+
+// loadgenLoad is the -loadgen load: sched.ServeLoad less its oversize
+// submissions (each would make the run exit 7), with a storage fault
+// armed on 3 % of jobs, drawn from seed.
+func loadgenLoad(jobs, tenants int, seed int64) *sched.LoadConfig {
+	lc := sched.ServeLoad(jobs, tenants)
+	lc.Seed = seed
+	lc.Oversize = 0
+	lc.DiskFrac = 0.03
+	return &lc
 }
 
 // buildJobs resolves the job source: a parsed job file, or load generated

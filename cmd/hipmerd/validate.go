@@ -9,7 +9,7 @@ import (
 // validateOptions rejects invalid or conflicting service configurations
 // before any work starts (the cmd/hipmer validateOptions contract: kept
 // separate from flag parsing so tests drive it directly; main exits 2 on
-// any returned error). lc is the -lg-* flags' load, nil without -loadgen.
+// any returned error). lc is the -loadgen load, nil without -loadgen.
 // The scheduler's rules — quota bounds, duplicate tenants, stranded
 // capacity — are sched.Config.Validate's and the load generator's are
 // sched.LoadConfig.Validate's; this function adds only the job-source

@@ -3,15 +3,17 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"hipmer/internal/sched"
 )
 
 // TestValidateOptions pins the daemon's usage contract: every flag
 // combination main would exit 2 on returns an error naming the offending
-// flag (a load-generator rule names the sched.LoadConfig field its -lg-*
-// flag sets), and sane configurations pass.
+// flag (a load-generator rule names the sched.LoadConfig field it
+// rejects), and sane configurations pass. Only -lg-jobs and -lg-tenants
+// reach the load's shape from the command line; the other shape cases
+// hold that validateOptions refuses any load sched.LoadConfig.Validate
+// refuses.
 func TestValidateOptions(t *testing.T) {
 	base := func() sched.Config {
 		return sched.Config{
@@ -23,12 +25,9 @@ func TestValidateOptions(t *testing.T) {
 			},
 		}
 	}
-	// lg is the load of the -lg-* flags' defaults, changed by mut.
+	// lg is the -loadgen load of the flags' defaults, changed by mut.
 	lg := func(mut func(*sched.LoadConfig)) *sched.LoadConfig {
-		lc := &sched.LoadConfig{
-			Seed: 1, Jobs: 100, Tenants: 8, MeanGapNs: int64(3 * time.Millisecond), Burst: 8,
-			FaultFrac: 0.04, ChaosFrac: 0.06, DiskFrac: 0.03, MaxPriority: 2,
-		}
+		lc := loadgenLoad(100, 8, 1)
 		mut(lc)
 		return lc
 	}

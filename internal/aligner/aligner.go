@@ -103,11 +103,10 @@ func (a Alignment) FullLength() bool { return a.RStart == 0 && a.REnd == a.ReadL
 
 // Index is the distributed seed index plus contig sequence access.
 type Index struct {
-	opt     Options
-	team    *xrt.Team
-	seeds   *dht.Table[kmer.Kmer, hitList]
-	seqs    map[int64]*contig.Contig
-	numCtgs int64
+	opt   Options
+	team  *xrt.Team
+	seeds *dht.Table[kmer.Kmer, hitList]
+	seqs  map[int64]*contig.Contig
 	// scratch[rank] is the rank's alignment working memory, nil until the
 	// rank aligns its first read; only that rank touches it.
 	scratch []*alignScratch
@@ -180,7 +179,6 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 	for _, cs := range contigsByRank {
 		for _, c := range cs {
 			idx.seqs[c.ID] = c
-			idx.numCtgs++
 		}
 	}
 	// every contig position contributes one seed, so total contig bases
@@ -243,12 +241,6 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 	idx.seeds.SetApply(nil)
 	return idx
 }
-
-// Contig returns the indexed contig with the given global ID.
-func (x *Index) Contig(id int64) *contig.Contig { return x.seqs[id] }
-
-// NumContigs returns the number of indexed contigs.
-func (x *Index) NumContigs() int64 { return x.numCtgs }
 
 // fetchContig models fetching a contig's sequence window for extension:
 // a remote lookup on a cache miss, rank-local time on a hit (merAligner's

@@ -64,14 +64,6 @@ type CleanStats struct {
 	Survivors int64
 }
 
-// Add folds another pass's stats into s (per-round accumulation).
-func (s *CleanStats) Add(o CleanStats) {
-	s.TipsClipped += o.TipsClipped
-	s.BubblesPopped += o.BubblesPopped
-	s.BasesRemoved += o.BasesRemoved
-	s.Survivors = o.Survivors
-}
-
 // EndRec is the compact endpoint record of the gathered-graph idiom: what
 // tip clipping and bubble popping — here and in scaffold's §4.2 bubble
 // merging — need to know about one contig.

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hipmer/internal/sched"
 )
 
 // TestMetaSweepGate runs the iterative-k metagenome exhibit at tiny
@@ -30,7 +32,7 @@ func TestServeSweep(t *testing.T) {
 		t.Skip("service load exhibit (run by CI's service job at full scale)")
 	}
 	t.Parallel() // alongside TestMatrixAllGreen
-	res, text, err := ServeSweep(20151115, ServeLoad(80, 8))
+	res, text, err := ServeSweep(20151115, sched.ServeLoad(80, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

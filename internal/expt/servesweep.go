@@ -68,23 +68,6 @@ func (r *ServeResult) Gate() error {
 	return nil
 }
 
-// ServeLoad is the heavy-traffic exhibit's load: bursty arrivals with
-// injected rank crashes and chaos retry exhaustions, priority classes
-// (so preemption and elastic rescale come into play) and structurally
-// unsatisfiable submissions.
-func ServeLoad(jobs, tenants int) sched.LoadConfig {
-	return sched.LoadConfig{
-		Tenants:     tenants,
-		Jobs:        jobs,
-		MeanGapNs:   int64(3 * time.Millisecond),
-		Burst:       8,
-		FaultFrac:   0.04,
-		ChaosFrac:   0.06,
-		MaxPriority: 2,
-		Oversize:    jobs/200 + 1,
-	}
-}
-
 // DiskServeLoad is the storage-fault leg: a small workload in which the
 // generator arms 40% of the jobs with checkpoint damage, each paired
 // with a later crash: a job whose crash trips must requeue and heal in

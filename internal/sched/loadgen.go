@@ -54,7 +54,9 @@ func DefaultTemplates(seed int64, dir string) ([]Template, error) {
 	}, nil
 }
 
-// LoadConfig parameterizes the seeded open-loop load generator.
+// LoadConfig parameterizes the seeded open-loop load generator. The
+// service's load is ServeLoad's; tests and the storage-fault exhibit leg
+// set the fields they vary.
 type LoadConfig struct {
 	// Seed drives every draw (default 1).
 	Seed int64
@@ -93,6 +95,24 @@ type LoadConfig struct {
 	// request an unsatisfiable rank count, exercising structural
 	// admission rejection (default 0).
 	Oversize int
+}
+
+// ServeLoad is the service's heavy-traffic load, the one that
+// benchsuite -serve gates and hipmerd -loadgen serves: bursty arrivals
+// 3 ms apart on average, injected rank crashes and chaos retry
+// exhaustions, priority classes (so preemption and elastic rescale come
+// into play) and one structurally unsatisfiable submission per 200 jobs.
+func ServeLoad(jobs, tenants int) LoadConfig {
+	return LoadConfig{
+		Tenants:     tenants,
+		Jobs:        jobs,
+		MeanGapNs:   int64(3 * time.Millisecond),
+		Burst:       8,
+		FaultFrac:   0.04,
+		ChaosFrac:   0.06,
+		MaxPriority: 2,
+		Oversize:    jobs/200 + 1,
+	}
 }
 
 // Validate is the one statement of the load generator's rules; each
@@ -172,8 +192,10 @@ func DefaultTenantConfigs(n, ranks, minQuota int) []TenantConfig {
 
 // GenJobs draws the workload: seeded open-loop arrivals with
 // exponential gaps and occasional bursts, Zipf-skewed tenant demand,
-// weighted template mix, and injected per-job faults. The same config
-// and templates always produce the same specs.
+// weighted template mix, and injected per-job faults. It arms no
+// schedule perturbation: that is a test device, which a job file
+// (perturb_seed) or a test sets itself. The same config and templates
+// always produce the same specs.
 func GenJobs(c LoadConfig, templates []Template) ([]JobSpec, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -242,10 +264,10 @@ func GenJobs(c LoadConfig, templates []Template) ([]JobSpec, error) {
 				Ranks:    tpl.Ranks,
 				Seed:     tpl.Seed,
 				Arrival:  now + time.Duration(b)*time.Microsecond,
-				// Per-job wall-clock schedule perturbation: diversifies
-				// physical interleavings without touching virtual time.
-				Inject: xrt.Inject{PerturbSeed: prng.Int63() | 1},
 			}
+			// A draw that once seeded a per-job schedule perturbation: kept
+			// so every later draw, and every committed schedule, stays put.
+			prng.Int63()
 			if c.MaxPriority > 0 {
 				spec.Priority = prng.Intn(c.MaxPriority + 1)
 			}

@@ -337,6 +337,42 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestGenJobsArmsNoPerturbation: the generator makes load and arms no
+// test device. Schedule perturbation sleeps at every phase start, barrier
+// and flush; a served job runs without it unless its job file asks.
+func TestGenJobsArmsNoPerturbation(t *testing.T) {
+	lc := LoadConfig{
+		Seed: 9, Tenants: 4, Jobs: 200, Burst: 6,
+		FaultFrac: 0.2, ChaosFrac: 0.2, DiskFrac: 0.2, MaxPriority: 2,
+	}
+	specs, err := GenJobs(lc, fakeTemplates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var faulted, chaotic, disked, prioritized int
+	for i, spec := range specs {
+		if spec.PerturbSeed != 0 {
+			t.Fatalf("job %d (%s) armed with perturb seed %d", i, spec.Name, spec.PerturbSeed)
+		}
+		if spec.FaultSeed != 0 {
+			faulted++
+		}
+		if spec.ChaosSeed != 0 {
+			chaotic++
+		}
+		if spec.DiskFaultSeed != 0 {
+			disked++
+		}
+		if spec.Priority > 0 {
+			prioritized++
+		}
+	}
+	if faulted == 0 || chaotic == 0 || disked == 0 || prioritized == 0 {
+		t.Fatalf("load arms too little to show anything: %d crashes, %d chaos, %d disk faults, %d prioritized",
+			faulted, chaotic, disked, prioritized)
+	}
+}
+
 func TestLoadConfigValidate(t *testing.T) {
 	base := LoadConfig{Tenants: 8, Jobs: 100}
 	if err := base.Validate(); err != nil {

@@ -280,7 +280,7 @@ type Rank struct {
 	team *Team
 
 	clockNs   float64 // owner-written virtual clock
-	workNs    float64 // cumulative charged work; never synchronized (see WorkNs)
+	workNs    float64 // cumulative charged work; never synchronized (see Team.RankWorkNs)
 	stats     CommStats
 	foreignNs atomic.Int64 // work charged to this rank by other ranks
 	pert      *Prng        // delay stream; nil unless perturbation is armed
@@ -448,30 +448,30 @@ func (r *Rank) chargeBatch(dst, n, bytes int) {
 }
 
 // ChargeIORead models reading bytes from the shared parallel file system
-// during a phase where all ranks read concurrently: the effective per-rank
-// bandwidth is capped by the aggregate bandwidth divided by the team size,
-// which reproduces I/O saturation at high concurrency.
+// during a phase where all ranks read concurrently (see chargeIO).
 func (r *Rank) ChargeIORead(bytes int64) {
-	c := &r.team.cost
-	bw := c.IORankBytesPerSec
-	if agg := c.IOAggBytesPerSec / float64(r.team.cfg.Ranks); agg < bw {
-		bw = agg
-	}
 	r.stats.IOBytes += bytes
-	r.advance(c.IOLatencyNs + float64(bytes)/bw*1e9)
+	r.chargeIO(bytes)
 }
 
 // ChargeIOWrite models writing bytes to the shared parallel file system
 // (checkpoint segments, output FASTA) under the same saturation model as
-// ChargeIORead: per-rank bandwidth is the aggregate cap divided by the
-// team size when that is lower than a single stream's bandwidth.
+// ChargeIORead.
 func (r *Rank) ChargeIOWrite(bytes int64) {
+	r.stats.IOWriteBytes += bytes
+	r.chargeIO(bytes)
+}
+
+// chargeIO advances the clock by one parallel-file-system transfer: the
+// effective per-rank bandwidth is the aggregate cap divided by the team
+// size when that is lower than a single stream's bandwidth, which
+// reproduces I/O saturation at high concurrency.
+func (r *Rank) chargeIO(bytes int64) {
 	c := &r.team.cost
 	bw := c.IORankBytesPerSec
 	if agg := c.IOAggBytesPerSec / float64(r.team.cfg.Ranks); agg < bw {
 		bw = agg
 	}
-	r.stats.IOWriteBytes += bytes
 	r.advance(c.IOLatencyNs + float64(bytes)/bw*1e9)
 }
 
@@ -500,14 +500,6 @@ func (r *Rank) ClockNs() float64 {
 func (r *Rank) foldForeign() {
 	r.advanceRaw(float64(r.foreignNs.Swap(0)))
 }
-
-// WorkNs returns the rank's cumulative charged work, including foreign
-// charges folded in at synchronization points. Unlike ClockNs it is never
-// raised by barrier synchronization, so deltas of WorkNs across a span
-// measure the rank's own busy time — the per-rank quantity load-imbalance
-// statistics are computed from. Only safe to read from the owning
-// goroutine or between phases.
-func (r *Rank) WorkNs() float64 { return r.workNs }
 
 // Team is a fixed set of SPMD ranks with collective operations.
 type Team struct {
@@ -714,8 +706,11 @@ func (t *Team) AggStats() CommStats {
 // RankStats returns a copy of one rank's statistics.
 func (t *Team) RankStats(id int) CommStats { return t.ranks[id].stats }
 
-// RankWorkNs returns one rank's cumulative charged work (see
-// Rank.WorkNs). Only safe between phases.
+// RankWorkNs returns one rank's cumulative charged work, including
+// foreign charges folded in at synchronization points. Unlike a clock it
+// is never raised by barrier synchronization, so deltas of it across a
+// span measure the rank's own busy time — the per-rank quantity
+// load-imbalance statistics are computed from. Only safe between phases.
 func (t *Team) RankWorkNs(id int) float64 { return t.ranks[id].workNs }
 
 // Barrier blocks until every rank has arrived, then synchronizes all
