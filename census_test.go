@@ -25,9 +25,10 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/options.txt")
 
 // TestOptionCensus holds the exported fields of every options type — the
-// knobs a run, a stage, a table or the service is configured through — to
-// testdata/options.txt, so adding, removing or retyping one is a visible
-// diff of that file. Regenerate with -update.
+// knobs a run, a stage, a table or the service is configured through, and
+// the cost model's settable calibration — to testdata/options.txt, so
+// adding, removing or retyping one is a visible diff of that file.
+// Regenerate with -update.
 func TestOptionCensus(t *testing.T) {
 	types := []struct {
 		name string
@@ -36,6 +37,7 @@ func TestOptionCensus(t *testing.T) {
 		{"hipmer.Options", Options{}},
 		{"pipeline.Config", pipeline.Config{}},
 		{"xrt.Config", xrt.Config{}},
+		{"xrt.CostModel", xrt.CostModel{}},
 		{"xrt.Inject", xrt.Inject{}},
 		{"sched.Config", sched.Config{}},
 		{"sched.LoadConfig", sched.LoadConfig{}},

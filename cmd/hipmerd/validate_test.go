@@ -9,11 +9,9 @@ import (
 
 // TestValidateOptions pins the daemon's usage contract: every flag
 // combination main would exit 2 on returns an error naming the offending
-// flag (a load-generator rule names the sched.LoadConfig field it
-// rejects), and sane configurations pass. Only -lg-jobs and -lg-tenants
-// reach the load's shape from the command line; the other shape cases
-// hold that validateOptions refuses any load sched.LoadConfig.Validate
-// refuses.
+// flag, and sane configurations pass. Only -lg-jobs and -lg-tenants reach
+// the load's shape from the command line; sched.TestLoadConfigValidate
+// holds the load generator's other rules.
 func TestValidateOptions(t *testing.T) {
 	base := func() sched.Config {
 		return sched.Config{
@@ -25,13 +23,8 @@ func TestValidateOptions(t *testing.T) {
 			},
 		}
 	}
-	// lg is the -loadgen load of the flags' defaults, changed by mut.
-	lg := func(mut func(*sched.LoadConfig)) *sched.LoadConfig {
-		lc := loadgenLoad(100, 8, 1)
-		mut(lc)
-		return lc
-	}
-	lgOK := lg(func(*sched.LoadConfig) {})
+	// the -loadgen load of the flags' defaults
+	lgOK := loadgenLoad(100, 8, 1)
 
 	cases := []struct {
 		name    string
@@ -66,21 +59,8 @@ func TestValidateOptions(t *testing.T) {
 			c.Tenants = []sched.TenantConfig{{Name: "acme", Quota: 4}}
 			return c
 		}, "jobs.json", nil, "unusable"},
-		{"zero-lg-jobs", base, "", lg(func(l *sched.LoadConfig) { l.Jobs = 0 }), "-lg-* flags: Jobs"},
-		{"zero-lg-tenants", base, "", lg(func(l *sched.LoadConfig) { l.Tenants = 0 }), "-lg-* flags: Tenants"},
-		// A zero gap or burst selects the generator's default, as in the
-		// library; only a negative one is refused.
-		{"zero-gap", base, "", lg(func(l *sched.LoadConfig) { l.MeanGapNs = 0 }), ""},
-		{"negative-gap", base, "", lg(func(l *sched.LoadConfig) { l.MeanGapNs = -1e6 }), "-lg-* flags: MeanGapNs"},
-		{"zero-burst", base, "", lg(func(l *sched.LoadConfig) { l.Burst = 0 }), ""},
-		{"negative-burst", base, "", lg(func(l *sched.LoadConfig) { l.Burst = -1 }), "-lg-* flags: Burst"},
-		{"fault-frac-over-1", base, "", lg(func(l *sched.LoadConfig) { l.FaultFrac = 1.5 }), "-lg-* flags: FaultFrac"},
-		{"chaos-frac-negative", base, "", lg(func(l *sched.LoadConfig) { l.ChaosFrac = -0.1 }), "-lg-* flags: ChaosFrac"},
-		{"disk-frac-over-1", base, "", lg(func(l *sched.LoadConfig) { l.DiskFrac = 1.2 }), "-lg-* flags: DiskFrac"},
-		{"disk-frac-negative", base, "", lg(func(l *sched.LoadConfig) { l.DiskFrac = -0.2 }), "-lg-* flags: DiskFrac"},
-		{"disk-frac-ok", base, "", lg(func(l *sched.LoadConfig) { l.DiskFrac = 0.05 }), ""},
-		{"negative-priority", base, "", lg(func(l *sched.LoadConfig) { l.MaxPriority = -1 }), "-lg-* flags: MaxPriority"},
-		{"oversize-over-jobs", base, "", lg(func(l *sched.LoadConfig) { l.Oversize = 101 }), "-lg-* flags: Oversize"},
+		{"zero-lg-jobs", base, "", loadgenLoad(0, 8, 1), "-lg-jobs must be >= 1, got 0"},
+		{"zero-lg-tenants", base, "", loadgenLoad(100, 0, 1), "-lg-tenants must be >= 1, got 0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -81,3 +81,45 @@ func TestAbyssLikeScaffoldingDominates(t *testing.T) {
 			ab.Scaffolding, hip.Scaffolding)
 	}
 }
+
+// TestBaselinesSendHipMersMessages holds what the baselines model: they
+// differ from HipMer in where the work runs (a serial read, single-rank
+// scaffolding), not in how it communicates. Every stage the distributed
+// part of Ray-like and ABySS-like runs sends exactly HipMer's messages and
+// bytes in that stage.
+func TestBaselinesSendHipMersMessages(t *testing.T) {
+	_, libs := smallDataset(t)
+	pcfg := pipeline.Config{K: 31, MinCount: 3}
+	cfg := xrt.Config{Ranks: 16, RanksPerNode: 4}
+	hip, err := RunHipMer(cfg, libs, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ray, err := RunRayLike(cfg, libs, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, err := RunAbyssLike(cfg, libs, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(ray.Metrics.Stages), len(hip.Metrics.Stages); got != want {
+		t.Fatalf("Ray-like recorded %d spans, HipMer %d", got, want)
+	}
+	if hip.Metrics.Stage("kmer-analysis").Comm.Msgs() == 0 {
+		t.Fatal("HipMer's k-mer analysis sent no messages: nothing to compare")
+	}
+	for _, o := range []*Outcome{ray, ab} {
+		for _, st := range o.Metrics.Stages {
+			want := hip.Metrics.Stage(st.Path)
+			if want == nil {
+				t.Errorf("%s: span %s, which HipMer does not run", o.Name, st.Path)
+				continue
+			}
+			if st.Comm.Msgs() != want.Comm.Msgs() || st.Comm.Bytes() != want.Comm.Bytes() {
+				t.Errorf("%s: %s sent %d messages / %d bytes, HipMer %d / %d", o.Name, st.Path,
+					st.Comm.Msgs(), st.Comm.Bytes(), want.Comm.Msgs(), want.Comm.Bytes())
+			}
+		}
+	}
+}

@@ -166,8 +166,10 @@ func (r *kmerRecords) Swap(i, j int) {
 // frozen — exactly the state a fresh analysis hands downstream. The
 // payload lists entries in global k-mer order and they are placed by the
 // bin weights it carries, mapped onto the running team's ranks, so any
-// rank count rebuilds the table a fresh analysis there would place.
-func DecodeKmerStage(team *xrt.Team, b []byte, aggBufSize int) (*kanalysis.Result, error) {
+// rank count rebuilds the table a fresh analysis there would place. The
+// third parameter is ignored; it stays only because the benchmark harness
+// passes it.
+func DecodeKmerStage(team *xrt.Team, b []byte, _ int) (*kanalysis.Result, error) {
 	c := cursor{mode: reading, b: b}
 	res := &kanalysis.Result{}
 	var k, m uint32
@@ -188,7 +190,7 @@ func DecodeKmerStage(team *xrt.Team, b []byte, aggBufSize int) (*kanalysis.Resul
 	if len(res.BinWeights) == 0 {
 		res.BinWeights = nil
 	}
-	table := kanalysis.NewBinnedTable(team, int64(n), aggBufSize, int(k), int(m), res.BinWeights)
+	table := kanalysis.NewBinnedTable(team, int64(n), int(k), int(m), res.BinWeights)
 	perOwner := make([][]kmerEntry, team.Config().Ranks)
 	for i := 0; i < n; i++ {
 		var e kmerEntry

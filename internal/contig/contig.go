@@ -44,8 +44,6 @@ type Options struct {
 	// §3.2 exhibits, which measure one against the other; no product entry
 	// point sets it.
 	Oracle *dht.Oracle
-	// AggBufSize overrides the aggregating-stores buffer size.
-	AggBufSize int
 }
 
 func (o Options) withDefaults() Options {
@@ -226,7 +224,6 @@ func buildGraph(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], op
 	gOpt := dht.Options[kmer.Kmer]{
 		Hash:          graphHash,
 		ItemBytes:     nodeBytes,
-		AggBufSize:    opt.AggBufSize,
 		ExpectedItems: kt.Len(),
 	}
 	if opt.Oracle != nil {
@@ -790,7 +787,6 @@ func (t *traverser) stitch(team *xrt.Team) int64 {
 		w.out = append(w.out, t.join(chain, ring))
 	}
 
-	cost := team.Cost()
 	team.Run(func(r *xrt.Rank) {
 		// the headers: a latency tree whose every step carries all of them,
 		// as AllReduceSum charges a vector
@@ -799,7 +795,7 @@ func (t *traverser) stitch(team *xrt.Team) int64 {
 			linked += n.(int)
 		}
 		steps := bits.Len(uint(r.N() - 1))
-		r.Charge(float64(steps*linked*fragHeaderBytes) * cost.OffNodeByteNs)
+		r.Charge(float64(steps*linked*fragHeaderBytes) * xrt.OffNodeByteNs)
 		r.ChargeItems(linked) // resolve the chains
 		// the fetches are known up front: one batch per owner, in rank order
 		n, bytes := make([]int, r.N()), make([]int, r.N())

@@ -629,7 +629,6 @@ func (t *Table[K, V]) SamePlacement(opt Options[K]) Options[K] {
 // strand every surviving rank behind it.
 func (t *Table[K, V]) visitLocal(r *xrt.Rank, visit func(m *flat.Map[K, V]) (visited int, stop bool)) {
 	frozen := t.frozen.Load()
-	opNs := t.team.Cost().LocalOpNs
 	for i := range t.shards[r.ID].stripes {
 		st := &t.shards[r.ID].stripes[i]
 		visited, stop := func() (int, bool) {
@@ -639,7 +638,7 @@ func (t *Table[K, V]) visitLocal(r *xrt.Rank, visit func(m *flat.Map[K, V]) (vis
 			}
 			return visit(&st.m)
 		}()
-		r.Charge(float64(visited) * opNs)
+		r.Charge(float64(visited) * xrt.LocalOpNs)
 		if stop {
 			return
 		}

@@ -62,11 +62,13 @@ type AblationAggRow struct {
 
 // AblationAggStores sweeps the aggregating-stores buffer size while a
 // k-mer count table is built from one store per read k-mer: buffer 1 is
-// the fine-grained messaging the baselines use; the message count and the
-// resulting build time fall with the buffer, the optimization HipMer
-// applies to every hash-table construction (§4.1, §4.6). Stage 1 ships
-// super-k-mer records, which bypass these buffers, so the table here is a
-// bare one of per-item stores placed by k-mer hash.
+// a message per k-mer, the fine-grained messaging the paper attributes to
+// Ray and ABySS (the §5.6 baselines do not model it; see package
+// baseline); the message count and the resulting build time fall with the
+// buffer, the optimization HipMer applies to every hash-table construction
+// (§4.1, §4.6). Stage 1 ships super-k-mer records, which bypass these
+// buffers, so the table here is a bare one of per-item stores placed by
+// k-mer hash.
 func AblationAggStores(sc Scale) ([]AblationAggRow, string) {
 	p := sc.Cores[len(sc.Cores)/2]
 	parts := xrt.DealPairs(mergeLibs(sc.dataset("human").libs), p)

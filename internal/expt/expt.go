@@ -116,8 +116,8 @@ func (sc Scale) dataset(name string) (d dataset) {
 // of the critical-path time not explained by perfectly balanced local
 // compute — i.e. message costs plus the wait caused by receiver-side load
 // imbalance, which is exactly what the heavy-hitter optimization removes.
-func commPct(elapsedNs float64, items int64, cost xrt.CostModel, p int) float64 {
-	perItem := 3*cost.ItemNs + 1.7*cost.LocalOpNs // 3 passes + owner applies
+func commPct(elapsedNs float64, items int64, p int) float64 {
+	perItem := 3*xrt.ItemNs + 1.7*xrt.LocalOpNs // 3 passes + owner applies
 	ideal := float64(items) * perItem / float64(p)
 	if elapsedNs <= 0 {
 		return 0
@@ -186,7 +186,7 @@ func Fig6(sc Scale) ([]Fig6Row, string) {
 				K: sc.K, MinCount: 2, HeavyHitters: hh,
 			})
 			elapsed := res.SketchPhase.Virtual + res.BloomPhase.Virtual + res.CountPhase.Virtual
-			pct := commPct(float64(elapsed.Nanoseconds()), res.TotalKmers, team.Cost(), p)
+			pct := commPct(float64(elapsed.Nanoseconds()), res.TotalKmers, p)
 			if !hh {
 				row.DefaultSec = (elapsed + io.Virtual).Seconds()
 				row.DefaultCommPct = pct

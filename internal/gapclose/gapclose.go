@@ -238,7 +238,7 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 	pool := newScratchPool()
 	team.BeginSpan("close")
 
-	scanning := dealScan(jobs, p, team.Cost())
+	scanning := dealScan(jobs, p)
 	scan := team.Run(func(r *xrt.Rank) {
 		for _, c := range scanning[r.ID] {
 			c.run(r, pool)

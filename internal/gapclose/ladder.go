@@ -187,10 +187,10 @@ func (j *gapJob) cut(n int) []*scanChunk {
 // scanNs is the virtual time of a gap's busiest chunk: chunk 0 with the
 // gap's overhead and the other chunks' answers applied on home, any other
 // with its fetch and its answer priced off-node, wherever it will run.
-func scanNs(chunks []*scanChunk, c xrt.CostModel) float64 {
-	ns := c.ItemNs*float64(chunks[0].bases+gapOverhead) + float64(len(chunks)-1)*c.LocalOpNs
+func scanNs(chunks []*scanChunk) float64 {
+	ns := xrt.ItemNs*float64(chunks[0].bases+gapOverhead) + float64(len(chunks)-1)*xrt.LocalOpNs
 	for _, ch := range chunks[1:] {
-		ns = max(ns, c.ItemNs*float64(ch.bases)+2*c.OffNodeMsgNs+float64(ch.bases+answerBytes)*c.OffNodeByteNs)
+		ns = max(ns, xrt.ItemNs*float64(ch.bases)+2*xrt.OffNodeMsgNs+float64(ch.bases+answerBytes)*xrt.OffNodeByteNs)
 	}
 	return ns
 }
@@ -199,10 +199,10 @@ func scanNs(chunks []*scanChunk, c xrt.CostModel) float64 {
 // current ones, at most spare more, that lowers its scanNs; nil if none
 // does. Reads are whole, so one chunk more can leave the longest chunk as
 // long as it was, and a few more shorten it.
-func (j *gapJob) finer(spare int, cost xrt.CostModel) []*scanChunk {
-	now := scanNs(j.chunks, cost)
+func (j *gapJob) finer(spare int) []*scanChunk {
+	now := scanNs(j.chunks)
 	for n := len(j.chunks) + 1; n <= len(j.chunks)+spare; n++ {
-		if c := j.cut(n); len(c) > len(j.chunks) && scanNs(c, cost) < now {
+		if c := j.cut(n); len(c) > len(j.chunks) && scanNs(c) < now {
 			return c
 		}
 	}
@@ -217,7 +217,7 @@ func (j *gapJob) finer(spare int, cost xrt.CostModel) []*scanChunk {
 // the ranks without a gap can take the new chunks. The chunks off home are
 // then dealt longest first, one to each such rank in rank order. With as
 // many gaps as ranks nothing is cut.
-func dealScan(jobs []*gapJob, p int, cost xrt.CostModel) [][]*scanChunk {
+func dealScan(jobs []*gapJob, p int) [][]*scanChunk {
 	byHome := dealSpanning(jobs, p)
 	idle := make([]int, 0, p)
 	for r, js := range byHome {
@@ -230,9 +230,9 @@ func dealScan(jobs []*gapJob, p int, cost xrt.CostModel) [][]*scanChunk {
 	}
 	for spare := len(idle); spare > 0 && len(jobs) > 0; {
 		j := slices.MaxFunc(jobs, func(a, b *gapJob) int {
-			return cmp.Compare(scanNs(a.chunks, cost), scanNs(b.chunks, cost))
+			return cmp.Compare(scanNs(a.chunks), scanNs(b.chunks))
 		})
-		more := j.finer(spare, cost)
+		more := j.finer(spare)
 		if more == nil {
 			break
 		}

@@ -232,7 +232,7 @@ func checkOneRankCharges(t *testing.T, g *gapState, steps int) (leftOperand int)
 	}
 	leftOperand = len(g.left) + len(bestL)
 	items := readBases + gapOverhead + steps*buildFactor*readBases + walkFactor*walked + patchFactor*min(leftOperand, aligner.OverlapWindow)
-	if got, want := span.Ranks[0].WorkNs, float64(items)*xrt.DefaultCostModel().ItemNs; got != want {
+	if got, want := span.Ranks[0].WorkNs, float64(items)*xrt.ItemNs; got != want {
 		t.Fatalf("charged %.0f ns, want %.0f: a scan, %d steps over %d read bases walking %d steps, and a patch over %d rows",
 			got, want, steps, readBases, walked, min(leftOperand, aligner.OverlapWindow))
 	}

@@ -76,7 +76,7 @@ func TestChunkedScanKeepsFirstSpanningRead(t *testing.T) {
 				}
 				gaps := []*gapState{&g}
 				jobs := newJobs(gaps)
-				byRank := dealScan(jobs, p, xrt.DefaultCostModel())
+				byRank := dealScan(jobs, p)
 				j := jobs[0]
 				if len(j.chunks) != shape.chunks {
 					t.Fatalf("%d chunks on %d ranks, want %d", len(j.chunks), p, shape.chunks)
@@ -115,7 +115,7 @@ func TestScanStaysHomeWithoutIdleRanks(t *testing.T) {
 	gaps := syntheticGaps(55, 12)
 	for _, p := range []int{1, 4, 12} {
 		jobs := newJobs(gaps)
-		for r, cs := range dealScan(jobs, p, xrt.DefaultCostModel()) {
+		for r, cs := range dealScan(jobs, p) {
 			for _, c := range cs {
 				if c.job.home != r || len(c.job.chunks) != 1 {
 					t.Fatalf("%d ranks: rank %d scans a chunk of %d of a gap homed on %d", p, r, len(c.job.chunks), c.job.home)

@@ -117,8 +117,6 @@ type Options struct {
 	// sighting, the behaviour the Bloom filters exist to avoid; used by
 	// the memory ablation that reproduces the paper's "up to 85%" saving.
 	DisableBloom bool
-	// AggBufSize overrides the aggregating-stores buffer size (0 = default).
-	AggBufSize int
 	// PseudoByRank, when non-nil, feeds the iterative-k outer loop's
 	// carried contigs into the analysis as error-free pseudo-reads, one
 	// list per rank (must match the team's rank count). Every k-mer
@@ -274,12 +272,12 @@ func NewTable(team *xrt.Team, expectedItems int64, aggBufSize, cacheSlots, k, mi
 // weights are NewTable's placement. Exported so
 // checkpoint rehydration builds a table that places and charges
 // identically to a freshly analyzed one at the same rank count.
-func NewBinnedTable(team *xrt.Team, expectedItems int64, aggBufSize, k, minimizerLen int, weights []int64) *dht.Table[kmer.Kmer, KmerData] {
+func NewBinnedTable(team *xrt.Team, expectedItems int64, k, minimizerLen int, weights []int64) *dht.Table[kmer.Kmer, KmerData] {
 	var owner []int32
 	if weights != nil {
 		owner = BinOwners(weights, team.Config().Ranks)
 	}
-	return newTable(team, expectedItems, aggBufSize, k, minimizerLen, owner)
+	return newTable(team, expectedItems, 0, k, minimizerLen, owner)
 }
 
 // newTable places minimizer bins by owner, or by hash modulo the rank
@@ -824,7 +822,6 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	team.BeginSpan("bloom-screen")
 	segs := make([]segments, p)
 	var weights []int64
-	cost := team.Cost()
 	segment := team.Run(func(r *xrt.Rank) {
 		acc := make([]KmerData, len(hh.keys))
 		s := &segs[r.ID]
@@ -849,7 +846,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		}
 		windows[r.ID], pseudoKmers[r.ID] = int64(n), int64(n-reads)
 		r.ChargeItems(n)
-		r.Charge(float64(n) * cardinalityItems * cost.ItemNs)
+		r.Charge(float64(n) * cardinalityItems * xrt.ItemNs)
 		heavyAcc[r.ID] = acc
 		// Every rank derives the map from the sum itself, so the team
 		// needs no broadcast: sorting the bins and placing each through
@@ -874,7 +871,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	})
 	res.BinWeights = weights
 	owner := BinOwners(weights, p)
-	table = newTable(team, 0, opt.AggBufSize, opt.K, minLen, owner)
+	table = newTable(team, 0, 0, opt.K, minLen, owner)
 	// A delivery is filed, not decoded: the owner drains its inbox
 	// itself once the barrier below has closed it.
 	table.SetBlobApply(func(src, owner int, payload []byte, _ func(kmer.Kmer, KmerData)) {
@@ -1081,13 +1078,12 @@ func sumPhases(a, b xrt.PhaseStats) xrt.PhaseStats {
 // them (a linear merge of flat arrays, much cheaper per item than a
 // hash-table operation).
 func chargeHHReduction(r *xrt.Rank, hh int) {
-	cost := r.Team().Cost()
 	p := r.N()
 	steps := 0
 	for n := 1; n < p; n *= 2 {
 		steps++
 	}
-	per := cost.OffNodeMsgNs + float64(hh)*(cost.OffNodeByteNs*36+cost.ItemNs/4)
+	per := xrt.OffNodeMsgNs + float64(hh)*(xrt.OffNodeByteNs*36+xrt.ItemNs/4)
 	r.Charge(float64(steps) * per)
 }
 

@@ -61,7 +61,7 @@ func TestBinOwnersLPT(t *testing.T) {
 	const k, p = 21, 7
 	m := kmer.ClampMinimizerLen(k, 0)
 	team := xrt.NewTeam(xrt.Config{Ranks: p})
-	table := NewBinnedTable(team, 0, 0, k, m, nil)
+	table := NewBinnedTable(team, 0, k, m, nil)
 	_, recs := simReads(t, 2, 2000, 1, genome.ErrorModel{})
 	kmer.ForEachCanonical(recs[0].Seq, k, func(_ int, canon kmer.Kmer, _ bool) {
 		if o, want := table.Owner(canon), int(kmer.MinimizerHash(canon.Minimizer(k, m))%p); o != want {

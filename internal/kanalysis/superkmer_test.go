@@ -202,7 +202,7 @@ func TestScreenCountsOnAdmissionReplayAppliesTheRest(t *testing.T) {
 		if got := team.RankStats(0).LocalStores - stores; got != int64(firsts) {
 			t.Errorf("replay charged %d local stores for %d first sightings", got, firsts)
 		}
-		if got, want := r.ClockNs()-clock, float64(firsts)*team.Cost().LocalOpNs; got != want {
+		if got, want := r.ClockNs()-clock, float64(firsts)*xrt.LocalOpNs; got != want {
 			t.Errorf("replay advanced the clock %v ns, %d local stores cost %v", got, firsts, want)
 		}
 	})

@@ -52,9 +52,6 @@ type Config struct {
 	KmerLens []int
 	// MinCount is the k-mer error-exclusion threshold (default 2).
 	MinCount int
-	// AggBufSize overrides the aggregating-stores buffer size everywhere
-	// (1 = fine-grained messages, used by the baselines).
-	AggBufSize int
 	// ContigsOnly stops after contig generation (the paper's metagenome
 	// mode, §5.4, where single-genome scaffolding logic would mis-join).
 	ContigsOnly bool

@@ -101,7 +101,7 @@ func buildStages(cfg Config) []stage {
 	// the contig-shaped decoders keep or re-deal their per-rank lists (see
 	// the ckpt package comment), the payload itself saying which.
 	loadKmer := func(env *stageEnv, payload []byte) (err error) {
-		env.res.KAnalysis, err = ckpt.DecodeKmerStage(env.team, payload, env.cfg.AggBufSize)
+		env.res.KAnalysis, err = ckpt.DecodeKmerStage(env.team, payload, 0)
 		return err
 	}
 	saveContig := func(env *stageEnv) []byte {
@@ -224,7 +224,6 @@ func runKmerAnalysisRound(k int, usePseudo bool) func(env *stageEnv) error {
 			K:            k,
 			MinCount:     env.cfg.MinCount,
 			HeavyHitters: true,
-			AggBufSize:   env.cfg.AggBufSize,
 		}
 		if usePseudo {
 			opt.PseudoByRank = pseudoByRank(env.team.Config().Ranks, env.carried)
@@ -249,10 +248,7 @@ func pseudoByRank(p int, carried []*contig.Contig) [][]kanalysis.PseudoRead {
 
 func runContigRound(k int) func(env *stageEnv) error {
 	return func(env *stageEnv) error {
-		env.res.Contigs = contig.Run(env.team, env.res.KAnalysis.Table, contig.Options{
-			K:          k,
-			AggBufSize: env.cfg.AggBufSize,
-		})
+		env.res.Contigs = contig.Run(env.team, env.res.KAnalysis.Table, contig.Options{K: k})
 		return nil
 	}
 }
@@ -490,7 +486,10 @@ func runFingerprint(team *xrt.Team, cfg Config, libs []Library, readLibs []scaff
 		f.Int(int64(k))
 	}
 	f.Int(int64(cfg.MinCount))
-	f.Int(int64(cfg.AggBufSize))
+	// A zero word where the aggregating-stores buffer size (zero in every
+	// product run) was hashed, so checkpoints written before its removal
+	// resume.
+	f.Int(0)
 	f.Bool(cfg.ContigsOnly)
 	f.Int(int64(cfg.ScaffoldRounds))
 	for li, rl := range readLibs {

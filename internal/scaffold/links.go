@@ -96,26 +96,14 @@ func mergeLinkAgg(old, in linkAgg, _ bool) linkAgg {
 	return old
 }
 
-// anchorOut describes how a fragment leaves the contig holding its 5'
-// read: the exit end and the distance from the fragment's start to that
-// end.
-func anchorOut(a aligner.Alignment) (end byte, d int) {
+// anchor describes where a mate's contig meets the gap between the mates:
+// the contig end facing the other mate, and the distance from the
+// fragment's end (the mate's start) to that contig end. Each mate reads
+// into the fragment, so the 5' mate's exit and the 3' mate's entry follow
+// one rule: unflipped, the mate runs toward increasing coordinates and
+// faces R; flipped, toward decreasing ones and faces L.
+func anchor(a aligner.Alignment) (end byte, d int) {
 	if !a.Flipped {
-		// fragment extends toward increasing coordinates
-		p := a.CStart - a.RStart
-		return EndR, a.ContigLen - p
-	}
-	p := a.CEnd + a.RStart
-	return EndL, p
-}
-
-// anchorIn describes how a fragment enters the contig holding its 3'
-// (reverse) read: the entry end and the distance from that end to the
-// fragment's terminus.
-func anchorIn(a aligner.Alignment) (end byte, d int) {
-	if !a.Flipped {
-		// the contig holds the reverse complement of the fragment: the
-		// fragment travels toward decreasing coordinates, entering at R
 		p := a.CStart - a.RStart
 		return EndR, a.ContigLen - p
 	}
@@ -198,8 +186,8 @@ func generateLinks(team *xrt.Team, libs []ReadLib, merged map[int64]*SContig,
 					continue
 				}
 				r.ChargeItems(1)
-				endA, dA := anchorOut(a1)
-				endB, dB := anchorIn(a2)
+				endA, dA := anchor(a1)
+				endB, dB := anchor(a2)
 				gap := insert - float64(dA) - float64(dB)
 				if gap < -insert/2 || gap > insert+4*insertSD {
 					continue // inconsistent with the library

@@ -373,6 +373,9 @@ func TestGenJobsArmsNoPerturbation(t *testing.T) {
 	}
 }
 
+// TestLoadConfigValidate holds the load generator's rules. The base load
+// leaves the gap and the burst zero, which select the generator's
+// defaults, so only a negative one is refused.
 func TestLoadConfigValidate(t *testing.T) {
 	base := LoadConfig{Tenants: 8, Jobs: 100}
 	if err := base.Validate(); err != nil {
@@ -383,26 +386,28 @@ func TestLoadConfigValidate(t *testing.T) {
 		mut  func(*LoadConfig)
 		want string
 	}{
-		{"no tenants", func(c *LoadConfig) { c.Tenants = 0 }, "Tenants must be >= 1, got 0"},
-		{"no jobs", func(c *LoadConfig) { c.Jobs = 0 }, "Jobs must be >= 1, got 0"},
-		{"negative gap", func(c *LoadConfig) { c.MeanGapNs = -5e6 }, "MeanGapNs must be >= 0 (0 = default), got -5000000"},
-		{"negative burst", func(c *LoadConfig) { c.Burst = -1 }, "Burst must be >= 0 (0 = default), got -1"},
-		{"fault frac", func(c *LoadConfig) { c.FaultFrac = 1.5 }, "FaultFrac"},
-		{"chaos frac", func(c *LoadConfig) { c.ChaosFrac = -0.1 }, "ChaosFrac"},
-		{"disk frac", func(c *LoadConfig) { c.DiskFrac = 1.5 }, "DiskFrac"},
-		{"priority", func(c *LoadConfig) { c.MaxPriority = -2 }, "MaxPriority"},
-		{"oversize", func(c *LoadConfig) { c.Oversize = 101 }, "Oversize must be in 0..Jobs (100), got 101"},
+		{"no-tenants", func(c *LoadConfig) { c.Tenants = 0 }, "Tenants must be >= 1, got 0"},
+		{"no-jobs", func(c *LoadConfig) { c.Jobs = 0 }, "Jobs must be >= 1, got 0"},
+		{"negative-gap", func(c *LoadConfig) { c.MeanGapNs = -5e6 }, "MeanGapNs must be >= 0 (0 = default), got -5000000"},
+		{"negative-burst", func(c *LoadConfig) { c.Burst = -1 }, "Burst must be >= 0 (0 = default), got -1"},
+		{"fault-frac-over-1", func(c *LoadConfig) { c.FaultFrac = 1.5 }, "FaultFrac"},
+		{"chaos-frac-negative", func(c *LoadConfig) { c.ChaosFrac = -0.1 }, "ChaosFrac"},
+		{"disk-frac-over-1", func(c *LoadConfig) { c.DiskFrac = 1.5 }, "DiskFrac"},
+		{"disk-frac-negative", func(c *LoadConfig) { c.DiskFrac = -0.2 }, "DiskFrac"},
+		{"negative-priority", func(c *LoadConfig) { c.MaxPriority = -2 }, "MaxPriority"},
+		{"oversize-over-jobs", func(c *LoadConfig) { c.Oversize = 101 }, "Oversize must be in 0..Jobs (100), got 101"},
 	}
 	for _, tc := range cases {
-		c := base
-		tc.mut(&c)
-		err := c.Validate()
-		if err == nil {
-			t.Errorf("%s: invalid load config accepted", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			c := base
+			tc.mut(&c)
+			err := c.Validate()
+			if err == nil {
+				t.Fatal("invalid load config accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }

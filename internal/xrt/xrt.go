@@ -8,9 +8,10 @@
 // for real — only the passage of time is modelled.
 //
 // Virtual time: each rank owns a clock advanced by calibrated per-event
-// costs (CostModel). A phase's virtual duration is the maximum clock
-// advance over all ranks (the BSP critical path). Barriers synchronize all
-// clocks to the maximum, exactly as a real barrier would.
+// costs (the constants LocalOpNs to ItemNs, and the file-system
+// CostModel). A phase's virtual duration is the maximum clock advance over
+// all ranks (the BSP critical path). Barriers synchronize all clocks to
+// the maximum, exactly as a real barrier would.
 package xrt
 
 import (
@@ -42,23 +43,32 @@ type Config struct {
 	Inject Inject
 }
 
-// CostModel holds calibrated virtual-time costs, all in nanoseconds unless
-// stated otherwise. The defaults are loosely calibrated to the paper's
-// Cray XC30 (Aries interconnect, Lustre file system) so that the *shape*
-// of the scaling results is reproduced; absolute values are not claimed.
-type CostModel struct {
+// The calibrated per-event costs, in nanoseconds. They are loosely
+// calibrated to the paper's Cray XC30 (Aries interconnect) so that the
+// *shape* of the scaling results is reproduced; absolute values are not
+// claimed. Message costs model the per-operation software overhead of
+// pipelined one-sided communication (UPC gets/puts overlap in flight, so
+// sustained cost per operation is far below the wire latency); the
+// on-node/off-node ratio follows the paper's observation that intra-node
+// accesses are much cheaper than off-node ones.
+const (
 	// LocalOpNs is the cost of a hash-table operation on rank-local data.
-	LocalOpNs float64
+	LocalOpNs float64 = 60
 	// OnNodeMsgNs is the latency of a message between ranks on one node.
-	OnNodeMsgNs float64
+	OnNodeMsgNs float64 = 150
 	// OffNodeMsgNs is the latency of a message crossing nodes.
-	OffNodeMsgNs float64
+	OffNodeMsgNs float64 = 450
 	// OnNodeByteNs / OffNodeByteNs are the per-byte bandwidth terms.
-	OnNodeByteNs  float64
-	OffNodeByteNs float64
+	OnNodeByteNs  float64 = 0.05
+	OffNodeByteNs float64 = 0.15
 	// ItemNs is the generic per-item compute cost (processing one k-mer,
 	// one base, one alignment seed, ...).
-	ItemNs float64
+	ItemNs float64 = 45
+)
+
+// CostModel holds the file-system calibration, the part of the cost model
+// a configuration varies (see DefaultCostModel).
+type CostModel struct {
 	// IOAggBytesPerSec caps the aggregate file-system bandwidth; per-rank
 	// I/O bandwidth is IOAggBytesPerSec/min(Ranks, IOSaturation ranks).
 	IOAggBytesPerSec float64
@@ -68,24 +78,13 @@ type CostModel struct {
 	IOLatencyNs float64
 }
 
-// DefaultCostModel returns the calibration used by the experiment
-// harness. Message costs model the per-operation software overhead of
-// pipelined one-sided communication (UPC gets/puts overlap in flight, so
-// sustained cost per operation is far below the wire latency); the
-// on-node/off-node ratio follows the paper's observation that intra-node
-// accesses are much cheaper than off-node ones. I/O uses Edison's real
-// Lustre /scratch3 figures (72 GB/s aggregate, ~75 MB/s per reading
-// stream); experiment configurations lower the aggregate cap so that
-// saturation lands inside their scaled-down core sweeps, as it did near
-// 960 cores on the real machine.
+// DefaultCostModel returns the file-system calibration used by the
+// experiment harness: Edison's Lustre /scratch3 (72 GB/s aggregate, ~75
+// MB/s per reading stream). Experiment configurations lower the aggregate
+// cap so that saturation lands inside their scaled-down core sweeps, as it
+// did near 960 cores on the real machine.
 func DefaultCostModel() CostModel {
 	return CostModel{
-		LocalOpNs:         60,
-		OnNodeMsgNs:       150,
-		OffNodeMsgNs:      450,
-		OnNodeByteNs:      0.05,
-		OffNodeByteNs:     0.15,
-		ItemNs:            45,
 		IOAggBytesPerSec:  72e9,
 		IORankBytesPerSec: 75e6,
 		IOLatencyNs:       3e5,
@@ -94,24 +93,6 @@ func DefaultCostModel() CostModel {
 
 func (c CostModel) withDefaults() CostModel {
 	d := DefaultCostModel()
-	if c.LocalOpNs == 0 {
-		c.LocalOpNs = d.LocalOpNs
-	}
-	if c.OnNodeMsgNs == 0 {
-		c.OnNodeMsgNs = d.OnNodeMsgNs
-	}
-	if c.OffNodeMsgNs == 0 {
-		c.OffNodeMsgNs = d.OffNodeMsgNs
-	}
-	if c.OnNodeByteNs == 0 {
-		c.OnNodeByteNs = d.OnNodeByteNs
-	}
-	if c.OffNodeByteNs == 0 {
-		c.OffNodeByteNs = d.OffNodeByteNs
-	}
-	if c.ItemNs == 0 {
-		c.ItemNs = d.ItemNs
-	}
 	if c.IOAggBytesPerSec == 0 {
 		c.IOAggBytesPerSec = d.IOAggBytesPerSec
 	}
@@ -347,7 +328,7 @@ func (r *Rank) Locality(dst int) Locality {
 func (r *Rank) Charge(ns float64) { r.advance(ns) }
 
 // ChargeItems charges the generic per-item compute cost for n items.
-func (r *Rank) ChargeItems(n int) { r.advance(float64(n) * r.team.cost.ItemNs) }
+func (r *Rank) ChargeItems(n int) { r.advance(float64(n) * ItemNs) }
 
 // chargeForeignRaw charges ns of work to another rank: the owner of a
 // hash-table shard processing items this rank sent it. It rides on an
@@ -362,21 +343,20 @@ func (r *Rank) chargeForeignRaw(dst int, ns float64) {
 // rank dst, charging latency and classifying the event.
 func (r *Rank) ChargeLookup(dst int, bytes int) {
 	r.chaosPoint(dst, bytes)
-	c := &r.team.cost
 	switch r.Locality(dst) {
 	case Local:
 		r.stats.LocalLookups++
-		r.advance(c.LocalOpNs)
+		r.advance(LocalOpNs)
 	case OnNode:
 		r.stats.OnNodeLookups++
 		r.stats.OnNodeMsgs++
 		r.stats.OnNodeBytes += int64(bytes)
-		r.advance(c.OnNodeMsgNs + float64(bytes)*c.OnNodeByteNs)
+		r.advance(OnNodeMsgNs + float64(bytes)*OnNodeByteNs)
 	default:
 		r.stats.OffNodeLookups++
 		r.stats.OffNodeMsgs++
 		r.stats.OffNodeBytes += int64(bytes)
-		r.advance(c.OffNodeMsgNs + float64(bytes)*c.OffNodeByteNs)
+		r.advance(OffNodeMsgNs + float64(bytes)*OffNodeByteNs)
 	}
 }
 
@@ -385,7 +365,7 @@ func (r *Rank) ChargeLookup(dst int, bytes int) {
 // (the operation never leaves the rank).
 func (r *Rank) ChargeCacheHit() {
 	r.stats.CacheHits++
-	r.advance(r.team.cost.LocalOpNs)
+	r.advance(LocalOpNs)
 }
 
 // CountCacheMiss records that a remote read missed the rank's software
@@ -430,20 +410,19 @@ func (r *Rank) ChargeLookupBatch(dst, n, bytes int) {
 // rank dst: n local operations when dst is the caller, otherwise one
 // message to the caller and n local operations to dst.
 func (r *Rank) chargeBatch(dst, n, bytes int) {
-	c := &r.team.cost
 	switch r.Locality(dst) {
 	case Local:
-		r.advance(float64(n) * c.LocalOpNs)
+		r.advance(float64(n) * LocalOpNs)
 	case OnNode:
 		r.stats.OnNodeMsgs++
 		r.stats.OnNodeBytes += int64(bytes)
-		r.advance(c.OnNodeMsgNs + float64(bytes)*c.OnNodeByteNs)
-		r.chargeForeignRaw(dst, float64(n)*c.LocalOpNs)
+		r.advance(OnNodeMsgNs + float64(bytes)*OnNodeByteNs)
+		r.chargeForeignRaw(dst, float64(n)*LocalOpNs)
 	default:
 		r.stats.OffNodeMsgs++
 		r.stats.OffNodeBytes += int64(bytes)
-		r.advance(c.OffNodeMsgNs + float64(bytes)*c.OffNodeByteNs)
-		r.chargeForeignRaw(dst, float64(n)*c.LocalOpNs)
+		r.advance(OffNodeMsgNs + float64(bytes)*OffNodeByteNs)
+		r.chargeForeignRaw(dst, float64(n)*LocalOpNs)
 	}
 }
 
@@ -856,8 +835,7 @@ func (r *Rank) chargeTree(bytes int) {
 		r.chaosPoint((r.ID+n)%p, max(bytes, collectiveMsgBytes))
 		steps++
 	}
-	cost := r.team.cost
-	r.Charge(steps * (cost.OffNodeMsgNs + float64(bytes)*cost.OffNodeByteNs))
+	r.Charge(steps * (OffNodeMsgNs + float64(bytes)*OffNodeByteNs))
 }
 
 // barrier is a reusable cyclic barrier.

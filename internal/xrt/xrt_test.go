@@ -77,7 +77,7 @@ func TestForeignChargesCount(t *testing.T) {
 			r.ChargeStoreBatch(1, items, 8)
 		}
 	})
-	if want := time.Duration(items * team.Cost().LocalOpNs); ps.Virtual != want {
+	if want := time.Duration(items * LocalOpNs); ps.Virtual != want {
 		t.Fatalf("virtual = %v, want %v from the receiver's foreign charge", ps.Virtual, want)
 	}
 }
@@ -90,7 +90,6 @@ func TestForeignChargesCount(t *testing.T) {
 func TestChargeLookupBatch(t *testing.T) {
 	const n, bytes = 40, 40 * 24
 	team := NewTeam(Config{Ranks: 4, RanksPerNode: 2})
-	c := team.Cost()
 	var batch, single float64
 	team.Run(func(r *Rank) {
 		if r.ID != 0 {
@@ -105,8 +104,8 @@ func TestChargeLookupBatch(t *testing.T) {
 		}
 		single = r.ClockNs() - before
 	})
-	if batch != n*c.LocalOpNs || single != batch {
-		t.Errorf("local batch of %d: %v ns, %d local lookups %v ns, want %v", n, batch, n, single, n*c.LocalOpNs)
+	if batch != n*LocalOpNs || single != batch {
+		t.Errorf("local batch of %d: %v ns, %d local lookups %v ns, want %v", n, batch, n, single, n*LocalOpNs)
 	}
 	if s := team.RankStats(0); s.LocalLookups != 2*n || s.Msgs() != 0 {
 		t.Errorf("local batch counted %d local lookups and %d messages, want %d and 0", s.LocalLookups, s.Msgs(), 2*n)
@@ -121,7 +120,7 @@ func TestChargeLookupBatch(t *testing.T) {
 			clock = r.ClockNs()
 		}
 	})
-	if want := (c.OnNodeMsgNs + bytes*c.OnNodeByteNs) + (c.OffNodeMsgNs + bytes*c.OffNodeByteNs); clock != want {
+	if want := (OnNodeMsgNs + bytes*OnNodeByteNs) + (OffNodeMsgNs + bytes*OffNodeByteNs); clock != want {
 		t.Errorf("two remote batches cost the caller %v ns, want one message each, %v", clock, want)
 	}
 	s := team.RankStats(0)
@@ -130,8 +129,8 @@ func TestChargeLookupBatch(t *testing.T) {
 		t.Errorf("remote batches counted %+v", s)
 	}
 	for _, owner := range []int{1, 2} {
-		if w := team.RankWorkNs(owner); w != n*c.LocalOpNs {
-			t.Errorf("owner %d charged %v ns, want %v", owner, w, n*c.LocalOpNs)
+		if w := team.RankWorkNs(owner); w != n*LocalOpNs {
+			t.Errorf("owner %d charged %v ns, want %v", owner, w, n*LocalOpNs)
 		}
 	}
 
@@ -198,14 +197,13 @@ func TestAllReduceRepeatedCalls(t *testing.T) {
 // log(p) steps that each carry the whole vector off-node.
 func TestAllReduceSum(t *testing.T) {
 	team := NewTeam(Config{Ranks: 9})
-	cost := team.Cost()
 	team.Run(func(r *Rank) {
 		clock := r.ClockNs()
 		sum := r.AllReduceSum([]int64{int64(r.ID), 1, -int64(r.ID)})
 		if want := []int64{36, 9, -36}; !slices.Equal(sum, want) {
 			t.Errorf("rank %d: sum = %v, want %v", r.ID, sum, want)
 		}
-		if got, want := r.ClockNs()-clock, 4*(cost.OffNodeMsgNs+24*cost.OffNodeByteNs); got != want {
+		if got, want := r.ClockNs()-clock, 4*(OffNodeMsgNs+24*OffNodeByteNs); got != want {
 			t.Errorf("rank %d: charged %v ns, want %v", r.ID, got, want)
 		}
 	})
@@ -215,14 +213,13 @@ func TestAllReduceSum(t *testing.T) {
 // AllReduceSum is, one byte per element.
 func TestAllReduceMax(t *testing.T) {
 	team := NewTeam(Config{Ranks: 9})
-	cost := team.Cost()
 	team.Run(func(r *Rank) {
 		clock := r.ClockNs()
 		got := r.AllReduceMax([]byte{byte(r.ID), 3, byte(8 - r.ID)})
 		if want := []byte{8, 3, 8}; !slices.Equal(got, want) {
 			t.Errorf("rank %d: max = %v, want %v", r.ID, got, want)
 		}
-		if got, want := r.ClockNs()-clock, 4*(cost.OffNodeMsgNs+3*cost.OffNodeByteNs); got != want {
+		if got, want := r.ClockNs()-clock, 4*(OffNodeMsgNs+3*OffNodeByteNs); got != want {
 			t.Errorf("rank %d: charged %v ns, want %v", r.ID, got, want)
 		}
 	})
