@@ -88,12 +88,10 @@ exhibits:
 # decode, the Misra–Gries fold), the scaffolding-half hot loops (seed-index
 # build, one read's alignment, one walk-heavy gap closed at all three k;
 # allocations per op beside the time; the mini-graph's build, walk and
-# partial-merge cost per unit, which calibrates gap closing's charges; the
-# segment scan's, the HyperLogLog's and the former sketch scan's cost per
-# window, which calibrates the cardinality charge), the per-run fixed costs (the sketch
-# pass at 32 and 96 ranks, a Freeze/Thaw pair at 96 ranks, the k-mer stage
-# encoder and the scaffold stage codec both ways; bytes per op are the
-# point), all of stage 1 (a whole kanalysis.Run, human-like at 32 ranks and
+# partial-merge cost per unit, which calibrates gap closing's charges), the
+# per-run fixed costs (the sketch pass at 32 and 96 ranks, a Freeze/Thaw
+# pair at 96 ranks, the k-mer stage encoder and the scaffold stage codec
+# both ways; bytes per op are the point), all of stage 1 (a whole kanalysis.Run, human-like at 32 ranks and
 # wheat-like at 96, per k-mer window), and then the committed harness:
 # benchmark/run.sh measures wall, virtual and memory, end to end and per layer, on four workloads (BENCHMARK.json; compare two runs with
 # `bash benchmark/run.sh -compare A.json B.json`).
@@ -104,6 +102,6 @@ bench:
 	$(GO) test -run xxx -bench BenchmarkMergeSummaries ./internal/mg/
 	$(GO) test -run xxx -bench 'BenchmarkBuildIndex|BenchmarkAlignRead' ./internal/aligner/
 	$(GO) test -run xxx -bench 'BenchmarkCloseGap|BenchmarkMiniGraphUnits' ./internal/gapclose/
-	$(GO) test -run xxx -bench 'BenchmarkSketchPass|BenchmarkSketchUnits|BenchmarkStage1' ./internal/kanalysis/
+	$(GO) test -run xxx -bench 'BenchmarkSketchPass|BenchmarkStage1' ./internal/kanalysis/
 	$(GO) test -run xxx -bench 'BenchmarkEncodeKmerStage|BenchmarkEncodeScaffoldStage|BenchmarkDecodeScaffoldStage' ./internal/ckpt/
 	bash benchmark/run.sh -out bench.json

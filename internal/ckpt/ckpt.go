@@ -59,7 +59,9 @@ import (
 // metadata — only bubble merging reads them, from the contig stage. v7:
 // the k-mer payload's header carries the minimizer bins' weights, which
 // place its table (kanalysis.BinOwners at the loading team's rank count).
-const Schema = "hipmer-ckpt/v7"
+// v8: the k-mer payload's header drops the HyperLogLog distinct estimate,
+// which stage 1 no longer takes.
+const Schema = "hipmer-ckpt/v8"
 
 // ManifestName is the manifest's filename inside a run directory.
 const ManifestName = "MANIFEST.json"

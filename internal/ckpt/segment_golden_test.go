@@ -92,7 +92,9 @@ func segmentDigests(t *testing.T, libs []pipeline.Library, cfg pipeline.Config) 
 // before read records. Every kmer-analysis digest changed again in its
 // header counters, bin weights and PeakEntries when heavy hitters came to
 // be found in a one-in-eight read sample (another heavy set splits other
-// windows out of the records); its table entries did not change.
+// windows out of the records), and once more when the header lost the
+// distinct estimate and PeakEntries fell with Bloom filters sized from
+// each owner's windows (v8); their table entries did not change.
 func TestSegmentBytesGolden(t *testing.T) {
 	rng := xrt.NewPrng(21)
 	g := genome.Random(rng, 12000)

@@ -71,7 +71,6 @@ func walkKmerHeader(c *cursor, k, minimizerLen *uint32, res *kanalysis.Result) {
 	u32(c, k)
 	u32(c, minimizerLen)
 	list(c, &res.BinWeights, uvarintRec)
-	i64(c, &res.DistinctEstimate)
 	i64(c, &res.HeavyHitters)
 	i64(c, &res.Kept)
 	i64(c, &res.PeakEntries)

@@ -795,7 +795,7 @@ func (t *traverser) stitch(team *xrt.Team) int64 {
 			linked += n.(int)
 		}
 		steps := bits.Len(uint(r.N() - 1))
-		r.Charge(float64(steps*linked*fragHeaderBytes) * xrt.OffNodeByteNs)
+		r.ChargeComm(float64(steps*linked*fragHeaderBytes) * xrt.OffNodeByteNs)
 		r.ChargeItems(linked) // resolve the chains
 		// the fetches are known up front: one batch per owner, in rank order
 		n, bytes := make([]int, r.N()), make([]int, r.N())

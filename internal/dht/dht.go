@@ -94,8 +94,8 @@ type Options[K comparable] struct {
 	// most one step, never
 	// storage for entries the table was only told about — but the hint is
 	// for counts the caller has (a checkpoint's entry count, the k-mers a
-	// graph is projected from), not for estimates of another quantity (the
-	// HyperLogLog cardinality of k-mer analysis counts the single-
+	// graph is projected from), not for estimates of another quantity (a
+	// distinct-k-mer estimate of k-mer analysis counts the single-
 	// occurrence k-mers the Bloom screen keeps out). 0 means no hint:
 	// stripes start at 8 slots and double.
 	ExpectedItems int64

@@ -112,21 +112,23 @@ func (sc Scale) dataset(name string) (d dataset) {
 	return d
 }
 
-// commPct estimates the paper's "percentage of communication": the share
-// of the critical-path time not explained by perfectly balanced local
-// compute — i.e. message costs plus the wait caused by receiver-side load
-// imbalance, which is exactly what the heavy-hitter optimization removes.
-func commPct(elapsedNs float64, items int64, p int) float64 {
-	perItem := 3*xrt.ItemNs + 1.7*xrt.LocalOpNs // 3 passes + owner applies
-	ideal := float64(items) * perItem / float64(p)
-	if elapsedNs <= 0 {
+// commPct is the paper's "percentage of communication", measured on a
+// span: the share of its critical path that its bounding rank — the one
+// with the most charged work — spent on its own messages (CommNs) or
+// waiting at barriers (the span's time beyond that rank's work). The wait
+// is where receiver-side load imbalance shows, which is what the
+// heavy-hitter optimization removes.
+func commPct(sp *xrt.SpanRecord) float64 {
+	if sp.VirtualNs <= 0 {
 		return 0
 	}
-	pct := 100 * (1 - ideal/elapsedNs)
-	if pct < 0 {
-		return 0
+	b := sp.Ranks[0]
+	for _, rd := range sp.Ranks[1:] {
+		if rd.WorkNs > b.WorkNs {
+			b = rd
+		}
 	}
-	return pct
+	return 100 * (b.CommNs + sp.VirtualNs - b.WorkNs) / sp.VirtualNs
 }
 
 // fmtTable aligns tab-separated lines — the header and one per row — into
@@ -182,11 +184,12 @@ func Fig6(sc Scale) ([]Fig6Row, string) {
 		for _, hh := range []bool{false, true} {
 			team := xrt.NewTeam(sc.teamCfg(p))
 			io := team.Run(func(r *xrt.Rank) { r.ChargeIORead(inputBytes / int64(p)) })
+			team.BeginSpan("kmer-analysis")
 			res := kanalysis.Run(team, parts, kanalysis.Options{
 				K: sc.K, MinCount: 2, HeavyHitters: hh,
 			})
+			pct := commPct(team.EndSpan())
 			elapsed := res.SketchPhase.Virtual + res.BloomPhase.Virtual + res.CountPhase.Virtual
-			pct := commPct(float64(elapsed.Nanoseconds()), res.TotalKmers, p)
 			if !hh {
 				row.DefaultSec = (elapsed + io.Virtual).Seconds()
 				row.DefaultCommPct = pct

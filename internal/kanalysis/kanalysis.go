@@ -6,11 +6,14 @@
 // Misra–Gries summaries, mergeable, so the pass is embarrassingly parallel;
 // the k-mers over the cut-off scaled to the sample are the heavy hitters.
 // The Bloom pass then reads every read once: it segments each into
-// super-k-mers and feeds every window's canonical hash to a HyperLogLog
-// sketch, whose registers the team max-reduces to size the owner-side Bloom
-// filters (one per lock stripe of each owner's shard) before anything is
-// shipped, so that only k-mers seen at least twice enter the distributed
-// hash table (the 85% memory saving of the paper). A count pass finishes
+// super-k-mers and weighs the minimizer bins by the windows they carry; the
+// team sums the weights, and each owner-side Bloom filter (one per lock
+// stripe of each owner's shard) is sized for the windows its owner's bins
+// carry before anything is shipped, so that only k-mers seen at least twice
+// enter the distributed hash table (the 85% memory saving of the paper).
+// The paper sizes its filters from a HyperLogLog first pass; here the
+// window counts placement already needs bound every owner's distinct keys
+// from above, exactly and per owner, at no extra scan. A count pass finishes
 // every occurrence and its quality-filtered extension evidence. Heavy
 // hitters bypass the owner-computes path: they are accumulated locally and
 // combined in a final global reduction, eliminating the receiver-side load
@@ -39,8 +42,8 @@
 // kmer.DecodeSuperKmersCanonical), so canonical form is a compare, not a
 // reverse complement per window; the canonical hash is taken once where a
 // k-mer is first needed and handed to whatever wants it next — the
-// HyperLogLog and Misra–Gries sketches, the heavy-hitter probe, the Bloom
-// filter, the table's slot index; and the count pass
+// Misra–Gries sketch, the heavy-hitter probe, the Bloom filter, the table's
+// slot index; and the count pass
 // stores at the rank the payload was delivered to instead of re-deriving
 // the owner from the k-mer's minimizer.
 package kanalysis
@@ -55,7 +58,6 @@ import (
 	"hipmer/internal/dht"
 	"hipmer/internal/fastq"
 	"hipmer/internal/flat"
-	"hipmer/internal/hll"
 	"hipmer/internal/kmer"
 	"hipmer/internal/mg"
 	"hipmer/internal/xrt"
@@ -67,8 +69,8 @@ import (
 const kmerItemBytes = 16 + 10
 
 // hashSeed seeds the canonical table hash: placement (when not by
-// minimizer), stripe and slot selection, the Bloom probes and both
-// sketches all derive from km.Hash(hashSeed).
+// minimizer), stripe and slot selection, the Bloom probes and the
+// heavy-hitter sketch all derive from km.Hash(hashSeed).
 const hashSeed = 0xc0ffee
 
 // sampleRate is s of the heavy-hitter sample: Misra–Gries sees the reads
@@ -76,14 +78,6 @@ const hashSeed = 0xc0ffee
 // full-stream one divided by s. At s = 8 no k-mer of twice the cut-off was
 // missed on the wheat- and human-like curves EXPERIMENTS.md records.
 const sampleRate = 8
-
-// cardinalityItems is the price, in ItemNs per window, of what the segment
-// scan does for the HyperLogLog: canonicalise, hash, add. It is that work's
-// measured share of the former sketch scan's window (canonicalise, hash,
-// add, offer to Misra–Gries), which was charged one item: on a 2-core
-// x86-64 host BenchmarkSketchUnits (-cpu 1, medians of 8 runs) measured 42
-// of 85 ns per window.
-const cardinalityItems = 0.5
 
 const (
 	// qualThreshold is the minimum phred score (not ASCII) for a base to
@@ -307,9 +301,6 @@ type Result struct {
 	// frozen (read-only, lock-free); callers needing to
 	// mutate it must Thaw first.
 	Table *dht.Table[kmer.Kmer, KmerData]
-	// DistinctEstimate is the HyperLogLog cardinality estimate over every
-	// window, pseudo-reads included.
-	DistinctEstimate uint64
 	// HeavyHitters is the number of k-mers special-cased by the §3.1 path.
 	HeavyHitters int
 	// Kept is the number of distinct k-mers surviving the count filter.
@@ -427,9 +418,8 @@ func (s *heavySet) mayHold(minv uint64) bool {
 	return s.minimizers.Len() > 0 && s.minimizers.Get(kmer.MinimizerHash(minv), minv) != nil
 }
 
-// forEachSuperKmer segments one read into encoded super-k-mer records, and
-// adds the canonical hash of each of its windows to card. Every maximal
-// minimizer run becomes one record, with two exceptions.
+// forEachSuperKmer segments one read into encoded super-k-mer records.
+// Every maximal minimizer run becomes one record, with two exceptions.
 // Heavy-hitter windows split their run: they are folded into acc instead of
 // shipped — their occurrences take the local-accumulation path, and
 // splitting keeps them out of the payloads the owner replays. And a run
@@ -447,10 +437,9 @@ func (s *heavySet) mayHold(minv uint64) bool {
 // consumed (copied or buffered) before the next emission. Returns the
 // total number of k-mer windows visited — identical to the
 // kmer.ForEachCanonical count.
-func forEachSuperKmer(rec fastq.Record, w, k, m int, hh *heavySet, acc []KmerData, card *hll.Sketch,
+func forEachSuperKmer(rec fastq.Record, w, k, m int, hh *heavySet, acc []KmerData,
 	emit func(minimizer uint64, record []byte, nwin int), record *[]byte) int {
 	seq, qual := rec.Seq, rec.Qual
-	kmer.ForEachCanonical(seq, k, func(_ int, canon kmer.Kmer, _ bool) { card.Add(canon.Hash(hashSeed)) })
 	windows := 0
 	kmer.ScanSuperKmers(seq, k, m, func(start, nwin int, minv uint64) {
 		windows += nwin
@@ -801,16 +790,16 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	// set, and bits are never cleared, so adding it again sets nothing —
 	// and so the admitted set is the same too.
 	//
-	// The pass is two phases: every rank segments its reads into records,
-	// weighs the minimizer bins by the windows they carry and sketches the
-	// windows' cardinality; the team sums the weights and max-reduces the
-	// sketches, maps the bins to ranks, sizes the Bloom filters, and only
-	// then builds the table and ships each record to its bin's owner.
+	// The pass is two phases: every rank segments its reads into records and
+	// weighs the minimizer bins by the windows they carry; the team sums the
+	// weights, maps the bins to ranks, sizes each owner's Bloom filters for
+	// the windows its bins carry — the windows its screen will offer, an
+	// upper bound on its distinct keys — and only then builds the table and
+	// ships each record to its bin's owner.
 	//
-	// The table gets no size hint: the only estimate at hand, the
-	// HyperLogLog cardinality, counts the single-occurrence k-mers the Bloom
-	// screen exists to keep out (3.5× the peak entry count on human-like
-	// reads). Stripes start small and double.
+	// The table gets no size hint: the windows count every occurrence,
+	// single-occurrence k-mers included, the very entries the Bloom screen
+	// exists to keep out. Stripes start small and double.
 	var table *dht.Table[kmer.Kmer, KmerData]
 	// Per-(owner, stripe) Bloom filters, made with the table: a k-mer always
 	// maps to the same stripe of its owner, so each filter sees the keys of
@@ -826,7 +815,6 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		acc := make([]KmerData, len(hh.keys))
 		s := &segs[r.ID]
 		w := binWeights.Get().(*[Bins]int64)
-		card := cardSketches.Get().(*hll.Sketch)
 		emit := func(minv uint64, record []byte, nwin int) {
 			bin := kmer.MinimizerHash(minv) % Bins
 			w[bin] += int64(nwin)
@@ -838,36 +826,29 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		var buf []byte // each record is encoded here, then copied to s
 		n := 0
 		for _, rec := range readsByRank[r.ID] {
-			n += forEachSuperKmer(rec, 0, opt.K, minLen, hh, acc, card, emit, &buf)
+			n += forEachSuperKmer(rec, 0, opt.K, minLen, hh, acc, emit, &buf)
 		}
 		reads := n
 		for _, pr := range opt.pseudoOf(r.ID) {
-			n += forEachSuperKmer(fastq.Record{Seq: pr.Seq}, max(int(pr.Weight), 1), opt.K, minLen, hh, acc, card, emit, &buf)
+			n += forEachSuperKmer(fastq.Record{Seq: pr.Seq}, max(int(pr.Weight), 1), opt.K, minLen, hh, acc, emit, &buf)
 		}
 		windows[r.ID], pseudoKmers[r.ID] = int64(n), int64(n-reads)
 		r.ChargeItems(n)
-		r.Charge(float64(n) * cardinalityItems * xrt.ItemNs)
 		heavyAcc[r.ID] = acc
 		// Every rank derives the map from the sum itself, so the team
 		// needs no broadcast: sorting the bins and placing each through
-		// the rank heap is charged as one item per bin. One rank's map and
-		// sketch are trivial: no reduction and nothing to compute.
+		// the rank heap is charged as one item per bin. One rank's map is
+		// trivial: no reduction and nothing to compute.
 		sum := w[:]
 		if p > 1 {
 			sum = r.AllReduceSum(w[:])
-			if regs := r.AllReduceMax(card.Registers()); r.ID == 0 {
-				copy(card.Registers(), regs)
-			}
 			r.ChargeItems(Bins)
 			*w = [Bins]int64{}
 			binWeights.Put(w)
 		}
 		if r.ID == 0 {
 			weights = sum
-			res.DistinctEstimate = card.Estimate()
 		}
-		card.Reset()
-		cardSketches.Put(card)
 	})
 	res.BinWeights = weights
 	owner := BinOwners(weights, p)
@@ -877,7 +858,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	table.SetBlobApply(func(src, owner int, payload []byte, _ func(kmer.Kmer, KmerData)) {
 		inboxes[owner].deliver(src, payload)
 	})
-	blooms = newBlooms(res.DistinctEstimate, p, table.Stripes())
+	blooms = newBlooms(ownerWindows(weights, owner, p), table.Stripes())
 	ship := team.Run(func(r *xrt.Rank) {
 		segs[r.ID].forEach(func(bin, nwin int, record []byte) {
 			table.PutBlob(r, int(owner[bin]), record, nwin)
@@ -992,7 +973,6 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	// Stage counters land on the enclosing "kmer-analysis" span (no-ops
 	// when the stage is driven directly without a span).
 	team.AddCounter("total_kmers", res.TotalKmers)
-	team.AddCounter("distinct_estimate", int64(res.DistinctEstimate))
 	team.AddCounter("heavy_hitters", int64(res.HeavyHitters))
 	team.AddCounter("peak_entries", res.PeakEntries)
 	team.AddCounter("kept", res.Kept)
@@ -1009,13 +989,9 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	return res
 }
 
-// binWeights and cardSketches recycle the per-rank weight vectors and
-// HyperLogLog sketches of the segment phase, which a team of p ranks would
-// otherwise allocate p of each per analysis.
-var (
-	binWeights   = sync.Pool{New: func() any { return new([Bins]int64) }}
-	cardSketches = sync.Pool{New: func() any { return hll.New(14) }}
-)
+// binWeights recycles the per-rank weight vectors of the segment phase,
+// which a team of p ranks would otherwise allocate p of per analysis.
+var binWeights = sync.Pool{New: func() any { return new([Bins]int64) }}
 
 // segments is what one rank's records wait in between the two phases of
 // the Bloom pass: each record after its bin and window count (two 16-bit
@@ -1054,12 +1030,24 @@ func (s segments) forEach(fn func(bin, nwin int, record []byte)) {
 	}
 }
 
-// newBlooms sizes one Bloom filter per (owner, stripe) for an analysis of
-// distinct estimated k-mers.
-func newBlooms(distinct uint64, p, stripes int) []*bloom.Filter {
-	per := distinct/uint64(p*stripes) + 64
-	blooms := make([]*bloom.Filter, p*stripes)
+// ownerWindows is the number of windows each of p owners screens: the
+// weights of the bins it owns.
+func ownerWindows(weights []int64, owner []int32, p int) []int64 {
+	wins := make([]int64, p)
+	for b, w := range weights {
+		wins[owner[b]] += w
+	}
+	return wins
+}
+
+// newBlooms sizes one Bloom filter per (owner, stripe), owner o's for its
+// share of wins[o] windows: a stripe is a hash of the k-mer, so each of an
+// owner's stripes sees about an equal part of its keys, and no more
+// distinct keys than windows.
+func newBlooms(wins []int64, stripes int) []*bloom.Filter {
+	blooms := make([]*bloom.Filter, len(wins)*stripes)
 	for i := range blooms {
+		per := uint64(wins[i/stripes])/uint64(stripes) + 64
 		blooms[i] = bloom.New(per*12/10, bloomFP)
 	}
 	return blooms
@@ -1084,7 +1072,7 @@ func chargeHHReduction(r *xrt.Rank, hh int) {
 		steps++
 	}
 	per := xrt.OffNodeMsgNs + float64(hh)*(xrt.OffNodeByteNs*36+xrt.ItemNs/4)
-	r.Charge(float64(steps) * per)
+	r.ChargeComm(float64(steps) * per)
 }
 
 // callExt decides the Meraculous extension code from evidence counts:

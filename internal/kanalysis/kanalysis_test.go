@@ -262,18 +262,6 @@ func TestDeterministicAcrossRankCounts(t *testing.T) {
 	}
 }
 
-func TestCardinalityEstimateReasonable(t *testing.T) {
-	const k = 21
-	_, recs := simReads(t, 7, 30000, 10, genome.ErrorModel{})
-	truth := naiveCounts(recs, k)
-	team := xrt.NewTeam(xrt.Config{Ranks: 4})
-	res := Run(team, splitReads(recs, 4), Options{K: k})
-	est, want := float64(res.DistinctEstimate), float64(len(truth))
-	if est < want*0.9 || est > want*1.1 {
-		t.Fatalf("cardinality estimate %f vs truth %f", est, want)
-	}
-}
-
 func TestLowQualityExtensionsIgnored(t *testing.T) {
 	// A read whose neighbor bases are low-quality must contribute counts
 	// but no extension evidence.

@@ -2,11 +2,12 @@ package kanalysis
 
 import (
 	"maps"
+	"math"
+	"slices"
 	"testing"
 
 	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
-	"hipmer/internal/hll"
 	"hipmer/internal/kmer"
 	"hipmer/internal/xrt"
 )
@@ -28,24 +29,22 @@ func sampleReads(gen func(*xrt.Prng, int) []byte, seed int64, n int, cov float64
 	return recs
 }
 
-// TestDistinctEstimateMatchesEveryWindow: the cardinality sketch the
-// segment scan fills is the one the former sketch pass filled — every
-// window of every read and pseudo-read — so DistinctEstimate equals one
-// HyperLogLog over all of them, at any rank count, with heavy hitters
-// splitting runs or not.
-func TestDistinctEstimateMatchesEveryWindow(t *testing.T) {
+// TestBloomSizedFromOwnerWindows: every owner's Bloom filters are built
+// for the windows its minimizer bins carry, which are exactly the windows
+// its screen offers them — every window of the reads and pseudo-reads but
+// the heavy hitters', at the owner of its k-mer — so together they hold at
+// least the bits an optimal filter for those windows needs at bloomFP. No
+// filter runs past its design load, and the single-occurrence k-mers a
+// false positive lets in, PeakEntries − Kept (pseudo-read weights and
+// heavy-hitter counts clear MinCount), stay within bloomFP of the first
+// sightings: at 1, 4 and 32 ranks, with heavy hitters splitting runs or
+// not.
+func TestBloomSizedFromOwnerWindows(t *testing.T) {
 	const k = 33
 	recs := sampleReads(genome.HumanLike, 21, 30000, 10)
 	var pseudoSeqs [][]byte
 	for i := 0; i < len(recs); i += 41 {
 		pseudoSeqs = append(pseudoSeqs, recs[i].Seq)
-	}
-	want := hll.New(14)
-	for _, rec := range recs {
-		kmer.ForEachCanonical(rec.Seq, k, func(_ int, canon kmer.Kmer, _ bool) { want.Add(canon.Hash(hashSeed)) })
-	}
-	for _, s := range pseudoSeqs {
-		kmer.ForEachCanonical(s, k, func(_ int, canon kmer.Kmer, _ bool) { want.Add(canon.Hash(hashSeed)) })
 	}
 	for _, p := range []int{1, 4, 32} {
 		for _, heavy := range []bool{false, true} {
@@ -53,15 +52,60 @@ func TestDistinctEstimateMatchesEveryWindow(t *testing.T) {
 			for i, s := range pseudoSeqs {
 				pseudo[i%p] = append(pseudo[i%p], PseudoRead{Seq: s, Weight: 3})
 			}
-			res := Run(xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 4}), splitReads(recs, p),
-				Options{K: k, HeavyHitters: heavy, HHMinCount: 16, PseudoByRank: pseudo})
+			cfg := xrt.Config{Ranks: p, RanksPerNode: 4}
+			opt := Options{K: k, HeavyHitters: heavy, HHMinCount: 16, PseudoByRank: pseudo}
+			team := xrt.NewTeam(cfg)
+			team.BeginSpan("kmer-analysis")
+			res := Run(team, splitReads(recs, p), opt)
+			counters := team.EndSpan().Counters
 			if heavy && res.HeavyHitters == 0 {
 				t.Fatalf("%d ranks: no heavy hitter split a run", p)
 			}
-			if res.DistinctEstimate != want.Estimate() {
-				t.Errorf("%d ranks, heavy hitters %v: DistinctEstimate %d, a sketch of every window %d",
-					p, heavy, res.DistinctEstimate, want.Estimate())
+
+			isHeavy := make(map[kmer.Kmer]bool)
+			for _, km := range heavyKeys(xrt.NewTeam(cfg), splitReads(recs, p), opt.withDefaults(), &Result{}) {
+				isHeavy[km] = true
 			}
+			offered := make([]int64, p)
+			offer := func(seq []byte) {
+				kmer.ForEachCanonical(seq, k, func(_ int, canon kmer.Kmer, _ bool) {
+					if !isHeavy[canon] {
+						offered[res.Table.Owner(canon)]++
+					}
+				})
+			}
+			for _, rec := range recs {
+				offer(rec.Seq)
+			}
+			for _, s := range pseudoSeqs {
+				offer(s)
+			}
+			wins := ownerWindows(res.BinWeights, BinOwners(res.BinWeights, p), p)
+			if !slices.Equal(wins, offered) {
+				t.Fatalf("%d ranks, heavy hitters %v: filters sized for %v windows, the screens offer %v", p, heavy, wins, offered)
+			}
+			if got := counters["owner_windows_max"]; got != slices.Max(offered) {
+				t.Errorf("%d ranks, heavy hitters %v: the busiest screen offered %d windows, want %d", p, heavy, got, slices.Max(offered))
+			}
+			stripes := res.Table.Stripes()
+			blooms := newBlooms(wins, stripes)
+			for o := range p {
+				var bits uint64
+				for _, f := range blooms[o*stripes : (o+1)*stripes] {
+					bits += f.Bits()
+				}
+				if need := float64(offered[o]) * -math.Log(bloomFP) / (math.Ln2 * math.Ln2); float64(bits) < need {
+					t.Errorf("%d ranks, heavy hitters %v: owner %d's filters have %d bits for %d windows, want ≥ %.0f",
+						p, heavy, o, bits, offered[o], need)
+				}
+			}
+
+			admitted, firsts := res.PeakEntries-res.Kept, counters["first_sightings"]
+			if float64(admitted) > bloomFP*float64(firsts) {
+				t.Errorf("%d ranks, heavy hitters %v: %d singletons admitted by false positives, %d first sightings",
+					p, heavy, admitted, firsts)
+			}
+			t.Logf("%d ranks, heavy hitters %v: %d singletons admitted, %d first sightings", p, heavy, admitted, firsts)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
-	"hipmer/internal/hll"
 	"hipmer/internal/kmer"
 	"hipmer/internal/mg"
 	"hipmer/internal/xrt"
@@ -123,89 +122,6 @@ func BenchmarkSketchPass(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkSketchUnits calibrates cardinalityItems: ns per k-mer window of
-// the segment scan as Run does it (minimizer runs, records, and the
-// HyperLogLog adds), of the HyperLogLog's share of it alone (canonicalise,
-// hash, add), of the former sketch scan that was charged one item per
-// window (the same plus a Misra–Gries offer into a per-rank summary; the
-// rank-order fold, never charged, is left out), and of the offer alone.
-// The input is human-like, of the human workload's size, dealt to its 32
-// ranks: each rank's stream is longer than θ, so offers pay decrement
-// steps as they did there. cardinalityItems is cardinality over sketch.
-func BenchmarkSketchUnits(b *testing.B) {
-	const k, ranks = 31, 32
-	rng := xrt.NewPrng(8)
-	recs, _ := genome.SimulatePairs(rng, genome.HumanLike(rng, 100000), genome.SimOptions{
-		Coverage: 25,
-		Lib:      genome.Library{Name: "b", ReadLen: 100, InsertMean: 300, InsertSD: 20},
-		Err:      genome.DefaultErrorModel(),
-	})
-	reads := splitReads(recs, ranks)
-	m := kmer.ClampMinimizerLen(k, 0)
-	hh := newHeavySet(nil, k, m)
-	card := hll.New(14)
-	summary := mg.NewSeeded[kmer.Kmer](32000, hashSeed)
-	var windows int
-	var hashes []uint64
-	var kms []kmer.Kmer
-	for _, rec := range recs {
-		kmer.ForEachCanonical(rec.Seq, k, func(_ int, canon kmer.Kmer, _ bool) {
-			hashes = append(hashes, canon.Hash(hashSeed))
-			kms = append(kms, canon)
-			windows++
-		})
-	}
-	perRank := func(fn func(part []fastq.Record)) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, part := range reads {
-					card.Reset()
-					summary.Reset()
-					summary.Expect(len(part) * (100 - k + 1))
-					fn(part)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows), "ns/window")
-		}
-	}
-	var buf []byte
-	var seg segments
-	b.Run("segment", perRank(func(part []fastq.Record) {
-		for _, rec := range part {
-			forEachSuperKmer(rec, 0, k, m, hh, nil, card, func(_ uint64, record []byte, nwin int) {
-				seg.add(0, nwin, record)
-			}, &buf)
-		}
-		seg = seg[:0]
-	}))
-	b.Run("cardinality", perRank(func(part []fastq.Record) {
-		for _, rec := range part {
-			kmer.ForEachCanonical(rec.Seq, k, func(_ int, canon kmer.Kmer, _ bool) { card.Add(canon.Hash(hashSeed)) })
-		}
-	}))
-	b.Run("sketch", perRank(func(part []fastq.Record) {
-		for _, rec := range part {
-			kmer.ForEachCanonical(rec.Seq, k, func(_ int, canon kmer.Kmer, _ bool) {
-				h := canon.Hash(hashSeed)
-				card.Add(h)
-				summary.OfferHashed(h, canon)
-			})
-		}
-	}))
-	b.Run("offer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < ranks; r++ {
-				summary.Reset()
-				summary.Expect(windows / ranks)
-				for j := r * windows / ranks; j < (r+1)*windows/ranks; j++ {
-					summary.OfferHashed(hashes[j], kms[j])
-				}
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows), "ns/window")
-	})
 }
 
 // BenchmarkStage1 is a whole Run — sketch, Bloom screen, count, finalize —

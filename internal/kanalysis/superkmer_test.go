@@ -10,7 +10,6 @@ import (
 	"hipmer/internal/dht"
 	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
-	"hipmer/internal/hll"
 	"hipmer/internal/kmer"
 	"hipmer/internal/xrt"
 )
@@ -108,7 +107,7 @@ func TestScreenCountsOnAdmissionReplayAppliesTheRest(t *testing.T) {
 		var buf []byte
 		for i, rec := range recs {
 			src := senders - 1 - i%senders
-			windows += forEachSuperKmer(rec, 0, k, m, newHeavySet(nil, k, m), nil, hll.New(14),
+			windows += forEachSuperKmer(rec, 0, k, m, newHeavySet(nil, k, m), nil,
 				func(_ uint64, record []byte, _ int) {
 					sent[src] = append(sent[src], bytes.Clone(record))
 					if pending[src] = append(pending[src], record...); len(sent[src])%batch == 0 {
@@ -250,7 +249,7 @@ func TestScreenCountsOnAdmissionReplayAppliesTheRest(t *testing.T) {
 	in = &inbox{}
 	var buf []byte
 	for src, w := range []int{0, weight} {
-		forEachSuperKmer(recs[0], w, k, m, newHeavySet(nil, k, m), nil, hll.New(14),
+		forEachSuperKmer(recs[0], w, k, m, newHeavySet(nil, k, m), nil,
 			func(_ uint64, record []byte, _ int) { in.deliver(src, record) }, &buf)
 	}
 	table = NewTable(team, 0, 0, 0, k, m)

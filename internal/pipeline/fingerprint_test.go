@@ -11,7 +11,8 @@ import (
 // so removing a config field may not change a byte of what runFingerprint
 // hashes. The digests were regenerated when the manifest moved to
 // hipmer-ckpt/v5, which dropped the zero words of removed knobs and the
-// oracle flag, and again at v6 and v7, since the schema string is hashed.
+// oracle flag, and again at v6, v7 and v8, since the schema string is
+// hashed.
 func TestFingerprintGolden(t *testing.T) {
 	_, libs := SimulatedHuman(3, 1500, 8)
 	team := xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2, Seed: 5})
@@ -24,10 +25,10 @@ func TestFingerprintGolden(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"single-k", Config{K: 21}, "7ee18dfab838680b"},
-		{"ladder", Config{KmerLens: []int{21, 33}}, "adb606c46dcef9bd"},
-		{"contigs-only", Config{K: 21, ContigsOnly: true}, "b9db273a666fc6bc"},
-		{"four-scaffold-rounds", Config{K: 21, ScaffoldRounds: 4}, "b45e93ac657f776f"},
+		{"single-k", Config{K: 21}, "ee65ea129222be40"},
+		{"ladder", Config{KmerLens: []int{21, 33}}, "4456985343a32382"},
+		{"contigs-only", Config{K: 21, ContigsOnly: true}, "ebaf55ca32e687ff"},
+		{"four-scaffold-rounds", Config{K: 21, ScaffoldRounds: 4}, "35640546b552d8c4"},
 	}
 	for _, c := range cases {
 		got, err := runFingerprint(team, c.cfg.WithDefaults(), libs, env.readLibs)

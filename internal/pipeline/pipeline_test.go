@@ -148,7 +148,9 @@ func TestTimingsRecorded(t *testing.T) {
 // place, the traversal's quiescence tally to read a free-vertex count
 // instead of a scan, and the contig-ID marking puts were deleted, and
 // every k-mer analysis entry and total when the sketch pass came to scan
-// a one-in-eight read sample and the cardinality sketch the segment scan. Each
+// a one-in-eight read sample and the cardinality sketch the segment scan,
+// and again when the sketch left stage 1 (each owner's Bloom filters sized
+// from the windows its bins carry). Each
 // is read back from Metrics exactly; merAligner within 1 ns (that entry
 // subtracted two truncated clock readings, the span truncates their
 // difference); and the run's total, which is the team's clock, is that

@@ -127,7 +127,7 @@ func (r *Rank) chaosRetry(dst int, seq uint64, bytes int, attempt *int) {
 		exp = chaosBackoffCapExp
 	}
 	base := chaosTimeoutNs * float64(uint64(1)<<uint(exp))
-	r.advance(base + r.chaos.Float64()*base*0.5)
+	r.ChargeComm(base + r.chaos.Float64()*base*0.5)
 	*attempt++
 	r.stats.Retries++
 	r.stats.RedeliveredBytes += int64(bytes)

@@ -22,6 +22,13 @@ type RankDelta struct {
 	// at synchronization points, excluding barrier synchronization jumps.
 	// The spread of WorkNs across ranks is the span's load imbalance.
 	WorkNs float64
+	// CommNs is the part of WorkNs the rank spent on its own messages and
+	// their bytes: lookups, store batches and collectives sent, their
+	// retransmissions on a lossy transport, and modelled exchanges charged
+	// through ChargeComm. Owner-side applies of items others sent are
+	// compute, in WorkNs only. What a rank's clock advanced beyond WorkNs
+	// during the span is barrier wait.
+	CommNs float64
 	// Comm is the rank's communication-statistics delta.
 	Comm CommStats
 }
@@ -64,6 +71,7 @@ type openSpan struct {
 	startClock float64
 	startWall  time.Time
 	startWork  []float64
+	startCommN []float64
 	startComm  []CommStats
 }
 
@@ -83,10 +91,12 @@ func (t *Team) BeginSpan(name string) {
 		startClock: t.maxClock(),
 		startWall:  time.Now(),
 		startWork:  make([]float64, len(t.ranks)),
+		startCommN: make([]float64, len(t.ranks)),
 		startComm:  make([]CommStats, len(t.ranks)),
 	}
 	for i, r := range t.ranks {
 		o.startWork[i] = r.workNs
+		o.startCommN[i] = r.commNs
 		o.startComm[i] = r.stats
 	}
 	t.open = append(t.open, o)
@@ -113,6 +123,7 @@ func (t *Team) EndSpan() *SpanRecord {
 	for i, r := range t.ranks {
 		rec.Ranks[i] = RankDelta{
 			WorkNs: r.workNs - o.startWork[i],
+			CommNs: r.commNs - o.startCommN[i],
 			Comm:   r.stats.Sub(o.startComm[i]),
 		}
 	}

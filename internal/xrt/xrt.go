@@ -262,6 +262,7 @@ type Rank struct {
 
 	clockNs   float64 // owner-written virtual clock
 	workNs    float64 // cumulative charged work; never synchronized (see Team.RankWorkNs)
+	commNs    float64 // the part of workNs charged to messages and their bytes
 	stats     CommStats
 	foreignNs atomic.Int64 // work charged to this rank by other ranks
 	pert      *Prng        // delay stream; nil unless perturbation is armed
@@ -330,6 +331,14 @@ func (r *Rank) Charge(ns float64) { r.advance(ns) }
 // ChargeItems charges the generic per-item compute cost for n items.
 func (r *Rank) ChargeItems(n int) { r.advance(float64(n) * ItemNs) }
 
+// ChargeComm charges ns of communication: work like Charge, also counted
+// in the span's CommNs. The message charges below go through it, and so
+// does a caller that models an exchange itself (a reduction tree's steps).
+func (r *Rank) ChargeComm(ns float64) {
+	r.commNs += ns
+	r.advance(ns)
+}
+
 // chargeForeignRaw charges ns of work to another rank: the owner of a
 // hash-table shard processing items this rank sent it. It rides on an
 // already-delivered message (a store batch's per-item apply cost must not
@@ -351,12 +360,12 @@ func (r *Rank) ChargeLookup(dst int, bytes int) {
 		r.stats.OnNodeLookups++
 		r.stats.OnNodeMsgs++
 		r.stats.OnNodeBytes += int64(bytes)
-		r.advance(OnNodeMsgNs + float64(bytes)*OnNodeByteNs)
+		r.ChargeComm(OnNodeMsgNs + float64(bytes)*OnNodeByteNs)
 	default:
 		r.stats.OffNodeLookups++
 		r.stats.OffNodeMsgs++
 		r.stats.OffNodeBytes += int64(bytes)
-		r.advance(OffNodeMsgNs + float64(bytes)*OffNodeByteNs)
+		r.ChargeComm(OffNodeMsgNs + float64(bytes)*OffNodeByteNs)
 	}
 }
 
@@ -416,12 +425,12 @@ func (r *Rank) chargeBatch(dst, n, bytes int) {
 	case OnNode:
 		r.stats.OnNodeMsgs++
 		r.stats.OnNodeBytes += int64(bytes)
-		r.advance(OnNodeMsgNs + float64(bytes)*OnNodeByteNs)
+		r.ChargeComm(OnNodeMsgNs + float64(bytes)*OnNodeByteNs)
 		r.chargeForeignRaw(dst, float64(n)*LocalOpNs)
 	default:
 		r.stats.OffNodeMsgs++
 		r.stats.OffNodeBytes += int64(bytes)
-		r.advance(OffNodeMsgNs + float64(bytes)*OffNodeByteNs)
+		r.ChargeComm(OffNodeMsgNs + float64(bytes)*OffNodeByteNs)
 		r.chargeForeignRaw(dst, float64(n)*LocalOpNs)
 	}
 }
@@ -770,30 +779,6 @@ func (r *Rank) AllReduceSum(v []int64) []int64 {
 	return out
 }
 
-// AllReduceMax takes the element-wise maximum of one byte vector per rank
-// (HyperLogLog registers merge this way) and returns it on every rank,
-// under AllReduceSum's rules: equal lengths, a shared read-only result,
-// and each tree step charged with the whole vector.
-func (r *Rank) AllReduceMax(v []byte) []byte {
-	t := r.team
-	t.sAny[r.ID] = v
-	r.Barrier()
-	if r.ID == 0 {
-		out := make([]byte, len(v))
-		for _, part := range t.sAny {
-			for i, x := range part.([]byte) {
-				out[i] = max(out[i], x)
-			}
-		}
-		t.sAny[0] = out
-	}
-	r.Barrier()
-	out := t.sAny[0].([]byte)
-	r.chargeTree(len(v))
-	r.Barrier()
-	return out
-}
-
 // AllGather shares one arbitrary value per rank; the returned slice is
 // indexed by rank and must be treated as read-only. Every rank receives
 // the same contents.
@@ -835,7 +820,7 @@ func (r *Rank) chargeTree(bytes int) {
 		r.chaosPoint((r.ID+n)%p, max(bytes, collectiveMsgBytes))
 		steps++
 	}
-	r.Charge(steps * (OffNodeMsgNs + float64(bytes)*OffNodeByteNs))
+	r.ChargeComm(steps * (OffNodeMsgNs + float64(bytes)*OffNodeByteNs))
 }
 
 // barrier is a reusable cyclic barrier.

@@ -209,22 +209,6 @@ func TestAllReduceSum(t *testing.T) {
 	})
 }
 
-// TestAllReduceMax: every rank gets the element-wise maximum, charged as
-// AllReduceSum is, one byte per element.
-func TestAllReduceMax(t *testing.T) {
-	team := NewTeam(Config{Ranks: 9})
-	team.Run(func(r *Rank) {
-		clock := r.ClockNs()
-		got := r.AllReduceMax([]byte{byte(r.ID), 3, byte(8 - r.ID)})
-		if want := []byte{8, 3, 8}; !slices.Equal(got, want) {
-			t.Errorf("rank %d: max = %v, want %v", r.ID, got, want)
-		}
-		if got, want := r.ClockNs()-clock, 4*(OffNodeMsgNs+3*OffNodeByteNs); got != want {
-			t.Errorf("rank %d: charged %v ns, want %v", r.ID, got, want)
-		}
-	})
-}
-
 func TestBroadcastAndAllGather(t *testing.T) {
 	team := NewTeam(Config{Ranks: 4})
 	team.Run(func(r *Rank) {
@@ -261,6 +245,46 @@ func TestCommChargesAndStats(t *testing.T) {
 	}
 	if f := s.OffNodeLookupFrac(); f < 0.33 || f > 0.34 {
 		t.Fatalf("off-node lookup frac = %f", f)
+	}
+}
+
+// TestSpanCommNs: a span's CommNs is what each rank charged to its own
+// messages and their bytes — remote lookups, remote store batches,
+// collective tree steps, ChargeComm — and nothing else: not local
+// operations, not plain compute, not the applies its store batches charge
+// their owner. No rank works longer than the span: the ranks with less
+// work spent the rest waiting at the barriers.
+func TestSpanCommNs(t *testing.T) {
+	team := NewTeam(Config{Ranks: 4, RanksPerNode: 2})
+	team.BeginSpan("s")
+	team.Run(func(r *Rank) {
+		if r.ID == 0 {
+			r.ChargeLookup(0, 8) // local
+			r.ChargeLookup(1, 8) // on-node
+			r.ChargeLookup(2, 8) // off-node
+			r.ChargeStoreBatch(3, 100, 800)
+			r.ChargeItems(10)
+			r.ChargeComm(5)
+		}
+		r.Barrier()
+		r.AllReduceInt64(1, func(a, b int64) int64 { return a + b })
+	})
+	rec := team.EndSpan()
+	tree := 2 * OffNodeMsgNs // log2(4) steps of one control message
+	want := []float64{
+		(OnNodeMsgNs + 8*OnNodeByteNs) + (OffNodeMsgNs + 8*OffNodeByteNs) + (OffNodeMsgNs + 800*OffNodeByteNs) + 5 + tree,
+		tree, tree, tree,
+	}
+	for i, rd := range rec.Ranks {
+		if rd.CommNs != want[i] {
+			t.Errorf("rank %d: CommNs %v, want %v", i, rd.CommNs, want[i])
+		}
+		if rd.WorkNs > rec.VirtualNs {
+			t.Errorf("rank %d: worked %v ns in a %v ns span", i, rd.WorkNs, rec.VirtualNs)
+		}
+	}
+	if w := rec.Ranks[3].WorkNs; w != tree+100*LocalOpNs {
+		t.Errorf("owner of the store batch worked %v ns, want its applies %v and the tree", w, tree+100*LocalOpNs)
 	}
 }
 
