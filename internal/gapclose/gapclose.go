@@ -230,8 +230,8 @@ func collectGaps(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadL
 // and sends its answer back.
 //
 // The close span counts each step's virtual time (scan_ns, ladder_ns over
-// all waves, settle_ns), the chunks scanned (scan_chunks) and the steps
-// walked (walk_steps).
+// all waves, settle_ns), the chunks scanned (scan_chunks), the bases walked
+// by lookup (walk_steps) and those copied round a cycle (walk_filled).
 func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []closure {
 	p := team.Config().Ranks
 	jobs := newJobs(gaps)
@@ -260,7 +260,7 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 		}
 	}
 	ladders = heaviestFirst(ladders, (*gapJob).stepCost)
-	var primaries, waves, walked int64
+	var primaries, waves, walked, filled int64
 	var ladder time.Duration
 	for {
 		var open []*gapJob
@@ -286,9 +286,9 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 				}
 				s := pool.get()
 				s.graph.build(j.g.reads, k)
-				t.steps = s.walkStep(j.g, k, st)
+				t.steps, t.filled = s.walkStep(j.g, k, st)
 				pool.put(s)
-				r.ChargeItems(buildFactor*j.readBases + walkFactor*t.steps)
+				r.ChargeItems(buildFactor*j.readBases + walkFactor*t.steps + fillItems(t.filled))
 				if j.home != r.ID {
 					r.ChargeStoreBatch(j.home, 1, len(st.seq)+len(st.partL)+len(st.partR))
 				}
@@ -306,6 +306,7 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 		for _, ts := range byRank {
 			for _, t := range ts {
 				walked += int64(t.steps)
+				filled += int64(t.filled)
 			}
 		}
 	}
@@ -353,6 +354,7 @@ func closeGaps(team *xrt.Team, gaps []*gapState, opt Options, res *Result) []clo
 	team.AddCounter("verify_confirmed", int64(res.Verified))
 	team.AddCounter("scan_chunks", chunks)
 	team.AddCounter("walk_steps", walked)
+	team.AddCounter("walk_filled", filled)
 	team.AddCounter("scan_ns", int64(scan.Virtual))
 	team.AddCounter("ladder_ns", int64(ladder))
 	team.AddCounter("settle_ns", int64(settle.Virtual))

@@ -188,7 +188,8 @@ func TestWalkAcrossUnit(t *testing.T) {
 	}
 	var s scratch
 	s.graph.build(reads, 21)
-	if !s.walk(kmer.FromString(string(left[len(left)-21:])), kmer.FromString(string(right[:21])), true, true, 21, 500) {
+	from := kmer.FromString(string(left[len(left)-21:]))
+	if ok, _ := s.walk(from, from.RevComp(21), kmer.FromString(string(right[:21])), true, true, 21, 500); !ok {
 		t.Fatal("walk failed on perfectly covered gap")
 	}
 	if closure := s.closure(21); !bytes.Equal(closure, g[150:250]) {
@@ -203,7 +204,8 @@ func TestWalkStopsAtAmbiguity(t *testing.T) {
 	branch2 := append(append([]byte(nil), left...), []byte("CCCCCCCCCC")...)
 	var s scratch
 	s.graph.build([][]byte{branch1, branch2}, 21)
-	if s.walk(kmer.FromString(string(left[len(left)-21:])), kmer.FromString("TTTTTTTTTTTTTTTTTTTTT"), true, true, 21, 100) {
+	from := kmer.FromString(string(left[len(left)-21:]))
+	if ok, _ := s.walk(from, from.RevComp(21), kmer.FromString("TTTTTTTTTTTTTTTTTTTTT"), true, true, 21, 100); ok {
 		t.Fatal("walk crossed an ambiguous branch")
 	}
 }

@@ -11,17 +11,23 @@ import (
 // methods differ in computational intensity by orders of magnitude (§4.8),
 // but each unit's cost is known, or bounded, from the gap's read bases and
 // estimated size before it runs, which is what lets the units be dealt
-// longest first. BenchmarkMiniGraphUnits calibrates the build and walk
-// factors against each other.
+// longest first. BenchmarkMiniGraphUnits calibrates the build, walk and
+// fill factors against each other: on a 2-core host, three runs each on its
+// walk-heavy and repeat-flanked gaps, a built base took 29.4–30.3 and
+// 36.6–41.3 ns, a walk step 77–82 and 92–104 ns (2.4–2.7 built bases) and a
+// filled base 2.0–2.1 and 2.4 ns (a built base is 14.3–17.1 of them).
 const (
 	// gapOverhead is charged once per gap, whatever becomes of it.
 	gapOverhead = 64
-	// buildFactor × read bases is a ladder step's mini-graph build: the two
-	// upserts each window makes.
-	buildFactor = 2
+	// buildFactor × read bases is a ladder step's mini-graph build: the one
+	// upsert each window makes.
+	buildFactor = 1
 	// walkFactor × steps walked is a ladder step's two directed walks: a
-	// step is a dependent lookup, about twice a built base.
-	walkFactor = 4
+	// step is a dependent lookup, 2.4–2.7 built bases, rounded up.
+	walkFactor = 3
+	// fillBases bases copied round a cycle (see walk) are billed one item:
+	// a built base is worth 14.3–17.1 of them, rounded down.
+	fillBases = 15
 	// patchFactor × the DP rows it computes is one patching attempt: left
 	// flank + left partial walk, at most aligner.OverlapWindow of them.
 	patchFactor = 8
@@ -257,10 +263,15 @@ func dealScan(jobs []*gapJob, p int) [][]*scanChunk {
 
 // ladderTask is one (gap, k) unit of a wave.
 type ladderTask struct {
-	job   *gapJob
-	step  int // index into job.steps; k = walkK + step × walkKStep
-	steps int // walked, written by the task's rank, read after the wave's join
+	job  *gapJob
+	step int // index into job.steps; k = walkK + step × walkKStep
+	// the bases walked by lookup and by copying, written by the task's rank,
+	// read after the wave's join
+	steps, filled int
 }
+
+// fillItems is the charge for filled bases copied round a walk's cycle.
+func fillItems(filled int) int { return (filled + fillBases - 1) / fillBases }
 
 // planWave deals one wave of ladder steps over p ranks and advances each
 // job's tried past what it dealt. open lists the gaps with a step left,

@@ -203,17 +203,18 @@ func TestClosuresRankInvariant(t *testing.T) {
 // checkOneRankCharges closes g alone on one rank, where nothing moves, and
 // requires the span to run steps ladder tasks and to charge the unit costs
 // and nothing else: a scan, each step's build over every read base and its
-// walks by the step, and a patch billed for the DP rows BestOverlap
-// computes. It returns the patch's left operand length.
+// walks by the step looked up and the bases filled, and a patch billed for
+// the DP rows BestOverlap computes. It returns the patch's left operand length.
 func checkOneRankCharges(t *testing.T, g *gapState, steps int) (leftOperand int) {
 	t.Helper()
 	var s scratch
 	ladder := make([]ladderStep, steps)
-	walked := 0
+	walked, filled, fill := 0, 0, 0
 	for i := range ladder {
 		k := walkK + i*walkKStep
 		s.graph.build(g.reads, k)
-		walked += s.walkStep(g, k, &ladder[i])
+		n, f := s.walkStep(g, k, &ladder[i])
+		walked, filled, fill = walked+n, filled+f, fill+fillItems(f)
 	}
 	_, bestL, bestR := reduceLadder(ladder)
 	if len(bestL) == 0 || len(bestR) == 0 {
@@ -226,12 +227,15 @@ func checkOneRankCharges(t *testing.T, g *gapState, steps int) (leftOperand int)
 	if n := span.Counters["walk_steps"]; n != int64(walked) {
 		t.Fatalf("%d steps walked, want %d", n, walked)
 	}
+	if n := span.Counters["walk_filled"]; n != int64(filled) {
+		t.Fatalf("%d bases filled, want %d", n, filled)
+	}
 	readBases := 0
 	for _, rd := range g.reads {
 		readBases += len(rd)
 	}
 	leftOperand = len(g.left) + len(bestL)
-	items := readBases + gapOverhead + steps*buildFactor*readBases + walkFactor*walked + patchFactor*min(leftOperand, aligner.OverlapWindow)
+	items := readBases + gapOverhead + steps*buildFactor*readBases + walkFactor*walked + fill + patchFactor*min(leftOperand, aligner.OverlapWindow)
 	if got, want := span.Ranks[0].WorkNs, float64(items)*xrt.ItemNs; got != want {
 		t.Fatalf("charged %.0f ns, want %.0f: a scan, %d steps over %d read bases walking %d steps, and a patch over %d rows",
 			got, want, steps, readBases, walked, min(leftOperand, aligner.OverlapWindow))

@@ -36,12 +36,14 @@ func kmerCountsRef(reads [][]byte, k int) map[string][4]int {
 }
 
 // checkMiniGraph builds both graphs and requires them to agree on every
-// window of k nucleotides: same four counts, and no entry on either side
-// the other lacks. The reference sees the reads upper-cased — it keyed
-// lower-case windows by their bytes on the read's strand and upper-cased
-// them on the other; the packed graph folds case on both — and its keys
-// holding any other character have no packed counterpart (they are the
-// windows a walk can never stand on).
+// window of k nucleotides, on both strands: same four counts following it,
+// where a window the reference lacks has none. The packed graph holds one
+// entry per distinct canonical window and the reference one per window
+// with a following base on either strand. The reference sees the reads
+// upper-cased — it keyed lower-case windows by their bytes on the read's
+// strand and upper-cased them on the other; the packed graph folds case on
+// both — and its keys holding any other character have no packed
+// counterpart (they are the windows a walk can never stand on).
 func checkMiniGraph(t *testing.T, reads [][]byte, k int) {
 	t.Helper()
 	upper := make([][]byte, len(reads))
@@ -51,25 +53,32 @@ func checkMiniGraph(t *testing.T, reads [][]byte, k int) {
 	ref := kmerCountsRef(upper, k)
 	var g miniGraph
 	g.build(reads, k)
-	nucleotide := 0
-	for w, want := range ref {
-		km, ok := kmer.Pack([]byte(w), k)
-		if !ok {
-			continue
-		}
-		nucleotide++
-		got := g.after(km)
-		if got == nil {
-			t.Fatalf("k=%d: window %s missing from the packed graph (reference %v)", k, w, want)
-		}
-		for c := range want {
-			if int(got[c]) != want[c] {
-				t.Fatalf("k=%d: window %s: counts %v, reference %v", k, w, *got, want)
+	canonical := map[kmer.Kmer]bool{}
+	for _, rd := range upper {
+		for i := 0; i+k <= len(rd); i++ {
+			km, ok := kmer.Pack(rd[i:i+k], k)
+			if !ok {
+				continue
+			}
+			canon, _ := km.Canonical(k)
+			canonical[canon] = true
+			for _, w := range []kmer.Kmer{km, km.RevComp(k)} {
+				want := ref[w.String(k)]
+				st := kmer.NewStrands(w, w.RevComp(k), k)
+				got := g.after(&st)
+				if got == nil {
+					t.Fatalf("k=%d: window %s missing from the packed graph (reference %v)", k, w.String(k), want)
+				}
+				for c := range want {
+					if int(got[c]) != want[c] {
+						t.Fatalf("k=%d: window %s: counts %v, reference %v", k, w.String(k), *got, want)
+					}
+				}
 			}
 		}
 	}
-	if g.counts.Len() != nucleotide {
-		t.Fatalf("k=%d: packed graph holds %d windows, reference %d", k, g.counts.Len(), nucleotide)
+	if g.counts.Len() != len(canonical) {
+		t.Fatalf("k=%d: packed graph holds %d windows, reads hold %d canonical ones", k, g.counts.Len(), len(canonical))
 	}
 }
 
@@ -108,6 +117,13 @@ func TestMiniGraphMatchesStringReference(t *testing.T) {
 	if mg.counts.Len() != fresh.counts.Len() {
 		t.Fatalf("rebuilt graph holds %d windows, fresh one %d", mg.counts.Len(), fresh.counts.Len())
 	}
+	// an even k would let a window be its own reverse complement
+	defer func() {
+		if recover() == nil {
+			t.Fatal("build accepted k = 22")
+		}
+	}()
+	mg.build(reads, 22)
 }
 
 func FuzzMiniGraph(f *testing.F) {
@@ -222,12 +238,15 @@ func BenchmarkCloseGap(b *testing.B) {
 }
 
 // BenchmarkMiniGraphUnits measures, each per unit at k = 21, what a ladder
-// step is billed for — a build per read base (the whole read set) and a
-// walk per step (both walks) — and what a step counted in 8 chunks of its
-// reads on 8 ranks would add: the merge, per entry, of the partial graphs
-// of chunks 1–7 into that of chunk 0 (entries/away-base is how many there
-// are per base those chunks count). At buildFactor items per built base,
-// walkFactor is buildFactor × ns/walk-step over ns/build-base, rounded up.
+// step is billed for — a build per read base (the whole read set), a walk
+// per step looked up (both walks) and a base filled in round a cycle (a
+// walk's whole bound after a 60-base cycle) — and what a step counted in 8
+// chunks of its reads on 8 ranks would add: the merge, per entry, of the
+// partial graphs of chunks 1–7 into that of chunk 0 (entries/away-base is
+// how many there are per base those chunks count). At buildFactor items
+// per built base, walkFactor is buildFactor × ns/walk-step over
+// ns/build-base, rounded up, and fillBases is ns/build-base over
+// ns/fill-base over buildFactor, rounded down.
 func BenchmarkMiniGraphUnits(b *testing.B) {
 	heavy, _ := walkHeavyGap()
 	for _, c := range []struct {
@@ -249,21 +268,26 @@ func BenchmarkMiniGraphUnits(b *testing.B) {
 					away += len(rd)
 				}
 			}
+			const cycle = 60
+			bound := c.g.est*maxGapFactor + 200 + walkK
 			var s scratch
 			var st ladderStep
-			var build, merge, walk time.Duration
+			var build, merge, walk, fill time.Duration
 			steps := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
 				s.graph.build(c.g.reads, walkK)
 				t1 := time.Now()
-				steps = s.walkStep(c.g, walkK, &st)
+				steps, _ = s.walkStep(c.g, walkK, &st)
 				t2 := time.Now()
-				s.graph.build(reads[0], walkK)
+				s.walked = append(s.walked[:0], c.g.left[:cycle]...)
+				s.fill(cycle, bound)
 				t3 := time.Now()
+				s.graph.build(reads[0], walkK)
+				t4 := time.Now()
 				for p := range parts {
-					parts[p].counts.Range(func(h uint64, km kmer.Kmer, v *[4]int32) bool {
+					parts[p].counts.Range(func(h uint64, km kmer.Kmer, v *[8]int32) bool {
 						to, _ := s.graph.counts.Upsert(h, km)
 						for x, n := range v {
 							to[x] += n
@@ -271,15 +295,17 @@ func BenchmarkMiniGraphUnits(b *testing.B) {
 						return true
 					})
 				}
-				merge += time.Since(t3)
+				merge += time.Since(t4)
 				build += t1.Sub(t0)
 				walk += t2.Sub(t1)
+				fill += t3.Sub(t2)
 			}
 			per := func(d time.Duration, units int) float64 {
 				return float64(d.Nanoseconds()) / float64(b.N) / float64(max(units, 1))
 			}
 			b.ReportMetric(per(build, j.readBases), "ns/build-base")
 			b.ReportMetric(per(walk, steps), "ns/walk-step")
+			b.ReportMetric(per(fill, bound-cycle), "ns/fill-base")
 			b.ReportMetric(per(merge, entries), "ns/merged-entry")
 			b.ReportMetric(float64(entries)/float64(away), "entries/away-base")
 		})

@@ -64,9 +64,12 @@ func (p *scratchPool) put(s *scratch) {
 }
 
 // miniGraph is the mini-assembly de Bruijn graph of one gap at one k: for
-// every k-mer of the gap's reads, on both strands, how often each base
-// follows it. Walk k ≤ 41 fits the two-word k-mer, so windows are packed,
-// never copied.
+// every canonical k-mer of the gap's reads, how often each base follows it
+// (counts[0:4]) and how often each base follows its reverse complement
+// (counts[4:8]). Both strands of a window share one entry, so a build makes
+// one upsert per window. Walk k ≤ 41 fits the two-word k-mer, so windows
+// are packed, never copied; k is odd, so no window is its own reverse
+// complement and the two halves never alias.
 //
 // Only windows of k nucleotides are stored, with case folded as everywhere
 // else in package kmer. A walk whose start window holds another character
@@ -76,38 +79,60 @@ func (p *scratchPool) put(s *scratch) {
 // a window only against a read with the same characters at the same
 // offsets, and reads carry no N runs.)
 type miniGraph struct {
-	counts flat.Map[kmer.Kmer, [4]int32]
+	counts flat.Map[kmer.Kmer, [8]int32]
 }
 
-const miniGraphSeed = 0x6a9c105e
+// miniGraphHash is the graph's hash of a packed k-mer: one finalizer, a
+// bijection on the one-word k-mers of k ≤ 32. Kmer.Hash's two rounds of
+// mixing were a fifth of a build.
+func miniGraphHash(km kmer.Kmer) uint64 {
+	return flat.Mix(km.W[0] ^ km.W[1]*0x9e3779b97f4a7c15)
+}
 
 // build replaces the graph with that of reads at k, in one rolling pass per
 // read: the window at pos is followed by read[pos+k] on the read's strand,
 // and its reverse complement by the complement of read[pos-1] on the other.
+// k must be odd.
 func (g *miniGraph) build(reads [][]byte, k int) {
+	if k%2 == 0 {
+		panic("gapclose: mini-graph k must be odd")
+	}
 	g.counts.Clear()
 	for _, rd := range reads {
-		kmer.ForEachStrands(rd, k, func(pos int, fw, rc kmer.Kmer) {
+		kmer.ForEachCanonical(rd, k, func(pos int, canon kmer.Kmer, flipped bool) {
+			// the counts after the read's window start at half, those after
+			// its reverse complement at 4 - half
+			half := 0
+			if flipped {
+				half = 4
+			}
+			v, _ := g.counts.Upsert(miniGraphHash(canon), canon)
 			if pos+k < len(rd) {
 				if c, ok := kmer.BaseCode(rd[pos+k]); ok {
-					v, _ := g.counts.Upsert(fw.Hash(miniGraphSeed), fw)
-					v[c]++
+					v[half+int(c)]++
 				}
 			}
 			if pos > 0 {
 				if c, ok := kmer.BaseCode(rd[pos-1]); ok {
-					v, _ := g.counts.Upsert(rc.Hash(miniGraphSeed), rc)
-					v[3-c]++
+					v[7-half-int(c)]++
 				}
 			}
 		})
 	}
 }
 
-// after returns the counts of the bases following km, or nil when no read
-// continues it.
-func (g *miniGraph) after(km kmer.Kmer) *[4]int32 {
-	return g.counts.Get(km.Hash(miniGraphSeed), km)
+// after returns the counts of the bases following window w, or nil when no
+// read holds it.
+func (g *miniGraph) after(w *kmer.Strands) *[4]int32 {
+	canon, flipped := w.Canonical()
+	v := g.counts.Get(miniGraphHash(canon), canon)
+	if v == nil {
+		return nil
+	}
+	if flipped {
+		return (*[4]int32)(v[4:])
+	}
+	return (*[4]int32)(v[:4])
 }
 
 const (
@@ -135,32 +160,34 @@ type ladderStep struct {
 
 // walkStep is the walking half of one (gap, k) task, over the gap's
 // mini-graph at k that s holds: a walk from the left flank and, failing
-// that, one from the right. It returns the steps walked, at most
-// walkBound(g). A task needs nothing of the gap's other k values, so the
-// steps of one ladder can run on different ranks; reduceLadder puts their
-// outcomes back in order. The caller has checked that both flanks hold k
-// bases.
-func (s *scratch) walkStep(g *gapState, k int, out *ladderStep) (steps int) {
+// that, one from the right. It returns the bases the walks looked up, at
+// most walkBound(g), and those they filled in by copying a cycle (see
+// walk). A task needs nothing of the gap's other k values, so the steps of
+// one ladder can run on different ranks; reduceLadder puts their outcomes
+// back in order. The caller has checked that both flanks hold k bases.
+func (s *scratch) walkStep(g *gapState, k int, out *ladderStep) (steps, filled int) {
 	maxLen := g.est*maxGapFactor + 200
 	from, fromOK := kmer.Pack(g.left[len(g.left)-k:], k)
 	to, toOK := kmer.Pack(g.right, k)
-	out.ok = s.walk(from, to, fromOK, toOK, k, maxLen)
-	steps = len(s.walked)
+	fromRC, toRC := from.RevComp(k), to.RevComp(k)
+	var n int
+	out.ok, n = s.walk(from, fromRC, to, fromOK, toOK, k, maxLen)
+	steps, filled = n, len(s.walked)-n
 	if out.ok {
 		out.seq = bytes.Clone(s.closure(k))
-		return steps
+		return steps, filled
 	}
 	out.partL = append(out.partL[:0], s.walked...)
 	// right-to-left: the same walk on the other strand, from the reverse
 	// complement of the right anchor to that of the left
-	out.ok = s.walk(to.RevComp(k), from.RevComp(k), toOK, fromOK, k, maxLen)
-	steps += len(s.walked)
+	out.ok, n = s.walk(toRC, to, fromRC, toOK, fromOK, k, maxLen)
+	steps, filled = steps+n, filled+len(s.walked)-n
 	if out.ok {
 		out.seq = kmer.RevCompString(s.closure(k))
-		return steps
+		return steps, filled
 	}
 	out.partR = append(out.partR[:0], s.walked...)
-	return steps
+	return steps, filled
 }
 
 // walkBound is the most steps walkStep can take on g at any k of the
@@ -264,24 +291,37 @@ func (s *scratch) trySpanning(g *gapState, reads [][]byte) ([]byte, bool) {
 	return nil, false
 }
 
-// walk greedily extends from k-mer from through the graph, choosing the
-// dominant extension at each step, until k-mer to is reached (it reports
-// true), the walk dead-ends, or maxLen is exceeded. The bases walked are
-// left in s.walked either way: the partial extension, or — on success —
-// the closure followed by the k bases of to (see closure). fromOK and toOK
-// say whether the two windows were nucleotides throughout.
-func (s *scratch) walk(from, to kmer.Kmer, fromOK, toOK bool, k, maxLen int) bool {
+// walk greedily extends from k-mer from, whose reverse complement is
+// fromRC, through the graph, choosing the dominant extension at each step,
+// until k-mer to is reached (it reports true), the walk dead-ends, or
+// maxLen is exceeded. The bases walked are left in s.walked either way: the
+// partial extension, or — on success — the closure followed by the k bases
+// of to (see closure). fromOK and toOK say whether the two windows were
+// nucleotides throughout. steps is how many of the bases were looked up.
+//
+// A step depends on the current k-mer alone, so a walk that comes back to a
+// k-mer circles from there on. Brent's cycle detection finds that without
+// a visited set: a tortoise k-mer, moved to the walk's head whenever the
+// steps since it reach a power of two, is met again after λ steps exactly
+// when the walk has closed a cycle of length λ. Every k-mer of the cycle
+// has then been checked against to and extended, so the walk can neither
+// arrive nor dead-end, and each later base repeats the one λ before it:
+// they are copied up to maxLen + k instead of looked up. The walk is the
+// one a plain walk takes, after μ + O(λ) lookups for a cycle entered at μ.
+func (s *scratch) walk(from, fromRC, to kmer.Kmer, fromOK, toOK bool, k, maxLen int) (ok bool, steps int) {
 	s.walked = s.walked[:0]
 	if !fromOK {
-		return false
+		return false, 0
 	}
-	for cur := from; len(s.walked) < maxLen+k; {
-		if toOK && cur == to {
-			return true
+	limit := maxLen + k
+	tortoise, power, lam := from, 1, 0
+	for cur := kmer.NewStrands(from, fromRC, k); len(s.walked) < limit; {
+		if toOK && cur.Fw() == to {
+			return true, len(s.walked)
 		}
-		arr := s.graph.after(cur)
+		arr := s.graph.after(&cur)
 		if arr == nil {
-			return false
+			return false, len(s.walked)
 		}
 		// dominant extension: best count must be unambiguous
 		bi, bc, sc := -1, int32(0), int32(0)
@@ -293,12 +333,28 @@ func (s *scratch) walk(from, to kmer.Kmer, fromOK, toOK bool, k, maxLen int) boo
 			}
 		}
 		if bi < 0 || bc == sc {
-			return false
+			return false, len(s.walked)
 		}
 		s.walked = append(s.walked, kmer.CodeBase(uint64(bi)))
-		cur = cur.NextRight(k, uint64(bi))
+		cur.Push(uint64(bi))
+		if lam++; cur.Fw() == tortoise {
+			steps = len(s.walked)
+			s.fill(lam, limit)
+			return false, steps
+		}
+		if lam == power {
+			tortoise, power, lam = cur.Fw(), 2*power, 0
+		}
 	}
-	return false
+	return false, len(s.walked)
+}
+
+// fill extends s.walked to n bases, each a copy of the base lam before it:
+// the rest of a walk whose last lam bases went round a cycle.
+func (s *scratch) fill(lam, n int) {
+	for len(s.walked) < n {
+		s.walked = append(s.walked, s.walked[len(s.walked)-lam])
+	}
 }
 
 // closure is the result of a successful walk at k: the bases strictly

@@ -123,6 +123,30 @@ func TestCanonicalStrandInvarianceAllK(t *testing.T) {
 	}
 }
 
+// TestStrandsRollAllK: a Strands pushed base by base holds, at every step
+// and every k, the window NextRight reaches and the canonical form
+// Kmer.Canonical gives it.
+func TestStrandsRollAllK(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for k := 1; k <= MaxK; k++ {
+		for _, s := range seqsForK(rng, k) {
+			km, _ := Pack(s, k)
+			st := NewStrands(km, km.RevComp(k), k)
+			for _, b := range randSeq(rng, 2*k+3) {
+				c, _ := BaseCode(b)
+				km = km.NextRight(k, c)
+				st.Push(c)
+				want, wantFlipped := km.Canonical(k)
+				got, flipped := st.Canonical()
+				if st.Fw() != km || got != want || flipped != wantFlipped {
+					t.Fatalf("k=%d: rolled to %s (canonical %s, %v), want %s (%s, %v)", k,
+						st.Fw().String(k), got.String(k), flipped, km.String(k), want.String(k), wantFlipped)
+				}
+			}
+		}
+	}
+}
+
 // readsForScan yields reads that exercise every branch of the rolling
 // scanner at window length k: an N inside, at either end, and doubled;
 // lower-case stretches; a read shorter than k; one of exactly k bases.

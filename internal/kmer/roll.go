@@ -1,8 +1,8 @@
 // The rolling k-mer scanner: the one place a window's packed forward and
 // reverse-complement words are maintained. Every per-window producer of
 // the package — ForEach, ForEachCanonical, DecodeSuperKmers,
-// DecodeSuperKmersCanonical — is a view of it, so canonical form costs one
-// two-word compare per window instead of a RevComp from scratch.
+// DecodeSuperKmersCanonical, Strands — is a view of it, so canonical form
+// costs one two-word compare per window instead of a RevComp from scratch.
 package kmer
 
 import (
@@ -87,6 +87,31 @@ func pick(f0, f1, r0, r1 uint64) (c0, c1 uint64, flipped bool) {
 	return f0 ^ (f0^r0)&m, f1 ^ (f1^r1)&m, b != 0
 }
 
+// Strands is a window of k bases and its reverse complement, slid together
+// one base at a time: a walk over a graph keyed by canonical k-mer rolls
+// both strands instead of taking a RevComp per step.
+type Strands struct{ r roller }
+
+// NewStrands starts at window fw, whose reverse complement is rc.
+func NewStrands(fw, rc Kmer, k int) Strands {
+	r := newRoller(k)
+	r.fw, r.rc = fw, rc
+	return Strands{r}
+}
+
+// Push appends base code c (0–3) on the 3' end: the window moves to
+// fw.NextRight(k, c) and its reverse complement to rc.NextLeft(k, 3-c).
+func (s *Strands) Push(c uint64) { s.r.push(c) }
+
+// Fw returns the window.
+func (s *Strands) Fw() Kmer { return s.r.fw }
+
+// Canonical returns what s.Fw().Canonical(k) does, from the two strands.
+func (s *Strands) Canonical() (canon Kmer, flipped bool) {
+	c0, c1, flipped := pick(s.r.fw.W[0], s.r.fw.W[1], s.r.rc.W[0], s.r.rc.W[1])
+	return Kmer{W: [2]uint64{c0, c1}}, flipped
+}
+
 // scan rolls over seq and reports every window of k valid bases with its
 // start position and both strands (forward words f0 f1, reverse
 // complement r0 r1). Windows containing a non-ACGT character are skipped.
@@ -114,16 +139,6 @@ func scan(seq []byte, k int, fn func(pos int, f0, f1, r0, r1 uint64)) {
 // value is maintained incrementally, so a scan is O(len(seq)).
 func ForEach(seq []byte, k int, fn func(pos int, km Kmer)) {
 	scan(seq, k, func(pos int, f0, f1, _, _ uint64) { fn(pos, Kmer{W: [2]uint64{f0, f1}}) })
-}
-
-// ForEachStrands is ForEach delivering both strands of each window: fw is
-// what ForEach reports at pos, rc its reverse complement. It serves scans
-// that index a sequence and its reverse complement in one pass (the
-// mini-assembly graph of gap closing) without materialising the latter.
-func ForEachStrands(seq []byte, k int, fn func(pos int, fw, rc Kmer)) {
-	scan(seq, k, func(pos int, f0, f1, r0, r1 uint64) {
-		fn(pos, Kmer{W: [2]uint64{f0, f1}}, Kmer{W: [2]uint64{r0, r1}})
-	})
 }
 
 // ForEachCanonical is ForEach delivering each window in canonical form:

@@ -150,7 +150,9 @@ func TestTimingsRecorded(t *testing.T) {
 // every k-mer analysis entry and total when the sketch pass came to scan
 // a one-in-eight read sample and the cardinality sketch the segment scan,
 // and again when the sketch left stage 1 (each owner's Bloom filters sized
-// from the windows its bins carry). Each
+// from the windows its bins carry), and wheat's gap-closing entries and
+// total when gap closing's mini-graph came to hold one entry per canonical
+// k-mer and its walks to stop looking up bases once they circle. Each
 // is read back from Metrics exactly; merAligner within 1 ns (that entry
 // subtracted two truncated clock readings, the span truncates their
 // difference); and the run's total, which is the team's clock, is that
