@@ -17,6 +17,7 @@ package aligner
 import (
 	"cmp"
 	"slices"
+	"sort"
 
 	"hipmer/internal/contig"
 	"hipmer/internal/dht"
@@ -171,22 +172,30 @@ func (c candidate) hash() uint64 {
 }
 
 // BuildIndex constructs the distributed seed index over all contigs.
-// Contig IDs must be the global IDs assigned by contig.Run.
+// Contig IDs must be the global IDs assigned by contig.Run. The seed
+// windows of all contigs, in (rank, list) order, are cut into p equal
+// contiguous shares and rank r indexes share r, fetching the slices of
+// contigs other ranks hold, so a long contig (a scaffold, from the second
+// round on) does not make its holder a straggler. Every seed's hit list
+// holds the same hits wherever the contigs lie, only in another order,
+// which no alignment reads (DESIGN.md §7, "Index built in equal shares").
 func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *Index {
 	opt = opt.withDefaults()
+	k, p := opt.SeedLen, team.Config().Ranks
 	idx := &Index{opt: opt, team: team, seqs: make(map[int64]*contig.Contig),
-		scratch: make([]*alignScratch, team.Config().Ranks)}
-	for _, cs := range contigsByRank {
+		scratch: make([]*alignScratch, p)}
+	// every contig position contributes one seed, so total contig bases
+	// bound the index size; runs[i].end is one past contig i's last window
+	// in the global window order
+	var totalBases int64
+	var runs []seedRun
+	windows := 0
+	for home, cs := range contigsByRank {
 		for _, c := range cs {
 			idx.seqs[c.ID] = c
-		}
-	}
-	// every contig position contributes one seed, so total contig bases
-	// bound the index size
-	var totalBases int64
-	for _, cs := range contigsByRank {
-		for _, c := range cs {
 			totalBases += int64(len(c.Seq))
+			windows += max(len(c.Seq)-k+1, 0)
+			runs = append(runs, seedRun{c, home, windows})
 		}
 	}
 	idx.seeds = dht.New[kmer.Kmer, hitList](team, dht.Options[kmer.Kmer]{
@@ -213,22 +222,30 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 	})
 	team.BeginSpan("index-build")
 	team.Run(func(r *xrt.Rank) {
-		// one arena for all of the rank's hits: a contig of n bases has at
-		// most n−SeedLen+1 seed windows
-		windows := 0
-		for _, c := range contigsByRank[r.ID] {
-			windows += max(len(c.Seq)-opt.SeedLen+1, 0)
-		}
-		arena := make([]SeedHit, 0, windows)
-		for _, c := range contigsByRank[r.ID] {
-			id := c.ID
-			first := len(arena)
-			kmer.ForEachCanonical(c.Seq, opt.SeedLen, func(pos int, canon kmer.Kmer, flipped bool) {
+		// the share's windows, and one arena for all of their hits
+		lo, hi := windows*r.ID/p, windows*(r.ID+1)/p
+		arena := make([]SeedHit, 0, hi-lo)
+		first := sort.Search(len(runs), func(i int) bool { return runs[i].end > lo })
+		for _, run := range runs[first:] {
+			start := run.end - max(len(run.c.Seq)-k+1, 0)
+			if start >= hi {
+				break
+			}
+			a, b := max(lo, start)-start, min(hi, run.end)-start
+			if a >= b {
+				continue
+			}
+			seq := run.c.Seq[a : b+k-1]
+			if run.home != r.ID {
+				r.ChargeLookup(run.home, len(seq))
+			}
+			id, n0 := run.c.ID, len(arena)
+			kmer.ForEachCanonical(seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
 				n := len(arena)
-				arena = append(arena, SeedHit{ContigID: id, Pos: int32(pos), Flipped: flipped})
+				arena = append(arena, SeedHit{ContigID: id, Pos: int32(a + pos), Flipped: flipped})
 				idx.seeds.Put(r, canon, hitList{hits: arena[n : n+1 : n+1]})
 			})
-			r.ChargeItems(len(arena) - first)
+			r.ChargeItems(len(arena) - n0)
 		}
 		idx.seeds.Flush(r)
 		r.Barrier()
@@ -240,6 +257,14 @@ func BuildIndex(team *xrt.Team, contigsByRank [][]*contig.Contig, opt Options) *
 	team.EndSpan()
 	idx.seeds.SetApply(nil)
 	return idx
+}
+
+// seedRun is one contig in the global order of seed windows BuildIndex
+// deals: the rank that holds it, and one past its last window.
+type seedRun struct {
+	c    *contig.Contig
+	home int
+	end  int
 }
 
 // fetchContig models fetching a contig's sequence window for extension:

@@ -2,6 +2,7 @@ package aligner
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 	"testing"
 
@@ -419,9 +420,137 @@ func dealPairs(recs []fastq.Record, p int) [][]fastq.Record {
 	return reads
 }
 
+// TestIndexDealIgnoresContigLayout: BuildIndex deals seed windows, not
+// contigs, so where the contigs are held reaches neither the index nor the
+// alignments. The same contigs — one of them long enough that its windows
+// cross at least three ranks' shares — are held all on rank 0, dealt
+// round-robin, and dealt in reverse order. In each layout every seed holds
+// exactly the hits a scan of the whole contigs finds (any order; past
+// maxSeedHits only the saturation), and every read aligns as it does
+// against a one-rank index, which indexes every contig whole.
+func TestIndexDealIgnoresContigLayout(t *testing.T) {
+	const p = 4
+	rng := xrt.NewPrng(31)
+	g := genome.WheatLike(rng, 24000)
+	ctgs := []*contig.Contig{{ID: 1, Seq: g[:14000]}}
+	for pos := 14000; pos < len(g); {
+		n := min(300+rng.Intn(1700), len(g)-pos)
+		seq := g[pos : pos+n]
+		if len(ctgs)%3 == 2 {
+			seq = kmer.RevCompString(seq)
+		}
+		ctgs = append(ctgs, &contig.Contig{ID: int64(len(ctgs) + 1), Seq: seq})
+		pos += n + rng.Intn(60)
+	}
+	recs, _ := genome.SimulatePairs(rng, g, genome.SimOptions{
+		Coverage: 4,
+		Lib:      genome.Library{Name: "deal", ReadLen: 100, InsertMean: 300, InsertSD: 20},
+		Err:      genome.DefaultErrorModel(),
+	})
+	reads := dealPairs(recs, p)
+
+	one := xrt.NewTeam(xrt.Config{Ranks: 1})
+	ref := BuildIndex(one, [][]*contig.Contig{ctgs}, Options{})
+	want := make([][][]Alignment, p)
+	aligned := 0
+	one.Run(func(r *xrt.Rank) {
+		for rank, rr := range reads {
+			for _, rec := range rr {
+				as := ref.AlignRead(r, rec.Seq)
+				want[rank] = append(want[rank], as)
+				if len(as) > 0 {
+					aligned++
+				}
+			}
+		}
+	})
+	if aligned < len(recs)/2 {
+		t.Fatalf("precondition: %d of %d reads align", aligned, len(recs))
+	}
+
+	k := Options{}.withDefaults().SeedLen
+	scanned := map[kmer.Kmer][]SeedHit{}
+	for _, c := range ctgs {
+		kmer.ForEachCanonical(c.Seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
+			scanned[canon] = append(scanned[canon], SeedHit{c.ID, int32(pos), flipped})
+		})
+	}
+	byHit := func(a, b SeedHit) int {
+		return cmp.Or(cmp.Compare(a.ContigID, b.ContigID), cmp.Compare(a.Pos, b.Pos))
+	}
+	for _, hs := range scanned {
+		slices.SortFunc(hs, byHit)
+	}
+	for _, layout := range []struct {
+		name string
+		home func(i int) int
+	}{
+		{"rank0", func(int) int { return 0 }},
+		{"round-robin", func(i int) int { return i % p }},
+		{"reversed", func(i int) int { return (len(ctgs) - 1 - i) % p }},
+	} {
+		byRank := make([][]*contig.Contig, p)
+		for i, c := range ctgs {
+			byRank[layout.home(i)] = append(byRank[layout.home(i)], c)
+		}
+		// where the long contig's windows fall in the global window order
+		windows, start, end := 0, 0, 0
+		for _, cs := range byRank {
+			for _, c := range cs {
+				if c.ID == 1 {
+					start = windows
+				}
+				windows += max(len(c.Seq)-k+1, 0)
+				if c.ID == 1 {
+					end = windows
+				}
+			}
+		}
+		shares := 0
+		for r := range p {
+			if lo, hi := windows*r/p, windows*(r+1)/p; lo < end && start < hi {
+				shares++
+			}
+		}
+		if shares < 3 {
+			t.Fatalf("%s: the long contig crosses %d shares, want at least 3", layout.name, shares)
+		}
+		team := xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 2})
+		idx := BuildIndex(team, byRank, Options{})
+		seeds := 0
+		idx.seeds.RangeAll(func(km kmer.Kmer, hl hitList) bool {
+			seeds++
+			want := scanned[km]
+			if hl.saturated != (len(want) > maxSeedHits) {
+				t.Fatalf("%s: a seed of %d hits is saturated: %v", layout.name, len(want), hl.saturated)
+			}
+			got := slices.Clone(hl.hits)
+			if slices.SortFunc(got, byHit); !hl.saturated && !slices.Equal(got, want) {
+				t.Fatalf("%s: a seed holds %+v, the contigs %+v", layout.name, got, want)
+			}
+			return true
+		})
+		if seeds != len(scanned) {
+			t.Fatalf("%s: the index holds %d seeds, the contigs %d", layout.name, seeds, len(scanned))
+		}
+		got := AlignAll(team, idx, reads)
+		for rank := range want {
+			for i := range want[rank] {
+				if !slices.Equal(got[rank][i], want[rank][i]) {
+					t.Fatalf("%s: rank %d read %d aligns %+v, against one rank's index %+v",
+						layout.name, rank, i, got[rank][i], want[rank][i])
+				}
+			}
+		}
+	}
+}
+
 // TestAlignAllMatchesAlignRead: aligning a rank's reads in chunks yields
-// every alignment AlignRead yields one read at a time, and makes the same
-// lookups, contig fetches and cache hits: only the messages are fewer.
+// every alignment AlignRead yields one read at a time, and makes as many
+// lookups, local and remote together, and the same contig fetches and
+// cache hits: only the messages are fewer. The localities differ — a
+// chunk asks for a seed its reads share once and answers the repeats
+// locally — so the lookups are compared in total.
 func TestAlignAllMatchesAlignRead(t *testing.T) {
 	const p = 4
 	ctgs, recs := goldenInput("human")

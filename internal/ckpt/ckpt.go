@@ -60,8 +60,10 @@ import (
 // the k-mer payload's header carries the minimizer bins' weights, which
 // place its table (kanalysis.BinOwners at the loading team's rank count).
 // v8: the k-mer payload's header drops the HyperLogLog distinct estimate,
-// which stage 1 no longer takes.
-const Schema = "hipmer-ckpt/v8"
+// which stage 1 no longer takes. v9: the scaffolding payload carries one
+// fixed-size placement per read (the top alignment's contig, interval and
+// contig length) instead of every alignment of every read.
+const Schema = "hipmer-ckpt/v9"
 
 // ManifestName is the manifest's filename inside a run directory.
 const ManifestName = "MANIFEST.json"

@@ -79,13 +79,14 @@ func u8(c *cursor, p *byte) {
 	}
 }
 
-func u32(c *cursor, p *uint32) {
+// u32 is any 32-bit integer field.
+func u32[T int32 | uint32](c *cursor, p *T) {
 	switch s := c.next(4); {
 	case s == nil:
 	case c.mode == reading:
-		*p = binary.LittleEndian.Uint32(s)
+		*p = T(binary.LittleEndian.Uint32(s))
 	default:
-		binary.LittleEndian.PutUint32(s, *p)
+		binary.LittleEndian.PutUint32(s, uint32(*p))
 	}
 }
 

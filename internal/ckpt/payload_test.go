@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"hipmer/internal/aligner"
 	"hipmer/internal/ckpt"
 	"hipmer/internal/contig"
 	"hipmer/internal/gapclose"
@@ -68,10 +67,10 @@ func syntheticContigs() *contig.Result {
 }
 
 func syntheticScaffold() *scaffold.Result {
-	aln := func(id int64, flipped bool) aligner.Alignment {
-		return aligner.Alignment{ContigID: id, RStart: 1, REnd: 99, CStart: -3, CEnd: 95,
-			Flipped: flipped, Matches: 97, Score: 190, ReadLen: 100, ContigLen: 4000 + int(id)}
+	at := func(id int64, start int32) scaffold.Placement {
+		return scaffold.Placement{ContigID: id, CStart: start, CEnd: start + 98, ContigLen: 4000 + int32(id)}
 	}
+	var none scaffold.Placement
 	return &scaffold.Result{
 		ContigsByRank: [][]*scaffold.SContig{
 			{{ID: 3, Seq: []byte("GATTACA"), Members: []int64{3, 8, 1}}},
@@ -89,13 +88,13 @@ func syntheticScaffold() *scaffold.Result {
 		InsertMean: []float64{395.5, 4200},
 		InsertSD:   []float64{30.25, 300},
 		Bubbles:    3,
-		Alignments: [][][][]aligner.Alignment{
+		Placements: [][][]scaffold.Placement{
 			{
-				{{aln(3, false), aln(2, true)}, nil},
+				{at(3, -3), none},
 				{},
-				{nil, {aln(1, false)}, nil, {aln(3, true)}},
+				{none, at(1, 3990), none, at(-7, 1<<30)},
 			},
-			{{}, {{aln(2, false)}, nil}, {}},
+			{{}, {at(2, 0), none}, {}},
 		},
 	}
 }
@@ -142,8 +141,10 @@ func syntheticPayloads() map[string][]byte {
 // commit before every record's layout was restated as a single walk,
 // except the scaffold one, regenerated when its contigs lost their mean
 // depth and termination metadata (hipmer-ckpt/v6) and again with
-// PoppedOut (v7), and the k-mer ones, regenerated when their header gained
-// the bin weights (v7) and again when it lost the distinct estimate (v8);
+// PoppedOut (v7) and again when every alignment of every read became one
+// placement per read (v9), and the k-mer ones, regenerated when their
+// header gained the bin weights (v7) and again when it lost the distinct
+// estimate (v8);
 // regenerate only for an intended format change (-update-golden).
 func TestSyntheticPayloadBytesGolden(t *testing.T) {
 	got := map[string]string{}

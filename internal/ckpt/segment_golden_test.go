@@ -85,8 +85,9 @@ func segmentDigests(t *testing.T, libs []pipeline.Library, cfg pipeline.Config) 
 // SuperKmerBases, CommBytesSaved, PeakEntries) when pseudo-reads moved onto
 // weighted super-k-mer records; its table entries did not change. The
 // scaffolding digest changed when the scaffolding payload's contigs lost
-// their mean depth and termination metadata (hipmer-ckpt/v6), and again
-// when they lost PoppedOut (v7). Every kmer-analysis digest changed when
+// their mean depth and termination metadata (hipmer-ckpt/v6), again
+// when they lost PoppedOut (v7), and again when the payload's alignments
+// became one placement per read (v9). Every kmer-analysis digest changed when
 // the header gained the minimizer bins' weights (v7), and k33's
 // PeakEntries once more when pseudo-read records came to be screened
 // before read records. Every kmer-analysis digest changed again in its

@@ -17,9 +17,10 @@
 //     graph is NOT serialized: no downstream stage reads it, and it
 //     dwarfs the contigs. A rehydrated Result has Graph == nil.
 //   - scaffolding: surviving contigs (per-rank), scaffolds, links,
-//     insert-size estimates, and the per-read alignments gap closing
-//     consumes. The seed index is NOT serialized (gap closing reads the
-//     alignments, never the index); a rehydrated Result has Index == nil.
+//     insert-size estimates, and one placement per read — where its top
+//     alignment put it, all gap closing reads of the alignments. The seed
+//     index is NOT serialized (gap closing reads the placements, never the
+//     index); a rehydrated Result has Index == nil.
 //   - gap closing: the final scaffold sequences and closure counters.
 //
 // Phase timing fields (xrt.PhaseStats) are never checkpointed: a resumed
@@ -40,7 +41,6 @@ import (
 	"slices"
 	"sort"
 
-	"hipmer/internal/aligner"
 	"hipmer/internal/contig"
 	"hipmer/internal/gapclose"
 	"hipmer/internal/kanalysis"
@@ -395,31 +395,25 @@ func walkLink(c *cursor, l *scaffold.Link) {
 	i64(c, &l.Spans)
 }
 
-func walkAlignment(c *cursor, a *aligner.Alignment) {
-	i64(c, &a.ContigID)
-	i64(c, &a.RStart)
-	i64(c, &a.REnd)
-	i64(c, &a.CStart)
-	i64(c, &a.CEnd)
-	flag(c, &a.Flipped)
-	i64(c, &a.Matches)
-	i64(c, &a.Score)
-	i64(c, &a.ReadLen)
-	i64(c, &a.ContigLen)
+func walkPlacement(c *cursor, p *scaffold.Placement) {
+	i64(c, &p.ContigID)
+	u32(c, &p.CStart)
+	u32(c, &p.CEnd)
+	u32(c, &p.ContigLen)
 }
 
 var (
 	scontigsRec = listOf(ptrTo(recordOf(walkSContig)))
 	scaffoldRec = ptrTo(recordOf(walkScaffold))
 	linkRec     = recordOf(walkLink)
-	// alignmentsRec is one library's alignments: per rank, per read.
-	alignmentsRec = listOf(listOf(listOf(recordOf(walkAlignment))))
+	// placementsRec is one library's placements: per rank, one per read.
+	placementsRec = listOf(listOf(recordOf(walkPlacement)))
 )
 
 // walkScaffoldResult: contigs from the per-rank distribution (which also
 // carries the map's full content), scaffolds, links, one (mean, sd)
 // insert-size estimate per library under a single count, the bubble count,
-// and every library's alignments.
+// and every library's placements.
 func walkScaffoldResult(c *cursor, r *scaffold.Result) {
 	list(c, &r.ContigsByRank, scontigsRec)
 	list(c, &r.Scaffolds, scaffoldRec)
@@ -433,7 +427,7 @@ func walkScaffoldResult(c *cursor, r *scaffold.Result) {
 		f64(c, &r.InsertSD[i])
 	}
 	i64(c, &r.Bubbles)
-	list(c, &r.Alignments, alignmentsRec)
+	list(c, &r.Placements, placementsRec)
 }
 
 // EncodeScaffoldStage serializes a scaffolding result (minus the seed
@@ -445,9 +439,9 @@ func EncodeScaffoldStage(res *scaffold.Result) []byte {
 // DecodeScaffoldStageAny rebuilds a scaffolding result written under any
 // rank count, returning that count alongside it; the contig map is the
 // union of the per-rank lists, exactly as scaffolding itself leaves it.
-// The per-rank structures (ContigsByRank, Alignments) are left in the
+// The per-rank structures (ContigsByRank, Placements) are left in the
 // source partition: a caller on another rank count applies
-// ReshardScaffoldContigs and remaps the alignments against its own read
+// ReshardScaffoldContigs and remaps the placements against its own read
 // partition. Team-free; never panics on corrupt bytes (fuzzed).
 func DecodeScaffoldStageAny(b []byte) (*scaffold.Result, int, error) {
 	c := cursor{mode: reading, b: b}
@@ -478,7 +472,7 @@ func DecodeScaffoldStage(team *xrt.Team, b []byte) (*scaffold.Result, error) {
 // ReshardScaffoldContigs redistributes a decoded scaffold result's
 // surviving contigs onto dstRanks: ordered by ID and dealt round-robin,
 // the layout the contig re-shard uses. Global structures (Contigs map,
-// Scaffolds, Links, insert estimates) are untouched; Alignments remain in
+// Scaffolds, Links, insert estimates) are untouched; Placements remain in
 // the source read partition and are remapped separately against the
 // resuming run's own read layout.
 func ReshardScaffoldContigs(res *scaffold.Result, dstRanks int) error {

@@ -25,8 +25,9 @@
 //     local-vs-remote store distinction of the paper.
 //   - Batched reads (GetBatch): the read-side twin of aggregating stores,
 //     for reads whose keys are all known before any answer is needed. The
-//     keys are grouped by owner and each owner is asked once; this repo's
-//     addition, since the paper aggregates stores only.
+//     keys are grouped by owner and each owner is asked once, for each
+//     distinct key once; this repo's addition, since the paper aggregates
+//     stores only.
 //
 // Storage is flat: each lock stripe of a shard is one open-addressed slot
 // array (internal/flat) addressed by the hash the caller already computed,
@@ -52,6 +53,7 @@
 package dht
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -199,7 +201,8 @@ type localState[K comparable, V any] struct {
 	bufs      [][]kv[K, V] // per destination rank
 	blobBufs  [][]byte     // per destination rank: concatenated PutBlob records
 	blobItems []int        // logical item count buffered per destination
-	getCounts []int        // GetBatch's keys per owner, all zero between calls
+	getCounts []int        // GetBatch's distinct keys per owner, all zero between calls
+	getFirst  []int32      // GetBatch's distinct-key set: 1 + a key's first index, 0 empty
 }
 
 // New creates a table across the team. merge resolves Put collisions:
@@ -529,22 +532,42 @@ func (t *Table[K, V]) Get(r *xrt.Rank, k K) (V, bool) {
 
 // GetBatch reads keys from the frozen table as one aggregated exchange per
 // owner: the read-side twin of aggregating stores, for keys the caller
-// knows before it needs any answer. The keys are grouped by owner and each
-// owner holding n of them is charged one ChargeLookupBatch of n items, in
-// rank order. fn then receives each key's value, in key order: v and
-// ok as Get would return them for keys[i]. A read whose key depends on an
-// earlier answer has no batch to join, and stays a Get.
+// knows before it needs any answer. Each owner is asked once per distinct
+// key it holds: one ChargeLookupBatch of n items for its n distinct keys,
+// in rank order. A key met again later in the batch is answered from the
+// first one's reply, so its owner is not asked twice; the requester bills
+// such repeats as local lookups. fn then receives each key's value, in key
+// order: v and ok as Get would return them for keys[i]. A read whose key
+// depends on an earlier answer has no batch to join, and stays a Get.
 func (t *Table[K, V]) GetBatch(r *xrt.Rank, keys []K, fn func(i int, v V, ok bool)) {
 	if !t.frozen.Load() {
 		panic("dht: GetBatch on a mutable table (call Freeze before batched reads)")
 	}
-	counts := t.locals[r.ID].getCounts
-	if counts == nil {
-		counts = make([]int, len(t.shards))
-		t.locals[r.ID].getCounts = counts
+	ls := &t.locals[r.ID]
+	if ls.getCounts == nil {
+		ls.getCounts = make([]int, len(t.shards))
 	}
-	for _, k := range keys {
-		counts[t.Owner(k)]++
+	counts := ls.getCounts
+	// the distinct keys: an open-addressed set of first indices, at most
+	// two thirds full, cleared over this batch's size only
+	size := 1 << bits.Len(uint(len(keys)+len(keys)/2))
+	if cap(ls.getFirst) < size {
+		ls.getFirst = make([]int32, size)
+	}
+	first := ls.getFirst[:size]
+	clear(first)
+	for i, k := range keys {
+		h := t.opt.Hash(k)
+		for j := int(flat.Mix(h)) & (size - 1); ; j = (j + 1) & (size - 1) {
+			if f := first[j]; f == 0 {
+				first[j] = int32(i + 1)
+				counts[t.placeKey(k, h)]++
+				break
+			} else if keys[f-1] == k {
+				counts[r.ID]++ // a repeat: the first key's reply answers it
+				break
+			}
+		}
 	}
 	for dst, n := range counts {
 		if n > 0 {
@@ -552,6 +575,8 @@ func (t *Table[K, V]) GetBatch(r *xrt.Rank, keys []K, fn func(i int, v V, ok boo
 			r.ChargeLookupBatch(dst, n, n*t.opt.ItemBytes)
 		}
 	}
+	// the frozen shards answer a repeated key exactly as they answered its
+	// first occurrence
 	for i, k := range keys {
 		h := t.opt.Hash(k)
 		v, ok := t.load(t.placeKey(k, h), flat.Mix(h), k, true)

@@ -403,3 +403,63 @@ func TestGetBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestGetBatchRepeatedKeys: a batch that names keys several times asks each
+// owner once per distinct key — the remote lookups counted equal the
+// distinct remote keys, and one message goes to each owner asked — and
+// bills every repeat as a local lookup; fn still sees Get's answer at
+// every index, present keys and absent ones alike.
+func TestGetBatchRepeatedKeys(t *testing.T) {
+	const p = 6
+	team := xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 2})
+	tab := New[uint64, int64](team, intOpts(), nil)
+	team.Run(func(r *xrt.Rank) {
+		for k := uint64(r.ID); k < 100; k += p {
+			tab.Put(r, k, int64(k)*3)
+		}
+		tab.Freeze(r)
+	})
+	// keys 0..149 (the last 50 absent), key k named k%4 + 1 times, spread
+	var named []uint64
+	for k := uint64(0); k < 150; k++ {
+		for range k%4 + 1 {
+			named = append(named, k)
+		}
+	}
+	keys := make([]uint64, len(named))
+	for i, j := range xrt.NewPrng(3).Perm(len(named)) {
+		keys[i] = named[j]
+	}
+	team.Run(func(r *xrt.Rank) {
+		distinct := map[uint64]bool{}
+		remoteKeys, owners := 0, map[int]bool{}
+		for _, k := range keys {
+			if distinct[k] {
+				continue
+			}
+			distinct[k] = true
+			if o := tab.Owner(k); o != r.ID {
+				remoteKeys++
+				owners[o] = true
+			}
+		}
+		before := team.RankStats(r.ID)
+		calls := 0
+		tab.GetBatch(r, keys, func(i int, v int64, ok bool) {
+			calls++
+			if wv, wok := tab.GetAt(tab.Owner(keys[i]), keys[i]); v != wv || ok != wok {
+				t.Errorf("rank %d, key %d at %d: (%d, %v), Get says (%d, %v)", r.ID, keys[i], i, v, ok, wv, wok)
+			}
+		})
+		d := team.RankStats(r.ID).Sub(before)
+		if calls != len(keys) {
+			t.Errorf("rank %d: fn called %d times for %d keys", r.ID, calls, len(keys))
+		}
+		if got := d.OnNodeLookups + d.OffNodeLookups; got != int64(remoteKeys) {
+			t.Errorf("rank %d: owners answered %d lookups, want the %d distinct remote keys", r.ID, got, remoteKeys)
+		}
+		if d.Lookups() != int64(len(keys)) || d.Msgs() != int64(len(owners)) {
+			t.Errorf("rank %d: %d lookups in %d messages, want %d in %d", r.ID, d.Lookups(), d.Msgs(), len(keys), len(owners))
+		}
+	})
+}

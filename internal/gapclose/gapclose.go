@@ -1,6 +1,7 @@
 // Package gapclose implements the final pipeline stage (paper §4.8):
 // assembling reads across the gaps between the contigs of scaffolds.
-// Read-to-contig alignments are projected into gaps in parallel; the gaps
+// Reads are projected into gaps in parallel, each by where scaffolding
+// placed it (its top read-to-contig alignment); the gaps
 // are then closed by a succession of methods: spanning (a single read
 // bridges the gap), k-mer walks with iteratively increasing k
 // (mini-assembly, attempted from both sides), and finally patching (an
@@ -149,8 +150,8 @@ func collectGaps(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadL
 		}
 	}
 
-	// project reads into gaps: any pair whose top alignment sits within
-	// insert distance of a gap-adjacent contig end contributes both mates
+	// project reads into gaps: any pair with a mate placed within insert
+	// distance of a gap-adjacent contig end contributes both mates
 	type tagged struct {
 		gap int
 		seq []byte
@@ -164,22 +165,21 @@ func collectGaps(team *xrt.Team, scafRes *scaffold.Result, libs []scaffold.ReadL
 			if insert <= 0 {
 				insert = 500
 			}
-			alns := scafRes.Alignments[li][r.ID]
+			placed := scafRes.Placements[li][r.ID]
 			reads := lib.ReadsByRank[r.ID]
-			for i := 0; i+1 < len(alns); i += 2 {
+			for i := 0; i+1 < len(placed); i += 2 {
 				gi := -1
-				for _, as := range [][]aligner.Alignment{alns[i], alns[i+1]} {
-					if len(as) == 0 {
+				for _, a := range placed[i : i+2] {
+					if !a.Placed() {
 						continue
 					}
-					a := as[0]
 					// near either end of its contig?
-					if a.CStart < insert {
+					if int(a.CStart) < insert {
 						if idx, ok := gapAt[gapEndKey{a.ContigID, scaffold.EndL}]; ok {
 							gi = idx
 						}
 					}
-					if a.ContigLen-a.CEnd < insert {
+					if int(a.ContigLen-a.CEnd) < insert {
 						if idx, ok := gapAt[gapEndKey{a.ContigID, scaffold.EndR}]; ok {
 							gi = idx
 						}

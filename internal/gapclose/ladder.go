@@ -13,9 +13,10 @@ import (
 // estimated size before it runs, which is what lets the units be dealt
 // longest first. BenchmarkMiniGraphUnits calibrates the build, walk and
 // fill factors against each other: on a 2-core host, three runs each on its
-// walk-heavy and repeat-flanked gaps, a built base took 29.4–30.3 and
-// 36.6–41.3 ns, a walk step 77–82 and 92–104 ns (2.4–2.7 built bases) and a
-// filled base 2.0–2.1 and 2.4 ns (a built base is 14.3–17.1 of them).
+// walk-heavy and repeat-flanked gaps, a built base took 30.3–33.6 and
+// 38.3–41.7 ns, a walk step right after the build 81–88 and 91–100 ns
+// (2.4–2.8 built bases; its lookup alone 44–54 ns, 1.3–1.5 of them) and a
+// filled base 1.9–2.2 and 2.3–2.6 ns (a built base is 15.0–16.3 of them).
 const (
 	// gapOverhead is charged once per gap, whatever becomes of it.
 	gapOverhead = 64
@@ -23,10 +24,11 @@ const (
 	// upsert each window makes.
 	buildFactor = 1
 	// walkFactor × steps walked is a ladder step's two directed walks: a
-	// step is a dependent lookup, 2.4–2.7 built bases, rounded up.
+	// step is a dependent lookup, the choice of the dominant extension and
+	// a cycle check, 2.4–2.8 built bases, rounded up.
 	walkFactor = 3
 	// fillBases bases copied round a cycle (see walk) are billed one item:
-	// a built base is worth 14.3–17.1 of them, rounded down.
+	// a built base is worth 15.0–16.3 of them, rounded down.
 	fillBases = 15
 	// patchFactor × the DP rows it computes is one patching attempt: left
 	// flank + left partial walk, at most aligner.OverlapWindow of them.

@@ -239,14 +239,20 @@ func BenchmarkCloseGap(b *testing.B) {
 
 // BenchmarkMiniGraphUnits measures, each per unit at k = 21, what a ladder
 // step is billed for — a build per read base (the whole read set), a walk
-// per step looked up (both walks) and a base filled in round a cycle (a
-// walk's whole bound after a 60-base cycle) — and what a step counted in 8
-// chunks of its reads on 8 ranks would add: the merge, per entry, of the
-// partial graphs of chunks 1–7 into that of chunk 0 (entries/away-base is
-// how many there are per base those chunks count). At buildFactor items
-// per built base, walkFactor is buildFactor × ns/walk-step over
-// ns/build-base, rounded up, and fillBases is ns/build-base over
-// ns/fill-base over buildFactor, rounded down.
+// per step looked up (both walks, right after the build, as a ladder step
+// runs them) and a base filled in round a cycle (a walk's whole bound
+// after a 60-base cycle) — and what a step counted in 8 chunks of its
+// reads on 8 ranks would add: the merge, per entry, of the partial graphs
+// of chunks 1–7 into that of chunk 0 (entries/away-base is how many there
+// are per base those chunks count). A walk is timed without walkStep's
+// per-call work (packing its anchors, copying its result), and ns/lookup
+// is the part of a step that is the graph lookup alone: the same steps
+// replayed as lookups and rolls along the recorded path, without choosing
+// the dominant extension or checking for a cycle. Iterations alternate
+// the two, each right after a build. At buildFactor items per built base,
+// walkFactor is buildFactor × ns/walk-step over ns/build-base, rounded up,
+// and fillBases is ns/build-base over ns/fill-base over buildFactor,
+// rounded down.
 func BenchmarkMiniGraphUnits(b *testing.B) {
 	heavy, _ := walkHeavyGap()
 	for _, c := range []struct {
@@ -271,15 +277,30 @@ func BenchmarkMiniGraphUnits(b *testing.B) {
 			const cycle = 60
 			bound := c.g.est*maxGapFactor + 200 + walkK
 			var s scratch
-			var st ladderStep
-			var build, merge, walk, fill time.Duration
+			s.graph.build(c.g.reads, walkK)
+			walks := planWalks(&s, c.g)
 			steps := 0
+			for _, w := range walks {
+				steps += len(w.path)
+			}
+			var build, merge, walk, lookup, fill time.Duration
+			var sink int32
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
 				s.graph.build(c.g.reads, walkK)
 				t1 := time.Now()
-				steps, _ = s.walkStep(c.g, walkK, &st)
+				for _, w := range walks {
+					if i%2 == 0 {
+						s.walk(w.from, w.fromRC, w.to, w.fromOK, w.toOK, walkK, w.maxLen)
+						continue
+					}
+					cur := kmer.NewStrands(w.from, w.fromRC, walkK)
+					for _, code := range w.path {
+						sink += s.graph.after(&cur)[code]
+						cur.Push(code)
+					}
+				}
 				t2 := time.Now()
 				s.walked = append(s.walked[:0], c.g.left[:cycle]...)
 				s.fill(cycle, bound)
@@ -297,17 +318,62 @@ func BenchmarkMiniGraphUnits(b *testing.B) {
 				}
 				merge += time.Since(t4)
 				build += t1.Sub(t0)
-				walk += t2.Sub(t1)
+				if i%2 == 0 {
+					walk += t2.Sub(t1)
+				} else {
+					lookup += t2.Sub(t1)
+				}
 				fill += t3.Sub(t2)
 			}
 			per := func(d time.Duration, units int) float64 {
 				return float64(d.Nanoseconds()) / float64(b.N) / float64(max(units, 1))
 			}
+			if sink < 0 {
+				b.Fatal("a negative count")
+			}
 			b.ReportMetric(per(build, j.readBases), "ns/build-base")
-			b.ReportMetric(per(walk, steps), "ns/walk-step")
+			// iterations alternate: (b.N+1)/2 walked, b.N/2 looked up
+			b.ReportMetric(per(walk, steps)*float64(b.N)/float64((b.N+1)/2), "ns/walk-step")
+			b.ReportMetric(per(lookup, steps)*float64(b.N)/float64(max(b.N/2, 1)), "ns/lookup")
 			b.ReportMetric(per(fill, bound-cycle), "ns/fill-base")
 			b.ReportMetric(per(merge, entries), "ns/merged-entry")
 			b.ReportMetric(float64(entries)/float64(away), "entries/away-base")
 		})
 	}
+}
+
+// plannedWalk is one directed walk walkStep makes: its anchors and bound,
+// and the codes of the bases it found by lookup (one lookup each, what
+// walkStep counts as its steps).
+type plannedWalk struct {
+	from, fromRC, to kmer.Kmer
+	fromOK, toOK     bool
+	maxLen           int
+	path             []uint64
+}
+
+// planWalks records the walks walkStep makes on g at walkK against the
+// graph s holds: left to right, and right to left unless that one closed
+// the gap.
+func planWalks(s *scratch, g *gapState) []plannedWalk {
+	maxLen := g.est*maxGapFactor + 200
+	from, fromOK := kmer.Pack(g.left[len(g.left)-walkK:], walkK)
+	to, toOK := kmer.Pack(g.right, walkK)
+	fromRC, toRC := from.RevComp(walkK), to.RevComp(walkK)
+	var walks []plannedWalk
+	for _, w := range []plannedWalk{
+		{from: from, fromRC: fromRC, to: to, fromOK: fromOK, toOK: toOK, maxLen: maxLen},
+		{from: toRC, fromRC: to, to: fromRC, fromOK: toOK, toOK: fromOK, maxLen: maxLen},
+	} {
+		ok, n := s.walk(w.from, w.fromRC, w.to, w.fromOK, w.toOK, walkK, w.maxLen)
+		w.path = make([]uint64, n)
+		for i, base := range s.walked[:n] {
+			w.path[i], _ = kmer.BaseCode(base)
+		}
+		walks = append(walks, w)
+		if ok {
+			break
+		}
+	}
+	return walks
 }

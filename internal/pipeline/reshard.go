@@ -79,7 +79,7 @@ func globalOrder[T any](lib Library, parts [][]T) ([]T, error) {
 
 // dealToPartition redistributes global elements onto the target read
 // partition, whose per-rank sizes are dstCounts (the re-run io stage's
-// layout, which rank-parallel state like alignments must match):
+// layout, which rank-parallel state like placements must match):
 // sequential split for path libraries, round-robin pair deal for record
 // libraries. Any size mismatch with the target layout is an error.
 func dealToPartition[T any](lib Library, global []T, dstCounts []int) ([][]T, error) {
@@ -113,21 +113,21 @@ func dealToPartition[T any](lib Library, global []T, dstCounts []int) ([][]T, er
 // reshardScaffold rehydrates a scaffolding result written at a different
 // rank count onto the current team: surviving contigs are re-dealt by ID
 // (the owner-computes layout downstream phases expect) and each
-// library's alignments are lifted out of the source read partition and
-// re-dealt parallel to this run's io partition — gap closing walks
-// Alignments[lib][rank] side by side with ReadsByRank[rank].
+// library's read placements are lifted out of the source read partition
+// and re-dealt parallel to this run's io partition — gap closing walks
+// Placements[lib][rank] side by side with ReadsByRank[rank].
 func reshardScaffold(env *stageEnv, res *scaffold.Result) error {
 	p := env.team.Config().Ranks
 	if err := ckpt.ReshardScaffoldContigs(res, p); err != nil {
 		return err
 	}
-	if len(res.Alignments) != len(env.readLibs) {
-		return fmt.Errorf("checkpoint holds alignments for %d libraries, run has %d",
-			len(res.Alignments), len(env.readLibs))
+	if len(res.Placements) != len(env.readLibs) {
+		return fmt.Errorf("checkpoint holds placements for %d libraries, run has %d",
+			len(res.Placements), len(env.readLibs))
 	}
-	for li := range res.Alignments {
+	for li := range res.Placements {
 		lib := env.libs[li]
-		global, err := globalOrder(lib, res.Alignments[li])
+		global, err := globalOrder(lib, res.Placements[li])
 		if err != nil {
 			return fmt.Errorf("library %s: %w", lib.Name, err)
 		}
@@ -139,7 +139,7 @@ func reshardScaffold(env *stageEnv, res *scaffold.Result) error {
 		if err != nil {
 			return fmt.Errorf("library %s: %w", lib.Name, err)
 		}
-		res.Alignments[li] = dealt
+		res.Placements[li] = dealt
 	}
 	return nil
 }

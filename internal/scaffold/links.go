@@ -13,7 +13,7 @@ import (
 // of sampled pairs whose both ends align full-length within a single
 // contig; the local histograms are merged into a global one per library
 // from which a trimmed mean and standard deviation are computed.
-func estimateInserts(team *xrt.Team, libs []ReadLib, res *Result) {
+func estimateInserts(team *xrt.Team, libs []ReadLib, alns [][][][]aligner.Alignment, res *Result) {
 	// insertTrimFrac of the pairs is trimmed from each histogram tail.
 	const insertTrimFrac = 0.01
 	res.InsertMean = make([]float64, len(libs))
@@ -22,9 +22,9 @@ func estimateInserts(team *xrt.Team, libs []ReadLib, res *Result) {
 		hists := make([]map[int]int64, team.Config().Ranks)
 		res.InsertPhase = team.Run(func(r *xrt.Rank) {
 			local := make(map[int]int64)
-			alns := res.Alignments[li][r.ID]
-			for i := 0; i+1 < len(alns); i += 2 {
-				a1s, a2s := alns[i], alns[i+1]
+			mine := alns[li][r.ID]
+			for i := 0; i+1 < len(mine); i += 2 {
+				a1s, a2s := mine[i], mine[i+1]
 				if len(a1s) == 0 || len(a2s) == 0 {
 					continue
 				}
@@ -117,7 +117,7 @@ func anchor(a aligner.Alignment) (end byte, d int) {
 // alignments; the evidence is accumulated in a distributed hash table of
 // contig pairs with aggregating stores, and each rank then assesses its
 // local buckets to produce supported links.
-func generateLinks(team *xrt.Team, libs []ReadLib, merged map[int64]*SContig,
+func generateLinks(team *xrt.Team, libs []ReadLib, alns [][][][]aligner.Alignment,
 	res *Result, opt Options) []Link {
 	// minLinkSupport is the number of concordant read observations needed
 	// before a splint/span link is trusted.
@@ -135,9 +135,9 @@ func generateLinks(team *xrt.Team, libs []ReadLib, merged map[int64]*SContig,
 		for li := range libs {
 			insert := res.InsertMean[li]
 			insertSD := res.InsertSD[li]
-			alns := res.Alignments[li][r.ID]
+			mine := alns[li][r.ID]
 			// --- splints: single reads spanning two contig ends ----------
-			for _, as := range alns {
+			for _, as := range mine {
 				if len(as) < 2 {
 					continue
 				}
@@ -173,8 +173,8 @@ func generateLinks(team *xrt.Team, libs []ReadLib, merged map[int64]*SContig,
 			if insert <= 0 {
 				continue
 			}
-			for i := 0; i+1 < len(alns); i += 2 {
-				a1s, a2s := alns[i], alns[i+1]
+			for i := 0; i+1 < len(mine); i += 2 {
+				a1s, a2s := mine[i], mine[i+1]
 				if len(a1s) == 0 || len(a2s) == 0 {
 					continue
 				}

@@ -94,6 +94,37 @@ type Scaffold struct {
 	Members []Member
 }
 
+// Placement is where a read's top alignment put it: the contig and the
+// contig interval it covers, the fields of the alignment gap closing
+// reads. A read that did not align has the zero Placement.
+type Placement struct {
+	ContigID                int64
+	CStart, CEnd, ContigLen int32
+}
+
+// Placed reports whether the read aligned: an aligned contig is at least
+// one seed long.
+func (p Placement) Placed() bool { return p.ContigLen > 0 }
+
+// placements keeps of every read's alignments the top one's placement.
+func placements(alns [][][][]aligner.Alignment) [][][]Placement {
+	out := make([][][]Placement, len(alns))
+	for li, byRank := range alns {
+		out[li] = make([][]Placement, len(byRank))
+		for r, reads := range byRank {
+			ps := make([]Placement, len(reads))
+			for i, as := range reads {
+				if len(as) > 0 {
+					a := as[0]
+					ps[i] = Placement{a.ContigID, int32(a.CStart), int32(a.CEnd), int32(a.ContigLen)}
+				}
+			}
+			out[li][r] = ps
+		}
+	}
+	return out
+}
+
 // Result is the output of the scaffolding stage.
 type Result struct {
 	// Contigs maps contig ID → scaffolding contig (after bubble merging).
@@ -103,8 +134,9 @@ type Result struct {
 	ContigsByRank [][]*SContig
 	// Scaffolds in decreasing total-length order.
 	Scaffolds []*Scaffold
-	// Alignments per library: alns[lib][rank][readIdx] = alignments.
-	Alignments [][][][]aligner.Alignment
+	// Placements per library: Placements[lib][rank][readIdx] is where the
+	// read's top alignment put it, taken once the links are made.
+	Placements [][][]Placement
 	// Index is the seed index over merged contigs (reused by gap closing).
 	Index *aligner.Index
 	// InsertSize per library (mean, sd).
@@ -147,23 +179,26 @@ func Run(team *xrt.Team, ctgRes *contig.Result,
 	vStart := team.VirtualNow()
 	team.BeginSpan("merAligner")
 	res.Index = aligner.BuildIndex(team, ctgForIndex, aligner.Options{SeedLen: opt.K})
-	for _, lib := range libs {
-		res.Alignments = append(res.Alignments, aligner.AlignAll(team, res.Index, lib.ReadsByRank))
+	alns := make([][][][]aligner.Alignment, len(libs)) // [lib][rank][read]
+	for li, lib := range libs {
+		alns[li] = aligner.AlignAll(team, res.Index, lib.ReadsByRank)
 	}
 	team.EndSpan()
 	res.AlignPhase = xrt.PhaseStats{Virtual: team.VirtualNow() - vStart}
 
 	// §4.4 insert-size estimation per library
 	team.BeginSpan("inserts")
-	estimateInserts(team, libs, res)
+	estimateInserts(team, libs, alns, res)
 	team.EndSpan()
 
 	// §4.5–4.6 splints, spans, and link generation
 	team.BeginSpan("splint-span")
-	links := generateLinks(team, libs, merged, res, opt)
+	links := generateLinks(team, libs, alns, res, opt)
 	res.Links = links
 	team.AddCounter("links", int64(len(links)))
 	team.EndSpan()
+	// gap closing needs no more of the alignments than each read's top one
+	res.Placements = placements(alns)
 
 	// §4.7 ordering and orientation
 	team.BeginSpan("ordering")
