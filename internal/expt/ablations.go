@@ -63,8 +63,8 @@ type AblationAggRow struct {
 // AblationAggStores sweeps the aggregating-stores buffer size while a
 // k-mer count table is built from one store per read k-mer: buffer 1 is
 // a message per k-mer, the fine-grained messaging the paper attributes to
-// Ray and ABySS (the §5.6 baselines do not model it; see package
-// baseline); the message count and the resulting build time fall with the
+// Ray and ABySS (the §5.6 comparators do not model it; see Compare);
+// the message count and the resulting build time fall with the
 // buffer, the optimization HipMer applies to every hash-table construction
 // (§4.1, §4.6). Stage 1 ships super-k-mer records, which bypass these
 // buffers, so the table here is a bare one of per-item stores placed by

@@ -2,9 +2,16 @@ package expt
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
+
+	"hipmer/internal/pipeline"
+	"hipmer/internal/verify"
+	"hipmer/internal/xrt"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/exhibits_tiny/*.txt and EXPERIMENTS.md's measured blocks from what this run computes")
@@ -188,6 +195,96 @@ func TestCompareShape(t *testing.T) {
 		}
 	}
 	golden(t, "compare", text)
+}
+
+// TestCompareBaselines holds the §5.6 comparison on a 15 kbp human-like
+// genome at 16 ranks: serial Meraculous well behind HipMer, most of all in
+// scaffolding, both assemblies sound, and each derived row slower than
+// HipMer. It also checks the derivation's premises: a contigs-only run
+// records exactly HipMer's first three stages, and serial's io stage is
+// one read of the whole input at single-stream bandwidth. The subtests
+// share one HipMer run and one serial run.
+func TestCompareBaselines(t *testing.T) {
+	g, libs := pipeline.SimulatedHuman(1, 15000, 25)
+	pcfg := pipeline.Config{K: 31, MinCount: 3}
+	cfg := xrt.Config{Ranks: 16, RanksPerNode: 4}
+	rows, hip, serial, err := runComparison(cfg, libs, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 || rows[0].Name != "HipMer" || rows[1].Name != "Ray-like" ||
+		rows[2].Name != "ABySS-like" || rows[3].Name != "Meraculous-serial" {
+		t.Fatalf("rows %+v", rows)
+	}
+
+	t.Run("HipMerBeatsSerial", func(t *testing.T) {
+		if rows[3].VsHipMer < 3 {
+			t.Fatalf("HipMer speedup over serial only %.2fx at 16 ranks", rows[3].VsHipMer)
+		}
+		for _, res := range []*pipeline.Result{hip, serial} {
+			// Alu-like repeats collapse, so ~12% of the reference is covered
+			// by a single repeat copy
+			if cov := verify.Place(res.FinalSeqs, g).CoveredFrac; cov < 0.78 {
+				t.Fatalf("%d ranks cover only %.3f", res.Metrics.Ranks, cov)
+			}
+		}
+	})
+
+	t.Run("AbyssLikeScaffoldingDominates", func(t *testing.T) {
+		if rows[2].VsHipMer <= 1 {
+			t.Fatalf("ABySS-like should be slower than HipMer (%.2fx)", rows[2].VsHipMer)
+		}
+		scaffolding := func(r *pipeline.Result) time.Duration {
+			return r.Metrics.Time("scaffolding") + r.Metrics.Time("gap-closing")
+		}
+		if scaffolding(serial).Seconds() < 2*scaffolding(hip).Seconds() {
+			t.Fatalf("serial scaffolding (%v) should be well behind HipMer's (%v)",
+				scaffolding(serial), scaffolding(hip))
+		}
+	})
+
+	t.Run("RayLikeSlower", func(t *testing.T) {
+		if rows[1].VsHipMer <= 1 {
+			t.Fatalf("Ray-like should be slower than HipMer (%.2fx)", rows[1].VsHipMer)
+		}
+	})
+
+	// ABySS-like's distributed part is HipMer's first three stages.
+	t.Run("ContigsOnlyIsHipMersFirstStages", func(t *testing.T) {
+		only := pcfg
+		only.ContigsOnly = true
+		contigs, err := pipeline.Run(xrt.NewTeam(cfg), libs, only)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := contigs.Metrics.ZeroWall(), hip.Metrics.ZeroWall()
+		var top []string
+		for _, st := range got.Stages {
+			if st.Depth == 0 {
+				top = append(top, st.Path)
+			}
+			if w := want.Stage(st.Path); !reflect.DeepEqual(&st, w) {
+				t.Errorf("contigs-only %s differs from HipMer's:\n%+v\n%+v", st.Path, st, w)
+			}
+		}
+		if fmt.Sprint(top) != "[io kmer-analysis contig-generation]" {
+			t.Errorf("contigs-only stages %v", top)
+		}
+	})
+
+	// Ray-like's serial read is serial's io stage.
+	t.Run("SerialIOIsOneSingleStreamRead", func(t *testing.T) {
+		var bytes int64
+		for _, lib := range libs {
+			for _, rec := range lib.Records {
+				bytes += int64(len(rec.ID) + len(rec.Seq) + len(rec.Qual) + 6)
+			}
+		}
+		c := xrt.DefaultCostModel()
+		if got, want := serial.Metrics.Time("io"), time.Duration(c.IOLatencyNs+float64(bytes)/c.IORankBytesPerSec*1e9); got != want {
+			t.Errorf("serial io %v, one single-stream read of %d bytes %v", got, bytes, want)
+		}
+	})
 }
 
 func TestAblationBloomReproducesMemorySaving(t *testing.T) {

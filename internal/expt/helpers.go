@@ -3,13 +3,11 @@ package expt
 import (
 	"bytes"
 
-	"hipmer/internal/baseline"
 	"hipmer/internal/contig"
 	"hipmer/internal/dht"
 	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
 	"hipmer/internal/kanalysis"
-	"hipmer/internal/pipeline"
 	"hipmer/internal/xrt"
 )
 
@@ -47,28 +45,6 @@ func buildOracle(res *contig.Result, k, ranks, slots int) *dht.Oracle {
 		slots = 64
 	}
 	return contig.BuildOracle(res.All(), k, ranks, slots)
-}
-
-// runComparison executes HipMer plus the three baselines on one dataset,
-// stopping at the first that fails.
-func runComparison(cfg xrt.Config, libs []pipeline.Library, pcfg pipeline.Config) ([]*baseline.Outcome, error) {
-	hip, err := baseline.RunHipMer(cfg, libs, pcfg)
-	if err != nil {
-		return nil, err
-	}
-	ray, err := baseline.RunRayLike(cfg, libs, pcfg)
-	if err != nil {
-		return nil, err
-	}
-	abyss, err := baseline.RunAbyssLike(cfg, libs, pcfg)
-	if err != nil {
-		return nil, err
-	}
-	serial, err := baseline.RunSerial(cfg.Cost, libs, pcfg)
-	if err != nil {
-		return nil, err
-	}
-	return []*baseline.Outcome{hip, ray, abyss, serial}, nil
 }
 
 // oracleIndividuals generates the Table 1/2 dataset: chromosome-scale

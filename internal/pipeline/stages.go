@@ -147,8 +147,9 @@ func buildStages(cfg Config) []stage {
 		return ckpt.EncodeScaffoldStage(env.res.Scaffold)
 	}
 	loadScaffold := func(env *stageEnv, payload []byte) error {
-		// The seed index is not checkpointed (gap closing consumes the
-		// alignments, never the index); Result.Index stays nil on resume.
+		// The seed index is not checkpointed (gap closing reads one
+		// placement per read, never the index); Result.Index stays nil
+		// on resume.
 		sr, writtenAt, err := ckpt.DecodeScaffoldStageAny(payload)
 		if err == nil && writtenAt != env.team.Config().Ranks {
 			err = reshardScaffold(env, sr)
