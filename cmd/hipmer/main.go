@@ -91,7 +91,7 @@ func main() {
 	flag.Var(&libs, "reads", "FASTQ or .seqdb file, optionally with ,insertSize (repeatable)")
 	flag.IntVar(&opts.K, "k", 31, "k-mer length (odd)")
 	kmerLens := flag.String("kmer-lens", "", "comma-separated iterative-k ladder, e.g. 21,33,55 (odd, strictly increasing); runs one assembly round per length with contig feedback, overriding -k")
-	flag.IntVar(&opts.MinCount, "min-count", 2, "minimum k-mer count (error threshold)")
+	flag.IntVar(&opts.MinCount, "min-count", 2, "minimum k-mer count (error threshold; 1 keeps every k-mer)")
 	flag.IntVar(&opts.Ranks, "ranks", 48, "simulated processor count (with -resume: 0 or omitted adopts the checkpoint's recorded rank count; an explicit value re-shards the checkpoint onto it)")
 	flag.IntVar(&opts.RanksPerNode, "ranks-per-node", 24, "simulated cores per node")
 	flag.Int64Var(&opts.Seed, "seed", 1, "run seed: recorded in the metrics report and the checkpoint fingerprint (a -resume under another seed is refused); the assembly does not depend on it")

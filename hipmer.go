@@ -3,8 +3,9 @@
 // itself a high-performance parallelization of the Meraculous assembler.
 //
 // The package assembles paired-end short reads into scaffolds through the
-// full Meraculous pipeline — k-mer analysis with Bloom-filter error
-// exclusion and heavy-hitter handling, de Bruijn contig generation with a
+// full Meraculous pipeline — k-mer analysis with error exclusion (an
+// exact count of each owner's minimizer bins, where the paper uses Bloom
+// filters) and heavy-hitter handling, de Bruijn contig generation with a
 // speculative parallel traversal, the seven scaffolding modules including
 // the merAligner read-to-contig aligner, and gap closing — executed over
 // a simulated distributed runtime whose ranks, nodes, and communication
@@ -69,7 +70,8 @@ type Options struct {
 	// pseudo-reads. Overrides K (which becomes the last entry). Stage
 	// names gain per-round -k<N> suffixes — see StageNames.
 	KmerLens []int
-	// MinCount discards k-mers seen fewer times as erroneous (default 2).
+	// MinCount discards k-mers seen fewer times as erroneous (default 2);
+	// the count is exact, so 1 keeps every k-mer of the reads.
 	MinCount int
 	// Ranks is the simulated processor count (default 16). On a resume
 	// it may differ from the rank count the checkpoint was written at —

@@ -1,7 +1,9 @@
 // Package bloom implements the Bloom filter HipMer uses during k-mer
 // analysis to avoid inserting single-occurrence (overwhelmingly erroneous)
 // k-mers into the main hash tables, cutting memory by up to 85% on human
-// and wheat data (paper §3.1).
+// and wheat data (paper §3.1). Stage 1 here counts each owner's minimizer
+// bins exactly instead, so no stage uses this package; the benchmark
+// harness measures its add rate.
 package bloom
 
 import "math"
@@ -10,9 +12,8 @@ import "math"
 // hashing: the i-th probe is h1 + i*h2. It is sized from an expected
 // element count and target false-positive rate.
 //
-// Filter is not safe for concurrent use; the assembler gives each rank its
-// own filter over its owned key partition, mirroring the paper's
-// owner-computes design.
+// Filter is not safe for concurrent use; the paper gives each rank its own
+// filter over its owned key partition (owner computes).
 type Filter struct {
 	bits  []uint64
 	m     uint64 // number of bits

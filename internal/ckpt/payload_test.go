@@ -166,6 +166,25 @@ func TestSyntheticPayloadBytesGolden(t *testing.T) {
 	}
 }
 
+// TestKmerDecodeRefusesUnbinnedPayloads: a k-mer payload placed by k-mer
+// hash (minimizer length 0) or without the minimizer bins' weights does
+// not place a table as an analysis does, so it is refused; one with both
+// decodes.
+func TestKmerDecodeRefusesUnbinnedPayloads(t *testing.T) {
+	syn := syntheticPayloads()
+	for name, want := range map[string]string{
+		"kmer":       "bad placement params k=21 m=0",
+		"kmer-empty": "0 bin weights",
+	} {
+		if _, err := ckpt.DecodeKmerStage(team3(), syn[name], 0); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s payload: error %v, want one saying %q", name, err, want)
+		}
+	}
+	if _, err := ckpt.DecodeKmerStage(team3(), syn["kmer-minimizer"], 0); err != nil {
+		t.Errorf("binned payload: %v", err)
+	}
+}
+
 // TestKmerPayloadKeepsPlacement: a k-mer payload decoded at the rank
 // count that wrote it places every key on the rank the live table did, and
 // at any other count on the rank BinOwners maps the key's bin to there.

@@ -104,10 +104,9 @@ var kmerEntryRec = recordOf(walkKmerEntry)
 
 // EncodeKmerStage serializes a k-mer analysis result. The table must be
 // quiescent (frozen or between phases). k and minimizerLen record the
-// table-placement parameters (kanalysis.EffectiveMinimizerLen: 0 =
-// classic hash placement), and with res.BinWeights they let rehydration
-// rebuild a table whose owners, at the writing rank count, match the one
-// that was checkpointed.
+// table-placement parameters (kanalysis.EffectiveMinimizerLen), and with
+// res.BinWeights they let rehydration rebuild a table whose owners, at the
+// writing rank count, match the one that was checkpointed.
 func EncodeKmerStage(res *kanalysis.Result, k, minimizerLen int) []byte {
 	n, size := int(res.Table.Len()), kmerEntryRec.size
 	ku, mu := uint32(k), uint32(minimizerLen)
@@ -165,9 +164,11 @@ func (r *kmerRecords) Swap(i, j int) {
 // frozen — exactly the state a fresh analysis hands downstream. The
 // payload lists entries in global k-mer order and they are placed by the
 // bin weights it carries, mapped onto the running team's ranks, so any
-// rank count rebuilds the table a fresh analysis there would place. The
-// third parameter is ignored; it stays only because the benchmark harness
-// passes it.
+// rank count rebuilds the table a fresh analysis there would place. A
+// payload without minimizer placement (length 0) or without the bins'
+// weights — which no analysis has written since the per-item transport
+// went — is refused. The third parameter is ignored; it stays only because
+// the benchmark harness passes it.
 func DecodeKmerStage(team *xrt.Team, b []byte, _ int) (*kanalysis.Result, error) {
 	c := cursor{mode: reading, b: b}
 	res := &kanalysis.Result{}
@@ -177,17 +178,14 @@ func DecodeKmerStage(team *xrt.Team, b []byte, _ int) (*kanalysis.Result, error)
 	if c.err != nil {
 		return nil, c.done("kmer-analysis")
 	}
-	if k < 1 || k > kmer.MaxK || m >= k && m != 0 {
+	if k < 1 || k > kmer.MaxK || m < 1 || m >= k {
 		return nil, fmt.Errorf("kmer-analysis payload: bad placement params k=%d m=%d", k, m)
 	}
-	if w := len(res.BinWeights); w != 0 && (w != kanalysis.Bins || m == 0) {
-		return nil, fmt.Errorf("kmer-analysis payload: %d bin weights for minimizer length %d", w, m)
+	if w := len(res.BinWeights); w != kanalysis.Bins {
+		return nil, fmt.Errorf("kmer-analysis payload: %d bin weights, want %d", w, kanalysis.Bins)
 	}
 	if slices.ContainsFunc(res.BinWeights, func(w int64) bool { return w < 0 || w > kanalysis.MaxBinWeight }) {
 		return nil, fmt.Errorf("kmer-analysis payload: a bin weight out of range")
-	}
-	if len(res.BinWeights) == 0 {
-		res.BinWeights = nil
 	}
 	table := kanalysis.NewBinnedTable(team, int64(n), int(k), int(m), res.BinWeights)
 	perOwner := make([][]kmerEntry, team.Config().Ranks)

@@ -98,7 +98,7 @@ type Options[K comparable] struct {
 	// for counts the caller has (a checkpoint's entry count, the k-mers a
 	// graph is projected from), not for estimates of another quantity (a
 	// distinct-k-mer estimate of k-mer analysis counts the single-
-	// occurrence k-mers the Bloom screen keeps out). 0 means no hint:
+	// occurrence k-mers its count keeps out). 0 means no hint:
 	// stripes start at 8 slots and double.
 	ExpectedItems int64
 }
@@ -122,10 +122,10 @@ const (
 // held, so handler state shared across a whole owner would race under
 // concurrent flushes from different ranks; key any auxiliary state by
 // owner*Stripes()+stripe instead (a key always maps to the same stripe, so
-// per-stripe state partitions the keys exactly — e.g. the Bloom filters of
-// k-mer analysis). h is the key's Options.Hash value, computed once on the
-// store path and handed through so handlers needing hash bits (Bloom
-// probes, sketches) never rehash the key.
+// per-stripe state partitions the keys exactly — e.g. a Bloom filter per
+// stripe). h is the key's Options.Hash value, computed once on the store
+// path and handed through so handlers needing hash bits (Bloom probes,
+// sketches) never rehash the key.
 type ApplyFunc[K comparable, V any] func(owner, stripe int, h uint64, k K, incoming V, e Entry[K, V])
 
 // Entry is an ApplyFunc's handle on its key's slot. Get and Upsert return

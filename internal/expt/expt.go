@@ -190,7 +190,7 @@ func Fig6(sc Scale) ([]Fig6Row, string) {
 				K: sc.K, MinCount: 2, HeavyHitters: hh,
 			})
 			pct := commPct(team.EndSpan())
-			elapsed := res.SketchPhase.Virtual + res.BloomPhase.Virtual + res.CountPhase.Virtual
+			elapsed := res.SketchPhase.Virtual + res.PartitionPhase.Virtual + res.CountPhase.Virtual
 			if !hh {
 				row.DefaultSec = (elapsed + io.Virtual).Seconds()
 				row.DefaultCommPct = pct

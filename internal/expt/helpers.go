@@ -12,7 +12,7 @@ import (
 )
 
 // contigRun builds a k-mer table directly from reference fragments (each
-// fed twice so the Bloom screen admits every k-mer) and traverses it —
+// fed twice so every k-mer clears MinCount) and traverses it —
 // the controlled setting of the Table 1/2 experiment, where the paper
 // also isolates graph traversal from the rest of the pipeline.
 func contigRun(team *xrt.Team, seqs [][]byte, k int, oracle *dht.Oracle) *contig.Result {

@@ -30,7 +30,7 @@
 //
 // Pointers returned by Get and Upsert address the slot itself: a
 // read-modify-write is one probe and no value copy. They stay valid until
-// the next Upsert, Filter, Grow or Clear on the map.
+// the next Upsert, Take, Filter, Grow or Clear on the map.
 //
 // A Map is not safe for concurrent mutation; concurrent readers of a map
 // nobody mutates need no lock (a frozen dht.Table is served that way).
@@ -172,6 +172,31 @@ func (m *Map[K, V]) Upsert(h uint64, k K) (v *V, inserted bool) {
 	e.key = k
 	m.n++
 	return &e.val, true
+}
+
+// Take removes k and returns the value it held; ok reports whether k was
+// present. A scratch map emptied by taking each of its keys costs its
+// entries, not its capacity, as Clear would.
+func (m *Map[K, V]) Take(h uint64, k K) (v V, ok bool) {
+	if m.n == 0 {
+		return v, false
+	}
+	tag := h | 1
+	s := m.slots
+	for i := m.home(tag); ; {
+		e := &s[i]
+		if e.tag == tag && e.key == k {
+			v = e.val
+			m.deleteAt(i)
+			return v, true
+		}
+		if e.tag == 0 {
+			return v, false
+		}
+		if i++; i == len(s) {
+			i = 0
+		}
+	}
 }
 
 // place claims the first empty slot of tag's probe sequence.

@@ -59,8 +59,16 @@ func runScript(t *testing.T, mode int, script []byte) {
 			if (v != nil) != had || had && *v != want {
 				t.Fatalf("step %d: Get(%d) = %v, model (%d,%v)", i, k, v, want, had)
 			}
-		case 5: // delete: a filter that rejects one key
-			m.Filter(func(key uint16, _ *int) bool { return key != k })
+		case 5: // delete: Take, or a filter that rejects one key
+			if op&0x40 != 0 {
+				v, ok := m.Take(hash(k), k)
+				want, had := ref[k]
+				if ok != had || v != want {
+					t.Fatalf("step %d: Take(%d) = (%d,%v), model (%d,%v)", i, k, v, ok, want, had)
+				}
+			} else {
+				m.Filter(func(key uint16, _ *int) bool { return key != k })
+			}
 			delete(ref, k)
 		case 6: // filter: drop keys sharing k's low bits, bump the rest
 			seen := make(map[uint16]bool)

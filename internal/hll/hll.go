@@ -1,8 +1,8 @@
 // Package hll implements a HyperLogLog cardinality estimator. HipMer's
 // k-mer analysis makes an initial pass over the reads to estimate the
 // number of distinct k-mers so the Bloom filters can be sized efficiently
-// (paper §3.1). Stage 1 here sizes each owner's filters from the windows
-// its minimizer bins carry instead, so no stage uses this package; the
+// (paper §3.1). Stage 1 here counts each owner's minimizer bins exactly
+// and has no filters to size, so no stage uses this package; the
 // benchmark harness measures its add rate. Sketches are mergeable —
 // registers combine by maximum.
 package hll

@@ -35,12 +35,8 @@ type golden struct {
 	SuperKmerBases int64
 	CommBytesSaved int64
 	PseudoKmers    int64
-	// PeakEntries depends on the order Bloom filters see their keys, which
-	// is a function of the input at every rank count: owners screen their
-	// inboxes in sender order.
-	PeakEntries int64
-	Table       string // sha256 of ckpt.EncodeKmerStage (header counters, then sorted entries) with PeakEntries zeroed
-	Charges     string // sha256 over the sketch/bloom-screen/count span records
+	Table          string // sha256 of ckpt.EncodeKmerStage (header counters, then sorted entries) with PeakEntries zeroed
+	Charges        string // sha256 over the sketch/partition/count span records
 }
 
 type goldenCase struct {
@@ -114,8 +110,11 @@ func runGolden(c goldenCase) golden {
 	g := golden{
 		TotalKmers: res.TotalKmers, HeavyHitters: res.HeavyHitters,
 		Kept: res.Kept, SuperKmers: res.SuperKmers, SuperKmerBases: res.SuperKmerBases,
-		CommBytesSaved: res.CommBytesSaved, PseudoKmers: res.PseudoKmers, PeakEntries: res.PeakEntries,
+		CommBytesSaved: res.CommBytesSaved, PseudoKmers: res.PseudoKmers,
 	}
+	// The header's peak slot is zeroed: it held the Bloom screen's
+	// high-water mark when the digests were taken, and it is Kept now,
+	// which the Kept field pins.
 	res.PeakEntries = 0
 	sum := sha256.Sum256(ckpt.EncodeKmerStage(res, c.opt.K, kanalysis.EffectiveMinimizerLen(c.opt.K, 0, false)))
 	g.Table = hex.EncodeToString(sum[:])
@@ -163,6 +162,13 @@ func runGolden(c goldenCase) golden {
 // HyperLogLog went: fewer false positives are admitted, the segment scan
 // charges no cardinality work, and the header lost the distinct estimate
 // (the Distinct field with it); the sorted entries are the previous ones.
+// Every case's PeakEntries and Charges moved once more when owners came to
+// count their bins exactly instead of screening them through Bloom filters
+// and replaying first sightings: the table peaks at Kept, the count span
+// bills one local store per kept k-mer instead of the replay, the finalize
+// pass went, and the bloom-screen span became the partition span; Table
+// did not move, and the PeakEntries field left the golden, since it is
+// Kept.
 func TestGoldenTablesAndCharges(t *testing.T) {
 	path := filepath.Join("testdata", "golden.json")
 	got := make(map[string]golden)
@@ -203,7 +209,7 @@ func TestGoldenTablesAndCharges(t *testing.T) {
 }
 
 // TestOwnerWindowsBalanced: with minimizer bins placed by their window
-// counts, the busiest owner of the golden human reads at 32 ranks screens
+// counts, the busiest owner of the golden human reads at 32 ranks counts
 // at most 5 % more windows than the mean owner.
 func TestOwnerWindowsBalanced(t *testing.T) {
 	const k, ranks = 31, 32
@@ -214,24 +220,23 @@ func TestOwnerWindowsBalanced(t *testing.T) {
 	busiest := team.EndSpan().Counters["owner_windows_max"]
 	windows := res.SuperKmerBases - (k-1)*res.SuperKmers
 	if busiest*ranks < windows {
-		t.Fatalf("the busiest owner screened %d windows, fewer than the mean of %d over %d ranks", busiest, windows, ranks)
+		t.Fatalf("the busiest owner counted %d windows, fewer than the mean of %d over %d ranks", busiest, windows, ranks)
 	}
 	if skew := float64(busiest*ranks) / float64(windows); skew > 1.05 {
 		t.Errorf("windows per owner: max/mean %.3f, want ≤ 1.05", skew)
 	}
 }
 
-// TestBloomAdmissionIgnoresSchedule: on the super-k-mer transport the order
-// the Bloom filters see their keys in — and with it the table's high-water
-// mark, the per-entry charges of the count span's filter pass, and the
-// checkpoint payload carrying both — is the same under every schedule
-// perturbation, with and without pseudo-reads. So is the order of every
-// rank's slot arrays: each insertion of the analysis is made by an owner's
-// screen in (sender, send order) or by the owner's own heavy-hitter fold.
-func TestBloomAdmissionIgnoresSchedule(t *testing.T) {
+// TestCountIgnoresSchedule: the k-mers kept, the count span's
+// virtual time, and the checkpoint payload carrying the table are the same
+// under every schedule perturbation, with and without pseudo-reads. So is
+// the order of every rank's slot arrays: each insertion of the analysis is
+// made by an owner's count pass, bin by bin in (sender, send order) from a
+// scratch table of its own, or by the owner's own heavy-hitter fold.
+func TestCountIgnoresSchedule(t *testing.T) {
 	human := goldenReads("human", 11, 30000, 10)
 	type outcome struct {
-		peak    int64
+		kept    int64
 		countNs float64
 		segment [sha256.Size]byte
 		slots   [sha256.Size]byte // every rank's LocalRange order, rank by rank
@@ -247,7 +252,7 @@ func TestBloomAdmissionIgnoresSchedule(t *testing.T) {
 				team := xrt.NewTeam(xrt.Config{Ranks: ranks, RanksPerNode: 3, Seed: 1,
 					Inject: xrt.Inject{PerturbSeed: seed}})
 				res := kanalysis.Run(team, kanalysis.SplitReads(human, ranks), opt)
-				got := outcome{peak: res.PeakEntries,
+				got := outcome{kept: res.Kept,
 					segment: sha256.Sum256(ckpt.EncodeKmerStage(res, opt.K, kanalysis.EffectiveMinimizerLen(opt.K, 0, false)))}
 				for _, sp := range team.Spans() {
 					if sp.Name == "count" {
@@ -267,8 +272,8 @@ func TestBloomAdmissionIgnoresSchedule(t *testing.T) {
 				if i == 0 {
 					first = got
 				} else if got != first {
-					t.Errorf("%d ranks, pseudo-reads %v: perturb seed %d gives peak %d, count span %v ns, segment %x, slot order %x; seed 1 gave %d, %v, %x, %x",
-						ranks, pseudo, seed, got.peak, got.countNs, got.segment[:4], got.slots[:4], first.peak, first.countNs, first.segment[:4], first.slots[:4])
+					t.Errorf("%d ranks, pseudo-reads %v: perturb seed %d gives %d kept, count span %v ns, segment %x, slot order %x; seed 1 gave %d, %v, %x, %x",
+						ranks, pseudo, seed, got.kept, got.countNs, got.segment[:4], got.slots[:4], first.kept, first.countNs, first.segment[:4], first.slots[:4])
 				}
 			}
 		}

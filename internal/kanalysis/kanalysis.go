@@ -5,47 +5,39 @@
 // hash of each read's content, so the same reads at any rank count — to
 // Misra–Gries summaries, mergeable, so the pass is embarrassingly parallel;
 // the k-mers over the cut-off scaled to the sample are the heavy hitters.
-// The Bloom pass then reads every read once: it segments each into
-// super-k-mers and weighs the minimizer bins by the windows they carry; the
-// team sums the weights, and each owner-side Bloom filter (one per lock
-// stripe of each owner's shard) is sized for the windows its owner's bins
-// carry before anything is shipped, so that only k-mers seen at least twice
-// enter the distributed hash table (the 85% memory saving of the paper).
-// The paper sizes its filters from a HyperLogLog first pass; here the
-// window counts placement already needs bound every owner's distinct keys
-// from above, exactly and per owner, at no extra scan. A count pass finishes
-// every occurrence and its quality-filtered extension evidence. Heavy
-// hitters bypass the owner-computes path: they are accumulated locally and
-// combined in a final global reduction, eliminating the receiver-side load
-// imbalance repetitive genomes otherwise cause. A heavy k-mer's count is
-// exact whichever set is heavy, so the sample moves charges, never tables.
+// Heavy hitters bypass the owner-computes path: they are accumulated
+// locally and combined in a final global reduction, eliminating the
+// receiver-side load imbalance repetitive genomes otherwise cause. A heavy
+// k-mer's count is exact whichever set is heavy, so the sample moves
+// charges, never tables.
 //
-// The communication runs over minimizer-binned super-k-mers
-// (minimum substring partitioning, after MSPKmerCounter): each read is
-// segmented into maximal runs of k-mer windows sharing one canonical
-// minimizer, each run travels to the owner of the minimizer's bin as one
-// 2-bit packed record (~1.6 wire bytes per k-mer instead of a ~26-byte
-// store item), and — because a k-mer's owner is a function of its
-// minimizer — the Bloom pass's payload already contains every occurrence
-// the owner will ever need. Minimizer bins are very uneven, so bins go to
-// ranks by their measured window counts, longest first (BinOwners): the
-// Bloom pass segments every read before it ships anything, and the team
-// reduces the per-bin counts of those records into the map it ships by.
-// The owner screens its payloads itself, counting every
-// window the Bloom filter has seen on the spot and keeping only the
-// records that hold a first sighting; the count pass replays just those
-// locally instead of re-shipping the stream, so each window is counted
-// once; the iterative-k pseudo-reads ride it as weighted records.
+// The partition pass reads every read once and segments it into
+// minimizer-binned super-k-mers (minimum substring partitioning, after
+// MSPKmerCounter): maximal runs of k-mer windows sharing one canonical
+// minimizer, each a 2-bit packed record (~1.6 wire bytes per k-mer instead
+// of a ~26-byte store item) bound for the owner of its minimizer's bin.
+// Minimizer bins are very uneven, so bins go to ranks by their measured
+// window counts, longest first (BinOwners): the pass weighs every bin
+// before it ships anything, and the team reduces the per-bin counts into
+// the map it ships by. The iterative-k pseudo-reads ride it as weighted
+// records.
+//
+// A k-mer's owner is a function of its minimizer, so once the partition
+// pass is over an owner's inbox holds every occurrence it will ever count.
+// The count pass counts it exactly, one bin at a time, in a scratch table
+// cleared between bins, and moves only the k-mers seen at least MinCount
+// times into the distributed hash table, extension codes called. A bin
+// fits in memory, so the single-occurrence (erroneous) k-mers stay out of
+// the table — the paper's 85% memory saving — without the paper's Bloom
+// filters, and the table is a function of the input alone at any rank
+// count.
 //
 // Each per-k-mer fact is computed once. Every scan rolls the forward and
 // reverse-complement words of a window side by side (kmer.ForEachCanonical,
 // kmer.DecodeSuperKmersCanonical), so canonical form is a compare, not a
 // reverse complement per window; the canonical hash is taken once where a
 // k-mer is first needed and handed to whatever wants it next — the
-// Misra–Gries sketch, the heavy-hitter probe, the Bloom filter, the table's
-// slot index; and the count pass
-// stores at the rank the payload was delivered to instead of re-deriving
-// the owner from the k-mer's minimizer.
+// Misra–Gries sketch, the heavy-hitter probe, the scratch table's slot.
 package kanalysis
 
 import (
@@ -54,7 +46,6 @@ import (
 	"slices"
 	"sync"
 
-	"hipmer/internal/bloom"
 	"hipmer/internal/dht"
 	"hipmer/internal/fastq"
 	"hipmer/internal/flat"
@@ -69,8 +60,8 @@ import (
 const kmerItemBytes = 16 + 10
 
 // hashSeed seeds the canonical table hash: placement (when not by
-// minimizer), stripe and slot selection, the Bloom probes and the
-// heavy-hitter sketch all derive from km.Hash(hashSeed).
+// minimizer), stripe and slot selection, the count pass's scratch tables
+// and the heavy-hitter sketch all derive from km.Hash(hashSeed).
 const hashSeed = 0xc0ffee
 
 // sampleRate is s of the heavy-hitter sample: Misra–Gries sees the reads
@@ -86,8 +77,6 @@ const (
 	// minExtCount is the evidence needed to call an extension base; two
 	// or more qualifying bases make a fork.
 	minExtCount = 2
-	// bloomFP is the Bloom filter false-positive design point.
-	bloomFP = 0.05
 )
 
 // Options configures k-mer analysis.
@@ -95,7 +84,8 @@ type Options struct {
 	// K is the k-mer length (the paper uses 41–51 for human/wheat).
 	K int
 	// MinCount discards k-mers observed fewer times (default 2): those are
-	// treated as erroneous, per Meraculous.
+	// treated as erroneous, per Meraculous. The count is exact, so 1 keeps
+	// every k-mer of the input.
 	MinCount int
 	// Theta is the Misra–Gries counter budget (paper: 32,000).
 	Theta int
@@ -107,18 +97,13 @@ type Options struct {
 	// sample's windows scaled by sampleRate. The sample is held to it
 	// divided by sampleRate.
 	HHMinCount int64
-	// DisableBloom admits every k-mer into the hash table on first
-	// sighting, the behaviour the Bloom filters exist to avoid; used by
-	// the memory ablation that reproduces the paper's "up to 85%" saving.
-	DisableBloom bool
 	// PseudoByRank, when non-nil, feeds the iterative-k outer loop's
 	// carried contigs into the analysis as error-free pseudo-reads, one
 	// list per rank (must match the team's rank count). Every k-mer
 	// occurrence in a pseudo-read contributes its Weight to the count and
 	// extension evidence, so a previous round's depth survives the
 	// MinCount screen at the new k. Pseudo-reads travel like reads, as
-	// weighted super-k-mer records that their owner admits whatever the
-	// Bloom filter says; the table total stays a plain sum.
+	// weighted super-k-mer records; the table total stays a plain sum.
 	PseudoByRank [][]PseudoRead
 }
 
@@ -305,9 +290,12 @@ type Result struct {
 	HeavyHitters int
 	// Kept is the number of distinct k-mers surviving the count filter.
 	Kept int64
-	// PeakEntries is the hash-table size after the insertion pass and
-	// before count filtering — the memory high-water mark the Bloom
-	// screen reduces (§3.1: up to 85% on human and wheat).
+	// PeakEntries is Kept: the count pass moves only the k-mers that
+	// clear MinCount into the table, so the table never holds more. It
+	// stays a field only while the benchmark harness and the checkpoint
+	// header read it (ROADMAP, harness debt). A table admitting every
+	// k-mer would peak at the kmer-analysis span's distinct_kmers counter
+	// (§3.1: up to 85% more on human and wheat).
 	PeakEntries int64
 	// TotalKmers is the number of k-mer occurrences processed.
 	TotalKmers int64
@@ -328,7 +316,7 @@ type Result struct {
 	PseudoKmers int64
 	// Phase virtual durations; SketchPhase, the heavy-hitter sample, is
 	// zero without HeavyHitters.
-	SketchPhase, BloomPhase, CountPhase xrt.PhaseStats
+	SketchPhase, PartitionPhase, CountPhase xrt.PhaseStats
 }
 
 // occurrence captures one sighting of a canonical k-mer with its oriented,
@@ -422,7 +410,7 @@ func (s *heavySet) mayHold(minv uint64) bool {
 // Every maximal minimizer run becomes one record, with two exceptions.
 // Heavy-hitter windows split their run: they are folded into acc instead of
 // shipped — their occurrences take the local-accumulation path, and
-// splitting keeps them out of the payloads the owner replays. And a run
+// splitting keeps them out of the payloads the owner counts. And a run
 // longer than a frame (kmer.MaxSuperKmerBases) travels as several records,
 // consecutive ones sharing the k−1 bases between their windows. Windows
 // are canonicalized and probed for heavy hitters only inside runs whose
@@ -473,20 +461,14 @@ func forEachSuperKmer(rec fastq.Record, w, k, m int, hh *heavySet, acc []KmerDat
 }
 
 // inbox is what one owner received over the super-k-mer transport during
-// the Bloom pass. A delivery only files its payload — one exact-size copy
-// per message (the flush buffer is reused), tagged with the sender; senders
-// deliver concurrently (a blob flush runs on the sender's goroutine), hence
-// the mutex. Once the pass's barrier has closed the inbox, its owner is the
-// only rank that ever decodes it, inside an owner section of the table: the
-// screen decodes every record, and the replay decodes the records the
-// screen kept.
+// the partition pass. A delivery only files its payload — one exact-size
+// copy per message (the flush buffer is reused), tagged with the sender;
+// senders deliver concurrently (a blob flush runs on the sender's
+// goroutine), hence the mutex. Once the pass is over, its owner is the only
+// rank that ever reads it: the count pass decodes every record once.
 type inbox struct {
 	mu   sync.Mutex
 	msgs []inboxMsg
-	// first has one bit per window of the kept records in decode order, set
-	// where the window was its k-mer's first sighting by the Bloom filter:
-	// the windows replay still has to apply.
-	first []uint64
 }
 
 type inboxMsg struct {
@@ -510,119 +492,118 @@ func decode(payload []byte, k int, fn func(canon kmer.Kmer, left, right uint8)) 
 	return n
 }
 
-// screen is the Bloom pass of an owner over its inbox, in sender order: a
-// sender's messages arrive in its program order, so sorting by sender makes
-// the order the filters see their keys in a function of the input, not of
-// the schedule. Weighted (pseudo-read) records go first: each of their
-// windows is offered to the filter of its stripe, then admitted and counted
-// at the weight whatever the filter says, so a read window of the same
-// k-mer is never a first sighting. Then the read records: a window whose
-// k-mer the filter has seen is admitted and counted on the spot — count and
-// both extension codes; a first sighting is only flagged.
-//
-// A weighted record, or a read record with no first sighting, has been
-// counted in full and is dropped; one with a first sighting is moved to the
-// front of its own message's buffer, so the kept records stay in (sender,
-// send order) and nothing is allocated but the bitmap. A message left with
-// no record is released. Returns the number of first sightings, of windows
-// in the kept records, and of windows screened.
-func (in *inbox) screen(k, owner int, own dht.Owned[kmer.Kmer, KmerData], seen func(owner, stripe int, h uint64) bool) (firsts, kept, windows int) {
+// nextRecord cuts the first super-k-mer record off payload.
+func nextRecord(payload []byte) []byte {
+	n := kmer.SuperKmerRecordLen(payload)
+	if n == 0 {
+		panic("kanalysis: corrupt super-k-mer payload: truncated record")
+	}
+	return payload[:n]
+}
+
+// A record of an inbox, as count sorts it: its bin in the top binBits, the
+// message holding it in the middle, its offset there in the low offBits (a
+// message is at most one flush buffer and one record long).
+const (
+	binShift = 64 - binBits
+	offBits  = 24
+)
+
+// tally is one rank's scratch for the count pass: the records of its inbox
+// in count order, and one bin's counts with its distinct k-mers in the
+// order they were first seen. Survivors move in that order, not in the
+// counts' slot order, so nothing the pass does depends on the capacity a
+// tally arrives with, and tallies are pooled across ranks and analyses.
+type tally struct {
+	order  []uint64
+	counts flat.Map[kmer.Kmer, KmerData]
+	seen   []hashedKmer
+}
+
+type hashedKmer struct {
+	h  uint64 // km.Hash(hashSeed)
+	km kmer.Kmer
+}
+
+var tallies = sync.Pool{New: func() any { return new(tally) }}
+
+// count is the owner's exact count of its inbox, one minimizer bin at a
+// time. A record's bin is that of its first window's minimizer, the rule
+// the table places by. The records are taken in (bin, sender, send order):
+// a sender's messages arrive in its program order, so the order, and with
+// it the slot order of the owner's shard, is a function of the input, not
+// of the schedule. Each bin's windows are counted into t at their record's
+// weight, with their extension evidence; then the k-mers seen at least
+// minCount times move into the shard (settle), each charged to r as the
+// local store it is — the senders' store batches already charged this
+// owner one local operation per window. Each k-mer is taken out of t as it
+// moves, so emptying t for the next bin costs the bin's k-mers, not t's
+// capacity, which is the heaviest bin's that t has ever counted. Returns
+// the windows decoded and the distinct k-mers counted, and empties the
+// inbox.
+func (in *inbox) count(k, m, minCount int, t *tally, own dht.Owned[kmer.Kmer, KmerData], r *xrt.Rank) (windows, distinct int) {
 	slices.SortStableFunc(in.msgs, func(a, b inboxMsg) int { return a.src - b.src })
-	for _, m := range in.msgs {
-		forEachRecord(m.payload, func(rec []byte) {
-			if weight := uint32(kmer.SuperKmerWeight(rec)); weight > 0 {
-				windows += decode(rec, k, func(canon kmer.Kmer, left, right uint8) {
-					h := canon.Hash(hashSeed)
-					e, stripe := own.Entry(h, canon)
-					seen(owner, stripe, h)
-					d, _ := e.Upsert()
-					d.add(occurrence{canon, left, right}, weight)
-				})
-			}
-		})
+	if len(in.msgs) >= 1<<(binShift-offBits) {
+		panic("kanalysis: an inbox of too many messages")
 	}
-	msgs := in.msgs[:0]
-	for _, m := range in.msgs {
-		size := 0 // bytes kept at the front of m.payload
-		forEachRecord(m.payload, func(rec []byte) {
-			if kmer.SuperKmerWeight(rec) > 0 {
-				return
-			}
-			had, w := firsts, kept
-			nwin := decode(rec, k, func(canon kmer.Kmer, left, right uint8) {
+	t.order = t.order[:0]
+	for i, msg := range in.msgs {
+		for off := 0; off < len(msg.payload); {
+			rec := nextRecord(msg.payload[off:])
+			bin := kmer.MinimizerHash(kmer.SuperKmerMinimizer(rec, k, m)) % Bins
+			t.order = append(t.order, bin<<binShift|uint64(i)<<offBits|uint64(off))
+			off += len(rec)
+		}
+	}
+	slices.Sort(t.order)
+	for order := t.order; len(order) > 0; {
+		n := 1
+		for n < len(order) && order[n]>>binShift == order[0]>>binShift {
+			n++
+		}
+		for _, w := range order[:n] {
+			rec := nextRecord(in.msgs[w<<binBits>>(binBits+offBits)].payload[w&(1<<offBits-1):])
+			weight := uint32(max(kmer.SuperKmerWeight(rec), 1))
+			windows += decode(rec, k, func(canon kmer.Kmer, left, right uint8) {
 				h := canon.Hash(hashSeed)
-				if e, stripe := own.Entry(h, canon); seen(owner, stripe, h) {
-					d, _ := e.Upsert()
-					d.add(occurrence{canon, left, right}, 1)
-				} else {
-					in.grow(w>>6 + 1)
-					in.first[w>>6] |= 1 << (w & 63)
-					firsts++
+				d, fresh := t.counts.Upsert(h, canon)
+				if fresh {
+					t.seen = append(t.seen, hashedKmer{h, canon})
 				}
-				w++
+				d.add(occurrence{canon, left, right}, weight)
 			})
-			windows += nwin
-			if firsts > had {
-				size += copy(m.payload[size:], rec)
-				kept += nwin
-				in.grow((kept + 63) >> 6)
-			}
-		})
-		if size > 0 {
-			msgs = append(msgs, inboxMsg{m.src, m.payload[:size]})
 		}
-	}
-	clear(in.msgs[len(msgs):])
-	in.msgs = msgs
-	return firsts, kept, windows
-}
-
-// forEachRecord cuts payload into its super-k-mer records, in order; fn
-// may overwrite the bytes of the records it has been handed.
-func forEachRecord(payload []byte, fn func(rec []byte)) {
-	for len(payload) > 0 {
-		n := kmer.SuperKmerRecordLen(payload)
-		if n == 0 {
-			panic("kanalysis: corrupt super-k-mer payload: truncated record")
+		order = order[n:]
+		distinct += len(t.seen)
+		moved := 0
+		for _, s := range t.seen {
+			d, _ := t.counts.Take(s.h, s.km)
+			moved += settle(own, s.h, s.km, d, minCount)
 		}
-		fn(payload[:n])
-		payload = payload[n:]
+		t.seen = t.seen[:0]
+		r.ChargeStoreBatch(r.ID, moved, moved*kmerItemBytes)
 	}
+	in.msgs = nil
+	return windows, distinct
 }
 
-// grow extends the first-sighting bitmap to at least n words.
-func (in *inbox) grow(n int) {
-	if n > len(in.first) {
-		in.first = append(in.first, make([]uint64, n-len(in.first))...)
+// settle stores the complete count d of km, whose hash is h, in the
+// owner's shard, extension codes called, if it reaches minCount; it
+// returns the entries stored.
+func settle(own dht.Owned[kmer.Kmer, KmerData], h uint64, km kmer.Kmer, d KmerData, minCount int) int {
+	if d.Count < uint32(minCount) {
+		return 0
 	}
+	d.ExtL = callExt(d.LeftCnt, minExtCount)
+	d.ExtR = callExt(d.RightCnt, minExtCount)
+	e, _ := own.Entry(h, km)
+	v, _ := e.Upsert()
+	*v = d
+	return 1
 }
 
-// replay is the count pass of an owner over the records its screen kept.
-// Every window of them is decoded; only the flagged ones — the rest were
-// counted on admission — are charged to r as the local store they are,
-// hashed and looked up, and applied if their k-mer made it into the table
-// since. Returns the number of windows decoded and empties the inbox.
-func (in *inbox) replay(k int, own dht.Owned[kmer.Kmer, KmerData], r *xrt.Rank) int {
-	w := 0
-	for _, m := range in.msgs {
-		decode(m.payload, k, func(canon kmer.Kmer, left, right uint8) {
-			if in.first[w>>6]>>(w&63)&1 != 0 {
-				r.ChargeStoreBatch(r.ID, 1, kmerItemBytes)
-				e, _ := own.Entry(canon.Hash(hashSeed), canon)
-				if d := e.Get(); d != nil {
-					d.add(occurrence{canon, left, right}, 1)
-				}
-			}
-			w++
-		})
-	}
-	in.msgs, in.first = nil, nil
-	return w
-}
-
-// mix64 derives the second Bloom probe from the canonical table hash, so
-// screening costs zero extra key hashes (the double-hashing scheme only
-// needs two decorrelated 64-bit values).
+// mix64 is the 64-bit finalizer of the heavy-hitter sample's content
+// hash.
 func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -664,8 +645,9 @@ func sampled(rec fastq.Record) bool {
 // evidence is needed yet, so none is computed), charged one item per
 // window, and the team reduces the summaries to the global one, which it
 // returns; its N() is the sample's window count. Pseudo-reads are not
-// offered: their weighted counts would distort the estimate (the Bloom pass
-// folds their heavy windows in, at their weight). It fills res.SketchPhase.
+// offered: their weighted counts would distort the estimate (the partition
+// pass folds their heavy windows in, at their weight). It fills
+// res.SketchPhase.
 //
 // The reduction is a fold in rank order — Misra–Gries merges do not
 // commute — and runs inside the phase: a rank that has scanned and charged
@@ -763,52 +745,29 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	hh := newHeavySet(heavyKeys(team, readsByRank, opt, res), opt.K, minLen)
 	res.HeavyHitters = len(hh.keys)
 	// heavyAcc[rank][i] accumulates the occurrences of hh.keys[i] that rank
-	// scanned, filled as the Bloom pass segments its reads.
+	// scanned, filled as the partition pass segments its reads.
 	heavyAcc := make([][]KmerData, p)
 
 	// Per-rank scan and super-k-mer transport statistics (summed
-	// deterministically after the phase) and what each owner received.
+	// deterministically after the phase), what each owner received, and
+	// what its count pass found there: windows and distinct k-mers.
 	windows := make([]int64, p)
 	pseudoKmers := make([]int64, p)
 	skRecords := make([]int64, p)
 	skBases := make([]int64, p)
 	skSaved := make([]int64, p)
 	inboxes := make([]inbox, p)
-	// What each owner's screen left for its count pass: first sightings and
-	// the windows of the records holding them; and the windows it screened.
-	firsts := make([]int, p)
-	replayWins := make([]int, p)
-	ownerWins := make([]int, p)
+	ownerWins := make([]int64, p)
+	distinct := make([]int64, p)
 
-	// pass 2: Bloom screening — the second sighting of a k-mer promotes it
-	// into the table; single-occurrence (erroneous) k-mers never enter.
-	// Both Bloom probes derive from the canonical table hash (hash-once).
-	// The filter is asked first and the shard touched only on "seen
-	// before": most first sightings are the last, so most windows never
-	// reach the slot array. The filter ends up in the same state as if
-	// admitted keys skipped it — a key is admitted when all its bits are
-	// set, and bits are never cleared, so adding it again sets nothing —
-	// and so the admitted set is the same too.
+	// pass 2: partition. Every rank segments its reads into records and
+	// weighs the minimizer bins by the windows they carry; the team sums
+	// the weights and maps the bins to ranks, and only then builds the
+	// table and ships each record to its bin's owner.
 	//
-	// The pass is two phases: every rank segments its reads into records and
-	// weighs the minimizer bins by the windows they carry; the team sums the
-	// weights, maps the bins to ranks, sizes each owner's Bloom filters for
-	// the windows its bins carry — the windows its screen will offer, an
-	// upper bound on its distinct keys — and only then builds the table and
-	// ships each record to its bin's owner.
-	//
-	// The table gets no size hint: the windows count every occurrence,
-	// single-occurrence k-mers included, the very entries the Bloom screen
-	// exists to keep out. Stripes start small and double.
-	var table *dht.Table[kmer.Kmer, KmerData]
-	// Per-(owner, stripe) Bloom filters, made with the table: a k-mer always
-	// maps to the same stripe of its owner, so each filter sees the keys of
-	// one stripe.
-	var blooms []*bloom.Filter
-	seen := func(owner, stripe int, h uint64) bool {
-		return opt.DisableBloom || blooms[owner*table.Stripes()+stripe].Add(h, mix64(h))
-	}
-	team.BeginSpan("bloom-screen")
+	// The table gets no size hint: how many k-mers clear MinCount is known
+	// only once they are counted. Stripes start small and double.
+	team.BeginSpan("partition")
 	segs := make([]segments, p)
 	var weights []int64
 	segment := team.Run(func(r *xrt.Rank) {
@@ -852,96 +811,67 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	})
 	res.BinWeights = weights
 	owner := BinOwners(weights, p)
-	table = newTable(team, 0, 0, opt.K, minLen, owner)
-	// A delivery is filed, not decoded: the owner drains its inbox
-	// itself once the barrier below has closed it.
+	table := newTable(team, 0, 0, opt.K, minLen, owner)
+	// A delivery is filed, not decoded: the owner counts its inbox itself
+	// once the phase is over.
 	table.SetBlobApply(func(src, owner int, payload []byte, _ func(kmer.Kmer, KmerData)) {
 		inboxes[owner].deliver(src, payload)
 	})
-	blooms = newBlooms(ownerWindows(weights, owner, p), table.Stripes())
 	ship := team.Run(func(r *xrt.Rank) {
 		segs[r.ID].forEach(func(bin, nwin int, record []byte) {
 			table.PutBlob(r, int(owner[bin]), record, nwin)
 		})
 		segs[r.ID] = nil
 		table.Flush(r)
-		r.Barrier()
-
-		// Owner computes: every window this rank will ever own is in its
-		// inbox now (minimizer placement). The rank screens its windows
-		// alone, in (sender, send order), under one round of its stripe
-		// locks, and keeps only the records the count pass still has work
-		// in. Uncharged, like the delivery-time decode it replaces (the
-		// sender's store batch charged the owner per item).
-		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-			firsts[r.ID], replayWins[r.ID], ownerWins[r.ID] = inboxes[r.ID].screen(opt.K, r.ID, own, seen)
-		})
 	})
-	res.BloomPhase = sumPhases(segment, ship)
+	res.PartitionPhase = sumPhases(segment, ship)
 	team.EndSpan()
 	res.Table = table
 
-	// Each heavy hitter's owner, resolved once: the reduction at the end of
-	// the count pass hands every rank the list it folds.
+	// Each heavy hitter's owner, resolved once: the reduction in the count
+	// pass hands every rank the list it folds.
 	heavyByOwner := make([][]int32, p)
 	for i, km := range hh.keys {
 		o := table.Owner(km)
 		heavyByOwner[o] = append(heavyByOwner[o], int32(i))
 	}
 
-	// pass 3: exact counting with extension evidence. Heavy hitters were
-	// accumulated rank-locally; everything else already went to its owner,
-	// and the screen counted every window but the first sightings, so the
-	// owner replays just the records holding those without any further
-	// communication. The count pass, heavy-hitter reduction, and
-	// finalization share one SPMD phase; the span covers them all, with
-	// the reduction exposed through the hh_* counters below.
+	// pass 3: exact counting with extension evidence. Minimizer placement
+	// put every non-heavy occurrence a rank owns in its inbox, so counting
+	// is communication-free and the owner is known; heavy hitters were
+	// accumulated rank-locally and are reduced. The span covers both.
 	team.BeginSpan("count")
 	res.CountPhase = team.Run(func(r *xrt.Rank) {
-		// Replay what the screen kept of the Bloom pass's inbox: minimizer
-		// placement guarantees it held exactly the non-heavy occurrences
-		// this rank owns, so counting is communication-free and the owner
-		// is known; the decode is charged per window like a scan, and each
-		// first sighting as the local store it is.
-		var wins int
+		t := tallies.Get().(*tally)
 		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-			wins = inboxes[r.ID].replay(opt.K, own, r)
+			w, d := inboxes[r.ID].count(opt.K, minLen, opt.MinCount, t, own, r)
+			ownerWins[r.ID], distinct[r.ID] = int64(w), int64(d)
 		})
-		r.ChargeItems(wins)
-		r.Barrier()
+		tallies.Put(t)
 
 		// global reduction of the heavy-hitter accumulators: every rank
 		// folds the partial counts for the k-mers it owns. The data volume
 		// is O(#HH × p) — tiny next to the stream — charged as a tree
-		// reduction plus the per-item fold.
+		// reduction plus the per-item fold, and each heavy hitter that
+		// clears MinCount as its local store.
 		if len(hh.keys) > 0 {
+			r.Barrier()
 			chargeHHReduction(r, len(hh.keys))
-			for _, i := range heavyByOwner[r.ID] {
-				var agg KmerData
-				for _, part := range heavyAcc {
-					agg.merge(part[i])
+			moved := 0
+			table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
+				for _, i := range heavyByOwner[r.ID] {
+					var agg KmerData
+					for _, part := range heavyAcc {
+						agg.merge(part[i])
+					}
+					if agg.Count > 0 {
+						distinct[r.ID]++
+					}
+					moved += settle(own, hh.keys[i].Hash(hashSeed), hh.keys[i], agg, opt.MinCount)
 				}
-				table.Mutate(r, hh.keys[i], func(v KmerData, _ bool) (KmerData, bool) {
-					v.merge(agg)
-					return v, true
-				})
-			}
+			})
+			r.ChargeStoreBatch(r.ID, moved, moved*kmerItemBytes)
 		}
-		r.Barrier()
-		peak := table.GlobalLen(r)
-		if r.ID == 0 {
-			res.PeakEntries = peak
-		}
-
-		// finalize: drop low-count k-mers, call extension codes
-		table.LocalFilter(r, func(k kmer.Kmer, v KmerData) (KmerData, bool) {
-			if v.Count < uint32(opt.MinCount) {
-				return v, false
-			}
-			v.ExtL = callExt(v.LeftCnt, minExtCount)
-			v.ExtR = callExt(v.RightCnt, minExtCount)
-			return v, true
-		})
 		kept := table.GlobalLen(r)
 		if r.ID == 0 {
 			res.Kept = kept
@@ -955,37 +885,35 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	})
 	team.EndSpan()
 	table.SetBlobApply(nil)
+	res.PeakEntries = res.Kept
 
 	for _, prs := range opt.PseudoByRank {
 		res.PseudoReads += int64(len(prs))
 	}
-	var nFirst, nReplay int64
+	var distinctAll int64
 	for i := 0; i < p; i++ {
+		distinctAll += distinct[i]
 		res.TotalKmers += windows[i]
 		res.PseudoKmers += pseudoKmers[i]
 		res.SuperKmers += skRecords[i]
 		res.SuperKmerBases += skBases[i]
 		res.CommBytesSaved += skSaved[i]
-		nFirst += int64(firsts[i])
-		nReplay += int64(replayWins[i])
 	}
 
 	// Stage counters land on the enclosing "kmer-analysis" span (no-ops
 	// when the stage is driven directly without a span).
 	team.AddCounter("total_kmers", res.TotalKmers)
 	team.AddCounter("heavy_hitters", int64(res.HeavyHitters))
-	team.AddCounter("peak_entries", res.PeakEntries)
+	team.AddCounter("distinct_kmers", distinctAll)
 	team.AddCounter("kept", res.Kept)
 	team.AddCounter("superkmers", res.SuperKmers)
 	team.AddCounter("superkmer_bases", res.SuperKmerBases)
 	team.AddCounter("comm_bytes_saved", res.CommBytesSaved)
-	team.AddCounter("owner_windows_max", int64(slices.Max(ownerWins)))
+	team.AddCounter("owner_windows_max", slices.Max(ownerWins))
 	if res.PseudoReads > 0 {
 		team.AddCounter("pseudo_reads", res.PseudoReads)
 		team.AddCounter("pseudo_kmers", res.PseudoKmers)
 	}
-	team.AddCounter("first_sightings", nFirst)
-	team.AddCounter("replay_windows", nReplay)
 	return res
 }
 
@@ -994,7 +922,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 var binWeights = sync.Pool{New: func() any { return new([Bins]int64) }}
 
 // segments is what one rank's records wait in between the two phases of
-// the Bloom pass: each record after its bin and window count (two 16-bit
+// the partition pass: each record after its bin and window count (two 16-bit
 // words; nwin < kmer.MaxSuperKmerBases), back to back in chunks that grow
 // from segChunkMin to segChunkMax bytes, none split across two. Chunks,
 // unlike one growing slice, allocate little more than they hold.
@@ -1028,29 +956,6 @@ func (s segments) forEach(fn func(bin, nwin int, record []byte)) {
 			chunk = chunk[n:]
 		}
 	}
-}
-
-// ownerWindows is the number of windows each of p owners screens: the
-// weights of the bins it owns.
-func ownerWindows(weights []int64, owner []int32, p int) []int64 {
-	wins := make([]int64, p)
-	for b, w := range weights {
-		wins[owner[b]] += w
-	}
-	return wins
-}
-
-// newBlooms sizes one Bloom filter per (owner, stripe), owner o's for its
-// share of wins[o] windows: a stripe is a hash of the k-mer, so each of an
-// owner's stripes sees about an equal part of its keys, and no more
-// distinct keys than windows.
-func newBlooms(wins []int64, stripes int) []*bloom.Filter {
-	blooms := make([]*bloom.Filter, len(wins)*stripes)
-	for i := range blooms {
-		per := uint64(wins[i/stripes])/uint64(stripes) + 64
-		blooms[i] = bloom.New(per*12/10, bloomFP)
-	}
-	return blooms
 }
 
 // sumPhases is the cost of two consecutive phases.

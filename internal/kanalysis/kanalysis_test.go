@@ -233,11 +233,33 @@ func TestHeavyHittersImproveBalanceOnWheat(t *testing.T) {
 		res := Run(team, splitReads(recs, 16), Options{
 			K: k, MinCount: 2, HeavyHitters: hh, Theta: 2000, HHMinCount: 150,
 		})
-		return res.CountPhase.Virtual.Seconds() + res.BloomPhase.Virtual.Seconds()
+		return res.CountPhase.Virtual.Seconds() + res.PartitionPhase.Virtual.Seconds()
 	}
 	def, hh := timeFor(false), timeFor(true)
 	if hh >= def {
 		t.Fatalf("heavy hitters did not help on wheat-like data: default %fs, hh %fs", def, hh)
+	}
+}
+
+// TestMinCountOneKeepsEveryKmer: at MinCount 1 the table holds every
+// distinct k-mer of the reads, errors included, with the serial oracle's
+// count and extension codes, at 1, 4 and 32 ranks.
+func TestMinCountOneKeepsEveryKmer(t *testing.T) {
+	const k = 21
+	_, recs := simReads(t, 7, 15000, 10, genome.DefaultErrorModel())
+	want := serialTable(recs, k, 1)
+	for _, p := range []int{1, 4, 32} {
+		res := Run(xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 4}), splitReads(recs, p),
+			Options{K: k, MinCount: 1, HeavyHitters: true, HHMinCount: 64})
+		got := tableCounts(res)
+		if len(got) != len(want) || res.Kept != int64(len(want)) {
+			t.Fatalf("%d ranks: the table holds %d k-mers and kept %d; the reads have %d", p, len(got), res.Kept, len(want))
+		}
+		for km, d := range want {
+			if got[km] != d {
+				t.Fatalf("%d ranks: k-mer %s holds %+v, the oracle %+v", p, km.String(k), got[km], d)
+			}
+		}
 	}
 }
 

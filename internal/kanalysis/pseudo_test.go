@@ -153,13 +153,11 @@ func TestPseudoByRankShapeEnforced(t *testing.T) {
 }
 
 // TestPseudoDeterministicAcrossSwitches: the final table with pseudo-reads
-// is identical with and without the heavy-hitter path and the Bloom screen.
-// One sequence is both 200 read copies — heavy hitters — and a pseudo-read,
-// whose heavy windows then fold into the sender's accumulator at the
-// weight instead of travelling; without the Bloom screen every read window
-// is counted on admission, pseudo-read windows at their weight. The copies
-// carry IDs of their own, so each is its own draw of the heavy-hitter
-// sample, as two reads of a FASTQ file are.
+// is identical with and without the heavy-hitter path. One sequence is
+// both 200 read copies — heavy hitters — and a pseudo-read, whose heavy
+// windows then fold into the sender's accumulator at the weight instead of
+// travelling. The copies carry IDs of their own, so each is its own draw of
+// the heavy-hitter sample, as two reads of a FASTQ file are.
 func TestPseudoDeterministicAcrossSwitches(t *testing.T) {
 	const k = 21
 	rng := xrt.NewPrng(8)
@@ -177,8 +175,6 @@ func TestPseudoDeterministicAcrossSwitches(t *testing.T) {
 	for _, variant := range []Options{
 		{},
 		{HeavyHitters: true},
-		{DisableBloom: true},
-		{HeavyHitters: true, DisableBloom: true},
 	} {
 		variant.K, variant.MinCount, variant.Theta, variant.HHMinCount, variant.PseudoByRank = k, 2, 2000, 100, pseudo
 		team := xrt.NewTeam(xrt.Config{Ranks: p})
@@ -192,11 +188,11 @@ func TestPseudoDeterministicAcrossSwitches(t *testing.T) {
 			continue
 		}
 		if len(got) != len(base) {
-			t.Fatalf("heavy hitters %v, Bloom off %v: table sizes differ: %d vs %d", variant.HeavyHitters, variant.DisableBloom, len(got), len(base))
+			t.Fatalf("heavy hitters %v: table sizes differ: %d vs %d", variant.HeavyHitters, len(got), len(base))
 		}
 		for km, d := range base {
 			if got[km] != d {
-				t.Fatalf("heavy hitters %v, Bloom off %v: k-mer data differs: %+v vs %+v", variant.HeavyHitters, variant.DisableBloom, got[km], d)
+				t.Fatalf("heavy hitters %v: k-mer data differs: %+v vs %+v", variant.HeavyHitters, got[km], d)
 			}
 		}
 	}

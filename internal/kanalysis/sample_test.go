@@ -2,7 +2,6 @@ package kanalysis
 
 import (
 	"maps"
-	"math"
 	"slices"
 	"testing"
 
@@ -29,22 +28,28 @@ func sampleReads(gen func(*xrt.Prng, int) []byte, seed int64, n int, cov float64
 	return recs
 }
 
-// TestBloomSizedFromOwnerWindows: every owner's Bloom filters are built
-// for the windows its minimizer bins carry, which are exactly the windows
-// its screen offers them — every window of the reads and pseudo-reads but
-// the heavy hitters', at the owner of its k-mer — so together they hold at
-// least the bits an optimal filter for those windows needs at bloomFP. No
-// filter runs past its design load, and the single-occurrence k-mers a
-// false positive lets in, PeakEntries − Kept (pseudo-read weights and
-// heavy-hitter counts clear MinCount), stay within bloomFP of the first
-// sightings: at 1, 4 and 32 ranks, with heavy hitters splitting runs or
-// not.
-func TestBloomSizedFromOwnerWindows(t *testing.T) {
+// TestOwnersCountExactly: the count pass is exact at 1, 4 and 32 ranks,
+// with heavy hitters splitting runs or not. The table peaks at the k-mers
+// it keeps — those whose count over the reads and the weight-3
+// pseudo-reads reaches MinCount, no more — and the distinct_kmers counter,
+// the peak of a table that admitted every k-mer, is the number of distinct
+// k-mers of the input. The bins each owner counts carry exactly the
+// windows of its k-mers but the heavy hitters', and the busiest owner's
+// are the owner_windows_max counter.
+func TestOwnersCountExactly(t *testing.T) {
 	const k = 33
 	recs := sampleReads(genome.HumanLike, 21, 30000, 10)
 	var pseudoSeqs [][]byte
 	for i := 0; i < len(recs); i += 41 {
 		pseudoSeqs = append(pseudoSeqs, recs[i].Seq)
+	}
+	truth := naiveCounts(recs, k)
+	for _, s := range pseudoSeqs {
+		kmer.ForEachCanonical(s, k, func(_ int, canon kmer.Kmer, _ bool) { truth[canon] += 3 })
+	}
+	var kept int64
+	for _, c := range truth {
+		kept += int64(btoi(c >= 2))
 	}
 	for _, p := range []int{1, 4, 32} {
 		for _, heavy := range []bool{false, true} {
@@ -60,6 +65,13 @@ func TestBloomSizedFromOwnerWindows(t *testing.T) {
 			counters := team.EndSpan().Counters
 			if heavy && res.HeavyHitters == 0 {
 				t.Fatalf("%d ranks: no heavy hitter split a run", p)
+			}
+			if res.PeakEntries != res.Kept || res.Kept != kept {
+				t.Errorf("%d ranks, heavy hitters %v: peak %d, kept %d; %d k-mers occur twice or more",
+					p, heavy, res.PeakEntries, res.Kept, kept)
+			}
+			if got := counters["distinct_kmers"]; got != int64(len(truth)) {
+				t.Errorf("%d ranks, heavy hitters %v: %d distinct k-mers counted, the input has %d", p, heavy, got, len(truth))
 			}
 
 			isHeavy := make(map[kmer.Kmer]bool)
@@ -80,32 +92,16 @@ func TestBloomSizedFromOwnerWindows(t *testing.T) {
 			for _, s := range pseudoSeqs {
 				offer(s)
 			}
-			wins := ownerWindows(res.BinWeights, BinOwners(res.BinWeights, p), p)
+			wins := make([]int64, p)
+			for b, o := range BinOwners(res.BinWeights, p) {
+				wins[o] += res.BinWeights[b]
+			}
 			if !slices.Equal(wins, offered) {
-				t.Fatalf("%d ranks, heavy hitters %v: filters sized for %v windows, the screens offer %v", p, heavy, wins, offered)
+				t.Fatalf("%d ranks, heavy hitters %v: the owners' bins weigh %v windows, their k-mers have %v", p, heavy, wins, offered)
 			}
 			if got := counters["owner_windows_max"]; got != slices.Max(offered) {
-				t.Errorf("%d ranks, heavy hitters %v: the busiest screen offered %d windows, want %d", p, heavy, got, slices.Max(offered))
+				t.Errorf("%d ranks, heavy hitters %v: the busiest owner counted %d windows, want %d", p, heavy, got, slices.Max(offered))
 			}
-			stripes := res.Table.Stripes()
-			blooms := newBlooms(wins, stripes)
-			for o := range p {
-				var bits uint64
-				for _, f := range blooms[o*stripes : (o+1)*stripes] {
-					bits += f.Bits()
-				}
-				if need := float64(offered[o]) * -math.Log(bloomFP) / (math.Ln2 * math.Ln2); float64(bits) < need {
-					t.Errorf("%d ranks, heavy hitters %v: owner %d's filters have %d bits for %d windows, want ≥ %.0f",
-						p, heavy, o, bits, offered[o], need)
-				}
-			}
-
-			admitted, firsts := res.PeakEntries-res.Kept, counters["first_sightings"]
-			if float64(admitted) > bloomFP*float64(firsts) {
-				t.Errorf("%d ranks, heavy hitters %v: %d singletons admitted by false positives, %d first sightings",
-					p, heavy, admitted, firsts)
-			}
-			t.Logf("%d ranks, heavy hitters %v: %d singletons admitted, %d first sightings", p, heavy, admitted, firsts)
 		}
 	}
 }

@@ -124,7 +124,7 @@ func BenchmarkSketchPass(b *testing.B) {
 	}
 }
 
-// BenchmarkStage1 is a whole Run — sketch, Bloom screen, count, finalize —
+// BenchmarkStage1 is a whole Run — sketch, partition, count —
 // on a human-like input at the human workload's rank count and on a
 // wheat-like one (heavy hitters in most runs) at the wheat workload's, per
 // k-mer window.

@@ -2,8 +2,6 @@ package kanalysis
 
 import (
 	"bytes"
-	"math/bits"
-	"slices"
 	"strings"
 	"testing"
 
@@ -41,10 +39,9 @@ func serialTable(recs []fastq.Record, k, minCount int) map[kmer.Kmer]KmerData {
 // TestSuperKmerEquivalence: the minimizer super-k-mer transport is a
 // communication optimization — the resulting k-mer table (counts and
 // extension codes) must be identical to a serial map counter's on the same
-// reads, with and without heavy hitters in play, with the Bloom screen and
-// (every window counted on admission, none left for the count pass)
-// without it. One read pair is 70 000 bases of poly-A: a single minimizer
-// run longer than a record frames, which travels as two.
+// reads, with and without heavy hitters in play. One read pair is 70 000
+// bases of poly-A: a single minimizer run longer than a record frames,
+// which travels as two.
 func TestSuperKmerEquivalence(t *testing.T) {
 	const k = 21
 	rng := xrt.NewPrng(4)
@@ -57,7 +54,7 @@ func TestSuperKmerEquivalence(t *testing.T) {
 	polyA := fastq.Record{ID: []byte("polyA"), Seq: bytes.Repeat([]byte{'A'}, 70000), Qual: bytes.Repeat([]byte{'I'}, 70000)}
 	recs = append(recs, polyA, polyA)
 	want := serialTable(recs, k, 2)
-	for _, opt := range []Options{{}, {HeavyHitters: true}, {DisableBloom: true}, {HeavyHitters: true, DisableBloom: true}} {
+	for _, opt := range []Options{{}, {HeavyHitters: true}} {
 		opt.K, opt.MinCount, opt.Theta, opt.HHMinCount = k, 2, 2000, 200
 		res := Run(xrt.NewTeam(xrt.Config{Ranks: 7, RanksPerNode: 3}), splitReads(recs, 7), opt)
 		got := tableCounts(res)
@@ -81,192 +78,98 @@ func TestSuperKmerEquivalence(t *testing.T) {
 	}
 }
 
-// TestScreenCountsOnAdmissionReplayAppliesTheRest drives one owner's inbox
-// through both passes by hand, with a Go set as the "seen" test. The screen
-// counts every window the set has seen and keeps, in sender order, exactly
-// the records an oracle decode finds a first sighting in, with one bit per
-// window of those; the replay decodes just them, charges one local store
-// per first sighting and nothing else, and leaves every k-mer seen twice at
-// its exact count. With DisableBloom every window is "seen": the screen
-// counts everything, keeps nothing, and the replay charges nothing. And a
-// read window sent before a pseudo-read record of the same k-mers is
-// screened after it, so it is seen and counted on the spot, never a first
-// sighting.
-func TestScreenCountsOnAdmissionReplayAppliesTheRest(t *testing.T) {
-	const k, senders, batch = 21, 3, 5
+// TestOwnerCountMatchesOracle drives one owner's inbox through the count
+// pass by hand. Three senders interleave read records with weighted
+// pseudo-read records, five to a message. Every k-mer that clears MinCount
+// must reach the shard with the exact count and extension evidence of an
+// oracle that counts the same sequences serially, and no other k-mer. The
+// pass must decode every window sent, report the distinct k-mers, charge
+// one local store per entry stored and nothing else, and empty the inbox.
+func TestOwnerCountMatchesOracle(t *testing.T) {
+	const k, senders, batch, weight = 21, 3, 5, 3
 	_, recs := simReads(t, 13, 6000, 8, genome.DefaultErrorModel())
 	m := kmer.ClampMinimizerLen(k, 0)
-	truth := naiveCounts(recs, k)
 
-	// The inbox three senders fill, batch records to a message, and what
-	// each sent in send order.
-	var sent [senders][][]byte
-	fill := func() (in *inbox, windows int) {
-		in, sent = &inbox{}, [senders][][]byte{}
-		var pending [senders][]byte
-		var buf []byte
-		for i, rec := range recs {
-			src := senders - 1 - i%senders
-			windows += forEachSuperKmer(rec, 0, k, m, newHeavySet(nil, k, m), nil,
+	// The oracle: read windows count once with their quality-filtered
+	// evidence, pseudo-read windows (every 7th read's bases, no quality)
+	// count weight times with all of theirs.
+	oracle := make(map[kmer.Kmer]KmerData)
+	offer := func(rec fastq.Record, w uint32) {
+		kmer.ForEachCanonical(rec.Seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
+			d := oracle[canon]
+			d.add(occurrenceAt(rec.Seq, rec.Qual, pos, k, canon, flipped), w)
+			oracle[canon] = d
+		})
+	}
+	in, windows := &inbox{}, 0
+	var pending [senders][]byte
+	sent := make([]int, senders)
+	var buf []byte
+	for i, rec := range recs {
+		src := senders - 1 - i%senders
+		send := func(rec fastq.Record, w int) {
+			windows += forEachSuperKmer(rec, w, k, m, newHeavySet(nil, k, m), nil,
 				func(_ uint64, record []byte, _ int) {
-					sent[src] = append(sent[src], bytes.Clone(record))
-					if pending[src] = append(pending[src], record...); len(sent[src])%batch == 0 {
+					pending[src] = append(pending[src], record...)
+					if sent[src]++; sent[src]%batch == 0 {
 						in.deliver(src, pending[src])
 						pending[src] = pending[src][:0]
 					}
 				}, &buf)
 		}
-		for src, p := range pending {
-			in.deliver(src, p)
+		send(rec, 0)
+		offer(rec, 1)
+		if i%7 == 0 {
+			pseudo := fastq.Record{Seq: rec.Seq}
+			send(pseudo, weight)
+			offer(pseudo, weight)
 		}
-		return in, windows
 	}
-	in, windows := fill()
-
-	// The oracle: decode every record in (sender, send order) against a set
-	// of k-mers; a record is kept iff some window is not in the set yet.
-	var want [][]byte
-	wantKept, wantFirsts := 0, 0
-	set := make(map[kmer.Kmer]bool)
-	for _, list := range sent {
-		for _, rec := range list {
-			firsts := 0
-			n := decode(rec, k, func(canon kmer.Kmer, _, _ uint8) {
-				if !set[canon] {
-					set[canon] = true
-					firsts++
-				}
-			})
-			if firsts > 0 {
-				want = append(want, rec)
-				wantKept += n
-				wantFirsts += firsts
-			}
+	for src, p := range pending {
+		in.deliver(src, p)
+	}
+	want := make(map[kmer.Kmer]KmerData)
+	for km, d := range oracle {
+		if d.Count >= 2 {
+			d.ExtL, d.ExtR = callExt(d.LeftCnt, minExtCount), callExt(d.RightCnt, minExtCount)
+			want[km] = d
 		}
+	}
+	if len(want) == 0 || len(want) == len(oracle) {
+		t.Fatalf("%d of %d k-mers clear MinCount: the test checks no filter", len(want), len(oracle))
 	}
 
 	team := xrt.NewTeam(xrt.Config{Ranks: 1})
 	table := NewTable(team, 0, 0, 0, k, m)
-	counted := func() (n int) {
-		table.RangeAll(func(_ kmer.Kmer, d KmerData) bool { n += int(d.Count); return true })
-		return n
-	}
-	hashes := make(map[uint64]bool)
-	seen := func(_, _ int, h uint64) bool {
-		had := hashes[h]
-		hashes[h] = true
-		return had
-	}
 	team.Run(func(r *xrt.Rank) {
-		var firsts, kept, screened int
-		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) { firsts, kept, screened = in.screen(k, 0, own, seen) })
-		if screened != windows {
-			t.Errorf("the screen saw %d windows, the senders sent %d", screened, windows)
-		}
-		if n := counted(); firsts == 0 || n == 0 || n+firsts != windows {
-			t.Errorf("after the screen %d windows are counted and %d are first sightings, of %d", n, firsts, windows)
-		}
-		if firsts != wantFirsts || kept != wantKept {
-			t.Errorf("the screen left %d first sightings in %d windows, the oracle %d in %d", firsts, kept, wantFirsts, wantKept)
-		}
-		if !slices.IsSortedFunc(in.msgs, func(a, b inboxMsg) int { return a.src - b.src }) {
-			t.Error("the kept records are not in sender order")
-		}
-		var got [][]byte
-		for _, msg := range in.msgs {
-			if len(msg.payload) == 0 {
-				t.Error("a message with no kept record was not released")
-			}
-			for rest := msg.payload; len(rest) > 0; rest = rest[kmer.SuperKmerRecordLen(rest):] {
-				got = append(got, rest[:kmer.SuperKmerRecordLen(rest)])
-			}
-		}
-		if !slices.EqualFunc(got, want, bytes.Equal) {
-			t.Errorf("the screen kept %d records, the oracle finds first sightings in %d (or their order differs)", len(got), len(want))
-		}
-		flagged := 0
-		for _, word := range in.first {
-			flagged += bits.OnesCount64(word)
-		}
-		if len(in.first) != (kept+63)/64 || flagged != firsts {
-			t.Errorf("bitmap of %d words with %d bits set for %d kept windows, %d first sightings", len(in.first), flagged, kept, firsts)
-		}
-
 		stores, clock := team.RankStats(0).LocalStores, r.ClockNs()
+		var scratch tally
 		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-			if n := in.replay(k, own, r); n != kept {
-				t.Errorf("replay decoded %d windows, the screen kept %d", n, kept)
+			decoded, distinct := in.count(k, m, 2, &scratch, own, r)
+			if decoded != windows || distinct != len(oracle) {
+				t.Errorf("the count decoded %d windows and found %d distinct k-mers; %d were sent, of %d k-mers",
+					decoded, distinct, windows, len(oracle))
 			}
 		})
-		if got := team.RankStats(0).LocalStores - stores; got != int64(firsts) {
-			t.Errorf("replay charged %d local stores for %d first sightings", got, firsts)
+		if got := team.RankStats(0).LocalStores - stores; got != int64(len(want)) {
+			t.Errorf("the count charged %d local stores for %d entries", got, len(want))
 		}
-		if got, want := r.ClockNs()-clock, float64(firsts)*xrt.LocalOpNs; got != want {
-			t.Errorf("replay advanced the clock %v ns, %d local stores cost %v", got, firsts, want)
+		if got, cost := r.ClockNs()-clock, float64(len(want))*xrt.LocalOpNs; got != cost {
+			t.Errorf("the count advanced the clock %v ns, its local stores cost %v", got, cost)
 		}
-	})
-	after := tableCounts(&Result{Table: table})
-	for km, c := range truth {
-		if d, ok := after[km]; ok != (c >= 2) || ok && d.Count != c {
-			t.Fatalf("k-mer occurring %d times: admitted %v, counted %d", c, ok, d.Count)
-		}
-	}
-
-	// DisableBloom: every window is "seen".
-	in, _ = fill()
-	table = NewTable(team, 0, 0, 0, k, m)
-	team.Run(func(r *xrt.Rank) {
-		var firsts, kept int
-		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-			firsts, kept, _ = in.screen(k, 0, own, func(_, _ int, _ uint64) bool { return true })
-		})
-		if firsts != 0 || kept != 0 || len(in.msgs) != 0 || len(in.first) != 0 {
-			t.Errorf("with every window seen the screen kept %d windows in %d messages, %d first sightings", kept, len(in.msgs), firsts)
-		}
-		clock := r.ClockNs()
-		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-			if n := in.replay(k, own, r); n != 0 {
-				t.Errorf("replay of an empty inbox decoded %d windows", n)
-			}
-		})
-		if r.ClockNs() != clock {
-			t.Error("replay of an empty inbox charged")
+		if in.msgs != nil || scratch.counts.Len() != 0 || len(scratch.seen) != 0 {
+			t.Errorf("the count left %d messages and %d scratch entries", len(in.msgs), scratch.counts.Len())
 		}
 	})
-	after = tableCounts(&Result{Table: table})
-	if len(after) != len(truth) {
-		t.Fatalf("with every window seen the table has %d k-mers, the reads %d", len(after), len(truth))
+	got := tableCounts(&Result{Table: table})
+	if len(got) != len(want) {
+		t.Fatalf("the shard holds %d k-mers, the oracle keeps %d", len(got), len(want))
 	}
-	for km, c := range truth {
-		if after[km].Count != c {
-			t.Fatalf("with every window seen a k-mer occurring %d times counts %d", c, after[km].Count)
+	for km, d := range want {
+		if got[km] != d {
+			t.Fatalf("k-mer %s: stored %+v, the oracle counts %+v", km.String(k), got[km], d)
 		}
 	}
-
-	// A read sent by sender 0, then the same sequence as a pseudo-read of
-	// weight 3 by sender 1: the read's windows are screened second.
-	const weight = 3
-	in = &inbox{}
-	var buf []byte
-	for src, w := range []int{0, weight} {
-		forEachSuperKmer(recs[0], w, k, m, newHeavySet(nil, k, m), nil,
-			func(_ uint64, record []byte, _ int) { in.deliver(src, record) }, &buf)
-	}
-	table = NewTable(team, 0, 0, 0, k, m)
-	clear(hashes)
-	team.Run(func(r *xrt.Rank) {
-		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-			if firsts, kept, _ := in.screen(k, 0, own, seen); firsts != 0 || kept != 0 {
-				t.Errorf("a read behind a pseudo-read of its k-mers left %d first sightings in %d windows", firsts, kept)
-			}
-		})
-	})
-	after = tableCounts(&Result{Table: table})
-	kmer.ForEachCanonical(recs[0].Seq, k, func(_ int, canon kmer.Kmer, _ bool) {
-		if got := after[canon].Count; got != weight+1 {
-			t.Fatalf("a k-mer of a read and a weight-%d pseudo-read counts %d", weight, got)
-		}
-	})
 }
 
 // TestSuperKmersReduceCommunication: stage 1's transport ships at most

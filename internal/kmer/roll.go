@@ -180,15 +180,8 @@ func decode(payload []byte, k int, fn func(f0, f1, r0, r1 uint64, left, right ui
 		bit := func(j int) bool {
 			return mask[j>>3]>>uint(j&7)&1 == 1
 		}
-		// The record's bases are packed exactly like a Kmer's words (first
-		// base in the top bits), so the first window is a byte load, not
-		// k pushes.
-		var first Kmer
-		for j, b := range bases[:(k+3)/4] {
-			first.W[j>>3] |= uint64(b) << uint(56-8*(j&7))
-		}
 		r := newRoller(k)
-		r.load(first.mask(k), k)
+		r.load(firstWindow(bases, k), k)
 		nwin := L - k + 1
 		for i := 0; i < nwin; i++ {
 			if i > 0 {

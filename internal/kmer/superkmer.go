@@ -78,6 +78,26 @@ func SuperKmerWeight(record []byte) int {
 	return int(record[len(record)-1])
 }
 
+// SuperKmerMinimizer returns the canonical minimizer (Kmer.Minimizer) of
+// the first window of one whole record, as SuperKmerRecordLen cuts it:
+// the minimizer every window of the run shares, and so the bin its
+// sender placed it by, read without decoding the run.
+func SuperKmerMinimizer(record []byte, k, m int) uint64 {
+	L := int(record[0]) | int(record[1])<<8
+	return firstWindow(record[3+(L+2+7)/8:], k).Minimizer(k, m)
+}
+
+// firstWindow is the k-mer of the first k bases of a record's packed
+// bases, which are laid out exactly like a Kmer's words (first base in the
+// top bits), so it is a byte load, not k pushes.
+func firstWindow(bases []byte, k int) Kmer {
+	var first Kmer
+	for j, b := range bases[:(k+3)/4] {
+		first.W[j>>3] |= uint64(b) << uint(56-8*(j&7))
+	}
+	return first.mask(k)
+}
+
 // AppendSuperKmer appends one encoded record covering seq[start:start+L] to
 // dst and returns the extended slice. Flanking bases at start−1 and
 // start+L are captured as lead/trail evidence when present and ACGT. The

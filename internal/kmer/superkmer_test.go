@@ -308,3 +308,25 @@ func BenchmarkSuperKmerEncode(b *testing.B) {
 		})
 	}
 }
+
+// TestSuperKmerMinimizer: the minimizer read off an encoded record — plain
+// or weighted, at k ≤ 32 and k > 32 — is the minimizer ScanSuperKmers
+// reported for its run.
+func TestSuperKmerMinimizer(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, k := range []int{11, 31, 33, 63} {
+		m := ClampMinimizerLen(k, 0)
+		for trial := 0; trial < 50; trial++ {
+			seq := randSeqN(rng, 80+rng.Intn(300), trial%2 == 0)
+			ScanSuperKmers(seq, k, m, func(start, nwin int, minv uint64) {
+				rec, ok := AppendWeightedSuperKmer(nil, seq, nil, start, nwin+k-1, 19, trial%3)
+				if !ok {
+					t.Fatalf("k=%d: run at %d does not encode", k, start)
+				}
+				if got := SuperKmerMinimizer(rec, k, m); got != minv {
+					t.Fatalf("k=%d: record of the run at %d has minimizer %x, the run %x", k, start, got, minv)
+				}
+			})
+		}
+	}
+}

@@ -50,7 +50,8 @@ type Config struct {
 	// smallest k (every k-mer the early rounds contributed is read-
 	// supported at that length).
 	KmerLens []int
-	// MinCount is the k-mer error-exclusion threshold (default 2).
+	// MinCount is the k-mer error-exclusion threshold (default 2; 1 keeps
+	// every k-mer).
 	MinCount int
 	// ContigsOnly stops after contig generation (the paper's metagenome
 	// mode, §5.4, where single-genome scaffolding logic would mis-join).

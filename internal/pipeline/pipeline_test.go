@@ -152,7 +152,12 @@ func TestTimingsRecorded(t *testing.T) {
 // and again when the sketch left stage 1 (each owner's Bloom filters sized
 // from the windows its bins carry), and wheat's gap-closing entries and
 // total when gap closing's mini-graph came to hold one entry per canonical
-// k-mer and its walks to stop looking up bases once they circle. Each
+// k-mer and its walks to stop looking up bases once they circle, and every
+// k-mer analysis entry and total when owners came to count their bins
+// exactly (no replay of first sightings, no finalize pass) — which, the
+// clocks being floats, moved wheat's first scaffolding round by 1 ns and
+// its merAligner by 2: the stage starts at an earlier clock and its
+// charges round differently there. Each
 // is read back from Metrics exactly; merAligner within 1 ns (that entry
 // subtracted two truncated clock readings, the span truncates their
 // difference); and the run's total, which is the team's clock, is that

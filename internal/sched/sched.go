@@ -244,17 +244,26 @@ type JobResult struct {
 	Metrics *metrics.Report
 }
 
-// TraceEvent is one scheduling decision.
+// TraceEvent is one scheduling decision, or an arrival that queues a job.
 type TraceEvent struct {
 	At     time.Duration
-	Kind   string // "start", "done", "requeue", "preempt", "reject"
+	Kind   string // "arrive", "start", "done", "requeue", "preempt", "reject"
 	JobID  int
 	Tenant string
-	Ranks  int
-	// TenantInUse is the tenant's total held ranks after the event.
-	TenantInUse int
+	// Ranks is a start's allocation.
+	Ranks int
+	// Fails marks a start whose attempt will fail (a crash, exhausted
+	// retries or a fatal error): preemption passes it over.
+	Fails bool
+	// Resume marks a requeue or preemption after which the job resumes
+	// from its checkpoint, and so may rescale.
+	Resume bool
 	// FreeRanks is the cluster's free capacity after the event.
 	FreeRanks int
+	// InUse is every tenant's held ranks after the event, in the order of
+	// Report.Tenants; nil while the specs are being admitted, before any
+	// rank is held.
+	InUse []int
 }
 
 // Outcome is a finished scheduler run.
@@ -372,6 +381,7 @@ type Scheduler struct {
 	rejections, requeues, preemptions, rescales int
 
 	trace []TraceEvent
+	names []string // the tenants in Report.Tenants order, once all are known
 
 	ckptRoot    string
 	ownCkptRoot bool
@@ -420,14 +430,24 @@ func (s *Scheduler) pushEvent(at time.Duration, kind int, j *job) *event {
 }
 
 func (s *Scheduler) record(kind string, j *job, ranks int) {
-	var inUse int
-	if t := s.tenants[j.spec.Tenant]; t != nil {
-		inUse = t.inUse
-	}
 	s.trace = append(s.trace, TraceEvent{
 		At: s.now, Kind: kind, JobID: j.id, Tenant: j.spec.Tenant,
-		Ranks: ranks, TenantInUse: inUse, FreeRanks: s.freeRanks,
+		Ranks: ranks, Fails: kind == "start" && (j.outcome.Failed || j.outcome.Fatal),
+		Resume: j.resume, FreeRanks: s.freeRanks, InUse: s.inUse(),
 	})
+}
+
+// inUse is every tenant's held ranks in Report.Tenants order; nil until
+// every tenant is known.
+func (s *Scheduler) inUse() []int {
+	if s.names == nil {
+		return nil
+	}
+	held := make([]int, len(s.names))
+	for i, name := range s.names {
+		held[i] = s.tenants[name].inUse
+	}
+	return held
 }
 
 // Run executes the workload to completion and builds the service
@@ -471,6 +491,8 @@ func (s *Scheduler) Run(specs []JobSpec) (*Outcome, error) {
 		s.tenants[spec.Tenant].submitted++
 		s.pushEvent(spec.Arrival, evArrival, j)
 	}
+	s.names = append([]string{}, s.tenantOrder...)
+	sort.Strings(s.names)
 
 	for s.events.Len() > 0 {
 		e := heap.Pop(&s.events).(*event)
@@ -487,6 +509,7 @@ func (s *Scheduler) Run(specs []JobSpec) (*Outcome, error) {
 				s.reject(e.j, fmt.Sprintf("queue full (cap %d)", s.cfg.QueueCap))
 			} else {
 				s.queue = append(s.queue, e.j)
+				s.record("arrive", e.j, 0)
 			}
 		case evDone:
 			s.finish(e.j)
@@ -658,7 +681,6 @@ func (s *Scheduler) start(j *job, alloc int) {
 	}
 	s.freeRanks -= alloc
 	t.inUse += alloc
-	s.record("start", j, alloc)
 
 	att := Attempt{
 		JobID:        j.id,
@@ -670,6 +692,7 @@ func (s *Scheduler) start(j *job, alloc int) {
 		Inject:       j.inject,
 	}
 	j.outcome = s.runner.Run(j.spec, att)
+	s.record("start", j, alloc)
 	j.wroteCkpt = true
 	s.running = append(s.running, j)
 	j.completion = s.pushEvent(s.now+j.outcome.Virtual, evDone, j)
@@ -737,13 +760,24 @@ func (s *Scheduler) cleanupJob(j *job) {
 	}
 }
 
-// tryPreempt serves the highest-priority queued job that is blocked
-// purely by rank shortage (its tenant quota has room) by preempting
-// strictly lower-priority running jobs at a stage boundary. Victims are
-// drained lowest static priority first, most recently started first;
-// each victim's checkpoint is truncated to its completed stages and the
-// job is requeued as resumable. Returns true if anything was preempted.
+// tryPreempt preempts the victims the preemption rule picks now, if any,
+// and reports whether it did.
 func (s *Scheduler) tryPreempt() bool {
+	take := s.victims()
+	for _, v := range take {
+		s.preempt(v)
+	}
+	return len(take) > 0
+}
+
+// victims is the preemption rule: it serves the highest-priority queued
+// job that is blocked purely by rank shortage (its tenant quota has room)
+// by preempting strictly lower-priority running jobs at a stage boundary.
+// Victims are drained lowest static priority first, most recently started
+// first, and only as many as free the ranks the job lacks; each victim's
+// checkpoint is truncated to its completed stages and the job is requeued
+// as resumable. None when no set of victims suffices.
+func (s *Scheduler) victims() []*job {
 	// The contender: best queued job whose quota allows its full request.
 	var cand *job
 	for _, j := range s.queue {
@@ -757,34 +791,34 @@ func (s *Scheduler) tryPreempt() bool {
 		}
 	}
 	if cand == nil {
-		return false
+		return nil
 	}
 	need := cand.spec.Ranks - s.freeRanks
 	if need <= 0 {
-		return false
+		return nil
 	}
 	// Victim set: strictly lower static priority, preemptable, and not
 	// already failing (a failing attempt has no completed-stage marks
 	// and is about to release its ranks and requeue anyway).
-	var victims []*job
+	var eligible []*job
 	for _, r := range s.running {
 		if r.spec.Priority < cand.spec.Priority && r.preempts < maxPreempts &&
 			!r.outcome.Failed && !r.outcome.Fatal {
-			victims = append(victims, r)
+			eligible = append(eligible, r)
 		}
 	}
-	sort.SliceStable(victims, func(i, k int) bool {
-		if victims[i].spec.Priority != victims[k].spec.Priority {
-			return victims[i].spec.Priority < victims[k].spec.Priority
+	sort.SliceStable(eligible, func(i, k int) bool {
+		if eligible[i].spec.Priority != eligible[k].spec.Priority {
+			return eligible[i].spec.Priority < eligible[k].spec.Priority
 		}
-		if victims[i].lastStart != victims[k].lastStart {
-			return victims[i].lastStart > victims[k].lastStart
+		if eligible[i].lastStart != eligible[k].lastStart {
+			return eligible[i].lastStart > eligible[k].lastStart
 		}
-		return victims[i].id > victims[k].id
+		return eligible[i].id > eligible[k].id
 	})
 	freed := 0
 	var take []*job
-	for _, v := range victims {
+	for _, v := range eligible {
 		if freed >= need {
 			break
 		}
@@ -792,12 +826,9 @@ func (s *Scheduler) tryPreempt() bool {
 		freed += v.alloc
 	}
 	if freed < need {
-		return false
+		return nil
 	}
-	for _, v := range take {
-		s.preempt(v)
-	}
-	return true
+	return take
 }
 
 func (s *Scheduler) preempt(v *job) {

@@ -40,9 +40,8 @@ func fakeLoad(t *testing.T, lc LoadConfig) []JobSpec {
 }
 
 // runFake schedules specs on the fake runner and replays the decision log
-// against the capacity invariants: no tenant ever holds more ranks than
-// its quota, the cluster's free capacity stays within [0, Ranks], and
-// every dispatch is of 1..quota ranks.
+// against the scheduler's rules (CheckTrace): capacity, dispatch and
+// preemption at every event.
 func runFake(t *testing.T, cfg Config, specs []JobSpec) *Outcome {
 	t.Helper()
 	cfg.CkptRoot = t.TempDir()
@@ -54,22 +53,8 @@ func runFake(t *testing.T, cfg Config, specs []JobSpec) *Outcome {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	quota := func(tenant string) int {
-		for _, tc := range cfg.Tenants {
-			if tc.Name == tenant {
-				return tc.Quota
-			}
-		}
-		return cfg.DefaultQuota
-	}
-	for _, ev := range out.Trace {
-		if q := quota(ev.Tenant); ev.TenantInUse > q || (ev.Kind == "start" && (ev.Ranks < 1 || ev.Ranks > q)) {
-			t.Fatalf("at %v: %s of job %d with %d ranks leaves tenant %s holding %d, quota %d",
-				ev.At, ev.Kind, ev.JobID, ev.Ranks, ev.Tenant, ev.TenantInUse, q)
-		}
-		if ev.FreeRanks < 0 || ev.FreeRanks > cfg.Ranks {
-			t.Fatalf("at %v: free ranks %d out of [0, %d]", ev.At, ev.FreeRanks, cfg.Ranks)
-		}
+	if err := CheckTrace(out, specs); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
