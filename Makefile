@@ -84,15 +84,15 @@ exhibits:
 
 # The DHT microbenchmarks comparing striped-mutex and frozen Get paths,
 # the stage-1 hot loops one layer at a time (flat-shard probe and insert,
-# rolling canonical scan, minimizer scan, super-k-mer encode and canonical
-# decode, the Misra–Gries fold), the scaffolding-half hot loops (seed-index
+# rolling canonical scan, minimizer scan, super-k-mer encode and the
+# record cursor's canonical decode, the Misra–Gries fold), the scaffolding-half hot loops (seed-index
 # build, one read's alignment, one walk-heavy gap closed at all three k;
 # allocations per op beside the time; the mini-graph's build, walk and
 # partial-merge cost per unit, which calibrates gap closing's charges), the
 # per-run fixed costs (the sketch pass at 32 and 96 ranks, a Freeze/Thaw
 # pair at 96 ranks, the k-mer stage encoder and the scaffold stage codec
-# both ways; bytes per op are the point), all of stage 1 (a whole kanalysis.Run, human-like at 32 ranks and
-# wheat-like at 96, per k-mer window), and then the committed harness:
+# both ways; bytes per op are the point), all of stage 1 (a whole kanalysis.Run, human-like at 32 ranks,
+# wheat-like at 96 and a metagenome at k = 55, per k-mer window), and then the committed harness:
 # benchmark/run.sh measures wall, virtual and memory, end to end and per layer, on four workloads (BENCHMARK.json; compare two runs with
 # `bash benchmark/run.sh -compare A.json B.json`).
 bench:

@@ -257,8 +257,7 @@ func buildGraph(team *xrt.Team, kt *dht.Table[kmer.Kmer, kanalysis.KmerData], op
 			graph.OwnShard(r, func(own dht.Owned[kmer.Kmer, Node]) {
 				kt.LocalRange(r, func(km kmer.Kmer, d kanalysis.KmerData) bool {
 					if d.IsUU() {
-						e, _ := own.Entry(graphHash(km), km)
-						n, _ := e.Upsert()
+						n, _ := own.Entry(graphHash(km), km).Upsert()
 						*n = Node{ExtL: d.ExtL, ExtR: d.ExtR, Count: d.Count}
 						uu++
 					}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hipmer/internal/flat"
 	"hipmer/internal/xrt"
 )
 
@@ -172,8 +173,7 @@ func TestStressBlobFlushesAndMutateOnOneOwner(t *testing.T) {
 		section := func() {
 			tab.OwnShard(r, func(o Owned[uint64, int64]) {
 				for _, k := range own {
-					e, _ := o.Entry(opt.Hash(k), k)
-					v, _ := e.Upsert()
+					v, _ := o.Entry(opt.Hash(k), k).Upsert()
 					*v++
 				}
 			})
@@ -263,9 +263,14 @@ func TestOwnShardMatchesPerItemPath(t *testing.T) {
 		r.Barrier()
 		tab.OwnShard(r, func(o Owned[uint64, int64]) {
 			blobDecode(inbox[r.ID], func(k uint64, in int64) {
-				e, stripe := o.Entry(xrt.Splitmix64(k), k)
-				if stripe != stripeOf[k] {
-					t.Errorf("key %d: Entry says stripe %d, the apply hook was handed %d", k, stripe, stripeOf[k])
+				// Entry and the apply hook find a key's stripe by one rule
+				h := xrt.Splitmix64(k)
+				if stripe := stripeIndex(flat.Mix(h)); stripe != stripeOf[k] {
+					t.Errorf("key %d: Entry's stripe is %d, the apply hook was handed %d", k, stripe, stripeOf[k])
+				}
+				e := o.Entry(h, k)
+				if e.m != &o.stripes[stripeOf[k]].m {
+					t.Errorf("key %d: Entry's handle is not on stripe %d, the apply hook's", k, stripeOf[k])
 				}
 				v, _ := e.Upsert()
 				*v += in

@@ -274,9 +274,13 @@ func (t *Table[K, V]) placeKey(k K, h uint64) int {
 // for every shard: placement picks the shard, the mixed hash's low bits
 // the stripe.
 func (t *Table[K, V]) stripeOf(dst int, mix uint64) (*stripe[K, V], int) {
-	si := int(mix & (stripes - 1))
+	si := stripeIndex(mix)
 	return &t.shards[dst].stripes[si], si
 }
+
+// stripeIndex is the stripe of every shard that holds keys whose mixed
+// hash is mix: its low bits.
+func stripeIndex(mix uint64) int { return int(mix & (stripes - 1)) }
 
 // Stripes returns the number of lock stripes per shard, for sizing
 // per-(owner, stripe) state used by an ApplyFunc.
@@ -376,16 +380,13 @@ type Owned[K comparable, V any] struct {
 	stripes []stripe[K, V]
 }
 
-// Entry returns the handle on key k, whose Options.Hash value is h, and
-// the index of the stripe holding it — the (owner, stripe) an ApplyFunc
-// would be handed, for state partitioned the same way. The caller asserts
-// it owns k, as the sender of a PutBlob asserts its destination: a key
-// stored on a rank that does not own it is stranded where lookups never
-// search.
-func (o Owned[K, V]) Entry(h uint64, k K) (Entry[K, V], int) {
+// Entry returns the handle on key k, whose Options.Hash value is h, in
+// the stripe an ApplyFunc storing k would be handed. The caller asserts it
+// owns k, as the sender of a PutBlob asserts its destination: a key stored
+// on a rank that does not own it is stranded where lookups never search.
+func (o Owned[K, V]) Entry(h uint64, k K) Entry[K, V] {
 	mix := flat.Mix(h)
-	si := int(mix & (stripes - 1))
-	return Entry[K, V]{&o.stripes[si].m, mix, k}, si
+	return Entry[K, V]{&o.stripes[stripeIndex(mix)].m, mix, k}
 }
 
 // OwnShard runs fn with every stripe lock of the calling rank's shard held:

@@ -14,11 +14,11 @@ import (
 // was confined to heavy-minimizer runs — roll, hash and probe every window
 // of the read, then segment and split around the hits — kept as the oracle.
 func wholeReadSuperKmers(rec fastq.Record, k, m int, hh *heavySet, acc []KmerData,
-	emit func(minimizer uint64, record []byte, nwin int)) int {
+	emit func(mh uint64, record []byte, nwin int)) int {
 	seq, qual := rec.Seq, rec.Qual
 	var heavy []int
 	kmer.ForEachCanonical(seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
-		if i := hh.find(canon.Hash(hashSeed), canon); i >= 0 {
+		if i := hh.find(canon); i >= 0 {
 			acc[i].add(occurrenceAt(seq, qual, pos, k, canon, flipped), 1)
 			heavy = append(heavy, pos)
 		}
@@ -31,7 +31,7 @@ func wholeReadSuperKmers(rec fastq.Record, k, m int, hh *heavySet, acc []KmerDat
 				return
 			}
 			if out, ok := kmer.AppendSuperKmer(nil, seq, qual, from, (to-from)+k-1, qualThreshold); ok {
-				emit(minv, out, to-from)
+				emit(kmer.MinimizerHash(minv), out, to-from)
 			}
 		}
 		from := start
@@ -45,9 +45,9 @@ func wholeReadSuperKmers(rec fastq.Record, k, m int, hh *heavySet, acc []KmerDat
 }
 
 type shippedRecord struct {
-	minimizer uint64
-	record    []byte
-	nwin      int
+	mh     uint64 // kmer.MinimizerHash of the run's minimizer
+	record []byte
+	nwin   int
 }
 
 // checkAgainstWholeReadScan runs rec through forEachSuperKmer and the
@@ -74,11 +74,11 @@ func checkAgainstWholeReadScan(t *testing.T, rec fastq.Record, k int, heavyAt []
 	var got, want []shippedRecord
 	gotAcc, wantAcc := make([]KmerData, len(keys)), make([]KmerData, len(keys))
 	var buf []byte
-	gotN := forEachSuperKmer(rec, 0, k, m, hh, gotAcc, func(minv uint64, record []byte, nwin int) {
-		got = append(got, shippedRecord{minv, bytes.Clone(record), nwin})
+	gotN := forEachSuperKmer(rec, 0, k, m, hh, gotAcc, func(mh uint64, record []byte, nwin int) {
+		got = append(got, shippedRecord{mh, bytes.Clone(record), nwin})
 	}, &buf)
-	wantN := wholeReadSuperKmers(rec, k, m, hh, wantAcc, func(minv uint64, record []byte, nwin int) {
-		want = append(want, shippedRecord{minv, record, nwin})
+	wantN := wholeReadSuperKmers(rec, k, m, hh, wantAcc, func(mh uint64, record []byte, nwin int) {
+		want = append(want, shippedRecord{mh, record, nwin})
 	})
 	if gotN != wantN {
 		t.Fatalf("k=%d: visited %d windows, whole-read scan %d", k, gotN, wantN)
@@ -87,7 +87,7 @@ func checkAgainstWholeReadScan(t *testing.T, rec fastq.Record, k int, heavyAt []
 		t.Fatalf("k=%d, %d heavy k-mers: %d records, whole-read scan ships %d", k, len(keys), len(got), len(want))
 	}
 	for i := range want {
-		if got[i].minimizer != want[i].minimizer || got[i].nwin != want[i].nwin || !bytes.Equal(got[i].record, want[i].record) {
+		if got[i].mh != want[i].mh || got[i].nwin != want[i].nwin || !bytes.Equal(got[i].record, want[i].record) {
 			t.Fatalf("k=%d: record %d is %+v, whole-read scan ships %+v", k, i, got[i], want[i])
 		}
 	}

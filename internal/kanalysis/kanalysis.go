@@ -34,14 +34,18 @@
 //
 // Each per-k-mer fact is computed once. Every scan rolls the forward and
 // reverse-complement words of a window side by side (kmer.ForEachCanonical,
-// kmer.DecodeSuperKmersCanonical), so canonical form is a compare, not a
-// reverse complement per window; the canonical hash is taken once where a
-// k-mer is first needed and handed to whatever wants it next — the
-// Misra–Gries sketch, the heavy-hitter probe, the scratch table's slot.
+// kmer.SuperKmerCursor), so canonical form is a compare, not a reverse
+// complement per window. The loops that look every window up — the count
+// pass's scratch table, the heavy-hitter probe — key it by windowHash, one
+// multiply; a window is seen many times and most distinct k-mers never
+// clear MinCount, so the table hash, four multiplies, is taken once per
+// k-mer that is kept, for the shard's stripe and slot, and once per window
+// the Misra–Gries sketch is offered.
 package kanalysis
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -60,9 +64,17 @@ import (
 const kmerItemBytes = 16 + 10
 
 // hashSeed seeds the canonical table hash: placement (when not by
-// minimizer), stripe and slot selection, the count pass's scratch tables
-// and the heavy-hitter sketch all derive from km.Hash(hashSeed).
+// minimizer), stripe and slot selection and the heavy-hitter sketch all
+// derive from km.Hash(hashSeed).
 const hashSeed = 0xc0ffee
+
+// windowHash keys a canonical k-mer in the tables probed once per window:
+// one multiply of its two words folded together, whose high bits — the
+// ones a flat.Map places by — depend on every bit of the fold. Neither
+// table's slot order is ever observed, so this is all they need.
+func windowHash(km kmer.Kmer) uint64 {
+	return (km.W[0] ^ bits.RotateLeft64(km.W[1], 31)) * 0x9e3779b97f4a7c15
+}
 
 // sampleRate is s of the heavy-hitter sample: Misra–Gries sees the reads
 // whose content hash is 0 mod s, and the cut-off it is held to is the
@@ -367,14 +379,14 @@ func (d *KmerData) add(o occurrence, w uint32) {
 
 // heavySet is the heavy-hitter set of one analysis: the k-mers in a fixed
 // order, a small hash-keyed index from k-mer to position, and the set of
-// their minimizers. Scanners probe the index with the canonical hash they
-// already hold, and ranks accumulate heavy occurrences in a dense array
-// parallel to keys. A heavy k-mer's windows lie in runs whose minimizer is
-// that k-mer's, so the super-k-mer scanner asks for a run's minimizer first
-// and looks at the windows of the few runs that pass.
+// their minimizers. Scanners probe the index by windowHash, and ranks
+// accumulate heavy occurrences in a dense array parallel to keys. A heavy
+// k-mer's windows lie in runs whose minimizer is that k-mer's, so the
+// super-k-mer scanner asks for a run's minimizer first and looks at the
+// windows of the few runs that pass.
 type heavySet struct {
 	keys       []kmer.Kmer
-	index      flat.Map[kmer.Kmer, int32]
+	index      flat.Map[kmer.Kmer, int32] // keyed by windowHash
 	minimizers flat.Map[uint64, struct{}] // keyed by kmer.MinimizerHash
 }
 
@@ -384,7 +396,7 @@ func newHeavySet(keys []kmer.Kmer, k, m int) *heavySet {
 	s := &heavySet{keys: keys}
 	s.index.Grow((len(keys)*4 + 2) / 3)
 	for i, km := range keys {
-		at, _ := s.index.Upsert(km.Hash(hashSeed), km)
+		at, _ := s.index.Upsert(windowHash(km), km)
 		*at = int32(i)
 		minv := km.Minimizer(k, m)
 		s.minimizers.Upsert(kmer.MinimizerHash(minv), minv)
@@ -392,18 +404,18 @@ func newHeavySet(keys []kmer.Kmer, k, m int) *heavySet {
 	return s
 }
 
-// find returns km's position in keys, or -1; h is km.Hash(hashSeed).
-func (s *heavySet) find(h uint64, km kmer.Kmer) int {
-	if at := s.index.Get(h, km); at != nil {
+// find returns km's position in keys, or -1.
+func (s *heavySet) find(km kmer.Kmer) int {
+	if at := s.index.Get(windowHash(km), km); at != nil {
 		return int(*at)
 	}
 	return -1
 }
 
-// mayHold reports whether a run with minimizer minv can hold a heavy
-// window.
-func (s *heavySet) mayHold(minv uint64) bool {
-	return s.minimizers.Len() > 0 && s.minimizers.Get(kmer.MinimizerHash(minv), minv) != nil
+// mayHold reports whether a run with minimizer minv, whose
+// kmer.MinimizerHash is mh, can hold a heavy window.
+func (s *heavySet) mayHold(mh, minv uint64) bool {
+	return s.minimizers.Len() > 0 && s.minimizers.Get(mh, minv) != nil
 }
 
 // forEachSuperKmer segments one read into encoded super-k-mer records.
@@ -420,17 +432,18 @@ func (s *heavySet) mayHold(minv uint64) bool {
 // w is 0 for a read; a pseudo-read passes its weight, which its records
 // carry and its heavy windows fold into acc at.
 //
-// emit receives the run's minimizer, an encoded record, and its window
-// count; the record aliases the scratch buffer *record and must be
-// consumed (copied or buffered) before the next emission. Returns the
-// total number of k-mer windows visited — identical to the
-// kmer.ForEachCanonical count.
+// emit receives the kmer.MinimizerHash of the run's minimizer, an encoded
+// record, and its window count; the record aliases the scratch buffer
+// *record and must be consumed (copied or buffered) before the next
+// emission. Returns the total number of k-mer windows visited — identical
+// to the kmer.ForEachCanonical count.
 func forEachSuperKmer(rec fastq.Record, w, k, m int, hh *heavySet, acc []KmerData,
-	emit func(minimizer uint64, record []byte, nwin int), record *[]byte) int {
+	emit func(mh uint64, record []byte, nwin int), record *[]byte) int {
 	seq, qual := rec.Seq, rec.Qual
 	windows := 0
 	kmer.ScanSuperKmers(seq, k, m, func(start, nwin int, minv uint64) {
 		windows += nwin
+		mh := kmer.MinimizerHash(minv)
 		// ship windows [from, to) of the read
 		ship := func(from, to int) {
 			for from < to {
@@ -440,14 +453,14 @@ func forEachSuperKmer(rec fastq.Record, w, k, m int, hh *heavySet, acc []KmerDat
 					panic("kanalysis: minimizer run does not encode")
 				}
 				*record = out
-				emit(minv, out, n)
+				emit(mh, out, n)
 				from += n
 			}
 		}
 		from := start
-		if hh.mayHold(minv) {
+		if hh.mayHold(mh, minv) {
 			kmer.ForEachCanonical(seq[start:start+nwin+k-1], k, func(pos int, canon kmer.Kmer, flipped bool) {
-				if i := hh.find(canon.Hash(hashSeed), canon); i >= 0 {
+				if i := hh.find(canon); i >= 0 {
 					pos += start
 					acc[i].add(occurrenceAt(seq, qual, pos, k, canon, flipped), uint32(max(w, 1)))
 					ship(from, pos)
@@ -483,59 +496,94 @@ func (in *inbox) deliver(src int, payload []byte) {
 	in.mu.Unlock()
 }
 
-// decode reports every window of payload in order.
-func decode(payload []byte, k int, fn func(canon kmer.Kmer, left, right uint8)) int {
-	n, err := kmer.DecodeSuperKmersCanonical(payload, k, fn)
-	if err != nil {
-		panic("kanalysis: corrupt super-k-mer payload: " + err.Error())
-	}
-	return n
-}
-
-// nextRecord cuts the first super-k-mer record off payload.
-func nextRecord(payload []byte) []byte {
-	n := kmer.SuperKmerRecordLen(payload)
-	if n == 0 {
-		panic("kanalysis: corrupt super-k-mer payload: truncated record")
-	}
-	return payload[:n]
-}
-
-// A record of an inbox, as count sorts it: its bin in the top binBits, the
-// message holding it in the middle, its offset there in the low offBits (a
-// message is at most one flush buffer and one record long).
-const (
-	binShift = 64 - binBits
-	offBits  = 24
-)
-
 // tally is one rank's scratch for the count pass: the records of its inbox
-// in count order, and one bin's counts with its distinct k-mers in the
-// order they were first seen. Survivors move in that order, not in the
-// counts' slot order, so nothing the pass does depends on the capacity a
-// tally arrives with, and tallies are pooled across ranks and analyses.
+// in count order with the end of each bin's among them, and one bin's
+// counts with its distinct k-mers in the order they were first seen.
+// Survivors move in that order, not in the counts' slot order, so nothing
+// the pass does depends on the capacity a tally arrives with, and tallies
+// are pooled across ranks and analyses.
 type tally struct {
 	order  []uint64
-	counts flat.Map[kmer.Kmer, KmerData]
+	ends   [Bins]int32
+	counts flat.Map[kmer.Kmer, KmerData] // keyed by windowHash
 	seen   []hashedKmer
 }
 
 type hashedKmer struct {
-	h  uint64 // km.Hash(hashSeed)
+	h  uint64 // windowHash(km)
 	km kmer.Kmer
 }
 
 var tallies = sync.Pool{New: func() any { return new(tally) }}
 
+// binShift is where sortRecords files a record's bin in its entry.
+const binShift = 64 - binBits
+
+// sortRecords lists the records of msgs in t.order in count order: by bin
+// — a record's bin is that of its first window's minimizer, the rule the
+// table places by — and within a bin in the order msgs holds them. Each
+// entry is its record's message index above its offset there, offBits of
+// them; t.ends[b] is the end of bin b's entries. Malformed payloads panic.
+//
+// It is a counting sort done in place, so the tally holds one entry per
+// record: a first walk files each record under its bin (in the bits above
+// binShift) and counts the bins; a second gives each entry, in walk order,
+// the next free place of its bin, in the bits the bin was in; then every
+// entry is swapped into its place, each swap settling one for good.
+func (t *tally) sortRecords(msgs []inboxMsg, k, m int) (offBits uint) {
+	longest := 0
+	for _, msg := range msgs {
+		longest = max(longest, len(msg.payload))
+	}
+	offBits = uint(bits.Len(uint(longest)))
+	locBits := offBits + uint(bits.Len(uint(len(msgs))))
+	if locBits > binShift {
+		panic("kanalysis: an inbox of too many messages")
+	}
+	t.order, t.ends = t.order[:0], [Bins]int32{}
+	var c kmer.SuperKmerCursor
+	for i, msg := range msgs {
+		c.Reset(msg.payload, k)
+		for c.NextRecord() {
+			bin := kmer.MinimizerHash(c.Minimizer(m)) % Bins
+			t.ends[bin]++
+			t.order = append(t.order, bin<<binShift|uint64(i)<<offBits|uint64(c.Offset()))
+		}
+		if err := c.Err(); err != nil {
+			panic("kanalysis: corrupt super-k-mer payload: " + err.Error())
+		}
+	}
+	if len(t.order) >= 1<<31 || locBits+uint(bits.Len(uint(len(t.order)))) > 64 {
+		panic("kanalysis: an inbox of too many records")
+	}
+	at := int32(0)
+	for b, n := range t.ends {
+		t.ends[b], at = at, at+n
+	}
+	loc := uint64(1)<<locBits - 1
+	for j, key := range t.order {
+		b := key >> binShift
+		t.order[j] = uint64(t.ends[b])<<locBits | key&loc
+		t.ends[b]++
+	}
+	for j := range t.order {
+		for d := int(t.order[j] >> locBits); d != j; d = int(t.order[j] >> locBits) {
+			t.order[j], t.order[d] = t.order[d], t.order[j]
+		}
+		t.order[j] &= loc // in place: no later swap touches it
+	}
+	return offBits
+}
+
 // count is the owner's exact count of its inbox, one minimizer bin at a
-// time. A record's bin is that of its first window's minimizer, the rule
-// the table places by. The records are taken in (bin, sender, send order):
+// time. The records are taken in (bin, sender, send order) (sortRecords):
 // a sender's messages arrive in its program order, so the order, and with
 // it the slot order of the owner's shard, is a function of the input, not
 // of the schedule. Each bin's windows are counted into t at their record's
-// weight, with their extension evidence; then the k-mers seen at least
-// minCount times move into the shard (settle), each charged to r as the
-// local store it is — the senders' store batches already charged this
+// weight, with their extension evidence, in one loop per record that rolls
+// a window, makes it canonical, probes and adds; then the k-mers seen at
+// least minCount times move into the shard (settle), each charged to r as
+// the local store it is — the senders' store batches already charged this
 // owner one local operation per window. Each k-mer is taken out of t as it
 // moves, so emptying t for the next bin costs the bin's k-mers, not t's
 // capacity, which is the heaviest bin's that t has ever counted. Returns
@@ -543,42 +591,35 @@ var tallies = sync.Pool{New: func() any { return new(tally) }}
 // inbox.
 func (in *inbox) count(k, m, minCount int, t *tally, own dht.Owned[kmer.Kmer, KmerData], r *xrt.Rank) (windows, distinct int) {
 	slices.SortStableFunc(in.msgs, func(a, b inboxMsg) int { return a.src - b.src })
-	if len(in.msgs) >= 1<<(binShift-offBits) {
-		panic("kanalysis: an inbox of too many messages")
-	}
-	t.order = t.order[:0]
-	for i, msg := range in.msgs {
-		for off := 0; off < len(msg.payload); {
-			rec := nextRecord(msg.payload[off:])
-			bin := kmer.MinimizerHash(kmer.SuperKmerMinimizer(rec, k, m)) % Bins
-			t.order = append(t.order, bin<<binShift|uint64(i)<<offBits|uint64(off))
-			off += len(rec)
+	offBits := t.sortRecords(in.msgs, k, m)
+	offMask := uint64(1)<<offBits - 1
+	var c kmer.SuperKmerCursor
+	lo := int32(0)
+	for _, hi := range t.ends {
+		if hi == lo {
+			continue
 		}
-	}
-	slices.Sort(t.order)
-	for order := t.order; len(order) > 0; {
-		n := 1
-		for n < len(order) && order[n]>>binShift == order[0]>>binShift {
-			n++
-		}
-		for _, w := range order[:n] {
-			rec := nextRecord(in.msgs[w<<binBits>>(binBits+offBits)].payload[w&(1<<offBits-1):])
-			weight := uint32(max(kmer.SuperKmerWeight(rec), 1))
-			windows += decode(rec, k, func(canon kmer.Kmer, left, right uint8) {
-				h := canon.Hash(hashSeed)
-				d, fresh := t.counts.Upsert(h, canon)
+		for _, key := range t.order[lo:hi] {
+			c.Reset(in.msgs[key>>offBits].payload[key&offMask:], k)
+			c.NextRecord()
+			weight := uint32(max(c.Weight(), 1))
+			windows += c.Windows()
+			for c.Next() {
+				km, left, right := c.Canonical()
+				h := windowHash(km)
+				d, fresh := t.counts.Upsert(h, km)
 				if fresh {
-					t.seen = append(t.seen, hashedKmer{h, canon})
+					t.seen = append(t.seen, hashedKmer{h, km})
 				}
-				d.add(occurrence{canon, left, right}, weight)
-			})
+				d.add(occurrence{km, left, right}, weight)
+			}
 		}
-		order = order[n:]
+		lo = hi
 		distinct += len(t.seen)
 		moved := 0
 		for _, s := range t.seen {
 			d, _ := t.counts.Take(s.h, s.km)
-			moved += settle(own, s.h, s.km, d, minCount)
+			moved += settle(own, s.km, d, minCount)
 		}
 		t.seen = t.seen[:0]
 		r.ChargeStoreBatch(r.ID, moved, moved*kmerItemBytes)
@@ -587,17 +628,17 @@ func (in *inbox) count(k, m, minCount int, t *tally, own dht.Owned[kmer.Kmer, Km
 	return windows, distinct
 }
 
-// settle stores the complete count d of km, whose hash is h, in the
-// owner's shard, extension codes called, if it reaches minCount; it
-// returns the entries stored.
-func settle(own dht.Owned[kmer.Kmer, KmerData], h uint64, km kmer.Kmer, d KmerData, minCount int) int {
+// settle stores the complete count d of km in the owner's shard,
+// extension codes called, if it reaches minCount; it returns the entries
+// stored. Only here is km's table hash taken: it picks the shard's stripe
+// and slot.
+func settle(own dht.Owned[kmer.Kmer, KmerData], km kmer.Kmer, d KmerData, minCount int) int {
 	if d.Count < uint32(minCount) {
 		return 0
 	}
 	d.ExtL = callExt(d.LeftCnt, minExtCount)
 	d.ExtR = callExt(d.RightCnt, minExtCount)
-	e, _ := own.Entry(h, km)
-	v, _ := e.Upsert()
+	v, _ := own.Entry(km.Hash(hashSeed), km).Upsert()
 	*v = d
 	return 1
 }
@@ -676,21 +717,23 @@ func sketchPass(team *xrt.Team, readsByRank [][]fastq.Record, opt Options, res *
 		default:
 			s = mg.NewSeeded[kmer.Kmer](opt.Theta, hashSeed)
 		}
+		// Each read's membership is decided once, and the summary sized
+		// for the sample's windows before any is offered.
+		var sample []int
 		windows := 0
-		for _, rec := range readsByRank[r.ID] {
+		for i, rec := range readsByRank[r.ID] {
 			if sampled(rec) {
+				sample = append(sample, i)
 				windows += max(len(rec.Seq)-opt.K+1, 0)
 			}
 		}
 		s.Expect(windows)
 		n := 0
-		for _, rec := range readsByRank[r.ID] {
-			if sampled(rec) {
-				kmer.ForEachCanonical(rec.Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
-					s.OfferHashed(canon.Hash(hashSeed), canon)
-					n++
-				})
-			}
+		for _, i := range sample {
+			kmer.ForEachCanonical(readsByRank[r.ID][i].Seq, opt.K, func(_ int, canon kmer.Kmer, _ bool) {
+				s.OfferHashed(canon.Hash(hashSeed), canon)
+				n++
+			})
 		}
 		r.ChargeItems(n)
 		r.Ordered(func() {
@@ -774,8 +817,8 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 		acc := make([]KmerData, len(hh.keys))
 		s := &segs[r.ID]
 		w := binWeights.Get().(*[Bins]int64)
-		emit := func(minv uint64, record []byte, nwin int) {
-			bin := kmer.MinimizerHash(minv) % Bins
+		emit := func(mh uint64, record []byte, nwin int) {
+			bin := mh % Bins
 			w[bin] += int64(nwin)
 			s.add(int(bin), nwin, record)
 			skRecords[r.ID]++
@@ -867,7 +910,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 					if agg.Count > 0 {
 						distinct[r.ID]++
 					}
-					moved += settle(own, hh.keys[i].Hash(hashSeed), hh.keys[i], agg, opt.MinCount)
+					moved += settle(own, hh.keys[i], agg, opt.MinCount)
 				}
 			})
 			r.ChargeStoreBatch(r.ID, moved, moved*kmerItemBytes)

@@ -124,29 +124,42 @@ func BenchmarkSketchPass(b *testing.B) {
 	}
 }
 
-// BenchmarkStage1 is a whole Run — sketch, partition, count —
-// on a human-like input at the human workload's rank count and on a
-// wheat-like one (heavy hitters in most runs) at the wheat workload's, per
-// k-mer window.
+// BenchmarkStage1 is a whole Run — sketch, partition, count — per k-mer
+// window: on a human-like input at the human workload's rank count, on a
+// wheat-like one (heavy hitters in most runs) at the wheat workload's, and
+// on a metagenome at the meta workload's last k, 55, where a k-mer takes
+// both words.
 func BenchmarkStage1(b *testing.B) {
-	for _, c := range []struct {
-		name  string
-		ranks int
-		gen   func(*xrt.Prng, int) []byte
-		opt   Options
-	}{
-		{"human/ranks=32", 32, genome.HumanLike, Options{K: 31, HeavyHitters: true}},
-		{"wheat/ranks=96", 96, genome.WheatLike, Options{K: 31, HeavyHitters: true, Theta: 2000}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
+	pairs := func(gen func(*xrt.Prng, int) []byte) func() []fastq.Record {
+		return func() []fastq.Record {
 			rng := xrt.NewPrng(8)
-			recs, _ := genome.SimulatePairs(rng, c.gen(rng, 40000), genome.SimOptions{
+			recs, _ := genome.SimulatePairs(rng, gen(rng, 40000), genome.SimOptions{
 				Coverage: 25,
 				Lib:      genome.Library{Name: "b", ReadLen: 100, InsertMean: 300, InsertSD: 20},
 				Err:      genome.DefaultErrorModel(),
 			})
+			return recs
+		}
+	}
+	meta := func() []fastq.Record {
+		rng := xrt.NewPrng(8)
+		gs, ab := genome.Metagenome(rng, 40000, 15)
+		return genome.SimulateMetagenome(rng, gs, ab, 6000,
+			genome.Library{Name: "m", ReadLen: 100, InsertMean: 300, InsertSD: 30}, genome.DefaultErrorModel())
+	}
+	for _, c := range []struct {
+		name  string
+		ranks int
+		reads func() []fastq.Record
+		opt   Options
+	}{
+		{"human/ranks=32", 32, pairs(genome.HumanLike), Options{K: 31, HeavyHitters: true}},
+		{"wheat/ranks=96", 96, pairs(genome.WheatLike), Options{K: 31, HeavyHitters: true, Theta: 2000}},
+		{"meta-k55/ranks=32", 32, meta, Options{K: 55, HeavyHitters: true}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			team := xrt.NewTeam(xrt.Config{Ranks: c.ranks, RanksPerNode: 24})
-			reads := splitReads(recs, c.ranks)
+			reads := splitReads(c.reads(), c.ranks)
 			var windows int64
 			b.ReportAllocs()
 			b.ResetTimer()

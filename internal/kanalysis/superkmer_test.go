@@ -2,6 +2,8 @@ package kanalysis
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -224,5 +226,164 @@ func TestEffectiveMinimizerLen(t *testing.T) {
 			t.Errorf("EffectiveMinimizerLen(%d, %d, %v) = %d, want %d",
 				c.k, c.m, c.disable, got, c.want)
 		}
+	}
+}
+
+// orderInbox is an inbox of read and weighted pseudo-read records from
+// four senders, a few hundred bytes to a message, filed out of sender
+// order, as count finds it once it has sorted its messages by sender.
+func orderInbox(t *testing.T, k int) []inboxMsg {
+	t.Helper()
+	_, recs := simReads(t, 21, 5000, 8, genome.DefaultErrorModel())
+	m := kmer.ClampMinimizerLen(k, 0)
+	var msgs []inboxMsg
+	var pending [4][]byte
+	var buf []byte
+	for i, rec := range recs {
+		src := (i * 7) % 4
+		w := 0
+		if i%5 == 0 {
+			rec, w = fastq.Record{Seq: rec.Seq}, 1+i%200
+		}
+		forEachSuperKmer(rec, w, k, m, newHeavySet(nil, k, m), nil, func(_ uint64, record []byte, _ int) {
+			if pending[src] = append(pending[src], record...); len(pending[src]) > 300 {
+				msgs = append(msgs, inboxMsg{src, pending[src]})
+				pending[src] = nil
+			}
+		}, &buf)
+	}
+	for src, p := range pending {
+		msgs = append(msgs, inboxMsg{src, p})
+	}
+	slices.SortStableFunc(msgs, func(a, b inboxMsg) int { return a.src - b.src })
+	return msgs
+}
+
+// TestSortRecordsMatchesComparisonSort: the in-place counting sort lists an
+// inbox's records exactly as a comparison sort of (bin, message, offset)
+// words does, a record's bin computed from its decoded first window with
+// Kmer.Minimizer, and ends each bin where its last record is — twice on one
+// tally, as the pool reuses it.
+func TestSortRecordsMatchesComparisonSort(t *testing.T) {
+	const k = 21
+	m := kmer.ClampMinimizerLen(k, 0)
+	msgs := orderInbox(t, k)
+	type rec struct{ bin, msg, off int }
+	var want []rec
+	for i, msg := range msgs {
+		for off := 0; off < len(msg.payload); {
+			n := kmer.SuperKmerRecordLen(msg.payload[off:])
+			var first kmer.Kmer
+			seen := false
+			kmer.DecodeSuperKmers(msg.payload[off:off+n], k, func(km kmer.Kmer, _, _ uint8) {
+				if !seen {
+					first, seen = km, true
+				}
+			})
+			want = append(want, rec{int(kmer.MinimizerHash(first.Minimizer(k, m)) % Bins), i, off})
+			off += n
+		}
+	}
+	slices.SortFunc(want, func(a, b rec) int {
+		return cmp.Or(cmp.Compare(a.bin, b.bin), cmp.Compare(a.msg, b.msg), cmp.Compare(a.off, b.off))
+	})
+	if len(want) < 1000 || want[0].bin == want[len(want)-1].bin {
+		t.Fatalf("%d records: the inbox exercises no sort", len(want))
+	}
+	var tl tally
+	for round := 0; round < 2; round++ {
+		offBits := tl.sortRecords(msgs, k, m)
+		if len(tl.order) != len(want) {
+			t.Fatalf("round %d: %d records listed, the inbox has %d", round, len(tl.order), len(want))
+		}
+		for j, e := range tl.order {
+			if got := (rec{want[j].bin, int(e >> offBits), int(e & (1<<offBits - 1))}); got != want[j] {
+				t.Fatalf("round %d: record %d is message %d offset %d, want %+v", round, j, got.msg, got.off, want[j])
+			}
+		}
+		for b, end := range tl.ends {
+			if n, _ := slices.BinarySearchFunc(want, b+1, func(r rec, b int) int { return cmp.Compare(r.bin, b) }); int(end) != n {
+				t.Fatalf("round %d: bin %d ends at %d, want %d", round, b, end, n)
+			}
+		}
+	}
+}
+
+// TestCountSlotOrder: the count pass stores its survivors bin by bin, in
+// the order a bin's records and their windows first show each k-mer — the
+// order a serial walk of the records in (bin, sender, send order) finds
+// them — so the owner's slot array is the one that walk's inserts build.
+func TestCountSlotOrder(t *testing.T) {
+	const k, minCount = 21, 2
+	m := kmer.ClampMinimizerLen(k, 0)
+	msgs := orderInbox(t, k)
+
+	// The serial walk: records by bin, then in message order; every window
+	// canonical, counted at its record's weight; a bin's survivors in the
+	// order of their first sighting.
+	type rec struct {
+		bin    uint64
+		record []byte
+	}
+	var recs []rec
+	for _, msg := range msgs {
+		for p := msg.payload; len(p) > 0; {
+			n := kmer.SuperKmerRecordLen(p)
+			var first kmer.Kmer
+			seen := false
+			kmer.DecodeSuperKmers(p[:n], k, func(km kmer.Kmer, _, _ uint8) {
+				if !seen {
+					first, seen = km, true
+				}
+			})
+			recs = append(recs, rec{kmer.MinimizerHash(first.Minimizer(k, m)) % Bins, p[:n]})
+			p = p[n:]
+		}
+	}
+	slices.SortStableFunc(recs, func(a, b rec) int { return cmp.Compare(a.bin, b.bin) })
+	var want []kmer.Kmer
+	for len(recs) > 0 {
+		n := 1
+		for n < len(recs) && recs[n].bin == recs[0].bin {
+			n++
+		}
+		counts := make(map[kmer.Kmer]uint32)
+		var firstSeen []kmer.Kmer
+		for _, r := range recs[:n] {
+			w := uint32(max(kmer.SuperKmerWeight(r.record), 1))
+			kmer.DecodeSuperKmers(r.record, k, func(km kmer.Kmer, _, _ uint8) {
+				c, _ := km.Canonical(k)
+				if counts[c] == 0 {
+					firstSeen = append(firstSeen, c)
+				}
+				counts[c] += w
+			})
+		}
+		for _, km := range firstSeen {
+			if counts[km] >= minCount {
+				want = append(want, km)
+			}
+		}
+		recs = recs[n:]
+	}
+
+	team := xrt.NewTeam(xrt.Config{Ranks: 1})
+	got, serial := NewTable(team, 0, 0, 0, k, m), NewTable(team, 0, 0, 0, k, m)
+	team.Run(func(r *xrt.Rank) {
+		in := &inbox{msgs: msgs}
+		got.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) { in.count(k, m, minCount, new(tally), own, r) })
+		serial.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
+			for _, km := range want {
+				own.Entry(km.Hash(hashSeed), km).Upsert()
+			}
+		})
+	})
+	var gotOrder, wantOrder []kmer.Kmer
+	team.Run(func(r *xrt.Rank) {
+		got.LocalRange(r, func(km kmer.Kmer, _ KmerData) bool { gotOrder = append(gotOrder, km); return true })
+		serial.LocalRange(r, func(km kmer.Kmer, _ KmerData) bool { wantOrder = append(wantOrder, km); return true })
+	})
+	if len(want) < 1000 || !slices.Equal(gotOrder, wantOrder) {
+		t.Fatalf("the count's shard holds %d k-mers in an order the serial walk's %d inserts do not give", len(gotOrder), len(want))
 	}
 }

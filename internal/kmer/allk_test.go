@@ -1,6 +1,7 @@
 package kmer
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -147,6 +148,61 @@ func TestStrandsRollAllK(t *testing.T) {
 	}
 }
 
+// TestMinimizerAllK: at every k and every minimizer length m ≤ k the
+// packed-word Minimizer equals the per-base roll of both strands' m-mers,
+// on the adversarial and random windows of seqsForK.
+func TestMinimizerAllK(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for k := 1; k <= MaxK; k++ {
+		for _, seq := range seqsForK(rng, k) {
+			km, _ := Pack(seq, k)
+			for m := 1; m <= min(k, MaxMinimizerLen); m++ {
+				if got, want := km.Minimizer(k, m), minimizerRoll(km, k, m); got != want {
+					t.Fatalf("k=%d m=%d %s: Minimizer %x, the per-base roll %x", k, m, seq, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestScanSuperKmersAllK: at every k, at the minimizer length
+// ClampMinimizerLen gives, every window of a run ScanSuperKmers reports
+// has the run's minimizer, every window ForEach visits is in exactly one
+// run, in order, and adjacent runs differ in minimizer — on reads with Ns,
+// lower case and low-complexity stretches, where m-mer ties are common.
+func TestScanSuperKmersAllK(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for k := 1; k <= MaxK; k++ {
+		m := ClampMinimizerLen(k, 0)
+		reads := append(readsForScan(rng, k), bytes.Repeat([]byte("ACGTTA"), 30),
+			append(bytes.Repeat([]byte("A"), 70), randSeq(rng, 60)...), bytes.Repeat([]byte("CG"), 90))
+		for _, seq := range reads {
+			var want []int
+			ForEach(seq, k, func(pos int, _ Kmer) { want = append(want, pos) })
+			i, lastEnd, lastMin := 0, -1, uint64(0)
+			ScanSuperKmers(seq, k, m, func(start, nwin int, minv uint64) {
+				if start == lastEnd && minv == lastMin {
+					t.Fatalf("k=%d %q: adjacent runs at %d share minimizer %x", k, seq, start, minv)
+				}
+				for w := start; w < start+nwin; w++ {
+					if i >= len(want) || want[i] != w {
+						t.Fatalf("k=%d %q: run window %d is not ForEach's window %d", k, seq, w, i)
+					}
+					i++
+					km, _ := Pack(seq[w:], k)
+					if got := minimizerRoll(km, k, m); got != minv {
+						t.Fatalf("k=%d %q: window %d has minimizer %x, its run %x", k, seq, w, got, minv)
+					}
+				}
+				lastEnd, lastMin = start+nwin, minv
+			})
+			if i != len(want) {
+				t.Fatalf("k=%d %q: the runs cover %d windows, ForEach visits %d", k, seq, i, len(want))
+			}
+		}
+	}
+}
+
 // readsForScan yields reads that exercise every branch of the rolling
 // scanner at window length k: an N inside, at either end, and doubled;
 // lower-case stretches; a read shorter than k; one of exactly k bases.
@@ -217,10 +273,10 @@ func TestForEachCanonicalAllK(t *testing.T) {
 	}
 }
 
-// TestDecodeCanonicalAllK: at every k the canonical decode equals
-// DecodeSuperKmers followed by Canonical with the evidence swapped and
+// TestDecodeCanonicalAllK: at every k the cursor's canonical window equals
+// its window as read followed by Canonical with the evidence swapped and
 // complemented on a flip, over payloads of several records encoded from
-// reads with Ns and lower case.
+// reads with Ns and lower case; and the windows as read are DecodeSuperKmers'.
 func TestDecodeCanonicalAllK(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for k := 1; k <= MaxK; k++ {
@@ -236,30 +292,43 @@ func TestDecodeCanonicalAllK(t *testing.T) {
 			})
 		}
 		type win struct {
-			canon       Kmer
+			km          Kmer
 			left, right uint8
 		}
 		var want []win
 		n, err := DecodeSuperKmers(payload, k, func(km Kmer, left, right uint8) {
-			c, flipped := km.Canonical(k)
-			if flipped {
-				left, right = ComplementExt(right), ComplementExt(left)
-			}
-			want = append(want, win{c, left, right})
+			want = append(want, win{km, left, right})
 		})
 		if err != nil || n != len(want) {
 			t.Fatalf("k=%d: DecodeSuperKmers: %d windows, err %v", k, n, err)
 		}
 		i := 0
-		n, err = DecodeSuperKmersCanonical(payload, k, func(canon Kmer, left, right uint8) {
-			if i >= len(want) || want[i] != (win{canon, left, right}) {
-				t.Fatalf("k=%d: canonical decode window %d = (%s,%d,%d), want (%s,%d,%d)", k, i,
-					canon.String(k), left, right, want[i].canon.String(k), want[i].left, want[i].right)
+		var c SuperKmerCursor
+		c.Reset(payload, k)
+		for c.NextRecord() {
+			for c.Next() {
+				if i >= len(want) {
+					t.Fatalf("k=%d: the cursor walks past DecodeSuperKmers' %d windows", k, len(want))
+				}
+				km, left, right := c.Window()
+				if (win{km, left, right}) != want[i] {
+					t.Fatalf("k=%d: window %d as read = (%s,%d,%d), want (%s,%d,%d)", k, i,
+						km.String(k), left, right, want[i].km.String(k), want[i].left, want[i].right)
+				}
+				canon, flipped := km.Canonical(k)
+				if flipped {
+					left, right = ComplementExt(right), ComplementExt(left)
+				}
+				gc, gl, gr := c.Canonical()
+				if (win{gc, gl, gr}) != (win{canon, left, right}) {
+					t.Fatalf("k=%d: canonical window %d = (%s,%d,%d), want (%s,%d,%d)", k, i,
+						gc.String(k), gl, gr, canon.String(k), left, right)
+				}
+				i++
 			}
-			i++
-		})
-		if err != nil || n != len(want) || i != len(want) {
-			t.Fatalf("k=%d: canonical decode: %d windows delivered, %d returned, want %d, err %v", k, i, n, len(want), err)
+		}
+		if c.Err() != nil || i != len(want) {
+			t.Fatalf("k=%d: the cursor walked %d windows, want %d, err %v", k, i, len(want), c.Err())
 		}
 	}
 }
@@ -277,6 +346,8 @@ func BenchmarkForEachCanonical(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkDecodeCanonical walks a payload of read records with the cursor,
+// canonical form and evidence per window, as the owner's count does.
 func BenchmarkDecodeCanonical(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	const k = 31
@@ -296,9 +367,15 @@ func BenchmarkDecodeCanonical(b *testing.B) {
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeSuperKmersCanonical(payload, k, func(canon Kmer, l, r uint8) {
-			sink += canon.W[0] + uint64(l+r)
-		}); err != nil {
+		var c SuperKmerCursor
+		c.Reset(payload, k)
+		for c.NextRecord() {
+			for c.Next() {
+				canon, l, r := c.Canonical()
+				sink += canon.W[0] + uint64(l+r)
+			}
+		}
+		if err := c.Err(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,34 +54,42 @@ func MinimizerHash(v uint64) uint64 { return splitmix(v ^ 0x51edbead) }
 // low 2m bits. It is invariant under RevComp: km.Minimizer(k,m) ==
 // km.RevComp(k).Minimizer(k,m). O(k); the streaming scanner below keeps
 // per-window cost O(1), this form serves placement of single keys (Get /
-// Mutate on the k-mer table) and property tests.
+// Mutate on the k-mer table), the bin of a super-k-mer record
+// (SuperKmerCursor.Minimizer) and property tests.
 func (km Kmer) Minimizer(k, m int) uint64 {
-	mask := uint64(1)<<(2*uint(m)) - 1
-	rcShift := 2 * uint(m-1)
-	var fwd, rc uint64
-	best := ^uint64(0)
-	for i := 0; i < k; i++ {
-		c := km.Base(i)
-		fwd = (fwd<<2 | c) & mask
-		rc = rc>>2 | (3-c)<<rcShift
-		if i >= m-1 {
-			v := fwd
-			if rc < v {
-				v = rc
-			}
-			if v < best {
-				best = v
-			}
-		}
-	}
-	return best
+	return strandsMinimizer(km, km.RevComp(k), k, m)
 }
 
-// mmerPos is one monotone-deque entry: the canonical value of the m-mer
-// whose window starts at base index pos.
-type mmerPos struct {
-	pos int
-	val uint64
+// strandsMinimizer is Kmer.Minimizer of a window fw whose reverse
+// complement is rc. A window's canonical m-mers are the pairs
+// min(fwd, revcomp) at each offset, and the reverse complements of its
+// m-mers are exactly the m-mers of rc, so the minimizer is the smallest
+// m-mer of either strand. Each strand is shifted down so that its last
+// base is the lowest pair of bits; its m-mers are then the low 2m bits as
+// it shifts on down, two bits a step, with constant shifts only.
+func strandsMinimizer(fw, rc Kmer, k, m int) uint64 {
+	mask := uint64(1)<<(2*uint(m)) - 1
+	if k <= 32 {
+		s := uint(64 - 2*k)
+		f, r := fw.W[0]>>s, rc.W[0]>>s
+		bf, br := f&mask, r&mask
+		for j := m; j < k; j++ {
+			f, r = f>>2, r>>2
+			bf, br = min(bf, f&mask), min(br, r&mask)
+		}
+		return min(bf, br)
+	}
+	// Two words: (f0, f1) and (r0, r1) are the strands as 128-bit values.
+	s := uint(128 - 2*k)
+	f0, f1 := fw.W[0]>>s, fw.W[1]>>s|fw.W[0]<<(64-s)
+	r0, r1 := rc.W[0]>>s, rc.W[1]>>s|rc.W[0]<<(64-s)
+	bf, br := f1&mask, r1&mask
+	for j := m; j < k; j++ {
+		f0, f1 = f0>>2, f1>>2|f0<<62
+		r0, r1 = r0>>2, r1>>2|r0<<62
+		bf, br = min(bf, f1&mask), min(br, r1&mask)
+	}
+	return min(bf, br)
 }
 
 // ScanSuperKmers segments seq into super-k-mers: for every maximal run of
@@ -90,8 +98,12 @@ type mmerPos struct {
 // [start, start+nwin+k-1) and its nwin windows are exactly the k-mers
 // starting at start..start+nwin-1. Windows containing non-ACGT characters
 // are skipped, exactly as in ForEach: every window ForEach visits belongs
-// to exactly one reported run. The sliding-window minimum is maintained
-// with a monotone deque, so a scan is O(len(seq)).
+// to exactly one reported run.
+//
+// The sliding-window minimum keeps the window's smallest m-mer and the
+// last position holding it, and rescans the window's k−m+1 m-mers only
+// when that position leaves it: on random sequence about once per
+// (k−m+2)/2 windows, and never more than once per window.
 func ScanSuperKmers(seq []byte, k, m int, fn func(start, nwin int, minimizer uint64)) {
 	if len(seq) < k || k <= 0 || k > MaxK || m <= 0 || m > k || m > MaxMinimizerLen {
 		return
@@ -99,68 +111,57 @@ func ScanSuperKmers(seq []byte, k, m int, fn func(start, nwin int, minimizer uin
 	mask := uint64(1)<<(2*uint(m)) - 1
 	rcShift := 2 * uint(m-1)
 
-	// Deque of m-mer candidates with strictly increasing values. One
-	// window holds at most k−m+1 ≤ MaxK of them; the ring is the next
-	// power of two so that wrapping is a mask. Lives on the stack.
-	const ringMask = 2*MaxK - 1
-	var ring [ringMask + 1]mmerPos
-	head, tail := 0, 0 // [head, tail) in ring, modulo len(ring)
-	push := func(e mmerPos) {
-		for tail != head {
-			prev := (tail - 1) & ringMask
-			if ring[prev].val < e.val {
-				break
-			}
-			tail = prev
-		}
-		ring[tail] = e
-		tail = (tail + 1) & ringMask
-	}
-
+	// The canonical m-mers of the last 64 positions, by position mod 64: a
+	// window holds k−m+1 ≤ MaxK of them. Lives on the stack.
+	var vals [MaxK]uint64
 	var fwd, rc uint64
-	run := 0            // consecutive valid bases ending at i
-	runStart := -1      // start of the pending super-k-mer, -1 if none
-	runWins := 0        // windows accumulated in the pending run
-	runMin := uint64(0) // minimizer of the pending run
-	flush := func() {
-		if runWins > 0 {
-			fn(runStart, runWins, runMin)
-		}
-		runStart, runWins = -1, 0
-	}
+	run := 0                         // consecutive valid bases ending at i
+	minPos, minVal := -1, ^uint64(0) // the window's smallest m-mer, last position holding it
+	runStart, runWins := 0, 0        // the pending super-k-mer, none while runWins is 0,
+	runMin := uint64(0)              // and its minimizer
 	for i := 0; i < len(seq); i++ {
 		c := uint64(baseCodes[seq[i]])
 		if c > 3 {
-			flush()
-			run = 0
-			head, tail = 0, 0
-			fwd, rc = 0, 0
+			if runWins > 0 {
+				fn(runStart, runWins, runMin)
+			}
+			run, runWins, minVal = 0, 0, ^uint64(0)
 			continue
 		}
 		run++
 		fwd = (fwd<<2 | c) & mask
 		rc = rc>>2 | (3-c)<<rcShift
-		if run >= m {
-			v := fwd
-			if rc < v {
-				v = rc
-			}
-			push(mmerPos{pos: i - m + 1, val: v})
+		if run < m {
+			continue
+		}
+		p := i - m + 1 // the m-mer just completed starts here
+		v := min(fwd, rc)
+		vals[p&(MaxK-1)] = v
+		if v <= minVal {
+			minPos, minVal = p, v
 		}
 		if run < k {
 			continue
 		}
 		w := i - k + 1 // current k-mer window start
-		for head != tail && ring[head].pos < w {
-			head = (head + 1) & ringMask
+		if minPos < w {
+			minVal = ^uint64(0)
+			for q := w; q <= p; q++ {
+				if x := vals[q&(MaxK-1)]; x <= minVal {
+					minPos, minVal = q, x
+				}
+			}
 		}
-		minv := ring[head].val
-		if runWins > 0 && minv == runMin {
+		if runWins > 0 && minVal == runMin {
 			runWins++
 			continue
 		}
-		flush()
-		runStart, runWins, runMin = w, 1, minv
+		if runWins > 0 {
+			fn(runStart, runWins, runMin)
+		}
+		runStart, runWins, runMin = w, 1, minVal
 	}
-	flush()
+	if runWins > 0 {
+		fn(runStart, runWins, runMin)
+	}
 }

@@ -44,6 +44,24 @@ func TestClampMinimizerLen(t *testing.T) {
 	}
 }
 
+// minimizerRoll is Kmer.Minimizer as a per-base roll of both strands
+// m-mers, kept as the oracle of the word-sliding forms.
+func minimizerRoll(km Kmer, k, m int) uint64 {
+	mask := uint64(1)<<(2*uint(m)) - 1
+	rcShift := 2 * uint(m-1)
+	var fwd, rc uint64
+	best := ^uint64(0)
+	for i := 0; i < k; i++ {
+		c := km.Base(i)
+		fwd = (fwd<<2 | c) & mask
+		rc = rc>>2 | (3-c)<<rcShift
+		if i >= m-1 {
+			best = min(best, fwd, rc)
+		}
+	}
+	return best
+}
+
 // TestMinimizerRCInvariance: the canonical minimizer is a strand-invariant
 // property of the k-mer window.
 func TestMinimizerRCInvariance(t *testing.T) {

@@ -1,8 +1,8 @@
 // The rolling k-mer scanner: the one place a window's packed forward and
 // reverse-complement words are maintained. Every per-window producer of
-// the package — ForEach, ForEachCanonical, DecodeSuperKmers,
-// DecodeSuperKmersCanonical, Strands — is a view of it, so canonical form
-// costs one two-word compare per window instead of a RevComp from scratch.
+// the package — ForEach, ForEachCanonical, SuperKmerCursor, Strands — is
+// a view of it, so canonical form costs one two-word compare per window
+// instead of a RevComp from scratch.
 package kmer
 
 import (
@@ -151,62 +151,178 @@ func ForEachCanonical(seq []byte, k int, fn func(pos int, canon Kmer, flipped bo
 	})
 }
 
-// decode walks the super-k-mer records of payload (see superkmer.go for
-// the frame) and reports every window with both strands and the read-
-// oriented extension evidence on its two sides; strands as in scan.
-func decode(payload []byte, k int, fn func(f0, f1, r0, r1 uint64, left, right uint8)) (windows int, err error) {
+// SuperKmerCursor walks a payload of super-k-mer records (see superkmer.go
+// for the frame) record by record and window by window: NextRecord opens
+// the next record, Next moves to its next window, and Window or Canonical
+// read that window with its extension evidence. It is the one parser of
+// the frame: opening a record validates all of it before any of its
+// windows is reported, and a framing error (a run shorter than k, a
+// truncated record, a zero weight, trailing bytes) ends the walk with Err
+// set. The zero value walks nothing; Reset points it at a payload.
+//
+//	var c SuperKmerCursor
+//	c.Reset(payload, k)
+//	for c.NextRecord() {
+//		for c.Next() {
+//			km, left, right := c.Canonical()
+//		}
+//	}
+//	if err := c.Err(); err != nil { ... }
+type SuperKmerCursor struct {
+	rest []byte // the records not yet opened
+	size int    // the payload's length
+	k    int
+	err  error
+
+	// the open record
+	off         int // its offset in the payload
+	bases, mask []byte
+	flags       byte
+	weight      int
+	i, last     int    // the current window (-1 before the first) and the last
+	next        uint64 // base code i+k, the one the next window pushes
+	r           roller
+
+	// the current window's evidence as read, and the window canonical
+	// with its evidence oriented to match
+	left, right uint8
+	canon       Kmer
+	cl, cr      uint8
+}
+
+// Reset moves c to the start of payload, for windows of k bases.
+func (c *SuperKmerCursor) Reset(payload []byte, k int) {
+	c.rest, c.size, c.k, c.err = payload, len(payload), k, nil
+	c.i, c.last = -1, -1
 	if k <= 0 || k > MaxK {
-		return 0, fmt.Errorf("%w: k=%d", ErrBadSuperKmer, k)
+		c.rest, c.err = nil, fmt.Errorf("%w: k=%d", ErrBadSuperKmer, k)
+		return
 	}
-	rd := &skReader{b: payload}
-	for rd.off < len(rd.b) {
-		L := rd.u16()
-		flags := rd.u8()
-		if rd.bad || L < k {
-			return windows, fmt.Errorf("%w: run length %d below k=%d", ErrBadSuperKmer, L, k)
-		}
-		mask := rd.bytes((L + 2 + 7) / 8)
-		bases := rd.bytes((L + 3) / 4)
-		// a weighted record's trailer: a missing byte is truncation (below)
-		if flags&skFlagWeighted != 0 && rd.u8() == 0 && !rd.bad {
-			return windows, fmt.Errorf("%w: weight 0", ErrBadSuperKmer)
-		}
-		if rd.bad {
-			return windows, fmt.Errorf("%w: truncated record (L=%d)", ErrBadSuperKmer, L)
-		}
-		baseAt := func(j int) uint64 {
-			return uint64(bases[j>>2]) >> uint(6-2*(j&3)) & 3
-		}
-		bit := func(j int) bool {
-			return mask[j>>3]>>uint(j&7)&1 == 1
-		}
-		r := newRoller(k)
-		r.load(firstWindow(bases, k), k)
-		nwin := L - k + 1
-		for i := 0; i < nwin; i++ {
-			if i > 0 {
-				r.push(baseAt(i + k - 1))
-			}
-			left, right := ExtAbsent, ExtAbsent
-			if i == 0 {
-				if flags&skFlagLead != 0 && bit(0) {
-					left = flags >> 2 & 3
-				}
-			} else if bit(i) {
-				left = uint8(baseAt(i - 1))
-			}
-			if i == nwin-1 {
-				if flags&skFlagTrail != 0 && bit(L+1) {
-					right = flags >> 4 & 3
-				}
-			} else if bit(i + k + 1) {
-				right = uint8(baseAt(i + k))
-			}
-			fn(r.fw.W[0], r.fw.W[1], r.rc.W[0], r.rc.W[1], left, right)
-		}
-		windows += nwin
+	c.r = newRoller(k)
+}
+
+// Err reports the framing error that ended the walk, or nil.
+func (c *SuperKmerCursor) Err() error { return c.err }
+
+// NextRecord opens the next record and reports whether there is one; false
+// at the end of the payload or at a malformed record (Err). The cursor
+// then stands before the record's first window.
+func (c *SuperKmerCursor) NextRecord() bool {
+	c.i, c.last = -1, -1
+	p, k := c.rest, c.k
+	if len(p) == 0 || c.err != nil {
+		return false
 	}
-	return windows, nil
+	if len(p) < 3 {
+		c.err = fmt.Errorf("%w: truncated record header", ErrBadSuperKmer)
+		return false
+	}
+	L, flags := int(p[0])|int(p[1])<<8, p[2]
+	if L < k {
+		c.err = fmt.Errorf("%w: run length %d below k=%d", ErrBadSuperKmer, L, k)
+		return false
+	}
+	nm, nb := (L+2+7)/8, (L+3)/4
+	n := 3 + nm + nb + int(flags&skFlagWeighted)>>6
+	if len(p) < n {
+		c.err = fmt.Errorf("%w: truncated record (L=%d)", ErrBadSuperKmer, L)
+		return false
+	}
+	c.weight = 0
+	if flags&skFlagWeighted != 0 {
+		if c.weight = int(p[n-1]); c.weight == 0 {
+			c.err = fmt.Errorf("%w: weight 0", ErrBadSuperKmer)
+			return false
+		}
+	}
+	c.off = c.size - len(p)
+	c.mask, c.bases, c.flags, c.rest = p[3:3+nm], p[3+nm:3+nm+nb], flags, p[n:]
+	c.r.load(firstWindow(c.bases, k), k)
+	c.last = L - k
+	return true
+}
+
+// Offset returns the open record's offset in the payload.
+func (c *SuperKmerCursor) Offset() int { return c.off }
+
+// Weight returns the open record's weight: its trailer, or 0 when it is
+// unweighted (each window then stands for one occurrence).
+func (c *SuperKmerCursor) Weight() int { return c.weight }
+
+// Windows returns the number of windows of the open record.
+func (c *SuperKmerCursor) Windows() int { return c.last + 1 }
+
+// Minimizer returns the canonical minimizer (Kmer.Minimizer, at minimizer
+// length m) of the open record's first window, read off the two strands
+// the cursor already holds: the minimizer every window of a run
+// ScanSuperKmers reported shares, and so the bin its sender placed it by.
+// It must be called before Next moves past the first window.
+func (c *SuperKmerCursor) Minimizer(m int) uint64 {
+	return strandsMinimizer(c.r.fw, c.r.rc, c.k, m)
+}
+
+// Next moves to the open record's next window and reports whether there
+// is one. The window is rolled in, both sides' evidence read, and its
+// canonical form chosen here, once, whichever of Window and Canonical the
+// caller then reads.
+func (c *SuperKmerCursor) Next() bool {
+	i := c.i + 1
+	if i > c.last {
+		return false
+	}
+	c.i = i
+	mask := c.mask
+	left, right := ExtAbsent, ExtAbsent
+	if i == 0 {
+		if c.flags&skFlagLead != 0 && mask[0]&1 != 0 {
+			left = c.flags >> 2 & 3
+		}
+	} else {
+		// base i−1 is the one about to fall off the window's top
+		if mask[i>>3]>>uint(i&7)&1 != 0 {
+			left = uint8(c.r.fw.W[0] >> 62)
+		}
+		c.r.push(c.next)
+	}
+	// mask bit j+1 is the quality of base j = i+k, the right neighbour
+	j := i + c.k
+	if i == c.last {
+		if c.flags&skFlagTrail != 0 && mask[(j+1)>>3]>>uint((j+1)&7)&1 != 0 {
+			right = c.flags >> 4 & 3
+		}
+	} else {
+		c.next = uint64(c.bases[j>>2]) >> uint(6-2*(j&3)) & 3
+		if mask[(j+1)>>3]>>uint((j+1)&7)&1 != 0 {
+			right = uint8(c.next)
+		}
+	}
+	c.left, c.right = left, right
+
+	c0, c1, flipped := pick(c.r.fw.W[0], c.r.fw.W[1], c.r.rc.W[0], c.r.rc.W[1])
+	c.canon = Kmer{W: [2]uint64{c0, c1}}
+	// branch-free for the same reason as pick: on a flip the sides trade
+	// places, complemented
+	var m uint8
+	if flipped {
+		m = 0xff
+	}
+	c.cl = left ^ (left^ComplementExt(right))&m
+	c.cr = right ^ (right^ComplementExt(left))&m
+	return true
+}
+
+// Window returns the current window as read, with its read-oriented
+// extension evidence on each side: a base code 0..3, or ExtAbsent.
+func (c *SuperKmerCursor) Window() (km Kmer, left, right uint8) {
+	return c.r.fw, c.left, c.right
+}
+
+// Canonical returns the current window in canonical form with its
+// evidence oriented to match: when the canonical k-mer is the reverse
+// complement, the two sides are swapped and complemented — what a caller
+// of Window would do by hand after km.Canonical(k).
+func (c *SuperKmerCursor) Canonical() (canon Kmer, left, right uint8) {
+	return c.canon, c.cl, c.cr
 }
 
 // DecodeSuperKmers walks every record in payload (records are
@@ -214,38 +330,27 @@ func decode(payload []byte, k int, fn func(f0, f1, r0, r1 uint64, left, right ui
 // order, with the window's packed k-mer as read and its left/right
 // extension evidence (a base code 0..3, or ExtAbsent); a weighted record's
 // windows are reported once each (SuperKmerWeight reads the weight). The
-// k-mer is NOT canonicalized; DecodeSuperKmersCanonical is the variant
-// that is. Returns the number of windows delivered; a framing error (bad
-// length, truncated record, zero weight, trailing garbage) aborts the walk
-// with ErrBadSuperKmer.
+// k-mer is NOT canonicalized; SuperKmerCursor.Canonical is. Returns the
+// number of windows delivered; a framing error (bad length, truncated
+// record, zero weight, trailing garbage) aborts the walk with
+// ErrBadSuperKmer.
 func DecodeSuperKmers(payload []byte, k int, fn func(km Kmer, left, right uint8)) (windows int, err error) {
-	return decode(payload, k, func(f0, f1, _, _ uint64, left, right uint8) {
-		fn(Kmer{W: [2]uint64{f0, f1}}, left, right)
-	})
-}
-
-// DecodeSuperKmersCanonical is DecodeSuperKmers delivering each window in
-// canonical form with its evidence oriented to match: when the canonical
-// k-mer is the reverse complement, the two sides are swapped and
-// complemented — what a caller of DecodeSuperKmers would do by hand after
-// km.Canonical(k).
-func DecodeSuperKmersCanonical(payload []byte, k int, fn func(canon Kmer, left, right uint8)) (windows int, err error) {
-	return decode(payload, k, func(f0, f1, r0, r1 uint64, left, right uint8) {
-		c0, c1, flipped := pick(f0, f1, r0, r1)
-		// branch-free for the same reason as pick: on a flip the sides
-		// trade places, complemented
-		var m uint8
-		if flipped {
-			m = 0xff
+	var c SuperKmerCursor
+	c.Reset(payload, k)
+	for c.NextRecord() {
+		for c.Next() {
+			fn(c.Window())
+			windows++
 		}
-		l, r := ComplementExt(right), ComplementExt(left)
-		fn(Kmer{W: [2]uint64{c0, c1}}, left^(left^l)&m, right^(right^r)&m)
-	})
+	}
+	return windows, c.Err()
 }
 
 // ComplementExt complements an extension code as the decoders report it
 // (a base code 0..3), leaving ExtAbsent alone: what a side's evidence
 // becomes when the k-mer it belongs to is flipped.
-func ComplementExt(c uint8) uint8 { return compExt[c] }
+func ComplementExt(c uint8) uint8 { return compExt[c&7] }
 
-var compExt = [5]uint8{3, 2, 1, 0, ExtAbsent}
+// compExt is indexed by the low three bits so that a lookup needs no
+// bounds check.
+var compExt = [8]uint8{3, 2, 1, 0, ExtAbsent}

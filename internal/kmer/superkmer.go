@@ -3,9 +3,8 @@
 // One record carries a run of L bases covering L−k+1 overlapping k-mers
 // plus the extension evidence k-mer analysis needs from the enclosing
 // read: the bases immediately flanking the run and a per-position quality
-// bit. The frame is deterministic little-endian, decoded by a sticky-error
-// reader in the style of internal/ckpt (which this package cannot import
-// without a cycle):
+// bit. The frame is deterministic little-endian, parsed and validated in
+// one place, SuperKmerCursor (roll.go):
 //
 //	u16  L      run length in bases (k ≤ L ≤ 65535)
 //	u8   flags  bit0 hasLead, bit1 hasTrail,
@@ -26,6 +25,7 @@ package kmer
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // ExtAbsent is the left/right neighbor code DecodeSuperKmers reports when a
@@ -78,22 +78,20 @@ func SuperKmerWeight(record []byte) int {
 	return int(record[len(record)-1])
 }
 
-// SuperKmerMinimizer returns the canonical minimizer (Kmer.Minimizer) of
-// the first window of one whole record, as SuperKmerRecordLen cuts it:
-// the minimizer every window of the run shares, and so the bin its
-// sender placed it by, read without decoding the run.
-func SuperKmerMinimizer(record []byte, k, m int) uint64 {
-	L := int(record[0]) | int(record[1])<<8
-	return firstWindow(record[3+(L+2+7)/8:], k).Minimizer(k, m)
-}
-
 // firstWindow is the k-mer of the first k bases of a record's packed
 // bases, which are laid out exactly like a Kmer's words (first base in the
-// top bits), so it is a byte load, not k pushes.
+// top bits), so it is a word load, not k pushes.
 func firstWindow(bases []byte, k int) Kmer {
 	var first Kmer
-	for j, b := range bases[:(k+3)/4] {
-		first.W[j>>3] |= uint64(b) << uint(56-8*(j&7))
+	j := 0
+	if len(bases) >= 8 {
+		first.W[0], j = binary.BigEndian.Uint64(bases), 8
+		if k > 32 && len(bases) >= 16 {
+			first.W[1], j = binary.BigEndian.Uint64(bases[8:]), 16
+		}
+	}
+	for ; j < (k+3)/4; j++ {
+		first.W[j>>3] |= uint64(bases[j]) << uint(56-8*(j&7))
 	}
 	return first.mask(k)
 }
@@ -122,42 +120,74 @@ func AppendSuperKmer(dst []byte, seq, qual []byte, start, L, qualThresh int) (ou
 		}
 	}
 	base := len(dst)
+	dst = slices.Grow(dst, SuperKmerRecordBytes(L))
 	dst = append(dst, byte(L), byte(L>>8), flags)
+	dst = appendQualMask(dst, qual, start-1, L+2, qualThresh)
 
-	// Quality mask, built a 64-bit word at a time: stream bit j covers
-	// position start-1+j (lead, the run, trail) and lands LSB-first, so a
-	// word goes out little-endian.
-	var w uint64
-	for j := 0; j < L+2; j++ {
-		if p := start - 1 + j; p >= 0 && (qual == nil || p < len(qual) && int(qual[p])-33 >= qualThresh) {
-			w |= 1 << uint(j&63)
-		}
-		if j&63 == 63 {
-			dst = binary.LittleEndian.AppendUint64(dst, w)
-			w = 0
-		}
-	}
-	for rem := (L+2+7)/8 - (L+2)/64*8; rem > 0; rem-- {
-		dst = append(dst, byte(w))
-		w >>= 8
-	}
-
-	var cur byte
-	for j := 0; j < L; j++ {
-		c := baseCodes[seq[start+j]]
-		if c > 3 {
+	// The bases, four to a byte and so four per step: codes are 0..3 for
+	// ACGT and 4 otherwise, so one OR tells whether all four are bases.
+	run := seq[start : start+L]
+	for ; len(run) >= 4; run = run[4:] {
+		c0, c1, c2, c3 := baseCodes[run[0]], baseCodes[run[1]], baseCodes[run[2]], baseCodes[run[3]]
+		if c0|c1|c2|c3 > 3 {
 			return dst[:base], false
 		}
-		cur |= c << uint(6-2*(j&3))
-		if j&3 == 3 {
-			dst = append(dst, cur)
-			cur = 0
-		}
+		dst = append(dst, c0<<6|c1<<4|c2<<2|c3)
 	}
-	if L&3 != 0 {
+	if len(run) > 0 {
+		var cur byte
+		for j, b := range run {
+			c := baseCodes[b]
+			if c > 3 {
+				return dst[:base], false
+			}
+			cur |= c << uint(6-2*j)
+		}
 		dst = append(dst, cur)
 	}
 	return dst, true
+}
+
+// appendQualMask appends the quality mask of the n positions p0, p0+1, …
+// of a read, a byte per eight positions, LSB-first: a position's bit is
+// set when it is not before the read (p ≥ 0) and qual is nil or holds a
+// byte there of at least qualThresh+33. Bits past the n-th are clear.
+func appendQualMask(dst, qual []byte, p0, n, qualThresh int) []byte {
+	// Eight quality bytes x at once, against t = qualThresh+33: x ≥ t is
+	// the carry out of x + (256−t), which is computed below the top bit of
+	// each byte so no carry crosses into the next; the eight carries are
+	// then gathered into one byte by a multiply. A t above 255 adds 0 and
+	// carries nowhere; a t of 0 or below qualifies every byte.
+	const lo7, hi1 = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	all := qualThresh <= -33
+	c := uint64(0)
+	if !all && qualThresh <= 255-33 {
+		c = uint64(256-(qualThresh+33)) * 0x0101010101010101
+	}
+	for j := 0; j < n; j += 8 {
+		p := p0 + j
+		var b byte
+		inside := p >= 0 && p+8 <= len(qual)
+		switch {
+		case p >= 0 && qual == nil, inside && all:
+			b = 0xff
+		case inside:
+			x := binary.LittleEndian.Uint64(qual[p:])
+			carry := (x&c | (x|c)&((x&lo7)+(c&lo7))) & hi1
+			b = byte((carry >> 7) * 0x0102040810204080 >> 56)
+		default: // the read's ends
+			for i := 0; i < 8; i++ {
+				if q := p + i; q >= 0 && (qual == nil || q < len(qual) && int(qual[q])-33 >= qualThresh) {
+					b |= 1 << i
+				}
+			}
+		}
+		if rem := n - j; rem < 8 {
+			b &= 1<<rem - 1
+		}
+		dst = append(dst, b)
+	}
+	return dst
 }
 
 // AppendWeightedSuperKmer is AppendSuperKmer for a record each of whose
@@ -173,38 +203,4 @@ func AppendWeightedSuperKmer(dst []byte, seq, qual []byte, start, L, qualThresh,
 		out = append(out, byte(weight))
 	}
 	return out, ok
-}
-
-// skReader is a sticky bounds-checked cursor over a super-k-mer payload.
-type skReader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *skReader) fail() { r.bad = true }
-
-func (r *skReader) u8() byte {
-	if r.bad || r.off >= len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *skReader) u16() int {
-	lo, hi := r.u8(), r.u8()
-	return int(lo) | int(hi)<<8
-}
-
-func (r *skReader) bytes(n int) []byte {
-	if r.bad || n < 0 || len(r.b)-r.off < n {
-		r.fail()
-		return nil
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v
 }

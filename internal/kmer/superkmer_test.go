@@ -3,6 +3,7 @@ package kmer
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
 	"testing"
@@ -259,17 +260,31 @@ func FuzzSuperKmerDecode(f *testing.F) {
 		if k < 1 || k > MaxK {
 			return
 		}
-		wins, err := DecodeSuperKmers(payload, k, func(km Kmer, left, right uint8) {
-			if left > ExtAbsent || right > ExtAbsent {
-				t.Fatalf("extension code out of range: %d/%d", left, right)
+		wins := 0
+		var records [][2]int // each opened record's windows and weight
+		var c SuperKmerCursor
+		c.Reset(payload, k)
+		for c.NextRecord() {
+			records = append(records, [2]int{c.Windows(), c.Weight()})
+			for c.Next() {
+				_, left, right := c.Window()
+				_, cl, cr := c.Canonical()
+				if left > ExtAbsent || right > ExtAbsent || cl > ExtAbsent || cr > ExtAbsent {
+					t.Fatalf("extension code out of range: %d/%d, canonical %d/%d", left, right, cl, cr)
+				}
+				wins++
 			}
-		})
+		}
+		err := c.Err()
 		if err == nil && len(payload) > 0 && wins == 0 {
 			t.Fatal("non-empty payload decoded to zero windows without error")
 		}
+		if n, derr := DecodeSuperKmers(payload, k, func(Kmer, uint8, uint8) {}); n != wins || (derr == nil) != (err == nil) {
+			t.Fatalf("DecodeSuperKmers: %d windows, err %v; the cursor %d, err %v", n, derr, wins, err)
+		}
 		// A payload that decodes walks record by record into the same
 		// windows.
-		for rest := payload; err == nil && len(rest) > 0; {
+		for i, rest := 0, payload; err == nil && len(rest) > 0; i++ {
 			n := SuperKmerRecordLen(rest)
 			if n == 0 {
 				t.Fatal("a decodable payload does not walk record by record")
@@ -281,6 +296,10 @@ func FuzzSuperKmerDecode(f *testing.F) {
 			if weighted := rest[2]&skFlagWeighted != 0; weighted != (SuperKmerWeight(rest[:n]) > 0) {
 				t.Fatalf("record flagged weighted %v has weight %d", weighted, SuperKmerWeight(rest[:n]))
 			}
+			if records[i] != [2]int{w, SuperKmerWeight(rest[:n])} {
+				t.Fatalf("record %d: the cursor opened %d windows of weight %d, the record has %d of %d",
+					i, records[i][0], records[i][1], w, SuperKmerWeight(rest[:n]))
+			}
 			wins -= w
 			rest = rest[n:]
 		}
@@ -290,6 +309,148 @@ func FuzzSuperKmerDecode(f *testing.F) {
 		// err != nil is fine — the decoder must only never panic and
 		// never report windows beyond what the payload frames.
 	})
+}
+
+// appendSuperKmerRef is AppendSuperKmer as it was before it packed four
+// bases per step and built the quality mask a byte at a time — one bit
+// per position into a 64-bit word, one base per step — kept as the oracle
+// of the record bytes.
+func appendSuperKmerRef(dst []byte, seq, qual []byte, start, L, qualThresh int) (out []byte, ok bool) {
+	if L < 1 || L > MaxSuperKmerBases || start < 0 || start+L > len(seq) {
+		return dst, false
+	}
+	flags := byte(0)
+	if p := start - 1; p >= 0 {
+		if c := baseCodes[seq[p]]; c < 4 {
+			flags |= skFlagLead | c<<2
+		}
+	}
+	if p := start + L; p < len(seq) {
+		if c := baseCodes[seq[p]]; c < 4 {
+			flags |= skFlagTrail | c<<4
+		}
+	}
+	base := len(dst)
+	dst = append(dst, byte(L), byte(L>>8), flags)
+	var w uint64
+	for j := 0; j < L+2; j++ {
+		if p := start - 1 + j; p >= 0 && (qual == nil || p < len(qual) && int(qual[p])-33 >= qualThresh) {
+			w |= 1 << uint(j&63)
+		}
+		if j&63 == 63 {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+			w = 0
+		}
+	}
+	for rem := (L+2+7)/8 - (L+2)/64*8; rem > 0; rem-- {
+		dst = append(dst, byte(w))
+		w >>= 8
+	}
+	var cur byte
+	for j := 0; j < L; j++ {
+		c := baseCodes[seq[start+j]]
+		if c > 3 {
+			return dst[:base], false
+		}
+		cur |= c << uint(6-2*(j&3))
+		if j&3 == 3 {
+			dst = append(dst, cur)
+			cur = 0
+		}
+	}
+	if L&3 != 0 {
+		dst = append(dst, cur)
+	}
+	return dst, true
+}
+
+// checkEncoderMatchesRef encodes seq[start:start+L] at weight w after a
+// one-byte prefix with AppendWeightedSuperKmer and with the reference
+// encoder, and fails unless both accept or refuse it and write the same
+// bytes.
+func checkEncoderMatchesRef(t *testing.T, seq, qual []byte, start, L, thresh, w int) {
+	t.Helper()
+	got, ok := AppendWeightedSuperKmer([]byte{0xa5}, seq, qual, start, L, thresh, w)
+	want, wantOK := appendSuperKmerRef([]byte{0xa5}, seq, qual, start, L, thresh)
+	if wantOK && w > 0 {
+		want[1+2] |= skFlagWeighted
+		want = append(want, byte(w))
+	}
+	if ok != wantOK || !bytes.Equal(got, want) {
+		t.Fatalf("seq %q qual %q start %d L %d thresh %d weight %d:\n got  %v %x\n want %v %x",
+			seq, qual, start, L, thresh, w, ok, got, wantOK, want)
+	}
+}
+
+// fuzzRead turns fuzz bytes into a read of ACGT in both cases with Ns and
+// a quality string that is nil, the raw bytes (too short, or too long), or
+// exactly as long as the read.
+func fuzzRead(raw, rawQual []byte, mode uint8) (seq, qual []byte) {
+	const alphabet = "ACGTACGTACGTacgtNn"
+	seq = make([]byte, len(raw))
+	for i, b := range raw {
+		seq[i] = alphabet[int(b)%len(alphabet)]
+	}
+	switch mode % 3 {
+	case 1:
+		qual = rawQual
+	case 2:
+		qual = make([]byte, len(seq))
+		for i := range qual {
+			if len(rawQual) > 0 {
+				qual[i] = rawQual[i%len(rawQual)]
+			}
+		}
+	}
+	return seq, qual
+}
+
+// FuzzAppendSuperKmer: the encoder writes the reference encoder's bytes
+// for any read, quality string, run (at the read's start and end, out of
+// range too), threshold and weight 0–255.
+func FuzzAppendSuperKmer(f *testing.F) {
+	f.Add([]byte("ACGTACGTTTGACCAGTNACGTAGGCATTACGATCGATCGGGATCCATTAG"), []byte("I5#+I?(0I@"), uint16(0), uint16(40), int16(19), uint8(0), uint8(2))
+	f.Add([]byte("acgtACGTTTGACCAGTTACGTAGGCATTACGATCGATCGGGATCCATTAG"), []byte("II"), uint16(3), uint16(48), int16(19), uint8(7), uint8(1))
+	f.Add(bytes.Repeat([]byte("GATTACA"), 40), []byte{}, uint16(200), uint16(80), int16(-40), uint8(255), uint8(0))
+	f.Add(bytes.Repeat([]byte("TTAGC"), 30), bytes.Repeat([]byte{255, 0, 52, 51}, 10), uint16(10), uint16(140), int16(250), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, raw, rawQual []byte, start, L uint16, thresh int16, w, mode uint8) {
+		seq, qual := fuzzRead(raw, rawQual, mode)
+		s, n := int(start)%(len(seq)+2), int(L)%(len(seq)+3)
+		if mode&4 != 0 { // a run that ends the read
+			s = max(len(seq)-n, 0)
+		}
+		checkEncoderMatchesRef(t, seq, qual, s, n, int(thresh), int(w))
+	})
+}
+
+// TestAppendSuperKmerMatchesReference is FuzzAppendSuperKmer over a fixed
+// draw of reads, runs, thresholds and weights.
+func TestAppendSuperKmerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 3000; trial++ {
+		raw, rawQual := make([]byte, 1+rng.Intn(300)), make([]byte, rng.Intn(320))
+		rng.Read(raw)
+		for i := range rawQual {
+			rawQual[i] = byte(30 + rng.Intn(45))
+		}
+		if trial%50 == 0 {
+			rng.Read(rawQual)
+		}
+		seq, qual := fuzzRead(raw, rawQual, uint8(trial))
+		if trial%2 == 0 { // mostly ACGT, so that most runs encode
+			seq = randSeqN(rng, len(seq), trial%8 == 0)
+		}
+		L := 1 + rng.Intn(len(seq))
+		start := rng.Intn(len(seq) - L + 1)
+		switch trial % 5 {
+		case 0:
+			start = 0
+		case 1:
+			start = len(seq) - L
+		}
+		thresh := []int{19, 0, -33, -34, 222, 223, 40, 1000}[trial%8]
+		checkEncoderMatchesRef(t, seq, qual, start, L, thresh, rng.Intn(MaxSuperKmerWeight+1)*(trial%2))
+	}
 }
 
 func BenchmarkSuperKmerEncode(b *testing.B) {
@@ -309,22 +470,44 @@ func BenchmarkSuperKmerEncode(b *testing.B) {
 	}
 }
 
-// TestSuperKmerMinimizer: the minimizer read off an encoded record — plain
-// or weighted, at k ≤ 32 and k > 32 — is the minimizer ScanSuperKmers
-// reported for its run.
+// TestSuperKmerMinimizer: at every k, at the minimizer length
+// ClampMinimizerLen gives, the minimizer the cursor reads off a record's
+// first window — the owner's bin rule — is Kmer.Minimizer of that window
+// and the minimizer ScanSuperKmers reported for the run, whose every
+// window Kmer.Minimizer puts in the same bin. Reads with Ns, lower case
+// and low-complexity stretches (minimizer ties) included.
 func TestSuperKmerMinimizer(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, k := range []int{11, 31, 33, 63} {
+	rng := rand.New(rand.NewSource(16))
+	for k := 1; k <= MaxK; k++ {
 		m := ClampMinimizerLen(k, 0)
-		for trial := 0; trial < 50; trial++ {
-			seq := randSeqN(rng, 80+rng.Intn(300), trial%2 == 0)
+		reads := readsForScan(rng, k)
+		reads = append(reads, bytes.Repeat([]byte("ACGTTA"), 30), append(bytes.Repeat([]byte("A"), 70), randSeq(rng, 60)...))
+		if k == 11 || k == 31 || k == 33 || k == 63 {
+			for trial := 0; trial < 50; trial++ {
+				reads = append(reads, randSeqN(rng, 80+rng.Intn(300), trial%2 == 0))
+			}
+		}
+		for _, seq := range reads {
 			ScanSuperKmers(seq, k, m, func(start, nwin int, minv uint64) {
-				rec, ok := AppendWeightedSuperKmer(nil, seq, nil, start, nwin+k-1, 19, trial%3)
+				for w := start; w < start+nwin; w++ {
+					km, _ := Pack(seq[w:], k)
+					if got := minimizerRoll(km, k, m); got != minv {
+						t.Fatalf("k=%d %q: window %d has minimizer %x, its run %x", k, seq, w, got, minv)
+					}
+				}
+				rec, ok := AppendWeightedSuperKmer(nil, seq, nil, start, nwin+k-1, 19, start%3)
 				if !ok {
 					t.Fatalf("k=%d: run at %d does not encode", k, start)
 				}
-				if got := SuperKmerMinimizer(rec, k, m); got != minv {
-					t.Fatalf("k=%d: record of the run at %d has minimizer %x, the run %x", k, start, got, minv)
+				var c SuperKmerCursor
+				c.Reset(rec, k)
+				if !c.NextRecord() {
+					t.Fatalf("k=%d: record of the run at %d does not open: %v", k, start, c.Err())
+				}
+				first, _ := Pack(seq[start:], k)
+				if got := c.Minimizer(m); got != minv || got != first.Minimizer(k, m) {
+					t.Fatalf("k=%d: record of the run at %d has minimizer %x, the run %x, its first window %x",
+						k, start, got, minv, first.Minimizer(k, m))
 				}
 			})
 		}
