@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -140,9 +139,9 @@ func chargeDigest(team *xrt.Team) string {
 	put := func(v any) { binary.Write(h, binary.LittleEndian, v) }
 	for _, sp := range team.Spans() {
 		h.Write([]byte(sp.Path))
-		put(math.Float64bits(sp.VirtualNs))
+		put(int64(sp.VirtualNs))
 		for _, rd := range sp.Ranks {
-			put(math.Float64bits(rd.WorkNs))
+			put(int64(rd.WorkNs))
 			put(rd.Comm)
 		}
 	}
@@ -153,8 +152,10 @@ func chargeDigest(team *xrt.Team) string {
 // to goldens generated at the commit before its inner loops moved onto
 // rolling k-mers and per-rank scratch: every alignment of every read, and
 // — the one-for-one charge rule — every rank's seed lookups, contig
-// fetches, cache hits and store batches in both phases. Regenerate with
-// -update-golden only for an intended behaviour change.
+// fetches, cache hits and store batches in both phases. The Charges were
+// last regenerated when clocks came to count whole nanoseconds, each
+// charge rounded once; Alns did not move. Regenerate with -update-golden
+// only for an intended behaviour change.
 func TestGoldenAlignmentsAndCharges(t *testing.T) {
 	path := filepath.Join("testdata", "golden.json")
 	got := make(map[string]golden)

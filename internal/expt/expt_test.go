@@ -3,6 +3,7 @@ package expt
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -270,6 +271,10 @@ func TestCompareBaselines(t *testing.T) {
 		if fmt.Sprint(top) != "[io kmer-analysis contig-generation]" {
 			t.Errorf("contigs-only stages %v", top)
 		}
+		// so ABySS-like's distributed part is exact to the nanosecond
+		if first := want.Time("io") + want.Time("kmer-analysis") + want.Time("contig-generation"); time.Duration(got.VirtualNs) != first {
+			t.Errorf("contigs-only run took %d ns, HipMer's first three stages %d", got.VirtualNs, first)
+		}
 	})
 
 	// Ray-like's serial read is serial's io stage.
@@ -281,7 +286,7 @@ func TestCompareBaselines(t *testing.T) {
 			}
 		}
 		c := xrt.DefaultCostModel()
-		if got, want := serial.Metrics.Time("io"), time.Duration(c.IOLatencyNs+float64(bytes)/c.IORankBytesPerSec*1e9); got != want {
+		if got, want := serial.Metrics.Time("io"), time.Duration(math.Round(c.IOLatencyNs+float64(bytes)/c.IORankBytesPerSec*1e9)); got != want {
 			t.Errorf("serial io %v, one single-stream read of %d bytes %v", got, bytes, want)
 		}
 	})

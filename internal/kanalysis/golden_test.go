@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -126,9 +125,9 @@ func runGolden(c goldenCase) golden {
 	put := func(v any) { binary.Write(h, binary.LittleEndian, v) }
 	for _, sp := range team.Spans() {
 		h.Write([]byte(sp.Path))
-		put(math.Float64bits(sp.VirtualNs))
+		put(int64(sp.VirtualNs))
 		for _, rd := range sp.Ranks {
-			put(math.Float64bits(rd.WorkNs))
+			put(int64(rd.WorkNs))
 			put(rd.Comm)
 		}
 	}
@@ -140,8 +139,7 @@ func runGolden(c goldenCase) golden {
 // goldens generated before the flat-shard / rolling-scanner rewrite: the
 // frozen table byte for byte, the transport counters, and — the
 // one-for-one charge rule — every rank's charges in every phase. A change
-// to a cost constant, a charge site, or the order of a rank's charges
-// (floating-point sums are order-sensitive) fails the Charges digest.
+// to a cost constant or a charge site fails the Charges digest.
 // Some entries are younger. multik-k33-superk and multik-k55-superk were
 // regenerated when pseudo-reads moved onto weighted super-k-mer records:
 // their transport counters, PeakEntries and Charges moved, and the table
@@ -168,7 +166,8 @@ func runGolden(c goldenCase) golden {
 // bills one local store per kept k-mer instead of the replay, the finalize
 // pass went, and the bloom-screen span became the partition span; Table
 // did not move, and the PeakEntries field left the golden, since it is
-// Kept.
+// Kept. Every case's Charges moved once more when clocks came to count
+// whole nanoseconds, each charge rounded once; Table did not move.
 func TestGoldenTablesAndCharges(t *testing.T) {
 	path := filepath.Join("testdata", "golden.json")
 	got := make(map[string]golden)

@@ -144,7 +144,7 @@ func TestOwnerCountMatchesOracle(t *testing.T) {
 	team := xrt.NewTeam(xrt.Config{Ranks: 1})
 	table := NewTable(team, 0, 0, 0, k, m)
 	team.Run(func(r *xrt.Rank) {
-		stores, clock := team.RankStats(0).LocalStores, r.ClockNs()
+		stores, work := team.RankStats(0).LocalStores, team.RankWorkNs(0)
 		var scratch tally
 		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
 			decoded, distinct := in.count(k, m, 2, &scratch, own, r)
@@ -156,8 +156,8 @@ func TestOwnerCountMatchesOracle(t *testing.T) {
 		if got := team.RankStats(0).LocalStores - stores; got != int64(len(want)) {
 			t.Errorf("the count charged %d local stores for %d entries", got, len(want))
 		}
-		if got, cost := r.ClockNs()-clock, float64(len(want))*xrt.LocalOpNs; got != cost {
-			t.Errorf("the count advanced the clock %v ns, its local stores cost %v", got, cost)
+		if got, cost := team.RankWorkNs(0)-work, int64(len(want))*int64(xrt.LocalOpNs); got != cost {
+			t.Errorf("the count charged %d ns, its local stores cost %d", got, cost)
 		}
 		if in.msgs != nil || scratch.counts.Len() != 0 || len(scratch.seen) != 0 {
 			t.Errorf("the count left %d messages and %d scratch entries", len(in.msgs), scratch.counts.Len())

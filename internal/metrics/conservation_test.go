@@ -1,7 +1,6 @@
 package metrics_test
 
 import (
-	"math"
 	"testing"
 
 	"hipmer/internal/xrt"
@@ -11,13 +10,13 @@ import (
 // for every rank, the communication deltas recorded by the top-level
 // stage spans sum exactly to the team's end-to-end totals (CommStats is
 // integral, so the comparison is field-exact), and the busy-time deltas
-// sum to the rank's cumulative work within float tolerance. A leak here
-// would mean some stage's traffic is invisible in the breakdown.
+// sum exactly to the rank's cumulative work (whole nanoseconds). A leak
+// here would mean some stage's traffic is invisible in the breakdown.
 func TestCommConservation(t *testing.T) {
 	_, team := toyRun(t, 0)
 	p := team.Config().Ranks
 	sums := make([]xrt.CommStats, p)
-	work := make([]float64, p)
+	work := make([]int64, p)
 	for _, sp := range team.Spans() {
 		if sp.Depth != 0 {
 			continue
@@ -27,7 +26,7 @@ func TestCommConservation(t *testing.T) {
 		}
 		for i, rd := range sp.Ranks {
 			sums[i].Add(rd.Comm)
-			work[i] += rd.WorkNs
+			work[i] += int64(rd.WorkNs)
 		}
 	}
 	for i := 0; i < p; i++ {
@@ -35,10 +34,8 @@ func TestCommConservation(t *testing.T) {
 			t.Errorf("rank %d: depth-0 span comm sums %+v != end-to-end totals %+v",
 				i, sums[i], team.RankStats(i))
 		}
-		total := team.RankWorkNs(i)
-		if diff := math.Abs(work[i] - total); diff > 1e-6*math.Max(1, total) {
-			t.Errorf("rank %d: span work sums %.3f != total work %.3f (diff %.3g)",
-				i, work[i], total, diff)
+		if total := team.RankWorkNs(i); work[i] != total {
+			t.Errorf("rank %d: span work sums %d ns != total work %d ns", i, work[i], total)
 		}
 	}
 }
@@ -102,23 +99,21 @@ func TestSpeculativeTraversalCounters(t *testing.T) {
 }
 
 // TestVirtualTimeAccounting checks that the report's end-to-end virtual
-// time equals both the team clock and (within per-stage truncation) the
-// sum of the top-level stage spans — the stages tile the run.
+// time equals both the team clock and the sum of the top-level stage
+// spans, to the nanosecond — the stages tile the run.
 func TestVirtualTimeAccounting(t *testing.T) {
 	res, team := toyRun(t, 0)
 	rep := res.Metrics
 	if rep.VirtualNs != int64(team.VirtualNow()) {
 		t.Errorf("report VirtualNs %d != team clock %d", rep.VirtualNs, int64(team.VirtualNow()))
 	}
-	var sum, n int64
+	var sum int64
 	for _, st := range rep.Stages {
 		if st.Depth == 0 {
 			sum += st.VirtualNs
-			n++
 		}
 	}
-	if diff := rep.VirtualNs - sum; diff < -n || diff > n {
-		t.Errorf("depth-0 stage virtual times sum to %d, report total %d (diff %d > ±%d truncation)",
-			sum, rep.VirtualNs, diff, n)
+	if sum != rep.VirtualNs {
+		t.Errorf("depth-0 stage virtual times sum to %d, report total %d", sum, rep.VirtualNs)
 	}
 }

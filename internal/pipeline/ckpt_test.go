@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hipmer/internal/ckpt"
@@ -228,5 +230,53 @@ func TestRunConfigValidation(t *testing.T) {
 		Config{K: 21, CkptDir: t.TempDir()})
 	if err == nil {
 		t.Fatal("disk fault on io, which writes no segment, accepted")
+	}
+}
+
+// TestResumedStagesReportFreshSpans: a run that crashes in scaffolding
+// and resumes from its checkpoints reaches scaffolding at another clock
+// than a fresh run, yet its scaffolding and gap-closing spans — every
+// sub-span, per rank, counter — are the fresh run's, field by field.
+func TestResumedStagesReportFreshSpans(t *testing.T) {
+	_, libs := SimulatedHuman(7, 15000, 20)
+	newTeam := func(inj xrt.Inject) *xrt.Team {
+		return xrt.NewTeam(xrt.Config{Ranks: 16, RanksPerNode: 4, Seed: 11, Inject: inj})
+	}
+	late := func(path string) bool {
+		for _, stage := range []string{"scaffolding", "gap-closing"} {
+			if path == stage || strings.HasPrefix(path, stage+"/") {
+				return true
+			}
+		}
+		return false
+	}
+	cfg := Config{K: 31, MinCount: 3}
+	fresh := newTeam(xrt.Inject{})
+	if _, err := Run(fresh, libs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := spanRecords(fresh, late)
+	for seed := int64(11); seed <= 14; seed++ {
+		cfg := cfg
+		cfg.CkptDir = t.TempDir()
+		var sf *StageFailedError
+		_, err := Run(newTeam(xrt.Inject{FaultSeed: seed, FailStage: "scaffolding"}), libs, cfg)
+		if !errors.As(err, &sf) || sf.Stage != "scaffolding" {
+			t.Fatalf("seed %d: err = %v, want a crash in scaffolding", seed, err)
+		}
+		cfg.Resume = true
+		resumed := newTeam(xrt.Inject{})
+		if _, err := Run(resumed, libs, cfg); err != nil {
+			t.Fatal(err)
+		}
+		got := spanRecords(resumed, late)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: resume recorded %d scaffolding and gap-closing spans, fresh run %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("seed %d: resumed span %s differs from the fresh run's", seed, got[i].Path)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -121,9 +122,8 @@ func TestTimingsRecorded(t *testing.T) {
 	if res.Metrics.Time("scaffolding/merAligner") > res.Metrics.Time("scaffolding") {
 		t.Fatal("merAligner sub-span exceeds its stage")
 	}
-	// The total is the team's clock; each span's whole-ns duration rounds
-	// a fraction of a nanosecond away.
-	if d := res.Metrics.VirtualNs - sum; d < 0 || d >= top {
+	// The total is the team's clock, and the stages tile it.
+	if res.Metrics.VirtualNs != sum {
 		t.Fatalf("total %d != sum of stages %d", res.Metrics.VirtualNs, sum)
 	}
 	if res.Metrics.Time("no-such-stage") != 0 || (*metrics.Report)(nil).Time("io") != 0 {
@@ -154,14 +154,11 @@ func TestTimingsRecorded(t *testing.T) {
 // total when gap closing's mini-graph came to hold one entry per canonical
 // k-mer and its walks to stop looking up bases once they circle, and every
 // k-mer analysis entry and total when owners came to count their bins
-// exactly (no replay of first sightings, no finalize pass) — which, the
-// clocks being floats, moved wheat's first scaffolding round by 1 ns and
-// its merAligner by 2: the stage starts at an earlier clock and its
-// charges round differently there. Each
-// is read back from Metrics exactly; merAligner within 1 ns (that entry
-// subtracted two truncated clock readings, the span truncates their
-// difference); and the run's total, which is the team's clock, is that
-// list's sum of stages plus the checkpoint spans the sum left out.
+// exactly (no replay of first sightings, no finalize pass), and wheat's io,
+// first scaffolding round and merAligner by 1 ns each when clocks came to
+// count whole nanoseconds, each charge rounded once. Each is read back
+// from Metrics exactly, and the run's total, which is the team's clock, is
+// that list's sum of stages plus the checkpoint spans the sum left out.
 func TestStageTimesMatchParent(t *testing.T) {
 	var parent map[string][]struct {
 		Name      string
@@ -185,13 +182,12 @@ func TestStageTimesMatchParent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var ckpt, top int64 // checkpoint spans' time; top-level span count
+			var ckpt int64 // checkpoint spans' time
 			stages := 0
 			for _, st := range res.Metrics.Stages {
 				if st.Depth != 0 {
 					continue
 				}
-				top++
 				if strings.HasPrefix(st.Name, "checkpoint-") {
 					ckpt += st.VirtualNs
 				} else {
@@ -204,12 +200,12 @@ func TestStageTimesMatchParent(t *testing.T) {
 			for _, want := range parent[c.name] {
 				switch want.Name {
 				case "total":
-					if d := res.Metrics.VirtualNs - (want.VirtualNs + ckpt); d < 0 || d >= top {
+					if res.Metrics.VirtualNs != want.VirtualNs+ckpt {
 						t.Errorf("total %d, parent %d + checkpoint spans %d", res.Metrics.VirtualNs, want.VirtualNs, ckpt)
 					}
 				case "merAligner":
-					if d := int64(res.Metrics.Time("scaffolding/merAligner")) - want.VirtualNs; d < -1 || d > 1 {
-						t.Errorf("scaffolding/merAligner %d, parent %d", res.Metrics.Time("scaffolding/merAligner"), want.VirtualNs)
+					if got := int64(res.Metrics.Time("scaffolding/merAligner")); got != want.VirtualNs {
+						t.Errorf("scaffolding/merAligner %d, parent %d", got, want.VirtualNs)
 					}
 				default:
 					stages--
@@ -466,5 +462,54 @@ func TestLargeKFullPipeline(t *testing.T) {
 	}
 	if v.Misassemblies > 0 {
 		t.Fatalf("k=51: %d misassemblies", v.Misassemblies)
+	}
+}
+
+// spanRecords returns the team's span records whose path passes keep,
+// with WallNs, the one field that is not a function of the input, zeroed.
+func spanRecords(team *xrt.Team, keep func(path string) bool) []xrt.SpanRecord {
+	var out []xrt.SpanRecord
+	for _, sp := range team.Spans() {
+		if keep(sp.Path) {
+			rec := *sp
+			rec.WallNs = 0
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// TestStageIgnoresStartClock: what a stage does and reports is a function
+// of its input, not of the clock it starts at. The same run, started after
+// rank 0 was charged 0, 1 µs, 1 ms, 230 ms or 230 ms and a fraction of a
+// nanosecond, records equal spans — virtual times, every rank's work and
+// comm, communication statistics and counters — traversal's virtual-time
+// order included.
+func TestStageIgnoresStartClock(t *testing.T) {
+	_, libs := SimulatedHuman(7, 15000, 20)
+	var first []xrt.SpanRecord
+	for _, off := range []float64{0, 1e3, 1e6, 230e6, 230e6 + 0.37} {
+		team := xrt.NewTeam(xrt.Config{Ranks: 16, RanksPerNode: 4})
+		team.Run(func(r *xrt.Rank) {
+			if r.ID == 0 {
+				r.Charge(off)
+			}
+		})
+		if _, err := Run(team, libs, Config{K: 31, MinCount: 3}); err != nil {
+			t.Fatal(err)
+		}
+		recs := spanRecords(team, func(string) bool { return true })
+		if first == nil {
+			first = recs
+			continue
+		}
+		if len(recs) != len(first) {
+			t.Fatalf("start %.2f ns: %d spans, %d from clock 0", off, len(recs), len(first))
+		}
+		for i := range recs {
+			if !reflect.DeepEqual(recs[i], first[i]) {
+				t.Errorf("start %.2f ns: span %s differs from the run started at 0", off, recs[i].Path)
+			}
+		}
 	}
 }

@@ -21,7 +21,7 @@ const (
 // Events is the loop's handle inside a step.
 type Events struct {
 	t        *Team
-	ready    []*Rank // min-heap by (ClockNs, ID); the root is the rank being stepped
+	ready    []*Rank // min-heap by (clock, ID); the root is the rank being stepped
 	acc, sum int64   // the all-reduce being arrived at; the last one's result
 }
 
@@ -93,7 +93,7 @@ func (ev *Events) AllReduceSum(v int64) Status {
 func (ev *Events) Sum() int64 { return ev.sum }
 
 func before(a, b *Rank) bool {
-	ca, cb := a.ClockNs(), b.ClockNs()
+	ca, cb := a.clock(), b.clock()
 	return ca < cb || ca == cb && a.ID < b.ID
 }
 

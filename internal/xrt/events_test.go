@@ -13,13 +13,13 @@ import (
 func TestRunEventsStepsInClockOrder(t *testing.T) {
 	team := NewTeam(Config{Ranks: 5, RanksPerNode: 2})
 	type at struct {
-		clock float64
+		clock int64
 		id    int
 	}
 	var order []at
 	steps := make([]int, 5)
 	ps := team.RunEvents(func(_ *Events, r *Rank) Status {
-		order = append(order, at{r.ClockNs(), r.ID})
+		order = append(order, at{r.clock(), r.ID})
 		r.Charge(float64(100 * (1 + r.ID%3))) // ranks 0 and 3 tie all the way
 		if steps[r.ID]++; steps[r.ID] == 20 {
 			return Done
@@ -32,15 +32,15 @@ func TestRunEventsStepsInClockOrder(t *testing.T) {
 	for i := 1; i < len(order); i++ {
 		a, b := order[i-1], order[i]
 		if a.clock > b.clock || a.clock == b.clock && a.id >= b.id {
-			t.Fatalf("step %d at (%.0f, rank %d) follows (%.0f, rank %d)", i, b.clock, b.id, a.clock, a.id)
+			t.Fatalf("step %d at (%d, rank %d) follows (%d, rank %d)", i, b.clock, b.id, a.clock, a.id)
 		}
 	}
 	if ps.Virtual != 20*300 || team.VirtualNow() != 20*300 {
 		t.Fatalf("phase took %d ns, team clock %d, want %d", ps.Virtual, team.VirtualNow(), 20*300)
 	}
 	for id := 0; id < 5; id++ {
-		if w := team.RankWorkNs(id); w != float64(20*100*(1+id%3)) {
-			t.Fatalf("rank %d worked %.0f ns", id, w)
+		if w := team.RankWorkNs(id); w != int64(20*100*(1+id%3)) {
+			t.Fatalf("rank %d worked %d ns", id, w)
 		}
 	}
 }
@@ -80,7 +80,7 @@ func TestRunEventsAllReduce(t *testing.T) {
 	}
 	for id := 0; id < 3; id++ {
 		if team.RankWorkNs(id) != ref.RankWorkNs(id) {
-			t.Fatalf("rank %d worked %.0f ns, under Run %.0f", id, team.RankWorkNs(id), ref.RankWorkNs(id))
+			t.Fatalf("rank %d worked %d ns, under Run %d", id, team.RankWorkNs(id), ref.RankWorkNs(id))
 		}
 	}
 }

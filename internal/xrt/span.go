@@ -68,10 +68,10 @@ func (s *SpanRecord) AggComm() CommStats {
 // openSpan carries the snapshots taken at BeginSpan.
 type openSpan struct {
 	rec        *SpanRecord
-	startClock float64
+	startClock int64
 	startWall  time.Time
-	startWork  []float64
-	startCommN []float64
+	startWork  []int64
+	startCommN []int64
 	startComm  []CommStats
 }
 
@@ -90,8 +90,8 @@ func (t *Team) BeginSpan(name string) {
 		rec:        rec,
 		startClock: t.maxClock(),
 		startWall:  time.Now(),
-		startWork:  make([]float64, len(t.ranks)),
-		startCommN: make([]float64, len(t.ranks)),
+		startWork:  make([]int64, len(t.ranks)),
+		startCommN: make([]int64, len(t.ranks)),
 		startComm:  make([]CommStats, len(t.ranks)),
 	}
 	for i, r := range t.ranks {
@@ -117,13 +117,13 @@ func (t *Team) EndSpan() *SpanRecord {
 	o := t.open[n-1]
 	t.open = t.open[:n-1]
 	rec := o.rec
-	rec.VirtualNs = t.maxClock() - o.startClock
+	rec.VirtualNs = float64(t.maxClock() - o.startClock)
 	rec.WallNs = time.Since(o.startWall).Nanoseconds()
 	rec.Ranks = make([]RankDelta, len(t.ranks))
 	for i, r := range t.ranks {
 		rec.Ranks[i] = RankDelta{
-			WorkNs: r.workNs - o.startWork[i],
-			CommNs: r.commNs - o.startCommN[i],
+			WorkNs: float64(r.workNs - o.startWork[i]),
+			CommNs: float64(r.commNs - o.startCommN[i]),
 			Comm:   r.stats.Sub(o.startComm[i]),
 		}
 	}

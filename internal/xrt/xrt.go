@@ -11,11 +11,13 @@
 // costs (the constants LocalOpNs to ItemNs, and the file-system
 // CostModel). A phase's virtual duration is the maximum clock advance over
 // all ranks (the BSP critical path). Barriers synchronize all clocks to
-// the maximum, exactly as a real barrier would.
+// the maximum, exactly as a real barrier would. Clocks count whole
+// nanoseconds, each charge rounded once where it enters (wholeNs).
 package xrt
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -260,9 +262,9 @@ type Rank struct {
 	ID   int
 	team *Team
 
-	clockNs   float64 // owner-written virtual clock
-	workNs    float64 // cumulative charged work; never synchronized (see Team.RankWorkNs)
-	commNs    float64 // the part of workNs charged to messages and their bytes
+	clockNs   int64 // owner-written virtual clock
+	workNs    int64 // cumulative charged work; never synchronized (see Team.RankWorkNs)
+	commNs    int64 // the part of workNs charged to messages and their bytes
 	stats     CommStats
 	foreignNs atomic.Int64 // work charged to this rank by other ranks
 	pert      *Prng        // delay stream; nil unless perturbation is armed
@@ -287,22 +289,12 @@ type Rank struct {
 // clock to the team maximum but never touch workNs, so per-span workNs
 // deltas expose the per-rank load imbalance that clock synchronization
 // hides.
-func (r *Rank) advance(ns float64) {
+func (r *Rank) advance(ns int64) {
 	r.clockNs += ns
 	r.workNs += ns
 	if r.team.faultOn {
 		r.faultPoint()
 	}
-}
-
-// advanceRaw moves the clock without visiting the fault hook. It is the
-// entry point for charges applied to a rank by the orchestrator or by
-// barrier epilogues (foldForeign): an injected crash must fire on the
-// victim's own goroutine — where panicking unwinds the victim's stack —
-// never inside another goroutine's barrier epilogue.
-func (r *Rank) advanceRaw(ns float64) {
-	r.clockNs += ns
-	r.workNs += ns
 }
 
 // Team returns the team this rank belongs to.
@@ -325,18 +317,22 @@ func (r *Rank) Locality(dst int) Locality {
 	return OffNode
 }
 
+// wholeNs is virtual time's one rounding rule: to the nearest whole ns.
+func wholeNs(ns float64) int64 { return int64(math.Round(ns)) }
+
 // Charge advances the rank's virtual clock by ns nanoseconds.
-func (r *Rank) Charge(ns float64) { r.advance(ns) }
+func (r *Rank) Charge(ns float64) { r.advance(wholeNs(ns)) }
 
 // ChargeItems charges the generic per-item compute cost for n items.
-func (r *Rank) ChargeItems(n int) { r.advance(float64(n) * ItemNs) }
+func (r *Rank) ChargeItems(n int) { r.Charge(float64(n) * ItemNs) }
 
 // ChargeComm charges ns of communication: work like Charge, also counted
 // in the span's CommNs. The message charges below go through it, and so
 // does a caller that models an exchange itself (a reduction tree's steps).
 func (r *Rank) ChargeComm(ns float64) {
-	r.commNs += ns
-	r.advance(ns)
+	w := wholeNs(ns)
+	r.commNs += w
+	r.advance(w)
 }
 
 // chargeForeignRaw charges ns of work to another rank: the owner of a
@@ -345,7 +341,7 @@ func (r *Rank) ChargeComm(ns float64) {
 // roll a second drop decision), so it runs no message-fault protocol. The
 // foreign accumulator is atomic.
 func (r *Rank) chargeForeignRaw(dst int, ns float64) {
-	r.team.ranks[dst].foreignNs.Add(int64(ns))
+	r.team.ranks[dst].foreignNs.Add(wholeNs(ns))
 }
 
 // ChargeLookup records a read of one item of the given size whose home is
@@ -355,7 +351,7 @@ func (r *Rank) ChargeLookup(dst int, bytes int) {
 	switch r.Locality(dst) {
 	case Local:
 		r.stats.LocalLookups++
-		r.advance(LocalOpNs)
+		r.Charge(LocalOpNs)
 	case OnNode:
 		r.stats.OnNodeLookups++
 		r.stats.OnNodeMsgs++
@@ -374,7 +370,7 @@ func (r *Rank) ChargeLookup(dst int, bytes int) {
 // (the operation never leaves the rank).
 func (r *Rank) ChargeCacheHit() {
 	r.stats.CacheHits++
-	r.advance(LocalOpNs)
+	r.Charge(LocalOpNs)
 }
 
 // CountCacheMiss records that a remote read missed the rank's software
@@ -421,7 +417,7 @@ func (r *Rank) ChargeLookupBatch(dst, n, bytes int) {
 func (r *Rank) chargeBatch(dst, n, bytes int) {
 	switch r.Locality(dst) {
 	case Local:
-		r.advance(float64(n) * LocalOpNs)
+		r.Charge(float64(n) * LocalOpNs)
 	case OnNode:
 		r.stats.OnNodeMsgs++
 		r.stats.OnNodeBytes += int64(bytes)
@@ -460,7 +456,7 @@ func (r *Rank) chargeIO(bytes int64) {
 	if agg := c.IOAggBytesPerSec / float64(r.team.cfg.Ranks); agg < bw {
 		bw = agg
 	}
-	r.advance(c.IOLatencyNs + float64(bytes)/bw*1e9)
+	r.Charge(c.IOLatencyNs + float64(bytes)/bw*1e9)
 }
 
 // CountDiskFault records that an injected storage fault damaged a
@@ -479,14 +475,18 @@ func (r *Rank) CountScrubRepair(bytes int64) {
 	r.stats.ScrubRepairedBytes += bytes
 }
 
-// ClockNs returns the rank's current virtual clock including foreign
+// clock returns the rank's current virtual clock including foreign
 // charges. Only safe to read from the owning goroutine or after a join.
-func (r *Rank) ClockNs() float64 {
-	return r.clockNs + float64(r.foreignNs.Load())
-}
+func (r *Rank) clock() int64 { return r.clockNs + r.foreignNs.Load() }
 
+// foldForeign moves the foreign charges into the clock and busy time
+// without visiting the fault hook: it runs in barrier epilogues, and an
+// injected crash must fire on the victim's own goroutine — where panicking
+// unwinds the victim's stack — never inside another goroutine's epilogue.
 func (r *Rank) foldForeign() {
-	r.advanceRaw(float64(r.foreignNs.Swap(0)))
+	ns := r.foreignNs.Swap(0)
+	r.clockNs += ns
+	r.workNs += ns
 }
 
 // Team is a fixed set of SPMD ranks with collective operations.
@@ -522,7 +522,7 @@ type Team struct {
 	// function of the input, so the job scheduler bills it as a failed
 	// attempt's duration.
 	tripMu      sync.Mutex
-	tripClockNs float64
+	tripClockNs int64
 	tripRank    int
 	tripErr     error
 }
@@ -644,10 +644,10 @@ func (t *Team) phase(body func()) PhaseStats {
 	}
 }
 
-func (t *Team) maxClock() float64 {
-	m := 0.0
+func (t *Team) maxClock() int64 {
+	var m int64
 	for _, r := range t.ranks {
-		if c := r.ClockNs(); c > m {
+		if c := r.clock(); c > m {
 			m = c
 		}
 	}
@@ -699,7 +699,7 @@ func (t *Team) RankStats(id int) CommStats { return t.ranks[id].stats }
 // is never raised by barrier synchronization, so deltas of it across a
 // span measure the rank's own busy time — the per-rank quantity
 // load-imbalance statistics are computed from. Only safe between phases.
-func (t *Team) RankWorkNs(id int) float64 { return t.ranks[id].workNs }
+func (t *Team) RankWorkNs(id int) int64 { return t.ranks[id].workNs }
 
 // Barrier blocks until every rank has arrived, then synchronizes all
 // virtual clocks to the maximum, as a real barrier would. Under an

@@ -51,8 +51,8 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	team.Run(func(r *Rank) {
 		r.Charge(float64(r.ID) * 1000)
 		r.Barrier()
-		if r.ClockNs() < 7000 {
-			t.Errorf("rank %d clock %f below barrier max", r.ID, r.ClockNs())
+		if r.clock() < 7000 {
+			t.Errorf("rank %d clock %d below barrier max", r.ID, r.clock())
 		}
 	})
 }
@@ -90,21 +90,21 @@ func TestForeignChargesCount(t *testing.T) {
 func TestChargeLookupBatch(t *testing.T) {
 	const n, bytes = 40, 40 * 24
 	team := NewTeam(Config{Ranks: 4, RanksPerNode: 2})
-	var batch, single float64
+	var batch, single int64
 	team.Run(func(r *Rank) {
 		if r.ID != 0 {
 			return
 		}
-		before := r.ClockNs()
+		before := r.clock()
 		r.ChargeLookupBatch(0, n, bytes)
-		batch = r.ClockNs() - before
-		before = r.ClockNs()
+		batch = r.clock() - before
+		before = r.clock()
 		for i := 0; i < n; i++ {
 			r.ChargeLookup(0, 24)
 		}
-		single = r.ClockNs() - before
+		single = r.clock() - before
 	})
-	if batch != n*LocalOpNs || single != batch {
+	if batch != int64(n*LocalOpNs) || single != batch {
 		t.Errorf("local batch of %d: %v ns, %d local lookups %v ns, want %v", n, batch, n, single, n*LocalOpNs)
 	}
 	if s := team.RankStats(0); s.LocalLookups != 2*n || s.Msgs() != 0 {
@@ -112,15 +112,15 @@ func TestChargeLookupBatch(t *testing.T) {
 	}
 
 	team = NewTeam(Config{Ranks: 4, RanksPerNode: 2})
-	var clock float64
+	var clock int64
 	team.Run(func(r *Rank) {
 		if r.ID == 0 {
 			r.ChargeLookupBatch(1, n, bytes) // on-node
 			r.ChargeLookupBatch(2, n, bytes) // off-node
-			clock = r.ClockNs()
+			clock = r.clock()
 		}
 	})
-	if want := (OnNodeMsgNs + bytes*OnNodeByteNs) + (OffNodeMsgNs + bytes*OffNodeByteNs); clock != want {
+	if want := wholeNs(OnNodeMsgNs+bytes*OnNodeByteNs) + wholeNs(OffNodeMsgNs+bytes*OffNodeByteNs); clock != want {
 		t.Errorf("two remote batches cost the caller %v ns, want one message each, %v", clock, want)
 	}
 	s := team.RankStats(0)
@@ -129,7 +129,7 @@ func TestChargeLookupBatch(t *testing.T) {
 		t.Errorf("remote batches counted %+v", s)
 	}
 	for _, owner := range []int{1, 2} {
-		if w := team.RankWorkNs(owner); w != n*LocalOpNs {
+		if w := team.RankWorkNs(owner); w != int64(n*LocalOpNs) {
 			t.Errorf("owner %d charged %v ns, want %v", owner, w, n*LocalOpNs)
 		}
 	}
@@ -198,12 +198,13 @@ func TestAllReduceRepeatedCalls(t *testing.T) {
 func TestAllReduceSum(t *testing.T) {
 	team := NewTeam(Config{Ranks: 9})
 	team.Run(func(r *Rank) {
-		clock := r.ClockNs()
+		clock := r.clock()
 		sum := r.AllReduceSum([]int64{int64(r.ID), 1, -int64(r.ID)})
 		if want := []int64{36, 9, -36}; !slices.Equal(sum, want) {
 			t.Errorf("rank %d: sum = %v, want %v", r.ID, sum, want)
 		}
-		if got, want := r.ClockNs()-clock, 4*(OffNodeMsgNs+24*OffNodeByteNs); got != want {
+		// one charge of 4 × (450 + 24 × 0.15) = 1814.4 ns, rounded once
+		if got, want := r.clock()-clock, int64(1814); got != want {
 			t.Errorf("rank %d: charged %v ns, want %v", r.ID, got, want)
 		}
 	})
@@ -271,8 +272,9 @@ func TestSpanCommNs(t *testing.T) {
 	})
 	rec := team.EndSpan()
 	tree := 2 * OffNodeMsgNs // log2(4) steps of one control message
+	// each message charge is rounded once: 150.4 + 451.2 + 570 → 150 + 451 + 570
 	want := []float64{
-		(OnNodeMsgNs + 8*OnNodeByteNs) + (OffNodeMsgNs + 8*OffNodeByteNs) + (OffNodeMsgNs + 800*OffNodeByteNs) + 5 + tree,
+		150 + 451 + 570 + 5 + tree,
 		tree, tree, tree,
 	}
 	for i, rd := range rec.Ranks {
