@@ -62,8 +62,13 @@ import (
 // v8: the k-mer payload's header drops the HyperLogLog distinct estimate,
 // which stage 1 no longer takes. v9: the scaffolding payload carries one
 // fixed-size placement per read (the top alignment's contig, interval and
-// contig length) instead of every alignment of every read.
-const Schema = "hipmer-ckpt/v9"
+// contig length) instead of every alignment of every read. v10: a k-mer
+// payload entry is the k-mer, its count and its two extension codes (22
+// bytes) — the eight extension-evidence words, which the table no longer
+// holds, are gone — and the k-mer header drops PeakEntries, which is Kept;
+// the fingerprint drops the zero word where the aggregating-stores buffer
+// size was hashed.
+const Schema = "hipmer-ckpt/v10"
 
 // ManifestName is the manifest's filename inside a run directory.
 const ManifestName = "MANIFEST.json"

@@ -81,9 +81,10 @@ func TestResumeRefusesFingerprintMismatch(t *testing.T) {
 // the v5 one, whose scaffolding payload carries the depth and termination
 // metadata v6 dropped, the v6 one, whose k-mer payload carries no bin
 // weights, the v7 one, whose k-mer payload carries the distinct estimate
-// v8 dropped, and the v8 one, whose scaffolding payload carries every
-// alignment of every read where v9 carries one placement per read,
-// included.
+// v8 dropped, the v8 one, whose scaffolding payload carries every
+// alignment of every read where v9 carries one placement per read, and the
+// v9 one, whose k-mer entries carry the extension evidence and whose header
+// carries the PeakEntries slot v10 dropped, included.
 func TestResumeRefusesSchemaMismatch(t *testing.T) {
 	for _, man := range []string{
 		`{"schema":"hipmer-ckpt/v999","fingerprint":"fp","stages":[]}`,
@@ -92,6 +93,7 @@ func TestResumeRefusesSchemaMismatch(t *testing.T) {
 		`{"schema":"hipmer-ckpt/v6","fingerprint":"fp","topology":{"ranks":4,"ranks_per_node":2},"stages":[{"name":"kmer-analysis","file":"kmer-analysis.seg","seq":0,"bytes":42,"crc32":7,"content_hash":"00"}]}`,
 		`{"schema":"hipmer-ckpt/v7","fingerprint":"fp","topology":{"ranks":4,"ranks_per_node":2},"stages":[{"name":"kmer-analysis","file":"kmer-analysis.seg","seq":0,"bytes":42,"crc32":7,"content_hash":"00"}]}`,
 		`{"schema":"hipmer-ckpt/v8","fingerprint":"fp","topology":{"ranks":4,"ranks_per_node":2},"stages":[{"name":"scaffolding","file":"scaffolding.seg","seq":0,"bytes":42,"crc32":7,"content_hash":"00"}]}`,
+		`{"schema":"hipmer-ckpt/v9","fingerprint":"fp","topology":{"ranks":4,"ranks_per_node":2},"stages":[{"name":"kmer-analysis","file":"kmer-analysis.seg","seq":0,"bytes":42,"crc32":7,"content_hash":"00"}]}`,
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(man), 0o644); err != nil {
@@ -189,18 +191,18 @@ func TestParseManifestRejectsTraversalAndDuplicates(t *testing.T) {
 	// not from a check that happens to fire first.
 	const topo = `"topology":{"ranks":4,"ranks_per_node":2},`
 	cases := []string{
-		`{"schema":"hipmer-ckpt/v9",` + topo + `"stages":[{"name":"a","file":"../evil.seg"}]}`,
-		`{"schema":"hipmer-ckpt/v9",` + topo + `"stages":[{"name":"a","file":"/abs.seg"}]}`,
-		`{"schema":"hipmer-ckpt/v9",` + topo + `"stages":[{"name":"a","file":".hidden"}]}`,
-		`{"schema":"hipmer-ckpt/v9",` + topo + `"stages":[{"name":"","file":"x.seg"}]}`,
-		`{"schema":"hipmer-ckpt/v9",` + topo + `"stages":[{"name":"a","file":"x.seg"},{"name":"a","file":"y.seg"}]}`,
-		`{"schema":"hipmer-ckpt/v9",` + topo + `"stages":[{"name":"a","file":"x.seg","round":-1}]}`,
+		`{"schema":"hipmer-ckpt/v10",` + topo + `"stages":[{"name":"a","file":"../evil.seg"}]}`,
+		`{"schema":"hipmer-ckpt/v10",` + topo + `"stages":[{"name":"a","file":"/abs.seg"}]}`,
+		`{"schema":"hipmer-ckpt/v10",` + topo + `"stages":[{"name":"a","file":".hidden"}]}`,
+		`{"schema":"hipmer-ckpt/v10",` + topo + `"stages":[{"name":"","file":"x.seg"}]}`,
+		`{"schema":"hipmer-ckpt/v10",` + topo + `"stages":[{"name":"a","file":"x.seg"},{"name":"a","file":"y.seg"}]}`,
+		`{"schema":"hipmer-ckpt/v10",` + topo + `"stages":[{"name":"a","file":"x.seg","round":-1}]}`,
 		// The recorded topology must be usable: a -resume without -ranks
 		// adopts it, and missing, zero, or negative rank geometry cannot
 		// build a team.
-		`{"schema":"hipmer-ckpt/v9","stages":[]}`,
-		`{"schema":"hipmer-ckpt/v9","topology":{"ranks":0,"ranks_per_node":2},"stages":[]}`,
-		`{"schema":"hipmer-ckpt/v9","topology":{"ranks":4,"ranks_per_node":-1},"stages":[]}`,
+		`{"schema":"hipmer-ckpt/v10","stages":[]}`,
+		`{"schema":"hipmer-ckpt/v10","topology":{"ranks":0,"ranks_per_node":2},"stages":[]}`,
+		`{"schema":"hipmer-ckpt/v10","topology":{"ranks":4,"ranks_per_node":-1},"stages":[]}`,
 	}
 	for _, c := range cases {
 		if _, err := ParseManifest([]byte(c)); !errors.Is(err, ErrBadManifest) {
@@ -209,7 +211,7 @@ func TestParseManifestRejectsTraversalAndDuplicates(t *testing.T) {
 	}
 	// An entry is whole without a rank count: each payload with per-rank
 	// lists carries its own.
-	ok := `{"schema":"hipmer-ckpt/v9",` + topo + `"stages":[{"name":"a","file":"x.seg"}]}`
+	ok := `{"schema":"hipmer-ckpt/v10",` + topo + `"stages":[{"name":"a","file":"x.seg"}]}`
 	if _, err := ParseManifest([]byte(ok)); err != nil {
 		t.Errorf("ParseManifest(%s): %v", ok, err)
 	}
@@ -287,8 +289,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 // FuzzManifest: no manifest or segment bytes may panic the parsers, and
 // a successful manifest parse must satisfy the documented invariants.
 func FuzzManifest(f *testing.F) {
-	f.Add([]byte(`{"schema":"hipmer-ckpt/v9","fingerprint":"00","topology":{"ranks":4,"ranks_per_node":2},"stages":[]}`))
-	f.Add([]byte(`{"schema":"hipmer-ckpt/v9","topology":{"ranks":1,"ranks_per_node":1},"stages":[{"name":"a","file":"a.seg","round":2}]}`))
+	f.Add([]byte(`{"schema":"hipmer-ckpt/v10","fingerprint":"00","topology":{"ranks":4,"ranks_per_node":2},"stages":[]}`))
+	f.Add([]byte(`{"schema":"hipmer-ckpt/v10","topology":{"ranks":1,"ranks_per_node":1},"stages":[{"name":"a","file":"a.seg","round":2}]}`))
 	f.Add([]byte(`{"schema":"hipmer-ckpt/v4","fingerprint":"00","topology":{"ranks":4,"ranks_per_node":2},"stages":[{"name":"a","file":"a.seg","ranks":8}]}`))
 	f.Add([]byte(`{`))
 	f.Add(encodeSegment("kmer-analysis", []byte("payload")))
@@ -296,7 +298,7 @@ func FuzzManifest(f *testing.F) {
 	// Quarantine artifacts: a scrubbed manifest (truncated to the intact
 	// prefix after storage damage) and the damaged segment shapes Scrub
 	// moves aside — a torn prefix and a bit-flipped copy.
-	f.Add([]byte(`{"schema":"hipmer-ckpt/v9","fingerprint":"00","topology":{"ranks":4,"ranks_per_node":2},"stages":[{"name":"kmer-analysis","file":"kmer-analysis.seg","seq":0,"bytes":42,"crc32":7,"content_hash":"00"}]}`))
+	f.Add([]byte(`{"schema":"hipmer-ckpt/v10","fingerprint":"00","topology":{"ranks":4,"ranks_per_node":2},"stages":[{"name":"kmer-analysis","file":"kmer-analysis.seg","seq":0,"bytes":42,"crc32":7,"content_hash":"00"}]}`))
 	quarantined := encodeSegment("contig-generation", []byte("quarantined payload"))
 	f.Add(quarantined[: len(quarantined)/2 : len(quarantined)/2])
 	flipped := append([]byte(nil), quarantined...)
@@ -466,4 +468,13 @@ func FuzzGapcloseDecode(f *testing.F) {
 			t.Fatal("nil result with nil error")
 		}
 	})
+}
+
+// TestKmerEntryIs22Bytes: a k-mer payload entry is the k-mer's two words,
+// its count and its two extension codes — all a table entry holds — at a
+// fixed size. A field added back to the walk fails here.
+func TestKmerEntryIs22Bytes(t *testing.T) {
+	if kmerEntryRec.size != 22 || !kmerEntryRec.fixed {
+		t.Fatalf("a k-mer entry record is %d bytes (fixed size: %v), want a fixed 22", kmerEntryRec.size, kmerEntryRec.fixed)
+	}
 }

@@ -31,10 +31,7 @@ func kmerResult(team *xrt.Team, k, m int, kms []kmer.Kmer) *kanalysis.Result {
 		if r.ID == 0 {
 			for i, km := range kms {
 				n := uint32(i)
-				table.Put(r, km, kanalysis.KmerData{
-					Count: 2 + n, LeftCnt: [4]uint32{n, 1, 0, 7}, RightCnt: [4]uint32{0, n, 2, 0},
-					ExtL: "ACGTFX"[i%6], ExtR: "XFTGCA"[i%6],
-				})
+				table.Put(r, km, kanalysis.KmerData{Count: 2 + n<<(8*(i%4)), ExtL: "ACGTFX"[i%6], ExtR: "XFTGCA"[i%6]})
 			}
 		}
 		table.Flush(r)
@@ -43,7 +40,7 @@ func kmerResult(team *xrt.Team, k, m int, kms []kmer.Kmer) *kanalysis.Result {
 	})
 	return &kanalysis.Result{
 		Table: table, HeavyHitters: 3, Kept: int64(len(kms)),
-		PeakEntries: 99, TotalKmers: 1234, SuperKmers: 56, SuperKmerBases: 789, CommBytesSaved: -1,
+		PeakEntries: int64(len(kms)), TotalKmers: 1234, SuperKmers: 56, SuperKmerBases: 789, CommBytesSaved: -1,
 	}
 }
 
@@ -143,9 +140,12 @@ func syntheticPayloads() map[string][]byte {
 // depth and termination metadata (hipmer-ckpt/v6) and again with
 // PoppedOut (v7) and again when every alignment of every read became one
 // placement per read (v9), and the k-mer ones, regenerated when their
-// header gained the bin weights (v7) and again when it lost the distinct
-// estimate (v8);
-// regenerate only for an intended format change (-update-golden).
+// header gained the bin weights (v7), again when it lost the distinct
+// estimate (v8), and again when an entry lost its extension evidence and
+// the header its PeakEntries slot (v10; the hand-built entries then became
+// counts that fill all four bytes of their word, since there was no
+// evidence left to build); regenerate only for an intended format change
+// (-update-golden).
 func TestSyntheticPayloadBytesGolden(t *testing.T) {
 	got := map[string]string{}
 	for name, b := range syntheticPayloads() {
@@ -207,6 +207,9 @@ func TestKmerPayloadKeepsPlacement(t *testing.T) {
 		}
 		if !slices.Equal(got.BinWeights, res.BinWeights) {
 			t.Fatalf("at %d ranks the payload's weights are not the run's", q)
+		}
+		if got.Kept != res.Kept || got.PeakEntries != res.Kept {
+			t.Fatalf("at %d ranks the payload gives %d kept, %d peak entries; the run kept %d", q, got.Kept, got.PeakEntries, res.Kept)
 		}
 		owner := kanalysis.BinOwners(res.BinWeights, q)
 		n := 0

@@ -98,6 +98,9 @@ func segmentDigests(t *testing.T, libs []pipeline.Library, cfg pipeline.Config) 
 // each owner's windows (v8); their table entries did not change. The
 // single-k, k21 and k33 digests changed once more in PeakEntries alone
 // when owners came to count their bins exactly: the table peaks at Kept.
+// Every kmer-analysis digest changed once more when an entry lost its
+// extension evidence and the header its PeakEntries slot (v10); no other
+// stage's did.
 func TestSegmentBytesGolden(t *testing.T) {
 	rng := xrt.NewPrng(21)
 	g := genome.Random(rng, 12000)

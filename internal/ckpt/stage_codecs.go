@@ -8,9 +8,11 @@
 //
 // What is and is not checkpointed, per stage:
 //
-//   - k-mer analysis: the full count/extension table plus the scalar
-//     outcomes. Entries are sorted by k-mer words so the payload is
-//     independent of shard iteration order.
+//   - k-mer analysis: every table entry — k-mer, count and the two
+//     extension codes — plus the scalar outcomes. Entries are sorted by
+//     k-mer words so the payload is independent of shard iteration order.
+//     The extension evidence the codes were called from is not in the
+//     table, so it is not in the payload either.
 //   - contig generation: the per-rank contig lists exactly as generated
 //     (rank assignment and order preserved — downstream stages partition
 //     work by these lists) plus the outcome counters. The de Bruijn
@@ -73,7 +75,6 @@ func walkKmerHeader(c *cursor, k, minimizerLen *uint32, res *kanalysis.Result) {
 	list(c, &res.BinWeights, uvarintRec)
 	i64(c, &res.HeavyHitters)
 	i64(c, &res.Kept)
-	i64(c, &res.PeakEntries)
 	i64(c, &res.TotalKmers)
 	i64(c, &res.SuperKmers)
 	i64(c, &res.SuperKmerBases)
@@ -90,12 +91,6 @@ type kmerEntry struct {
 func walkKmerEntry(c *cursor, e *kmerEntry) {
 	walkKmer(c, &e.km)
 	u32(c, &e.d.Count)
-	for i := range e.d.LeftCnt {
-		u32(c, &e.d.LeftCnt[i])
-	}
-	for i := range e.d.RightCnt {
-		u32(c, &e.d.RightCnt[i])
-	}
 	u8(c, &e.d.ExtL)
 	u8(c, &e.d.ExtR)
 }
@@ -167,13 +162,15 @@ func (r *kmerRecords) Swap(i, j int) {
 // rank count rebuilds the table a fresh analysis there would place. A
 // payload without minimizer placement (length 0) or without the bins'
 // weights — which no analysis has written since the per-item transport
-// went — is refused. The third parameter is ignored; it stays only because
-// the benchmark harness passes it.
+// went — is refused. The payload carries no PeakEntries: it is Kept, as
+// in a fresh analysis. The third parameter is ignored; it stays only
+// because the benchmark harness passes it.
 func DecodeKmerStage(team *xrt.Team, b []byte, _ int) (*kanalysis.Result, error) {
 	c := cursor{mode: reading, b: b}
 	res := &kanalysis.Result{}
 	var k, m uint32
 	walkKmerHeader(&c, &k, &m, res)
+	res.PeakEntries = res.Kept
 	n := c.count(0, kmerEntryRec.size)
 	if c.err != nil {
 		return nil, c.done("kmer-analysis")

@@ -13,7 +13,7 @@ import (
 // wholeReadSuperKmers is forEachSuperKmer as it was before the heavy probe
 // was confined to heavy-minimizer runs — roll, hash and probe every window
 // of the read, then segment and split around the hits — kept as the oracle.
-func wholeReadSuperKmers(rec fastq.Record, k, m int, hh *heavySet, acc []KmerData,
+func wholeReadSuperKmers(rec fastq.Record, k, m int, hh *heavySet, acc []evidence,
 	emit func(mh uint64, record []byte, nwin int)) int {
 	seq, qual := rec.Seq, rec.Qual
 	var heavy []int
@@ -72,7 +72,7 @@ func checkAgainstWholeReadScan(t *testing.T, rec fastq.Record, k int, heavyAt []
 	hh := newHeavySet(keys, k, m)
 
 	var got, want []shippedRecord
-	gotAcc, wantAcc := make([]KmerData, len(keys)), make([]KmerData, len(keys))
+	gotAcc, wantAcc := make([]evidence, len(keys)), make([]evidence, len(keys))
 	var buf []byte
 	gotN := forEachSuperKmer(rec, 0, k, m, hh, gotAcc, func(mh uint64, record []byte, nwin int) {
 		got = append(got, shippedRecord{mh, bytes.Clone(record), nwin})

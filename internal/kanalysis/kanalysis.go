@@ -30,7 +30,8 @@
 // fits in memory, so the single-occurrence (erroneous) k-mers stay out of
 // the table — the paper's 85% memory saving — without the paper's Bloom
 // filters, and the table is a function of the input alone at any rank
-// count.
+// count. The extension evidence the codes are called from lives only in
+// the count pass: a table entry is the count and the two codes, 8 bytes.
 //
 // Each per-k-mer fact is computed once. Every scan rolls the forward and
 // reverse-complement words of a window side by side (kmer.ForEachCanonical,
@@ -157,21 +158,40 @@ func EffectiveMinimizerLen(k, minimizerLen int, disableSuperKmers bool) int {
 }
 
 // KmerData is the value stored per canonical k-mer: its exact count and
-// the quality-filtered extension evidence for both directions, plus the
-// finalized extension codes.
+// its two extension codes, called from the count pass's evidence. Every
+// reader of the table — traversal, bubble depths, closure verification,
+// rehydration — needs these and nothing else, so an entry is 8 bytes.
 type KmerData struct {
+	Count uint32
+	ExtL  byte
+	ExtR  byte
+}
+
+// evidence is what the count pass gathers for one canonical k-mer: its
+// count and the quality-filtered extension evidence for both directions.
+// It lives only while the k-mer is counted — in an owner's scratch table
+// or a heavy hitter's accumulators — and settle calls the codes from it.
+type evidence struct {
 	Count    uint32
 	LeftCnt  [4]uint32
 	RightCnt [4]uint32
-	ExtL     byte
-	ExtR     byte
 }
 
-func (d *KmerData) merge(o KmerData) {
+func (d *evidence) merge(o evidence) {
 	d.Count += o.Count
 	for i := 0; i < 4; i++ {
 		d.LeftCnt[i] += o.LeftCnt[i]
 		d.RightCnt[i] += o.RightCnt[i]
+	}
+}
+
+// called is the table entry of a complete count: the count, with both
+// extension codes called from the evidence.
+func (d evidence) called() KmerData {
+	return KmerData{
+		Count: d.Count,
+		ExtL:  callExt(d.LeftCnt, minExtCount),
+		ExtR:  callExt(d.RightCnt, minExtCount),
 	}
 }
 
@@ -304,10 +324,10 @@ type Result struct {
 	Kept int64
 	// PeakEntries is Kept: the count pass moves only the k-mers that
 	// clear MinCount into the table, so the table never holds more. It
-	// stays a field only while the benchmark harness and the checkpoint
-	// header read it (ROADMAP, harness debt). A table admitting every
-	// k-mer would peak at the kmer-analysis span's distinct_kmers counter
-	// (§3.1: up to 85% more on human and wheat).
+	// stays a field only while the benchmark harness reads it (ROADMAP,
+	// harness debt); the checkpoint does not carry it. A table admitting
+	// every k-mer would peak at the kmer-analysis span's distinct_kmers
+	// counter (§3.1: up to 85% more on human and wheat).
 	PeakEntries int64
 	// TotalKmers is the number of k-mer occurrences processed.
 	TotalKmers int64
@@ -367,7 +387,7 @@ func occurrenceAt(seq, qual []byte, pos, k int, canon kmer.Kmer, flipped bool) o
 }
 
 // add accumulates w sightings of occurrence o.
-func (d *KmerData) add(o occurrence, w uint32) {
+func (d *evidence) add(o occurrence, w uint32) {
 	d.Count += w
 	if o.left != noExt {
 		d.LeftCnt[o.left] += w
@@ -437,7 +457,7 @@ func (s *heavySet) mayHold(mh, minv uint64) bool {
 // *record and must be consumed (copied or buffered) before the next
 // emission. Returns the total number of k-mer windows visited — identical
 // to the kmer.ForEachCanonical count.
-func forEachSuperKmer(rec fastq.Record, w, k, m int, hh *heavySet, acc []KmerData,
+func forEachSuperKmer(rec fastq.Record, w, k, m int, hh *heavySet, acc []evidence,
 	emit func(mh uint64, record []byte, nwin int), record *[]byte) int {
 	seq, qual := rec.Seq, rec.Qual
 	windows := 0
@@ -505,7 +525,7 @@ func (in *inbox) deliver(src int, payload []byte) {
 type tally struct {
 	order  []uint64
 	ends   [Bins]int32
-	counts flat.Map[kmer.Kmer, KmerData] // keyed by windowHash
+	counts flat.Map[kmer.Kmer, evidence] // keyed by windowHash
 	seen   []hashedKmer
 }
 
@@ -581,15 +601,15 @@ func (t *tally) sortRecords(msgs []inboxMsg, k, m int) (offBits uint) {
 // it the slot order of the owner's shard, is a function of the input, not
 // of the schedule. Each bin's windows are counted into t at their record's
 // weight, with their extension evidence, in one loop per record that rolls
-// a window, makes it canonical, probes and adds; then the k-mers seen at
-// least minCount times move into the shard (settle), each charged to r as
-// the local store it is — the senders' store batches already charged this
-// owner one local operation per window. Each k-mer is taken out of t as it
-// moves, so emptying t for the next bin costs the bin's k-mers, not t's
-// capacity, which is the heaviest bin's that t has ever counted. Returns
-// the windows decoded and the distinct k-mers counted, and empties the
-// inbox.
-func (in *inbox) count(k, m, minCount int, t *tally, own dht.Owned[kmer.Kmer, KmerData], r *xrt.Rank) (windows, distinct int) {
+// a window, makes it canonical, probes and adds; then every k-mer of the
+// bin is handed to keep with its complete evidence, and the ones seen at
+// least minCount times move into the shard, each charged to r as the local
+// store it is — the senders' store batches already charged this owner one
+// local operation per window. Each k-mer is taken out of t as it moves, so
+// emptying t for the next bin costs the bin's k-mers, not t's capacity,
+// which is the heaviest bin's that t has ever counted. Returns the windows
+// decoded and the distinct k-mers counted, and empties the inbox.
+func (in *inbox) count(k, m, minCount int, t *tally, own dht.Owned[kmer.Kmer, KmerData], r *xrt.Rank, keep keeper) (windows, distinct int) {
 	slices.SortStableFunc(in.msgs, func(a, b inboxMsg) int { return a.src - b.src })
 	offBits := t.sortRecords(in.msgs, k, m)
 	offMask := uint64(1)<<offBits - 1
@@ -619,7 +639,7 @@ func (in *inbox) count(k, m, minCount int, t *tally, own dht.Owned[kmer.Kmer, Km
 		moved := 0
 		for _, s := range t.seen {
 			d, _ := t.counts.Take(s.h, s.km)
-			moved += settle(own, s.km, d, minCount)
+			moved += keep(own, s.km, d, minCount)
 		}
 		t.seen = t.seen[:0]
 		r.ChargeStoreBatch(r.ID, moved, moved*kmerItemBytes)
@@ -628,18 +648,22 @@ func (in *inbox) count(k, m, minCount int, t *tally, own dht.Owned[kmer.Kmer, Km
 	return windows, distinct
 }
 
+// keeper is the step that ends a k-mer's count: it is handed the k-mer's
+// complete evidence, once, and returns the entries it stored. The product
+// passes settle; a test passes a wrapper that also reads the evidence,
+// which the table no longer holds.
+type keeper func(own dht.Owned[kmer.Kmer, KmerData], km kmer.Kmer, d evidence, minCount int) int
+
 // settle stores the complete count d of km in the owner's shard,
 // extension codes called, if it reaches minCount; it returns the entries
 // stored. Only here is km's table hash taken: it picks the shard's stripe
 // and slot.
-func settle(own dht.Owned[kmer.Kmer, KmerData], km kmer.Kmer, d KmerData, minCount int) int {
+func settle(own dht.Owned[kmer.Kmer, KmerData], km kmer.Kmer, d evidence, minCount int) int {
 	if d.Count < uint32(minCount) {
 		return 0
 	}
-	d.ExtL = callExt(d.LeftCnt, minExtCount)
-	d.ExtR = callExt(d.RightCnt, minExtCount)
 	v, _ := own.Entry(km.Hash(hashSeed), km).Upsert()
-	*v = d
+	*v = d.called()
 	return 1
 }
 
@@ -772,6 +796,11 @@ func heavyKeys(team *xrt.Team, readsByRank [][]fastq.Record, opt Options, res *R
 // obtained from the parallel FASTQ reader. The returned table's entries
 // are complete and extension-finalized after Run returns.
 func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
+	return run(team, readsByRank, opt, settle)
+}
+
+// run is Run with the step that ends each k-mer's count as a parameter.
+func run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options, keep keeper) *Result {
 	opt = opt.withDefaults()
 	p := team.Config().Ranks
 	res := &Result{}
@@ -789,7 +818,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	res.HeavyHitters = len(hh.keys)
 	// heavyAcc[rank][i] accumulates the occurrences of hh.keys[i] that rank
 	// scanned, filled as the partition pass segments its reads.
-	heavyAcc := make([][]KmerData, p)
+	heavyAcc := make([][]evidence, p)
 
 	// Per-rank scan and super-k-mer transport statistics (summed
 	// deterministically after the phase), what each owner received, and
@@ -814,7 +843,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	segs := make([]segments, p)
 	var weights []int64
 	segment := team.Run(func(r *xrt.Rank) {
-		acc := make([]KmerData, len(hh.keys))
+		acc := make([]evidence, len(hh.keys))
 		s := &segs[r.ID]
 		w := binWeights.Get().(*[Bins]int64)
 		emit := func(mh uint64, record []byte, nwin int) {
@@ -887,7 +916,7 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 	res.CountPhase = team.Run(func(r *xrt.Rank) {
 		t := tallies.Get().(*tally)
 		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-			w, d := inboxes[r.ID].count(opt.K, minLen, opt.MinCount, t, own, r)
+			w, d := inboxes[r.ID].count(opt.K, minLen, opt.MinCount, t, own, r, keep)
 			ownerWins[r.ID], distinct[r.ID] = int64(w), int64(d)
 		})
 		tallies.Put(t)
@@ -903,14 +932,14 @@ func Run(team *xrt.Team, readsByRank [][]fastq.Record, opt Options) *Result {
 			moved := 0
 			table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
 				for _, i := range heavyByOwner[r.ID] {
-					var agg KmerData
+					var agg evidence
 					for _, part := range heavyAcc {
 						agg.merge(part[i])
 					}
 					if agg.Count > 0 {
 						distinct[r.ID]++
 					}
-					moved += settle(own, hh.keys[i], agg, opt.MinCount)
+					moved += keep(own, hh.keys[i], agg, opt.MinCount)
 				}
 			})
 			r.ChargeStoreBatch(r.ID, moved, moved*kmerItemBytes)

@@ -1,7 +1,9 @@
 package kanalysis
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"hipmer/internal/fastq"
 	"hipmer/internal/genome"
@@ -243,14 +245,18 @@ func TestHeavyHittersImproveBalanceOnWheat(t *testing.T) {
 
 // TestMinCountOneKeepsEveryKmer: at MinCount 1 the table holds every
 // distinct k-mer of the reads, errors included, with the serial oracle's
-// count and extension codes, at 1, 4 and 32 ranks.
+// count and extension codes, called from the oracle's evidence, at 1, 4 and
+// 32 ranks.
 func TestMinCountOneKeepsEveryKmer(t *testing.T) {
 	const k = 21
 	_, recs := simReads(t, 7, 15000, 10, genome.DefaultErrorModel())
-	want := serialTable(recs, k, 1)
+	wantEv := serialEvidence(recs, k)
+	want := keptTable(wantEv, 1)
 	for _, p := range []int{1, 4, 32} {
-		res := Run(xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 4}), splitReads(recs, p),
-			Options{K: k, MinCount: 1, HeavyHitters: true, HHMinCount: 64})
+		log := newEndedLog()
+		res := run(xrt.NewTeam(xrt.Config{Ranks: p, RanksPerNode: 4}), splitReads(recs, p),
+			Options{K: k, MinCount: 1, HeavyHitters: true, HHMinCount: 64}, log.keep)
+		log.check(t, fmt.Sprintf("%d ranks", p), k, wantEv)
 		got := tableCounts(res)
 		if len(got) != len(want) || res.Kept != int64(len(want)) {
 			t.Fatalf("%d ranks: the table holds %d k-mers and kept %d; the reads have %d", p, len(got), res.Kept, len(want))
@@ -325,6 +331,16 @@ func TestLowQualityExtensionsIgnored(t *testing.T) {
 	}
 	if loExt != 0 {
 		t.Fatalf("low-quality reads produced %d extensions", loExt)
+	}
+}
+
+// TestKmerDataIsEightBytes: a table entry is the count and the two
+// extension codes and nothing else — every reader of the frozen table needs
+// only those, and the evidence they are called from stays in the count
+// pass. A field added back doubles the shard's slots again.
+func TestKmerDataIsEightBytes(t *testing.T) {
+	if n := unsafe.Sizeof(KmerData{}); n != 8 {
+		t.Fatalf("KmerData is %d bytes, want 8", n)
 	}
 }
 

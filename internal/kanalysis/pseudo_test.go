@@ -47,16 +47,19 @@ func TestPseudoReadsMatchRepeatedPerfectReads(t *testing.T) {
 	const p = 4
 
 	team := xrt.NewTeam(xrt.Config{Ranks: p})
-	asReads := Run(team, splitReads(perfectReads(seqs, w*2), p), Options{K: k, MinCount: 2})
+	readsLog := newEndedLog()
+	asReads := run(team, splitReads(perfectReads(seqs, w*2), p), Options{K: k, MinCount: 2}, readsLog.keep)
 
 	pseudo := make([][]PseudoRead, p)
 	for i, s := range seqs {
 		pseudo[i%p] = append(pseudo[i%p], PseudoRead{Seq: s, Weight: w * 2})
 	}
 	team2 := xrt.NewTeam(xrt.Config{Ranks: p})
-	asPseudo := Run(team2, make([][]fastq.Record, p), Options{
+	pseudoLog := newEndedLog()
+	asPseudo := run(team2, make([][]fastq.Record, p), Options{
 		K: k, MinCount: 2, PseudoByRank: pseudo,
-	})
+	}, pseudoLog.keep)
+	pseudoLog.check(t, "pseudo-reads against reads", k, readsLog.ended)
 
 	want, got := tableCounts(asReads), tableCounts(asPseudo)
 	if len(want) != len(got) {
@@ -67,8 +70,7 @@ func TestPseudoReadsMatchRepeatedPerfectReads(t *testing.T) {
 		if !ok {
 			t.Fatalf("k-mer missing from pseudo table")
 		}
-		if gd.Count != wd.Count || gd.LeftCnt != wd.LeftCnt || gd.RightCnt != wd.RightCnt ||
-			gd.ExtL != wd.ExtL || gd.ExtR != wd.ExtR {
+		if gd != wd {
 			t.Fatalf("k-mer data differs: reads %+v, pseudo %+v", wd, gd)
 		}
 	}

@@ -3,8 +3,10 @@ package kanalysis
 import (
 	"bytes"
 	"cmp"
+	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"hipmer/internal/dht"
@@ -14,12 +16,11 @@ import (
 	"hipmer/internal/xrt"
 )
 
-// serialTable is the oracle stage 1 must reproduce: every canonical k-mer
-// of recs counted in one serial pass into a Go map, with its
-// quality-filtered extension evidence, then filtered at minCount and its
-// extension codes called.
-func serialTable(recs []fastq.Record, k, minCount int) map[kmer.Kmer]KmerData {
-	m := make(map[kmer.Kmer]KmerData)
+// serialEvidence is the oracle stage 1's count pass must reproduce: every
+// canonical k-mer of recs counted in one serial pass into a Go map, with
+// its quality-filtered extension evidence.
+func serialEvidence(recs []fastq.Record, k int) map[kmer.Kmer]evidence {
+	m := make(map[kmer.Kmer]evidence)
 	for _, rec := range recs {
 		kmer.ForEachCanonical(rec.Seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
 			d := m[canon]
@@ -27,23 +28,71 @@ func serialTable(recs []fastq.Record, k, minCount int) map[kmer.Kmer]KmerData {
 			m[canon] = d
 		})
 	}
-	for km, d := range m {
-		if d.Count < uint32(minCount) {
-			delete(m, km)
-			continue
+	return m
+}
+
+// keptTable is the table evidence ev gives: the k-mers seen at least
+// minCount times, with their counts and called extension codes.
+func keptTable(ev map[kmer.Kmer]evidence, minCount int) map[kmer.Kmer]KmerData {
+	m := make(map[kmer.Kmer]KmerData)
+	for km, d := range ev {
+		if d.Count >= uint32(minCount) {
+			m[km] = d.called()
 		}
-		d.ExtL, d.ExtR = callExt(d.LeftCnt, minExtCount), callExt(d.RightCnt, minExtCount)
-		m[km] = d
 	}
 	return m
 }
 
+// endedLog records the evidence a count pass ends each k-mer with. Its
+// keep is settle that also records, safe to call from every rank at once.
+type endedLog struct {
+	mu    sync.Mutex
+	ended map[kmer.Kmer]evidence
+	twice int // k-mers ended more than once
+}
+
+func newEndedLog() *endedLog { return &endedLog{ended: make(map[kmer.Kmer]evidence)} }
+
+func (l *endedLog) keep(own dht.Owned[kmer.Kmer, KmerData], km kmer.Kmer, d evidence, minCount int) int {
+	l.mu.Lock()
+	if _, ok := l.ended[km]; ok {
+		l.twice++
+	}
+	l.ended[km] = d
+	l.mu.Unlock()
+	return settle(own, km, d, minCount)
+}
+
+// check fails unless every k-mer was ended once, with want's evidence.
+func (l *endedLog) check(t *testing.T, label string, k int, want map[kmer.Kmer]evidence) {
+	t.Helper()
+	if l.twice > 0 {
+		t.Fatalf("%s: the count ended %d k-mers twice", label, l.twice)
+	}
+	checkEvidence(t, label, k, l.ended, want)
+}
+
+// checkEvidence fails unless got holds exactly want's k-mers, each with
+// want's count and extension evidence.
+func checkEvidence(t *testing.T, label string, k int, got, want map[kmer.Kmer]evidence) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: evidence for %d k-mers, the oracle counts %d", label, len(got), len(want))
+	}
+	for km, d := range want {
+		if g, ok := got[km]; !ok || g != d {
+			t.Fatalf("%s: k-mer %s: evidence %+v, the oracle counts %+v", label, km.String(k), g, d)
+		}
+	}
+}
+
 // TestSuperKmerEquivalence: the minimizer super-k-mer transport is a
-// communication optimization — the resulting k-mer table (counts and
-// extension codes) must be identical to a serial map counter's on the same
-// reads, with and without heavy hitters in play. One read pair is 70 000
-// bases of poly-A: a single minimizer run longer than a record frames,
-// which travels as two.
+// communication optimization — the evidence the count pass ends each k-mer
+// with (count and extension tallies, every k-mer once, below MinCount too)
+// and the resulting k-mer table (counts and extension codes) must be
+// identical to a serial map counter's on the same reads, with and without
+// heavy hitters in play. One read pair is 70 000 bases of poly-A: a single
+// minimizer run longer than a record frames, which travels as two.
 func TestSuperKmerEquivalence(t *testing.T) {
 	const k = 21
 	rng := xrt.NewPrng(4)
@@ -55,10 +104,13 @@ func TestSuperKmerEquivalence(t *testing.T) {
 	})
 	polyA := fastq.Record{ID: []byte("polyA"), Seq: bytes.Repeat([]byte{'A'}, 70000), Qual: bytes.Repeat([]byte{'I'}, 70000)}
 	recs = append(recs, polyA, polyA)
-	want := serialTable(recs, k, 2)
+	wantEv := serialEvidence(recs, k)
+	want := keptTable(wantEv, 2)
 	for _, opt := range []Options{{}, {HeavyHitters: true}} {
 		opt.K, opt.MinCount, opt.Theta, opt.HHMinCount = k, 2, 2000, 200
-		res := Run(xrt.NewTeam(xrt.Config{Ranks: 7, RanksPerNode: 3}), splitReads(recs, 7), opt)
+		log := newEndedLog()
+		res := run(xrt.NewTeam(xrt.Config{Ranks: 7, RanksPerNode: 3}), splitReads(recs, 7), opt, log.keep)
+		log.check(t, fmt.Sprintf("%+v", opt), k, wantEv)
 		got := tableCounts(res)
 		if res.SuperKmers == 0 {
 			t.Fatal("super-k-mer path shipped no super-k-mers")
@@ -82,9 +134,10 @@ func TestSuperKmerEquivalence(t *testing.T) {
 
 // TestOwnerCountMatchesOracle drives one owner's inbox through the count
 // pass by hand. Three senders interleave read records with weighted
-// pseudo-read records, five to a message. Every k-mer that clears MinCount
-// must reach the shard with the exact count and extension evidence of an
-// oracle that counts the same sequences serially, and no other k-mer. The
+// pseudo-read records, five to a message. Every k-mer must be ended once,
+// with the exact count and extension evidence of an oracle that counts the
+// same sequences serially; every one that clears MinCount must reach the
+// shard with that count and the codes called from it, and no other. The
 // pass must decode every window sent, report the distinct k-mers, charge
 // one local store per entry stored and nothing else, and empty the inbox.
 func TestOwnerCountMatchesOracle(t *testing.T) {
@@ -95,7 +148,7 @@ func TestOwnerCountMatchesOracle(t *testing.T) {
 	// The oracle: read windows count once with their quality-filtered
 	// evidence, pseudo-read windows (every 7th read's bases, no quality)
 	// count weight times with all of theirs.
-	oracle := make(map[kmer.Kmer]KmerData)
+	oracle := make(map[kmer.Kmer]evidence)
 	offer := func(rec fastq.Record, w uint32) {
 		kmer.ForEachCanonical(rec.Seq, k, func(pos int, canon kmer.Kmer, flipped bool) {
 			d := oracle[canon]
@@ -130,24 +183,19 @@ func TestOwnerCountMatchesOracle(t *testing.T) {
 	for src, p := range pending {
 		in.deliver(src, p)
 	}
-	want := make(map[kmer.Kmer]KmerData)
-	for km, d := range oracle {
-		if d.Count >= 2 {
-			d.ExtL, d.ExtR = callExt(d.LeftCnt, minExtCount), callExt(d.RightCnt, minExtCount)
-			want[km] = d
-		}
-	}
+	want := keptTable(oracle, 2)
 	if len(want) == 0 || len(want) == len(oracle) {
 		t.Fatalf("%d of %d k-mers clear MinCount: the test checks no filter", len(want), len(oracle))
 	}
 
 	team := xrt.NewTeam(xrt.Config{Ranks: 1})
 	table := NewTable(team, 0, 0, 0, k, m)
+	log := newEndedLog()
 	team.Run(func(r *xrt.Rank) {
 		stores, work := team.RankStats(0).LocalStores, team.RankWorkNs(0)
 		var scratch tally
 		table.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
-			decoded, distinct := in.count(k, m, 2, &scratch, own, r)
+			decoded, distinct := in.count(k, m, 2, &scratch, own, r, log.keep)
 			if decoded != windows || distinct != len(oracle) {
 				t.Errorf("the count decoded %d windows and found %d distinct k-mers; %d were sent, of %d k-mers",
 					decoded, distinct, windows, len(oracle))
@@ -163,6 +211,7 @@ func TestOwnerCountMatchesOracle(t *testing.T) {
 			t.Errorf("the count left %d messages and %d scratch entries", len(in.msgs), scratch.counts.Len())
 		}
 	})
+	log.check(t, "owner count", k, oracle)
 	got := tableCounts(&Result{Table: table})
 	if len(got) != len(want) {
 		t.Fatalf("the shard holds %d k-mers, the oracle keeps %d", len(got), len(want))
@@ -371,7 +420,7 @@ func TestCountSlotOrder(t *testing.T) {
 	got, serial := NewTable(team, 0, 0, 0, k, m), NewTable(team, 0, 0, 0, k, m)
 	team.Run(func(r *xrt.Rank) {
 		in := &inbox{msgs: msgs}
-		got.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) { in.count(k, m, minCount, new(tally), own, r) })
+		got.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) { in.count(k, m, minCount, new(tally), own, r, settle) })
 		serial.OwnShard(r, func(own dht.Owned[kmer.Kmer, KmerData]) {
 			for _, km := range want {
 				own.Entry(km.Hash(hashSeed), km).Upsert()

@@ -12,7 +12,8 @@ import (
 // hashes. The digests were regenerated when the manifest moved to
 // hipmer-ckpt/v5, which dropped the zero words of removed knobs and the
 // oracle flag, and again at v6, v7, v8 and v9, since the schema string
-// is hashed.
+// is hashed, and at v10, which also dropped the zero word v5 kept where
+// the aggregating-stores buffer size was hashed.
 func TestFingerprintGolden(t *testing.T) {
 	_, libs := SimulatedHuman(3, 1500, 8)
 	team := xrt.NewTeam(xrt.Config{Ranks: 4, RanksPerNode: 2, Seed: 5})
@@ -25,10 +26,10 @@ func TestFingerprintGolden(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"single-k", Config{K: 21}, "b20242bd6d1c62d1"},
-		{"ladder", Config{KmerLens: []int{21, 33}}, "083009655e9e312f"},
-		{"contigs-only", Config{K: 21, ContigsOnly: true}, "e8803cc529061bf2"},
-		{"four-scaffold-rounds", Config{K: 21, ScaffoldRounds: 4}, "8edcdfd256f2673d"},
+		{"single-k", Config{K: 21}, "e2ece0bec84dbf26"},
+		{"ladder", Config{KmerLens: []int{21, 33}}, "37736c20749a6924"},
+		{"contigs-only", Config{K: 21, ContigsOnly: true}, "f4b39aef87ffd9e5"},
+		{"four-scaffold-rounds", Config{K: 21, ScaffoldRounds: 4}, "d2ea13d9251bc49a"},
 	}
 	for _, c := range cases {
 		got, err := runFingerprint(team, c.cfg.WithDefaults(), libs, env.readLibs)

@@ -487,10 +487,6 @@ func runFingerprint(team *xrt.Team, cfg Config, libs []Library, readLibs []scaff
 		f.Int(int64(k))
 	}
 	f.Int(int64(cfg.MinCount))
-	// A zero word where the aggregating-stores buffer size (zero in every
-	// product run) was hashed, so checkpoints written before its removal
-	// resume.
-	f.Int(0)
 	f.Bool(cfg.ContigsOnly)
 	f.Int(int64(cfg.ScaffoldRounds))
 	for li, rl := range readLibs {
